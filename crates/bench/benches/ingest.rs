@@ -58,7 +58,7 @@ fn bench_ingest(c: &mut Criterion) {
         })
     });
     g.bench_function("binfmt_read", |b| {
-        b.iter(|| black_box(binfmt::read_dataset(&mut serialized.as_slice()).expect("read")))
+        b.iter(|| black_box(binfmt::read_dataset(&serialized).expect("read")))
     });
 
     g.finish();

@@ -133,6 +133,34 @@ impl<T: Copy> AlignedBuf<T> {
         self.len += vs.len();
     }
 
+    /// Append every item of an iterator. Items are staged through a
+    /// stack block and appended a block at a time, so the inner loop is
+    /// a plain store the compiler can vectorise (a per-element
+    /// [`push`](Self::push) re-checks capacity each time and runs
+    /// several times slower) — this is what makes a store load's column
+    /// decode one bulk pass.
+    pub fn extend_from_iter<I: IntoIterator<Item = T>>(&mut self, iter: I) {
+        const STAGE: usize = 512;
+        let mut it = iter.into_iter();
+        self.reserve(it.size_hint().0);
+        // The first item doubles as the block's fill value, so `T`
+        // needs no `Default`.
+        let Some(first) = it.next() else { return };
+        self.push(first);
+        let mut block = [first; STAGE];
+        loop {
+            let mut filled = 0;
+            for (slot, v) in block.iter_mut().zip(it.by_ref()) {
+                *slot = v;
+                filled += 1;
+            }
+            self.extend_from_slice(block.get(..filled).unwrap_or(&[]));
+            if filled < STAGE {
+                return; // the iterator ran dry
+            }
+        }
+    }
+
     /// Resize to `new_len`, filling new slots with `fill`.
     pub fn resize(&mut self, new_len: usize, fill: T) {
         if new_len > self.len {
@@ -242,9 +270,7 @@ impl<T: Copy> FromIterator<T> for AlignedBuf<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let it = iter.into_iter();
         let mut b = Self::with_capacity(it.size_hint().0);
-        for v in it {
-            b.push(v);
-        }
+        b.extend_from_iter(it);
         b
     }
 }
@@ -336,6 +362,20 @@ mod tests {
             b.push(i);
         }
         assert!(b.iter().enumerate().all(|(i, &v)| v == i as u32));
+    }
+
+    #[test]
+    fn extend_from_iter_across_stage_boundaries() {
+        // A filter hides the length, so growth happens mid-stream too.
+        for n in [0u32, 1, 2, 511, 512, 513, 1024, 1025, 3000] {
+            let mut b = AlignedBuf::from(&[7u32, 8][..]);
+            b.extend_from_iter((0..n).filter(|_| true));
+            assert_eq!(b.len(), n as usize + 2, "n = {n}");
+            assert_eq!(&b[..2], &[7, 8]);
+            assert!(b[2..].iter().copied().eq(0..n), "n = {n}");
+            let collected: AlignedBuf<u32> = (0..n).collect();
+            assert_eq!(collected.capacity(), n as usize, "collect sizes exactly");
+        }
     }
 
     #[test]

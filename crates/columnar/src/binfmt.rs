@@ -1,16 +1,16 @@
-//! The indexed binary on-disk format.
+//! The indexed binary on-disk format (store format v2).
 //!
 //! The preprocessing tool converts GDELT once into this format; afterwards
 //! the engine memory-loads it in seconds instead of re-parsing a terabyte
 //! of CSV. Layout:
 //!
 //! ```text
-//! magic  "GDHPC1\0\0"                      8 bytes
+//! magic  "GDHPC2\0\0"                      8 bytes
 //! u32    section count                     little-endian
 //! per section:
 //!   u16  name length, then name bytes      (ASCII, e.g. "mentions.delay")
 //!   u64  payload length in bytes
-//!   u64  FNV-1a-64 checksum of the payload
+//!   u64  checksum64 of the payload         (see below)
 //!   payload                                raw little-endian column data
 //! ```
 //!
@@ -19,41 +19,124 @@
 //! sections are ignored on read). Checksums catch corruption; a full
 //! [`Dataset::validate`] runs after load.
 //!
-//! Since PR 4 the writer also emits a `partitions.meta` section (first
-//! in the file): the store's row ranges split into
-//! [`DEFAULT_STORE_PARTITIONS`] contiguous *load partitions*, plus a
-//! per-section, per-partition FNV digest table. Whole-section checksums
-//! detect corruption; the digest table *localizes* it to a partition, so
-//! the degraded loader ([`crate::degraded`]) can quarantine the damaged
-//! partition and serve the rest. Readers that predate the section ignore
-//! it (it is just another named section).
+//! The writer also emits a `partitions.meta` section (first in the
+//! file): the store's row ranges split into [`DEFAULT_STORE_PARTITIONS`]
+//! contiguous *load partitions*, plus a per-section, per-partition
+//! [`checksum64`] digest table. Whole-section checksums detect
+//! corruption; the digest table *localizes* it to a partition, so the
+//! degraded loader ([`crate::degraded`]) can quarantine the damaged
+//! partition and serve the rest.
+//!
+//! # `checksum64`
+//!
+//! Both the section checksum and the digest table use one function,
+//! defined here exactly so a third party can reimplement it. All
+//! arithmetic is on `u64` and wraps; words are little-endian.
+//!
+//! ```text
+//! LANE_SEED = [0x6a09e667f3bcc908, 0xbb67ae8584caa73b,
+//!              0x3c6ef372fe94f82b, 0xa54ff53a5f1d36f1]
+//! LANE_MUL  = 0x9e3779b185ebca87      FOLD_MUL = 0xc2b2ae3d27d4eb4f
+//!
+//! lane[0..4] = LANE_SEED
+//! for each whole 32-byte block, for i in 0..4:      (word i = bytes 8i..8i+8)
+//!     lane[i] = (lane[i] ^ word[i]) * LANE_MUL
+//! fold(acc, w) = { m = (acc ^ w) * FOLD_MUL;  m ^ (m >> 29) }
+//! acc = input length in bytes
+//! for i in 0..4:                    acc = fold(acc, lane[i])
+//! for each 8-byte group of the remaining 0..=31 bytes, in order, the
+//! last one zero-padded to 8 bytes:  acc = fold(acc, word)
+//! acc ^= acc >> 33;  acc *= 0xff51afd7ed558ccd
+//! acc ^= acc >> 33;  acc *= 0xc4ceb9fe1a85ec53
+//! digest = acc ^ (acc >> 33)
+//! ```
+//!
+//! The four lanes are independent multiply chains, so the function runs
+//! at memory speed where byte-serial FNV-1a ran at one multiply per byte.
+//! Every step is a bijection of the running state for a fixed input
+//! word and of the input word for a fixed state, so — like FNV — any
+//! change confined to one word is *guaranteed* to change the digest.
+//! (The shard wire protocol still frames with FNV-1a: its frames are
+//! small and its layouts are version-pinned; see `gdelt_shard::wire`.)
+//!
+//! # Reading
+//!
+//! [`SectionReader`] is the only parser of the magic and the section
+//! headers; the strict loader, the degraded loader and [`scan_layout`]
+//! all drive it. It is given the total length of its source, and no
+//! declared length is trusted past that bound, so a corrupt length
+//! field can neither drive an allocation larger than the file nor seek
+//! beyond its end. A payload is read once into a buffer sized from the
+//! (bounded) header, checksummed there, and decoded in one bulk pass
+//! into its final [`AlignedBuf`](crate::aligned::AlignedBuf) /
+//! [`StringPool`].
 
-use crate::aligned::AlignedBuf;
 use crate::index::EventIndex;
 use crate::partition::partitions;
 use crate::strings::{StringDict, StringPool};
 use crate::table::Dataset;
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::collections::{BTreeSet, HashMap};
+use std::io::{self, Read, Seek, Write};
+use std::path::{Path, PathBuf};
 
-/// Format magic, bumped with any incompatible layout change.
-pub const MAGIC: &[u8; 8] = b"GDHPC1\0\0";
+/// Format magic, bumped with any incompatible layout change. `GDHPC1`
+/// stores (FNV-1a checksums) are refused: re-run `gdelt-cli convert`.
+pub const MAGIC: &[u8; 8] = b"GDHPC2\0\0";
 
-/// FNV-1a 64-bit checksum.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+const LANE_SEEDS: [u64; 4] =
+    [0x6a09_e667_f3bc_c908, 0xbb67_ae85_84ca_a73b, 0x3c6e_f372_fe94_f82b, 0xa54f_f53a_5f1d_36f1];
+const LANE_MUL: u64 = 0x9e37_79b1_85eb_ca87;
+const FOLD_MUL: u64 = 0xc2b2_ae3d_27d4_eb4f;
+
+/// Up to eight bytes as a little-endian word, zero-padded.
+#[inline]
+fn le_word(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    for (dst, src) in word.iter_mut().zip(bytes) {
+        *dst = *src;
     }
-    h
+    u64::from_le_bytes(word)
+}
+
+#[inline]
+fn fold(acc: u64, word: u64) -> u64 {
+    let m = (acc ^ word).wrapping_mul(FOLD_MUL);
+    m ^ (m >> 29)
+}
+
+/// The store's 64-bit checksum: four independent xor-multiply lanes over
+/// little-endian words, folded with the length and the byte tail. The
+/// module docs give the exact definition.
+// analyze: no_panic
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    let mut lanes = LANE_SEEDS;
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = (*lane ^ le_word(word)).wrapping_mul(LANE_MUL);
+        }
+    }
+    let mut acc = bytes.len() as u64;
+    for lane in lanes {
+        acc = fold(acc, lane);
+    }
+    for word in blocks.remainder().chunks(8) {
+        acc = fold(acc, le_word(word));
+    }
+    acc ^= acc >> 33;
+    acc = acc.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    acc ^= acc >> 33;
+    acc = acc.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    acc ^ (acc >> 33)
 }
 
 /// Column element types the format stores.
-pub trait Scalar: Copy {
+pub trait Scalar: Copy + 'static {
     /// Bytes per element.
     const WIDTH: usize;
-    /// Append the little-endian encoding of `self`.
-    fn write_le(self, out: &mut Vec<u8>);
+    /// Write the little-endian encoding of `self` over exactly
+    /// [`Scalar::WIDTH`] bytes.
+    fn write_le(self, out: &mut [u8]);
     /// Decode from exactly [`Scalar::WIDTH`] bytes.
     fn read_le(bytes: &[u8]) -> Self;
 }
@@ -63,8 +146,8 @@ macro_rules! impl_scalar {
         impl Scalar for $t {
             const WIDTH: usize = $w;
             #[inline]
-            fn write_le(self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_le_bytes());
+            fn write_le(self, out: &mut [u8]) {
+                out.copy_from_slice(&self.to_le_bytes());
             }
             #[inline]
             fn read_le(bytes: &[u8]) -> Self {
@@ -81,19 +164,24 @@ impl_scalar!(u32, 4);
 impl_scalar!(u64, 8);
 impl_scalar!(f32, 4);
 
+/// Bulk little-endian encode of a column into a payload.
 fn encode<T: Scalar>(vals: &[T]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vals.len() * T::WIDTH);
-    for &v in vals {
-        v.write_le(&mut out);
+    let mut out = vec![0u8; vals.len() * T::WIDTH];
+    for (dst, &v) in out.chunks_exact_mut(T::WIDTH).zip(vals) {
+        v.write_le(dst);
     }
     out
 }
 
-pub(crate) fn decode<T: Scalar>(bytes: &[u8]) -> io::Result<Vec<T>> {
+/// Bulk little-endian decode of a payload: the elements, ready to be
+/// collected straight into their final container (an
+/// [`AlignedBuf`](crate::aligned::AlignedBuf) column or a `Vec` offsets
+/// array).
+pub(crate) fn decode<T: Scalar>(bytes: &[u8]) -> io::Result<impl Iterator<Item = T> + '_> {
     if !bytes.len().is_multiple_of(T::WIDTH) {
         return Err(bad("section length not a multiple of element width"));
     }
-    Ok(bytes.chunks_exact(T::WIDTH).map(T::read_le).collect())
+    Ok(bytes.chunks_exact(T::WIDTH).map(T::read_le))
 }
 
 pub(crate) fn bad(msg: impl Into<String>) -> io::Error {
@@ -105,46 +193,9 @@ fn write_section<W: Write>(w: &mut W, name: &str, payload: &[u8]) -> io::Result<
     w.write_all(&(name_b.len() as u16).to_le_bytes())?;
     w.write_all(name_b)?;
     w.write_all(&(payload.len() as u64).to_le_bytes())?;
-    w.write_all(&fnv1a64(payload).to_le_bytes())?;
+    w.write_all(&checksum64(payload).to_le_bytes())?;
     w.write_all(payload)
 }
-
-/// All section names in write order.
-const SECTIONS: &[&str] = &[
-    "events.id",
-    "events.day",
-    "events.capture",
-    "events.quarter",
-    "events.root",
-    "events.quad",
-    "events.actor1",
-    "events.actor2",
-    "events.goldstein",
-    "events.num_mentions",
-    "events.num_sources",
-    "events.num_articles",
-    "events.avg_tone",
-    "events.country",
-    "events.lat",
-    "events.lon",
-    "events.source_url",
-    "events.urls.bytes",
-    "events.urls.offsets",
-    "mentions.event_id",
-    "mentions.event_row",
-    "mentions.event_interval",
-    "mentions.mention_interval",
-    "mentions.delay",
-    "mentions.source",
-    "mentions.quarter",
-    "mentions.mention_type",
-    "mentions.confidence",
-    "mentions.doc_tone",
-    "sources.names.bytes",
-    "sources.names.offsets",
-    "sources.country",
-    "index.offsets",
-];
 
 /// Name of the partition-map section (written first in the file).
 pub const META_SECTION: &str = "partitions.meta";
@@ -298,7 +349,7 @@ pub(crate) struct MetaTable {
     pub(crate) n_events: u64,
     pub(crate) n_mentions: u64,
     pub(crate) extents: Vec<PartExtent>,
-    /// Per-section digest rows: `(section name, one FNV per partition)`.
+    /// Per-section digest rows: `(section name, one digest per partition)`.
     pub(crate) digests: Vec<(String, Vec<u64>)>,
 }
 
@@ -310,36 +361,35 @@ fn build_meta(
     url_offsets: &[u64],
 ) -> Vec<u8> {
     let mut out = Vec::new();
-    META_VERSION.write_le(&mut out);
-    (extents.len() as u32).write_le(&mut out);
-    n_events.write_le(&mut out);
-    n_mentions.write_le(&mut out);
+    out.extend_from_slice(&META_VERSION.to_le_bytes());
+    out.extend_from_slice(&(extents.len() as u32).to_le_bytes());
+    out.extend_from_slice(&n_events.to_le_bytes());
+    out.extend_from_slice(&n_mentions.to_le_bytes());
     for e in extents {
-        e.ev_begin.write_le(&mut out);
-        e.ev_end.write_le(&mut out);
-        e.m_begin.write_le(&mut out);
-        e.m_end.write_le(&mut out);
+        for bound in [e.ev_begin, e.ev_end, e.m_begin, e.m_end] {
+            out.extend_from_slice(&bound.to_le_bytes());
+        }
     }
     let rows: Vec<(&str, &Vec<u8>)> = payloads
         .iter()
         .filter(|(name, _)| section_space(name) != SectionSpace::Global)
         .map(|(name, payload)| (*name, payload))
         .collect();
-    (rows.len() as u32).write_le(&mut out);
+    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
     for (name, payload) in rows {
         let name_b = name.as_bytes();
-        (name_b.len() as u16).write_le(&mut out);
+        out.extend_from_slice(&(name_b.len() as u16).to_le_bytes());
         out.extend_from_slice(name_b);
         let space = section_space(name);
         for e in extents {
             let digest = match e.slice(space, payload, url_offsets) {
-                Some(bytes) => fnv1a64(bytes),
+                Some(bytes) => checksum64(bytes),
                 // Unrepresentable slice at write time would mean an
                 // inconsistent dataset; record a sentinel that can
                 // never match (actual slices hash real bytes).
                 None => 0,
             };
-            digest.write_le(&mut out);
+            out.extend_from_slice(&digest.to_le_bytes());
         }
     }
     out
@@ -423,9 +473,6 @@ pub fn write_dataset_with_partitions<W: Write>(
     d: &Dataset,
     n_parts: u32,
 ) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    w.write_all(&(SECTIONS.len() as u32 + 1).to_le_bytes())?;
-
     let (url_bytes, url_offsets) = d.events.urls.raw_parts();
     let (name_bytes, name_offsets) = d.sources.names.pool().raw_parts();
 
@@ -464,7 +511,6 @@ pub fn write_dataset_with_partitions<W: Write>(
         ("sources.country", encode(&d.sources.country)),
         ("index.offsets", encode(&d.event_index.offsets)),
     ];
-    debug_assert_eq!(payloads.len(), SECTIONS.len());
     let extents =
         partition_extents(d.events.len(), d.mentions.len(), &d.event_index.offsets, n_parts);
     let meta = build_meta(
@@ -474,6 +520,8 @@ pub fn write_dataset_with_partitions<W: Write>(
         d.mentions.len() as u64,
         url_offsets,
     );
+    w.write_all(MAGIC)?;
+    w.write_all(&(payloads.len() as u32 + 1).to_le_bytes())?;
     write_section(w, META_SECTION, &meta)?;
     for (name, payload) in &payloads {
         write_section(w, name, payload)?;
@@ -481,95 +529,215 @@ pub fn write_dataset_with_partitions<W: Write>(
     Ok(())
 }
 
-/// Raw section map read back from a stream.
-pub(crate) struct Sections {
-    pub(crate) map: std::collections::HashMap<String, Vec<u8>>,
+/// One section of a store as its header describes it: where the
+/// payload lives and what it should hash to.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SectionLayout {
+    /// Section name.
+    pub name: String,
+    /// Absolute offset of the first payload byte.
+    pub payload_offset: u64,
+    /// Payload length in bytes, as the header declares it.
+    pub payload_len: u64,
+    /// Stored [`checksum64`] of the payload.
+    pub checksum: u64,
+    /// How many of the declared bytes the source can hold:
+    /// `payload_len` clamped to what lies between `payload_offset` and
+    /// the end of the source.
+    available: u64,
 }
 
-impl Sections {
-    pub(crate) fn read<R: Read>(r: &mut R) -> io::Result<Self> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(bad("bad magic: not a gdelt-hpc binary file"));
+impl SectionLayout {
+    /// Refuse a section whose declared payload runs past the end of
+    /// the source (a corrupt length field or a truncated file).
+    fn ensure_whole(&self) -> io::Result<()> {
+        if self.available < self.payload_len {
+            return Err(bad(format!(
+                "section {} truncated: {} of {} declared bytes lie inside the file",
+                self.name, self.available, self.payload_len
+            )));
         }
-        let mut cnt = [0u8; 4];
-        r.read_exact(&mut cnt)?;
-        let count = u32::from_le_bytes(cnt);
+        Ok(())
+    }
+}
+
+fn read_array<const N: usize, R: Read>(r: &mut R) -> io::Result<[u8; N]> {
+    let mut buf = [0u8; N];
+    r.read_exact(&mut buf)?;
+    Ok(buf)
+}
+
+/// The one parser of the store's magic and section headers. Callers
+/// alternate [`next_header`](Self::next_header) with either
+/// [`payload`](Self::payload) or [`skip`](Self::skip).
+pub(crate) struct SectionReader<R> {
+    r: R,
+    /// Sections the file header still promises.
+    left: u32,
+    /// Offset of the next unread byte.
+    pos: u64,
+    /// Total length of the source; no declared length is trusted past it.
+    limit: u64,
+}
+
+impl<R: Read> SectionReader<R> {
+    /// Check the magic and the section count of a source `limit` bytes
+    /// long.
+    pub(crate) fn open(mut r: R, limit: u64) -> io::Result<Self> {
+        let magic: [u8; 8] = read_array(&mut r)?;
+        if &magic != MAGIC {
+            return Err(bad(match magic.strip_prefix(b"GDHPC") {
+                Some(version) => format!(
+                    "unsupported store format GDHPC{}: re-run `gdelt-cli convert`",
+                    String::from_utf8_lossy(version).trim_end_matches('\0')
+                ),
+                None => "bad magic: not a gdelt-hpc binary file".to_string(),
+            }));
+        }
+        let count = u32::from_le_bytes(read_array(&mut r)?);
         if count > 4_096 {
             return Err(bad(format!("implausible section count {count}")));
         }
-        let mut map = std::collections::HashMap::with_capacity(count as usize);
-        for _ in 0..count {
-            let mut nl = [0u8; 2];
-            r.read_exact(&mut nl)?;
-            let name_len = u16::from_le_bytes(nl) as usize;
-            let mut name = vec![0u8; name_len];
-            r.read_exact(&mut name)?;
-            let name = String::from_utf8(name).map_err(|_| bad("non-UTF-8 section name"))?;
-            let mut pl = [0u8; 8];
-            r.read_exact(&mut pl)?;
-            let payload_len = u64::from_le_bytes(pl);
-            let mut ck = [0u8; 8];
-            r.read_exact(&mut ck)?;
-            let checksum = u64::from_le_bytes(ck);
-            // A corrupted length field must not drive a huge up-front
-            // allocation: stream through `take`, which stops at EOF, and
-            // verify the byte count afterwards.
-            let mut payload = Vec::new();
-            r.take(payload_len).read_to_end(&mut payload)?;
-            if payload.len() as u64 != payload_len {
-                return Err(bad(format!(
-                    "section {name} truncated: {} of {payload_len} bytes",
-                    payload.len()
-                )));
-            }
-            if fnv1a64(&payload) != checksum {
-                return Err(bad(format!("checksum mismatch in section {name}")));
-            }
-            map.insert(name, payload);
+        Ok(SectionReader { r, left: count, pos: 12, limit })
+    }
+
+    /// The next section header, or `None` after the promised count. A
+    /// source that ends inside a header is an `UnexpectedEof` error.
+    pub(crate) fn next_header(&mut self) -> io::Result<Option<SectionLayout>> {
+        if self.left == 0 {
+            return Ok(None);
         }
-        Ok(Sections { map })
+        self.left -= 1;
+        let name_len = u16::from_le_bytes(read_array(&mut self.r)?);
+        let mut name = vec![0u8; usize::from(name_len)];
+        self.r.read_exact(&mut name)?;
+        let name = String::from_utf8(name).map_err(|_| bad("non-UTF-8 section name"))?;
+        let payload_len = u64::from_le_bytes(read_array(&mut self.r)?);
+        let checksum = u64::from_le_bytes(read_array(&mut self.r)?);
+        self.pos += 2 + u64::from(name_len) + 16;
+        let available = payload_len.min(self.limit.saturating_sub(self.pos));
+        Ok(Some(SectionLayout { name, payload_offset: self.pos, payload_len, checksum, available }))
+    }
+
+    /// Read the payload of the header just returned into a buffer
+    /// allocated once at `h.available` bytes — never more than the
+    /// source holds, whatever the header declares. The result is
+    /// shorter than `h.payload_len` when the source ends early.
+    pub(crate) fn payload(&mut self, h: &SectionLayout) -> io::Result<Vec<u8>> {
+        let cap = usize::try_from(h.available)
+            .map_err(|_| bad(format!("section {} exceeds the address space", h.name)))?;
+        let mut buf = Vec::with_capacity(cap);
+        (&mut self.r).take(h.available).read_to_end(&mut buf)?;
+        self.pos += buf.len() as u64;
+        Ok(buf)
+    }
+
+    /// Step over the payload of the header just returned.
+    pub(crate) fn skip(&mut self, h: &SectionLayout) -> io::Result<()>
+    where
+        R: Seek,
+    {
+        h.ensure_whole()?;
+        let step = i64::try_from(h.payload_len)
+            .map_err(|_| bad(format!("section {} exceeds file offsets", h.name)))?;
+        self.r.seek_relative(step)?;
+        self.pos += h.payload_len;
+        Ok(())
+    }
+}
+
+/// Raw section payloads read back from a store.
+pub(crate) struct Sections {
+    pub(crate) map: HashMap<String, Vec<u8>>,
+    /// Sections that arrived short or failed their checksum. Always
+    /// empty after a strict [`Sections::read`], which refuses them.
+    pub(crate) dirty: BTreeSet<String>,
+}
+
+impl Sections {
+    /// Read every section of a source `limit` bytes long. The strict
+    /// loader (`tolerant: false`) fails on the first section that is
+    /// truncated or fails its checksum; the tolerant one keeps damaged
+    /// sections and marks them dirty, and lets a source that ends early
+    /// keep what it has.
+    pub(crate) fn read<R: Read>(r: R, limit: u64, tolerant: bool) -> io::Result<Self> {
+        let mut reader = SectionReader::open(r, limit)?;
+        let mut map = HashMap::with_capacity(reader.left as usize);
+        let mut dirty = BTreeSet::new();
+        loop {
+            let h = match reader.next_header() {
+                Ok(Some(h)) => h,
+                Ok(None) => break,
+                Err(e) if tolerant && e.kind() == io::ErrorKind::UnexpectedEof => break,
+                Err(e) => return Err(e),
+            };
+            if !tolerant {
+                h.ensure_whole()?;
+            }
+            let payload = reader.payload(&h)?;
+            let truncated = (payload.len() as u64) < h.payload_len;
+            if truncated || checksum64(&payload) != h.checksum {
+                if !tolerant {
+                    return Err(bad(if truncated {
+                        format!(
+                            "section {} truncated: {} of {} bytes",
+                            h.name,
+                            payload.len(),
+                            h.payload_len
+                        )
+                    } else {
+                        format!("checksum mismatch in section {}", h.name)
+                    }));
+                }
+                dirty.insert(h.name.clone());
+            }
+            map.insert(h.name, payload);
+            if truncated {
+                break; // the source is exhausted and unsynchronized
+            }
+        }
+        Ok(Sections { map, dirty })
+    }
+
+    pub(crate) fn get(&self, name: &str) -> io::Result<&[u8]> {
+        self.map.get(name).map(Vec::as_slice).ok_or_else(|| bad(format!("missing section {name}")))
     }
 
     pub(crate) fn take(&mut self, name: &str) -> io::Result<Vec<u8>> {
         self.map.remove(name).ok_or_else(|| bad(format!("missing section {name}")))
     }
 
-    fn column<T: Scalar>(&mut self, name: &str) -> io::Result<AlignedBuf<T>> {
-        let v = decode::<T>(&self.take(name)?)?;
-        Ok(AlignedBuf::from(v.as_slice()))
+    pub(crate) fn column<T: Scalar, C: FromIterator<T>>(&mut self, name: &str) -> io::Result<C> {
+        let payload = self.take(name)?;
+        let column = decode(&payload)?.collect();
+        Ok(column)
+    }
+
+    pub(crate) fn pool(&mut self, bytes: &str, offsets: &str) -> io::Result<StringPool> {
+        StringPool::from_raw_parts(self.take(bytes)?, self.column(offsets)?).map_err(bad)
     }
 }
 
-/// Deserialize a dataset, verifying checksums and all invariants.
-pub fn read_dataset<R: Read>(r: &mut R) -> io::Result<Dataset> {
-    let dataset = read_dataset_unchecked(r)?;
+/// Decode a store image held in memory, verifying checksums and all
+/// invariants.
+pub fn read_dataset(bytes: &[u8]) -> io::Result<Dataset> {
+    let dataset = read_dataset_unchecked(bytes)?;
     dataset.validate().map_err(bad)?;
     Ok(dataset)
 }
 
-/// Deserialize verifying only checksums and per-section structure,
+/// Decode verifying only checksums and per-section structure,
 /// skipping [`Dataset::validate`]. This exists for the deep auditor
 /// (`gdelt-cli validate`), which wants to load a structurally damaged
 /// store and report *every* broken invariant rather than fail at the
 /// first; every normal consumer should call [`read_dataset`].
-pub fn read_dataset_unchecked<R: Read>(r: &mut R) -> io::Result<Dataset> {
-    let s = Sections::read(r)?;
-    dataset_from_sections(s)
+pub fn read_dataset_unchecked(bytes: &[u8]) -> io::Result<Dataset> {
+    dataset_from_sections(Sections::read(bytes, bytes.len() as u64, false)?)
 }
 
 /// Assemble a [`Dataset`] from an already-read section map (shared by
 /// the strict and degraded loaders).
 pub(crate) fn dataset_from_sections(mut s: Sections) -> io::Result<Dataset> {
-    let url_bytes = s.take("events.urls.bytes")?;
-    let url_offsets = decode::<u64>(&s.take("events.urls.offsets")?)?;
-    let urls = StringPool::from_raw_parts(url_bytes, url_offsets).map_err(bad)?;
-
-    let name_bytes = s.take("sources.names.bytes")?;
-    let name_offsets = decode::<u64>(&s.take("sources.names.offsets")?)?;
-    let name_pool = StringPool::from_raw_parts(name_bytes, name_offsets).map_err(bad)?;
-
     let events = crate::table::EventsTable {
         id: s.column("events.id")?,
         day: s.column("events.day")?,
@@ -588,7 +756,7 @@ pub(crate) fn dataset_from_sections(mut s: Sections) -> io::Result<Dataset> {
         lat: s.column("events.lat")?,
         lon: s.column("events.lon")?,
         source_url: s.column("events.source_url")?,
-        urls,
+        urls: s.pool("events.urls.bytes", "events.urls.offsets")?,
     };
 
     let mentions = crate::table::MentionsTable {
@@ -605,40 +773,74 @@ pub(crate) fn dataset_from_sections(mut s: Sections) -> io::Result<Dataset> {
     };
 
     let sources = crate::table::SourceDirectory {
-        names: StringDict::from_pool(name_pool),
+        names: StringDict::from_pool(s.pool("sources.names.bytes", "sources.names.offsets")?),
         country: s.column("sources.country")?,
     };
 
-    let event_index = EventIndex { offsets: decode::<u64>(&s.take("index.offsets")?)? };
+    let event_index = EventIndex { offsets: s.column("index.offsets")? };
 
     Ok(Dataset { events, mentions, sources, event_index })
 }
 
-/// Write a dataset to a file (buffered).
-pub fn save(path: &std::path::Path, d: &Dataset) -> io::Result<()> {
+/// Fill a sibling `<name>.tmp` and rename it over `path`, so a writer
+/// that fails or is killed mid-stream leaves the file it was replacing
+/// intact (and a failed one leaves no `.tmp` behind). There is no
+/// `fsync`: the rename makes a save atomic against a crash of this
+/// process, not durable against power loss. Two concurrent saves of the
+/// same path share the `.tmp` name and are not supported.
+fn replace_file(
+    path: &Path,
+    fill: impl FnOnce(&mut io::BufWriter<std::fs::File>) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let replaced = std::fs::File::create(&tmp)
+        .and_then(|f| {
+            let mut w = io::BufWriter::new(f);
+            fill(&mut w)?;
+            w.flush()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if replaced.is_err() {
+        std::fs::remove_file(&tmp).ok();
+    }
+    replaced
+}
+
+/// Write a dataset to a file, atomically replacing any previous store
+/// at `path` (tmp + rename, no `fsync`).
+pub fn save(path: &Path, d: &Dataset) -> io::Result<()> {
     save_with_partitions(path, d, DEFAULT_STORE_PARTITIONS)
 }
 
-/// Write a dataset to a file split into `n_parts` load partitions.
-pub fn save_with_partitions(path: &std::path::Path, d: &Dataset, n_parts: u32) -> io::Result<()> {
+/// [`save`] with the store split into `n_parts` load partitions.
+pub fn save_with_partitions(path: &Path, d: &Dataset, n_parts: u32) -> io::Result<()> {
     let _s = gdelt_obs::span_args("store", "save", "parts", u64::from(n_parts));
-    let mut w = io::BufWriter::new(std::fs::File::create(path)?);
-    write_dataset_with_partitions(&mut w, d, n_parts)?;
-    w.flush()
+    replace_file(path, |w| write_dataset_with_partitions(w, d, n_parts))
 }
 
-/// Load a dataset from a file (buffered), verifying integrity.
-pub fn load(path: &std::path::Path) -> io::Result<Dataset> {
+/// Open a store file for reading, with the length that bounds every
+/// declared section length.
+pub(crate) fn open_sized(path: &Path) -> io::Result<(io::BufReader<std::fs::File>, u64)> {
+    let f = std::fs::File::open(path)?;
+    let len = f.metadata()?.len();
+    Ok((io::BufReader::new(f), len))
+}
+
+/// Load a dataset from a file, verifying integrity.
+pub fn load(path: &Path) -> io::Result<Dataset> {
     let _s = gdelt_obs::span("store", "load");
-    let mut r = io::BufReader::new(std::fs::File::open(path)?);
-    read_dataset(&mut r)
+    let dataset = load_unchecked(path)?;
+    dataset.validate().map_err(bad)?;
+    Ok(dataset)
 }
 
 /// Load a dataset verifying only checksums, for the deep auditor; see
 /// [`read_dataset_unchecked`].
-pub fn load_unchecked(path: &std::path::Path) -> io::Result<Dataset> {
-    let mut r = io::BufReader::new(std::fs::File::open(path)?);
-    read_dataset_unchecked(&mut r)
+pub fn load_unchecked(path: &Path) -> io::Result<Dataset> {
+    let (r, len) = open_sized(path)?;
+    dataset_from_sections(Sections::read(r, len, false)?)
 }
 
 /// An injectable I/O shim under the store loaders: wraps the raw file
@@ -663,52 +865,18 @@ impl ReadShim for NoShim {
     }
 }
 
-/// Where one section's payload lives in a store file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SectionLayout {
-    /// Section name.
-    pub name: String,
-    /// Absolute file offset of the first payload byte.
-    pub payload_offset: u64,
-    /// Payload length in bytes.
-    pub payload_len: u64,
-}
-
 /// Scan a store file's section headers (skipping payloads) and return
 /// the absolute byte layout — the map fault schedules and the golden
 /// corruption corpus use to aim at specific sections and partitions.
-pub fn scan_layout(path: &std::path::Path) -> io::Result<Vec<SectionLayout>> {
-    let mut r = io::BufReader::new(std::fs::File::open(path)?);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(bad("bad magic: not a gdelt-hpc binary file"));
-    }
-    let mut cnt = [0u8; 4];
-    r.read_exact(&mut cnt)?;
-    let count = u32::from_le_bytes(cnt);
-    if count > 4_096 {
-        return Err(bad(format!("implausible section count {count}")));
-    }
-    let mut pos: u64 = 12;
-    let mut out = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let mut nl = [0u8; 2];
-        r.read_exact(&mut nl)?;
-        let name_len = u16::from_le_bytes(nl) as usize;
-        let mut name = vec![0u8; name_len];
-        r.read_exact(&mut name)?;
-        let name = String::from_utf8(name).map_err(|_| bad("non-UTF-8 section name"))?;
-        let mut pl = [0u8; 8];
-        r.read_exact(&mut pl)?;
-        let payload_len = u64::from_le_bytes(pl);
-        r.seek(SeekFrom::Current(8))?; // checksum
-        pos += 2 + name_len as u64 + 8 + 8;
-        out.push(SectionLayout { name, payload_offset: pos, payload_len });
-        r.seek(SeekFrom::Current(payload_len as i64))?;
-        pos = pos
-            .checked_add(payload_len)
-            .ok_or_else(|| bad("section layout overflows file offsets"))?;
+/// Every returned extent lies inside the file: a length that reaches
+/// past its end is a typed `InvalidData` error.
+pub fn scan_layout(path: &Path) -> io::Result<Vec<SectionLayout>> {
+    let (r, len) = open_sized(path)?;
+    let mut reader = SectionReader::open(r, len)?;
+    let mut out = Vec::with_capacity(reader.left as usize);
+    while let Some(h) = reader.next_header()? {
+        reader.skip(&h)?;
+        out.push(h);
     }
     Ok(out)
 }
@@ -727,23 +895,29 @@ pub struct StoreExtents {
 }
 
 /// Read only the `partitions.meta` section of a store file.
-pub fn read_store_extents(path: &std::path::Path) -> io::Result<StoreExtents> {
-    let layout = scan_layout(path)?;
-    let sec = layout
-        .iter()
-        .find(|s| s.name == META_SECTION)
-        .ok_or_else(|| bad("store has no partitions.meta section (pre-PR4 format?)"))?;
-    let mut f = std::fs::File::open(path)?;
-    f.seek(SeekFrom::Start(sec.payload_offset))?;
-    let mut payload = vec![0u8; usize::try_from(sec.payload_len).map_err(|_| bad("huge meta"))?];
-    f.read_exact(&mut payload)?;
-    let meta = parse_meta(&payload)?;
-    Ok(StoreExtents { n_events: meta.n_events, n_mentions: meta.n_mentions, extents: meta.extents })
+pub fn read_store_extents(path: &Path) -> io::Result<StoreExtents> {
+    let (r, len) = open_sized(path)?;
+    let mut reader = SectionReader::open(r, len)?;
+    while let Some(h) = reader.next_header()? {
+        if h.name != META_SECTION {
+            reader.skip(&h)?;
+            continue;
+        }
+        h.ensure_whole()?;
+        let meta = parse_meta(&reader.payload(&h)?)?;
+        return Ok(StoreExtents {
+            n_events: meta.n_events,
+            n_mentions: meta.n_mentions,
+            extents: meta.extents,
+        });
+    }
+    Err(bad("store has no partitions.meta section"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aligned::AlignedBuf;
     use crate::builder::DatasetBuilder;
     use gdelt_model::cameo::{CameoRoot, Goldstein, QuadClass};
     use gdelt_model::event::{ActionGeo, EventRecord, GeoType};
@@ -800,19 +974,11 @@ mod tests {
     }
 
     #[test]
-    fn fnv_reference_values() {
-        // Published FNV-1a test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
     fn round_trip_preserves_everything() {
         let d = sample_dataset();
         let mut buf = Vec::new();
         write_dataset(&mut buf, &d).unwrap();
-        let d2 = read_dataset(&mut buf.as_slice()).unwrap();
+        let d2 = read_dataset(&buf).unwrap();
         assert_eq!(d.events, d2.events);
         assert_eq!(d.mentions, d2.mentions);
         assert_eq!(d.event_index, d2.event_index);
@@ -827,7 +993,7 @@ mod tests {
         let d = Dataset::default();
         let mut buf = Vec::new();
         write_dataset(&mut buf, &d).unwrap();
-        let d2 = read_dataset(&mut buf.as_slice()).unwrap();
+        let d2 = read_dataset(&buf).unwrap();
         assert!(d2.events.is_empty());
         assert!(d2.mentions.is_empty());
     }
@@ -838,7 +1004,7 @@ mod tests {
         let mut buf = Vec::new();
         write_dataset(&mut buf, &d).unwrap();
         buf[0] ^= 0xFF;
-        let err = read_dataset(&mut buf.as_slice()).unwrap_err();
+        let err = read_dataset(&buf).unwrap_err();
         assert!(err.to_string().contains("magic"));
     }
 
@@ -850,7 +1016,7 @@ mod tests {
         // Flip a byte deep inside the payload region.
         let target = buf.len() - 9;
         buf[target] ^= 0x55;
-        let err = read_dataset(&mut buf.as_slice()).unwrap_err();
+        let err = read_dataset(&buf).unwrap_err();
         let msg = err.to_string();
         assert!(
             msg.contains("checksum") || msg.contains("invalid") || msg.contains("must"),
@@ -864,7 +1030,7 @@ mod tests {
         let mut buf = Vec::new();
         write_dataset(&mut buf, &d).unwrap();
         buf.truncate(buf.len() / 2);
-        assert!(read_dataset(&mut buf.as_slice()).is_err());
+        assert!(read_dataset(&buf).is_err());
     }
 
     #[test]
@@ -883,7 +1049,9 @@ mod tests {
     #[test]
     fn decode_rejects_ragged_section() {
         assert!(decode::<u32>(&[1, 2, 3]).is_err());
-        assert_eq!(decode::<u32>(&[1, 0, 0, 0]).unwrap(), vec![1u32]);
+        assert_eq!(decode::<u32>(&[1, 0, 0, 0]).unwrap().collect::<Vec<_>>(), vec![1]);
+        let col: AlignedBuf<u16> = decode(&[1, 0, 2, 1]).unwrap().collect();
+        assert_eq!(col.as_slice(), &[1, 258]);
     }
 
     #[test]
@@ -912,7 +1080,7 @@ mod tests {
         let d = sample_dataset();
         let mut buf = Vec::new();
         write_dataset_with_partitions(&mut buf, &d, 4).unwrap();
-        let mut s = Sections::read(&mut buf.as_slice()).unwrap();
+        let mut s = Sections::read(buf.as_slice(), buf.len() as u64, false).unwrap();
         let meta = parse_meta(&s.take(META_SECTION).unwrap()).unwrap();
         assert_eq!(meta.n_events, d.events.len() as u64);
         assert_eq!(meta.n_mentions, d.mentions.len() as u64);
@@ -929,7 +1097,7 @@ mod tests {
         let ext = meta.extents[1];
         let slice = ext.slice(section_space("events.day"), &day, url_offsets).unwrap();
         let row = &meta.digests.iter().find(|(n, _)| n == "events.day").unwrap().1;
-        assert_eq!(row[1], fnv1a64(slice));
+        assert_eq!(row[1], checksum64(slice));
     }
 
     #[test]
@@ -940,7 +1108,7 @@ mod tests {
         let path = dir.join("layout.gdhpc");
         save(&path, &d).unwrap();
         let layout = scan_layout(&path).unwrap();
-        assert_eq!(layout.len(), SECTIONS.len() + 1);
+        assert_eq!(layout.len(), 34, "33 data sections + partitions.meta");
         assert_eq!(layout[0].name, META_SECTION);
         // Each payload is where the layout says: re-read one and check
         // its checksummed bytes hash to the recorded section checksum.
@@ -951,7 +1119,7 @@ mod tests {
             assert!(e <= bytes.len(), "{} runs past EOF", sec.name);
             // checksum field sits 8 bytes before the payload
             let ck = u64::from_le_bytes(bytes[b - 8..b].try_into().unwrap());
-            assert_eq!(fnv1a64(&bytes[b..e]), ck, "layout misaligned for {}", sec.name);
+            assert_eq!(checksum64(&bytes[b..e]), ck, "layout misaligned for {}", sec.name);
         }
         std::fs::remove_file(&path).ok();
     }
@@ -967,6 +1135,80 @@ mod tests {
         assert_eq!(se.n_events, d.events.len() as u64);
         assert_eq!(se.extents.len(), 5);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A saved sample store in this module's bounds-test directory.
+    fn saved_sample(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join("gdelt_binfmt_bounds_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        save(&path, &sample_dataset()).unwrap();
+        path
+    }
+
+    #[test]
+    fn declared_lengths_are_bounded_by_the_file() {
+        // A huge length once drove `vec![0u8; len]`; one above i64::MAX
+        // wrapped `seek(Current(len as i64))` negative.
+        for (name, len) in [("huge.gdhpc", 1u64 << 62), ("wrapped.gdhpc", u64::MAX - 7)] {
+            let path = saved_sample(name);
+            // The first section's (`partitions.meta`) payload-length field.
+            let len_at = 12 + 2 + META_SECTION.len();
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
+            std::fs::write(&path, bytes).unwrap();
+            for err in [
+                scan_layout(&path).unwrap_err(),
+                read_store_extents(&path).unwrap_err(),
+                load(&path).unwrap_err(),
+            ] {
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}: {err}");
+                assert!(err.to_string().contains("truncated"), "{name}: {err}");
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn scan_layout_refuses_a_truncated_tail() {
+        let path = saved_sample("cut.gdhpc");
+        let whole = std::fs::read(&path).unwrap();
+        let last = scan_layout(&path).unwrap().pop().unwrap();
+        // Seeking past EOF "succeeds", so a cut payload used to scan clean.
+        std::fs::write(&path, &whole[..whole.len() - 1]).unwrap();
+        assert_eq!(scan_layout(&path).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        assert_eq!(load(&path).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        // A cut inside the last header is an early end of file.
+        std::fs::write(&path, &whole[..last.payload_offset as usize - 3]).unwrap();
+        assert_eq!(scan_layout(&path).unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+        assert!(load(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn failed_save_keeps_the_store_it_was_replacing() {
+        let d = sample_dataset();
+        let dir = std::env::temp_dir().join("gdelt_binfmt_atomic_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("live.gdhpc");
+        save(&path, &d).unwrap();
+        // A writer that dies mid-stream, after real bytes went out.
+        let err = replace_file(&path, |w| {
+            w.write_all(MAGIC)?;
+            w.write_all(&[0xAB; 100_000])?;
+            Err(io::Error::other("disk full"))
+        })
+        .unwrap_err();
+        assert_eq!(err.to_string(), "disk full");
+        assert_eq!(load(&path).unwrap().events, d.events, "the original must survive");
+        let left: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(left, ["live.gdhpc"], "no .tmp may be left behind");
+        // A successful save replaces it and cleans up the same way.
+        save(&path, &Dataset::default()).unwrap();
+        assert!(load(&path).unwrap().events.is_empty());
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

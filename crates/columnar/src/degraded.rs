@@ -29,14 +29,14 @@
 //! [`StoreHealth`], whose [`Coverage`](crate::health::Coverage) every
 //! downstream query answer carries.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::io::{self, Read};
 use std::time::Duration;
 
 use crate::aligned::AlignedBuf;
 use crate::binfmt::{
-    bad, decode, fnv1a64, parse_meta, section_space, MetaTable, NoShim, PartExtent, ReadShim,
-    Scalar, SectionSpace, Sections, MAGIC, META_SECTION,
+    bad, checksum64, decode, open_sized, parse_meta, section_space, MetaTable, NoShim, PartExtent,
+    ReadShim, Scalar, SectionSpace, Sections, META_SECTION,
 };
 use crate::health::StoreHealth;
 use crate::index::EventIndex;
@@ -83,72 +83,10 @@ pub struct DegradedLoad {
     pub health: StoreHealth,
 }
 
-/// Section map read tolerantly: dirty sections are kept, not fatal.
-struct TolerantSections {
-    map: HashMap<String, Vec<u8>>,
-    dirty: BTreeSet<String>,
-}
-
-/// Read a header field, treating end-of-stream as "no more sections"
-/// (`Ok(false)`) rather than an error.
-fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<bool> {
-    match r.read_exact(buf) {
-        Ok(()) => Ok(true),
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(false),
-        Err(e) => Err(e),
-    }
-}
-
-fn read_tolerant<R: Read>(r: &mut R) -> io::Result<TolerantSections> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(bad("bad magic: not a gdelt-hpc binary file"));
-    }
-    let mut cnt = [0u8; 4];
-    r.read_exact(&mut cnt)?;
-    let count = u32::from_le_bytes(cnt);
-    if count > 4_096 {
-        return Err(bad(format!("implausible section count {count}")));
-    }
-    let mut map = HashMap::with_capacity(count as usize);
-    let mut dirty = BTreeSet::new();
-    for _ in 0..count {
-        let mut nl = [0u8; 2];
-        if !read_exact_or_eof(r, &mut nl)? {
-            break;
-        }
-        let name_len = u16::from_le_bytes(nl) as usize;
-        let mut name = vec![0u8; name_len];
-        if !read_exact_or_eof(r, &mut name)? {
-            break;
-        }
-        let name = String::from_utf8(name).map_err(|_| bad("non-UTF-8 section name"))?;
-        let mut pl = [0u8; 8];
-        let mut ck = [0u8; 8];
-        if !read_exact_or_eof(r, &mut pl)? || !read_exact_or_eof(r, &mut ck)? {
-            break;
-        }
-        let payload_len = u64::from_le_bytes(pl);
-        let checksum = u64::from_le_bytes(ck);
-        let mut payload = Vec::new();
-        r.take(payload_len).read_to_end(&mut payload)?;
-        let truncated = (payload.len() as u64) < payload_len;
-        if truncated || fnv1a64(&payload) != checksum {
-            dirty.insert(name.clone());
-        }
-        map.insert(name, payload);
-        if truncated {
-            break; // stream is exhausted and unsynchronized
-        }
-    }
-    Ok(TolerantSections { map, dirty })
-}
-
 /// Which partitions a set of dirty sections damages, per the meta
 /// digest table. Errors when damage cannot be localized (global
 /// sections, or a dirty section with no mismatching partition).
-fn compute_quarantine(meta: &MetaTable, ts: &TolerantSections) -> io::Result<Vec<u32>> {
+fn compute_quarantine(meta: &MetaTable, ts: &Sections) -> io::Result<Vec<u32>> {
     for name in &ts.dirty {
         if section_space(name) == SectionSpace::Global && name != META_SECTION {
             return Err(bad(format!("unrecoverable corruption in global section {name}")));
@@ -162,14 +100,14 @@ fn compute_quarantine(meta: &MetaTable, ts: &TolerantSections) -> io::Result<Vec
                      out: &mut BTreeSet<u32>|
      -> io::Result<()> {
         let space = section_space(name);
-        let payload = ts.map.get(name).ok_or_else(|| bad(format!("missing section {name}")))?;
+        let payload = ts.get(name)?;
         for (p, ext) in meta.extents.iter().enumerate() {
             let pid = p as u32;
             if skip.contains(&pid) {
                 continue;
             }
             let ok = match (ext.slice(space, payload, url_offsets), row.get(p)) {
-                (Some(bytes), Some(&digest)) => fnv1a64(bytes) == digest,
+                (Some(bytes), Some(&digest)) => checksum64(bytes) == digest,
                 _ => false,
             };
             if !ok {
@@ -188,12 +126,7 @@ fn compute_quarantine(meta: &MetaTable, ts: &TolerantSections) -> io::Result<Vec
         check_row(name, row, &[], &BTreeSet::new(), &mut quarantined)?;
     }
     if ts.dirty.contains("events.urls.bytes") {
-        let off_payload = ts
-            .map
-            .get("events.urls.offsets")
-            .ok_or_else(|| bad("missing section events.urls.offsets"))?;
-        let whole = off_payload.len() - off_payload.len() % 8;
-        let url_offsets = decode::<u64>(off_payload.get(..whole).unwrap_or(&[]))?;
+        let url_offsets = whole_offsets(ts.get("events.urls.offsets")?)?;
         let row = meta
             .digests
             .iter()
@@ -209,24 +142,66 @@ fn compute_quarantine(meta: &MetaTable, ts: &TolerantSections) -> io::Result<Vec
     Ok(quarantined.into_iter().collect())
 }
 
-/// Concatenate the live-partition slices of one section and decode.
-fn gather<T: Scalar>(
+/// Decode an offsets payload that may have lost its tail: the whole
+/// `u64` entries it still holds.
+fn whole_offsets(payload: &[u8]) -> io::Result<Vec<u64>> {
+    Ok(decode(payload.get(..payload.len() - payload.len() % 8).unwrap_or(&[]))?.collect())
+}
+
+/// Each live partition's slice of one fixed-width section.
+fn live_slices<'a>(
+    ts: &'a Sections,
     name: &str,
-    payload: &[u8],
-    exts: &[PartExtent],
-    live: &[bool],
-    url_offsets: &[u64],
-) -> io::Result<Vec<T>> {
+    live: &'a [PartExtent],
+) -> io::Result<Vec<(&'a PartExtent, &'a [u8])>> {
     let space = section_space(name);
-    let mut out = Vec::new();
-    for (ext, &is_live) in exts.iter().zip(live) {
-        if !is_live {
-            continue;
+    let payload = ts.get(name)?;
+    live.iter()
+        .map(|ext| {
+            let slice = ext
+                .slice(space, payload, &[])
+                .ok_or_else(|| bad(format!("live partition slice of {name} out of bounds")))?;
+            Ok((ext, slice))
+        })
+        .collect()
+}
+
+/// Concatenate the live-partition slices of one fixed-width section,
+/// decoded straight into the column.
+fn gather<T: Scalar>(ts: &Sections, name: &str, live: &[PartExtent]) -> io::Result<AlignedBuf<T>> {
+    let mut out = AlignedBuf::new();
+    for (_, slice) in live_slices(ts, name, live)? {
+        out.extend_from_iter(decode(slice)?);
+    }
+    Ok(out)
+}
+
+/// [`gather`] for a column of event-row references, shifting each
+/// reference down by the event rows dropped before its partition. A
+/// reference equal to `sentinel` is kept as is; any other must point
+/// inside its own partition's event range.
+fn rebase_event_rows(
+    ts: &Sections,
+    name: &str,
+    live: &[PartExtent],
+    sentinel: Option<u32>,
+) -> io::Result<AlignedBuf<u32>> {
+    let mut out = AlignedBuf::new();
+    let mut base: u64 = 0;
+    for (ext, slice) in live_slices(ts, name, live)? {
+        for v in decode::<u32>(slice)? {
+            if Some(v) == sentinel {
+                out.push(v);
+                continue;
+            }
+            let row = u64::from(v);
+            if row < ext.ev_begin || row >= ext.ev_end {
+                return Err(bad(format!("{name} points outside its partition; cannot compact")));
+            }
+            let rebased = row - ext.ev_begin + base;
+            out.push(u32::try_from(rebased).map_err(|_| bad("rebased event row overflow"))?);
         }
-        let slice = ext
-            .slice(space, payload, url_offsets)
-            .ok_or_else(|| bad(format!("live partition slice of {name} out of bounds")))?;
-        out.extend(decode::<T>(slice)?);
+        base += ext.ev_end - ext.ev_begin;
     }
     Ok(out)
 }
@@ -234,58 +209,37 @@ fn gather<T: Scalar>(
 /// Assemble a compacted dataset from the live partitions.
 fn assemble(
     meta: &MetaTable,
-    mut ts: TolerantSections,
+    mut ts: Sections,
     quarantined: &[u32],
 ) -> io::Result<(Dataset, u64, u64)> {
-    let qset: BTreeSet<u32> = quarantined.iter().copied().collect();
-    let live: Vec<bool> = (0..meta.extents.len()).map(|p| !qset.contains(&(p as u32))).collect();
-
-    if qset.is_empty() {
+    if quarantined.is_empty() {
         // Nothing dropped: the strict assembly path applies verbatim.
-        let d = crate::binfmt::dataset_from_sections(Sections { map: ts.map })?;
+        let d = crate::binfmt::dataset_from_sections(ts)?;
         return Ok((d, meta.n_events, meta.n_mentions));
     }
 
-    let exts = &meta.extents;
-    let payload = |map: &HashMap<String, Vec<u8>>, name: &str| -> io::Result<Vec<u8>> {
-        map.get(name).cloned().ok_or_else(|| bad(format!("missing section {name}")))
-    };
+    let live: Vec<PartExtent> = (0u32..)
+        .zip(&meta.extents)
+        .filter(|(p, _)| !quarantined.contains(p))
+        .map(|(_, ext)| *ext)
+        .collect();
+    let loaded_events: u64 = live.iter().map(|e| e.ev_end - e.ev_begin).sum();
+    let loaded_mentions: u64 = live.iter().map(|e| e.m_end - e.m_begin).sum();
 
-    let loaded_events: u64 =
-        exts.iter().zip(&live).filter(|(_, &l)| l).map(|(e, _)| e.ev_end - e.ev_begin).sum();
-    let loaded_mentions: u64 =
-        exts.iter().zip(&live).filter(|(_, &l)| l).map(|(e, _)| e.m_end - e.m_begin).sum();
-
-    let col = |name: &str| payload(&ts.map, name);
-
-    macro_rules! ev_col {
-        ($name:literal, $t:ty) => {{
-            let p = col($name)?;
-            let v: Vec<$t> = gather($name, &p, exts, &live, &[])?;
-            AlignedBuf::from(v.as_slice())
-        }};
-    }
-    macro_rules! m_col {
-        ($name:literal, $t:ty) => {{
-            let p = col($name)?;
-            let v: Vec<$t> = gather($name, &p, exts, &live, &[])?;
-            AlignedBuf::from(v.as_slice())
-        }};
+    macro_rules! col {
+        ($name:literal) => {
+            gather(&ts, $name, &live)?
+        };
     }
 
     // URL pool: concatenate live byte slices and rebase the offsets.
-    let off_payload = col("events.urls.offsets")?;
-    let whole = off_payload.len() - off_payload.len() % 8;
-    let url_offsets = decode::<u64>(off_payload.get(..whole).unwrap_or(&[]))?;
-    let bytes_payload = col("events.urls.bytes")?;
+    let url_offsets = whole_offsets(ts.get("events.urls.offsets")?)?;
+    let bytes_payload = ts.get("events.urls.bytes")?;
     let mut new_bytes: Vec<u8> = Vec::new();
     let mut new_offsets: Vec<u64> = vec![0];
-    for (ext, &is_live) in exts.iter().zip(&live) {
-        if !is_live {
-            continue;
-        }
+    for ext in &live {
         let slice = ext
-            .slice(SectionSpace::UrlBytes, &bytes_payload, &url_offsets)
+            .slice(SectionSpace::UrlBytes, bytes_payload, &url_offsets)
             .ok_or_else(|| bad("live partition slice of events.urls.bytes out of bounds"))?;
         new_bytes.extend_from_slice(slice);
         let b = usize::try_from(ext.ev_begin).map_err(|_| bad("extent overflow"))?;
@@ -303,112 +257,50 @@ fn assemble(
 
     // The pool-reference column rebases: the store writes one URL per
     // event row in row order, so live references stay within their own
-    // partition's event range and shift down by the dropped rows.
-    let mut source_url: Vec<u32> = Vec::new();
-    {
-        let p = col("events.source_url")?;
-        let mut base: u64 = 0;
-        for (ext, &is_live) in exts.iter().zip(&live) {
-            if !is_live {
-                continue;
-            }
-            let slice = ext
-                .slice(section_space("events.source_url"), &p, &[])
-                .ok_or_else(|| bad("live partition slice of events.source_url out of bounds"))?;
-            for v in decode::<u32>(slice)? {
-                let v64 = u64::from(v);
-                if v64 < ext.ev_begin || v64 >= ext.ev_end {
-                    return Err(bad("url reference escapes its partition; cannot compact"));
-                }
-                let rebased = v64 - ext.ev_begin + base;
-                source_url
-                    .push(u32::try_from(rebased).map_err(|_| bad("rebased url id overflow"))?);
-            }
-            base += ext.ev_end - ext.ev_begin;
-        }
-    }
-
-    // The precomputed join column rebases the same way; the orphan
-    // sentinel passes through.
-    let mut event_row: Vec<u32> = Vec::new();
-    {
-        let p = col("mentions.event_row")?;
-        let mut base: u64 = 0;
-        for (ext, &is_live) in exts.iter().zip(&live) {
-            if !is_live {
-                continue;
-            }
-            let slice = ext
-                .slice(section_space("mentions.event_row"), &p, &[])
-                .ok_or_else(|| bad("live partition slice of mentions.event_row out of bounds"))?;
-            for v in decode::<u32>(slice)? {
-                if v == NO_EVENT_ROW {
-                    event_row.push(NO_EVENT_ROW);
-                    continue;
-                }
-                let v64 = u64::from(v);
-                if v64 < ext.ev_begin || v64 >= ext.ev_end {
-                    return Err(bad("mention joins an event outside its partition"));
-                }
-                let rebased = v64 - ext.ev_begin + base;
-                event_row
-                    .push(u32::try_from(rebased).map_err(|_| bad("rebased event row overflow"))?);
-            }
-            base += ext.ev_end - ext.ev_begin;
-        }
-    }
+    // partition's event range and shift down by the dropped rows. The
+    // precomputed join column rebases the same way; its orphan sentinel
+    // passes through.
+    let source_url = rebase_event_rows(&ts, "events.source_url", &live, None)?;
+    let event_row = rebase_event_rows(&ts, "mentions.event_row", &live, Some(NO_EVENT_ROW))?;
 
     let events = EventsTable {
-        id: ev_col!("events.id", u64),
-        day: ev_col!("events.day", u32),
-        capture: ev_col!("events.capture", u32),
-        quarter: ev_col!("events.quarter", u16),
-        root: ev_col!("events.root", u8),
-        quad: ev_col!("events.quad", u8),
-        actor1: ev_col!("events.actor1", u16),
-        actor2: ev_col!("events.actor2", u16),
-        goldstein: ev_col!("events.goldstein", f32),
-        num_mentions: ev_col!("events.num_mentions", u32),
-        num_sources: ev_col!("events.num_sources", u32),
-        num_articles: ev_col!("events.num_articles", u32),
-        avg_tone: ev_col!("events.avg_tone", f32),
-        country: ev_col!("events.country", u16),
-        lat: ev_col!("events.lat", f32),
-        lon: ev_col!("events.lon", f32),
-        source_url: AlignedBuf::from(source_url.as_slice()),
+        id: col!("events.id"),
+        day: col!("events.day"),
+        capture: col!("events.capture"),
+        quarter: col!("events.quarter"),
+        root: col!("events.root"),
+        quad: col!("events.quad"),
+        actor1: col!("events.actor1"),
+        actor2: col!("events.actor2"),
+        goldstein: col!("events.goldstein"),
+        num_mentions: col!("events.num_mentions"),
+        num_sources: col!("events.num_sources"),
+        num_articles: col!("events.num_articles"),
+        avg_tone: col!("events.avg_tone"),
+        country: col!("events.country"),
+        lat: col!("events.lat"),
+        lon: col!("events.lon"),
+        source_url,
         urls,
     };
 
     let mentions = MentionsTable {
-        event_id: m_col!("mentions.event_id", u64),
-        event_row: AlignedBuf::from(event_row.as_slice()),
-        event_interval: m_col!("mentions.event_interval", u32),
-        mention_interval: m_col!("mentions.mention_interval", u32),
-        delay: m_col!("mentions.delay", u32),
-        source: m_col!("mentions.source", u32),
-        quarter: m_col!("mentions.quarter", u16),
-        mention_type: m_col!("mentions.mention_type", u8),
-        confidence: m_col!("mentions.confidence", u8),
-        doc_tone: m_col!("mentions.doc_tone", f32),
+        event_id: col!("mentions.event_id"),
+        event_row,
+        event_interval: col!("mentions.event_interval"),
+        mention_interval: col!("mentions.mention_interval"),
+        delay: col!("mentions.delay"),
+        source: col!("mentions.source"),
+        quarter: col!("mentions.quarter"),
+        mention_type: col!("mentions.mention_type"),
+        confidence: col!("mentions.confidence"),
+        doc_tone: col!("mentions.doc_tone"),
     };
 
     // Global sections are whole or the load already failed.
-    let name_bytes = ts
-        .map
-        .remove("sources.names.bytes")
-        .ok_or_else(|| bad("missing section sources.names.bytes"))?;
-    let name_offsets = decode::<u64>(
-        &ts.map
-            .remove("sources.names.offsets")
-            .ok_or_else(|| bad("missing section sources.names.offsets"))?,
-    )?;
-    let name_pool = StringPool::from_raw_parts(name_bytes, name_offsets).map_err(bad)?;
-    let country = decode::<u16>(
-        &ts.map.remove("sources.country").ok_or_else(|| bad("missing section sources.country"))?,
-    )?;
     let sources = SourceDirectory {
-        names: StringDict::from_pool(name_pool),
-        country: AlignedBuf::from(country.as_slice()),
+        names: StringDict::from_pool(ts.pool("sources.names.bytes", "sources.names.offsets")?),
+        country: ts.column("sources.country")?,
     };
 
     let n_live_events = events.len();
@@ -418,11 +310,16 @@ fn assemble(
     Ok((dataset, loaded_events, loaded_mentions))
 }
 
-/// Read a possibly-damaged store from a stream: quarantine what fails
-/// its digests, assemble and validate the rest. See the module docs for
-/// the full contract.
-pub fn read_dataset_degraded<R: Read>(r: &mut R) -> io::Result<DegradedLoad> {
-    let ts = read_tolerant(r)?;
+/// Decode a possibly-damaged store image held in memory: quarantine
+/// what fails its digests, assemble and validate the rest. See the
+/// module docs for the full contract.
+pub fn read_dataset_degraded(bytes: &[u8]) -> io::Result<DegradedLoad> {
+    read_degraded(bytes, bytes.len() as u64)
+}
+
+/// [`read_dataset_degraded`] over any source `limit` bytes long.
+fn read_degraded<R: Read>(r: R, limit: u64) -> io::Result<DegradedLoad> {
+    let ts = Sections::read(r, limit, true)?;
     if ts.dirty.contains(META_SECTION) {
         return Err(bad("partitions.meta is corrupt — damage cannot be localized"));
     }
@@ -479,10 +376,8 @@ pub fn load_degraded_with(
     let mut retries: u32 = 0;
     let mut attempt: u32 = 0;
     loop {
-        let result = std::fs::File::open(path).and_then(|f| {
-            let mut r = shim.wrap(Box::new(io::BufReader::new(f)), attempt);
-            read_dataset_degraded(&mut r)
-        });
+        let result = open_sized(path)
+            .and_then(|(r, len)| read_degraded(shim.wrap(Box::new(r), attempt), len));
         match result {
             Ok(mut loaded) => {
                 loaded.health.retries = retries;
@@ -915,7 +810,7 @@ mod tests {
         let d = sample_dataset();
         let mut buf = Vec::new();
         write_dataset_with_partitions(&mut buf, &d, 8).unwrap();
-        let loaded = read_dataset_degraded(&mut buf.as_slice()).unwrap();
+        let loaded = read_dataset_degraded(&buf).unwrap();
         assert!(loaded.health.is_clean());
         assert_datasets_equal(&loaded.dataset, &d);
     }

@@ -21,7 +21,7 @@
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use gdelt_columnar::binfmt::{fnv1a64, load, save_with_partitions, scan_layout};
+use gdelt_columnar::binfmt::{checksum64, load, save_with_partitions, scan_layout};
 use gdelt_columnar::load_degraded;
 
 /// Partition count the committed image was written with.
@@ -30,9 +30,9 @@ const PARTS: u32 = 8;
 /// Synth seed the committed image was generated from.
 const SEED: u64 = 4242;
 
-/// FNV-1a digest of the committed image bytes — the guard that keeps
+/// `checksum64` digest of the committed image bytes — the guard that keeps
 /// the case table honest.
-const IMAGE_DIGEST: u64 = 0x0c92_8f75_c58c_9a2f;
+const IMAGE_DIGEST: u64 = 0x4860_57a7_8713_a792;
 
 /// Expected loader behaviour for one corruption case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,7 +155,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn image_digest_guard() {
     let bytes = image();
     assert_eq!(
-        fnv1a64(&bytes),
+        checksum64(&bytes),
         IMAGE_DIGEST,
         "golden image changed — re-verify every case in CASES and update IMAGE_DIGEST"
     );
@@ -205,6 +205,29 @@ fn corruption_corpus_verdicts() {
     }
 }
 
+/// The first 53 bytes of the image this suite committed before store
+/// format v2: `GDHPC1` magic, 34 sections, the `partitions.meta` header
+/// with its FNV-1a checksum, and the start of its payload.
+const V1_HEAD: &[u8] = b"GDHPC1\0\0\x22\0\0\0\x0f\0partitions.meta\xab\x0a\0\0\0\0\0\0\
+\x74\xd9\x0e\x61\x09\x88\x7f\x4c\x01\0\0\0\x08\0\0\0";
+
+#[test]
+fn v1_store_is_refused_with_a_reconvert_hint() {
+    let dir = temp_dir("v1");
+    let path = dir.join("store.bin");
+    std::fs::write(&path, V1_HEAD).expect("write v1 head");
+    for err in [
+        load(&path).expect_err("strict loader read a v1 store"),
+        load_degraded(&path).expect_err("degraded loader read a v1 store"),
+        scan_layout(&path).expect_err("layout scan read a v1 store"),
+    ] {
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("GDHPC1") && msg.contains("re-run `gdelt-cli convert`"), "{msg}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Writes the committed image. Run once, commit the file, update
 /// [`IMAGE_DIGEST`], and re-verify the case table:
 /// `cargo test -p gdelt-columnar --test golden_corruption regenerate -- --ignored`
@@ -217,7 +240,7 @@ fn regenerate_golden_store() {
     std::fs::create_dir_all(path.parent().unwrap()).expect("mkdir");
     save_with_partitions(&path, &d, PARTS).expect("write golden store");
     let bytes = std::fs::read(&path).expect("read back");
-    eprintln!("golden image: {} bytes, fnv1a64 = {:#018x}", bytes.len(), fnv1a64(&bytes));
+    eprintln!("golden image: {} bytes, checksum64 = {:#018x}", bytes.len(), checksum64(&bytes));
     for s in scan_layout(&path).expect("layout") {
         eprintln!(
             "  section {:<24} payload_offset={:<8} len={}",

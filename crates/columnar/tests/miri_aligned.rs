@@ -51,6 +51,18 @@ fn with_capacity_then_push_stays_in_place() {
 }
 
 #[test]
+fn extend_from_iter_appends_staged_blocks_across_growth() {
+    // 600 items: one full 512-element stage block plus a partial one,
+    // through an iterator whose size hint is too low to pre-size.
+    let mut b: AlignedBuf<u16> = AlignedBuf::new();
+    b.push(9);
+    b.extend_from_iter((0..600u16).filter(|_| true));
+    assert_aligned(&b);
+    assert_eq!(b.len(), 601);
+    assert!(b[1..].iter().copied().eq(0..600));
+}
+
+#[test]
 fn extend_from_slice_copies_across_growth() {
     let mut b: AlignedBuf<u16> = AlignedBuf::new();
     let chunk: Vec<u16> = (0..37).collect();

@@ -101,7 +101,7 @@ proptest! {
         let (d, _) = b.build();
         let mut buf = Vec::new();
         binfmt::write_dataset(&mut buf, &d).unwrap();
-        let d2 = binfmt::read_dataset(&mut buf.as_slice()).unwrap();
+        let d2 = binfmt::read_dataset(&buf).unwrap();
         // Bit-exact comparison via re-serialization (struct equality
         // would trip over NaN lat/lon cells of untagged events).
         let mut buf2 = Vec::new();
@@ -128,7 +128,7 @@ proptest! {
         // Either detected as an error, or (if the flip hit a section the
         // loader ignores, which cannot happen here since all are used)
         // the result still validates. Panics are the only failure.
-        if let Ok(d2) = binfmt::read_dataset(&mut buf.as_slice()) { prop_assert!(d2.validate().is_ok()) }
+        if let Ok(d2) = binfmt::read_dataset(&buf) { prop_assert!(d2.validate().is_ok()) }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! semantic corruption smuggled past the checksums (payload mutated,
 //! checksum recomputed) must be caught by the deep validator.
 
-use gdelt_columnar::binfmt::{self, fnv1a64};
+use gdelt_columnar::binfmt::{self, checksum64};
 use gdelt_columnar::partition::{partitions_at_boundaries, Partition};
 use gdelt_columnar::table::NO_EVENT_ROW;
 use gdelt_columnar::{Dataset, DatasetBuilder};
@@ -278,7 +278,7 @@ fn join_store(header: &[u8], sections: &[RawSection]) -> Vec<u8> {
         out.extend_from_slice(&(s.name.len() as u16).to_le_bytes());
         out.extend_from_slice(s.name.as_bytes());
         out.extend_from_slice(&(s.payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&s.payload).to_le_bytes());
+        out.extend_from_slice(&checksum64(&s.payload).to_le_bytes());
         out.extend_from_slice(&s.payload);
     }
     out
@@ -303,7 +303,7 @@ proptest! {
         let bytes = serialize(&build(events, mentions));
         let cut = cut % bytes.len().max(1);
         prop_assume!(cut < bytes.len());
-        let result = binfmt::read_dataset(&mut &bytes[..cut]);
+        let result = binfmt::read_dataset(&bytes[..cut]);
         prop_assert!(result.is_err(), "store truncated to {cut}/{} bytes still loaded", bytes.len());
     }
 
@@ -330,7 +330,7 @@ proptest! {
             + 16;
         let i = payload_at + pick % sections[s].payload.len();
         corrupted[i] ^= 0x40;
-        let result = binfmt::read_dataset_unchecked(&mut corrupted.as_slice());
+        let result = binfmt::read_dataset_unchecked(&corrupted);
         prop_assert!(result.is_err(), "flipped byte in section {s} passed the checksum");
     }
 
@@ -380,7 +380,7 @@ proptest! {
         }
         let corrupted = join_store(&header, &sections);
         // Checksums are valid again, so the unchecked loader accepts…
-        let Ok(loaded) = binfmt::read_dataset_unchecked(&mut corrupted.as_slice()) else {
+        let Ok(loaded) = binfmt::read_dataset_unchecked(&corrupted) else {
             // …unless per-section structure already refused it (e.g. a
             // truncation that breaks offsets/pool totals) — also a pass.
             return Ok(());

@@ -27,7 +27,6 @@
 //! equivalence suite depends on that. Decoding is total: every
 //! malformed input maps to a typed [`WireError`], never a panic.
 
-use gdelt_columnar::binfmt::fnv1a64;
 use gdelt_engine::coreport::CountryCoReport;
 use gdelt_engine::crossreport::CrossReport;
 use gdelt_engine::delay::DelayStats;
@@ -38,6 +37,18 @@ use gdelt_engine::timeseries::QuarterlySeries;
 use gdelt_engine::{Matrix, Query, QueryResult, SeriesKind, TopKKind};
 use gdelt_model::ids::SourceId;
 use gdelt_model::time::Quarter;
+
+/// FNV-1a 64-bit, the frame checksum. Frames are small (a reply is at
+/// most a few hundred KB) and every frame layout is version-pinned, so
+/// the wire keeps the byte-serial hash the store format moved off.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
 
 /// Frame magic.
 pub const MAGIC: [u8; 4] = *b"GDSH";

@@ -15,7 +15,7 @@ use gdelt_engine::{Matrix, Query, QueryResult, SeriesKind, TopKKind};
 use gdelt_model::ids::SourceId;
 use gdelt_model::time::Quarter;
 use gdelt_shard::wire::{
-    FlightForward, Frame, Health, Hello, WireError, WireSpan, CHECKSUM_LEN, HEADER_LEN,
+    fnv1a64, FlightForward, Frame, Health, Hello, WireError, WireSpan, CHECKSUM_LEN, HEADER_LEN,
     HEADER_LEN_V1, VERSION, VERSION_V1,
 };
 use proptest::prelude::*;
@@ -342,6 +342,15 @@ proptest! {
 }
 
 #[test]
+fn fnv_reference_values() {
+    // Published FNV-1a test vectors: the frame checksum is the standard
+    // function, not a look-alike.
+    assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+    assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+}
+
+#[test]
 fn bad_magic_version_and_kind_are_typed() {
     let good = Frame::HealthProbe.encode();
 
@@ -354,7 +363,7 @@ fn bad_magic_version_and_kind_are_typed() {
     // typed checks underneath.
     let reseal = |mut b: Vec<u8>| {
         let body = b.len() - CHECKSUM_LEN;
-        let sum = gdelt_columnar::binfmt::fnv1a64(&b[..body]);
+        let sum = fnv1a64(&b[..body]);
         b[body..].copy_from_slice(&sum.to_le_bytes());
         b
     };
@@ -403,7 +412,7 @@ fn header_layouts_match_the_documented_offsets() {
     let mut v3 = Frame::HealthProbe.encode();
     v3[4] = 3;
     let body = v3.len() - CHECKSUM_LEN;
-    let sum = gdelt_columnar::binfmt::fnv1a64(&v3[..body]);
+    let sum = fnv1a64(&v3[..body]);
     let split = v3.len() - CHECKSUM_LEN;
     v3[split..].copy_from_slice(&sum.to_le_bytes());
     assert!(matches!(Frame::decode(&v3), Err(WireError::BadVersion(3))));
