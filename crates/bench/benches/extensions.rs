@@ -1,13 +1,12 @@
 //! Benchmarks for the system extensions: time-sliced sparse co-reporting
-//! assembly (§VI-B), simulated distributed execution (§VII future work),
-//! the 15-minute incremental update path, and windowed views.
+//! assembly (§VI-B), the 15-minute incremental update path, and windowed
+//! views.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gdelt_bench::corpus;
 use gdelt_columnar::incremental::append_batch;
 use gdelt_columnar::DatasetBuilder;
 use gdelt_engine::coreport::CoReport;
-use gdelt_engine::sharded::ShardedDataset;
 use gdelt_engine::sliced::sliced_coreport;
 use gdelt_engine::view::MentionView;
 use gdelt_engine::ExecContext;
@@ -22,16 +21,6 @@ fn bench_extensions(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("dense_global", |b| b.iter(|| black_box(CoReport::build(&ctx, d))));
     g.bench_function("sliced_sparse_assembly", |b| b.iter(|| black_box(sliced_coreport(&ctx, d))));
-    g.finish();
-
-    let mut g = c.benchmark_group("sharded_query");
-    g.sample_size(10);
-    for shards in [2usize, 4] {
-        let sd = ShardedDataset::split(d, shards);
-        g.bench_function(format!("aggregated_query_{shards}_shards"), |b| {
-            b.iter(|| black_box(sd.aggregated_cross_report(&ctx)))
-        });
-    }
     g.finish();
 
     // Incremental append of a small batch vs rebuilding from scratch.
@@ -50,10 +39,8 @@ fn bench_extensions(c: &mut Criterion) {
         })
     });
     g.bench_function("full_rebuild_baseline", |b| {
-        // What absorbing the batch costs without the merge path: rebuild
-        // everything from records (reconstructed via the sharded
-        // round-trip utilities would be slower still; this measures just
-        // the build of the batch plus a dataset clone as a floor).
+        // What absorbing the batch costs without the merge path, as a
+        // floor: the build of the batch plus a dataset clone.
         b.iter(|| {
             let mut builder = DatasetBuilder::new();
             for e in &batch.events {

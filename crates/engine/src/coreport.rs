@@ -7,7 +7,7 @@
 //! updates and dense random increments beat any sparse structure. Both
 //! strategies are implemented; the ablation benchmark compares them.
 
-use crate::exec::ExecContext;
+use crate::exec::{ExecContext, Merge};
 use crate::matrix::Matrix;
 use gdelt_columnar::Dataset;
 use gdelt_model::ids::{CountryId, SourceId};
@@ -202,6 +202,14 @@ pub struct CountryCoReport {
     pub event_counts: Vec<u64>,
 }
 
+impl Merge for CountryCoReport {
+    /// Elementwise addition: per-event logic never crosses a partition.
+    fn merge(&mut self, other: Self) {
+        self.pairs.merge(other.pairs);
+        self.event_counts.merge(other.event_counts);
+    }
+}
+
 impl CountryCoReport {
     /// Build with per-thread dense partials (country count is small).
     // analyze: no_panic
@@ -235,24 +243,17 @@ impl CountryCoReport {
                         }
                     }
                 });
-                (pairs, events)
+                CountryCoReport { pairs, event_counts: events }
             },
-            |(mut pa, mut ea), (pb, eb)| {
-                use crate::exec::Merge;
-                pa.merge(pb);
-                for (a, b) in ea.iter_mut().zip(eb) {
-                    *a += b;
-                }
-                (pa, ea)
+            |mut a, b| {
+                a.merge(b);
+                a
             },
         );
-        match merged {
-            Some((pairs, event_counts)) => CountryCoReport { pairs, event_counts },
-            None => CountryCoReport {
-                pairs: Matrix::zeros(n_countries, n_countries),
-                event_counts: vec![0; n_countries],
-            },
-        }
+        merged.unwrap_or_else(|| CountryCoReport {
+            pairs: Matrix::zeros(n_countries, n_countries),
+            event_counts: vec![0; n_countries],
+        })
     }
 
     /// Jaccard co-reporting between two countries.

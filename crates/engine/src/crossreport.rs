@@ -27,6 +27,15 @@ pub struct CrossReport {
     pub events_by_country: Vec<u64>,
 }
 
+impl Merge for CrossReport {
+    /// Elementwise addition: every row is counted in exactly one piece.
+    fn merge(&mut self, other: Self) {
+        self.counts.merge(other.counts);
+        self.articles_by_publisher.merge(other.articles_by_publisher);
+        self.events_by_country.merge(other.events_by_country);
+    }
+}
+
 impl CrossReport {
     /// Build with per-thread dense country matrices (the country domain
     /// is tiny, so partials are cheap). Each partition walks its rows in
@@ -59,27 +68,22 @@ impl CrossReport {
                         }
                     }
                 }
-                (counts, by_pub)
+                CrossReport { counts, articles_by_publisher: by_pub, events_by_country: Vec::new() }
             },
-            |(mut ca, mut pa), (cb, pb)| {
-                ca.merge(cb);
-                for (a, b) in pa.iter_mut().zip(pb) {
-                    *a += b;
-                }
-                (ca, pa)
+            |mut a, b| {
+                a.merge(b);
+                a
             },
         );
-        let (counts, articles_by_publisher) = match merged {
-            Some(v) => v,
-            None => (Matrix::zeros(n_countries, n_countries), vec![0; n_countries]),
-        };
-
+        let mut report = merged.unwrap_or_else(|| CrossReport {
+            counts: Matrix::zeros(n_countries, n_countries),
+            articles_by_publisher: vec![0; n_countries],
+            events_by_country: Vec::new(),
+        });
         // Events per country: independent parallel scan of the events
         // table.
-        let events_by_country: Vec<u64> =
-            crate::aggregate::count_by(ctx, event_country, n_countries);
-
-        CrossReport { counts, articles_by_publisher, events_by_country }
+        report.events_by_country = crate::aggregate::count_by(ctx, event_country, n_countries);
+        report
     }
 
     /// Articles from `publishing` about events in `reported`.

@@ -2,13 +2,12 @@
 //!
 //! Delays are measured in 15-minute capture intervals, the paper's best
 //! available proxy for publication time. Per-source statistics are exact:
-//! mentions are grouped by source with one counting sort, then each
-//! source's slice is reduced in parallel (min / max / mean / true
-//! median).
+//! mentions are grouped by source with one counting sort, each source's
+//! slice is reduced in parallel to a [`DelayHist`], and min / max / mean
+//! / true median are read off the histogram.
 
 use crate::aggregate::count_by;
-use crate::exec::ExecContext;
-use crate::stats::{mean_u32, median_u32};
+use crate::exec::{ExecContext, Merge};
 use gdelt_columnar::Dataset;
 use rayon::prelude::*;
 
@@ -60,32 +59,131 @@ pub fn classify(stats: &DelayStats) -> SpeedGroup {
     }
 }
 
-/// Exact per-source delay statistics for every source in the directory.
-///
-/// One parallel counting pass sizes the groups, one sequential
-/// scatter fills them (memory-bandwidth bound), and the per-source
-/// reductions run in parallel.
+/// One source's delay multiset as `(delay, count)` runs ascending by
+/// delay — the Delay family's partial. Medians and means do not merge,
+/// multisets do: the runs of two disjoint row sets union with equal
+/// delays adding, and [`DelayHist::finalize`] reads count / min / max /
+/// mean / median off the merged runs exactly.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct DelayHist {
+    /// Sorted `(delay, occurrences)` runs.
+    pub runs: Vec<(u32, u64)>,
+}
+
+impl DelayHist {
+    /// Run-length encode an already-sorted delay slice.
+    pub fn from_sorted_delays(delays: &[u32]) -> DelayHist {
+        let runs = delays.chunk_by(|a, b| a == b);
+        DelayHist { runs: runs.filter_map(|run| Some((*run.first()?, run.len() as u64))).collect() }
+    }
+
+    /// Total observations.
+    pub fn count(&self) -> u64 {
+        self.runs.iter().map(|&(_, c)| c).sum()
+    }
+
+    /// The exact [`DelayStats`] of the multiset.
+    pub fn finalize(&self) -> DelayStats {
+        let count = self.count();
+        if count == 0 {
+            return DelayStats::empty();
+        }
+        let min = self.runs.first().map_or(0, |r| r.0);
+        let max = self.runs.last().map_or(0, |r| r.0);
+        let sum: u64 = self.runs.iter().map(|&(dl, c)| u64::from(dl) * c).sum();
+        // Integer sums below 2^53 convert to f64 exactly, so the mean
+        // does not depend on how the rows were split or merged.
+        let mean = sum as f64 / count as f64;
+        // Lower-middle median.
+        let target = (count - 1) / 2;
+        let mut seen = 0u64;
+        let mut median = 0u32;
+        for &(dl, c) in &self.runs {
+            seen += c;
+            if seen > target {
+                median = dl;
+                break;
+            }
+        }
+        DelayStats { count, min, max, mean, median }
+    }
+}
+
+impl Merge for DelayHist {
+    /// Multiset union. Both sides are sorted, and the stable sort finds
+    /// and merges the two runs in one linear pass.
+    fn merge(&mut self, other: DelayHist) {
+        if other.runs.is_empty() {
+            return;
+        }
+        self.runs.extend(other.runs);
+        self.runs.sort_by_key(|&(dl, _)| dl);
+        self.runs.dedup_by(|later, kept| {
+            later.0 == kept.0 && {
+                kept.1 += later.1;
+                true
+            }
+        });
+    }
+}
+
+/// A source's slice is counted rather than sorted when its largest
+/// delay is below this many times its length: counting is one pass over
+/// the rows plus one over `0..=max`, so it wins while the value span
+/// stays comparable to the row count. A handful of mentions spread over
+/// a year of intervals sorts instead.
+const DENSE_SPAN_PER_ROW: usize = 4;
+
+/// Reduce one source's delays to its histogram, choosing between the
+/// counting pass (into `counts`, reused across the worker's sources)
+/// and sort + run-length encode from the slice alone.
 // analyze: no_panic
-pub fn per_source_delay_stats(ctx: &ExecContext, d: &Dataset) -> Vec<DelayStats> {
+fn hist_of(delays: &mut [u32], counts: &mut Vec<u64>) -> DelayHist {
+    let Some(&max) = delays.iter().max() else {
+        return DelayHist::default();
+    };
+    let span = max as usize + 1;
+    if span > delays.len().saturating_mul(DENSE_SPAN_PER_ROW) {
+        delays.sort_unstable();
+        return DelayHist::from_sorted_delays(delays);
+    }
+    counts.clear();
+    counts.resize(span, 0);
+    for &dl in delays.iter() {
+        if let Some(c) = counts.get_mut(dl as usize) {
+            *c += 1;
+        }
+    }
+    let runs = counts.iter().enumerate().filter(|&(_, &c)| c != 0);
+    DelayHist { runs: runs.map(|(dl, &c)| (dl as u32, c)).collect() }
+}
+
+/// Per-source delay histograms for every source in the directory — the
+/// Delay kernel.
+///
+/// One parallel counting pass sizes the groups, one sequential scatter
+/// fills them (memory-bandwidth bound), and the per-source reductions
+/// run in parallel over the disjoint slices, in place.
+// analyze: no_panic
+pub fn per_source_delay_hists(ctx: &ExecContext, d: &Dataset) -> Vec<DelayHist> {
     let n_sources = d.sources.len();
-    let n = d.mentions.len();
     if n_sources == 0 {
         return Vec::new();
     }
     let counts = count_by(ctx, &d.mentions.source, n_sources);
 
-    // Group offsets (prefix sum) and scatter.
-    let mut offsets = vec![0usize; n_sources + 1];
-    for i in 0..n_sources {
-        // analyze: allow(panic_path): i < n_sources, counts.len() == n_sources, offsets.len() == n_sources + 1
-        offsets[i + 1] = offsets[i] + counts[i] as usize;
-    }
-    let mut grouped = vec![0u32; n];
-    let mut cursor = offsets.clone();
-    for c in crate::chunk::chunks_of(0..n) {
+    // Scatter cursors: the exclusive prefix sum of the group sizes.
+    let starts = counts.iter().scan(0usize, |next, &c| {
+        let at = *next;
+        *next += c as usize;
+        Some(at)
+    });
+    let mut cursor: Vec<usize> = starts.collect();
+    let mut grouped = vec![0u32; d.mentions.len()];
+    for c in crate::chunk::chunks_of(0..d.mentions.len()) {
         for (&s, &dl) in c.slice(&d.mentions.source).iter().zip(c.slice(&d.mentions.delay)) {
-            // Source ids are dense directory indices; each row scatters
-            // exactly once, so the cursor never outruns `grouped`.
+            // Source ids are dense directory indices; each counted row
+            // scatters exactly once, so a cursor never leaves its group.
             let Some(cur) = cursor.get_mut(s as usize) else { continue };
             if let Some(slot) = grouped.get_mut(*cur) {
                 *slot = dl;
@@ -94,29 +192,25 @@ pub fn per_source_delay_stats(ctx: &ExecContext, d: &Dataset) -> Vec<DelayStats>
         }
     }
 
-    // Per-source reductions. Slices are disjoint → clean parallel map.
+    let mut rest = grouped.as_mut_slice();
+    let groups: Vec<&mut [u32]> = counts
+        .iter()
+        .map(|&c| {
+            let (group, tail) =
+                std::mem::take(&mut rest).split_at_mut_checked(c as usize).unwrap_or_default();
+            rest = tail;
+            group
+        })
+        .collect();
     ctx.install(|| {
-        (0..n_sources)
-            .into_par_iter()
-            .map(|s| {
-                let (lo, hi) = (offsets[s], offsets[s + 1]);
-                if lo == hi {
-                    return DelayStats::empty();
-                }
-                // median_u32 reorders, so work on a private copy.
-                // analyze: allow(hot_alloc): the median needs a private, mutable copy per source
-                // analyze: allow(panic_path): lo ≤ hi ≤ grouped.len() (prefix-sum invariant)
-                let mut buf = grouped[lo..hi].to_vec();
-                // lint: allow(no_panic): `lo == hi` returned early above
-                let min = *buf.iter().min().expect("non-empty");
-                // lint: allow(no_panic): `lo == hi` returned early above
-                let max = *buf.iter().max().expect("non-empty");
-                let mean = mean_u32(&buf);
-                let median = median_u32(&mut buf);
-                DelayStats { count: (hi - lo) as u64, min, max, mean, median }
-            })
-            .collect()
+        groups.into_par_iter().map_init(Vec::new, |scratch, g| hist_of(g, scratch)).collect()
     })
+}
+
+/// Exact per-source delay statistics for every source in the directory:
+/// [`DelayHist::finalize`] over [`per_source_delay_hists`].
+pub fn per_source_delay_stats(ctx: &ExecContext, d: &Dataset) -> Vec<DelayStats> {
+    per_source_delay_hists(ctx, d).iter().map(DelayHist::finalize).collect()
 }
 
 /// Delay of the *first* article on each event — the paper flags this as
@@ -301,6 +395,97 @@ mod tests {
         let day_idx = bounds.iter().position(|&b| b == 192).unwrap();
         assert_eq!(counts[day_idx], 1); // 100 lands in the 2-day bucket
         assert_eq!(*counts.last().unwrap(), 1); // 40 000 beyond a year
+    }
+
+    /// The reference reducer: exact stats off a sorted copy of the slice.
+    fn reference_stats(delays: &[u32]) -> DelayStats {
+        let mut sorted = delays.to_vec();
+        sorted.sort_unstable();
+        let (Some(&min), Some(&max)) = (sorted.first(), sorted.last()) else {
+            return DelayStats::empty();
+        };
+        DelayStats {
+            count: sorted.len() as u64,
+            min,
+            max,
+            mean: sorted.iter().map(|&v| f64::from(v)).sum::<f64>() / sorted.len() as f64,
+            median: sorted[(sorted.len() - 1) / 2],
+        }
+    }
+
+    #[test]
+    fn hist_of_matches_reference_on_both_sides_of_the_dense_choice() {
+        let cases: Vec<Vec<u32>> = vec![
+            vec![],
+            vec![7],                                   // one mention
+            vec![MAX_TRACKED_DELAY],                   // one mention, sparse
+            vec![4, 4, 4, 4, 4],                       // all equal
+            vec![0, 0, 0, 0],                          // all zero
+            vec![2, MAX_TRACKED_DELAY, 1],             // one year-long outlier among three
+            vec![1, 2, 3, 4],                          // even count: lower-middle median
+            vec![9, 1],                                // even count, two rows
+            vec![0, 96, 96, 0],                        // even count straddling two runs
+            (0..500).map(|i| (i * 37) % 97).collect(), // dense, many repeats
+            (0..40).map(|i| i * 800).collect(),        // sparse, all distinct
+        ];
+        let mut counts = Vec::new();
+        for delays in cases {
+            let dense =
+                (*delays.iter().max().unwrap_or(&0) as usize) < delays.len() * DENSE_SPAN_PER_ROW;
+            let hist = hist_of(&mut delays.clone(), &mut counts);
+            let mut sorted = delays.clone();
+            sorted.sort_unstable();
+            assert_eq!(hist, DelayHist::from_sorted_delays(&sorted), "{delays:?} (dense={dense})");
+            assert_eq!(hist.finalize(), reference_stats(&delays), "{delays:?} (dense={dense})");
+        }
+    }
+
+    #[test]
+    fn dense_choice_is_made_from_the_slice() {
+        // Same three rows, one value apart: the span decides, nothing else.
+        let mut counts = vec![99; 8];
+        let span_limit = (3 * DENSE_SPAN_PER_ROW) as u32;
+        let _ = hist_of(&mut [0, 1, span_limit - 1], &mut counts);
+        assert_eq!(counts.len(), span_limit as usize, "dense side counts into the scratch");
+        let mut sparse = [span_limit, 1, 0];
+        let _ = hist_of(&mut sparse, &mut counts);
+        assert_eq!(sparse, [0, 1, span_limit], "sparse side sorts in place");
+        assert_eq!(counts.len(), span_limit as usize, "and leaves the scratch alone");
+    }
+
+    #[test]
+    fn delay_hist_merge_equals_concatenation() {
+        let mut a = DelayHist::from_sorted_delays(&[1, 1, 4, 8]);
+        let b = DelayHist::from_sorted_delays(&[0, 4, 4, 9]);
+        a.merge(b);
+        assert_eq!(a, DelayHist::from_sorted_delays(&[0, 1, 1, 4, 4, 4, 8, 9]));
+        // Empty is the identity on both sides.
+        let mut e = DelayHist::default();
+        e.merge(a.clone());
+        assert_eq!(e, a);
+        let mut a2 = a.clone();
+        a2.merge(DelayHist::default());
+        assert_eq!(a2, a);
+    }
+
+    #[test]
+    fn merged_hists_finalize_like_the_concatenated_rows() {
+        let (left, right) = ([5u32, 0, 5, 9], [9u32, 9, 2, 35_135]);
+        let mut counts = Vec::new();
+        let mut merged = hist_of(&mut left.clone(), &mut counts);
+        merged.merge(hist_of(&mut right.clone(), &mut counts));
+        let all: Vec<u32> = left.iter().chain(&right).copied().collect();
+        assert_eq!(merged.finalize(), reference_stats(&all));
+    }
+
+    #[test]
+    fn hists_cover_every_directory_source() {
+        let d = dataset();
+        let hists = per_source_delay_hists(&ctx(), &d);
+        assert_eq!(hists.len(), d.sources.len());
+        assert_eq!(hists.iter().map(DelayHist::count).sum::<u64>(), d.mentions.len() as u64);
+        let a = d.sources.lookup("a.com").unwrap();
+        assert_eq!(hists[a.index()].runs, vec![(0, 1), (10, 1), (20, 1)]);
     }
 
     #[test]

@@ -199,6 +199,15 @@ impl ExecContext {
 pub trait Merge {
     /// Fold `other` into `self`.
     fn merge(&mut self, other: Self);
+
+    /// `self` with `other` folded in, by value.
+    fn merged(mut self, other: Self) -> Self
+    where
+        Self: Sized,
+    {
+        self.merge(other);
+        self
+    }
 }
 
 impl Merge for u64 {

@@ -26,6 +26,17 @@ pub struct FollowReport {
     pub articles: Vec<u64>,
 }
 
+impl Merge for FollowReport {
+    /// Elementwise addition — follow edges are intra-event. Both sides
+    /// must be over the same subset.
+    fn merge(&mut self, other: Self) {
+        // analyze: allow(panic_path): mismatched subsets are a planning bug, same contract as Matrix::merge on shape mismatch
+        assert_eq!(self.subset, other.subset, "follow partials must agree on the subset");
+        self.follow_counts.merge(other.follow_counts);
+        self.articles.merge(other.articles);
+    }
+}
+
 impl FollowReport {
     /// Compute the follow submatrix for `subset`.
     // analyze: no_panic
@@ -89,35 +100,31 @@ impl FollowReport {
                         }
                     });
                 });
-                (counts, articles)
+                FollowReport { subset: subset.to_vec(), follow_counts: counts, articles }
             },
-            |(mut ca, mut aa), (cb, ab)| {
-                ca.merge(cb);
-                for (x, y) in aa.iter_mut().zip(ab) {
-                    *x += y;
-                }
-                (ca, aa)
+            |mut a, b| {
+                a.merge(b);
+                a
             },
         );
-
-        let (follow_counts, mut articles) = match merged {
-            Some(v) => v,
-            None => (Matrix::zeros(k, k), vec![0u64; k]),
-        };
+        let mut report = merged.unwrap_or_else(|| FollowReport {
+            subset: subset.to_vec(),
+            follow_counts: Matrix::zeros(k, k),
+            articles: vec![0u64; k],
+        });
         // Articles per source must also count mentions of unknown events
         // (outside the CSR coverage) — scan the tail.
         let covered = d.event_index.total_mentions() as usize;
         for &src in sources.get(covered..d.mentions.len()).unwrap_or(&[]) {
             if let Some(&s) = slot.get(src as usize) {
                 if s != u32::MAX {
-                    if let Some(a) = articles.get_mut(s as usize) {
+                    if let Some(a) = report.articles.get_mut(s as usize) {
                         *a += 1;
                     }
                 }
             }
         }
-
-        FollowReport { subset: subset.to_vec(), follow_counts, articles }
+        report
     }
 
     /// The normalized follow matrix `f_ij = n_ij / n_j` (column `j`

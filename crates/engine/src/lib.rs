@@ -10,6 +10,11 @@
 //! * all parallelism is *partitioned scan + per-thread partials + merge* —
 //!   the only pattern that scales on the paper's 8-NUMA-node machine
 //!   ([`exec`], [`aggregate`]);
+//! * that pattern is also the only way a query is answered: [`run_query`]
+//!   is plan → partial → merge → finalize ([`partial`]) with the whole
+//!   dataset as one shard, and a shard router runs the same plan with the
+//!   same partials and merges across processes (the paper's §VII MPI
+//!   plan) — one algebra in-thread, cross-thread and cross-process;
 //! * co-reporting uses a **dense** pair matrix, the paper's explicit
 //!   choice over sparse structures given the update volume ([`coreport`];
 //!   a sparse alternative exists for the ablation benchmark);
@@ -17,8 +22,8 @@
 //!   adjacency ([`followreport`]);
 //! * the country cross-reporting tables come from a single aggregated
 //!   query ([`query`]), the workload of the paper's Fig 12 scaling study;
-//! * publishing-delay statistics are exact (counting-sort grouping, true
-//!   medians) ([`delay`]);
+//! * publishing-delay statistics are exact (counting-sort grouping,
+//!   per-source delay histograms, true medians) ([`delay`]);
 //! * a deliberately naive row-oriented, string-typed baseline stands in
 //!   for the "generic system" comparators the paper dismisses
 //!   ([`baseline`]).
@@ -38,7 +43,6 @@ pub mod histogram;
 pub mod matrix;
 pub mod partial;
 pub mod query;
-pub mod sharded;
 pub mod sliced;
 pub mod stats;
 pub mod timeseries;
@@ -48,6 +52,4 @@ pub mod wildfire;
 
 pub use exec::{ExecContext, ExecContextBuilder};
 pub use matrix::Matrix;
-pub use query::{
-    run_query, run_query_covered, CoveredResult, Query, QueryResult, SeriesKind, TopKKind,
-};
+pub use query::{run_query, Query, QueryResult, SeriesKind, TopKKind};

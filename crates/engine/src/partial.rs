@@ -1,61 +1,49 @@
-//! Shard partials: the scatter-gather algebra behind the multi-process
-//! serve tier (paper §VII future work, made concrete).
+//! The execution algebra: plan → round → merge → finalize.
 //!
-//! Every engine kernel is already a *partitioned scan → per-thread
-//! partial → associative merge* ([`crate::exec::ExecContext::map_reduce`]).
-//! This module lifts that structure across process boundaries: a
-//! [`ShardQuery`] is the request a shard worker can answer locally, a
-//! [`ShardPartial`] is the sufficient statistic it returns, and
-//! [`ShardPartial::merge`] + [`finalize`] reassemble the exact
-//! single-process [`QueryResult`]. The contract — enforced by the
-//! equivalence proptests in `crates/shard` — is **bit identity**:
-//! merging shard partials in *any* order equals [`crate::run_query`]
-//! over the unsharded dataset, for every query family.
+//! Every analysis is a *partitioned scan → per-partition partial →
+//! associative merge* (paper §IV, §VI-G; its §VII MPI plan is the same
+//! pattern across nodes). This module is that pattern written once, and
+//! it is the only way a [`Query`] is answered — in one thread, across
+//! threads, across processes:
 //!
-//! Why this works, per family, given stores split by *contiguous
-//! partition range* (`gdelt_columnar::degraded::restrict_to_partitions`,
-//! which keeps the full source directory on every shard and never
-//! splits an event's mentions across shards):
+//! * [`plan`] decomposes a [`Query`] into [`ShardQuery`] rounds;
+//! * a *round* answers one [`ShardQuery`] with the merged
+//!   [`ShardPartial`] of every partition it covers — `run_query`
+//!   supplies [`run_shard_query`] over the whole dataset (the kernels
+//!   merge their per-thread partials inside), the shard router supplies
+//!   a network scatter whose replies fold through
+//!   [`ShardPartial::merge`];
+//! * [`finalize`] turns the fully merged partial into the
+//!   [`QueryResult`];
+//! * [`execute`] drives the three and is the only place that knows
+//!   which queries need two rounds.
 //!
-//! * **CoReport / CrossCountry** — final structs are elementwise count
-//!   sums over the fixed country domain; per-event logic never crosses
-//!   a shard, so the finals are themselves mergeable partials.
-//! * **FollowReport** — two-phase: global publisher counts pick the
-//!   subset (identical to `top_publishers`), then each shard builds the
-//!   follow submatrix for that *same* subset; follow edges are
-//!   intra-event, so matrices sum.
-//! * **Delay** — finals carry medians/means and do not merge; the
-//!   partial is a per-source sorted delay histogram ([`DelayHist`]),
-//!   from which count/min/max/mean/median finalize exactly. The mean is
-//!   reproduced bit-for-bit because integer-valued f64 sums below 2^53
-//!   are exact (delay sums are far below that bound).
-//! * **TimeSeries** — count series merge by base-aligned addition of
-//!   integer-valued f64 counts (exact); `ActiveSources` needs distinct
-//!   counts, so its partial is one source bitmap per quarter, OR-merged.
-//! * **TopK** — publishers go through the full count vector (summable);
-//!   events ship each shard's local top-k rebased to global rows, and a
-//!   sorted merge + truncate is exact because every event's degree is
-//!   complete within its shard.
+//! The contract — pinned by the equivalence proptests in `crates/shard`
+//! — is **bit identity**: over stores split by contiguous partition
+//! range (`gdelt_columnar::degraded::restrict_to_partitions`, which
+//! keeps the full source directory on every piece and never splits an
+//! event's mentions), merging the pieces' partials in any order equals
+//! the partial of the whole. DESIGN.md ("Execution algebra") tabulates
+//! each family's partial and why it merges exactly.
 
 use crate::coreport::CountryCoReport;
 use crate::crossreport::CrossReport;
-use crate::delay::DelayStats;
+pub use crate::delay::DelayHist;
 use crate::exec::{ExecContext, Merge};
-use crate::filter::Bitmap;
 use crate::followreport::FollowReport;
 use crate::query::{Query, QueryResult, SeriesKind, TopKKind};
-use crate::timeseries::QuarterlySeries;
-use crate::topk::top_k_indices;
+pub use crate::timeseries::ActiveSourcesPartial;
+use crate::timeseries::{self, QuarterlySeries};
+use crate::topk::ranked_publishers;
 use gdelt_columnar::Dataset;
 use gdelt_model::country::CountryRegistry;
 use gdelt_model::ids::SourceId;
-use gdelt_model::time::Quarter;
 
-/// A request a shard worker answers from its local store alone.
+/// A request answerable from one piece of the data alone.
 ///
 /// Most [`Query`] variants map 1:1 ([`plan`]); `FollowReport` needs a
-/// router-driven first round ([`ShardQuery::PublisherCounts`]) to pick
-/// the globally-agreed subset before the follow pass.
+/// first round ([`ShardQuery::PublisherCounts`]) to pick the
+/// globally-agreed subset before the follow pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardQuery {
     /// Country co-reporting partial.
@@ -109,114 +97,52 @@ pub fn plan(q: &Query) -> ShardPlan {
     }
 }
 
-/// The top-k publisher subset from merged global counts — identical to
-/// the subset `run_query` derives via `topk::top_publishers`.
+/// The top-k publisher subset from merged global counts.
 pub fn subset_from_counts(counts: &[u64], k: usize) -> Vec<SourceId> {
-    top_k_indices(counts, k).into_iter().map(|i| SourceId(i as u32)).collect()
+    ranked_publishers(counts, k).into_iter().map(|(s, _)| s).collect()
 }
 
-/// Per-source sorted delay histogram: `(delay, count)` runs ascending
-/// by delay. The sufficient statistic for exact min/max/mean/median.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct DelayHist {
-    /// Sorted `(delay, occurrences)` runs.
-    pub runs: Vec<(u32, u64)>,
+/// Answer `q` by driving its plan: `round` is called once per
+/// [`ShardQuery`] round and must return the merged partial of every
+/// piece it covers, of the family asked for. This is the one place that
+/// knows `FollowReport` ranks publishers before it follows them.
+pub fn execute<E>(
+    q: &Query,
+    mut round: impl FnMut(&ShardQuery) -> Result<ShardPartial, E>,
+) -> Result<QueryResult, E> {
+    let merged = match plan(q) {
+        ShardPlan::Direct(sq) => round(&sq)?,
+        ShardPlan::PublishersThenFollow { top_k } => {
+            let counts = match round(&ShardQuery::PublisherCounts)? {
+                ShardPartial::PublisherCounts(counts) => counts,
+                // lint: allow(no_panic): `round` broke its contract (answer the family asked for)
+                other => panic!("publisher-counts round answered {}", other.family()),
+            };
+            let sources = subset_from_counts(&counts, top_k as usize);
+            round(&ShardQuery::FollowReportWith { sources })?
+        }
+    };
+    Ok(finalize(q, merged))
 }
 
-impl DelayHist {
-    /// Run-length encode an already-sorted delay slice.
-    pub fn from_sorted_delays(delays: &[u32]) -> DelayHist {
-        let mut runs: Vec<(u32, u64)> = Vec::new();
-        for &dl in delays {
-            match runs.last_mut() {
-                Some((d, c)) if *d == dl => *c += 1,
-                _ => runs.push((dl, 1)),
-            }
+impl ShardQuery {
+    /// Whether `p` is the partial this request asks for: the right
+    /// family, the same `k`, the same follow subset. Total — replies
+    /// decoded off a socket are checked with it before they are merged.
+    pub fn accepts(&self, p: &ShardPartial) -> bool {
+        use ShardPartial as P;
+        match (self, p) {
+            (ShardQuery::CoReport, P::CoReport(_))
+            | (ShardQuery::CrossCountry, P::CrossCountry(_))
+            | (ShardQuery::Delay, P::Delay(_))
+            | (ShardQuery::PublisherCounts, P::PublisherCounts(_)) => true,
+            (ShardQuery::FollowReportWith { sources }, P::FollowReport(r)) => r.subset == *sources,
+            (ShardQuery::TimeSeries(SeriesKind::ActiveSources), P::ActiveSources(_)) => true,
+            (ShardQuery::TimeSeries(kind), P::Series(_)) => *kind != SeriesKind::ActiveSources,
+            (ShardQuery::TopEvents { k }, P::TopEvents { k: got, .. }) => k == got,
+            _ => false,
         }
-        DelayHist { runs }
     }
-
-    /// Fold `other` into `self` (sorted two-way run merge).
-    pub fn merge(&mut self, other: DelayHist) {
-        if other.runs.is_empty() {
-            return;
-        }
-        if self.runs.is_empty() {
-            *self = other;
-            return;
-        }
-        let a = std::mem::take(&mut self.runs);
-        let b = other.runs;
-        let mut out = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            let (da, ca) = a[i];
-            let (db, cb) = b[j];
-            match da.cmp(&db) {
-                std::cmp::Ordering::Less => {
-                    // analyze: allow(hot_alloc): out is reserved to a.len()+b.len() above; this push never reallocates
-                    out.push((da, ca));
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    // analyze: allow(hot_alloc): out is reserved to a.len()+b.len() above; this push never reallocates
-                    out.push((db, cb));
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    // analyze: allow(hot_alloc): out is reserved to a.len()+b.len() above; this push never reallocates
-                    out.push((da, ca + cb));
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(a.get(i..).unwrap_or(&[]));
-        out.extend_from_slice(b.get(j..).unwrap_or(&[]));
-        self.runs = out;
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.runs.iter().map(|&(_, c)| c).sum()
-    }
-
-    /// Finalize to the exact [`DelayStats`] the sequential kernel
-    /// computes for the same multiset of delays.
-    pub fn finalize(&self) -> DelayStats {
-        let count = self.count();
-        if count == 0 {
-            return DelayStats::empty();
-        }
-        let min = self.runs.first().map_or(0, |r| r.0);
-        let max = self.runs.last().map_or(0, |r| r.0);
-        let sum: u64 = self.runs.iter().map(|&(dl, c)| u64::from(dl) * c).sum();
-        // Exact: integer f64 sums below 2^53 match the sequential
-        // accumulation in `stats::mean_u32` bit-for-bit.
-        let mean = sum as f64 / count as f64;
-        // Lower-middle median, as `stats::median_u32` selects.
-        let target = (count - 1) / 2;
-        let mut seen = 0u64;
-        let mut median = 0u32;
-        for &(dl, c) in &self.runs {
-            seen += c;
-            if seen > target {
-                median = dl;
-                break;
-            }
-        }
-        DelayStats { count, min, max, mean, median }
-    }
-}
-
-/// Active-source partial: one source bitmap per quarter (distinct
-/// counts cannot be summed across shards; sets can be unioned).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ActiveSourcesPartial {
-    /// Linear quarter index of `quarters[0]` (meaningless when empty).
-    pub base: i32,
-    /// One bitmap over the global source directory per quarter.
-    pub quarters: Vec<Bitmap>,
 }
 
 /// One shard's sufficient statistic for a [`ShardQuery`].
@@ -263,6 +189,35 @@ impl ShardPartial {
         }
     }
 
+    /// The total twin of [`ShardPartial::merge`]: same family, same `k`,
+    /// same follow subset, same matrix shapes, one bitmap length. `merge`
+    /// keeps its panicking contract for in-process callers; anything
+    /// decoded off a socket is checked with this first.
+    pub fn compatible(&self, other: &ShardPartial) -> bool {
+        use ShardPartial as P;
+        fn same_shape(a: &crate::Matrix<u64>, b: &crate::Matrix<u64>) -> bool {
+            // `Matrix::merge` lets an empty left side take the other's shape.
+            a.as_slice().is_empty() || (a.rows(), a.cols()) == (b.rows(), b.cols())
+        }
+        match (self, other) {
+            (P::CoReport(a), P::CoReport(b)) => same_shape(&a.pairs, &b.pairs),
+            (P::FollowReport(a), P::FollowReport(b)) => {
+                a.subset == b.subset && same_shape(&a.follow_counts, &b.follow_counts)
+            }
+            (P::CrossCountry(a), P::CrossCountry(b)) => same_shape(&a.counts, &b.counts),
+            (P::ActiveSources(a), P::ActiveSources(b)) => {
+                let mut lens = a.quarters.iter().chain(&b.quarters).map(|bm| bm.len());
+                let first = lens.next();
+                lens.all(|len| Some(len) == first)
+            }
+            (P::TopEvents { k: a, .. }, P::TopEvents { k: b, .. }) => a == b,
+            (P::Delay(_), P::Delay(_))
+            | (P::Series(_), P::Series(_))
+            | (P::PublisherCounts(_), P::PublisherCounts(_)) => true,
+            _ => false,
+        }
+    }
+
     /// Associative, commutative merge of two same-family partials.
     ///
     /// Mismatched families are a routing bug and panic (the same
@@ -270,31 +225,13 @@ impl ShardPartial {
     pub fn merge(self, other: ShardPartial) -> ShardPartial {
         use ShardPartial as P;
         match (self, other) {
-            (P::CoReport(mut a), P::CoReport(b)) => {
-                a.pairs.merge(b.pairs);
-                a.event_counts.merge(b.event_counts);
-                P::CoReport(a)
-            }
-            (P::FollowReport(mut a), P::FollowReport(b)) => {
-                // analyze: allow(panic_path): mismatched subsets are a router planning bug, same contract as Matrix::merge on shape mismatch
-                assert_eq!(a.subset, b.subset, "follow partials must agree on the subset");
-                a.follow_counts.merge(b.follow_counts);
-                a.articles.merge(b.articles);
-                P::FollowReport(a)
-            }
-            (P::CrossCountry(mut a), P::CrossCountry(b)) => {
-                a.counts.merge(b.counts);
-                a.articles_by_publisher.merge(b.articles_by_publisher);
-                a.events_by_country.merge(b.events_by_country);
-                P::CrossCountry(a)
-            }
-            (P::Delay(a), P::Delay(b)) => P::Delay(merge_delay(a, b)),
-            (P::Series(a), P::Series(b)) => P::Series(merge_series(a, b)),
-            (P::ActiveSources(a), P::ActiveSources(b)) => P::ActiveSources(merge_active(a, b)),
-            (P::PublisherCounts(mut a), P::PublisherCounts(b)) => {
-                a.merge(b);
-                P::PublisherCounts(a)
-            }
+            (P::CoReport(a), P::CoReport(b)) => P::CoReport(a.merged(b)),
+            (P::FollowReport(a), P::FollowReport(b)) => P::FollowReport(a.merged(b)),
+            (P::CrossCountry(a), P::CrossCountry(b)) => P::CrossCountry(a.merged(b)),
+            (P::Delay(a), P::Delay(b)) => P::Delay(a.merged(b)),
+            (P::Series(a), P::Series(b)) => P::Series(a.merged(b)),
+            (P::ActiveSources(a), P::ActiveSources(b)) => P::ActiveSources(a.merged(b)),
+            (P::PublisherCounts(a), P::PublisherCounts(b)) => P::PublisherCounts(a.merged(b)),
             (P::TopEvents { k, entries: a }, P::TopEvents { k: kb, entries: b }) => {
                 // analyze: allow(panic_path): mismatched k is a router planning bug, same contract as Matrix::merge on shape mismatch
                 assert_eq!(k, kb, "top-events partials must agree on k");
@@ -311,11 +248,14 @@ impl ShardPartial {
     }
 }
 
-/// Answer a [`ShardQuery`] from this shard's local dataset.
+/// Answer a [`ShardQuery`] over `d` — the one dispatcher from request
+/// to kernel. Each kernel merges its own per-thread partials under
+/// `ctx`, so the result is the partial of all of `d`.
 ///
-/// `ev_row_base` is the shard's first event's *global* row (contiguous
-/// partition-range splits keep each shard's events a contiguous slice
-/// of the global event table), used to rebase top-event rows.
+/// `ev_row_base` is the *global* row of `d`'s first event (0 for a
+/// whole dataset; contiguous partition-range splits keep each shard's
+/// events a contiguous slice of the global event table), used to rebase
+/// top-event rows.
 pub fn run_shard_query(
     ctx: &ExecContext,
     d: &Dataset,
@@ -331,19 +271,17 @@ pub fn run_shard_query(
         ShardQuery::CrossCountry => {
             ShardPartial::CrossCountry(CrossReport::build(ctx, d, n_countries))
         }
-        ShardQuery::Delay => ShardPartial::Delay(delay_hists(ctx, d)),
-        ShardQuery::TimeSeries(SeriesKind::ActiveSources) => {
-            ShardPartial::ActiveSources(active_sources_partial(d))
-        }
-        ShardQuery::TimeSeries(kind) => ShardPartial::Series(match kind {
-            SeriesKind::Events => crate::timeseries::events_per_quarter(ctx, d),
-            SeriesKind::Articles => crate::timeseries::articles_per_quarter(ctx, d),
-            SeriesKind::LateArticles { threshold } => {
-                crate::timeseries::late_articles_per_quarter(ctx, d, *threshold)
+        ShardQuery::Delay => ShardPartial::Delay(crate::delay::per_source_delay_hists(ctx, d)),
+        ShardQuery::TimeSeries(kind) => match *kind {
+            SeriesKind::ActiveSources => {
+                ShardPartial::ActiveSources(timeseries::active_sources_partial(ctx, d))
             }
-            // Handled by the arm above.
-            SeriesKind::ActiveSources => unreachable!("active sources uses the bitmap partial"),
-        }),
+            SeriesKind::Events => ShardPartial::Series(timeseries::events_per_quarter(ctx, d)),
+            SeriesKind::Articles => ShardPartial::Series(timeseries::articles_per_quarter(ctx, d)),
+            SeriesKind::LateArticles { threshold } => {
+                ShardPartial::Series(timeseries::late_articles_per_quarter(ctx, d, threshold))
+            }
+        },
         ShardQuery::PublisherCounts => ShardPartial::PublisherCounts(crate::aggregate::count_by(
             ctx,
             &d.mentions.source,
@@ -359,8 +297,8 @@ pub fn run_shard_query(
     }
 }
 
-/// Reassemble the exact single-process [`QueryResult`] from a fully
-/// merged partial. Panics on a family mismatch (routing bug).
+/// The [`QueryResult`] of a fully merged partial. Panics on a family
+/// mismatch (a planning bug).
 pub fn finalize(q: &Query, p: ShardPartial) -> QueryResult {
     match (q, p) {
         (Query::CoReport, ShardPartial::CoReport(r)) => QueryResult::CoReport(r),
@@ -370,147 +308,17 @@ pub fn finalize(q: &Query, p: ShardPartial) -> QueryResult {
             QueryResult::Delay(hists.iter().map(DelayHist::finalize).collect())
         }
         (Query::TimeSeries(SeriesKind::ActiveSources), ShardPartial::ActiveSources(a)) => {
-            QueryResult::TimeSeries(finalize_active(a))
+            QueryResult::TimeSeries(a.finalize())
         }
         (Query::TimeSeries(_), ShardPartial::Series(s)) => QueryResult::TimeSeries(s),
         (Query::TopK { kind: TopKKind::Publishers, k }, ShardPartial::PublisherCounts(counts)) => {
-            let ranked = top_k_indices(&counts, *k as usize)
-                .into_iter()
-                .map(|i| (SourceId(i as u32), counts[i]))
-                .collect();
-            QueryResult::TopPublishers(ranked)
+            QueryResult::TopPublishers(ranked_publishers(&counts, *k as usize))
         }
         (Query::TopK { kind: TopKKind::Events, .. }, ShardPartial::TopEvents { entries, .. }) => {
             QueryResult::TopEvents(entries.into_iter().map(|(row, d)| (row as usize, d)).collect())
         }
         // lint: allow(no_panic): family mismatch is a router planning bug, same contract as Matrix::merge on shape mismatch
         (q, p) => panic!("shard partial {} does not finalize query {q}", p.family()),
-    }
-}
-
-/// Per-source delay histograms — the Delay partial builder. Grouping
-/// mirrors `delay::per_source_delay_stats` (counting sort + scatter),
-/// then each source's slice is sorted and run-length encoded.
-fn delay_hists(ctx: &ExecContext, d: &Dataset) -> Vec<DelayHist> {
-    use rayon::prelude::*;
-    let n_sources = d.sources.len();
-    if n_sources == 0 {
-        return Vec::new();
-    }
-    let counts = crate::aggregate::count_by(ctx, &d.mentions.source, n_sources);
-    let mut offsets = vec![0usize; n_sources + 1];
-    for i in 0..n_sources {
-        offsets[i + 1] = offsets[i] + counts[i] as usize;
-    }
-    let mut grouped = vec![0u32; d.mentions.len()];
-    let mut cursor = offsets.clone();
-    for (&s, &dl) in d.mentions.source.iter().zip(d.mentions.delay.iter()) {
-        let Some(cur) = cursor.get_mut(s as usize) else { continue };
-        if let Some(slot) = grouped.get_mut(*cur) {
-            *slot = dl;
-        }
-        *cur += 1;
-    }
-    ctx.install(|| {
-        (0..n_sources)
-            .into_par_iter()
-            .map(|s| {
-                let (lo, hi) = (offsets[s], offsets[s + 1]);
-                // analyze: allow(hot_alloc): sort_unstable needs an owned per-source scratch; bounded by the source's mention count
-                let mut buf = grouped[lo..hi].to_vec();
-                buf.sort_unstable();
-                DelayHist::from_sorted_delays(&buf)
-            })
-            .collect()
-    })
-}
-
-/// Active-sources partial builder: the shard's quarter span with one
-/// source bitmap per quarter.
-fn active_sources_partial(d: &Dataset) -> ActiveSourcesPartial {
-    let Some((base, n)) = crate::timeseries::quarter_range(d) else {
-        return ActiveSourcesPartial::default();
-    };
-    let n_sources = d.sources.len();
-    let mut quarters: Vec<Bitmap> = (0..n).map(|_| Bitmap::new(n_sources)).collect();
-    for (&q, &s) in d.mentions.quarter.iter().zip(d.mentions.source.iter()) {
-        if let Some(bm) = quarters.get_mut(q.wrapping_sub(base) as usize) {
-            bm.set(s as usize);
-        }
-    }
-    ActiveSourcesPartial { base: i32::from(base), quarters }
-}
-
-fn merge_delay(mut a: Vec<DelayHist>, b: Vec<DelayHist>) -> Vec<DelayHist> {
-    if a.len() < b.len() {
-        return merge_delay(b, a);
-    }
-    for (x, y) in a.iter_mut().zip(b) {
-        x.merge(y);
-    }
-    a
-}
-
-/// Base-aligned addition of two count series. Values are integer-valued
-/// f64 counts, so f64 addition is exact and order-independent.
-fn merge_series(a: QuarterlySeries, b: QuarterlySeries) -> QuarterlySeries {
-    if b.values.is_empty() {
-        return a;
-    }
-    if a.values.is_empty() {
-        return b;
-    }
-    let (ab, bb) = (a.base.linear(), b.base.linear());
-    let base = ab.min(bb);
-    let end = (ab + a.values.len() as i32).max(bb + b.values.len() as i32);
-    let mut values = vec![0f64; (end - base) as usize];
-    for (i, v) in a.values.iter().enumerate() {
-        if let Some(slot) = values.get_mut((ab - base) as usize + i) {
-            *slot += v;
-        }
-    }
-    for (i, v) in b.values.iter().enumerate() {
-        if let Some(slot) = values.get_mut((bb - base) as usize + i) {
-            *slot += v;
-        }
-    }
-    QuarterlySeries { base: Quarter::from_linear(base), values }
-}
-
-/// Base-aligned OR of per-quarter source bitmaps.
-fn merge_active(a: ActiveSourcesPartial, b: ActiveSourcesPartial) -> ActiveSourcesPartial {
-    if b.quarters.is_empty() {
-        return a;
-    }
-    if a.quarters.is_empty() {
-        return b;
-    }
-    let n_sources = a.quarters[0].len();
-    let base = a.base.min(b.base);
-    let end = (a.base + a.quarters.len() as i32).max(b.base + b.quarters.len() as i32);
-    let mut quarters: Vec<Bitmap> =
-        (0..(end - base) as usize).map(|_| Bitmap::new(n_sources)).collect();
-    for (i, bm) in a.quarters.iter().enumerate() {
-        if let Some(slot) = quarters.get_mut((a.base - base) as usize + i) {
-            slot.or(bm);
-        }
-    }
-    for (i, bm) in b.quarters.iter().enumerate() {
-        if let Some(slot) = quarters.get_mut((b.base - base) as usize + i) {
-            slot.or(bm);
-        }
-    }
-    ActiveSourcesPartial { base, quarters }
-}
-
-fn finalize_active(a: ActiveSourcesPartial) -> QuarterlySeries {
-    if a.quarters.is_empty() {
-        // Matches the kernels' empty-dataset anchor.
-        return QuarterlySeries { base: Quarter { year: 2015, q: 1 }, values: Vec::new() };
-    }
-    QuarterlySeries {
-        base: Quarter::from_linear(a.base),
-        values: a.quarters.iter().map(|bm| bm.count() as f64).collect(),
     }
 }
 
@@ -528,8 +336,11 @@ fn merge_top_events(a: Vec<(u64, u64)>, b: Vec<(u64, u64)>, k: usize) -> Vec<(u6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filter::Bitmap;
     use crate::query::run_query;
     use gdelt_columnar::degraded::restrict_to_partitions;
+    use gdelt_model::time::Quarter;
+    use std::convert::Infallible;
 
     const PARTS: u32 = 8;
 
@@ -573,26 +384,22 @@ mod tests {
         ]
     }
 
-    /// Run `q` through the scatter-gather algebra over `shards`.
+    /// One partial per shard for `sq`.
+    fn partials(
+        ctx: &ExecContext,
+        shards: &[(Dataset, u64)],
+        sq: &ShardQuery,
+    ) -> Vec<ShardPartial> {
+        shards.iter().map(|(d, base)| run_shard_query(ctx, d, sq, *base)).collect()
+    }
+
+    /// Run `q` through the shared driver over `shards`.
     fn scatter_gather(ctx: &ExecContext, shards: &[(Dataset, u64)], q: &Query) -> QueryResult {
-        let partials = |sq: &ShardQuery| -> ShardPartial {
-            shards
-                .iter()
-                .map(|(d, base)| run_shard_query(ctx, d, sq, *base))
-                .reduce(ShardPartial::merge)
-                .expect("at least one shard")
+        let round = |sq: &ShardQuery| {
+            let merged = partials(ctx, shards, sq).into_iter().reduce(ShardPartial::merge);
+            Ok::<_, Infallible>(merged.expect("at least one shard"))
         };
-        match plan(q) {
-            ShardPlan::Direct(sq) => finalize(q, partials(&sq)),
-            ShardPlan::PublishersThenFollow { top_k } => {
-                let ShardPartial::PublisherCounts(counts) = partials(&ShardQuery::PublisherCounts)
-                else {
-                    panic!("wrong partial family");
-                };
-                let sources = subset_from_counts(&counts, top_k as usize);
-                finalize(q, partials(&ShardQuery::FollowReportWith { sources }))
-            }
-        }
+        execute(q, round).unwrap()
     }
 
     #[test]
@@ -616,8 +423,7 @@ mod tests {
         let shards = split(&d, 4);
         for q in all_queries() {
             let ShardPlan::Direct(sq) = plan(&q) else { continue };
-            let ps: Vec<ShardPartial> =
-                shards.iter().map(|(sd, base)| run_shard_query(&ctx, sd, &sq, *base)).collect();
+            let ps = partials(&ctx, &shards, &sq);
             let forward = ps.clone().into_iter().reduce(ShardPartial::merge).unwrap();
             let reverse = ps.clone().into_iter().rev().reduce(ShardPartial::merge).unwrap();
             assert_eq!(forward, reverse, "{q}: forward vs reverse merge");
@@ -629,39 +435,145 @@ mod tests {
     }
 
     #[test]
-    fn delay_hist_matches_sequential_stats() {
-        let delays = [5u32, 0, 5, 9, 9, 9, 2];
-        let mut sorted = delays.to_vec();
-        sorted.sort_unstable();
-        let hist = DelayHist::from_sorted_delays(&sorted);
-        let stats = hist.finalize();
-        assert_eq!((stats.count, stats.min, stats.max), (7, 0, 9));
-        assert_eq!(stats.median, crate::stats::median_u32(&mut delays.to_vec()));
-        assert_eq!(stats.mean, crate::stats::mean_u32(&delays));
+    fn execute_runs_two_rounds_only_for_follow_reports() {
+        let d = dataset();
+        let ctx = ctx();
+        for q in all_queries() {
+            let mut asked = Vec::new();
+            let got = execute(&q, |sq| {
+                asked.push(sq.clone());
+                Ok::<_, Infallible>(run_shard_query(&ctx, &d, sq, 0))
+            })
+            .unwrap();
+            assert_eq!(got, run_query(&ctx, &d, &q), "{q}");
+            match q {
+                Query::FollowReport { top_k } => {
+                    assert_eq!(asked.len(), 2, "{q}");
+                    assert_eq!(asked[0], ShardQuery::PublisherCounts);
+                    let ShardQuery::FollowReportWith { sources } = &asked[1] else {
+                        panic!("second round of {q} was {:?}", asked[1]);
+                    };
+                    assert_eq!(sources.len(), top_k as usize);
+                }
+                _ => assert_eq!(
+                    asked,
+                    vec![match plan(&q) {
+                        ShardPlan::Direct(sq) => sq,
+                        other => panic!("bad plan {other:?} for {q}"),
+                    }]
+                ),
+            }
+        }
     }
 
     #[test]
-    fn delay_hist_merge_equals_concatenation() {
-        let mut a = DelayHist::from_sorted_delays(&[1, 1, 4, 8]);
-        let b = DelayHist::from_sorted_delays(&[0, 4, 4, 9]);
-        a.merge(b);
-        assert_eq!(a, DelayHist::from_sorted_delays(&[0, 1, 1, 4, 4, 4, 8, 9]));
-        // Empty is the identity on both sides.
-        let mut e = DelayHist::default();
-        e.merge(a.clone());
-        assert_eq!(e, a);
-        let mut a2 = a.clone();
-        a2.merge(DelayHist::default());
-        assert_eq!(a2, a);
+    fn execute_stops_at_the_first_failed_round() {
+        let mut rounds = 0;
+        let got = execute(&Query::FollowReport { top_k: 3 }, |_| {
+            rounds += 1;
+            Err::<ShardPartial, _>("shard down")
+        });
+        assert_eq!(got, Err("shard down"));
+        assert_eq!(rounds, 1);
+    }
+
+    #[test]
+    fn every_request_accepts_its_own_answer_and_no_other() {
+        let d = dataset();
+        let ctx = ctx();
+        let mut asked: Vec<ShardQuery> = all_queries()
+            .iter()
+            .filter_map(|q| match plan(q) {
+                ShardPlan::Direct(sq) => Some(sq),
+                ShardPlan::PublishersThenFollow { .. } => None,
+            })
+            .collect();
+        asked.push(ShardQuery::FollowReportWith { sources: vec![SourceId(0), SourceId(1)] });
+        // Same families, different parameters.
+        asked.push(ShardQuery::FollowReportWith { sources: vec![SourceId(1), SourceId(0)] });
+        asked.push(ShardQuery::TopEvents { k: 8 });
+        let answers: Vec<ShardPartial> =
+            asked.iter().map(|sq| run_shard_query(&ctx, &d, sq, 0)).collect();
+        for (i, sq) in asked.iter().enumerate() {
+            for (j, p) in answers.iter().enumerate() {
+                // Count series share one partial shape across kinds.
+                let same_series = matches!(
+                    (sq, &asked[j]),
+                    (ShardQuery::TimeSeries(a), ShardQuery::TimeSeries(b))
+                        if *a != SeriesKind::ActiveSources && *b != SeriesKind::ActiveSources
+                );
+                // PublisherCounts is asked twice (top-k publishers plans to it).
+                let expect = i == j || same_series || *sq == asked[j];
+                assert_eq!(sq.accepts(p), expect, "{sq:?} vs answer to {:?}", asked[j]);
+            }
+        }
+    }
+
+    /// `a.merge(b)` panics exactly when `compatible` says no.
+    fn assert_compatible_predicts_merge(a: &ShardPartial, b: &ShardPartial) {
+        let (x, y) = (a.clone(), b.clone());
+        let merged = std::panic::catch_unwind(move || x.merge(y));
+        assert_eq!(a.compatible(b), merged.is_ok(), "{} vs {}", a.family(), b.family());
+    }
+
+    #[test]
+    fn compatible_is_exactly_merges_precondition() {
+        let d = dataset();
+        let ctx = ctx();
+        let shards = split(&d, 2);
+        let mut ps = Vec::new();
+        for q in all_queries() {
+            let sq = match plan(&q) {
+                ShardPlan::Direct(sq) => sq,
+                ShardPlan::PublishersThenFollow { .. } => {
+                    ShardQuery::FollowReportWith { sources: vec![SourceId(0), SourceId(1)] }
+                }
+            };
+            ps.extend(partials(&ctx, &shards, &sq));
+        }
+        // The mismatches a foreign or stale reply can carry.
+        ps.push(ShardPartial::TopEvents { k: 3, entries: Vec::new() });
+        ps.push(run_shard_query(
+            &ctx,
+            &d,
+            &ShardQuery::FollowReportWith { sources: vec![SourceId(0)] },
+            0,
+        ));
+        ps.push(ShardPartial::CoReport(CountryCoReport::build(&ctx, &d, 3)));
+        ps.push(ShardPartial::CrossCountry(CrossReport::build(&ctx, &d, 3)));
+        ps.push(ShardPartial::ActiveSources(ActiveSourcesPartial {
+            base: 0,
+            quarters: vec![Bitmap::new(d.sources.len() - 1)],
+        }));
+        ps.push(ShardPartial::ActiveSources(ActiveSourcesPartial::default()));
+        for a in &ps {
+            for b in &ps {
+                assert_compatible_predicts_merge(a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn empty_partials_are_merge_identities() {
+        let d = dataset();
+        let ctx = ctx();
+        let empty = Dataset { sources: d.sources.clone(), ..Dataset::default() };
+        for q in all_queries() {
+            let ShardPlan::Direct(sq) = plan(&q) else { continue };
+            let whole = run_shard_query(&ctx, &d, &sq, 0);
+            let nothing = run_shard_query(&ctx, &empty, &sq, 0);
+            assert!(whole.compatible(&nothing) && nothing.compatible(&whole), "{q}");
+            assert_eq!(whole.clone().merge(nothing.clone()), whole, "{q}: right identity");
+            assert_eq!(nothing.merge(whole.clone()), whole, "{q}: left identity");
+        }
     }
 
     #[test]
     fn series_merge_aligns_disjoint_bases() {
-        let a = QuarterlySeries { base: Quarter { year: 2015, q: 1 }, values: vec![1.0, 2.0] };
-        let b = QuarterlySeries { base: Quarter { year: 2015, q: 4 }, values: vec![7.0] };
-        let m = merge_series(a, b);
-        assert_eq!(m.base, Quarter { year: 2015, q: 1 });
-        assert_eq!(m.values, vec![1.0, 2.0, 0.0, 7.0]);
+        let mut a = QuarterlySeries { base: Quarter { year: 2015, q: 1 }, values: vec![1.0, 2.0] };
+        a.merge(QuarterlySeries { base: Quarter { year: 2015, q: 4 }, values: vec![7.0] });
+        assert_eq!(a.base, Quarter { year: 2015, q: 1 });
+        assert_eq!(a.values, vec![1.0, 2.0, 0.0, 7.0]);
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! The unified query API and the aggregated country query
 //! (paper §VI-G, Fig 12).
 //!
-//! Historically every analysis had its own bespoke entry point
-//! (`CountryCoReport::build`, free functions in `delay`/`timeseries`/
-//! `topk`, …). A server, a cache key, or a batcher needs one value it can
-//! dispatch on, hash, and compare — that is [`Query`]: a closed enum of
-//! every analysis the engine answers, each variant carrying its
-//! parameters. [`run_query`] is the single dispatcher; the legacy entry
-//! points remain as thin wrappers and are still the implementation
-//! underneath, so results are bit-for-bit identical.
+//! A server, a cache key, or a batcher needs one value it can dispatch
+//! on, hash, and compare — that is [`Query`]: a closed enum of every
+//! analysis the engine answers, each variant carrying its parameters.
+//! [`run_query`] answers one by running the execution algebra of
+//! [`crate::partial`] (plan → round → merge → finalize) with the whole
+//! dataset as its single shard; the kernels (`CountryCoReport::build`,
+//! the free functions in `delay`/`timeseries`/`topk`, …) are what that
+//! algebra's one dispatcher calls.
 //!
 //! The module also keeps the paper's aggregated country query
 //! ([`AggregatedCountryReport`]): one mention-table pass (cross-reporting
@@ -19,18 +19,15 @@
 
 use crate::coreport::CountryCoReport;
 use crate::crossreport::CrossReport;
-use crate::delay::{per_source_delay_stats, DelayStats};
+use crate::delay::DelayStats;
 use crate::exec::ExecContext;
 use crate::followreport::FollowReport;
 use crate::matrix::Matrix;
-use crate::timeseries::{
-    active_sources_per_quarter, articles_per_quarter, events_per_quarter,
-    late_articles_per_quarter, QuarterlySeries,
-};
-use crate::topk::{top_events, top_publishers};
-use gdelt_columnar::{Coverage, Dataset};
-use gdelt_model::country::CountryRegistry;
+use crate::partial::{self, run_shard_query, ShardQuery};
+use crate::timeseries::QuarterlySeries;
+use gdelt_columnar::Dataset;
 use gdelt_model::ids::{CountryId, SourceId};
+use std::convert::Infallible;
 
 /// Which quarterly series a [`Query::TimeSeries`] request computes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -301,10 +298,9 @@ fn kernel_metrics() -> &'static KernelMetrics {
     })
 }
 
-/// Run one [`Query`] against `d` under `ctx` — the single dispatcher
-/// every serving-layer component goes through. Each arm delegates to the
-/// legacy kernel entry point, so results match the historical APIs
-/// bit-for-bit.
+/// Run one [`Query`] against `d` under `ctx`: [`partial::execute`] with
+/// the whole dataset as its single shard, so the answer is by
+/// construction the one a router reassembles from any split of `d`.
 ///
 /// Every call records its latency into the kernel's
 /// `engine_query_us_*` histogram and, when tracing is enabled, one
@@ -314,70 +310,17 @@ pub fn run_query(ctx: &ExecContext, d: &Dataset, q: &Query) -> QueryResult {
     let kernel = q.kernel_name();
     let _span = gdelt_obs::span("engine", kernel);
     let t0 = std::time::Instant::now();
-    let result = run_query_inner(ctx, d, q);
+    let local = |sq: &ShardQuery| Ok::<_, Infallible>(run_shard_query(ctx, d, sq, 0));
+    let result = match partial::execute(q, local) {
+        Ok(result) => result,
+        Err(never) => match never {},
+    };
     let metrics = kernel_metrics();
     metrics.total.inc();
     if let Some((_, hist)) = metrics.by_kernel.iter().find(|(k, _)| *k == kernel) {
         hist.record(t0.elapsed().as_micros() as u64);
     }
     result
-}
-
-fn run_query_inner(ctx: &ExecContext, d: &Dataset, q: &Query) -> QueryResult {
-    let n_countries = CountryRegistry::new().len();
-    match q {
-        Query::CoReport => QueryResult::CoReport(CountryCoReport::build(ctx, d, n_countries)),
-        Query::FollowReport { top_k } => {
-            let subset: Vec<SourceId> =
-                top_publishers(ctx, d, *top_k as usize).into_iter().map(|(s, _)| s).collect();
-            QueryResult::FollowReport(FollowReport::build(ctx, d, &subset))
-        }
-        Query::CrossCountry => QueryResult::CrossCountry(CrossReport::build(ctx, d, n_countries)),
-        Query::Delay => QueryResult::Delay(per_source_delay_stats(ctx, d)),
-        Query::TimeSeries(kind) => QueryResult::TimeSeries(match kind {
-            SeriesKind::Events => events_per_quarter(ctx, d),
-            SeriesKind::Articles => articles_per_quarter(ctx, d),
-            SeriesKind::ActiveSources => active_sources_per_quarter(ctx, d),
-            SeriesKind::LateArticles { threshold } => late_articles_per_quarter(ctx, d, *threshold),
-        }),
-        Query::TopK { kind: TopKKind::Publishers, k } => {
-            QueryResult::TopPublishers(top_publishers(ctx, d, *k as usize))
-        }
-        Query::TopK { kind: TopKKind::Events, k } => {
-            QueryResult::TopEvents(top_events(ctx, d, *k as usize))
-        }
-    }
-}
-
-/// A [`QueryResult`] annotated with the store coverage behind it.
-///
-/// A degraded store (partitions quarantined at load — see
-/// `gdelt_columnar::degraded`) still answers every query family, but
-/// the answer only reflects the live partitions. This wrapper makes
-/// that explicit so no partial answer travels without its coverage
-/// fraction attached.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoveredResult {
-    /// The query result over the live partitions.
-    pub result: QueryResult,
-    /// Fraction of load partitions the result is computed from.
-    pub coverage: Coverage,
-}
-
-/// [`run_query`] with the store's [`Coverage`] attached to the result.
-///
-/// The kernels need no masking: a degraded store is *compacted* at load
-/// (quarantined partitions are physically absent), so running the
-/// ordinary kernels over it already yields the clean-store result
-/// restricted to the live partitions. This wrapper only carries the
-/// annotation.
-pub fn run_query_covered(
-    ctx: &ExecContext,
-    d: &Dataset,
-    q: &Query,
-    coverage: Coverage,
-) -> CoveredResult {
-    CoveredResult { result: run_query(ctx, d, q), coverage }
 }
 
 /// Everything Tables V–VII need, from one aggregated query.
@@ -444,6 +387,7 @@ pub fn timed_run(d: &Dataset, threads: usize) -> (AggregatedCountryReport, f64) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gdelt_model::country::CountryRegistry;
 
     fn dataset() -> Dataset {
         // Reuse the synthetic tiny corpus: realistic structure without

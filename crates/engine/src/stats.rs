@@ -1,23 +1,4 @@
-//! Small exact-statistics helpers (mean, median, percentiles).
-
-/// Mean of a u32 slice as f64 (0 for empty).
-pub fn mean_u32(vals: &[u32]) -> f64 {
-    if vals.is_empty() {
-        return 0.0;
-    }
-    vals.iter().map(|&v| v as f64).sum::<f64>() / vals.len() as f64
-}
-
-/// Exact median of a mutable slice (sorts in place; lower-middle for even
-/// lengths, matching the paper's integer-interval medians). Returns 0 for
-/// empty input.
-pub fn median_u32(vals: &mut [u32]) -> u32 {
-    if vals.is_empty() {
-        return 0;
-    }
-    let mid = (vals.len() - 1) / 2;
-    *vals.select_nth_unstable(mid).1
-}
+//! Small exact-statistics helpers (percentiles, weighted means).
 
 /// Exact p-th percentile (0–100) using the nearest-rank method.
 pub fn percentile_u32(vals: &mut [u32], p: f64) -> u32 {
@@ -47,28 +28,6 @@ pub fn weighted_mean(pairs: impl Iterator<Item = (f64, f64)>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mean_handles_empty_and_values() {
-        assert_eq!(mean_u32(&[]), 0.0);
-        assert_eq!(mean_u32(&[2, 4, 6]), 4.0);
-    }
-
-    #[test]
-    fn median_odd_even_empty() {
-        assert_eq!(median_u32(&mut []), 0);
-        assert_eq!(median_u32(&mut [5]), 5);
-        assert_eq!(median_u32(&mut [3, 1, 2]), 2);
-        // Even length: lower middle.
-        assert_eq!(median_u32(&mut [1, 2, 3, 4]), 2);
-    }
-
-    #[test]
-    fn median_is_order_independent() {
-        let mut a = [9, 1, 7, 3, 5];
-        let mut b = [1, 3, 5, 7, 9];
-        assert_eq!(median_u32(&mut a), median_u32(&mut b));
-    }
 
     #[test]
     fn percentiles() {

@@ -36,6 +36,47 @@ impl QuarterlySeries {
     }
 }
 
+/// Fold per-quarter `other` (anchored at linear quarter `other_base`)
+/// into `slots` (anchored at `*base`), first widening `slots` with
+/// `blank()` to the union of the two spans. An empty side is the
+/// identity — the one alignment rule behind every quarterly merge.
+fn merge_aligned<T>(
+    (base, slots): (&mut i32, &mut Vec<T>),
+    (other_base, other): (i32, Vec<T>),
+    blank: impl Fn() -> T,
+    fold: impl Fn(&mut T, T),
+) {
+    if other.is_empty() {
+        return;
+    }
+    if slots.is_empty() {
+        (*base, *slots) = (other_base, other);
+        return;
+    }
+    let lead = (*base - other_base).max(0) as usize;
+    slots.splice(0..0, (0..lead).map(|_| blank()));
+    *base -= lead as i32;
+    let at = (other_base - *base) as usize;
+    if slots.len() < at + other.len() {
+        slots.resize_with(at + other.len(), &blank);
+    }
+    for (slot, v) in slots.iter_mut().skip(at).zip(other) {
+        fold(slot, v);
+    }
+}
+
+impl Merge for QuarterlySeries {
+    /// Base-aligned addition of two count series. Values are
+    /// integer-valued f64 counts, so the sum is exact and does not
+    /// depend on merge order.
+    fn merge(&mut self, other: Self) {
+        let mut base = self.base.linear();
+        let theirs = (other.base.linear(), other.values);
+        merge_aligned((&mut base, &mut self.values), theirs, || 0.0, |a, b| *a += b);
+        self.base = Quarter::from_linear(base);
+    }
+}
+
 /// Inclusive linear-quarter range `(base, count)` covered by the dataset
 /// (union of events and mentions), or `None` when empty.
 ///
@@ -107,47 +148,73 @@ pub fn articles_per_quarter(ctx: &ExecContext, d: &Dataset) -> QuarterlySeries {
     series_from_counts(base, count_quarters(ctx, &d.mentions.quarter, base, n))
 }
 
-/// Sources that published at least once in each quarter (Fig 3: only
-/// about a third of tracked sources are active at a time).
-pub fn active_sources_per_quarter(ctx: &ExecContext, d: &Dataset) -> QuarterlySeries {
-    let Some((base, n)) = quarter_range(d) else {
-        return QuarterlySeries { base: Quarter { year: 2015, q: 1 }, values: Vec::new() };
-    };
-    let n_sources = d.sources.len();
+/// The ActiveSources partial: one source bitmap per quarter. Distinct
+/// counts cannot be summed across disjoint row sets; sets can be
+/// unioned, and [`ActiveSourcesPartial::finalize`] counts them.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct ActiveSourcesPartial {
+    /// Linear quarter index of `quarters[0]` (meaningless when empty).
+    pub base: i32,
+    /// One bitmap over the source directory per quarter.
+    pub quarters: Vec<Bitmap>,
+}
 
-    /// One bitmap of sources per quarter.
-    #[derive(Default)]
-    struct Active(Vec<Bitmap>);
-    impl Merge for Active {
-        fn merge(&mut self, other: Self) {
-            if self.0.is_empty() {
-                *self = other;
-            } else if !other.0.is_empty() {
-                for (a, b) in self.0.iter_mut().zip(&other.0) {
-                    a.or(b);
-                }
-            }
+impl ActiveSourcesPartial {
+    /// Distinct sources per quarter.
+    pub fn finalize(&self) -> QuarterlySeries {
+        if self.quarters.is_empty() {
+            // The kernels' empty-dataset anchor.
+            return QuarterlySeries { base: Quarter { year: 2015, q: 1 }, values: Vec::new() };
+        }
+        QuarterlySeries {
+            base: Quarter::from_linear(self.base),
+            values: self.quarters.iter().map(|bm| bm.count() as f64).collect(),
         }
     }
+}
 
+impl Merge for ActiveSourcesPartial {
+    /// Base-aligned OR.
+    fn merge(&mut self, other: Self) {
+        let n_sources = self.quarters.first().map_or(0, Bitmap::len);
+        let theirs = (other.base, other.quarters);
+        let blank = || Bitmap::new(n_sources);
+        merge_aligned((&mut self.base, &mut self.quarters), theirs, blank, |a, b| a.or(&b));
+    }
+}
+
+/// Which sources published in each quarter — the ActiveSources kernel.
+// analyze: no_panic
+pub fn active_sources_partial(ctx: &ExecContext, d: &Dataset) -> ActiveSourcesPartial {
+    let Some((base, n)) = quarter_range(d) else {
+        return ActiveSourcesPartial::default();
+    };
+    let n_sources = d.sources.len();
+    let blank = || ActiveSourcesPartial {
+        base: i32::from(base),
+        quarters: (0..n).map(|_| Bitmap::new(n_sources)).collect(),
+    };
     let quarters = &d.mentions.quarter;
     let sources = &d.mentions.source;
-    let acc: Active = chunked_scan(ctx, d.mentions.len(), |a: &mut Active, c| {
-        if a.0.is_empty() {
-            a.0 = (0..n).map(|_| Bitmap::new(n_sources)).collect();
+    let scanned = chunked_scan(ctx, d.mentions.len(), |a: &mut ActiveSourcesPartial, c| {
+        if a.quarters.is_empty() {
+            *a = blank();
         }
         for (&q, &s) in c.slice(quarters).iter().zip(c.slice(sources)) {
-            if let Some(bm) = a.0.get_mut(q.wrapping_sub(base) as usize) {
+            if let Some(bm) = a.quarters.get_mut(q.wrapping_sub(base) as usize) {
                 bm.set(s as usize);
             }
         }
     });
-    let counts: Vec<u64> = if acc.0.is_empty() {
-        vec![0; n]
-    } else {
-        acc.0.iter().map(|bm| bm.count() as u64).collect()
-    };
-    series_from_counts(base, counts)
+    // Over the full span even with no mentions at all: the events still
+    // cover `n` quarters.
+    blank().merged(scanned)
+}
+
+/// Sources that published at least once in each quarter (Fig 3: only
+/// about a third of tracked sources are active at a time).
+pub fn active_sources_per_quarter(ctx: &ExecContext, d: &Dataset) -> QuarterlySeries {
+    active_sources_partial(ctx, d).finalize()
 }
 
 /// Article counts per quarter for a selection of publishers (Fig 6).
@@ -411,6 +478,44 @@ mod tests {
         let s = active_sources_per_quarter(&ctx(), &d);
         // Q2: a.com + b.co.uk; Q3: a.com + c.com.au.
         assert_eq!(s.values, vec![2.0, 2.0]);
+    }
+
+    #[test]
+    fn active_partial_merge_unions_over_the_joint_span() {
+        let bits = |set: &[usize]| {
+            let mut bm = Bitmap::new(3);
+            set.iter().for_each(|&i| bm.set(i));
+            bm
+        };
+        let late = ActiveSourcesPartial { base: 7, quarters: vec![bits(&[0]), bits(&[1])] };
+        let early = ActiveSourcesPartial { base: 4, quarters: vec![bits(&[2]), bits(&[])] };
+        let overlap = ActiveSourcesPartial { base: 7, quarters: vec![bits(&[0, 2])] };
+        let expect = ActiveSourcesPartial {
+            base: 4,
+            quarters: vec![bits(&[2]), bits(&[]), bits(&[]), bits(&[0, 2]), bits(&[1])],
+        };
+        // Every merge order widens to the same span and the same sets.
+        for order in
+            [[&late, &early, &overlap], [&overlap, &late, &early], [&early, &overlap, &late]]
+        {
+            let mut acc = ActiveSourcesPartial::default();
+            for p in order {
+                acc.merge(p.clone());
+            }
+            assert_eq!(acc, expect);
+        }
+        assert_eq!(expect.finalize().values, vec![1.0, 0.0, 0.0, 2.0, 1.0]);
+        assert_eq!(expect.finalize().base, Quarter::from_linear(4));
+    }
+
+    #[test]
+    fn active_partial_spans_event_quarters_without_mentions() {
+        let mut d = dataset();
+        d.mentions = Default::default();
+        let p = active_sources_partial(&ctx(), &d);
+        assert_eq!(p.quarters.len(), 2);
+        assert_eq!(p.finalize().values, vec![0.0, 0.0]);
+        assert!(ActiveSourcesPartial::default().finalize().is_empty());
     }
 
     #[test]

@@ -10,9 +10,14 @@ use gdelt_model::ids::SourceId;
 /// Fig 6 / Table IV / Table VIII selection.
 // analyze: no_panic
 pub fn top_publishers(ctx: &ExecContext, d: &Dataset, k: usize) -> Vec<(SourceId, u64)> {
-    let counts = count_by(ctx, &d.mentions.source, d.sources.len());
+    ranked_publishers(&count_by(ctx, &d.mentions.source, d.sources.len()), k)
+}
+
+/// [`top_publishers`] from per-source article counts already in hand.
+// analyze: no_panic
+pub fn ranked_publishers(counts: &[u64], k: usize) -> Vec<(SourceId, u64)> {
     // analyze: allow(panic_path): top_k_indices yields i < counts.len()
-    top_k_indices(&counts, k).into_iter().map(|i| (SourceId(i as u32), counts[i])).collect()
+    top_k_indices(counts, k).into_iter().map(|i| (SourceId(i as u32), counts[i])).collect()
 }
 
 /// The `k` most mentioned events as `(event_row, mentions)` (Table III).

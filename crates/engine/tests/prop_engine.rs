@@ -6,7 +6,7 @@
 use gdelt_engine::aggregate::{count_by, count_where, min_max_sum, sum_by};
 use gdelt_engine::filter::Bitmap;
 use gdelt_engine::matrix::Matrix;
-use gdelt_engine::stats::{median_u32, percentile_u32};
+use gdelt_engine::stats::percentile_u32;
 use gdelt_engine::topk::top_k_indices;
 use gdelt_engine::ExecContext;
 use proptest::prelude::*;
@@ -83,14 +83,6 @@ proptest! {
         }
         prop_assert_eq!(bm.count(), (0..n).filter(|i| i % modulus == 1).count());
         prop_assert_eq!(bm.iter().count(), bm.count());
-    }
-
-    #[test]
-    fn median_matches_sorted_definition(mut vals in prop::collection::vec(0u32..10_000, 1..400)) {
-        let mut sorted = vals.clone();
-        sorted.sort_unstable();
-        let expect = sorted[(sorted.len() - 1) / 2];
-        prop_assert_eq!(median_u32(&mut vals), expect);
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! Property tests for the engine extensions: for arbitrary generator
 //! seeds and structural parameters, the alternative execution strategies
-//! (time-sliced sparse assembly, event-sharded distribution) must agree
-//! exactly with the canonical single-pass operators, and views must
-//! decompose totals.
+//! (time-sliced sparse assembly, partition-range pieces merged through
+//! the execution algebra) must agree exactly with the canonical
+//! single-pass operators, and views must decompose totals.
 
+use gdelt_columnar::degraded::restrict_to_partitions;
 use gdelt_engine::coreport::CoReport;
-use gdelt_engine::query::AggregatedCountryReport;
-use gdelt_engine::sharded::ShardedDataset;
+use gdelt_engine::partial::{execute, run_shard_query, ShardPartial};
 use gdelt_engine::sliced::sliced_coreport;
 use gdelt_engine::view::MentionView;
-use gdelt_engine::ExecContext;
+use gdelt_engine::{run_query, ExecContext, Query, SeriesKind, TopKKind};
 use gdelt_model::time::Quarter;
 use proptest::prelude::*;
 
@@ -42,20 +42,45 @@ proptest! {
         }
     }
 
+    // Event-disjoint pieces merge to the whole, for every way of
+    // cutting eight store partitions into 1..=8 contiguous ranges
+    // (uneven ones included) — the theorem an MPI port must preserve.
     #[test]
-    fn sharding_always_equals_single_node(
+    fn partition_pieces_always_merge_to_single_node(
         seed in 0u64..1000,
         n_events in 50usize..150,
-        shards in 1usize..6,
+        shards in 1u32..9,
+        k in 1u32..12,
     ) {
+        const PARTS: u32 = 8;
         let d = corpus(seed, n_events, 4);
         let ctx = ExecContext::builder().threads(2).build();
-        let single = AggregatedCountryReport::run(&ctx, &d);
-        let sd = ShardedDataset::split(&d, shards);
-        prop_assert_eq!(sd.total_events(), d.events.len());
-        prop_assert_eq!(sd.total_mentions(), d.mentions.len());
-        let dist = sd.aggregated_cross_report(&ctx);
-        prop_assert_eq!(dist, single);
+        let mut pieces = Vec::new();
+        let mut ev_base = 0u64;
+        for s in 0..shards {
+            let (lo, hi) = (s * PARTS / shards, (s + 1) * PARTS / shards);
+            let dropped: Vec<u32> = (0..PARTS).filter(|p| *p < lo || *p >= hi).collect();
+            let piece = restrict_to_partitions(&d, PARTS, &dropped).expect("restrict");
+            let events = piece.events.len() as u64;
+            pieces.push((piece, ev_base));
+            ev_base += events;
+        }
+        prop_assert_eq!(ev_base, d.events.len() as u64);
+        prop_assert_eq!(pieces.iter().map(|(p, _)| p.mentions.len()).sum::<usize>(), d.mentions.len());
+        for q in [
+            Query::CoReport,
+            Query::FollowReport { top_k: k },
+            Query::CrossCountry,
+            Query::Delay,
+            Query::TimeSeries(SeriesKind::ActiveSources),
+            Query::TopK { kind: TopKKind::Events, k },
+        ] {
+            let merged = execute(&q, |sq| {
+                let partials = pieces.iter().map(|(p, base)| run_shard_query(&ctx, p, sq, *base));
+                partials.reduce(ShardPartial::merge).ok_or("no pieces")
+            });
+            prop_assert_eq!(merged, Ok(run_query(&ctx, &d, &q)), "{} over {} pieces", q, shards);
+        }
     }
 
     #[test]

@@ -89,7 +89,6 @@ USAGE:
   gdelt-cli serve-bench   [--scale S] [--seed N] [--queries N] [--workers N]
                           [--clients N] [--threads N] [--no-cache] [--check]
                           [--shards N] [--metrics-out FILE] [--trace-out FILE]
-                          [--bench-out FILE] [--bench-baseline FILE]
   gdelt-cli split-store   --data FILE.gdhpc --out DIR --shards N
   gdelt-cli shard-worker  --data SHARD.gdhpc [--shard-id N] [--partitions N]
                           [--ev-row-base N] [--port P] [--threads N] [--trace]
@@ -133,13 +132,6 @@ OPTIONS:
   --trace      shard-worker: enable span recording so the router can
                drain spans for trace stitching (the fleet spawner sets
                this when serve-bench runs with --trace-out)
-  --bench-out FILE    serve-bench: write a flat JSON bench artifact
-               (p50/p95/p99 latency, cache hit rate, shed count) for
-               committing alongside the code
-  --bench-baseline FILE  serve-bench: compare this run's p50 against a
-               committed bench artifact; exit non-zero when the fresh
-               p50 regresses the committed one by more than 20% beyond
-               the noise floor (with --shards: compares router_p50_us)
   --shards N   split-store: how many shard stores to split into
                serve-bench: replay the mix through a scatter-gather
                router over N shard worker processes (alongside the
@@ -177,8 +169,6 @@ struct Options {
     check: bool,
     metrics_out: Option<PathBuf>,
     trace_out: Option<PathBuf>,
-    bench_out: Option<PathBuf>,
-    bench_baseline: Option<PathBuf>,
     shards: Option<u32>,
     shard_id: Option<u32>,
     partitions: Option<u32>,
@@ -214,8 +204,6 @@ impl Options {
                 "--check" => o.check = true,
                 "--metrics-out" => o.metrics_out = Some(PathBuf::from(take())),
                 "--trace-out" => o.trace_out = Some(PathBuf::from(take())),
-                "--bench-out" => o.bench_out = Some(PathBuf::from(take())),
-                "--bench-baseline" => o.bench_baseline = Some(PathBuf::from(take())),
                 "--shards" => o.shards = take().parse().ok(),
                 "--shard-id" => o.shard_id = take().parse().ok(),
                 "--partitions" => o.partitions = take().parse().ok(),
@@ -510,15 +498,6 @@ fn cmd_serve_bench(o: &Options) -> Result<(), String> {
         eprintln!("wrote Prometheus exposition to {}", path.display());
     }
 
-    if let Some(path) = &o.bench_out {
-        let text = bench_artifact_json(&report, &metrics, mix.len(), clients);
-        write(path.clone(), &text)?;
-        eprintln!("wrote bench artifact to {}", path.display());
-    }
-    if let Some(path) = &o.bench_baseline {
-        check_bench_baseline(path, metrics.p50_us)?;
-    }
-
     if o.check {
         if report.errors > 0 {
             return Err(format!("check failed: {} queries errored", report.errors));
@@ -544,127 +523,6 @@ fn cmd_serve_bench(o: &Options) -> Result<(), String> {
         );
     }
     Ok(())
-}
-
-/// Render the committable serve-bench artifact: a flat, dependency-free
-/// JSON object so CI (and humans) can diff latency and cache behaviour
-/// across PRs without parsing the human-readable report.
-///
-/// `completed` counts client-observed completions (cache hits included —
-/// it equals hits + misses on a clean run); `kernel_runs` is the number
-/// of kernel executions the workers performed, which is smaller whenever
-/// the cache or single-flight coalescing absorbed a submission. The
-/// `kernel_<name>_p50_us` fields snapshot the engine's per-kernel
-/// latency histograms so the bench ratchet can hold each kernel's p50
-/// individually, not just the end-to-end serve path.
-fn bench_artifact_json(
-    report: &gdelt_serve::ReplayReport,
-    metrics: &gdelt_serve::ServiceMetrics,
-    queries: usize,
-    clients: usize,
-) -> String {
-    let lookups = metrics.cache.hits + metrics.cache.misses;
-    let hit_rate = metrics.cache.hits as f64 / lookups.max(1) as f64;
-    let mut out = format!(
-        "{{\n  \"queries\": {queries},\n  \"clients\": {clients},\n  \
-         \"completed\": {completed},\n  \"kernel_runs\": {kernel_runs},\n  \
-         \"p50_us\": {p50},\n  \"p95_us\": {p95},\n  \
-         \"p99_us\": {p99},\n  \"cold_p50_us\": {cold},\n  \"warm_p50_us\": {warm},\n  \
-         \"cache_hit_rate\": {rate:.4},\n  \"cache_hits\": {hits},\n  \
-         \"cache_misses\": {misses},\n  \"shed\": {shed}",
-        completed = report.completed,
-        kernel_runs = metrics.completed,
-        p50 = metrics.p50_us,
-        p95 = metrics.p95_us,
-        p99 = metrics.p99_us,
-        cold = report.cold_p50_us,
-        warm = report.warm_p50_us,
-        rate = hit_rate,
-        hits = metrics.cache.hits,
-        misses = metrics.cache.misses,
-        shed = metrics.shed,
-    );
-    for (kernel, p50) in kernel_p50s() {
-        out.push_str(&format!(",\n  \"kernel_{kernel}_p50_us\": {p50}"));
-    }
-    out.push_str("\n}\n");
-    out
-}
-
-/// Per-kernel p50s from the engine's global `engine_query_us_*`
-/// histograms, in `KERNEL_NAMES` order. Kernels the replay never
-/// executed (empty histogram) are omitted rather than reported as 0, so
-/// a mix change cannot fake a latency win.
-fn kernel_p50s() -> Vec<(&'static str, u64)> {
-    let reg = gdelt_obs::global();
-    gdelt_engine::Query::KERNEL_NAMES
-        .iter()
-        .filter_map(|k| {
-            let hist = reg.histogram(&format!("engine_query_us_{k}"));
-            (hist.count() > 0).then(|| (*k, hist.quantile(0.5)))
-        })
-        .collect()
-}
-
-/// Absolute slack for the bench ratchet: at synthetic scale queries
-/// finish in tens of microseconds, where 20% is below timer jitter.
-const BENCH_NOISE_FLOOR_US: u64 = 200;
-
-/// True when `fresh` regresses `committed` by more than 20% *and* by
-/// more than the absolute noise floor — the same two-sided guard `obs`
-/// uses for its overhead budget.
-fn regresses(fresh: u64, committed: u64) -> bool {
-    let over_floor = fresh > committed.saturating_add(BENCH_NOISE_FLOOR_US);
-    let over_ratio = fresh * 10 > committed * 12;
-    over_floor && over_ratio
-}
-
-/// Hold this run to the committed artifact: the end-to-end serve p50
-/// plus every per-kernel p50 the baseline recorded (and this run also
-/// exercised) must stay within the two-sided regression guard.
-fn check_bench_baseline(path: &std::path::Path, fresh_p50: u64) -> Result<(), String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("reading bench baseline {}: {e}", path.display()))?;
-    let committed = extract_json_u64(&text, "p50_us").ok_or_else(|| {
-        format!("bench baseline {} has no integer \"p50_us\" field", path.display())
-    })?;
-    if regresses(fresh_p50, committed) {
-        return Err(format!(
-            "bench ratchet failed: fresh p50 {fresh_p50}us regresses committed p50 \
-             {committed}us by more than 20% (+{BENCH_NOISE_FLOOR_US}us noise floor); \
-             fix the regression or re-run serve-bench --bench-out to re-baseline",
-        ));
-    }
-    eprintln!("bench ratchet ok: fresh p50 {fresh_p50}us vs committed {committed}us");
-    for (kernel, fresh_kernel) in kernel_p50s() {
-        let Some(committed_kernel) = extract_json_u64(&text, &format!("kernel_{kernel}_p50_us"))
-        else {
-            continue; // baseline predates per-kernel fields, or never ran this kernel
-        };
-        if regresses(fresh_kernel, committed_kernel) {
-            return Err(format!(
-                "bench ratchet failed: kernel {kernel} fresh p50 {fresh_kernel}us regresses \
-                 committed p50 {committed_kernel}us by more than 20% \
-                 (+{BENCH_NOISE_FLOOR_US}us noise floor)",
-            ));
-        }
-        eprintln!(
-            "bench ratchet ok: kernel {kernel} fresh p50 {fresh_kernel}us \
-             vs committed {committed_kernel}us"
-        );
-    }
-    Ok(())
-}
-
-/// Pull an unsigned-integer field out of a flat JSON object without a
-/// JSON dependency. The needle includes the opening quote, so `p50_us`
-/// does not match `cold_p50_us` or `warm_p50_us`.
-fn extract_json_u64(text: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let digits: &str = &rest[..rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len())];
-    digits.parse().ok()
 }
 
 /// The observability self-check: replay the serve mix with tracing off
@@ -1370,8 +1228,8 @@ fn cold_warm_p50(mix: &[Query], samples: &[(usize, u64)]) -> (u64, u64) {
 /// The `serve-bench --shards N` arm: the same seeded mix replayed
 /// twice — once through the single-process `QueryService` (control)
 /// and once through the scatter-gather router over N freshly split
-/// shard worker processes — so the committed artifact records the
-/// sharded tier's end-to-end overhead, not just its absolute latency.
+/// shard worker processes — so the report shows the sharded tier's
+/// end-to-end overhead, not just its absolute latency.
 fn cmd_serve_bench_shards(o: &Options, n_shards: u32) -> Result<(), String> {
     use gdelt_serve::{replay, seeded_mix, QueryService, ServiceConfig};
     use gdelt_shard::{split_store, Router, RouterConfig};
@@ -1514,23 +1372,6 @@ fn cmd_serve_bench_shards(o: &Options, n_shards: u32) -> Result<(), String> {
     }
     drop(router);
     drop(fleet);
-
-    if let Some(path) = &o.bench_out {
-        let text = shard_bench_artifact_json(
-            n_shards,
-            mix.len(),
-            clients,
-            (single_cold_p50, single_warm_p50),
-            (router_cold_p50, router_warm_p50),
-            overhead_pct,
-            &stats,
-        );
-        write(path.clone(), &text)?;
-        eprintln!("wrote shard bench artifact to {}", path.display());
-    }
-    if let Some(path) = &o.bench_baseline {
-        check_shard_bench_baseline(path, router_cold_p50)?;
-    }
 
     if o.check {
         if errors > 0 {
@@ -1699,58 +1540,6 @@ fn write_stitched_trace(
         by_trace.len(),
         path.display()
     );
-    Ok(())
-}
-
-/// The committable sharded-bench artifact: flat JSON like the
-/// single-process one, recording both arms and the router's ledger.
-fn shard_bench_artifact_json(
-    n_shards: u32,
-    queries: usize,
-    clients: usize,
-    single: (u64, u64),
-    router: (u64, u64),
-    overhead_pct: i64,
-    stats: &gdelt_shard::RouterStats,
-) -> String {
-    format!(
-        "{{\n  \"shards\": {n_shards},\n  \"queries\": {queries},\n  \"clients\": {clients},\n  \
-         \"single_cold_p50_us\": {},\n  \"single_warm_p50_us\": {},\n  \
-         \"router_cold_p50_us\": {},\n  \"router_warm_p50_us\": {},\n  \
-         \"router_overhead_pct\": {overhead_pct},\n  \"completed\": {},\n  \
-         \"cache_hits\": {},\n  \"cache_misses\": {},\n  \"reconnects\": {},\n  \
-         \"degraded\": {},\n  \"shed\": {},\n  \"invalidations\": {}\n}}\n",
-        single.0,
-        single.1,
-        router.0,
-        router.1,
-        stats.completed,
-        stats.hits,
-        stats.misses,
-        stats.retries,
-        stats.degraded,
-        stats.shed,
-        stats.invalidations
-    )
-}
-
-/// Ratchet for the sharded artifact: the fresh router p50 must stay
-/// within the same two-sided regression guard as the single-process
-/// bench.
-fn check_shard_bench_baseline(path: &std::path::Path, fresh: u64) -> Result<(), String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("reading bench baseline {}: {e}", path.display()))?;
-    let committed = extract_json_u64(&text, "router_cold_p50_us").ok_or_else(|| {
-        format!("bench baseline {} has no integer \"router_cold_p50_us\" field", path.display())
-    })?;
-    if regresses(fresh, committed) {
-        return Err(format!(
-            "bench ratchet failed: fresh router p50 {fresh}us regresses committed \
-             {committed}us by more than 20% (+{BENCH_NOISE_FLOOR_US}us noise floor); \
-             fix the regression or re-run serve-bench --shards --bench-out to re-baseline",
-        ));
-    }
-    eprintln!("bench ratchet ok: fresh router p50 {fresh}us vs committed {committed}us");
     Ok(())
 }
 

@@ -3,17 +3,21 @@
 //! The router owns everything the single-process `QueryService` owns —
 //! admission control, the generation-stamped result cache, coverage
 //! accounting — but its "workers" are shard processes reached over the
-//! wire protocol. One admitted [`Query`] becomes a scatter of
-//! [`ShardQuery`]s (two rounds for follow-reports), the surviving
-//! partials merge with the engine's associative
-//! [`ShardPartial::merge`], and [`partial::finalize`] reassembles the
-//! bit-identical single-process answer.
+//! wire protocol. One admitted [`Query`] runs through the engine's own
+//! plan driver, [`partial::execute`] — the same one `run_query` uses —
+//! with a network scatter as the round: every shard answers the
+//! [`ShardQuery`], the surviving partials merge with the associative
+//! [`ShardPartial::merge`], and the driver finalizes the bit-identical
+//! single-process answer.
 //!
 //! Failure maps onto the degraded-store vocabulary the repo already
 //! speaks: a dead or timed-out shard is a quarantined *partition
 //! range*, so coverage is `live/total` in source-store partitions,
 //! `DegradedPolicy::ServePartial` answers over the survivors and
-//! `DegradedPolicy::Fail` returns [`ServeError::Degraded`]. Reconnects
+//! `DegradedPolicy::Fail` returns [`ServeError::Degraded`]. A reply that
+//! is well framed but does not answer the request sent — another
+//! family, another `k`, bitmaps over another source directory — is a
+//! lost shard too, never a panic in the caller. Reconnects
 //! use capped exponential backoff (the `LoadPolicy` discipline), and
 //! only full-coverage answers enter the cache, so a shard death can
 //! never leave a stale partial answer behind.
@@ -21,7 +25,7 @@
 use crate::split::ShardManifest;
 use crate::wire::{FlightForward, Frame, Hello, WireSpan};
 use gdelt_columnar::Coverage;
-use gdelt_engine::partial::{self, plan, ShardPartial, ShardPlan, ShardQuery};
+use gdelt_engine::partial::{self, ShardPartial, ShardQuery};
 use gdelt_engine::{Query, QueryResult};
 use gdelt_obs::{FlightLevel, RegistrySnapshot, SpanGuard};
 use gdelt_serve::{
@@ -166,15 +170,6 @@ struct Connection {
     hello: Hello,
 }
 
-/// One live answer from a shard.
-struct ShardAnswer {
-    shard: usize,
-    generation: u64,
-    partial: ShardPartial,
-    /// True when the connection was re-dialed for this scatter.
-    reconnected: bool,
-}
-
 /// The scatter-gather front-end.
 pub struct Router {
     cfg: RouterConfig,
@@ -303,23 +298,18 @@ impl Router {
     }
 
     fn scatter_query(&self, q: &Query) -> Result<(QueryResult, Coverage), ServeError> {
-        let merged = match plan(q) {
-            ShardPlan::Direct(sq) => self.scatter_round(&sq)?,
-            ShardPlan::PublishersThenFollow { top_k } => {
-                // Two rounds; the answer's coverage is the second
-                // round's survivor set (a shard that answered the
-                // ranking round but died before the follow round is
-                // not behind the final matrix).
-                let first = self.scatter_round(&ShardQuery::PublisherCounts)?;
-                let ShardPartial::PublisherCounts(counts) = first.partial else {
-                    return Err(ServeError::WorkerPanicked);
-                };
-                let sources = partial::subset_from_counts(&counts, top_k as usize);
-                self.scatter_round(&ShardQuery::FollowReportWith { sources })?
-            }
-        };
+        // The answer's coverage and cache stamp are the last round's: a
+        // shard that answered a follow-report's ranking round but died
+        // before its follow round is not behind the final matrix.
+        let mut last = (Vec::new(), 0);
+        let result = partial::execute(q, |sq| {
+            let round = self.scatter_round(sq)?;
+            last = (round.live, round.cache_generation);
+            Ok::<_, ServeError>(round.partial)
+        })?;
+        let (live, cache_generation) = last;
         let total = self.manifest.source_partitions;
-        let live_parts = self.manifest.coverage_of(&merged.live);
+        let live_parts = self.manifest.coverage_of(&live);
         let coverage = Coverage { live: live_parts, total };
         if !coverage.is_full() {
             self.degraded.fetch_add(1, Ordering::Relaxed);
@@ -327,52 +317,58 @@ impl Router {
                 return Err(ServeError::Degraded { live: live_parts, total });
             }
         }
-        let result = partial::finalize(q, merged.partial);
         if self.cfg.cache_enabled && coverage.is_full() {
-            self.cache.insert(*q, Arc::new(result.clone()), merged.cache_generation);
+            self.cache.insert(*q, Arc::new(result.clone()), cache_generation);
         }
         Ok((result, coverage))
     }
 
     /// Scatter one [`ShardQuery`] over every shard and merge the
     /// survivors in shard order. Dispatch is pipelined, not threaded:
-    /// all requests go out first, then replies are read in shard
-    /// order, so every worker computes concurrently while the router
-    /// pays no per-scatter thread spawn/join cost.
+    /// all requests go out first, then replies are read — and folded
+    /// into the running merge — in shard order, so every worker computes
+    /// concurrently while the router pays no per-scatter thread
+    /// spawn/join cost.
     fn scatter_round(&self, sq: &ShardQuery) -> Result<Round, ServeError> {
         let n = self.slots.len();
         let pending: Vec<Option<(Connection, bool, SpanGuard)>> =
             (0..n).map(|i| self.send_request(i, sq)).collect();
-        let mut answers: Vec<Option<ShardAnswer>> = Vec::with_capacity(n);
+        // Per-shard generation, 0 = no usable answer this round.
+        let mut sig = vec![0u64; n];
+        let mut live = Vec::new();
+        let mut merged: Option<ShardPartial> = None;
+        let mut retries = 0u64;
         for (i, p) in pending.into_iter().enumerate() {
             // The RPC span guard rides alongside the connection and
             // drops here, after the reply — so each shard_rpc span
             // covers its full send→reply interval even though the
             // sends all happen before the first read.
-            answers.push(p.and_then(|(conn, reconnected, _rpc_span)| {
-                self.read_reply(i, conn, reconnected)
-            }));
+            let Some((conn, reconnected, rpc_span)) = p else { continue };
+            let reply = self.read_reply(i, sq, conn);
+            drop(rpc_span);
+            let Some((generation, partial)) = reply else { continue };
+            // A reply that answers the request can still disagree with
+            // the shards before it (matrix shape, bitmap length over
+            // another source directory): those stand, this one is lost.
+            if merged.as_ref().is_some_and(|m| !m.compatible(&partial)) {
+                let family = partial.family();
+                self.conn_lost(i, &format!("{family} reply does not merge with earlier shards"));
+                continue;
+            }
+            if let Some(slot) = sig.get_mut(i) {
+                *slot = generation;
+            }
+            live.push(i);
+            retries += u64::from(reconnected);
+            merged = Some(match merged {
+                None => partial,
+                Some(m) => m.merge(partial),
+            });
         }
         // Generation/membership signature: any change — a shard dying,
         // coming back, or bumping its store generation — invalidates
         // the cache before this round's answer can be inserted.
-        let sig: Vec<u64> = (0..n)
-            .map(|i| answers.iter().flatten().find(|a| a.shard == i).map_or(0, |a| a.generation))
-            .collect();
         let cache_generation = self.note_signature(sig);
-        let mut live = Vec::new();
-        let mut merged: Option<ShardPartial> = None;
-        let mut retries = 0u64;
-        for a in answers.into_iter().flatten() {
-            live.push(a.shard);
-            if a.reconnected {
-                retries += 1;
-            }
-            merged = Some(match merged {
-                None => a.partial,
-                Some(m) => m.merge(a.partial),
-            });
-        }
         if retries > 0 {
             self.retries.fetch_add(retries, Ordering::Relaxed);
         }
@@ -415,19 +411,32 @@ impl Router {
         }
     }
 
-    /// Receive-phase half of a scatter: await shard `i`'s reply on the
-    /// connection its request went out on. Any failure marks the shard
-    /// dead for this scatter and leaves reconnection to the next one.
-    fn read_reply(&self, i: usize, mut conn: Connection, reconnected: bool) -> Option<ShardAnswer> {
+    /// Receive-phase half of a scatter: await shard `i`'s reply to `sq`
+    /// on the connection its request went out on, returning the worker's
+    /// store generation and its partial. Any failure — a reply that does
+    /// not answer `sq` included — marks the shard dead for this scatter
+    /// and leaves reconnection to the next one.
+    fn read_reply(
+        &self,
+        i: usize,
+        sq: &ShardQuery,
+        mut conn: Connection,
+    ) -> Option<(u64, ShardPartial)> {
         let t0 = std::time::Instant::now();
         match Frame::read_from(&mut conn.stream) {
+            Ok(Frame::Reply { partial, .. }) if !sq.accepts(&partial) => {
+                // Well framed, wrong answer (a stale pipelined reply, a
+                // worker on another store): drop the connection with it.
+                self.conn_lost(i, &format!("{} reply does not answer {sq:?}", partial.family()));
+                None
+            }
             Ok(Frame::Reply { generation, partial, flight }) => {
                 gdelt_obs::global()
                     .histogram(&format!("router_shard_us_{i}"))
                     .record(t0.elapsed().as_micros() as u64);
                 self.absorb_flight(i, &flight);
                 self.slots[i].check_in(conn, self.cfg.pool_per_shard);
-                Some(ShardAnswer { shard: i, generation, partial, reconnected })
+                Some((generation, partial))
             }
             Ok(other) => {
                 self.conn_lost(i, &format!("unexpected frame {other:?}"));

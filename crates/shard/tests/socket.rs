@@ -8,9 +8,16 @@
 //!   `ServeError::Degraded` (`Fail`);
 //! * no stale cache entries survive a shard death or a generation
 //!   bump;
-//! * a revived worker restores full coverage via reconnect.
+//! * a revived worker restores full coverage via reconnect;
+//! * a worker whose replies are well framed but do not answer the
+//!   request (wrong family, wrong `k`, another source directory's
+//!   bitmaps, another matrix shape) degrades like a dead one — the
+//!   caller of `Router::query` never panics.
 
-use gdelt_engine::{run_query, ExecContext, Query, SeriesKind, TopKKind};
+use gdelt_engine::coreport::CountryCoReport;
+use gdelt_engine::filter::Bitmap;
+use gdelt_engine::partial::ShardPartial;
+use gdelt_engine::{run_query, ExecContext, Matrix, Query, SeriesKind, TopKKind};
 use gdelt_serve::{DegradedPolicy, ServeError};
 use gdelt_shard::router::{ReconnectPolicy, Router, RouterConfig};
 use gdelt_shard::wire::Frame;
@@ -19,7 +26,7 @@ use gdelt_shard::{split_store, ShardManifest};
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const PARTS: u32 = 8;
@@ -35,11 +42,16 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// A controllable in-process worker: `alive == false` makes it drop
 /// connections (existing and new) without replying — to the router
 /// that is indistinguishable from a killed process. Flipping it back
-/// "revives" the worker on the same port.
+/// "revives" the worker on the same port. While `tamper` is set, every
+/// reply's partial is rewritten by it before framing — a worker that
+/// speaks the protocol but answers something else.
 struct TestWorker {
     addr: String,
     alive: Arc<AtomicBool>,
+    tamper: Arc<Mutex<Option<Tamper>>>,
 }
+
+type Tamper = fn(ShardPartial) -> ShardPartial;
 
 impl TestWorker {
     fn spawn(worker: Arc<ShardWorker>) -> TestWorker {
@@ -47,6 +59,8 @@ impl TestWorker {
         let addr = listener.local_addr().expect("addr").to_string();
         let alive = Arc::new(AtomicBool::new(true));
         let accept_alive = Arc::clone(&alive);
+        let tamper = Arc::new(Mutex::new(None::<Tamper>));
+        let accept_tamper = Arc::clone(&tamper);
         std::thread::spawn(move || {
             for stream in listener.incoming() {
                 let Ok(mut stream) = stream else { continue };
@@ -55,6 +69,7 @@ impl TestWorker {
                 }
                 let w = Arc::clone(&worker);
                 let a = Arc::clone(&accept_alive);
+                let t = Arc::clone(&accept_tamper);
                 std::thread::spawn(move || {
                     if Frame::Hello(w.hello()).write_to(&mut stream).is_err() {
                         return;
@@ -64,14 +79,24 @@ impl TestWorker {
                         if !a.load(Ordering::Acquire) {
                             return; // die mid-request: peer sees EOF
                         }
-                        if w.handle(frame).write_to(&mut stream).is_err() {
+                        let reply = match (w.handle(frame), *t.lock().unwrap()) {
+                            (Frame::Reply { generation, partial, flight }, Some(tamper)) => {
+                                Frame::Reply { generation, partial: tamper(partial), flight }
+                            }
+                            (reply, _) => reply,
+                        };
+                        if reply.write_to(&mut stream).is_err() {
                             return;
                         }
                     }
                 });
             }
         });
-        TestWorker { addr, alive }
+        TestWorker { addr, alive, tamper }
+    }
+
+    fn tamper(&self, with: Option<Tamper>) {
+        *self.tamper.lock().unwrap() = with;
     }
 
     fn kill(&self) {
@@ -323,5 +348,118 @@ fn worker_rejects_unsupported_frames_with_typed_error() {
             assert!(message.contains("unsupported"), "{message}");
         }
         other => panic!("expected error frame, got {other:?}"),
+    }
+}
+
+/// The mismatches a well-framed reply can carry: what is wrong, the
+/// query whose scatter it poisons, the rewrite, and what the router's
+/// flight-recorder line says about it (refused against the request
+/// sent, or against the running merge).
+fn mismatched_replies() -> Vec<(&'static str, Query, Tamper, &'static str)> {
+    const NO_ANSWER: &str = "does not answer";
+    const NO_MERGE: &str = "does not merge";
+    vec![
+        (
+            "wrong family",
+            Query::CoReport,
+            |_| ShardPartial::PublisherCounts(vec![1, 2, 3]),
+            NO_ANSWER,
+        ),
+        (
+            "wrong family",
+            Query::Delay,
+            |_| ShardPartial::TopEvents { k: 5, entries: Vec::new() },
+            NO_ANSWER,
+        ),
+        (
+            "wrong k",
+            Query::TopK { kind: TopKKind::Events, k: 5 },
+            |p| match p {
+                ShardPartial::TopEvents { k, entries } => {
+                    ShardPartial::TopEvents { k: k - 1, entries }
+                }
+                other => other,
+            },
+            NO_ANSWER,
+        ),
+        (
+            "shorter source bitmap",
+            Query::TimeSeries(SeriesKind::ActiveSources),
+            |p| match p {
+                ShardPartial::ActiveSources(mut a) => {
+                    for bm in a.quarters.iter_mut() {
+                        *bm = Bitmap::new(bm.len() - 1);
+                    }
+                    ShardPartial::ActiveSources(a)
+                }
+                other => other,
+            },
+            NO_MERGE,
+        ),
+        (
+            "different matrix shape",
+            Query::CoReport,
+            |p| match p {
+                ShardPartial::CoReport(_) => ShardPartial::CoReport(CountryCoReport {
+                    pairs: Matrix::zeros(3, 3),
+                    event_counts: vec![0; 3],
+                }),
+                other => other,
+            },
+            NO_MERGE,
+        ),
+    ]
+}
+
+#[test]
+fn mismatched_reply_degrades_like_a_lost_shard() {
+    let f = fixture("mismatch");
+    let r = router(&f, DegradedPolicy::ServePartial, true);
+    let ctx = ExecContext::builder().threads(2).build();
+    let survivors = f.manifest.source_partitions - f.manifest.shards[1].partitions;
+    for (what, q, tamper, line) in mismatched_replies() {
+        f.workers[1].tamper(Some(tamper));
+        let losses = gdelt_obs::global().counter("router_shard_loss").get();
+        let got = r.query(&q).unwrap_or_else(|e| panic!("{what} on {q}: {e:?}"));
+        assert_eq!(got.coverage.live, survivors, "{what} on {q}: exact surviving coverage");
+        assert_eq!(got.coverage.total, f.manifest.source_partitions);
+        assert!(gdelt_obs::global().counter("router_shard_loss").get() > losses, "{what}");
+        let lost = gdelt_obs::flight_snapshot();
+        assert!(
+            lost.iter().any(|e| e.code == "shard_lost" && e.detail.contains(line)),
+            "{what} on {q}: no `shard_lost … {line}` line on the flight recorder"
+        );
+        // Nothing degraded is cached: with the worker honest again the
+        // same ask is a full, bit-identical answer.
+        f.workers[1].tamper(None);
+        let healed = r.query(&q).expect("healed answer");
+        assert!(healed.coverage.is_full(), "{what} on {q}: coverage after heal");
+        assert_eq!(*healed.result, run_query(&ctx, &f.dataset, &q), "{what} on {q}");
+    }
+}
+
+#[test]
+fn mismatched_reply_under_fail_policy_is_a_typed_error() {
+    let f = fixture("mismatchfail");
+    let r = router(&f, DegradedPolicy::Fail, false);
+    let survivors = f.manifest.source_partitions - f.manifest.shards[1].partitions;
+    for (what, q, tamper, _) in mismatched_replies() {
+        f.workers[1].tamper(Some(tamper));
+        match r.query(&q) {
+            Err(ServeError::Degraded { live, total }) => {
+                assert_eq!((live, total), (survivors, f.manifest.source_partitions), "{what}")
+            }
+            other => panic!("{what} on {q}: expected Degraded, got {other:?}"),
+        }
+    }
+    // Every shard lying: nothing to merge, still a typed error.
+    for w in &f.workers {
+        w.tamper(Some(|_| ShardPartial::PublisherCounts(Vec::new())));
+    }
+    match r.query(&Query::CrossCountry) {
+        Err(ServeError::Degraded { live: 0, total }) => {
+            assert_eq!(total, f.manifest.source_partitions)
+        }
+        other => panic!("expected Degraded 0, got {other:?}"),
     }
 }

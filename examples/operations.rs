@@ -1,12 +1,10 @@
 //! Operational tour: the system beyond the paper's batch analyses —
-//! binary persistence, 15-minute incremental updates, simulated
-//! distributed execution, windowed ad-hoc queries, and wildfire
-//! detection.
+//! binary persistence, 15-minute incremental updates, windowed ad-hoc
+//! queries, and wildfire detection.
 //!
 //! Run with: `cargo run --release --example operations`
 
 use gdelt::columnar::{binfmt, incremental, memsize};
-use gdelt::engine::sharded::ShardedDataset;
 use gdelt::engine::view::MentionView;
 use gdelt::engine::wildfire;
 use gdelt::prelude::*;
@@ -47,17 +45,6 @@ fn main() {
         before,
         dataset.mentions.len(),
         stats.new_sources
-    );
-
-    // Scale out: shard the corpus across four simulated ranks and verify
-    // the distributed aggregated query agrees with single-node exactly.
-    let single = gdelt::engine::query::AggregatedCountryReport::run(&ctx, &dataset);
-    let sharded = ShardedDataset::split(&dataset, 4);
-    let distributed = sharded.aggregated_cross_report(&ctx);
-    println!(
-        "sharded execution over {} ranks: results identical = {}\n",
-        sharded.n_shards(),
-        single == distributed
     );
 
     // Ad-hoc investigation: most productive publishers of one year.

@@ -1,11 +1,14 @@
 //! Integration tests for the two system extensions: the 15-minute
 //! incremental update path (batch appends must equal a full rebuild)
-//! and the simulated distributed-memory execution (sharded queries must
-//! equal single-node results on a realistic synthetic corpus).
+//! and distributed execution (partition-range pieces answered
+//! separately and merged through the execution algebra must equal
+//! single-node results on a realistic synthetic corpus).
 
+use gdelt::columnar::degraded::restrict_to_partitions;
 use gdelt::columnar::incremental::append_batch;
+use gdelt::engine::partial::{execute, run_shard_query, ShardPartial};
 use gdelt::engine::query::AggregatedCountryReport;
-use gdelt::engine::sharded::ShardedDataset;
+use gdelt::engine::{SeriesKind, TopKKind};
 use gdelt::prelude::*;
 
 fn corpus() -> (Vec<gdelt::model::EventRecord>, Vec<gdelt::model::MentionRecord>) {
@@ -88,26 +91,69 @@ fn incremental_updates_preserve_query_results() {
     assert_eq!(a, b);
 }
 
+/// Partitions in the store image the pieces are cut from.
+const STORE_PARTITIONS: u32 = 8;
+
+/// `d` as `n` event-disjoint pieces (contiguous partition ranges), each
+/// with the global row of its first event.
+fn pieces(d: &Dataset, n: u32) -> Vec<(Dataset, u64)> {
+    let mut out = Vec::new();
+    let mut ev_base = 0u64;
+    for s in 0..n {
+        let (lo, hi) = (s * STORE_PARTITIONS / n, (s + 1) * STORE_PARTITIONS / n);
+        let dropped: Vec<u32> = (0..STORE_PARTITIONS).filter(|p| *p < lo || *p >= hi).collect();
+        let piece = restrict_to_partitions(d, STORE_PARTITIONS, &dropped).expect("restrict");
+        let events = piece.events.len() as u64;
+        out.push((piece, ev_base));
+        ev_base += events;
+    }
+    out
+}
+
+/// Answer `q` piece by piece and merge — what a router does, in process.
+fn distributed(ctx: &ExecContext, pieces: &[(Dataset, u64)], q: &Query) -> QueryResult {
+    execute(q, |sq| {
+        let partials = pieces.iter().map(|(d, base)| run_shard_query(ctx, d, sq, *base));
+        partials.reduce(ShardPartial::merge).ok_or("no pieces")
+    })
+    .expect("at least one piece")
+}
+
+fn every_family() -> [Query; 10] {
+    [
+        Query::CoReport,
+        Query::FollowReport { top_k: 6 },
+        Query::CrossCountry,
+        Query::Delay,
+        Query::TimeSeries(SeriesKind::Events),
+        Query::TimeSeries(SeriesKind::Articles),
+        Query::TimeSeries(SeriesKind::ActiveSources),
+        Query::TimeSeries(SeriesKind::LateArticles { threshold: 96 }),
+        Query::TopK { kind: TopKKind::Publishers, k: 6 },
+        Query::TopK { kind: TopKKind::Events, k: 6 },
+    ]
+}
+
 #[test]
-fn sharded_execution_matches_single_node_on_synthetic_corpus() {
+fn distributed_execution_matches_single_node_on_synthetic_corpus() {
     let (events, mentions) = corpus();
     let d = build(events, mentions);
     let ctx = ExecContext::builder().threads(2).build();
-    let single = AggregatedCountryReport::run(&ctx, &d);
 
-    for shards in [2usize, 3, 8] {
-        let sd = ShardedDataset::split(&d, shards);
-        assert_eq!(sd.total_events(), d.events.len());
-        assert_eq!(sd.total_mentions(), d.mentions.len());
-        let dist = sd.aggregated_cross_report(&ctx);
-        assert_eq!(dist, single, "shards={shards}");
+    for n in [2u32, 3, 8] {
+        let cut = pieces(&d, n);
+        assert_eq!(cut.iter().map(|(p, _)| p.events.len()).sum::<usize>(), d.events.len());
+        assert_eq!(cut.iter().map(|(p, _)| p.mentions.len()).sum::<usize>(), d.mentions.len());
+        for q in every_family() {
+            assert_eq!(distributed(&ctx, &cut, &q), run_query(&ctx, &d, &q), "{q}, pieces={n}");
+        }
     }
 }
 
 #[test]
-fn sharding_then_updating_is_consistent() {
-    // Combine both extensions: update a dataset, then shard it; the
-    // distributed query must still match the single-node result.
+fn distributing_an_updated_dataset_is_consistent() {
+    // Combine both extensions: update a dataset, then cut it; the
+    // distributed answers must still match the single-node ones.
     let (events, mentions) = corpus();
     let half = events.len() / 2;
     let base = build(events[..half].to_vec(), mentions[..mentions.len() / 2].to_vec());
@@ -115,7 +161,8 @@ fn sharding_then_updating_is_consistent() {
         append_batch(&base, events[half..].to_vec(), mentions[mentions.len() / 2..].to_vec());
 
     let ctx = ExecContext::builder().threads(2).build();
-    let single = AggregatedCountryReport::run(&ctx, &updated);
-    let dist = ShardedDataset::split(&updated, 4).aggregated_cross_report(&ctx);
-    assert_eq!(dist, single);
+    let cut = pieces(&updated, 4);
+    for q in every_family() {
+        assert_eq!(distributed(&ctx, &cut, &q), run_query(&ctx, &updated, &q), "{q}");
+    }
 }
