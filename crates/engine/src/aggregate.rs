@@ -1,14 +1,27 @@
 //! Parallel grouped aggregation (count / sum by dense key).
 //!
 //! All grouping keys in this system are small dense integers (source ids,
-//! country ids, quarter indexes), so a per-thread `Vec` accumulator
-//! indexed by key — merged at the end — beats any hash-based group-by.
-//! This is the OpenMP `reduction(+: counts[:n])` idiom.
+//! country ids, quarter indexes), so a per-thread accumulator indexed by
+//! key — merged at the end — beats any hash-based group-by. This is the
+//! OpenMP `reduction(+: counts[:n])` idiom.
+//!
+//! The per-row form of that idiom, `acc[key] += 1`, is a
+//! read-modify-write whose next iteration waits on the previous store
+//! whenever two consecutive rows share a key (≈ 5 cycles per row through
+//! the store buffer) — and GDELT's columns are run-shaped: ids ascend
+//! with time and mentions are grouped by event. [`DenseLanes`] is the one
+//! counting primitive under the series and ranking kernels; it decides
+//! per [`BLOCK_ROWS`] block from the keys it sees. A block whose keys
+//! are all equal (one vectorised compare) adds its weight to one slot; a
+//! mixed block spreads consecutive rows over [`LANES`] independent
+//! copies of the slots, folded once at the end, so no row waits on the
+//! row before it. DESIGN.md "Kernel cost model" has the measurements.
 
-use crate::exec::ExecContext;
+use crate::chunk::{partition_scan, rows_of, SelMask};
+use crate::exec::{ExecContext, Merge};
 
 /// Key types usable as dense accumulator indexes.
-pub trait DenseKey: Copy + Send + Sync {
+pub trait DenseKey: Copy + PartialEq + Send + Sync {
     /// The dense index of the key.
     fn index(self) -> usize;
 }
@@ -27,20 +40,190 @@ impl DenseKey for u32 {
     }
 }
 
+/// Rows per block of the dense-count primitive: the unit that is either
+/// counted at once or lane-split. One [`SelMask`] word.
+pub const BLOCK_ROWS: usize = 64;
+
+/// Independent copies of every slot; consecutive rows of a mixed block
+/// go to consecutive lanes.
+pub const LANES: usize = 4;
+
+/// The key every row of `block` holds, if they all hold the same one.
+// analyze: no_panic
+#[inline]
+fn uniform_key<K: DenseKey>(block: &[K]) -> Option<K> {
+    let (&first, rest) = block.split_first()?;
+    // Unordered keys (source ids) differ at once; run-shaped ones
+    // (quarters) go on to one compare-and-fold with no early exit,
+    // which vectorises at the key's width.
+    if rest.first().is_some_and(|&k| k != first) {
+        return None;
+    }
+    rest.iter().fold(true, |same, &k| same & (k == first)).then_some(first)
+}
+
+/// `n` dense `u64` slots, [`LANES`] copies of each: the accumulator of
+/// the block rule in the module doc. Keys map to slot `key - base`;
+/// keys outside `base..base + n` are ignored (sentinel convention, e.g.
+/// unknown country).
+#[derive(Debug)]
+pub struct DenseLanes {
+    slots: Vec<[u64; LANES]>,
+}
+
+impl DenseLanes {
+    /// `n` zeroed slots.
+    pub fn new(n: usize) -> Self {
+        DenseLanes { slots: vec![[0; LANES]; n] }
+    }
+
+    // analyze: no_panic
+    #[inline]
+    fn lanes_of<K: DenseKey>(&mut self, k: K, base: usize) -> Option<&mut [u64; LANES]> {
+        self.slots.get_mut(k.index().wrapping_sub(base))
+    }
+
+    /// Count every row of `keys`.
+    // analyze: no_panic
+    pub fn count<K: DenseKey>(&mut self, keys: &[K], base: usize) {
+        // Full blocks and full quads are fixed-size arrays inlined into
+        // the helpers, so the compiler sees every trip count: it
+        // vectorises the compare and unrolls the lanes.
+        let (blocks, rest) = keys.as_chunks::<BLOCK_ROWS>();
+        for block in blocks {
+            self.count_block(block, base);
+        }
+        self.count_block(rest, base);
+    }
+
+    // analyze: no_panic
+    #[inline(always)]
+    fn count_block<K: DenseKey>(&mut self, block: &[K], base: usize) {
+        if let Some(k) = uniform_key(block) {
+            if let Some([count, ..]) = self.lanes_of(k, base) {
+                *count += block.len() as u64;
+            }
+            return;
+        }
+        let (quads, rest) = block.as_chunks::<LANES>();
+        for quad in quads {
+            self.count_quad(quad, base);
+        }
+        self.count_quad(rest, base);
+    }
+
+    // analyze: no_panic
+    #[inline(always)]
+    fn count_quad<K: DenseKey>(&mut self, quad: &[K], base: usize) {
+        for (lane, &k) in quad.iter().enumerate() {
+            if let Some(count) = self.lanes_of(k, base).and_then(|l| l.get_mut(lane)) {
+                *count += 1;
+            }
+        }
+    }
+
+    /// Count the rows of one chunk's `keys` that `sel` selects: a
+    /// uniform block adds the popcount of its selection word, a mixed
+    /// one walks the set bits.
+    // analyze: no_panic
+    pub fn count_selected<K: DenseKey>(&mut self, keys: &[K], base: usize, sel: &SelMask) {
+        let (blocks, rest) = keys.as_chunks::<BLOCK_ROWS>();
+        let mut words = sel.words().iter();
+        for (block, &word) in blocks.iter().zip(&mut words) {
+            self.count_block_selected(block, base, word);
+        }
+        if let Some(&word) = words.next() {
+            // A short last block owns only its low bits.
+            self.count_block_selected(rest, base, word & !(!0u64).unbounded_shl(rest.len() as u32));
+        }
+    }
+
+    // analyze: no_panic
+    #[inline(always)]
+    fn count_block_selected<K: DenseKey>(&mut self, block: &[K], base: usize, mut word: u64) {
+        if word == 0 {
+            return;
+        }
+        if let Some(k) = uniform_key(block) {
+            if let Some([count, ..]) = self.lanes_of(k, base) {
+                *count += u64::from(word.count_ones());
+            }
+            return;
+        }
+        let mut lane = 0;
+        while word != 0 {
+            let k = block.get(word.trailing_zeros() as usize);
+            let lanes = k.and_then(|&k| self.lanes_of(k, base));
+            if let Some(count) = lanes.and_then(|l| l.get_mut(lane % LANES)) {
+                *count += 1;
+            }
+            word &= word - 1;
+            lane += 1;
+        }
+    }
+
+    /// Treat each key's `width` consecutive slots as one bitmap and set
+    /// bit `bits[row]` in the bitmap of `keys[row]` (ignored at or
+    /// beyond `width * 64`); `n` is the key count times `width`. A run
+    /// of one key does not collapse here — its rows still set different
+    /// bits — so every row is lane-split.
+    // analyze: no_panic
+    pub fn set_bits<K: DenseKey>(&mut self, keys: &[K], base: usize, bits: &[u32], width: usize) {
+        let n = keys.len().min(bits.len());
+        let n_keys = self.slots.len().checked_div(width).unwrap_or(0);
+        let (key_quads, key_rest) = rows_of(keys, &(0..n)).as_chunks::<LANES>();
+        let (bit_quads, bit_rest) = rows_of(bits, &(0..n)).as_chunks::<LANES>();
+        for (keys, bits) in key_quads.iter().zip(bit_quads) {
+            self.set_quad(keys, base, bits, n_keys, width);
+        }
+        self.set_quad(key_rest, base, bit_rest, n_keys, width);
+    }
+
+    // analyze: no_panic
+    #[inline(always)]
+    fn set_quad<K: DenseKey>(
+        &mut self,
+        keys: &[K],
+        base: usize,
+        bits: &[u32],
+        n_keys: usize,
+        width: usize,
+    ) {
+        for (lane, (&k, &bit)) in keys.iter().zip(bits).enumerate() {
+            let (key, word) = (k.index().wrapping_sub(base), (bit / 64) as usize);
+            // In range on both axes, so `key * width + word` cannot wrap.
+            if key >= n_keys || word >= width {
+                continue;
+            }
+            let lanes = self.slots.get_mut(key * width + word);
+            if let Some(slot) = lanes.and_then(|l| l.get_mut(lane)) {
+                *slot |= 1 << (bit % 64);
+            }
+        }
+    }
+
+    /// Per-slot sum over the lanes: the counts.
+    pub fn sums(&self) -> Vec<u64> {
+        self.slots.iter().map(|lanes| lanes.iter().sum()).collect()
+    }
+
+    /// Per-slot OR over the lanes: the bitmap words.
+    pub fn unions(&self) -> Vec<u64> {
+        self.slots.iter().map(|lanes| lanes.iter().fold(0, |a, b| a | b)).collect()
+    }
+}
+
 /// Count occurrences of each key in `keys`, producing a dense vector of
 /// length `domain`. Keys `>= domain` are ignored (sentinel convention,
 /// e.g. unknown country).
+// analyze: no_panic
 pub fn count_by<K: DenseKey>(ctx: &ExecContext, keys: &[K], domain: usize) -> Vec<u64> {
-    ctx.scan(keys.len(), |p| {
-        let mut acc = vec![0u64; domain];
-        for &k in p.slice(keys) {
-            let i = k.index();
-            if i < domain {
-                acc[i] += 1;
-            }
-        }
-        acc
-    })
+    let count_rows = |rows| {
+        let mut lanes = DenseLanes::new(domain);
+        lanes.count(rows_of(keys, &rows), 0);
+        lanes.sums()
+    };
+    partition_scan(ctx, keys.len(), count_rows, Merge::merged)
 }
 
 /// Count keys on rows where `pred(row)` holds.
@@ -89,7 +272,7 @@ pub fn mean_f32_by<K: DenseKey>(
 
     #[derive(Clone, Copy, Default)]
     struct Acc(f64, u64);
-    impl crate::exec::Merge for Acc {
+    impl Merge for Acc {
         fn merge(&mut self, o: Self) {
             self.0 += o.0;
             self.1 += o.1;
@@ -140,7 +323,7 @@ impl Default for MinMaxSum {
     }
 }
 
-impl crate::exec::Merge for MinMaxSum {
+impl Merge for MinMaxSum {
     fn merge(&mut self, o: Self) {
         self.min = self.min.min(o.min);
         self.max = self.max.max(o.max);
@@ -183,9 +366,141 @@ pub fn min_max_sum(ctx: &ExecContext, vals: &[u32]) -> MinMaxSum {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::{chunks_of, CHUNK_ROWS, SEQUENTIAL_SCAN_ROWS};
 
     fn ctx() -> ExecContext {
         ExecContext::builder().threads(4).build()
+    }
+
+    /// One `acc[key - base] += 1` per row.
+    fn naive_counts<K: DenseKey>(keys: &[K], base: usize, n: usize) -> Vec<u64> {
+        let mut acc = vec![0u64; n];
+        for k in keys {
+            if let Some(slot) = k.index().checked_sub(base).and_then(|i| acc.get_mut(i)) {
+                *slot += 1;
+            }
+        }
+        acc
+    }
+
+    fn lane_counts<K: DenseKey>(keys: &[K], base: usize, n: usize) -> Vec<u64> {
+        let mut lanes = DenseLanes::new(n);
+        lanes.count(keys, base);
+        lanes.sums()
+    }
+
+    /// Key columns that bite the block rule, as `u32` (all fit `u16`).
+    fn edge_columns() -> Vec<(&'static str, Vec<u32>)> {
+        let len = 2 * CHUNK_ROWS + 100;
+        let mut cols = vec![
+            ("all equal", vec![7; len]),
+            ("alternating", (0..len as u32).map(|i| 5 + i % 2).collect()),
+            ("increasing", (0..len as u32).collect()),
+            (
+                "out of window",
+                (0..len as u32).map(|i| [0, 3, 40, 999, 8][i as usize % 5]).collect(),
+            ),
+        ];
+        // One run boundary at, just before and just after a block edge
+        // and a chunk edge.
+        for edge in [BLOCK_ROWS, CHUNK_ROWS] {
+            for at in [edge - 1, edge, edge + 1] {
+                cols.push(("run boundary", (0..len).map(|i| if i < at { 6 } else { 9 }).collect()));
+            }
+        }
+        for n in [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1] {
+            cols.push(("short uniform", vec![11; n]));
+            cols.push(("short mixed", (0..n as u32).map(|i| 10 + i % 3).collect()));
+        }
+        cols
+    }
+
+    #[test]
+    fn dense_lanes_count_like_a_row_at_a_time_loop() {
+        for (name, col) in edge_columns() {
+            let narrow: Vec<u16> = col.iter().map(|&k| k as u16).collect();
+            // A window that leaves keys on both sides out, from an
+            // aligned and from an unaligned first row.
+            for (base, n) in [(0, 4_200), (3, 38), (6, 1)] {
+                for skip in [0, 3.min(col.len())] {
+                    let what =
+                        format!("{name} ({} rows), base {base}, n {n}, skip {skip}", col.len());
+                    let (wide, narrow) = (&col[skip..], &narrow[skip..]);
+                    assert_eq!(
+                        lane_counts(wide, base, n),
+                        naive_counts(wide, base, n),
+                        "u32 {what}"
+                    );
+                    assert_eq!(
+                        lane_counts(narrow, base, n),
+                        naive_counts(narrow, base, n),
+                        "u16 {what}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_blocks_fold_every_lane() {
+        // Two alternating keys: no block is uniform, so each key's count
+        // is spread over the lanes and only the fold sees all of it.
+        let keys: Vec<u16> = (0..BLOCK_ROWS as u16 * 3).map(|i| i % 2).collect();
+        let mut lanes = DenseLanes::new(2);
+        lanes.count(&keys, 0);
+        assert!(lanes.slots.iter().all(|slot| slot.iter().filter(|&&c| c > 0).count() > 1));
+        assert_eq!(lanes.sums(), vec![96, 96]);
+        // A uniform block lands on one lane.
+        let mut lanes = DenseLanes::new(2);
+        lanes.count(&[1u16; BLOCK_ROWS], 0);
+        assert_eq!(lanes.slots, vec![[0; LANES], [BLOCK_ROWS as u64, 0, 0, 0]]);
+    }
+
+    #[test]
+    fn selected_counts_equal_a_walk_of_the_selection() {
+        let flags: Vec<u32> =
+            (0..3 * CHUNK_ROWS as u32 + 77).map(|i| i.wrapping_mul(2_654_435_761) >> 7).collect();
+        for (name, col) in edge_columns() {
+            for modulus in [1, 2, 17, 1_000_000] {
+                // Selects everything, half, a few, (almost) nothing.
+                let pred = |f: u32| f.is_multiple_of(modulus);
+                let mut want = vec![0u64; 38];
+                for (&k, &f) in col.iter().zip(&flags) {
+                    if let Some(slot) = (k as usize).checked_sub(3).and_then(|i| want.get_mut(i)) {
+                        *slot += u64::from(pred(f));
+                    }
+                }
+                let mut lanes = DenseLanes::new(38);
+                for c in chunks_of(0..col.len()) {
+                    lanes.count_selected(c.slice(&col), 3, &SelMask::select(c.slice(&flags), pred));
+                }
+                assert_eq!(lanes.sums(), want, "{name} ({} rows), 1 in {modulus}", col.len());
+            }
+        }
+    }
+
+    #[test]
+    fn set_bits_equals_one_bitmap_per_key() {
+        let n = 3 * BLOCK_ROWS + 5;
+        let keys: Vec<u16> = (0..n as u16).map(|i| 100 + i / 50).collect(); // runs of 50
+        let bits: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2_654_435_761) % 150).collect();
+        // Three words per key hold bits 0..192; keys 101..=102 are in the window.
+        let (base, n_keys, width) = (101, 2, 3);
+        let mut want = vec![0u64; n_keys * width];
+        for (&k, &b) in keys.iter().zip(&bits) {
+            if (base..base + n_keys).contains(&(k as usize)) {
+                want[(k as usize - base) * width + (b / 64) as usize] |= 1 << (b % 64);
+            }
+        }
+        let mut lanes = DenseLanes::new(n_keys * width);
+        lanes.set_bits(&keys, base, &bits, width);
+        assert_eq!(lanes.unions(), want);
+        // Bits at or beyond the bitmap's width never reach the next key's.
+        let mut lanes = DenseLanes::new(2);
+        lanes.set_bits(&[0u16, 0, 1], 0, &[63, 64, 0], 1);
+        assert_eq!(lanes.unions(), vec![1 << 63, 1]);
+        // No bitmap at all.
+        DenseLanes::new(0).set_bits(&[0u16], 0, &[0], 0);
     }
 
     #[test]
@@ -270,10 +585,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_on_large_input() {
-        let keys: Vec<u32> = (0..200_000u32).map(|i| i.wrapping_mul(2_654_435_761) % 97).collect();
-        let a = count_by(&ExecContext::builder().threads(1).build(), &keys, 97);
-        let b = count_by(&ctx(), &keys, 97);
-        assert_eq!(a, b);
+    fn count_by_partitions_match_a_row_at_a_time_loop_above_the_cut_off() {
+        let n = SEQUENTIAL_SCAN_ROWS as u32 + 12_345;
+        let keys: Vec<u32> = (0..n).map(|i| i.wrapping_mul(2_654_435_761) % 97).collect();
+        let want = naive_counts(&keys, 0, 90);
+        for threads in [1, 2, 3, 5] {
+            let ctx = ExecContext::builder().threads(threads).build();
+            assert_eq!(count_by(&ctx, &keys, 90), want, "{threads} threads");
+        }
     }
 }

@@ -8,13 +8,18 @@
 //! cache predictably and the compiler sees short, fixed-bound inner
 //! loops it can autovectorize.
 //!
-//! The second half of the module is kernel *fusion*: [`SelMask`] is a
+//! [`partition_scan`] is the driver under the streaming kernels: one row
+//! range per partition, or the whole table inline at or below
+//! [`SEQUENTIAL_SCAN_ROWS`] — a cut-off derived from the measured cost
+//! of a fork-join against the measured cost of a row.
+//!
+//! The rest of the module is kernel *fusion*: [`SelMask`] is a
 //! stack-allocated selection vector for one chunk, evaluated branchlessly
-//! (64 lanes per `u64` word) and consumed via trailing-zeros iteration —
-//! one pass over a chunk can evaluate a predicate and feed several
-//! accumulators without re-scanning the columns per analysis.
+//! (64 lanes per `u64` word) and consumed a word at a time — one pass
+//! over a chunk can evaluate a predicate and feed an accumulator without
+//! re-scanning the columns per analysis.
 
-use crate::exec::{ExecContext, Merge};
+use crate::exec::ExecContext;
 
 /// Rows per chunk. 4096 rows keeps the widest hot column (u32, 16 KiB)
 /// inside L1 alongside an accumulator, and is a multiple of 64 so chunk
@@ -24,13 +29,20 @@ pub const CHUNK_ROWS: usize = 4096;
 /// Selection words per full chunk.
 pub const CHUNK_WORDS: usize = CHUNK_ROWS / 64;
 
-/// Below this row count a chunked scan folds inline on the calling
-/// thread instead of fanning out: the fork-join plus per-partition
-/// bookkeeping costs a few hundred microseconds, while a 128 Ki-row
-/// hot column (≤ 512 KiB) streams through one core's cache in tens.
-/// Partial merges are associative, so the result is bit-identical
-/// either way (pinned by the thread-invariance property tests).
-pub const SEQUENTIAL_SCAN_ROWS: usize = 128 * 1024;
+/// At or below this row count a scan folds inline on the calling thread
+/// instead of fanning out. Derived from two measurements on the
+/// two-core reference box (EXPERIMENTS.md "Scan kernels bound by
+/// memory"): one fork-join costs F = 57–151 µs
+/// (`exec.map_reduce_empty_us`), and the six dashboard kernels that scan
+/// through here cost c = 0.3–1.5 ns per row on one thread, 0.6 on
+/// average. A second thread saves `rows · c / 2` and costs F, so it
+/// breaks even at `2 F / c`, 200–500 k rows; more threads save at most
+/// twice that. Checked on both sides: the dash bundle over 328 k rows
+/// is 1.2 ms inline against 1.4–1.8 fanned out, over 1.31 M rows 4.7–4.9
+/// inline against 3.2–3.9 fanned out. Partial merges are associative,
+/// so the result is bit-identical either way (pinned above and below
+/// the cut-off by `prop_query.rs`).
+pub const SEQUENTIAL_SCAN_ROWS: usize = 384 * 1024;
 
 /// A half-open row window `[begin, end)` over table columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +76,7 @@ impl Chunk {
     // analyze: no_panic
     #[inline]
     pub fn slice<'a, T>(&self, col: &'a [T]) -> &'a [T] {
-        col.get(self.begin..self.end.min(col.len())).unwrap_or(&[])
+        rows_of(col, &self.range())
     }
 }
 
@@ -87,38 +99,36 @@ pub fn chunks_of(range: std::ops::Range<usize>) -> impl Iterator<Item = Chunk> {
     })
 }
 
-/// Chunked parallel scan: each partition folds its chunks (in order)
-/// into one accumulator; partials merge in partition order. This is the
-/// driver under every ported kernel — the closure sees one [`Chunk`] at
-/// a time and is expected to touch each column slice exactly once.
+/// `rows` of a column, clamped to the column.
 // analyze: no_panic
-pub fn chunked_scan<T>(
+#[inline]
+pub fn rows_of<'a, T>(col: &'a [T], rows: &std::ops::Range<usize>) -> &'a [T] {
+    col.get(rows.start..rows.end.min(col.len())).unwrap_or(&[])
+}
+
+/// Partitioned scan with the sequential cut-off: `map` sees one row
+/// range per partition (all of `0..n_rows` at or below
+/// [`SEQUENTIAL_SCAN_ROWS`]) and `reduce` folds the partials in
+/// partition order.
+// analyze: no_panic
+pub fn partition_scan<T>(
     ctx: &ExecContext,
     n_rows: usize,
-    fold: impl Fn(&mut T, Chunk) + Sync + Send,
+    map: impl Fn(std::ops::Range<usize>) -> T + Sync + Send,
+    reduce: impl FnMut(T, T) -> T,
 ) -> T
 where
-    T: Send + Default + Merge,
+    T: Send + Default,
 {
     if n_rows <= SEQUENTIAL_SCAN_ROWS {
-        let mut acc = T::default();
-        for c in chunks_of(0..n_rows) {
-            fold(&mut acc, c);
-        }
-        return acc;
+        return map(0..n_rows);
     }
-    ctx.scan(n_rows, |p| {
-        let mut acc = T::default();
-        for c in chunks_of(p.range()) {
-            fold(&mut acc, c);
-        }
-        acc
-    })
+    ctx.map_reduce(ctx.make_partitions(n_rows), |p| map(p.range()), reduce).unwrap_or_default()
 }
 
 /// A stack-allocated selection vector for one chunk: bit `i` of word
 /// `i / 64` selects local row `i` (add `chunk.begin` for the global
-/// row). Built branchlessly, consumed via trailing-zeros.
+/// row). Built branchlessly, consumed a word at a time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SelMask {
     words: [u64; CHUNK_WORDS],
@@ -142,18 +152,27 @@ impl SelMask {
         m
     }
 
-    /// Evaluate `pred` over a chunk's column slice, 64 lanes per word
-    /// with branchless bit writes. Rows beyond the slice (or beyond
-    /// [`CHUNK_ROWS`]) are unselected.
+    /// Evaluate `pred` over a chunk's column slice, 64 lanes per word.
+    /// Rows beyond the slice (or beyond [`CHUNK_ROWS`]) are unselected.
+    ///
+    /// Each word is built in two branchless steps the compiler
+    /// vectorises: one 0/1 byte per lane, then eight lanes at a time
+    /// packed into bits by a multiply (byte `i` of the product's top
+    /// byte-sum lands on bit `56 + i`). Shifting each lane's bit into a
+    /// `u64` directly is a 64-step serial OR chain, three times slower.
     // analyze: no_panic
     pub fn select<T: Copy>(col: &[T], pred: impl Fn(T) -> bool) -> Self {
+        const PACK: u64 = 0x0102_0408_1020_4080;
         let mut m = SelMask::none(col.len());
         for (dst, lanes) in m.words.iter_mut().zip(col.chunks(64)) {
-            let mut word = 0u64;
-            for (lane, &v) in lanes.iter().enumerate() {
-                word |= u64::from(pred(v)) << lane;
+            let mut flags = [0u8; 64];
+            for (flag, &v) in flags.iter_mut().zip(lanes) {
+                *flag = u8::from(pred(v));
             }
-            *dst = word;
+            let (eights, _) = flags.as_chunks::<8>();
+            for (i, eight) in eights.iter().enumerate() {
+                *dst |= (u64::from_le_bytes(*eight).wrapping_mul(PACK) >> 56) << (8 * i);
+            }
         }
         m
     }
@@ -162,6 +181,13 @@ impl SelMask {
     #[inline]
     pub fn rows(&self) -> usize {
         self.rows
+    }
+
+    /// The selection words: bit `i % 64` of word `i / 64` is local row
+    /// `i`; bits at and beyond [`SelMask::rows`] are zero.
+    #[inline]
+    pub fn words(&self) -> &[u64; CHUNK_WORDS] {
+        &self.words
     }
 
     /// Number of selected rows.
@@ -176,20 +202,6 @@ impl SelMask {
             *a &= b;
         }
         self.rows = self.rows.min(other.rows);
-    }
-
-    /// Call `f` with each selected local row, in order, via
-    /// trailing-zeros word iteration.
-    // analyze: no_panic
-    pub fn for_each(&self, mut f: impl FnMut(usize)) {
-        for (w, &bits) in self.words.iter().enumerate() {
-            let mut word = bits;
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                word &= word - 1;
-                f(w * 64 + bit);
-            }
-        }
     }
 
     /// Clear bits at local rows `>= rows`.
@@ -260,13 +272,16 @@ mod tests {
     }
 
     #[test]
-    fn chunked_scan_visits_every_row_once() {
+    fn partition_scan_visits_every_row_once() {
         let ctx = ExecContext::builder().threads(3).build();
-        let n = CHUNK_ROWS * 3 + 123;
-        let sum: u64 = chunked_scan(&ctx, n, |acc: &mut u64, c| {
-            *acc += c.range().map(|r| r as u64).sum::<u64>();
-        });
-        assert_eq!(sum, (n as u64 - 1) * n as u64 / 2);
+        let sum_rows =
+            |rows| chunks_of(rows).flat_map(|c| c.range()).map(|r| r as u64).sum::<u64>();
+        // Folded inline, then fanned out.
+        for n in [CHUNK_ROWS * 3 + 123, SEQUENTIAL_SCAN_ROWS + CHUNK_ROWS + 123] {
+            let sum = partition_scan(&ctx, n, sum_rows, |a, b| a + b);
+            assert_eq!(sum, (n as u64 - 1) * n as u64 / 2);
+        }
+        assert_eq!(partition_scan(&ctx, 0, sum_rows, |a, b| a + b), 0);
     }
 
     #[test]
@@ -275,8 +290,8 @@ mod tests {
         let m = SelMask::select(&col, |v| v % 3 == 0);
         let naive: Vec<usize> = (0..col.len()).filter(|&i| col[i].is_multiple_of(3)).collect();
         assert_eq!(m.count(), naive.len());
-        let mut got = Vec::new();
-        m.for_each(|i| got.push(i));
+        let got: Vec<usize> =
+            (0..CHUNK_ROWS).filter(|i| m.words()[i / 64] >> (i % 64) & 1 == 1).collect();
         assert_eq!(got, naive);
     }
 

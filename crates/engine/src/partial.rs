@@ -34,7 +34,7 @@ use crate::followreport::FollowReport;
 use crate::query::{Query, QueryResult, SeriesKind, TopKKind};
 pub use crate::timeseries::ActiveSourcesPartial;
 use crate::timeseries::{self, QuarterlySeries};
-use crate::topk::ranked_publishers;
+use crate::topk::{merge_ranked, ranked_publishers};
 use gdelt_columnar::Dataset;
 use gdelt_model::country::CountryRegistry;
 use gdelt_model::ids::SourceId;
@@ -235,7 +235,7 @@ impl ShardPartial {
             (P::TopEvents { k, entries: a }, P::TopEvents { k: kb, entries: b }) => {
                 // analyze: allow(panic_path): mismatched k is a router planning bug, same contract as Matrix::merge on shape mismatch
                 assert_eq!(k, kb, "top-events partials must agree on k");
-                P::TopEvents { k, entries: merge_top_events(a, b, k as usize) }
+                P::TopEvents { k, entries: merge_ranked(a, b, k as usize) }
             }
             // analyze: allow(panic_path): cross-family merge is a router planning bug, same contract as Matrix::merge on shape mismatch
             // lint: allow(no_panic): family mismatch is a router planning bug, same contract as Matrix::merge on shape mismatch
@@ -320,17 +320,6 @@ pub fn finalize(q: &Query, p: ShardPartial) -> QueryResult {
         // lint: allow(no_panic): family mismatch is a router planning bug, same contract as Matrix::merge on shape mismatch
         (q, p) => panic!("shard partial {} does not finalize query {q}", p.family()),
     }
-}
-
-/// Sorted merge of two top-k entry lists under the global order key
-/// `(Reverse(mentions), global_row)`, truncated to `k`.
-fn merge_top_events(a: Vec<(u64, u64)>, b: Vec<(u64, u64)>, k: usize) -> Vec<(u64, u64)> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    out.extend(a);
-    out.extend(b);
-    out.sort_by_key(|&(row, deg)| (std::cmp::Reverse(deg), row));
-    out.truncate(k);
-    out
 }
 
 #[cfg(test)]
@@ -580,7 +569,7 @@ mod tests {
     fn top_events_merge_breaks_ties_by_global_row() {
         let a = vec![(0u64, 5u64), (3, 2)];
         let b = vec![(1u64, 5u64), (2, 3)];
-        assert_eq!(merge_top_events(a, b, 3), vec![(0, 5), (1, 5), (2, 3)]);
+        assert_eq!(merge_ranked(a, b, 3), vec![(0, 5), (1, 5), (2, 3)]);
     }
 
     #[test]

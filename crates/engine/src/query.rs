@@ -186,7 +186,9 @@ impl Query {
             Query::Delay => mentions * 3,
             Query::TimeSeries(SeriesKind::Events) => events,
             Query::TimeSeries(_) => mentions,
-            Query::TopK { .. } => mentions,
+            Query::TopK { kind: TopKKind::Publishers, .. } => mentions,
+            // Degrees come off the CSR offsets: one word per event.
+            Query::TopK { kind: TopKKind::Events, .. } => events,
         };
         cost.max(1)
     }
@@ -472,6 +474,13 @@ mod tests {
             Query::FollowReport { top_k: 10 }.cost_estimate(&d)
                 > Query::TopK { kind: TopKKind::Publishers, k: 10 }.cost_estimate(&d)
         );
+        // A ranking by degree reads the event index, never the mentions.
+        assert!(d.mentions.len() > d.events.len());
+        assert!(
+            Query::TopK { kind: TopKKind::Events, k: 10 }.cost_estimate(&d)
+                <= Query::TimeSeries(SeriesKind::Articles).cost_estimate(&d)
+        );
+        assert_eq!(Query::TopK { kind: TopKKind::Events, k: 10 }.cost_estimate_rows(7, 100), 7);
         // Cost must be positive even on an empty dataset.
         assert_eq!(Query::Delay.cost_estimate(&Dataset::default()), 1);
     }

@@ -1,11 +1,20 @@
 //! Quarterly time series — the aggregation behind Figs 3–6, 10 and 11.
+//!
+//! The four `Query` series (Events, Articles, ActiveSources,
+//! LateArticles) are one [`partition_scan`] each: a partition finds the
+//! quarter span of its own rows of both tables, counts into a
+//! [`DenseLanes`] sized to that span, and emits a partial anchored at
+//! its own base; partials with different bases align in the merge. No
+//! pass over a whole column runs before the parallel scan.
 
-use crate::chunk::{chunked_scan, SelMask};
+use crate::aggregate::DenseLanes;
+use crate::chunk::{chunks_of, partition_scan, rows_of, SelMask, CHUNK_ROWS};
 use crate::exec::{ExecContext, Merge};
 use crate::filter::Bitmap;
 use gdelt_columnar::Dataset;
 use gdelt_model::ids::SourceId;
 use gdelt_model::time::Quarter;
+use std::ops::Range;
 
 /// A per-quarter series anchored at `base`.
 #[derive(Debug, Clone, PartialEq)]
@@ -14,6 +23,13 @@ pub struct QuarterlySeries {
     pub base: Quarter,
     /// One value per consecutive quarter.
     pub values: Vec<f64>,
+}
+
+impl Default for QuarterlySeries {
+    /// The empty series, at the kernels' empty-dataset anchor.
+    fn default() -> Self {
+        QuarterlySeries { base: Quarter { year: 2015, q: 1 }, values: Vec::new() }
+    }
 }
 
 impl QuarterlySeries {
@@ -77,30 +93,27 @@ impl Merge for QuarterlySeries {
     }
 }
 
-/// Inclusive linear-quarter range `(base, count)` covered by the dataset
-/// (union of events and mentions), or `None` when empty.
-///
-/// Every time-series kernel calls this first, so it is one fused
-/// min+max pass per column (branchless lane-wise reduction the
-/// compiler autovectorizes) instead of separate `min()` and `max()`
-/// traversals.
-pub fn quarter_range(d: &Dataset) -> Option<(u16, usize)> {
-    fn min_max(col: &[u16]) -> Option<(u16, u16)> {
-        if col.is_empty() {
-            return None;
+/// Inclusive linear-quarter range `(base, count)` covered by `rows` of
+/// both tables (union of events and mentions), or `None` when neither
+/// has a row there: one fused min+max pass per column slice, a
+/// branchless lane-wise reduction the compiler autovectorizes.
+// analyze: no_panic
+fn quarter_span(d: &Dataset, rows: &Range<usize>) -> Option<(u16, usize)> {
+    let mut span: Option<(u16, u16)> = None;
+    for col in [rows_of(&d.events.quarter, rows), rows_of(&d.mentions.quarter, rows)] {
+        let (lo, hi) = col.iter().fold((u16::MAX, u16::MIN), |(lo, hi), &q| (lo.min(q), hi.max(q)));
+        if !col.is_empty() {
+            span = Some(span.map_or((lo, hi), |(l, h)| (l.min(lo), h.max(hi))));
         }
-        let mut lo = u16::MAX;
-        let mut hi = u16::MIN;
-        for &q in col {
-            lo = lo.min(q);
-            hi = hi.max(q);
-        }
-        Some((lo, hi))
     }
-    let spans = [min_max(&d.events.quarter), min_max(&d.mentions.quarter)];
-    let lo = spans.iter().flatten().map(|s| s.0).min()?;
-    let hi = spans.iter().flatten().map(|s| s.1).max()?;
-    Some((lo, (hi - lo) as usize + 1))
+    span.map(|(lo, hi)| (lo, usize::from(hi - lo) + 1))
+}
+
+/// [`quarter_span`] of the whole dataset, for the offline analyses that
+/// key other columns by quarter slot. The `Query` series do not call it:
+/// they find their span inside the parallel scan.
+pub fn quarter_range(d: &Dataset) -> Option<(u16, usize)> {
+    quarter_span(d, &(0..usize::MAX))
 }
 
 fn series_from_counts(base: u16, counts: Vec<u64>) -> QuarterlySeries {
@@ -110,42 +123,51 @@ fn series_from_counts(base: u16, counts: Vec<u64>) -> QuarterlySeries {
     }
 }
 
-/// Chunked quarter histogram: counts rows per `quarters[row] - base`
-/// slot directly from the column, without materializing a shifted key
-/// column first. Quarters outside `base..base + n` are ignored.
+/// The scan under every series kernel. Both tables are cut into the same
+/// row ranges and `fill(base, n, rows)` answers for one range, whose
+/// rows of both tables span the `n` quarters from `base` — so the merged
+/// partial covers events and mentions alike, whichever table `fill`
+/// reads. A range with no row of either table is the merge identity.
 // analyze: no_panic
-fn count_quarters(ctx: &ExecContext, quarters: &[u16], base: u16, n: usize) -> Vec<u64> {
-    let acc: Vec<u64> = chunked_scan(ctx, quarters.len(), |acc: &mut Vec<u64>, c| {
-        if acc.is_empty() {
-            acc.resize(n, 0);
-        }
-        for &q in c.slice(quarters) {
-            if let Some(slot) = acc.get_mut(q.wrapping_sub(base) as usize) {
-                *slot += 1;
-            }
-        }
-    });
-    if acc.is_empty() {
-        vec![0; n]
-    } else {
-        acc
-    }
+fn quarter_scan<T: Send + Default + Merge>(
+    ctx: &ExecContext,
+    d: &Dataset,
+    fill: impl Fn(u16, usize, Range<usize>) -> T + Sync + Send,
+) -> T {
+    let fill_rows = |rows: Range<usize>| match quarter_span(d, &rows) {
+        Some((base, n)) => fill(base, n, rows),
+        None => T::default(),
+    };
+    partition_scan(ctx, d.events.len().max(d.mentions.len()), fill_rows, Merge::merged)
+}
+
+/// The count-series kernel: `count` fills the lanes from its rows of
+/// the counted table, slot 0 being quarter `base`.
+// analyze: no_panic
+fn count_quarters(
+    ctx: &ExecContext,
+    d: &Dataset,
+    count: impl Fn(&mut DenseLanes, usize, Range<usize>) + Sync + Send,
+) -> QuarterlySeries {
+    quarter_scan(ctx, d, |base, n, rows| {
+        let mut lanes = DenseLanes::new(n);
+        count(&mut lanes, usize::from(base), rows);
+        series_from_counts(base, lanes.sums())
+    })
 }
 
 /// Events observed per quarter (Fig 4).
 pub fn events_per_quarter(ctx: &ExecContext, d: &Dataset) -> QuarterlySeries {
-    let Some((base, n)) = quarter_range(d) else {
-        return QuarterlySeries { base: Quarter { year: 2015, q: 1 }, values: Vec::new() };
-    };
-    series_from_counts(base, count_quarters(ctx, &d.events.quarter, base, n))
+    count_quarters(ctx, d, |lanes, base, rows| {
+        lanes.count(rows_of(&d.events.quarter, &rows), base);
+    })
 }
 
 /// Articles (mentions) observed per quarter (Fig 5).
 pub fn articles_per_quarter(ctx: &ExecContext, d: &Dataset) -> QuarterlySeries {
-    let Some((base, n)) = quarter_range(d) else {
-        return QuarterlySeries { base: Quarter { year: 2015, q: 1 }, values: Vec::new() };
-    };
-    series_from_counts(base, count_quarters(ctx, &d.mentions.quarter, base, n))
+    count_quarters(ctx, d, |lanes, base, rows| {
+        lanes.count(rows_of(&d.mentions.quarter, &rows), base);
+    })
 }
 
 /// The ActiveSources partial: one source bitmap per quarter. Distinct
@@ -163,8 +185,7 @@ impl ActiveSourcesPartial {
     /// Distinct sources per quarter.
     pub fn finalize(&self) -> QuarterlySeries {
         if self.quarters.is_empty() {
-            // The kernels' empty-dataset anchor.
-            return QuarterlySeries { base: Quarter { year: 2015, q: 1 }, values: Vec::new() };
+            return QuarterlySeries::default();
         }
         QuarterlySeries {
             base: Quarter::from_linear(self.base),
@@ -184,31 +205,21 @@ impl Merge for ActiveSourcesPartial {
 }
 
 /// Which sources published in each quarter — the ActiveSources kernel.
+/// With no mentions at all the events still span their quarters.
 // analyze: no_panic
 pub fn active_sources_partial(ctx: &ExecContext, d: &Dataset) -> ActiveSourcesPartial {
-    let Some((base, n)) = quarter_range(d) else {
-        return ActiveSourcesPartial::default();
-    };
     let n_sources = d.sources.len();
-    let blank = || ActiveSourcesPartial {
-        base: i32::from(base),
-        quarters: (0..n).map(|_| Bitmap::new(n_sources)).collect(),
-    };
-    let quarters = &d.mentions.quarter;
-    let sources = &d.mentions.source;
-    let scanned = chunked_scan(ctx, d.mentions.len(), |a: &mut ActiveSourcesPartial, c| {
-        if a.quarters.is_empty() {
-            *a = blank();
-        }
-        for (&q, &s) in c.slice(quarters).iter().zip(c.slice(sources)) {
-            if let Some(bm) = a.quarters.get_mut(q.wrapping_sub(base) as usize) {
-                bm.set(s as usize);
-            }
-        }
-    });
-    // Over the full span even with no mentions at all: the events still
-    // cover `n` quarters.
-    blank().merged(scanned)
+    let width = n_sources.div_ceil(64);
+    quarter_scan(ctx, d, |base, n, rows| {
+        let mut lanes = DenseLanes::new(n * width);
+        let quarters = rows_of(&d.mentions.quarter, &rows);
+        lanes.set_bits(quarters, usize::from(base), rows_of(&d.mentions.source, &rows), width);
+        let words = lanes.unions();
+        let bitmap = |q| {
+            Bitmap::from_words(rows_of(&words, &(q * width..(q + 1) * width)).to_vec(), n_sources)
+        };
+        ActiveSourcesPartial { base: i32::from(base), quarters: (0..n).map(bitmap).collect() }
+    })
 }
 
 /// Sources that published at least once in each quarter (Fig 3: only
@@ -224,35 +235,32 @@ pub fn publisher_series(
     d: &Dataset,
     publishers: &[SourceId],
 ) -> Vec<QuarterlySeries> {
-    let Some((base, n)) = quarter_range(d) else {
-        return publishers
-            .iter()
-            .map(|_| QuarterlySeries { base: Quarter { year: 2015, q: 1 }, values: Vec::new() })
-            .collect();
-    };
-    // Map source id → slot; combined key = slot * n_quarters + quarter.
-    let mut slot_of = std::collections::HashMap::new();
+    // Source id → position in `publishers`; everyone else gets the
+    // position one past the end, whose keys fall outside the lanes.
+    let mut slot_of = vec![publishers.len(); d.sources.len()];
     for (i, s) in publishers.iter().enumerate() {
-        slot_of.insert(s.0, i);
+        if let Some(slot) = slot_of.get_mut(s.index()) {
+            *slot = i;
+        }
     }
-    let quarters = &d.mentions.quarter;
-    let sources = &d.mentions.source;
-    let flat: Vec<u64> = chunked_scan(ctx, d.mentions.len(), |acc: &mut Vec<u64>, c| {
-        if acc.is_empty() {
-            acc.resize(publishers.len() * n, 0);
+    let mut series: Vec<QuarterlySeries> = quarter_scan(ctx, d, |base, n, rows| {
+        // One dense key per row, `slot * n + quarter`, a chunk at a time.
+        let mut lanes = DenseLanes::new(publishers.len() * n);
+        let mut keys = [0u32; CHUNK_ROWS];
+        for c in chunks_of(rows) {
+            let cells = c.slice(&d.mentions.quarter).iter().zip(c.slice(&d.mentions.source));
+            let key_of = |(key, (&q, &s)): (&mut u32, (&u16, &u32))| {
+                let slot = slot_of.get(s as usize).copied().unwrap_or(publishers.len());
+                *key = u32::try_from(slot * n + usize::from(q - base)).unwrap_or(u32::MAX);
+            };
+            let len = keys.iter_mut().zip(cells).map(key_of).count();
+            lanes.count(rows_of(&keys, &(0..len)), 0);
         }
-        for (&q, &s) in c.slice(quarters).iter().zip(c.slice(sources)) {
-            if let Some(&slot) = slot_of.get(&s) {
-                if let Some(cell) = acc.get_mut(slot * n + q.wrapping_sub(base) as usize) {
-                    *cell += 1;
-                }
-            }
-        }
+        lanes.sums().chunks(n).map(|c| series_from_counts(base, c.to_vec())).collect()
     });
-    let flat = if flat.is_empty() { vec![0; publishers.len() * n] } else { flat };
-    (0..publishers.len())
-        .map(|slot| series_from_counts(base, flat[slot * n..(slot + 1) * n].to_vec()))
-        .collect()
+    // An empty dataset still answers with one (empty) series per request.
+    series.resize_with(publishers.len(), QuarterlySeries::default);
+    series
 }
 
 /// Articles per quarter with a publishing delay above `threshold`
@@ -262,38 +270,22 @@ pub fn late_articles_per_quarter(
     d: &Dataset,
     threshold: u32,
 ) -> QuarterlySeries {
-    let Some((base, n)) = quarter_range(d) else {
-        return QuarterlySeries { base: Quarter { year: 2015, q: 1 }, values: Vec::new() };
-    };
     // Fused chunk pass: one branchless selection over the delay column,
-    // then a trailing-zeros walk bumping the quarter histogram — the
-    // delay and quarter columns are each touched exactly once.
-    let quarters = &d.mentions.quarter;
-    let delays = &d.mentions.delay;
-    let counts: Vec<u64> = chunked_scan(ctx, d.mentions.len(), |acc: &mut Vec<u64>, c| {
-        if acc.is_empty() {
-            acc.resize(n, 0);
+    // then the quarter count weighted by its words, while the chunk is
+    // in L1.
+    count_quarters(ctx, d, |lanes, base, rows| {
+        for c in chunks_of(rows) {
+            let late = SelMask::select(c.slice(&d.mentions.delay), |dl| dl > threshold);
+            lanes.count_selected(c.slice(&d.mentions.quarter), base, &late);
         }
-        let qs = c.slice(quarters);
-        let m = SelMask::select(c.slice(delays), |dl| dl > threshold);
-        m.for_each(|i| {
-            if let Some(&q) = qs.get(i) {
-                if let Some(slot) = acc.get_mut(q.wrapping_sub(base) as usize) {
-                    *slot += 1;
-                }
-            }
-        });
-    });
-    let counts = if counts.is_empty() { vec![0; n] } else { counts };
-    series_from_counts(base, counts)
+    })
 }
 
 /// Average and median publishing delay per quarter (Fig 10a / 10b).
 /// Medians are exact, computed from per-quarter delay histograms.
 pub fn delay_per_quarter(ctx: &ExecContext, d: &Dataset) -> (QuarterlySeries, QuarterlySeries) {
-    let empty = || QuarterlySeries { base: Quarter { year: 2015, q: 1 }, values: Vec::new() };
     let Some((base, n)) = quarter_range(d) else {
-        return (empty(), empty());
+        return Default::default();
     };
     let cap = crate::delay::MAX_TRACKED_DELAY as usize;
 
@@ -340,7 +332,7 @@ pub fn delay_per_quarter(ctx: &ExecContext, d: &Dataset) -> (QuarterlySeries, Qu
                     sum: vec![0; n],
                     count: vec![0; n],
                 };
-                for c in crate::chunk::chunks_of(p.range()) {
+                for c in chunks_of(p.range()) {
                     for (&q, &dl) in c.slice(quarters).iter().zip(c.slice(delays)) {
                         let qi = q.wrapping_sub(base) as usize;
                         let (Some(hist), Some(sum), Some(count)) =

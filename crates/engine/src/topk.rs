@@ -1,9 +1,19 @@
 //! Top-k selection: most productive publishers, most reported events.
+//!
+//! One streaming selector, [`top_k`]: a single pass that keeps the `k`
+//! best entries seen so far and the value a newcomer has to beat, so its
+//! scratch is O(k) whatever the input length. Event degrees are read
+//! straight off the CSR offsets, per partition, and partition rankings
+//! merge under the same `(Reverse(value), index)` order that shard
+//! partials merge under ([`merge_ranked`]).
 
 use crate::aggregate::count_by;
+use crate::chunk::{partition_scan, rows_of};
 use crate::exec::ExecContext;
 use gdelt_columnar::Dataset;
 use gdelt_model::ids::SourceId;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// The `k` most productive sources with their article counts, descending
 /// (ties broken by source id for determinism). This is the paper's
@@ -16,59 +26,152 @@ pub fn top_publishers(ctx: &ExecContext, d: &Dataset, k: usize) -> Vec<(SourceId
 /// [`top_publishers`] from per-source article counts already in hand.
 // analyze: no_panic
 pub fn ranked_publishers(counts: &[u64], k: usize) -> Vec<(SourceId, u64)> {
-    // analyze: allow(panic_path): top_k_indices yields i < counts.len()
-    top_k_indices(counts, k).into_iter().map(|i| (SourceId(i as u32), counts[i])).collect()
+    top_k(counts.iter().copied(), k).into_iter().map(|(i, n)| (SourceId(i as u32), n)).collect()
 }
 
 /// The `k` most mentioned events as `(event_row, mentions)` (Table III).
 // analyze: no_panic
 pub fn top_events(ctx: &ExecContext, d: &Dataset, k: usize) -> Vec<(usize, u64)> {
     let offsets = &d.event_index.offsets;
-    let n = d.events.len();
-    // Degrees are implicit in the CSR; rank rows by degree.
-    let degrees: Vec<u64> = ctx.install(|| {
-        use rayon::prelude::*;
-        // lint: allow(par_index): e < n and offsets.len() == n + 1 (CSR invariant)
-        (0..n).into_par_iter().map(|e| offsets[e + 1] - offsets[e]).collect()
-    });
-    // analyze: allow(panic_path): top_k_indices yields i < degrees.len()
-    top_k_indices(&degrees, k).into_iter().map(|i| (i, degrees[i])).collect()
+    let n_events = offsets.len().saturating_sub(1);
+    let rank_rows = |rows: std::ops::Range<usize>| {
+        // Event `e`'s mentions are `offsets[e]..offsets[e + 1]`.
+        let (lo, hi) = (rows_of(offsets, &rows), rows_of(offsets, &(rows.start + 1..rows.end + 1)));
+        let degrees = lo.iter().zip(hi).map(|(&lo, &hi)| hi.saturating_sub(lo));
+        top_k(degrees, k).into_iter().map(|(i, n)| (rows.start + i, n)).collect()
+    };
+    partition_scan(ctx, n_events, rank_rows, |a, b| merge_ranked(a, b, k))
 }
 
-/// Indexes of the `k` largest values, descending, stable on ties.
+/// The `k` largest of `vals` as `(index, value)`, descending, ties by
+/// ascending index — in one pass with O(k) scratch.
 // analyze: no_panic
-pub fn top_k_indices(vals: &[u64], k: usize) -> Vec<usize> {
-    let k = k.min(vals.len());
-    let mut idx: Vec<usize> = (0..vals.len()).collect();
-    // Partial selection then sort of the head beats a full sort when the
-    // value array is large (21 k sources, 325 M events).
-    if k > 0 && k < vals.len() {
-        // analyze: allow(panic_path): idx holds 0..vals.len(), and 0 < k < vals.len()
-        idx.select_nth_unstable_by_key(k - 1, |&i| (std::cmp::Reverse(vals[i]), i));
-        idx.truncate(k);
+pub fn top_k(vals: impl Iterator<Item = u64>, k: usize) -> Vec<(usize, u64)> {
+    if k == 0 {
+        return Vec::new();
     }
-    // analyze: allow(panic_path): idx holds indexes drawn from 0..vals.len()
-    idx.sort_by_key(|&i| (std::cmp::Reverse(vals[i]), i));
-    idx.truncate(k);
-    idx
+    // Min-heap of the best so far: its top is the entry a newcomer must
+    // beat — the smallest value, and among equals the latest index.
+    let mut best = BinaryHeap::with_capacity(k.min(vals.size_hint().0));
+    for (i, v) in vals.enumerate() {
+        if best.len() == k {
+            // Indexes ascend, so an equal value never displaces.
+            if best.peek().is_some_and(|&Reverse((floor, _))| v <= floor) {
+                continue;
+            }
+            best.pop();
+        }
+        // analyze: allow(hot_alloc): at most k entries, in a heap pre-sized for them
+        best.push(Reverse((v, Reverse(i))));
+    }
+    best.into_sorted_vec().into_iter().map(|Reverse((v, Reverse(i)))| (i, v)).collect()
+}
+
+/// Sorted merge of two rankings under `(Reverse(value), index)`,
+/// truncated to `k`. Indexes are whatever the two sides agree on: local
+/// event rows across partitions, global ones across shards.
+// analyze: no_panic
+pub fn merge_ranked<I: Ord + Copy>(
+    mut a: Vec<(I, u64)>,
+    b: Vec<(I, u64)>,
+    k: usize,
+) -> Vec<(I, u64)> {
+    a.extend(b);
+    a.sort_by_key(|&(i, v)| (Reverse(v), i));
+    a.truncate(k);
+    a
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::SEQUENTIAL_SCAN_ROWS;
+    use gdelt_columnar::index::EventIndex;
+
+    /// The oracle: sort everything by `(Reverse(value), index)`.
+    fn ranked(vals: &[u64], k: usize) -> Vec<(usize, u64)> {
+        let mut all: Vec<(usize, u64)> = vals.iter().copied().enumerate().collect();
+        all.sort_by_key(|&(i, v)| (Reverse(v), i));
+        all.truncate(k);
+        all
+    }
+
+    /// A dataset that is nothing but a CSR index with these degrees.
+    fn with_degrees(degrees: &[u64]) -> Dataset {
+        let mut offsets = vec![0u64];
+        for d in degrees {
+            offsets.push(offsets[offsets.len() - 1] + d);
+        }
+        Dataset { event_index: EventIndex { offsets }, ..Dataset::default() }
+    }
 
     #[test]
-    fn top_k_indices_orders_descending() {
-        let vals = vec![5u64, 9, 1, 9, 7];
-        assert_eq!(top_k_indices(&vals, 3), vec![1, 3, 4]);
-        assert_eq!(top_k_indices(&vals, 0), Vec::<usize>::new());
-        assert_eq!(top_k_indices(&vals, 10), vec![1, 3, 4, 0, 2]);
+    fn top_k_orders_descending() {
+        let vals = [5u64, 9, 1, 9, 7];
+        assert_eq!(top_k(vals.into_iter(), 3), vec![(1, 9), (3, 9), (4, 7)]);
+        assert_eq!(top_k(vals.into_iter(), 0), vec![]);
+        assert_eq!(top_k(vals.into_iter(), 10), vec![(1, 9), (3, 9), (4, 7), (0, 5), (2, 1)]);
     }
 
     #[test]
     fn ties_break_by_index() {
-        let vals = vec![3u64, 3, 3];
-        assert_eq!(top_k_indices(&vals, 2), vec![0, 1]);
+        assert_eq!(top_k([3u64, 3, 3].into_iter(), 2), vec![(0, 3), (1, 3)]);
+    }
+
+    #[test]
+    fn streaming_top_k_equals_full_sort() {
+        let noisy: Vec<u64> = (0..500u64).map(|i| i.wrapping_mul(2_654_435_761) % 23).collect();
+        let ascending: Vec<u64> = (0..300).collect(); // every value displaces one
+        let one_giant: Vec<u64> = (0..200).map(|i| if i == 77 { 5_234 } else { 2 }).collect();
+        for vals in [&noisy[..], &ascending, &one_giant, &[7; 40], &[]] {
+            for k in [0, 1, 2, 10, vals.len(), vals.len() + 3, usize::MAX] {
+                assert_eq!(top_k(vals.iter().copied(), k), ranked(vals, k), "k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn rankings_merge_across_partitions_with_ties_on_the_kth_place() {
+        // Rows 1 and 5 tie for second place; the cut falls between them.
+        let vals = [1u64, 4, 9, 0, 2, 4, 3];
+        for cut in 0..=vals.len() {
+            let (a, b) = vals.split_at(cut);
+            for k in [0, 1, 2, 3, 7, 9] {
+                let right = top_k(b.iter().copied(), k).into_iter().map(|(i, v)| (cut + i, v));
+                let merged = merge_ranked(top_k(a.iter().copied(), k), right.collect(), k);
+                assert_eq!(merged, ranked(&vals, k), "cut {cut}, k {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn top_events_streams_partitions_above_the_cut_off() {
+        // Degrees 1..=3 in a pattern no partition boundary lines up with,
+        // a 5 234-mention event, and two rows tying for second place in
+        // the first and the last partition of every thread count below.
+        let n = SEQUENTIAL_SCAN_ROWS + 4_321;
+        let mut degrees: Vec<u64> = (0..n as u64).map(|i| 1 + i % 3).collect();
+        degrees[n / 2 + 1] = 5_234;
+        degrees[17] = 900;
+        degrees[n - 5] = 900;
+        let d = with_degrees(&degrees);
+        for threads in [1, 2, 3, 5] {
+            let ctx = ExecContext::builder().threads(threads).build();
+            for k in [0, 1, 2, 3, 10, 1_000] {
+                assert_eq!(
+                    top_events(&ctx, &d, k),
+                    ranked(&degrees, k),
+                    "{threads} threads, k={k}"
+                );
+            }
+        }
+        // All degrees equal: the first k rows, in row order.
+        let flat = with_degrees(&vec![2; n]);
+        let ctx = ExecContext::builder().threads(3).build();
+        assert_eq!(top_events(&ctx, &flat, 4), vec![(0, 2), (1, 2), (2, 2), (3, 2)]);
+        // More places than events.
+        let few = with_degrees(&[3, 1, 3]);
+        assert_eq!(top_events(&ctx, &few, 10), vec![(0, 3), (2, 3), (1, 1)]);
     }
 
     #[test]

@@ -97,11 +97,7 @@ impl<'a> MentionView<'a> {
 
     /// The most productive sources within the view.
     pub fn top_publishers(&self, ctx: &ExecContext, k: usize) -> Vec<(SourceId, u64)> {
-        let counts = self.articles_by_source(ctx);
-        crate::topk::top_k_indices(&counts, k)
-            .into_iter()
-            .map(|i| (SourceId(i as u32), counts[i]))
-            .collect()
+        crate::topk::ranked_publishers(&self.articles_by_source(ctx), k)
     }
 
     /// Delay summary (min/max/mean) over the selected articles.

@@ -7,7 +7,7 @@ use gdelt_engine::aggregate::{count_by, count_where, min_max_sum, sum_by};
 use gdelt_engine::filter::Bitmap;
 use gdelt_engine::matrix::Matrix;
 use gdelt_engine::stats::percentile_u32;
-use gdelt_engine::topk::top_k_indices;
+use gdelt_engine::topk::top_k;
 use gdelt_engine::ExecContext;
 use proptest::prelude::*;
 
@@ -97,10 +97,10 @@ proptest! {
 
     #[test]
     fn top_k_matches_full_sort(vals in prop::collection::vec(0u64..1_000, 0..500), k in 0usize..50) {
-        let got = top_k_indices(&vals, k);
-        let mut full: Vec<usize> = (0..vals.len()).collect();
-        full.sort_by_key(|&i| (std::cmp::Reverse(vals[i]), i));
-        full.truncate(k.min(vals.len()));
+        let got = top_k(vals.iter().copied(), k);
+        let mut full: Vec<(usize, u64)> = vals.iter().copied().enumerate().collect();
+        full.sort_by_key(|&(i, v)| (std::cmp::Reverse(v), i));
+        full.truncate(k);
         prop_assert_eq!(got, full);
     }
 

@@ -8,6 +8,7 @@
 use gdelt_columnar::degraded::restrict_to_partitions;
 use gdelt_columnar::table::NO_EVENT_ROW;
 use gdelt_columnar::{Dataset, DatasetBuilder};
+use gdelt_engine::chunk::SEQUENTIAL_SCAN_ROWS;
 use gdelt_engine::coreport::CountryCoReport;
 use gdelt_engine::crossreport::CrossReport;
 use gdelt_engine::delay::DelayStats;
@@ -222,38 +223,65 @@ fn reference(d: &Dataset, q: &Query) -> QueryResult {
     }
 }
 
+use gdelt_model::event::EventRecord;
+use gdelt_model::mention::MentionRecord;
+use gdelt_model::time::Date;
+
+fn event_record(id: u64, day: Date) -> EventRecord {
+    use gdelt_model::cameo::{CameoRoot, Goldstein, QuadClass};
+    use gdelt_model::event::ActionGeo;
+    use gdelt_model::ids::EventId;
+    use gdelt_model::time::DateTime;
+    EventRecord {
+        id: EventId(id),
+        day,
+        root: CameoRoot::new(1).unwrap(),
+        event_code: "010".into(),
+        actor1_country: String::new(),
+        actor2_country: String::new(),
+        quad_class: QuadClass::VerbalCooperation,
+        goldstein: Goldstein::new(0.0).unwrap(),
+        num_mentions: 0,
+        num_sources: 0,
+        num_articles: 0,
+        avg_tone: 0.0,
+        geo: ActionGeo::default(),
+        date_added: DateTime::midnight(day),
+        source_url: "u".into(),
+    }
+}
+
+/// `source`'s `n`-th article on `event`, `delay` 15-minute intervals
+/// after midnight of the event's `day`.
+fn mention_record(event: u64, day: Date, delay: u32, source: &str, n: usize) -> MentionRecord {
+    use gdelt_model::ids::EventId;
+    use gdelt_model::mention::MentionType;
+    use gdelt_model::time::DateTime;
+    let event_time = DateTime::midnight(day);
+    MentionRecord {
+        event_id: EventId(event),
+        event_time,
+        mention_time: DateTime::from_unix_seconds(
+            event_time.to_unix_seconds() + i64::from(delay) * 900,
+        ),
+        mention_type: MentionType::Web,
+        source_name: source.into(),
+        url: format!("https://{source}/{event}/{n}"),
+        confidence: 50,
+        doc_tone: 0.0,
+    }
+}
+
 /// A hand-built corpus aimed at the Delay reducer's edges and at ties:
 /// per-source delays are listed in the table below; `late.org` reports
 /// only on the last event, so the pieces of a partition split leave it
 /// (and others) in the directory with no mentions at all.
 fn adversarial() -> Dataset {
-    use gdelt_model::cameo::{CameoRoot, Goldstein, QuadClass};
-    use gdelt_model::event::{ActionGeo, EventRecord};
-    use gdelt_model::ids::EventId;
-    use gdelt_model::mention::{MentionRecord, MentionType};
-    use gdelt_model::time::{Date, DateTime};
-
     const EVENTS: u64 = 8;
     let day = |id: u64| Date { year: 2015, month: if id <= 4 { 5 } else { 8 }, day: 10 };
     let mut b = DatasetBuilder::new();
     for id in 1..=EVENTS {
-        b.add_event(EventRecord {
-            id: EventId(id),
-            day: day(id),
-            root: CameoRoot::new(1).unwrap(),
-            event_code: "010".into(),
-            actor1_country: String::new(),
-            actor2_country: String::new(),
-            quad_class: QuadClass::VerbalCooperation,
-            goldstein: Goldstein::new(0.0).unwrap(),
-            num_mentions: 0,
-            num_sources: 0,
-            num_articles: 0,
-            avg_tone: 0.0,
-            geo: ActionGeo::default(),
-            date_added: DateTime::midnight(day(id)),
-            source_url: "u".into(),
-        });
+        b.add_event(event_record(id, day(id)));
     }
     // (source, [(event, delay in 15-minute intervals)])
     let table: [(&str, &[(u64, u32)]); 7] = [
@@ -269,22 +297,59 @@ fn adversarial() -> Dataset {
     ];
     for (source, mentions) in table {
         for (n, &(event, delay)) in mentions.iter().enumerate() {
-            let event_time = DateTime::midnight(day(event));
-            b.add_mention(MentionRecord {
-                event_id: EventId(event),
-                event_time,
-                mention_time: DateTime::from_unix_seconds(
-                    event_time.to_unix_seconds() + i64::from(delay) * 900,
-                ),
-                mention_type: MentionType::Web,
-                source_name: source.into(),
-                url: format!("https://{source}/{event}/{n}"),
-                confidence: 50,
-                doc_tone: 0.0,
-            });
+            b.add_mention(mention_record(event, day(event), delay, source, n));
         }
     }
     b.build().0
+}
+
+/// A deterministic corpus with more events, and more mentions, than
+/// `SEQUENTIAL_SCAN_ROWS`, so every scan fans out: ids ascend with time
+/// over five years (quarter runs, as in GDELT), every third event is
+/// reported twice and every seventh a third time with a delay that
+/// carries it into a later quarter, and 41 sources cycle out of step
+/// with all of that.
+fn above_the_cut_off() -> Dataset {
+    // Sized so that no partition of either table starts on a block edge
+    // at any thread count the test below uses (it asserts that).
+    let n_events = SEQUENTIAL_SCAN_ROWS as u64 + 1_031;
+    const TLDS: [&str; 4] = ["com", "co.uk", "com.au", "de"];
+    let source = |i: u64| format!("s{}.{}", i % 41, TLDS[(i % 41 % 4) as usize]);
+    let day =
+        |id: u64| Date { year: 2015, month: 3, day: 1 }.add_days((id * 1_826 / n_events) as i64);
+    let mut b = DatasetBuilder::new();
+    for id in 0..n_events {
+        b.add_event(event_record(id + 1, day(id)));
+    }
+    for id in 0..n_events {
+        let n_mentions = 1 + u64::from(id % 3 == 0) + u64::from(id % 7 == 0);
+        for n in 0..n_mentions {
+            let delay = if n == 2 { 96 * 100 } else { (id % 50 * 5) as u32 };
+            b.add_mention(mention_record(
+                id + 1,
+                day(id),
+                delay,
+                &source(id * 3 + n * 11),
+                n as usize,
+            ));
+        }
+    }
+    b.build().0
+}
+
+/// LateArticles in two separate passes: materialize the late-article
+/// selection, then count per quarter under the mask.
+fn unfused_late_articles(ctx: &ExecContext, d: &Dataset, threshold: u32) -> Vec<f64> {
+    use gdelt_engine::filter::Bitmap;
+    let Some((base, n_quarters)) = timeseries::quarter_range(d) else {
+        return Vec::new();
+    };
+    let late = Bitmap::fill_range(ctx, &d.mentions.delay, threshold + 1, u32::MAX);
+    let mut counts = vec![0u64; n_quarters];
+    late.for_each_in(0..d.mentions.len(), |r| {
+        counts[(d.mentions.quarter[r] - base) as usize] += 1;
+    });
+    counts.iter().map(|&c| c as f64).collect()
 }
 
 /// `d` cut into `parts` contiguous partition ranges, one dataset each.
@@ -332,6 +397,46 @@ fn adversarial_corpus_matches_reference_whole_and_in_pieces() {
                 }
             }
         }
+    }
+}
+
+// The partition + merge branch of every scan, which the small corpora
+// never reach: all ten variants against the oracle at 1 / 2 / 3 / 5
+// threads, over partitions whose edges fall inside blocks and chunks.
+#[test]
+fn corpus_above_the_cut_off_matches_reference_at_every_thread_count() {
+    let d = above_the_cut_off();
+    assert!(d.events.len() > SEQUENTIAL_SCAN_ROWS && d.mentions.len() > d.events.len());
+    let queries = all_queries(6, 96);
+    let want: Vec<QueryResult> = queries.iter().map(|q| reference(&d, q)).collect();
+    for threads in [1usize, 2, 3, 5] {
+        let ctx = ExecContext::builder().threads(threads).build();
+        for n_rows in [d.events.len(), d.mentions.len()] {
+            let parts = ctx.make_partitions(n_rows);
+            assert!(parts.len() >= 4 && parts.iter().skip(1).all(|p| p.begin % 64 != 0));
+        }
+        for (q, want) in queries.iter().zip(&want) {
+            assert_eq!(&run_query(&ctx, &d, q), want, "{q}, {threads} thread(s)");
+        }
+        // Fig 6's per-publisher series ride the same scan: each equals
+        // the Articles reference restricted to that source's rows.
+        let picks = [SourceId(0), SourceId(7), SourceId(40)];
+        let got = timeseries::publisher_series(&ctx, &d, &picks);
+        let whole = reference_series(&d, SeriesKind::Articles);
+        for (pick, series) in picks.iter().zip(&got) {
+            let mut of_pick = vec![0.0; whole.len()];
+            for (&q, &s) in d.mentions.quarter.iter().zip(d.mentions.source.iter()) {
+                if s == pick.0 {
+                    of_pick[(i32::from(q) - whole.base.linear()) as usize] += 1.0;
+                }
+            }
+            let want = QuarterlySeries { base: whole.base, values: of_pick };
+            assert_eq!(series, &want, "{pick:?}, {threads} thread(s)");
+        }
+        // The fused selection + count against the two separate passes,
+        // at a threshold only the delayed third reports clear.
+        let fused = timeseries::late_articles_per_quarter(&ctx, &d, 300);
+        assert_eq!(fused.values, unfused_late_articles(&ctx, &d, 300), "{threads} thread(s)");
     }
 }
 
@@ -390,21 +495,9 @@ proptest! {
         threads in 1usize..6,
         threshold in 1u32..800,
     ) {
-        use gdelt_engine::filter::Bitmap;
         let d = gdelt_synth::generate_dataset(&gdelt_synth::scenario::tiny(seed)).0;
         let ctx = ExecContext::builder().threads(threads).build();
-        let Some((base, n_quarters)) = timeseries::quarter_range(&d) else {
-            return Ok(());
-        };
-        // Separate passes: materialize the late-article selection, then
-        // count per quarter under the mask.
-        let late = Bitmap::fill_range(&ctx, &d.mentions.delay, threshold + 1, u32::MAX);
-        let mut unfused = vec![0u64; n_quarters];
-        late.for_each_in(0..d.mentions.len(), |r| {
-            unfused[(d.mentions.quarter[r] - base) as usize] += 1;
-        });
-        // Fused pass: the production kernel.
         let fused = timeseries::late_articles_per_quarter(&ctx, &d, threshold);
-        prop_assert_eq!(fused.values, unfused.iter().map(|&c| c as f64).collect::<Vec<_>>());
+        prop_assert_eq!(fused.values, unfused_late_articles(&ctx, &d, threshold));
     }
 }
