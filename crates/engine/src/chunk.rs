@@ -18,8 +18,16 @@
 //! (64 lanes per `u64` word) and consumed a word at a time — one pass
 //! over a chunk can evaluate a predicate and feed an accumulator without
 //! re-scanning the columns per analysis.
+//!
+//! Kernels whose unit is the *event*, not the row, take their groups
+//! from one walker over the CSR offsets: [`event_scan`] cuts the events
+//! into [`event_partitions`] of near-equal mention weight and
+//! [`for_each_event`] hands a kernel each event's row and mention rows.
+//! [`SmallSet`] is the bitmask those kernels keep an event's distinct
+//! countries or selected publishers in.
 
 use crate::exec::ExecContext;
+use gdelt_columnar::partition::Partition;
 
 /// Rows per chunk. 4096 rows keeps the widest hot column (u32, 16 KiB)
 /// inside L1 alongside an accumulator, and is a multiple of 64 so chunk
@@ -219,28 +227,148 @@ impl SelMask {
     }
 }
 
-/// Walk maximal runs of equal keys within `range`, calling `f` with each
-/// run's global row range — the CSR group walker shared by the
-/// co-reporting and follow-reporting kernels (mentions are grouped by
-/// `event_row`, so one run is one event's mention block). Returns
-/// without calling `f` when `range` is out of bounds.
+/// Cut the events of a CSR index into at most `n_parts` contiguous
+/// *event* ranges of near-equal *mention* weight: edge `i` is the first
+/// event whose offset reaches `total · i / n_parts`, so a partition
+/// outweighs `total / n_parts` by less than its heaviest event, however
+/// the mentions are spread (equal event counts would hand the worker
+/// that draws a dense news week, or one 5 000-mention event, several
+/// times the rows of its neighbours — and the pool's schedule is
+/// static). Ranges that would be empty are dropped; together the rest
+/// tile `0..n_events`.
 // analyze: no_panic
-pub fn for_each_run<K: PartialEq + Copy>(
-    keys: &[K],
-    range: std::ops::Range<usize>,
-    mut f: impl FnMut(std::ops::Range<usize>),
-) {
-    let Some(sub) = keys.get(range.clone()) else { return };
-    let base = range.start;
-    let mut start = 0usize;
-    for (i, (a, b)) in sub.iter().zip(sub.iter().skip(1)).enumerate() {
-        if a != b {
-            f(base + start..base + i + 1);
-            start = i + 1;
+pub fn event_partitions(offsets: &[u64], n_parts: usize) -> Vec<Partition> {
+    let n_events = offsets.len().saturating_sub(1);
+    let total = offsets.last().copied().unwrap_or(0);
+    let n_parts = n_parts.clamp(1, n_events.max(1));
+    let mut parts = Vec::with_capacity(n_parts);
+    let mut begin = 0;
+    for i in 1..=n_parts {
+        let target = (u128::from(total) * i as u128 / n_parts as u128) as u64;
+        // Trailing events without mentions sit past the last target.
+        let edge = if i == n_parts { n_events } else { offsets.partition_point(|&o| o < target) };
+        let end = edge.min(n_events);
+        if end > begin {
+            // analyze: allow(hot_alloc): at most n_parts pushes into a pre-sized Vec, once per scan
+            parts.push(Partition { begin, end, node: parts.len() });
+            begin = end;
         }
     }
-    if start < sub.len() {
-        f(base + start..base + sub.len());
+    parts
+}
+
+/// The one event walker: call `f(event_row, mention_rows)` for every
+/// event of `events`, in order, reading each boundary once from the CSR
+/// `offsets` (`mention_rows` is empty for an event nobody reported on).
+/// Returns without calling `f` when `events` reaches past the index.
+// analyze: no_panic
+#[inline]
+pub fn for_each_event(
+    offsets: &[u64],
+    events: std::ops::Range<usize>,
+    mut f: impl FnMut(usize, std::ops::Range<usize>),
+) {
+    let Some(edges) = offsets.get(events.start..events.end.saturating_add(1)) else { return };
+    let mut edges = edges.iter().map(|&o| o as usize);
+    let Some(mut lo) = edges.next() else { return };
+    for (event, hi) in (events.start..).zip(edges) {
+        f(event, lo..hi);
+        lo = hi;
+    }
+}
+
+/// The driver under every kernel that groups mentions by event: `map`
+/// folds one [`event_partitions`] range (walking it with
+/// [`for_each_event`]) and `reduce` merges the partials in event order.
+/// `None` when the index holds no events.
+// analyze: no_panic
+pub fn event_scan<T: Send>(
+    ctx: &ExecContext,
+    offsets: &[u64],
+    map: impl Fn(std::ops::Range<usize>) -> T + Sync + Send,
+    reduce: impl FnMut(T, T) -> T,
+) -> Option<T> {
+    let parts = event_partitions(offsets, ctx.n_threads() * ctx.partitions_per_thread());
+    ctx.map_reduce(parts, |p| map(p.range()), reduce)
+}
+
+/// A set over `0..n` held as ⌈n / 64⌉ words — what one event's distinct
+/// countries, or the selected publishers seen so far in it, amount to:
+/// one word for the 64-country registry and for any `top_k ≤ 64`, the
+/// same word loops beyond. Inserting ORs a bit and the members come back
+/// in ascending order off trailing-zero counts, so the set-shaped
+/// kernels neither sort nor deduplicate nor keep a flag per member.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SmallSet {
+    words: Vec<u64>,
+    n: usize,
+}
+
+impl SmallSet {
+    /// The empty set over `0..n`.
+    pub fn new(n: usize) -> Self {
+        SmallSet { words: vec![0; n.div_ceil(64)], n }
+    }
+
+    /// Remove every member.
+    // analyze: no_panic
+    #[inline]
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// Add `i`; a value outside `0..n` is ignored (sentinel convention,
+    /// e.g. unknown country, unselected source).
+    // analyze: no_panic
+    #[inline]
+    pub fn insert(&mut self, i: usize) {
+        if i < self.n {
+            if let Some(word) = self.words.get_mut(i / 64) {
+                *word |= 1 << (i % 64);
+            }
+        }
+    }
+
+    /// Add every member of `other` (sets over the same `n`).
+    // analyze: no_panic
+    #[inline]
+    pub fn union_with(&mut self, other: &SmallSet) {
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a |= b;
+        }
+    }
+
+    /// The members, ascending. The iterator is a cheap `Clone`, which is
+    /// how a kernel visits every pair `i < j`: clone it after taking `i`.
+    // analyze: no_panic
+    #[inline]
+    pub fn iter(&self) -> SetBits<'_> {
+        SetBits { rest: &self.words, taken: 0, word: 0 }
+    }
+}
+
+/// Ascending members of a [`SmallSet`].
+#[derive(Debug, Clone)]
+pub struct SetBits<'a> {
+    rest: &'a [u64],
+    /// Words taken off `rest` so far; `word` is the last of them.
+    taken: usize,
+    word: u64,
+}
+
+impl Iterator for SetBits<'_> {
+    type Item = usize;
+
+    // analyze: no_panic
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.word == 0 {
+            let (&word, rest) = self.rest.split_first()?;
+            (self.word, self.rest, self.taken) = (word, rest, self.taken + 1);
+        }
+        let bit = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some((self.taken - 1) * 64 + bit)
     }
 }
 
@@ -316,17 +444,105 @@ mod tests {
     }
 
     #[test]
-    fn runs_partition_grouped_keys() {
-        let keys = [1u32, 1, 1, 2, 2, 5, 7, 7];
-        let mut runs = Vec::new();
-        for_each_run(&keys, 0..keys.len(), |r| runs.push(r));
-        assert_eq!(runs, vec![0..3, 3..5, 5..6, 6..8]);
-        // Sub-range walk respects the window, not the global grouping.
-        runs.clear();
-        for_each_run(&keys, 1..5, |r| runs.push(r));
-        assert_eq!(runs, vec![1..3, 3..5]);
-        // Out-of-bounds range is a no-op; empty range too.
-        for_each_run(&keys, 0..100, |_| panic!("must not be called"));
-        for_each_run(&keys, 4..4, |_| panic!("must not be called"));
+    fn walker_hands_every_event_its_rows() {
+        // Degrees 3, 0, 2, 1, 0: an empty event in the middle and one last.
+        let offsets = [0u64, 3, 3, 5, 6, 6];
+        let walk = |events| {
+            let mut seen = Vec::new();
+            for_each_event(&offsets, events, |e, rows| seen.push((e, rows)));
+            seen
+        };
+        assert_eq!(walk(0..5), vec![(0, 0..3), (1, 3..3), (2, 3..5), (3, 5..6), (4, 6..6)]);
+        // An event range starts at its own first offset.
+        assert_eq!(walk(2..4), vec![(2, 3..5), (3, 5..6)]);
+        assert!(walk(3..3).is_empty());
+        // A range that reaches past the index is a no-op; so is no index.
+        assert!(walk(0..6).is_empty());
+        for_each_event(&[], 0..1, |_, _| panic!("must not be called"));
+        for_each_event(&[0], 0..0, |_, _| panic!("must not be called"));
+    }
+
+    #[test]
+    fn event_partitions_weigh_mentions_not_events() {
+        // 1 000 one-mention events, one 5 234-mention event, 1 000 more:
+        // equal event counts would give one of four workers 5 734 of the
+        // 7 234 rows.
+        let degrees = (0..2_001).map(|e| if e == 1_000 { 5_234u64 } else { 1 });
+        let offsets: Vec<u64> = std::iter::once(0)
+            .chain(degrees.scan(0, |at, deg| {
+                *at += deg;
+                Some(*at)
+            }))
+            .collect();
+        let parts = event_partitions(&offsets, 4);
+        assert_eq!(parts.first().map(|p| p.begin), Some(0));
+        assert_eq!(parts.last().map(|p| p.end), Some(2_001));
+        assert!(parts.windows(2).all(|w| w[0].end == w[1].begin));
+        let weights: Vec<u64> = parts.iter().map(|p| offsets[p.end] - offsets[p.begin]).collect();
+        assert_eq!(weights, vec![6_234, 1_000]);
+        // No index, no events, no mentions.
+        assert!(event_partitions(&[], 4).is_empty());
+        assert!(event_partitions(&[0], 4).is_empty());
+        assert_eq!(event_partitions(&[0, 0, 0], 4).len(), 1);
+    }
+
+    #[test]
+    fn event_scan_folds_every_event_once_at_any_thread_count() {
+        let offsets: Vec<u64> = (0..=1_000u64).map(|e| e * (e + 1) / 2).collect();
+        for threads in [1, 2, 3, 5] {
+            let ctx = ExecContext::builder().threads(threads).build();
+            let count = |events| {
+                let mut seen = (0u64, 0u64);
+                for_each_event(&offsets, events, |_, rows| {
+                    seen = (seen.0 + 1, seen.1 + rows.len() as u64)
+                });
+                seen
+            };
+            let total = event_scan(&ctx, &offsets, count, |a, b| (a.0 + b.0, a.1 + b.1));
+            assert_eq!(total, Some((1_000, 500_500)), "{threads} threads");
+        }
+        let ctx = ExecContext::builder().threads(2).build();
+        assert_eq!(event_scan(&ctx, &[], |_| 1u64, |a, b| a + b), None);
+    }
+
+    #[test]
+    fn small_set_words_come_from_n() {
+        for n in [0usize, 1, 63, 64, 65, 130] {
+            let mut set = SmallSet::new(n);
+            assert_eq!(set.words.len(), n.div_ceil(64), "n = {n}");
+            // Every third member, the last one, and values that are not
+            // members: `n` itself, the rest of the last word, a sentinel.
+            let want: Vec<usize> = (0..n).filter(|i| i % 3 == 0 || i + 1 == n).collect();
+            for &i in want.iter().rev() {
+                set.insert(i);
+                set.insert(i); // idempotent
+            }
+            for outside in [n, n + 1, n.next_multiple_of(64), usize::MAX] {
+                set.insert(outside);
+            }
+            assert_eq!(set.iter().collect::<Vec<_>>(), want, "n = {n}");
+
+            // Pairs `i < j` by cloning the iterator after `i`.
+            let mut pairs = 0;
+            let mut members = set.iter();
+            while let Some(i) = members.next() {
+                assert!(members.clone().all(|j| j > i));
+                pairs += members.clone().count();
+            }
+            assert_eq!(pairs, want.len() * want.len().saturating_sub(1) / 2, "n = {n}");
+
+            let mut other = SmallSet::new(n);
+            other.insert(1);
+            other.union_with(&set);
+            let mut both = want.clone();
+            if n > 1 && !both.contains(&1) {
+                both.push(1);
+                both.sort_unstable();
+            }
+            assert_eq!(other.iter().collect::<Vec<_>>(), both, "n = {n}");
+            set.clear();
+            assert_eq!(set.iter().next(), None);
+            assert_eq!(set, SmallSet::new(n));
+        }
     }
 }

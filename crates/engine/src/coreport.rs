@@ -6,12 +6,21 @@
 //! sources) because each event with `k` reporters performs `k(k−1)/2`
 //! updates and dense random increments beat any sparse structure. Both
 //! strategies are implemented; the ablation benchmark compares them.
+//!
+//! Every builder takes its events from the one CSR walker
+//! ([`crate::chunk::event_scan`] + [`crate::chunk::for_each_event`]).
+//! What it does with one event depends on the universe of the set it
+//! needs: over the source directory (thousands of ids, a handful per
+//! event) the distinct reporters are found by sort + dedup of the
+//! event's slice ([`distinct_sources`]); over the country registry they
+//! are bits of a [`SmallSet`] — OR per mention, pairs off the set bits —
+//! and an event with one mention, which is most events, is one add.
 
+use crate::chunk::{event_scan, for_each_event, SmallSet};
 use crate::exec::{ExecContext, Merge};
 use crate::matrix::Matrix;
 use gdelt_columnar::Dataset;
 use gdelt_model::ids::{CountryId, SourceId};
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
@@ -34,33 +43,28 @@ impl CoReport {
     pub fn build(ctx: &ExecContext, d: &Dataset) -> Self {
         let n = d.sources.len();
         let pairs: Vec<AtomicU32> = (0..n * n).map(|_| AtomicU32::new(0)).collect();
-        let events: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+        let events_of: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
 
-        let parts = ctx.make_group_partitions(&d.event_index.offsets);
-        ctx.install(|| {
-            parts.into_par_iter().for_each(|p| {
-                // analyze: allow(hot_alloc): per-partition scratch, reused across events
-                let mut distinct: Vec<u32> = Vec::with_capacity(16);
-                for_each_event_in(d, p.range(), |sources| {
-                    distinct.clear();
-                    // analyze: allow(hot_alloc): amortized by the retained capacity above
-                    distinct.extend_from_slice(sources);
-                    distinct.sort_unstable();
-                    distinct.dedup();
-                    for (a, &i) in distinct.iter().enumerate() {
-                        // Relaxed: pure counter; the join at install() exit
-                        // publishes all increments before the loads below.
-                        // analyze: allow(panic_path): i < n — source ids are dense directory indices
-                        events[i as usize].fetch_add(1, Ordering::Relaxed);
-                        for &j in &distinct[a + 1..] {
-                            // Relaxed: same counter argument as events above.
-                            // analyze: allow(panic_path): i, j < n dense source ids → i*n+j < n*n
-                            pairs[i as usize * n + j as usize].fetch_add(1, Ordering::Relaxed);
+        let offsets = &d.event_index.offsets;
+        let count_events = |events| {
+            let mut scratch: Vec<u32> = Vec::with_capacity(16);
+            for_each_event(offsets, events, |_, rows| {
+                let distinct = distinct_sources(&mut scratch, d.mentions.source.get(rows));
+                for (a, &i) in distinct.iter().enumerate() {
+                    // Relaxed: pure counters; the join that ends the scan
+                    // publishes all increments before the loads below.
+                    if let Some(e) = events_of.get(i as usize) {
+                        e.fetch_add(1, Ordering::Relaxed);
+                    }
+                    for &j in distinct.get(a + 1..).unwrap_or(&[]) {
+                        if let Some(pair) = pairs.get(i as usize * n + j as usize) {
+                            pair.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                });
+                }
             });
-        });
+        };
+        event_scan(ctx, offsets, count_events, |(), ()| ());
 
         let mut m = Matrix::zeros(n, n);
         for i in 0..n {
@@ -71,7 +75,7 @@ impl CoReport {
         CoReport {
             n,
             pairs: m,
-            event_counts: events.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
+            event_counts: events_of.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
         }
     }
 
@@ -135,27 +139,26 @@ impl SparseCoReport {
     // analyze: no_panic
     pub fn build(ctx: &ExecContext, d: &Dataset) -> Self {
         let n = d.sources.len();
-        let parts = ctx.make_group_partitions(&d.event_index.offsets);
-        let merged = ctx.map_reduce(
-            parts,
-            |p| {
+        let offsets = &d.event_index.offsets;
+        let merged = event_scan(
+            ctx,
+            offsets,
+            |events| {
                 let mut pairs: HashMap<(u32, u32), u32> = HashMap::new();
-                let mut events = vec![0u64; n];
-                let mut distinct: Vec<u32> = Vec::with_capacity(16);
-                for_each_event_in(d, p.range(), |sources| {
-                    distinct.clear();
-                    distinct.extend_from_slice(sources);
-                    distinct.sort_unstable();
-                    distinct.dedup();
+                let mut counts = vec![0u64; n];
+                let mut scratch: Vec<u32> = Vec::with_capacity(16);
+                for_each_event(offsets, events, |_, rows| {
+                    let distinct = distinct_sources(&mut scratch, d.mentions.source.get(rows));
                     for (a, &i) in distinct.iter().enumerate() {
-                        // analyze: allow(panic_path): i < n — source ids are dense directory indices
-                        events[i as usize] += 1;
-                        for &j in &distinct[a + 1..] {
+                        if let Some(e) = counts.get_mut(i as usize) {
+                            *e += 1;
+                        }
+                        for &j in distinct.get(a + 1..).unwrap_or(&[]) {
                             *pairs.entry((i, j)).or_insert(0) += 1;
                         }
                     }
                 });
-                (pairs, events)
+                (pairs, counts)
             },
             |(mut pa, mut ea), (pb, eb)| {
                 for (k, v) in pb {
@@ -214,41 +217,42 @@ impl CountryCoReport {
     /// Build with per-thread dense partials (country count is small).
     // analyze: no_panic
     pub fn build(ctx: &ExecContext, d: &Dataset, n_countries: usize) -> Self {
-        let parts = ctx.make_group_partitions(&d.event_index.offsets);
-        let source_country = &d.sources.country;
-        let merged = ctx.map_reduce(
-            parts,
-            |p| {
+        let offsets = &d.event_index.offsets;
+        let country_of = |s: u32| d.sources.country.get(s as usize).map(|&c| c as usize);
+        let merged = event_scan(
+            ctx,
+            offsets,
+            |events| {
                 let mut pairs = Matrix::<u64>::zeros(n_countries, n_countries);
-                let mut events = vec![0u64; n_countries];
-                let mut countries: Vec<u16> = Vec::with_capacity(8);
-                for_each_event_in(d, p.range(), |sources| {
-                    countries.clear();
-                    for &s in sources {
-                        // analyze: allow(panic_path): source ids are dense directory indices
-                        let c = source_country[s as usize];
-                        if (c as usize) < n_countries {
-                            // analyze: allow(hot_alloc): amortized — capacity retained across events
-                            countries.push(c);
+                let mut event_counts = vec![0u64; n_countries];
+                let mut seen = SmallSet::new(n_countries);
+                for_each_event(offsets, events, |_, rows| {
+                    let sources = d.mentions.source.get(rows).unwrap_or(&[]);
+                    if let [only] = *sources {
+                        // One mention is one country and no pair.
+                        if let Some(e) = country_of(only).and_then(|c| event_counts.get_mut(c)) {
+                            *e += 1;
                         }
+                        return;
                     }
-                    countries.sort_unstable();
-                    countries.dedup();
-                    for (a, &i) in countries.iter().enumerate() {
-                        // analyze: allow(panic_path): i < n_countries filtered at push above
-                        events[i as usize] += 1;
-                        for &j in &countries[a + 1..] {
-                            pairs.bump(i as usize, j as usize);
-                            pairs.bump(j as usize, i as usize);
+                    seen.clear();
+                    for &s in sources {
+                        seen.insert(country_of(s).unwrap_or(usize::MAX));
+                    }
+                    let mut countries = seen.iter();
+                    while let Some(i) = countries.next() {
+                        if let Some(e) = event_counts.get_mut(i) {
+                            *e += 1;
+                        }
+                        for j in countries.clone() {
+                            pairs.bump(i, j);
+                            pairs.bump(j, i);
                         }
                     }
                 });
-                CountryCoReport { pairs, event_counts: events }
+                CountryCoReport { pairs, event_counts }
             },
-            |mut a, b| {
-                a.merge(b);
-                a
-            },
+            Merge::merged,
         );
         merged.unwrap_or_else(|| CountryCoReport {
             pairs: Matrix::zeros(n_countries, n_countries),
@@ -269,17 +273,19 @@ impl CountryCoReport {
     }
 }
 
-/// Iterate the per-event source slices within a mention-row range that
-/// is aligned to event boundaries — a thin wrapper over the shared
-/// chunked-scan run walker.
+/// One event's distinct reporters, ascending: its slice of the source
+/// column sorted and deduplicated into `scratch` (whose capacity the
+/// caller keeps across events).
 // analyze: no_panic
-fn for_each_event_in(d: &Dataset, rows: std::ops::Range<usize>, mut f: impl FnMut(&[u32])) {
-    let sources: &[u32] = &d.mentions.source;
-    crate::chunk::for_each_run(&d.mentions.event_row, rows, |run| {
-        if let Some(s) = sources.get(run) {
-            f(s);
-        }
-    });
+pub(crate) fn distinct_sources<'a>(
+    scratch: &'a mut Vec<u32>,
+    sources: Option<&[u32]>,
+) -> &'a [u32] {
+    scratch.clear();
+    scratch.extend_from_slice(sources.unwrap_or(&[]));
+    scratch.sort_unstable();
+    scratch.dedup();
+    scratch
 }
 
 #[cfg(test)]

@@ -2,14 +2,18 @@
 //!
 //! Delays are measured in 15-minute capture intervals, the paper's best
 //! available proxy for publication time. Per-source statistics are exact:
-//! mentions are grouped by source with one counting sort, each source's
-//! slice is reduced in parallel to a [`DelayHist`], and min / max / mean
-//! / true median are read off the histogram.
+//! every row range groups its delays by source in parallel, then every
+//! source's groups reduce to its [`DelayHist`] in parallel — the delays
+//! below [`WINDOW`] intervals, which is nearly all of them, counted in a
+//! window-sized scratch and the rest sorted — and min / max / mean /
+//! true median come from the histogram. Scratch is one `u32` per mention
+//! and one cursor per source and row range, whatever the size of the
+//! source directory.
 
-use crate::aggregate::count_by;
+use crate::aggregate::{DenseLanes, LANES};
+use crate::chunk::{event_scan, for_each_event, partition_scan, rows_of};
 use crate::exec::{ExecContext, Merge};
 use gdelt_columnar::Dataset;
-use rayon::prelude::*;
 
 /// Delays at or above one year are clamped when histogramming — the
 /// paper's observed maximum is 35 135 intervals (366 days − 15 min).
@@ -71,12 +75,6 @@ pub struct DelayHist {
 }
 
 impl DelayHist {
-    /// Run-length encode an already-sorted delay slice.
-    pub fn from_sorted_delays(delays: &[u32]) -> DelayHist {
-        let runs = delays.chunk_by(|a, b| a == b);
-        DelayHist { runs: runs.filter_map(|run| Some((*run.first()?, run.len() as u64))).collect() }
-    }
-
     /// Total observations.
     pub fn count(&self) -> u64 {
         self.runs.iter().map(|&(_, c)| c).sum()
@@ -127,84 +125,170 @@ impl Merge for DelayHist {
     }
 }
 
-/// A source's slice is counted rather than sorted when its largest
-/// delay is below this many times its length: counting is one pass over
-/// the rows plus one over `0..=max`, so it wins while the value span
-/// stays comparable to the row count. A handful of mentions spread over
-/// a year of intervals sorts instead.
-const DENSE_SPAN_PER_ROW: usize = 4;
+/// Delays below this many 15-minute intervals (10 ⅔ days) are counted
+/// densely when a source's histogram is built. On the calibrated corpora
+/// 98.6 % of delays are; the paper's fast and average speed groups end
+/// at 96. The counting scratch is this long whatever a source's largest
+/// delay is — one year-old outlier costs one sorted entry, not a
+/// year-wide span.
+const WINDOW: usize = 1024;
 
-/// Reduce one source's delays to its histogram, choosing between the
-/// counting pass (into `counts`, reused across the worker's sources)
-/// and sort + run-length encode from the slice alone.
-// analyze: no_panic
-fn hist_of(delays: &mut [u32], counts: &mut Vec<u64>) -> DelayHist {
-    let Some(&max) = delays.iter().max() else {
-        return DelayHist::default();
-    };
-    let span = max as usize + 1;
-    if span > delays.len().saturating_mul(DENSE_SPAN_PER_ROW) {
-        delays.sort_unstable();
-        return DelayHist::from_sorted_delays(delays);
-    }
-    counts.clear();
-    counts.resize(span, 0);
-    for &dl in delays.iter() {
-        if let Some(c) = counts.get_mut(dl as usize) {
-            *c += 1;
-        }
-    }
-    let runs = counts.iter().enumerate().filter(|&(_, &c)| c != 0);
-    DelayHist { runs: runs.map(|(dl, &c)| (dl as u32, c)).collect() }
+/// A source is counted through the window when it has at least one row
+/// per this many window cells, and sorted otherwise: counting is one
+/// pass over the rows plus one over the [`WINDOW`] cells, so it wins
+/// while the rows are comparable to the cells. A handful of mentions
+/// sorts instead.
+const CELLS_PER_ROW: usize = 4;
+
+/// What one source's histogram costs before its first row — an
+/// allocation, a call of the sort — in rows of the reduction (some
+/// 200 ns against 3 ns a row). It keeps a directory of many small
+/// sources from landing on the worker that draws the tail.
+const SOURCE_ROWS: u64 = 64;
+
+/// One row range's delays grouped by source: the counting sort of the
+/// range on its source column.
+#[derive(Debug, Default)]
+struct Grouped {
+    /// Source `s` owns `delays[ends[s - 1]..ends[s]]` (from 0 for the
+    /// first): the scatter cursors, where the scatter left them.
+    ends: Vec<usize>,
+    delays: Vec<u32>,
 }
 
-/// Per-source delay histograms for every source in the directory — the
-/// Delay kernel.
-///
-/// One parallel counting pass sizes the groups, one sequential scatter
-/// fills them (memory-bandwidth bound), and the per-source reductions
-/// run in parallel over the disjoint slices, in place.
-// analyze: no_panic
-pub fn per_source_delay_hists(ctx: &ExecContext, d: &Dataset) -> Vec<DelayHist> {
-    let n_sources = d.sources.len();
-    if n_sources == 0 {
-        return Vec::new();
-    }
-    let counts = count_by(ctx, &d.mentions.source, n_sources);
-
-    // Scatter cursors: the exclusive prefix sum of the group sizes.
-    let starts = counts.iter().scan(0usize, |next, &c| {
-        let at = *next;
-        *next += c as usize;
-        Some(at)
-    });
-    let mut cursor: Vec<usize> = starts.collect();
-    let mut grouped = vec![0u32; d.mentions.len()];
-    for c in crate::chunk::chunks_of(0..d.mentions.len()) {
-        for (&s, &dl) in c.slice(&d.mentions.source).iter().zip(c.slice(&d.mentions.delay)) {
-            // Source ids are dense directory indices; each counted row
-            // scatters exactly once, so a cursor never leaves its group.
+impl Grouped {
+    /// Group the co-sliced `sources` / `delays` rows of one partition.
+    /// A source id outside the directory has no group and is dropped.
+    // analyze: no_panic
+    fn of_rows(n_sources: usize, sources: &[u32], delays: &[u32]) -> Self {
+        let mut lanes = DenseLanes::new(n_sources);
+        lanes.count(sources, 0);
+        let starts = lanes
+            .sums()
+            .into_iter()
+            .scan(0usize, |next, count| Some(std::mem::replace(next, *next + count as usize)));
+        let mut cursor: Vec<usize> = starts.collect();
+        let mut grouped = vec![0u32; sources.len()];
+        for (&s, &dl) in sources.iter().zip(delays) {
+            // Each counted row scatters exactly once, so a cursor never
+            // leaves its group.
             let Some(cur) = cursor.get_mut(s as usize) else { continue };
             if let Some(slot) = grouped.get_mut(*cur) {
                 *slot = dl;
             }
             *cur += 1;
         }
+        Grouped { ends: cursor, delays: grouped }
     }
 
-    let mut rest = grouped.as_mut_slice();
-    let groups: Vec<&mut [u32]> = counts
-        .iter()
-        .map(|&c| {
-            let (group, tail) =
-                std::mem::take(&mut rest).split_at_mut_checked(c as usize).unwrap_or_default();
-            rest = tail;
-            group
-        })
-        .collect();
-    ctx.install(|| {
-        groups.into_par_iter().map_init(Vec::new, |scratch, g| hist_of(g, scratch)).collect()
-    })
+    /// Rows of this range grouped under sources `0..=s`.
+    // analyze: no_panic
+    fn end_of(&self, s: usize) -> usize {
+        self.ends.get(s).copied().unwrap_or(0)
+    }
+
+    /// The delays of source `s` in this range.
+    // analyze: no_panic
+    fn of_source(&self, s: usize) -> &[u32] {
+        let begin = s.checked_sub(1).map_or(0, |before| self.end_of(before));
+        self.delays.get(begin..self.end_of(s)).unwrap_or(&[])
+    }
+}
+
+/// One worker's scratch for [`hist_of`]: the counting window — every
+/// cell [`LANES`] times, as in [`DenseLanes`], because a source's
+/// delays repeat and a lone cell would have each row wait on the store
+/// of the row before — and the delays that go through a sort instead.
+struct HistScratch {
+    window: Vec<[u64; LANES]>,
+    sorted: Vec<u32>,
+}
+
+impl HistScratch {
+    fn new() -> Self {
+        HistScratch { window: vec![[0; LANES]; WINDOW], sorted: Vec::new() }
+    }
+}
+
+/// Reduce one source's `rows` delays, handed as one slice per scanned
+/// row range, to its histogram. With enough rows to be worth a pass over
+/// the window's cells, the delays below [`WINDOW`] are counted in it and
+/// only the rest are sorted; a source of a few rows sorts them all.
+/// Either way the scratch is as large as the window and the source's
+/// own rows, never as its largest delay.
+// analyze: no_panic
+fn hist_of<'a>(
+    groups: impl Iterator<Item = &'a [u32]>,
+    rows: usize,
+    scratch: &mut HistScratch,
+) -> DelayHist {
+    let counted = if rows.saturating_mul(CELLS_PER_ROW) < WINDOW { 0 } else { WINDOW };
+    let window = scratch.window.get_mut(..counted).unwrap_or_default();
+    scratch.sorted.clear();
+    for group in groups {
+        for (row, &dl) in group.iter().enumerate() {
+            match window.get_mut(dl as usize).and_then(|cell| cell.get_mut(row % LANES)) {
+                Some(count) => *count += 1,
+                // analyze: allow(hot_alloc): the worker's sort buffer, kept across sources
+                None => scratch.sorted.push(dl),
+            }
+        }
+    }
+    let mut hist = DelayHist::default();
+    for (dl, cell) in window.iter_mut().enumerate() {
+        let count: u64 = std::mem::take(cell).iter().sum();
+        if count != 0 {
+            // analyze: allow(hot_alloc): the output — one push per distinct delay
+            hist.runs.push((dl as u32, count));
+        }
+    }
+    // Whatever was not counted lies above everything that was.
+    scratch.sorted.sort_unstable();
+    let runs = scratch.sorted.chunk_by(|a, b| a == b);
+    // Most sources are a few rows: one allocation of the exact size each.
+    hist.runs.reserve_exact(runs.clone().count());
+    hist.runs.extend(runs.filter_map(|run| Some((*run.first()?, run.len() as u64))));
+    hist
+}
+
+/// Per-source delay histograms for every source in the directory — the
+/// Delay kernel, two parallel stages and no serial one. Every row range
+/// groups its own delays by source ([`Grouped`], scratch: one `u32` per
+/// mention and one cursor per source and range); then the sources, cut
+/// into ranges of near-equal mention weight by the same walker that cuts
+/// events, each reduce their groups of every row range ([`hist_of`]).
+// analyze: no_panic
+pub fn per_source_delay_hists(ctx: &ExecContext, d: &Dataset) -> Vec<DelayHist> {
+    let n_sources = d.sources.len();
+    let group_rows = |rows: std::ops::Range<usize>| {
+        let (sources, delays) =
+            (rows_of(&d.mentions.source, &rows), rows_of(&d.mentions.delay, &rows));
+        vec![Grouped::of_rows(n_sources, sources, delays)]
+    };
+    let ranges: Vec<Grouped> = partition_scan(ctx, d.mentions.len(), group_rows, concat);
+
+    // Cut and walk the sources like events, by weight: a source weighs
+    // its rows plus what its histogram costs before the first row.
+    let weight_through = |s: usize| {
+        (s as u64 + 1) * SOURCE_ROWS + ranges.iter().map(|g| g.end_of(s) as u64).sum::<u64>()
+    };
+    let weights: Vec<u64> = std::iter::once(0).chain((0..n_sources).map(weight_through)).collect();
+    let reduce_sources = |sources: std::ops::Range<usize>| {
+        let mut scratch = HistScratch::new();
+        let mut hists = Vec::with_capacity(sources.len());
+        for_each_event(&weights, sources, |s, weight| {
+            let rows = weight.len().saturating_sub(SOURCE_ROWS as usize);
+            hists.push(hist_of(ranges.iter().map(|g| g.of_source(s)), rows, &mut scratch));
+        });
+        hists
+    };
+    event_scan(ctx, &weights, reduce_sources, concat).unwrap_or_default()
+}
+
+/// Partials that are lists in partition order: append.
+fn concat<T>(mut all: Vec<T>, next: Vec<T>) -> Vec<T> {
+    all.extend(next);
+    all
 }
 
 /// Exact per-source delay statistics for every source in the directory:
@@ -215,29 +299,20 @@ pub fn per_source_delay_stats(ctx: &ExecContext, d: &Dataset) -> Vec<DelayStats>
 
 /// Delay of the *first* article on each event — the paper flags this as
 /// the key signal for wildfire detection follow-up work (§VI-E). With
-/// mentions time-sorted within each event, this is the first CSR entry.
+/// mentions time-sorted within each event, this is the first CSR entry
+/// (0 for an event nobody reported on).
 // analyze: no_panic
 pub fn first_report_delay(ctx: &ExecContext, d: &Dataset) -> Vec<u32> {
-    let n_events = d.events.len();
     let offsets = &d.event_index.offsets;
-    let delays = &d.mentions.delay;
-    ctx.install(|| {
-        (0..n_events)
-            .into_par_iter()
-            .map(|e| {
-                // analyze: allow(panic_path): e < n_events and offsets.len() == n_events + 1
-                let lo = offsets[e] as usize;
-                // analyze: allow(panic_path): e < n_events and offsets.len() == n_events + 1
-                let hi = offsets[e + 1] as usize;
-                if lo == hi {
-                    0
-                } else {
-                    // analyze: allow(panic_path): lo < hi ≤ mentions.len() (CSR invariant)
-                    delays[lo]
-                }
-            })
-            .collect()
-    })
+    let first_delays = |events: std::ops::Range<usize>| {
+        let mut out = Vec::with_capacity(events.len());
+        for_each_event(offsets, events, |_, rows| {
+            let first = if rows.is_empty() { None } else { d.mentions.delay.get(rows.start) };
+            out.push(first.copied().unwrap_or(0));
+        });
+        out
+    };
+    event_scan(ctx, offsets, first_delays, concat).unwrap_or_default()
 }
 
 /// Sources per speed group (§VI-E's population split).
@@ -397,6 +472,12 @@ mod tests {
         assert_eq!(*counts.last().unwrap(), 1); // 40 000 beyond a year
     }
 
+    /// The reference histogram: run-length encode a sorted delay slice.
+    fn hist_of_sorted(delays: &[u32]) -> DelayHist {
+        let runs = delays.chunk_by(|a, b| a == b);
+        DelayHist { runs: runs.map(|run| (run[0], run.len() as u64)).collect() }
+    }
+
     /// The reference reducer: exact stats off a sorted copy of the slice.
     fn reference_stats(delays: &[u32]) -> DelayStats {
         let mut sorted = delays.to_vec();
@@ -413,52 +494,116 @@ mod tests {
         }
     }
 
+    /// One source's delays, cut into row ranges at `cuts`, through
+    /// grouping and reduction.
+    fn hist_of_ranges(delays: &[u32], cuts: &[usize]) -> DelayHist {
+        let edges: Vec<usize> =
+            std::iter::once(0).chain(cuts.iter().copied()).chain([delays.len()]).collect();
+        let ranges: Vec<Grouped> = edges
+            .windows(2)
+            .map(|w| Grouped::of_rows(1, &vec![0; w[1] - w[0]], &delays[w[0]..w[1]]))
+            .collect();
+        let mut scratch = HistScratch::new();
+        let hist = hist_of(ranges.iter().map(|g| g.of_source(0)), delays.len(), &mut scratch);
+        assert!(scratch.window.iter().all(|c| *c == [0; LANES]), "the window is handed back clear");
+        hist
+    }
+
+    fn hist_of_all(delays: &[u32]) -> DelayHist {
+        hist_of_ranges(delays, &[])
+    }
+
     #[test]
-    fn hist_of_matches_reference_on_both_sides_of_the_dense_choice() {
+    fn counted_and_sorted_delays_match_reference_on_both_sides_of_the_edge() {
+        let edge = WINDOW as u32;
+        // Each case once as it is (a few rows: all sorted) and once
+        // repeated until the source is counted through the window.
         let cases: Vec<Vec<u32>> = vec![
             vec![],
-            vec![7],                                   // one mention
-            vec![MAX_TRACKED_DELAY],                   // one mention, sparse
-            vec![4, 4, 4, 4, 4],                       // all equal
-            vec![0, 0, 0, 0],                          // all zero
-            vec![2, MAX_TRACKED_DELAY, 1],             // one year-long outlier among three
-            vec![1, 2, 3, 4],                          // even count: lower-middle median
-            vec![9, 1],                                // even count, two rows
-            vec![0, 96, 96, 0],                        // even count straddling two runs
+            vec![7],                                                 // one mention
+            vec![MAX_TRACKED_DELAY],       // one mention, above the window
+            vec![4, 4, 4, 4, 4],           // all equal
+            vec![0, 0, 0, 0],              // all zero
+            vec![2, MAX_TRACKED_DELAY, 1], // one year-long outlier among three
+            vec![1, 2, 3, 4],              // even count: lower-middle median
+            vec![9, 1],                    // even count, two rows
+            vec![0, 96, 96, 0],            // even count straddling two runs
+            vec![edge - 1, edge, edge + 1, edge, 3], // the last window cell, the first delays above it
+            vec![edge, 2 * edge, edge, MAX_TRACKED_DELAY, 2 * edge], // all outliers, repeated
             (0..500).map(|i| (i * 37) % 97).collect(), // dense, many repeats
-            (0..40).map(|i| i * 800).collect(),        // sparse, all distinct
+            (0..40).map(|i| i * 800).collect(),      // mostly above the window, all distinct
         ];
-        let mut counts = Vec::new();
-        for delays in cases {
-            let dense =
-                (*delays.iter().max().unwrap_or(&0) as usize) < delays.len() * DENSE_SPAN_PER_ROW;
-            let hist = hist_of(&mut delays.clone(), &mut counts);
-            let mut sorted = delays.clone();
-            sorted.sort_unstable();
-            assert_eq!(hist, DelayHist::from_sorted_delays(&sorted), "{delays:?} (dense={dense})");
-            assert_eq!(hist.finalize(), reference_stats(&delays), "{delays:?} (dense={dense})");
+        for case in cases {
+            for copies in [1, WINDOW / CELLS_PER_ROW] {
+                let delays = case.repeat(copies);
+                let hist = hist_of_all(&delays);
+                let mut sorted = delays.clone();
+                sorted.sort_unstable();
+                assert_eq!(hist, hist_of_sorted(&sorted), "{case:?} × {copies}");
+                assert_eq!(hist.finalize(), reference_stats(&delays), "{case:?} × {copies}");
+                // Cut into row ranges: the same multiset, the same answer.
+                let cuts = [delays.len() / 3, delays.len() / 3, delays.len() * 2 / 3];
+                assert_eq!(hist_of_ranges(&delays, &cuts), hist, "{case:?} × {copies}");
+            }
         }
     }
 
     #[test]
-    fn dense_choice_is_made_from_the_slice() {
-        // Same three rows, one value apart: the span decides, nothing else.
-        let mut counts = vec![99; 8];
-        let span_limit = (3 * DENSE_SPAN_PER_ROW) as u32;
-        let _ = hist_of(&mut [0, 1, span_limit - 1], &mut counts);
-        assert_eq!(counts.len(), span_limit as usize, "dense side counts into the scratch");
-        let mut sparse = [span_limit, 1, 0];
-        let _ = hist_of(&mut sparse, &mut counts);
-        assert_eq!(sparse, [0, 1, span_limit], "sparse side sorts in place");
-        assert_eq!(counts.len(), span_limit as usize, "and leaves the scratch alone");
+    fn the_row_count_decides_between_counting_and_sorting() {
+        // One row short of the cut sorts everything; at the cut only the
+        // delays at and above the window edge are sorted.
+        let cut = WINDOW / CELLS_PER_ROW;
+        for (rows, sorted) in [(cut - 1, cut - 1), (cut, 2)] {
+            let mut delays: Vec<u32> = (0..rows as u32 - 2).map(|i| i % 96).collect();
+            delays.extend([WINDOW as u32, MAX_TRACKED_DELAY]);
+            let ranges = [Grouped::of_rows(1, &vec![0; rows], &delays)];
+            let mut scratch = HistScratch::new();
+            let hist = hist_of(ranges.iter().map(|g| g.of_source(0)), delays.len(), &mut scratch);
+            assert_eq!(scratch.sorted.len(), sorted, "{rows} rows");
+            assert_eq!(hist.count(), rows as u64);
+            assert_eq!(hist.runs.last(), Some(&(MAX_TRACKED_DELAY, 1)));
+        }
+    }
+
+    #[test]
+    fn one_outlier_costs_one_sorted_entry() {
+        // Thousands of delays below 96 and one a year out: the scratch is
+        // the window every source gets, and the sort sees one row.
+        let mut delays: Vec<u32> = (0..5_000).map(|i| i % 96).collect();
+        delays.push(MAX_TRACKED_DELAY);
+        let ranges = [Grouped::of_rows(1, &vec![0; delays.len()], &delays)];
+        let mut scratch = HistScratch::new();
+        let hist = hist_of(ranges.iter().map(|g| g.of_source(0)), delays.len(), &mut scratch);
+        assert_eq!((scratch.window.len(), scratch.sorted.len()), (WINDOW, 1));
+        let stats = hist.finalize();
+        assert_eq!(
+            (stats.count, stats.min, stats.max, stats.median),
+            (5_001, 0, MAX_TRACKED_DELAY, 47)
+        );
+    }
+
+    #[test]
+    fn groups_tile_the_range_and_drop_unknown_sources() {
+        // Source 1 three times, source 0 once, source 2 never, source 5
+        // not in a three-source directory.
+        let g = Grouped::of_rows(3, &[1, 5, 1, 0, 1, 5], &[3, 1, 9, 2_000, 3, 4_000]);
+        assert_eq!(g.of_source(0), &[2_000]);
+        assert_eq!(g.of_source(1), &[3, 9, 3]);
+        assert!(g.of_source(2).is_empty());
+        assert!(g.of_source(3).is_empty() && g.of_source(5).is_empty());
+        assert_eq!((g.end_of(0), g.end_of(1), g.end_of(2), g.end_of(3)), (1, 4, 4, 0));
+        // No sources, no rows.
+        assert!(Grouped::of_rows(0, &[0, 1], &[5, 6]).of_source(0).is_empty());
+        assert!(Grouped::of_rows(2, &[], &[]).of_source(1).is_empty());
+        assert!(Grouped::default().of_source(0).is_empty());
     }
 
     #[test]
     fn delay_hist_merge_equals_concatenation() {
-        let mut a = DelayHist::from_sorted_delays(&[1, 1, 4, 8]);
-        let b = DelayHist::from_sorted_delays(&[0, 4, 4, 9]);
+        let mut a = hist_of_sorted(&[1, 1, 4, 8]);
+        let b = hist_of_sorted(&[0, 4, 4, 9]);
         a.merge(b);
-        assert_eq!(a, DelayHist::from_sorted_delays(&[0, 1, 1, 4, 4, 4, 8, 9]));
+        assert_eq!(a, hist_of_sorted(&[0, 1, 1, 4, 4, 4, 8, 9]));
         // Empty is the identity on both sides.
         let mut e = DelayHist::default();
         e.merge(a.clone());
@@ -471,9 +616,8 @@ mod tests {
     #[test]
     fn merged_hists_finalize_like_the_concatenated_rows() {
         let (left, right) = ([5u32, 0, 5, 9], [9u32, 9, 2, 35_135]);
-        let mut counts = Vec::new();
-        let mut merged = hist_of(&mut left.clone(), &mut counts);
-        merged.merge(hist_of(&mut right.clone(), &mut counts));
+        let mut merged = hist_of_all(&left);
+        merged.merge(hist_of_all(&right));
         let all: Vec<u32> = left.iter().chain(&right).copied().collect();
         assert_eq!(merged.finalize(), reference_stats(&all));
     }

@@ -6,7 +6,7 @@
 //! in a scoped rayon pool, with one partial accumulator per partition and
 //! a sequential merge. Queries never share mutable state across workers.
 
-use gdelt_columnar::partition::{partitions, partitions_at_boundaries, Partition};
+use gdelt_columnar::partition::{partitions, Partition};
 
 /// Default partition granularity: a few partitions per thread for load
 /// balancing without fragmenting the scan.
@@ -118,16 +118,6 @@ impl ExecContext {
     /// balancing, none empty unless the table is tiny.
     pub fn make_partitions(&self, n_rows: usize) -> Vec<Partition> {
         partitions(n_rows, (self.n_threads * self.partitions_per_thread).min(n_rows.max(1)))
-    }
-
-    /// Partitions over CSR groups (events), aligned so no event's mention
-    /// range is split across workers.
-    pub fn make_group_partitions(&self, offsets: &[u64]) -> Vec<Partition> {
-        let n_groups = offsets.len().saturating_sub(1);
-        partitions_at_boundaries(
-            offsets,
-            (self.n_threads * self.partitions_per_thread).min(n_groups.max(1)),
-        )
     }
 
     /// Run `f` inside this context's pool (or the global one).
@@ -292,16 +282,5 @@ mod tests {
         let mut a: Vec<u64> = vec![1, 2];
         a.merge(vec![10, 10, 10]);
         assert_eq!(a, vec![11, 12, 10]);
-    }
-
-    #[test]
-    fn group_partitions_align_to_offsets() {
-        let ctx = ExecContext::builder().threads(2).build();
-        let offsets = vec![0u64, 3, 3, 10, 12];
-        let parts = ctx.make_group_partitions(&offsets);
-        assert_eq!(parts.last().unwrap().end, 12);
-        for p in &parts {
-            assert!(offsets.contains(&(p.begin as u64)));
-        }
     }
 }

@@ -9,7 +9,20 @@
 //! The paper evaluates this for the Top-10 (Table IV) and Top-50 (Fig 7)
 //! publishers; the implementation computes the submatrix for any source
 //! selection in one pass over the time-sorted event→mentions CSR.
+//!
+//! Per event (from the one CSR walker, [`crate::chunk::for_each_event`])
+//! the kernel keeps two [`SmallSet`]s over the selection: `seen`, the
+//! selected sources met so far, and `prior`, those met in a strictly
+//! earlier interval. Interval groups are found inline — when a mention's
+//! interval differs from the one before it, `prior` takes `seen` — and
+//! an article by `j` bumps `counts[i][j]` for the set bits `i` of
+//! `prior` only. An event with one mention has no follow edge and is
+//! skipped; `articles` does not come from the walk at all but from one
+//! dense count of the source column, which also covers mentions of
+//! unknown events.
 
+use crate::aggregate::count_by;
+use crate::chunk::{event_scan, for_each_event, SmallSet};
 use crate::exec::{ExecContext, Merge};
 use crate::matrix::Matrix;
 use gdelt_columnar::Dataset;
@@ -42,89 +55,64 @@ impl FollowReport {
     // analyze: no_panic
     pub fn build(ctx: &ExecContext, d: &Dataset, subset: &[SourceId]) -> Self {
         let k = subset.len();
-        // source id → slot (dense array when the id space is small, which
-        // it always is relative to mention count).
-        let n_sources = d.sources.len();
-        let mut slot = vec![u32::MAX; n_sources];
+        // Source id → slot; everyone else gets `k`, one past the sets.
+        let mut slot_of = vec![k; d.sources.len()];
         for (i, s) in subset.iter().enumerate() {
-            if s.index() < n_sources {
-                slot[s.index()] = i as u32;
+            if let Some(slot) = slot_of.get_mut(s.index()) {
+                *slot = i;
             }
         }
 
-        let parts = ctx.make_group_partitions(&d.event_index.offsets);
-        let sources = &d.mentions.source;
-        let intervals = &d.mentions.mention_interval;
-        let event_rows = &d.mentions.event_row;
-        let slot = &slot;
-
-        let merged = ctx.map_reduce(
-            parts,
-            |p| {
+        let offsets = &d.event_index.offsets;
+        let follow_counts = event_scan(
+            ctx,
+            offsets,
+            |events| {
                 let mut counts = Matrix::<u64>::zeros(k, k);
-                let mut articles = vec![0u64; k];
-                // Per event: walk time-sorted mentions, maintaining the
-                // set of slots that published in strictly earlier
-                // intervals. Both group walks (event runs, then interval
-                // runs inside each event) share the chunked-scan run
-                // walker.
-                let mut prior = vec![false; k];
-                let mut current: Vec<u32> = Vec::new();
-                crate::chunk::for_each_run(event_rows, p.range(), |event_run| {
-                    // Reset per-event state.
-                    prior.iter_mut().for_each(|b| *b = false);
-                    crate::chunk::for_each_run(intervals, event_run, |group| {
-                        current.clear();
-                        for &src in sources.get(group).unwrap_or(&[]) {
-                            if let Some(&s) = slot.get(src as usize) {
-                                if s != u32::MAX {
-                                    if let Some(a) = articles.get_mut(s as usize) {
-                                        *a += 1;
-                                    }
-                                    // Article by j follows every selected
-                                    // source already in `prior`.
-                                    for (pi, &was) in prior.iter().enumerate() {
-                                        if was {
-                                            counts.bump(pi, s as usize);
-                                        }
-                                    }
-                                    // analyze: allow(hot_alloc): amortized — capacity retained across interval groups
-                                    current.push(s);
-                                }
-                            }
-                        }
-                        for &s in &current {
-                            if let Some(seen) = prior.get_mut(s as usize) {
-                                *seen = true;
-                            }
-                        }
-                    });
-                });
-                FollowReport { subset: subset.to_vec(), follow_counts: counts, articles }
-            },
-            |mut a, b| {
-                a.merge(b);
-                a
-            },
-        );
-        let mut report = merged.unwrap_or_else(|| FollowReport {
-            subset: subset.to_vec(),
-            follow_counts: Matrix::zeros(k, k),
-            articles: vec![0u64; k],
-        });
-        // Articles per source must also count mentions of unknown events
-        // (outside the CSR coverage) — scan the tail.
-        let covered = d.event_index.total_mentions() as usize;
-        for &src in sources.get(covered..d.mentions.len()).unwrap_or(&[]) {
-            if let Some(&s) = slot.get(src as usize) {
-                if s != u32::MAX {
-                    if let Some(a) = report.articles.get_mut(s as usize) {
-                        *a += 1;
+                let (mut prior, mut seen) = (SmallSet::new(k), SmallSet::new(k));
+                for_each_event(offsets, events, |_, rows| {
+                    if rows.len() < 2 {
+                        return; // nobody to follow
                     }
-                }
+                    let sources = d.mentions.source.get(rows.clone()).unwrap_or(&[]);
+                    let times = d.mentions.mention_interval.get(rows).unwrap_or(&[]);
+                    prior.clear();
+                    seen.clear();
+                    let mut last = times.first().copied();
+                    for (&src, &t) in sources.iter().zip(times) {
+                        if Some(t) != last {
+                            // A new interval: everyone seen so far is now
+                            // strictly earlier.
+                            prior.union_with(&seen);
+                            last = Some(t);
+                        }
+                        let j = slot_of.get(src as usize).copied().unwrap_or(k);
+                        if j < k {
+                            seen.insert(j);
+                            for i in prior.iter() {
+                                counts.bump(i, j);
+                            }
+                        }
+                    }
+                });
+                counts
+            },
+            Merge::merged,
+        );
+
+        // `n_j` counts every article, also on events outside the index.
+        let by_source = count_by(ctx, &d.mentions.source, d.sources.len());
+        let mut articles = vec![0u64; k];
+        for (&slot, &n) in slot_of.iter().zip(&by_source) {
+            if let Some(a) = articles.get_mut(slot) {
+                *a = n;
             }
         }
-        report
+        FollowReport {
+            subset: subset.to_vec(),
+            follow_counts: follow_counts.unwrap_or_else(|| Matrix::zeros(k, k)),
+            articles,
+        }
     }
 
     /// The normalized follow matrix `f_ij = n_ij / n_j` (column `j`

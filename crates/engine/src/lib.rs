@@ -18,12 +18,15 @@
 //! * co-reporting uses a **dense** pair matrix, the paper's explicit
 //!   choice over sparse structures given the update volume ([`coreport`];
 //!   a sparse alternative exists for the ablation benchmark);
-//! * follow-reporting exploits the time-sorted event→mentions CSR
-//!   adjacency ([`followreport`]);
+//! * the kernels that group mentions by event take their groups from
+//!   one walker over the time-sorted event→mentions CSR ([`chunk`]);
+//!   the set-shaped ones among them — country co-reporting,
+//!   follow-reporting ([`followreport`]) — keep an event's set as a
+//!   bitmask;
 //! * the country cross-reporting tables come from a single aggregated
 //!   query ([`query`]), the workload of the paper's Fig 12 scaling study;
-//! * publishing-delay statistics are exact (counting-sort grouping,
-//!   per-source delay histograms, true medians) ([`delay`]);
+//! * publishing-delay statistics are exact (counting-sort grouping per
+//!   row range, per-source delay histograms, true medians) ([`delay`]);
 //! * a deliberately naive row-oriented, string-typed baseline stands in
 //!   for the "generic system" comparators the paper dismisses
 //!   ([`baseline`]).

@@ -126,6 +126,35 @@ pub fn execute<E>(
 }
 
 impl ShardQuery {
+    /// Whether `d` can answer this request at all — the request-side
+    /// twin of [`ShardQuery::accepts`]. A follow subset sizes a `k × k`
+    /// matrix per partition and indexes the source directory, so it must
+    /// name each of its sources once and none outside `d`'s directory;
+    /// everything else a request carries is a scalar the kernels clamp.
+    /// Total — a worker checks every request decoded off a socket with
+    /// it before a kernel allocates anything from the request's sizes.
+    pub fn fits(&self, d: &Dataset) -> Result<(), String> {
+        let ShardQuery::FollowReportWith { sources } = self else { return Ok(()) };
+        let n = d.sources.len();
+        if sources.len() > n {
+            return Err(format!(
+                "follow subset of {} sources over a directory of {n}",
+                sources.len()
+            ));
+        }
+        let mut named = crate::filter::Bitmap::new(n);
+        for s in sources {
+            if s.index() >= n {
+                return Err(format!("follow subset names source {} of {n}", s.0));
+            }
+            if named.get(s.index()) {
+                return Err(format!("follow subset names source {} twice", s.0));
+            }
+            named.set(s.index());
+        }
+        Ok(())
+    }
+
     /// Whether `p` is the partial this request asks for: the right
     /// family, the same `k`, the same follow subset. Total — replies
     /// decoded off a socket are checked with it before they are merged.

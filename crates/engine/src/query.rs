@@ -72,7 +72,7 @@ pub enum Query {
         top_k: u32,
     },
     /// Country cross-reporting counts and publisher totals
-    /// (Tables VI–VII) — mention + event table passes.
+    /// (Tables VI–VII) — one mention and one event table pass.
     CrossCountry,
     /// Per-source publishing-delay statistics (§VI-D) — counting-sort
     /// grouping with exact medians.
@@ -167,10 +167,21 @@ impl Query {
         "topk_events",
     ];
 
-    /// Admission-control cost estimate: rows scanned × kernel weight.
-    /// The weights are the number of passes (plus bookkeeping) each
-    /// kernel makes over its driving table; absolute scale is arbitrary,
-    /// only ratios matter to the admission controller. Always ≥ 1.
+    /// Admission-control cost estimate: rows scanned × kernel weight, in
+    /// units of one streaming pass over a row (what
+    /// `TimeSeries(Articles)` costs per mention: 0.4–0.5 ns on one thread
+    /// of the reference box). The four report kernels' weights are their
+    /// measured one-thread cost per mention over that unit, on the
+    /// `scan-large` corpus (2.4 M mentions; EXPERIMENTS.md "Report
+    /// kernels bound by the CSR stream"): FollowReport 11.5–12.0 ns ≈
+    /// 26 ×, CoReport 6.7–7.4 ns ≈ 16 ×, CrossCountry 2.5–2.8 ns ≈ 6 ×
+    /// (its event-table pass included), Delay 3.9–4.3 ns ≈ 9 × (at that
+    /// corpus's 116 sources; a directory of many small sources costs it
+    /// more per mention, some 0.3 µs a source). Absolute
+    /// scale is arbitrary, only ratios matter to the admission
+    /// controller, and the largest weight leaves `mentions × weight` nine
+    /// orders of magnitude inside `u64` at the paper's 1.09 B mentions.
+    /// Always ≥ 1.
     pub fn cost_estimate(&self, d: &Dataset) -> u64 {
         self.cost_estimate_rows(d.events.len() as u64, d.mentions.len() as u64)
     }
@@ -180,10 +191,10 @@ impl Query {
     /// never map, from shard manifests or health frames.
     pub fn cost_estimate_rows(&self, events: u64, mentions: u64) -> u64 {
         let cost = match self {
-            Query::CoReport => mentions * 3,
-            Query::FollowReport { .. } => mentions * 4,
-            Query::CrossCountry => mentions * 2 + events,
-            Query::Delay => mentions * 3,
+            Query::CoReport => mentions * 16,
+            Query::FollowReport { .. } => mentions * 26,
+            Query::CrossCountry => mentions * 6,
+            Query::Delay => mentions * 9,
             Query::TimeSeries(SeriesKind::Events) => events,
             Query::TimeSeries(_) => mentions,
             Query::TopK { kind: TopKKind::Publishers, .. } => mentions,
@@ -469,11 +480,24 @@ mod tests {
         for q in all_variants() {
             assert!(q.cost_estimate(&d) >= 1, "{q}");
         }
-        // The heavy CSR passes must price above a flat ranking scan.
-        assert!(
-            Query::FollowReport { top_k: 10 }.cost_estimate(&d)
-                > Query::TopK { kind: TopKKind::Publishers, k: 10 }.cost_estimate(&d)
-        );
+        // The measured order: the per-event kernels above the flat
+        // report scans, and every report kernel above every series and
+        // ranking.
+        let cost = |q: Query| q.cost_estimate(&d);
+        assert!(cost(Query::FollowReport { top_k: 10 }) > cost(Query::CoReport));
+        assert!(cost(Query::CoReport) > cost(Query::CrossCountry));
+        let dash = all_variants().into_iter().filter(|q| q.family() == "quarters");
+        let rankings =
+            [TopKKind::Publishers, TopKKind::Events].map(|kind| Query::TopK { kind, k: 10 });
+        for light in dash.chain(rankings) {
+            for report in [Query::CrossCountry, Query::Delay] {
+                assert!(cost(report) > cost(light), "{report} against {light}");
+            }
+        }
+        // No weight can overflow at the paper's scale.
+        let paper =
+            Query::FollowReport { top_k: 10 }.cost_estimate_rows(325_000_000, 1_090_000_000);
+        assert!(paper < u64::MAX >> 24);
         // A ranking by degree reads the event index, never the mentions.
         assert!(d.mentions.len() > d.events.len());
         assert!(

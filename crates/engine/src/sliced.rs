@@ -9,7 +9,8 @@
 //! global sparse matrix — trading the dense matrix's O(n²) footprint
 //! for hashing, which wins when the corpus is long and activity sparse.
 
-use crate::coreport::SparseCoReport;
+use crate::chunk::{event_scan, for_each_event};
+use crate::coreport::{distinct_sources, SparseCoReport};
 use crate::exec::ExecContext;
 use gdelt_columnar::Dataset;
 use std::collections::HashMap;
@@ -27,6 +28,7 @@ pub struct QuarterSlice {
 
 /// Build one sparse slice per quarter (an event belongs to the quarter
 /// of its capture interval).
+// analyze: no_panic
 pub fn build_slices(ctx: &ExecContext, d: &Dataset) -> Vec<QuarterSlice> {
     let n_sources = d.sources.len();
     let quarters = &d.events.quarter;
@@ -35,10 +37,11 @@ pub fn build_slices(ctx: &ExecContext, d: &Dataset) -> Vec<QuarterSlice> {
         None => return Vec::new(),
     };
 
-    let parts = ctx.make_group_partitions(&d.event_index.offsets);
-    let merged = ctx.map_reduce(
-        parts,
-        |p| {
+    let offsets = &d.event_index.offsets;
+    let merged = event_scan(
+        ctx,
+        offsets,
+        |events| {
             let mut slices: Vec<QuarterSlice> = (0..n_quarters)
                 .map(|q| QuarterSlice {
                     quarter: base + q as u16,
@@ -46,30 +49,22 @@ pub fn build_slices(ctx: &ExecContext, d: &Dataset) -> Vec<QuarterSlice> {
                     event_counts: vec![0; n_sources],
                 })
                 .collect();
-            let mut distinct: Vec<u32> = Vec::with_capacity(16);
-            let mut row = p.begin;
-            let event_rows = &d.mentions.event_row;
-            let sources = &d.mentions.source;
-            while row < p.end {
-                let er = event_rows[row];
-                let mut end = row + 1;
-                while end < p.end && event_rows[end] == er {
-                    end += 1;
-                }
-                let q = (quarters[er as usize] - base) as usize;
-                let slice = &mut slices[q];
-                distinct.clear();
-                distinct.extend_from_slice(&sources[row..end]);
-                distinct.sort_unstable();
-                distinct.dedup();
+            let mut scratch: Vec<u32> = Vec::with_capacity(16);
+            for_each_event(offsets, events, |event, rows| {
+                let quarter = quarters.get(event).and_then(|q| q.checked_sub(base));
+                let Some(slice) = quarter.and_then(|q| slices.get_mut(usize::from(q))) else {
+                    return;
+                };
+                let distinct = distinct_sources(&mut scratch, d.mentions.source.get(rows));
                 for (a, &i) in distinct.iter().enumerate() {
-                    slice.event_counts[i as usize] += 1;
-                    for &j in &distinct[a + 1..] {
+                    if let Some(e) = slice.event_counts.get_mut(i as usize) {
+                        *e += 1;
+                    }
+                    for &j in distinct.get(a + 1..).unwrap_or(&[]) {
                         *slice.pairs.entry((i, j)).or_insert(0) += 1;
                     }
                 }
-                row = end;
-            }
+            });
             slices
         },
         |mut a, b| {

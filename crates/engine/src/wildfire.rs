@@ -9,9 +9,9 @@
 //! `k` distinct sources have reported — and surfaces the fastest-
 //! spreading, widest-reaching events.
 
+use crate::chunk::{event_scan, for_each_event};
 use crate::exec::ExecContext;
 use gdelt_columnar::Dataset;
-use rayon::prelude::*;
 
 /// Spread measurements for one event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,41 +29,39 @@ pub struct Spread {
 // analyze: no_panic
 pub fn spread_per_event(ctx: &ExecContext, d: &Dataset, k: usize) -> Vec<Spread> {
     let offsets = &d.event_index.offsets;
-    let sources = &d.mentions.source;
-    let intervals = &d.mentions.mention_interval;
-    let event_interval = &d.mentions.event_interval;
-    ctx.install(|| {
-        (0..d.events.len())
-            .into_par_iter()
-            .map_init(
-                // One distinct-source scratch per worker; its capacity
-                // survives across every event the worker processes.
-                || Vec::with_capacity(64),
-                |seen: &mut Vec<u32>, e| {
-                    seen.clear();
-                    // analyze: allow(panic_path): e < n_events and offsets.len() == n_events + 1
-                    let lo = offsets[e] as usize;
-                    // analyze: allow(panic_path): e < n_events and offsets.len() == n_events + 1
-                    let hi = offsets[e + 1] as usize;
-                    // Mentions are time-sorted within the event; count
-                    // distinct sources in arrival order.
-                    let mut time_to_k = None;
-                    for r in lo..hi {
-                        // analyze: allow(panic_path): r < hi ≤ mentions.len() (CSR invariant)
-                        let s = sources[r];
-                        if !seen.contains(&s) {
-                            seen.push(s);
-                            if seen.len() == k && time_to_k.is_none() {
-                                // analyze: allow(panic_path): r < hi ≤ mentions.len(); all mention columns share one length
-                                time_to_k = Some(intervals[r].saturating_sub(event_interval[r]));
-                            }
-                        }
+    let spreads = |events: std::ops::Range<usize>| {
+        let mut out = Vec::with_capacity(events.len());
+        // One distinct-source scratch per partition; its capacity
+        // survives across every event of it.
+        let mut seen: Vec<u32> = Vec::with_capacity(64);
+        for_each_event(offsets, events, |event, rows| {
+            let sources = d.mentions.source.get(rows.clone()).unwrap_or(&[]);
+            let arrived = d.mentions.mention_interval.get(rows.clone()).unwrap_or(&[]);
+            let happened = d.mentions.event_interval.get(rows).unwrap_or(&[]);
+            // Mentions are time-sorted within the event; count distinct
+            // sources in arrival order.
+            seen.clear();
+            let mut time_to_k = None;
+            for ((&s, &at), &from) in sources.iter().zip(arrived).zip(happened) {
+                if !seen.contains(&s) {
+                    // analyze: allow(hot_alloc): amortized by the capacity retained across events
+                    seen.push(s);
+                    if seen.len() == k {
+                        time_to_k = Some(at.saturating_sub(from));
                     }
-                    Spread { event_row: e as u32, breadth: seen.len() as u32, time_to_k }
-                },
-            )
-            .collect()
-    })
+                }
+            }
+            // Event rows fit the `u32` of the mentions' `event_row` column.
+            let event_row = u32::try_from(event).unwrap_or(u32::MAX);
+            out.push(Spread { event_row, breadth: seen.len() as u32, time_to_k });
+        });
+        out
+    };
+    let concat = |mut all: Vec<Spread>, next: Vec<Spread>| {
+        all.extend(next);
+        all
+    };
+    event_scan(ctx, offsets, spreads, concat).unwrap_or_default()
 }
 
 /// The `top` fastest wide-spread events: among events that reached `k`

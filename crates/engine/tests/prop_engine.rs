@@ -4,6 +4,7 @@
 //! the partition/merge execution model.
 
 use gdelt_engine::aggregate::{count_by, count_where, min_max_sum, sum_by};
+use gdelt_engine::chunk::{event_partitions, for_each_event};
 use gdelt_engine::filter::Bitmap;
 use gdelt_engine::matrix::Matrix;
 use gdelt_engine::stats::percentile_u32;
@@ -248,5 +249,56 @@ proptest! {
         }
         prop_assert_eq!(and.count(), (0..n).filter(|&i| and.get(i)).count());
         prop_assert_eq!(or.count(), (0..n).filter(|&i| or.get(i)).count());
+    }
+
+    // The CSR partitioner: whatever the degree distribution — mostly one
+    // mention, a few dozens, now and then thousands, as in GDELT — the
+    // event ranges tile the index, every edge is an event boundary (an
+    // offset of the CSR), and no range outweighs its fair share of the
+    // mentions by as much as the heaviest single event.
+    #[test]
+    fn event_partitions_tile_the_events_and_balance_the_mentions(
+        degrees in prop::collection::vec(
+            prop_oneof![12 => 0u64..3, 3 => 0u64..40, 1 => 4_000u64..6_000],
+            0..300,
+        ),
+        n_parts in 1usize..40,
+    ) {
+        let mut offsets = vec![0u64];
+        for deg in &degrees {
+            offsets.push(offsets[offsets.len() - 1] + deg);
+        }
+        let parts = event_partitions(&offsets, n_parts);
+        prop_assert!(parts.len() <= n_parts);
+        prop_assert_eq!(parts.is_empty(), degrees.is_empty());
+        let mut next = 0;
+        for p in &parts {
+            prop_assert_eq!(p.begin, next);
+            prop_assert!(p.end > p.begin && p.end <= degrees.len());
+            next = p.end;
+        }
+        prop_assert_eq!(next, degrees.len());
+
+        let total = offsets[degrees.len()];
+        let n = n_parts.min(degrees.len().max(1)) as u64;
+        let heaviest = degrees.iter().copied().max().unwrap_or(0);
+        for p in &parts {
+            let (lo, hi) = (offsets[p.begin], offsets[p.end]);
+            prop_assert!(offsets.binary_search(&lo).is_ok() && offsets.binary_search(&hi).is_ok());
+            prop_assert!(
+                hi - lo < total.div_ceil(n) + heaviest.max(1),
+                "events {}..{} weigh {} of {} in {} parts, heaviest event {}",
+                p.begin, p.end, hi - lo, total, n, heaviest
+            );
+        }
+        // The walker visits exactly the partition's events and rows.
+        for p in &parts {
+            let mut seen = Vec::new();
+            for_each_event(&offsets, p.range(), |e, rows| seen.push((e, rows)));
+            prop_assert_eq!(seen.len(), p.len());
+            prop_assert_eq!(seen.first().map(|(e, rows)| (*e, rows.start as u64)), Some((p.begin, offsets[p.begin])));
+            prop_assert_eq!(seen.last().map(|(e, rows)| (*e + 1, rows.end as u64)), Some((p.end, offsets[p.end])));
+            prop_assert!(seen.windows(2).all(|w| w[0].1.end == w[1].1.start && w[0].0 + 1 == w[1].0));
+        }
     }
 }

@@ -167,9 +167,17 @@ fn reference_coreport(d: &Dataset, n_countries: usize) -> CountryCoReport {
     CountryCoReport { pairs, event_counts }
 }
 
+/// Events of at most this many mentions are answered by the naive
+/// "scan the event's other rows for every article" oracle, unchanged
+/// since it was written; larger ones (the 5 234-mention event) only by
+/// its first-report form, which is checked against the naive one on
+/// every small event.
+const NAIVE_ORACLE_ROWS: usize = 100;
+
 /// `n_ij`: articles by `j` on an event `i` had already published on in
 /// a strictly earlier capture interval — found by scanning the event's
-/// other rows for every article.
+/// other rows for every article; equivalently, an article later than
+/// the earliest interval any of the event's rows has `i` in.
 fn reference_followreport(d: &Dataset, top_k: u32) -> FollowReport {
     let totals = articles_by_source(d);
     let subset: Vec<SourceId> =
@@ -177,15 +185,26 @@ fn reference_followreport(d: &Dataset, top_k: u32) -> FollowReport {
     let k = subset.len();
     let mut follow_counts = Matrix::<u64>::zeros(k, k);
     for rows in rows_by_event(d).values() {
+        let mut first_report: BTreeMap<u32, u32> = BTreeMap::new();
+        for &e in rows {
+            let at = first_report.entry(d.mentions.source[e]).or_insert(u32::MAX);
+            *at = (*at).min(d.mentions.mention_interval[e]);
+        }
         for &r in rows {
             let Some(j) = subset.iter().position(|s| s.0 == d.mentions.source[r]) else {
                 continue;
             };
             for (i, leader) in subset.iter().enumerate() {
-                let led = rows.iter().any(|&e| {
-                    d.mentions.source[e] == leader.0
-                        && d.mentions.mention_interval[e] < d.mentions.mention_interval[r]
-                });
+                let led = first_report
+                    .get(&leader.0)
+                    .is_some_and(|&at| at < d.mentions.mention_interval[r]);
+                if rows.len() <= NAIVE_ORACLE_ROWS {
+                    let naive = rows.iter().any(|&e| {
+                        d.mentions.source[e] == leader.0
+                            && d.mentions.mention_interval[e] < d.mentions.mention_interval[r]
+                    });
+                    assert_eq!(led, naive, "row {r}, leader {}", leader.0);
+                }
                 if led {
                     follow_counts.set(i, j, follow_counts.get(i, j) + 1);
                 }
@@ -251,6 +270,14 @@ fn event_record(id: u64, day: Date) -> EventRecord {
     }
 }
 
+/// `e`, located in the country with FIPS code `fips`.
+fn located(mut e: EventRecord, fips: &str) -> EventRecord {
+    use gdelt_model::event::{ActionGeo, GeoType};
+    e.geo =
+        ActionGeo { geo_type: GeoType::Country, country_fips: fips.into(), lat: None, lon: None };
+    e
+}
+
 /// `source`'s `n`-th article on `event`, `delay` 15-minute intervals
 /// after midnight of the event's `day`.
 fn mention_record(event: u64, day: Date, delay: u32, source: &str, n: usize) -> MentionRecord {
@@ -303,28 +330,247 @@ fn adversarial() -> Dataset {
     b.build().0
 }
 
+/// Mentions of the heavy event of [`csr_edges`].
+const HEAVY: usize = 5_234;
+
+/// Publisher `i` of [`csr_edges`], in registry country `i % 64`.
+fn publisher(i: usize) -> String {
+    let registry = CountryRegistry::new();
+    let country = registry.iter().nth(i % registry.len()).expect("registry country").1;
+    format!("p{i}.{}", country.tld)
+}
+
+/// A hand-built corpus aimed at the CSR kernels' shortcuts: events of 0,
+/// 1, 2, 37 and [`HEAVY`] mentions (one without mentions last, past the
+/// final partition target); 140 publishing sources `p<i>` whose
+/// countries cycle through the whole registry, first id to last, so a
+/// selection or a country set crosses a mask word; sources of unknown
+/// country (`.zz`), alone on an event and mixed with known ones; an
+/// event whose mentions share one interval; a source twice in one
+/// interval and again later; two mentions of events that are not in the
+/// table; and delay multisets around the Delay window's edge.
+fn csr_edges() -> Dataset {
+    let day = Date { year: 2015, month: 5, day: 10 };
+    let p = publisher;
+    let last_country = CountryRegistry::new().len() - 1;
+    // (event id, location, its reports)
+    type Reports = Vec<(String, u32)>; // (source, delay)
+    let mut events: Vec<(u64, &str, Reports)> = vec![
+        (1, "US", vec![]),
+        (2, "UK", vec![(p(0), 4)]),
+        (3, "", vec![(p(1), 0), (p(2), 1)]),
+        (4, "KN", vec![(p(1), 5), (p(2), 5)]), // a tie: nobody follows
+        (5, "US", (0..5).map(|i| (p(i), 2)).collect()), // one interval
+        // p0 twice at once and again later: one self-follow, not two.
+        (6, "UK", vec![(p(0), 0), (p(0), 0), (p(1), 0), (p(0), 3)]),
+        (7, "ZZ", (0..37).map(|i| (p(i * 3 % 140), i as u32 / 5)).collect()),
+        (8, "", vec![]),
+        (9, "US", vec![]), // the heavy one, filled below
+        (10, "UK", vec![("u0.zz".into(), 0), ("u1.zz".into(), 1)]),
+        // First and last registry country with an unknown one between.
+        (11, "AS", vec![("u0.zz".into(), 0), (p(last_country), 1), (p(0), 1), (p(64), 2)]),
+        (12, "US", vec![("u1.zz".into(), 7)]),
+        // Delay edges: the last window cell, the first delay above it, a
+        // year-long outlier — all by a source with rows enough to be
+        // counted through the window; `outliers.org` never reports inside
+        // it, and has the few rows that sort instead.
+        (13, "", vec![("steady.com".into(), 1_023), ("steady.com".into(), 1_024)]),
+        (14, "UK", vec![("steady.com".into(), 35_135), ("outliers.org".into(), 35_135)]),
+        (15, "US", vec![("outliers.org".into(), 2_000), ("outliers.org".into(), 1_024)]),
+        (16, "", vec![("outliers.org".into(), 2_000)]),
+        (17, "UK", vec![]),
+    ];
+    // Twenty articles by each of the 140 publishers in turn and a few
+    // more by the first seventeen — rankings with both ties and gaps —
+    // then `steady.com` alone, all below 96 intervals.
+    let heavy = (0..HEAVY).map(|m| {
+        let source = match m {
+            0..2_800 => p(m % 140),
+            2_800..3_000 => p(m % 17),
+            _ => "steady.com".into(),
+        };
+        (source, (m % 96) as u32)
+    });
+    events[8].2 = heavy.collect();
+    let mut b = DatasetBuilder::new();
+    for (id, fips, _) in &events {
+        let e = event_record(*id, day);
+        b.add_event(if fips.is_empty() { e } else { located(e, fips) });
+    }
+    for (id, _, mentions) in &events {
+        for (n, (source, delay)) in mentions.iter().enumerate() {
+            b.add_mention(mention_record(*id, day, *delay, source, n));
+        }
+    }
+    // Events 100 and 101 are not in the table.
+    b.add_mention(mention_record(100, day, 3, &p(0), 0));
+    b.add_mention(mention_record(101, day, 9, "u0.zz", 0));
+    b.build().0
+}
+
+/// Every query at the selection sizes that cross a mask word, and the
+/// two country kernels at the country counts that do.
+fn assert_matches_reference_at_every_width(ctx: &ExecContext, d: &Dataset, what: &str) {
+    for k in [0u32, 1, 63, 64, 65, 130] {
+        for q in all_queries(k, 96) {
+            assert_eq!(run_query(ctx, d, &q), reference(d, &q), "{q}, {what}");
+        }
+    }
+    for n in [0usize, 1, 63, 64, 65] {
+        assert_eq!(
+            CountryCoReport::build(ctx, d, n),
+            reference_coreport(d, n),
+            "{n} countries, {what}"
+        );
+        assert_eq!(
+            CrossReport::build(ctx, d, n),
+            reference_crosscountry(d, n),
+            "{n} countries, {what}"
+        );
+    }
+}
+
+#[test]
+fn csr_edge_corpus_matches_reference_at_every_width_and_partition_edge() {
+    let d = csr_edges();
+    // The corpus is what its description says.
+    let degrees: BTreeSet<u64> = d.event_index.offsets.windows(2).map(|w| w[1] - w[0]).collect();
+    assert!([0, 1, 2, 37, HEAVY as u64].iter().all(|deg| degrees.contains(deg)), "{degrees:?}");
+    assert_eq!(d.event_index.offsets.windows(2).last().map(|w| w[1] - w[0]), Some(0));
+    assert_eq!(d.mentions.event_row.iter().filter(|&&er| er == NO_EVENT_ROW).count(), 2);
+    let registry = CountryRegistry::new();
+    assert_eq!(registry.len(), 64, "one mask word holds the registry exactly");
+    let publishing = articles_by_source(&d).iter().filter(|&&n| n > 0).count();
+    assert!(publishing >= 130 && d.sources.country.contains(&u16::MAX));
+    assert!(d.sources.country.contains(&0) && d.sources.country.contains(&63));
+
+    // Orphans count as articles of their source and publisher country,
+    // and nowhere else.
+    let ctx = ExecContext::builder().threads(2).build();
+    let p0 = d.sources.lookup(&publisher(0)).expect("p0");
+    let home = d.sources.country[p0.index()];
+    let by_event = rows_by_event(&d);
+    let on_events = by_event.values().flatten().filter(|&&r| d.mentions.source[r] == p0.0);
+    let follow = run_query(&ctx, &d, &Query::FollowReport { top_k: 130 });
+    let follow = follow.as_followreport().expect("follow result");
+    let slot = follow.subset.iter().position(|&s| s == p0).expect("p0 is selected");
+    assert_eq!(follow.articles[slot], on_events.count() as u64 + 1);
+    let cross = CrossReport::build(&ctx, &d, registry.len());
+    let from_home = |r: &usize| d.sources.country[d.mentions.source[*r] as usize] == home;
+    let by_home = (0..d.mentions.len()).filter(from_home).count() as u64;
+    assert_eq!(cross.articles_by_publisher[usize::from(home)], by_home);
+    let located = by_home - 1 - untagged_articles(&d, home);
+    assert_eq!(cross.counts.col_sums()[usize::from(home)], located);
+
+    // One thread, a few partitions, and a partition edge on every event
+    // boundary (more partitions than events).
+    let every_edge = ExecContext::builder().threads(2).partitions_per_thread(64).build();
+    assert!(every_edge.n_threads() * every_edge.partitions_per_thread() > d.events.len());
+    let contexts = [
+        (ExecContext::builder().threads(1).build(), "1 thread"),
+        (ExecContext::builder().threads(3).build(), "3 threads"),
+        (every_edge, "an edge on every event boundary"),
+    ];
+    for (ctx, what) in &contexts {
+        assert_matches_reference_at_every_width(ctx, &d, what);
+    }
+    // In pieces: the heavy event is most of one, others hold an event or
+    // two, and every piece keeps the whole source directory.
+    for (i, piece) in pieces(&d, 4).iter().enumerate() {
+        assert_matches_reference_at_every_width(&contexts[1].0, piece, &format!("piece {i}"));
+    }
+}
+
+/// Articles by sources of country `c` on events that are in the table
+/// but not located in a registry country.
+fn untagged_articles(d: &Dataset, c: u16) -> u64 {
+    let n = CountryRegistry::new().len();
+    let rows = rows_by_event(d);
+    let untagged = rows.iter().filter(|(&er, _)| d.events.country[er as usize] as usize >= n);
+    let by_c = |r: &&usize| d.sources.country[d.mentions.source[**r] as usize] == c;
+    untagged.flat_map(|(_, rows)| rows).filter(by_c).count() as u64
+}
+
+// The follow edges of the hand-built events, spelled out.
+#[test]
+fn follow_edges_of_ties_and_repeats_are_spelled_out() {
+    let d = csr_edges();
+    let ctx = ExecContext::builder().threads(2).build();
+    // `event` alone, followed among publishers 0 to 2: the report and
+    // each publisher's slot in it.
+    let only = |event: u64| {
+        let day = Date { year: 2015, month: 5, day: 10 };
+        let mut b = DatasetBuilder::new();
+        b.add_event(event_record(event, day));
+        let row = d.events.id.iter().position(|&id| id == event).expect("event in corpus");
+        for r in d.mentions_of(row) {
+            let source = d.sources.name(SourceId(d.mentions.source[r]));
+            b.add_mention(mention_record(event, day, d.mentions.delay[r], source, r));
+        }
+        let piece = b.build().0;
+        let subset: Vec<SourceId> =
+            (0..3).filter_map(|i| piece.sources.lookup(&publisher(i))).collect();
+        let slots = [0, 1, 2].map(|i| {
+            let id = piece.sources.lookup(&publisher(i));
+            id.and_then(|id| subset.iter().position(|&s| s == id))
+        });
+        (FollowReport::build(&ctx, &piece, &subset), slots)
+    };
+    // Event 3: p2 follows p1. Event 4: a tie. Event 5: one interval.
+    let (three, [_, p1, p2]) = only(3);
+    assert_eq!(three.follow_counts.get(p1.expect("p1"), p2.expect("p2")), 1);
+    assert_eq!(three.follow_counts.total(), 1);
+    assert_eq!(only(4).0.follow_counts.total(), 0);
+    assert_eq!(only(5).0.follow_counts.total(), 0);
+    // Event 6: p0's late article follows p0 (once, though p0 led twice)
+    // and p1; nothing else follows anything.
+    let (six, [p0, p1, _]) = only(6);
+    let (p0, p1) = (p0.expect("p0"), p1.expect("p1"));
+    assert_eq!(six.follow_counts.get(p0, p0), 1, "self-follow once");
+    assert_eq!(six.follow_counts.get(p1, p0), 1);
+    assert_eq!(six.follow_counts.total(), 2);
+    assert_eq!(six.articles[p0], 3);
+}
+
 /// A deterministic corpus with more events, and more mentions, than
 /// `SEQUENTIAL_SCAN_ROWS`, so every scan fans out: ids ascend with time
 /// over five years (quarter runs, as in GDELT), every third event is
 /// reported twice and every seventh a third time with a delay that
-/// carries it into a later quarter, and 41 sources cycle out of step
-/// with all of that.
+/// carries it into a later quarter, and 41 sources — a fifth of them of
+/// unknown country — cycle out of step with all of that. Half the events
+/// are located in a registry country. One event in the middle has
+/// [`HEAVY`] mentions (several times a partition's fair share of events
+/// at five threads) with delays on both sides of the Delay window's
+/// edge, one has 37, and a few mentions report on events that are not
+/// in the table.
 fn above_the_cut_off() -> Dataset {
     // Sized so that no partition of either table starts on a block edge
     // at any thread count the test below uses (it asserts that).
     let n_events = SEQUENTIAL_SCAN_ROWS as u64 + 1_031;
-    const TLDS: [&str; 4] = ["com", "co.uk", "com.au", "de"];
-    let source = |i: u64| format!("s{}.{}", i % 41, TLDS[(i % 41 % 4) as usize]);
+    const TLDS: [&str; 5] = ["com", "co.uk", "com.au", "de", "zz"];
+    const FIPS: [&str; 4] = ["US", "", "UK", "ZZ"];
+    let source = |i: u64| format!("s{}.{}", i % 41, TLDS[(i % 41 % 5) as usize]);
     let day =
         |id: u64| Date { year: 2015, month: 3, day: 1 }.add_days((id * 1_826 / n_events) as i64);
     let mut b = DatasetBuilder::new();
     for id in 0..n_events {
-        b.add_event(event_record(id + 1, day(id)));
+        let fips = FIPS[(id % 4) as usize];
+        let e = event_record(id + 1, day(id));
+        b.add_event(if fips.is_empty() { e } else { located(e, fips) });
     }
     for id in 0..n_events {
-        let n_mentions = 1 + u64::from(id % 3 == 0) + u64::from(id % 7 == 0);
+        let n_mentions = match id {
+            _ if id == n_events / 2 => HEAVY as u64,
+            _ if id == n_events / 3 => 37,
+            _ => 1 + u64::from(id % 3 == 0) + u64::from(id % 7 == 0),
+        };
         for n in 0..n_mentions {
-            let delay = if n == 2 { 96 * 100 } else { (id % 50 * 5) as u32 };
+            let delay = match n {
+                0 | 1 => (id % 50 * 5) as u32,
+                2 => 96 * 100,
+                // 1 024, the first delay outside the window, included.
+                _ => (n % 1_100) as u32,
+            };
             b.add_mention(mention_record(
                 id + 1,
                 day(id),
@@ -333,6 +579,9 @@ fn above_the_cut_off() -> Dataset {
                 n as usize,
             ));
         }
+    }
+    for n in 0..3 {
+        b.add_mention(mention_record(n_events + 9, day(0), 35_135, &source(n), n as usize));
     }
     b.build().0
 }

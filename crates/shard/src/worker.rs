@@ -184,6 +184,12 @@ impl ShardWorker {
                     "shard",
                     self.cfg.shard_id as u64,
                 );
+                // A well-framed request can still ask for what this shard
+                // cannot size or index (a million-source follow subset):
+                // refuse it before a kernel allocates from it.
+                if let Err(why) = sq.fits(&self.dataset) {
+                    return Frame::Error { code: 2, message: format!("request refused: {why}") };
+                }
                 let idx = self.requests.fetch_add(1, Ordering::Relaxed);
                 if self.cfg.fault_delay_at == Some(idx) && self.cfg.fault_delay_ms > 0 {
                     gdelt_obs::flight_warn(

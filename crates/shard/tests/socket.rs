@@ -9,6 +9,8 @@
 //! * no stale cache entries survive a shard death or a generation
 //!   bump;
 //! * a revived worker restores full coverage via reconnect;
+//! * a well-framed request the shard cannot size or index gets a typed
+//!   error frame, and the worker keeps serving;
 //! * a worker whose replies are well framed but do not answer the
 //!   request (wrong family, wrong `k`, another source directory's
 //!   bitmaps, another matrix shape) degrades like a dead one — the
@@ -16,8 +18,9 @@
 
 use gdelt_engine::coreport::CountryCoReport;
 use gdelt_engine::filter::Bitmap;
-use gdelt_engine::partial::ShardPartial;
+use gdelt_engine::partial::{ShardPartial, ShardQuery};
 use gdelt_engine::{run_query, ExecContext, Matrix, Query, SeriesKind, TopKKind};
+use gdelt_model::ids::SourceId;
 use gdelt_serve::{DegradedPolicy, ServeError};
 use gdelt_shard::router::{ReconnectPolicy, Router, RouterConfig};
 use gdelt_shard::wire::Frame;
@@ -348,6 +351,54 @@ fn worker_rejects_unsupported_frames_with_typed_error() {
             assert!(message.contains("unsupported"), "{message}");
         }
         other => panic!("expected error frame, got {other:?}"),
+    }
+}
+
+/// A well-framed `FollowReportWith` whose subset the shard cannot size
+/// or index is refused with a typed error before any kernel allocates
+/// from it (a million ids would be an 8 TB matrix per partition and an
+/// abort), and the connection keeps serving.
+#[test]
+fn hostile_follow_subsets_get_a_typed_error_and_the_worker_keeps_serving() {
+    let f = fixture("hostile");
+    let n_sources = f.dataset.sources.len() as u32;
+    let mut stream = std::net::TcpStream::connect(&f.workers[0].addr).expect("connect");
+    let _ = Frame::read_from(&mut stream).expect("hello");
+    let mut ask = |sq: ShardQuery| {
+        Frame::Request(sq).write_to(&mut stream).expect("send");
+        Frame::read_from(&mut stream).expect("reply")
+    };
+    let follow = |ids: Vec<u32>| ShardQuery::FollowReportWith {
+        sources: ids.into_iter().map(SourceId).collect(),
+    };
+    let hostile = [
+        ("longer than the directory", (0..1_000_000).collect(), "1000000 sources"),
+        ("an id outside the directory", vec![0, n_sources], "names source"),
+        ("a duplicate id", vec![2, 0, 2], "twice"),
+    ];
+    for (what, ids, line) in hostile {
+        match ask(follow(ids)) {
+            Frame::Error { code, message } => {
+                assert_eq!(code, 2, "{what}");
+                assert!(message.contains("refused") && message.contains(line), "{what}: {message}");
+            }
+            other => panic!("{what}: expected an error frame, got {other:?}"),
+        }
+        // The next well-formed request on the same connection is answered.
+        match ask(follow(vec![1, 0])) {
+            Frame::Reply { partial: ShardPartial::FollowReport(r), .. } => {
+                assert_eq!(r.subset, vec![SourceId(1), SourceId(0)], "after {what}");
+                assert_eq!(r.follow_counts.rows(), 2);
+            }
+            other => panic!("after {what}: expected a follow reply, got {other:?}"),
+        }
+    }
+    // The whole directory, each source once, is the largest subset served.
+    match ask(follow((0..n_sources).collect())) {
+        Frame::Reply { partial: ShardPartial::FollowReport(r), .. } => {
+            assert_eq!(r.articles.len(), n_sources as usize)
+        }
+        other => panic!("expected a follow reply, got {other:?}"),
     }
 }
 
