@@ -34,17 +34,6 @@ pub fn corpus() -> &'static (Dataset, CleanReport) {
     })
 }
 
-/// Raw TSV rendering of the corpus (for ingest benchmarks).
-pub fn corpus_tsv() -> &'static (String, String, String) {
-    static TSV: OnceLock<(String, String, String)> = OnceLock::new();
-    TSV.get_or_init(|| {
-        let cfg = gdelt_synth::paper_calibrated(bench_scale(), 42);
-        let data = gdelt_synth::generate(&cfg);
-        let (e, m) = gdelt_synth::emit::to_tsv(&data);
-        (e, m, data.masterlist)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -70,6 +70,23 @@ impl StringPool {
         self.bytes.len()
     }
 
+    /// A pool of the strings `ids` name, in that order; an id the pool
+    /// does not hold contributes nothing.
+    pub(crate) fn gather(&self, ids: &[u32]) -> StringPool {
+        let mut out = StringPool::new();
+        out.offsets.reserve(ids.len());
+        for &id in ids {
+            let range = self.offsets.get(id as usize).zip(self.offsets.get(id as usize + 1));
+            let Some(s) = range.and_then(|(&lo, &hi)| self.bytes.get(lo as usize..hi as usize))
+            else {
+                continue;
+            };
+            out.bytes.extend_from_slice(s);
+            out.offsets.push(out.bytes.len() as u64);
+        }
+        out
+    }
+
     /// Raw parts for serialization.
     pub(crate) fn raw_parts(&self) -> (&[u8], &[u64]) {
         (&self.bytes, &self.offsets)
@@ -197,6 +214,18 @@ mod tests {
         p.push("bb");
         let v: Vec<&str> = p.iter().collect();
         assert_eq!(v, vec!["a", "bb"]);
+    }
+
+    #[test]
+    fn pool_gather() {
+        let mut a = StringPool::new();
+        for s in ["x", "", "yy", "ü"] {
+            a.push(s);
+        }
+        let g = a.gather(&[3, 0, 0, 9, 1]);
+        assert_eq!(g.iter().collect::<Vec<_>>(), vec!["ü", "x", "x", ""]);
+        let (bytes, offsets) = g.raw_parts();
+        assert_eq!(StringPool::from_raw_parts(bytes.to_vec(), offsets.to_vec()).unwrap(), g);
     }
 
     #[test]

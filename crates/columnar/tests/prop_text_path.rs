@@ -1,0 +1,325 @@
+//! The text path against the record path, on hostile text.
+//!
+//! A generated corpus is rendered to TSV and then damaged the ways real
+//! exports are (and a few they are not): events out of order, duplicate
+//! ids, mentions of events that never arrive, timestamps before the
+//! GDELT epoch, integers with a `+` or twenty digits, `NaN` and exponent
+//! floats, untagged geography, lines a column short or long, blank lines,
+//! CRLF terminators, a last line without a terminator or with a lone
+//! `\r`. Whatever the text — handed over whole or file by file, as the
+//! 15-minute exports arrive — staging it must give the dataset and the
+//! problem report that `parse_*_line` + `add_*`, one line at a time,
+//! give.
+
+use gdelt_columnar::{binfmt, DatasetBuilder};
+use gdelt_csv::writer::{write_event_line, write_mention_line};
+use gdelt_csv::{parse_event_line, parse_mention_line, CleanReport};
+use gdelt_model::cameo::{CameoRoot, Goldstein, QuadClass};
+use gdelt_model::event::{ActionGeo, EventRecord, GeoType};
+use gdelt_model::ids::EventId;
+use gdelt_model::mention::{MentionRecord, MentionType};
+use gdelt_model::time::{DateTime, GDELT_EPOCH};
+use proptest::prelude::*;
+
+/// (small id, damage, CRLF terminator, blank line before, salt).
+type LineSpec = (u64, u8, bool, bool, u32);
+
+const DAMAGES: u8 = 24;
+
+fn line_specs(max: usize) -> impl Strategy<Value = Vec<LineSpec>> {
+    // Two thirds of the lines are left whole.
+    let damage = (0u8..3 * DAMAGES).prop_map(|d| if d < DAMAGES { d } else { 0 });
+    prop::collection::vec(
+        (0u64..24, damage, any::<bool>(), (0u8..8).prop_map(|b| b == 0), any::<u32>()),
+        0..max,
+    )
+}
+
+fn event(id: u64, salt: u32) -> EventRecord {
+    let day = GDELT_EPOCH.add_days(i64::from(salt % 40));
+    let tagged = !salt.is_multiple_of(3);
+    EventRecord {
+        id: EventId(100 + id),
+        // One in eight lies after its capture: a Table II problem.
+        day: if salt.is_multiple_of(8) { day.add_days(3) } else { day },
+        root: CameoRoot::new((salt % 20 + 1) as u8).unwrap(),
+        event_code: "0231".into(),
+        actor1_country: ["USA", "GBR", "", "XYZ", "usa"][salt as usize % 5].into(),
+        actor2_country: ["", "CHN", "RUS"][salt as usize % 3].into(),
+        quad_class: QuadClass::from_u8((salt % 4 + 1) as u8).unwrap(),
+        goldstein: Goldstein::new((salt % 21) as f32 - 10.0).unwrap(),
+        num_mentions: salt % 50,
+        num_sources: salt % 7,
+        num_articles: salt % 40,
+        avg_tone: f32::from_bits(0x4000_0000 | (salt & 0x007f_ffff)) - 3.0,
+        geo: ActionGeo {
+            geo_type: if tagged { GeoType::WorldCity } else { GeoType::None },
+            country_fips: if tagged {
+                ["US", "UK", "ZZ", "CH"][salt as usize % 4].into()
+            } else {
+                String::new()
+            },
+            lat: tagged.then_some((salt % 180) as f32 / 2.0 - 45.0),
+            lon: tagged.then_some(-(salt as f32 % 360.0) / 2.0),
+        },
+        date_added: DateTime::new(day, (salt % 24) as u8, (salt % 4 * 15) as u8, 0).unwrap(),
+        source_url: format!("https://zürich-{}.example/{salt}", salt % 5),
+    }
+}
+
+fn mention(id: u64, salt: u32) -> MentionRecord {
+    let event_time =
+        DateTime::new(GDELT_EPOCH.add_days(i64::from(salt % 40)), (salt % 24) as u8, 0, 0).unwrap();
+    // One in sixteen was scraped before its event: a Table II problem.
+    let delay = if salt.is_multiple_of(16) { -3_600 } else { i64::from(salt % 9_000) * 900 };
+    MentionRecord {
+        // Ids 124 and 125 never have an event.
+        event_id: EventId(100 + id + u64::from(salt.is_multiple_of(3)) * 2),
+        event_time,
+        mention_time: DateTime::from_unix_seconds(event_time.to_unix_seconds() + delay),
+        mention_type: MentionType::from_u8((salt % 6 + 1) as u8).unwrap(),
+        source_name: format!(
+            "paper{}.{}",
+            salt % 11,
+            ["com", "co.uk", "de", "örg"][salt as usize % 4]
+        ),
+        url: format!("https://x/{salt}"),
+        confidence: (salt % 101) as u8,
+        doc_tone: (salt % 2_000) as f32 / 100.0 - 10.0,
+    }
+}
+
+fn set(cols: &mut [String], k: usize, to: &str) {
+    cols[k] = to.to_owned();
+}
+
+fn damaged_event_line(&(id, damage, _, _, salt): &LineSpec) -> String {
+    let mut cols: Vec<String> =
+        write_event_line(&event(id, salt)).split('\t').map(str::to_owned).collect();
+    match damage {
+        1 => set(&mut cols, 59, "20140101000000"), // DATEADDED before the epoch
+        2 => cols[0].insert(0, '+'),
+        3 => set(&mut cols, 0, "99999999999999999999"),
+        4 => set(&mut cols, 34, "NaN"),
+        5 => set(&mut cols, 30, "1e0"),
+        6 => [51, 53, 56, 57].iter().for_each(|&k| cols[k].clear()),
+        7 => drop(cols.pop()),
+        8 => cols.push("extra".into()),
+        9 => set(&mut cols, 31, "+7"),
+        10 => set(&mut cols, 28, "007"),
+        11 => set(&mut cols, 6, "Zoë Müller"), // Actor1Name: not kept
+        12 => cols[60].clear(),
+        13 => set(&mut cols, 33, "4294967296"),
+        14 => set(&mut cols, 56, "inf"),
+        15 => set(&mut cols, 1, "20159999"),
+        16 => set(&mut cols, 29, "5"),
+        17 => set(&mut cols, 30, "10.5"), // Goldstein out of range
+        18 => set(&mut cols, 51, "6"),
+        19 => set(&mut cols, 59, "+20150301120000"),
+        20 => set(&mut cols, 0, ""),
+        21 => set(&mut cols, 57, "-0"),
+        22 => set(&mut cols, 59, "99991231235959"),
+        23 => return "not an events line at all".into(),
+        _ => {}
+    }
+    cols.join("\t")
+}
+
+fn damaged_mention_line(&(id, damage, _, _, salt): &LineSpec) -> String {
+    let mut cols: Vec<String> =
+        write_mention_line(&mention(id, salt)).split('\t').map(str::to_owned).collect();
+    match damage {
+        1 => set(&mut cols, 2, "20140101000000"), // scraped before the epoch
+        2 => set(&mut cols, 1, "20150217234500"), // event time just before it
+        3 => cols[0].insert(0, '+'),
+        4 => set(&mut cols, 0, "99999999999999999999"),
+        5 => set(&mut cols, 13, "NaN"),
+        6 => set(&mut cols, 13, "-2.5e-1"),
+        7 => drop(cols.pop()),
+        8 => cols.push("extra".into()),
+        9 => set(&mut cols, 11, "101"),
+        10 => set(&mut cols, 3, "9"),
+        11 => set(&mut cols, 4, ""),
+        12 => set(&mut cols, 5, "https://ünï.example/ö"),
+        13 => set(&mut cols, 11, "+0100"),
+        14 => set(&mut cols, 2, "20150230120000"),
+        15 => set(&mut cols, 13, ""),
+        23 => return "\t".into(),
+        _ => {}
+    }
+    cols.join("\t")
+}
+
+/// Join the lines as their specs say and end the text one of four ways.
+fn render(specs: &[LineSpec], line_of: fn(&LineSpec) -> String, ending: u8) -> String {
+    let mut text = String::new();
+    for (i, spec) in specs.iter().enumerate() {
+        if spec.3 {
+            text.push_str(if spec.2 { "\r\n" } else { "\n" });
+        }
+        text.push_str(&line_of(spec));
+        let last = i + 1 == specs.len();
+        match (last, ending) {
+            (true, 1) => {}                     // no terminator
+            (true, 2) => text.push('\r'),       // a lone final `\r`
+            (true, 3) => text.push_str("\n\n"), // blank lines at the end
+            _ => text.push_str(if spec.2 { "\r\n" } else { "\n" }),
+        }
+    }
+    text
+}
+
+/// What one line at a time through the record parsers gives.
+fn by_records(events: &str, mentions: &str) -> (Vec<u8>, CleanReport) {
+    let mut b = DatasetBuilder::new();
+    let (mut bad_events, mut bad_mentions) = (0, 0);
+    for line in events.lines().filter(|l| !l.is_empty()) {
+        match parse_event_line(line) {
+            Ok(e) => b.add_event(e),
+            Err(_) => bad_events += 1,
+        }
+    }
+    for line in mentions.lines().filter(|l| !l.is_empty()) {
+        match parse_mention_line(line) {
+            Ok(m) => b.add_mention(m),
+            Err(_) => bad_mentions += 1,
+        }
+    }
+    let (image, mut report) = image(b);
+    report.bad_event_lines += bad_events;
+    report.bad_mention_lines += bad_mentions;
+    (image, report)
+}
+
+/// What the text path gives when each text arrives as `files`
+/// consecutive files of whole lines.
+fn by_text(events: &str, mentions: &str, files: usize) -> (Vec<u8>, CleanReport) {
+    let mut b = DatasetBuilder::new();
+    whole_line_pieces(events, files).for_each(|file| b.ingest_events_text(file));
+    whole_line_pieces(mentions, files).for_each(|file| b.ingest_mentions_text(file));
+    image(b)
+}
+
+/// `text` cut after the line end nearest below each `k / n` of its
+/// length (so some pieces may be empty).
+fn whole_line_pieces(text: &str, n: usize) -> impl Iterator<Item = &str> {
+    let cut = move |k: usize| match k {
+        _ if k == n => text.len(),
+        _ => {
+            let below = &text.as_bytes()[..text.len() * k / n];
+            below.iter().rposition(|&b| b == b'\n').map_or(0, |at| at + 1)
+        }
+    };
+    (0..n).map(move |k| &text[cut(k)..cut(k + 1)])
+}
+
+/// The store image (bit-exact, `NaN` coordinates included) and the report.
+fn image(b: DatasetBuilder) -> (Vec<u8>, CleanReport) {
+    let (d, report) = b.build();
+    let mut bytes = Vec::new();
+    binfmt::write_dataset(&mut bytes, &d).unwrap();
+    (bytes, report)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn hostile_text_equals_line_by_line_records(
+        event_specs in line_specs(40),
+        mention_specs in line_specs(90),
+        endings in (0u8..4, 0u8..4),
+    ) {
+        let events = render(&event_specs, damaged_event_line, endings.0);
+        let mentions = render(&mention_specs, damaged_mention_line, endings.1);
+        let want = by_records(&events, &mentions);
+        for files in [1, 2, 3, 7] {
+            let got = by_text(&events, &mentions, files);
+            prop_assert!(
+                got == want,
+                "{files} files:\n{events:?}\n{mentions:?}\n{:?}\n{:?}", got.1, want.1
+            );
+        }
+    }
+}
+
+/// The Las Vegas shooting drew 5 234 articles (paper §VI-A): one event
+/// whose mentions arrive newest first, so the sort runs, from sources
+/// that keep appearing.
+#[test]
+fn an_event_with_5234_mentions() {
+    let events: String =
+        [7, 3, 5].iter().map(|&id| write_event_line(&event(id, 11)) + "\n").collect();
+    let mentions: String = (0..5_234u32)
+        .rev()
+        .map(|k| {
+            let mut m = mention(3, 1 + 16 * (k % 500));
+            m.event_id = EventId(103);
+            m.source_name = format!("outlet{}.com", k / 40);
+            write_mention_line(&m) + "\n"
+        })
+        .collect();
+    let want = by_records(&events, &mentions);
+    for files in [1, 7] {
+        assert!(by_text(&events, &mentions, files) == want, "{files} files");
+    }
+    let (d, _) = {
+        let mut b = DatasetBuilder::new();
+        b.ingest_events_text(&events);
+        b.ingest_mentions_text(&mentions);
+        b.build()
+    };
+    assert_eq!(d.mentions_of(0).len(), 5_234);
+    assert_eq!(d.sources.len(), 131);
+}
+
+/// `line` with column `k` replaced by `bytes`.
+fn with_column(line: &str, k: usize, bytes: &[u8]) -> Vec<u8> {
+    let mut cols: Vec<&[u8]> = line.as_bytes().split(|&b| b == b'\t').collect();
+    cols[k] = bytes;
+    let mut out = cols.join(&b'\t');
+    out.push(b'\n');
+    out
+}
+
+/// A byte that is not UTF-8 costs the line it is on only if the store
+/// keeps the column it is in.
+#[test]
+fn undecodable_bytes_cost_at_most_their_line() {
+    let line = write_event_line(&event(1, 5));
+    let events = [
+        with_column(&line, 6, b"Fran\xe7ois Hollande"), // Actor1Name in Latin-1: not kept
+        with_column(&line, 60, b"https://example.fr/\xe9lys\xe9e"), // SOURCEURL: kept
+        with_column(&line, 26, b"\xff\xfe"),            // EventCode: not kept
+        with_column(&line, 7, b"\xc3"),                 // Actor1CountryCode: kept
+        with_column(&line, 53, b"U\x80"),               // ActionGeo_CountryCode: kept
+    ]
+    .concat();
+    let line = write_mention_line(&mention(1, 5));
+    let mentions = [
+        with_column(&line, 5, b"https://x/\xe9"), // MentionIdentifier: not kept
+        with_column(&line, 4, b"p\xe9riodique.fr"), // MentionSourceName: kept
+        with_column(&line, 15, b"\x80\x81"),      // Extras: not kept
+    ]
+    .concat();
+
+    let mut b = DatasetBuilder::new();
+    b.ingest_events_bytes(&events);
+    b.ingest_mentions_bytes(&mentions);
+    assert_eq!((b.staged_events(), b.staged_mentions()), (2, 2));
+    let (d, report) = b.build();
+    assert_eq!((report.bad_event_lines, report.bad_mention_lines), (3, 1));
+    // The same event twice: the first line won, Latin-1 name and all.
+    assert_eq!((d.events.len(), d.mentions.len()), (1, 2));
+    assert_eq!(d.events.url(0), event(1, 5).source_url);
+
+    // The record parsers take the same bytes, and keep what the store
+    // does not as text with U+FFFD.
+    let mut bad = 0;
+    let parsed = gdelt_csv::events::parse_events(&events, |_, _, _| bad += 1);
+    assert_eq!((parsed.len(), bad), (2, 3));
+    assert_eq!(parsed[1].event_code, "\u{fffd}\u{fffd}");
+    let parsed = gdelt_csv::mentions::parse_mentions(&mentions, |n, _, _| bad += n);
+    assert_eq!((parsed.len(), bad), (2, 3 + 2));
+    assert_eq!(parsed[0].url, "https://x/\u{fffd}");
+}

@@ -14,9 +14,9 @@
 //! additionally counts per-table parse failures so nothing is dropped
 //! silently.
 
+use crate::events::EventRow;
 use crate::masterlist::{ArchiveKind, MasterList};
-use gdelt_model::event::EventRecord;
-use gdelt_model::mention::MentionRecord;
+use crate::mentions::MentionRow;
 use std::fmt;
 
 /// The problem counters of Table II, plus parse-failure accounting.
@@ -64,7 +64,7 @@ impl fmt::Display for CleanReport {
     }
 }
 
-/// Streaming validator: feed it records as they parse and it accumulates
+/// Streaming validator: feed it rows as they decode and it accumulates
 /// a [`CleanReport`]. Cleaning never drops records for soft problems
 /// (missing URL, odd dates) — the paper keeps them too and just reports —
 /// but the `admit_*` methods return whether the record is usable at all.
@@ -96,8 +96,9 @@ impl Cleaner {
         self.report.bad_mention_lines += 1;
     }
 
-    /// Validate an event record. Always admits; counts soft problems.
-    pub fn admit_event(&mut self, e: &EventRecord) -> bool {
+    /// Validate an event row. Always admits; counts soft problems.
+    #[inline]
+    pub fn admit_event(&mut self, e: &EventRow<'_>) -> bool {
         if e.source_url.is_empty() {
             self.report.missing_source_url += 1;
         }
@@ -107,8 +108,9 @@ impl Cleaner {
         true
     }
 
-    /// Validate a mention record. Always admits; counts soft problems.
-    pub fn admit_mention(&mut self, m: &MentionRecord) -> bool {
+    /// Validate a mention row. Always admits; counts soft problems.
+    #[inline]
+    pub fn admit_mention(&mut self, m: &MentionRow<'_>) -> bool {
         if m.mention_time < m.event_time {
             self.report.mention_before_event += 1;
         }
@@ -130,9 +132,9 @@ impl Cleaner {
 mod tests {
     use super::*;
     use gdelt_model::cameo::{CameoRoot, Goldstein, QuadClass};
-    use gdelt_model::event::ActionGeo;
+    use gdelt_model::event::{ActionGeo, EventRecord};
     use gdelt_model::ids::EventId;
-    use gdelt_model::mention::MentionType;
+    use gdelt_model::mention::{MentionRecord, MentionType};
     use gdelt_model::time::{DateTime, GDELT_EPOCH};
 
     fn event(url: &str, day_offset: i64) -> EventRecord {
@@ -171,9 +173,9 @@ mod tests {
     #[test]
     fn counts_missing_url_and_future_date() {
         let mut c = Cleaner::new();
-        assert!(c.admit_event(&event("https://ok", 0)));
-        assert!(c.admit_event(&event("", 0)));
-        assert!(c.admit_event(&event("https://ok", 5)));
+        assert!(c.admit_event(&EventRow::of(&event("https://ok", 0))));
+        assert!(c.admit_event(&EventRow::of(&event("", 0))));
+        assert!(c.admit_event(&EventRow::of(&event("https://ok", 5))));
         let r = c.finish();
         assert_eq!(r.missing_source_url, 1);
         assert_eq!(r.future_event_date, 1);
@@ -183,8 +185,8 @@ mod tests {
     #[test]
     fn counts_pre_event_mentions() {
         let mut c = Cleaner::new();
-        assert!(c.admit_mention(&mention(6, 8)));
-        assert!(c.admit_mention(&mention(8, 6)));
+        assert!(c.admit_mention(&MentionRow::of(&mention(6, 8))));
+        assert!(c.admit_mention(&MentionRow::of(&mention(8, 6))));
         assert_eq!(c.report().mention_before_event, 1);
     }
 

@@ -32,9 +32,12 @@ pub enum CsvError {
 }
 
 impl CsvError {
-    /// Helper to build a field error with a truncated raw excerpt.
-    pub fn field(column: &'static str, raw: &str, reason: &'static str) -> Self {
-        CsvError::Field { column, raw: raw.chars().take(48).collect(), reason }
+    /// Helper to build a field error with a truncated raw excerpt (bytes
+    /// that are not UTF-8 show as U+FFFD).
+    #[cold]
+    pub fn field(column: &'static str, raw: impl AsRef<[u8]>, reason: &'static str) -> Self {
+        let raw = String::from_utf8_lossy(raw.as_ref()).chars().take(48).collect();
+        CsvError::Field { column, raw, reason }
     }
 }
 

@@ -21,7 +21,8 @@
 
 use crate::error::{CsvError, CsvResult};
 use crate::fields::{
-    parse_f32, parse_opt_f32, parse_u32, parse_u64, parse_u8, parse_u8_or_zero, split_exact,
+    for_each_line, parse_f32, parse_opt_f32, parse_str, parse_u32, parse_u64, parse_u8,
+    parse_u8_or_zero, wrong_width, Line, LineScratch, Separator,
 };
 use gdelt_model::cameo::{CameoRoot, Goldstein, QuadClass};
 use gdelt_model::event::{ActionGeo, EventRecord, GeoType};
@@ -53,72 +54,186 @@ mod col {
     pub const SOURCE_URL: usize = 60;
 }
 
-/// Parse one raw events line into an [`EventRecord`].
-pub fn parse_event_line(line: &str) -> CsvResult<EventRecord> {
-    let f: [&str; EVENT_COLUMNS] = split_exact(line, "events")?;
-
-    let id = EventId(parse_u64(f[col::GLOBAL_EVENT_ID], "GlobalEventID")?);
-    let day_num = parse_u32(f[col::DAY], "Day")?;
-    let day = Date::from_yyyymmdd(day_num).map_err(CsvError::Model)?;
-
-    let event_code = f[col::EVENT_CODE];
-    let root_raw = parse_u8(f[col::EVENT_ROOT_CODE], "EventRootCode")?;
-    let root = CameoRoot::new(root_raw).map_err(CsvError::Model)?;
-
-    let quad_raw = parse_u8(f[col::QUAD_CLASS], "QuadClass")?;
-    let quad_class = QuadClass::from_u8(quad_raw).map_err(CsvError::Model)?;
-
-    let goldstein =
-        Goldstein::new(parse_f32(f[col::GOLDSTEIN], "GoldsteinScale")?).map_err(CsvError::Model)?;
-
-    let geo_type_raw = parse_u8_or_zero(f[col::ACTION_GEO_TYPE], "ActionGeo_Type")?;
-    let geo_type = GeoType::from_u8(geo_type_raw).ok_or_else(|| {
-        CsvError::field("ActionGeo_Type", f[col::ACTION_GEO_TYPE], "expected 0-5")
-    })?;
-
-    let date_added_num = parse_u64(f[col::DATE_ADDED], "DATEADDED")?;
-    let date_added = DateTime::from_yyyymmddhhmmss(date_added_num).map_err(CsvError::Model)?;
-
-    Ok(EventRecord {
-        id,
-        day,
-        root,
-        event_code: event_code.to_owned(),
-        actor1_country: f[col::ACTOR1_COUNTRY].to_owned(),
-        actor2_country: f[col::ACTOR2_COUNTRY].to_owned(),
-        quad_class,
-        goldstein,
-        num_mentions: parse_u32(f[col::NUM_MENTIONS], "NumMentions")?,
-        num_sources: parse_u32(f[col::NUM_SOURCES], "NumSources")?,
-        num_articles: parse_u32(f[col::NUM_ARTICLES], "NumArticles")?,
-        avg_tone: parse_f32(f[col::AVG_TONE], "AvgTone")?,
-        geo: ActionGeo {
-            geo_type,
-            country_fips: f[col::ACTION_GEO_COUNTRY].to_owned(),
-            lat: parse_opt_f32(f[col::ACTION_GEO_LAT], "ActionGeo_Lat")?,
-            lon: parse_opt_f32(f[col::ACTION_GEO_LON], "ActionGeo_Long")?,
-        },
-        date_added,
-        source_url: f[col::SOURCE_URL].to_owned(),
-    })
+/// The projection of one events line, borrowing its text: what
+/// [`EventRecord`] holds, without owning a byte. The text path stages
+/// these straight into columns; [`EventRow::to_record`] is the owned
+/// form.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EventRow<'a> {
+    /// GDELT `GlobalEventID`.
+    pub id: EventId,
+    /// `SQLDATE`.
+    pub day: Date,
+    /// CAMEO root category parsed from `EventRootCode`.
+    pub root: CameoRoot,
+    /// `EventCode`, raw: the store does not keep it, so it is not
+    /// inspected.
+    pub event_code: &'a [u8],
+    /// `Actor1CountryCode`.
+    pub actor1_country: &'a str,
+    /// `Actor2CountryCode`.
+    pub actor2_country: &'a str,
+    /// GDELT's four-way rollup.
+    pub quad_class: QuadClass,
+    /// Goldstein impact score.
+    pub goldstein: Goldstein,
+    /// `NumMentions`.
+    pub num_mentions: u32,
+    /// `NumSources`.
+    pub num_sources: u32,
+    /// `NumArticles`.
+    pub num_articles: u32,
+    /// `AvgTone`.
+    pub avg_tone: f32,
+    /// `ActionGeo_Type`.
+    pub geo_type: GeoType,
+    /// `ActionGeo_CountryCode` (FIPS 10-4), empty if untagged.
+    pub country_fips: &'a str,
+    /// `ActionGeo_Lat`, if resolved.
+    pub lat: Option<f32>,
+    /// `ActionGeo_Long`, if resolved.
+    pub lon: Option<f32>,
+    /// `DATEADDED`.
+    pub date_added: DateTime,
+    /// `SOURCEURL`. May be empty — one of the Table II data problems.
+    pub source_url: &'a str,
 }
 
-/// Parse a whole events file (one record per line, skipping blank lines),
-/// invoking `on_error` for each bad line and returning the good records.
-pub fn parse_events<'a>(
-    text: &'a str,
-    mut on_error: impl FnMut(usize, &'a str, CsvError),
-) -> Vec<EventRecord> {
-    let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.is_empty() {
-            continue;
+impl<'a> EventRow<'a> {
+    /// Decode the kept columns of one events line. The 44 other columns
+    /// are not looked at.
+    // analyze: no_panic
+    pub fn decode(line: &Line<'a, '_>) -> CsvResult<Self> {
+        if line.width() != EVENT_COLUMNS {
+            return Err(wrong_width("events", EVENT_COLUMNS, line));
         }
-        match parse_event_line(line) {
-            Ok(e) => out.push(e),
-            Err(err) => on_error(lineno + 1, line, err),
+        let id = EventId(parse_u64(line.field(col::GLOBAL_EVENT_ID), "GlobalEventID")?);
+        let day_num = parse_u32(line.field(col::DAY), "Day")?;
+        let day = Date::from_yyyymmdd(day_num).map_err(CsvError::Model)?;
+
+        let root_raw = parse_u8(line.field(col::EVENT_ROOT_CODE), "EventRootCode")?;
+        let root = CameoRoot::new(root_raw).map_err(CsvError::Model)?;
+
+        let quad_raw = parse_u8(line.field(col::QUAD_CLASS), "QuadClass")?;
+        let quad_class = QuadClass::from_u8(quad_raw).map_err(CsvError::Model)?;
+
+        let goldstein = Goldstein::new(parse_f32(line.field(col::GOLDSTEIN), "GoldsteinScale")?)
+            .map_err(CsvError::Model)?;
+
+        let geo_type_field = line.field(col::ACTION_GEO_TYPE);
+        let geo_type = GeoType::from_u8(parse_u8_or_zero(geo_type_field, "ActionGeo_Type")?)
+            .ok_or_else(|| CsvError::field("ActionGeo_Type", geo_type_field, "expected 0-5"))?;
+
+        let date_added_num = parse_u64(line.field(col::DATE_ADDED), "DATEADDED")?;
+        let date_added = DateTime::from_yyyymmddhhmmss(date_added_num).map_err(CsvError::Model)?;
+
+        Ok(EventRow {
+            id,
+            day,
+            root,
+            event_code: line.field(col::EVENT_CODE),
+            actor1_country: parse_str(line.field(col::ACTOR1_COUNTRY), "Actor1CountryCode")?,
+            actor2_country: parse_str(line.field(col::ACTOR2_COUNTRY), "Actor2CountryCode")?,
+            quad_class,
+            goldstein,
+            num_mentions: parse_u32(line.field(col::NUM_MENTIONS), "NumMentions")?,
+            num_sources: parse_u32(line.field(col::NUM_SOURCES), "NumSources")?,
+            num_articles: parse_u32(line.field(col::NUM_ARTICLES), "NumArticles")?,
+            avg_tone: parse_f32(line.field(col::AVG_TONE), "AvgTone")?,
+            geo_type,
+            country_fips: parse_str(line.field(col::ACTION_GEO_COUNTRY), "ActionGeo_CountryCode")?,
+            lat: parse_opt_f32(line.field(col::ACTION_GEO_LAT), "ActionGeo_Lat")?,
+            lon: parse_opt_f32(line.field(col::ACTION_GEO_LON), "ActionGeo_Long")?,
+            date_added,
+            source_url: parse_str(line.field(col::SOURCE_URL), "SOURCEURL")?,
+        })
+    }
+
+    /// The row view of an owned record.
+    pub fn of(e: &'a EventRecord) -> Self {
+        EventRow {
+            id: e.id,
+            day: e.day,
+            root: e.root,
+            event_code: e.event_code.as_bytes(),
+            actor1_country: &e.actor1_country,
+            actor2_country: &e.actor2_country,
+            quad_class: e.quad_class,
+            goldstein: e.goldstein,
+            num_mentions: e.num_mentions,
+            num_sources: e.num_sources,
+            num_articles: e.num_articles,
+            avg_tone: e.avg_tone,
+            geo_type: e.geo.geo_type,
+            country_fips: &e.geo.country_fips,
+            lat: e.geo.lat,
+            lon: e.geo.lon,
+            date_added: e.date_added,
+            source_url: &e.source_url,
         }
     }
+
+    /// The owned record (an `EventCode` that is not UTF-8 is kept with
+    /// U+FFFD in place of the offending bytes).
+    pub fn to_record(&self) -> EventRecord {
+        EventRecord {
+            id: self.id,
+            day: self.day,
+            root: self.root,
+            event_code: String::from_utf8_lossy(self.event_code).into_owned(),
+            actor1_country: self.actor1_country.to_owned(),
+            actor2_country: self.actor2_country.to_owned(),
+            quad_class: self.quad_class,
+            goldstein: self.goldstein,
+            num_mentions: self.num_mentions,
+            num_sources: self.num_sources,
+            num_articles: self.num_articles,
+            avg_tone: self.avg_tone,
+            geo: ActionGeo {
+                geo_type: self.geo_type,
+                country_fips: self.country_fips.to_owned(),
+                lat: self.lat,
+                lon: self.lon,
+            },
+            date_added: self.date_added,
+            source_url: self.source_url.to_owned(),
+        }
+    }
+
+    /// True if the event has any geographic tag
+    /// ([`ActionGeo::is_tagged`]).
+    #[inline]
+    pub fn is_geo_tagged(&self) -> bool {
+        self.geo_type != GeoType::None && !self.country_fips.is_empty()
+    }
+
+    /// Whether the recorded event day lies after the day it was added
+    /// ([`EventRecord::day_in_future`]).
+    #[inline]
+    pub fn day_in_future(&self) -> bool {
+        self.day.to_days() > self.date_added.date.to_days()
+    }
+}
+
+/// Parse one raw events line into an [`EventRecord`].
+pub fn parse_event_line(line: &str) -> CsvResult<EventRecord> {
+    let mut scratch = LineScratch::default();
+    EventRow::decode(&Line::split(line.as_bytes(), Separator::Tab, &mut scratch))
+        .map(|row| row.to_record())
+}
+
+/// Parse a whole events file — text or raw bytes, one record per line,
+/// blank lines skipped — invoking `on_error` with the number and bytes of
+/// each bad line and returning the good records.
+pub fn parse_events<'a, T: AsRef<[u8]> + ?Sized>(
+    text: &'a T,
+    mut on_error: impl FnMut(usize, &'a [u8], CsvError),
+) -> Vec<EventRecord> {
+    let mut out = Vec::new();
+    for_each_line(text.as_ref(), Separator::Tab, |lineno, line| match EventRow::decode(&line) {
+        Ok(row) => out.push(row.to_record()),
+        Err(err) => on_error(lineno, line.bytes(), err),
+    });
     out
 }
 

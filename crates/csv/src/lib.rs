@@ -11,9 +11,11 @@
 //!
 //! This crate provides:
 //!
-//! * zero-copy tab-separated field handling ([`fields`]);
-//! * the full-width Events parser ([`events`]) and Mentions parser
-//!   ([`mentions`]);
+//! * byte-level tab-separated field handling: the delimiter index, the
+//!   line walker and the primitive field parsers ([`fields`]);
+//! * one projecting decoder per table — [`events::EventRow`] and
+//!   [`mentions::MentionRow`] borrow the kept columns of a line, and the
+//!   record parsers are their owned form ([`events`], [`mentions`]);
 //! * the master-file-list parser with gap detection ([`masterlist`]);
 //! * the cleaning/validation pass and its problem report ([`clean`]);
 //! * a TSV writer for round-trips and for the synthetic generator
@@ -31,7 +33,7 @@ pub mod writer;
 
 pub use clean::{CleanReport, Cleaner};
 pub use error::{CsvError, CsvResult};
-pub use events::parse_event_line;
+pub use events::{parse_event_line, EventRow};
 pub use masterlist::{MasterList, MasterListEntry};
-pub use mentions::parse_mention_line;
+pub use mentions::{parse_mention_line, MentionRow};
 pub use writer::{write_event_line, write_mention_line};

@@ -9,6 +9,7 @@
 //! malformed lines, and detects gaps in the 15-minute sequence.
 
 use crate::error::{CsvError, CsvResult};
+use crate::fields::{for_each_line, parse_u64, Line, LineScratch, Separator};
 use gdelt_model::time::{CaptureInterval, DateTime};
 
 /// Which table an archive belongs to.
@@ -23,53 +24,78 @@ pub enum ArchiveKind {
     Gkg,
 }
 
-/// One well-formed master list line.
-#[derive(Debug, Clone, PartialEq)]
+/// One well-formed master list line: what the gap accounting reads. The
+/// MD5 and the URL are checked for shape and not kept — nothing
+/// downstream fetches an archive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MasterListEntry {
     /// Declared file size in bytes.
     pub size: u64,
-    /// Declared MD5 as a hex string (kept opaque).
-    pub md5: String,
-    /// Archive URL.
-    pub url: String,
     /// Table kind derived from the URL suffix.
     pub kind: ArchiveKind,
     /// Capture interval parsed from the URL timestamp.
     pub interval: CaptureInterval,
 }
 
-/// Parse one master-list line.
-pub fn parse_masterlist_line(line: &str) -> CsvResult<MasterListEntry> {
-    let mut it = line.split_ascii_whitespace();
-    let (size, md5, url) = match (it.next(), it.next(), it.next(), it.next()) {
+/// The last URL timestamp converted and its interval: the list names an
+/// export, a mentions and a gkg archive for every capture, on consecutive
+/// lines.
+type LastStamp<'a> = Option<(&'a [u8], CaptureInterval)>;
+
+/// Decode one master-list line: exactly three whitespace-separated
+/// tokens, `<size> <md5> <url>`.
+// analyze: no_panic
+fn decode<'a>(line: &Line<'a, '_>, last: &mut LastStamp<'a>) -> CsvResult<MasterListEntry> {
+    let mut tokens = (0..line.width()).map(|k| line.field(k)).filter(|f| !f.is_empty());
+    let (size, md5, url) = match (tokens.next(), tokens.next(), tokens.next(), tokens.next()) {
         (Some(a), Some(b), Some(c), None) => (a, b, c),
         _ => {
-            let got = line.split_ascii_whitespace().count();
+            let got = (0..line.width()).filter(|&k| !line.field(k).is_empty()).count();
             return Err(CsvError::WrongColumnCount { table: "masterlist", expected: 3, got });
         }
     };
-    let size: u64 =
-        size.parse().map_err(|_| CsvError::field("size", size, "expected unsigned integer"))?;
-    if md5.len() != 32 || !md5.bytes().all(|b| b.is_ascii_hexdigit()) {
+    let size = parse_u64(size, "size")?;
+    // Not `all`: without the early exit the 32 tests vectorise.
+    if md5.len() != 32 || !md5.iter().fold(true, |hex, b| hex & b.is_ascii_hexdigit()) {
         return Err(CsvError::field("md5", md5, "expected 32 hex digits"));
     }
 
-    let file = url.rsplit('/').next().unwrap_or(url);
-    let kind = if file.ends_with(".export.CSV.zip") {
+    let file = url.rsplit(|&b| b == b'/').next().unwrap_or(url);
+    let kind = if file.ends_with(b".export.CSV.zip") {
         ArchiveKind::Events
-    } else if file.ends_with(".mentions.CSV.zip") {
+    } else if file.ends_with(b".mentions.CSV.zip") {
         ArchiveKind::Mentions
-    } else if file.ends_with(".gkg.csv.zip") {
+    } else if file.ends_with(b".gkg.csv.zip") {
         ArchiveKind::Gkg
     } else {
         return Err(CsvError::field("url", url, "unrecognized archive suffix"));
     };
 
-    let stamp = file.split('.').next().unwrap_or("");
-    let dt = DateTime::parse_yyyymmddhhmmss(stamp).map_err(CsvError::Model)?;
-    let interval = CaptureInterval::from_datetime(dt).map_err(CsvError::Model)?;
+    let stamp = file.split(|&b| b == b'.').next().unwrap_or(&[]);
+    let interval = match *last {
+        Some((of, interval)) if of == stamp => interval,
+        _ => {
+            // Fourteen digits (`parse_u64` alone would let a `+` lead).
+            let digits = (stamp.len() == 14 && stamp.first() != Some(&b'+'))
+                .then(|| parse_u64(stamp, "url").ok())
+                .flatten()
+                .ok_or_else(|| {
+                    CsvError::field("url", url, "expected a YYYYMMDDHHMMSS file name")
+                })?;
+            let dt = DateTime::from_yyyymmddhhmmss(digits).map_err(CsvError::Model)?;
+            let interval = CaptureInterval::from_datetime(dt).map_err(CsvError::Model)?;
+            *last = Some((stamp, interval));
+            interval
+        }
+    };
 
-    Ok(MasterListEntry { size, md5: md5.to_owned(), url: url.to_owned(), kind, interval })
+    Ok(MasterListEntry { size, kind, interval })
+}
+
+/// Parse one master-list line.
+pub fn parse_masterlist_line(line: &str) -> CsvResult<MasterListEntry> {
+    let mut scratch = LineScratch::default();
+    decode(&Line::split(line.as_bytes(), Separator::Whitespace, &mut scratch), &mut None)
 }
 
 /// A parsed master list with malformed-line accounting.
@@ -85,15 +111,13 @@ impl MasterList {
     /// Parse a full master-list file.
     pub fn parse(text: &str) -> Self {
         let mut out = MasterList::default();
-        for line in text.lines() {
-            if line.is_empty() {
-                continue;
-            }
-            match parse_masterlist_line(line) {
+        let mut last = None;
+        for_each_line(text.as_bytes(), Separator::Whitespace, |_, line| {
+            match decode(&line, &mut last) {
                 Ok(e) => out.entries.push(e),
                 Err(_) => out.malformed += 1,
             }
-        }
+        });
         out
     }
 

@@ -22,7 +22,10 @@
 //! | 15 | Extras |
 
 use crate::error::{CsvError, CsvResult};
-use crate::fields::{parse_f32, parse_u64, parse_u8, split_exact};
+use crate::fields::{
+    for_each_line, parse_f32, parse_str, parse_u64, parse_u8, wrong_width, Line, LineScratch,
+    Separator,
+};
 use gdelt_model::ids::EventId;
 use gdelt_model::mention::{MentionRecord, MentionType};
 use gdelt_model::time::DateTime;
@@ -41,53 +44,118 @@ mod col {
     pub const DOC_TONE: usize = 13;
 }
 
-/// Parse one raw mentions line into a [`MentionRecord`].
-pub fn parse_mention_line(line: &str) -> CsvResult<MentionRecord> {
-    let f: [&str; MENTION_COLUMNS] = split_exact(line, "mentions")?;
-
-    let event_id = EventId(parse_u64(f[col::GLOBAL_EVENT_ID], "GlobalEventID")?);
-    let event_time = DateTime::from_yyyymmddhhmmss(parse_u64(f[col::EVENT_TIME], "EventTimeDate")?)
-        .map_err(CsvError::Model)?;
-    let mention_time =
-        DateTime::from_yyyymmddhhmmss(parse_u64(f[col::MENTION_TIME], "MentionTimeDate")?)
-            .map_err(CsvError::Model)?;
-
-    let mt_raw = parse_u8(f[col::MENTION_TYPE], "MentionType")?;
-    let mention_type = MentionType::from_u8(mt_raw)
-        .ok_or_else(|| CsvError::field("MentionType", f[col::MENTION_TYPE], "expected 1-6"))?;
-
-    let confidence = parse_u8(f[col::CONFIDENCE], "Confidence")?;
-    if confidence > 100 {
-        return Err(CsvError::field("Confidence", f[col::CONFIDENCE], "expected 0-100"));
-    }
-
-    Ok(MentionRecord {
-        event_id,
-        event_time,
-        mention_time,
-        mention_type,
-        source_name: f[col::SOURCE_NAME].to_owned(),
-        url: f[col::IDENTIFIER].to_owned(),
-        confidence,
-        doc_tone: parse_f32(f[col::DOC_TONE], "MentionDocTone")?,
-    })
+/// The projection of one mentions line, borrowing its text: what
+/// [`MentionRecord`] holds, without owning a byte.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MentionRow<'a> {
+    /// The event this article reports on.
+    pub event_id: EventId,
+    /// `EventTimeDate`.
+    pub event_time: DateTime,
+    /// `MentionTimeDate`.
+    pub mention_time: DateTime,
+    /// Document kind.
+    pub mention_type: MentionType,
+    /// Publisher domain (`MentionSourceName`).
+    pub source_name: &'a str,
+    /// Article URL (`MentionIdentifier`), raw: the store does not keep
+    /// it, so it is not inspected.
+    pub url: &'a [u8],
+    /// GDELT's 0–100 confidence.
+    pub confidence: u8,
+    /// Document tone of the mentioning article.
+    pub doc_tone: f32,
 }
 
-/// Parse a whole mentions file, invoking `on_error` for each bad line.
-pub fn parse_mentions<'a>(
-    text: &'a str,
-    mut on_error: impl FnMut(usize, &'a str, CsvError),
-) -> Vec<MentionRecord> {
-    let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.is_empty() {
-            continue;
+impl<'a> MentionRow<'a> {
+    /// Decode the kept columns of one mentions line. The nine other
+    /// columns are not looked at.
+    // analyze: no_panic
+    pub fn decode(line: &Line<'a, '_>) -> CsvResult<Self> {
+        if line.width() != MENTION_COLUMNS {
+            return Err(wrong_width("mentions", MENTION_COLUMNS, line));
         }
-        match parse_mention_line(line) {
-            Ok(m) => out.push(m),
-            Err(err) => on_error(lineno + 1, line, err),
+        let event_id = EventId(parse_u64(line.field(col::GLOBAL_EVENT_ID), "GlobalEventID")?);
+        let event_time =
+            DateTime::from_yyyymmddhhmmss(parse_u64(line.field(col::EVENT_TIME), "EventTimeDate")?)
+                .map_err(CsvError::Model)?;
+        let mention_time = DateTime::from_yyyymmddhhmmss(parse_u64(
+            line.field(col::MENTION_TIME),
+            "MentionTimeDate",
+        )?)
+        .map_err(CsvError::Model)?;
+
+        let mention_type_field = line.field(col::MENTION_TYPE);
+        let mention_type = MentionType::from_u8(parse_u8(mention_type_field, "MentionType")?)
+            .ok_or_else(|| CsvError::field("MentionType", mention_type_field, "expected 1-6"))?;
+
+        let confidence_field = line.field(col::CONFIDENCE);
+        let confidence = parse_u8(confidence_field, "Confidence")?;
+        if confidence > 100 {
+            return Err(CsvError::field("Confidence", confidence_field, "expected 0-100"));
+        }
+
+        Ok(MentionRow {
+            event_id,
+            event_time,
+            mention_time,
+            mention_type,
+            source_name: parse_str(line.field(col::SOURCE_NAME), "MentionSourceName")?,
+            url: line.field(col::IDENTIFIER),
+            confidence,
+            doc_tone: parse_f32(line.field(col::DOC_TONE), "MentionDocTone")?,
+        })
+    }
+
+    /// The row view of an owned record.
+    pub fn of(m: &'a MentionRecord) -> Self {
+        MentionRow {
+            event_id: m.event_id,
+            event_time: m.event_time,
+            mention_time: m.mention_time,
+            mention_type: m.mention_type,
+            source_name: &m.source_name,
+            url: m.url.as_bytes(),
+            confidence: m.confidence,
+            doc_tone: m.doc_tone,
         }
     }
+
+    /// The owned record (a URL that is not UTF-8 is kept with U+FFFD in
+    /// place of the offending bytes).
+    pub fn to_record(&self) -> MentionRecord {
+        MentionRecord {
+            event_id: self.event_id,
+            event_time: self.event_time,
+            mention_time: self.mention_time,
+            mention_type: self.mention_type,
+            source_name: self.source_name.to_owned(),
+            url: String::from_utf8_lossy(self.url).into_owned(),
+            confidence: self.confidence,
+            doc_tone: self.doc_tone,
+        }
+    }
+}
+
+/// Parse one raw mentions line into a [`MentionRecord`].
+pub fn parse_mention_line(line: &str) -> CsvResult<MentionRecord> {
+    let mut scratch = LineScratch::default();
+    MentionRow::decode(&Line::split(line.as_bytes(), Separator::Tab, &mut scratch))
+        .map(|row| row.to_record())
+}
+
+/// Parse a whole mentions file — text or raw bytes, one record per line,
+/// blank lines skipped — invoking `on_error` with the number and bytes of
+/// each bad line and returning the good records.
+pub fn parse_mentions<'a, T: AsRef<[u8]> + ?Sized>(
+    text: &'a T,
+    mut on_error: impl FnMut(usize, &'a [u8], CsvError),
+) -> Vec<MentionRecord> {
+    let mut out = Vec::new();
+    for_each_line(text.as_ref(), Separator::Tab, |lineno, line| match MentionRow::decode(&line) {
+        Ok(row) => out.push(row.to_record()),
+        Err(err) => on_error(lineno, line.bytes(), err),
+    });
     out
 }
 

@@ -2,8 +2,9 @@
 //! parser round trip bit-exactly, and the parsers never panic on
 //! malformed input.
 
-use gdelt_csv::events::parse_event_line;
-use gdelt_csv::mentions::parse_mention_line;
+use gdelt_csv::events::{parse_event_line, EventRow};
+use gdelt_csv::fields::{Line, LineScratch, Separator};
+use gdelt_csv::mentions::{parse_mention_line, MentionRow};
 use gdelt_csv::writer::{write_event_line, write_mention_line};
 use gdelt_model::cameo::{CameoRoot, Goldstein, QuadClass};
 use gdelt_model::event::{ActionGeo, EventRecord, GeoType};
@@ -105,6 +106,58 @@ proptest! {
         let line = write_mention_line(&m);
         let parsed = parse_mention_line(&line).unwrap();
         prop_assert_eq!(parsed, m);
+    }
+
+    #[test]
+    fn borrowed_event_row_agrees_with_the_owned_record(e in arb_event(), crlf in any::<bool>()) {
+        // Decoded straight from the line: nothing of the row is owned.
+        let line = write_event_line(&e);
+        let mut scratch = LineScratch::default();
+        let row = EventRow::decode(&Line::split(line.as_bytes(), Separator::Tab, &mut scratch)).unwrap();
+        prop_assert_eq!(row.id, e.id);
+        prop_assert_eq!(row.day, e.day);
+        prop_assert_eq!(row.root, e.root);
+        prop_assert_eq!(row.event_code, e.event_code.as_bytes());
+        prop_assert_eq!(row.actor1_country, e.actor1_country.as_str());
+        prop_assert_eq!(row.actor2_country, e.actor2_country.as_str());
+        prop_assert_eq!(row.quad_class, e.quad_class);
+        prop_assert_eq!(row.goldstein, e.goldstein);
+        prop_assert_eq!(
+            (row.num_mentions, row.num_sources, row.num_articles),
+            (e.num_mentions, e.num_sources, e.num_articles)
+        );
+        prop_assert_eq!(row.avg_tone.to_bits(), e.avg_tone.to_bits());
+        prop_assert_eq!(row.geo_type, e.geo.geo_type);
+        prop_assert_eq!(row.country_fips, e.geo.country_fips.as_str());
+        prop_assert_eq!((row.lat, row.lon), (e.geo.lat, e.geo.lon));
+        prop_assert_eq!(row.date_added, e.date_added);
+        prop_assert_eq!(row.source_url, e.source_url.as_str());
+        prop_assert_eq!(row.is_geo_tagged(), e.geo.is_tagged());
+        prop_assert_eq!(row.day_in_future(), e.day_in_future());
+        // The record is the row made owned, and views back as the row.
+        prop_assert_eq!(row.to_record(), e.clone());
+        prop_assert_eq!(EventRow::of(&e), row);
+        // The whole-file parser reads the same record out of a file.
+        let file = format!("\n{line}{}", if crlf { "\r\n" } else { "\n" });
+        prop_assert_eq!(gdelt_csv::events::parse_events(&file, |_, _, _| {}), vec![e]);
+    }
+
+    #[test]
+    fn borrowed_mention_row_agrees_with_the_owned_record(m in arb_mention(), crlf in any::<bool>()) {
+        let line = write_mention_line(&m);
+        let mut scratch = LineScratch::default();
+        let row = MentionRow::decode(&Line::split(line.as_bytes(), Separator::Tab, &mut scratch)).unwrap();
+        prop_assert_eq!(row.event_id, m.event_id);
+        prop_assert_eq!((row.event_time, row.mention_time), (m.event_time, m.mention_time));
+        prop_assert_eq!(row.mention_type, m.mention_type);
+        prop_assert_eq!(row.source_name, m.source_name.as_str());
+        prop_assert_eq!(row.url, m.url.as_bytes());
+        prop_assert_eq!(row.confidence, m.confidence);
+        prop_assert_eq!(row.doc_tone.to_bits(), m.doc_tone.to_bits());
+        prop_assert_eq!(row.to_record(), m.clone());
+        prop_assert_eq!(MentionRow::of(&m), row);
+        let file = format!("{line}{}", if crlf { "\r\n" } else { "" });
+        prop_assert_eq!(gdelt_csv::mentions::parse_mentions(&file, |_, _, _| {}), vec![m]);
     }
 
     #[test]

@@ -256,35 +256,43 @@ fn cmd_convert(o: &Options) -> Result<(), String> {
     let input = o.input.as_deref().ok_or("convert requires --in DIR")?;
     let out = o.output.as_deref().ok_or("convert requires --out FILE")?;
     let mut b = DatasetBuilder::new();
-    let read = |p: PathBuf| -> Result<String, String> {
-        std::fs::read_to_string(&p).map_err(|e| format!("reading {}: {e}", p.display()))
-    };
-    b.ingest_masterlist(&read(input.join("masterfilelist.txt"))?);
-    b.ingest_events_text(&read(input.join("events.export.tsv"))?);
-    b.ingest_mentions_text(&read(input.join("mentions.tsv"))?);
+    // Raw bytes: real exports carry the odd Latin-1 byte, which costs the
+    // line it is on (if it is in a column the store keeps), not the run.
+    b.ingest_masterlist(&String::from_utf8_lossy(&read_raw(input.join("masterfilelist.txt"))?));
+    b.ingest_events_bytes(&read_raw(input.join("events.export.tsv"))?);
+    b.ingest_mentions_bytes(&read_raw(input.join("mentions.tsv"))?);
     eprintln!("staged {} events, {} mentions", b.staged_events(), b.staged_mentions());
     let (dataset, report) = b.build();
     println!("{}", gdelt_analysis::table2::render(&report));
+    if report.bad_event_lines + report.bad_mention_lines > 0 {
+        eprintln!(
+            "skipped {} unparseable event lines, {} unparseable mention lines",
+            report.bad_event_lines, report.bad_mention_lines
+        );
+    }
     binfmt::save(out, &dataset).map_err(|e| format!("writing {}: {e}", out.display()))?;
     eprintln!("{}", gdelt_columnar::memsize::measure(&dataset).render());
     eprintln!("wrote indexed binary dataset to {}", out.display());
     Ok(())
 }
 
+fn read_raw(p: PathBuf) -> Result<Vec<u8>, String> {
+    std::fs::read(&p).map_err(|e| format!("reading {}: {e}", p.display()))
+}
+
 fn cmd_update(o: &Options) -> Result<(), String> {
     let data = o.data.as_deref().ok_or("update requires --data FILE")?;
     let input = o.input.as_deref().ok_or("update requires --in DIR (a raw batch)")?;
     let base = binfmt::load(data).map_err(|e| format!("loading {}: {e}", data.display()))?;
-    let read = |p: std::path::PathBuf| -> Result<String, String> {
-        std::fs::read_to_string(&p).map_err(|e| format!("reading {}: {e}", p.display()))
-    };
     let mut bad = 0u64;
     let events =
-        gdelt_csv::events::parse_events(&read(input.join("events.export.tsv"))?, |_, _, _| {
+        gdelt_csv::events::parse_events(&read_raw(input.join("events.export.tsv"))?, |_, _, _| {
             bad += 1
         });
     let mentions =
-        gdelt_csv::mentions::parse_mentions(&read(input.join("mentions.tsv"))?, |_, _, _| bad += 1);
+        gdelt_csv::mentions::parse_mentions(&read_raw(input.join("mentions.tsv"))?, |_, _, _| {
+            bad += 1
+        });
     let (updated, stats, _) = gdelt_columnar::incremental::append_batch(&base, events, mentions);
     eprintln!(
         "applied batch: +{} events (+{} dup dropped), +{} mentions, +{} sources, {} rematched; {} bad lines",

@@ -106,15 +106,53 @@ const COUNTRIES: &[Country] = &[
 /// paper notes the Guardian as a known misattribution).
 const GENERIC_US_TLDS: &[&str] = &["com", "org", "net", "info", "news", "tv"];
 
+/// Slot of an all-capitals code in a direct-mapped table with one slot
+/// per `N`-letter code; `None` for anything else.
+const fn code_slot<const N: usize>(code: &[u8]) -> Option<usize> {
+    if code.len() != N {
+        return None;
+    }
+    let mut slot = 0usize;
+    let mut i = 0;
+    while i < N {
+        if !code[i].is_ascii_uppercase() {
+            return None;
+        }
+        slot = slot * 26 + (code[i] - b'A') as usize;
+        i += 1;
+    }
+    Some(slot)
+}
+
+/// The [`COUNTRIES`] index of every two-letter FIPS code and every
+/// three-letter CAMEO code, `CountryId::UNKNOWN` elsewhere. An events
+/// line resolves three of these codes, so the lookup is an index
+/// computed from the letters instead of a hashed probe; built at compile
+/// time from the one table above.
+static BY_FIPS: [CountryId; 26 * 26] = code_table::<2, { 26 * 26 }>(false);
+static BY_CAMEO: [CountryId; 26 * 26 * 26] = code_table::<3, { 26 * 26 * 26 }>(true);
+
+const fn code_table<const N: usize, const SLOTS: usize>(cameo: bool) -> [CountryId; SLOTS] {
+    let mut table = [CountryId::UNKNOWN; SLOTS];
+    let mut i = 0;
+    while i < COUNTRIES.len() {
+        let code = if cameo { COUNTRIES[i].cameo } else { COUNTRIES[i].fips };
+        match code_slot::<N>(code.as_bytes()) {
+            Some(slot) => table[slot] = CountryId(i as u16),
+            None => panic!("country code is not N capital letters"),
+        }
+        i += 1;
+    }
+    table
+}
+
 /// Resolver from TLDs / FIPS codes / names to [`CountryId`]s.
 ///
 /// Cheap to construct; typically built once and shared.
 #[derive(Debug, Clone)]
 pub struct CountryRegistry {
     by_tld: HashMap<&'static str, CountryId>,
-    by_fips: HashMap<&'static str, CountryId>,
     by_name: HashMap<&'static str, CountryId>,
-    by_cameo: HashMap<&'static str, CountryId>,
 }
 
 impl Default for CountryRegistry {
@@ -127,21 +165,17 @@ impl CountryRegistry {
     /// Build the registry from the static table.
     pub fn new() -> Self {
         let mut by_tld = HashMap::with_capacity(COUNTRIES.len() + GENERIC_US_TLDS.len());
-        let mut by_fips = HashMap::with_capacity(COUNTRIES.len());
         let mut by_name = HashMap::with_capacity(COUNTRIES.len());
-        let mut by_cameo = HashMap::with_capacity(COUNTRIES.len());
         for (i, c) in COUNTRIES.iter().enumerate() {
             let id = CountryId(i as u16);
             by_tld.insert(c.tld, id);
-            by_fips.insert(c.fips, id);
             by_name.insert(c.name, id);
-            by_cameo.insert(c.cameo, id);
         }
         let usa = by_name["USA"];
         for tld in GENERIC_US_TLDS {
             by_tld.insert(tld, usa);
         }
-        CountryRegistry { by_tld, by_fips, by_name, by_cameo }
+        CountryRegistry { by_tld, by_name }
     }
 
     /// Number of registered countries.
@@ -172,7 +206,8 @@ impl CountryRegistry {
     /// Resolve a GDELT FIPS 10-4 `ActionGeo_CountryCode`.
     #[inline]
     pub fn by_fips(&self, fips: &str) -> CountryId {
-        self.by_fips.get(fips).copied().unwrap_or(CountryId::UNKNOWN)
+        let slot = code_slot::<2>(fips.as_bytes());
+        slot.and_then(|s| BY_FIPS.get(s)).copied().unwrap_or(CountryId::UNKNOWN)
     }
 
     /// Resolve a display name as used in the paper's tables.
@@ -185,7 +220,8 @@ impl CountryRegistry {
     /// `"GBR"`). Empty/unknown codes map to the sentinel.
     #[inline]
     pub fn by_cameo(&self, code: &str) -> CountryId {
-        self.by_cameo.get(code).copied().unwrap_or(CountryId::UNKNOWN)
+        let slot = code_slot::<3>(code.as_bytes());
+        slot.and_then(|s| BY_CAMEO.get(s)).copied().unwrap_or(CountryId::UNKNOWN)
     }
 
     /// Assign a country to a news-source domain name using the paper's
@@ -274,6 +310,34 @@ mod tests {
         assert_eq!(r.get(r.by_cameo("CHN")).unwrap().name, "China");
         assert!(r.by_cameo("").is_unknown());
         assert!(r.by_cameo("XYZ").is_unknown());
+    }
+
+    #[test]
+    fn code_tables_agree_with_the_country_list() {
+        let r = CountryRegistry::new();
+        let scan = |code: &str, of: fn(&Country) -> &'static str| {
+            COUNTRIES
+                .iter()
+                .position(|c| of(c) == code)
+                .map_or(CountryId::UNKNOWN, |i| CountryId(i as u16))
+        };
+        let letters = || (b'A'..=b'Z').map(char::from);
+        for a in letters() {
+            for b in letters() {
+                let fips = format!("{a}{b}");
+                assert_eq!(r.by_fips(&fips), scan(&fips, |c| c.fips), "{fips}");
+                for c in letters() {
+                    let cameo = format!("{a}{b}{c}");
+                    assert_eq!(r.by_cameo(&cameo), scan(&cameo, |c| c.cameo), "{cameo}");
+                }
+            }
+        }
+        for odd in ["", "U", "us", "Us", "USA ", "US\0", "GBRX", "gbr", "G1R", "ÜS", "@@", "[["] {
+            assert!(r.by_fips(odd).is_unknown(), "{odd:?}");
+            assert!(r.by_cameo(odd).is_unknown(), "{odd:?}");
+        }
+        assert!(r.by_fips("GBR").is_unknown());
+        assert!(r.by_cameo("UK").is_unknown());
     }
 
     #[test]

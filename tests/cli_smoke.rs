@@ -117,6 +117,55 @@ fn query_and_update_subcommands() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Real exports carry the odd Latin-1 byte. One in a column the store
+/// does not keep (an actor name) changes nothing; one in a kept column
+/// (a source URL) costs that line — never the run.
+#[test]
+fn convert_and_update_survive_undecodable_bytes() {
+    let dir = temp_dir("latin1");
+    let out = cli()
+        .args(["generate", "--out"])
+        .arg(&dir)
+        .args(["--scale", "0.00002", "--seed", "13"])
+        .output()
+        .expect("generate");
+    assert!(out.status.success());
+
+    let events_path = dir.join("events.export.tsv");
+    let mut lines: Vec<Vec<u8>> = std::fs::read(&events_path)
+        .expect("events")
+        .split(|&b| b == b'\n')
+        .map(<[u8]>::to_vec)
+        .collect();
+    let with_column = |line: &[u8], k: usize, bytes: &[u8]| {
+        let mut cols: Vec<&[u8]> = line.split(|&b| b == b'\t').collect();
+        cols[k] = bytes;
+        cols.join(&b'\t')
+    };
+    let n_events = lines.iter().filter(|l| !l.is_empty()).count();
+    lines[1] = with_column(&lines[1], 6, b"Fran\xe7ois Hollande"); // Actor1Name
+    lines[2] = with_column(&lines[2], 60, b"https://example.fr/\xe9lys\xe9e"); // SOURCEURL
+    std::fs::write(&events_path, lines.join(&b'\n')).expect("rewrite events");
+
+    let bin = dir.join("data.gdhpc");
+    let out =
+        cli().args(["convert", "--in"]).arg(&dir).arg("--out").arg(&bin).output().expect("convert");
+    assert!(out.status.success(), "convert failed: {}", String::from_utf8_lossy(&out.stderr));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("skipped 1 unparseable event lines, 0 unparseable"), "{stderr}");
+
+    let out = cli().args(["validate", "--data"]).arg(&bin).output().expect("validate");
+    assert!(out.status.success(), "validate failed: {}", String::from_utf8_lossy(&out.stdout));
+    let audited = String::from_utf8_lossy(&out.stderr);
+    assert!(audited.contains(&format!("{} events", n_events - 1)), "{audited}");
+
+    let out =
+        cli().args(["update", "--data"]).arg(&bin).arg("--in").arg(&dir).output().expect("update");
+    assert!(out.status.success(), "update failed: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("1 bad lines"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn query_rejects_unknown_source() {
     let dir = temp_dir("query_bad");
