@@ -54,10 +54,10 @@ impl<T: Copy> AlignedBuf<T> {
     }
 
     fn layout(cap: usize) -> Layout {
-        // lint: allow(no_panic): allocation-size overflow must abort, as Vec does
+        // analyze: allow(no_panic): allocation-size overflow must abort, as Vec does
         let bytes = cap.checked_mul(size_of::<T>()).expect("capacity overflow");
         let align = COLUMN_ALIGN.max(align_of::<T>());
-        // lint: allow(no_panic): size/align were computed from a valid Layout's rules
+        // analyze: allow(no_panic): size/align were computed from a valid Layout's rules
         Layout::from_size_align(bytes.max(1), align).expect("bad layout")
     }
 
@@ -102,7 +102,7 @@ impl<T: Copy> AlignedBuf<T> {
 
     /// Ensure room for at least `extra` more elements.
     pub fn reserve(&mut self, extra: usize) {
-        // lint: allow(no_panic): allocation-size overflow must abort, as Vec does
+        // analyze: allow(no_panic): allocation-size overflow must abort, as Vec does
         let needed = self.len.checked_add(extra).expect("length overflow");
         if needed > self.cap {
             let new_cap = needed.max(self.cap * 2).max(8);

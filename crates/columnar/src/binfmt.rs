@@ -151,7 +151,7 @@ macro_rules! impl_scalar {
             }
             #[inline]
             fn read_le(bytes: &[u8]) -> Self {
-                // lint: allow(no_panic): callers slice exactly size_of::<$t>() bytes
+                // analyze: allow(no_panic): callers slice exactly size_of::<$t>() bytes
                 <$t>::from_le_bytes(bytes.try_into().expect("width checked"))
             }
         }

@@ -179,7 +179,7 @@ impl StagedMentions {
         t.delay.push(mention_iv.delay_since(event_iv));
         t.source.push(source);
         t.quarter.push(Dataset::interval_quarter(mention_iv));
-        // lint: allow(id_cast): enum discriminant with u8 repr, not an id
+        // analyze: allow(id_cast): enum discriminant with u8 repr, not an id
         t.mention_type.push(m.mention_type as u8);
         t.confidence.push(m.confidence);
         t.doc_tone.push(m.doc_tone);

@@ -59,7 +59,7 @@ impl StringPool {
         let lo = self.offsets[i] as usize;
         // analyze: allow(panic_path): ids come from the pool; out-of-range means corruption (documented panic)
         let hi = self.offsets[i + 1] as usize;
-        // lint: allow(no_panic): pool bytes are UTF-8-validated at build and load
+        // analyze: allow(no_panic): pool bytes are UTF-8-validated at build and load
         // analyze: allow(panic_path): lo ≤ hi ≤ bytes.len() (offsets are ascending by construction)
         std::str::from_utf8(&self.bytes[lo..hi]).expect("pool corruption: invalid UTF-8")
     }

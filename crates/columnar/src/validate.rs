@@ -114,7 +114,7 @@ pub fn validate_pool(pool: &StringPool, label: &'static str, report: &mut Valida
                 format!("first offset is {}, expected 0", offsets[0]),
             );
         }
-        // lint: allow(no_panic): `offsets.is_empty()` returned above
+        // analyze: allow(no_panic): `offsets.is_empty()` returned above
         let last = *offsets.last().expect("non-empty");
         if last != bytes.len() as u64 {
             return violation(
@@ -588,7 +588,7 @@ fn audit_partitions(
             format!("first partition starts at {}", first.begin),
         );
     }
-    // lint: allow(no_panic): `ps` was checked non-empty above
+    // analyze: allow(no_panic): `ps` was checked non-empty above
     let last = ps.last().expect("non-empty");
     if last.end != total {
         return violation(

@@ -69,7 +69,7 @@ impl ExecContextBuilder {
                 let pool = rayon::ThreadPoolBuilder::new()
                     .num_threads(n)
                     .build()
-                    // lint: allow(no_panic): startup-time pool construction; no recovery path
+                    // analyze: allow(no_panic): startup-time pool construction; no recovery path
                     .expect("failed to build thread pool");
                 (n, Some(std::sync::Arc::new(pool)))
             }

@@ -115,7 +115,7 @@ pub fn execute<E>(
         ShardPlan::PublishersThenFollow { top_k } => {
             let counts = match round(&ShardQuery::PublisherCounts)? {
                 ShardPartial::PublisherCounts(counts) => counts,
-                // lint: allow(no_panic): `round` broke its contract (answer the family asked for)
+                // analyze: allow(no_panic): `round` broke its contract (answer the family asked for)
                 other => panic!("publisher-counts round answered {}", other.family()),
             };
             let sources = subset_from_counts(&counts, top_k as usize);
@@ -267,7 +267,7 @@ impl ShardPartial {
                 P::TopEvents { k, entries: merge_ranked(a, b, k as usize) }
             }
             // analyze: allow(panic_path): cross-family merge is a router planning bug, same contract as Matrix::merge on shape mismatch
-            // lint: allow(no_panic): family mismatch is a router planning bug, same contract as Matrix::merge on shape mismatch
+            // analyze: allow(no_panic): family mismatch is a router planning bug, same contract as Matrix::merge on shape mismatch
             (a, b) => panic!(
                 "cannot merge shard partials of different families: {} vs {}",
                 a.family(),
@@ -346,7 +346,7 @@ pub fn finalize(q: &Query, p: ShardPartial) -> QueryResult {
         (Query::TopK { kind: TopKKind::Events, .. }, ShardPartial::TopEvents { entries, .. }) => {
             QueryResult::TopEvents(entries.into_iter().map(|(row, d)| (row as usize, d)).collect())
         }
-        // lint: allow(no_panic): family mismatch is a router planning bug, same contract as Matrix::merge on shape mismatch
+        // analyze: allow(no_panic): family mismatch is a router planning bug, same contract as Matrix::merge on shape mismatch
         (q, p) => panic!("shard partial {} does not finalize query {q}", p.family()),
     }
 }

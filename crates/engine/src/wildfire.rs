@@ -70,7 +70,7 @@ pub fn spread_per_event(ctx: &ExecContext, d: &Dataset, k: usize) -> Vec<Spread>
 pub fn top_wildfires(ctx: &ExecContext, d: &Dataset, k: usize, top: usize) -> Vec<Spread> {
     let mut spreads: Vec<Spread> =
         spread_per_event(ctx, d, k).into_iter().filter(|s| s.time_to_k.is_some()).collect();
-    // lint: allow(no_panic): `is_some` filtered directly above
+    // analyze: allow(no_panic): `is_some` filtered directly above
     spreads.sort_by_key(|s| (s.time_to_k.expect("filtered"), std::cmp::Reverse(s.breadth)));
     spreads.truncate(top);
     spreads

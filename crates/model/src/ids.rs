@@ -97,7 +97,7 @@ impl CountryId {
 ///
 /// The full GDELT corpus holds 325M events — comfortably inside `u32` —
 /// but a bare `value as u32` would wrap silently if that ever changed.
-/// This aborts with a precise message instead; `cargo xtask lint`'s
+/// This aborts with a precise message instead; `cargo xtask analyze`'s
 /// `id_cast` rule points offenders here.
 #[inline]
 #[track_caller]

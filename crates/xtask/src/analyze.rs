@@ -34,10 +34,9 @@
 //!   field that is `Acquire`-loaded elsewhere, a `Release` store no
 //!   load ever consumes, asymmetric fences, and `SeqCst` where the
 //!   workspace's publish/consume discipline needs at most
-//!   `Release`/`Acquire` all become findings. Subsumes the old
-//!   intra-procedural `seqcst` rule (whose marker name survives as an
-//!   alias). Test code is **included**: an unsound ordering in a test
-//!   masks exactly the race the test exists to catch.
+//!   `Release`/`Acquire` all become findings. Test code is
+//!   **included**: an unsound ordering in a test masks exactly the race
+//!   the test exists to catch.
 //!
 //! On top of those, three dataflow rules run the fixpoint engine
 //! ([`crate::dataflow`]) over statement-level CFGs ([`crate::cfg`]):
@@ -55,16 +54,18 @@
 //! * `result_discard` — a `Result` from a workspace call dropped on
 //!   the floor in serve/engine hot paths ([`crate::discard`]).
 //!
+//! The line rules of [`crate::lint`] (`no_panic`, `id_cast`,
+//! `par_index`) run over every file too, so one pass checks everything.
 //! A final audit flags **stale markers**: suppression comments that no
-//! longer suppress anything (the line lints are replayed first so
-//! their marker usage counts too). `--remove-stale` deletes them.
+//! longer suppress anything. `--remove-stale` deletes them.
 //!
 //! Plus the ratcheting unsafe inventory against `analyze-baseline.toml`
 //! ([`crate::baseline`]), which also records per-crate dataflow
 //! suppression counts (`[dataflow.*]`) and stale-marker counts
 //! (`[stale.*]`). Findings are suppressed per-line with
-//! `// analyze: allow(<rule>): <reason>` (the legacy `lint:` markers
-//! `no_panic` / `par_index` also silence sinks they already justify).
+//! `// analyze: allow(<rule>): <reason>` (a `no_panic` / `par_index`
+//! marker also silences the `panic_path` / `index_bounds` sink it
+//! already justifies).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -74,8 +75,8 @@ use crate::callgraph::CallGraph;
 use crate::diag::Diagnostic;
 use crate::lex::{tokenize, TokKind, Token};
 use crate::parse::{parse_file, AtomicKind, ParsedFile, SinkKind};
-use crate::source::SourceFile;
-use crate::{bounds, discard, guard, json, lint, summaries, walk};
+use crate::source::{SourceFile, MARKER_PREFIX};
+use crate::{bounds, discard, guard, lint, summaries, walk};
 
 /// The baseline file name, at the workspace root.
 pub const BASELINE_FILE: &str = "analyze-baseline.toml";
@@ -175,6 +176,10 @@ impl Analysis {
         self.index_bounds(&mut out, &mut dataflow);
         self.guard_across_calls(&mut out, &mut dataflow);
         self.result_discards(&mut out, &mut dataflow);
+        // The line rules: `no_panic`, `id_cast`, `par_index`.
+        for (rel, src, _, _, _) in &self.files {
+            out.extend(lint::lint_file(rel, src));
+        }
         let stale = self.stale_markers(&mut out);
         out.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
         RunResult { diagnostics: out, dataflow, stale, summary }
@@ -263,8 +268,8 @@ impl Analysis {
                 if sink.kind == SinkKind::Index {
                     continue;
                 }
-                // `analyze: allow(panic_path)` plus the legacy line-lint
-                // marker silence a sink.
+                // `allow(panic_path)` or the line rule's `allow(no_panic)`
+                // silences a sink.
                 if src.allowed(sink.line, "panic_path") || src.allowed(sink.line, "no_panic") {
                     continue;
                 }
@@ -432,7 +437,7 @@ impl Analysis {
             // Direct: writes to captured bindings / interior-mutable
             // cells / `static mut` recorded inside the region itself.
             for w in &n.func.par_writes {
-                if summary_allowed_any(src, w.line, &krate, &["par_race"], summary) {
+                if summary_allowed(src, w.line, &krate, "par_race", summary) {
                     continue;
                 }
                 out.push(Diagnostic::new(
@@ -467,7 +472,7 @@ impl Analysis {
                         if !seen.insert((c.line, w.what.clone())) {
                             continue;
                         }
-                        if summary_allowed_any(src, c.line, &krate, &["par_race"], summary) {
+                        if summary_allowed(src, c.line, &krate, "par_race", summary) {
                             continue;
                         }
                         let mut chain = vec![summaries::Hop { node: id, line: c.line }];
@@ -527,7 +532,7 @@ impl Analysis {
                     note: Option<String>| {
             let n = &self.graph.nodes[site.node];
             let src = self.source_of(n.file_idx);
-            if summary_allowed_any(src, site.line, krate, &["atomic_protocol", "seqcst"], summary) {
+            if summary_allowed(src, site.line, krate, "atomic_protocol", summary) {
                 return;
             }
             let mut d = Diagnostic::new(&n.path, site.line, "atomic_protocol", message);
@@ -1163,14 +1168,10 @@ impl Analysis {
         }
     }
 
-    /// Flag suppression markers that no longer suppress anything. The
-    /// line lints replay first so markers they consult count as used;
-    /// every analyze rule has already recorded its lookups by the time
-    /// this runs (it must be the last pass in [`Analysis::run`]).
+    /// Flag suppression markers that no longer suppress anything. Every
+    /// rule has already recorded its lookups by the time this runs (it
+    /// must be the last pass in [`Analysis::run`]).
     fn stale_markers(&self, out: &mut Vec<Diagnostic>) -> BTreeMap<String, usize> {
-        for (rel, src, _, _, _) in &self.files {
-            let _ = lint::lint_file(rel, src);
-        }
         let mut stale: BTreeMap<String, usize> = BTreeMap::new();
         for (rel, src, _, _, _) in &self.files {
             let used = src.used_markers();
@@ -1204,44 +1205,39 @@ const DISCARD_CRATES: &[&str] = &["engine", "serve"];
 
 /// Every rule a suppression marker can legitimately name.
 const MARKER_RULES: &[&str] = &[
-    // line lints
+    // line rules
     "no_panic",
     "id_cast",
     "par_index",
-    "safety_comment",
-    // analyze rules
+    // call-graph rules
     "panic_path",
     "hot_alloc",
     "obs_hot_path",
     "lock_par",
     "lock_cycle",
-    // summary rules (`seqcst` is the legacy alias for
-    // `atomic_protocol`, kept so existing markers keep resolving)
+    // summary rules
     "par_race",
     "atomic_protocol",
-    "seqcst",
     // dataflow rules
     "index_bounds",
     "guard_across_await_or_call",
     "result_discard",
 ];
 
-/// Consult the given summary-rule marker spellings; a hit counts into
-/// the `[summary.*]` suppression table.
-fn summary_allowed_any(
+/// Consult a summary-rule marker; a hit counts into the `[summary.*]`
+/// suppression table.
+fn summary_allowed(
     src: &SourceFile,
     line: usize,
     krate: &str,
-    rules: &[&str],
+    rule: &str,
     summary: &mut BTreeMap<String, usize>,
 ) -> bool {
-    for rule in rules {
-        if src.allowed(line, rule) {
-            *summary.entry(krate.to_string()).or_default() += 1;
-            return true;
-        }
+    let hit = src.allowed(line, rule);
+    if hit {
+        *summary.entry(krate.to_string()).or_default() += 1;
     }
-    false
+    hit
 }
 
 /// Cap on obligations lifted per function; overflow falls back to an
@@ -1405,9 +1401,7 @@ pub fn remove_stale_markers(root: &Path, diagnostics: &[Diagnostic]) -> Result<u
         lines.dedup();
         for &lineno in lines.iter().rev() {
             let Some(raw) = out.get(lineno - 1) else { continue };
-            let cut =
-                ["// lint: allow(", "// analyze: allow("].iter().filter_map(|p| raw.find(p)).min();
-            let Some(cut) = cut else { continue };
+            let Some(cut) = raw.find(&format!("// {MARKER_PREFIX}")) else { continue };
             if raw[..cut].trim().is_empty() {
                 out.remove(lineno - 1);
             } else {
@@ -1423,46 +1417,6 @@ pub fn remove_stale_markers(root: &Path, diagnostics: &[Diagnostic]) -> Result<u
         std::fs::write(&abs, body).map_err(|e| format!("writing {}: {e}", abs.display()))?;
     }
     Ok(removed)
-}
-
-/// Load a prior `--format json` report for `--diff` gating: the
-/// returned set of (path, rule, message) identities is subtracted from
-/// the current run, leaving only new findings.
-pub fn load_diff_baseline(path: &Path) -> Result<BTreeSet<(String, String, String)>, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    let doc = json::parse(&text).map_err(|e| format!("{}: not JSON: {e}", path.display()))?;
-    let Some(diags) = doc.get("diagnostics").and_then(|d| d.as_arr()) else {
-        return Err(format!(
-            "{}: not an analyze report (missing `diagnostics` array)",
-            path.display()
-        ));
-    };
-    let mut seen = BTreeSet::new();
-    for d in diags {
-        let field = |k: &str| d.get(k).and_then(|v| v.as_str()).map(str::to_string);
-        match (field("path"), field("rule"), field("message")) {
-            (Some(p), Some(r), Some(m)) => {
-                seen.insert((p, r, m));
-            }
-            _ => {
-                return Err(format!(
-                    "{}: malformed diagnostic entry (need path/rule/message strings)",
-                    path.display()
-                ));
-            }
-        }
-    }
-    Ok(seen)
-}
-
-/// Subtract a `--diff` baseline from `diagnostics`, in place.
-pub fn apply_diff(diagnostics: &mut Vec<Diagnostic>, seen: &BTreeSet<(String, String, String)>) {
-    diagnostics.retain(|d| {
-        let key =
-            (d.path.to_string_lossy().replace('\\', "/"), d.rule.to_string(), d.message.clone());
-        !seen.contains(&key)
-    });
 }
 
 #[cfg(test)]
@@ -1650,7 +1604,7 @@ pub fn order_ba(s: &S) {
     }
 
     #[test]
-    fn seqcst_flagged_under_atomic_protocol_and_legacy_marker_suppresses() {
+    fn seqcst_flagged_under_atomic_protocol_and_marker_suppresses() {
         let a = analysis(&[(
             "crates/a/src/lib.rs",
             "\
@@ -1659,7 +1613,7 @@ pub fn bump(c: &AtomicU32) {
     c.fetch_add(1, Ordering::SeqCst);
 }
 pub fn bump_justified(d: &AtomicU32) {
-    // analyze: allow(seqcst): total order needed for the epoch handshake
+    // analyze: allow(atomic_protocol): total order needed for the epoch handshake
     d.fetch_add(1, Ordering::SeqCst);
 }
 ",
@@ -1670,8 +1624,8 @@ pub fn bump_justified(d: &AtomicU32) {
         assert_eq!(s.len(), 1, "{:?}", run.diagnostics);
         assert_eq!(s[0].line, 3);
         assert!(s[0].message.contains("SeqCst"), "{}", s[0].message);
-        // The legacy `seqcst` marker suppressed the second site, is
-        // counted in the [summary.*] table, and is not stale.
+        // The marker suppressed the second site, is counted in the
+        // [summary.*] table, and is not stale.
         assert_eq!(run.summary.get("a"), Some(&1));
         assert!(!run.diagnostics.iter().any(|d| d.rule == "stale_marker"), "{:?}", run.diagnostics);
     }

@@ -29,8 +29,8 @@
 //!   per crate. New suppressions fail (justify or fix, then
 //!   `--update-baseline`); removing one also fails until the count is
 //!   ratcheted down, so headroom cannot be silently re-spent.
-//! * `[stale.<name>]` — `lint: allow` / `analyze: allow` markers that no
-//!   longer suppress anything. The target is zero everywhere; the table
+//! * `[stale.<name>]` — `analyze: allow` markers that no longer
+//!   suppress anything. The target is zero everywhere; the table
 //!   exists so cleanup progress ratchets and regressions fail.
 //! * `[summary.<name>]` — marker-suppressed summary-rule findings
 //!   (`par_race` / `atomic_protocol`) per crate, same exact-match
@@ -573,9 +573,9 @@ pub fn serialize(baseline: &Baseline) -> String {
     }
     if !baseline.stale.is_empty() {
         out.push_str(
-            "\n# Per-crate stale suppression markers (lint: allow / analyze: allow\n\
-             # comments that no longer suppress anything). Target is zero; clean up\n\
-             # with `cargo xtask analyze --remove-stale`.\n",
+            "\n# Per-crate stale suppression markers (analyze: allow comments that\n\
+             # no longer suppress anything). Target is zero; clean up with\n\
+             # `cargo xtask analyze --remove-stale`.\n",
         );
         for (name, count) in baseline.stale.iter() {
             let _ = write!(out, "\n[stale.{name}]\ncount = {count}\n");

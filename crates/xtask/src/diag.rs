@@ -1,8 +1,5 @@
-//! The diagnostic type shared by `cargo xtask lint` and `cargo xtask
-//! analyze`, with the two output formats and the exit-code contract.
-//!
-//! Both passes speak the same language so CI and editors only need one
-//! consumer:
+//! The diagnostic type of `cargo xtask analyze`, with its two output
+//! formats and the exit-code contract:
 //!
 //! * human format — `path:line: [rule] message`, one line per finding,
 //!   followed by indented `note:` lines (the analyzer uses notes to
@@ -10,12 +7,12 @@
 //! * `--format json` — a single JSON object on stdout:
 //!   `{"tool": ..., "count": N, "diagnostics": [...]}`.
 //!
-//! Exit codes (both subcommands): **0** clean, **1** findings reported,
+//! Exit codes: **0** clean, **1** findings reported,
 //! **2** usage or internal error (unreadable file, malformed baseline).
 
 use std::path::{Path, PathBuf};
 
-/// One finding from either pass.
+/// One finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// File the finding is in (workspace-relative when walked).
@@ -32,7 +29,7 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    /// A note-free diagnostic (the common case for line lints).
+    /// A note-free diagnostic (the common case for line rules).
     pub fn new(path: &Path, line: usize, rule: &'static str, message: String) -> Self {
         Diagnostic { path: path.to_path_buf(), line, rule, message, notes: Vec::new() }
     }
@@ -56,8 +53,6 @@ pub enum Format {
     Human,
     /// One JSON object with every diagnostic.
     Json,
-    /// SARIF 2.1.0 (`--format sarif`), for code-scanning uploads.
-    Sarif,
 }
 
 impl Format {
@@ -66,8 +61,7 @@ impl Format {
         match value {
             "human" => Ok(Format::Human),
             "json" => Ok(Format::Json),
-            "sarif" => Ok(Format::Sarif),
-            other => Err(format!("unknown --format {other:?} (expected human|json|sarif)")),
+            other => Err(format!("unknown --format {other:?} (expected human|json)")),
         }
     }
 }
@@ -81,7 +75,6 @@ pub fn emit(tool: &str, diagnostics: &[Diagnostic], format: Format) {
             }
         }
         Format::Json => println!("{}", to_json(tool, diagnostics)),
-        Format::Sarif => println!("{}", crate::sarif::to_sarif(tool, diagnostics)),
     }
 }
 
@@ -115,7 +108,7 @@ pub fn to_json(tool: &str, diagnostics: &[Diagnostic]) -> String {
 }
 
 /// Append `s` as a JSON string literal (quotes + escapes).
-pub(crate) fn json_string(s: &str, out: &mut String) {
+fn json_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

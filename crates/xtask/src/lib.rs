@@ -1,15 +1,15 @@
 //! Repo automation library behind the `cargo xtask` binary.
 //!
 //! Exposed as a library so the integration tests under `tests/` can
-//! drive the lint and analyze passes against fixture files without
-//! spawning the binary. Modules:
+//! drive the analyze pass against fixture files without spawning the
+//! binary. Modules:
 //!
 //! * [`source`] — line model (code/comment split, literal blanking,
 //!   test regions, suppression markers);
 //! * [`lex`] / [`parse`] / [`callgraph`] — token stream, item parser,
 //!   and intra-workspace call graph for the semantic pass;
-//! * [`lint`] — the line-level rules (`cargo xtask lint`);
-//! * [`analyze`] — the call-graph analyses (`cargo xtask analyze`);
+//! * [`lint`] — the line rules `analyze` runs over every file;
+//! * [`analyze`] — the pass driver behind `cargo xtask analyze`;
 //! * [`cfg`] / [`dataflow`] — statement-level CFGs and the fixpoint
 //!   engine behind the dataflow rules;
 //! * [`bounds`] / [`guard`] / [`discard`] — the dataflow analyses
@@ -17,11 +17,9 @@
 //! * [`summaries`] — interprocedural effect summaries over the SCC
 //!   condensation (behind `par_race`, `atomic_protocol`, and the
 //!   cross-function bounds obligations);
-//! * [`json`] / [`sarif`] — minimal JSON parsing and SARIF 2.1.0
-//!   export + validation;
 //! * [`baseline`] — the ratcheting unsafe-inventory baseline;
-//! * [`diag`] — the shared diagnostic type and output formats;
-//! * [`walk`] — workspace file discovery shared by both passes;
+//! * [`diag`] — the diagnostic type and output formats;
+//! * [`walk`] — workspace file discovery;
 //! * [`sanitize`] — miri / tsan wrappers.
 
 pub mod analyze;
@@ -34,12 +32,10 @@ pub mod deps;
 pub mod diag;
 pub mod discard;
 pub mod guard;
-pub mod json;
 pub mod lex;
 pub mod lint;
 pub mod parse;
 pub mod sanitize;
-pub mod sarif;
 pub mod source;
 pub mod summaries;
 pub mod walk;

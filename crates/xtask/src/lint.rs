@@ -1,47 +1,36 @@
-//! The custom static-analysis pass behind `cargo xtask lint`.
+//! The line rules `cargo xtask analyze` runs over every file.
 //!
-//! Four source-level rules, each encoding an invariant the workspace
+//! Three source-level rules, each encoding an invariant the workspace
 //! lints cannot express:
 //!
-//! * `safety_comment` — every `unsafe` block, fn, or impl must carry a
-//!   `// SAFETY:` comment on the same line or directly above it
-//!   (doc-comment `# Safety` sections count for `unsafe fn`);
 //! * `no_panic` — no `unwrap()` / `expect()` / `panic!` in non-test
-//!   code of the engine and columnar hot paths;
+//!   code of the engine, columnar and serve hot paths;
 //! * `id_cast` — no bare `as` narrowing casts on row/event/mention id
 //!   expressions; use the checked helpers in `gdelt_model::ids`;
 //! * `par_index` — no `[i]`-style indexing with a variable inside
 //!   rayon closures in `crates/engine`; prefer `get`, iterators, or a
 //!   justified marker.
 //!
+//! Undocumented `unsafe` is clippy's job
+//! (`undocumented_unsafe_blocks = "deny"` in `[workspace.lints]`).
 //! Any rule can be locally suppressed with a justified marker:
-//! `// lint: allow(<rule>): <reason>` on the offending line or the
+//! `// analyze: allow(<rule>): <reason>` on the offending line or the
 //! line above. The reason is mandatory.
 
 use crate::diag::Diagnostic;
 use crate::source::SourceFile;
 use std::path::Path;
 
-/// Crates whose `src/` trees the panic / cast / par rules cover.
-/// `safety_comment` applies to the whole workspace.
+/// Crates whose `src/` trees the rules cover.
 const HOT_PATH_CRATES: &[&str] = &["engine", "columnar", "serve"];
 const ID_CAST_CRATES: &[&str] = &["engine", "columnar", "model"];
 
-/// Run every rule over `src` as if it lived at `path`.
-///
-/// The rule set applied is derived from the path, mirroring the
-/// directory scopes above.
-pub fn lint_source(path: &Path, src: &str) -> Vec<Diagnostic> {
-    lint_file(path, &SourceFile::parse(src))
-}
-
-/// Run every rule over an already-parsed file. `cargo xtask analyze`
-/// replays the line lints through this entry point so their marker
-/// lookups land on its shared [`SourceFile`] instances before the
-/// stale-marker audit diffs used markers against present ones.
+/// Run every rule over a parsed file living at the workspace-relative
+/// `path`; the rule set applied is derived from the path, mirroring the
+/// directory scopes above. Marker lookups land on the shared
+/// [`SourceFile`], so the stale-marker audit sees them as used.
 pub fn lint_file(path: &Path, file: &SourceFile) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    safety_comment(path, file, &mut out);
     let in_crate = |names: &[&str]| {
         let p = path.to_string_lossy().replace('\\', "/");
         names.iter().any(|c| p.contains(&format!("crates/{c}/src/")))
@@ -58,73 +47,7 @@ pub fn lint_file(path: &Path, file: &SourceFile) -> Vec<Diagnostic> {
     out
 }
 
-/// Lint every workspace `.rs` file (crate sources and tests, plus the
-/// top-level `tests/` and `examples/` trees — see [`crate::walk`]).
-pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
-    let files = crate::walk::workspace_files(root)?;
-    let mut out = Vec::new();
-    for f in files {
-        let src = std::fs::read_to_string(&f)?;
-        let rel = f.strip_prefix(root).unwrap_or(&f).to_path_buf();
-        out.extend(lint_source(&rel, &src));
-    }
-    Ok(out)
-}
-
-/// Rule 1: `unsafe` sites must be justified in a comment.
-fn safety_comment(path: &Path, file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for (idx, line) in file.lines.iter().enumerate() {
-        let code = &line.code;
-        let Some(pos) = find_word(code, "unsafe") else {
-            continue;
-        };
-        // `unsafe` in a forbid/deny attribute or a trait bound list is
-        // not a site; only block/fn/impl forms are.
-        let after = code[pos + "unsafe".len()..].trim_start();
-        let is_site = after.starts_with('{')
-            || after.starts_with("impl")
-            || after.starts_with("fn")
-            || after.is_empty(); // `unsafe` alone, `{` on the next line
-        if !is_site {
-            continue;
-        }
-        if has_safety_justification(file, idx) {
-            continue;
-        }
-        out.push(Diagnostic::new(
-            path,
-            idx + 1,
-            "safety_comment",
-            "unsafe site without a `// SAFETY:` comment explaining why it is sound".into(),
-        ));
-    }
-}
-
-/// Look for `SAFETY:` (or a `# Safety` doc section) on the line, or in
-/// the contiguous run of comment/attribute-only lines directly above.
-fn has_safety_justification(file: &SourceFile, idx: usize) -> bool {
-    let is_safety =
-        |l: &crate::source::Line| l.comment.contains("SAFETY:") || l.comment.contains("# Safety");
-    if is_safety(&file.lines[idx]) {
-        return true;
-    }
-    let mut j = idx;
-    while j > 0 {
-        j -= 1;
-        let l = &file.lines[j];
-        let code = l.code.trim();
-        let is_annotation = code.is_empty() || code.starts_with("#[");
-        if !is_annotation {
-            return false;
-        }
-        if is_safety(l) {
-            return true;
-        }
-    }
-    false
-}
-
-/// Rule 2: panicking calls are banned in hot-path non-test code.
+/// Rule 1: panicking calls are banned in hot-path non-test code.
 fn no_panic(path: &Path, file: &SourceFile, out: &mut Vec<Diagnostic>) {
     const PATTERNS: &[(&str, &str)] = &[
         (".unwrap()", "use pattern matching, `?`, or a justified marker"),
@@ -155,7 +78,7 @@ const NARROW: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
 /// Identifier segments that mark a value as a row/event/mention id.
 const ID_SEGMENTS: &[&str] = &["id", "row", "event", "mention"];
 
-/// Rule 3: `some_row as u32`-style casts silently wrap at scale
+/// Rule 2: `some_row as u32`-style casts silently wrap at scale
 /// (GDELT's full corpus has 325M events); flag them on id-carrying
 /// names and point at the checked helpers.
 fn id_cast(path: &Path, file: &SourceFile, out: &mut Vec<Diagnostic>) {
@@ -213,7 +136,7 @@ fn ident_before(code: &str, pos: usize) -> Option<String> {
 /// Markers that start a rayon-parallel region.
 const PAR_MARKERS: &[&str] = &[".par_iter()", ".into_par_iter()", "parallel_map(", ".par_chunks"];
 
-/// Rule 4: inside a parallel closure, `v[i]` with a variable index
+/// Rule 3: inside a parallel closure, `v[i]` with a variable index
 /// turns a data-layout bug into a hard-to-reproduce panic on one
 /// worker thread; require `get`, zipped iterators, or a marker.
 fn par_index(path: &Path, file: &SourceFile, out: &mut Vec<Diagnostic>) {
@@ -298,53 +221,12 @@ fn char_len(chars: &[char], i: usize) -> usize {
     chars[..i].iter().map(|c| c.len_utf8()).sum()
 }
 
-/// Find `word` in `code` at word boundaries.
-fn find_word(code: &str, word: &str) -> Option<usize> {
-    let mut from = 0;
-    while let Some(rel) = code[from..].find(word) {
-        let pos = from + rel;
-        let before_ok = pos == 0
-            || !code[..pos].chars().last().is_some_and(|c| c.is_ascii_alphanumeric() || c == '_');
-        let after = code[pos + word.len()..].chars().next();
-        let after_ok = !after.is_some_and(|c| c.is_ascii_alphanumeric() || c == '_');
-        if before_ok && after_ok {
-            return Some(pos);
-        }
-        from = pos + word.len();
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn lint(path: &str, src: &str) -> Vec<Diagnostic> {
-        lint_source(Path::new(path), src)
-    }
-
-    #[test]
-    fn unsafe_without_safety_fires() {
-        let d = lint("crates/columnar/src/x.rs", "fn f() {\n    unsafe { work() }\n}\n");
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "safety_comment");
-        assert_eq!(d[0].line, 2);
-    }
-
-    #[test]
-    fn unsafe_with_safety_passes() {
-        let src =
-            "fn f() {\n    // SAFETY: ptr is valid for len elements\n    unsafe { work() }\n}\n";
-        assert!(lint("crates/columnar/src/x.rs", src).is_empty());
-        let impl_src =
-            "// SAFETY: T: Send is required by the bound\nunsafe impl<T: Send> Send for B<T> {}\n";
-        assert!(lint("crates/columnar/src/x.rs", impl_src).is_empty());
-    }
-
-    #[test]
-    fn unsafe_in_string_or_comment_ignored() {
-        let src = "fn f() { let s = \"unsafe { }\"; } // unsafe { }\n";
-        assert!(lint("crates/columnar/src/x.rs", src).is_empty());
+        lint_file(Path::new(path), &SourceFile::parse(src))
     }
 
     #[test]
@@ -354,7 +236,7 @@ mod tests {
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule, "no_panic");
 
-        let ok = "fn f(x: Option<u32>) -> u32 {\n    // lint: allow(no_panic): checked above\n    x.unwrap()\n}\n";
+        let ok = "fn f(x: Option<u32>) -> u32 {\n    // analyze: allow(no_panic): checked above\n    x.unwrap()\n}\n";
         assert!(lint("crates/engine/src/x.rs", ok).is_empty());
     }
 
@@ -385,7 +267,7 @@ mod tests {
         assert!(lint("crates/engine/src/x.rs", "fn f(row: u32) -> u64 { row as u64 }\n").is_empty());
         assert!(lint("crates/engine/src/x.rs", "fn f(n: usize) -> u32 { n as u32 }\n").is_empty());
         let marked =
-            "fn f(row: usize) -> u32 {\n    // lint: allow(id_cast): row < 1000 by construction\n    row as u32\n}\n";
+            "fn f(row: usize) -> u32 {\n    // analyze: allow(id_cast): row < 1000 by construction\n    row as u32\n}\n";
         assert!(lint("crates/engine/src/x.rs", marked).is_empty());
     }
 

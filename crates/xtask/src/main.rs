@@ -2,56 +2,47 @@
 //!
 //! Subcommands:
 //!
-//! * `lint` — the line-level rule pass (see [`xtask::lint`]);
-//! * `analyze` — the call-graph and dataflow pass: panic-reachability
-//!   from `// analyze: no_panic` kernels, the `index_bounds` interval
+//! * `analyze` — the one static-analysis pass: the line rules
+//!   (`no_panic`, `id_cast`, `par_index`), panic-reachability from
+//!   `// analyze: no_panic` kernels, the `index_bounds` interval
 //!   prover, guard-across-call and `Result`-discard dataflow rules,
-//!   hot-loop allocations, lock discipline, `SeqCst` audit, the
-//!   stale-marker audit, and the ratcheting baseline
+//!   hot-loop allocations, lock discipline, the atomic-ordering audit,
+//!   the stale-marker audit, and the ratcheting baseline
 //!   (see [`xtask::analyze`]);
-//! * `validate-sarif` — structural checker for SARIF 2.1.0 logs
-//!   produced by `--format sarif` (see [`xtask::sarif`]);
 //! * `miri` / `tsan` — sanitizer wrappers.
 //!
-//! Both diagnostic passes share one contract: `--format
-//! human|json|sarif` output on stdout, exit **0** when clean, **1**
-//! when findings were reported, **2** on usage or internal errors.
-//! Wired up via the `xtask` alias in `.cargo/config.toml`.
+//! `analyze` writes `--format human|json` output on stdout and exits
+//! **0** when clean, **1** when findings were reported, **2** on usage
+//! or internal errors. Wired up via the `xtask` alias in
+//! `.cargo/config.toml`.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use xtask::diag::{self, Format};
-use xtask::{analyze, lint, sanitize};
+use xtask::{analyze, sanitize};
 
 const USAGE: &str = "\
 cargo xtask — repo automation
 
 USAGE:
-  cargo xtask lint [--format human|json|sarif] [FILES...]
-      run the line-level lint pass (default scope: the whole workspace)
-  cargo xtask analyze [--format human|json|sarif] [--update-baseline]
-                      [--diff <report.json>] [--remove-stale] [FILES...]
-      run the call-graph + dataflow analyses; with no FILES also checks
-      the ratchet tables against analyze-baseline.toml.
-        --diff <report.json>   subtract a prior `--format json` report:
-                               only new findings are emitted / counted
+  cargo xtask analyze [--format human|json] [--update-baseline]
+                      [--remove-stale] [FILES...]
+      run the line rules + call-graph + dataflow analyses; with no FILES
+      also checks the ratchet tables against analyze-baseline.toml.
         --remove-stale         delete the markers behind stale_marker
                                findings, then drop those findings
-  cargo xtask validate-sarif <file>
-      structurally check a SARIF 2.1.0 log written by `--format sarif`
   cargo xtask miri              run AlignedBuf unsafe-path tests under Miri
   cargo xtask tsan              run concurrency suites under ThreadSanitizer
 
 Exit codes: 0 clean, 1 findings reported, 2 usage/internal error.
 ";
 
-/// Parsed common flags for the diagnostic subcommands.
+/// Parsed flags of `cargo xtask analyze`.
 struct Opts {
     format: Format,
     update_baseline: bool,
     remove_stale: bool,
-    diff: Option<PathBuf>,
     files: Vec<String>,
 }
 
@@ -60,22 +51,17 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         format: Format::Human,
         update_baseline: false,
         remove_stale: false,
-        diff: None,
         files: Vec::new(),
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--format" => {
-                let v = it.next().ok_or("--format needs a value (human|json|sarif)")?;
+                let v = it.next().ok_or("--format needs a value (human|json)")?;
                 opts.format = Format::parse(v)?;
             }
             "--update-baseline" => opts.update_baseline = true,
             "--remove-stale" => opts.remove_stale = true,
-            "--diff" => {
-                let v = it.next().ok_or("--diff needs a path to a prior `--format json` report")?;
-                opts.diff = Some(PathBuf::from(v));
-            }
             f if f.starts_with('-') => return Err(format!("unknown flag {f:?}\n{USAGE}")),
             f => opts.files.push(f.to_string()),
         }
@@ -86,9 +72,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result: Result<bool, String> = match args.first().map(String::as_str) {
-        Some("lint") => cmd_lint(&args[1..]),
         Some("analyze") => cmd_analyze(&args[1..]),
-        Some("validate-sarif") => cmd_validate_sarif(&args[1..]),
         Some("miri") => sanitize::miri().map(|()| true),
         Some("tsan") => sanitize::tsan().map(|()| true),
         Some("help") | Some("--help") | Some("-h") => {
@@ -107,34 +91,6 @@ fn main() -> ExitCode {
             eprintln!("{e}");
             ExitCode::from(2)
         }
-    }
-}
-
-/// Run the lint pass; `Ok(true)` means clean.
-fn cmd_lint(args: &[String]) -> Result<bool, String> {
-    let opts = parse_opts(args)?;
-    if opts.update_baseline || opts.remove_stale || opts.diff.is_some() {
-        return Err("--update-baseline/--remove-stale/--diff only apply to `analyze`".into());
-    }
-    let root = workspace_root()?;
-    let diagnostics = if opts.files.is_empty() {
-        lint::lint_workspace(&root).map_err(|e| format!("scanning {}: {e}", root.display()))?
-    } else {
-        let mut out = Vec::new();
-        for f in &opts.files {
-            let path = PathBuf::from(f);
-            let src = std::fs::read_to_string(&path).map_err(|e| format!("reading {f}: {e}"))?;
-            out.extend(lint::lint_source(&path, &src));
-        }
-        out
-    };
-    diag::emit("lint", &diagnostics, opts.format);
-    if diagnostics.is_empty() {
-        eprintln!("xtask lint: clean");
-        Ok(true)
-    } else {
-        eprintln!("xtask lint: {} violation(s)", diagnostics.len());
-        Ok(false)
     }
 }
 
@@ -186,15 +142,6 @@ fn cmd_analyze(args: &[String]) -> Result<bool, String> {
             )?);
         }
     }
-    if let Some(diff_path) = &opts.diff {
-        let seen = analyze::load_diff_baseline(diff_path)?;
-        let before = diagnostics.len();
-        analyze::apply_diff(&mut diagnostics, &seen);
-        eprintln!(
-            "xtask analyze: --diff suppressed {} known finding(s)",
-            before - diagnostics.len()
-        );
-    }
     diag::emit("analyze", &diagnostics, opts.format);
     if diagnostics.is_empty() {
         eprintln!("xtask analyze: clean");
@@ -202,28 +149,6 @@ fn cmd_analyze(args: &[String]) -> Result<bool, String> {
     } else {
         eprintln!("xtask analyze: {} finding(s)", diagnostics.len());
         Ok(false)
-    }
-}
-
-/// Structurally validate a SARIF log; `Ok(true)` means valid.
-fn cmd_validate_sarif(args: &[String]) -> Result<bool, String> {
-    let [file] = args else {
-        return Err(format!("usage: cargo xtask validate-sarif <file>\n{USAGE}"));
-    };
-    let text = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
-    let doc = xtask::json::parse(&text).map_err(|e| format!("{file}: not JSON: {e}"))?;
-    match xtask::sarif::validate(&doc) {
-        Ok(n) => {
-            eprintln!("xtask validate-sarif: valid SARIF 2.1.0 log with {n} result(s)");
-            Ok(true)
-        }
-        Err(errs) => {
-            for e in &errs {
-                eprintln!("{file}: {e}");
-            }
-            eprintln!("xtask validate-sarif: {} error(s)", errs.len());
-            Ok(false)
-        }
     }
 }
 

@@ -643,8 +643,7 @@ fn param_names(tokens: &[Token], fn_tok: usize, body_open: usize) -> Vec<String>
     out
 }
 
-/// Record `unsafe` site lines (block / fn / impl forms, matching the
-/// `safety_comment` lint's definition of a site).
+/// Record `unsafe` site lines (block / fn / impl / trait / extern forms).
 fn collect_unsafe_sites(tokens: &[Token], out: &mut Vec<usize>) {
     for (i, t) in tokens.iter().enumerate() {
         if !t.is("unsafe") {

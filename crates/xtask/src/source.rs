@@ -1,12 +1,12 @@
-//! A deliberately small model of a Rust source file for the lint pass.
+//! A deliberately small model of a Rust source file for the analyzer.
 //!
-//! The custom lints are *source-level*: they do not need types or name
+//! The line rules are *source-level*: they do not need types or name
 //! resolution, only a reliable separation of code from comments and
 //! string literals so that a `panic!` inside a doc example or an
 //! `unsafe` in a string does not trip a rule. This module provides
 //! that separation plus the two bits of shared context every rule
 //! needs: which lines are test-only code, and which lines carry a
-//! `// lint: allow(rule): reason` suppression marker.
+//! `// analyze: allow(rule): reason` suppression marker.
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -57,16 +57,13 @@ impl SourceFile {
     }
 
     /// Does `line_no` (1-based) carry or immediately follow a
-    /// `// lint: allow(rule): reason` or `// analyze: allow(rule):
-    /// reason` marker for `rule`?
+    /// `// analyze: allow(rule): reason` marker for `rule`?
     ///
     /// A marker on its own line suppresses the next non-marker line
     /// below it (so several markers for different rules stack above one
     /// line); a trailing marker suppresses its own line. The reason
     /// text is mandatory — a bare `allow(rule)` does not suppress, so
-    /// every exemption is forced to say why. The two prefixes are
-    /// interchangeable; by convention `lint:` markers answer line
-    /// lints and `analyze:` markers answer call-graph findings.
+    /// every exemption is forced to say why.
     pub fn allowed(&self, line_no: usize, rule: &str) -> bool {
         let idx = line_no - 1;
         let here = self.lines.get(idx).map(|l| l.comment.as_str()).unwrap_or("");
@@ -103,7 +100,7 @@ impl SourceFile {
     pub fn markers(&self) -> Vec<(usize, String)> {
         let mut out = Vec::new();
         for (idx, line) in self.lines.iter().enumerate() {
-            for rule in marker_rules(&line.comment) {
+            if let Some(rule) = marker_rule(&line.comment) {
                 out.push((idx + 1, rule));
             }
         }
@@ -111,22 +108,20 @@ impl SourceFile {
     }
 }
 
+/// The one suppression-marker prefix.
+pub const MARKER_PREFIX: &str = "analyze: allow(";
+
 /// Does the comment carry any suppression marker (for any rule)?
 fn is_marker_line(comment: &str) -> bool {
-    ["lint: allow(", "analyze: allow("].iter().any(|p| comment.contains(p))
+    comment.contains(MARKER_PREFIX)
 }
 
 /// Check one comment string for a well-formed suppression marker.
 fn has_marker(comment: &str, rule: &str) -> bool {
-    ["lint: allow(", "analyze: allow("].iter().any(|prefix| has_marker_with(comment, prefix, rule))
-}
-
-/// Check for one specific marker prefix.
-fn has_marker_with(comment: &str, prefix: &str, rule: &str) -> bool {
-    let Some(pos) = comment.find(prefix) else {
+    let Some(pos) = comment.find(MARKER_PREFIX) else {
         return false;
     };
-    let rest = &comment[pos + prefix.len()..];
+    let rest = &comment[pos + MARKER_PREFIX.len()..];
     let Some((name, after)) = rest.split_once(')') else {
         return false;
     };
@@ -140,20 +135,13 @@ fn has_marker_with(comment: &str, prefix: &str, rule: &str) -> bool {
 /// Extract the rule name of a well-formed *leading* marker in one
 /// comment: only comment punctuation (`/`, `!`, `*`) and whitespace
 /// may precede the prefix. Doc prose that merely mentions the marker
-/// syntax (`` a `// lint: allow(rule): reason` marker ``) is thereby
+/// syntax (`` a `// analyze: allow(rule): reason` marker ``) is thereby
 /// never enumerated, so the stale audit cannot flag documentation.
-fn marker_rules(comment: &str) -> Vec<String> {
+fn marker_rule(comment: &str) -> Option<String> {
     let lead = comment.trim_start_matches(['/', '!', '*', ' ', '\t']);
-    let mut out = Vec::new();
-    for prefix in ["lint: allow(", "analyze: allow("] {
-        let Some(rest) = lead.strip_prefix(prefix) else { continue };
-        if let Some((name, after)) = rest.split_once(')') {
-            if matches!(after.trim_start().strip_prefix(':'), Some(r) if !r.trim().is_empty()) {
-                out.push(name.trim().to_string());
-            }
-        }
-    }
-    out
+    let (name, after) = lead.strip_prefix(MARKER_PREFIX)?.split_once(')')?;
+    matches!(after.trim_start().strip_prefix(':'), Some(r) if !r.trim().is_empty())
+        .then(|| name.trim().to_string())
 }
 
 /// Split source into per-line code/comment parts.
@@ -414,7 +402,7 @@ fn real2() {}
     #[test]
     fn marker_requires_reason() {
         let f = SourceFile::parse(
-            "x(); // lint: allow(no_panic): startup only\ny();\nz(); // lint: allow(no_panic)\n",
+            "x(); // analyze: allow(no_panic): startup only\ny();\nz(); // analyze: allow(no_panic)\n",
         );
         assert!(f.allowed(1, "no_panic"));
         assert!(f.allowed(2, "no_panic"), "marker above suppresses next line");
@@ -431,7 +419,7 @@ fn real2() {}
         );
         assert!(f.allowed(3, "hot_alloc"), "marker above a marker still applies");
         assert!(f.allowed(3, "panic_path"));
-        assert!(!f.allowed(3, "seqcst"), "unrelated rule not suppressed");
+        assert!(!f.allowed(3, "par_race"), "unrelated rule not suppressed");
     }
 
     #[test]
@@ -472,7 +460,7 @@ fn real2() {}
     #[test]
     fn allowed_records_marker_usage() {
         let f = SourceFile::parse(
-            "// analyze: allow(hot_alloc): scratch\nlet a = vec![];\nx(); // lint: allow(no_panic): boot\n",
+            "// analyze: allow(hot_alloc): scratch\nlet a = vec![];\nx(); // analyze: allow(no_panic): boot\n",
         );
         assert!(f.allowed(2, "hot_alloc"));
         assert!(f.allowed(3, "no_panic"));
@@ -487,8 +475,8 @@ fn real2() {}
     fn markers_enumerates_well_formed_only() {
         let f = SourceFile::parse(
             "// analyze: allow(panic_path): contract\n\
-             code(); // lint: allow(par_index)\n\
-             more(); // lint: allow(id_cast): dense domain\n",
+             code(); // analyze: allow(par_index)\n\
+             more(); // analyze: allow(id_cast): dense domain\n",
         );
         let m = f.markers();
         assert_eq!(
@@ -501,9 +489,9 @@ fn real2() {}
     #[test]
     fn doc_prose_mentioning_marker_syntax_is_not_enumerated() {
         let f = SourceFile::parse(
-            "//! Suppress with a `// lint: allow(rule): reason` marker.\n\
+            "//! Suppress with a `// analyze: allow(rule): reason` marker.\n\
              /// or `// analyze: allow(panic_path): why` on the line.\n\
-             code(); // lint: allow(no_panic): boot only\n",
+             code(); // analyze: allow(no_panic): boot only\n",
         );
         assert_eq!(f.markers(), vec![(3, "no_panic".to_string())], "{:?}", f.markers());
     }
@@ -515,5 +503,8 @@ fn real2() {}
         );
         assert!(f.allowed(1, "hot_alloc"));
         assert!(!f.allowed(3, "hot_alloc"), "analyze marker also requires a reason");
+        let retired = SourceFile::parse("x(); // lint: allow(no_panic): old prefix\n");
+        assert!(!retired.allowed(1, "no_panic"), "the `lint:` prefix no longer suppresses");
+        assert!(retired.markers().is_empty());
     }
 }

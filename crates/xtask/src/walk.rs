@@ -1,4 +1,4 @@
-//! Workspace file discovery shared by the lint and analyze passes.
+//! Workspace file discovery for the analyze pass.
 //!
 //! Scope: every `.rs` file under `crates/` (sources, unit tests,
 //! integration tests, benches), plus the top-level `tests/` and
@@ -13,7 +13,7 @@
 
 use std::path::{Path, PathBuf};
 
-/// Every workspace `.rs` file both passes operate on, sorted for
+/// Every workspace `.rs` file the analyze pass operates on, sorted for
 /// deterministic diagnostic order.
 pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();

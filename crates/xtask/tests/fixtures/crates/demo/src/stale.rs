@@ -6,6 +6,6 @@ pub fn calm(x: u64) -> u64 {
 }
 
 pub fn typod(x: u64) -> u64 {
-    // lint: allow(no_such_rule): rule name typo
+    // analyze: allow(no_such_rule): rule name typo
     x + 2
 }
