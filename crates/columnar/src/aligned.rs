@@ -7,17 +7,55 @@
 //!
 //! [`AlignedBuf`] is a minimal grow-only vector with 64-byte-aligned
 //! storage. It intentionally supports only the operations table building
-//! needs (`push`, `extend_from_slice`, `resize`, slice access) — queries
-//! only ever see `&[T]`.
+//! needs (`push`, `extend_from_slice`, `resize`, slice access) plus the
+//! two a store load needs ([`AlignedBuf::read_from`] and
+//! [`AlignedBuf::cast`]) — queries only ever see `&[T]`.
 
-use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
+use std::alloc::{alloc, alloc_zeroed, dealloc, handle_alloc_error, Layout};
+use std::io::{self, Read};
 use std::marker::PhantomData;
-use std::mem::{align_of, size_of};
+use std::mem::{align_of, size_of, ManuallyDrop};
 use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
 
 /// Cache-line / SIMD alignment for column storage.
 pub const COLUMN_ALIGN: usize = 64;
+
+mod sealed {
+    pub trait Sealed {}
+}
+
+/// Column element types the store format holds: fixed width, no padding,
+/// alignment at most [`COLUMN_ALIGN`], and *every bit pattern a valid
+/// value* — so a byte buffer of a whole number of elements is a column
+/// of them. Sealed: the five impls below are the whole list, which
+/// [`AlignedBuf::cast`] relies on.
+pub trait Scalar: sealed::Sealed + Copy + 'static {
+    /// Write the little-endian encoding of `self` over exactly
+    /// `size_of::<Self>()` bytes.
+    fn write_le(self, out: &mut [u8]);
+    /// The host-order value of `self` read as little-endian bytes: the
+    /// identity on little-endian hosts, a byte swap on big-endian ones.
+    fn le_to_native(self) -> Self;
+}
+
+macro_rules! impl_scalar {
+    ($($t:ty),*) => {$(
+        impl sealed::Sealed for $t {}
+        impl Scalar for $t {
+            #[inline]
+            fn write_le(self, out: &mut [u8]) {
+                out.copy_from_slice(&self.to_le_bytes());
+            }
+            #[inline]
+            fn le_to_native(self) -> Self {
+                <$t>::from_le_bytes(self.to_ne_bytes())
+            }
+        }
+    )*};
+}
+
+impl_scalar!(u8, u16, u32, u64, f32);
 
 /// A grow-only vector whose buffer is 64-byte aligned.
 ///
@@ -214,10 +252,81 @@ impl<T: Copy> AlignedBuf<T> {
     }
 }
 
+impl AlignedBuf<u8> {
+    /// Read up to `len` bytes of `r` into a fresh buffer allocated once
+    /// at exactly `len` — the one copy a byte makes on its way from the
+    /// page cache to its column. The result is shorter than `len` only
+    /// when `r` ends first.
+    pub fn read_from<R: Read + ?Sized>(r: &mut R, len: usize) -> io::Result<Self> {
+        let mut buf = Self::zeroed(len);
+        let mut filled = 0;
+        while let Some(rest) = buf.get_mut(filled..).filter(|rest| !rest.is_empty()) {
+            match r.read(rest) {
+                Ok(0) => break,
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        buf.resize(filled, 0);
+        Ok(buf)
+    }
+
+    /// `len` zero bytes with capacity exactly `len`. Zero is a valid
+    /// `u8`, and a `Read` may only be handed initialized bytes.
+    fn zeroed(len: usize) -> Self {
+        if len == 0 {
+            return Self::new();
+        }
+        let layout = Self::layout(len);
+        // SAFETY: layout has non-zero size (len > 0); alignment is a
+        // power of two.
+        let ptr = unsafe { alloc_zeroed(layout) };
+        let Some(ptr) = NonNull::new(ptr) else {
+            handle_alloc_error(layout);
+        };
+        AlignedBuf { ptr, len, cap: len, _marker: PhantomData }
+    }
+
+    /// Reinterpret these bytes as a column of `T`, in place — no copy,
+    /// no new allocation. Refused (the buffer comes back unchanged)
+    /// unless both the length and the capacity are whole multiples of
+    /// `size_of::<T>()`. The elements hold the bytes as stored; a
+    /// little-endian payload needs [`Scalar::le_to_native`] on a
+    /// big-endian host.
+    pub fn cast<T: Scalar>(self) -> Result<AlignedBuf<T>, Self> {
+        let width = size_of::<T>();
+        if !self.len.is_multiple_of(width) || !self.cap.is_multiple_of(width) {
+            return Err(self);
+        }
+        if self.cap == 0 {
+            // `u8`'s dangling pointer is not aligned for `T`.
+            return Ok(AlignedBuf::new());
+        }
+        // Soundness of the reinterpretation, which `as_slice` and `Drop`
+        // then rely on: the pointer is `COLUMN_ALIGN`-aligned (it came
+        // from `layout`), and `T: Scalar` has alignment at most
+        // `COLUMN_ALIGN`; the first `len / width` elements are `len`
+        // initialized bytes, and every bit pattern is a valid `T`
+        // (sealed trait); the allocation's layout — `cap` bytes at
+        // `COLUMN_ALIGN` — is exactly `AlignedBuf::<T>::layout(cap /
+        // width)`, so `Drop` frees it with the layout it was allocated
+        // with. `ManuallyDrop` keeps `self` from freeing it first.
+        let this = ManuallyDrop::new(self);
+        Ok(AlignedBuf {
+            ptr: this.ptr.cast::<T>(),
+            len: this.len / width,
+            cap: this.cap / width,
+            _marker: PhantomData,
+        })
+    }
+}
+
 impl<T: Copy> Drop for AlignedBuf<T> {
     fn drop(&mut self) {
         if self.cap > 0 {
-            // SAFETY: allocated with the same layout in grow_to.
+            // SAFETY: allocated with `Self::layout(self.cap)` in grow_to
+            // or zeroed, or (after `cast`) with a layout equal to it.
             unsafe {
                 dealloc(self.ptr.as_ptr() as *mut u8, Self::layout(self.cap));
             }

@@ -16,8 +16,9 @@
 //!
 //! Every column, string pool and the CSR index is its own named section,
 //! so the format is self-describing and forward-extensible (unknown
-//! sections are ignored on read). Checksums catch corruption; a full
-//! [`Dataset::validate`] runs after load.
+//! sections are ignored on read; a name may appear only once).
+//! Checksums catch corruption; a full [`Dataset::validate`] runs after
+//! load.
 //!
 //! The writer also emits a `partitions.meta` section (first in the
 //! file): the store's row ranges split into [`DEFAULT_STORE_PARTITIONS`]
@@ -66,17 +67,23 @@
 //! all drive it. It is given the total length of its source, and no
 //! declared length is trusted past that bound, so a corrupt length
 //! field can neither drive an allocation larger than the file nor seek
-//! beyond its end. A payload is read once into a buffer sized from the
-//! (bounded) header, checksummed there, and decoded in one bulk pass
-//! into its final [`AlignedBuf`](crate::aligned::AlignedBuf) /
-//! [`StringPool`].
+//! beyond its end. A load is one straight line per section: the payload
+//! is read once into a 64-byte-aligned buffer sized from the (bounded)
+//! header, checksummed there, and that buffer *becomes* its column
+//! ([`AlignedBuf::cast`](crate::aligned::AlignedBuf::cast); a
+//! little-endian fix-up on big-endian hosts only) — string-pool bytes
+//! and offsets included. A section name that repeats is refused (the
+//! tolerant reader marks it dirty). Then [`Dataset::validate`] decides
+//! every invariant in one fused pass.
 
+use crate::aligned::{AlignedBuf, Scalar};
 use crate::index::EventIndex;
 use crate::partition::partitions;
 use crate::strings::{StringDict, StringPool};
 use crate::table::Dataset;
 use std::collections::{BTreeSet, HashMap};
 use std::io::{self, Read, Seek, Write};
+use std::mem::{size_of, size_of_val};
 use std::path::{Path, PathBuf};
 
 /// Format magic, bumped with any incompatible layout change. `GDHPC1`
@@ -130,58 +137,31 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
     acc ^ (acc >> 33)
 }
 
-/// Column element types the format stores.
-pub trait Scalar: Copy + 'static {
-    /// Bytes per element.
-    const WIDTH: usize;
-    /// Write the little-endian encoding of `self` over exactly
-    /// [`Scalar::WIDTH`] bytes.
-    fn write_le(self, out: &mut [u8]);
-    /// Decode from exactly [`Scalar::WIDTH`] bytes.
-    fn read_le(bytes: &[u8]) -> Self;
-}
-
-macro_rules! impl_scalar {
-    ($t:ty, $w:expr) => {
-        impl Scalar for $t {
-            const WIDTH: usize = $w;
-            #[inline]
-            fn write_le(self, out: &mut [u8]) {
-                out.copy_from_slice(&self.to_le_bytes());
-            }
-            #[inline]
-            fn read_le(bytes: &[u8]) -> Self {
-                // analyze: allow(no_panic): callers slice exactly size_of::<$t>() bytes
-                <$t>::from_le_bytes(bytes.try_into().expect("width checked"))
-            }
-        }
-    };
-}
-
-impl_scalar!(u8, 1);
-impl_scalar!(u16, 2);
-impl_scalar!(u32, 4);
-impl_scalar!(u64, 8);
-impl_scalar!(f32, 4);
-
 /// Bulk little-endian encode of a column into a payload.
 fn encode<T: Scalar>(vals: &[T]) -> Vec<u8> {
-    let mut out = vec![0u8; vals.len() * T::WIDTH];
-    for (dst, &v) in out.chunks_exact_mut(T::WIDTH).zip(vals) {
+    let mut out = vec![0u8; size_of_val(vals)];
+    for (dst, &v) in out.chunks_exact_mut(size_of::<T>()).zip(vals) {
         v.write_le(dst);
     }
     out
 }
 
-/// Bulk little-endian decode of a payload: the elements, ready to be
-/// collected straight into their final container (an
-/// [`AlignedBuf`](crate::aligned::AlignedBuf) column or a `Vec` offsets
-/// array).
-pub(crate) fn decode<T: Scalar>(bytes: &[u8]) -> io::Result<impl Iterator<Item = T> + '_> {
-    if !bytes.len().is_multiple_of(T::WIDTH) {
-        return Err(bad("section length not a multiple of element width"));
+/// A whole section payload as its column: the bytes reinterpreted in
+/// place ([`AlignedBuf::cast`]), then fixed up from little-endian —
+/// a pass the compiler drops on little-endian hosts.
+pub(crate) fn into_column<T: Scalar>(
+    bytes: AlignedBuf<u8>,
+    name: &str,
+) -> io::Result<AlignedBuf<T>> {
+    let mut column = bytes
+        .cast::<T>()
+        .map_err(|_| bad(format!("section {name} length not a multiple of element width")))?;
+    if cfg!(target_endian = "big") {
+        for v in column.iter_mut() {
+            *v = v.le_to_native();
+        }
     }
-    Ok(bytes.chunks_exact(T::WIDTH).map(T::read_le))
+    Ok(column)
 }
 
 pub(crate) fn bad(msg: impl Into<String>) -> io::Error {
@@ -407,14 +387,17 @@ pub(crate) fn parse_meta(payload: &[u8]) -> io::Result<MetaTable> {
             self.pos = end;
             Ok(s)
         }
+        fn array<const N: usize>(&mut self) -> io::Result<[u8; N]> {
+            self.bytes(N)?.try_into().map_err(|_| bad("meta section truncated"))
+        }
         fn u16(&mut self) -> io::Result<u16> {
-            Ok(u16::read_le(self.bytes(2)?))
+            Ok(u16::from_le_bytes(self.array()?))
         }
         fn u32(&mut self) -> io::Result<u32> {
-            Ok(u32::read_le(self.bytes(4)?))
+            Ok(u32::from_le_bytes(self.array()?))
         }
         fn u64(&mut self) -> io::Result<u64> {
-            Ok(u64::read_le(self.bytes(8)?))
+            Ok(u64::from_le_bytes(self.array()?))
         }
     }
     let mut c = Cursor { buf: payload, pos: 0 };
@@ -619,15 +602,15 @@ impl<R: Read> SectionReader<R> {
         Ok(Some(SectionLayout { name, payload_offset: self.pos, payload_len, checksum, available }))
     }
 
-    /// Read the payload of the header just returned into a buffer
-    /// allocated once at `h.available` bytes — never more than the
-    /// source holds, whatever the header declares. The result is
-    /// shorter than `h.payload_len` when the source ends early.
-    pub(crate) fn payload(&mut self, h: &SectionLayout) -> io::Result<Vec<u8>> {
+    /// Read the payload of the header just returned into a 64-byte
+    /// aligned buffer allocated once at `h.available` bytes — never more
+    /// than the source holds, whatever the header declares — which
+    /// [`into_column`] then turns into its column without a copy. The
+    /// result is shorter than `h.payload_len` when the source ends early.
+    pub(crate) fn payload(&mut self, h: &SectionLayout) -> io::Result<AlignedBuf<u8>> {
         let cap = usize::try_from(h.available)
             .map_err(|_| bad(format!("section {} exceeds the address space", h.name)))?;
-        let mut buf = Vec::with_capacity(cap);
-        (&mut self.r).take(h.available).read_to_end(&mut buf)?;
+        let buf = AlignedBuf::read_from(&mut self.r, cap)?;
         self.pos += buf.len() as u64;
         Ok(buf)
     }
@@ -646,20 +629,23 @@ impl<R: Read> SectionReader<R> {
     }
 }
 
-/// Raw section payloads read back from a store.
+/// Section payloads read back from a store, each in the 64-byte
+/// aligned buffer that becomes its column.
 pub(crate) struct Sections {
-    pub(crate) map: HashMap<String, Vec<u8>>,
-    /// Sections that arrived short or failed their checksum. Always
-    /// empty after a strict [`Sections::read`], which refuses them.
+    pub(crate) map: HashMap<String, AlignedBuf<u8>>,
+    /// Sections that arrived short, failed their checksum or were
+    /// repeated. Always empty after a strict [`Sections::read`], which
+    /// refuses them.
     pub(crate) dirty: BTreeSet<String>,
 }
 
 impl Sections {
     /// Read every section of a source `limit` bytes long. The strict
     /// loader (`tolerant: false`) fails on the first section that is
-    /// truncated or fails its checksum; the tolerant one keeps damaged
-    /// sections and marks them dirty, and lets a source that ends early
-    /// keep what it has.
+    /// truncated, fails its checksum or repeats a name already read;
+    /// the tolerant one keeps damaged sections (and the first of a
+    /// repeated name) and marks them dirty, and lets a source that ends
+    /// early keep what it has.
     pub(crate) fn read<R: Read>(r: R, limit: u64, tolerant: bool) -> io::Result<Self> {
         let mut reader = SectionReader::open(r, limit)?;
         let mut map = HashMap::with_capacity(reader.left as usize);
@@ -671,7 +657,11 @@ impl Sections {
                 Err(e) if tolerant && e.kind() == io::ErrorKind::UnexpectedEof => break,
                 Err(e) => return Err(e),
             };
+            let repeated = map.contains_key(&h.name);
             if !tolerant {
+                if repeated {
+                    return Err(bad(format!("duplicate section {} in store", h.name)));
+                }
                 h.ensure_whole()?;
             }
             let payload = reader.payload(&h)?;
@@ -691,7 +681,11 @@ impl Sections {
                 }
                 dirty.insert(h.name.clone());
             }
-            map.insert(h.name, payload);
+            if repeated {
+                dirty.insert(h.name);
+            } else {
+                map.insert(h.name, payload);
+            }
             if truncated {
                 break; // the source is exhausted and unsynchronized
             }
@@ -700,17 +694,18 @@ impl Sections {
     }
 
     pub(crate) fn get(&self, name: &str) -> io::Result<&[u8]> {
-        self.map.get(name).map(Vec::as_slice).ok_or_else(|| bad(format!("missing section {name}")))
+        self.map
+            .get(name)
+            .map(AlignedBuf::as_slice)
+            .ok_or_else(|| bad(format!("missing section {name}")))
     }
 
-    pub(crate) fn take(&mut self, name: &str) -> io::Result<Vec<u8>> {
+    pub(crate) fn take(&mut self, name: &str) -> io::Result<AlignedBuf<u8>> {
         self.map.remove(name).ok_or_else(|| bad(format!("missing section {name}")))
     }
 
-    pub(crate) fn column<T: Scalar, C: FromIterator<T>>(&mut self, name: &str) -> io::Result<C> {
-        let payload = self.take(name)?;
-        let column = decode(&payload)?.collect();
-        Ok(column)
+    pub(crate) fn column<T: Scalar>(&mut self, name: &str) -> io::Result<AlignedBuf<T>> {
+        into_column(self.take(name)?, name)
     }
 
     pub(crate) fn pool(&mut self, bytes: &str, offsets: &str) -> io::Result<StringPool> {
@@ -917,7 +912,6 @@ pub fn read_store_extents(path: &Path) -> io::Result<StoreExtents> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aligned::AlignedBuf;
     use crate::builder::DatasetBuilder;
     use gdelt_model::cameo::{CameoRoot, Goldstein, QuadClass};
     use gdelt_model::event::{ActionGeo, EventRecord, GeoType};
@@ -1048,10 +1042,14 @@ mod tests {
 
     #[test]
     fn decode_rejects_ragged_section() {
-        assert!(decode::<u32>(&[1, 2, 3]).is_err());
-        assert_eq!(decode::<u32>(&[1, 0, 0, 0]).unwrap().collect::<Vec<_>>(), vec![1]);
-        let col: AlignedBuf<u16> = decode(&[1, 0, 2, 1]).unwrap().collect();
+        let err = into_column::<u32>(AlignedBuf::from(&[1u8, 2, 3][..]), "x").unwrap_err();
+        assert!(err.to_string().contains("section x length"), "{err}");
+        let col = into_column::<u32>(AlignedBuf::from(&[1u8, 0, 0, 0][..]), "x").unwrap();
+        assert_eq!(col.as_slice(), &[1]);
+        let col = into_column::<u16>(AlignedBuf::from(&[1u8, 0, 2, 1][..]), "x").unwrap();
         assert_eq!(col.as_slice(), &[1, 258]);
+        let col = into_column::<u64>(AlignedBuf::new(), "x").unwrap();
+        assert!(col.is_empty());
     }
 
     #[test]

@@ -33,10 +33,10 @@ use std::collections::BTreeSet;
 use std::io::{self, Read};
 use std::time::Duration;
 
-use crate::aligned::AlignedBuf;
+use crate::aligned::{AlignedBuf, Scalar};
 use crate::binfmt::{
-    bad, checksum64, decode, open_sized, parse_meta, section_space, MetaTable, NoShim, PartExtent,
-    ReadShim, Scalar, SectionSpace, Sections, META_SECTION,
+    bad, checksum64, into_column, open_sized, parse_meta, section_space, MetaTable, NoShim,
+    PartExtent, ReadShim, SectionSpace, Sections, META_SECTION,
 };
 use crate::health::StoreHealth;
 use crate::index::EventIndex;
@@ -144,8 +144,9 @@ fn compute_quarantine(meta: &MetaTable, ts: &Sections) -> io::Result<Vec<u32>> {
 
 /// Decode an offsets payload that may have lost its tail: the whole
 /// `u64` entries it still holds.
-fn whole_offsets(payload: &[u8]) -> io::Result<Vec<u64>> {
-    Ok(decode(payload.get(..payload.len() - payload.len() % 8).unwrap_or(&[]))?.collect())
+fn whole_offsets(payload: &[u8]) -> io::Result<AlignedBuf<u64>> {
+    let whole = payload.get(..payload.len() - payload.len() % 8).unwrap_or(&[]);
+    into_column(whole.into(), "events.urls.offsets")
 }
 
 /// Each live partition's slice of one fixed-width section.
@@ -166,14 +167,15 @@ fn live_slices<'a>(
         .collect()
 }
 
-/// Concatenate the live-partition slices of one fixed-width section,
-/// decoded straight into the column.
+/// Concatenate the live-partition slices of one fixed-width section:
+/// the slices are copied out of the section's buffer, and the copy
+/// becomes the column in place.
 fn gather<T: Scalar>(ts: &Sections, name: &str, live: &[PartExtent]) -> io::Result<AlignedBuf<T>> {
     let mut out = AlignedBuf::new();
     for (_, slice) in live_slices(ts, name, live)? {
-        out.extend_from_iter(decode(slice)?);
+        out.extend_from_slice(slice);
     }
-    Ok(out)
+    into_column(out, name)
 }
 
 /// [`gather`] for a column of event-row references, shifting each
@@ -189,7 +191,7 @@ fn rebase_event_rows(
     let mut out = AlignedBuf::new();
     let mut base: u64 = 0;
     for (ext, slice) in live_slices(ts, name, live)? {
-        for v in decode::<u32>(slice)? {
+        for &v in into_column::<u32>(slice.into(), name)?.iter() {
             if Some(v) == sentinel {
                 out.push(v);
                 continue;
@@ -235,8 +237,8 @@ fn assemble(
     // URL pool: concatenate live byte slices and rebase the offsets.
     let url_offsets = whole_offsets(ts.get("events.urls.offsets")?)?;
     let bytes_payload = ts.get("events.urls.bytes")?;
-    let mut new_bytes: Vec<u8> = Vec::new();
-    let mut new_offsets: Vec<u64> = vec![0];
+    let mut new_bytes: AlignedBuf<u8> = AlignedBuf::new();
+    let mut new_offsets: AlignedBuf<u64> = AlignedBuf::from(&[0][..]);
     for ext in &live {
         let slice = ext
             .slice(SectionSpace::UrlBytes, bytes_payload, &url_offsets)

@@ -84,6 +84,7 @@ pub fn append_batch(
     let mut batch_row_map = vec![NO_EVENT_ROW; batch.events.len()];
     {
         let (a, b) = (&base.events, &batch.events);
+        out.events.urls.reserve(a.len() + b.len(), a.urls.payload_bytes() + b.urls.payload_bytes());
         let (mut i, mut j) = (0usize, 0usize);
         let mut next = 0u32;
         while i < a.len() || j < b.len() {

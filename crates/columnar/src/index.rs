@@ -7,6 +7,7 @@
 //! mentions are sorted by scrape interval, so follow-reporting (who
 //! published first) is a linear walk.
 
+use crate::aligned::AlignedBuf;
 use crate::table::{MentionsTable, NO_EVENT_ROW};
 
 /// CSR offsets: `offsets[i]..offsets[i+1]` are the mention rows of event
@@ -16,7 +17,7 @@ use crate::table::{MentionsTable, NO_EVENT_ROW};
 pub struct EventIndex {
     /// Offset array, ascending, `len = n_events + 1` (empty when the
     /// dataset is empty).
-    pub offsets: Vec<u64>,
+    pub offsets: AlignedBuf<u64>,
 }
 
 impl EventIndex {
@@ -24,7 +25,8 @@ impl EventIndex {
     /// (unknowns last), for `n_events` event rows.
     // analyze: no_panic
     pub fn build(n_events: usize, mentions: &MentionsTable) -> Self {
-        let mut offsets = vec![0u64; n_events + 1];
+        let mut offsets = AlignedBuf::new();
+        offsets.resize(n_events + 1, 0u64);
         // Count per event row.
         for &er in mentions.event_row.iter() {
             if er != NO_EVENT_ROW {
@@ -66,52 +68,15 @@ impl EventIndex {
     pub fn total_mentions(&self) -> u64 {
         self.offsets.last().copied().unwrap_or(0)
     }
-
-    /// Validate consistency against the mentions table.
-    pub fn validate(&self, n_events: usize, mentions: &MentionsTable) -> Result<(), String> {
-        if n_events == 0 && self.offsets.is_empty() {
-            return Ok(());
-        }
-        if self.offsets.len() != n_events + 1 {
-            return Err(format!(
-                "index has {} offsets for {} events",
-                self.offsets.len(),
-                n_events
-            ));
-        }
-        if self.offsets[0] != 0 {
-            return Err("index must start at 0".into());
-        }
-        if self.offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("index offsets must be non-decreasing".into());
-        }
-        let covered = self.total_mentions() as usize;
-        if covered > mentions.len() {
-            return Err("index covers more mentions than exist".into());
-        }
-        // Every row inside range i must carry event_row == i.
-        for i in 0..n_events {
-            for row in self.range(i) {
-                if mentions.event_row[row] as usize != i {
-                    return Err(format!("index range of event {i} contains foreign row {row}"));
-                }
-            }
-        }
-        // Rows past the covered prefix must be unknown-event rows.
-        for row in covered..mentions.len() {
-            if mentions.event_row[row] != NO_EVENT_ROW {
-                return Err(format!("known-event mention {row} outside index coverage"));
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::Dataset;
 
-    /// Minimal mentions table with given (event_row, interval) pairs.
+    /// Minimal mentions table with given (event_row, interval) pairs;
+    /// a known row's event id is the row itself.
     fn mentions(rows: &[(u32, u32)]) -> MentionsTable {
         let mut m = MentionsTable::default();
         for &(er, iv) in rows {
@@ -129,11 +94,24 @@ mod tests {
         m
     }
 
+    /// `n_events` events with ids `0..n_events` and one source around
+    /// `mentions`, indexed by [`EventIndex::build`].
+    fn dataset(n_events: u32, mentions: MentionsTable) -> Dataset {
+        let mut d = Dataset { mentions, ..Dataset::default() };
+        for id in 0..n_events {
+            d.events.push_test_row(u64::from(id));
+        }
+        d.sources.names.intern("s");
+        d.sources.country.push(0);
+        d.event_index = EventIndex::build(n_events as usize, &d.mentions);
+        d
+    }
+
     #[test]
     fn builds_ranges_for_grouped_mentions() {
         // Event 0: 2 mentions; event 1: none; event 2: 3 mentions.
-        let m = mentions(&[(0, 5), (0, 9), (2, 1), (2, 2), (2, 3)]);
-        let idx = EventIndex::build(3, &m);
+        let d = dataset(3, mentions(&[(0, 5), (0, 9), (2, 1), (2, 2), (2, 3)]));
+        let idx = &d.event_index;
         assert_eq!(idx.range(0), 0..2);
         assert_eq!(idx.range(1), 2..2);
         assert_eq!(idx.range(2), 2..5);
@@ -141,31 +119,48 @@ mod tests {
         assert_eq!(idx.degree(1), 0);
         assert_eq!(idx.total_mentions(), 5);
         assert_eq!(idx.n_events(), 3);
-        assert!(idx.validate(3, &m).is_ok());
+        assert_eq!(d.validate(), Ok(()));
     }
 
     #[test]
     fn unknown_event_rows_excluded() {
-        let m = mentions(&[(0, 5), (NO_EVENT_ROW, 1), (NO_EVENT_ROW, 2)]);
-        let idx = EventIndex::build(1, &m);
-        assert_eq!(idx.range(0), 0..1);
-        assert_eq!(idx.total_mentions(), 1);
-        assert!(idx.validate(1, &m).is_ok());
+        let d = dataset(1, mentions(&[(0, 5), (NO_EVENT_ROW, 1), (NO_EVENT_ROW, 2)]));
+        assert_eq!(d.event_index.range(0), 0..1);
+        assert_eq!(d.event_index.total_mentions(), 1);
+        assert_eq!(d.validate(), Ok(()));
     }
 
     #[test]
     fn validate_catches_misgrouped_rows() {
         // Mentions claim grouping (1, 0) but index built for grouped data.
-        let m = mentions(&[(1, 5), (0, 9)]);
-        let idx = EventIndex::build(2, &m);
-        assert!(idx.validate(2, &m).is_err());
+        let d = dataset(2, mentions(&[(1, 5), (0, 9)]));
+        let err = d.validate().unwrap_err();
+        assert!(err.contains("mentions.grouping") && err.contains("index.ranges"), "{err}");
+    }
+
+    #[test]
+    fn validate_catches_a_range_holding_a_foreign_row() {
+        // Grouped and joined, but the index hands event 0's row to event 1.
+        let mut d = dataset(2, mentions(&[(0, 5), (1, 9)]));
+        d.event_index.offsets.as_mut_slice()[1] = 0;
+        let err = d.validate().unwrap_err();
+        assert!(err.contains("index.ranges"), "{err}");
+    }
+
+    #[test]
+    fn validate_catches_a_known_row_past_the_index() {
+        let mut d = dataset(1, mentions(&[(0, 5), (0, 9)]));
+        d.event_index.offsets.as_mut_slice()[1] = 1;
+        let err = d.validate().unwrap_err();
+        assert!(err.contains("index.coverage"), "{err}");
     }
 
     #[test]
     fn validate_catches_wrong_length() {
-        let m = mentions(&[(0, 1)]);
-        let idx = EventIndex { offsets: vec![0, 1, 1] };
-        assert!(idx.validate(1, &m).is_err());
+        let mut d = dataset(1, mentions(&[(0, 1)]));
+        d.event_index = EventIndex { offsets: (&[0, 1, 1][..]).into() };
+        let err = d.validate().unwrap_err();
+        assert!(err.contains("index.shape"), "{err}");
     }
 
     #[test]
@@ -173,6 +168,6 @@ mod tests {
         let idx = EventIndex::default();
         assert_eq!(idx.n_events(), 0);
         assert_eq!(idx.total_mentions(), 0);
-        assert!(idx.validate(0, &MentionsTable::default()).is_ok());
+        assert_eq!(Dataset::default().validate(), Ok(()));
     }
 }

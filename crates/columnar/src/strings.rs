@@ -6,15 +6,17 @@
 //! dictionary adds a hash index for interning during the build phase —
 //! after conversion the engine never hashes a string again.
 
+use crate::aligned::AlignedBuf;
 use std::collections::HashMap;
 
-/// Append-only pool of strings addressed by dense `u32` ids.
+/// Append-only pool of strings addressed by dense `u32` ids. Both parts
+/// are column buffers, so a store load reads them in place.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StringPool {
     /// Concatenated UTF-8 bytes of every string.
-    bytes: Vec<u8>,
+    bytes: AlignedBuf<u8>,
     /// `offsets[i]..offsets[i+1]` is string `i`; length = count + 1.
-    offsets: Vec<u64>,
+    offsets: AlignedBuf<u64>,
 }
 
 impl Default for StringPool {
@@ -26,7 +28,7 @@ impl Default for StringPool {
 impl StringPool {
     /// New pool containing no strings.
     pub fn new() -> Self {
-        StringPool { bytes: Vec::new(), offsets: vec![0] }
+        StringPool { bytes: AlignedBuf::new(), offsets: AlignedBuf::from(&[0][..]) }
     }
 
     /// Append a string, returning its id. Does not deduplicate — use
@@ -70,11 +72,19 @@ impl StringPool {
         self.bytes.len()
     }
 
+    /// Make room for `strings` more strings of `bytes` bytes in all.
+    /// The buffers are aligned, so growth copies (no `realloc`): a
+    /// caller that knows the final size should say so.
+    pub(crate) fn reserve(&mut self, strings: usize, bytes: usize) {
+        self.offsets.reserve(strings);
+        self.bytes.reserve(bytes);
+    }
+
     /// A pool of the strings `ids` name, in that order; an id the pool
     /// does not hold contributes nothing.
     pub(crate) fn gather(&self, ids: &[u32]) -> StringPool {
         let mut out = StringPool::new();
-        out.offsets.reserve(ids.len());
+        out.reserve(ids.len(), self.bytes.len());
         for &id in ids {
             let range = self.offsets.get(id as usize).zip(self.offsets.get(id as usize + 1));
             let Some(s) = range.and_then(|(&lo, &hi)| self.bytes.get(lo as usize..hi as usize))
@@ -93,7 +103,10 @@ impl StringPool {
     }
 
     /// Rebuild from raw parts, validating structure and UTF-8.
-    pub(crate) fn from_raw_parts(bytes: Vec<u8>, offsets: Vec<u64>) -> Result<Self, &'static str> {
+    pub(crate) fn from_raw_parts(
+        bytes: AlignedBuf<u8>,
+        offsets: AlignedBuf<u64>,
+    ) -> Result<Self, &'static str> {
         if offsets.is_empty() || offsets[0] != 0 {
             return Err("offsets must start at 0");
         }
@@ -225,7 +238,7 @@ mod tests {
         let g = a.gather(&[3, 0, 0, 9, 1]);
         assert_eq!(g.iter().collect::<Vec<_>>(), vec!["ü", "x", "x", ""]);
         let (bytes, offsets) = g.raw_parts();
-        assert_eq!(StringPool::from_raw_parts(bytes.to_vec(), offsets.to_vec()).unwrap(), g);
+        assert_eq!(StringPool::from_raw_parts(bytes.into(), offsets.into()).unwrap(), g);
     }
 
     #[test]
@@ -234,18 +247,19 @@ mod tests {
         p.push("hello");
         p.push("world");
         let (bytes, offsets) = p.raw_parts();
-        let p2 = StringPool::from_raw_parts(bytes.to_vec(), offsets.to_vec()).unwrap();
+        let p2 = StringPool::from_raw_parts(bytes.into(), offsets.into()).unwrap();
         assert_eq!(p, p2);
     }
 
     #[test]
     fn pool_raw_validation() {
-        assert!(StringPool::from_raw_parts(vec![], vec![]).is_err());
-        assert!(StringPool::from_raw_parts(vec![], vec![1]).is_err());
-        assert!(StringPool::from_raw_parts(vec![b'a'], vec![0, 2]).is_err());
-        assert!(StringPool::from_raw_parts(vec![b'a', b'b'], vec![0, 2, 1, 2]).is_err());
-        assert!(StringPool::from_raw_parts(vec![0xFF, 0xFE], vec![0, 2]).is_err());
-        assert!(StringPool::from_raw_parts(vec![b'o', b'k'], vec![0, 2]).is_ok());
+        let raw = |b: &[u8], o: &[u64]| StringPool::from_raw_parts(b.into(), o.into());
+        assert!(raw(b"", &[]).is_err());
+        assert!(raw(b"", &[1]).is_err());
+        assert!(raw(b"a", &[0, 2]).is_err());
+        assert!(raw(b"ab", &[0, 2, 1, 2]).is_err());
+        assert!(raw(&[0xFF, 0xFE], &[0, 2]).is_err());
+        assert!(raw(b"ok", &[0, 2]).is_ok());
     }
 
     #[test]

@@ -104,10 +104,10 @@ impl EventsTable {
         Quarter::from_linear(i32::from(self.quarter[row]))
     }
 
-    /// Check internal invariants (sortedness, column lengths, pool refs).
-    pub fn validate(&self) -> Result<(), String> {
-        let n = self.len();
-        let cols: [(&str, usize); 16] = [
+    /// Name and length of every column but `id`, which sets the table's
+    /// length the others must match.
+    pub(crate) fn column_lens(&self) -> [(&'static str, usize); 16] {
+        [
             ("day", self.day.len()),
             ("capture", self.capture.len()),
             ("quarter", self.quarter.len()),
@@ -124,25 +124,7 @@ impl EventsTable {
             ("lat", self.lat.len()),
             ("lon", self.lon.len()),
             ("source_url", self.source_url.len()),
-        ];
-        for (name, len) in cols {
-            if len != n {
-                return Err(format!("events column {name} has {len} rows, expected {n}"));
-            }
-        }
-        if self.id.windows(2).any(|w| w[0] >= w[1]) {
-            return Err("event ids not strictly ascending".into());
-        }
-        if self.source_url.iter().any(|&u| u as usize >= self.urls.len()) {
-            return Err("event url reference out of pool range".into());
-        }
-        if self.root.iter().any(|&r| !(1..=20).contains(&r)) {
-            return Err("event root code out of range".into());
-        }
-        if self.quad.iter().any(|&q| !(1..=4).contains(&q)) {
-            return Err("event quad class out of range".into());
-        }
-        Ok(())
+        ]
     }
 }
 
@@ -199,6 +181,22 @@ impl MentionsTable {
         Quarter::from_linear(i32::from(self.quarter[row]))
     }
 
+    /// Name and length of every column but `event_id`, which sets the
+    /// table's length the others must match.
+    pub(crate) fn column_lens(&self) -> [(&'static str, usize); 9] {
+        [
+            ("event_row", self.event_row.len()),
+            ("event_interval", self.event_interval.len()),
+            ("mention_interval", self.mention_interval.len()),
+            ("delay", self.delay.len()),
+            ("source", self.source.len()),
+            ("quarter", self.quarter.len()),
+            ("mention_type", self.mention_type.len()),
+            ("confidence", self.confidence.len()),
+            ("doc_tone", self.doc_tone.len()),
+        ]
+    }
+
     /// Chunk view of rows `[begin, end)` across the hot scan columns —
     /// one struct of co-sliced columns, so a fused kernel pass touches
     /// each column slice exactly once. Bounds clamp to the table.
@@ -211,53 +209,6 @@ impl MentionsTable {
             quarter: self.quarter.chunk_view(begin, end),
             confidence: self.confidence.chunk_view(begin, end),
         }
-    }
-
-    /// Check internal invariants.
-    pub fn validate(&self, n_events: usize, n_sources: usize) -> Result<(), String> {
-        let n = self.len();
-        let cols: [(&str, usize); 9] = [
-            ("event_row", self.event_row.len()),
-            ("event_interval", self.event_interval.len()),
-            ("mention_interval", self.mention_interval.len()),
-            ("delay", self.delay.len()),
-            ("source", self.source.len()),
-            ("quarter", self.quarter.len()),
-            ("mention_type", self.mention_type.len()),
-            ("confidence", self.confidence.len()),
-            ("doc_tone", self.doc_tone.len()),
-        ];
-        for (name, len) in cols {
-            if len != n {
-                return Err(format!("mentions column {name} has {len} rows, expected {n}"));
-            }
-        }
-        // Grouped by event_row (unknowns last), scrape-time sorted within.
-        for w in 0..n.saturating_sub(1) {
-            let (a, b) = (self.event_row[w], self.event_row[w + 1]);
-            if a > b {
-                return Err(format!("mentions not grouped by event row at {w}"));
-            }
-            if a == b
-                && a != NO_EVENT_ROW
-                && self.mention_interval[w] > self.mention_interval[w + 1]
-            {
-                return Err(format!("mentions not time-sorted within event at {w}"));
-            }
-        }
-        if self.event_row.iter().any(|&r| r != NO_EVENT_ROW && r as usize >= n_events) {
-            return Err("mention event_row out of range".into());
-        }
-        if self.source.iter().any(|&s| s as usize >= n_sources) {
-            return Err("mention source id out of range".into());
-        }
-        for row in 0..n {
-            let expect = self.mention_interval[row].saturating_sub(self.event_interval[row]);
-            if self.delay[row] != expect {
-                return Err(format!("precomputed delay wrong at row {row}"));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -332,18 +283,6 @@ impl SourceDirectory {
     pub fn lookup(&self, name: &str) -> Option<SourceId> {
         self.names.lookup(name).map(SourceId)
     }
-
-    /// Check internal invariants.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.country.len() != self.names.len() {
-            return Err(format!(
-                "source country column has {} rows for {} sources",
-                self.country.len(),
-                self.names.len()
-            ));
-        }
-        Ok(())
-    }
 }
 
 /// The complete in-memory dataset: both tables, the source directory and
@@ -386,21 +325,52 @@ impl Dataset {
         Some((Quarter::from_linear(i32::from(*min)), Quarter::from_linear(i32::from(*max))))
     }
 
-    /// Validate every cross-table invariant; used after deserialization
-    /// and by property tests.
+    /// Check every invariant a load relies on: column lengths, sorted
+    /// and in-range event columns, mentions grouped by event row and
+    /// time-sorted within one, in-range references, the precomputed
+    /// delay and join columns, and a CSR index whose ranges hold
+    /// exactly their event's rows. Run after every load (and by debug
+    /// builds after every build).
+    ///
+    /// It *decides* in one pass ([`Dataset::invariants_hold`]); only a
+    /// dataset that fails pays for the deep auditor
+    /// ([`validate_dataset`](crate::validate::validate_dataset), whose
+    /// checks are a superset), which names every broken invariant in
+    /// the error.
     pub fn validate(&self) -> Result<(), String> {
-        self.events.validate()?;
-        self.sources.validate()?;
-        self.mentions.validate(self.events.len(), self.sources.len())?;
-        self.event_index.validate(self.events.len(), &self.mentions)?;
-        // event_row join must agree with the id columns.
-        for row in 0..self.mentions.len() {
-            let er = self.mentions.event_row[row];
-            if er != NO_EVENT_ROW && self.events.id[er as usize] != self.mentions.event_id[row] {
-                return Err(format!("mention {row} joined to wrong event row"));
-            }
+        if self.invariants_hold() {
+            return Ok(());
         }
-        Ok(())
+        let report = crate::validate::validate_dataset(self);
+        Err(if report.is_ok() { "dataset invariants violated".into() } else { report.to_string() })
+    }
+
+    /// The fused decision behind [`Dataset::validate`]. After an O(1)
+    /// shape check, each column is streamed once, in blocks of
+    /// [`VALIDATE_BLOCK`] rows that every check of the block reads
+    /// while they are in L1, and each check is a branch-free reduction
+    /// over the block (no early exit, no indexing that can panic). The
+    /// CSR ranges are checked at their first and last rows only: the
+    /// mentions pass proves `event_row` non-decreasing, so a range
+    /// whose ends carry its event holds only that event's rows.
+    fn invariants_hold(&self) -> bool {
+        self.shape_holds()
+            && events_hold(&self.events)
+                & mentions_hold(&self.mentions, &self.events.id, self.sources.len())
+                & index_holds(&self.event_index.offsets, &self.mentions.event_row)
+    }
+
+    /// Every column as long as its table, one source country per
+    /// source name, and an index of `n_events + 1` offsets from 0 (or
+    /// none at all for an empty events table).
+    fn shape_holds(&self) -> bool {
+        let (e, m) = (&self.events, &self.mentions);
+        let offsets = &self.event_index.offsets;
+        e.column_lens().iter().all(|&(_, n)| n == e.len())
+            && m.column_lens().iter().all(|&(_, n)| n == m.len())
+            && self.sources.country.len() == self.sources.names.len()
+            && (offsets.len() == e.len() + 1 || (e.is_empty() && offsets.is_empty()))
+            && offsets.first().copied().unwrap_or(0) == 0
     }
 
     /// Convenience: capture interval → quarter, used by builders.
@@ -414,9 +384,130 @@ impl Dataset {
     }
 }
 
+/// Rows per block of [`Dataset::validate`]'s fused pass: the block of
+/// every mentions column it reads (28 KiB) stays in L1 while the
+/// block's checks run.
+const VALIDATE_BLOCK: usize = 1024;
+
+/// True when `bad` holds for any item. Unlike [`Iterator::any`] it
+/// evaluates every item — a branch-free reduction the compiler can
+/// vectorize, which is faster than an early exit when, as on every
+/// valid load, nothing is found.
+#[inline]
+fn any_row<I: Iterator>(items: I, bad: impl Fn(I::Item) -> bool) -> bool {
+    items.fold(false, |found, item| found | bad(item))
+}
+
+/// Ids strictly ascending; root, quad class and URL reference in range.
+fn events_hold(e: &EventsTable) -> bool {
+    let n_urls = e.urls.len() as u64;
+    let mut bad = false;
+    for begin in (0..e.len()).step_by(VALIDATE_BLOCK) {
+        let end = begin + VALIDATE_BLOCK;
+        // One row past the block, so the pair straddling it is checked.
+        let id = e.id.chunk_view(begin, end + 1);
+        bad |= any_row(id.iter().zip(id.iter().skip(1)), |(a, b)| a >= b);
+        let (root, quad, url) = (
+            e.root.chunk_view(begin, end),
+            e.quad.chunk_view(begin, end),
+            e.source_url.chunk_view(begin, end),
+        );
+        bad |= any_row(root.iter().zip(quad).zip(url), |((&r, &q), &u)| {
+            (r.wrapping_sub(1) >= 20) | (q.wrapping_sub(1) >= 4) | (u64::from(u) >= n_urls)
+        });
+    }
+    !bad
+}
+
+/// Grouped by event row (orphans last) and time-sorted within an
+/// event; event rows and sources in range; the precomputed delay and
+/// the precomputed join (`event_ids[event_row] == event_id`) right.
+fn mentions_hold(m: &MentionsTable, event_ids: &[u64], n_sources: usize) -> bool {
+    let (n_events, n_sources) = (event_ids.len() as u64, n_sources as u64);
+    let mut bad = false;
+    for begin in (0..m.len()).step_by(VALIDATE_BLOCK) {
+        let end = begin + VALIDATE_BLOCK;
+        let row = m.event_row.chunk_view(begin, end + 1);
+        let at = m.mention_interval.chunk_view(begin, end + 1);
+        bad |= any_row(
+            row.iter().zip(row.iter().skip(1)).zip(at.iter().zip(at.iter().skip(1))),
+            |((&r0, &r1), (&t0, &t1))| (r0 > r1) | ((r0 == r1) & (r0 != NO_EVENT_ROW) & (t0 > t1)),
+        );
+        let row = m.event_row.chunk_view(begin, end);
+        let (event_at, at, delay, source) = (
+            m.event_interval.chunk_view(begin, end),
+            m.mention_interval.chunk_view(begin, end),
+            m.delay.chunk_view(begin, end),
+            m.source.chunk_view(begin, end),
+        );
+        bad |= any_row(
+            row.iter().zip(event_at).zip(at).zip(delay).zip(source),
+            |((((&r, &e), &t), &d), &s)| {
+                ((r != NO_EVENT_ROW) & (u64::from(r) >= n_events))
+                    | (u64::from(s) >= n_sources)
+                    | (d != t.saturating_sub(e))
+            },
+        );
+        // `event_row` is non-decreasing, so this gather walks forward.
+        let id = m.event_id.chunk_view(begin, end);
+        bad |= any_row(row.iter().zip(id), |(&r, &id)| {
+            (r != NO_EVENT_ROW) & (event_ids.get(r as usize) != Some(&id))
+        });
+    }
+    !bad
+}
+
+/// Offsets non-decreasing and within the mentions table; each
+/// non-empty range starting and ending on a row of its own event; the
+/// first row past the covered prefix, if any, an orphan. Given a
+/// non-decreasing `event_row` (checked by [`mentions_hold`]) that is
+/// every row of every range, and every row past the prefix.
+fn index_holds(offsets: &[u64], event_row: &[u32]) -> bool {
+    let row_of = |i: u64| usize::try_from(i).ok().and_then(|i| event_row.get(i)).copied();
+    let covered = offsets.last().copied().unwrap_or(0);
+    let mut bad = covered > event_row.len() as u64;
+    bad |= row_of(covered).is_some_and(|r| r != NO_EVENT_ROW);
+    let ranges = offsets.iter().zip(offsets.iter().skip(1));
+    bad |= any_row((0u64..).zip(ranges), |(event, (&lo, &hi))| {
+        let holds = |row: Option<u32>| row.map(u64::from) == Some(event);
+        (lo > hi) | ((lo < hi) & !(holds(row_of(lo)) & holds(row_of(hi.wrapping_sub(1)))))
+    });
+    !bad
+}
+
+#[cfg(test)]
+impl EventsTable {
+    /// Append one in-range event row with id `id` (test fixtures).
+    pub(crate) fn push_test_row(&mut self, id: u64) {
+        self.id.push(id);
+        self.day.push(20_150_218);
+        self.capture.push(0);
+        self.quarter.push(0);
+        self.root.push(1);
+        self.quad.push(1);
+        self.actor1.push(u16::MAX);
+        self.actor2.push(u16::MAX);
+        self.goldstein.push(0.0);
+        self.num_mentions.push(1);
+        self.num_sources.push(1);
+        self.num_articles.push(1);
+        self.avg_tone.push(0.0);
+        self.country.push(u16::MAX);
+        self.lat.push(f32::NAN);
+        self.lon.push(f32::NAN);
+        let url = self.urls.push("u");
+        self.source_url.push(url);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The error `Dataset::validate` refuses `d` with (`d` must be invalid).
+    fn refusal(d: &Dataset) -> String {
+        d.validate().expect_err("corruption must be refused")
+    }
 
     #[test]
     fn empty_tables_validate() {
@@ -431,65 +522,58 @@ mod tests {
 
     #[test]
     fn events_validate_catches_unsorted_ids() {
-        let mut t = EventsTable::default();
+        let mut d = Dataset::default();
         for id in [3u64, 1] {
-            t.id.push(id);
-            t.day.push(20_150_218);
-            t.capture.push(0);
-            t.quarter.push(0);
-            t.root.push(1);
-            t.quad.push(1);
-            t.actor1.push(u16::MAX);
-            t.actor2.push(u16::MAX);
-            t.goldstein.push(0.0);
-            t.num_mentions.push(1);
-            t.num_sources.push(1);
-            t.num_articles.push(1);
-            t.avg_tone.push(0.0);
-            t.country.push(u16::MAX);
-            t.lat.push(f32::NAN);
-            t.lon.push(f32::NAN);
-            t.source_url.push(t.urls.push("u"));
+            d.events.push_test_row(id);
         }
-        assert!(t.validate().unwrap_err().contains("ascending"));
+        d.event_index = EventIndex::build(2, &d.mentions);
+        assert!(refusal(&d).contains("events.sorted"));
+        d.events.id.as_mut_slice().swap(0, 1);
+        assert_eq!(d.validate(), Ok(()));
     }
 
     #[test]
     fn events_validate_catches_ragged_columns() {
-        let mut t = EventsTable::default();
-        t.id.push(1);
-        assert!(t.validate().is_err());
+        let mut d = Dataset::default();
+        d.events.id.push(1);
+        d.event_index = EventIndex::build(1, &d.mentions);
+        assert!(refusal(&d).contains("events.columns"));
     }
 
     #[test]
     fn mentions_validate_catches_bad_delay() {
-        let mut m = MentionsTable::default();
+        let mut d = Dataset::default();
+        d.sources.names.intern("s");
+        d.sources.country.push(0);
+        let m = &mut d.mentions;
         m.event_id.push(1);
         m.event_row.push(NO_EVENT_ROW);
         m.event_interval.push(10);
         m.mention_interval.push(14);
         m.delay.push(3); // should be 4
         m.source.push(0);
-        m.quarter.push(0);
+        m.quarter.push(Dataset::interval_quarter(CaptureInterval(14)));
         m.mention_type.push(1);
         m.confidence.push(50);
         m.doc_tone.push(0.0);
-        assert!(m.validate(0, 1).unwrap_err().contains("delay"));
-        m.delay.as_mut_slice()[0] = 4;
-        assert!(m.validate(0, 1).is_ok());
+        assert!(refusal(&d).contains("mentions.delay"));
+        d.mentions.delay.as_mut_slice()[0] = 4;
+        assert_eq!(d.validate(), Ok(()));
     }
 
     #[test]
     fn source_directory_lookup() {
-        let mut s = SourceDirectory::default();
+        let mut d = Dataset::default();
+        let s = &mut d.sources;
         let id = s.names.intern("bbc.co.uk");
         s.country.push(0);
         assert_eq!(s.lookup("bbc.co.uk"), Some(SourceId(id)));
         assert_eq!(s.name(SourceId(id)), "bbc.co.uk");
         assert_eq!(s.country_id(SourceId(id)), CountryId(0));
-        assert!(s.validate().is_ok());
-        s.names.intern("other.com");
-        assert!(s.validate().is_err()); // country column now short
+        assert_eq!(d.validate(), Ok(()));
+        d.sources.names.intern("other.com");
+        // The country column is now short.
+        assert!(refusal(&d).contains("sources.columns"));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Deep structural validation of a [`Dataset`].
 //!
-//! [`Dataset::validate`] is the fast fail-first gate run after every
-//! load; this module is the exhaustive auditor behind `gdelt-cli
-//! validate` and the debug-build checks in the builder and incremental
-//! paths. It differs in two ways:
+//! [`Dataset::validate`] is the one-pass gate run after every load: it
+//! only *decides*, and calls [`validate_dataset`] to name what failed.
+//! This module is that namer and the exhaustive auditor behind
+//! `gdelt-cli validate`. It differs from the gate in two ways:
 //!
 //! * it checks *everything* — string-pool offset structure down to
 //!   per-slice UTF-8 boundaries, CSR shape, partition soundness over the
@@ -171,25 +171,7 @@ pub fn validate_dataset(d: &Dataset) -> ValidationReport {
 
     // --- Events table ---
     report.check(|| {
-        let cols = [
-            ("day", d.events.day.len()),
-            ("capture", d.events.capture.len()),
-            ("quarter", d.events.quarter.len()),
-            ("root", d.events.root.len()),
-            ("quad", d.events.quad.len()),
-            ("actor1", d.events.actor1.len()),
-            ("actor2", d.events.actor2.len()),
-            ("goldstein", d.events.goldstein.len()),
-            ("num_mentions", d.events.num_mentions.len()),
-            ("num_sources", d.events.num_sources.len()),
-            ("num_articles", d.events.num_articles.len()),
-            ("avg_tone", d.events.avg_tone.len()),
-            ("country", d.events.country.len()),
-            ("lat", d.events.lat.len()),
-            ("lon", d.events.lon.len()),
-            ("source_url", d.events.source_url.len()),
-        ];
-        for (name, len) in cols {
+        for (name, len) in d.events.column_lens() {
             if len != n_events {
                 return violation(
                     "events.columns",
@@ -304,18 +286,7 @@ pub fn validate_dataset(d: &Dataset) -> ValidationReport {
 
     // --- Mentions table ---
     report.check(|| {
-        let cols = [
-            ("event_row", d.mentions.event_row.len()),
-            ("event_interval", d.mentions.event_interval.len()),
-            ("mention_interval", d.mentions.mention_interval.len()),
-            ("delay", d.mentions.delay.len()),
-            ("source", d.mentions.source.len()),
-            ("quarter", d.mentions.quarter.len()),
-            ("mention_type", d.mentions.mention_type.len()),
-            ("confidence", d.mentions.confidence.len()),
-            ("doc_tone", d.mentions.doc_tone.len()),
-        ];
-        for (name, len) in cols {
+        for (name, len) in d.mentions.column_lens() {
             if len != n_mentions {
                 return violation(
                     "mentions.columns",
@@ -765,7 +736,7 @@ mod tests {
                 offs[slot] = target;
             }
         }
-        let rebuilt = StringPool::from_raw_parts(bytes.to_vec(), offs);
+        let rebuilt = StringPool::from_raw_parts(bytes.into(), offs.as_slice().into());
         // from_raw_parts validates whole-payload UTF-8 only, so the
         // mid-character offset passes construction…
         let pool = rebuilt.expect("whole payload is still valid UTF-8");
@@ -778,7 +749,7 @@ mod tests {
     #[test]
     fn detects_index_shape_mismatch() {
         let mut d = sample();
-        d.event_index = EventIndex { offsets: vec![0] };
+        d.event_index = EventIndex { offsets: (&[0][..]).into() };
         let report = d.deep_validate();
         assert!(report.violations.iter().any(|v| v.check == "index.shape"), "{report}");
     }

@@ -6,12 +6,16 @@
 //! component is unavailable. Every test here is shaped to hit a
 //! specific unsafe site in `crates/columnar/src/aligned.rs`:
 //! allocation, growth-with-copy, in-place fill, slice construction,
-//! clone's fresh allocation, and deallocation on drop.
+//! clone's fresh allocation, deallocation on drop, and the store-load
+//! pair: the zeroed allocation `read_from` reads into and the in-place
+//! byte-to-column `cast` (whose `Drop` must free with the layout the
+//! bytes were allocated with).
 //!
 //! Sizes are kept small (Miri executes ~1000x slower than native) but
 //! chosen to force at least two reallocations per growth test.
 
 use gdelt_columnar::aligned::AlignedBuf;
+use std::io::{self, Read};
 
 /// Alignment contract: every allocation lands on a 64-byte boundary.
 fn assert_aligned<T: Copy>(b: &AlignedBuf<T>) {
@@ -159,4 +163,93 @@ fn send_and_sync_across_threads() {
         h1.join().unwrap() + h2.join().unwrap()
     });
     assert_eq!(sum, 99 * 100 / 2);
+}
+
+/// A reader that hands out at most `step` bytes per call and fails
+/// once with `Interrupted` first, so `read_from` must loop.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    step: usize,
+    interrupted: bool,
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if !self.interrupted {
+            self.interrupted = true;
+            return Err(io::Error::from(io::ErrorKind::Interrupted));
+        }
+        let n = buf.len().min(self.step).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+#[test]
+fn read_from_fills_a_fresh_aligned_buffer() {
+    let src: Vec<u8> = (0..200u8).collect();
+    let mut r = Trickle { bytes: &src, step: 7, interrupted: false };
+    let b = AlignedBuf::read_from(&mut r, src.len()).unwrap();
+    assert_aligned(&b);
+    assert_eq!(b.as_slice(), src.as_slice());
+    assert_eq!(b.capacity(), src.len(), "allocated once, at exactly the asked length");
+}
+
+#[test]
+fn read_from_stops_short_at_eof() {
+    let src = [9u8; 40];
+    let b = AlignedBuf::read_from(&mut &src[..], 64).unwrap();
+    assert_eq!(b.len(), 40);
+    assert_eq!(b.capacity(), 64);
+    assert!(b.iter().all(|&v| v == 9));
+    // A short buffer whose capacity is not a whole number of elements
+    // is refused, since `Drop` would free it with the wrong layout.
+    let short = AlignedBuf::read_from(&mut &src[..32], 60).unwrap();
+    assert_eq!(short.len(), 32);
+    let back = short.cast::<u64>().unwrap_err();
+    assert_eq!((back.len(), back.capacity()), (32, 60));
+    // Dropping the short buffers frees their full capacity.
+}
+
+#[test]
+fn zero_length_section_reads_and_casts_without_allocating() {
+    let b = AlignedBuf::read_from(&mut &[1u8, 2, 3][..], 0).unwrap();
+    assert!(b.is_empty());
+    assert_eq!(b.capacity(), 0);
+    let col = b.cast::<u64>().unwrap();
+    assert!(col.is_empty());
+    assert_eq!(col.as_slice(), &[] as &[u64]);
+    assert_eq!(col.as_slice().as_ptr() as usize % std::mem::align_of::<u64>(), 0);
+}
+
+#[test]
+fn odd_length_section_is_refused_before_any_cast() {
+    let b = AlignedBuf::from(&[1u8, 2, 3, 4, 5][..]);
+    let back = b.cast::<u32>().unwrap_err();
+    assert_eq!(back.as_slice(), &[1, 2, 3, 4, 5], "refused bytes come back untouched");
+    let back = back.cast::<u16>().unwrap_err();
+    assert_eq!(back.len(), 5);
+}
+
+#[test]
+fn cast_column_reads_in_place_and_drops_with_its_layout() {
+    let words = [1u64, u64::MAX, 0x0102_0304_0506_0708];
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    let raw = AlignedBuf::read_from(&mut bytes.as_slice(), bytes.len()).unwrap();
+    let at = raw.as_slice().as_ptr() as usize;
+    let mut col = raw.cast::<u64>().unwrap();
+    assert_eq!(col.as_slice().as_ptr() as usize, at, "no copy");
+    assert_eq!(col.capacity(), 3);
+    for v in col.iter_mut() {
+        *v = u64::from_le(*v);
+    }
+    assert_eq!(col.as_slice(), &words);
+    // Growing the cast column reallocates and frees the cast one.
+    col.push(4);
+    assert_aligned(&col);
+    assert_eq!(col[3], 4);
+    drop(col);
+    let floats = AlignedBuf::from(&1.5f32.to_le_bytes()[..]).cast::<f32>().unwrap();
+    assert_eq!(f32::from_le_bytes(floats[0].to_ne_bytes()), 1.5);
 }

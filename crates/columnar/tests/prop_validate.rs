@@ -14,12 +14,20 @@
 //! soundness, which `deep_validate`'s `partitions.boundaries` check
 //! relies on.
 //!
-//! The final group corrupts the *serialized* store: truncated files
-//! and flipped checksum bytes must be refused by the loader, and
-//! semantic corruption smuggled past the checksums (payload mutated,
-//! checksum recomputed) must be caught by the deep validator.
+//! The load gate, [`Dataset::validate`], decides in one fused pass and
+//! names a failure by running the deep validator: it must accept the
+//! same builder output, and refuse every corruption above that it
+//! checks (all but the stale derived quarter, a deep-audit-only check)
+//! with an error naming the right check.
+//!
+//! The final group corrupts the *serialized* store: truncated files,
+//! flipped checksum bytes and repeated sections must be refused by the
+//! loader, semantic corruption smuggled past the checksums (payload
+//! mutated, checksum recomputed) must be caught by the deep validator,
+//! and an untouched store must read back equal to what was written.
 
 use gdelt_columnar::binfmt::{self, checksum64};
+use gdelt_columnar::degraded::read_dataset_degraded;
 use gdelt_columnar::partition::{partitions_at_boundaries, Partition};
 use gdelt_columnar::table::NO_EVENT_ROW;
 use gdelt_columnar::{Dataset, DatasetBuilder};
@@ -215,6 +223,39 @@ proptest! {
         );
     }
 
+    /// The fused load gate accepts every builder output too.
+    #[test]
+    fn pristine_datasets_pass_the_load_gate(
+        events in prop::collection::vec(arb_event(30), 0..40),
+        mentions in prop::collection::vec(arb_mention(30), 0..80),
+    ) {
+        prop_assert_eq!(build(events, mentions).validate(), Ok(()));
+    }
+
+    /// The fused load gate refuses every corruption it checks, with an
+    /// error that names the check (the deep validator's report).
+    #[test]
+    fn load_gate_refuses_and_names_corruption(
+        events in prop::collection::vec(arb_event(30), 1..40),
+        mentions in prop::collection::vec(arb_mention(30), 1..80),
+        op in 0usize..10,
+        pick in 0usize..1024,
+    ) {
+        // Op 7 (a stale derived quarter) is a deep-audit-only check.
+        prop_assume!(op != 7);
+        let mut d = build(events, mentions);
+        let Some(expected) = corrupt(&mut d, op, pick) else {
+            return Ok(());
+        };
+        let verdict = d.validate();
+        prop_assert!(verdict.is_err(), "corruption op {op} passed the load gate");
+        let err = verdict.unwrap_err();
+        prop_assert!(
+            expected.iter().any(|check| err.contains(check)),
+            "op {op} refused without naming {expected:?}: {err}"
+        );
+    }
+
     /// Swapping two distinct partition boundaries always breaks
     /// partition soundness.
     #[test]
@@ -387,6 +428,58 @@ proptest! {
         };
         let report = loaded.deep_validate();
         prop_assert!(!report.is_ok(), "semantic corruption {which} survived the deep audit");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// An untouched store reads back equal to what was written — empty
+    /// tables and zero-length sections included. Events compare through
+    /// their serialization: unresolved coordinates are NaN, which `==`
+    /// never equals.
+    #[test]
+    fn store_round_trips(
+        events in prop::collection::vec(arb_event(30), 0..40),
+        mentions in prop::collection::vec(arb_mention(30), 0..80),
+    ) {
+        let d = build(events, mentions);
+        let bytes = serialize(&d);
+        let back = binfmt::read_dataset(&bytes).expect("a written store loads");
+        prop_assert!(serialize(&back) == bytes, "reloaded dataset serializes differently");
+        prop_assert_eq!(&back.mentions, &d.mentions);
+        prop_assert_eq!(&back.event_index, &d.event_index);
+        prop_assert_eq!(&back.sources.country, &d.sources.country);
+        prop_assert_eq!(back.sources.names.pool(), d.sources.names.pool());
+    }
+
+    /// A store that repeats a section name — here a zeroed copy with a
+    /// valid checksum appended, as a second `mentions.source` once made
+    /// every answer attribute all mentions to source 0 — is refused by
+    /// both strict loaders and by the degraded one.
+    #[test]
+    fn repeated_section_is_refused(
+        events in prop::collection::vec(arb_event(20), 0..20),
+        mentions in prop::collection::vec(arb_mention(20), 0..40),
+        pick in 0usize..64,
+    ) {
+        let bytes = serialize(&build(events, mentions));
+        let (mut header, mut sections) = split_store(&bytes);
+        let copy = &sections[pick % sections.len()];
+        let name = copy.name.clone();
+        let payload = vec![0u8; copy.payload.len()];
+        sections.push(RawSection { name: name.clone(), payload });
+        header[8..12].copy_from_slice(&(sections.len() as u32).to_le_bytes());
+        let repeated = join_store(&header, &sections);
+        for err in [
+            binfmt::read_dataset(&repeated).unwrap_err(),
+            binfmt::read_dataset_unchecked(&repeated).unwrap_err(),
+        ] {
+            prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            prop_assert!(err.to_string().contains(&format!("duplicate section {name}")), "{err}");
+        }
+        let degraded = read_dataset_degraded(&repeated);
+        prop_assert!(degraded.is_err(), "{name} repeated, degraded load passed");
     }
 }
 

@@ -102,7 +102,10 @@ mod tests {
         for d in degrees {
             offsets.push(offsets[offsets.len() - 1] + d);
         }
-        Dataset { event_index: EventIndex { offsets }, ..Dataset::default() }
+        Dataset {
+            event_index: EventIndex { offsets: offsets.as_slice().into() },
+            ..Dataset::default()
+        }
     }
 
     #[test]

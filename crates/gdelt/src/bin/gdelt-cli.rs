@@ -314,7 +314,7 @@ fn cmd_update(o: &Options) -> Result<(), String> {
 
 fn cmd_validate(o: &Options) -> Result<(), String> {
     let data = o.data.as_deref().ok_or("validate requires --data FILE")?;
-    // Skip the fast fail-first gate so a damaged store still loads and
+    // Skip the one-pass load gate so a damaged store still loads and
     // the deep auditor can name *every* broken invariant at once.
     let dataset =
         binfmt::load_unchecked(data).map_err(|e| format!("loading {}: {e}", data.display()))?;

@@ -525,7 +525,7 @@ impl Router {
                 level,
                 ev.component.clone(),
                 ev.code.clone(),
-                format!("[shard {i} seq {} +{}us] {}", ev.seq, ev.t_us, ev.detail),
+                ev.rerecord_detail(i),
             );
         }
     }

@@ -174,6 +174,23 @@ pub struct FlightForward {
     pub detail: String,
 }
 
+/// Opens the detail of every flight event a router re-records.
+const RERECORD_TAG: &str = "[shard ";
+
+impl FlightForward {
+    /// The detail the router re-records this event under:
+    /// `[shard <i> seq <seq> +<t_us>us] <detail>`.
+    pub(crate) fn rerecord_detail(&self, shard: usize) -> String {
+        format!("{RERECORD_TAG}{shard} seq {} +{}us] {}", self.seq, self.t_us, self.detail)
+    }
+
+    /// True for the detail of a router re-record, which a worker must
+    /// not forward again.
+    pub(crate) fn is_rerecord(detail: &str) -> bool {
+        detail.starts_with(RERECORD_TAG)
+    }
+}
+
 /// One completed span shipped from a worker to the router for trace
 /// stitching. Timestamps are absolute unix nanoseconds so the router
 /// can rebase all processes onto one clock.

@@ -129,9 +129,13 @@ impl ShardWorker {
     /// The worker side is stateless: it attaches the same tail to
     /// every reply and lets the router's per-shard seq cursor dedup
     /// (`seq` is monotone per process, so at-most-once re-recording is
-    /// the router's `fetch_max` away).
+    /// the router's `fetch_max` away). Events a router re-recorded are
+    /// never forwarded: in a process hosting both router and workers
+    /// (tests, `gdbench`, any library user) a re-record would come back
+    /// under a fresh `seq`, be re-recorded again, and echo forever.
     fn recent_flight(&self) -> Vec<FlightForward> {
-        let evs = gdelt_obs::flight_snapshot();
+        let mut evs = gdelt_obs::flight_snapshot();
+        evs.retain(|ev| !FlightForward::is_rerecord(&ev.detail));
         let skip = evs.len().saturating_sub(FLIGHT_PIGGYBACK_MAX);
         evs.into_iter()
             .skip(skip)

@@ -91,11 +91,12 @@ fn flight_forwarding_is_at_most_once() {
     drop(stream);
 
     // Router side: scrape twice through the real router; the per-shard
-    // cursor must re-record the probe exactly once. (The worker shares
-    // this test process's ring, so the first re-record is itself
-    // forwarded on the second scrape — but with a fresh sequence
-    // number, hence a fresh `[shard 0 seq N ...]` prefix; the
-    // original's prefix can open exactly one ring event.)
+    // cursor must re-record the probe exactly once. The worker shares
+    // this test process's ring, so the re-record sits in the ring the
+    // worker forwards from — and must never be forwarded itself: a
+    // second hop would come back under a fresh sequence number and be
+    // re-recorded as `[shard 0 seq N …] [shard 0 seq s0 …]`, and so on
+    // once per reply.
     let r = Router::new(
         manifest.clone(),
         RouterConfig {
@@ -118,13 +119,16 @@ fn flight_forwarding_is_at_most_once() {
         .count();
     assert_eq!(rerecorded, 1, "probe must be re-recorded exactly once across two scrapes");
 
-    // Query replies piggyback too: the second re-record (of the first
-    // one) rides the next reply or scrape, proving replies and scrapes
-    // share one forwarding path — and still never duplicate a seq.
+    // Query replies piggyback too, through the same cursor: still one
+    // re-record of the probe, and no re-record of a re-record.
     let _ = r.query(&gdelt_engine::Query::CoReport).expect("scatter answer");
-    let after_query = gdelt_obs::flight_snapshot()
-        .iter()
-        .filter(|ev| ev.detail.starts_with(&prefix))
-        .count();
+    let ring = gdelt_obs::flight_snapshot();
+    let after_query = ring.iter().filter(|ev| ev.detail.starts_with(&prefix)).count();
     assert_eq!(after_query, 1, "reply-path forwarding must respect the same cursor");
+    let second_hops: Vec<&str> = ring
+        .iter()
+        .map(|ev| ev.detail.as_str())
+        .filter(|d| d.matches("[shard ").count() > 1)
+        .collect();
+    assert!(second_hops.is_empty(), "re-records were forwarded again: {second_hops:?}");
 }
