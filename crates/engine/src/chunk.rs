@@ -20,11 +20,12 @@
 //! re-scanning the columns per analysis.
 //!
 //! Kernels whose unit is the *event*, not the row, take their groups
-//! from one walker over the CSR offsets: [`event_scan`] cuts the events
-//! into [`event_partitions`] of near-equal mention weight and
-//! [`for_each_event`] hands a kernel each event's row and mention rows.
-//! [`SmallSet`] is the bitmask those kernels keep an event's distinct
-//! countries or selected publishers in.
+//! from the CSR offsets: [`event_scan`] cuts the events into
+//! [`event_partitions`] of near-equal mention weight. A kernel either
+//! streams a partition's [`mention_rows`] flat, finding event boundaries
+//! in `event_row` itself (co- and follow-reporting over countries and a
+//! publisher selection, whose per-event state is a few mask words), or
+//! has [`for_each_event`] hand it each event's row and mention rows.
 
 use crate::exec::ExecContext;
 use gdelt_columnar::partition::Partition;
@@ -277,9 +278,20 @@ pub fn for_each_event(
     }
 }
 
+/// The mention rows of `events`, `offsets[start]..offsets[end]` — what
+/// a kernel that streams a partition flat reads (empty when `events`
+/// reaches past the index).
+// analyze: no_panic
+#[inline]
+pub fn mention_rows(offsets: &[u64], events: std::ops::Range<usize>) -> std::ops::Range<usize> {
+    let row = |event| offsets.get(event).map_or(0, |&o| o as usize);
+    row(events.start)..row(events.end)
+}
+
 /// The driver under every kernel that groups mentions by event: `map`
 /// folds one [`event_partitions`] range (walking it with
-/// [`for_each_event`]) and `reduce` merges the partials in event order.
+/// [`for_each_event`], or streaming its mention rows) and `reduce`
+/// merges the partials in event order.
 /// `None` when the index holds no events.
 // analyze: no_panic
 pub fn event_scan<T: Send>(
@@ -290,86 +302,6 @@ pub fn event_scan<T: Send>(
 ) -> Option<T> {
     let parts = event_partitions(offsets, ctx.n_threads() * ctx.partitions_per_thread());
     ctx.map_reduce(parts, |p| map(p.range()), reduce)
-}
-
-/// A set over `0..n` held as ⌈n / 64⌉ words — what one event's distinct
-/// countries, or the selected publishers seen so far in it, amount to:
-/// one word for the 64-country registry and for any `top_k ≤ 64`, the
-/// same word loops beyond. Inserting ORs a bit and the members come back
-/// in ascending order off trailing-zero counts, so the set-shaped
-/// kernels neither sort nor deduplicate nor keep a flag per member.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SmallSet {
-    words: Vec<u64>,
-    n: usize,
-}
-
-impl SmallSet {
-    /// The empty set over `0..n`.
-    pub fn new(n: usize) -> Self {
-        SmallSet { words: vec![0; n.div_ceil(64)], n }
-    }
-
-    /// Remove every member.
-    // analyze: no_panic
-    #[inline]
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-    }
-
-    /// Add `i`; a value outside `0..n` is ignored (sentinel convention,
-    /// e.g. unknown country, unselected source).
-    // analyze: no_panic
-    #[inline]
-    pub fn insert(&mut self, i: usize) {
-        if i < self.n {
-            if let Some(word) = self.words.get_mut(i / 64) {
-                *word |= 1 << (i % 64);
-            }
-        }
-    }
-
-    /// Add every member of `other` (sets over the same `n`).
-    // analyze: no_panic
-    #[inline]
-    pub fn union_with(&mut self, other: &SmallSet) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    /// The members, ascending. The iterator is a cheap `Clone`, which is
-    /// how a kernel visits every pair `i < j`: clone it after taking `i`.
-    // analyze: no_panic
-    #[inline]
-    pub fn iter(&self) -> SetBits<'_> {
-        SetBits { rest: &self.words, taken: 0, word: 0 }
-    }
-}
-
-/// Ascending members of a [`SmallSet`].
-#[derive(Debug, Clone)]
-pub struct SetBits<'a> {
-    rest: &'a [u64],
-    /// Words taken off `rest` so far; `word` is the last of them.
-    taken: usize,
-    word: u64,
-}
-
-impl Iterator for SetBits<'_> {
-    type Item = usize;
-
-    // analyze: no_panic
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        while self.word == 0 {
-            let (&word, rest) = self.rest.split_first()?;
-            (self.word, self.rest, self.taken) = (word, rest, self.taken + 1);
-        }
-        let bit = self.word.trailing_zeros() as usize;
-        self.word &= self.word - 1;
-        Some((self.taken - 1) * 64 + bit)
-    }
 }
 
 #[cfg(test)]
@@ -503,46 +435,5 @@ mod tests {
         }
         let ctx = ExecContext::builder().threads(2).build();
         assert_eq!(event_scan(&ctx, &[], |_| 1u64, |a, b| a + b), None);
-    }
-
-    #[test]
-    fn small_set_words_come_from_n() {
-        for n in [0usize, 1, 63, 64, 65, 130] {
-            let mut set = SmallSet::new(n);
-            assert_eq!(set.words.len(), n.div_ceil(64), "n = {n}");
-            // Every third member, the last one, and values that are not
-            // members: `n` itself, the rest of the last word, a sentinel.
-            let want: Vec<usize> = (0..n).filter(|i| i % 3 == 0 || i + 1 == n).collect();
-            for &i in want.iter().rev() {
-                set.insert(i);
-                set.insert(i); // idempotent
-            }
-            for outside in [n, n + 1, n.next_multiple_of(64), usize::MAX] {
-                set.insert(outside);
-            }
-            assert_eq!(set.iter().collect::<Vec<_>>(), want, "n = {n}");
-
-            // Pairs `i < j` by cloning the iterator after `i`.
-            let mut pairs = 0;
-            let mut members = set.iter();
-            while let Some(i) = members.next() {
-                assert!(members.clone().all(|j| j > i));
-                pairs += members.clone().count();
-            }
-            assert_eq!(pairs, want.len() * want.len().saturating_sub(1) / 2, "n = {n}");
-
-            let mut other = SmallSet::new(n);
-            other.insert(1);
-            other.union_with(&set);
-            let mut both = want.clone();
-            if n > 1 && !both.contains(&1) {
-                both.push(1);
-                both.sort_unstable();
-            }
-            assert_eq!(other.iter().collect::<Vec<_>>(), both, "n = {n}");
-            set.clear();
-            assert_eq!(set.iter().next(), None);
-            assert_eq!(set, SmallSet::new(n));
-        }
     }
 }

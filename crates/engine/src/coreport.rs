@@ -7,16 +7,16 @@
 //! updates and dense random increments beat any sparse structure. Both
 //! strategies are implemented; the ablation benchmark compares them.
 //!
-//! Every builder takes its events from the one CSR walker
-//! ([`crate::chunk::event_scan`] + [`crate::chunk::for_each_event`]).
-//! What it does with one event depends on the universe of the set it
-//! needs: over the source directory (thousands of ids, a handful per
-//! event) the distinct reporters are found by sort + dedup of the
-//! event's slice ([`distinct_sources`]); over the country registry they
-//! are bits of a [`SmallSet`] — OR per mention, pairs off the set bits —
-//! and an event with one mention, which is most events, is one add.
+//! Every builder takes its events from the CSR partitions of
+//! [`crate::chunk::event_scan`]. What it does with them depends on the
+//! universe of the set it needs: over the source directory (thousands of
+//! ids, a handful per event) the distinct reporters of each event
+//! ([`crate::chunk::for_each_event`]) are found by sort + dedup of its
+//! slice ([`distinct_sources`]); over the country registry they are the
+//! bits of one mask per event, built by a flat pass over the mention
+//! rows that has no per-event loop ([`CountryCoReport::build`]).
 
-use crate::chunk::{event_scan, for_each_event, SmallSet};
+use crate::chunk::{event_scan, for_each_event, mention_rows, rows_of};
 use crate::exec::{ExecContext, Merge};
 use crate::matrix::Matrix;
 use gdelt_columnar::Dataset;
@@ -215,48 +215,32 @@ impl Merge for CountryCoReport {
 
 impl CountryCoReport {
     /// Build with per-thread dense partials (country count is small).
+    ///
+    /// A partition is taken [`MASK_BLOCK_EVENTS`] events at a time: one
+    /// pass over the block's mention rows ORs each mention's country bit
+    /// into its event's mask (⌈n / 64⌉ words, indexed by `event_row`
+    /// less the block's first event; a source of no country in `0..n`
+    /// ORs nothing), then one pass over the masks counts. A mask of at
+    /// most one country — most events — is one add, into a spare slot
+    /// when it is empty; only the others walk their pairs.
     // analyze: no_panic
     pub fn build(ctx: &ExecContext, d: &Dataset, n_countries: usize) -> Self {
+        let n = n_countries;
         let offsets = &d.event_index.offsets;
-        let country_of = |s: u32| d.sources.country.get(s as usize).map(|&c| c as usize);
-        let merged = event_scan(
-            ctx,
-            offsets,
-            |events| {
-                let mut pairs = Matrix::<u64>::zeros(n_countries, n_countries);
-                let mut event_counts = vec![0u64; n_countries];
-                let mut seen = SmallSet::new(n_countries);
-                for_each_event(offsets, events, |_, rows| {
-                    let sources = d.mentions.source.get(rows).unwrap_or(&[]);
-                    if let [only] = *sources {
-                        // One mention is one country and no pair.
-                        if let Some(e) = country_of(only).and_then(|c| event_counts.get_mut(c)) {
-                            *e += 1;
-                        }
-                        return;
-                    }
-                    seen.clear();
-                    for &s in sources {
-                        seen.insert(country_of(s).unwrap_or(usize::MAX));
-                    }
-                    let mut countries = seen.iter();
-                    while let Some(i) = countries.next() {
-                        if let Some(e) = event_counts.get_mut(i) {
-                            *e += 1;
-                        }
-                        for j in countries.clone() {
-                            pairs.bump(i, j);
-                            pairs.bump(j, i);
-                        }
-                    }
-                });
-                CountryCoReport { pairs, event_counts }
-            },
-            Merge::merged,
-        );
+        // Per source: where its country's mask word starts, and its bit.
+        let place: Vec<(usize, u64)> = d
+            .sources
+            .country
+            .iter()
+            .map(|&c| usize::from(c))
+            .map(|c| if c < n { (c / 64 * MASK_BLOCK_EVENTS, 1 << (c % 64)) } else { (0, 0) })
+            .collect();
+        let mentions: (&[u32], &[u32]) = (&d.mentions.event_row, &d.mentions.source);
+        let partial = |events| country_partition(offsets, events, mentions, &place, n);
+        let merged = event_scan(ctx, offsets, partial, Merge::merged);
         merged.unwrap_or_else(|| CountryCoReport {
-            pairs: Matrix::zeros(n_countries, n_countries),
-            event_counts: vec![0; n_countries],
+            pairs: Matrix::zeros(n, n),
+            event_counts: vec![0; n],
         })
     }
 
@@ -269,6 +253,98 @@ impl CountryCoReport {
             0.0
         } else {
             e_ij / denom
+        }
+    }
+}
+
+/// Events a [`CountryCoReport`] mask block covers: 4 096 one-word masks
+/// are 32 KiB, an L1's worth, and the block's mention rows are the CSR
+/// range of its events.
+pub const MASK_BLOCK_EVENTS: usize = 4096;
+
+/// One [`event_scan`] partition of [`CountryCoReport::build`]. The masks
+/// of a block are word-major — word `w` of the block's `e`-th event is
+/// `masks[w · MASK_BLOCK_EVENTS + e]` — and `place` gives each source
+/// that offset and its bit (`(0, 0)` for no country in `0..n`).
+// analyze: no_panic
+fn country_partition(
+    offsets: &[u64],
+    events: std::ops::Range<usize>,
+    (event_rows, sources): (&[u32], &[u32]),
+    place: &[(usize, u64)],
+    n: usize,
+) -> CountryCoReport {
+    let mut pairs = Matrix::<u64>::zeros(n, n);
+    // The spare slot `n` counts the words that hold no country.
+    let mut event_counts = vec![0u64; n + 1];
+    let mut masks = vec![0u64; n.div_ceil(64) * MASK_BLOCK_EVENTS];
+    for start in events.clone().step_by(MASK_BLOCK_EVENTS) {
+        let end = (start + MASK_BLOCK_EVENTS).min(events.end);
+        let rows = mention_rows(offsets, start..end);
+        masks.fill(0);
+        for (&event, &src) in rows_of(event_rows, &rows).iter().zip(rows_of(sources, &rows)) {
+            let (word, bit) = place.get(src as usize).copied().unwrap_or((0, 0));
+            if let Some(mask) = masks.get_mut(word + (event as usize).wrapping_sub(start)) {
+                *mask |= bit;
+            }
+        }
+        for (w, word) in masks.chunks(MASK_BLOCK_EVENTS).enumerate() {
+            let word = word.get(..end - start).unwrap_or(&[]);
+            count_word(word, 64 * w, &mut pairs, &mut event_counts);
+            for (v, later) in masks.chunks(MASK_BLOCK_EVENTS).enumerate().skip(w + 1) {
+                for (&a, &b) in word.iter().zip(later) {
+                    if a != 0 && b != 0 {
+                        add_pairs((a, 64 * w), (b, 64 * v), &mut pairs);
+                    }
+                }
+            }
+        }
+    }
+    event_counts.truncate(n);
+    CountryCoReport { pairs, event_counts }
+}
+
+/// Count one mask word of every event of a block (member `base + b` for
+/// bit `b`): a word of at most one member is one add — into the spare
+/// slot, the last of `event_counts`, when it is empty — and only the
+/// others walk their members and pairs.
+// analyze: no_panic
+fn count_word(word: &[u64], base: usize, pairs: &mut Matrix<u64>, event_counts: &mut [u64]) {
+    let spare = event_counts.len().saturating_sub(1);
+    for &m in word {
+        if m & m.wrapping_sub(1) == 0 {
+            let only = if m == 0 { spare } else { base + m.trailing_zeros() as usize };
+            if let Some(e) = event_counts.get_mut(only) {
+                *e += 1;
+            }
+            continue;
+        }
+        let mut rest = m;
+        while rest != 0 {
+            let i = base + rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            if let Some(e) = event_counts.get_mut(i) {
+                *e += 1;
+            }
+            add_pairs((1, i), (rest, base), pairs);
+        }
+    }
+}
+
+/// Both cells of every pair of a member of `a` with a member of `b`: each
+/// is a mask word with the member its bit 0 stands for.
+// analyze: no_panic
+fn add_pairs((a, a_base): (u64, usize), (b, b_base): (u64, usize), pairs: &mut Matrix<u64>) {
+    let mut rest_a = a;
+    while rest_a != 0 {
+        let i = a_base + rest_a.trailing_zeros() as usize;
+        rest_a &= rest_a - 1;
+        let mut rest_b = b;
+        while rest_b != 0 {
+            let j = b_base + rest_b.trailing_zeros() as usize;
+            rest_b &= rest_b - 1;
+            pairs.bump(i, j);
+            pairs.bump(j, i);
         }
     }
 }
@@ -421,6 +497,42 @@ mod tests {
         assert!((cc.jaccard(us, uk) - 2.0 / 3.0).abs() < 1e-12);
         assert!((cc.jaccard(uk, au) - 0.5).abs() < 1e-12);
         assert_eq!(cc.jaccard(au, us), cc.jaccard(us, au));
+    }
+
+    // The registry has 64 countries, so no stored source reaches a second
+    // mask word: give the sources of a synthetic corpus countries up to
+    // 130 (and none) and count against sets, within a word, across
+    // words, and across a partition edge.
+    #[test]
+    fn country_masks_span_words() {
+        let mut d = gdelt_synth::generate_dataset(&gdelt_synth::scenario::tiny(5)).0;
+        const COUNTRIES: [u16; 8] = [u16::MAX, 0, 63, 64, 65, 127, 129, 130];
+        for (s, c) in d.sources.country.iter_mut().enumerate() {
+            *c = COUNTRIES[s % COUNTRIES.len()];
+        }
+        for n in [0usize, 1, 64, 65, 128, 130, 131] {
+            let mut pairs = Matrix::<u64>::zeros(n, n);
+            let mut event_counts = vec![0u64; n];
+            for e in 0..d.events.len() {
+                let countries: std::collections::BTreeSet<usize> = d
+                    .mentions_of(e)
+                    .map(|r| usize::from(d.sources.country[d.mentions.source[r] as usize]))
+                    .filter(|&c| c < n)
+                    .collect();
+                for &i in &countries {
+                    event_counts[i] += 1;
+                    for &j in countries.iter().filter(|&&j| j != i) {
+                        pairs.bump(i, j);
+                    }
+                }
+            }
+            let want = CountryCoReport { pairs, event_counts };
+            assert!(n < 65 || want.pairs.as_slice().iter().skip(64 * n).any(|&v| v > 0));
+            for threads in [1, 3] {
+                let ctx = ExecContext::builder().threads(threads).build();
+                assert_eq!(CountryCoReport::build(&ctx, &d, n), want, "{n} countries");
+            }
+        }
     }
 
     #[test]

@@ -10,23 +10,54 @@
 //! publishers; the implementation computes the submatrix for any source
 //! selection in one pass over the time-sorted event→mentions CSR.
 //!
-//! Per event (from the one CSR walker, [`crate::chunk::for_each_event`])
-//! the kernel keeps two [`SmallSet`]s over the selection: `seen`, the
-//! selected sources met so far, and `prior`, those met in a strictly
-//! earlier interval. Interval groups are found inline — when a mention's
-//! interval differs from the one before it, `prior` takes `seen` — and
-//! an article by `j` bumps `counts[i][j]` for the set bits `i` of
-//! `prior` only. An event with one mention has no follow edge and is
-//! skipped; `articles` does not come from the walk at all but from one
-//! dense count of the source column, which also covers mentions of
-//! unknown events.
+//! Each [`crate::chunk::event_scan`] partition streams its mention rows
+//! `offsets[begin]..offsets[end]` once per 64 selected sources, as three
+//! zipped columns (`event_row`, `source`, `mention_interval`), with no
+//! loop per event. Two words over the selection ride along: `seen`, the
+//! selected sources met so far in the current event, and `prior`, those
+//! met in a strictly earlier interval of it. Every mention applies two
+//! masks — all ones when `event_row` changed (both words cleared), all
+//! ones when the interval changed (`prior |= seen`) — so an event
+//! boundary costs what any other row costs; then the mention's source
+//! `j` takes one count for each member `i` of `prior`. Those counts are
+//! byte lanes: column `j` keeps a fixed array of eight words, the first
+//! ⌈leaders / 8⌉ in use, whose byte `b` of word `w` counts leader
+//! `8w + b`; a mention adds `SPREAD` of each byte of `prior` to them,
+//! and a column is flushed into the `k × k` partial before any lane can
+//! pass 255. Unselected sources write into a spare column whose counts
+//! are dropped, which keeps the loop free of a branch on the source too.
+//! `articles` does not come from the walk at all but from one dense
+//! count of the source column, which also covers mentions of unknown
+//! events.
 
 use crate::aggregate::count_by;
-use crate::chunk::{event_scan, for_each_event, SmallSet};
+use crate::chunk::{event_scan, mention_rows, rows_of};
 use crate::exec::{ExecContext, Merge};
 use crate::matrix::Matrix;
 use gdelt_columnar::Dataset;
 use gdelt_model::ids::SourceId;
+
+/// Bit `i` of a byte spread to byte `i` of a word: adding `SPREAD[b]` to
+/// a word of eight byte counters counts one for every member of `b`.
+const SPREAD: [u64; 256] = spread_table();
+
+const fn spread_table() -> [u64; 256] {
+    let mut table = [0u64; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut bit = 0;
+        while bit < 8 {
+            table[byte] |= ((byte as u64 >> bit) & 1) << (8 * bit);
+            bit += 1;
+        }
+        byte += 1;
+    }
+    table
+}
+
+/// Adds a byte lane takes before it must be flushed: one more could
+/// carry into its neighbour.
+const LANE_MAX: u64 = 255;
 
 /// Follow-reporting result for a source selection.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,7 +86,7 @@ impl FollowReport {
     // analyze: no_panic
     pub fn build(ctx: &ExecContext, d: &Dataset, subset: &[SourceId]) -> Self {
         let k = subset.len();
-        // Source id → slot; everyone else gets `k`, one past the sets.
+        // Source id → slot; everyone else gets `k`, the spare column.
         let mut slot_of = vec![k; d.sources.len()];
         for (i, s) in subset.iter().enumerate() {
             if let Some(slot) = slot_of.get_mut(s.index()) {
@@ -69,32 +100,16 @@ impl FollowReport {
             offsets,
             |events| {
                 let mut counts = Matrix::<u64>::zeros(k, k);
-                let (mut prior, mut seen) = (SmallSet::new(k), SmallSet::new(k));
-                for_each_event(offsets, events, |_, rows| {
-                    if rows.len() < 2 {
-                        return; // nobody to follow
-                    }
-                    let sources = d.mentions.source.get(rows.clone()).unwrap_or(&[]);
-                    let times = d.mentions.mention_interval.get(rows).unwrap_or(&[]);
-                    prior.clear();
-                    seen.clear();
-                    let mut last = times.first().copied();
-                    for (&src, &t) in sources.iter().zip(times) {
-                        if Some(t) != last {
-                            // A new interval: everyone seen so far is now
-                            // strictly earlier.
-                            prior.union_with(&seen);
-                            last = Some(t);
-                        }
-                        let j = slot_of.get(src as usize).copied().unwrap_or(k);
-                        if j < k {
-                            seen.insert(j);
-                            for i in prior.iter() {
-                                counts.bump(i, j);
-                            }
-                        }
-                    }
-                });
+                let rows = mention_rows(offsets, events);
+                let mentions = (
+                    rows_of(&d.mentions.event_row, &rows),
+                    rows_of(&d.mentions.source, &rows),
+                    rows_of(&d.mentions.mention_interval, &rows),
+                );
+                let mut lanes = Vec::new();
+                for word in 0..k.div_ceil(64) {
+                    follow_word(mentions, &slot_of, word, &mut lanes, &mut counts);
+                }
                 counts
             },
             Merge::merged,
@@ -135,6 +150,68 @@ impl FollowReport {
     /// publisher's articles that follow any of the selected sources.
     pub fn column_sums(&self) -> Vec<f64> {
         self.f_matrix().col_sums_f()
+    }
+}
+
+/// One pass over a partition's `(event_row, source, mention_interval)`
+/// rows for the leaders `64 · word ..` of the selection: `slot_of` maps a
+/// source to its slot (`k` = unselected, the spare column) and the
+/// counts land in rows `64 · word ..` of `counts`. `lanes` is scratch:
+/// per column, eight lane words (the first ⌈leaders / 8⌉ in use) and how
+/// many adds they have taken.
+// analyze: no_panic
+fn follow_word(
+    (events, sources, times): (&[u32], &[u32], &[u32]),
+    slot_of: &[usize],
+    word: usize,
+    lanes: &mut Vec<[u64; 9]>,
+    counts: &mut Matrix<u64>,
+) {
+    let k = counts.cols();
+    let lane_words = k.saturating_sub(64 * word).min(64).div_ceil(8);
+    lanes.clear();
+    lanes.resize(k + 1, [0; 9]);
+    // Per slot: its bit in this word of `seen`, if it has one there.
+    let bit_of: Vec<u64> =
+        (0..=k).map(|j| u64::from((j < k) & (j / 64 == word)) << (j % 64)).collect();
+    let (mut prior, mut seen) = (0u64, 0u64);
+    let (mut last_event, mut last_time) = (u32::MAX, u32::MAX);
+    for ((&event, &src), &t) in events.iter().zip(sources).zip(times) {
+        let new_event = 0u64.wrapping_sub(u64::from(event != last_event));
+        let new_time = 0u64.wrapping_sub(u64::from(t != last_time));
+        (last_event, last_time) = (event, t);
+        seen &= !new_event;
+        prior = (prior & !new_event) | (seen & new_time);
+        let j = slot_of.get(src as usize).copied().unwrap_or(k);
+        seen |= bit_of.get(j).copied().unwrap_or(0);
+        let Some([column @ .., adds]) = lanes.get_mut(j) else { continue };
+        for (b, lane) in column.iter_mut().take(lane_words).enumerate() {
+            *lane += SPREAD.get(usize::from((prior >> (8 * b)) as u8)).copied().unwrap_or(0);
+        }
+        *adds += 1;
+        if *adds == LANE_MAX {
+            flush(column.get(..lane_words).unwrap_or(&[]), counts, 64 * word, j);
+            *column = [0; 8];
+            *adds = 0;
+        }
+    }
+    for (j, [column @ .., _]) in lanes.iter().enumerate() {
+        flush(column.get(..lane_words).unwrap_or(&[]), counts, 64 * word, j);
+    }
+}
+
+/// Add column `j`'s byte lanes (leader `first + 8w + b` in byte `b` of
+/// word `w`) into `counts`; the spare column `j = k`, and lanes past the
+/// last leader, are dropped.
+// analyze: no_panic
+fn flush(column: &[u64], counts: &mut Matrix<u64>, first: usize, j: usize) {
+    for (w, lane) in column.iter().enumerate() {
+        for (b, n) in lane.to_le_bytes().into_iter().enumerate() {
+            let i = first + 8 * w + b;
+            if i < counts.rows() && j < counts.cols() {
+                *counts.get_mut(i, j) += u64::from(n);
+            }
+        }
     }
 }
 
@@ -273,6 +350,75 @@ mod tests {
         let empty = Dataset::default();
         let fr = FollowReport::build(&ctx(), &empty, &[]);
         assert!(fr.column_sums().is_empty());
+    }
+
+    #[test]
+    fn spread_puts_bit_i_in_byte_i() {
+        for (byte, &lanes) in SPREAD.iter().enumerate() {
+            let want: Vec<u8> = (0..8).map(|i| (byte >> i) as u8 & 1).collect();
+            assert_eq!(lanes.to_le_bytes().to_vec(), want, "byte {byte:#04x}");
+        }
+    }
+
+    // One leader, then 300 articles by each of two followers an interval
+    // later, on events that meet at a shared source and interval: a
+    // column past the lane limit, and state that only the change of
+    // event may clear.
+    #[test]
+    fn lanes_flush_and_events_clear() {
+        let mut bld = DatasetBuilder::new();
+        let event = |id: u64| EventRecord {
+            id: EventId(id),
+            day: GDELT_EPOCH,
+            root: CameoRoot::new(1).unwrap(),
+            event_code: "010".into(),
+            actor1_country: String::new(),
+            actor2_country: String::new(),
+            quad_class: QuadClass::VerbalCooperation,
+            goldstein: Goldstein::new(0.0).unwrap(),
+            num_mentions: 0,
+            num_sources: 0,
+            num_articles: 0,
+            avg_tone: 0.0,
+            geo: ActionGeo::default(),
+            date_added: DateTime::midnight(GDELT_EPOCH),
+            source_url: "u".into(),
+        };
+        let mention = |event: u64, src: &str, delay: u32, n: usize| MentionRecord {
+            event_id: EventId(event),
+            event_time: DateTime::midnight(GDELT_EPOCH),
+            mention_time: DateTime::from_unix_seconds(
+                DateTime::midnight(GDELT_EPOCH).to_unix_seconds() + i64::from(delay) * 900,
+            ),
+            mention_type: MentionType::Web,
+            source_name: src.into(),
+            url: format!("https://{src}/{event}/{n}"),
+            confidence: 50,
+            doc_tone: 0.0,
+        };
+        for id in 1..=2 {
+            bld.add_event(event(id));
+        }
+        bld.add_mention(mention(1, "a.com", 0, 0));
+        for n in 0..300 {
+            bld.add_mention(mention(1, "b.co.uk", 1, n));
+        }
+        // Event 2 opens with b in the interval event 1 closed with.
+        bld.add_mention(mention(2, "b.co.uk", 1, 300));
+        for n in 0..300 {
+            bld.add_mention(mention(2, "c.com.au", 2, n));
+        }
+        let d = bld.build().0;
+        // Both events in one partition, and one each.
+        let one_partition = ExecContext::builder().threads(1).partitions_per_thread(1).build();
+        for ctx in [one_partition, ctx()] {
+            let fr = FollowReport::build(&ctx, &d, &subset(&d));
+            let (a, b, c) = (0, 1, 2);
+            assert_eq!(fr.follow_counts.get(a, b), 300);
+            assert_eq!(fr.follow_counts.get(b, c), 300);
+            assert_eq!(fr.follow_counts.get(a, c), 0, "a is not on event 2");
+            assert_eq!(fr.follow_counts.total(), 600);
+        }
     }
 
     #[test]

@@ -173,11 +173,13 @@ impl Query {
     /// of the reference box). The four report kernels' weights are their
     /// measured one-thread cost per mention over that unit, on the
     /// `scan-large` corpus (2.4 M mentions; EXPERIMENTS.md "Report
-    /// kernels bound by the CSR stream"): FollowReport 11.5–12.0 ns ≈
-    /// 26 ×, CoReport 6.7–7.4 ns ≈ 16 ×, CrossCountry 2.5–2.8 ns ≈ 6 ×
-    /// (its event-table pass included), Delay 3.9–4.3 ns ≈ 9 × (at that
-    /// corpus's 116 sources; a directory of many small sources costs it
-    /// more per mention, some 0.3 µs a source). Absolute
+    /// kernels without a per-event branch"): FollowReport at `top_k` 10
+    /// 4.5–4.7 ns ≈ 11 × (its ranking pass included; every further 8
+    /// selected sources add one byte-lane word, ≈ 0.55 ns), Delay
+    /// 3.9–4.3 ns ≈ 9 × (at that corpus's 116 sources; a directory of
+    /// many small sources costs it more per mention, some 0.3 µs a
+    /// source), CoReport 2.9–3.1 ns ≈ 7 ×, CrossCountry 2.6–2.7 ns ≈ 6 ×
+    /// (its event-table pass included). Absolute
     /// scale is arbitrary, only ratios matter to the admission
     /// controller, and the largest weight leaves `mentions × weight` nine
     /// orders of magnitude inside `u64` at the paper's 1.09 B mentions.
@@ -191,8 +193,8 @@ impl Query {
     /// never map, from shard manifests or health frames.
     pub fn cost_estimate_rows(&self, events: u64, mentions: u64) -> u64 {
         let cost = match self {
-            Query::CoReport => mentions * 16,
-            Query::FollowReport { .. } => mentions * 26,
+            Query::CoReport => mentions * 7,
+            Query::FollowReport { .. } => mentions * 11,
             Query::CrossCountry => mentions * 6,
             Query::Delay => mentions * 9,
             Query::TimeSeries(SeriesKind::Events) => events,
@@ -480,11 +482,12 @@ mod tests {
         for q in all_variants() {
             assert!(q.cost_estimate(&d) >= 1, "{q}");
         }
-        // The measured order: the per-event kernels above the flat
-        // report scans, and every report kernel above every series and
-        // ranking.
+        // The measured order of the report kernels — FollowReport, Delay,
+        // CoReport, CrossCountry — and every one of them above every
+        // series and ranking.
         let cost = |q: Query| q.cost_estimate(&d);
-        assert!(cost(Query::FollowReport { top_k: 10 }) > cost(Query::CoReport));
+        assert!(cost(Query::FollowReport { top_k: 10 }) > cost(Query::Delay));
+        assert!(cost(Query::Delay) > cost(Query::CoReport));
         assert!(cost(Query::CoReport) > cost(Query::CrossCountry));
         let dash = all_variants().into_iter().filter(|q| q.family() == "quarters");
         let rankings =

@@ -8,8 +8,8 @@
 use gdelt_columnar::degraded::restrict_to_partitions;
 use gdelt_columnar::table::NO_EVENT_ROW;
 use gdelt_columnar::{Dataset, DatasetBuilder};
-use gdelt_engine::chunk::SEQUENTIAL_SCAN_ROWS;
-use gdelt_engine::coreport::CountryCoReport;
+use gdelt_engine::chunk::{event_partitions, SEQUENTIAL_SCAN_ROWS};
+use gdelt_engine::coreport::{CountryCoReport, MASK_BLOCK_EVENTS};
 use gdelt_engine::crossreport::CrossReport;
 use gdelt_engine::delay::DelayStats;
 use gdelt_engine::followreport::FollowReport;
@@ -408,10 +408,14 @@ fn csr_edges() -> Dataset {
     b.build().0
 }
 
-/// Every query at the selection sizes that cross a mask word, and the
-/// two country kernels at the country counts that do.
+/// Selection sizes that cross a byte lane (8 / 9) or a mask word (63 /
+/// 64 / 65, 130).
+const WIDTHS: [u32; 8] = [0, 1, 8, 9, 63, 64, 65, 130];
+
+/// Every query at the selection sizes that cross a byte lane or a mask
+/// word, and the two country kernels at the country counts that do.
 fn assert_matches_reference_at_every_width(ctx: &ExecContext, d: &Dataset, what: &str) {
-    for k in [0u32, 1, 63, 64, 65, 130] {
+    for k in WIDTHS {
         for q in all_queries(k, 96) {
             assert_eq!(run_query(ctx, d, &q), reference(d, &q), "{q}, {what}");
         }
@@ -478,6 +482,118 @@ fn csr_edge_corpus_matches_reference_at_every_width_and_partition_edge() {
     // two, and every piece keeps the whole source directory.
     for (i, piece) in pieces(&d, 4).iter().enumerate() {
         assert_matches_reference_at_every_width(&contexts[1].0, piece, &format!("piece {i}"));
+    }
+}
+
+/// Events of [`lanes_and_blocks`]: four whole country-mask blocks and
+/// part of a fifth.
+const BLOCKED_EVENTS: usize = 4 * MASK_BLOCK_EVENTS + 500;
+
+/// Adds the follow lanes of one column take in [`lanes_and_blocks`]: one
+/// short of a lane's limit, at it, one past it, and several times it.
+const COLUMN_ADDS: [usize; 4] = [254, 255, 256, 600];
+
+/// Follower `i` of [`lanes_and_blocks`], with `COLUMN_ADDS[i]` articles.
+fn follower(i: usize) -> String {
+    format!("f{}.com", COLUMN_ADDS[i])
+}
+
+/// A hand-built corpus aimed at the flat CSR kernels' state: the follow
+/// words that must clear where `event_row` changes, the byte lanes that
+/// must flush before they carry, and the country masks kept
+/// [`MASK_BLOCK_EVENTS`] events at a time.
+///
+/// * Events 1 and 2 are adjacent, and the last mention of 1 and the
+///   first of 2 are the same source in the same interval, so nothing but
+///   the change of event separates their follow state: `f256` follows
+///   `f600` on the first and `f600` follows `f256` on the second.
+/// * In each of four events, `lead.com` reports first and one follower
+///   then reports [`COLUMN_ADDS`] times, one interval later: a column of
+///   254, 255, 256 and 600 adds, each inside the one partition that
+///   holds its event. `lead.com` also reports 700 times at once on one
+///   event, so the leader and the followers are the five most published
+///   sources (and selected from `top_k` 5 on).
+/// * The other events, [`BLOCKED_EVENTS`] in all, are reported by one to
+///   three of 140 publishers whose countries cycle through the registry,
+///   so events of one, two and three countries sit on both sides of every
+///   block edge.
+fn lanes_and_blocks() -> Dataset {
+    let day = Date { year: 2015, month: 5, day: 10 };
+    let lead = "lead.com".to_string();
+    let mut reports: Vec<Vec<(String, u32)>> = vec![Vec::new(); BLOCKED_EVENTS];
+    reports[0] = vec![(follower(3), 0), (follower(2), 1)];
+    reports[1] = vec![(follower(2), 1), (follower(3), 2)];
+    reports[2] = (0..700).map(|_| (lead.clone(), 0)).collect();
+    for (i, &adds) in COLUMN_ADDS.iter().enumerate() {
+        // Spread over the corpus, and one of them next to a block edge.
+        let event = [3, MASK_BLOCK_EVENTS - 1, 2 * MASK_BLOCK_EVENTS + 7, BLOCKED_EVENTS - 2][i];
+        reports[event] =
+            std::iter::once((lead.clone(), 0)).chain((0..adds).map(|_| (follower(i), 1))).collect();
+    }
+    for (e, r) in reports.iter_mut().enumerate().filter(|(_, r)| r.is_empty()) {
+        *r = (0..1 + e % 3).map(|m| (publisher((e * 11 + m * 13) % 140), m as u32)).collect();
+    }
+    let mut b = DatasetBuilder::new();
+    for id in 1..=BLOCKED_EVENTS as u64 {
+        b.add_event(event_record(id, day));
+    }
+    for (id, r) in (1u64..).zip(&reports) {
+        for (n, (source, delay)) in r.iter().enumerate() {
+            b.add_mention(mention_record(id, day, *delay, source, n));
+        }
+    }
+    b.build().0
+}
+
+#[test]
+fn lane_and_block_edges_match_reference_at_one_to_three_threads() {
+    let d = lanes_and_blocks();
+    let offsets = &d.event_index.offsets;
+    assert_eq!(d.events.len(), BLOCKED_EVENTS);
+    // The leader and the followers rank first, and the follower columns
+    // take the adds they are named after.
+    let totals = articles_by_source(&d);
+    let top: Vec<String> = ranked(&totals, 5)
+        .into_iter()
+        .map(|(s, _)| d.sources.name(SourceId(s as u32)).to_string())
+        .collect();
+    assert_eq!(top, ["lead.com", "f600.com", "f256.com", "f255.com", "f254.com"]);
+    let follow = run_query(
+        &ExecContext::builder().threads(1).build(),
+        &d,
+        &Query::FollowReport { top_k: 5 },
+    );
+    let follow = follow.as_followreport().expect("follow result");
+    assert_eq!(follow.follow_counts.row(0), &[0, 600, 256, 255, 254]);
+    assert_eq!(follow.follow_counts.get(1, 2), 1, "f256 follows f600 on the first event");
+    assert_eq!(follow.follow_counts.get(2, 1), 1, "f600 follows f256 on the second");
+    assert_eq!(follow.follow_counts.total(), 600 + 256 + 255 + 254 + 2);
+
+    let want: Vec<(Query, QueryResult)> =
+        WIDTHS.iter().flat_map(|&k| all_queries(k, 96)).map(|q| (q, reference(&d, &q))).collect();
+    let countries: Vec<(usize, CountryCoReport)> =
+        [0usize, 1, 63, 64, 65].into_iter().map(|n| (n, reference_coreport(&d, n))).collect();
+    for threads in [1usize, 2, 3] {
+        // One partition per thread, so every partition spans a block edge
+        // of its own, and the default four, so edges fall between them.
+        for per_thread in [1usize, 4] {
+            let ctx =
+                ExecContext::builder().threads(threads).partitions_per_thread(per_thread).build();
+            let parts = event_partitions(offsets, threads * per_thread);
+            if per_thread == 1 {
+                assert!(parts.iter().all(|p| p.len() > MASK_BLOCK_EVENTS));
+            }
+            if threads > 1 {
+                assert!(parts.iter().skip(1).any(|p| p.begin % MASK_BLOCK_EVENTS != 0));
+            }
+            let what = format!("{threads} thread(s), {per_thread} partition(s) each");
+            for (q, want) in &want {
+                assert_eq!(&run_query(&ctx, &d, q), want, "{q}, {what}");
+            }
+            for (n, want) in &countries {
+                assert_eq!(&CountryCoReport::build(&ctx, &d, *n), want, "{n} countries, {what}");
+            }
+        }
     }
 }
 

@@ -523,51 +523,50 @@ impl Frame {
     }
 
     /// Read exactly one frame from a stream, dropping trace context.
-    /// Wire-level failures come back as `InvalidData` wrapping the
-    /// [`WireError`] text.
+    /// A stream that ends inside the frame is `UnexpectedEof`; every
+    /// other wire-level failure is `InvalidData` carrying the
+    /// [`WireError`] that [`Frame::decode`] returns for the same bytes
+    /// (`get_ref()` + `downcast_ref`).
     pub fn read_from(r: &mut impl std::io::Read) -> std::io::Result<Frame> {
         Frame::read_traced_from(r).map(|(frame, _, _)| frame)
     }
 
     /// Read exactly one frame plus its `(trace_id, parent_span)` from
     /// a stream. Accepts both header versions; v1 frames yield zero
-    /// trace context.
+    /// trace context. The header is read into a stack buffer and the
+    /// frame into one buffer of its exact length, which is decoded in
+    /// place — the payload is copied once, by the read.
     pub fn read_traced_from(r: &mut impl std::io::Read) -> std::io::Result<(Frame, u64, u64)> {
-        let mut prefix = [0u8; HEADER_PREFIX_LEN];
-        r.read_exact(&mut prefix)?;
-        let magic: [u8; 4] = [prefix[0], prefix[1], prefix[2], prefix[3]];
+        let mut header = [0u8; HEADER_LEN];
+        let (prefix, _) = header.split_at_mut(HEADER_PREFIX_LEN);
+        r.read_exact(prefix)?;
+        let magic: [u8; 4] = [header[0], header[1], header[2], header[3]];
         if magic != MAGIC {
             return Err(wire_io(WireError::BadMagic(magic)));
         }
-        let version = u16::from_le_bytes([prefix[4], prefix[5]]);
-        let header_len = match version {
+        let header_len = match u16::from_le_bytes([header[4], header[5]]) {
             VERSION_V1 => HEADER_LEN_V1,
             VERSION => HEADER_LEN,
             other => return Err(wire_io(WireError::BadVersion(other))),
         };
-        let mut header_rest = vec![0u8; header_len - HEADER_PREFIX_LEN];
-        r.read_exact(&mut header_rest)?;
-        let len_bytes: [u8; 4] = header_rest[header_rest.len() - 4..]
-            .try_into()
-            .map_err(|_| wire_io(WireError::Malformed("length field")))?;
+        let header = &mut header[..header_len];
+        r.read_exact(&mut header[HEADER_PREFIX_LEN..])?;
+        let mut len_bytes = [0u8; 4];
+        len_bytes.copy_from_slice(&header[header_len - 4..]);
         let len = u32::from_le_bytes(len_bytes);
         if len > MAX_PAYLOAD {
             return Err(wire_io(WireError::Oversized(len)));
         }
-        let mut rest = vec![0u8; len as usize + CHECKSUM_LEN];
-        r.read_exact(&mut rest)?;
-        let mut whole = Vec::with_capacity(header_len + rest.len());
-        whole.extend_from_slice(&prefix);
-        whole.extend_from_slice(&header_rest);
-        whole.extend_from_slice(&rest);
-        let (frame, trace_id, parent_span, _) =
-            Frame::decode_traced(&whole).map_err(wire_io)?;
+        let mut whole = vec![0u8; header_len + len as usize + CHECKSUM_LEN];
+        whole[..header_len].copy_from_slice(header);
+        r.read_exact(&mut whole[header_len..])?;
+        let (frame, trace_id, parent_span, _) = Frame::decode_traced(&whole).map_err(wire_io)?;
         Ok((frame, trace_id, parent_span))
     }
 }
 
 fn wire_io(e: WireError) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
+    std::io::Error::new(std::io::ErrorKind::InvalidData, e)
 }
 
 /// Little-endian payload encoder.

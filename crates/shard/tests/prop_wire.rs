@@ -339,6 +339,71 @@ proptest! {
             other => prop_assert!(false, "v1 prefix of {cut} bytes decoded as {other:?}"),
         }
     }
+
+    /// Reading a frame off a stream answers what decoding its bytes
+    /// does, for whatever a socket can deliver: a whole frame followed
+    /// by another one (both come back, in order, and nothing is left), a
+    /// frame cut inside its header, its payload or its checksum, and a
+    /// frame with one damaged byte — in either header version.
+    #[test]
+    fn stream_decode_matches_buffer_decode(
+        f in frame(),
+        next in frame(),
+        v1 in any::<bool>(),
+        at in any::<usize>(),
+        pos in any::<usize>(),
+        xor in 1u8..=255,
+    ) {
+        let bytes = if v1 { f.encode_v1() } else { f.encode() };
+        let header = if v1 { HEADER_LEN_V1 } else { HEADER_LEN };
+        let payload = bytes.len() - header - CHECKSUM_LEN;
+
+        let mut two = bytes.clone();
+        two.extend_from_slice(&next.encode());
+        let mut stream = &two[..];
+        prop_assert_eq!(read_as_decode(&mut stream), decoded(&two));
+        prop_assert_eq!(read_as_decode(&mut stream), decoded(&two[bytes.len()..]));
+        prop_assert!(stream.is_empty());
+
+        let cuts = [at % header, header + at % payload.max(1), header + payload + at % CHECKSUM_LEN];
+        for cut in cuts {
+            let cut = &bytes[..cut.min(bytes.len() - 1)];
+            prop_assert!(matches!(decoded(cut), Err(WireError::Truncated { .. })));
+            prop_assert_eq!(read_as_decode(&mut &cut[..]), decoded(cut));
+        }
+
+        let mut damaged = bytes.clone();
+        damaged[pos % bytes.len()] ^= xor;
+        prop_assert_eq!(read_as_decode(&mut &damaged[..]), decoded(&damaged));
+    }
+}
+
+/// A truncation in the terms both readers can state: a stream cannot
+/// know how many bytes the frame it lost would have had.
+const CUT_SHORT: WireError = WireError::Truncated { needed: 0, have: 0 };
+
+/// `Frame::decode`'s answer, truncation counts dropped.
+fn decoded(bytes: &[u8]) -> Result<Frame, WireError> {
+    match Frame::decode(bytes) {
+        Ok((frame, _)) => Ok(frame),
+        Err(WireError::Truncated { .. }) => Err(CUT_SHORT),
+        Err(e) => Err(e),
+    }
+}
+
+/// `Frame::read_from`'s answer in `Frame::decode`'s terms: a stream that
+/// ends inside the frame is a truncation, any other failure is the
+/// `WireError` its `InvalidData` error carries.
+fn read_as_decode(stream: &mut &[u8]) -> Result<Frame, WireError> {
+    Frame::read_from(stream).map_err(|e| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => CUT_SHORT,
+        std::io::ErrorKind::InvalidData => e
+            .get_ref()
+            .and_then(|inner| inner.downcast_ref::<WireError>())
+            .cloned()
+            .unwrap_or(WireError::Malformed("InvalidData without a WireError")),
+        _ => WireError::Malformed("an untyped stream error"),
+    })
 }
 
 #[test]
@@ -418,4 +483,6 @@ fn header_layouts_match_the_documented_offsets() {
     assert!(matches!(Frame::decode(&v3), Err(WireError::BadVersion(3))));
     let err = Frame::read_from(&mut &v3[..]).expect_err("stream decode must reject v3");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert_eq!(err.to_string(), WireError::BadVersion(3).to_string());
+    assert_eq!(read_as_decode(&mut &v3[..]), Err(WireError::BadVersion(3)));
 }
