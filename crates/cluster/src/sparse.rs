@@ -2,11 +2,9 @@
 //!
 //! MCL iterates on a column-stochastic similarity matrix. The
 //! co-reporting matrices this runs on are symmetric and (outside the
-//! media-group blocks) sparse, so CSR with row-parallel kernels is the
-//! natural representation — the paper makes the same observation about
-//! time-sliced co-reporting matrices (§VI-B).
-
-use rayon::prelude::*;
+//! media-group blocks) sparse, so CSR is the natural representation —
+//! the paper makes the same observation about time-sliced co-reporting
+//! matrices (§VI-B).
 
 /// A square CSR matrix with `f64` values.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,42 +134,37 @@ impl CsrMatrix {
         out
     }
 
-    /// Sparse matrix product `self * other` with row-parallel dense
-    /// accumulators.
+    /// Sparse matrix product `self * other`, row by row through one
+    /// dense accumulator that is cleared entry by entry after each row.
     pub fn multiply(&self, other: &CsrMatrix) -> CsrMatrix {
         assert_eq!(self.n, other.n, "dimension mismatch");
         let n = self.n;
-        let rows: Vec<(Vec<u32>, Vec<f64>)> = (0..n)
-            .into_par_iter()
-            .map(|r| {
-                // analyze: allow(hot_alloc): the per-row dense accumulator IS the algorithm
-                let mut acc = vec![0.0f64; n];
-                // analyze: allow(hot_alloc): per-row output column set, size unknown upfront
-                let mut touched: Vec<u32> = Vec::new();
-                for i in self.indptr[r]..self.indptr[r + 1] {
-                    let k = self.indices[i] as usize;
-                    let v = self.values[i];
-                    for j in other.indptr[k]..other.indptr[k + 1] {
-                        let c = other.indices[j] as usize;
-                        if acc[c] == 0.0 {
-                            // analyze: allow(hot_alloc): amortized push into the row output
-                            touched.push(c as u32);
-                        }
-                        acc[c] += v * other.values[j];
-                    }
-                }
-                touched.sort_unstable();
-                // analyze: allow(hot_alloc): one exact-size row materialization
-                let vals: Vec<f64> = touched.iter().map(|&c| acc[c as usize]).collect();
-                (touched, vals)
-            })
-            .collect();
+        let mut acc = vec![0.0f64; n];
+        let mut touched: Vec<u32> = Vec::new();
         let mut indptr = vec![0usize; n + 1];
         let mut indices = Vec::new();
         let mut values = Vec::new();
-        for (r, (cols, vals)) in rows.into_iter().enumerate() {
-            indices.extend(cols);
-            values.extend(vals);
+        for r in 0..n {
+            for i in self.indptr[r]..self.indptr[r + 1] {
+                let k = self.indices[i] as usize;
+                let v = self.values[i];
+                for j in other.indptr[k]..other.indptr[k + 1] {
+                    let c = other.indices[j] as usize;
+                    if acc[c] == 0.0 {
+                        touched.push(c as u32);
+                    }
+                    acc[c] += v * other.values[j];
+                }
+            }
+            touched.sort_unstable();
+            for &c in &touched {
+                indices.push(c);
+                values.push(acc[c as usize]);
+            }
+            for &c in &touched {
+                acc[c as usize] = 0.0;
+            }
+            touched.clear();
             indptr[r + 1] = indices.len();
         }
         CsrMatrix { n, indptr, indices, values }
@@ -180,7 +173,9 @@ impl CsrMatrix {
     /// Hadamard (element-wise) power — the MCL inflation kernel.
     pub fn hadamard_power(&self, exponent: f64) -> CsrMatrix {
         let mut out = self.clone();
-        out.values.par_iter_mut().for_each(|v| *v = v.powf(exponent));
+        for v in &mut out.values {
+            *v = v.powf(exponent);
+        }
         out
     }
 

@@ -120,19 +120,6 @@ impl RowStore {
     }
 }
 
-/// Scaling measurement for Fig 12: run the aggregated query at each
-/// thread count, returning `(threads, seconds)` pairs, plus the naive
-/// row-store time as a comparator.
-pub fn scaling_sweep(d: &Dataset, thread_counts: &[usize]) -> Vec<(usize, f64)> {
-    thread_counts
-        .iter()
-        .map(|&t| {
-            let (_, secs) = crate::query::timed_run(d, t);
-            (t, secs)
-        })
-        .collect()
-}
-
 /// Time the naive row-store query (build excluded; query only).
 pub fn timed_naive(store: &RowStore) -> (CrossReport, f64) {
     let t0 = std::time::Instant::now();
@@ -169,15 +156,6 @@ mod tests {
         let store = RowStore::from_dataset(&d);
         assert_eq!(store.events.len(), d.events.len());
         assert_eq!(store.mentions.len(), d.mentions.len());
-    }
-
-    #[test]
-    fn scaling_sweep_returns_all_points() {
-        let d = dataset();
-        let points = scaling_sweep(&d, &[1, 2]);
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].0, 1);
-        assert!(points.iter().all(|&(_, s)| s >= 0.0));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! counts + publisher totals), one event-table pass (events per country),
 //! and one CSR pass (country co-reporting). The paper reports 344 s on
 //! one thread and 43 s with OpenMP on 64 for this workload; the Fig 12
-//! benchmark sweeps thread counts over it via [`timed_run`].
+//! benchmark sweeps thread counts over it via [`timed_run_in`].
 
 use crate::coreport::CountryCoReport;
 use crate::crossreport::CrossReport;
@@ -379,24 +379,15 @@ impl AggregatedCountryReport {
 }
 
 /// Wall-clock the aggregated query in an existing context; returns the
-/// result and elapsed seconds. Only kernel execution is timed: pool
-/// construction happens at `ctx` creation, and a throwaway warm-up scan
-/// runs first so one-time costs of the first parallel region (worker
-/// spawn-up, allocator warm-up, page faults on the mention columns) are
-/// not billed to the kernel.
+/// result and elapsed seconds. Only kernel execution is timed: a
+/// throwaway warm-up scan runs first so one-time costs of the first
+/// parallel region (allocator warm-up, page faults on the mention
+/// columns) are not billed to the kernel.
 pub fn timed_run_in(ctx: &ExecContext, d: &Dataset) -> (AggregatedCountryReport, f64) {
     let _: u64 = ctx.scan(d.mentions.len(), |p| p.len() as u64);
     let t0 = std::time::Instant::now();
     let report = AggregatedCountryReport::run(ctx, d);
     (report, t0.elapsed().as_secs_f64())
-}
-
-/// Wall-clock the aggregated query at a given thread count (the Fig 12
-/// measurement primitive). Pool setup and warm-up are excluded from the
-/// measurement — see [`timed_run_in`].
-pub fn timed_run(d: &Dataset, threads: usize) -> (AggregatedCountryReport, f64) {
-    let ctx = ExecContext::builder().threads(threads).build();
-    timed_run_in(&ctx, d)
 }
 
 #[cfg(test)]
@@ -576,14 +567,6 @@ mod tests {
                 assert!((j - r.country_jaccard(b, a)).abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn timed_run_reports_positive_duration() {
-        let d = dataset();
-        let (r, secs) = timed_run(&d, 2);
-        assert!(secs >= 0.0);
-        assert!(r.cross.articles_by_publisher.iter().sum::<u64>() > 0);
     }
 
     #[test]

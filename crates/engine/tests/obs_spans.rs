@@ -1,4 +1,4 @@
-//! Integration test for the acceptance criterion: one `timed_run`
+//! Integration test for the acceptance criterion: one `timed_run_in`
 //! produces a per-kernel/per-partition span breakdown whose summed
 //! kernel time is within 5% of the reported wall-clock.
 //!
@@ -31,7 +31,7 @@ fn span_breakdown_accounts_for_timed_run_wall_clock() {
         .map(|s| s.dur_ns)
         .sum();
     let wall_ns = (wall_s * 1e9) as u64;
-    assert!(wall_ns > 0, "timed_run reported zero wall-clock");
+    assert!(wall_ns > 0, "timed_run_in reported zero wall-clock");
     assert!(
         kernel_ns <= wall_ns,
         "kernel spans ({kernel_ns} ns) cannot exceed the wall-clock that contains them \
@@ -46,7 +46,7 @@ fn span_breakdown_accounts_for_timed_run_wall_clock() {
 
     // The same run must expose the per-partition/per-thread breakdown
     // Fig 12's imbalance view needs: partition spans nested inside the
-    // kernels, carrying row counts, spread over the pool's threads.
+    // kernels, carrying row counts, spread over the scan's threads.
     let parts: Vec<_> =
         spans.iter().filter(|s| s.cat == "engine" && s.name == "partition").collect();
     assert!(!parts.is_empty(), "no per-partition spans recorded");

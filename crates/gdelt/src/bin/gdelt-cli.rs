@@ -7,14 +7,12 @@
 //! * `convert`  — run the preprocessing tool: parse + clean raw files
 //!   and write the indexed binary format, printing the Table II report;
 //! * `report`   — load a binary dataset and print every table/figure;
-//! * `synth-report` — generate in memory and report directly;
-//! * `bench-scaling` — the Fig 12 thread sweep;
+//! * `synth-report` — generate in memory and report directly (with
+//!   `--scaling`, the Fig 12 thread sweep too);
 //! * `serve-bench` — replay a seeded query mix against the concurrent
 //!   query service and print its metrics (optionally exporting the
-//!   Prometheus exposition and a Chrome trace of the run);
-//! * `obs` — the observability self-check: an instrumented replay that
-//!   validates the exposition and trace through the committed
-//!   validators and guards the instrumentation overhead budget;
+//!   Prometheus exposition and a Chrome trace of the run, both checked
+//!   by the committed validators);
 //! * `chaos` — the deterministic fault-injection harness: corrupt a
 //!   store on a seeded schedule, load it degraded, and replay the
 //!   serve mix under worker panics and `apply_batch` storms while
@@ -29,7 +27,7 @@
 //!   (the scatter-gather router in `serve-bench --shards` and the
 //!   chaos shard arm spawn these).
 
-use gdelt_analysis::report::{run_full_report, scaling_thread_counts, ReportOptions};
+use gdelt_analysis::report::{run_full_report, ReportOptions};
 use gdelt_columnar::{binfmt, DatasetBuilder};
 use gdelt_engine::{run_query, ExecContext, Query, QueryResult};
 use gdelt_synth::emit::to_tsv;
@@ -43,7 +41,13 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let opts = Options::parse(&args[1..]);
+    let opts = match Options::parse(&args[1..]) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let result = match cmd.as_str() {
         "generate" => cmd_generate(&opts),
         "convert" => cmd_convert(&opts),
@@ -52,11 +56,9 @@ fn main() -> ExitCode {
         "query" => cmd_query(&opts),
         "report" => cmd_report(&opts),
         "synth-report" => cmd_synth_report(&opts),
-        "bench-scaling" => cmd_bench_scaling(&opts),
         "serve-bench" => cmd_serve_bench(&opts),
         "split-store" => cmd_split_store(&opts),
         "shard-worker" => cmd_shard_worker(&opts),
-        "obs" => cmd_obs(&opts),
         "chaos" => cmd_chaos(&opts),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
@@ -85,15 +87,12 @@ USAGE:
                           [--pair A,B] [--window 2016Q1:2016Q4]
   gdelt-cli report        --data FILE.gdhpc [--threads N] [--scaling]
   gdelt-cli synth-report  [--scale S] [--seed N] [--threads N] [--scaling]
-  gdelt-cli bench-scaling [--scale S] [--seed N]
   gdelt-cli serve-bench   [--scale S] [--seed N] [--queries N] [--workers N]
                           [--clients N] [--threads N] [--no-cache] [--check]
                           [--shards N] [--metrics-out FILE] [--trace-out FILE]
   gdelt-cli split-store   --data FILE.gdhpc --out DIR --shards N
   gdelt-cli shard-worker  --data SHARD.gdhpc [--shard-id N] [--partitions N]
                           [--ev-row-base N] [--port P] [--threads N] [--trace]
-  gdelt-cli obs           [--scale S] [--seed N] [--queries N] [--workers N]
-                          [--clients N] [--threads N] [--out DIR] [--check]
   gdelt-cli chaos         [--seed N] [--scale S] [--out DIR] [--queries N]
                           [--workers N] [--clients N] [--threads N] [--check]
                           [--shards N]
@@ -108,16 +107,13 @@ OPTIONS:
   --workers N  serve-bench: service worker threads (default 2)
   --clients N  serve-bench: concurrent client threads (default 4)
   --no-cache   serve-bench: disable the result cache
-  --check      serve-bench: exit non-zero unless the run had zero sheds
-               and (with the cache on) at least one cache hit
-               obs: exit non-zero if the instrumentation overhead budget
-               (p50 +2% or the absolute noise floor) is exceeded
+  --check      serve-bench: exit non-zero unless the run had zero sheds,
+               (with the cache on) at least one cache hit, and (with
+               --trace-out) at least one recorded span
                chaos: exit non-zero on any violated invariant
   --out DIR    chaos: working directory for the store image, the
                fault-schedule JSON, and the flight-recorder dump
                (default target/chaos)
-               obs: where trace.json and metrics.prom are written
-               (default target/obs)
   --metrics-out FILE  serve-bench: write the Prometheus text exposition
                of the global registry after the replay; with --shards,
                the router scrapes every worker's registry and writes a
@@ -134,8 +130,7 @@ OPTIONS:
                this when serve-bench runs with --trace-out)
   --shards N   split-store: how many shard stores to split into
                serve-bench: replay the mix through a scatter-gather
-               router over N shard worker processes (alongside the
-               single-process control arm) and report the overhead
+               router over N shard worker processes
                chaos: run the sharded arm — kill and stall workers on
                the seeded schedule, assert exact Degraded{live,total}
                coverage, cache invalidation, and recovery
@@ -180,42 +175,44 @@ struct Options {
 }
 
 impl Options {
-    fn parse(args: &[String]) -> Options {
+    /// Parse `args`; a value-taking flag with a missing or malformed
+    /// value is an error naming the flag, never a silent default.
+    fn parse(args: &[String]) -> Result<Options, String> {
         let mut o = Options::default();
         let mut it = args.iter();
         while let Some(a) = it.next() {
-            let mut take = || it.next().cloned().unwrap_or_default();
-            match a.as_str() {
-                "--scale" => o.scale = take().parse().ok(),
-                "--seed" => o.seed = take().parse().ok(),
-                "--threads" => o.threads = take().parse().ok(),
+            let flag = a.as_str();
+            match flag {
+                "--scale" => o.scale = Some(flag_value(flag, it.next())?),
+                "--seed" => o.seed = Some(flag_value(flag, it.next())?),
+                "--threads" => o.threads = Some(flag_value(flag, it.next())?),
                 "--scaling" => o.scaling = true,
-                "--in" => o.input = Some(PathBuf::from(take())),
-                "--out" => o.output = Some(PathBuf::from(take())),
-                "--data" => o.data = Some(PathBuf::from(take())),
-                "--top" => o.top = take().parse().ok(),
-                "--source" => o.source = Some(take()),
-                "--pair" => o.pair = Some(take()),
-                "--window" => o.window = Some(take()),
-                "--queries" => o.queries = take().parse().ok(),
-                "--workers" => o.workers = take().parse().ok(),
-                "--clients" => o.clients = take().parse().ok(),
+                "--in" => o.input = Some(flag_value(flag, it.next())?),
+                "--out" => o.output = Some(flag_value(flag, it.next())?),
+                "--data" => o.data = Some(flag_value(flag, it.next())?),
+                "--top" => o.top = Some(flag_value(flag, it.next())?),
+                "--source" => o.source = Some(flag_value(flag, it.next())?),
+                "--pair" => o.pair = Some(flag_value(flag, it.next())?),
+                "--window" => o.window = Some(flag_value(flag, it.next())?),
+                "--queries" => o.queries = Some(flag_value(flag, it.next())?),
+                "--workers" => o.workers = Some(flag_value(flag, it.next())?),
+                "--clients" => o.clients = Some(flag_value(flag, it.next())?),
                 "--no-cache" => o.no_cache = true,
                 "--check" => o.check = true,
-                "--metrics-out" => o.metrics_out = Some(PathBuf::from(take())),
-                "--trace-out" => o.trace_out = Some(PathBuf::from(take())),
-                "--shards" => o.shards = take().parse().ok(),
-                "--shard-id" => o.shard_id = take().parse().ok(),
-                "--partitions" => o.partitions = take().parse().ok(),
-                "--ev-row-base" => o.ev_row_base = take().parse().ok(),
-                "--port" => o.port = take().parse().ok(),
-                "--fault-delay-at" => o.fault_delay_at = take().parse().ok(),
-                "--fault-delay-ms" => o.fault_delay_ms = take().parse().ok(),
+                "--metrics-out" => o.metrics_out = Some(flag_value(flag, it.next())?),
+                "--trace-out" => o.trace_out = Some(flag_value(flag, it.next())?),
+                "--shards" => o.shards = Some(flag_value(flag, it.next())?),
+                "--shard-id" => o.shard_id = Some(flag_value(flag, it.next())?),
+                "--partitions" => o.partitions = Some(flag_value(flag, it.next())?),
+                "--ev-row-base" => o.ev_row_base = Some(flag_value(flag, it.next())?),
+                "--port" => o.port = Some(flag_value(flag, it.next())?),
+                "--fault-delay-at" => o.fault_delay_at = Some(flag_value(flag, it.next())?),
+                "--fault-delay-ms" => o.fault_delay_ms = Some(flag_value(flag, it.next())?),
                 "--trace" => o.trace = true,
                 other => eprintln!("warning: ignoring unknown argument {other:?}"),
             }
         }
-        o
+        Ok(o)
     }
 
     fn ctx(&self) -> ExecContext {
@@ -228,6 +225,12 @@ impl Options {
     fn config(&self) -> gdelt_synth::SynthConfig {
         paper_calibrated(self.scale.unwrap_or(1e-4), self.seed.unwrap_or(42))
     }
+}
+
+/// The value after `flag`, parsed as `T`.
+fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
+    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    value.parse().map_err(|_| format!("invalid value {value:?} for {flag}"))
 }
 
 fn cmd_generate(o: &Options) -> Result<(), String> {
@@ -442,16 +445,6 @@ fn cmd_synth_report(o: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_bench_scaling(o: &Options) -> Result<(), String> {
-    let cfg = o.config();
-    eprintln!("generating corpus for the scaling sweep (seed {})", cfg.seed);
-    let (dataset, _) = gdelt_synth::generate_dataset(&cfg);
-    let threads = scaling_thread_counts();
-    let f12 = gdelt_analysis::fig12::compute(&dataset, &threads, 3);
-    println!("{}", gdelt_analysis::fig12::render(&f12));
-    Ok(())
-}
-
 fn cmd_serve_bench(o: &Options) -> Result<(), String> {
     use gdelt_serve::{replay, seeded_mix, QueryService, ServiceConfig};
 
@@ -489,6 +482,7 @@ fn cmd_serve_bench(o: &Options) -> Result<(), String> {
     let metrics = service.metrics();
     println!("{}", metrics.render());
 
+    let mut traced_spans = None;
     if let Some(path) = &o.trace_out {
         let spans = gdelt_obs::take_spans();
         gdelt_obs::set_tracing(false);
@@ -497,6 +491,7 @@ fn cmd_serve_bench(o: &Options) -> Result<(), String> {
             .map_err(|e| format!("exported trace failed validation: {e}"))?;
         write(path.clone(), &trace)?;
         eprintln!("wrote {} spans as Chrome trace JSON to {}", spans.len(), path.display());
+        traced_spans = Some(spans.len());
     }
     if let Some(path) = &o.metrics_out {
         let text = gdelt_obs::global().render_prometheus();
@@ -524,103 +519,14 @@ fn cmd_serve_bench(o: &Options) -> Result<(), String> {
                 report.completed, metrics.cache.hits, metrics.cache.misses
             ));
         }
+        if traced_spans == Some(0) {
+            return Err("check failed: --trace-out recorded no spans".into());
+        }
         eprintln!(
             "serve-bench check passed: {} completed ({} cache hits + {} misses, \
              {} kernel runs after coalescing), 0 sheds",
             report.completed, metrics.cache.hits, metrics.cache.misses, metrics.completed
         );
-    }
-    Ok(())
-}
-
-/// The observability self-check: replay the serve mix with tracing off
-/// (baseline) and on (instrumented), best-of-N p50 each, and hold the
-/// instrumented arm to the overhead budget. The instrumented run's
-/// spans and the global registry are exported through the same
-/// validators CI round-trips, so a schema regression fails here before
-/// any external consumer sees it.
-fn cmd_obs(o: &Options) -> Result<(), String> {
-    use gdelt_serve::{replay, seeded_mix, QueryService, ServiceConfig};
-
-    /// Replays per arm; p50 is the best of these, which drops scheduler
-    /// noise without hiding a real per-query regression.
-    const RUNS: usize = 3;
-    /// Absolute slack for the guard: at synthetic scale kernels finish
-    /// in tens of microseconds, where 2% is below timer jitter.
-    const NOISE_FLOOR_US: u64 = 200;
-
-    let out_dir = o.output.clone().unwrap_or_else(|| PathBuf::from("target/obs"));
-    std::fs::create_dir_all(&out_dir)
-        .map_err(|e| format!("creating {}: {e}", out_dir.display()))?;
-    let cfg = o.config();
-    eprintln!(
-        "obs: generating synthetic corpus: {} sources, {} events, seed {}",
-        cfg.n_sources, cfg.n_events, cfg.seed
-    );
-    let (dataset, _) = gdelt_synth::generate_dataset(&cfg);
-    let mix = seeded_mix(o.queries.unwrap_or(400), o.seed.unwrap_or(42));
-    let clients = o.clients.unwrap_or(4);
-
-    // The cache stays off so every replayed query executes a kernel —
-    // an instrumented cache hit would dilute the overhead measurement.
-    let run_arm = |traced: bool| -> u64 {
-        gdelt_obs::set_tracing(traced);
-        let mut best = u64::MAX;
-        for _ in 0..RUNS {
-            if traced {
-                drop(gdelt_obs::take_spans()); // only keep the final run's spans
-            }
-            let service = QueryService::new(
-                dataset.clone(),
-                ServiceConfig {
-                    workers: o.workers.unwrap_or(2),
-                    cache_enabled: false,
-                    threads: o.threads,
-                    ..Default::default()
-                },
-            );
-            let _ = replay(&service, &mix, clients);
-            best = best.min(service.metrics().p50_us);
-        }
-        best
-    };
-    let baseline_p50 = run_arm(false);
-    let traced_p50 = run_arm(true);
-    let spans = gdelt_obs::take_spans();
-    gdelt_obs::set_tracing(false);
-
-    let trace = gdelt_obs::chrome_trace_json(&spans);
-    let n_events = gdelt_obs::validate_chrome_trace(&trace)
-        .map_err(|e| format!("exported trace failed validation: {e}"))?;
-    let exposition = gdelt_obs::global().render_prometheus();
-    let n_families = gdelt_obs::validate_prometheus(&exposition)
-        .map_err(|e| format!("exposition failed validation: {e}"))?;
-    let trace_path = out_dir.join("trace.json");
-    let metrics_path = out_dir.join("metrics.prom");
-    write(trace_path.clone(), &trace)?;
-    write(metrics_path.clone(), &exposition)?;
-
-    let delta = traced_p50.saturating_sub(baseline_p50);
-    let pct = if baseline_p50 > 0 { delta as f64 / baseline_p50 as f64 * 100.0 } else { 0.0 };
-    println!(
-        "obs overhead: baseline p50 {baseline_p50} us, instrumented p50 {traced_p50} us \
-         (+{delta} us, {pct:.2}%) over best-of-{RUNS} replays of {} queries",
-        mix.len()
-    );
-    println!("trace: {n_events} events ({} spans) -> {}", spans.len(), trace_path.display());
-    println!("metrics: {n_families} families -> {}", metrics_path.display());
-
-    if spans.is_empty() {
-        return Err("instrumented replay recorded no spans".into());
-    }
-    if o.check {
-        if delta > NOISE_FLOOR_US && pct > 2.0 {
-            return Err(format!(
-                "check failed: instrumentation overhead +{delta} us ({pct:.2}%) exceeds \
-                 the 2% budget and the {NOISE_FLOOR_US} us noise floor"
-            ));
-        }
-        eprintln!("obs check passed: overhead within budget");
     }
     Ok(())
 }
@@ -1159,87 +1065,47 @@ fn respawn_worker(
 }
 
 /// Replay `mix` through the router from `clients` threads; returns
-/// `(completed, errors, per-query (mix index, latency µs) samples)`.
-fn router_replay(
-    router: &gdelt_shard::Router,
-    mix: &[Query],
-    clients: usize,
-) -> (u64, u64, Vec<(usize, u64)>) {
+/// `(completed, errors)`.
+fn router_replay(router: &gdelt_shard::Router, mix: &[Query], clients: usize) -> (u64, u64) {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     let next = AtomicUsize::new(0);
     let mut completed = 0u64;
     let mut errors = 0u64;
-    let mut samples = Vec::with_capacity(mix.len());
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients.max(1))
             .map(|_| {
                 scope.spawn(|| {
                     let mut done = 0u64;
                     let mut errs = 0u64;
-                    let mut lat = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= mix.len() {
-                            break;
-                        }
-                        let t0 = std::time::Instant::now();
-                        match router.query(&mix[i]) {
-                            Ok(_) => {
-                                done += 1;
-                                lat.push((i, t0.elapsed().as_micros() as u64));
-                            }
+                        let Some(q) = mix.get(i) else { break };
+                        match router.query(q) {
+                            Ok(_) => done += 1,
                             Err(_) => errs += 1,
                         }
                     }
-                    (done, errs, lat)
+                    (done, errs)
                 })
             })
             .collect();
         for h in handles {
-            let (d, e, l) = h.join().expect("router client thread");
+            let (d, e) = h.join().expect("router client thread");
             completed += d;
             errors += e;
-            samples.extend(l);
         }
     });
-    (completed, errors, samples)
+    (completed, errors)
 }
 
-fn p50_of(latencies: &mut [u64]) -> u64 {
-    if latencies.is_empty() {
-        return 0;
-    }
-    latencies.sort_unstable();
-    latencies[latencies.len() / 2]
-}
-
-/// Split replay samples into cold (first occurrence of each distinct
-/// query in mix order — the scatter path) and warm (repeats — the
-/// cache path) p50s, mirroring `gdelt_serve::replay`'s classification.
-fn cold_warm_p50(mix: &[Query], samples: &[(usize, u64)]) -> (u64, u64) {
-    let mut seen = std::collections::HashSet::new();
-    let cold: std::collections::HashSet<usize> =
-        mix.iter().enumerate().filter(|(_, q)| seen.insert(**q)).map(|(i, _)| i).collect();
-    let mut cold_lat = Vec::new();
-    let mut warm_lat = Vec::new();
-    for &(i, us) in samples {
-        if cold.contains(&i) {
-            cold_lat.push(us);
-        } else {
-            warm_lat.push(us);
-        }
-    }
-    (p50_of(&mut cold_lat), p50_of(&mut warm_lat))
-}
-
-/// The `serve-bench --shards N` arm: the same seeded mix replayed
-/// twice — once through the single-process `QueryService` (control)
-/// and once through the scatter-gather router over N freshly split
-/// shard worker processes — so the report shows the sharded tier's
-/// end-to-end overhead, not just its absolute latency.
+/// The `serve-bench --shards N` arm: split the seeded store into N
+/// shard stores, spawn one worker process per shard, and replay the
+/// seeded mix once through the scatter-gather router. `--check` audits
+/// the router's ledger; latency is `gdbench`'s to judge
+/// (`shard.router_vs_local_ratio`).
 fn cmd_serve_bench_shards(o: &Options, n_shards: u32) -> Result<(), String> {
-    use gdelt_serve::{replay, seeded_mix, QueryService, ServiceConfig};
+    use gdelt_serve::seeded_mix;
     use gdelt_shard::{split_store, Router, RouterConfig};
 
     const STORE_PARTITIONS: u32 = 8;
@@ -1255,36 +1121,6 @@ fn cmd_serve_bench_shards(o: &Options, n_shards: u32) -> Result<(), String> {
     let mix = seeded_mix(o.queries.unwrap_or(200), o.seed.unwrap_or(42));
     let clients = o.clients.unwrap_or(4);
 
-    // Control arm: the single-process service over the identical mix,
-    // best of three replays (the cold set is small, so a single pass
-    // is at the mercy of scheduler noise — the same best-of-N
-    // discipline `obs` uses for its overhead budget).
-    const BENCH_PASSES: usize = 3;
-    let mut single_cold_p50 = u64::MAX;
-    let mut single_warm_p50 = u64::MAX;
-    for _ in 0..BENCH_PASSES {
-        let service = QueryService::new(
-            dataset.clone(),
-            ServiceConfig {
-                workers: o.workers.unwrap_or(2),
-                cache_enabled: !o.no_cache,
-                threads: o.threads,
-                ..Default::default()
-            },
-        );
-        let single_report = replay(&service, &mix, clients);
-        if single_report.errors > 0 {
-            return Err(format!(
-                "single-process control arm errored {} times",
-                single_report.errors
-            ));
-        }
-        single_cold_p50 = single_cold_p50.min(single_report.cold_p50_us);
-        single_warm_p50 = single_warm_p50.min(single_report.warm_p50_us);
-    }
-
-    // Sharded arm: split the store on disk, one worker process per
-    // shard, same mix through the router.
     let dir = PathBuf::from("target/serve-bench-shards");
     std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     let store = dir.join("store.gdhpc");
@@ -1300,58 +1136,26 @@ fn cmd_serve_bench_shards(o: &Options, n_shards: u32) -> Result<(), String> {
         mix.len(),
         if o.no_cache { "disabled" } else { "enabled" },
     );
-    // Same best-of-three on the router arm; a fresh router per pass so
-    // every pass replays the same cold set through a cold cache. The
-    // last pass's router is kept alive past the loop: the federated
-    // scrape and the stitched trace both talk to the fleet through it.
-    let mut router_cold_p50 = u64::MAX;
-    let mut router_warm_p50 = u64::MAX;
-    let mut completed = 0u64;
-    let mut errors = 0u64;
-    let mut stats = gdelt_shard::RouterStats::default();
-    let mut last_router: Option<Router> = None;
-    for pass in 0..BENCH_PASSES {
-        let router = Router::new(
-            manifest.clone(),
-            RouterConfig {
-                addrs: fleet.iter().map(|w| w.addr.clone()).collect(),
-                cache_enabled: !o.no_cache,
-                read_timeout: std::time::Duration::from_secs(5),
-                ..RouterConfig::default()
-            },
-        );
-        if want_trace && pass == BENCH_PASSES - 1 {
-            // Only the final pass is traced: discard the earlier
-            // passes' worker-side spans and any stale local ones so the
-            // stitched artifact covers exactly one replay of the mix.
-            let _ = router.collect_traces();
-            let _ = gdelt_obs::take_spans();
-            gdelt_obs::set_tracing(true);
-        }
-        let (done, errs, samples) = router_replay(&router, &mix, clients);
-        let (cold, warm) = cold_warm_p50(&mix, &samples);
-        router_cold_p50 = router_cold_p50.min(cold);
-        router_warm_p50 = router_warm_p50.min(warm);
-        completed = done;
-        errors = errs;
-        stats = router.stats();
-        last_router = Some(router);
-    }
-    gdelt_obs::set_tracing(false);
-    let router = last_router.expect("BENCH_PASSES >= 1");
-
-    // Overhead is judged on the cold (scatter) path: warm answers on
-    // both sides are cache lookups and say nothing about sharding.
-    let overhead_pct = if single_cold_p50 > 0 {
-        (router_cold_p50 as i64 - single_cold_p50 as i64) * 100 / single_cold_p50 as i64
-    } else {
-        0
-    };
-    println!("single-process cold p50: {single_cold_p50}us, warm p50: {single_warm_p50}us");
-    println!(
-        "router over {n_shards} shard(s): cold p50 {router_cold_p50}us \
-         ({overhead_pct:+}% vs single-process), warm p50 {router_warm_p50}us"
+    let router = Router::new(
+        manifest,
+        RouterConfig {
+            addrs: fleet.iter().map(|w| w.addr.clone()).collect(),
+            cache_enabled: !o.no_cache,
+            read_timeout: std::time::Duration::from_secs(5),
+            ..RouterConfig::default()
+        },
     );
+    if want_trace {
+        // Discard the workers' start-up spans and any stale local ones
+        // so the stitched artifact covers exactly one replay of the mix.
+        let _ = router.collect_traces();
+        let _ = gdelt_obs::take_spans();
+        gdelt_obs::set_tracing(true);
+    }
+    let (completed, errors) = router_replay(&router, &mix, clients);
+    gdelt_obs::set_tracing(false);
+    let stats = router.stats();
+
     println!(
         "router: {completed} completed, {} hits + {} misses, {} reconnect(s) outside the \
          hit/miss ledger, {} degraded, {} shed",

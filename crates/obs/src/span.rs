@@ -182,7 +182,7 @@ pub fn current_trace() -> TraceContext {
 /// This is the explicit propagation primitive for the two places the
 /// implicit per-thread nesting cannot reach: adopting a context that
 /// arrived over the wire (shard workers) and carrying a context into
-/// rayon worker closures (partition spans).
+/// the engine's partition threads (partition spans).
 pub fn with_trace(ctx: TraceContext) -> TraceScope {
     TraceScope { prev: CONTEXT.replace(ctx) }
 }
@@ -320,7 +320,7 @@ impl SpanGuard {
     }
 
     /// This span's identity as a [`TraceContext`] — what to stamp on
-    /// outgoing work (wire headers, rayon closures) so remote spans
+    /// outgoing work (wire headers, partition threads) so remote spans
     /// parent under this one. [`TraceContext::NONE`] when inert.
     pub fn trace_context(&self) -> TraceContext {
         self.active

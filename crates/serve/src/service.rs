@@ -98,7 +98,7 @@ pub struct ServiceConfig {
     pub max_queue: usize,
     /// Admission in-flight cost budget.
     pub max_cost_in_flight: u64,
-    /// Engine thread count (`None` = the global pool).
+    /// Engine thread count (`None` = all cores).
     pub threads: Option<usize>,
     /// Behaviour when the store loaded degraded.
     pub degraded_policy: DegradedPolicy,

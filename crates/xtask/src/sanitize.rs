@@ -33,29 +33,24 @@ pub fn miri() -> Result<(), String> {
         .env("MIRIFLAGS", "-Zmiri-strict-provenance"))
 }
 
-/// Run the columnar test suite under ThreadSanitizer.
+/// Run the columnar test suite and the engine's unit tests (the
+/// `ExecContext::map_reduce` fork among them) under ThreadSanitizer.
 ///
 /// Requires nightly (for `-Z sanitizer`) plus the `rust-src`
 /// component so std can be rebuilt instrumented.
 pub fn tsan() -> Result<(), String> {
     probe_component("rust-src", "rust-src (needed for -Zbuild-std)")?;
     let target = host_target()?;
-    run(Command::new("cargo")
-        .args([
-            &format!("+{MIRI_NIGHTLY}"),
-            "test",
-            "-Zbuild-std",
-            "--target",
-            &target,
-            "-p",
-            "gdelt-columnar",
-            "-p",
-            "rayon",
-        ])
-        .env("RUSTFLAGS", "-Zsanitizer=thread")
-        // TSan intercepts allocation; keep test threads serial so
-        // reports interleave readably.
-        .env("RUST_TEST_THREADS", "1"))
+    for suite in [&["-p", "gdelt-columnar"][..], &["-p", "gdelt-engine", "--lib"]] {
+        run(Command::new("cargo")
+            .args([&format!("+{MIRI_NIGHTLY}"), "test", "-Zbuild-std", "--target", &target])
+            .args(suite)
+            .env("RUSTFLAGS", "-Zsanitizer=thread")
+            // TSan intercepts allocation; keep test threads serial so
+            // reports interleave readably.
+            .env("RUST_TEST_THREADS", "1"))?;
+    }
+    Ok(())
 }
 
 /// Fail early with instructions when a rustup component is missing.

@@ -239,3 +239,38 @@ fn missing_required_flag_is_an_error() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--in"));
 }
+
+#[test]
+fn malformed_flag_value_is_an_error() {
+    for args in [
+        &["serve-bench", "--shards", "x"][..],
+        &["synth-report", "--threads", "abc"],
+        &["synth-report", "--scale"],
+    ] {
+        let out = cli().args(args).output().expect("run");
+        assert!(!out.status.success(), "{args:?} must fail, not fall back to a default");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let flag = args.iter().find(|a| a.starts_with("--")).expect("a flag");
+        assert!(stderr.contains(flag), "{args:?}: error must name {flag}: {stderr}");
+    }
+}
+
+#[test]
+fn serve_bench_exports_validated_metrics_and_trace() {
+    let dir = temp_dir("serve_bench_obs");
+    let (metrics, trace) = (dir.join("metrics.prom"), dir.join("trace.json"));
+    let out = cli()
+        .args(["serve-bench", "--scale", "0.00002", "--queries", "400", "--no-cache", "--check"])
+        .arg("--metrics-out")
+        .arg(&metrics)
+        .arg("--trace-out")
+        .arg(&trace)
+        .output()
+        .expect("serve-bench");
+    assert!(out.status.success(), "serve-bench failed: {}", String::from_utf8_lossy(&out.stderr));
+    for file in [&metrics, &trace] {
+        let len = std::fs::metadata(file).map_or(0, |m| m.len());
+        assert!(len > 0, "{} is empty", file.display());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
