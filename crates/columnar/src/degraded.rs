@@ -41,7 +41,9 @@ use crate::binfmt::{
 use crate::health::StoreHealth;
 use crate::index::EventIndex;
 use crate::strings::{StringDict, StringPool};
-use crate::table::{Dataset, EventsTable, MentionsTable, SourceDirectory, NO_EVENT_ROW};
+use crate::table::{
+    Dataset, EventRows, EventsTable, MentionRun, MentionsTable, SourceDirectory, NO_EVENT_ROW,
+};
 
 /// Retry/backoff parameters for [`load_degraded_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -436,6 +438,10 @@ pub fn load_degraded_with(
 /// the quarantine tests compare degraded loads against: a degraded load
 /// with quarantine set `Q` must equal `restrict_to_partitions(clean,
 /// n_parts, Q)` bit for bit.
+///
+/// Each live partition is a run of whole events with every mention of
+/// them, so a valid `d` gives a valid result (debug builds check it);
+/// the only errors are row counts that overflow.
 pub fn restrict_to_partitions(
     d: &Dataset,
     n_parts: u32,
@@ -447,69 +453,27 @@ pub fn restrict_to_partitions(
         &d.event_index.offsets,
         n_parts,
     );
-    let qset: BTreeSet<u32> = quarantined.iter().copied().collect();
-    let mut events = EventsTable::default();
-    let mut mentions = MentionsTable::default();
-    let mut ev_base: u64 = 0;
-    let mut bases: Vec<u64> = Vec::with_capacity(exts.len());
-    for (p, ext) in exts.iter().enumerate() {
-        let is_live = !qset.contains(&(p as u32));
-        bases.push(ev_base);
-        if !is_live {
-            continue;
-        }
-        let b = usize::try_from(ext.ev_begin).map_err(|_| bad("extent overflow"))?;
-        let e = usize::try_from(ext.ev_end).map_err(|_| bad("extent overflow"))?;
-        for row in b..e {
-            events.id.push(d.events.id[row]);
-            events.day.push(d.events.day[row]);
-            events.capture.push(d.events.capture[row]);
-            events.quarter.push(d.events.quarter[row]);
-            events.root.push(d.events.root[row]);
-            events.quad.push(d.events.quad[row]);
-            events.actor1.push(d.events.actor1[row]);
-            events.actor2.push(d.events.actor2[row]);
-            events.goldstein.push(d.events.goldstein[row]);
-            events.num_mentions.push(d.events.num_mentions[row]);
-            events.num_sources.push(d.events.num_sources[row]);
-            events.num_articles.push(d.events.num_articles[row]);
-            events.avg_tone.push(d.events.avg_tone[row]);
-            events.country.push(d.events.country[row]);
-            events.lat.push(d.events.lat[row]);
-            events.lon.push(d.events.lon[row]);
-            let url_id = events.urls.push(d.events.urls.get(d.events.source_url[row]));
-            events.source_url.push(url_id);
-        }
-        let mb = usize::try_from(ext.m_begin).map_err(|_| bad("extent overflow"))?;
-        let me = usize::try_from(ext.m_end).map_err(|_| bad("extent overflow"))?;
-        for row in mb..me {
-            mentions.event_id.push(d.mentions.event_id[row]);
-            let er = d.mentions.event_row[row];
-            let rebased = if er == NO_EVENT_ROW {
-                NO_EVENT_ROW
-            } else {
-                let er64 = u64::from(er);
-                if er64 < ext.ev_begin || er64 >= ext.ev_end {
-                    return Err(bad("mention joins an event outside its partition"));
-                }
-                u32::try_from(er64 - ext.ev_begin + ev_base)
-                    .map_err(|_| bad("rebased event row overflow"))?
-            };
-            mentions.event_row.push(rebased);
-            mentions.event_interval.push(d.mentions.event_interval[row]);
-            mentions.mention_interval.push(d.mentions.mention_interval[row]);
-            mentions.delay.push(d.mentions.delay[row]);
-            mentions.source.push(d.mentions.source[row]);
-            mentions.quarter.push(d.mentions.quarter[row]);
-            mentions.mention_type.push(d.mentions.mention_type[row]);
-            mentions.confidence.push(d.mentions.confidence[row]);
-            mentions.doc_tone.push(d.mentions.doc_tone[row]);
-        }
-        ev_base += ext.ev_end - ext.ev_begin;
+    let span = |begin: u64, end: u64| -> io::Result<std::ops::Range<usize>> {
+        let at = |v: u64| usize::try_from(v).map_err(|_| bad("extent overflow"));
+        Ok(at(begin)?..at(end)?)
+    };
+    let event_row = |row: usize| u32::try_from(row).map_err(|_| bad("rebased event row overflow"));
+    // Each live partition is one event run and one mention run whose
+    // event rows shift down by the event rows dropped before it.
+    let (mut event_runs, mut mention_runs) = (Vec::new(), Vec::new());
+    let mut kept = 0;
+    for (ext, _) in exts.iter().zip(0u32..).filter(|(_, p)| !quarantined.contains(p)) {
+        let (events, rows) = (span(ext.ev_begin, ext.ev_end)?, span(ext.m_begin, ext.m_end)?);
+        let event_row = EventRows::Shift { from: event_row(events.start)?, to: event_row(kept)? };
+        kept += events.len();
+        event_runs.push((&d.events, events));
+        mention_runs.push(MentionRun { src: &d.mentions, rows, event_row, source_map: None });
     }
+    let events = EventsTable::from_runs(&event_runs);
+    let mentions = MentionsTable::from_runs(&mention_runs);
     let event_index = EventIndex::build(events.len(), &mentions);
     let restricted = Dataset { events, mentions, sources: d.sources.clone(), event_index };
-    restricted.validate().map_err(|e| bad(format!("restricted dataset invalid: {e}")))?;
+    debug_assert_eq!(restricted.validate(), Ok(()));
     Ok(restricted)
 }
 

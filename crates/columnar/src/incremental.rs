@@ -3,24 +3,32 @@
 //! The system is read-only *between* updates (paper §IV), but the
 //! archive itself grows by two files every quarter hour. Rebuilding a
 //! multi-year dataset to absorb one 15-minute batch would defeat the
-//! purpose, so this module appends a parsed batch to an existing
-//! [`Dataset`] with merge passes instead of re-sorts:
+//! purpose, so this module appends a built batch to an existing
+//! [`Dataset`] by copying runs of rows, never row by row:
 //!
-//! * events: one merge of two id-sorted runs (existing columns + the
-//!   sorted batch), deduplicating against existing ids;
 //! * sources: the dictionary only grows — existing ids are stable;
-//! * mentions: existing rows keep their relative order (the event merge
-//!   is monotone in row numbers), so the combined table is again a
-//!   two-run merge; mentions that previously referenced unknown events
-//!   are re-matched against the batch;
+//! * events: the two id-sorted tables merge into runs, base and batch
+//!   alternating; a batch id the base holds is dropped (existing wins);
+//! * mentions: base mentions keep their order (the event merge is
+//!   monotone in rows), so batch mentions, and base orphans a batch
+//!   event now matches, are placed into it by binary search on (event
+//!   row, scrape interval), and the base rows between two places are
+//!   runs with one event-row shift each;
 //! * the CSR index is rebuilt by counting (linear).
 //!
-//! The result is *identical* to a from-scratch build over the union of
-//! records — asserted by tests and by `Dataset::validate`.
+//! One append costs about one copy of the base at memcpy speed
+//! ([`EventsTable::from_runs`], [`MentionsTable::from_runs`]) plus
+//! O(batch · log n) placement, whatever the batch's shape. The result is
+//! *identical* to a from-scratch build over the union of records —
+//! asserted by tests and by `Dataset::validate`.
+
+use std::ops::Range;
 
 use crate::builder::DatasetBuilder;
 use crate::index::EventIndex;
-use crate::table::{Dataset, EventsTable, MentionsTable, NO_EVENT_ROW};
+use crate::table::{
+    Dataset, EventRows, EventsTable, MentionRun, MentionsTable, SourceDirectory, NO_EVENT_ROW,
+};
 use gdelt_csv::clean::CleanReport;
 use gdelt_model::event::EventRecord;
 use gdelt_model::ids::row_u32;
@@ -48,8 +56,6 @@ pub fn append_batch(
     events: Vec<EventRecord>,
     mentions: Vec<MentionRecord>,
 ) -> (Dataset, BatchStats, CleanReport) {
-    // Convert the batch through the normal preprocessing path, with the
-    // existing dictionary pre-seeded so source ids stay stable.
     let mut builder = DatasetBuilder::new();
     for e in events {
         builder.add_event(e);
@@ -58,189 +64,206 @@ pub fn append_batch(
         builder.add_mention(m);
     }
     let (batch, clean) = builder.build();
+    let (out, stats) = append_dataset(base, batch);
+    (out, stats, clean)
+}
 
+/// Append a batch already built into a [`Dataset`] (by
+/// [`DatasetBuilder`], from records or raw text) to `base`: the dataset a
+/// build over the base's records followed by the batch's would give.
+pub fn append_dataset(base: &Dataset, batch: Dataset) -> (Dataset, BatchStats) {
     let mut stats = BatchStats::default();
-    // Sources: keep base ids, append unseen batch sources below.
-    let mut out = Dataset { sources: base.sources.clone(), ..Default::default() };
-    // batch-local id → merged id
-    let mut source_map = vec![0u32; batch.sources.len()];
-    for (i, map) in source_map.iter_mut().enumerate() {
-        let name = batch.sources.names.get(i as u32);
-        *map = match out.sources.names.lookup(name) {
-            Some(id) => id,
-            None => {
-                stats.new_sources += 1;
-                let id = out.sources.names.intern(name);
-                out.sources.country.push(batch.sources.country[i]);
-                id
-            }
-        };
-    }
-
-    // --- Events: merge two id-sorted runs, skipping duplicates. ---
-    // old row → merged row, and batch row → merged row (or NO_EVENT_ROW
-    // for dropped duplicates).
-    let mut base_row_map = vec![0u32; base.events.len()];
-    let mut batch_row_map = vec![NO_EVENT_ROW; batch.events.len()];
-    {
-        let (a, b) = (&base.events, &batch.events);
-        out.events.urls.reserve(a.len() + b.len(), a.urls.payload_bytes() + b.urls.payload_bytes());
-        let (mut i, mut j) = (0usize, 0usize);
-        let mut next = 0u32;
-        while i < a.len() || j < b.len() {
-            let take_base = match (a.id.get(i), b.id.get(j)) {
-                (Some(&x), Some(&y)) => {
-                    if x == y {
-                        // Duplicate capture: existing wins.
-                        stats.duplicate_events += 1;
-                        batch_row_map[j] = NO_EVENT_ROW;
-                        j += 1;
-                        continue;
-                    }
-                    x < y
-                }
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if take_base {
-                copy_event_row(&mut out.events, a, i);
-                base_row_map[i] = next;
-                i += 1;
-            } else {
-                copy_event_row(&mut out.events, b, j);
-                batch_row_map[j] = next;
-                stats.new_events += 1;
-                j += 1;
-            }
-            next += 1;
-        }
-    }
-
-    // --- Mentions: re-key both runs, then merge. ---
-    // Base mentions keep relative order under the monotone row map, but
-    // formerly-unknown mentions may now match a batch event; those move
-    // into the batch run (they need re-positioning).
-    let remap_base = |row: usize| -> u32 {
-        let er = base.mentions.event_row[row];
-        if er != NO_EVENT_ROW {
-            return base_row_map[er as usize];
-        }
-        // Try to match against the merged event table.
-        match out.events.id.binary_search(&base.mentions.event_id[row]) {
-            Ok(r) => r as u32,
-            Err(_) => NO_EVENT_ROW,
-        }
-    };
-
-    // (merged_event_row, interval, origin, origin_row)
-    let mut batch_run: Vec<(u32, u32, bool, u32)> = Vec::new();
-    let mut base_run: Vec<(u32, u32, bool, u32)> = Vec::with_capacity(base.mentions.len());
-    for row in 0..base.mentions.len() {
-        let er = base.mentions.event_row[row];
-        let new_er = remap_base(row);
-        let rec = (new_er, base.mentions.mention_interval[row], false, row_u32(row));
-        if er == NO_EVENT_ROW && new_er != NO_EVENT_ROW {
-            stats.rematched_mentions += 1;
-            batch_run.push(rec); // re-sorted below
-        } else {
-            base_run.push(rec);
-        }
-    }
-    for row in 0..batch.mentions.len() {
-        let er = batch.mentions.event_row[row];
-        let new_er = if er != NO_EVENT_ROW {
-            batch_row_map[er as usize]
-        } else {
-            match out.events.id.binary_search(&batch.mentions.event_id[row]) {
-                Ok(r) => r as u32,
-                Err(_) => NO_EVENT_ROW,
-            }
-        };
-        // Batch mentions of events deduplicated away re-match to the
-        // surviving copy via the binary search above when needed.
-        let new_er = if new_er == NO_EVENT_ROW {
-            match out.events.id.binary_search(&batch.mentions.event_id[row]) {
-                Ok(r) => r as u32,
-                Err(_) => NO_EVENT_ROW,
-            }
-        } else {
-            new_er
-        };
-        stats.new_mentions += 1;
-        batch_run.push((new_er, batch.mentions.mention_interval[row], true, row_u32(row)));
-    }
-    batch_run.sort_unstable();
-
-    // Merge the two (event_row, interval)-sorted runs.
-    let total = base_run.len() + batch_run.len();
-    let mut bi = 0usize;
-    let mut bj = 0usize;
-    let push = |src_is_batch: bool, origin_row: u32, er: u32, out: &mut MentionsTable| {
-        let (src, row) = if src_is_batch {
-            (&batch.mentions, origin_row as usize)
-        } else {
-            (&base.mentions, origin_row as usize)
-        };
-        out.event_id.push(src.event_id[row]);
-        out.event_row.push(er);
-        out.event_interval.push(src.event_interval[row]);
-        out.mention_interval.push(src.mention_interval[row]);
-        out.delay.push(src.delay[row]);
-        let source =
-            if src_is_batch { source_map[src.source[row] as usize] } else { src.source[row] };
-        out.source.push(source);
-        out.quarter.push(src.quarter[row]);
-        out.mention_type.push(src.mention_type[row]);
-        out.confidence.push(src.confidence[row]);
-        out.doc_tone.push(src.doc_tone[row]);
-    };
-    while bi + bj < total {
-        let take_base = match (base_run.get(bi), batch_run.get(bj)) {
-            (Some(a), Some(b)) => (a.0, a.1) <= (b.0, b.1),
-            (Some(_), None) => true,
-            _ => false,
-        };
-        if take_base {
-            let (er, _, is_batch, row) = base_run[bi];
-            push(is_batch, row, er, &mut out.mentions);
-            bi += 1;
-        } else {
-            let (er, _, is_batch, row) = batch_run[bj];
-            push(is_batch, row, er, &mut out.mentions);
-            bj += 1;
-        }
-    }
-
-    out.event_index = EventIndex::build(out.events.len(), &out.mentions);
+    let (sources, source_map) = merge_sources(&base.sources, &batch.sources, &mut stats);
+    let runs = merge_ids(&base.events.id, &batch.events.id, &mut stats);
+    let table = |run: &Run| if run.from_batch { &batch.events } else { &base.events };
+    let event_runs: Vec<_> = runs.iter().map(|run| (table(run), run.rows.clone())).collect();
+    let events = EventsTable::from_runs(&event_runs);
+    let mentions = merge_mentions(base, &batch, &events, &runs, &source_map, &mut stats);
+    let event_index = EventIndex::build(events.len(), &mentions);
+    let out = Dataset { events, mentions, sources, event_index };
     debug_assert_eq!(out.validate(), Ok(()));
     #[cfg(debug_assertions)]
     {
         let report = out.deep_validate();
         debug_assert!(report.is_ok(), "append_batch produced invalid dataset:\n{report}");
     }
-    (out, stats, clean)
+    (out, stats)
 }
 
-fn copy_event_row(dst: &mut EventsTable, src: &EventsTable, row: usize) {
-    dst.id.push(src.id[row]);
-    dst.day.push(src.day[row]);
-    dst.capture.push(src.capture[row]);
-    dst.quarter.push(src.quarter[row]);
-    dst.root.push(src.root[row]);
-    dst.quad.push(src.quad[row]);
-    dst.actor1.push(src.actor1[row]);
-    dst.actor2.push(src.actor2[row]);
-    dst.goldstein.push(src.goldstein[row]);
-    dst.num_mentions.push(src.num_mentions[row]);
-    dst.num_sources.push(src.num_sources[row]);
-    dst.num_articles.push(src.num_articles[row]);
-    dst.avg_tone.push(src.avg_tone[row]);
-    dst.country.push(src.country[row]);
-    dst.lat.push(src.lat[row]);
-    dst.lon.push(src.lon[row]);
-    let url_id = dst.urls.push(src.urls.get(src.source_url[row]));
-    dst.source_url.push(url_id);
+/// The base directory with the batch's unseen sources appended, and the
+/// batch-local → merged id map.
+fn merge_sources(
+    base: &SourceDirectory,
+    batch: &SourceDirectory,
+    stats: &mut BatchStats,
+) -> (SourceDirectory, Vec<u32>) {
+    let mut out = base.clone();
+    let mut map = Vec::with_capacity(batch.len());
+    for ((_, name), &country) in batch.names.iter().zip(batch.country.iter()) {
+        map.push(out.names.lookup(name).unwrap_or_else(|| {
+            stats.new_sources += 1;
+            out.country.push(country);
+            out.names.intern(name)
+        }));
+    }
+    (out, map)
+}
+
+/// Consecutive rows of the base or the batch table.
+struct Run {
+    from_batch: bool,
+    rows: Range<usize>,
+}
+
+/// The merge of two ascending id columns as runs, base and batch
+/// alternating. A batch id the base already holds is dropped.
+fn merge_ids(base: &[u64], batch: &[u64], stats: &mut BatchStats) -> Vec<Run> {
+    let mut runs = Vec::new();
+    let (mut i, mut j) = (0, 0);
+    while let Some(&next) = batch.get(j) {
+        let until = i + base[i..].partition_point(|&id| id < next);
+        if i < until {
+            runs.push(Run { from_batch: false, rows: i..until });
+        }
+        i = until;
+        let stop = match base.get(i) {
+            Some(&id) if id == next => {
+                stats.duplicate_events += 1; // duplicate capture: existing wins
+                j += 1;
+                continue;
+            }
+            Some(&id) => j + batch[j..].partition_point(|&b| b < id),
+            None => batch.len(),
+        };
+        stats.new_events += stop - j;
+        runs.push(Run { from_batch: true, rows: j..stop });
+        j = stop;
+    }
+    if i < base.len() {
+        runs.push(Run { from_batch: false, rows: i..base.len() });
+    }
+    runs
+}
+
+/// A mention that joins the base order at a place found by binary
+/// search: a batch mention, or a base orphan (a mention of an unknown
+/// event) that a batch event now matches. The order is a full build's:
+/// by (event row, interval), then base before batch, then by row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Placed {
+    event_row: u32,
+    interval: u32,
+    from_batch: bool,
+    row: u32,
+}
+
+/// The merged mentions table: the base rows in order, as runs with one
+/// event-row shift each, cut where placed mentions go in.
+fn merge_mentions(
+    base: &Dataset,
+    batch: &Dataset,
+    events: &EventsTable,
+    runs: &[Run],
+    source_map: &[u32],
+    stats: &mut BatchStats,
+) -> MentionsTable {
+    let (old, new) = (&base.mentions, &batch.mentions);
+    let known = old.event_row.partition_point(|&er| er != NO_EVENT_ROW);
+    let off = |event: usize| base.event_index.offsets.get(event).map_or(known, |&o| o as usize);
+    let base_run = |rows, event_row| MentionRun { src: old, rows, event_row, source_map: None };
+    let mut pieces = Vec::with_capacity(runs.len() + 1);
+    let mut at = 0;
+    for run in runs {
+        if !run.from_batch {
+            let shift = EventRows::Shift { from: row_u32(run.rows.start), to: row_u32(at) };
+            pieces.push(base_run(off(run.rows.start)..off(run.rows.end), shift));
+        }
+        at += run.rows.len();
+    }
+
+    // Every mention re-joins by id: a batch mention's event may be a
+    // batch event, a base one (a late mention, or a duplicate's) or none.
+    let row_of = |id: u64| events.id.binary_search(&id).map_or(NO_EVENT_ROW, row_u32);
+    let orphans = |rows| base_run(rows, EventRows::Shift { from: 0, to: 0 });
+    let mut placed = Vec::with_capacity(new.len());
+    let mut start = known;
+    for (row, &id) in old.event_id.iter().enumerate().skip(known) {
+        let (event_row, interval) = (row_of(id), old.mention_interval[row]);
+        if event_row != NO_EVENT_ROW {
+            placed.push(Placed { event_row, interval, from_batch: false, row: row_u32(row) });
+            pieces.push(orphans(start..row));
+            start = row + 1;
+        }
+    }
+    pieces.push(orphans(start..old.len()));
+    stats.rematched_mentions = placed.len();
+    let batch_rows = new.event_id.iter().zip(new.mention_interval.iter()).zip(0..);
+    placed.extend(batch_rows.map(|((&id, &interval), row)| Placed {
+        event_row: row_of(id),
+        interval,
+        from_batch: true,
+        row,
+    }));
+    stats.new_mentions = new.len();
+    placed.sort_unstable();
+
+    // Each placed mention goes before the first base row whose (event
+    // row, interval) is greater than its own.
+    let after = |rows: Range<usize>, iv: u32| {
+        let intervals = old.mention_interval.chunk_view(rows.start, rows.end);
+        rows.start + intervals.partition_point(|&t| t <= iv)
+    };
+    let place = |p: &Placed| match events.id.get(p.event_row as usize) {
+        None => after(known..old.len(), p.interval), // unknown event: the tail
+        Some(id) => match base.events.id.binary_search(id) {
+            Ok(event) => after(off(event)..off(event + 1), p.interval),
+            Err(event) => off(event), // a batch event: before the next base one
+        },
+    };
+    let placed: Vec<(Placed, usize)> = placed.into_iter().map(|p| (p, place(&p))).collect();
+
+    // Interleave: base rows up to each place, then the run placed there.
+    let event_rows: Vec<u32> = placed.iter().map(|(p, _)| p.event_row).collect();
+    let mut out = Vec::with_capacity(pieces.len() + 2 * placed.len());
+    let (mut next, mut k) = (0, 0);
+    let same_run = |(a, at): &(Placed, usize), (b, bt): &(Placed, usize)| {
+        at == bt && a.from_batch == b.from_batch && b.row == a.row.wrapping_add(1)
+    };
+    for group in placed.chunk_by(same_run) {
+        let Some(&(first, at)) = group.first() else { continue };
+        take_until(&mut pieces, &mut next, at, &mut out);
+        let row = first.row as usize;
+        out.push(MentionRun {
+            src: if first.from_batch { new } else { old },
+            rows: row..row + group.len(),
+            event_row: EventRows::Given(&event_rows[k..k + group.len()]),
+            source_map: first.from_batch.then_some(source_map),
+        });
+        k += group.len();
+    }
+    take_until(&mut pieces, &mut next, usize::MAX, &mut out);
+    MentionsTable::from_runs(&out)
+}
+
+/// Move the rows of `pieces[*next..]` before base row `until` to `out`,
+/// advancing past the pieces used up.
+fn take_until<'a>(
+    pieces: &mut [MentionRun<'a>],
+    next: &mut usize,
+    until: usize,
+    out: &mut Vec<MentionRun<'a>>,
+) {
+    while let Some(piece) = pieces.get_mut(*next) {
+        let stop = piece.rows.end.min(until);
+        if piece.rows.start < stop {
+            out.push(MentionRun { rows: piece.rows.start..stop, ..piece.clone() });
+            piece.rows.start = stop;
+        }
+        if piece.rows.start < piece.rows.end {
+            return;
+        }
+        *next += 1;
+    }
 }
 
 #[cfg(test)]

@@ -84,17 +84,51 @@ impl StringPool {
     /// does not hold contributes nothing.
     pub(crate) fn gather(&self, ids: &[u32]) -> StringPool {
         let mut out = StringPool::new();
-        out.reserve(ids.len(), self.bytes.len());
-        for &id in ids {
-            let range = self.offsets.get(id as usize).zip(self.offsets.get(id as usize + 1));
-            let Some(s) = range.and_then(|(&lo, &hi)| self.bytes.get(lo as usize..hi as usize))
-            else {
-                continue;
-            };
-            out.bytes.extend_from_slice(s);
-            out.offsets.push(out.bytes.len() as u64);
-        }
+        out.reserve(ids.len(), self.bytes_of(ids));
+        out.extend_from(self, ids);
         out
+    }
+
+    /// The id range `ids` is, when it is consecutive ids this pool holds
+    /// — always so for the URLs of a run of rows the builder wrote.
+    fn id_run(&self, ids: &[u32]) -> Option<std::ops::Range<usize>> {
+        let first = *ids.first()? as usize;
+        let consecutive = ids.iter().zip(ids.iter().skip(1)).all(|(&a, &b)| b == a.wrapping_add(1));
+        let run = first..first + ids.len();
+        (consecutive && run.end < self.offsets.len()).then_some(run)
+    }
+
+    /// Bytes of string `id`, if the pool holds it.
+    fn str_bytes(&self, id: u32) -> Option<&[u8]> {
+        let range = self.offsets.get(id as usize).zip(self.offsets.get(id as usize + 1));
+        range.and_then(|(&lo, &hi)| self.bytes.get(lo as usize..hi as usize))
+    }
+
+    /// Payload bytes of the strings `ids` name.
+    pub(crate) fn bytes_of(&self, ids: &[u32]) -> usize {
+        match self.id_run(ids) {
+            Some(run) => (self.offsets[run.end] - self.offsets[run.start]) as usize,
+            None => ids.iter().filter_map(|&id| self.str_bytes(id)).map(<[u8]>::len).sum(),
+        }
+    }
+
+    /// Append the strings of `src` that `ids` name, in that order: one
+    /// byte-range copy plus rebased offsets when the ids are consecutive,
+    /// string by string otherwise. An id `src` does not hold contributes
+    /// nothing.
+    pub(crate) fn extend_from(&mut self, src: &StringPool, ids: &[u32]) {
+        let Some(run) = src.id_run(ids) else {
+            for s in ids.iter().filter_map(|&id| src.str_bytes(id)) {
+                self.bytes.extend_from_slice(s);
+                self.offsets.push(self.bytes.len() as u64);
+            }
+            return;
+        };
+        let (lo, hi) = (src.offsets[run.start], src.offsets[run.end]);
+        let base = self.bytes.len() as u64;
+        self.bytes.extend_from_slice(src.bytes.chunk_view(lo as usize, hi as usize));
+        let ends = src.offsets.chunk_view(run.start + 1, run.end + 1);
+        self.offsets.extend_from_iter(ends.iter().map(|&end| end - lo + base));
     }
 
     /// Raw parts for serialization.

@@ -12,6 +12,7 @@ use crate::index::EventIndex;
 use crate::strings::{StringDict, StringPool};
 use gdelt_model::ids::{CountryId, EventId, SourceId};
 use gdelt_model::time::{CaptureInterval, Date, Quarter};
+use std::ops::Range;
 
 /// Sentinel for "mention's event not present in the events table".
 pub const NO_EVENT_ROW: u32 = u32::MAX;
@@ -126,6 +127,85 @@ impl EventsTable {
             ("source_url", self.source_url.len()),
         ]
     }
+
+    /// The table of rows `runs` of their tables, in that order — with
+    /// [`MentionsTable::from_runs`], the one way a table is assembled
+    /// from existing tables. Every column is reserved once at its final
+    /// length and each run is copied column by column with
+    /// `extend_from_slice`; the run's URLs follow as one byte range when
+    /// its `source_url` ids are consecutive (see [`StringPool`]). The
+    /// result's `source_url` is `0..len`, as the builder writes it.
+    pub(crate) fn from_runs(runs: &[(&EventsTable, Range<usize>)]) -> EventsTable {
+        let rows: usize = runs.iter().map(|(_, rows)| rows.len()).sum();
+        let url_bytes: usize = runs
+            .iter()
+            .map(|(src, r)| src.urls.bytes_of(src.source_url.chunk_view(r.start, r.end)))
+            .sum();
+        let mut t = EventsTable::default();
+        macro_rules! columns {
+            ($($col:ident),*) => {
+                $(t.$col.reserve(rows);)*
+                for (src, r) in runs {
+                    $(t.$col.extend_from_slice(src.$col.chunk_view(r.start, r.end));)*
+                }
+            };
+        }
+        columns!(
+            id,
+            day,
+            capture,
+            quarter,
+            root,
+            quad,
+            actor1,
+            actor2,
+            goldstein,
+            num_mentions,
+            num_sources,
+            num_articles,
+            avg_tone,
+            country,
+            lat,
+            lon
+        );
+        t.urls.reserve(rows, url_bytes);
+        for (src, r) in runs {
+            t.urls.extend_from(&src.urls, src.source_url.chunk_view(r.start, r.end));
+        }
+        t.source_url = (0..t.urls.len() as u32).collect();
+        t
+    }
+}
+
+/// How a run of mentions' `event_row` values change on their way into
+/// an assembled table ([`MentionsTable::from_runs`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum EventRows<'a> {
+    /// The events the run joins moved as one block: event row `from + k`
+    /// becomes `to + k`. [`NO_EVENT_ROW`] stays as it is.
+    Shift {
+        /// First event row of the block in the source table.
+        from: u32,
+        /// Its row in the assembled table.
+        to: u32,
+    },
+    /// The new value of each row of the run, in order.
+    Given(&'a [u32]),
+}
+
+/// A run of consecutive rows of a mentions table, and how its
+/// references change in the table being assembled.
+#[derive(Debug, Clone)]
+pub(crate) struct MentionRun<'a> {
+    /// The table the rows come from.
+    pub(crate) src: &'a MentionsTable,
+    /// Rows of `src`.
+    pub(crate) rows: Range<usize>,
+    /// New `event_row` values.
+    pub(crate) event_row: EventRows<'a>,
+    /// `source` id map, for rows whose source directory is not the
+    /// assembled table's (`None`: ids kept).
+    pub(crate) source_map: Option<&'a [u32]>,
 }
 
 /// Columnar GDELT *Mentions* table, grouped by event row (then by scrape
@@ -195,6 +275,63 @@ impl MentionsTable {
             ("confidence", self.confidence.len()),
             ("doc_tone", self.doc_tone.len()),
         ]
+    }
+
+    /// The table of the mention `runs`, in that order: every column
+    /// reserved once at its final length and copied run by run with
+    /// `extend_from_slice`, except where a run's `event_row` or `source`
+    /// values change (one mapped pass over the run).
+    pub(crate) fn from_runs(runs: &[MentionRun<'_>]) -> MentionsTable {
+        let rows: usize = runs.iter().map(|run| run.rows.len()).sum();
+        let mut t = MentionsTable::default();
+        macro_rules! columns {
+            ($($col:ident),*) => {
+                $(t.$col.reserve(rows);)*
+                for run in runs {
+                    let r = &run.rows;
+                    $(t.$col.extend_from_slice(run.src.$col.chunk_view(r.start, r.end));)*
+                }
+            };
+        }
+        columns!(
+            event_id,
+            event_interval,
+            mention_interval,
+            delay,
+            quarter,
+            mention_type,
+            confidence,
+            doc_tone
+        );
+        t.event_row.reserve(rows);
+        t.source.reserve(rows);
+        for run in runs {
+            let (src, r) = (run.src, &run.rows);
+            let event_row = src.event_row.chunk_view(r.start, r.end);
+            match run.event_row {
+                EventRows::Shift { from, to } if from == to => {
+                    t.event_row.extend_from_slice(event_row)
+                }
+                EventRows::Shift { from, to } => {
+                    t.event_row.extend_from_iter(event_row.iter().map(|&er| {
+                        if er == NO_EVENT_ROW {
+                            er
+                        } else {
+                            er.wrapping_sub(from).wrapping_add(to)
+                        }
+                    }))
+                }
+                EventRows::Given(rows) => t.event_row.extend_from_slice(rows),
+            }
+            let source = src.source.chunk_view(r.start, r.end);
+            match run.source_map {
+                None => t.source.extend_from_slice(source),
+                Some(map) => t.source.extend_from_iter(
+                    source.iter().map(|&s| map.get(s as usize).copied().unwrap_or(s)),
+                ),
+            }
+        }
+        t
     }
 
     /// Chunk view of rows `[begin, end)` across the hot scan columns —

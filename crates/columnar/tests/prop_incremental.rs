@@ -1,14 +1,21 @@
 //! Property test: applying arbitrary batch splits incrementally always
-//! produces the byte-identical dataset a full rebuild would.
+//! produces the byte-identical dataset a full rebuild would, and the
+//! run-copy assembly behind `append_batch` and `restrict_to_partitions`
+//! equals the row-at-a-time loops it replaced (kept below as [`oracle`])
+//! byte for byte — on duplicate ids across base and batch, on URL pools
+//! whose ids are shared or permuted, and on any quarantine set.
 
+use gdelt_columnar::aligned::AlignedBuf;
+use gdelt_columnar::degraded::restrict_to_partitions;
 use gdelt_columnar::incremental::append_batch;
-use gdelt_columnar::{binfmt, Dataset, DatasetBuilder};
+use gdelt_columnar::{binfmt, Dataset, DatasetBuilder, StringPool};
 use gdelt_model::cameo::{CameoRoot, Goldstein, QuadClass};
 use gdelt_model::event::{ActionGeo, EventRecord};
 use gdelt_model::ids::EventId;
 use gdelt_model::mention::{MentionRecord, MentionType};
 use gdelt_model::time::{DateTime, GDELT_EPOCH};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn event(id: u64, hour: u8) -> EventRecord {
     EventRecord {
@@ -121,5 +128,294 @@ proptest! {
         let (fin, _, _) = append_batch(&mid, events[b..].to_vec(), mentions[b..].to_vec());
         let full = build(&events, &mentions);
         prop_assert_eq!(bytes(&fin), bytes(&full));
+    }
+}
+
+/// The row-at-a-time assembly `append_batch` and `restrict_to_partitions`
+/// used before tables were assembled by runs: every row pushed column by
+/// column, every URL copied as a string.
+mod oracle {
+    use gdelt_columnar::binfmt::partition_extents;
+    use gdelt_columnar::index::EventIndex;
+    use gdelt_columnar::table::{Dataset, EventsTable, MentionsTable, NO_EVENT_ROW};
+    use gdelt_model::ids::row_u32;
+
+    fn copy_event_row(dst: &mut EventsTable, src: &EventsTable, row: usize) {
+        dst.id.push(src.id[row]);
+        dst.day.push(src.day[row]);
+        dst.capture.push(src.capture[row]);
+        dst.quarter.push(src.quarter[row]);
+        dst.root.push(src.root[row]);
+        dst.quad.push(src.quad[row]);
+        dst.actor1.push(src.actor1[row]);
+        dst.actor2.push(src.actor2[row]);
+        dst.goldstein.push(src.goldstein[row]);
+        dst.num_mentions.push(src.num_mentions[row]);
+        dst.num_sources.push(src.num_sources[row]);
+        dst.num_articles.push(src.num_articles[row]);
+        dst.avg_tone.push(src.avg_tone[row]);
+        dst.country.push(src.country[row]);
+        dst.lat.push(src.lat[row]);
+        dst.lon.push(src.lon[row]);
+        let url_id = dst.urls.push(src.urls.get(src.source_url[row]));
+        dst.source_url.push(url_id);
+    }
+
+    fn copy_mention_row(
+        dst: &mut MentionsTable,
+        src: &MentionsTable,
+        row: usize,
+        er: u32,
+        source: u32,
+    ) {
+        dst.event_id.push(src.event_id[row]);
+        dst.event_row.push(er);
+        dst.event_interval.push(src.event_interval[row]);
+        dst.mention_interval.push(src.mention_interval[row]);
+        dst.delay.push(src.delay[row]);
+        dst.source.push(source);
+        dst.quarter.push(src.quarter[row]);
+        dst.mention_type.push(src.mention_type[row]);
+        dst.confidence.push(src.confidence[row]);
+        dst.doc_tone.push(src.doc_tone[row]);
+    }
+
+    /// `append_batch` after the batch is built: a two-pointer event
+    /// merge, then a merge of the re-keyed base mentions with the sorted
+    /// batch (and re-matched) mentions.
+    pub fn append(base: &Dataset, batch: &Dataset) -> Dataset {
+        let mut out = Dataset { sources: base.sources.clone(), ..Default::default() };
+        let mut source_map = vec![0u32; batch.sources.len()];
+        for (i, map) in source_map.iter_mut().enumerate() {
+            let name = batch.sources.names.get(i as u32);
+            *map = match out.sources.names.lookup(name) {
+                Some(id) => id,
+                None => {
+                    let id = out.sources.names.intern(name);
+                    out.sources.country.push(batch.sources.country[i]);
+                    id
+                }
+            };
+        }
+        let mut base_row_map = vec![0u32; base.events.len()];
+        let mut batch_row_map = vec![NO_EVENT_ROW; batch.events.len()];
+        let (a, b) = (&base.events, &batch.events);
+        let (mut i, mut j, mut next) = (0usize, 0usize, 0u32);
+        while i < a.len() || j < b.len() {
+            let take_base = match (a.id.get(i), b.id.get(j)) {
+                (Some(&x), Some(&y)) if x == y => {
+                    j += 1;
+                    continue;
+                }
+                (Some(&x), Some(&y)) => x < y,
+                (Some(_), None) => true,
+                _ => false,
+            };
+            if take_base {
+                copy_event_row(&mut out.events, a, i);
+                base_row_map[i] = next;
+                i += 1;
+            } else {
+                copy_event_row(&mut out.events, b, j);
+                batch_row_map[j] = next;
+                j += 1;
+            }
+            next += 1;
+        }
+        let search = |id: u64| match out.events.id.binary_search(&id) {
+            Ok(r) => row_u32(r),
+            Err(_) => NO_EVENT_ROW,
+        };
+        let mut batch_run: Vec<(u32, u32, bool, u32)> = Vec::new();
+        let mut base_run: Vec<(u32, u32, bool, u32)> = Vec::new();
+        for row in 0..base.mentions.len() {
+            let er = base.mentions.event_row[row];
+            let new_er = if er != NO_EVENT_ROW {
+                base_row_map[er as usize]
+            } else {
+                search(base.mentions.event_id[row])
+            };
+            let rec = (new_er, base.mentions.mention_interval[row], false, row_u32(row));
+            if er == NO_EVENT_ROW && new_er != NO_EVENT_ROW {
+                batch_run.push(rec);
+            } else {
+                base_run.push(rec);
+            }
+        }
+        for row in 0..batch.mentions.len() {
+            let er = batch.mentions.event_row[row];
+            let mut new_er =
+                if er != NO_EVENT_ROW { batch_row_map[er as usize] } else { NO_EVENT_ROW };
+            if new_er == NO_EVENT_ROW {
+                new_er = search(batch.mentions.event_id[row]);
+            }
+            batch_run.push((new_er, batch.mentions.mention_interval[row], true, row_u32(row)));
+        }
+        batch_run.sort_unstable();
+        let (mut bi, mut bj) = (0usize, 0usize);
+        while bi + bj < base_run.len() + batch_run.len() {
+            let take_base = match (base_run.get(bi), batch_run.get(bj)) {
+                (Some(x), Some(y)) => (x.0, x.1) <= (y.0, y.1),
+                (Some(_), None) => true,
+                _ => false,
+            };
+            let (er, _, is_batch, row) = if take_base { base_run[bi] } else { batch_run[bj] };
+            if take_base {
+                bi += 1;
+            } else {
+                bj += 1;
+            }
+            let src = if is_batch { &batch.mentions } else { &base.mentions };
+            let source = src.source[row as usize];
+            let source = if is_batch { source_map[source as usize] } else { source };
+            copy_mention_row(&mut out.mentions, src, row as usize, er, source);
+        }
+        out.event_index = EventIndex::build(out.events.len(), &out.mentions);
+        out
+    }
+
+    /// `restrict_to_partitions`: the live partitions' rows, one at a
+    /// time, with event rows shifted down by the rows dropped before.
+    pub fn restrict(d: &Dataset, n_parts: u32, quarantined: &[u32]) -> Dataset {
+        let exts =
+            partition_extents(d.events.len(), d.mentions.len(), &d.event_index.offsets, n_parts);
+        let mut out = Dataset { sources: d.sources.clone(), ..Default::default() };
+        let mut ev_base = 0u64;
+        for (p, ext) in exts.iter().enumerate() {
+            if quarantined.contains(&(p as u32)) {
+                continue;
+            }
+            for row in ext.ev_begin as usize..ext.ev_end as usize {
+                copy_event_row(&mut out.events, &d.events, row);
+            }
+            for row in ext.m_begin as usize..ext.m_end as usize {
+                let er = d.mentions.event_row[row];
+                let er = if er == NO_EVENT_ROW {
+                    er
+                } else {
+                    (u64::from(er) - ext.ev_begin + ev_base) as u32
+                };
+                copy_mention_row(&mut out.mentions, &d.mentions, row, er, d.mentions.source[row]);
+            }
+            ev_base += ext.ev_end - ext.ev_begin;
+        }
+        out.event_index = EventIndex::build(out.events.len(), &out.mentions);
+        out
+    }
+}
+
+/// `d` with its URL pool rebuilt in the row order `keys` gives (and, with
+/// `share`, each distinct URL stored once): still validate-clean, but
+/// its `source_url` ids are no longer `0..n`.
+fn scramble_urls(d: &Dataset, keys: &[u32], share: bool) -> Dataset {
+    let n = d.events.len();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&row| (keys[row % keys.len()], row));
+    let mut pool = StringPool::new();
+    let mut interned: HashMap<&str, u32> = HashMap::new();
+    let mut source_url = vec![0u32; n];
+    for row in order {
+        let url = d.events.url(row);
+        source_url[row] = match interned.get(url) {
+            Some(&id) if share => id,
+            _ => {
+                let id = pool.push(url);
+                interned.insert(url, id);
+                id
+            }
+        };
+    }
+    let mut out = d.clone();
+    out.events.urls = pool;
+    out.events.source_url = AlignedBuf::from(&source_url[..]);
+    out
+}
+
+/// Events whose URLs repeat every third id, so a shared pool shares.
+fn events_sharing_urls(specs: &[(u64, u8)]) -> Vec<EventRecord> {
+    specs
+        .iter()
+        .map(|&(id, h)| EventRecord { source_url: format!("https://u/{}", id % 3), ..event(id, h) })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn duplicate_batch_ids_keep_the_existing_row(
+        event_specs in prop::collection::vec((1u64..30, 0u8..24), 1..40),
+        mention_specs in prop::collection::vec((1u64..35, 0u32..200, 0usize..6), 0..80),
+        split_e in 0.0f64..1.0,
+        split_m in 0.0f64..1.0,
+    ) {
+        // No de-duplication: base and batch share ids, and the batch
+        // repeats its own.
+        let events: Vec<EventRecord> = event_specs.iter().map(|&(id, h)| event(id, h)).collect();
+        let mentions: Vec<MentionRecord> =
+            mention_specs.into_iter().map(|(id, d, s)| mention(id, d, s)).collect();
+        let e_cut = (events.len() as f64 * split_e) as usize;
+        let m_cut = (mentions.len() as f64 * split_m) as usize;
+
+        let base = build(&events[..e_cut], &mentions[..m_cut]);
+        let batch = build(&events[e_cut..], &mentions[m_cut..]);
+        let (updated, stats, _) =
+            append_batch(&base, events[e_cut..].to_vec(), mentions[m_cut..].to_vec());
+        let dups = batch.events.id.iter().filter(|id| base.events.id.binary_search(id).is_ok());
+        prop_assert_eq!(stats.duplicate_events, dups.count());
+        prop_assert_eq!(stats.new_events + stats.duplicate_events, batch.events.len());
+        prop_assert_eq!(bytes(&updated), bytes(&oracle::append(&base, &batch)));
+        prop_assert_eq!(bytes(&updated), bytes(&build(&events, &mentions)));
+    }
+
+    #[test]
+    fn shared_or_permuted_url_ids_assemble_like_the_oracle(
+        event_specs in prop::collection::vec((1u64..40, 0u8..24), 1..40),
+        mention_specs in prop::collection::vec((1u64..45, 0u32..200, 0usize..6), 0..80),
+        keys in prop::collection::vec(0u32..1000, 1..8),
+        share in any::<bool>(),
+        split in 0.0f64..1.0,
+        parts in 1u32..9,
+        mask in any::<u16>(),
+    ) {
+        let events = events_sharing_urls(&event_specs);
+        let mentions: Vec<MentionRecord> =
+            mention_specs.into_iter().map(|(id, d, s)| mention(id, d, s)).collect();
+        let e_cut = (events.len() as f64 * split) as usize;
+        let m_cut = (mentions.len() as f64 * split) as usize;
+        let clean = build(&events[..e_cut], &mentions[..m_cut]);
+        let base = scramble_urls(&clean, &keys, share);
+        prop_assert_eq!(base.validate(), Ok(()));
+
+        let (updated, _, _) =
+            append_batch(&base, events[e_cut..].to_vec(), mentions[m_cut..].to_vec());
+        let batch = build(&events[e_cut..], &mentions[m_cut..]);
+        prop_assert_eq!(bytes(&updated), bytes(&oracle::append(&base, &batch)));
+        let (from_clean, _, _) =
+            append_batch(&clean, events[e_cut..].to_vec(), mentions[m_cut..].to_vec());
+        prop_assert_eq!(bytes(&updated), bytes(&from_clean));
+
+        let quarantined: Vec<u32> = (0..parts).filter(|p| mask >> p & 1 == 1).collect();
+        let restricted = restrict_to_partitions(&base, parts, &quarantined).expect("restrict");
+        prop_assert_eq!(bytes(&restricted), bytes(&oracle::restrict(&base, parts, &quarantined)));
+        let from_clean = restrict_to_partitions(&clean, parts, &quarantined).expect("restrict");
+        prop_assert_eq!(bytes(&restricted), bytes(&from_clean));
+    }
+
+    #[test]
+    fn restrict_equals_the_row_at_a_time_oracle(
+        event_specs in prop::collection::vec((1u64..200, 0u8..24), 0..120),
+        mention_specs in prop::collection::vec((1u64..220, 0u32..200, 0usize..6), 0..300),
+        parts in 1u32..12,
+        mask in any::<u16>(),
+    ) {
+        let events: Vec<EventRecord> = event_specs.iter().map(|&(id, h)| event(id, h)).collect();
+        let mentions: Vec<MentionRecord> =
+            mention_specs.into_iter().map(|(id, d, s)| mention(id, d, s)).collect();
+        let d = build(&events, &mentions);
+        let quarantined: Vec<u32> = (0..parts).filter(|p| mask >> p & 1 == 1).collect();
+        let restricted = restrict_to_partitions(&d, parts, &quarantined).expect("restrict");
+        prop_assert_eq!(restricted.validate(), Ok(()));
+        prop_assert_eq!(bytes(&restricted), bytes(&oracle::restrict(&d, parts, &quarantined)));
     }
 }

@@ -267,12 +267,7 @@ fn cmd_convert(o: &Options) -> Result<(), String> {
     eprintln!("staged {} events, {} mentions", b.staged_events(), b.staged_mentions());
     let (dataset, report) = b.build();
     println!("{}", gdelt_analysis::table2::render(&report));
-    if report.bad_event_lines + report.bad_mention_lines > 0 {
-        eprintln!(
-            "skipped {} unparseable event lines, {} unparseable mention lines",
-            report.bad_event_lines, report.bad_mention_lines
-        );
-    }
+    report_skipped(&report);
     binfmt::save(out, &dataset).map_err(|e| format!("writing {}: {e}", out.display()))?;
     eprintln!("{}", gdelt_columnar::memsize::measure(&dataset).render());
     eprintln!("wrote indexed binary dataset to {}", out.display());
@@ -287,16 +282,14 @@ fn cmd_update(o: &Options) -> Result<(), String> {
     let data = o.data.as_deref().ok_or("update requires --data FILE")?;
     let input = o.input.as_deref().ok_or("update requires --in DIR (a raw batch)")?;
     let base = binfmt::load(data).map_err(|e| format!("loading {}: {e}", data.display()))?;
-    let mut bad = 0u64;
-    let events =
-        gdelt_csv::events::parse_events(&read_raw(input.join("events.export.tsv"))?, |_, _, _| {
-            bad += 1
-        });
-    let mentions =
-        gdelt_csv::mentions::parse_mentions(&read_raw(input.join("mentions.tsv"))?, |_, _, _| {
-            bad += 1
-        });
-    let (updated, stats, _) = gdelt_columnar::incremental::append_batch(&base, events, mentions);
+    // The batch takes convert's path: raw bytes staged as columns, built,
+    // then merged into the base as runs.
+    let mut b = DatasetBuilder::new();
+    b.ingest_events_bytes(&read_raw(input.join("events.export.tsv"))?);
+    b.ingest_mentions_bytes(&read_raw(input.join("mentions.tsv"))?);
+    let (batch, report) = b.build();
+    report_skipped(&report);
+    let (updated, stats) = gdelt_columnar::incremental::append_dataset(&base, batch);
     eprintln!(
         "applied batch: +{} events (+{} dup dropped), +{} mentions, +{} sources, {} rematched; {} bad lines",
         stats.new_events,
@@ -304,7 +297,7 @@ fn cmd_update(o: &Options) -> Result<(), String> {
         stats.new_mentions,
         stats.new_sources,
         stats.rematched_mentions,
-        bad
+        report.bad_event_lines + report.bad_mention_lines
     );
     binfmt::save(data, &updated).map_err(|e| format!("writing {}: {e}", data.display()))?;
     eprintln!(
@@ -313,6 +306,16 @@ fn cmd_update(o: &Options) -> Result<(), String> {
         updated.mentions.len()
     );
     Ok(())
+}
+
+/// The lines a text ingest could not decode, if any (stderr).
+fn report_skipped(report: &gdelt_csv::clean::CleanReport) {
+    if report.bad_event_lines + report.bad_mention_lines > 0 {
+        eprintln!(
+            "skipped {} unparseable event lines, {} unparseable mention lines",
+            report.bad_event_lines, report.bad_mention_lines
+        );
+    }
 }
 
 fn cmd_validate(o: &Options) -> Result<(), String> {

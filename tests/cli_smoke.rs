@@ -166,6 +166,56 @@ fn convert_and_update_survive_undecodable_bytes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A store grown by `update` is the store `convert` writes for the
+/// whole text: a corpus cut at arbitrary lines, converted in its first
+/// parts and updated with the rest, matches byte for byte. The cuts
+/// leave mentions of batch events in the base (re-matched on update) and
+/// mentions of base events in the batch.
+#[test]
+fn update_with_the_rest_equals_convert_of_the_whole() {
+    let dir = temp_dir("update_split");
+    let (whole, first, rest) = (dir.join("whole"), dir.join("first"), dir.join("rest"));
+    let out = cli()
+        .args(["generate", "--out"])
+        .arg(&whole)
+        .args(["--scale", "0.00005", "--seed", "17"])
+        .output()
+        .expect("generate");
+    assert!(out.status.success(), "generate failed: {}", String::from_utf8_lossy(&out.stderr));
+    for part in [&first, &rest] {
+        std::fs::create_dir_all(part).expect("part dir");
+    }
+    std::fs::copy(whole.join("masterfilelist.txt"), first.join("masterfilelist.txt"))
+        .expect("master list");
+    for (file, cut) in [("events.export.tsv", 0.37), ("mentions.tsv", 0.71)] {
+        let text = std::fs::read(whole.join(file)).expect("read corpus");
+        let lines: Vec<&[u8]> = text.split_inclusive(|&b| b == b'\n').collect();
+        let at = (lines.len() as f64 * cut) as usize;
+        std::fs::write(first.join(file), lines[..at].concat()).expect("write first part");
+        std::fs::write(rest.join(file), lines[at..].concat()).expect("write rest");
+    }
+
+    let (full, updated) = (dir.join("full.gdhpc"), dir.join("updated.gdhpc"));
+    for (input, store) in [(&whole, &full), (&first, &updated)] {
+        let out = cli().args(["convert", "--in"]).arg(input).arg("--out").arg(store).output();
+        let out = out.expect("convert");
+        assert!(out.status.success(), "convert failed: {}", String::from_utf8_lossy(&out.stderr));
+    }
+    let out = cli().args(["update", "--data"]).arg(&updated).arg("--in").arg(&rest).output();
+    let out = out.expect("update");
+    assert!(out.status.success(), "update failed: {}", String::from_utf8_lossy(&out.stderr));
+    let msg = String::from_utf8_lossy(&out.stderr);
+    assert!(msg.contains("applied batch") && !msg.contains(" 0 rematched"), "{msg}");
+    let (a, b) = (std::fs::read(&updated).expect("updated"), std::fs::read(&full).expect("full"));
+    assert!(
+        a == b,
+        "updated store ({} bytes) differs from the full convert ({} bytes)",
+        a.len(),
+        b.len()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn query_rejects_unknown_source() {
     let dir = temp_dir("query_bad");
