@@ -36,6 +36,7 @@ impl EventIndex {
         }
         // Prefix sum.
         for i in 1..offsets.len() {
+            // analyze: allow(panic_path): 1 ≤ i < offsets.len(), so i - 1 and i are in bounds
             offsets[i] += offsets[i - 1];
         }
         EventIndex { offsets }

@@ -61,7 +61,6 @@ pub fn partitions(n_rows: usize, n_parts: usize) -> Vec<Partition> {
     let mut begin = 0;
     for p in 0..n_parts {
         let len = base + usize::from(p < extra);
-        // analyze: allow(hot_alloc): n_parts pushes into a pre-sized Vec, once per scan
         out.push(Partition { begin, end: begin + len, node: p });
         begin += len;
     }

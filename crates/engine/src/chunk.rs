@@ -250,7 +250,6 @@ pub fn event_partitions(offsets: &[u64], n_parts: usize) -> Vec<Partition> {
         let edge = if i == n_parts { n_events } else { offsets.partition_point(|&o| o < target) };
         let end = edge.min(n_events);
         if end > begin {
-            // analyze: allow(hot_alloc): at most n_parts pushes into a pre-sized Vec, once per scan
             parts.push(Partition { begin, end, node: parts.len() });
             begin = end;
         }

@@ -69,6 +69,7 @@ impl CoReport {
         let mut m = Matrix::zeros(n, n);
         for i in 0..n {
             for j in 0..n {
+                // analyze: allow(panic_path): i, j < n and pairs.len() = n * n, so i * n + j < pairs.len()
                 m.set(i, j, pairs[i * n + j].load(Ordering::Relaxed));
             }
         }

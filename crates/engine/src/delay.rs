@@ -229,7 +229,6 @@ fn hist_of<'a>(
         for (row, &dl) in group.iter().enumerate() {
             match window.get_mut(dl as usize).and_then(|cell| cell.get_mut(row % LANES)) {
                 Some(count) => *count += 1,
-                // analyze: allow(hot_alloc): the worker's sort buffer, kept across sources
                 None => scratch.sorted.push(dl),
             }
         }
@@ -238,7 +237,6 @@ fn hist_of<'a>(
     for (dl, cell) in window.iter_mut().enumerate() {
         let count: u64 = std::mem::take(cell).iter().sum();
         if count != 0 {
-            // analyze: allow(hot_alloc): the output — one push per distinct delay
             hist.runs.push((dl as u32, count));
         }
     }

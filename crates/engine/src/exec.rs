@@ -204,6 +204,7 @@ where
             self.resize_with(other.len(), T::default);
         }
         for (i, v) in other.into_iter().enumerate() {
+            // analyze: allow(panic_path): self was resized to at least other.len() above, and i < other.len()
             self[i].merge(v);
         }
     }

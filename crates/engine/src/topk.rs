@@ -61,7 +61,6 @@ pub fn top_k(vals: impl Iterator<Item = u64>, k: usize) -> Vec<(usize, u64)> {
             }
             best.pop();
         }
-        // analyze: allow(hot_alloc): at most k entries, in a heap pre-sized for them
         best.push(Reverse((v, Reverse(i))));
     }
     best.into_sorted_vec().into_iter().map(|Reverse((v, Reverse(i)))| (i, v)).collect()

@@ -44,7 +44,6 @@ pub fn spread_per_event(ctx: &ExecContext, d: &Dataset, k: usize) -> Vec<Spread>
             let mut time_to_k = None;
             for ((&s, &at), &from) in sources.iter().zip(arrived).zip(happened) {
                 if !seen.contains(&s) {
-                    // analyze: allow(hot_alloc): amortized by the capacity retained across events
                     seen.push(s);
                     if seen.len() == k {
                         time_to_k = Some(at.saturating_sub(from));

@@ -278,7 +278,6 @@ fn sanitize(name: &str) -> String {
     for (i, ch) in name.chars().enumerate() {
         let ok =
             ch.is_ascii_alphabetic() || ch == '_' || ch == ':' || (i > 0 && ch.is_ascii_digit());
-        // analyze: allow(hot_alloc): runs once per metric registration, never per sample
         out.push(if ok { ch } else { '_' });
     }
     if out.is_empty() {

@@ -150,9 +150,7 @@ impl ShardSlot {
 
     fn check_in(&self, conn: Connection, cap: usize) {
         let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
-        // analyze: allow(guard_across_await_or_call): Vec::len on the guarded pool itself — no other lock is reachable
         if pool.len() < cap.max(1) {
-            // analyze: allow(guard_across_await_or_call): Vec::len/push on the guarded pool itself — no other lock is reachable
             pool.push(conn);
         }
     }
@@ -604,9 +602,7 @@ impl Router {
         let mut last = self.last_sig.lock().unwrap_or_else(|e| e.into_inner());
         if *last != sig {
             *last = sig;
-            // analyze: allow(guard_across_await_or_call): last_sig -> cache-shard locks is the fixed acquisition order; the compare-and-invalidate must be atomic or two racing scatters could each see a stale signature
             let next = self.cache.generation() + 1;
-            // analyze: allow(guard_across_await_or_call): last_sig -> cache-shard locks is the fixed acquisition order; the compare-and-invalidate must be atomic or two racing scatters could each see a stale signature
             self.cache.invalidate_all(next);
             self.invalidations.fetch_add(1, Ordering::Relaxed);
         }

@@ -1085,7 +1085,6 @@ fn dec_partial(d: &mut Dec<'_>) -> Result<ShardPartial, WireError> {
                 let runs = (0..runs)
                     .map(|_| Ok((d.u32()?, d.u64()?)))
                     .collect::<Result<Vec<_>, WireError>>()?;
-                // analyze: allow(hot_alloc): hists is reserved to n above; this push never reallocates
                 hists.push(DelayHist { runs });
             }
             ShardPartial::Delay(hists)

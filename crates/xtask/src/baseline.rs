@@ -24,17 +24,14 @@
 //!
 //! Two more exact-match count tables ride on the same machinery:
 //!
-//! * `[dataflow.<name>]` — marker-suppressed dataflow findings
-//!   (`index_bounds` / `guard_across_await_or_call` / `result_discard`)
-//!   per crate. New suppressions fail (justify or fix, then
+//! * `[suppressed.<name>]` — marker-suppressed `panic_path` (index
+//!   sinks included), `par_race` and `atomic_protocol` findings per
+//!   crate. New suppressions fail (justify or fix, then
 //!   `--update-baseline`); removing one also fails until the count is
 //!   ratcheted down, so headroom cannot be silently re-spent.
 //! * `[stale.<name>]` — `analyze: allow` markers that no longer
 //!   suppress anything. The target is zero everywhere; the table
 //!   exists so cleanup progress ratchets and regressions fail.
-//! * `[summary.<name>]` — marker-suppressed summary-rule findings
-//!   (`par_race` / `atomic_protocol`) per crate, same exact-match
-//!   semantics as `[dataflow.*]`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -58,13 +55,10 @@ pub struct Baseline {
     pub crates: BTreeMap<String, BaselineEntry>,
     /// Recorded `#[test]` counts keyed by crate name.
     pub tests: BTreeMap<String, usize>,
-    /// Marker-suppressed dataflow finding counts keyed by crate name.
-    pub dataflow: BTreeMap<String, usize>,
+    /// Marker-suppressed finding counts keyed by crate name.
+    pub suppressed: BTreeMap<String, usize>,
     /// Stale suppression-marker counts keyed by crate name.
     pub stale: BTreeMap<String, usize>,
-    /// Marker-suppressed summary-rule finding counts keyed by crate
-    /// name (`par_race` / `atomic_protocol`).
-    pub summary: BTreeMap<String, usize>,
 }
 
 /// The current inventory measured from the workspace: crate name →
@@ -160,9 +154,9 @@ pub enum RatchetError {
         /// Measured test count.
         actual: usize,
     },
-    /// Marker-suppressed dataflow finding count drifted from the
-    /// recorded `[dataflow.<crate>]` value (either direction).
-    DataflowDrift {
+    /// Marker-suppressed finding count drifted from the recorded
+    /// `[suppressed.<crate>]` value (either direction).
+    SuppressedDrift {
         /// Crate name.
         krate: String,
         /// Recorded suppression count.
@@ -178,16 +172,6 @@ pub enum RatchetError {
         /// Recorded stale-marker count.
         baseline: usize,
         /// Measured stale-marker count.
-        actual: usize,
-    },
-    /// Marker-suppressed summary-rule finding count drifted from the
-    /// recorded `[summary.<crate>]` value (either direction).
-    SummaryDrift {
-        /// Crate name.
-        krate: String,
-        /// Recorded suppression count.
-        baseline: usize,
-        /// Measured suppression count.
         actual: usize,
     },
 }
@@ -222,23 +206,17 @@ impl std::fmt::Display for RatchetError {
                  raise the floor with `cargo xtask analyze --update-baseline` so the new tests \
                  cannot be silently dropped later"
             ),
-            RatchetError::DataflowDrift { krate, baseline, actual } => write!(
+            RatchetError::SuppressedDrift { krate, baseline, actual } => write!(
                 f,
-                "crate `{krate}` has {actual} marker-suppressed dataflow findings, baseline \
-                 records {baseline} — fix or justify the drift, then run \
-                 `cargo xtask analyze --update-baseline`"
+                "crate `{krate}` has {actual} marker-suppressed findings (panic_path / \
+                 par_race / atomic_protocol), baseline records {baseline} — fix or justify \
+                 the drift, then run `cargo xtask analyze --update-baseline`"
             ),
             RatchetError::StaleDrift { krate, baseline, actual } => write!(
                 f,
                 "crate `{krate}` has {actual} stale suppression markers, baseline records \
                  {baseline} — remove dead markers with `cargo xtask analyze --remove-stale`, \
                  then run `cargo xtask analyze --update-baseline`"
-            ),
-            RatchetError::SummaryDrift { krate, baseline, actual } => write!(
-                f,
-                "crate `{krate}` has {actual} marker-suppressed summary-rule findings \
-                 (par_race / atomic_protocol), baseline records {baseline} — fix or justify \
-                 the drift, then run `cargo xtask analyze --update-baseline`"
             ),
         }
     }
@@ -297,14 +275,15 @@ pub fn check_tests(baseline: &Baseline, counts: &BTreeMap<String, usize>) -> Vec
     errors
 }
 
-/// Compare measured per-crate marker-suppressed dataflow finding counts
-/// against the recorded `[dataflow.*]` values. Exact-match in both
+/// Compare measured per-crate marker-suppressed finding counts against
+/// the recorded `[suppressed.*]` values. Exact-match in both
 /// directions, like the test ratchet.
-pub fn check_dataflow(baseline: &Baseline, counts: &BTreeMap<String, usize>) -> Vec<RatchetError> {
-    exact_match(&baseline.dataflow, counts, |krate, baseline, actual| RatchetError::DataflowDrift {
-        krate,
-        baseline,
-        actual,
+pub fn check_suppressed(
+    baseline: &Baseline,
+    counts: &BTreeMap<String, usize>,
+) -> Vec<RatchetError> {
+    exact_match(&baseline.suppressed, counts, |krate, baseline, actual| {
+        RatchetError::SuppressedDrift { krate, baseline, actual }
     })
 }
 
@@ -312,17 +291,6 @@ pub fn check_dataflow(baseline: &Baseline, counts: &BTreeMap<String, usize>) -> 
 /// `[stale.*]` values. Exact-match in both directions.
 pub fn check_stale(baseline: &Baseline, counts: &BTreeMap<String, usize>) -> Vec<RatchetError> {
     exact_match(&baseline.stale, counts, |krate, baseline, actual| RatchetError::StaleDrift {
-        krate,
-        baseline,
-        actual,
-    })
-}
-
-/// Compare measured per-crate marker-suppressed summary-rule finding
-/// counts against the recorded `[summary.*]` values. Exact-match in
-/// both directions.
-pub fn check_summary(baseline: &Baseline, counts: &BTreeMap<String, usize>) -> Vec<RatchetError> {
-    exact_match(&baseline.summary, counts, |krate, baseline, actual| RatchetError::SummaryDrift {
         krate,
         baseline,
         actual,
@@ -353,9 +321,8 @@ fn exact_match(
 pub fn from_inventory(
     inventory: &Inventory,
     test_counts: &BTreeMap<String, usize>,
-    dataflow_counts: &BTreeMap<String, usize>,
+    suppressed_counts: &BTreeMap<String, usize>,
     stale_counts: &BTreeMap<String, usize>,
-    summary_counts: &BTreeMap<String, usize>,
     previous: &Baseline,
 ) -> Baseline {
     let mut out = Baseline::default();
@@ -364,19 +331,14 @@ pub fn from_inventory(
             out.tests.insert(name.clone(), count);
         }
     }
-    for (name, &count) in dataflow_counts {
+    for (name, &count) in suppressed_counts {
         if count > 0 {
-            out.dataflow.insert(name.clone(), count);
+            out.suppressed.insert(name.clone(), count);
         }
     }
     for (name, &count) in stale_counts {
         if count > 0 {
             out.stale.insert(name.clone(), count);
-        }
-    }
-    for (name, &count) in summary_counts {
-        if count > 0 {
-            out.summary.insert(name.clone(), count);
         }
     }
     for (name, _) in inventory.crates.iter() {
@@ -401,9 +363,8 @@ pub fn parse(text: &str) -> Result<Baseline, String> {
     enum Table {
         Crate(String),
         Tests(String),
-        Dataflow(String),
+        Suppressed(String),
         Stale(String),
-        Summary(String),
     }
     let mut out = Baseline::default();
     let mut current: Option<Table> = None;
@@ -432,28 +393,22 @@ pub fn parse(text: &str) -> Result<Baseline, String> {
                 }
                 out.tests.insert(krate.to_string(), 0);
                 current = Some(Table::Tests(krate.to_string()));
-            } else if let Some(krate) = name.strip_prefix("dataflow.") {
+            } else if let Some(krate) = name.strip_prefix("suppressed.") {
                 if krate.is_empty() {
                     return Err(format!("baseline line {lineno}: empty crate name"));
                 }
-                out.dataflow.insert(krate.to_string(), 0);
-                current = Some(Table::Dataflow(krate.to_string()));
+                out.suppressed.insert(krate.to_string(), 0);
+                current = Some(Table::Suppressed(krate.to_string()));
             } else if let Some(krate) = name.strip_prefix("stale.") {
                 if krate.is_empty() {
                     return Err(format!("baseline line {lineno}: empty crate name"));
                 }
                 out.stale.insert(krate.to_string(), 0);
                 current = Some(Table::Stale(krate.to_string()));
-            } else if let Some(krate) = name.strip_prefix("summary.") {
-                if krate.is_empty() {
-                    return Err(format!("baseline line {lineno}: empty crate name"));
-                }
-                out.summary.insert(krate.to_string(), 0);
-                current = Some(Table::Summary(krate.to_string()));
             } else {
                 return Err(format!(
                     "baseline line {lineno}: expected [crate.<name>], [tests.<name>], \
-                     [dataflow.<name>], [stale.<name>], or [summary.<name>]"
+                     [suppressed.<name>], or [stale.<name>]"
                 ));
             }
             continue;
@@ -466,12 +421,11 @@ pub fn parse(text: &str) -> Result<Baseline, String> {
             .as_ref()
             .ok_or_else(|| format!("baseline line {lineno}: key outside a table"))?;
         match table {
-            Table::Tests(_) | Table::Dataflow(_) | Table::Stale(_) | Table::Summary(_) => {
+            Table::Tests(_) | Table::Suppressed(_) | Table::Stale(_) => {
                 let (map, kind) = match table {
                     Table::Tests(k) => (&mut out.tests, ("tests", k)),
-                    Table::Dataflow(k) => (&mut out.dataflow, ("dataflow", k)),
+                    Table::Suppressed(k) => (&mut out.suppressed, ("suppressed", k)),
                     Table::Stale(k) => (&mut out.stale, ("stale", k)),
-                    Table::Summary(k) => (&mut out.summary, ("summary", k)),
                     Table::Crate(_) => unreachable!(),
                 };
                 match key {
@@ -561,14 +515,14 @@ pub fn serialize(baseline: &Baseline) -> String {
             let _ = write!(out, "\n[tests.{name}]\ncount = {count}\n");
         }
     }
-    if !baseline.dataflow.is_empty() {
+    if !baseline.suppressed.is_empty() {
         out.push_str(
-            "\n# Per-crate marker-suppressed dataflow findings (index_bounds,\n\
-             # guard_across_await_or_call, result_discard). Exact-match: drift in\n\
-             # either direction fails until re-recorded via --update-baseline.\n",
+            "\n# Per-crate marker-suppressed findings (panic_path, index sinks\n\
+             # included; par_race; atomic_protocol). Exact-match: drift in either\n\
+             # direction fails until re-recorded via --update-baseline.\n",
         );
-        for (name, count) in baseline.dataflow.iter() {
-            let _ = write!(out, "\n[dataflow.{name}]\ncount = {count}\n");
+        for (name, count) in baseline.suppressed.iter() {
+            let _ = write!(out, "\n[suppressed.{name}]\ncount = {count}\n");
         }
     }
     if !baseline.stale.is_empty() {
@@ -579,16 +533,6 @@ pub fn serialize(baseline: &Baseline) -> String {
         );
         for (name, count) in baseline.stale.iter() {
             let _ = write!(out, "\n[stale.{name}]\ncount = {count}\n");
-        }
-    }
-    if !baseline.summary.is_empty() {
-        out.push_str(
-            "\n# Per-crate marker-suppressed summary-rule findings (par_race,\n\
-             # atomic_protocol). Exact-match: drift in either direction fails\n\
-             # until re-recorded via --update-baseline.\n",
-        );
-        for (name, count) in baseline.summary.iter() {
-            let _ = write!(out, "\n[summary.{name}]\ncount = {count}\n");
         }
     }
     out
@@ -633,14 +577,8 @@ mod tests {
         let inv = inventory(&[("columnar", "src/mmap.rs", 4)]);
         let counts: BTreeMap<String, usize> =
             [("columnar".to_string(), 7), ("serve".to_string(), 12)].into_iter().collect();
-        let mut base = from_inventory(
-            &inv,
-            &counts,
-            &no_tests(),
-            &no_tests(),
-            &no_tests(),
-            &Baseline::default(),
-        );
+        let mut base =
+            from_inventory(&inv, &counts, &no_tests(), &no_tests(), &Baseline::default());
         base.crates.get_mut("columnar").unwrap().reason = "mmap I/O".into();
         let text = serialize(&base);
         let parsed = parse(&text).unwrap();
@@ -661,14 +599,8 @@ mod tests {
     #[test]
     fn stale_entry_fails() {
         let inv = inventory(&[("columnar", "src/mmap.rs", 2)]);
-        let mut base = from_inventory(
-            &inv,
-            &no_tests(),
-            &no_tests(),
-            &no_tests(),
-            &no_tests(),
-            &Baseline::default(),
-        );
+        let mut base =
+            from_inventory(&inv, &no_tests(), &no_tests(), &no_tests(), &Baseline::default());
         base.crates.get_mut("columnar").unwrap().count = 5;
         let errs = check(&base, &inv);
         assert_eq!(
@@ -680,14 +612,8 @@ mod tests {
     #[test]
     fn moved_unsafe_fails() {
         let old = inventory(&[("columnar", "src/mmap.rs", 2)]);
-        let base = from_inventory(
-            &old,
-            &no_tests(),
-            &no_tests(),
-            &no_tests(),
-            &no_tests(),
-            &Baseline::default(),
-        );
+        let base =
+            from_inventory(&old, &no_tests(), &no_tests(), &no_tests(), &Baseline::default());
         let new = inventory(&[("columnar", "src/table.rs", 2)]);
         let errs = check(&base, &new);
         assert_eq!(errs, vec![RatchetError::Moved { krate: "columnar".into() }]);
@@ -696,14 +622,8 @@ mod tests {
     #[test]
     fn matching_inventory_passes() {
         let inv = inventory(&[("columnar", "src/mmap.rs", 2)]);
-        let base = from_inventory(
-            &inv,
-            &no_tests(),
-            &no_tests(),
-            &no_tests(),
-            &no_tests(),
-            &Baseline::default(),
-        );
+        let base =
+            from_inventory(&inv, &no_tests(), &no_tests(), &no_tests(), &Baseline::default());
         assert!(check(&base, &inv).is_empty());
     }
 
@@ -725,18 +645,11 @@ mod tests {
     #[test]
     fn update_carries_reasons_forward() {
         let inv = inventory(&[("columnar", "src/mmap.rs", 2)]);
-        let mut prev = from_inventory(
-            &inv,
-            &no_tests(),
-            &no_tests(),
-            &no_tests(),
-            &no_tests(),
-            &Baseline::default(),
-        );
+        let mut prev =
+            from_inventory(&inv, &no_tests(), &no_tests(), &no_tests(), &Baseline::default());
         prev.crates.get_mut("columnar").unwrap().reason = "mmap I/O".into();
         let grown = inventory(&[("columnar", "src/mmap.rs", 2), ("columnar", "src/table.rs", 1)]);
-        let next =
-            from_inventory(&grown, &no_tests(), &no_tests(), &no_tests(), &no_tests(), &prev);
+        let next = from_inventory(&grown, &no_tests(), &no_tests(), &no_tests(), &prev);
         assert_eq!(next.crates["columnar"].count, 3);
         assert_eq!(next.crates["columnar"].reason, "mmap I/O");
     }
@@ -748,7 +661,6 @@ mod tests {
         let base = from_inventory(
             &Inventory::default(),
             &counts,
-            &no_tests(),
             &no_tests(),
             &no_tests(),
             &Baseline::default(),
@@ -794,65 +706,36 @@ mod tests {
     }
 
     #[test]
-    fn dataflow_and_stale_tables_roundtrip() {
-        let df: BTreeMap<String, usize> =
+    fn suppressed_and_stale_tables_roundtrip() {
+        let sup: BTreeMap<String, usize> =
             [("engine".to_string(), 4), ("columnar".to_string(), 2)].into_iter().collect();
         let st: BTreeMap<String, usize> = [("serve".to_string(), 1)].into_iter().collect();
-        let sm: BTreeMap<String, usize> = [("engine".to_string(), 3)].into_iter().collect();
         let base =
-            from_inventory(&Inventory::default(), &no_tests(), &df, &st, &sm, &Baseline::default());
+            from_inventory(&Inventory::default(), &no_tests(), &sup, &st, &Baseline::default());
         let text = serialize(&base);
-        assert!(text.contains("[dataflow.engine]\ncount = 4"), "{text}");
+        assert!(text.contains("[suppressed.engine]\ncount = 4"), "{text}");
         assert!(text.contains("[stale.serve]\ncount = 1"), "{text}");
-        assert!(text.contains("[summary.engine]\ncount = 3"), "{text}");
         let parsed = parse(&text).unwrap();
         assert_eq!(parsed, base);
     }
 
     #[test]
-    fn summary_ratchet_flags_drift_both_ways() {
+    fn suppressed_ratchet_flags_drift_both_ways() {
         let mut base = Baseline::default();
-        base.summary.insert("serve".to_string(), 2);
-
-        let exact: BTreeMap<String, usize> = [("serve".to_string(), 2)].into_iter().collect();
-        assert!(check_summary(&base, &exact).is_empty());
-
-        let grew: BTreeMap<String, usize> = [("serve".to_string(), 3)].into_iter().collect();
-        assert_eq!(
-            check_summary(&base, &grew),
-            vec![RatchetError::SummaryDrift { krate: "serve".into(), baseline: 2, actual: 3 }]
-        );
-
-        assert_eq!(
-            check_summary(&base, &BTreeMap::new()),
-            vec![RatchetError::SummaryDrift { krate: "serve".into(), baseline: 2, actual: 0 }]
-        );
-    }
-
-    #[test]
-    fn summary_tables_reject_foreign_keys() {
-        assert!(parse("[summary.engine]\ndigest = \"abc\"\n").is_err());
-        assert!(parse("[summary.]\ncount = 1\n").is_err());
-    }
-
-    #[test]
-    fn dataflow_ratchet_flags_drift_both_ways() {
-        let mut base = Baseline::default();
-        base.dataflow.insert("engine".to_string(), 4);
+        base.suppressed.insert("engine".to_string(), 4);
 
         let exact: BTreeMap<String, usize> = [("engine".to_string(), 4)].into_iter().collect();
-        assert!(check_dataflow(&base, &exact).is_empty());
+        assert!(check_suppressed(&base, &exact).is_empty());
 
         let grew: BTreeMap<String, usize> = [("engine".to_string(), 6)].into_iter().collect();
         assert_eq!(
-            check_dataflow(&base, &grew),
-            vec![RatchetError::DataflowDrift { krate: "engine".into(), baseline: 4, actual: 6 }]
+            check_suppressed(&base, &grew),
+            vec![RatchetError::SuppressedDrift { krate: "engine".into(), baseline: 4, actual: 6 }]
         );
 
-        let shrank: BTreeMap<String, usize> = [("engine".to_string(), 1)].into_iter().collect();
         assert_eq!(
-            check_dataflow(&base, &shrank),
-            vec![RatchetError::DataflowDrift { krate: "engine".into(), baseline: 4, actual: 1 }]
+            check_suppressed(&base, &BTreeMap::new()),
+            vec![RatchetError::SuppressedDrift { krate: "engine".into(), baseline: 4, actual: 0 }]
         );
     }
 
@@ -874,10 +757,12 @@ mod tests {
     }
 
     #[test]
-    fn dataflow_and_stale_tables_reject_foreign_keys() {
-        assert!(parse("[dataflow.engine]\ndigest = \"abc\"\n").is_err());
+    fn suppressed_and_stale_tables_reject_foreign_keys() {
+        assert!(parse("[suppressed.engine]\ndigest = \"abc\"\n").is_err());
         assert!(parse("[stale.engine]\nreason = \"x\"\n").is_err());
-        assert!(parse("[dataflow.]\ncount = 1\n").is_err());
+        assert!(parse("[suppressed.]\ncount = 1\n").is_err());
         assert!(parse("[stale.]\ncount = 1\n").is_err());
+        assert!(parse("[dataflow.engine]\ncount = 1\n").is_err(), "retired table");
+        assert!(parse("[summary.engine]\ncount = 1\n").is_err(), "retired table");
     }
 }

@@ -29,8 +29,6 @@ pub struct Node {
     pub path: PathBuf,
     /// File index into the analyzer's parsed-file list.
     pub file_idx: usize,
-    /// Index of the function within that file's `functions`.
-    pub fn_idx: usize,
     /// The parsed function (cloned out for direct access).
     pub func: Function,
     /// Defined under `tests/`, `examples/`, or a crate's `tests/` or
@@ -85,11 +83,10 @@ impl CallGraph {
     ) -> CallGraph {
         let mut g = CallGraph::default();
         for (file_idx, (path, parsed, in_test_tree)) in files.iter().enumerate() {
-            for (fn_idx, func) in parsed.functions.iter().enumerate() {
+            for func in &parsed.functions {
                 g.nodes.push(Node {
                     path: path.clone(),
                     file_idx,
-                    fn_idx,
                     func: func.clone(),
                     in_test_tree: *in_test_tree,
                 });

@@ -150,13 +150,13 @@ name = \"gdelt-engine\"
 
 [dependencies]
 gdelt-model.workspace = true
-rayon = { path = \"../../shims/rayon\" }
+rand = { path = \"../../shims/rand\" }
 
 [dev-dependencies]
 gdelt-synth.workspace = true
 ";
         assert_eq!(package_name(m).as_deref(), Some("gdelt-engine"));
-        assert_eq!(dependency_keys(m), vec!["gdelt-model", "rayon", "gdelt-synth"]);
+        assert_eq!(dependency_keys(m), vec!["gdelt-model", "rand", "gdelt-synth"]);
     }
 
     #[test]

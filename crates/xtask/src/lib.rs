@@ -10,13 +10,8 @@
 //!   and intra-workspace call graph for the semantic pass;
 //! * [`lint`] — the line rules `analyze` runs over every file;
 //! * [`analyze`] — the pass driver behind `cargo xtask analyze`;
-//! * [`cfg`] / [`dataflow`] — statement-level CFGs and the fixpoint
-//!   engine behind the dataflow rules;
-//! * [`bounds`] / [`guard`] / [`discard`] — the dataflow analyses
-//!   (`index_bounds`, `guard_across_await_or_call`, `result_discard`);
-//! * [`summaries`] — interprocedural effect summaries over the SCC
-//!   condensation (behind `par_race`, `atomic_protocol`, and the
-//!   cross-function bounds obligations);
+//! * [`summaries`] — interprocedural shared-write summaries over the
+//!   SCC condensation (behind `par_race`'s transitive findings);
 //! * [`baseline`] — the ratcheting unsafe-inventory baseline;
 //! * [`diag`] — the diagnostic type and output formats;
 //! * [`walk`] — workspace file discovery;
@@ -24,14 +19,9 @@
 
 pub mod analyze;
 pub mod baseline;
-pub mod bounds;
 pub mod callgraph;
-pub mod cfg;
-pub mod dataflow;
 pub mod deps;
 pub mod diag;
-pub mod discard;
-pub mod guard;
 pub mod lex;
 pub mod lint;
 pub mod parse;

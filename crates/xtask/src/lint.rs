@@ -1,15 +1,12 @@
 //! The line rules `cargo xtask analyze` runs over every file.
 //!
-//! Three source-level rules, each encoding an invariant the workspace
+//! Two source-level rules, each encoding an invariant the workspace
 //! lints cannot express:
 //!
 //! * `no_panic` — no `unwrap()` / `expect()` / `panic!` in non-test
 //!   code of the engine, columnar and serve hot paths;
 //! * `id_cast` — no bare `as` narrowing casts on row/event/mention id
-//!   expressions; use the checked helpers in `gdelt_model::ids`;
-//! * `par_index` — no `[i]`-style indexing with a variable inside
-//!   rayon closures in `crates/engine`; prefer `get`, iterators, or a
-//!   justified marker.
+//!   expressions; use the checked helpers in `gdelt_model::ids`.
 //!
 //! Undocumented `unsafe` is clippy's job
 //! (`undocumented_unsafe_blocks = "deny"` in `[workspace.lints]`).
@@ -40,9 +37,6 @@ pub fn lint_file(path: &Path, file: &SourceFile) -> Vec<Diagnostic> {
     }
     if in_crate(ID_CAST_CRATES) {
         id_cast(path, file, &mut out);
-    }
-    if in_crate(&["engine"]) {
-        par_index(path, file, &mut out);
     }
     out
 }
@@ -133,94 +127,6 @@ fn ident_before(code: &str, pos: usize) -> Option<String> {
     }
 }
 
-/// Markers that start a rayon-parallel region.
-const PAR_MARKERS: &[&str] = &[".par_iter()", ".into_par_iter()", "parallel_map(", ".par_chunks"];
-
-/// Rule 3: inside a parallel closure, `v[i]` with a variable index
-/// turns a data-layout bug into a hard-to-reproduce panic on one
-/// worker thread; require `get`, zipped iterators, or a marker.
-fn par_index(path: &Path, file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    let mut region_depth: Option<i32> = None;
-    let mut depth: i32 = 0;
-    for (idx, line) in file.lines.iter().enumerate() {
-        let code = &line.code;
-        let starts_here = !file.in_test[idx] && PAR_MARKERS.iter().any(|m| code.contains(m));
-        if region_depth.is_none() && starts_here {
-            region_depth = Some(depth);
-        }
-        let in_region = region_depth.is_some();
-        if in_region
-            && !file.in_test[idx]
-            && has_variable_index(code)
-            && !file.allowed(idx + 1, "par_index")
-        {
-            out.push(Diagnostic::new(
-                path,
-                idx + 1,
-                "par_index",
-                "variable indexing inside a parallel region; use `get`, \
-                 zipped iterators, or a justified marker"
-                    .into(),
-            ));
-        }
-        for c in code.chars() {
-            match c {
-                '(' | '{' | '[' => depth += 1,
-                ')' | '}' | ']' => {
-                    depth -= 1;
-                    if region_depth.is_some_and(|d| depth <= d) {
-                        region_depth = None;
-                    }
-                }
-                _ => {}
-            }
-        }
-        // A statement end at region depth also closes the region
-        // (covers one-line `let x = a.par_iter()...;`).
-        if region_depth.is_some_and(|d| depth <= d) && code.trim_end().ends_with(';') {
-            region_depth = None;
-        }
-    }
-}
-
-/// Does the line index a collection with a non-literal expression?
-/// `v[i]`, `v[i + 1]`, `v[e.index()]` → yes; `v[0]`, `v[..n]`,
-/// attributes `#[...]` and slicing with ranges → no.
-fn has_variable_index(code: &str) -> bool {
-    let bytes: Vec<char> = code.chars().collect();
-    for (i, &c) in bytes.iter().enumerate() {
-        if c != '[' {
-            continue;
-        }
-        // Must follow an identifier or `)`/`]` (an indexable value);
-        // skips attributes and array literals.
-        let before = code[..char_len(&bytes, i)].trim_end();
-        let indexable = before
-            .chars()
-            .last()
-            .is_some_and(|p| p.is_ascii_alphanumeric() || p == '_' || p == ')' || p == ']');
-        if !indexable {
-            continue;
-        }
-        // Grab the bracket body (same line only — multiline indexing
-        // is rare and caught by the next line's scan).
-        let body: String = bytes[i + 1..].iter().take_while(|&&c| c != ']').collect();
-        let body = body.trim();
-        if body.is_empty() || body.contains("..") {
-            continue; // slicing
-        }
-        let literal = body.chars().all(|c| c.is_ascii_digit() || c == '_');
-        if !literal {
-            return true;
-        }
-    }
-    false
-}
-
-fn char_len(chars: &[char], i: usize) -> usize {
-    chars[..i].iter().map(|c| c.len_utf8()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,29 +175,5 @@ mod tests {
         let marked =
             "fn f(row: usize) -> u32 {\n    // analyze: allow(id_cast): row < 1000 by construction\n    row as u32\n}\n";
         assert!(lint("crates/engine/src/x.rs", marked).is_empty());
-    }
-
-    #[test]
-    fn par_index_fires_inside_parallel_region() {
-        let src = "fn f(v: &[u64]) -> Vec<u64> {\n    (0..v.len()).into_par_iter().map(|i| v[i + 1]).collect()\n}\n";
-        let d = lint("crates/engine/src/x.rs", src);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "par_index");
-    }
-
-    #[test]
-    fn par_index_quiet_outside_regions_and_for_literals() {
-        let src = "fn f(v: &[u64]) -> u64 { v[0] + v[1] }\n";
-        assert!(lint("crates/engine/src/x.rs", src).is_empty());
-        let seq = "fn f(v: &[u64], i: usize) -> u64 { v[i] }\n";
-        assert!(lint("crates/engine/src/x.rs", seq).is_empty(), "sequential indexing is fine");
-        let slice = "fn f(v: &[u64]) -> Vec<u64> { v.par_iter().map(|x| x + 1).collect() }\n";
-        assert!(lint("crates/engine/src/x.rs", slice).is_empty());
-    }
-
-    #[test]
-    fn par_region_ends_at_statement_boundary() {
-        let src = "fn f(v: &[u64], i: usize) -> u64 {\n    let s: u64 = v.par_iter().sum();\n    s + v[i]\n}\n";
-        assert!(lint("crates/engine/src/x.rs", src).is_empty());
     }
 }

@@ -3,12 +3,11 @@
 //! Subcommands:
 //!
 //! * `analyze` — the one static-analysis pass: the line rules
-//!   (`no_panic`, `id_cast`, `par_index`), panic-reachability from
-//!   `// analyze: no_panic` kernels, the `index_bounds` interval
-//!   prover, guard-across-call and `Result`-discard dataflow rules,
-//!   hot-loop allocations, lock discipline, the atomic-ordering audit,
-//!   the stale-marker audit, and the ratcheting baseline
-//!   (see [`xtask::analyze`]);
+//!   (`no_panic`, `id_cast`), panic-reachability from
+//!   `// analyze: no_panic` kernels (`panic_path`), shared writes in
+//!   spawned closures (`par_race`), the atomic-ordering audit
+//!   (`atomic_protocol`), the stale-marker audit, and the ratcheting
+//!   baseline (see [`xtask::analyze`]);
 //! * `miri` / `tsan` — sanitizer wrappers.
 //!
 //! `analyze` writes `--format human|json` output on stdout and exits
@@ -28,7 +27,7 @@ cargo xtask — repo automation
 USAGE:
   cargo xtask analyze [--format human|json] [--update-baseline]
                       [--remove-stale] [FILES...]
-      run the line rules + call-graph + dataflow analyses; with no FILES
+      run the line rules + call-graph + summary analyses; with no FILES
       also checks the ratchet tables against analyze-baseline.toml.
         --remove-stale         delete the markers behind stale_marker
                                findings, then drop those findings
@@ -126,9 +125,8 @@ fn cmd_analyze(args: &[String]) -> Result<bool, String> {
                 &root,
                 &inventory,
                 &test_counts,
-                &result.dataflow,
+                &result.suppressed,
                 &stale,
-                &result.summary,
             )?;
             eprintln!("xtask analyze: baseline written to {}", path.display());
         } else {
@@ -136,9 +134,8 @@ fn cmd_analyze(args: &[String]) -> Result<bool, String> {
                 &root,
                 &inventory,
                 &test_counts,
-                &result.dataflow,
+                &result.suppressed,
                 &stale,
-                &result.summary,
             )?);
         }
     }

@@ -5,12 +5,13 @@
 //!
 //! * the list of function items (free functions and impl methods, with
 //!   the impl's self type attached) and their body token ranges;
-//! * per function: call expressions, panic sinks, allocation sites,
-//!   lock acquisitions + lexical lock-order edges, `SeqCst` uses —
-//!   each tagged with whether it sits inside a rayon parallel closure
-//!   or a loop body;
+//! * per function: call expressions, panic sinks, atomic operations,
+//!   and writes to shared state — calls and writes tagged with whether
+//!   they sit inside a closure passed to `spawn` (the workspace's one
+//!   fork is `scope.spawn` in `ExecContext::map_reduce`);
 //! * per file: `unsafe` site lines (for the inventory ratchet) and the
-//!   set of identifiers bound to `Mutex`/`RwLock` values.
+//!   identifiers bound to `Mutex`/`RwLock`, `Cell`/`RefCell` and
+//!   `static mut` values.
 //!
 //! The parser is deliberately syntactic: no type inference, no trait
 //! resolution. What that buys and what it cannot prove is documented in
@@ -41,12 +42,6 @@ pub struct Call {
     pub recv: Receiver,
     /// 1-based call-site line.
     pub line: usize,
-    /// Token index of the callee name (for call-site argument parsing).
-    pub at: usize,
-    /// Inside a rayon parallel closure.
-    pub in_par: bool,
-    /// Inside a `for`/`while`/`loop` body.
-    pub in_loop: bool,
     /// Inside a closure passed to `spawn` (thread pool / scoped thread).
     pub in_spawn: bool,
 }
@@ -69,43 +64,6 @@ pub struct Sink {
     pub line: usize,
     /// Human rendering, e.g. `` `.unwrap()` `` or `` `offsets[e + 1]` ``.
     pub what: String,
-}
-
-/// One allocation site.
-#[derive(Debug, Clone)]
-pub struct Alloc {
-    /// 1-based line.
-    pub line: usize,
-    /// Human rendering, e.g. `` `Vec::push` `` or `` `format!` ``.
-    pub what: String,
-    /// Inside a rayon parallel closure.
-    pub in_par: bool,
-    /// Inside a `for`/`while`/`loop` body.
-    pub in_loop: bool,
-}
-
-/// One lock acquisition (`.lock()` / `.read()` / `.write()` on a known
-/// `Mutex`/`RwLock` binding).
-#[derive(Debug, Clone)]
-pub struct LockAcq {
-    /// The lock's binding name.
-    pub name: String,
-    /// 1-based line.
-    pub line: usize,
-    /// Inside a rayon parallel closure.
-    pub in_par: bool,
-}
-
-/// A lexical lock-order edge: `held` was still held when `then` was
-/// acquired.
-#[derive(Debug, Clone)]
-pub struct LockEdge {
-    /// The already-held lock.
-    pub held: String,
-    /// The newly-acquired lock.
-    pub then: String,
-    /// Acquisition line of `then`.
-    pub line: usize,
 }
 
 /// What an atomic operation does to its field.
@@ -141,7 +99,7 @@ pub struct AtomicOp {
 }
 
 /// One write to shared mutable state, or to a binding captured by a
-/// parallel closure.
+/// spawned-thread closure.
 #[derive(Debug, Clone)]
 pub struct SharedWrite {
     /// 1-based line.
@@ -163,29 +121,19 @@ pub struct Function {
     pub no_panic: bool,
     /// Declared inside a `#[cfg(test)]` region or `#[test]` item.
     pub is_test: bool,
-    /// Signature declares a `Result<..>` return type.
-    pub returns_result: bool,
     /// Body token range (absolute indices into the file's token stream).
     pub body: std::ops::Range<usize>,
     /// Calls made by the body.
     pub calls: Vec<Call>,
     /// Panic sinks in the body.
     pub sinks: Vec<Sink>,
-    /// Allocation sites in the body.
-    pub allocs: Vec<Alloc>,
-    /// Lock acquisitions in the body.
-    pub locks: Vec<LockAcq>,
-    /// Lexical lock-order edges in the body.
-    pub lock_edges: Vec<LockEdge>,
-    /// Parameter names in declaration order (`self` excluded).
-    pub params: Vec<String>,
     /// Atomic operations naming an explicit `Ordering`.
     pub atomics: Vec<AtomicOp>,
     /// Writes to shared state: `static mut` assignment, write methods
     /// on non-thread-local `Cell`/`RefCell` bindings.
     pub shared_writes: Vec<SharedWrite>,
-    /// Mutations of captured (outer) bindings inside a parallel closure
-    /// or spawned-thread closure.
+    /// Mutations of captured (outer) bindings inside a spawned-thread
+    /// closure.
     pub par_writes: Vec<SharedWrite>,
 }
 
@@ -229,14 +177,6 @@ const KEYWORDS: &[&str] = &[
     "static", "impl", "where", "unsafe", "break", "continue", "crate", "super", "await",
 ];
 
-/// Rayon entry points that open a parallel region.
-const PAR_MARKERS: &[&str] =
-    &["par_iter", "into_par_iter", "par_iter_mut", "par_chunks", "par_chunks_mut", "par_bridge"];
-
-/// Per-worker init combinators: their first (init) closure runs once
-/// per worker, so allocations inside it are not per-element.
-const INIT_COMBINATORS: &[&str] = &["map_init", "for_each_init", "fold"];
-
 /// Atomic read-modify-write method names.
 const ATOMIC_RMW: &[&str] = &[
     "swap",
@@ -261,7 +201,7 @@ const ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"
 const CELL_WRITE_METHODS: &[&str] = &["set", "replace", "replace_with", "borrow_mut", "take"];
 
 /// Container-mutating methods that, applied to a binding captured by a
-/// parallel closure, write state shared across workers.
+/// spawned-thread closure, write state shared across workers.
 const CAPTURE_MUT_METHODS: &[&str] = &[
     "push",
     "push_str",
@@ -280,25 +220,6 @@ const CAPTURE_MUT_METHODS: &[&str] = &[
 /// builds, which are the binaries the paper's scans run as.
 const PANIC_MACROS: &[&str] =
     &["panic", "assert", "assert_eq", "assert_ne", "unreachable", "todo", "unimplemented"];
-
-/// Allocating macros.
-const ALLOC_MACROS: &[&str] = &["format", "vec"];
-
-/// Allocating methods (`.name(`).
-const ALLOC_METHODS: &[&str] =
-    &["push", "collect", "to_string", "to_vec", "to_owned", "extend", "extend_from_slice"];
-
-/// Allocating `Type::func` constructors.
-const ALLOC_CTORS: &[(&str, &str)] = &[
-    ("Vec", "new"),
-    ("Vec", "with_capacity"),
-    ("String", "new"),
-    ("String", "with_capacity"),
-    ("HashMap", "new"),
-    ("HashSet", "new"),
-    ("BTreeMap", "new"),
-    ("Box", "new"),
-];
 
 /// Parse one file's token stream into items + facts.
 pub fn parse_file(file: &SourceFile, tokens: &[Token]) -> ParsedFile {
@@ -334,10 +255,8 @@ fn find_items(file: &SourceFile, tokens: &[Token], out: &mut ParsedFile) {
     // Open impl scopes: (self_ty, brace depth inside the impl body).
     let mut impls: Vec<(String, i32)> = Vec::new();
     let mut pending_impl: Option<String> = None;
-    // A `fn` header seen; waiting for its body `{` or a `;`. The third
-    // field is the `fn` token index, so the signature can be re-scanned
-    // (return type) when the body opens.
-    let mut pending_fn: Option<(String, usize, usize)> = None;
+    // A `fn` header seen; waiting for its body `{` or a `;`.
+    let mut pending_fn: Option<(String, usize)> = None;
     // Open fn bodies: (function index, brace depth inside the body).
     let mut open_fns: Vec<(usize, i32)> = Vec::new();
 
@@ -349,7 +268,7 @@ fn find_items(file: &SourceFile, tokens: &[Token], out: &mut ParsedFile) {
             TokKind::RParen => paren -= 1,
             TokKind::LBrace => {
                 depth += 1;
-                if let Some((name, line, fn_tok)) = pending_fn.take() {
+                if let Some((name, line)) = pending_fn.take() {
                     let idx = out.functions.len();
                     out.functions.push(Function {
                         name,
@@ -357,14 +276,9 @@ fn find_items(file: &SourceFile, tokens: &[Token], out: &mut ParsedFile) {
                         decl_line: line,
                         no_panic: has_no_panic_annotation(file, line),
                         is_test: *file.in_test.get(line - 1).unwrap_or(&false),
-                        returns_result: signature_returns_result(tokens, fn_tok, i),
                         body: i + 1..i + 1, // end patched on close
                         calls: Vec::new(),
                         sinks: Vec::new(),
-                        allocs: Vec::new(),
-                        locks: Vec::new(),
-                        lock_edges: Vec::new(),
-                        params: param_names(tokens, fn_tok, i),
                         atomics: Vec::new(),
                         shared_writes: Vec::new(),
                         par_writes: Vec::new(),
@@ -393,7 +307,7 @@ fn find_items(file: &SourceFile, tokens: &[Token], out: &mut ParsedFile) {
                 // `fn(..)` pointer types have no name token.
                 if let Some(next) = tokens.get(i + 1) {
                     if next.kind == TokKind::Ident {
-                        pending_fn = Some((next.text.clone(), next.line, i));
+                        pending_fn = Some((next.text.clone(), next.line));
                     }
                 }
             }
@@ -405,18 +319,6 @@ fn find_items(file: &SourceFile, tokens: &[Token], out: &mut ParsedFile) {
         }
         i += 1;
     }
-}
-
-/// Does the signature spanning tokens `[fn_tok, body_open)` declare a
-/// `Result` return type? Scans from the `->` arrow to the body brace
-/// (covering `Result<..>`, `io::Result<..>`, `anyhow::Result`).
-fn signature_returns_result(tokens: &[Token], fn_tok: usize, body_open: usize) -> bool {
-    let Some(arrow) =
-        (fn_tok..body_open).find(|&j| tokens[j].kind == TokKind::Punct && tokens[j].text == "->")
-    else {
-        return false;
-    };
-    tokens[arrow..body_open].iter().any(|t| t.is("Result"))
 }
 
 /// Extract the self type of an `impl` header starting at token `at`.
@@ -587,62 +489,6 @@ fn collect_cell_statics(tokens: &[Token], cells: &mut Vec<String>, statics: &mut
     }
 }
 
-/// Parameter names declared by the signature spanning
-/// `[fn_tok, body_open)`, in order. `self` receivers and destructuring
-/// patterns are skipped — only simple `name: Ty` bindings lift.
-fn param_names(tokens: &[Token], fn_tok: usize, body_open: usize) -> Vec<String> {
-    let mut out = Vec::new();
-    // Skip generics (`fn f<F: Fn(u32)>(..)`) to the parameter `(`.
-    let mut angle = 0i32;
-    let mut i = fn_tok + 1;
-    while i < body_open {
-        match tokens[i].text.as_str() {
-            "<" => angle += 1,
-            ">" => angle -= 1,
-            _ => {}
-        }
-        if angle == 0 && tokens[i].kind == TokKind::LParen {
-            break;
-        }
-        i += 1;
-    }
-    let mut depth = 0i32;
-    // At a position where a binding pattern may start.
-    let mut expect = true;
-    while i < body_open {
-        let t = &tokens[i];
-        match t.kind {
-            TokKind::LParen => depth += 1,
-            TokKind::RParen => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            _ => {}
-        }
-        if depth == 1 && t.kind != TokKind::LParen {
-            if t.text == "," {
-                expect = true;
-            } else if expect {
-                if t.is("mut") || t.is("ref") || t.text == "&" {
-                    // Still expecting the binding name.
-                } else if t.kind == TokKind::Ident
-                    && !KEYWORDS.contains(&t.text.as_str())
-                    && tokens.get(i + 1).is_some_and(|n| n.text == ":")
-                {
-                    out.push(t.text.clone());
-                    expect = false;
-                } else {
-                    expect = false;
-                }
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
 /// Record `unsafe` site lines (block / fn / impl / trait / extern forms).
 fn collect_unsafe_sites(tokens: &[Token], out: &mut Vec<usize>) {
     for (i, t) in tokens.iter().enumerate() {
@@ -666,8 +512,8 @@ fn collect_unsafe_sites(tokens: &[Token], out: &mut Vec<usize>) {
     }
 }
 
-/// Walk one function body and record calls, sinks, allocations, locks,
-/// shared-state writes and captured-binding mutations.
+/// Walk one function body and record calls, sinks, shared-state writes
+/// and captured-binding mutations inside spawned-thread closures.
 fn extract_facts(
     file: &SourceFile,
     tokens: &[Token],
@@ -677,30 +523,14 @@ fn extract_facts(
 ) {
     // Combined paren+brace+bracket nesting, relative to the body start.
     let mut nest: i32 = 0;
-    // Parallel regions: nesting depth at each open marker.
-    let mut par_stack: Vec<i32> = Vec::new();
     // Spawned-thread closures: nesting depth at each `spawn(`.
     let mut spawn_stack: Vec<i32> = Vec::new();
-    // Nest level of an open `map_init`/`for_each_init` argument list;
-    // cleared at its first top-level comma (end of the init closure).
-    let mut init_zone: Option<i32> = None;
-    // After that comma, the next closure's first parameter is the
-    // per-worker scratch binding — growth on it is amortized.
-    let mut pending_scratch = false;
-    let mut scratch_names: Vec<String> = Vec::new();
-    // Bindings introduced inside the current parallel/spawn region
-    // (closure params, `let`s, `for` patterns) — mutating these is
-    // worker-local, not a capture.
-    let mut par_local: Vec<String> = Vec::new();
+    // Bindings introduced inside the current spawned closure (closure
+    // params, `let`s, `for` patterns) — mutating these is worker-local,
+    // not a capture.
+    let mut spawn_local: Vec<String> = Vec::new();
     // Between the `|`s of a closure parameter list.
     let mut collecting_params = false;
-    // Loop bodies: brace depth at open. `pending_loop` waits for the `{`.
-    let mut brace: i32 = 0;
-    let mut loop_stack: Vec<i32> = Vec::new();
-    let mut pending_loop = false;
-    // Held locks: (name, brace depth at acquisition, let-bound).
-    let mut held: Vec<(String, i32, bool)> = Vec::new();
-    let mut stmt_has_let = false;
 
     let mut i = f.body.start;
     while i < f.body.end {
@@ -710,75 +540,30 @@ fn extract_facts(
         }
         let t = &tokens[i];
         let in_test_line = *file.in_test.get(t.line - 1).unwrap_or(&false);
-        let in_par = par_stack.last().is_some_and(|&d| nest > d);
         let in_spawn = spawn_stack.last().is_some_and(|&d| nest > d);
-        // Allocations inside an init closure run once per worker.
-        let alloc_par = in_par && init_zone.is_none();
 
         match t.kind {
-            TokKind::LParen | TokKind::LBracket => nest += 1,
-            TokKind::RParen | TokKind::RBracket => {
+            TokKind::LParen | TokKind::LBracket | TokKind::LBrace => nest += 1,
+            TokKind::RParen | TokKind::RBracket | TokKind::RBrace => {
                 nest -= 1;
-                while par_stack.last().is_some_and(|&d| nest < d) {
-                    par_stack.pop();
-                }
                 while spawn_stack.last().is_some_and(|&d| nest < d) {
                     spawn_stack.pop();
                 }
-                if init_zone.is_some_and(|d| nest < d) {
-                    init_zone = None;
-                }
-                if par_stack.is_empty() && spawn_stack.is_empty() {
-                    par_local.clear();
-                    scratch_names.clear();
-                    pending_scratch = false;
-                    collecting_params = false;
-                }
-            }
-            TokKind::LBrace => {
-                nest += 1;
-                brace += 1;
-                if pending_loop {
-                    loop_stack.push(brace);
-                    pending_loop = false;
-                }
-            }
-            TokKind::RBrace => {
-                nest -= 1;
-                while par_stack.last().is_some_and(|&d| nest < d) {
-                    par_stack.pop();
-                }
-                while spawn_stack.last().is_some_and(|&d| nest < d) {
-                    spawn_stack.pop();
-                }
-                while loop_stack.last().is_some_and(|&d| brace <= d) {
-                    loop_stack.pop();
-                }
-                brace -= 1;
-                held.retain(|&(_, d, _)| d <= brace);
-                if par_stack.is_empty() && spawn_stack.is_empty() {
-                    par_local.clear();
-                    scratch_names.clear();
-                    pending_scratch = false;
+                if spawn_stack.is_empty() {
+                    spawn_local.clear();
                     collecting_params = false;
                 }
             }
             TokKind::Punct if t.text == "|" => {
                 if collecting_params {
                     collecting_params = false;
-                } else if (in_par || in_spawn)
+                } else if in_spawn
                     && i.checked_sub(1).and_then(|j| tokens.get(j)).is_some_and(|p| {
                         p.kind == TokKind::LParen || p.text == "," || p.text == "=" || p.is("move")
                     })
                 {
                     collecting_params = true;
                 }
-            }
-            TokKind::Punct if t.text == "," && init_zone.is_some_and(|d| nest == d) => {
-                // End of an init combinator's first (init) argument: the
-                // operator closure comes next, leading with its scratch.
-                init_zone = None;
-                pending_scratch = true;
             }
             TokKind::Punct if t.text == "=" && !in_test_line => {
                 // Assignment / compound assignment: find the written
@@ -800,8 +585,7 @@ fn extract_facts(
                                 line: t.line,
                                 what: format!("write to `static mut {base}`"),
                             });
-                        } else if (in_par || in_spawn) && base != "_" && !par_local.contains(&base)
-                        {
+                        } else if in_spawn && base != "_" && !spawn_local.contains(&base) {
                             f.par_writes.push(SharedWrite {
                                 line: t.line,
                                 what: format!("mutation of captured `{base}`"),
@@ -811,20 +595,13 @@ fn extract_facts(
                 }
             }
             TokKind::Punct if t.text == ";" => {
-                if par_stack.last().is_some_and(|&d| nest <= d) {
-                    par_stack.pop();
-                }
                 if spawn_stack.last().is_some_and(|&d| nest <= d) {
                     spawn_stack.pop();
                 }
-                if par_stack.is_empty() && spawn_stack.is_empty() {
-                    par_local.clear();
-                    scratch_names.clear();
+                if spawn_stack.is_empty() {
+                    spawn_local.clear();
                     collecting_params = false;
                 }
-                pending_scratch = false;
-                stmt_has_let = false;
-                held.retain(|&(_, _, let_bound)| let_bound);
             }
             TokKind::Ident if !in_test_line => {
                 let text = t.text.as_str();
@@ -836,50 +613,21 @@ fn extract_facts(
                 let next_paren = next.is_some_and(|n| n.kind == TokKind::LParen);
 
                 if collecting_params && !KEYWORDS.contains(&text) {
-                    par_local.push(text.to_string());
-                    if pending_scratch {
-                        scratch_names.push(text.to_string());
-                        pending_scratch = false;
-                    }
+                    spawn_local.push(text.to_string());
                 }
                 if text == "spawn" && next_paren {
                     spawn_stack.push(nest);
                 }
-                // Only a combinator chained directly onto a parallel
-                // iterator (same nest level as its marker) opens an
-                // init zone; a sequential `.fold(..)` nested inside a
-                // par closure still allocates per element.
-                if INIT_COMBINATORS.contains(&text)
-                    && next_paren
-                    && prev_dot
-                    && par_stack.last() == Some(&nest)
-                {
-                    init_zone = Some(nest + 1);
-                }
 
-                if text == "let" {
-                    stmt_has_let = true;
-                    if in_par || in_spawn {
-                        // Pattern idents up to `:`/`=`/`;` are region-local.
-                        for n in tokens.iter().skip(i + 1).take(8) {
-                            if matches!(n.text.as_str(), ":" | "=" | ";") {
-                                break;
-                            }
-                            if n.kind == TokKind::Ident && !KEYWORDS.contains(&n.text.as_str()) {
-                                par_local.push(n.text.clone());
-                            }
+                if (text == "let" || text == "for") && in_spawn {
+                    // Pattern idents up to `:`/`=`/`;` (`in` for a `for`)
+                    // are closure-local.
+                    for n in tokens.iter().skip(i + 1).take(8) {
+                        if matches!(n.text.as_str(), ":" | "=" | ";") || n.is("in") {
+                            break;
                         }
-                    }
-                } else if matches!(text, "for" | "while" | "loop") {
-                    pending_loop = true;
-                    if text == "for" && (in_par || in_spawn) {
-                        for n in tokens.iter().skip(i + 1).take(8) {
-                            if n.is("in") {
-                                break;
-                            }
-                            if n.kind == TokKind::Ident && !KEYWORDS.contains(&n.text.as_str()) {
-                                par_local.push(n.text.clone());
-                            }
+                        if n.kind == TokKind::Ident && !KEYWORDS.contains(&n.text.as_str()) {
+                            spawn_local.push(n.text.clone());
                         }
                     }
                 } else if next_bang {
@@ -890,70 +638,23 @@ fn extract_facts(
                             line: t.line,
                             what: format!("`{text}!`"),
                         });
-                    } else if ALLOC_MACROS.contains(&text) {
-                        f.allocs.push(Alloc {
-                            line: t.line,
-                            what: format!("`{text}!`"),
-                            in_par: alloc_par,
-                            in_loop: !loop_stack.is_empty(),
-                        });
                     }
                 } else if next_paren && prev_dot {
-                    method_facts(
-                        tokens,
-                        i,
-                        f,
-                        pools,
-                        ParCtx {
-                            in_par,
-                            in_spawn,
-                            alloc_par,
-                            par_local: &par_local,
-                            scratch: &scratch_names,
-                        },
-                        &loop_stack,
-                        &mut held,
-                        brace,
-                        stmt_has_let,
-                        &mut par_stack,
-                        nest,
-                    );
+                    method_facts(tokens, i, f, pools, in_spawn, &spawn_local);
                 } else if next_paren && !KEYWORDS.contains(&text) {
                     // Free or qualified call.
-                    let recv = if prev_colons {
-                        let qual = i
-                            .checked_sub(2)
-                            .and_then(|j| tokens.get(j))
-                            .filter(|q| q.kind == TokKind::Ident)
-                            .map(|q| q.text.clone());
-                        match qual {
-                            Some(q) if q.chars().next().is_some_and(char::is_uppercase) => {
-                                if let Some(&(_, ctor)) =
-                                    ALLOC_CTORS.iter().find(|(ty, c)| *ty == q && *c == text)
-                                {
-                                    f.allocs.push(Alloc {
-                                        line: t.line,
-                                        what: format!("`{q}::{ctor}`"),
-                                        in_par: alloc_par,
-                                        in_loop: !loop_stack.is_empty(),
-                                    });
-                                }
-                                Receiver::Qualified(q)
-                            }
-                            _ => Receiver::Free,
+                    let qual = i
+                        .checked_sub(2)
+                        .and_then(|j| tokens.get(j))
+                        .filter(|q| prev_colons && q.kind == TokKind::Ident)
+                        .map(|q| q.text.clone());
+                    let recv = match qual {
+                        Some(q) if q.chars().next().is_some_and(char::is_uppercase) => {
+                            Receiver::Qualified(q)
                         }
-                    } else {
-                        Receiver::Free
+                        _ => Receiver::Free,
                     };
-                    f.calls.push(Call {
-                        name: text.to_string(),
-                        recv,
-                        line: t.line,
-                        at: i,
-                        in_par,
-                        in_loop: !loop_stack.is_empty(),
-                        in_spawn,
-                    });
+                    f.calls.push(Call { name: text.to_string(), recv, line: t.line, in_spawn });
                 }
             }
             _ => {}
@@ -969,40 +670,20 @@ fn extract_facts(
     }
 }
 
-/// Parallel-region context threaded into [`method_facts`].
-struct ParCtx<'a> {
-    in_par: bool,
-    in_spawn: bool,
-    alloc_par: bool,
-    par_local: &'a [String],
-    scratch: &'a [String],
-}
-
-/// Handle `.name(` method positions: calls, sinks, allocations, rayon
-/// markers, lock acquisitions, interior-mutability writes and captured
-/// container mutations.
-#[allow(clippy::too_many_arguments)]
+/// Handle `.name(` method positions: calls, sinks, interior-mutability
+/// writes and captured container mutations.
 fn method_facts(
     tokens: &[Token],
     i: usize,
     f: &mut Function,
     pools: &NamePools<'_>,
-    par: ParCtx<'_>,
-    loop_stack: &[i32],
-    held: &mut Vec<(String, i32, bool)>,
-    brace: i32,
-    stmt_has_let: bool,
-    par_stack: &mut Vec<i32>,
-    nest: i32,
+    in_spawn: bool,
+    spawn_local: &[String],
 ) {
     let t = &tokens[i];
     let text = t.text.as_str();
     let empty_args = tokens.get(i + 2).is_some_and(|n| n.kind == TokKind::RParen);
 
-    if PAR_MARKERS.contains(&text) {
-        par_stack.push(nest);
-        return;
-    }
     if text == "unwrap" && empty_args {
         f.sinks.push(Sink { kind: SinkKind::Call, line: t.line, what: "`.unwrap()`".into() });
         return;
@@ -1011,49 +692,19 @@ fn method_facts(
         f.sinks.push(Sink { kind: SinkKind::Call, line: t.line, what: "`.expect(..)`".into() });
         return;
     }
-    if ALLOC_METHODS.contains(&text) {
-        // Growth of an init-combinator scratch binding amortizes over
-        // the worker's whole chunk (the capacity survives between
-        // elements) — not a per-element allocation.
-        let on_scratch =
-            method_recv_base(tokens, i).is_some_and(|(base, _)| par.scratch.contains(&base));
-        if !on_scratch {
-            f.allocs.push(Alloc {
-                line: t.line,
-                what: format!("`.{text}(..)`"),
-                in_par: par.alloc_par,
-                in_loop: !loop_stack.is_empty(),
-            });
-        }
-        // `collect` and friends are still calls (resolution finds
-        // workspace impls if any) — fall through.
-    }
-    if matches!(text, "lock" | "read" | "write") {
-        // Receiver ident: token before the `.`.
-        let recv = i
-            .checked_sub(2)
+    // `.lock()` / `.read()` / `.write()` on a known `Mutex`/`RwLock`
+    // binding is std's acquisition, never a workspace call.
+    if matches!(text, "lock" | "read" | "write")
+        && i.checked_sub(2)
             .and_then(|j| tokens.get(j))
-            .filter(|r| r.kind == TokKind::Ident)
-            .map(|r| r.text.clone());
-        if let Some(name) = recv.filter(|n| pools.locks.iter().any(|l| l == n)) {
-            for (h, _, _) in held.iter() {
-                if *h != name {
-                    f.lock_edges.push(LockEdge {
-                        held: h.clone(),
-                        then: name.clone(),
-                        line: t.line,
-                    });
-                }
-            }
-            f.locks.push(LockAcq { name: name.clone(), line: t.line, in_par: par.in_par });
-            held.push((name, brace, stmt_has_let));
-            return;
-        }
+            .is_some_and(|r| r.kind == TokKind::Ident && pools.locks.contains(&r.text))
+    {
+        return;
     }
     // Interior-mutability writes: `cell.set(..)` / `cell.borrow_mut()`
     // on a known (non-thread-local) `Cell`/`RefCell` binding is a
     // shared-state write wherever it happens — a caller running it
-    // from a parallel closure races even if this function is serial.
+    // from a spawned closure races even if this function is serial.
     let cell_write = CELL_WRITE_METHODS.contains(&text);
     let recv_base = method_recv_base(tokens, i);
     if cell_write {
@@ -1066,13 +717,13 @@ fn method_facts(
             }
         }
     }
-    // Captured-container mutation inside a parallel/spawn closure:
-    // `.push(..)` etc. on a binding from outside the region, unless the
-    // receiver chain goes through a lock guard.
-    if (par.in_par || par.in_spawn) && (cell_write || CAPTURE_MUT_METHODS.contains(&text)) {
+    // Captured-container mutation inside a spawned closure: `.push(..)`
+    // etc. on a binding from outside the closure, unless the receiver
+    // chain goes through a lock guard.
+    if in_spawn && (cell_write || CAPTURE_MUT_METHODS.contains(&text)) {
         if let Some((base, synced)) = &recv_base {
             if !synced
-                && !par.par_local.iter().any(|l| l == base)
+                && !spawn_local.iter().any(|l| l == base)
                 && !pools.locks.iter().any(|l| l == base)
             {
                 f.par_writes.push(SharedWrite {
@@ -1089,15 +740,7 @@ fn method_facts(
     } else {
         Receiver::Method
     };
-    f.calls.push(Call {
-        name: text.to_string(),
-        recv,
-        line: t.line,
-        at: i,
-        in_par: par.in_par,
-        in_loop: !loop_stack.is_empty(),
-        in_spawn: par.in_spawn,
-    });
+    f.calls.push(Call { name: text.to_string(), recv, line: t.line, in_spawn });
 }
 
 /// Leading binding name of the receiver chain ending just before the
@@ -1341,9 +984,8 @@ fn collect_atomics(
 }
 
 /// If the `[` at token `at` indexes a value with a non-literal
-/// expression, return the sink. Shared with the `index_bounds` prover
-/// so both passes agree on what counts as an index site.
-pub fn index_sink(tokens: &[Token], at: usize, limit: usize) -> Option<Sink> {
+/// expression, return the sink.
+fn index_sink(tokens: &[Token], at: usize, limit: usize) -> Option<Sink> {
     let prev = at.checked_sub(1).and_then(|j| tokens.get(j))?;
     // Must follow an indexable expression ending: ident, `)`, or `]` —
     // and not be an attribute (`#[..]`).
@@ -1454,61 +1096,23 @@ fn f(v: &[u32], i: usize) -> u32 {
     }
 
     #[test]
-    fn par_region_allocs_are_tagged() {
-        let src = "\
-fn f(v: &[u32]) -> Vec<String> {
-    v.par_iter()
-        .map(|x| {
-            let s = format!(\"{x}\");
-            s
-        })
-        .collect()
-}
-";
-        let p = parse(src);
-        let f = &p.functions[0];
-        let fmt = f.allocs.iter().find(|a| a.what == "`format!`").unwrap();
-        assert!(fmt.in_par, "format! inside the closure is par-tagged");
-        let coll = f.allocs.iter().find(|a| a.what == "`.collect(..)`").unwrap();
-        assert!(!coll.in_par, "the chain terminator collect is not inside the closure");
-    }
-
-    #[test]
-    fn loop_allocs_are_tagged() {
-        let src = "\
-fn f(n: usize) -> Vec<Vec<u32>> {
-    let mut out = Vec::new();
-    for _ in 0..n {
-        out.push(Vec::with_capacity(4));
-    }
-    out
-}
-";
-        let p = parse(src);
-        let f = &p.functions[0];
-        let top = f.allocs.iter().find(|a| a.line == 2).unwrap();
-        assert!(!top.in_loop);
-        assert!(f.allocs.iter().filter(|a| a.line == 4).all(|a| a.in_loop));
-    }
-
-    #[test]
-    fn locks_and_order_edges() {
+    fn lock_acquisitions_are_not_calls() {
         let src = "\
 use std::sync::Mutex;
 struct S { a: Mutex<u32>, b: Mutex<u32> }
 fn f(s: &S) {
     let ga = s.a.lock().unwrap();
     let gb = s.b.lock().unwrap();
+    s.c.lock();
     drop(gb);
     drop(ga);
 }
 ";
         let p = parse(src);
         assert_eq!(p.lock_names, vec!["a", "b"]);
-        let f = &p.functions[0];
-        assert_eq!(f.locks.len(), 2);
-        assert_eq!(f.lock_edges.len(), 1);
-        assert_eq!((f.lock_edges[0].held.as_str(), f.lock_edges[0].then.as_str()), ("a", "b"));
+        let locks: Vec<usize> =
+            p.functions[0].calls.iter().filter(|c| c.name == "lock").map(|c| c.line).collect();
+        assert_eq!(locks, vec![6], "only the unknown receiver `c` is a call");
     }
 
     #[test]
@@ -1566,11 +1170,13 @@ fn cas(g: &AtomicU64) {
         let src = "\
 fn f(xs: &[u32], out: &mut Vec<u32>, cache: &RefCell<u32>) {
     let cache = RefCell::new(0u32);
-    xs.par_iter().for_each(|x| {
-        out.push(*x);
-        cache.replace(*x);
-        let mut local = Vec::new();
-        local.push(*x);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            out.push(xs[0]);
+            cache.replace(xs[1]);
+            let mut local = Vec::new();
+            local.push(xs[2]);
+        });
     });
 }
 ";
@@ -1578,13 +1184,13 @@ fn f(xs: &[u32], out: &mut Vec<u32>, cache: &RefCell<u32>) {
         assert_eq!(p.cell_names, vec!["cache"]);
         let f = &p.functions[0];
         assert!(
-            f.par_writes.iter().any(|w| w.what.contains("`out`") && w.line == 4),
+            f.par_writes.iter().any(|w| w.what.contains("`out`") && w.line == 5),
             "{:?}",
             f.par_writes
         );
         assert!(
             f.par_writes.iter().any(|w| w.what.contains("`cache`")),
-            "cell write in par region: {:?}",
+            "cell write in a spawned closure: {:?}",
             f.par_writes
         );
         assert!(
@@ -1602,8 +1208,10 @@ thread_local! {
     static SCRATCH: RefCell<Vec<u32>> = RefCell::new(Vec::new());
 }
 fn f(xs: &[u32], shared: &Mutex<Vec<u32>>) {
-    xs.par_iter().for_each(|x| {
-        shared.lock().unwrap().push(*x);
+    std::thread::scope(|scope| {
+        for x in xs {
+            scope.spawn(move || shared.lock().unwrap().push(*x));
+        }
     });
 }
 ";
@@ -1632,57 +1240,6 @@ fn bump(n: u64) {
     }
 
     #[test]
-    fn init_combinator_zone_suppresses_par_alloc() {
-        let src = "\
-fn f(xs: &[u32]) -> Vec<u32> {
-    xs.par_iter()
-        .map_init(|| Vec::with_capacity(64), |scratch, x| {
-            scratch.push(*x);
-            *x + 1
-        })
-        .collect()
-}
-fn g(xs: &[u32]) -> Vec<Vec<u32>> {
-    xs.par_iter().map(|x| vec![*x]).collect()
-}
-";
-        let p = parse(src);
-        let f = &p.functions[0];
-        assert!(
-            !f.allocs.iter().any(|a| a.in_par && a.what.contains("with_capacity")),
-            "init-closure alloc is once-per-worker: {:?}",
-            f.allocs
-        );
-        assert!(
-            !f.allocs.iter().any(|a| a.in_par && a.what.contains("push")),
-            "growth on the scratch binding amortizes per worker: {:?}",
-            f.allocs
-        );
-        assert!(
-            !f.par_writes.iter().any(|w| w.what.contains("scratch")),
-            "init-closure param is region-local: {:?}",
-            f.par_writes
-        );
-        let g = &p.functions[1];
-        assert!(
-            g.allocs.iter().any(|a| a.in_par),
-            "per-element alloc still flagged: {:?}",
-            g.allocs
-        );
-    }
-
-    #[test]
-    fn params_are_collected() {
-        let src = "\
-fn f<T: Clone>(xs: &[T], n: usize, mut acc: u64) -> u64 { acc }
-impl S { fn m(&self, k: usize) {} }
-";
-        let p = parse(src);
-        assert_eq!(p.functions[0].params, vec!["xs", "n", "acc"]);
-        assert_eq!(p.functions[1].params, vec!["k"]);
-    }
-
-    #[test]
     fn spawned_closure_captures_are_tracked() {
         let src = "\
 fn f(events: &Mutex<Vec<u32>>, log: &mut Vec<u32>) {
@@ -1695,7 +1252,6 @@ fn f(events: &Mutex<Vec<u32>>, log: &mut Vec<u32>) {
         let f = &p.functions[0];
         assert!(f.par_writes.iter().any(|w| w.what.contains("`log`")), "{:?}", f.par_writes);
         assert!(f.calls.iter().any(|c| c.name == "push" && c.in_spawn));
-        assert!(!f.calls.iter().any(|c| c.name == "push" && c.in_par), "spawn is not rayon-par");
     }
 
     #[test]
@@ -1713,22 +1269,6 @@ fn real() {}
         assert!(t.is_test);
         assert!(t.sinks.is_empty(), "facts skipped in test regions");
         assert!(!p.functions.iter().find(|f| f.name == "real").unwrap().is_test);
-    }
-
-    #[test]
-    fn result_return_types_are_flagged() {
-        let src = "\
-fn plain() -> u32 { 0 }
-fn fallible() -> Result<u32, String> { Ok(0) }
-fn io_style() -> std::io::Result<()> { Ok(()) }
-fn none() { fallible(); }
-";
-        let p = parse(src);
-        let by_name = |n: &str| p.functions.iter().find(|f| f.name == n).unwrap();
-        assert!(!by_name("plain").returns_result);
-        assert!(by_name("fallible").returns_result);
-        assert!(by_name("io_style").returns_result);
-        assert!(!by_name("none").returns_result);
     }
 
     #[test]

@@ -1,35 +1,29 @@
 //! Interprocedural effect summaries over the workspace call graph.
 //!
-//! Every function gets a [`Summary`] describing what its body — and
-//! everything it can reach through calls — may do: panic, allocate,
-//! acquire locks, mutate shared state (`static mut`, non-thread-local
-//! `Cell`/`RefCell`), and touch atomic fields with which `Ordering`.
+//! Every function gets a [`Summary`] of the shared state its body — and
+//! everything it can reach through calls — may mutate: `static mut`
+//! bindings and non-thread-local `Cell`/`RefCell` values.
 //!
 //! Summaries fold **bottom-up over the SCC condensation** of
 //! [`crate::callgraph::CallGraph`]: Tarjan emission order is reverse
 //! topological, so every callee outside the current component is final
 //! when a component is entered. Within a component (mutual or direct
-//! recursion) the members iterate to a fixpoint; the lattice is a
-//! product of two booleans and three capped sets, so its height is
-//! finite and the caps *are* the widening — once a set reaches its cap
-//! it stops absorbing and the iteration converges.
+//! recursion) the members iterate to a fixpoint; the lattice is one
+//! capped witness set, so its height is finite and the cap *is* the
+//! widening — once the set reaches its cap it stops absorbing and the
+//! iteration converges.
 //!
 //! Shared-state mutations carry a **witness chain**: the concrete hop
 //! sequence (`file:line` of each call, then the write itself) that the
-//! `par_race` rule renders so a finding on `xs.par_iter().map(f)` can
+//! `par_race` rule renders so a finding on `scope.spawn(|| f())` can
 //! point at the `static mut` assignment three calls inside `f`.
 
-use std::collections::BTreeSet;
-
 use crate::callgraph::CallGraph;
-use crate::parse::AtomicKind;
 
 /// Witness caps: summaries are propagated along every edge of the call
 /// graph, so they must stay small. Caps double as the widening
 /// operator at recursion — see the module docs.
 pub const MAX_WITNESSES: usize = 4;
-/// Cap on the `locks` / `atomics` sets.
-pub const MAX_SET: usize = 32;
 /// Cap on witness-chain length (hops beyond it are elided in
 /// rendering, the finding still fires).
 pub const MAX_CHAIN: usize = 8;
@@ -56,24 +50,12 @@ pub struct MutWitness {
     pub chain: Vec<Hop>,
 }
 
-/// One atomic touch: `(field, kind, ordering)`.
-pub type AtomicTouch = (String, AtomicKind, String);
-
 /// The per-function effect summary.
 #[derive(Debug, Clone, Default)]
 pub struct Summary {
-    /// May hit a panic sink.
-    pub panics: bool,
-    /// May allocate.
-    pub allocates: bool,
-    /// Lock names possibly acquired (capped at [`MAX_SET`]).
-    pub locks: BTreeSet<String>,
     /// Shared-state mutations reachable from the function, deduped by
     /// description and capped at [`MAX_WITNESSES`].
     pub shared_mut: Vec<MutWitness>,
-    /// Atomic fields touched, with operation kind and ordering
-    /// (capped at [`MAX_SET`]).
-    pub atomics: BTreeSet<AtomicTouch>,
 }
 
 impl Summary {
@@ -82,26 +64,6 @@ impl Summary {
     /// intra-SCC fixpoint).
     fn absorb(&mut self, callee: &Summary, caller: usize, line: usize) -> bool {
         let mut changed = false;
-        if callee.panics && !self.panics {
-            self.panics = true;
-            changed = true;
-        }
-        if callee.allocates && !self.allocates {
-            self.allocates = true;
-            changed = true;
-        }
-        for l in &callee.locks {
-            if self.locks.len() >= MAX_SET {
-                break;
-            }
-            changed |= self.locks.insert(l.clone());
-        }
-        for a in &callee.atomics {
-            if self.atomics.len() >= MAX_SET {
-                break;
-            }
-            changed |= self.atomics.insert(a.clone());
-        }
         for w in &callee.shared_mut {
             if self.shared_mut.len() >= MAX_WITNESSES {
                 break;
@@ -125,23 +87,7 @@ impl Summary {
 /// Seed one node's summary from its own parsed facts.
 fn seed(graph: &CallGraph, v: usize) -> Summary {
     let func = &graph.nodes[v].func;
-    let mut s = Summary {
-        panics: !func.sinks.is_empty(),
-        allocates: !func.allocs.is_empty(),
-        ..Summary::default()
-    };
-    for l in &func.locks {
-        if s.locks.len() >= MAX_SET {
-            break;
-        }
-        s.locks.insert(l.name.clone());
-    }
-    for a in &func.atomics {
-        if s.atomics.len() >= MAX_SET {
-            break;
-        }
-        s.atomics.insert((a.field.clone(), a.kind, a.ordering.clone()));
-    }
+    let mut s = Summary::default();
     for w in &func.shared_writes {
         if s.shared_mut.len() >= MAX_WITNESSES {
             break;
@@ -244,51 +190,15 @@ fn leaf() { unsafe { TOTAL += 1 }; }
     fn recursion_reaches_fixpoint_with_union_effects() {
         let g = graph(
             "\
+static mut HITS: u64 = 0;
 fn ping(n: u32) { if n > 0 { pong(n - 1); } }
-fn pong(n: u32) { let v = vec![0u8; 1]; drop(v); ping(n); }
+fn pong(n: u32) { unsafe { HITS += 1 }; ping(n); }
 ",
         );
         let sums = compute(&g);
-        assert!(sums[id(&g, "ping")].allocates, "effect flows around the cycle");
-        assert!(sums[id(&g, "pong")].allocates);
-    }
-
-    #[test]
-    fn atomics_and_locks_union_transitively() {
-        let g = graph(
-            "\
-fn entry(s: &S) { s.bump(); }
-impl S {
-    fn bump(&self) {
-        let _g = self.state.lock().unwrap();
-        self.gen.store(1, Ordering::Release);
-    }
-}
-",
-        );
-        // `state` must be a known lock name for the acquisition fact;
-        // parse_file only learns lock names from bindings, so re-parse
-        // with one in scope.
-        let g2 = graph(
-            "\
-struct S { state: Mutex<u32> }
-fn entry(s: &S) { s.bump(); }
-impl S {
-    fn bump(&self) {
-        let _g = self.state.lock().unwrap();
-        self.gen.store(1, Ordering::Release);
-    }
-}
-",
-        );
-        let _ = g;
-        let sums = compute(&g2);
-        let entry = id(&g2, "entry");
-        assert!(
-            sums[entry].atomics.contains(&("gen".into(), AtomicKind::Store, "Release".into())),
-            "{:?}",
-            sums[entry].atomics
-        );
-        assert!(sums[entry].locks.contains("state"), "{:?}", sums[entry].locks);
+        let ping = &sums[id(&g, "ping")].shared_mut;
+        assert_eq!(ping.len(), 1, "effect flows around the cycle: {ping:?}");
+        assert!(ping[0].what.contains("HITS"), "{ping:?}");
+        assert_eq!(sums[id(&g, "pong")].shared_mut.len(), 1, "deduped, not re-absorbed");
     }
 }

@@ -1,4 +1,4 @@
-//! Fixture: a panic sink two calls below a `no_panic` kernel.
+//! Fixture: a call sink two hops and an index sink one hop below kernels.
 
 // analyze: no_panic
 pub fn kernel(v: &[u32]) -> u32 {
@@ -11,4 +11,13 @@ fn middle(v: &[u32]) -> u32 {
 
 fn bottom(v: &[u32]) -> u32 {
     v.first().unwrap() + 1
+}
+
+// analyze: no_panic
+pub fn pick_kernel(v: &[u32], k: usize) -> u32 {
+    pick(v, k)
+}
+
+fn pick(v: &[u32], k: usize) -> u32 {
+    v[k]
 }
