@@ -9,8 +9,7 @@
 use gdelt_cluster::{mcl, CsrMatrix, MclParams};
 use gdelt_columnar::Dataset;
 use gdelt_engine::coreport::CoReport;
-use gdelt_engine::topk::top_publishers;
-use gdelt_engine::ExecContext;
+use gdelt_engine::{run_query, ExecContext, Query, QueryResult, TopKKind};
 use gdelt_model::ids::SourceId;
 
 /// Discovered publisher clusters.
@@ -27,7 +26,11 @@ pub struct PublisherClusters {
 
 /// Cluster the Top-`k` publishers by co-reporting similarity.
 pub fn compute(ctx: &ExecContext, d: &Dataset, k: usize, params: MclParams) -> PublisherClusters {
-    let publishers: Vec<SourceId> = top_publishers(ctx, d, k).into_iter().map(|(s, _)| s).collect();
+    let q = Query::TopK { kind: TopKKind::Publishers, k: k.try_into().unwrap_or(u32::MAX) };
+    let QueryResult::TopPublishers(top) = run_query(ctx, d, &q) else {
+        unreachable!("TopK Publishers query yields a TopPublishers result");
+    };
+    let publishers: Vec<SourceId> = top.into_iter().map(|(s, _)| s).collect();
     let co = CoReport::build(ctx, d);
     let jac = co.jaccard_submatrix(&publishers);
     let mut triplets = Vec::new();

@@ -7,6 +7,7 @@
 
 use crate::render::{fmt_count, fmt_f, TextTable};
 use gdelt_columnar::Dataset;
+use gdelt_engine::chunk::partition_scan;
 use gdelt_engine::exec::{ExecContext, Merge};
 use gdelt_model::cameo::QuadClass;
 use gdelt_model::country::CountryRegistry;
@@ -47,9 +48,9 @@ pub fn dyad_counts(ctx: &ExecContext, d: &Dataset) -> Vec<Dyad> {
     let a1 = &d.events.actor1;
     let a2 = &d.events.actor2;
     let quad = &d.events.quad;
-    let acc: DyadAcc = ctx.scan(d.events.len(), |p| {
+    let count_rows = |rows: std::ops::Range<usize>| {
         let mut acc = DyadAcc::default();
-        for row in p.range() {
+        for row in rows {
             let (x, y) = (a1[row], a2[row]);
             if x == u16::MAX || y == u16::MAX {
                 continue; // one-actor or unresolved
@@ -60,7 +61,8 @@ pub fn dyad_counts(ctx: &ExecContext, d: &Dataset) -> Vec<Dyad> {
             e.1 += u64::from(conflict);
         }
         acc
-    });
+    };
+    let acc = partition_scan(ctx, d.events.len(), count_rows, Merge::merged);
     let mut out: Vec<Dyad> = acc
         .counts
         .into_iter()

@@ -42,7 +42,7 @@ pub fn compute(d: &Dataset, thread_counts: &[usize], repeats: usize) -> Fig12 {
         // One context per thread count: pool setup and warm-up are paid
         // once here, so only kernel time enters the scaling curve.
         let ctx = ExecContext::builder().threads(t).build();
-        let best = (0..repeats).map(|_| timed_run_in(&ctx, d).1).fold(f64::INFINITY, f64::min);
+        let best = (0..repeats).map(|_| timed_run_in(&ctx, d)).fold(f64::INFINITY, f64::min);
         raw.push((t, best));
     }
     let base = raw.first().map(|&(_, s)| s).unwrap_or(1.0);

@@ -8,11 +8,9 @@
 
 use crate::render::{fmt_count, TextTable};
 use gdelt_columnar::Dataset;
-use gdelt_engine::delay::{
-    metric_histogram, per_source_delay_stats, speed_group_counts, DelayStats, SpeedGroup,
-};
-use gdelt_engine::timeseries::{delay_per_quarter, late_articles_per_quarter, QuarterlySeries};
-use gdelt_engine::ExecContext;
+use gdelt_engine::delay::{metric_histogram, speed_group_counts, DelayStats, SpeedGroup};
+use gdelt_engine::timeseries::{delay_per_quarter, QuarterlySeries};
+use gdelt_engine::{run_query, ExecContext, Query, QueryResult, SeriesKind};
 
 /// Fig 9 data: the four per-source metric histograms plus the speed
 /// grouping.
@@ -36,7 +34,9 @@ pub struct Fig9 {
 
 /// Compute Fig 9.
 pub fn fig9(ctx: &ExecContext, d: &Dataset) -> Fig9 {
-    let stats = per_source_delay_stats(ctx, d);
+    let QueryResult::Delay(stats) = run_query(ctx, d, &Query::Delay) else {
+        unreachable!("Delay query yields a Delay result");
+    };
     let (bounds, min_hist) = metric_histogram(&stats, |s| s.min);
     let (_, avg_hist) = metric_histogram(&stats, |s| s.mean.round() as u32);
     let (_, median_hist) = metric_histogram(&stats, |s| s.median);
@@ -84,7 +84,11 @@ pub fn fig10(ctx: &ExecContext, d: &Dataset) -> (QuarterlySeries, QuarterlySerie
 
 /// Fig 11 data: articles beyond the 24 h news cycle per quarter.
 pub fn fig11(ctx: &ExecContext, d: &Dataset) -> QuarterlySeries {
-    late_articles_per_quarter(ctx, d, 96)
+    let q = Query::TimeSeries(SeriesKind::LateArticles { threshold: 96 });
+    let QueryResult::TimeSeries(series) = run_query(ctx, d, &q) else {
+        unreachable!("TimeSeries query yields a TimeSeries result");
+    };
+    series
 }
 
 /// Render Fig 10's two series side by side.

@@ -7,9 +7,7 @@
 
 use gdelt_columnar::Dataset;
 use gdelt_engine::crossreport::CrossReport;
-use gdelt_engine::followreport::FollowReport;
-use gdelt_engine::topk::top_publishers;
-use gdelt_engine::{ExecContext, Matrix};
+use gdelt_engine::{run_query, ExecContext, Matrix, Query, QueryResult};
 use gdelt_model::ids::{CountryId, SourceId};
 
 /// Fig 7 data: the Top-50 follow matrix (order = productivity rank).
@@ -22,9 +20,11 @@ pub struct Fig7 {
 
 /// Compute Fig 7.
 pub fn fig7(ctx: &ExecContext, d: &Dataset, k: usize) -> Fig7 {
-    let publishers: Vec<SourceId> = top_publishers(ctx, d, k).into_iter().map(|(s, _)| s).collect();
-    let report = FollowReport::build(ctx, d, &publishers);
-    Fig7 { publishers, f: report.f_matrix() }
+    let q = Query::FollowReport { top_k: k.try_into().unwrap_or(u32::MAX) };
+    let QueryResult::FollowReport(report) = run_query(ctx, d, &q) else {
+        unreachable!("FollowReport query yields a FollowReport result");
+    };
+    Fig7 { f: report.f_matrix(), publishers: report.subset }
 }
 
 /// Fig 8 data: cross-reporting counts for the Top-`k` reported ×

@@ -11,12 +11,8 @@
 use crate::render::{fmt_count, TextTable};
 use gdelt_columnar::Dataset;
 use gdelt_engine::histogram::ArticleCountHistogram;
-use gdelt_engine::timeseries::{
-    active_sources_per_quarter, articles_per_quarter, events_per_quarter, publisher_series,
-    QuarterlySeries,
-};
-use gdelt_engine::topk::top_publishers;
-use gdelt_engine::ExecContext;
+use gdelt_engine::timeseries::{publisher_series, QuarterlySeries};
+use gdelt_engine::{run_query, ExecContext, Query, QueryResult, SeriesKind, TopKKind};
 use gdelt_model::ids::SourceId;
 
 /// Fig 2 data: the article-count histogram.
@@ -38,24 +34,34 @@ pub fn render_fig2(h: &ArticleCountHistogram) -> String {
     )
 }
 
+fn series(ctx: &ExecContext, d: &Dataset, kind: SeriesKind) -> QuarterlySeries {
+    let QueryResult::TimeSeries(series) = run_query(ctx, d, &Query::TimeSeries(kind)) else {
+        unreachable!("TimeSeries query yields a TimeSeries result");
+    };
+    series
+}
+
 /// Fig 3 data: active sources per quarter.
 pub fn fig3(ctx: &ExecContext, d: &Dataset) -> QuarterlySeries {
-    active_sources_per_quarter(ctx, d)
+    series(ctx, d, SeriesKind::ActiveSources)
 }
 
 /// Fig 4 data: events per quarter.
 pub fn fig4(ctx: &ExecContext, d: &Dataset) -> QuarterlySeries {
-    events_per_quarter(ctx, d)
+    series(ctx, d, SeriesKind::Events)
 }
 
 /// Fig 5 data: articles per quarter.
 pub fn fig5(ctx: &ExecContext, d: &Dataset) -> QuarterlySeries {
-    articles_per_quarter(ctx, d)
+    series(ctx, d, SeriesKind::Articles)
 }
 
 /// Fig 6 data: the Top-10 publishers and their quarterly article series.
 pub fn fig6(ctx: &ExecContext, d: &Dataset) -> Vec<(SourceId, u64, QuarterlySeries)> {
-    let top = top_publishers(ctx, d, 10);
+    let q = Query::TopK { kind: TopKKind::Publishers, k: 10 };
+    let QueryResult::TopPublishers(top) = run_query(ctx, d, &q) else {
+        unreachable!("TopK Publishers query yields a TopPublishers result");
+    };
     let ids: Vec<SourceId> = top.iter().map(|&(s, _)| s).collect();
     let series = publisher_series(ctx, d, &ids);
     top.into_iter().zip(series).map(|((s, n), q)| (s, n, q)).collect()

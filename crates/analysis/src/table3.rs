@@ -7,8 +7,7 @@
 
 use crate::render::{fmt_count, TextTable};
 use gdelt_columnar::Dataset;
-use gdelt_engine::topk::top_events;
-use gdelt_engine::ExecContext;
+use gdelt_engine::{run_query, ExecContext, Query, QueryResult, TopKKind};
 
 /// One Table III row.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,8 +20,11 @@ pub struct TopEvent {
 
 /// Compute the `k` most reported events.
 pub fn compute(ctx: &ExecContext, d: &Dataset, k: usize) -> Vec<TopEvent> {
-    top_events(ctx, d, k)
-        .into_iter()
+    let q = Query::TopK { kind: TopKKind::Events, k: k.try_into().unwrap_or(u32::MAX) };
+    let QueryResult::TopEvents(top) = run_query(ctx, d, &q) else {
+        unreachable!("TopK Events query yields a TopEvents result");
+    };
+    top.into_iter()
         .map(|(row, mentions)| TopEvent { mentions, url: d.events.url(row).to_owned() })
         .collect()
 }

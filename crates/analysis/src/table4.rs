@@ -9,9 +9,7 @@
 use crate::render::{fmt_cell, TextTable};
 use gdelt_columnar::Dataset;
 use gdelt_engine::followreport::FollowReport;
-use gdelt_engine::topk::top_publishers;
-use gdelt_engine::ExecContext;
-use gdelt_model::ids::SourceId;
+use gdelt_engine::{run_query, ExecContext, Query, QueryResult};
 
 /// Table IV result: the follow report for the Top-10 plus labels.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,9 +23,11 @@ pub struct Table4 {
 
 /// Compute Table IV for the `k` most productive publishers.
 pub fn compute(ctx: &ExecContext, d: &Dataset, k: usize) -> Table4 {
-    let top: Vec<SourceId> = top_publishers(ctx, d, k).into_iter().map(|(s, _)| s).collect();
-    let report = FollowReport::build(ctx, d, &top);
-    let publishers = top.iter().map(|&s| d.sources.name(s).to_owned()).collect();
+    let q = Query::FollowReport { top_k: k.try_into().unwrap_or(u32::MAX) };
+    let QueryResult::FollowReport(report) = run_query(ctx, d, &q) else {
+        unreachable!("FollowReport query yields a FollowReport result");
+    };
+    let publishers = report.subset.iter().map(|&s| d.sources.name(s).to_owned()).collect();
     Table4 { report, publishers }
 }
 

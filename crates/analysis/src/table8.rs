@@ -6,8 +6,7 @@
 use crate::render::{fmt_count, fmt_f, TextTable};
 use gdelt_columnar::Dataset;
 use gdelt_engine::delay::DelayStats;
-use gdelt_engine::topk::top_publishers;
-use gdelt_engine::ExecContext;
+use gdelt_engine::{run_query, ExecContext, Query, QueryResult, TopKKind};
 use gdelt_model::ids::SourceId;
 
 /// One Table VIII row.
@@ -29,8 +28,11 @@ pub fn compute(
     all_stats: &[DelayStats],
     k: usize,
 ) -> Vec<Table8Row> {
-    top_publishers(ctx, d, k)
-        .into_iter()
+    let q = Query::TopK { kind: TopKKind::Publishers, k: k.try_into().unwrap_or(u32::MAX) };
+    let QueryResult::TopPublishers(top) = run_query(ctx, d, &q) else {
+        unreachable!("TopK Publishers query yields a TopPublishers result");
+    };
+    top.into_iter()
         .map(|(s, _)| Table8Row {
             source: s,
             name: d.sources.name(s).to_owned(),
@@ -63,12 +65,13 @@ pub fn render(rows: &[Table8Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdelt_engine::delay::per_source_delay_stats;
 
     fn setup() -> (Dataset, Vec<Table8Row>) {
         let d = gdelt_synth::generate_dataset(&gdelt_synth::scenario::tiny(40)).0;
         let ctx = ExecContext::builder().threads(2).build();
-        let stats = per_source_delay_stats(&ctx, &d);
+        let QueryResult::Delay(stats) = run_query(&ctx, &d, &Query::Delay) else {
+            unreachable!("Delay query yields a Delay result");
+        };
         let rows = compute(&ctx, &d, &stats, 10);
         (d, rows)
     }

@@ -226,40 +226,6 @@ pub fn count_by<K: DenseKey>(ctx: &ExecContext, keys: &[K], domain: usize) -> Ve
     partition_scan(ctx, keys.len(), count_rows, Merge::merged)
 }
 
-/// Count keys on rows where `pred(row)` holds.
-pub fn count_by_where<K: DenseKey>(
-    ctx: &ExecContext,
-    keys: &[K],
-    domain: usize,
-    pred: impl Fn(usize) -> bool + Sync + Send,
-) -> Vec<u64> {
-    ctx.scan(keys.len(), |p| {
-        let mut acc = vec![0u64; domain];
-        for row in p.range() {
-            let i = keys[row].index();
-            if i < domain && pred(row) {
-                acc[i] += 1;
-            }
-        }
-        acc
-    })
-}
-
-/// Sum `vals[row]` grouped by `keys[row]`.
-pub fn sum_by<K: DenseKey>(ctx: &ExecContext, keys: &[K], vals: &[u32], domain: usize) -> Vec<u64> {
-    assert_eq!(keys.len(), vals.len(), "keys/vals length mismatch");
-    ctx.scan(keys.len(), |p| {
-        let mut acc = vec![0u64; domain];
-        for row in p.range() {
-            let i = keys[row].index();
-            if i < domain {
-                acc[i] += u64::from(vals[row]);
-            }
-        }
-        acc
-    })
-}
-
 /// Sum an `f32` column grouped by dense key, returning `(sum, count)`
 /// per key — the building block for grouped means (tone analyses).
 pub fn mean_f32_by<K: DenseKey>(
@@ -269,98 +235,24 @@ pub fn mean_f32_by<K: DenseKey>(
     domain: usize,
 ) -> Vec<(f64, u64)> {
     assert_eq!(keys.len(), vals.len(), "keys/vals length mismatch");
-
-    #[derive(Clone, Copy, Default)]
-    struct Acc(f64, u64);
-    impl Merge for Acc {
-        fn merge(&mut self, o: Self) {
-            self.0 += o.0;
-            self.1 += o.1;
-        }
-    }
-
-    let acc: Vec<Acc> = ctx.scan(keys.len(), |p| {
-        let mut acc = vec![Acc::default(); domain];
-        for row in p.range() {
-            let i = keys[row].index();
-            if i < domain {
-                acc[i].0 += f64::from(vals[row]);
-                acc[i].1 += 1;
+    let sum_rows = |rows| {
+        let mut acc = vec![(0.0, 0); domain];
+        for (k, &v) in rows_of(keys, &rows).iter().zip(rows_of(vals, &rows)) {
+            if let Some((sum, count)) = acc.get_mut(k.index()) {
+                *sum += f64::from(v);
+                *count += 1;
             }
         }
         acc
-    });
-    let mut out = acc.into_iter().map(|a| (a.0, a.1)).collect::<Vec<_>>();
-    out.resize(domain, (0.0, 0));
-    out
-}
-
-/// Count rows satisfying a predicate (parallel).
-pub fn count_where(
-    ctx: &ExecContext,
-    n_rows: usize,
-    pred: impl Fn(usize) -> bool + Sync + Send,
-) -> u64 {
-    ctx.scan(n_rows, |p| p.range().filter(|&r| pred(r)).count() as u64)
-}
-
-/// Min/max/sum/count accumulator over a u32 column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MinMaxSum {
-    /// Smallest value seen (`u32::MAX` when empty).
-    pub min: u32,
-    /// Largest value seen (0 when empty).
-    pub max: u32,
-    /// Sum of all values.
-    pub sum: u64,
-    /// Number of values.
-    pub count: u64,
-}
-
-impl Default for MinMaxSum {
-    fn default() -> Self {
-        MinMaxSum { min: u32::MAX, max: 0, sum: 0, count: 0 }
-    }
-}
-
-impl Merge for MinMaxSum {
-    fn merge(&mut self, o: Self) {
-        self.min = self.min.min(o.min);
-        self.max = self.max.max(o.max);
-        self.sum += o.sum;
-        self.count += o.count;
-    }
-}
-
-impl MinMaxSum {
-    /// Fold one value in.
-    #[inline]
-    pub fn push(&mut self, v: u32) {
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        self.sum += u64::from(v);
-        self.count += 1;
-    }
-
-    /// Arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
+    };
+    let add = |mut a: Vec<(f64, u64)>, b: Vec<(f64, u64)>| {
+        for ((sum, count), (s, c)) in a.iter_mut().zip(b) {
+            *sum += s;
+            *count += c;
         }
-    }
-}
-
-/// Parallel min/max/sum over a column.
-pub fn min_max_sum(ctx: &ExecContext, vals: &[u32]) -> MinMaxSum {
-    ctx.scan(vals.len(), |p| {
-        let mut acc = MinMaxSum::default();
-        for &v in p.slice(vals) {
-            acc.push(v);
-        }
-        acc
-    })
+        a
+    };
+    partition_scan(ctx, keys.len(), sum_rows, add)
 }
 
 #[cfg(test)]
@@ -517,51 +409,6 @@ mod tests {
         let keys: Vec<u16> = vec![0, 1, u16::MAX, 1];
         let counts = count_by(&ctx(), &keys, 2);
         assert_eq!(counts, vec![1, 2]);
-    }
-
-    #[test]
-    fn count_by_where_filters_rows() {
-        let keys: Vec<u32> = vec![0, 0, 1, 1, 1];
-        let counts = count_by_where(&ctx(), &keys, 2, |row| row % 2 == 0);
-        assert_eq!(counts, vec![1, 2]); // rows 0, 2, 4
-    }
-
-    #[test]
-    fn sum_by_accumulates_values() {
-        let keys: Vec<u16> = vec![0, 1, 0, 1];
-        let vals: Vec<u32> = vec![10, 20, 30, 40];
-        assert_eq!(sum_by(&ctx(), &keys, &vals, 2), vec![40, 60]);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn sum_by_rejects_ragged_input() {
-        let _ = sum_by(&ctx(), &[0u16], &[1, 2], 1);
-    }
-
-    #[test]
-    fn count_where_parallel_consistency() {
-        let n = 100_000;
-        let seq = ExecContext::builder().threads(1).build();
-        let par = ctx();
-        let pred = |r: usize| r % 13 == 5;
-        assert_eq!(count_where(&seq, n, pred), count_where(&par, n, pred));
-    }
-
-    #[test]
-    fn min_max_sum_basics() {
-        let vals: Vec<u32> = vec![5, 1, 9, 3];
-        let s = min_max_sum(&ctx(), &vals);
-        assert_eq!((s.min, s.max, s.sum, s.count), (1, 9, 18, 4));
-        assert_eq!(s.mean(), 4.5);
-    }
-
-    #[test]
-    fn min_max_sum_empty() {
-        let s = min_max_sum(&ctx(), &[]);
-        assert_eq!(s.count, 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min, u32::MAX);
     }
 
     #[test]

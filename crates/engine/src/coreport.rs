@@ -4,8 +4,10 @@
 //! their event sets: `c_ij = e_ij / (e_i + e_j − e_ij)`. The paper's key
 //! storage decision is a **dense** pair matrix (~1.8 GB for all 21 k
 //! sources) because each event with `k` reporters performs `k(k−1)/2`
-//! updates and dense random increments beat any sparse structure. Both
-//! strategies are implemented; the ablation benchmark compares them.
+//! updates and dense random increments beat any sparse structure. The
+//! sparse structure stays as [`SparseCoReport`]: the oracle the dense
+//! [`CoReport::build`] is checked against, and what the time-sliced
+//! assembly of [`crate::sliced`] produces.
 //!
 //! Every builder takes its events from the CSR partitions of
 //! [`crate::chunk::event_scan`]. What it does with them depends on the
@@ -125,8 +127,9 @@ impl CoReport {
 }
 
 /// Sparse co-reporting counts (hash-based) — the alternative the paper
-/// rejects for the global matrix; kept for the ablation benchmark and
-/// for time-sliced matrices where sparsity wins.
+/// rejects for the global matrix. It is the oracle [`CoReport::build`]
+/// is checked against and the target of [`crate::sliced::assemble`],
+/// the time-sliced strategy of §VI-B.
 #[derive(Debug, Clone, Default)]
 pub struct SparseCoReport {
     /// `(i, j)` with `i < j` → `e_ij`.

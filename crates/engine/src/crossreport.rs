@@ -69,11 +69,12 @@ impl CrossReport {
             let reported = country_at(&d.events.country, er);
             reported.wrapping_mul(side as u32).wrapping_add(country_at(&d.sources.country, s))
         };
-        let table: Vec<u64> = ctx.scan(d.mentions.len(), |p| {
+        let count_articles = |rows| {
             let joined =
                 |c: Chunk| c.slice(&d.mentions.event_row).iter().zip(c.slice(&d.mentions.source));
-            count_keys(side * side, chunks_of(p.range()).map(|c| joined(c).map(cell)))
-        });
+            count_keys(side * side, chunks_of(rows).map(|c| joined(c).map(cell)))
+        };
+        let table = partition_scan(ctx, d.mentions.len(), count_articles, Merge::merged);
         // The events table holds the same sentinel as often — 1.3 M
         // events take 0.9 ms clamped and 3.2 ms through `count_by`,
         // which skips it — so its countries are clamped too.

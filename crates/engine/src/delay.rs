@@ -256,7 +256,7 @@ fn hist_of<'a>(
 /// into ranges of near-equal mention weight by the same walker that cuts
 /// events, each reduce their groups of every row range ([`hist_of`]).
 // analyze: no_panic
-pub fn per_source_delay_hists(ctx: &ExecContext, d: &Dataset) -> Vec<DelayHist> {
+pub(crate) fn per_source_delay_hists(ctx: &ExecContext, d: &Dataset) -> Vec<DelayHist> {
     let n_sources = d.sources.len();
     let group_rows = |rows: std::ops::Range<usize>| {
         let (sources, delays) =
@@ -287,30 +287,6 @@ pub fn per_source_delay_hists(ctx: &ExecContext, d: &Dataset) -> Vec<DelayHist> 
 fn concat<T>(mut all: Vec<T>, next: Vec<T>) -> Vec<T> {
     all.extend(next);
     all
-}
-
-/// Exact per-source delay statistics for every source in the directory:
-/// [`DelayHist::finalize`] over [`per_source_delay_hists`].
-pub fn per_source_delay_stats(ctx: &ExecContext, d: &Dataset) -> Vec<DelayStats> {
-    per_source_delay_hists(ctx, d).iter().map(DelayHist::finalize).collect()
-}
-
-/// Delay of the *first* article on each event — the paper flags this as
-/// the key signal for wildfire detection follow-up work (§VI-E). With
-/// mentions time-sorted within each event, this is the first CSR entry
-/// (0 for an event nobody reported on).
-// analyze: no_panic
-pub fn first_report_delay(ctx: &ExecContext, d: &Dataset) -> Vec<u32> {
-    let offsets = &d.event_index.offsets;
-    let first_delays = |events: std::ops::Range<usize>| {
-        let mut out = Vec::with_capacity(events.len());
-        for_each_event(offsets, events, |_, rows| {
-            let first = if rows.is_empty() { None } else { d.mentions.delay.get(rows.start) };
-            out.push(first.copied().unwrap_or(0));
-        });
-        out
-    };
-    event_scan(ctx, offsets, first_delays, concat).unwrap_or_default()
 }
 
 /// Sources per speed group (§VI-E's population split).
@@ -404,10 +380,15 @@ mod tests {
         ExecContext::builder().threads(2).build()
     }
 
+    /// Per-source stats, as the Delay query finalizes them.
+    fn per_source_stats(ctx: &ExecContext, d: &Dataset) -> Vec<DelayStats> {
+        per_source_delay_hists(ctx, d).iter().map(DelayHist::finalize).collect()
+    }
+
     #[test]
     fn per_source_stats_are_exact() {
         let d = dataset();
-        let stats = per_source_delay_stats(&ctx(), &d);
+        let stats = per_source_stats(&ctx(), &d);
         let a = d.sources.lookup("a.com").unwrap();
         let b = d.sources.lookup("b.co.uk").unwrap();
         let sa = stats[a.index()];
@@ -420,16 +401,7 @@ mod tests {
     #[test]
     fn empty_dataset_stats() {
         let d = Dataset::default();
-        assert!(per_source_delay_stats(&ctx(), &d).is_empty());
-        assert!(first_report_delay(&ctx(), &d).is_empty());
-    }
-
-    #[test]
-    fn first_report_delay_uses_time_sorted_csr() {
-        let d = dataset();
-        let frd = first_report_delay(&ctx(), &d);
-        // Event 1 first article delay 0; event 2: b.co.uk at 4 beats 20.
-        assert_eq!(frd, vec![0, 4]);
+        assert!(per_source_stats(&ctx(), &d).is_empty());
     }
 
     #[test]
@@ -634,8 +606,8 @@ mod tests {
     fn parallel_matches_sequential() {
         let d = dataset();
         assert_eq!(
-            per_source_delay_stats(&ExecContext::builder().threads(1).build(), &d),
-            per_source_delay_stats(&ctx(), &d)
+            per_source_stats(&ExecContext::builder().threads(1).build(), &d),
+            per_source_stats(&ctx(), &d)
         );
     }
 }

@@ -151,24 +151,11 @@ impl ExecContext {
                 .reduce(reduce)
         })
     }
-
-    /// Convenience map-reduce over an `n_rows` flat scan with a default
-    /// accumulator for the empty case.
-    // analyze: no_panic
-    pub fn scan<T, M>(&self, n_rows: usize, map: M) -> T
-    where
-        T: Send + Default + Merge,
-        M: Fn(Partition) -> T + Sync + Send,
-    {
-        self.map_reduce(self.make_partitions(n_rows), map, |mut a, b| {
-            a.merge(b);
-            a
-        })
-        .unwrap_or_default()
-    }
 }
 
-/// Mergeable partial-accumulator types used with [`ExecContext::scan`].
+/// Mergeable partial accumulators: [`Merge::merged`] is the `reduce`
+/// a scan ([`crate::chunk::partition_scan`], [`crate::chunk::event_scan`])
+/// folds its per-partition partials with, and how shard partials merge.
 pub trait Merge {
     /// Fold `other` into `self`.
     fn merge(&mut self, other: Self);
@@ -189,12 +176,6 @@ impl Merge for u64 {
     }
 }
 
-impl Merge for f64 {
-    fn merge(&mut self, other: Self) {
-        *self += other;
-    }
-}
-
 impl<T: Merge> Merge for Vec<T>
 where
     T: Default,
@@ -204,7 +185,7 @@ where
             self.resize_with(other.len(), T::default);
         }
         for (i, v) in other.into_iter().enumerate() {
-            // analyze: allow(panic_path): self was resized to at least other.len() above, and i < other.len()
+            // `self` was resized to at least `other.len()` above, and i < other.len().
             self[i].merge(v);
         }
     }
@@ -330,17 +311,6 @@ mod tests {
                     assert!(seen.iter().all(|&id| id == caller), "threads(1) left the caller");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn scan_matches_sequential_result() {
-        let data: Vec<u64> = (0..10_000).collect();
-        let expect: u64 = data.iter().sum();
-        for threads in [1, 2, 4] {
-            let ctx = ExecContext::builder().threads(threads).build();
-            let got: u64 = ctx.scan(data.len(), |p| p.slice(&data).iter().sum::<u64>());
-            assert_eq!(got, expect, "threads={threads}");
         }
     }
 

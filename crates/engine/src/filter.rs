@@ -100,7 +100,7 @@ impl Bitmap {
 
     /// Union with another bitmap of the same length.
     pub fn or(&mut self, other: &Bitmap) {
-        // analyze: allow(panic_path): deliberate API contract — mismatched lengths are a caller bug
+        // Deliberate API contract: mismatched lengths are a caller bug.
         assert_eq!(self.len, other.len, "bitmap length mismatch");
         for (a, b) in self.bits.iter_mut().zip(&other.bits) {
             *a |= b;

@@ -74,7 +74,8 @@ impl Merge for FollowReport {
     /// Elementwise addition — follow edges are intra-event. Both sides
     /// must be over the same subset.
     fn merge(&mut self, other: Self) {
-        // analyze: allow(panic_path): mismatched subsets are a planning bug, same contract as Matrix::merge on shape mismatch
+        // Mismatched subsets are a planning bug, the same contract as
+        // `Matrix::merge` on a shape mismatch.
         assert_eq!(self.subset, other.subset, "follow partials must agree on the subset");
         self.follow_counts.merge(other.follow_counts);
         self.articles.merge(other.articles);

@@ -1,8 +1,10 @@
 //! Histograms: articles-per-event distribution (Fig 2) and log-binned
 //! views for power-law inspection.
 
-use crate::exec::ExecContext;
+use crate::chunk::{partition_scan, rows_of};
+use crate::exec::{ExecContext, Merge};
 use gdelt_columnar::Dataset;
+use std::ops::Range;
 
 /// Histogram of "number of events having exactly `k` articles", the
 /// distribution behind Fig 2 (paper: power law with max 5234 and a mild
@@ -22,21 +24,25 @@ impl ArticleCountHistogram {
             return ArticleCountHistogram { counts: Vec::new() };
         }
         let offsets = &d.event_index.offsets;
+        // Event `e`'s mentions are `offsets[e]..offsets[e + 1]`.
+        let degrees = |rows: Range<usize>| {
+            let (lo, hi) =
+                (rows_of(offsets, &rows), rows_of(offsets, &(rows.start + 1..rows.end + 1)));
+            lo.iter().zip(hi).map(|(&lo, &hi)| hi.saturating_sub(lo) as usize)
+        };
         // First find the max degree, then count into a dense vector.
-        let max_deg: u64 = ctx
-            .map_reduce(
-                ctx.make_partitions(n_events),
-                |p| p.range().map(|e| offsets[e + 1] - offsets[e]).max().unwrap_or(0),
-                u64::max,
-            )
-            .unwrap_or(0);
-        let counts = ctx.scan(n_events, |p| {
-            let mut acc = vec![0u64; max_deg as usize + 1];
-            for e in p.range() {
-                acc[(offsets[e + 1] - offsets[e]) as usize] += 1;
+        let max_of = |rows| degrees(rows).max().unwrap_or(0);
+        let max_deg = partition_scan(ctx, n_events, max_of, usize::max);
+        let count_degrees = |rows| {
+            let mut acc = vec![0u64; max_deg + 1];
+            for deg in degrees(rows) {
+                if let Some(slot) = acc.get_mut(deg) {
+                    *slot += 1;
+                }
             }
             acc
-        });
+        };
+        let counts = partition_scan(ctx, n_events, count_degrees, Merge::merged);
         ArticleCountHistogram { counts }
     }
 

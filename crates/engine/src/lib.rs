@@ -9,22 +9,28 @@
 //!
 //! * all parallelism is *partitioned scan + per-thread partials + merge* —
 //!   the only pattern that scales on the paper's 8-NUMA-node machine
-//!   ([`exec`], [`aggregate`]);
+//!   ([`exec`], [`aggregate`]): row scans go through
+//!   [`chunk::partition_scan`] and event scans through
+//!   [`chunk::event_scan`], both forking in [`ExecContext::map_reduce`];
 //! * that pattern is also the only way a query is answered: [`run_query`]
 //!   is plan → partial → merge → finalize ([`partial`]) with the whole
 //!   dataset as one shard, and a shard router runs the same plan with the
 //!   same partials and merges across processes (the paper's §VII MPI
-//!   plan) — one algebra in-thread, cross-thread and cross-process;
+//!   plan) — one algebra in-thread, cross-thread and cross-process.
+//!   Callers outside the engine ask a [`Query`] through [`run_query`]
+//!   only;
 //! * co-reporting uses a **dense** pair matrix, the paper's explicit
 //!   choice over sparse structures given the update volume ([`coreport`];
-//!   a sparse alternative exists for the ablation benchmark);
+//!   the sparse builder is the dense one's test oracle and the target of
+//!   the time-sliced assembly in [`sliced`]);
 //! * the kernels that group mentions by event take their groups from
 //!   one walker over the time-sorted event→mentions CSR ([`chunk`]);
 //!   the set-shaped ones among them — country co-reporting,
 //!   follow-reporting ([`followreport`]) — keep an event's set as a
 //!   bitmask;
-//! * the country cross-reporting tables come from a single aggregated
-//!   query ([`query`]), the workload of the paper's Fig 12 scaling study;
+//! * the country cross-reporting tables come from the aggregated
+//!   country query ([`query::timed_run_in`] times it), the workload of
+//!   the paper's Fig 12 scaling study;
 //! * publishing-delay statistics are exact (counting-sort grouping per
 //!   row range, per-source delay histograms, true medians) ([`delay`]);
 //! * a deliberately naive row-oriented, string-typed baseline stands in

@@ -123,9 +123,8 @@ impl Merge for Matrix<u64> {
             *self = other;
             return;
         }
-        // analyze: allow(panic_path): deliberate API contract — shape mismatch is a caller bug
+        // Deliberate API contract: a shape mismatch is a caller bug.
         assert_eq!(self.rows, other.rows, "matrix shape mismatch in merge");
-        // analyze: allow(panic_path): deliberate API contract — shape mismatch is a caller bug
         assert_eq!(self.cols, other.cols, "matrix shape mismatch in merge");
         for (a, b) in self.data.iter_mut().zip(other.data) {
             *a += b;

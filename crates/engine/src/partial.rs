@@ -262,11 +262,11 @@ impl ShardPartial {
             (P::ActiveSources(a), P::ActiveSources(b)) => P::ActiveSources(a.merged(b)),
             (P::PublisherCounts(a), P::PublisherCounts(b)) => P::PublisherCounts(a.merged(b)),
             (P::TopEvents { k, entries: a }, P::TopEvents { k: kb, entries: b }) => {
-                // analyze: allow(panic_path): mismatched k is a router planning bug, same contract as Matrix::merge on shape mismatch
+                // A mismatched k is a router planning bug, the same contract as
+                // `Matrix::merge` on a shape mismatch.
                 assert_eq!(k, kb, "top-events partials must agree on k");
                 P::TopEvents { k, entries: merge_ranked(a, b, k as usize) }
             }
-            // analyze: allow(panic_path): cross-family merge is a router planning bug, same contract as Matrix::merge on shape mismatch
             // analyze: allow(no_panic): family mismatch is a router planning bug, same contract as Matrix::merge on shape mismatch
             (a, b) => panic!(
                 "cannot merge shard partials of different families: {} vs {}",

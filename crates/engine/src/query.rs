@@ -1,32 +1,32 @@
-//! The unified query API and the aggregated country query
-//! (paper §VI-G, Fig 12).
+//! The unified query API (paper §VI-G, Fig 12).
 //!
 //! A server, a cache key, or a batcher needs one value it can dispatch
 //! on, hash, and compare — that is [`Query`]: a closed enum of every
 //! analysis the engine answers, each variant carrying its parameters.
 //! [`run_query`] answers one by running the execution algebra of
 //! [`crate::partial`] (plan → round → merge → finalize) with the whole
-//! dataset as its single shard; the kernels (`CountryCoReport::build`,
-//! the free functions in `delay`/`timeseries`/`topk`, …) are what that
-//! algebra's one dispatcher calls.
+//! dataset as its single shard, and code outside this crate asks a
+//! `Query` through it alone. The kernels (`CountryCoReport::build`,
+//! `CrossReport::build`, the delay histograms, the quarterly series and
+//! the rankings) are what that algebra's one dispatcher,
+//! [`crate::partial::run_shard_query`], calls.
 //!
-//! The module also keeps the paper's aggregated country query
-//! ([`AggregatedCountryReport`]): one mention-table pass (cross-reporting
-//! counts + publisher totals), one event-table pass (events per country),
-//! and one CSR pass (country co-reporting). The paper reports 344 s on
-//! one thread and 43 s with OpenMP on 64 for this workload; the Fig 12
-//! benchmark sweeps thread counts over it via [`timed_run_in`].
+//! [`timed_run_in`] times the paper's aggregated country query —
+//! [`Query::CrossCountry`] then [`Query::CoReport`], the workload behind
+//! Tables V–VII. The paper reports 344 s on one thread and 43 s with
+//! OpenMP on 64 for it; the Fig 12 benchmark sweeps thread counts over
+//! it.
 
+use crate::chunk::partition_scan;
 use crate::coreport::CountryCoReport;
 use crate::crossreport::CrossReport;
 use crate::delay::DelayStats;
 use crate::exec::ExecContext;
 use crate::followreport::FollowReport;
-use crate::matrix::Matrix;
 use crate::partial::{self, run_shard_query, ShardQuery};
 use crate::timeseries::QuarterlySeries;
 use gdelt_columnar::Dataset;
-use gdelt_model::ids::{CountryId, SourceId};
+use gdelt_model::ids::SourceId;
 use std::convert::Infallible;
 
 /// Which quarterly series a [`Query::TimeSeries`] request computes.
@@ -232,64 +232,6 @@ pub enum QueryResult {
     TopEvents(Vec<(usize, u64)>),
 }
 
-impl QueryResult {
-    /// The country co-reporting result, if this is one.
-    pub fn as_coreport(&self) -> Option<&CountryCoReport> {
-        match self {
-            QueryResult::CoReport(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The follow-reporting result, if this is one.
-    pub fn as_followreport(&self) -> Option<&FollowReport> {
-        match self {
-            QueryResult::FollowReport(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The cross-country result, if this is one.
-    pub fn as_crosscountry(&self) -> Option<&CrossReport> {
-        match self {
-            QueryResult::CrossCountry(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The per-source delay statistics, if this is a delay result.
-    pub fn as_delay(&self) -> Option<&[DelayStats]> {
-        match self {
-            QueryResult::Delay(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The quarterly series, if this is a time-series result.
-    pub fn as_timeseries(&self) -> Option<&QuarterlySeries> {
-        match self {
-            QueryResult::TimeSeries(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The publisher ranking, if this is one.
-    pub fn as_top_publishers(&self) -> Option<&[(SourceId, u64)]> {
-        match self {
-            QueryResult::TopPublishers(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The event ranking, if this is one.
-    pub fn as_top_events(&self) -> Option<&[(usize, u64)]> {
-        match self {
-            QueryResult::TopEvents(r) => Some(r),
-            _ => None,
-        }
-    }
-}
-
 /// Per-kernel latency histograms and the total-queries counter,
 /// resolved once from the global registry so the per-query cost is a
 /// 10-entry scan plus lock-free records — no registry lock, no
@@ -338,56 +280,16 @@ pub fn run_query(ctx: &ExecContext, d: &Dataset, q: &Query) -> QueryResult {
     result
 }
 
-/// Everything Tables V–VII need, from one aggregated query.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AggregatedCountryReport {
-    /// Cross-reporting counts and publisher totals (Tables VI–VII).
-    pub cross: CrossReport,
-    /// Country-level co-reporting (Table V).
-    pub coreport: CountryCoReport,
-}
-
-impl AggregatedCountryReport {
-    /// Run the aggregated query — a thin wrapper over [`run_query`] for
-    /// the [`Query::CrossCountry`] and [`Query::CoReport`] pair.
-    pub fn run(ctx: &ExecContext, d: &Dataset) -> Self {
-        let cross = match run_query(ctx, d, &Query::CrossCountry) {
-            QueryResult::CrossCountry(c) => c,
-            _ => unreachable!("CrossCountry query yields a CrossCountry result"),
-        };
-        let coreport = match run_query(ctx, d, &Query::CoReport) {
-            QueryResult::CoReport(c) => c,
-            _ => unreachable!("CoReport query yields a CoReport result"),
-        };
-        AggregatedCountryReport { cross, coreport }
-    }
-
-    /// Table V cell: Jaccard co-reporting between two countries.
-    pub fn country_jaccard(&self, a: CountryId, b: CountryId) -> f64 {
-        self.coreport.jaccard(a, b)
-    }
-
-    /// Table VI cell: articles from `publishing` on events in `reported`.
-    pub fn cross_articles(&self, reported: CountryId, publishing: CountryId) -> u64 {
-        self.cross.articles(reported, publishing)
-    }
-
-    /// Table VII matrix.
-    pub fn cross_percentages(&self) -> Matrix<f64> {
-        self.cross.percentages()
-    }
-}
-
-/// Wall-clock the aggregated query in an existing context; returns the
-/// result and elapsed seconds. Only kernel execution is timed: a
-/// throwaway warm-up scan runs first so one-time costs of the first
-/// parallel region (allocator warm-up, page faults on the mention
-/// columns) are not billed to the kernel.
-pub fn timed_run_in(ctx: &ExecContext, d: &Dataset) -> (AggregatedCountryReport, f64) {
-    let _: u64 = ctx.scan(d.mentions.len(), |p| p.len() as u64);
+/// Wall-clock seconds of the aggregated country query in an existing
+/// context: [`Query::CrossCountry`] then [`Query::CoReport`]. Only kernel
+/// execution is timed: a throwaway warm-up scan runs first so one-time
+/// costs of the first parallel region are not billed to the kernels.
+pub fn timed_run_in(ctx: &ExecContext, d: &Dataset) -> f64 {
+    let _: u64 = partition_scan(ctx, d.mentions.len(), |rows| rows.len() as u64, |a, b| a + b);
     let t0 = std::time::Instant::now();
-    let report = AggregatedCountryReport::run(ctx, d);
-    (report, t0.elapsed().as_secs_f64())
+    run_query(ctx, d, &Query::CrossCountry);
+    run_query(ctx, d, &Query::CoReport);
+    t0.elapsed().as_secs_f64()
 }
 
 #[cfg(test)]
@@ -509,33 +411,46 @@ mod tests {
         let ctx = ExecContext::builder().threads(2).build();
         for q in all_variants() {
             let r = run_query(&ctx, &d, &q);
-            let matches = match q {
-                Query::CoReport => r.as_coreport().is_some(),
-                Query::FollowReport { .. } => r.as_followreport().is_some(),
-                Query::CrossCountry => r.as_crosscountry().is_some(),
-                Query::Delay => r.as_delay().is_some(),
-                Query::TimeSeries(_) => r.as_timeseries().is_some(),
-                Query::TopK { kind: TopKKind::Publishers, .. } => r.as_top_publishers().is_some(),
-                Query::TopK { kind: TopKKind::Events, .. } => r.as_top_events().is_some(),
-            };
+            let matches = matches!(
+                (q, r),
+                (Query::CoReport, QueryResult::CoReport(_))
+                    | (Query::FollowReport { .. }, QueryResult::FollowReport(_))
+                    | (Query::CrossCountry, QueryResult::CrossCountry(_))
+                    | (Query::Delay, QueryResult::Delay(_))
+                    | (Query::TimeSeries(_), QueryResult::TimeSeries(_))
+                    | (
+                        Query::TopK { kind: TopKKind::Publishers, .. },
+                        QueryResult::TopPublishers(_)
+                    )
+                    | (Query::TopK { kind: TopKKind::Events, .. }, QueryResult::TopEvents(_))
+            );
             assert!(matches, "{q} returned the wrong result variant");
         }
+    }
+
+    fn cross(ctx: &ExecContext, d: &Dataset) -> CrossReport {
+        let QueryResult::CrossCountry(cr) = run_query(ctx, d, &Query::CrossCountry) else {
+            unreachable!("CrossCountry query yields a CrossCountry result");
+        };
+        cr
     }
 
     #[test]
     fn aggregated_query_is_consistent_across_thread_counts() {
         let d = dataset();
-        let seq = AggregatedCountryReport::run(&ExecContext::builder().threads(1).build(), &d);
-        let par = AggregatedCountryReport::run(&ExecContext::builder().threads(4).build(), &d);
-        assert_eq!(seq, par);
+        for q in [Query::CrossCountry, Query::CoReport] {
+            let seq = run_query(&ExecContext::builder().threads(1).build(), &d, &q);
+            let par = run_query(&ExecContext::builder().threads(4).build(), &d, &q);
+            assert_eq!(seq, par, "{q}");
+        }
     }
 
     #[test]
     fn publisher_totals_bound_cross_counts() {
         let d = dataset();
-        let r = AggregatedCountryReport::run(&ExecContext::builder().threads(2).build(), &d);
-        let col_sums = r.cross.counts.col_sums();
-        for (c, &total) in r.cross.articles_by_publisher.iter().enumerate() {
+        let cross = cross(&ExecContext::builder().threads(2).build(), &d);
+        let col_sums = cross.counts.col_sums();
+        for (c, &total) in cross.articles_by_publisher.iter().enumerate() {
             assert!(
                 col_sums[c] <= total,
                 "country {c}: tagged articles {} exceed total {total}",
@@ -547,8 +462,7 @@ mod tests {
     #[test]
     fn percentages_are_percentages() {
         let d = dataset();
-        let r = AggregatedCountryReport::run(&ExecContext::builder().threads(2).build(), &d);
-        let p = r.cross_percentages();
+        let p = cross(&ExecContext::builder().threads(2).build(), &d).percentages();
         for v in p.as_slice() {
             assert!((0.0..=100.0).contains(v), "percentage {v}");
         }
@@ -558,13 +472,16 @@ mod tests {
     fn jaccard_is_symmetric_and_bounded() {
         let d = dataset();
         let reg = CountryRegistry::new();
-        let r = AggregatedCountryReport::run(&ExecContext::builder().threads(2).build(), &d);
+        let ctx = ExecContext::builder().threads(2).build();
+        let QueryResult::CoReport(cc) = run_query(&ctx, &d, &Query::CoReport) else {
+            unreachable!("CoReport query yields a CoReport result");
+        };
         let ids = reg.paper_top10_publishing();
         for &a in &ids {
             for &b in &ids {
-                let j = r.country_jaccard(a, b);
+                let j = cc.jaccard(a, b);
                 assert!((0.0..=1.0).contains(&j));
-                assert!((j - r.country_jaccard(b, a)).abs() < 1e-12);
+                assert!((j - cc.jaccard(b, a)).abs() < 1e-12);
             }
         }
     }
@@ -573,8 +490,9 @@ mod tests {
     fn timed_run_in_reuses_the_context() {
         let d = dataset();
         let ctx = ExecContext::builder().threads(2).build();
-        let (a, _) = timed_run_in(&ctx, &d);
-        let (b, _) = timed_run_in(&ctx, &d);
-        assert_eq!(a, b);
+        for _ in 0..2 {
+            let seconds = timed_run_in(&ctx, &d);
+            assert!(seconds > 0.0 && seconds.is_finite(), "{seconds} s");
+        }
     }
 }

@@ -104,15 +104,6 @@ pub fn sliced_coreport(ctx: &ExecContext, d: &Dataset) -> SparseCoReport {
     assemble(&build_slices(ctx, d), d.sources.len())
 }
 
-/// Memory the dense matrix would need vs. the assembled sparse one —
-/// the paper's stated trade-off, measurable.
-pub fn memory_comparison(sparse: &SparseCoReport, n_sources: usize) -> (usize, usize) {
-    let dense_bytes = n_sources * n_sources * std::mem::size_of::<u32>();
-    // HashMap entry ≈ key + value + bucket overhead (~1.1 load factor).
-    let sparse_bytes = sparse.pairs.len() * (8 + 4 + 8);
-    (dense_bytes, sparse_bytes)
-}
-
 fn quarter_bounds(quarters: &[u16]) -> Option<(u16, usize)> {
     let min = *quarters.iter().min()?;
     let max = *quarters.iter().max()?;
@@ -184,17 +175,6 @@ mod tests {
             let active = s.event_counts.iter().filter(|&&c| c > 0).count();
             assert!(active <= global_active);
         }
-    }
-
-    #[test]
-    fn memory_comparison_favours_sparse_for_sparse_data() {
-        let d = dataset();
-        let sparse = sliced_coreport(&ctx(), &d);
-        let (dense_b, sparse_b) = memory_comparison(&sparse, d.sources.len());
-        assert!(dense_b > 0 && sparse_b > 0);
-        // Not asserting which wins (scale-dependent — the paper's point);
-        // just that the accounting is sane.
-        assert_eq!(dense_b, d.sources.len() * d.sources.len() * 4);
     }
 
     #[test]

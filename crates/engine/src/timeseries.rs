@@ -157,14 +157,14 @@ fn count_quarters(
 }
 
 /// Events observed per quarter (Fig 4).
-pub fn events_per_quarter(ctx: &ExecContext, d: &Dataset) -> QuarterlySeries {
+pub(crate) fn events_per_quarter(ctx: &ExecContext, d: &Dataset) -> QuarterlySeries {
     count_quarters(ctx, d, |lanes, base, rows| {
         lanes.count(rows_of(&d.events.quarter, &rows), base);
     })
 }
 
 /// Articles (mentions) observed per quarter (Fig 5).
-pub fn articles_per_quarter(ctx: &ExecContext, d: &Dataset) -> QuarterlySeries {
+pub(crate) fn articles_per_quarter(ctx: &ExecContext, d: &Dataset) -> QuarterlySeries {
     count_quarters(ctx, d, |lanes, base, rows| {
         lanes.count(rows_of(&d.mentions.quarter, &rows), base);
     })
@@ -207,7 +207,7 @@ impl Merge for ActiveSourcesPartial {
 /// Which sources published in each quarter — the ActiveSources kernel.
 /// With no mentions at all the events still span their quarters.
 // analyze: no_panic
-pub fn active_sources_partial(ctx: &ExecContext, d: &Dataset) -> ActiveSourcesPartial {
+pub(crate) fn active_sources_partial(ctx: &ExecContext, d: &Dataset) -> ActiveSourcesPartial {
     let n_sources = d.sources.len();
     let width = n_sources.div_ceil(64);
     quarter_scan(ctx, d, |base, n, rows| {
@@ -220,12 +220,6 @@ pub fn active_sources_partial(ctx: &ExecContext, d: &Dataset) -> ActiveSourcesPa
         };
         ActiveSourcesPartial { base: i32::from(base), quarters: (0..n).map(bitmap).collect() }
     })
-}
-
-/// Sources that published at least once in each quarter (Fig 3: only
-/// about a third of tracked sources are active at a time).
-pub fn active_sources_per_quarter(ctx: &ExecContext, d: &Dataset) -> QuarterlySeries {
-    active_sources_partial(ctx, d).finalize()
 }
 
 /// Article counts per quarter for a selection of publishers (Fig 6).
@@ -265,7 +259,7 @@ pub fn publisher_series(
 
 /// Articles per quarter with a publishing delay above `threshold`
 /// intervals (Fig 11 uses 96 = 24 h).
-pub fn late_articles_per_quarter(
+pub(crate) fn late_articles_per_quarter(
     ctx: &ExecContext,
     d: &Dataset,
     threshold: u32,
@@ -467,7 +461,7 @@ mod tests {
     #[test]
     fn active_sources_counts_distinct() {
         let d = dataset();
-        let s = active_sources_per_quarter(&ctx(), &d);
+        let s = active_sources_partial(&ctx(), &d).finalize();
         // Q2: a.com + b.co.uk; Q3: a.com + c.com.au.
         assert_eq!(s.values, vec![2.0, 2.0]);
     }
@@ -546,7 +540,7 @@ mod tests {
         let d = Dataset::default();
         assert!(events_per_quarter(&ctx(), &d).is_empty());
         assert!(articles_per_quarter(&ctx(), &d).is_empty());
-        assert!(active_sources_per_quarter(&ctx(), &d).is_empty());
+        assert!(active_sources_partial(&ctx(), &d).finalize().is_empty());
         let (a, m) = delay_per_quarter(&ctx(), &d);
         assert!(a.is_empty() && m.is_empty());
     }

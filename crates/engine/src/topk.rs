@@ -7,7 +7,6 @@
 //! merge under the same `(Reverse(value), index)` order that shard
 //! partials merge under ([`merge_ranked`]).
 
-use crate::aggregate::count_by;
 use crate::chunk::{partition_scan, rows_of};
 use crate::exec::ExecContext;
 use gdelt_columnar::Dataset;
@@ -16,14 +15,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// The `k` most productive sources with their article counts, descending
-/// (ties broken by source id for determinism). This is the paper's
-/// Fig 6 / Table IV / Table VIII selection.
-// analyze: no_panic
-pub fn top_publishers(ctx: &ExecContext, d: &Dataset, k: usize) -> Vec<(SourceId, u64)> {
-    ranked_publishers(&count_by(ctx, &d.mentions.source, d.sources.len()), k)
-}
-
-/// [`top_publishers`] from per-source article counts already in hand.
+/// (ties broken by source id for determinism), from per-source article
+/// counts. This is the paper's Fig 6 / Table IV / Table VIII selection.
 // analyze: no_panic
 pub fn ranked_publishers(counts: &[u64], k: usize) -> Vec<(SourceId, u64)> {
     top_k(counts.iter().copied(), k).into_iter().map(|(i, n)| (SourceId(i as u32), n)).collect()
@@ -31,7 +24,7 @@ pub fn ranked_publishers(counts: &[u64], k: usize) -> Vec<(SourceId, u64)> {
 
 /// The `k` most mentioned events as `(event_row, mentions)` (Table III).
 // analyze: no_panic
-pub fn top_events(ctx: &ExecContext, d: &Dataset, k: usize) -> Vec<(usize, u64)> {
+pub(crate) fn top_events(ctx: &ExecContext, d: &Dataset, k: usize) -> Vec<(usize, u64)> {
     let offsets = &d.event_index.offsets;
     let n_events = offsets.len().saturating_sub(1);
     let rank_rows = |rows: std::ops::Range<usize>| {
@@ -85,7 +78,16 @@ pub fn merge_ranked<I: Ord + Copy>(
 mod tests {
     use super::*;
     use crate::chunk::SEQUENTIAL_SCAN_ROWS;
+    use crate::query::{run_query, Query, QueryResult, TopKKind};
     use gdelt_columnar::index::EventIndex;
+
+    fn top_publishers(ctx: &ExecContext, d: &Dataset, k: u32) -> Vec<(SourceId, u64)> {
+        let q = Query::TopK { kind: TopKKind::Publishers, k };
+        let QueryResult::TopPublishers(top) = run_query(ctx, d, &q) else {
+            unreachable!("TopK Publishers query yields a TopPublishers result");
+        };
+        top
+    }
 
     /// The oracle: sort everything by `(Reverse(value), index)`.
     fn ranked(vals: &[u64], k: usize) -> Vec<(usize, u64)> {

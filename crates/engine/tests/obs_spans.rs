@@ -19,7 +19,7 @@ fn span_breakdown_accounts_for_timed_run_wall_clock() {
 
     set_tracing(true);
     let _ = take_spans();
-    let (_report, wall_s) = timed_run_in(&ctx, &dataset);
+    let wall_s = timed_run_in(&ctx, &dataset);
     set_tracing(false);
     let spans = take_spans();
 

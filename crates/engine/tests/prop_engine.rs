@@ -3,7 +3,7 @@
 //! inputs and thread counts — the fundamental correctness contract of
 //! the partition/merge execution model.
 
-use gdelt_engine::aggregate::{count_by, count_where, min_max_sum, sum_by};
+use gdelt_engine::aggregate::count_by;
 use gdelt_engine::chunk::{event_partitions, for_each_event};
 use gdelt_engine::filter::Bitmap;
 use gdelt_engine::matrix::Matrix;
@@ -27,48 +27,6 @@ proptest! {
             expect[k as usize] += 1;
         }
         prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn sum_by_matches_sequential_definition(
-        rows in prop::collection::vec((0u32..20, 0u32..1_000), 0..1_000),
-        threads in 1usize..8,
-    ) {
-        let keys: Vec<u32> = rows.iter().map(|r| r.0).collect();
-        let vals: Vec<u32> = rows.iter().map(|r| r.1).collect();
-        let ctx = ExecContext::builder().threads(threads).build();
-        let got = sum_by(&ctx, &keys, &vals, 20);
-        let mut expect = vec![0u64; 20];
-        for &(k, v) in &rows {
-            expect[k as usize] += u64::from(v);
-        }
-        prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn min_max_sum_matches_iterator_ops(
-        vals in prop::collection::vec(0u32..1_000_000, 0..2_000),
-        threads in 1usize..8,
-    ) {
-        let ctx = ExecContext::builder().threads(threads).build();
-        let s = min_max_sum(&ctx, &vals);
-        prop_assert_eq!(s.count, vals.len() as u64);
-        prop_assert_eq!(s.sum, vals.iter().map(|&v| u64::from(v)).sum::<u64>());
-        if !vals.is_empty() {
-            prop_assert_eq!(s.min, *vals.iter().min().unwrap());
-            prop_assert_eq!(s.max, *vals.iter().max().unwrap());
-        }
-    }
-
-    #[test]
-    fn count_where_matches_filter_count(
-        n in 0usize..5_000,
-        modulus in 1usize..17,
-        threads in 1usize..8,
-    ) {
-        let ctx = ExecContext::builder().threads(threads).build();
-        let got = count_where(&ctx, n, |r| r % modulus == 0);
-        prop_assert_eq!(got, (0..n).filter(|r| r % modulus == 0).count() as u64);
     }
 
     #[test]

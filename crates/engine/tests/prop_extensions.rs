@@ -5,6 +5,7 @@
 //! single-pass operators, and views must decompose totals.
 
 use gdelt_columnar::degraded::restrict_to_partitions;
+use gdelt_engine::aggregate::count_by;
 use gdelt_engine::coreport::CoReport;
 use gdelt_engine::partial::{execute, run_shard_query, ShardPartial};
 use gdelt_engine::sliced::sliced_coreport;
@@ -105,7 +106,7 @@ proptest! {
             }
         }
         prop_assert_eq!(total_rows, d.mentions.len());
-        let all = MentionView::all(&ctx, &d).articles_by_source(&ctx);
+        let all = count_by(&ctx, &d.mentions.source, d.sources.len());
         prop_assert_eq!(total_by_source, all);
     }
 }

@@ -455,8 +455,10 @@ fn csr_edge_corpus_matches_reference_at_every_width_and_partition_edge() {
     let home = d.sources.country[p0.index()];
     let by_event = rows_by_event(&d);
     let on_events = by_event.values().flatten().filter(|&&r| d.mentions.source[r] == p0.0);
-    let follow = run_query(&ctx, &d, &Query::FollowReport { top_k: 130 });
-    let follow = follow.as_followreport().expect("follow result");
+    let whole_directory = Query::FollowReport { top_k: 130 };
+    let QueryResult::FollowReport(follow) = run_query(&ctx, &d, &whole_directory) else {
+        unreachable!("FollowReport query yields a FollowReport result");
+    };
     let slot = follow.subset.iter().position(|&s| s == p0).expect("p0 is selected");
     assert_eq!(follow.articles[slot], on_events.count() as u64 + 1);
     let cross = CrossReport::build(&ctx, &d, registry.len());
@@ -558,12 +560,11 @@ fn lane_and_block_edges_match_reference_at_one_to_three_threads() {
         .map(|(s, _)| d.sources.name(SourceId(s as u32)).to_string())
         .collect();
     assert_eq!(top, ["lead.com", "f600.com", "f256.com", "f255.com", "f254.com"]);
-    let follow = run_query(
-        &ExecContext::builder().threads(1).build(),
-        &d,
-        &Query::FollowReport { top_k: 5 },
-    );
-    let follow = follow.as_followreport().expect("follow result");
+    let one = ExecContext::builder().threads(1).build();
+    let QueryResult::FollowReport(follow) = run_query(&one, &d, &Query::FollowReport { top_k: 5 })
+    else {
+        unreachable!("FollowReport query yields a FollowReport result");
+    };
     assert_eq!(follow.follow_counts.row(0), &[0, 600, 256, 255, 254]);
     assert_eq!(follow.follow_counts.get(1, 2), 1, "f256 follows f600 on the first event");
     assert_eq!(follow.follow_counts.get(2, 1), 1, "f600 follows f256 on the second");
@@ -704,6 +705,15 @@ fn above_the_cut_off() -> Dataset {
 
 /// LateArticles in two separate passes: materialize the late-article
 /// selection, then count per quarter under the mask.
+/// The fused kernel, through the public path.
+fn late_articles(ctx: &ExecContext, d: &Dataset, threshold: u32) -> QuarterlySeries {
+    let q = Query::TimeSeries(SeriesKind::LateArticles { threshold });
+    let QueryResult::TimeSeries(series) = run_query(ctx, d, &q) else {
+        unreachable!("TimeSeries query yields a TimeSeries result");
+    };
+    series
+}
+
 fn unfused_late_articles(ctx: &ExecContext, d: &Dataset, threshold: u32) -> Vec<f64> {
     use gdelt_engine::filter::Bitmap;
     let Some((base, n_quarters)) = timeseries::quarter_range(d) else {
@@ -733,7 +743,10 @@ fn adversarial_corpus_matches_reference_whole_and_in_pieces() {
     let stats_of = |d: &Dataset, name: &str| {
         let id = d.sources.lookup(name).expect("source in directory");
         let ctx = ExecContext::builder().threads(2).build();
-        run_query(&ctx, d, &Query::Delay).as_delay().expect("delay result")[id.index()]
+        let QueryResult::Delay(stats) = run_query(&ctx, d, &Query::Delay) else {
+            unreachable!("Delay query yields a Delay result");
+        };
+        stats[id.index()]
     };
     // The cases the table was built for, spelled out.
     assert_eq!(
@@ -800,7 +813,7 @@ fn corpus_above_the_cut_off_matches_reference_at_every_thread_count() {
         }
         // The fused selection + count against the two separate passes,
         // at a threshold only the delayed third reports clear.
-        let fused = timeseries::late_articles_per_quarter(&ctx, &d, 300);
+        let fused = late_articles(&ctx, &d, 300);
         assert_eq!(fused.values, unfused_late_articles(&ctx, &d, 300), "{threads} thread(s)");
     }
 }
@@ -862,7 +875,7 @@ proptest! {
     ) {
         let d = gdelt_synth::generate_dataset(&gdelt_synth::scenario::tiny(seed)).0;
         let ctx = ExecContext::builder().threads(threads).build();
-        let fused = timeseries::late_articles_per_quarter(&ctx, &d, threshold);
+        let fused = late_articles(&ctx, &d, threshold);
         prop_assert_eq!(fused.values, unfused_late_articles(&ctx, &d, threshold));
     }
 }

@@ -28,8 +28,9 @@
 //!   chaos shard arm spawn these).
 
 use gdelt_analysis::report::{run_full_report, ReportOptions};
-use gdelt_columnar::{binfmt, DatasetBuilder};
-use gdelt_engine::{run_query, ExecContext, Query, QueryResult};
+use gdelt_columnar::binfmt::{self, DEFAULT_STORE_PARTITIONS};
+use gdelt_columnar::DatasetBuilder;
+use gdelt_engine::{run_query, ExecContext, Query, QueryResult, TopKKind};
 use gdelt_synth::emit::to_tsv;
 use gdelt_synth::{generate, paper_calibrated};
 use std::path::PathBuf;
@@ -342,6 +343,7 @@ fn cmd_validate(o: &Options) -> Result<(), String> {
 }
 
 fn cmd_query(o: &Options) -> Result<(), String> {
+    use gdelt_engine::topk::ranked_publishers;
     use gdelt_engine::view::MentionView;
     use gdelt_model::country::CountryRegistry;
     use gdelt_model::time::Quarter;
@@ -364,15 +366,27 @@ fn cmd_query(o: &Options) -> Result<(), String> {
             let (from, to) = w.split_once(':').ok_or("window must be FROM:TO")?;
             let (from, to) = (parse_quarter(from)?, parse_quarter(to)?);
             println!("window: {from} .. {to}");
-            MentionView::time_window(&ctx, &dataset, from, to)
+            Some(MentionView::time_window(&ctx, &dataset, from, to))
         }
-        None => MentionView::all(&ctx, &dataset),
+        None => None,
     };
-    println!("selected articles: {}", view.len());
+    let selected = view.as_ref().map_or(dataset.mentions.len(), MentionView::len);
+    println!("selected articles: {selected}");
 
     if let Some(k) = o.top {
         println!("top {k} publishers in window:");
-        for (s, n) in view.top_publishers(&ctx, k) {
+        let top = match &view {
+            Some(view) => ranked_publishers(&view.articles_by_source(&ctx), k),
+            None => {
+                let k = k.try_into().unwrap_or(u32::MAX);
+                let q = Query::TopK { kind: TopKKind::Publishers, k };
+                let QueryResult::TopPublishers(top) = run_query(&ctx, &dataset, &q) else {
+                    return Err("top-k query returned the wrong variant".into());
+                };
+                top
+            }
+        };
+        for (s, n) in top {
             println!("  {:<44} {:>12}", dataset.sources.name(s), n);
         }
     }
@@ -561,7 +575,6 @@ fn cmd_chaos(o: &Options) -> Result<(), String> {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    const STORE_PARTITIONS: u32 = 8;
     let seed = o.seed.unwrap_or(42);
     let out_dir = o.output.clone().unwrap_or_else(|| PathBuf::from("target/chaos"));
     std::fs::create_dir_all(&out_dir)
@@ -585,7 +598,7 @@ fn cmd_chaos(o: &Options) -> Result<(), String> {
     let cfg = o.config();
     eprintln!("chaos: seed {seed}, store {} ({} events)", store.display(), cfg.n_events);
     let (clean_dataset, _) = gdelt_synth::generate_dataset(&cfg);
-    save_with_partitions(&store, &clean_dataset, STORE_PARTITIONS)
+    save_with_partitions(&store, &clean_dataset, DEFAULT_STORE_PARTITIONS)
         .map_err(|e| format!("writing {}: {e}", store.display()))?;
 
     // ---- phase 1: clean load control arm -------------------------------
@@ -664,9 +677,12 @@ fn cmd_chaos(o: &Options) -> Result<(), String> {
 
     // Bit-identity: every family over the degraded store must equal the
     // clean run restricted to the same live partitions.
-    let restricted =
-        restrict_to_partitions(&clean.dataset, STORE_PARTITIONS, &degraded.health.quarantined)
-            .map_err(|e| format!("restricting the clean dataset: {e}"))?;
+    let restricted = restrict_to_partitions(
+        &clean.dataset,
+        DEFAULT_STORE_PARTITIONS,
+        &degraded.health.quarantined,
+    )
+    .map_err(|e| format!("restricting the clean dataset: {e}"))?;
     for q in CHAOS_QUERIES {
         let over_degraded = run_query(&ctx, &degraded.dataset, &q);
         if over_degraded != run_query(&ctx, &restricted, &q) {
@@ -1111,9 +1127,8 @@ fn cmd_serve_bench_shards(o: &Options, n_shards: u32) -> Result<(), String> {
     use gdelt_serve::seeded_mix;
     use gdelt_shard::{split_store, Router, RouterConfig};
 
-    const STORE_PARTITIONS: u32 = 8;
-    if n_shards == 0 || n_shards > STORE_PARTITIONS {
-        return Err(format!("--shards must be in 1..={STORE_PARTITIONS}, got {n_shards}"));
+    if n_shards == 0 || n_shards > DEFAULT_STORE_PARTITIONS {
+        return Err(format!("--shards must be in 1..={DEFAULT_STORE_PARTITIONS}, got {n_shards}"));
     }
     let cfg = o.config();
     eprintln!(
@@ -1127,7 +1142,7 @@ fn cmd_serve_bench_shards(o: &Options, n_shards: u32) -> Result<(), String> {
     let dir = PathBuf::from("target/serve-bench-shards");
     std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     let store = dir.join("store.gdhpc");
-    gdelt_columnar::binfmt::save_with_partitions(&store, &dataset, STORE_PARTITIONS)
+    gdelt_columnar::binfmt::save_with_partitions(&store, &dataset, DEFAULT_STORE_PARTITIONS)
         .map_err(|e| format!("writing {}: {e}", store.display()))?;
     let shard_dir = dir.join("shards");
     let manifest = split_store(&store, &shard_dir, n_shards)
@@ -1396,10 +1411,11 @@ fn cmd_chaos_shards(o: &Options) -> Result<(), String> {
     use gdelt_faults::{ShardFault, ShardFaultPlan};
     use gdelt_shard::{shard_range, split_store, ReconnectPolicy, Router, RouterConfig};
 
-    const STORE_PARTITIONS: u32 = 8;
     let n_shards = o.shards.unwrap_or(3);
-    if !(2..=STORE_PARTITIONS).contains(&n_shards) {
-        return Err(format!("chaos --shards needs 2..={STORE_PARTITIONS} shards, got {n_shards}"));
+    if !(2..=DEFAULT_STORE_PARTITIONS).contains(&n_shards) {
+        return Err(format!(
+            "chaos --shards needs 2..={DEFAULT_STORE_PARTITIONS} shards, got {n_shards}"
+        ));
     }
     let seed = o.seed.unwrap_or(42);
     let out_dir = o.output.clone().unwrap_or_else(|| PathBuf::from("target/chaos-shards"));
@@ -1417,7 +1433,7 @@ fn cmd_chaos_shards(o: &Options) -> Result<(), String> {
     eprintln!("chaos --shards: seed {seed}, {n_shards} shards ({} events)", cfg.n_events);
     let (clean, _) = gdelt_synth::generate_dataset(&cfg);
     let store = out_dir.join("store.gdhpc");
-    save_with_partitions(&store, &clean, STORE_PARTITIONS)
+    save_with_partitions(&store, &clean, DEFAULT_STORE_PARTITIONS)
         .map_err(|e| format!("writing {}: {e}", store.display()))?;
     let shard_dir = out_dir.join("shards");
     let manifest =
@@ -1488,9 +1504,9 @@ fn cmd_chaos_shards(o: &Options) -> Result<(), String> {
     // ---- phase S2: the scheduled kill ----------------------------------
     let dead = manifest.shards[kill_victim].clone();
     let live_parts = total - dead.partitions;
-    let (lo, hi) = shard_range(STORE_PARTITIONS, n_shards, kill_victim as u32);
+    let (lo, hi) = shard_range(DEFAULT_STORE_PARTITIONS, n_shards, kill_victim as u32);
     let victim_range: Vec<u32> = (lo..hi).collect();
-    let restricted = restrict_to_partitions(&clean, STORE_PARTITIONS, &victim_range)
+    let restricted = restrict_to_partitions(&clean, DEFAULT_STORE_PARTITIONS, &victim_range)
         .map_err(|e| format!("restricting the control dataset: {e}"))?;
 
     let gen_before = router.generation();

@@ -29,7 +29,9 @@
 //! assert!(stats.articles >= stats.events);
 //!
 //! // Publishing-delay medians per source, exactly as §VI-E measures.
-//! let delays = gdelt::engine::delay::per_source_delay_stats(&ctx, &dataset);
+//! let QueryResult::Delay(delays) = run_query(&ctx, &dataset, &Query::Delay) else {
+//!     unreachable!("Delay query yields a Delay result");
+//! };
 //! assert_eq!(delays.len(), dataset.sources.len());
 //! # let _ = clean_report;
 //! ```

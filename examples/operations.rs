@@ -5,6 +5,7 @@
 //! Run with: `cargo run --release --example operations`
 
 use gdelt::columnar::{binfmt, incremental, memsize};
+use gdelt::engine::topk::ranked_publishers;
 use gdelt::engine::view::MentionView;
 use gdelt::engine::wildfire;
 use gdelt::prelude::*;
@@ -55,7 +56,7 @@ fn main() {
         Quarter { year: 2016, q: 4 },
     );
     println!("2016 window holds {} articles; top publishers:", v.len());
-    for (s, n) in v.top_publishers(&ctx, 5) {
+    for (s, n) in ranked_publishers(&v.articles_by_source(&ctx), 5) {
         println!("  {:<44} {:>8}", dataset.sources.name(s), n);
     }
     println!();

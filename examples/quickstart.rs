@@ -5,8 +5,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use gdelt::analysis::{table1, table3};
-use gdelt::engine::delay::per_source_delay_stats;
-use gdelt::engine::topk::top_publishers;
+use gdelt::engine::TopKKind;
 use gdelt::prelude::*;
 
 fn main() {
@@ -27,7 +26,11 @@ fn main() {
     // The most productive publishers (the paper finds regional UK
     // papers owned by one media group).
     println!("Top publishers:");
-    for (s, n) in top_publishers(&ctx, &dataset, 5) {
+    let top = Query::TopK { kind: TopKKind::Publishers, k: 5 };
+    let QueryResult::TopPublishers(top) = run_query(&ctx, &dataset, &top) else {
+        unreachable!("TopK Publishers query yields a TopPublishers result");
+    };
+    for (s, n) in top {
         println!("  {:<40} {:>10} articles", dataset.sources.name(s), n);
     }
     println!();
@@ -37,7 +40,9 @@ fn main() {
 
     // Publishing speed: how many sources have ever reported within
     // 15 minutes of an event entering the database?
-    let delays = per_source_delay_stats(&ctx, &dataset);
+    let QueryResult::Delay(delays) = run_query(&ctx, &dataset, &Query::Delay) else {
+        unreachable!("Delay query yields a Delay result");
+    };
     let active = delays.iter().filter(|s| s.count > 0).count();
     let instant = delays.iter().filter(|s| s.count > 0 && s.min == 0).count();
     println!("{instant} of {active} active sources have reported within one capture interval");

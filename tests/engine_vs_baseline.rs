@@ -5,10 +5,7 @@
 //! for in a test.
 
 use gdelt::engine::baseline::RowStore;
-use gdelt::engine::coreport::{CoReport, CountryCoReport};
-use gdelt::engine::crossreport::CrossReport;
-use gdelt::engine::delay::per_source_delay_stats;
-use gdelt::engine::followreport::FollowReport;
+use gdelt::engine::coreport::CoReport;
 use gdelt::model::country::CountryRegistry;
 use gdelt::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -55,8 +52,11 @@ fn coreport_matches_brute_force() {
 fn followreport_matches_brute_force() {
     let d = dataset();
     let ctx = ExecContext::builder().threads(2).build();
-    let subset: Vec<SourceId> = (0..8.min(d.sources.len())).map(|i| SourceId(i as u32)).collect();
-    let fr = FollowReport::build(&ctx, &d, &subset);
+    let QueryResult::FollowReport(fr) = run_query(&ctx, &d, &Query::FollowReport { top_k: 8 })
+    else {
+        unreachable!("FollowReport query yields a FollowReport result");
+    };
+    let subset = &fr.subset;
 
     // Reference: group raw mentions by event, sort by interval, count
     // follows with strict-time semantics.
@@ -100,9 +100,10 @@ fn followreport_matches_brute_force() {
 #[test]
 fn crossreport_matches_row_store_and_brute_force() {
     let d = dataset();
-    let reg = CountryRegistry::new();
     let ctx = ExecContext::builder().threads(2).build();
-    let engine = CrossReport::build(&ctx, &d, reg.len());
+    let QueryResult::CrossCountry(engine) = run_query(&ctx, &d, &Query::CrossCountry) else {
+        unreachable!("CrossCountry query yields a CrossCountry result");
+    };
 
     // The naive row store is an independent (string-based) path.
     let naive = RowStore::from_dataset(&d).cross_report_naive();
@@ -122,7 +123,9 @@ fn country_coreport_is_consistent_with_source_coreport() {
     let d = dataset();
     let reg = CountryRegistry::new();
     let ctx = ExecContext::builder().threads(2).build();
-    let cc = CountryCoReport::build(&ctx, &d, reg.len());
+    let QueryResult::CoReport(cc) = run_query(&ctx, &d, &Query::CoReport) else {
+        unreachable!("CoReport query yields a CoReport result");
+    };
 
     // Brute force from per-event country sets.
     let sets = event_source_sets(&d);
@@ -144,7 +147,9 @@ fn country_coreport_is_consistent_with_source_coreport() {
 fn delay_stats_match_brute_force() {
     let d = dataset();
     let ctx = ExecContext::builder().threads(2).build();
-    let stats = per_source_delay_stats(&ctx, &d);
+    let QueryResult::Delay(stats) = run_query(&ctx, &d, &Query::Delay) else {
+        unreachable!("Delay query yields a Delay result");
+    };
 
     let mut per_source: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
     for row in 0..d.mentions.len() {

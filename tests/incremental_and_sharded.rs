@@ -7,7 +7,6 @@
 use gdelt::columnar::degraded::restrict_to_partitions;
 use gdelt::columnar::incremental::append_batch;
 use gdelt::engine::partial::{execute, run_shard_query, ShardPartial};
-use gdelt::engine::query::AggregatedCountryReport;
 use gdelt::engine::{SeriesKind, TopKKind};
 use gdelt::prelude::*;
 
@@ -86,9 +85,9 @@ fn incremental_updates_preserve_query_results() {
     let full = build(events, mentions);
 
     let ctx = ExecContext::builder().threads(2).build();
-    let a = AggregatedCountryReport::run(&ctx, &updated);
-    let b = AggregatedCountryReport::run(&ctx, &full);
-    assert_eq!(a, b);
+    for q in [Query::CrossCountry, Query::CoReport] {
+        assert_eq!(run_query(&ctx, &updated, &q), run_query(&ctx, &full, &q), "{q}");
+    }
 }
 
 /// Partitions in the store image the pieces are cut from.
