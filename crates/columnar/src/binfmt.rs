@@ -57,8 +57,8 @@
 //! Every step is a bijection of the running state for a fixed input
 //! word and of the input word for a fixed state, so — like FNV — any
 //! change confined to one word is *guaranteed* to change the digest.
-//! (The shard wire protocol still frames with FNV-1a: its frames are
-//! small and its layouts are version-pinned; see `gdelt_shard::wire`.)
+//! The shard wire seals its frames with the same function (see
+//! `gdelt_shard::wire`).
 //!
 //! # Reading
 //!

@@ -1,42 +1,53 @@
-//! Minimal JSON reader used by the trace validator. Hand-rolled — the
-//! offline build has no serde — and deliberately strict: anything the
-//! grammar does not cover is an error, never a silent skip.
+//! Minimal JSON reader used by the trace validator, the metrics
+//! snapshot and the shard manifest. Hand-rolled — the offline build has
+//! no serde — and deliberately strict: anything the grammar does not
+//! cover is an error, never a silent skip.
 
 /// A parsed JSON value. Objects keep insertion order; duplicate keys
 /// are rejected at parse time.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Value {
+pub enum Value {
+    /// `null`.
     Null,
+    /// `true` / `false`.
     Bool(bool),
+    /// Any number, as the nearest `f64`.
     Num(f64),
+    /// A string, escapes resolved.
     Str(String),
+    /// An array.
     Arr(Vec<Value>),
+    /// An object, fields in document order.
     Obj(Vec<(String, Value)>),
 }
 
 impl Value {
-    pub(crate) fn get(&self, key: &str) -> Option<&Value> {
+    /// The value of field `key`, if this is an object that has it.
+    pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
             Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
 
-    pub(crate) fn as_num(&self) -> Option<f64> {
+    /// The number, if this is one.
+    pub fn as_num(&self) -> Option<f64> {
         match self {
             Value::Num(n) => Some(*n),
             _ => None,
         }
     }
 
-    pub(crate) fn as_str(&self) -> Option<&str> {
+    /// The string, if this is one.
+    pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
             _ => None,
         }
     }
 
-    pub(crate) fn as_arr(&self) -> Option<&[Value]> {
+    /// The items, if this is an array.
+    pub fn as_arr(&self) -> Option<&[Value]> {
         match self {
             Value::Arr(items) => Some(items),
             _ => None,
@@ -45,7 +56,7 @@ impl Value {
 }
 
 /// Parse a complete JSON document (one value plus trailing whitespace).
-pub(crate) fn parse(text: &str) -> Result<Value, String> {
+pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
     let mut p = Parser { bytes, pos: 0 };
     p.skip_ws();
@@ -246,8 +257,8 @@ fn utf8_len(first: u8) -> Result<usize, String> {
 }
 
 /// Escape a string for embedding in a JSON document (used by the
-/// trace exporter).
-pub(crate) fn escape(s: &str) -> String {
+/// trace exporter, the snapshot writer and the shard manifest).
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {

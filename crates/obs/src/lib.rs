@@ -24,7 +24,7 @@
 //! overhead budget, and the flight-recorder policy.
 
 pub mod flight;
-mod json;
+pub mod json;
 pub mod metrics;
 pub mod prom;
 pub mod snapshot;

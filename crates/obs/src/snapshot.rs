@@ -118,10 +118,8 @@ impl RegistrySnapshot {
             snap.gauges.insert(name.clone(), n);
         }
         for (name, v) in obj_fields(&doc, "hists")? {
-            let sum = str_u64(
-                v.get("sum").ok_or_else(|| format!("hist {name:?}: missing sum"))?,
-                name,
-            )?;
+            let sum =
+                str_u64(v.get("sum").ok_or_else(|| format!("hist {name:?}: missing sum"))?, name)?;
             let count = str_u64(
                 v.get("count").ok_or_else(|| format!("hist {name:?}: missing count"))?,
                 name,

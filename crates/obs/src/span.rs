@@ -323,9 +323,10 @@ impl SpanGuard {
     /// outgoing work (wire headers, partition threads) so remote spans
     /// parent under this one. [`TraceContext::NONE`] when inert.
     pub fn trace_context(&self) -> TraceContext {
-        self.active
-            .as_ref()
-            .map_or(TraceContext::NONE, |a| TraceContext { trace_id: a.trace_id, span_id: a.span_id })
+        self.active.as_ref().map_or(TraceContext::NONE, |a| TraceContext {
+            trace_id: a.trace_id,
+            span_id: a.span_id,
+        })
     }
 }
 

@@ -23,7 +23,7 @@
 //! never leave a stale partial answer behind.
 
 use crate::split::ShardManifest;
-use crate::wire::{FlightForward, Frame, Hello, WireSpan};
+use crate::wire::{FlightForward, Frame, WireSpan};
 use gdelt_columnar::Coverage;
 use gdelt_engine::partial::{self, ShardPartial, ShardQuery};
 use gdelt_engine::{Query, QueryResult};
@@ -65,7 +65,9 @@ impl ReconnectPolicy {
     }
 }
 
-/// Router configuration.
+/// Router configuration: the knobs a caller sets. Cache size,
+/// admission bounds and the per-shard connection pool are private
+/// constants of this module.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
     /// `host:port` per shard, in shard-id order (must match the
@@ -75,23 +77,10 @@ pub struct RouterConfig {
     pub policy: DegradedPolicy,
     /// Result cache toggle.
     pub cache_enabled: bool,
-    /// Cache shards.
-    pub cache_shards: usize,
-    /// Cache capacity per cache shard.
-    pub cache_capacity_per_shard: usize,
-    /// Admission queue bound.
-    pub max_queue: usize,
-    /// Admission in-flight cost budget.
-    pub max_cost_in_flight: u64,
     /// Per-shard read timeout.
     pub read_timeout: Duration,
     /// Reconnect schedule.
     pub reconnect: ReconnectPolicy,
-    /// Idle connections kept per shard. Concurrent scatters each check
-    /// out their own connection (dialing on demand), so cold queries
-    /// never serialize behind one shard socket; this caps how many
-    /// stay pooled between scatters.
-    pub pool_per_shard: usize,
 }
 
 impl Default for RouterConfig {
@@ -100,16 +89,25 @@ impl Default for RouterConfig {
             addrs: Vec::new(),
             policy: DegradedPolicy::ServePartial,
             cache_enabled: true,
-            cache_shards: 8,
-            cache_capacity_per_shard: 64,
-            max_queue: 256,
-            max_cost_in_flight: u64::MAX / 4,
             read_timeout: Duration::from_secs(10),
             reconnect: ReconnectPolicy::default(),
-            pool_per_shard: 8,
         }
     }
 }
+
+/// Result-cache shards.
+const CACHE_SHARDS: usize = 8;
+/// Result-cache capacity per cache shard.
+const CACHE_CAPACITY_PER_SHARD: usize = 64;
+/// Admission queue bound.
+const MAX_QUEUE: usize = 256;
+/// Admission in-flight cost budget.
+const MAX_COST_IN_FLIGHT: u64 = u64::MAX / 4;
+/// Idle connections kept per shard. Concurrent scatters each check out
+/// their own connection (dialing on demand), so cold queries never
+/// serialize behind one shard socket; this caps how many stay pooled
+/// between scatters.
+const POOL_PER_SHARD: usize = 8;
 
 /// Counters the bench and chaos arms read. Retries are reconnects that
 /// went on to succeed; they are *neither* hits nor misses, so
@@ -137,20 +135,17 @@ struct ShardSlot {
     /// Idle connections, checked out per request so concurrent
     /// scatters to the same shard run on distinct sockets (the worker
     /// serves one thread per connection).
-    pool: Mutex<Vec<Connection>>,
-    /// Consecutive dial failures (drives backoff growth across
-    /// scatters; reset on success).
-    failures: AtomicU64,
+    pool: Mutex<Vec<TcpStream>>,
 }
 
 impl ShardSlot {
-    fn check_out(&self) -> Option<Connection> {
+    fn check_out(&self) -> Option<TcpStream> {
         self.pool.lock().unwrap_or_else(|e| e.into_inner()).pop()
     }
 
-    fn check_in(&self, conn: Connection, cap: usize) {
+    fn check_in(&self, conn: TcpStream) {
         let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
-        if pool.len() < cap.max(1) {
+        if pool.len() < POOL_PER_SHARD {
             pool.push(conn);
         }
     }
@@ -161,11 +156,6 @@ impl ShardSlot {
     fn clear(&self) {
         self.pool.lock().unwrap_or_else(|e| e.into_inner()).clear();
     }
-}
-
-struct Connection {
-    stream: TcpStream,
-    hello: Hello,
 }
 
 /// The scatter-gather front-end.
@@ -202,17 +192,13 @@ impl Router {
         let slots = cfg
             .addrs
             .iter()
-            .map(|a| ShardSlot {
-                addr: a.clone(),
-                pool: Mutex::new(Vec::new()),
-                failures: AtomicU64::new(0),
-            })
+            .map(|a| ShardSlot { addr: a.clone(), pool: Mutex::new(Vec::new()) })
             .collect();
         let admission = Admission::new(AdmissionConfig {
-            max_queue: cfg.max_queue,
-            max_cost_in_flight: cfg.max_cost_in_flight,
+            max_queue: MAX_QUEUE,
+            max_cost_in_flight: MAX_COST_IN_FLIGHT,
         });
-        let cache = ShardedCache::new(cfg.cache_shards, cfg.cache_capacity_per_shard);
+        let cache = ShardedCache::new(CACHE_SHARDS, CACHE_CAPACITY_PER_SHARD);
         let events = manifest.shards.iter().map(|s| s.events).sum();
         let mentions = manifest.shards.iter().map(|s| s.mentions).sum();
         let n = manifest.shards.len();
@@ -248,20 +234,9 @@ impl Router {
         }
     }
 
-    /// Cache stats (hit/miss/evict counts come from the shared
-    /// `ShardedCache`, same as the single-process service).
-    pub fn cache_stats(&self) -> gdelt_serve::CacheStats {
-        self.cache.stats()
-    }
-
     /// Current router cache generation.
     pub fn generation(&self) -> u64 {
         self.cache.generation()
-    }
-
-    /// Total source partitions (the coverage denominator).
-    pub fn total_partitions(&self) -> u32 {
-        self.manifest.source_partitions
     }
 
     /// Answer `q`: admission, cache, scatter, merge, finalize.
@@ -329,7 +304,7 @@ impl Router {
     /// spawn/join cost.
     fn scatter_round(&self, sq: &ShardQuery) -> Result<Round, ServeError> {
         let n = self.slots.len();
-        let pending: Vec<Option<(Connection, bool, SpanGuard)>> =
+        let pending: Vec<Option<(TcpStream, bool, SpanGuard)>> =
             (0..n).map(|i| self.send_request(i, sq)).collect();
         // Per-shard generation, 0 = no usable answer this round.
         let mut sig = vec![0u64; n];
@@ -382,7 +357,7 @@ impl Router {
     /// was freshly dialed, and the RPC span whose context was stamped
     /// into the frame header (the caller holds it open until the reply
     /// lands).
-    fn send_request(&self, i: usize, sq: &ShardQuery) -> Option<(Connection, bool, SpanGuard)> {
+    fn send_request(&self, i: usize, sq: &ShardQuery) -> Option<(TcpStream, bool, SpanGuard)> {
         let slot = &self.slots[i];
         let mut reconnected = false;
         let mut conn = slot.check_out();
@@ -395,12 +370,10 @@ impl Router {
         // all N requests before reading any reply, so these guards are
         // siblings dropped out of LIFO order — they must not disturb
         // the ambient context under the root span.
-        let rpc_span =
-            gdelt_obs::span_at("router", "shard_rpc", gdelt_obs::current_trace())
-                .arg("shard", i as u64);
+        let rpc_span = gdelt_obs::span_at("router", "shard_rpc", gdelt_obs::current_trace())
+            .arg("shard", i as u64);
         let tc = rpc_span.trace_context();
-        match Frame::Request(sq.clone()).write_traced_to(&mut conn.stream, tc.trace_id, tc.span_id)
-        {
+        match Frame::Request(sq.clone()).write_traced_to(&mut conn, tc.trace_id, tc.span_id) {
             Ok(()) => Some((conn, reconnected, rpc_span)),
             Err(e) => {
                 self.conn_lost(i, &e.to_string());
@@ -418,10 +391,10 @@ impl Router {
         &self,
         i: usize,
         sq: &ShardQuery,
-        mut conn: Connection,
+        mut conn: TcpStream,
     ) -> Option<(u64, ShardPartial)> {
         let t0 = std::time::Instant::now();
-        match Frame::read_from(&mut conn.stream) {
+        match Frame::read_from(&mut conn) {
             Ok(Frame::Reply { partial, .. }) if !sq.accepts(&partial) => {
                 // Well framed, wrong answer (a stale pipelined reply, a
                 // worker on another store): drop the connection with it.
@@ -433,7 +406,7 @@ impl Router {
                     .histogram(&format!("router_shard_us_{i}"))
                     .record(t0.elapsed().as_micros() as u64);
                 self.absorb_flight(i, &flight);
-                self.slots[i].check_in(conn, self.cfg.pool_per_shard);
+                self.slots[i].check_in(conn);
                 Some((generation, partial))
             }
             Ok(other) => {
@@ -452,7 +425,6 @@ impl Router {
     /// flight-recorder trace.
     fn conn_lost(&self, i: usize, why: &str) {
         self.slots[i].clear();
-        self.slots[i].failures.fetch_add(1, Ordering::Relaxed);
         gdelt_obs::global().counter("router_shard_loss").inc();
         gdelt_obs::flight_warn("shard", "shard_lost", format!("shard {i}: {why}"));
     }
@@ -462,7 +434,7 @@ impl Router {
     /// the shard id and attempt number), so a dump distinguishes
     /// "first dial lost a race with a restart" from "down the whole
     /// window"; the terminal `dial_failed` still fires only once.
-    fn dial(&self, i: usize, slot: &ShardSlot) -> Option<Connection> {
+    fn dial(&self, i: usize, slot: &ShardSlot) -> Option<TcpStream> {
         let attempts = self.cfg.reconnect.max_attempts;
         for attempt in 0..attempts {
             let wait = self.cfg.reconnect.delay(attempt);
@@ -474,11 +446,8 @@ impl Router {
                     let _ = stream.set_read_timeout(Some(self.cfg.read_timeout));
                     let _ = stream.set_nodelay(true);
                     match Frame::read_from(&mut stream) {
-                        Ok(Frame::Hello(hello)) => {
-                            slot.failures.store(0, Ordering::Relaxed);
-                            return Some(Connection { stream, hello });
-                        }
-                        Ok(other) => format!("expected hello, got {}", frame_label(&other)),
+                        Ok(Frame::Hello(_)) => return Some(stream),
+                        Ok(other) => format!("expected hello, got {}", other.name()),
                         Err(e) => format!("hello read failed: {e}"),
                     }
                 }
@@ -487,11 +456,7 @@ impl Router {
             gdelt_obs::flight_warn(
                 "shard",
                 "dial_retry",
-                format!(
-                    "shard {i} at {}: attempt {}/{attempts} {why}",
-                    slot.addr,
-                    attempt + 1
-                ),
+                format!("shard {i} at {}: attempt {}/{attempts} {why}", slot.addr, attempt + 1),
             );
         }
         gdelt_obs::flight_warn(
@@ -519,12 +484,7 @@ impl Router {
                 1 => FlightLevel::Warn,
                 _ => FlightLevel::Error,
             };
-            gdelt_obs::flight(
-                level,
-                ev.component.clone(),
-                ev.code.clone(),
-                ev.rerecord_detail(i),
-            );
+            gdelt_obs::flight(level, ev.component.clone(), ev.code.clone(), ev.rerecord_detail(i));
         }
     }
 
@@ -534,11 +494,10 @@ impl Router {
     fn exchange(&self, i: usize, request: Frame) -> Option<Frame> {
         let slot = &self.slots[i];
         let mut conn = slot.check_out().or_else(|| self.dial(i, slot))?;
-        let reply =
-            request.write_to(&mut conn.stream).and_then(|()| Frame::read_from(&mut conn.stream));
+        let reply = request.write_to(&mut conn).and_then(|()| Frame::read_from(&mut conn));
         match reply {
             Ok(frame) => {
-                slot.check_in(conn, self.cfg.pool_per_shard);
+                slot.check_in(conn);
                 Some(frame)
             }
             Err(e) => {
@@ -621,11 +580,11 @@ impl Router {
                 let slot = &self.slots[i];
                 let mut conn = slot.check_out().or_else(|| self.dial(i, slot))?;
                 let reply = Frame::HealthProbe
-                    .write_to(&mut conn.stream)
-                    .and_then(|()| Frame::read_from(&mut conn.stream));
+                    .write_to(&mut conn)
+                    .and_then(|()| Frame::read_from(&mut conn));
                 match reply {
                     Ok(Frame::Health(h)) => {
-                        slot.check_in(conn, self.cfg.pool_per_shard);
+                        slot.check_in(conn);
                         Some((h.live, h.total, h.generation))
                     }
                     _ => {
@@ -638,37 +597,6 @@ impl Router {
         let sig = healths.iter().map(|h| h.map_or(0, |(_, _, g)| g)).collect();
         self.note_signature(sig);
         healths
-    }
-
-    /// Hello metadata of currently-pooled shard connections
-    /// (testing/obs aid).
-    pub fn connected_hellos(&self) -> Vec<Option<Hello>> {
-        self.slots
-            .iter()
-            .map(|s| {
-                s.pool.lock().unwrap_or_else(|e| e.into_inner()).first().map(|c| c.hello.clone())
-            })
-            .collect()
-    }
-}
-
-/// Short frame label for dial diagnostics (full `Debug` of a frame
-/// can embed a whole partial).
-fn frame_label(f: &Frame) -> &'static str {
-    match f {
-        Frame::Hello(_) => "hello",
-        Frame::Request(_) => "request",
-        Frame::Reply { .. } => "reply",
-        Frame::HealthProbe => "health_probe",
-        Frame::Health(_) => "health",
-        Frame::BumpGeneration => "bump_generation",
-        Frame::Query(_) => "query",
-        Frame::Result(_) => "result",
-        Frame::Error { .. } => "error",
-        Frame::MetricsRequest => "metrics_request",
-        Frame::MetricsReply { .. } => "metrics_reply",
-        Frame::TraceRequest => "trace_request",
-        Frame::TraceReply { .. } => "trace_reply",
     }
 }
 

@@ -13,6 +13,7 @@
 
 use gdelt_columnar::binfmt::{read_store_extents, save_with_partitions};
 use gdelt_columnar::degraded::restrict_to_partitions;
+use gdelt_obs::json::{self, Value};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -51,7 +52,7 @@ impl ShardManifest {
         for (i, s) in self.shards.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"file\": \"{}\", \"partitions\": {}, \"ev_row_base\": {}, \"events\": {}, \"mentions\": {}}}{}\n",
-                s.file,
+                json::escape(&s.file),
                 s.partitions,
                 s.ev_row_base,
                 s.events,
@@ -63,29 +64,34 @@ impl ShardManifest {
         out
     }
 
-    /// Parse the shape [`ShardManifest::to_json`] emits. Not a general
-    /// JSON parser — a purpose-built scanner for our own writer, the
-    /// same trade obs makes for its trace output.
+    /// Parse a manifest with obs's JSON reader. Every count must be a
+    /// whole number its field can hold exactly; anything else is
+    /// `InvalidData`.
     pub fn from_json(text: &str) -> io::Result<ShardManifest> {
-        let source_partitions = extract_u64(text, "source_partitions")? as u32;
-        let open = text.find('[').ok_or_else(|| bad_manifest("missing shards array"))?;
-        let close = text.rfind(']').ok_or_else(|| bad_manifest("unterminated shards array"))?;
-        let mut shards = Vec::new();
-        for obj in text[open + 1..close].split('{').skip(1) {
-            let body =
-                obj.split('}').next().ok_or_else(|| bad_manifest("unterminated shard object"))?;
-            shards.push(ShardEntry {
-                file: extract_str(body, "file")?,
-                partitions: extract_u64(body, "partitions")? as u32,
-                ev_row_base: extract_u64(body, "ev_row_base")?,
-                events: extract_u64(body, "events")?,
-                mentions: extract_u64(body, "mentions")?,
-            });
-        }
+        let doc = json::parse(text).map_err(|e| bad_manifest(&e))?;
+        let shards = doc
+            .get("shards")
+            .and_then(Value::as_arr)
+            .ok_or_else(|| bad_manifest("missing shards array"))?
+            .iter()
+            .map(|s| {
+                Ok(ShardEntry {
+                    file: s
+                        .get("file")
+                        .and_then(Value::as_str)
+                        .ok_or_else(|| bad_manifest("missing string file"))?
+                        .to_string(),
+                    partitions: count(s, "partitions")?,
+                    ev_row_base: count(s, "ev_row_base")?,
+                    events: count(s, "events")?,
+                    mentions: count(s, "mentions")?,
+                })
+            })
+            .collect::<io::Result<Vec<_>>>()?;
         if shards.is_empty() {
             return Err(bad_manifest("no shards"));
         }
-        Ok(ShardManifest { source_partitions, shards })
+        Ok(ShardManifest { source_partitions: count(&doc, "source_partitions")?, shards })
     }
 
     /// Load `dir/manifest.json`.
@@ -109,23 +115,15 @@ fn bad_manifest(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("shard manifest: {what}"))
 }
 
-fn extract_u64(text: &str, key: &str) -> io::Result<u64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle).ok_or_else(|| bad_manifest(&format!("missing key {key}")))?;
-    let rest = text[at + needle.len()..].trim_start();
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().map_err(|_| bad_manifest(&format!("bad number for {key}")))
-}
-
-fn extract_str(text: &str, key: &str) -> io::Result<String> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle).ok_or_else(|| bad_manifest(&format!("missing key {key}")))?;
-    let rest = text[at + needle.len()..].trim_start();
-    let inner =
-        rest.strip_prefix('"').ok_or_else(|| bad_manifest(&format!("{key} is not a string")))?;
-    let end =
-        inner.find('"').ok_or_else(|| bad_manifest(&format!("unterminated string for {key}")))?;
-    Ok(inner[..end].to_string())
+/// Field `key` of `obj` as a whole number that `T` holds exactly.
+/// JSON numbers arrive as `f64`, so anything from 2^53 up is refused
+/// too: it may already have been rounded.
+fn count<T: TryFrom<u64>>(obj: &Value, key: &str) -> io::Result<T> {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    let n = obj.get(key).and_then(Value::as_num);
+    n.filter(|n| n.fract() == 0.0 && (0.0..EXACT).contains(n))
+        .and_then(|n| T::try_from(n as u64).ok())
+        .ok_or_else(|| bad_manifest(&format!("{key} is not a count that fits its field")))
 }
 
 /// Contiguous partition range `[lo, hi)` for shard `i` of `n` over `p`
@@ -224,5 +222,41 @@ mod tests {
         assert!(ShardManifest::from_json("{}").is_err());
         assert!(ShardManifest::from_json("{\"source_partitions\": 8, \"shards\": []}").is_err());
         assert!(ShardManifest::from_json("not json at all").is_err());
+    }
+
+    fn one_shard(partitions: &str) -> String {
+        format!(
+            "{{\"source_partitions\": 8, \"shards\": [{{\"file\": \"s\", \"partitions\": {partitions}, \"ev_row_base\": 0, \"events\": 1, \"mentions\": 1}}]}}"
+        )
+    }
+
+    #[test]
+    fn counts_that_do_not_fit_their_field_are_refused() {
+        assert_eq!(ShardManifest::from_json(&one_shard("4")).unwrap().shards[0].partitions, 4);
+        for bad in ["4294967297", "-1", "2.5", "1e300", "\"4\""] {
+            let err = ShardManifest::from_json(&one_shard(bad)).expect_err(bad);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bad}");
+        }
+        let huge = one_shard("1").replace("\"events\": 1", "\"events\": 9007199254740993");
+        assert!(ShardManifest::from_json(&huge).is_err(), "above 2^53 may have been rounded");
+    }
+
+    #[test]
+    fn file_names_with_json_syntax_round_trip() {
+        let m = ShardManifest {
+            source_partitions: 2,
+            shards: ["a{b}.gdhpc", "q\"uo\\te,}{.gdhpc"]
+                .iter()
+                .enumerate()
+                .map(|(i, f)| ShardEntry {
+                    file: f.to_string(),
+                    partitions: 1,
+                    ev_row_base: i as u64,
+                    events: 1,
+                    mentions: 2,
+                })
+                .collect(),
+        };
+        assert_eq!(ShardManifest::from_json(&m.to_json()).unwrap(), m);
     }
 }

@@ -1,69 +1,48 @@
-//! Hand-rolled length-prefixed wire protocol for the shard tier.
+//! Hand-rolled length-prefixed wire protocol between the router and
+//! its shard workers.
 //!
 //! Zero dependencies, no serde — in the same spirit as obs's
-//! hand-rolled JSON. Every message is one *frame*. Version 2 carries
-//! trace context in the header so spans opened by a worker parent
-//! under the router's span:
+//! hand-rolled JSON. Every message is one *frame*, and the header
+//! carries trace context so spans opened by a worker parent under the
+//! router's span:
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"GDSH"
-//! 4       2     version (LE) — 2; v1 frames still decode
+//! 4       2     version (LE) — 3; any other is BadVersion
 //! 6       1     kind (frame discriminant)
 //! 7       8     trace id (LE; 0 = untraced)
 //! 15      8     parent span id (LE; 0 = no parent)
 //! 23      4     payload length (LE)
 //! 27      len   payload (message-specific, little-endian codecs)
-//! 27+len  8     FNV-1a 64 checksum of bytes [0, 27+len) (LE)
+//! 27+len  8     checksum64 of bytes [0, 27+len) (LE)
 //! ```
 //!
-//! A version-1 header is the same minus the two trace fields (11
-//! bytes, payload length at offset 7). Decoding negotiates by the
-//! version field: v1 frames yield zero trace context and a
-//! [`Frame::Reply`] without the flight section — typed, never a panic.
+//! The trailer is the store's own `gdelt_columnar::binfmt::checksum64`,
+//! so any change confined to one word of a frame changes it.
 //!
 //! Integers are little-endian; `f64` travels as IEEE-754 bits
 //! (`to_bits`/`from_bits`), so round-trips are bit-identical — the
 //! equivalence suite depends on that. Decoding is total: every
 //! malformed input maps to a typed [`WireError`], never a panic.
 
+use gdelt_columnar::binfmt::checksum64;
 use gdelt_engine::coreport::CountryCoReport;
 use gdelt_engine::crossreport::CrossReport;
-use gdelt_engine::delay::DelayStats;
 use gdelt_engine::filter::Bitmap;
 use gdelt_engine::followreport::FollowReport;
 use gdelt_engine::partial::{ActiveSourcesPartial, DelayHist, ShardPartial, ShardQuery};
 use gdelt_engine::timeseries::QuarterlySeries;
-use gdelt_engine::{Matrix, Query, QueryResult, SeriesKind, TopKKind};
+use gdelt_engine::{Matrix, SeriesKind};
 use gdelt_model::ids::SourceId;
 use gdelt_model::time::Quarter;
 
-/// FNV-1a 64-bit, the frame checksum. Frames are small (a reply is at
-/// most a few hundred KB) and every frame layout is version-pinned, so
-/// the wire keeps the byte-serial hash the store format moved off.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Frame magic.
 pub const MAGIC: [u8; 4] = *b"GDSH";
-/// Protocol version written by [`Frame::encode`].
-pub const VERSION: u16 = 2;
-/// The pre-trace-context protocol version, still accepted on decode.
-pub const VERSION_V1: u16 = 1;
-/// Header bytes before the payload (version 2: includes trace id and
-/// parent span id).
+/// The one protocol version, written and accepted.
+pub const VERSION: u16 = 3;
+/// Header bytes before the payload.
 pub const HEADER_LEN: usize = 27;
-/// Version-1 header bytes (no trace context).
-pub const HEADER_LEN_V1: usize = 11;
-/// The version-independent header prefix: magic + version. Decoding
-/// reads this much before it knows which header layout follows.
-pub const HEADER_PREFIX_LEN: usize = 6;
 /// Trailing checksum bytes.
 pub const CHECKSUM_LEN: usize = 8;
 /// Refuse payloads larger than this (256 MiB) — a corrupt length
@@ -87,7 +66,7 @@ pub enum WireError {
     BadVersion(u16),
     /// Payload length prefix exceeds [`MAX_PAYLOAD`].
     Oversized(u32),
-    /// FNV checksum mismatch.
+    /// Frame checksum mismatch.
     BadChecksum {
         /// Checksum computed over the received bytes.
         computed: u64,
@@ -230,7 +209,7 @@ pub enum Frame {
         generation: u64,
         /// The sufficient statistic.
         partial: ShardPartial,
-        /// Recent worker flight events (empty on v1 frames).
+        /// Recent worker flight events.
         flight: Vec<FlightForward>,
     },
     /// Router → worker: health check.
@@ -240,11 +219,6 @@ pub enum Frame {
     /// Bump the worker's store generation (chaos/testing hook for
     /// cache-invalidation propagation).
     BumpGeneration,
-    /// A full query (client → router framing; also exercised by the
-    /// round-trip proptests).
-    Query(Query),
-    /// A full result (router → client framing).
-    Result(QueryResult),
     /// Typed failure with a short human-readable detail.
     Error {
         /// Stable numeric code.
@@ -280,8 +254,6 @@ const KIND_REPLY: u8 = 3;
 const KIND_HEALTH_PROBE: u8 = 4;
 const KIND_HEALTH: u8 = 5;
 const KIND_BUMP: u8 = 6;
-const KIND_QUERY: u8 = 7;
-const KIND_RESULT: u8 = 8;
 const KIND_ERROR: u8 = 9;
 const KIND_METRICS_REQUEST: u8 = 10;
 const KIND_METRICS_REPLY: u8 = 11;
@@ -297,8 +269,6 @@ impl Frame {
             Frame::HealthProbe => KIND_HEALTH_PROBE,
             Frame::Health(_) => KIND_HEALTH,
             Frame::BumpGeneration => KIND_BUMP,
-            Frame::Query(_) => KIND_QUERY,
-            Frame::Result(_) => KIND_RESULT,
             Frame::Error { .. } => KIND_ERROR,
             Frame::MetricsRequest => KIND_METRICS_REQUEST,
             Frame::MetricsReply { .. } => KIND_METRICS_REPLY,
@@ -307,30 +277,34 @@ impl Frame {
         }
     }
 
-    /// Encode into a checksummed v2 frame with zero (untraced) trace
+    /// Short name of the frame's kind, for diagnostics (a frame's full
+    /// `Debug` can embed a whole partial).
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            Frame::Hello(_) => "hello",
+            Frame::Request(_) => "request",
+            Frame::Reply { .. } => "reply",
+            Frame::HealthProbe => "health_probe",
+            Frame::Health(_) => "health",
+            Frame::BumpGeneration => "bump_generation",
+            Frame::Error { .. } => "error",
+            Frame::MetricsRequest => "metrics_request",
+            Frame::MetricsReply { .. } => "metrics_reply",
+            Frame::TraceRequest => "trace_request",
+            Frame::TraceReply { .. } => "trace_reply",
+        }
+    }
+
+    /// Encode into a checksummed frame with zero (untraced) trace
     /// context.
     // analyze: no_panic
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_with(VERSION, 0, 0)
+        self.encode_traced(0, 0)
     }
 
-    /// Encode into a checksummed v2 frame carrying trace context.
+    /// Encode into a checksummed frame carrying trace context.
     // analyze: no_panic
     pub fn encode_traced(&self, trace_id: u64, parent_span: u64) -> Vec<u8> {
-        self.encode_with(VERSION, trace_id, parent_span)
-    }
-
-    /// Encode with the pre-trace-context version-1 header (11 bytes,
-    /// no trace fields; `Reply` omits its flight section). Exists so
-    /// the negotiation tests can manufacture genuine old-format frames
-    /// without hand-packing bytes.
-    // analyze: no_panic
-    pub fn encode_v1(&self) -> Vec<u8> {
-        self.encode_with(VERSION_V1, 0, 0)
-    }
-
-    // analyze: no_panic
-    fn encode_with(&self, version: u16, trace_id: u64, parent_span: u64) -> Vec<u8> {
         let mut payload = Vec::new();
         let mut e = Enc(&mut payload);
         match self {
@@ -346,11 +320,7 @@ impl Frame {
             Frame::Reply { generation, partial, flight } => {
                 e.u64(*generation);
                 enc_partial(&mut e, partial);
-                // The flight section joined the Reply payload in v2; a
-                // v1 Reply simply does not carry it.
-                if version >= VERSION {
-                    enc_flight_vec(&mut e, flight);
-                }
+                enc_flight_vec(&mut e, flight);
             }
             Frame::HealthProbe | Frame::BumpGeneration => {}
             Frame::Health(h) => {
@@ -358,8 +328,6 @@ impl Frame {
                 e.u32(h.total);
                 e.u64(h.generation);
             }
-            Frame::Query(q) => enc_query(&mut e, q),
-            Frame::Result(r) => enc_result(&mut e, r),
             Frame::Error { code, message } => {
                 e.u16(*code);
                 e.str(message);
@@ -377,18 +345,15 @@ impl Frame {
                 }
             }
         }
-        let header_len = if version == VERSION_V1 { HEADER_LEN_V1 } else { HEADER_LEN };
-        let mut out = Vec::with_capacity(header_len + payload.len() + CHECKSUM_LEN);
+        let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
         out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&VERSION.to_le_bytes());
         out.push(self.kind());
-        if version != VERSION_V1 {
-            out.extend_from_slice(&trace_id.to_le_bytes());
-            out.extend_from_slice(&parent_span.to_le_bytes());
-        }
+        out.extend_from_slice(&trace_id.to_le_bytes());
+        out.extend_from_slice(&parent_span.to_le_bytes());
         out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         out.extend_from_slice(&payload);
-        let sum = fnv1a64(&out);
+        let sum = checksum64(&out);
         out.extend_from_slice(&sum.to_le_bytes());
         out
     }
@@ -401,60 +366,24 @@ impl Frame {
     }
 
     /// Decode one frame plus its trace context `(frame, trace_id,
-    /// parent_span, consumed)`. Version-1 frames decode with zero
-    /// trace context.
+    /// parent_span, consumed)`.
     // analyze: no_panic
     pub fn decode_traced(buf: &[u8]) -> Result<(Frame, u64, u64, usize), WireError> {
-        if buf.len() < HEADER_PREFIX_LEN {
-            return Err(WireError::Truncated { needed: HEADER_PREFIX_LEN, have: buf.len() });
-        }
-        let magic: [u8; 4] = [buf[0], buf[1], buf[2], buf[3]];
-        if magic != MAGIC {
-            return Err(WireError::BadMagic(magic));
-        }
-        let version = u16::from_le_bytes([buf[4], buf[5]]);
-        let header_len = match version {
-            VERSION_V1 => HEADER_LEN_V1,
-            VERSION => HEADER_LEN,
-            other => return Err(WireError::BadVersion(other)),
-        };
-        if buf.len() < header_len {
-            return Err(WireError::Truncated { needed: header_len, have: buf.len() });
-        }
-        let kind = buf[6];
-        let (trace_id, parent_span) = if version == VERSION {
-            let t = buf.get(7..15).and_then(|s| s.try_into().ok()).map(u64::from_le_bytes);
-            let p = buf.get(15..23).and_then(|s| s.try_into().ok()).map(u64::from_le_bytes);
-            match (t, p) {
-                (Some(t), Some(p)) => (t, p),
-                _ => return Err(WireError::Malformed("trace header")),
-            }
-        } else {
-            (0, 0)
-        };
-        let len_off = header_len - 4;
-        let len_bytes = buf.get(len_off..header_len).and_then(|s| <[u8; 4]>::try_from(s).ok());
-        let Some(len_bytes) = len_bytes else {
-            return Err(WireError::Malformed("length field"));
-        };
-        let len = u32::from_le_bytes(len_bytes);
-        if len > MAX_PAYLOAD {
-            return Err(WireError::Oversized(len));
-        }
-        let total = header_len + len as usize + CHECKSUM_LEN;
+        let (kind, trace_id, parent_span, len) = parse_header(buf)?;
+        let body_end = HEADER_LEN + len;
+        let total = body_end + CHECKSUM_LEN;
         if buf.len() < total {
             return Err(WireError::Truncated { needed: total, have: buf.len() });
         }
-        let body_end = header_len + len as usize;
         let body = buf.get(..body_end).ok_or(WireError::Malformed("frame body"))?;
-        let computed = fnv1a64(body);
+        let computed = checksum64(body);
         let sum_bytes = buf.get(body_end..total).ok_or(WireError::Malformed("checksum"))?;
         let stored =
             u64::from_le_bytes(sum_bytes.try_into().map_err(|_| WireError::Malformed("checksum"))?);
         if computed != stored {
             return Err(WireError::BadChecksum { computed, stored });
         }
-        let payload = buf.get(header_len..body_end).ok_or(WireError::Malformed("payload"))?;
+        let payload = buf.get(HEADER_LEN..body_end).ok_or(WireError::Malformed("payload"))?;
         let mut d = Dec { buf: payload, pos: 0 };
         let frame = match kind {
             KIND_HELLO => Frame::Hello(Hello {
@@ -466,21 +395,16 @@ impl Frame {
                 generation: d.u64()?,
             }),
             KIND_REQUEST => Frame::Request(dec_shard_query(&mut d)?),
-            KIND_REPLY => {
-                let generation = d.u64()?;
-                let partial = dec_partial(&mut d)?;
-                // v1 replies predate the flight section.
-                let flight =
-                    if version == VERSION_V1 { Vec::new() } else { dec_flight_vec(&mut d)? };
-                Frame::Reply { generation, partial, flight }
-            }
+            KIND_REPLY => Frame::Reply {
+                generation: d.u64()?,
+                partial: dec_partial(&mut d)?,
+                flight: dec_flight_vec(&mut d)?,
+            },
             KIND_HEALTH_PROBE => Frame::HealthProbe,
             KIND_HEALTH => {
                 Frame::Health(Health { live: d.u32()?, total: d.u32()?, generation: d.u64()? })
             }
             KIND_BUMP => Frame::BumpGeneration,
-            KIND_QUERY => Frame::Query(dec_query(&mut d)?),
-            KIND_RESULT => Frame::Result(dec_result(&mut d)?),
             KIND_ERROR => Frame::Error { code: d.u16()?, message: d.str()? },
             KIND_METRICS_REQUEST => Frame::MetricsRequest,
             KIND_METRICS_REPLY => {
@@ -490,8 +414,7 @@ impl Frame {
             KIND_TRACE_REPLY => {
                 let pid = d.u32()?;
                 let n = d.len_for(WIRE_SPAN_MIN_BYTES)?;
-                let spans =
-                    (0..n).map(|_| dec_wire_span(&mut d)).collect::<Result<Vec<_>, _>>()?;
+                let spans = (0..n).map(|_| dec_wire_span(&mut d)).collect::<Result<Vec<_>, _>>()?;
                 Frame::TraceReply { pid, spans }
             }
             other => return Err(WireError::BadKind(other)),
@@ -532,34 +455,16 @@ impl Frame {
     }
 
     /// Read exactly one frame plus its `(trace_id, parent_span)` from
-    /// a stream. Accepts both header versions; v1 frames yield zero
-    /// trace context. The header is read into a stack buffer and the
-    /// frame into one buffer of its exact length, which is decoded in
-    /// place — the payload is copied once, by the read.
+    /// a stream. The header is read into a stack buffer and the frame
+    /// into one buffer of its exact length, which is decoded in place —
+    /// the payload is copied once, by the read.
     pub fn read_traced_from(r: &mut impl std::io::Read) -> std::io::Result<(Frame, u64, u64)> {
         let mut header = [0u8; HEADER_LEN];
-        let (prefix, _) = header.split_at_mut(HEADER_PREFIX_LEN);
-        r.read_exact(prefix)?;
-        let magic: [u8; 4] = [header[0], header[1], header[2], header[3]];
-        if magic != MAGIC {
-            return Err(wire_io(WireError::BadMagic(magic)));
-        }
-        let header_len = match u16::from_le_bytes([header[4], header[5]]) {
-            VERSION_V1 => HEADER_LEN_V1,
-            VERSION => HEADER_LEN,
-            other => return Err(wire_io(WireError::BadVersion(other))),
-        };
-        let header = &mut header[..header_len];
-        r.read_exact(&mut header[HEADER_PREFIX_LEN..])?;
-        let mut len_bytes = [0u8; 4];
-        len_bytes.copy_from_slice(&header[header_len - 4..]);
-        let len = u32::from_le_bytes(len_bytes);
-        if len > MAX_PAYLOAD {
-            return Err(wire_io(WireError::Oversized(len)));
-        }
-        let mut whole = vec![0u8; header_len + len as usize + CHECKSUM_LEN];
-        whole[..header_len].copy_from_slice(header);
-        r.read_exact(&mut whole[header_len..])?;
+        r.read_exact(&mut header)?;
+        let (_, _, _, len) = parse_header(&header).map_err(wire_io)?;
+        let mut whole = vec![0u8; HEADER_LEN + len + CHECKSUM_LEN];
+        whole[..HEADER_LEN].copy_from_slice(&header);
+        r.read_exact(&mut whole[HEADER_LEN..])?;
         let (frame, trace_id, parent_span, _) = Frame::decode_traced(&whole).map_err(wire_io)?;
         Ok((frame, trace_id, parent_span))
     }
@@ -567,6 +472,30 @@ impl Frame {
 
 fn wire_io(e: WireError) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, e)
+}
+
+/// Check magic, version and payload bound of the header at the start
+/// of `buf` and return `(kind, trace_id, parent_span, payload_len)` —
+/// the one header reader of the buffer and stream paths.
+// analyze: no_panic
+fn parse_header(buf: &[u8]) -> Result<(u8, u64, u64, usize), WireError> {
+    let Some(h) = buf.get(..HEADER_LEN) else {
+        return Err(WireError::Truncated { needed: HEADER_LEN, have: buf.len() });
+    };
+    let mut d = Dec { buf: h, pos: 0 };
+    let magic: [u8; 4] = d.fixed()?;
+    if magic != MAGIC {
+        return Err(WireError::BadMagic(magic));
+    }
+    let version = d.u16()?;
+    if version != VERSION {
+        return Err(WireError::BadVersion(version));
+    }
+    let (kind, trace_id, parent_span, len) = (d.u8()?, d.u64()?, d.u64()?, d.u32()?);
+    if len > MAX_PAYLOAD {
+        return Err(WireError::Oversized(len));
+    }
+    Ok((kind, trace_id, parent_span, len as usize))
 }
 
 /// Little-endian payload encoder.
@@ -799,49 +728,6 @@ fn dec_series_kind(d: &mut Dec<'_>) -> Result<SeriesKind, WireError> {
     })
 }
 
-fn enc_query(e: &mut Enc<'_>, q: &Query) {
-    match q {
-        Query::CoReport => e.u8(0),
-        Query::FollowReport { top_k } => {
-            e.u8(1);
-            e.u32(*top_k);
-        }
-        Query::CrossCountry => e.u8(2),
-        Query::Delay => e.u8(3),
-        Query::TimeSeries(k) => {
-            e.u8(4);
-            enc_series_kind(e, k);
-        }
-        Query::TopK { kind, k } => {
-            e.u8(5);
-            e.u8(match kind {
-                TopKKind::Publishers => 0,
-                TopKKind::Events => 1,
-            });
-            e.u32(*k);
-        }
-    }
-}
-
-fn dec_query(d: &mut Dec<'_>) -> Result<Query, WireError> {
-    Ok(match d.u8()? {
-        0 => Query::CoReport,
-        1 => Query::FollowReport { top_k: d.u32()? },
-        2 => Query::CrossCountry,
-        3 => Query::Delay,
-        4 => Query::TimeSeries(dec_series_kind(d)?),
-        5 => {
-            let kind = match d.u8()? {
-                0 => TopKKind::Publishers,
-                1 => TopKKind::Events,
-                _ => return Err(WireError::Malformed("topk kind tag")),
-            };
-            Query::TopK { kind, k: d.u32()? }
-        }
-        _ => return Err(WireError::Malformed("query tag")),
-    })
-}
-
 fn enc_series(e: &mut Enc<'_>, s: &QuarterlySeries) {
     e.i16(s.base.year);
     e.u8(s.base.q);
@@ -857,114 +743,6 @@ fn dec_series(d: &mut Dec<'_>) -> Result<QuarterlySeries, WireError> {
     let n = d.len_for(8)?;
     let values = (0..n).map(|_| d.f64()).collect::<Result<Vec<f64>, _>>()?;
     Ok(QuarterlySeries { base: Quarter { year, q }, values })
-}
-
-fn enc_delay_stats(e: &mut Enc<'_>, s: &DelayStats) {
-    e.u64(s.count);
-    e.u32(s.min);
-    e.u32(s.max);
-    e.f64(s.mean);
-    e.u32(s.median);
-}
-
-fn dec_delay_stats(d: &mut Dec<'_>) -> Result<DelayStats, WireError> {
-    Ok(DelayStats {
-        count: d.u64()?,
-        min: d.u32()?,
-        max: d.u32()?,
-        mean: d.f64()?,
-        median: d.u32()?,
-    })
-}
-
-fn enc_result(e: &mut Enc<'_>, r: &QueryResult) {
-    match r {
-        QueryResult::CoReport(c) => {
-            e.u8(0);
-            enc_matrix(e, &c.pairs);
-            enc_vec_u64(e, &c.event_counts);
-        }
-        QueryResult::FollowReport(fr) => {
-            e.u8(1);
-            enc_subset(e, &fr.subset);
-            enc_matrix(e, &fr.follow_counts);
-            enc_vec_u64(e, &fr.articles);
-        }
-        QueryResult::CrossCountry(c) => {
-            e.u8(2);
-            enc_matrix(e, &c.counts);
-            enc_vec_u64(e, &c.articles_by_publisher);
-            enc_vec_u64(e, &c.events_by_country);
-        }
-        QueryResult::Delay(stats) => {
-            e.u8(3);
-            e.len(stats.len());
-            for s in stats {
-                enc_delay_stats(e, s);
-            }
-        }
-        QueryResult::TimeSeries(s) => {
-            e.u8(4);
-            enc_series(e, s);
-        }
-        QueryResult::TopPublishers(ranked) => {
-            e.u8(5);
-            e.len(ranked.len());
-            for (s, c) in ranked {
-                e.u32(s.0);
-                e.u64(*c);
-            }
-        }
-        QueryResult::TopEvents(ranked) => {
-            e.u8(6);
-            e.len(ranked.len());
-            for (row, c) in ranked {
-                e.u64(*row as u64);
-                e.u64(*c);
-            }
-        }
-    }
-}
-
-fn dec_result(d: &mut Dec<'_>) -> Result<QueryResult, WireError> {
-    Ok(match d.u8()? {
-        0 => QueryResult::CoReport(CountryCoReport {
-            pairs: dec_matrix(d)?,
-            event_counts: dec_vec_u64(d)?,
-        }),
-        1 => QueryResult::FollowReport(FollowReport {
-            subset: dec_subset(d)?,
-            follow_counts: dec_matrix(d)?,
-            articles: dec_vec_u64(d)?,
-        }),
-        2 => QueryResult::CrossCountry(CrossReport {
-            counts: dec_matrix(d)?,
-            articles_by_publisher: dec_vec_u64(d)?,
-            events_by_country: dec_vec_u64(d)?,
-        }),
-        3 => {
-            let n = d.len_for(28)?;
-            QueryResult::Delay((0..n).map(|_| dec_delay_stats(d)).collect::<Result<Vec<_>, _>>()?)
-        }
-        4 => QueryResult::TimeSeries(dec_series(d)?),
-        5 => {
-            let n = d.len_for(12)?;
-            QueryResult::TopPublishers(
-                (0..n)
-                    .map(|_| Ok((SourceId(d.u32()?), d.u64()?)))
-                    .collect::<Result<Vec<_>, WireError>>()?,
-            )
-        }
-        6 => {
-            let n = d.len_for(16)?;
-            QueryResult::TopEvents(
-                (0..n)
-                    .map(|_| Ok((d.u64()? as usize, d.u64()?)))
-                    .collect::<Result<Vec<_>, WireError>>()?,
-            )
-        }
-        _ => return Err(WireError::Malformed("result tag")),
-    })
 }
 
 fn enc_shard_query(e: &mut Enc<'_>, sq: &ShardQuery) {

@@ -10,7 +10,7 @@
 //!
 //! Distributed observability (see DESIGN.md "Distributed
 //! observability"): each request frame carries trace context in its
-//! v2 header; the worker adopts it for the duration of [`handle`], so
+//! header; the worker adopts it for the duration of [`handle`], so
 //! the `worker_query` span — and the engine partition spans nested
 //! under it — parent under the router's RPC span. Replies piggyback
 //! the worker's most recent flight events, and the router can scrape
@@ -231,7 +231,7 @@ impl ShardWorker {
             }
             other => Frame::Error {
                 code: 1,
-                message: format!("unsupported frame kind for worker: {}", frame_name(&other)),
+                message: format!("unsupported frame kind for worker: {}", other.name()),
             },
         }
     }
@@ -251,10 +251,7 @@ impl ShardWorker {
                 Err(e) => return Err(e),
             };
             let reply = {
-                let _scope = gdelt_obs::with_trace(TraceContext {
-                    trace_id,
-                    span_id: parent_span,
-                });
+                let _scope = gdelt_obs::with_trace(TraceContext { trace_id, span_id: parent_span });
                 self.handle(frame)
             };
             reply.write_to(&mut stream)?;
@@ -277,23 +274,5 @@ impl ShardWorker {
                 }
             });
         }
-    }
-}
-
-fn frame_name(f: &Frame) -> &'static str {
-    match f {
-        Frame::Hello(_) => "hello",
-        Frame::Request(_) => "request",
-        Frame::Reply { .. } => "reply",
-        Frame::HealthProbe => "health_probe",
-        Frame::Health(_) => "health",
-        Frame::BumpGeneration => "bump_generation",
-        Frame::Query(_) => "query",
-        Frame::Result(_) => "result",
-        Frame::Error { .. } => "error",
-        Frame::MetricsRequest => "metrics_request",
-        Frame::MetricsReply { .. } => "metrics_reply",
-        Frame::TraceRequest => "trace_request",
-        Frame::TraceReply { .. } => "trace_reply",
     }
 }

@@ -55,8 +55,7 @@ fn flight_forwarding_is_at_most_once() {
     let shard_dir: PathBuf = dir.join("shards");
     let manifest = split_store(&store, &shard_dir, 1).expect("split");
     let e = &manifest.shards[0];
-    let cfg =
-        WorkerConfig::new(manifest.shard_path(&shard_dir, 0), 0, e.partitions, e.ev_row_base);
+    let cfg = WorkerConfig::new(manifest.shard_path(&shard_dir, 0), 0, e.partitions, e.ev_row_base);
     let addr = spawn_worker(ShardWorker::load(cfg).expect("load shard"));
 
     // Record a distinctive event and learn its ring sequence number.
@@ -113,10 +112,8 @@ fn flight_forwarding_is_at_most_once() {
         s.expect("healthy scrape");
     }
     let prefix = format!("[shard 0 seq {s0} ");
-    let rerecorded = gdelt_obs::flight_snapshot()
-        .iter()
-        .filter(|ev| ev.detail.starts_with(&prefix))
-        .count();
+    let rerecorded =
+        gdelt_obs::flight_snapshot().iter().filter(|ev| ev.detail.starts_with(&prefix)).count();
     assert_eq!(rerecorded, 1, "probe must be re-recorded exactly once across two scrapes");
 
     // Query replies piggyback too, through the same cursor: still one

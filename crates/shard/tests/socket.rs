@@ -149,7 +149,6 @@ fn router(f: &Fixture, policy: DegradedPolicy, cache: bool) -> Router {
             cache_enabled: cache,
             read_timeout: Duration::from_secs(5),
             reconnect: ReconnectPolicy { max_attempts: 2, backoff_ms: 1, cap_ms: 5 },
-            ..RouterConfig::default()
         },
     )
 }
@@ -343,8 +342,9 @@ fn metrics_federation_over_the_wire() {
 fn worker_rejects_unsupported_frames_with_typed_error() {
     let f = fixture("badframe");
     let mut stream = std::net::TcpStream::connect(&f.workers[0].addr).expect("connect");
-    let _ = Frame::read_from(&mut stream).expect("hello");
-    Frame::Query(Query::CoReport).write_to(&mut stream).expect("send");
+    let hello = Frame::read_from(&mut stream).expect("hello");
+    // A worker sends hellos; it never serves one.
+    hello.write_to(&mut stream).expect("send");
     match Frame::read_from(&mut stream).expect("reply") {
         Frame::Error { code, message } => {
             assert_eq!(code, 1);
