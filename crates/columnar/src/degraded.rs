@@ -21,7 +21,7 @@
 //!    ([`restrict_to_partitions`] — chaos testing asserts bit-identical
 //!    results), and it passes [`Dataset::validate`] like any other load.
 //! 4. **Retry** — transient read errors (not corruption) are retried
-//!    with capped exponential backoff per [`LoadPolicy`] before giving
+//!    with capped exponential backoff per [`RetryPolicy`] before giving
 //!    up; an injectable [`ReadShim`] under the loader lets the fault
 //!    harness exercise every path deterministically.
 //!
@@ -45,10 +45,12 @@ use crate::table::{
     Dataset, EventRows, EventsTable, MentionRun, MentionsTable, SourceDirectory, NO_EVENT_ROW,
 };
 
-/// Retry/backoff parameters for [`load_degraded_with`].
+/// A capped doubling retry schedule: the transient-failure retries of
+/// [`load_degraded_with`], and a shard router's dials (one first try
+/// plus `max_retries`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoadPolicy {
-    /// Transient-failure retries before the error is returned.
+pub struct RetryPolicy {
+    /// Retries after the first try before the error is returned.
     pub max_retries: u32,
     /// Backoff before the first retry; doubles per attempt.
     pub backoff: Duration,
@@ -56,9 +58,9 @@ pub struct LoadPolicy {
     pub backoff_cap: Duration,
 }
 
-impl Default for LoadPolicy {
+impl Default for RetryPolicy {
     fn default() -> Self {
-        LoadPolicy {
+        RetryPolicy {
             max_retries: 3,
             backoff: Duration::from_millis(25),
             backoff_cap: Duration::from_millis(250),
@@ -66,7 +68,7 @@ impl Default for LoadPolicy {
     }
 }
 
-impl LoadPolicy {
+impl RetryPolicy {
     /// The deterministic backoff before retry number `attempt` (0-based):
     /// `backoff * 2^attempt`, saturating at `backoff_cap`. No jitter —
     /// fault runs must be reproducible.
@@ -364,7 +366,7 @@ fn retryable(e: &io::Error) -> bool {
 
 /// [`load_degraded_with`] with the default policy and no fault shim.
 pub fn load_degraded(path: &std::path::Path) -> io::Result<DegradedLoad> {
-    load_degraded_with(path, &LoadPolicy::default(), &NoShim)
+    load_degraded_with(path, &RetryPolicy::default(), &NoShim)
 }
 
 /// Load a store file tolerantly: the reader is wrapped by `shim` (the
@@ -373,7 +375,7 @@ pub fn load_degraded(path: &std::path::Path) -> io::Result<DegradedLoad> {
 /// corruption is quarantined per [`read_dataset_degraded`].
 pub fn load_degraded_with(
     path: &std::path::Path,
-    policy: &LoadPolicy,
+    policy: &RetryPolicy,
     shim: &dyn ReadShim,
 ) -> io::Result<DegradedLoad> {
     let _s = gdelt_obs::span("store", "load_degraded");
@@ -736,7 +738,7 @@ mod tests {
         let d = sample_dataset();
         let path = tmp("retry.gdhpc");
         save_with_partitions(&path, &d, 8).unwrap();
-        let policy = LoadPolicy {
+        let policy = RetryPolicy {
             max_retries: 3,
             backoff: Duration::from_millis(1),
             backoff_cap: Duration::from_millis(2),
@@ -752,7 +754,7 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential_and_capped() {
-        let p = LoadPolicy {
+        let p = RetryPolicy {
             max_retries: 8,
             backoff: Duration::from_millis(10),
             backoff_cap: Duration::from_millis(70),

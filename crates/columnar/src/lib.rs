@@ -45,7 +45,7 @@ pub mod table;
 pub mod validate;
 
 pub use builder::DatasetBuilder;
-pub use degraded::{load_degraded, load_degraded_with, DegradedLoad, LoadPolicy};
+pub use degraded::{load_degraded, load_degraded_with, DegradedLoad, RetryPolicy};
 pub use health::{Coverage, StoreHealth};
 pub use partition::{partitions, Partition};
 pub use strings::{StringDict, StringPool};

@@ -59,8 +59,8 @@ pub enum TopKKind {
 /// can key on it and batchers can coalesce identical requests.
 ///
 /// `canonical_key` gives a stable, human-readable serialization (also
-/// the basis of [`Query::cache_hash`]); `cost_estimate` prices the query
-/// for admission control.
+/// the basis of [`Query::cache_hash`]); `kernel_name` names its span
+/// and latency histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Query {
     /// Country-level co-reporting (Table V) — one CSR pass.
@@ -123,17 +123,6 @@ impl Query {
         h
     }
 
-    /// Scan-affinity family: queries in the same family touch the same
-    /// tables in the same access pattern, so running them back-to-back
-    /// keeps those columns hot in cache. Used by the serve batcher.
-    pub fn family(&self) -> &'static str {
-        match self {
-            Query::CoReport | Query::FollowReport { .. } => "csr",
-            Query::CrossCountry | Query::Delay | Query::TopK { .. } => "mentions",
-            Query::TimeSeries(_) => "quarters",
-        }
-    }
-
     /// Stable short kernel name — the span name [`run_query`] records
     /// and the suffix of the `engine_query_us_*` latency histograms in
     /// the global metrics registry. Parameters are not part of the
@@ -166,45 +155,6 @@ impl Query {
         "topk_publishers",
         "topk_events",
     ];
-
-    /// Admission-control cost estimate: rows scanned × kernel weight, in
-    /// units of one streaming pass over a row (what
-    /// `TimeSeries(Articles)` costs per mention: 0.4–0.5 ns on one thread
-    /// of the reference box). The four report kernels' weights are their
-    /// measured one-thread cost per mention over that unit, on the
-    /// `scan-large` corpus (2.4 M mentions; EXPERIMENTS.md "Report
-    /// kernels without a per-event branch"): FollowReport at `top_k` 10
-    /// 4.5–4.7 ns ≈ 11 × (its ranking pass included; every further 8
-    /// selected sources add one byte-lane word, ≈ 0.55 ns), Delay
-    /// 3.9–4.3 ns ≈ 9 × (at that corpus's 116 sources; a directory of
-    /// many small sources costs it more per mention, some 0.3 µs a
-    /// source), CoReport 2.9–3.1 ns ≈ 7 ×, CrossCountry 2.6–2.7 ns ≈ 6 ×
-    /// (its event-table pass included). Absolute
-    /// scale is arbitrary, only ratios matter to the admission
-    /// controller, and the largest weight leaves `mentions × weight` nine
-    /// orders of magnitude inside `u64` at the paper's 1.09 B mentions.
-    /// Always ≥ 1.
-    pub fn cost_estimate(&self, d: &Dataset) -> u64 {
-        self.cost_estimate_rows(d.events.len() as u64, d.mentions.len() as u64)
-    }
-
-    /// [`Query::cost_estimate`] from row counts alone — for callers
-    /// (e.g. a shard router) that price queries against a store they
-    /// never map, from shard manifests or health frames.
-    pub fn cost_estimate_rows(&self, events: u64, mentions: u64) -> u64 {
-        let cost = match self {
-            Query::CoReport => mentions * 7,
-            Query::FollowReport { .. } => mentions * 11,
-            Query::CrossCountry => mentions * 6,
-            Query::Delay => mentions * 9,
-            Query::TimeSeries(SeriesKind::Events) => events,
-            Query::TimeSeries(_) => mentions,
-            Query::TopK { kind: TopKKind::Publishers, .. } => mentions,
-            // Degrees come off the CSR offsets: one word per event.
-            Query::TopK { kind: TopKKind::Events, .. } => events,
-        };
-        cost.max(1)
-    }
 }
 
 impl std::fmt::Display for Query {
@@ -367,42 +317,6 @@ mod tests {
         let hashes: std::collections::HashSet<u64> = qs.iter().map(Query::cache_hash).collect();
         assert_eq!(hashes.len(), qs.len());
         assert_eq!(Query::Delay.cache_hash(), Query::Delay.cache_hash());
-    }
-
-    #[test]
-    fn cost_estimates_are_positive_and_ranked() {
-        let d = dataset();
-        for q in all_variants() {
-            assert!(q.cost_estimate(&d) >= 1, "{q}");
-        }
-        // The measured order of the report kernels — FollowReport, Delay,
-        // CoReport, CrossCountry — and every one of them above every
-        // series and ranking.
-        let cost = |q: Query| q.cost_estimate(&d);
-        assert!(cost(Query::FollowReport { top_k: 10 }) > cost(Query::Delay));
-        assert!(cost(Query::Delay) > cost(Query::CoReport));
-        assert!(cost(Query::CoReport) > cost(Query::CrossCountry));
-        let dash = all_variants().into_iter().filter(|q| q.family() == "quarters");
-        let rankings =
-            [TopKKind::Publishers, TopKKind::Events].map(|kind| Query::TopK { kind, k: 10 });
-        for light in dash.chain(rankings) {
-            for report in [Query::CrossCountry, Query::Delay] {
-                assert!(cost(report) > cost(light), "{report} against {light}");
-            }
-        }
-        // No weight can overflow at the paper's scale.
-        let paper =
-            Query::FollowReport { top_k: 10 }.cost_estimate_rows(325_000_000, 1_090_000_000);
-        assert!(paper < u64::MAX >> 24);
-        // A ranking by degree reads the event index, never the mentions.
-        assert!(d.mentions.len() > d.events.len());
-        assert!(
-            Query::TopK { kind: TopKKind::Events, k: 10 }.cost_estimate(&d)
-                <= Query::TimeSeries(SeriesKind::Articles).cost_estimate(&d)
-        );
-        assert_eq!(Query::TopK { kind: TopKKind::Events, k: 10 }.cost_estimate_rows(7, 100), 7);
-        // Cost must be positive even on an empty dataset.
-        assert_eq!(Query::Delay.cost_estimate(&Dataset::default()), 1);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::path::PathBuf;
 
 use gdelt_columnar::binfmt::save_with_partitions;
 use gdelt_columnar::degraded::restrict_to_partitions;
-use gdelt_columnar::{load_degraded_with, LoadPolicy};
+use gdelt_columnar::{load_degraded_with, RetryPolicy};
 use gdelt_faults::{FaultPlan, PlanSpec};
 
 const PARTS: u32 = 8;
@@ -32,8 +32,8 @@ fn bytes(d: &gdelt_columnar::Dataset) -> Vec<u8> {
     v
 }
 
-fn fast() -> LoadPolicy {
-    LoadPolicy {
+fn fast() -> RetryPolicy {
+    RetryPolicy {
         max_retries: 4,
         backoff: std::time::Duration::from_millis(1),
         backoff_cap: std::time::Duration::from_millis(4),

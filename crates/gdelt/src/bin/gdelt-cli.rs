@@ -494,7 +494,7 @@ fn cmd_serve_bench(o: &Options) -> Result<(), String> {
         mix.len(),
         if o.no_cache { "disabled" } else { "enabled" },
     );
-    let report = replay(&service, &mix, clients);
+    let report = replay(|q| service.run(q), &mix, clients);
     println!("{}", report.render());
     let metrics = service.metrics();
     println!("{}", metrics.render());
@@ -567,7 +567,7 @@ fn cmd_chaos(o: &Options) -> Result<(), String> {
     }
     use gdelt_columnar::binfmt::save_with_partitions;
     use gdelt_columnar::degraded::restrict_to_partitions;
-    use gdelt_columnar::{load_degraded_with, LoadPolicy};
+    use gdelt_columnar::{load_degraded_with, RetryPolicy};
     use gdelt_faults::{seeded_picks, FaultPlan, PlanSpec};
     use gdelt_serve::{
         replay, seeded_mix, DegradedPolicy, ExecHook, QueryService, ServeError, ServiceConfig,
@@ -587,7 +587,7 @@ fn cmd_chaos(o: &Options) -> Result<(), String> {
     };
     // Retry fast: the injected transient failures are deterministic, so
     // real-time backoff only slows the harness down.
-    let policy = LoadPolicy {
+    let policy = RetryPolicy {
         max_retries: 4,
         backoff: std::time::Duration::from_millis(1),
         backoff_cap: std::time::Duration::from_millis(4),
@@ -807,7 +807,7 @@ fn cmd_chaos(o: &Options) -> Result<(), String> {
                 );
             }
         });
-        replay(svc, &mix, o.clients.unwrap_or(4))
+        replay(|q| svc.run(q), &mix, o.clients.unwrap_or(4))
     });
     std::panic::set_hook(prev_hook);
     println!("{}", report.render());
@@ -1083,48 +1083,13 @@ fn respawn_worker(
     Err(format!("respawning shard {shard_id} on port {port}: {last}"))
 }
 
-/// Replay `mix` through the router from `clients` threads; returns
-/// `(completed, errors)`.
-fn router_replay(router: &gdelt_shard::Router, mix: &[Query], clients: usize) -> (u64, u64) {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let next = AtomicUsize::new(0);
-    let mut completed = 0u64;
-    let mut errors = 0u64;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients.max(1))
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut done = 0u64;
-                    let mut errs = 0u64;
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(q) = mix.get(i) else { break };
-                        match router.query(q) {
-                            Ok(_) => done += 1,
-                            Err(_) => errs += 1,
-                        }
-                    }
-                    (done, errs)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (d, e) = h.join().expect("router client thread");
-            completed += d;
-            errors += e;
-        }
-    });
-    (completed, errors)
-}
-
 /// The `serve-bench --shards N` arm: split the seeded store into N
 /// shard stores, spawn one worker process per shard, and replay the
 /// seeded mix once through the scatter-gather router. `--check` audits
 /// the router's ledger; latency is `gdbench`'s to judge
 /// (`shard.router_vs_local_ratio`).
 fn cmd_serve_bench_shards(o: &Options, n_shards: u32) -> Result<(), String> {
-    use gdelt_serve::seeded_mix;
+    use gdelt_serve::{replay, seeded_mix};
     use gdelt_shard::{split_store, Router, RouterConfig};
 
     if n_shards == 0 || n_shards > DEFAULT_STORE_PARTITIONS {
@@ -1170,14 +1135,14 @@ fn cmd_serve_bench_shards(o: &Options, n_shards: u32) -> Result<(), String> {
         let _ = gdelt_obs::take_spans();
         gdelt_obs::set_tracing(true);
     }
-    let (completed, errors) = router_replay(&router, &mix, clients);
+    let report = replay(|q| router.query(&q), &mix, clients);
     gdelt_obs::set_tracing(false);
     let stats = router.stats();
 
+    println!("{}", report.render());
     println!(
-        "router: {completed} completed, {} hits + {} misses, {} reconnect(s) outside the \
-         hit/miss ledger, {} degraded, {} shed",
-        stats.hits, stats.misses, stats.retries, stats.degraded, stats.shed
+        "router: {} hits + {} misses, {} reconnect(s) outside the hit/miss ledger, {} degraded",
+        stats.hits, stats.misses, stats.retries, stats.degraded
     );
     // Per-shard wire round-trip latency, from the router's own
     // registry (recorded on every scatter leg).
@@ -1204,8 +1169,8 @@ fn cmd_serve_bench_shards(o: &Options, n_shards: u32) -> Result<(), String> {
     drop(fleet);
 
     if o.check {
-        if errors > 0 {
-            return Err(format!("check failed: {errors} router queries errored"));
+        if report.errors > 0 {
+            return Err(format!("check failed: {} router queries errored", report.errors));
         }
         if stats.degraded > 0 {
             return Err(format!(
@@ -1213,8 +1178,8 @@ fn cmd_serve_bench_shards(o: &Options, n_shards: u32) -> Result<(), String> {
                 stats.degraded
             ));
         }
-        if stats.shed != 0 {
-            return Err(format!("check failed: {} queries shed at low load", stats.shed));
+        if report.sheds != 0 {
+            return Err(format!("check failed: {} queries shed at low load", report.sheds));
         }
         if !o.no_cache && stats.hits == 0 {
             return Err("check failed: expected at least one router cache hit".into());
@@ -1408,8 +1373,9 @@ fn remap_restricted_rows(mut r: QueryResult, dead_base: u64, dead_events: u64) -
 fn cmd_chaos_shards(o: &Options) -> Result<(), String> {
     use gdelt_columnar::binfmt::save_with_partitions;
     use gdelt_columnar::degraded::restrict_to_partitions;
+    use gdelt_columnar::RetryPolicy;
     use gdelt_faults::{ShardFault, ShardFaultPlan};
-    use gdelt_shard::{shard_range, split_store, ReconnectPolicy, Router, RouterConfig};
+    use gdelt_shard::{shard_range, split_store, Router, RouterConfig};
 
     let n_shards = o.shards.unwrap_or(3);
     if !(2..=DEFAULT_STORE_PARTITIONS).contains(&n_shards) {
@@ -1457,7 +1423,11 @@ fn cmd_chaos_shards(o: &Options) -> Result<(), String> {
 
     // ---- phase S1: healthy fleet, bit-identical + cached ---------------
     let mut fleet = spawn_fleet(&shard_dir, &manifest, None, false)?;
-    let reconnect = ReconnectPolicy { max_attempts: 2, backoff_ms: 5, cap_ms: 40 };
+    let reconnect = RetryPolicy {
+        max_retries: 1,
+        backoff: std::time::Duration::from_millis(5),
+        backoff_cap: std::time::Duration::from_millis(40),
+    };
     let router = Router::new(
         manifest.clone(),
         RouterConfig {

@@ -1,102 +1,54 @@
-//! Admission control: a bounded queue plus an in-flight cost budget.
+//! Admission control: one queue-depth bound for both front doors.
 //!
-//! Every submission is priced by [`Query::cost_estimate`]
-//! (rows scanned × kernel weight) before it may enqueue. Admission sheds
-//! — returns a typed [`ServeError::Overloaded`], never panics or blocks
-//! — when the queue is at its depth bound, or when admitting the query
-//! would push the total in-flight cost past the budget while other work
-//! is already queued. A query is always admitted into an idle service
-//! regardless of its price, so a single expensive query cannot be
-//! starved forever.
+//! A submission that misses the cache must be admitted before it may
+//! enqueue. Admission sheds — returns a typed
+//! [`ServeError::Overloaded`], never panics or blocks — when
+//! [`MAX_QUEUE`] queries are already admitted and incomplete. The
+//! `QueryService` and the shard router share the bound.
 //!
-//! The counters are advisory: depth and cost are read with relaxed
-//! atomics and two racing submissions may both observe room. That slack
-//! is acceptable — the bound is a load-shedding policy, not a safety
+//! The counters are advisory: depth is read with relaxed atomics and
+//! two racing submissions may both observe room. That slack is
+//! acceptable — the bound is a load-shedding policy, not a safety
 //! invariant — and keeps admission off every lock.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::error::ServeError;
 
-/// Tunable admission bounds.
-#[derive(Debug, Clone, Copy)]
-pub struct AdmissionConfig {
-    /// Maximum admitted-but-incomplete queries.
-    pub max_queue: usize,
-    /// Maximum summed [`cost_estimate`](gdelt_engine::Query::cost_estimate)
-    /// of admitted-but-incomplete queries.
-    pub max_cost_in_flight: u64,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        AdmissionConfig { max_queue: 64, max_cost_in_flight: u64::MAX }
-    }
-}
+/// Maximum admitted-but-incomplete queries at one front door.
+pub const MAX_QUEUE: usize = 64;
 
 /// The admission controller. `try_admit` / `release` must be paired:
-/// every admitted cost is released exactly once, when the query
-/// completes (or immediately, when it coalesced onto in-flight work).
-#[derive(Debug)]
+/// every admitted query is released exactly once, when it completes
+/// (or immediately, when it coalesced onto in-flight work).
+#[derive(Debug, Default)]
 pub struct Admission {
-    cfg: AdmissionConfig,
     depth: AtomicUsize,
-    in_flight_cost: AtomicU64,
     shed: AtomicU64,
 }
 
 impl Admission {
-    /// Controller with the given bounds.
-    pub fn new(cfg: AdmissionConfig) -> Self {
-        Admission {
-            cfg,
-            depth: AtomicUsize::new(0),
-            in_flight_cost: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-        }
-    }
-
-    /// Admit a query of estimated `cost`, or shed with a typed error.
+    /// Admit one query, or shed with a typed error.
     // analyze: no_panic
-    pub fn try_admit(&self, cost: u64) -> Result<(), ServeError> {
+    pub fn try_admit(&self) -> Result<(), ServeError> {
         let depth = self.depth.load(Ordering::Relaxed);
-        if depth >= self.cfg.max_queue {
+        if depth >= MAX_QUEUE {
             self.shed.fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::Overloaded {
-                queue_depth: depth,
-                queue_limit: self.cfg.max_queue,
-                cost_limited: false,
-            });
-        }
-        let in_flight = self.in_flight_cost.load(Ordering::Relaxed);
-        if depth > 0 && in_flight.saturating_add(cost) > self.cfg.max_cost_in_flight {
-            self.shed.fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::Overloaded {
-                queue_depth: depth,
-                queue_limit: self.cfg.max_queue,
-                cost_limited: true,
-            });
+            return Err(ServeError::Overloaded { queue_depth: depth, queue_limit: MAX_QUEUE });
         }
         self.depth.fetch_add(1, Ordering::Relaxed);
-        self.in_flight_cost.fetch_add(cost, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Return an admitted query's cost to the budget.
+    /// Return an admitted query's slot.
     // analyze: no_panic
-    pub fn release(&self, cost: u64) {
+    pub fn release(&self) {
         self.depth.fetch_sub(1, Ordering::Relaxed);
-        self.in_flight_cost.fetch_sub(cost, Ordering::Relaxed);
     }
 
     /// Admitted-but-incomplete queries right now.
     pub fn depth(&self) -> usize {
         self.depth.load(Ordering::Relaxed)
-    }
-
-    /// Summed cost of admitted-but-incomplete queries.
-    pub fn in_flight_cost(&self) -> u64 {
-        self.in_flight_cost.load(Ordering::Relaxed)
     }
 
     /// Queries shed since construction.
@@ -111,27 +63,14 @@ mod tests {
 
     #[test]
     fn depth_bound_sheds() {
-        let a = Admission::new(AdmissionConfig { max_queue: 2, max_cost_in_flight: u64::MAX });
-        assert!(a.try_admit(1).is_ok());
-        assert!(a.try_admit(1).is_ok());
-        let e = a.try_admit(1).unwrap_err();
-        assert!(matches!(e, ServeError::Overloaded { cost_limited: false, .. }));
+        let a = Admission::default();
+        for _ in 0..MAX_QUEUE {
+            assert!(a.try_admit().is_ok());
+        }
+        let e = a.try_admit().unwrap_err();
+        assert_eq!(e, ServeError::Overloaded { queue_depth: MAX_QUEUE, queue_limit: MAX_QUEUE });
         assert_eq!(a.shed_count(), 1);
-        a.release(1);
-        assert!(a.try_admit(1).is_ok(), "released capacity is reusable");
-    }
-
-    #[test]
-    fn cost_budget_sheds_but_idle_service_admits_anything() {
-        let a = Admission::new(AdmissionConfig { max_queue: 8, max_cost_in_flight: 100 });
-        // Idle: even an over-budget query is admitted (no starvation).
-        assert!(a.try_admit(1_000).is_ok());
-        // Busy: the budget now rejects further cost.
-        let e = a.try_admit(50).unwrap_err();
-        assert!(matches!(e, ServeError::Overloaded { cost_limited: true, .. }));
-        a.release(1_000);
-        assert_eq!(a.depth(), 0);
-        assert_eq!(a.in_flight_cost(), 0);
-        assert!(a.try_admit(50).is_ok());
+        a.release();
+        assert!(a.try_admit().is_ok(), "released capacity is reusable");
     }
 }

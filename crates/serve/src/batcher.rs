@@ -1,17 +1,10 @@
-//! The job queue between admission and the worker pool: tickets,
-//! single-flight coalescing, and scan-affinity batching.
+//! The job queue between admission and the worker pool: tickets and
+//! single-flight coalescing.
 //!
 //! *Single-flight*: if an identical [`Query`] is already pending or
 //! running, a new submission does not enqueue a second job — its ticket
 //! joins the existing job's waiter list and every waiter is resolved
-//! from the one execution.
-//!
-//! *Affinity*: workers ask for the next job with the family of the scan
-//! they just finished; the queue prefers a pending job of the same
-//! [`Query::family`], so compatible scans run back-to-back over columns
-//! that are still cache-hot. Plain FIFO order applies within and across
-//! families otherwise, so nothing starves: a job is only ever skipped in
-//! favour of an *older* same-family job or taken from the front.
+//! from the one execution. Workers take pending jobs in FIFO order.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,30 +38,24 @@ impl TicketState {
 }
 
 /// A claim on one submitted query's eventual result. Obtained from
-/// `QueryService::submit`; redeem with [`QueryTicket::get`] (blocking),
-/// [`QueryTicket::get_timeout`], or poll with [`QueryTicket::try_get`].
+/// `QueryService::submit`; redeem with [`QueryTicket::get`] (blocking)
+/// or [`QueryTicket::get_timeout`].
 #[derive(Debug)]
 pub struct QueryTicket {
-    query: Query,
     state: Arc<TicketState>,
 }
 
 impl QueryTicket {
-    pub(crate) fn new(query: Query) -> (Self, Arc<TicketState>) {
+    pub(crate) fn new() -> (Self, Arc<TicketState>) {
         let state = Arc::new(TicketState::default());
-        (QueryTicket { query, state: Arc::clone(&state) }, state)
+        (QueryTicket { state: Arc::clone(&state) }, state)
     }
 
     /// A ticket that is already resolved — the cache-hit fast path.
-    pub(crate) fn resolved(query: Query, r: Result<Arc<QueryResult>, ServeError>) -> Self {
-        let (t, state) = Self::new(query);
+    pub(crate) fn resolved(r: Result<Arc<QueryResult>, ServeError>) -> Self {
+        let (t, state) = Self::new();
         state.resolve(r);
         t
-    }
-
-    /// The query this ticket is for.
-    pub fn query(&self) -> &Query {
-        &self.query
     }
 
     /// Block until the query completes.
@@ -101,24 +88,11 @@ impl QueryTicket {
             slot = guard;
         }
     }
-
-    /// The result if it is already available, without blocking.
-    pub fn try_get(&self) -> Option<Result<Arc<QueryResult>, ServeError>> {
-        lock_recover(&self.state.slot).clone()
-    }
-}
-
-/// One unit of work handed to a worker.
-#[derive(Debug)]
-pub(crate) struct Job {
-    pub(crate) query: Query,
-    pub(crate) cost: u64,
 }
 
 #[derive(Debug)]
 struct PendingJob {
     query: Query,
-    cost: u64,
     waiters: Vec<Arc<TicketState>>,
 }
 
@@ -150,8 +124,8 @@ pub(crate) struct JobQueue {
 
 impl JobQueue {
     /// Submit `query`, returning a ticket and how it was handled.
-    pub(crate) fn enqueue(&self, query: Query, cost: u64) -> (QueryTicket, Enqueued) {
-        let (ticket, state) = QueryTicket::new(query);
+    pub(crate) fn enqueue(&self, query: Query) -> (QueryTicket, Enqueued) {
+        let (ticket, state) = QueryTicket::new();
         let mut qs = lock_recover(&self.state);
         if qs.shutdown {
             drop(qs);
@@ -168,27 +142,23 @@ impl JobQueue {
             self.coalesced.fetch_add(1, Ordering::Relaxed);
             return (ticket, Enqueued::Coalesced);
         }
-        qs.pending.push_back(PendingJob { query, cost, waiters: vec![state] });
+        qs.pending.push_back(PendingJob { query, waiters: vec![state] });
         drop(qs);
         self.cv.notify_one();
         (ticket, Enqueued::New)
     }
 
-    /// Block for the next job, preferring one whose family matches
-    /// `affinity`. Returns `None` once the queue is shut down.
-    pub(crate) fn next_job(&self, affinity: Option<&str>) -> Option<Job> {
+    /// Block for the oldest pending job and mark it running. Returns
+    /// `None` once the queue is shut down.
+    pub(crate) fn next_job(&self) -> Option<Query> {
         let mut qs = lock_recover(&self.state);
         loop {
             if qs.shutdown {
                 return None;
             }
-            if !qs.pending.is_empty() {
-                let idx = affinity
-                    .and_then(|fam| qs.pending.iter().position(|j| j.query.family() == fam))
-                    .unwrap_or(0);
-                let job = qs.pending.remove(idx)?;
+            if let Some(job) = qs.pending.pop_front() {
                 qs.running.push((job.query, job.waiters));
-                return Some(Job { query: job.query, cost: job.cost });
+                return Some(job.query);
             }
             qs = self.cv.wait(qs).unwrap_or_else(PoisonError::into_inner);
         }
@@ -229,6 +199,7 @@ impl JobQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gdelt_engine::SeriesKind;
 
     fn result() -> Result<Arc<QueryResult>, ServeError> {
         Ok(Arc::new(QueryResult::Delay(Vec::new())))
@@ -237,15 +208,15 @@ mod tests {
     #[test]
     fn identical_submissions_coalesce() {
         let q = JobQueue::default();
-        let (t1, e1) = q.enqueue(Query::Delay, 1);
-        let (t2, e2) = q.enqueue(Query::Delay, 1);
+        let (t1, e1) = q.enqueue(Query::Delay);
+        let (t2, e2) = q.enqueue(Query::Delay);
         assert_eq!(e1, Enqueued::New);
         assert_eq!(e2, Enqueued::Coalesced);
         assert_eq!(q.coalesced_count(), 1);
         // One job comes out; completing it resolves both tickets.
-        let job = q.next_job(None).unwrap();
-        assert_eq!(job.query, Query::Delay);
-        q.complete(&job.query, result());
+        let job = q.next_job().unwrap();
+        assert_eq!(job, Query::Delay);
+        q.complete(&job, result());
         assert!(t1.get().is_ok());
         assert!(t2.get().is_ok());
     }
@@ -253,53 +224,57 @@ mod tests {
     #[test]
     fn coalesces_onto_running_jobs_too() {
         let q = JobQueue::default();
-        let (_t1, _) = q.enqueue(Query::Delay, 1);
-        let job = q.next_job(None).unwrap(); // now running, queue empty
-        let (t2, e2) = q.enqueue(Query::Delay, 1);
+        let (_t1, _) = q.enqueue(Query::Delay);
+        let job = q.next_job().unwrap(); // now running, queue empty
+        let (t2, e2) = q.enqueue(Query::Delay);
         assert_eq!(e2, Enqueued::Coalesced);
-        q.complete(&job.query, result());
+        q.complete(&job, result());
         assert!(t2.get().is_ok());
     }
 
     #[test]
-    fn affinity_prefers_same_family_without_starving() {
+    fn jobs_come_out_in_submission_order() {
         let q = JobQueue::default();
-        q.enqueue(Query::CrossCountry, 1); // family "mentions"
-        q.enqueue(Query::CoReport, 1); // family "csr"
-        q.enqueue(Query::Delay, 1); // family "mentions"
-        let j = q.next_job(Some("mentions")).unwrap();
-        assert_eq!(j.query.family(), "mentions");
-        let j = q.next_job(Some("mentions")).unwrap();
-        assert_eq!(j.query, Query::Delay, "same-family job jumps the queue");
-        // Only the off-family job is left; it is not starved.
-        let j = q.next_job(Some("mentions")).unwrap();
-        assert_eq!(j.query, Query::CoReport);
+        // Three scan families, interleaved: mentions, csr, quarters,
+        // mentions, csr.
+        let submitted = [
+            Query::CrossCountry,
+            Query::CoReport,
+            Query::TimeSeries(SeriesKind::Events),
+            Query::Delay,
+            Query::FollowReport { top_k: 5 },
+        ];
+        for s in submitted {
+            q.enqueue(s);
+        }
+        let taken: Vec<Query> = submitted.iter().map(|_| q.next_job().unwrap()).collect();
+        assert_eq!(taken, submitted, "no job of any family jumps the queue");
     }
 
     #[test]
     fn shutdown_rejects_and_drains() {
         let q = JobQueue::default();
-        let (t1, _) = q.enqueue(Query::Delay, 1);
+        let (t1, _) = q.enqueue(Query::Delay);
         let drained = q.shutdown_and_drain();
         assert_eq!(drained.len(), 1);
         for w in drained {
             w.resolve(Err(ServeError::ShuttingDown));
         }
         assert_eq!(t1.get(), Err(ServeError::ShuttingDown));
-        let (t2, e2) = q.enqueue(Query::Delay, 1);
+        let (t2, e2) = q.enqueue(Query::Delay);
         assert_eq!(e2, Enqueued::Rejected);
         assert_eq!(t2.get(), Err(ServeError::ShuttingDown));
-        assert!(q.next_job(None).is_none());
+        assert!(q.next_job().is_none());
     }
 
     #[test]
     fn ticket_timeout_expires_then_redeems() {
         let q = JobQueue::default();
-        let (t, _) = q.enqueue(Query::Delay, 1);
+        let (t, _) = q.enqueue(Query::Delay);
         let err = t.get_timeout(Duration::from_millis(10)).unwrap_err();
         assert!(matches!(err, ServeError::TimedOut { .. }));
-        let job = q.next_job(None).unwrap();
-        q.complete(&job.query, result());
+        let job = q.next_job().unwrap();
+        q.complete(&job, result());
         assert!(t.get().is_ok(), "ticket stays redeemable after a timeout");
     }
 }

@@ -6,16 +6,12 @@ use std::fmt;
 /// Why a submission or wait did not produce a result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// The admission controller shed the query: the queue was full or
-    /// the in-flight cost budget was exhausted.
+    /// The admission controller shed the query: the queue was full.
     Overloaded {
         /// Queue depth observed at admission time.
         queue_depth: usize,
-        /// The configured queue bound.
+        /// The queue bound.
         queue_limit: usize,
-        /// True when the shed was due to the cost budget rather than
-        /// the depth bound.
-        cost_limited: bool,
     },
     /// The caller's wait deadline expired before the query completed.
     /// The query itself may still complete and populate the cache.
@@ -44,11 +40,7 @@ pub enum ServeError {
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServeError::Overloaded { queue_depth, queue_limit, cost_limited: true } => write!(
-                f,
-                "overloaded: in-flight cost budget exhausted (queue {queue_depth}/{queue_limit})"
-            ),
-            ServeError::Overloaded { queue_depth, queue_limit, cost_limited: false } => {
+            ServeError::Overloaded { queue_depth, queue_limit } => {
                 write!(f, "overloaded: admission queue full ({queue_depth}/{queue_limit})")
             }
             ServeError::TimedOut { waited_ms } => {
@@ -71,7 +63,7 @@ mod tests {
 
     #[test]
     fn display_mentions_limits() {
-        let e = ServeError::Overloaded { queue_depth: 8, queue_limit: 8, cost_limited: false };
+        let e = ServeError::Overloaded { queue_depth: 8, queue_limit: 8 };
         assert!(e.to_string().contains("8/8"));
         let e = ServeError::TimedOut { waited_ms: 250 };
         assert!(e.to_string().contains("250"));

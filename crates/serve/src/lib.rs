@@ -9,15 +9,15 @@
 //! * a **sharded LRU result cache** keyed on canonical
 //!   [`Query`](gdelt_engine::Query) hashes, invalidated by dataset
 //!   generation bumps from [`QueryService::apply_batch`] ([`cache`]);
-//! * an **admission controller** with a bounded queue and per-query
-//!   cost estimates that sheds with typed errors instead of panicking
-//!   or blocking ([`admission`]);
-//! * a **batcher** that coalesces identical in-flight queries
-//!   (single-flight) and hands workers same-family scans back-to-back
-//!   ([`batcher`]);
+//! * an **admission controller**: one queue-depth bound, shared with
+//!   the shard router, that sheds with typed errors instead of
+//!   panicking or blocking ([`admission`]);
+//! * a **FIFO job queue** that coalesces identical in-flight queries
+//!   (single-flight) ([`batcher`]);
 //! * the **worker pool + dataset ownership** tying them together
 //!   ([`service`]), with [`metrics`] snapshots and a seeded synthetic
-//!   workload generator ([`mix`]) for `gdelt-cli serve-bench`.
+//!   mix plus the one replay driver ([`mix`]) that `gdelt-cli
+//!   serve-bench` and `chaos` run against either front door.
 
 #![warn(missing_docs)]
 
@@ -29,7 +29,7 @@ pub mod metrics;
 pub mod mix;
 pub mod service;
 
-pub use admission::{Admission, AdmissionConfig};
+pub use admission::{Admission, MAX_QUEUE};
 pub use batcher::QueryTicket;
 pub use cache::{CacheStats, ShardedCache};
 pub use error::ServeError;

@@ -1,5 +1,6 @@
-//! Seeded synthetic query mixes and the replay driver behind
-//! `gdelt-cli serve-bench`.
+//! Seeded synthetic query mixes and the one replay driver behind
+//! `gdelt-cli serve-bench` and `chaos`, for either front door: a
+//! `QueryService` or the shard router.
 //!
 //! The mix models the workload shape the serving layer is built for:
 //! a small population of distinct analyses requested over and over with
@@ -15,7 +16,6 @@ use gdelt_engine::{Query, SeriesKind, TopKKind};
 use rand::{Rng, SeedableRng};
 
 use crate::error::ServeError;
-use crate::service::QueryService;
 
 fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -23,7 +23,7 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// The weighted pool of distinct queries the mix draws from. Weights
 /// skew toward the cheap dashboard staples, with the heavy CSR passes
-/// as the long tail — the shape that exercises cost-based admission.
+/// as the long tail.
 fn query_pool() -> Vec<(Query, u32)> {
     vec![
         (Query::TopK { kind: TopKKind::Publishers, k: 10 }, 10),
@@ -129,11 +129,16 @@ fn median(sorted: &[u64]) -> u64 {
     }
 }
 
-/// Replay `mix` against `service` from `clients` concurrent client
-/// threads (clamped to at least 1). Each submission blocks for its
-/// result; per-submission end-to-end latency is classified cold or warm
-/// by whether an identical query appeared earlier in the mix.
-pub fn replay(service: &QueryService, mix: &[Query], clients: usize) -> ReplayReport {
+/// Replay `mix` through `front_door` from `clients` concurrent client
+/// threads (clamped to at least 1). Each call blocks for its result;
+/// per-call end-to-end latency is classified cold or warm by whether an
+/// identical query appeared earlier in the mix. A front door is
+/// `|q| service.run(q)` or `|q| router.query(&q)`.
+pub fn replay<T>(
+    front_door: impl Fn(Query) -> Result<T, ServeError> + Sync,
+    mix: &[Query],
+    clients: usize,
+) -> ReplayReport {
     let clients = clients.max(1).min(mix.len().max(1));
     let next = AtomicUsize::new(0);
     let samples: Mutex<Vec<Sample>> = Mutex::new(Vec::with_capacity(mix.len()));
@@ -146,7 +151,7 @@ pub fn replay(service: &QueryService, mix: &[Query], clients: usize) -> ReplayRe
                     let index = next.fetch_add(1, Ordering::Relaxed);
                     let Some(query) = mix.get(index).copied() else { break };
                     let t0 = Instant::now();
-                    let outcome = match service.run(query) {
+                    let outcome = match front_door(query) {
                         Ok(_) => Outcome::Completed,
                         Err(ServeError::Overloaded { .. }) => Outcome::Shed,
                         Err(_) => Outcome::Failed,
@@ -219,6 +224,31 @@ mod tests {
             distinct.len() < mix.len() / 2,
             "a 200-query mix over a ~15-query pool must repeat heavily"
         );
+    }
+
+    #[test]
+    fn replay_accounts_for_every_outcome() {
+        let mix = seeded_mix(300, 42);
+        // A front door that sheds every Delay and fails every CoReport.
+        let door = |q: Query| match q {
+            Query::Delay => Err(ServeError::Overloaded { queue_depth: 64, queue_limit: 64 }),
+            Query::CoReport => Err(ServeError::ShuttingDown),
+            _ => Ok(()),
+        };
+        let report = replay(door, &mix, 3);
+        let count = |want: Query| mix.iter().filter(|q| **q == want).count();
+        let (sheds, errors) = (count(Query::Delay), count(Query::CoReport));
+        assert!(sheds > 0 && errors > 0, "the mix must draw both refused shapes");
+        assert_eq!(report.total, mix.len());
+        assert_eq!(report.sheds, sheds);
+        assert_eq!(report.errors, errors);
+        assert_eq!(report.completed, mix.len() - sheds - errors);
+        assert_eq!(report.completed + report.sheds + report.errors, report.total);
+        // Cold = first occurrence of each distinct answered query.
+        let answered: std::collections::HashSet<Query> =
+            mix.iter().copied().filter(|q| !matches!(q, Query::Delay | Query::CoReport)).collect();
+        assert_eq!(report.cold_count, answered.len());
+        assert_eq!(report.warm_count, report.completed - answered.len());
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //! submit ── cache get ──hit──▶ resolved ticket
 //!              │miss
 //!              ▼
-//!        admission (cost, depth) ──full──▶ ServeError::Overloaded
+//!        admission (queue depth) ──full──▶ ServeError::Overloaded
 //!              │admitted
 //!              ▼
-//!        job queue (single-flight coalescing)
+//!        job queue (FIFO, single-flight coalescing)
 //!              ▼
-//!        workers (family-affine dequeue) ──▶ run_query ──▶ cache insert
+//!        workers ──▶ run_query ──▶ cache insert
 //!              ▼
 //!        ticket resolution (all coalesced waiters at once)
 //! ```
@@ -35,7 +35,7 @@ use gdelt_engine::{run_query, ExecContext, Query, QueryResult};
 use gdelt_model::event::EventRecord;
 use gdelt_model::mention::MentionRecord;
 
-use crate::admission::{Admission, AdmissionConfig};
+use crate::admission::Admission;
 use crate::batcher::{Enqueued, JobQueue, QueryTicket};
 use crate::cache::ShardedCache;
 use crate::error::ServeError;
@@ -80,9 +80,14 @@ impl std::fmt::Debug for ExecHook {
     }
 }
 
-/// Service construction parameters. The defaults suit tests and the
-/// `serve-bench` synthetic workload; a deployment tunes queue and cache
-/// bounds to its corpus size.
+/// Result-cache shards.
+const CACHE_SHARDS: usize = 8;
+/// Result-cache capacity per cache shard.
+const CACHE_CAPACITY_PER_SHARD: usize = 32;
+
+/// Service construction parameters: the knobs the CLI and the
+/// benchmark set. The cache size and the admission bound
+/// ([`crate::admission::MAX_QUEUE`]) are constants.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads executing queries. `0` is allowed (nothing
@@ -90,14 +95,6 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Whether results are cached at all (`serve-bench --no-cache`).
     pub cache_enabled: bool,
-    /// Result-cache shard count.
-    pub cache_shards: usize,
-    /// Entries per cache shard.
-    pub cache_capacity_per_shard: usize,
-    /// Admission queue depth bound.
-    pub max_queue: usize,
-    /// Admission in-flight cost budget.
-    pub max_cost_in_flight: u64,
     /// Engine thread count (`None` = all cores).
     pub threads: Option<usize>,
     /// Behaviour when the store loaded degraded.
@@ -111,10 +108,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 2,
             cache_enabled: true,
-            cache_shards: 8,
-            cache_capacity_per_shard: 32,
-            max_queue: 64,
-            max_cost_in_flight: u64::MAX,
             threads: None,
             degraded_policy: DegradedPolicy::default(),
             exec_hook: None,
@@ -182,12 +175,9 @@ impl QueryService {
         let shared = Arc::new(Shared {
             data: RwLock::new(Arc::new(dataset)),
             ctx: builder.build(),
-            cache: ShardedCache::new(config.cache_shards, config.cache_capacity_per_shard),
+            cache: ShardedCache::new(CACHE_SHARDS, CACHE_CAPACITY_PER_SHARD),
             cache_enabled: config.cache_enabled,
-            admission: Admission::new(AdmissionConfig {
-                max_queue: config.max_queue,
-                max_cost_in_flight: config.max_cost_in_flight,
-            }),
+            admission: Admission::default(),
             queue: JobQueue::default(),
             metrics: Metrics::new(),
             health,
@@ -223,16 +213,15 @@ impl QueryService {
         }
         if s.cache_enabled {
             if let Some(v) = s.cache.get(&query) {
-                return Ok(QueryTicket::resolved(query, Ok(v)));
+                return Ok(QueryTicket::resolved(Ok(v)));
             }
         }
-        let cost = query.cost_estimate(&read_recover(&s.data));
-        s.admission.try_admit(cost)?;
-        let (ticket, outcome) = s.queue.enqueue(query, cost);
+        s.admission.try_admit()?;
+        let (ticket, outcome) = s.queue.enqueue(query);
         if outcome != Enqueued::New {
-            // Coalesced tickets ride on the already-admitted job's cost;
+            // Coalesced tickets ride on the already-admitted job's slot;
             // rejected tickets (shutdown race) never run at all.
-            s.admission.release(cost);
+            s.admission.release();
         }
         Ok(ticket)
     }
@@ -332,17 +321,15 @@ impl Drop for QueryService {
     }
 }
 
-/// Worker: dequeue with scan affinity, double-check the cache, run the
+/// Worker: dequeue the oldest job, double-check the cache, run the
 /// kernel against a consistent (dataset, generation) snapshot, publish.
 ///
 /// Kernel execution (and the exec hook) runs under `catch_unwind`: a
 /// panic never crosses the worker's thread boundary. The panicking
 /// job's waiters resolve to [`ServeError::WorkerPanicked`], its
-/// admission cost is released, and the worker moves on to the next job.
+/// admission slot is released, and the worker moves on to the next job.
 fn worker_loop(shared: &Shared) {
-    let mut affinity: Option<&'static str> = None;
-    while let Some(job) = shared.queue.next_job(affinity) {
-        let query = job.query;
+    while let Some(query) = shared.queue.next_job() {
         // Re-check the cache without counting: an identical query may
         // have completed between this job's admission and now.
         let cached = if shared.cache_enabled { shared.cache.peek(&query) } else { None };
@@ -390,8 +377,7 @@ fn worker_loop(shared: &Shared) {
                 }
             }
         };
-        shared.admission.release(job.cost);
+        shared.admission.release();
         shared.queue.complete(&query, value);
-        affinity = Some(query.family());
     }
 }

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use gdelt_columnar::Dataset;
 use gdelt_engine::{run_query, ExecContext, Query, SeriesKind, TopKKind};
-use gdelt_serve::{QueryService, ServeError, ServiceConfig};
+use gdelt_serve::{QueryService, ServeError, ServiceConfig, MAX_QUEUE};
 
 fn dataset() -> Dataset {
     let cfg = gdelt_synth::scenario::tiny(77);
@@ -94,33 +94,22 @@ fn identical_in_flight_queries_coalesce() {
 
 #[test]
 fn saturated_queue_sheds_with_typed_error() {
-    // No workers and a depth bound of 2: the third distinct query sheds.
-    let service = QueryService::new(
-        dataset(),
-        ServiceConfig { workers: 0, max_queue: 2, ..Default::default() },
-    );
-    service.submit(Query::Delay).expect("1st admitted");
-    service.submit(Query::CrossCountry).expect("2nd admitted");
-    let err = service.submit(Query::CoReport).expect_err("3rd must shed");
-    assert!(
-        matches!(err, ServeError::Overloaded { queue_depth: 2, queue_limit: 2, .. }),
-        "unexpected shed error: {err:?}"
-    );
+    // No workers: MAX_QUEUE distinct queries fill the queue, and the
+    // next distinct one sheds.
+    let service = QueryService::new(dataset(), ServiceConfig { workers: 0, ..Default::default() });
+    let tickets: Vec<_> = (1..=MAX_QUEUE as u32)
+        .map(|k| {
+            let q = Query::TopK { kind: TopKKind::Publishers, k };
+            service.submit(q).unwrap_or_else(|e| panic!("{q} must be admitted: {e}"))
+        })
+        .collect();
+    let err = service.submit(Query::CoReport).expect_err("one past the bound must shed");
+    assert_eq!(err, ServeError::Overloaded { queue_depth: 64, queue_limit: 64 });
     let m = service.metrics();
     assert_eq!(m.shed, 1);
-    assert_eq!(m.queue_depth, 2);
-}
-
-#[test]
-fn cost_budget_sheds_second_query() {
-    let service = QueryService::new(
-        dataset(),
-        ServiceConfig { workers: 0, max_cost_in_flight: 1, ..Default::default() },
-    );
-    // First query always admitted, even over budget.
-    service.submit(Query::CoReport).expect("idle service admits anything");
-    let err = service.submit(Query::Delay).expect_err("budget exhausted");
-    assert!(matches!(err, ServeError::Overloaded { cost_limited: true, .. }));
+    assert_eq!(m.queue_depth, MAX_QUEUE);
+    drop(service);
+    assert!(tickets.iter().all(|t| t.get() == Err(ServeError::ShuttingDown)));
 }
 
 #[test]

@@ -32,7 +32,7 @@ pub mod split;
 pub mod wire;
 pub mod worker;
 
-pub use router::{ReconnectPolicy, Router, RouterConfig, RouterStats};
+pub use router::{Router, RouterConfig, RouterStats};
 pub use split::{shard_range, split_store, ShardEntry, ShardManifest};
 pub use wire::{FlightForward, Frame, Health, Hello, WireError, WireSpan};
 pub use worker::{ShardWorker, WorkerConfig};

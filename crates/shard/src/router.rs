@@ -1,14 +1,14 @@
 //! Scatter-gather router: the front door of the sharded serve tier.
 //!
 //! The router owns everything the single-process `QueryService` owns —
-//! admission control, the generation-stamped result cache, coverage
-//! accounting — but its "workers" are shard processes reached over the
-//! wire protocol. One admitted [`Query`] runs through the engine's own
-//! plan driver, [`partial::execute`] — the same one `run_query` uses —
-//! with a network scatter as the round: every shard answers the
-//! [`ShardQuery`], the surviving partials merge with the associative
-//! [`ShardPartial::merge`], and the driver finalizes the bit-identical
-//! single-process answer.
+//! admission by the same queue-depth bound, the generation-stamped
+//! result cache, coverage accounting — but its "workers" are shard
+//! processes reached over the wire protocol. One admitted [`Query`]
+//! runs through the engine's own plan driver, [`partial::execute`] —
+//! the same one `run_query` uses — with a network scatter as the round:
+//! every shard answers the [`ShardQuery`], the surviving partials merge
+//! with the associative [`ShardPartial::merge`], and the driver
+//! finalizes the bit-identical single-process answer.
 //!
 //! Failure maps onto the degraded-store vocabulary the repo already
 //! speaks: a dead or timed-out shard is a quarantined *partition
@@ -17,57 +17,26 @@
 //! `DegradedPolicy::Fail` returns [`ServeError::Degraded`]. A reply that
 //! is well framed but does not answer the request sent — another
 //! family, another `k`, bitmaps over another source directory — is a
-//! lost shard too, never a panic in the caller. Reconnects
-//! use capped exponential backoff (the `LoadPolicy` discipline), and
-//! only full-coverage answers enter the cache, so a shard death can
-//! never leave a stale partial answer behind.
+//! lost shard too, never a panic in the caller. Reconnects follow
+//! the capped doubling [`RetryPolicy`] a degraded store load retries
+//! by, and only full-coverage answers enter the cache, so a shard
+//! death can never leave a stale partial answer behind.
 
 use crate::split::ShardManifest;
 use crate::wire::{FlightForward, Frame, WireSpan};
-use gdelt_columnar::Coverage;
+use gdelt_columnar::{Coverage, RetryPolicy};
 use gdelt_engine::partial::{self, ShardPartial, ShardQuery};
 use gdelt_engine::{Query, QueryResult};
 use gdelt_obs::{FlightLevel, RegistrySnapshot, SpanGuard};
-use gdelt_serve::{
-    Admission, AdmissionConfig, CoveredAnswer, DegradedPolicy, ServeError, ShardedCache,
-};
+use gdelt_serve::{Admission, CoveredAnswer, DegradedPolicy, ServeError, ShardedCache};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Capped-exponential reconnect schedule: attempt `a` (0-based) waits
-/// `min(backoff_ms << a, cap_ms)` before dialing.
-#[derive(Debug, Clone, Copy)]
-pub struct ReconnectPolicy {
-    /// Dial attempts per scatter before declaring the shard dead.
-    pub max_attempts: u32,
-    /// Base backoff before the second attempt, in milliseconds.
-    pub backoff_ms: u64,
-    /// Backoff ceiling, in milliseconds.
-    pub cap_ms: u64,
-}
-
-impl Default for ReconnectPolicy {
-    fn default() -> Self {
-        ReconnectPolicy { max_attempts: 2, backoff_ms: 10, cap_ms: 200 }
-    }
-}
-
-impl ReconnectPolicy {
-    /// Backoff before attempt `a` (no wait before the first).
-    pub fn delay(&self, attempt: u32) -> Duration {
-        if attempt == 0 {
-            return Duration::ZERO;
-        }
-        let factor = 1u64 << attempt.saturating_sub(1).min(16);
-        Duration::from_millis(self.backoff_ms.saturating_mul(factor).min(self.cap_ms))
-    }
-}
-
-/// Router configuration: the knobs a caller sets. Cache size,
-/// admission bounds and the per-shard connection pool are private
-/// constants of this module.
+/// Router configuration: the knobs a caller sets. Cache size and the
+/// per-shard connection pool are private constants of this module; the
+/// admission bound is [`gdelt_serve::MAX_QUEUE`].
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
     /// `host:port` per shard, in shard-id order (must match the
@@ -79,8 +48,9 @@ pub struct RouterConfig {
     pub cache_enabled: bool,
     /// Per-shard read timeout.
     pub read_timeout: Duration,
-    /// Reconnect schedule.
-    pub reconnect: ReconnectPolicy,
+    /// Dial schedule: one try plus `max_retries` per scatter before
+    /// the shard counts as dead.
+    pub reconnect: RetryPolicy,
 }
 
 impl Default for RouterConfig {
@@ -90,7 +60,11 @@ impl Default for RouterConfig {
             policy: DegradedPolicy::ServePartial,
             cache_enabled: true,
             read_timeout: Duration::from_secs(10),
-            reconnect: ReconnectPolicy::default(),
+            reconnect: RetryPolicy {
+                max_retries: 1,
+                backoff: Duration::from_millis(10),
+                backoff_cap: Duration::from_millis(200),
+            },
         }
     }
 }
@@ -99,10 +73,6 @@ impl Default for RouterConfig {
 const CACHE_SHARDS: usize = 8;
 /// Result-cache capacity per cache shard.
 const CACHE_CAPACITY_PER_SHARD: usize = 64;
-/// Admission queue bound.
-const MAX_QUEUE: usize = 256;
-/// Admission in-flight cost budget.
-const MAX_COST_IN_FLIGHT: u64 = u64::MAX / 4;
 /// Idle connections kept per shard. Concurrent scatters each check out
 /// their own connection (dialing on demand), so cold queries never
 /// serialize behind one shard socket; this caps how many stay pooled
@@ -180,9 +150,6 @@ pub struct Router {
     retries: AtomicU64,
     degraded: AtomicU64,
     invalidations: AtomicU64,
-    /// Total rows, for admission pricing.
-    events: u64,
-    mentions: u64,
 }
 
 impl Router {
@@ -194,19 +161,13 @@ impl Router {
             .iter()
             .map(|a| ShardSlot { addr: a.clone(), pool: Mutex::new(Vec::new()) })
             .collect();
-        let admission = Admission::new(AdmissionConfig {
-            max_queue: MAX_QUEUE,
-            max_cost_in_flight: MAX_COST_IN_FLIGHT,
-        });
         let cache = ShardedCache::new(CACHE_SHARDS, CACHE_CAPACITY_PER_SHARD);
-        let events = manifest.shards.iter().map(|s| s.events).sum();
-        let mentions = manifest.shards.iter().map(|s| s.mentions).sum();
         let n = manifest.shards.len();
         Router {
             cfg,
             manifest,
             slots,
-            admission,
+            admission: Admission::default(),
             cache,
             last_sig: Mutex::new(vec![0; n]),
             flight_cursors: (0..n).map(|_| AtomicU64::new(0)).collect(),
@@ -216,8 +177,6 @@ impl Router {
             retries: AtomicU64::new(0),
             degraded: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
-            events,
-            mentions,
         }
     }
 
@@ -241,10 +200,9 @@ impl Router {
 
     /// Answer `q`: admission, cache, scatter, merge, finalize.
     pub fn query(&self, q: &Query) -> Result<CoveredAnswer, ServeError> {
-        let cost = q.cost_estimate_rows(self.events, self.mentions);
-        self.admission.try_admit(cost)?;
+        self.admission.try_admit()?;
         let out = self.query_admitted(q);
-        self.admission.release(cost);
+        self.admission.release();
         out
     }
 
@@ -429,17 +387,17 @@ impl Router {
         gdelt_obs::flight_warn("shard", "shard_lost", format!("shard {i}: {why}"));
     }
 
-    /// Dial a shard with the capped-backoff schedule and read its
-    /// hello. Every failed attempt leaves its own flight event (with
-    /// the shard id and attempt number), so a dump distinguishes
+    /// Dial a shard on the [`RouterConfig::reconnect`] schedule and
+    /// read its hello. Every failed attempt leaves its own flight event
+    /// (with the shard id and attempt number), so a dump distinguishes
     /// "first dial lost a race with a restart" from "down the whole
     /// window"; the terminal `dial_failed` still fires only once.
     fn dial(&self, i: usize, slot: &ShardSlot) -> Option<TcpStream> {
-        let attempts = self.cfg.reconnect.max_attempts;
+        let policy = &self.cfg.reconnect;
+        let attempts = policy.max_retries + 1;
         for attempt in 0..attempts {
-            let wait = self.cfg.reconnect.delay(attempt);
-            if !wait.is_zero() {
-                std::thread::sleep(wait);
+            if attempt > 0 {
+                std::thread::sleep(policy.delay(attempt - 1));
             }
             let why = match TcpStream::connect(&slot.addr) {
                 Ok(mut stream) => {

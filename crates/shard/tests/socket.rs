@@ -16,13 +16,14 @@
 //!   bitmaps, another matrix shape) degrades like a dead one — the
 //!   caller of `Router::query` never panics.
 
+use gdelt_columnar::RetryPolicy;
 use gdelt_engine::coreport::CountryCoReport;
 use gdelt_engine::filter::Bitmap;
 use gdelt_engine::partial::{ShardPartial, ShardQuery};
 use gdelt_engine::{run_query, ExecContext, Matrix, Query, SeriesKind, TopKKind};
 use gdelt_model::ids::SourceId;
 use gdelt_serve::{DegradedPolicy, ServeError};
-use gdelt_shard::router::{ReconnectPolicy, Router, RouterConfig};
+use gdelt_shard::router::{Router, RouterConfig};
 use gdelt_shard::wire::Frame;
 use gdelt_shard::worker::{ShardWorker, WorkerConfig};
 use gdelt_shard::{split_store, ShardManifest};
@@ -148,7 +149,11 @@ fn router(f: &Fixture, policy: DegradedPolicy, cache: bool) -> Router {
             policy,
             cache_enabled: cache,
             read_timeout: Duration::from_secs(5),
-            reconnect: ReconnectPolicy { max_attempts: 2, backoff_ms: 1, cap_ms: 5 },
+            reconnect: RetryPolicy {
+                max_retries: 1,
+                backoff: Duration::from_millis(1),
+                backoff_cap: Duration::from_millis(5),
+            },
         },
     )
 }

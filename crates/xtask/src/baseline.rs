@@ -318,6 +318,8 @@ fn exact_match(
 
 /// Build the baseline that matches the current inventory and measured
 /// counts, carrying forward reasons for crates that already had one.
+/// A previous zero-count entry — a crate pledged unsafe-free, with the
+/// reason why — is kept while the crate still has no unsafe.
 pub fn from_inventory(
     inventory: &Inventory,
     test_counts: &BTreeMap<String, usize>,
@@ -353,6 +355,18 @@ pub fn from_inventory(
             .unwrap_or_else(|| "TODO: justify this unsafe inventory".to_string());
         out.crates
             .insert(name.clone(), BaselineEntry { count, digest: inventory.digest(name), reason });
+    }
+    for (name, entry) in &previous.crates {
+        if entry.count == 0 && inventory.count(name) == 0 {
+            out.crates.insert(
+                name.clone(),
+                BaselineEntry {
+                    count: 0,
+                    digest: inventory.digest(name),
+                    reason: entry.reason.clone(),
+                },
+            );
+        }
     }
     out
 }
@@ -652,6 +666,32 @@ mod tests {
         let next = from_inventory(&grown, &no_tests(), &no_tests(), &no_tests(), &prev);
         assert_eq!(next.crates["columnar"].count, 3);
         assert_eq!(next.crates["columnar"].reason, "mmap I/O");
+    }
+
+    #[test]
+    fn update_keeps_zero_unsafe_pledges() {
+        let inv = inventory(&[("columnar", "src/mmap.rs", 2)]);
+        let mut prev =
+            from_inventory(&inv, &no_tests(), &no_tests(), &no_tests(), &Baseline::default());
+        let pledge = BaselineEntry {
+            count: 0,
+            digest: digest(&[]),
+            reason: "framing is length-checked byte shuffling".into(),
+        };
+        prev.crates.insert("shard".into(), pledge.clone());
+        let text = serialize(&prev);
+        let next =
+            from_inventory(&inv, &no_tests(), &no_tests(), &no_tests(), &parse(&text).unwrap());
+        assert_eq!(next.crates.get("shard"), Some(&pledge));
+        assert_eq!(serialize(&next), text, "an update with no drift rewrites nothing");
+        assert!(check(&next, &inv).is_empty());
+        // A crate that gains unsafe trades its pledge for a real count;
+        // one whose unsafe is all gone has no pledge to keep.
+        let moved = inventory(&[("shard", "src/wire.rs", 1)]);
+        let after = from_inventory(&moved, &no_tests(), &no_tests(), &no_tests(), &prev);
+        assert_eq!(after.crates["shard"].count, 1);
+        assert_eq!(after.crates["shard"].reason, pledge.reason);
+        assert!(!after.crates.contains_key("columnar"));
     }
 
     #[test]
