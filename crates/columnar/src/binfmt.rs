@@ -75,8 +75,16 @@
 //! and offsets included. A section name that repeats is refused (the
 //! tolerant reader marks it dirty). Then [`Dataset::validate`] decides
 //! every invariant in one fused pass.
+//!
+//! A projected load ([`load_projected`]) reads only the sections of the
+//! [`ColumnSet`] it is given (and those that are no column, such as
+//! `partitions.meta`): it steps over the others with a seek, so their
+//! bytes are never read or checksummed, though their headers still
+//! bound the file and a repeated name is still refused. [`load`] is the
+//! projected load of [`ColumnSet::ALL`].
 
 use crate::aligned::{AlignedBuf, Scalar};
+use crate::columns::{Column, ColumnSet};
 use crate::index::EventIndex;
 use crate::partition::partitions;
 use crate::strings::{StringDict, StringPool};
@@ -450,12 +458,20 @@ pub fn write_dataset<W: Write>(w: &mut W, d: &Dataset) -> io::Result<()> {
 
 /// Serialize a dataset to a writer, splitting it into `n_parts` load
 /// partitions recorded (with per-partition digests) in the leading
-/// `partitions.meta` section.
+/// `partitions.meta` section. A projected dataset is refused with an
+/// `InvalidInput` error naming its first absent column: its empty
+/// buffers would make a store no full load accepts.
 pub fn write_dataset_with_partitions<W: Write>(
     w: &mut W,
     d: &Dataset,
     n_parts: u32,
 ) -> io::Result<()> {
+    if let Some(absent) = ColumnSet::ALL.difference(d.columns).iter().next() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("cannot write a projected dataset: it does not hold {absent}"),
+        ));
+    }
     let (url_bytes, url_offsets) = d.events.urls.raw_parts();
     let (name_bytes, name_offsets) = d.sources.names.pool().raw_parts();
 
@@ -647,8 +663,34 @@ impl Sections {
     /// repeated name) and marks them dirty, and lets a source that ends
     /// early keep what it has.
     pub(crate) fn read<R: Read>(r: R, limit: u64, tolerant: bool) -> io::Result<Self> {
-        let mut reader = SectionReader::open(r, limit)?;
+        Self::read_with(SectionReader::open(r, limit)?, tolerant, |_, _| Ok(false))
+    }
+
+    /// The strict read of the sections `columns` reads
+    /// ([`ColumnSet::reads_section`]); the others are stepped over
+    /// with [`SectionReader::skip`].
+    pub(crate) fn read_projected<R: Read + Seek>(
+        r: R,
+        limit: u64,
+        columns: ColumnSet,
+    ) -> io::Result<Self> {
+        Self::read_with(SectionReader::open(r, limit)?, false, |reader, h| {
+            if columns.reads_section(&h.name) {
+                return Ok(false);
+            }
+            reader.skip(h).map(|()| true)
+        })
+    }
+
+    /// The one section loop: `skip` steps over a section and returns
+    /// true, or returns false to have it read.
+    fn read_with<R: Read>(
+        mut reader: SectionReader<R>,
+        tolerant: bool,
+        mut skip: impl FnMut(&mut SectionReader<R>, &SectionLayout) -> io::Result<bool>,
+    ) -> io::Result<Self> {
         let mut map = HashMap::with_capacity(reader.left as usize);
+        let mut skipped = BTreeSet::new();
         let mut dirty = BTreeSet::new();
         loop {
             let h = match reader.next_header() {
@@ -657,12 +699,16 @@ impl Sections {
                 Err(e) if tolerant && e.kind() == io::ErrorKind::UnexpectedEof => break,
                 Err(e) => return Err(e),
             };
-            let repeated = map.contains_key(&h.name);
+            let repeated = map.contains_key(&h.name) || skipped.contains(&h.name);
             if !tolerant {
                 if repeated {
                     return Err(bad(format!("duplicate section {} in store", h.name)));
                 }
                 h.ensure_whole()?;
+            }
+            if skip(&mut reader, &h)? {
+                skipped.insert(h.name);
+                continue;
             }
             let payload = reader.payload(&h)?;
             let truncated = (payload.len() as u64) < h.payload_len;
@@ -711,6 +757,15 @@ impl Sections {
     pub(crate) fn pool(&mut self, bytes: &str, offsets: &str) -> io::Result<StringPool> {
         StringPool::from_raw_parts(self.take(bytes)?, self.column(offsets)?).map_err(bad)
     }
+
+    /// Column `c`'s section if `columns` holds it, else an empty column.
+    fn held<T: Scalar>(&mut self, columns: ColumnSet, c: Column) -> io::Result<AlignedBuf<T>> {
+        if columns.contains(c) {
+            self.column(c.name())
+        } else {
+            Ok(AlignedBuf::new())
+        }
+    }
 }
 
 /// Decode a store image held in memory, verifying checksums and all
@@ -727,44 +782,52 @@ pub fn read_dataset(bytes: &[u8]) -> io::Result<Dataset> {
 /// store and report *every* broken invariant rather than fail at the
 /// first; every normal consumer should call [`read_dataset`].
 pub fn read_dataset_unchecked(bytes: &[u8]) -> io::Result<Dataset> {
-    dataset_from_sections(Sections::read(bytes, bytes.len() as u64, false)?)
+    dataset_from_sections(Sections::read(bytes, bytes.len() as u64, false)?, ColumnSet::ALL)
 }
 
-/// Assemble a [`Dataset`] from an already-read section map (shared by
-/// the strict and degraded loaders).
-pub(crate) fn dataset_from_sections(mut s: Sections) -> io::Result<Dataset> {
+/// Assemble a [`Dataset`] holding `columns` ([`ColumnSet::to_hold`])
+/// from an already-read section map (shared by the strict and degraded
+/// loaders).
+pub(crate) fn dataset_from_sections(mut s: Sections, columns: ColumnSet) -> io::Result<Dataset> {
+    use Column::*;
+    let columns = columns.to_hold();
+    let urls = if columns.contains(EventsUrls) {
+        s.pool("events.urls.bytes", "events.urls.offsets")?
+    } else {
+        StringPool::new()
+    };
     let events = crate::table::EventsTable {
-        id: s.column("events.id")?,
-        day: s.column("events.day")?,
-        capture: s.column("events.capture")?,
-        quarter: s.column("events.quarter")?,
-        root: s.column("events.root")?,
-        quad: s.column("events.quad")?,
-        actor1: s.column("events.actor1")?,
-        actor2: s.column("events.actor2")?,
-        goldstein: s.column("events.goldstein")?,
-        num_mentions: s.column("events.num_mentions")?,
-        num_sources: s.column("events.num_sources")?,
-        num_articles: s.column("events.num_articles")?,
-        avg_tone: s.column("events.avg_tone")?,
-        country: s.column("events.country")?,
-        lat: s.column("events.lat")?,
-        lon: s.column("events.lon")?,
-        source_url: s.column("events.source_url")?,
-        urls: s.pool("events.urls.bytes", "events.urls.offsets")?,
+        id: s.held(columns, EventsId)?,
+        day: s.held(columns, EventsDay)?,
+        capture: s.held(columns, EventsCapture)?,
+        quarter: s.held(columns, EventsQuarter)?,
+        root: s.held(columns, EventsRoot)?,
+        quad: s.held(columns, EventsQuad)?,
+        actor1: s.held(columns, EventsActor1)?,
+        actor2: s.held(columns, EventsActor2)?,
+        goldstein: s.held(columns, EventsGoldstein)?,
+        num_mentions: s.held(columns, EventsNumMentions)?,
+        num_sources: s.held(columns, EventsNumSources)?,
+        num_articles: s.held(columns, EventsNumArticles)?,
+        avg_tone: s.held(columns, EventsAvgTone)?,
+        country: s.held(columns, EventsCountry)?,
+        lat: s.held(columns, EventsLat)?,
+        lon: s.held(columns, EventsLon)?,
+        source_url: s.held(columns, EventsSourceUrl)?,
+        urls,
     };
 
     let mentions = crate::table::MentionsTable {
-        event_id: s.column("mentions.event_id")?,
-        event_row: s.column("mentions.event_row")?,
-        event_interval: s.column("mentions.event_interval")?,
-        mention_interval: s.column("mentions.mention_interval")?,
-        delay: s.column("mentions.delay")?,
-        source: s.column("mentions.source")?,
-        quarter: s.column("mentions.quarter")?,
-        mention_type: s.column("mentions.mention_type")?,
-        confidence: s.column("mentions.confidence")?,
-        doc_tone: s.column("mentions.doc_tone")?,
+        event_id: s.held(columns, MentionsEventId)?,
+        event_row: s.held(columns, MentionsEventRow)?,
+        event_interval: s.held(columns, MentionsEventInterval)?,
+        mention_interval: s.held(columns, MentionsMentionInterval)?,
+        delay: s.held(columns, MentionsDelay)?,
+        source: s.held(columns, MentionsSource)?,
+        quarter: s.held(columns, MentionsQuarter)?,
+        mention_type: s.held(columns, MentionsMentionType)?,
+        confidence: s.held(columns, MentionsConfidence)?,
+        doc_tone: s.held(columns, MentionsDocTone)?,
     };
 
     let sources = crate::table::SourceDirectory {
@@ -772,9 +835,9 @@ pub(crate) fn dataset_from_sections(mut s: Sections) -> io::Result<Dataset> {
         country: s.column("sources.country")?,
     };
 
-    let event_index = EventIndex { offsets: s.column("index.offsets")? };
+    let event_index = EventIndex { offsets: s.held(columns, IndexOffsets)? };
 
-    Ok(Dataset { events, mentions, sources, event_index })
+    Ok(Dataset { events, mentions, sources, event_index, columns })
 }
 
 /// Fill a sibling `<name>.tmp` and rename it over `path`, so a writer
@@ -823,10 +886,23 @@ pub(crate) fn open_sized(path: &Path) -> io::Result<(io::BufReader<std::fs::File
     Ok((io::BufReader::new(f), len))
 }
 
-/// Load a dataset from a file, verifying integrity.
+/// Load a dataset from a file, verifying integrity: the projected load
+/// of every column.
 pub fn load(path: &Path) -> io::Result<Dataset> {
+    load_projected(path, &ColumnSet::ALL)
+}
+
+/// Load the `columns` of a store ([`ColumnSet::to_hold`]: with the
+/// keys) into a projected [`Dataset`], verifying the checksum of every
+/// section read and then every invariant of what was read. The other
+/// sections are stepped over unread, so damage confined to them goes
+/// unseen: this is what a server opens, and `gdelt-cli validate` still
+/// loads everything.
+pub fn load_projected(path: &Path, columns: &ColumnSet) -> io::Result<Dataset> {
     let _s = gdelt_obs::span("store", "load");
-    let dataset = load_unchecked(path)?;
+    let (r, len) = open_sized(path)?;
+    let columns = columns.to_hold();
+    let dataset = dataset_from_sections(Sections::read_projected(r, len, columns)?, columns)?;
     dataset.validate().map_err(bad)?;
     Ok(dataset)
 }
@@ -835,7 +911,7 @@ pub fn load(path: &Path) -> io::Result<Dataset> {
 /// [`read_dataset_unchecked`].
 pub fn load_unchecked(path: &Path) -> io::Result<Dataset> {
     let (r, len) = open_sized(path)?;
-    dataset_from_sections(Sections::read(r, len, false)?)
+    dataset_from_sections(Sections::read(r, len, false)?, ColumnSet::ALL)
 }
 
 /// An injectable I/O shim under the store loaders: wraps the raw file
@@ -1207,6 +1283,75 @@ mod tests {
         assert!(load(&path).unwrap().events.is_empty());
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn projected_dataset_is_refused_by_every_writer() {
+        let path = saved_sample("projected.gdhpc");
+        let projected = sample_dataset().project(&ColumnSet::of(&[Column::EventsQuarter]));
+        let mut buf = Vec::new();
+        for err in [
+            write_dataset(&mut buf, &projected).unwrap_err(),
+            write_dataset_with_partitions(&mut buf, &projected, 3).unwrap_err(),
+            save(&path, &projected).unwrap_err(),
+        ] {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+            // The first column it does not hold, in store order.
+            assert!(err.to_string().contains("does not hold events.day"), "{err}");
+        }
+        assert!(buf.is_empty(), "nothing is written");
+        assert_eq!(load(&path).unwrap().events, sample_dataset().events, "the store survives");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Flip the byte in the middle of `section`'s payload.
+    fn flip_in(bytes: &mut [u8], layout: &[SectionLayout], section: &str) {
+        let s = layout.iter().find(|s| s.name == section).unwrap();
+        bytes[(s.payload_offset + s.payload_len / 2) as usize] ^= 0x40;
+    }
+
+    #[test]
+    fn projected_load_reads_and_checks_only_its_sections() {
+        let path = saved_sample("partial.gdhpc");
+        let layout = scan_layout(&path).unwrap();
+        let whole = std::fs::read(&path).unwrap();
+        let columns = ColumnSet::of(&[Column::EventsQuarter, Column::MentionsSource]);
+        let want = load(&path).unwrap().project(&columns);
+        let got = load_projected(&path, &columns).unwrap();
+        assert_eq!(got.columns, columns.to_hold());
+        assert_eq!((&got.events, &got.mentions), (&want.events, &want.mentions));
+        assert_eq!(got.event_index, want.event_index);
+        assert_eq!(
+            load_projected(&path, &ColumnSet::ALL).unwrap().events,
+            load(&path).unwrap().events
+        );
+
+        // Damage in a section it skips goes unseen; damage in one it reads
+        // does not.
+        let mut bytes = whole.clone();
+        flip_in(&mut bytes, &layout, "events.urls.bytes");
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(load(&path).unwrap_err().to_string().contains("checksum mismatch"));
+        assert_eq!(load_projected(&path, &columns).unwrap().mentions, want.mentions);
+        flip_in(&mut bytes, &layout, "mentions.source");
+        std::fs::write(&path, &bytes).unwrap();
+        let err = load_projected(&path, &columns).unwrap_err().to_string();
+        assert!(err.contains("checksum mismatch in section mentions.source"), "{err}");
+
+        // A skipped section still may not repeat or run past the file.
+        let doc = layout.iter().find(|s| s.name == "mentions.doc_tone").unwrap();
+        let header = doc.payload_offset as usize - (2 + doc.name.len() + 16);
+        let mut repeated = whole.clone();
+        repeated.extend_from_slice(&whole[header..(doc.payload_offset + doc.payload_len) as usize]);
+        repeated[8..12].copy_from_slice(&(layout.len() as u32 + 1).to_le_bytes());
+        std::fs::write(&path, &repeated).unwrap();
+        let err = load_projected(&path, &columns).unwrap_err().to_string();
+        assert!(err.contains("duplicate section mentions.doc_tone"), "{err}");
+        let cut = (doc.payload_offset + doc.payload_len / 2) as usize;
+        std::fs::write(&path, &whole[..cut]).unwrap();
+        let err = load_projected(&path, &columns).unwrap_err().to_string();
+        assert!(err.contains("section mentions.doc_tone truncated"), "{err}");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! architecture" for what that needs first.
 
 use crate::aligned::AlignedBuf;
+use crate::columns::ColumnSet;
 use crate::index::EventIndex;
 use crate::table::{Dataset, EventsTable, MentionsTable, SourceDirectory, NO_EVENT_ROW};
 use gdelt_csv::clean::{CleanReport, Cleaner};
@@ -337,7 +338,7 @@ impl DatasetBuilder {
         let stage = gdelt_obs::span("ingest", "csr_index");
         let event_index = EventIndex::build(events.len(), &mentions);
         drop(stage);
-        let dataset = Dataset { events, mentions, sources, event_index };
+        let dataset = Dataset { events, mentions, sources, event_index, columns: ColumnSet::ALL };
         debug_assert_eq!(dataset.validate(), Ok(()));
         #[cfg(debug_assertions)]
         {

@@ -1,0 +1,298 @@
+//! The store's logical columns and sets of them.
+//!
+//! A [`Column`] is one fixed-width column, one string pool (its bytes
+//! and offsets) or the whole source directory; its name is the store
+//! section it is written to (a pool's sections add `.bytes` /
+//! `.offsets`, the directory's start with `sources.`). A [`ColumnSet`]
+//! is a bitset of them: what a query reads (`Query::columns` in
+//! `gdelt-engine`), what a [`Dataset`](crate::Dataset) holds and what
+//! [`binfmt::load_projected`](crate::binfmt::load_projected) reads off
+//! disk. [`ColumnSet::KEYS`] are held by every dataset.
+
+use std::fmt;
+
+/// One logical column of the store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+#[allow(missing_docs)] // each variant is named by its store section
+pub enum Column {
+    EventsId,
+    EventsDay,
+    EventsCapture,
+    EventsQuarter,
+    EventsRoot,
+    EventsQuad,
+    EventsActor1,
+    EventsActor2,
+    EventsGoldstein,
+    EventsNumMentions,
+    EventsNumSources,
+    EventsNumArticles,
+    EventsAvgTone,
+    EventsCountry,
+    EventsLat,
+    EventsLon,
+    EventsSourceUrl,
+    /// The URL pool `events.source_url` points into.
+    EventsUrls,
+    MentionsEventId,
+    MentionsEventRow,
+    MentionsEventInterval,
+    MentionsMentionInterval,
+    MentionsDelay,
+    MentionsSource,
+    MentionsQuarter,
+    MentionsMentionType,
+    MentionsConfidence,
+    MentionsDocTone,
+    /// The source directory: interned names and their countries.
+    Sources,
+    /// The event → mentions CSR offsets.
+    IndexOffsets,
+}
+
+impl Column {
+    /// Every column, in store order.
+    pub const ALL: [Column; 30] = {
+        use Column::*;
+        [
+            EventsId,
+            EventsDay,
+            EventsCapture,
+            EventsQuarter,
+            EventsRoot,
+            EventsQuad,
+            EventsActor1,
+            EventsActor2,
+            EventsGoldstein,
+            EventsNumMentions,
+            EventsNumSources,
+            EventsNumArticles,
+            EventsAvgTone,
+            EventsCountry,
+            EventsLat,
+            EventsLon,
+            EventsSourceUrl,
+            EventsUrls,
+            MentionsEventId,
+            MentionsEventRow,
+            MentionsEventInterval,
+            MentionsMentionInterval,
+            MentionsDelay,
+            MentionsSource,
+            MentionsQuarter,
+            MentionsMentionType,
+            MentionsConfidence,
+            MentionsDocTone,
+            Sources,
+            IndexOffsets,
+        ]
+    };
+
+    /// The column's name: its store section, or the prefix of its
+    /// sections.
+    pub const fn name(self) -> &'static str {
+        use Column::*;
+        match self {
+            EventsId => "events.id",
+            EventsDay => "events.day",
+            EventsCapture => "events.capture",
+            EventsQuarter => "events.quarter",
+            EventsRoot => "events.root",
+            EventsQuad => "events.quad",
+            EventsActor1 => "events.actor1",
+            EventsActor2 => "events.actor2",
+            EventsGoldstein => "events.goldstein",
+            EventsNumMentions => "events.num_mentions",
+            EventsNumSources => "events.num_sources",
+            EventsNumArticles => "events.num_articles",
+            EventsAvgTone => "events.avg_tone",
+            EventsCountry => "events.country",
+            EventsLat => "events.lat",
+            EventsLon => "events.lon",
+            EventsSourceUrl => "events.source_url",
+            EventsUrls => "events.urls",
+            MentionsEventId => "mentions.event_id",
+            MentionsEventRow => "mentions.event_row",
+            MentionsEventInterval => "mentions.event_interval",
+            MentionsMentionInterval => "mentions.mention_interval",
+            MentionsDelay => "mentions.delay",
+            MentionsSource => "mentions.source",
+            MentionsQuarter => "mentions.quarter",
+            MentionsMentionType => "mentions.mention_type",
+            MentionsConfidence => "mentions.confidence",
+            MentionsDocTone => "mentions.doc_tone",
+            Sources => "sources",
+            IndexOffsets => "index.offsets",
+        }
+    }
+
+    /// The column a store section belongs to: the one named like it,
+    /// or whose name is its prefix up to a `.` (`events.urls.bytes`,
+    /// `sources.country`). `None` for sections that are no column
+    /// (`partitions.meta`, or one a later writer added).
+    pub fn of_section(section: &str) -> Option<Column> {
+        Column::ALL.into_iter().find(|c| {
+            section
+                .strip_prefix(c.name())
+                .is_some_and(|rest| rest.is_empty() || rest.starts_with('.'))
+        })
+    }
+
+    const fn bit(self) -> u32 {
+        1 << self as u8
+    }
+}
+
+impl fmt::Display for Column {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// A set of [`Column`]s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ColumnSet(u32);
+
+impl ColumnSet {
+    /// No column.
+    pub const EMPTY: ColumnSet = ColumnSet(0);
+    /// Every column: what a full load or a build holds.
+    pub const ALL: ColumnSet = ColumnSet::of(&Column::ALL);
+    /// The columns every dataset holds, projected or not: the two id
+    /// columns set the tables' lengths and re-join orphan mentions on
+    /// append; `event_row` and the CSR offsets are the join; the source
+    /// directory sizes every per-source answer.
+    pub const KEYS: ColumnSet = ColumnSet::of(&[
+        Column::EventsId,
+        Column::MentionsEventId,
+        Column::MentionsEventRow,
+        Column::IndexOffsets,
+        Column::Sources,
+    ]);
+
+    /// The set of `columns`.
+    pub const fn of(columns: &[Column]) -> ColumnSet {
+        let mut bits = 0;
+        let mut i = 0;
+        while i < columns.len() {
+            bits |= columns[i].bit();
+            i += 1;
+        }
+        ColumnSet(bits)
+    }
+
+    /// Columns in either set.
+    pub const fn union(self, other: ColumnSet) -> ColumnSet {
+        ColumnSet(self.0 | other.0)
+    }
+
+    /// Columns in both sets.
+    pub const fn intersection(self, other: ColumnSet) -> ColumnSet {
+        ColumnSet(self.0 & other.0)
+    }
+
+    /// Columns of `self` not in `other`.
+    pub const fn difference(self, other: ColumnSet) -> ColumnSet {
+        ColumnSet(self.0 & !other.0)
+    }
+
+    /// True when `c` is in the set.
+    pub const fn contains(self, c: Column) -> bool {
+        self.0 & c.bit() != 0
+    }
+
+    /// True when every column of `other` is in the set.
+    pub const fn contains_all(self, other: ColumnSet) -> bool {
+        other.0 & !self.0 == 0
+    }
+
+    /// True when the set holds no column.
+    pub const fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// Number of columns in the set.
+    pub const fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// The columns of the set, in store order.
+    pub fn iter(self) -> impl Iterator<Item = Column> {
+        Column::ALL.into_iter().filter(move |&c| self.contains(c))
+    }
+
+    /// What a dataset asked to hold this set holds: the set, the
+    /// [`KEYS`](Self::KEYS), and `events.source_url` if the URL pool it
+    /// addresses is in the set (a pool without it names no row's URL).
+    pub const fn to_hold(self) -> ColumnSet {
+        let held = self.union(ColumnSet::KEYS);
+        if held.contains(Column::EventsUrls) {
+            held.union(ColumnSet::of(&[Column::EventsSourceUrl]))
+        } else {
+            held
+        }
+    }
+
+    /// True when store section `section` is read under this set: its
+    /// column is in it, or it is no column at all.
+    pub fn reads_section(self, section: &str) -> bool {
+        Column::of_section(section).is_none_or(|c| self.contains(c))
+    }
+}
+
+/// The column names, comma-separated.
+impl fmt::Display for ColumnSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, c) in self.iter().enumerate() {
+            if i > 0 {
+                f.write_str(", ")?;
+            }
+            f.write_str(c.name())?;
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_store_section_has_its_column() {
+        let sections = [
+            ("events.urls.bytes", Some(Column::EventsUrls)),
+            ("events.urls.offsets", Some(Column::EventsUrls)),
+            ("events.source_url", Some(Column::EventsSourceUrl)),
+            ("mentions.event_id", Some(Column::MentionsEventId)),
+            ("mentions.event_interval", Some(Column::MentionsEventInterval)),
+            ("sources.names.bytes", Some(Column::Sources)),
+            ("sources.country", Some(Column::Sources)),
+            ("index.offsets", Some(Column::IndexOffsets)),
+            ("partitions.meta", None),
+            ("events.idx", None),
+        ];
+        for (section, column) in sections {
+            assert_eq!(Column::of_section(section), column, "{section}");
+        }
+        for c in Column::ALL {
+            assert_eq!(Column::of_section(c.name()), Some(c));
+        }
+    }
+
+    #[test]
+    fn set_algebra_and_display() {
+        let s = ColumnSet::of(&[Column::MentionsDelay, Column::EventsQuarter]);
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.to_string(), "events.quarter, mentions.delay");
+        assert!(ColumnSet::ALL.contains_all(s) && !s.contains_all(ColumnSet::ALL));
+        assert_eq!(s.union(ColumnSet::KEYS).difference(ColumnSet::KEYS), s);
+        assert_eq!(ColumnSet::ALL.len(), Column::ALL.len());
+        assert_eq!(ColumnSet::ALL.iter().collect::<Vec<_>>(), Column::ALL);
+        assert!(s.intersection(ColumnSet::KEYS).is_empty());
+        assert!(s.reads_section("partitions.meta") && !s.reads_section("events.day"));
+        let urls = ColumnSet::of(&[Column::EventsUrls]).to_hold();
+        assert!(urls.contains(Column::EventsSourceUrl) && urls.contains_all(ColumnSet::KEYS));
+        assert!(!ColumnSet::of(&[Column::EventsSourceUrl]).to_hold().contains(Column::EventsUrls));
+    }
+}

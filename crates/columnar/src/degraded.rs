@@ -38,6 +38,7 @@ use crate::binfmt::{
     bad, checksum64, into_column, open_sized, parse_meta, section_space, MetaTable, NoShim,
     PartExtent, ReadShim, SectionSpace, Sections, META_SECTION,
 };
+use crate::columns::ColumnSet;
 use crate::health::StoreHealth;
 use crate::index::EventIndex;
 use crate::strings::{StringDict, StringPool};
@@ -220,7 +221,7 @@ fn assemble(
 ) -> io::Result<(Dataset, u64, u64)> {
     if quarantined.is_empty() {
         // Nothing dropped: the strict assembly path applies verbatim.
-        let d = crate::binfmt::dataset_from_sections(ts)?;
+        let d = crate::binfmt::dataset_from_sections(ts, ColumnSet::ALL)?;
         return Ok((d, meta.n_events, meta.n_mentions));
     }
 
@@ -312,7 +313,7 @@ fn assemble(
     let n_live_events = events.len();
     let event_index = EventIndex::build(n_live_events, &mentions);
 
-    let dataset = Dataset { events, mentions, sources, event_index };
+    let dataset = Dataset { events, mentions, sources, event_index, columns: ColumnSet::ALL };
     Ok((dataset, loaded_events, loaded_mentions))
 }
 
@@ -442,8 +443,9 @@ pub fn load_degraded_with(
 /// n_parts, Q)` bit for bit.
 ///
 /// Each live partition is a run of whole events with every mention of
-/// them, so a valid `d` gives a valid result (debug builds check it);
-/// the only errors are row counts that overflow.
+/// them, so a valid `d` gives a valid result (debug builds check it),
+/// holding the columns `d` holds; the only errors are row counts that
+/// overflow.
 pub fn restrict_to_partitions(
     d: &Dataset,
     n_parts: u32,
@@ -471,10 +473,11 @@ pub fn restrict_to_partitions(
         event_runs.push((&d.events, events));
         mention_runs.push(MentionRun { src: &d.mentions, rows, event_row, source_map: None });
     }
-    let events = EventsTable::from_runs(&event_runs);
-    let mentions = MentionsTable::from_runs(&mention_runs);
+    let events = EventsTable::from_runs(&event_runs, d.columns);
+    let mentions = MentionsTable::from_runs(&mention_runs, d.columns);
     let event_index = EventIndex::build(events.len(), &mentions);
-    let restricted = Dataset { events, mentions, sources: d.sources.clone(), event_index };
+    let sources = d.sources.clone();
+    let restricted = Dataset { events, mentions, sources, event_index, columns: d.columns };
     debug_assert_eq!(restricted.validate(), Ok(()));
     Ok(restricted)
 }

@@ -25,6 +25,7 @@
 use std::ops::Range;
 
 use crate::builder::DatasetBuilder;
+use crate::columns::Column;
 use crate::index::EventIndex;
 use crate::table::{
     Dataset, EventRows, EventsTable, MentionRun, MentionsTable, SourceDirectory, NO_EVENT_ROW,
@@ -71,16 +72,29 @@ pub fn append_batch(
 /// Append a batch already built into a [`Dataset`] (by
 /// [`DatasetBuilder`], from records or raw text) to `base`: the dataset a
 /// build over the base's records followed by the batch's would give.
+///
+/// The result holds the columns `base` holds, so a projected base
+/// ([`Dataset::project`]) stays projected: the append equals a full
+/// build projected the same way. `batch` must hold them too, and the
+/// base must hold `mentions.mention_interval`, which places the batch's
+/// mentions.
 pub fn append_dataset(base: &Dataset, batch: Dataset) -> (Dataset, BatchStats) {
+    assert!(
+        batch.columns.contains_all(base.columns)
+            && base.columns.contains(Column::MentionsMentionInterval),
+        "append_dataset: a base holding {} cannot take a batch holding {}",
+        base.columns,
+        batch.columns
+    );
     let mut stats = BatchStats::default();
     let (sources, source_map) = merge_sources(&base.sources, &batch.sources, &mut stats);
     let runs = merge_ids(&base.events.id, &batch.events.id, &mut stats);
     let table = |run: &Run| if run.from_batch { &batch.events } else { &base.events };
     let event_runs: Vec<_> = runs.iter().map(|run| (table(run), run.rows.clone())).collect();
-    let events = EventsTable::from_runs(&event_runs);
+    let events = EventsTable::from_runs(&event_runs, base.columns);
     let mentions = merge_mentions(base, &batch, &events, &runs, &source_map, &mut stats);
     let event_index = EventIndex::build(events.len(), &mentions);
-    let out = Dataset { events, mentions, sources, event_index };
+    let out = Dataset { events, mentions, sources, event_index, columns: base.columns };
     debug_assert_eq!(out.validate(), Ok(()));
     #[cfg(debug_assertions)]
     {
@@ -242,7 +256,7 @@ fn merge_mentions(
         k += group.len();
     }
     take_until(&mut pieces, &mut next, usize::MAX, &mut out);
-    MentionsTable::from_runs(&out)
+    MentionsTable::from_runs(&out, base.columns)
 }
 
 /// Move the rows of `pieces[*next..]` before base row `until` to `out`,

@@ -8,6 +8,8 @@
 //! memory. This crate is that storage layer:
 //!
 //! * [`aligned`] — cache-line-aligned column buffers;
+//! * [`columns`] — the store's logical columns and the [`ColumnSet`]
+//!   a query reads, a dataset holds and a projected load opens;
 //! * [`strings`] — append-only string pool and interning dictionary
 //!   (URLs and source names are dictionary-encoded once; queries touch
 //!   only integer ids);
@@ -34,6 +36,7 @@
 pub mod aligned;
 pub mod binfmt;
 pub mod builder;
+pub mod columns;
 pub mod degraded;
 pub mod health;
 pub mod incremental;
@@ -45,8 +48,9 @@ pub mod table;
 pub mod validate;
 
 pub use builder::DatasetBuilder;
+pub use columns::{Column, ColumnSet};
 pub use degraded::{load_degraded, load_degraded_with, DegradedLoad, RetryPolicy};
 pub use health::{Coverage, StoreHealth};
 pub use partition::{partitions, Partition};
 pub use strings::{StringDict, StringPool};
-pub use table::{Dataset, EventsTable, MentionsChunk, MentionsTable, SourceDirectory};
+pub use table::{Dataset, EventsTable, MentionsTable, SourceDirectory};

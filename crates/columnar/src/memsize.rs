@@ -6,11 +6,14 @@
 //! actually go, per column, so capacity planning ("can this scale fit on
 //! this machine?") is a function call instead of a guess.
 
+use crate::columns::{Column, ColumnSet};
 use crate::table::Dataset;
 
 /// Byte counts per storage component.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryFootprint {
+    /// The columns counted: those the dataset holds.
+    pub columns: ColumnSet,
     /// Fixed-width event columns.
     pub event_columns: usize,
     /// Event URL pool (bytes + offsets).
@@ -29,11 +32,17 @@ impl MemoryFootprint {
         self.event_columns + self.event_urls + self.mention_columns + self.sources + self.index
     }
 
-    /// Human-readable rendering.
+    /// Human-readable rendering, which says when the dataset was
+    /// projected.
     pub fn render(&self) -> String {
         let mb = |b: usize| b as f64 / (1024.0 * 1024.0);
+        let held = if self.columns == ColumnSet::ALL {
+            String::new()
+        } else {
+            format!(" (projected: {} of {} columns)", self.columns.len(), Column::ALL.len())
+        };
         format!(
-            "memory: events {:.1} MiB + urls {:.1} MiB + mentions {:.1} MiB + sources {:.1} MiB + index {:.1} MiB = {:.1} MiB",
+            "memory{held}: events {:.1} MiB + urls {:.1} MiB + mentions {:.1} MiB + sources {:.1} MiB + index {:.1} MiB = {:.1} MiB",
             mb(self.event_columns),
             mb(self.event_urls),
             mb(self.mention_columns),
@@ -44,29 +53,29 @@ impl MemoryFootprint {
     }
 }
 
-/// Per-mention bytes of the fixed-width columns (8+4+4+4+4+4+2+1+1+4).
-pub const BYTES_PER_MENTION: usize = 36;
-/// Per-event bytes of the fixed-width columns.
-pub const BYTES_PER_EVENT: usize =
-    8 + 4 + 4 + 2 + 1 + 1 + 2 + 2 + 4 + 4 + 4 + 4 + 4 + 2 + 4 + 4 + 4;
-
-/// Measure a dataset's resident column payload (excludes allocator
-/// slack and the transient build-time hash indexes).
+/// Measure a dataset's resident column payload: the bytes of every
+/// column it holds ([`Dataset::column_bytes`]), excluding allocator
+/// slack and the transient build-time hash indexes.
 pub fn measure(d: &Dataset) -> MemoryFootprint {
-    let n_events = d.events.len();
-    let n_mentions = d.mentions.len();
-    let (url_bytes, url_offsets) = {
-        // Pool payload plus one u64 offset per string (+1).
-        (d.events.urls.payload_bytes(), (d.events.urls.len() + 1) * 8)
+    let mut f = MemoryFootprint {
+        columns: d.columns,
+        event_columns: 0,
+        event_urls: 0,
+        mention_columns: 0,
+        sources: 0,
+        index: 0,
     };
-    let name_pool = d.sources.names.pool();
-    MemoryFootprint {
-        event_columns: n_events * BYTES_PER_EVENT,
-        event_urls: url_bytes + url_offsets,
-        mention_columns: n_mentions * BYTES_PER_MENTION,
-        sources: name_pool.payload_bytes() + (name_pool.len() + 1) * 8 + d.sources.len() * 2,
-        index: d.event_index.offsets.len() * 8,
+    for c in d.columns.iter() {
+        let part = match c {
+            Column::EventsUrls => &mut f.event_urls,
+            Column::Sources => &mut f.sources,
+            Column::IndexOffsets => &mut f.index,
+            c if c.name().starts_with("events.") => &mut f.event_columns,
+            _ => &mut f.mention_columns,
+        };
+        *part += d.column_bytes(c);
     }
+    f
 }
 
 /// Projected footprint at the paper's full scale from a measured sample:
@@ -77,6 +86,7 @@ pub fn project_full_scale(sample: &Dataset) -> MemoryFootprint {
     let scale_mentions = 1_090_310_118.0 / sample.mentions.len().max(1) as f64;
     let scale_sources = 20_996.0 / sample.sources.len().max(1) as f64;
     MemoryFootprint {
+        columns: f.columns,
         event_columns: (f.event_columns as f64 * scale_events) as usize,
         event_urls: (f.event_urls as f64 * scale_events) as usize,
         mention_columns: (f.mention_columns as f64 * scale_mentions) as usize,
@@ -138,15 +148,42 @@ mod tests {
     fn footprint_scales_with_rows() {
         let d = dataset();
         let f = measure(&d);
-        assert_eq!(f.event_columns, d.events.len() * BYTES_PER_EVENT);
-        assert_eq!(f.mention_columns, d.mentions.len() * BYTES_PER_MENTION);
-        assert!(f.event_urls > 0);
-        assert!(f.sources > 0);
+        // 8 + 4 + 4 + 2 + 1 + 1 + 2 + 2 + 4 + 4 + 4 + 4 + 4 + 2 + 4 + 4 + 4,
+        // and 8 more per event in the CSR offsets: 66 B/event.
+        assert_eq!(f.event_columns, d.events.len() * 58);
+        // 8 + 4 + 4 + 4 + 4 + 4 + 2 + 1 + 1 + 4
+        assert_eq!(f.mention_columns, d.mentions.len() * 36);
+        // Pool payload plus one u64 offset per string (+1).
+        let urls = &d.events.urls;
+        assert_eq!(f.event_urls, urls.payload_bytes() + (urls.len() + 1) * 8);
+        let names = d.sources.names.pool();
+        assert_eq!(f.sources, names.payload_bytes() + (names.len() + 1) * 8 + d.sources.len() * 2);
         assert_eq!(f.index, (d.events.len() + 1) * 8);
         assert_eq!(
             f.total(),
             f.event_columns + f.event_urls + f.mention_columns + f.sources + f.index
         );
+        assert!(!f.render().contains("projected"));
+    }
+
+    #[test]
+    fn projected_dataset_measures_its_present_columns() {
+        let full = dataset();
+        let columns = ColumnSet::of(&[Column::EventsQuarter, Column::MentionsDelay]);
+        let d = full.clone().project(&columns);
+        let held = columns.to_hold();
+        assert_eq!(d.columns, held);
+        let f = measure(&d);
+        let sum = |of: &[Column]| of.iter().map(|&c| full.column_bytes(c)).sum::<usize>();
+        // events.id + events.quarter; mentions.event_id + event_row + delay.
+        assert_eq!(f.event_columns, d.events.len() * (8 + 2));
+        assert_eq!(f.event_columns, sum(&[Column::EventsId, Column::EventsQuarter]));
+        assert_eq!(f.mention_columns, d.mentions.len() * (8 + 4 + 4));
+        assert_eq!(f.event_urls, 0);
+        assert_eq!(f.sources, measure(&full).sources);
+        assert_eq!(f.index, measure(&full).index);
+        assert_eq!(f.total(), held.iter().map(|c| full.column_bytes(c)).sum::<usize>());
+        assert!(f.render().contains("projected: 7 of 30 columns"), "{}", f.render());
     }
 
     #[test]

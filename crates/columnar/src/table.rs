@@ -8,9 +8,10 @@
 //! reporting scans contiguous.
 
 use crate::aligned::AlignedBuf;
+use crate::columns::{Column, ColumnSet};
 use crate::index::EventIndex;
 use crate::strings::{StringDict, StringPool};
-use gdelt_model::ids::{CountryId, EventId, SourceId};
+use gdelt_model::ids::{row_u32, CountryId, EventId, SourceId};
 use gdelt_model::time::{CaptureInterval, Date, Quarter};
 use std::ops::Range;
 
@@ -105,74 +106,83 @@ impl EventsTable {
         Quarter::from_linear(i32::from(self.quarter[row]))
     }
 
-    /// Name and length of every column but `id`, which sets the table's
-    /// length the others must match.
-    pub(crate) fn column_lens(&self) -> [(&'static str, usize); 16] {
+    /// Every fixed-width column but `id`, which sets the table's length
+    /// the others must match (when held), with its length.
+    pub(crate) fn column_lens(&self) -> [(Column, usize); 16] {
+        use Column::*;
         [
-            ("day", self.day.len()),
-            ("capture", self.capture.len()),
-            ("quarter", self.quarter.len()),
-            ("root", self.root.len()),
-            ("quad", self.quad.len()),
-            ("actor1", self.actor1.len()),
-            ("actor2", self.actor2.len()),
-            ("goldstein", self.goldstein.len()),
-            ("num_mentions", self.num_mentions.len()),
-            ("num_sources", self.num_sources.len()),
-            ("num_articles", self.num_articles.len()),
-            ("avg_tone", self.avg_tone.len()),
-            ("country", self.country.len()),
-            ("lat", self.lat.len()),
-            ("lon", self.lon.len()),
-            ("source_url", self.source_url.len()),
+            (EventsDay, self.day.len()),
+            (EventsCapture, self.capture.len()),
+            (EventsQuarter, self.quarter.len()),
+            (EventsRoot, self.root.len()),
+            (EventsQuad, self.quad.len()),
+            (EventsActor1, self.actor1.len()),
+            (EventsActor2, self.actor2.len()),
+            (EventsGoldstein, self.goldstein.len()),
+            (EventsNumMentions, self.num_mentions.len()),
+            (EventsNumSources, self.num_sources.len()),
+            (EventsNumArticles, self.num_articles.len()),
+            (EventsAvgTone, self.avg_tone.len()),
+            (EventsCountry, self.country.len()),
+            (EventsLat, self.lat.len()),
+            (EventsLon, self.lon.len()),
+            (EventsSourceUrl, self.source_url.len()),
         ]
     }
 
     /// The table of rows `runs` of their tables, in that order — with
     /// [`MentionsTable::from_runs`], the one way a table is assembled
-    /// from existing tables. Every column is reserved once at its final
-    /// length and each run is copied column by column with
-    /// `extend_from_slice`; the run's URLs follow as one byte range when
-    /// its `source_url` ids are consecutive (see [`StringPool`]). The
-    /// result's `source_url` is `0..len`, as the builder writes it.
-    pub(crate) fn from_runs(runs: &[(&EventsTable, Range<usize>)]) -> EventsTable {
+    /// from existing tables. Only the `held` columns are copied (every
+    /// run's table holds them); the others stay empty. Every copied
+    /// column is reserved once at its final length and each run is
+    /// copied column by column with `extend_from_slice`; the run's URLs
+    /// follow as one byte range when its `source_url` ids are
+    /// consecutive (see [`StringPool`]). The result's `source_url` is
+    /// `0..len`, as the builder writes it.
+    pub(crate) fn from_runs(runs: &[(&EventsTable, Range<usize>)], held: ColumnSet) -> EventsTable {
         let rows: usize = runs.iter().map(|(_, rows)| rows.len()).sum();
-        let url_bytes: usize = runs
-            .iter()
-            .map(|(src, r)| src.urls.bytes_of(src.source_url.chunk_view(r.start, r.end)))
-            .sum();
         let mut t = EventsTable::default();
         macro_rules! columns {
-            ($($col:ident),*) => {
-                $(t.$col.reserve(rows);)*
+            ($($col:ident: $c:ident),*) => {
+                $(if held.contains(Column::$c) { t.$col.reserve(rows) })*
                 for (src, r) in runs {
-                    $(t.$col.extend_from_slice(src.$col.chunk_view(r.start, r.end));)*
+                    $(if held.contains(Column::$c) {
+                        t.$col.extend_from_slice(src.$col.chunk_view(r.start, r.end))
+                    })*
                 }
             };
         }
         columns!(
-            id,
-            day,
-            capture,
-            quarter,
-            root,
-            quad,
-            actor1,
-            actor2,
-            goldstein,
-            num_mentions,
-            num_sources,
-            num_articles,
-            avg_tone,
-            country,
-            lat,
-            lon
+            id: EventsId,
+            day: EventsDay,
+            capture: EventsCapture,
+            quarter: EventsQuarter,
+            root: EventsRoot,
+            quad: EventsQuad,
+            actor1: EventsActor1,
+            actor2: EventsActor2,
+            goldstein: EventsGoldstein,
+            num_mentions: EventsNumMentions,
+            num_sources: EventsNumSources,
+            num_articles: EventsNumArticles,
+            avg_tone: EventsAvgTone,
+            country: EventsCountry,
+            lat: EventsLat,
+            lon: EventsLon
         );
-        t.urls.reserve(rows, url_bytes);
-        for (src, r) in runs {
-            t.urls.extend_from(&src.urls, src.source_url.chunk_view(r.start, r.end));
+        if held.contains(Column::EventsUrls) {
+            let url_bytes: usize = runs
+                .iter()
+                .map(|(src, r)| src.urls.bytes_of(src.source_url.chunk_view(r.start, r.end)))
+                .sum();
+            t.urls.reserve(rows, url_bytes);
+            for (src, r) in runs {
+                t.urls.extend_from(&src.urls, src.source_url.chunk_view(r.start, r.end));
+            }
         }
-        t.source_url = (0..t.urls.len() as u32).collect();
+        if held.contains(Column::EventsSourceUrl) {
+            t.source_url = (0..row_u32(rows)).collect();
+        }
         t
     }
 }
@@ -261,50 +271,57 @@ impl MentionsTable {
         Quarter::from_linear(i32::from(self.quarter[row]))
     }
 
-    /// Name and length of every column but `event_id`, which sets the
-    /// table's length the others must match.
-    pub(crate) fn column_lens(&self) -> [(&'static str, usize); 9] {
+    /// Every column but `event_id`, which sets the table's length the
+    /// others must match (when held), with its length.
+    pub(crate) fn column_lens(&self) -> [(Column, usize); 9] {
+        use Column::*;
         [
-            ("event_row", self.event_row.len()),
-            ("event_interval", self.event_interval.len()),
-            ("mention_interval", self.mention_interval.len()),
-            ("delay", self.delay.len()),
-            ("source", self.source.len()),
-            ("quarter", self.quarter.len()),
-            ("mention_type", self.mention_type.len()),
-            ("confidence", self.confidence.len()),
-            ("doc_tone", self.doc_tone.len()),
+            (MentionsEventRow, self.event_row.len()),
+            (MentionsEventInterval, self.event_interval.len()),
+            (MentionsMentionInterval, self.mention_interval.len()),
+            (MentionsDelay, self.delay.len()),
+            (MentionsSource, self.source.len()),
+            (MentionsQuarter, self.quarter.len()),
+            (MentionsMentionType, self.mention_type.len()),
+            (MentionsConfidence, self.confidence.len()),
+            (MentionsDocTone, self.doc_tone.len()),
         ]
     }
 
-    /// The table of the mention `runs`, in that order: every column
+    /// The table of the mention `runs`, in that order: every `held`
+    /// column (every run's table holds them; the others stay empty)
     /// reserved once at its final length and copied run by run with
     /// `extend_from_slice`, except where a run's `event_row` or `source`
     /// values change (one mapped pass over the run).
-    pub(crate) fn from_runs(runs: &[MentionRun<'_>]) -> MentionsTable {
+    pub(crate) fn from_runs(runs: &[MentionRun<'_>], held: ColumnSet) -> MentionsTable {
         let rows: usize = runs.iter().map(|run| run.rows.len()).sum();
         let mut t = MentionsTable::default();
         macro_rules! columns {
-            ($($col:ident),*) => {
-                $(t.$col.reserve(rows);)*
+            ($($col:ident: $c:ident),*) => {
+                $(if held.contains(Column::$c) { t.$col.reserve(rows) })*
                 for run in runs {
                     let r = &run.rows;
-                    $(t.$col.extend_from_slice(run.src.$col.chunk_view(r.start, r.end));)*
+                    $(if held.contains(Column::$c) {
+                        t.$col.extend_from_slice(run.src.$col.chunk_view(r.start, r.end))
+                    })*
                 }
             };
         }
         columns!(
-            event_id,
-            event_interval,
-            mention_interval,
-            delay,
-            quarter,
-            mention_type,
-            confidence,
-            doc_tone
+            event_id: MentionsEventId,
+            event_interval: MentionsEventInterval,
+            mention_interval: MentionsMentionInterval,
+            delay: MentionsDelay,
+            quarter: MentionsQuarter,
+            mention_type: MentionsMentionType,
+            confidence: MentionsConfidence,
+            doc_tone: MentionsDocTone
         );
+        let source_held = held.contains(Column::MentionsSource);
         t.event_row.reserve(rows);
-        t.source.reserve(rows);
+        if source_held {
+            t.source.reserve(rows);
+        }
         for run in runs {
             let (src, r) = (run.src, &run.rows);
             let event_row = src.event_row.chunk_view(r.start, r.end);
@@ -323,6 +340,9 @@ impl MentionsTable {
                 }
                 EventRows::Given(rows) => t.event_row.extend_from_slice(rows),
             }
+            if !source_held {
+                continue;
+            }
             let source = src.source.chunk_view(r.start, r.end);
             match run.source_map {
                 None => t.source.extend_from_slice(source),
@@ -332,51 +352,6 @@ impl MentionsTable {
             }
         }
         t
-    }
-
-    /// Chunk view of rows `[begin, end)` across the hot scan columns —
-    /// one struct of co-sliced columns, so a fused kernel pass touches
-    /// each column slice exactly once. Bounds clamp to the table.
-    #[inline]
-    pub fn chunk(&self, begin: usize, end: usize) -> MentionsChunk<'_> {
-        MentionsChunk {
-            event_row: self.event_row.chunk_view(begin, end),
-            delay: self.delay.chunk_view(begin, end),
-            source: self.source.chunk_view(begin, end),
-            quarter: self.quarter.chunk_view(begin, end),
-            confidence: self.confidence.chunk_view(begin, end),
-        }
-    }
-}
-
-/// Co-sliced chunk of the [`MentionsTable`] hot scan columns — the unit
-/// the engine's chunked column traversal hands to fused kernels. All
-/// slices cover the same row range and therefore have equal length.
-#[derive(Debug, Clone, Copy)]
-pub struct MentionsChunk<'a> {
-    /// Event rows (see [`MentionsTable::event_row`]).
-    pub event_row: &'a [u32],
-    /// Publishing delays in capture intervals.
-    pub delay: &'a [u32],
-    /// Publisher source ids.
-    pub source: &'a [u32],
-    /// Linear quarter indexes.
-    pub quarter: &'a [u16],
-    /// GDELT confidence (0–100).
-    pub confidence: &'a [u8],
-}
-
-impl MentionsChunk<'_> {
-    /// Rows in the chunk.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.event_row.len()
-    }
-
-    /// True when the chunk covers no rows.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.event_row.is_empty()
     }
 }
 
@@ -425,7 +400,12 @@ impl SourceDirectory {
 /// The complete in-memory dataset: both tables, the source directory and
 /// the event→mentions adjacency. This is what the engine queries and what
 /// the binary format serializes.
-#[derive(Debug, Clone, Default)]
+///
+/// A dataset may be *projected* ([`Dataset::project`],
+/// [`binfmt::load_projected`](crate::binfmt::load_projected)): it then
+/// holds only `columns` — always a superset of [`ColumnSet::KEYS`] —
+/// and every other column is an empty buffer.
+#[derive(Debug, Clone)]
 pub struct Dataset {
     /// Events table (sorted by id).
     pub events: EventsTable,
@@ -435,9 +415,111 @@ pub struct Dataset {
     pub sources: SourceDirectory,
     /// CSR adjacency from event rows to mention row ranges.
     pub event_index: EventIndex,
+    /// The columns the dataset holds: [`ColumnSet::ALL`] unless
+    /// projected.
+    pub columns: ColumnSet,
+}
+
+/// The empty dataset, holding every column.
+impl Default for Dataset {
+    fn default() -> Self {
+        Dataset {
+            events: EventsTable::default(),
+            mentions: MentionsTable::default(),
+            sources: SourceDirectory::default(),
+            event_index: EventIndex::default(),
+            columns: ColumnSet::ALL,
+        }
+    }
 }
 
 impl Dataset {
+    /// The dataset holding only the columns it holds of `columns`
+    /// ([`ColumnSet::to_hold`]: with the keys): every other column's
+    /// buffer is dropped, none is copied.
+    pub fn project(mut self, columns: &ColumnSet) -> Dataset {
+        let keep = self.columns.intersection(columns.to_hold());
+        let (e, m) = (&mut self.events, &mut self.mentions);
+        macro_rules! drop_absent {
+            ($($table:ident . $field:ident: $c:ident),*) => {
+                $(if !keep.contains(Column::$c) { $table.$field = Default::default() })*
+            };
+        }
+        drop_absent!(
+            e.day: EventsDay,
+            e.capture: EventsCapture,
+            e.quarter: EventsQuarter,
+            e.root: EventsRoot,
+            e.quad: EventsQuad,
+            e.actor1: EventsActor1,
+            e.actor2: EventsActor2,
+            e.goldstein: EventsGoldstein,
+            e.num_mentions: EventsNumMentions,
+            e.num_sources: EventsNumSources,
+            e.num_articles: EventsNumArticles,
+            e.avg_tone: EventsAvgTone,
+            e.country: EventsCountry,
+            e.lat: EventsLat,
+            e.lon: EventsLon,
+            e.source_url: EventsSourceUrl,
+            e.urls: EventsUrls,
+            m.event_interval: MentionsEventInterval,
+            m.mention_interval: MentionsMentionInterval,
+            m.delay: MentionsDelay,
+            m.source: MentionsSource,
+            m.quarter: MentionsQuarter,
+            m.mention_type: MentionsMentionType,
+            m.confidence: MentionsConfidence,
+            m.doc_tone: MentionsDocTone
+        );
+        self.columns = keep;
+        self
+    }
+
+    /// Resident payload bytes of column `c`: its elements, or a pool's
+    /// bytes and offsets (the directory adds its country column). An
+    /// absent column's are those of its empty buffers.
+    pub(crate) fn column_bytes(&self, c: Column) -> usize {
+        use std::mem::size_of_val as b;
+        let (e, m) = (&self.events, &self.mentions);
+        let pool = |p: &StringPool| {
+            let (bytes, offsets) = p.raw_parts();
+            b(bytes) + b(offsets)
+        };
+        match c {
+            Column::EventsId => b(e.id.as_slice()),
+            Column::EventsDay => b(e.day.as_slice()),
+            Column::EventsCapture => b(e.capture.as_slice()),
+            Column::EventsQuarter => b(e.quarter.as_slice()),
+            Column::EventsRoot => b(e.root.as_slice()),
+            Column::EventsQuad => b(e.quad.as_slice()),
+            Column::EventsActor1 => b(e.actor1.as_slice()),
+            Column::EventsActor2 => b(e.actor2.as_slice()),
+            Column::EventsGoldstein => b(e.goldstein.as_slice()),
+            Column::EventsNumMentions => b(e.num_mentions.as_slice()),
+            Column::EventsNumSources => b(e.num_sources.as_slice()),
+            Column::EventsNumArticles => b(e.num_articles.as_slice()),
+            Column::EventsAvgTone => b(e.avg_tone.as_slice()),
+            Column::EventsCountry => b(e.country.as_slice()),
+            Column::EventsLat => b(e.lat.as_slice()),
+            Column::EventsLon => b(e.lon.as_slice()),
+            Column::EventsSourceUrl => b(e.source_url.as_slice()),
+            Column::EventsUrls => pool(&e.urls),
+            Column::MentionsEventId => b(m.event_id.as_slice()),
+            Column::MentionsEventRow => b(m.event_row.as_slice()),
+            Column::MentionsEventInterval => b(m.event_interval.as_slice()),
+            Column::MentionsMentionInterval => b(m.mention_interval.as_slice()),
+            Column::MentionsDelay => b(m.delay.as_slice()),
+            Column::MentionsSource => b(m.source.as_slice()),
+            Column::MentionsQuarter => b(m.quarter.as_slice()),
+            Column::MentionsMentionType => b(m.mention_type.as_slice()),
+            Column::MentionsConfidence => b(m.confidence.as_slice()),
+            Column::MentionsDocTone => b(m.doc_tone.as_slice()),
+            Column::Sources => pool(self.sources.names.pool()) + b(self.sources.country.as_slice()),
+            Column::IndexOffsets => b(self.event_index.offsets.as_slice()),
+        }
+    }
+
     /// Mentions (articles) reporting on the event at `event_row`, as a
     /// contiguous range of mention rows sorted by scrape interval.
     #[inline]
@@ -486,25 +568,38 @@ impl Dataset {
     /// shape check, each column is streamed once, in blocks of
     /// [`VALIDATE_BLOCK`] rows that every check of the block reads
     /// while they are in L1, and each check is a branch-free reduction
-    /// over the block (no early exit, no indexing that can panic). The
-    /// CSR ranges are checked at their first and last rows only: the
-    /// mentions pass proves `event_row` non-decreasing, so a range
-    /// whose ends carry its event holds only that event's rows.
+    /// over the block (no early exit, no indexing that can panic). A
+    /// check reads only its own columns, so an absent (empty) column
+    /// skips the checks that read it and no other. The CSR ranges are
+    /// checked at their first and last rows only: the mentions pass
+    /// proves `event_row` non-decreasing, so a range whose ends carry
+    /// its event holds only that event's rows.
     fn invariants_hold(&self) -> bool {
+        // An absent URL pool bounds no `source_url`.
+        let n_urls = if self.columns.contains(Column::EventsUrls) {
+            self.events.urls.len() as u64
+        } else {
+            u64::MAX
+        };
         self.shape_holds()
-            && events_hold(&self.events)
+            && events_hold(&self.events, n_urls)
                 & mentions_hold(&self.mentions, &self.events.id, self.sources.len())
                 & index_holds(&self.event_index.offsets, &self.mentions.event_row)
     }
 
-    /// Every column as long as its table, one source country per
-    /// source name, and an index of `n_events + 1` offsets from 0 (or
-    /// none at all for an empty events table).
+    /// Every held column as long as its table and every other one
+    /// empty, the keys (and the URL ids, with their pool) held, one
+    /// source country per source name, and
+    /// an index of `n_events + 1` offsets from 0 (or none at all for an
+    /// empty events table).
     fn shape_holds(&self) -> bool {
         let (e, m) = (&self.events, &self.mentions);
         let offsets = &self.event_index.offsets;
-        e.column_lens().iter().all(|&(_, n)| n == e.len())
-            && m.column_lens().iter().all(|&(_, n)| n == m.len())
+        let rows = |c: Column, len: usize| if self.columns.contains(c) { len } else { 0 };
+        self.columns.to_hold() == self.columns
+            && e.column_lens().iter().all(|&(c, n)| n == rows(c, e.len()))
+            && m.column_lens().iter().all(|&(c, n)| n == rows(c, m.len()))
+            && (self.columns.contains(Column::EventsUrls) || e.urls.is_empty())
             && self.sources.country.len() == self.sources.names.len()
             && (offsets.len() == e.len() + 1 || (e.is_empty() && offsets.is_empty()))
             && offsets.first().copied().unwrap_or(0) == 0
@@ -535,61 +630,53 @@ fn any_row<I: Iterator>(items: I, bad: impl Fn(I::Item) -> bool) -> bool {
     items.fold(false, |found, item| found | bad(item))
 }
 
-/// Ids strictly ascending; root, quad class and URL reference in range.
-fn events_hold(e: &EventsTable) -> bool {
-    let n_urls = e.urls.len() as u64;
+/// Ids strictly ascending; root, quad class and URL reference (below
+/// `n_urls`) in range.
+fn events_hold(e: &EventsTable, n_urls: u64) -> bool {
     let mut bad = false;
     for begin in (0..e.len()).step_by(VALIDATE_BLOCK) {
         let end = begin + VALIDATE_BLOCK;
         // One row past the block, so the pair straddling it is checked.
         let id = e.id.chunk_view(begin, end + 1);
         bad |= any_row(id.iter().zip(id.iter().skip(1)), |(a, b)| a >= b);
-        let (root, quad, url) = (
-            e.root.chunk_view(begin, end),
-            e.quad.chunk_view(begin, end),
-            e.source_url.chunk_view(begin, end),
-        );
-        bad |= any_row(root.iter().zip(quad).zip(url), |((&r, &q), &u)| {
-            (r.wrapping_sub(1) >= 20) | (q.wrapping_sub(1) >= 4) | (u64::from(u) >= n_urls)
-        });
+        bad |= any_row(e.root.chunk_view(begin, end).iter(), |&r| r.wrapping_sub(1) >= 20);
+        bad |= any_row(e.quad.chunk_view(begin, end).iter(), |&q| q.wrapping_sub(1) >= 4);
+        let url = e.source_url.chunk_view(begin, end);
+        bad |= any_row(url.iter(), |&u| u64::from(u) >= n_urls);
     }
     !bad
 }
 
 /// Grouped by event row (orphans last) and time-sorted within an
-/// event; event rows and sources in range; the precomputed delay and
-/// the precomputed join (`event_ids[event_row] == event_id`) right.
+/// event; the precomputed join (`event_ids[event_row] == event_id`,
+/// which puts every event row in range) right; sources in range; the
+/// precomputed delay right.
 fn mentions_hold(m: &MentionsTable, event_ids: &[u64], n_sources: usize) -> bool {
-    let (n_events, n_sources) = (event_ids.len() as u64, n_sources as u64);
+    let n_sources = n_sources as u64;
     let mut bad = false;
     for begin in (0..m.len()).step_by(VALIDATE_BLOCK) {
         let end = begin + VALIDATE_BLOCK;
         let row = m.event_row.chunk_view(begin, end + 1);
+        bad |= any_row(row.iter().zip(row.iter().skip(1)), |(r0, r1)| r0 > r1);
         let at = m.mention_interval.chunk_view(begin, end + 1);
         bad |= any_row(
             row.iter().zip(row.iter().skip(1)).zip(at.iter().zip(at.iter().skip(1))),
-            |((&r0, &r1), (&t0, &t1))| (r0 > r1) | ((r0 == r1) & (r0 != NO_EVENT_ROW) & (t0 > t1)),
-        );
-        let row = m.event_row.chunk_view(begin, end);
-        let (event_at, at, delay, source) = (
-            m.event_interval.chunk_view(begin, end),
-            m.mention_interval.chunk_view(begin, end),
-            m.delay.chunk_view(begin, end),
-            m.source.chunk_view(begin, end),
-        );
-        bad |= any_row(
-            row.iter().zip(event_at).zip(at).zip(delay).zip(source),
-            |((((&r, &e), &t), &d), &s)| {
-                ((r != NO_EVENT_ROW) & (u64::from(r) >= n_events))
-                    | (u64::from(s) >= n_sources)
-                    | (d != t.saturating_sub(e))
-            },
+            |((&r0, &r1), (&t0, &t1))| (r0 == r1) & (r0 != NO_EVENT_ROW) & (t0 > t1),
         );
         // `event_row` is non-decreasing, so this gather walks forward.
-        let id = m.event_id.chunk_view(begin, end);
+        let (row, id) = (m.event_row.chunk_view(begin, end), m.event_id.chunk_view(begin, end));
         bad |= any_row(row.iter().zip(id), |(&r, &id)| {
             (r != NO_EVENT_ROW) & (event_ids.get(r as usize) != Some(&id))
         });
+        let source = m.source.chunk_view(begin, end);
+        bad |= any_row(source.iter(), |&s| u64::from(s) >= n_sources);
+        let (event_at, at, delay) = (
+            m.event_interval.chunk_view(begin, end),
+            m.mention_interval.chunk_view(begin, end),
+            m.delay.chunk_view(begin, end),
+        );
+        bad |=
+            any_row(event_at.iter().zip(at).zip(delay), |((&e, &t), &d)| d != t.saturating_sub(e));
     }
     !bad
 }

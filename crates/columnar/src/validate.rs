@@ -17,6 +17,7 @@
 //! row) so a single systemic fault doesn't drown the report in millions
 //! of identical lines.
 
+use crate::columns::Column;
 use crate::partition::{partitions, partitions_at_boundaries};
 use crate::strings::StringPool;
 use crate::table::{Dataset, NO_EVENT_ROW};
@@ -162,23 +163,40 @@ pub fn validate_pool(pool: &StringPool, label: &'static str, report: &mut Valida
     });
 }
 
-/// Run every deep check over a dataset.
+/// Run every deep check over a dataset. On a projected dataset the
+/// checks that read an absent column find nothing to check, and every
+/// absent column must be empty.
 pub fn validate_dataset(d: &Dataset) -> ValidationReport {
     let mut report = ValidationReport::default();
     let n_events = d.events.len();
     let n_mentions = d.mentions.len();
     let n_sources = d.sources.len();
+    // The rows a column of a table of `rows` must have: none if absent.
+    let rows = |c: Column, rows: usize| if d.columns.contains(c) { rows } else { 0 };
+
+    report.check(|| {
+        let missing = d.columns.to_hold().difference(d.columns);
+        if !missing.is_empty() {
+            return violation("columns.keys", "dataset", format!("columns {missing} absent"));
+        }
+        None
+    });
 
     // --- Events table ---
     report.check(|| {
-        for (name, len) in d.events.column_lens() {
-            if len != n_events {
+        for (c, len) in d.events.column_lens() {
+            let want = rows(c, n_events);
+            if len != want {
                 return violation(
                     "events.columns",
-                    format!("events.{name}"),
-                    format!("{len} rows, expected {n_events}"),
+                    c.name(),
+                    format!("{len} rows, expected {want}"),
                 );
             }
+        }
+        let n_urls = d.events.urls.len();
+        if !d.columns.contains(Column::EventsUrls) && n_urls > 0 {
+            return violation("events.columns", "events.urls", format!("absent but {n_urls} URLs"));
         }
         None
     });
@@ -243,6 +261,9 @@ pub fn validate_dataset(d: &Dataset) -> ValidationReport {
         None
     });
     report.check(|| {
+        if !d.columns.contains(Column::EventsUrls) {
+            return None; // an absent pool bounds no reference
+        }
         let n_urls = d.events.urls.len();
         for (i, &u) in d.events.source_url.iter().enumerate() {
             if u as usize >= n_urls {
@@ -286,21 +307,22 @@ pub fn validate_dataset(d: &Dataset) -> ValidationReport {
 
     // --- Mentions table ---
     report.check(|| {
-        for (name, len) in d.mentions.column_lens() {
-            if len != n_mentions {
+        for (c, len) in d.mentions.column_lens() {
+            let want = rows(c, n_mentions);
+            if len != want {
                 return violation(
                     "mentions.columns",
-                    format!("mentions.{name}"),
-                    format!("{len} rows, expected {n_mentions}"),
+                    c.name(),
+                    format!("{len} rows, expected {want}"),
                 );
             }
         }
         None
     });
     report.check(|| {
-        let n = d.mentions.event_row.len().min(d.mentions.mention_interval.len());
-        for i in 0..n.saturating_sub(1) {
-            let (a, b) = (d.mentions.event_row[i], d.mentions.event_row[i + 1]);
+        let (row, at) = (&d.mentions.event_row, &d.mentions.mention_interval);
+        for i in 0..row.len().saturating_sub(1) {
+            let (a, b) = (row[i], row[i + 1]);
             if a > b {
                 return violation(
                     "mentions.grouping",
@@ -308,10 +330,8 @@ pub fn validate_dataset(d: &Dataset) -> ValidationReport {
                     format!("event_row {a} followed by smaller {b}"),
                 );
             }
-            if a == b
-                && a != NO_EVENT_ROW
-                && d.mentions.mention_interval[i] > d.mentions.mention_interval[i + 1]
-            {
+            let later = matches!((at.get(i), at.get(i + 1)), (Some(t0), Some(t1)) if t0 > t1);
+            if a == b && a != NO_EVENT_ROW && later {
                 return violation(
                     "mentions.time_sorted",
                     format!("mentions row {i}"),

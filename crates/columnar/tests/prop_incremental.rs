@@ -3,12 +3,13 @@
 //! run-copy assembly behind `append_batch` and `restrict_to_partitions`
 //! equals the row-at-a-time loops it replaced (kept below as [`oracle`])
 //! byte for byte — on duplicate ids across base and batch, on URL pools
-//! whose ids are shared or permuted, and on any quarantine set.
+//! whose ids are shared or permuted, and on any quarantine set. Both keep
+//! a projected dataset projected: they commute with `Dataset::project`.
 
 use gdelt_columnar::aligned::AlignedBuf;
 use gdelt_columnar::degraded::restrict_to_partitions;
 use gdelt_columnar::incremental::append_batch;
-use gdelt_columnar::{binfmt, Dataset, DatasetBuilder, StringPool};
+use gdelt_columnar::{binfmt, Column, ColumnSet, Dataset, DatasetBuilder, StringPool};
 use gdelt_model::cameo::{CameoRoot, Goldstein, QuadClass};
 use gdelt_model::event::{ActionGeo, EventRecord};
 use gdelt_model::ids::EventId;
@@ -331,6 +332,25 @@ fn scramble_urls(d: &Dataset, keys: &[u32], share: bool) -> Dataset {
     out
 }
 
+/// The columns whose bits are set in `mask`, in [`Column::ALL`] order.
+fn columns_of(mask: u32) -> ColumnSet {
+    let picked: Vec<Column> =
+        Column::ALL.into_iter().filter(|&c| mask >> c as u8 & 1 == 1).collect();
+    ColumnSet::of(&picked)
+}
+
+/// Column-by-column equality of two datasets, projected ones included
+/// (which cannot be written to compare bytes); `Debug` keeps `NaN`
+/// coordinates equal to themselves.
+fn same(a: &Dataset, b: &Dataset) -> bool {
+    a.columns == b.columns
+        && format!("{:?}", a.events) == format!("{:?}", b.events)
+        && a.mentions == b.mentions
+        && a.event_index == b.event_index
+        && a.sources.names.pool() == b.sources.names.pool()
+        && a.sources.country == b.sources.country
+}
+
 /// Events whose URLs repeat every third id, so a shared pool shares.
 fn events_sharing_urls(specs: &[(u64, u8)]) -> Vec<EventRecord> {
     specs
@@ -400,6 +420,54 @@ proptest! {
         prop_assert_eq!(bytes(&restricted), bytes(&oracle::restrict(&base, parts, &quarantined)));
         let from_clean = restrict_to_partitions(&clean, parts, &quarantined).expect("restrict");
         prop_assert_eq!(bytes(&restricted), bytes(&from_clean));
+    }
+
+    // A chain of appends onto a projected base is the full build
+    // projected the same way (an append needs the base's scrape
+    // intervals, which place the batch's mentions).
+    #[test]
+    fn chained_appends_onto_a_projected_base_equal_the_projected_build(
+        event_specs in prop::collection::vec((1u64..60, 0u8..24), 1..60),
+        mention_specs in prop::collection::vec((1u64..70, 0u32..200, 0usize..6), 0..120),
+        cuts in (0.0f64..1.0, 0.0f64..1.0),
+        mask in any::<u32>(),
+    ) {
+        let columns = columns_of(mask).union(ColumnSet::of(&[Column::MentionsMentionInterval]));
+        let events = events_sharing_urls(&event_specs);
+        let mentions: Vec<MentionRecord> =
+            mention_specs.into_iter().map(|(id, d, s)| mention(id, d, s)).collect();
+        let (lo, hi) = if cuts.0 <= cuts.1 { cuts } else { (cuts.1, cuts.0) };
+        let at = |n: usize, f: f64| (n as f64 * f) as usize;
+        let (e1, e2) = (at(events.len(), lo), at(events.len(), hi));
+        let (m1, m2) = (at(mentions.len(), lo), at(mentions.len(), hi));
+
+        let base = build(&events[..e1], &mentions[..m1]).project(&columns);
+        let (step, _, _) = append_batch(&base, events[e1..e2].to_vec(), mentions[m1..m2].to_vec());
+        let (step, _, _) = append_batch(&step, events[e2..].to_vec(), mentions[m2..].to_vec());
+        prop_assert_eq!(step.columns, columns.to_hold());
+        prop_assert_eq!(step.validate(), Ok(()));
+        prop_assert!(same(&step, &build(&events, &mentions).project(&columns)));
+    }
+
+    #[test]
+    fn restrict_commutes_with_project(
+        event_specs in prop::collection::vec((1u64..120, 0u8..24), 0..100),
+        mention_specs in prop::collection::vec((1u64..130, 0u32..200, 0usize..6), 0..200),
+        parts in 1u32..12,
+        mask in any::<u16>(),
+        columns in any::<u32>(),
+    ) {
+        let columns = columns_of(columns);
+        let events = events_sharing_urls(&event_specs);
+        let mentions: Vec<MentionRecord> =
+            mention_specs.into_iter().map(|(id, d, s)| mention(id, d, s)).collect();
+        let d = build(&events, &mentions);
+        let quarantined: Vec<u32> = (0..parts).filter(|p| mask >> p & 1 == 1).collect();
+        let projected = d.clone().project(&columns);
+        let restricted = restrict_to_partitions(&projected, parts, &quarantined).expect("restrict");
+        prop_assert_eq!(restricted.validate(), Ok(()));
+        let whole = restrict_to_partitions(&d, parts, &quarantined).expect("restrict");
+        prop_assert!(same(&restricted, &whole.project(&columns)));
     }
 
     #[test]

@@ -20,6 +20,9 @@
 //! checks (all but the stale derived quarter, a deep-audit-only check)
 //! with an error naming the right check.
 //!
+//! On a projected dataset the gate skips the checks that read an absent
+//! column, and only those.
+//!
 //! The final group corrupts the *serialized* store: truncated files,
 //! flipped checksum bytes and repeated sections must be refused by the
 //! loader, semantic corruption smuggled past the checksums (payload
@@ -30,7 +33,7 @@ use gdelt_columnar::binfmt::{self, checksum64};
 use gdelt_columnar::degraded::read_dataset_degraded;
 use gdelt_columnar::partition::{partitions_at_boundaries, Partition};
 use gdelt_columnar::table::NO_EVENT_ROW;
-use gdelt_columnar::{Dataset, DatasetBuilder};
+use gdelt_columnar::{Column, ColumnSet, Dataset, DatasetBuilder};
 use gdelt_model::cameo::{CameoRoot, Goldstein, QuadClass};
 use gdelt_model::event::{ActionGeo, EventRecord};
 use gdelt_model::ids::EventId;
@@ -284,6 +287,80 @@ proptest! {
             !partitions_sound(&broken, total, &bounds),
             "swapped bounds at {i} still produced sound partitions"
         );
+    }
+}
+
+/// Events 1..=4 (rows 0..4), each reported three times (mention rows
+/// `3e..3e + 3`, in scrape order) by two sources.
+fn three_per_event() -> Dataset {
+    let event_time = DateTime::midnight(GDELT_EPOCH);
+    let mut b = DatasetBuilder::new();
+    for id in 1..=4u64 {
+        b.add_event(EventRecord {
+            id: EventId(id),
+            day: GDELT_EPOCH,
+            root: CameoRoot::new(1).unwrap(),
+            event_code: "010".into(),
+            actor1_country: String::new(),
+            actor2_country: String::new(),
+            quad_class: QuadClass::VerbalCooperation,
+            goldstein: Goldstein::new(0.0).unwrap(),
+            num_mentions: 3,
+            num_sources: 2,
+            num_articles: 3,
+            avg_tone: 0.0,
+            geo: ActionGeo::default(),
+            date_added: event_time,
+            source_url: format!("https://e{id}.example/"),
+        });
+        for delay in 1..=3 {
+            b.add_mention(MentionRecord {
+                event_id: EventId(id),
+                event_time,
+                mention_time: DateTime::from_unix_seconds(
+                    event_time.to_unix_seconds() + delay * 900,
+                ),
+                mention_type: MentionType::Web,
+                source_name: format!("s{}.example", delay % 2),
+                url: String::new(),
+                confidence: 50,
+                doc_tone: 0.0,
+            });
+        }
+    }
+    b.build().0
+}
+
+/// Without `mentions.event_interval` the gate cannot check the delay,
+/// and it still checks everything else — the source range, which the
+/// fused pass once zipped beside it, included. A decreasing `event_row`
+/// that keeps every join and every CSR range's ends intact (the middle
+/// rows of events 0 and 2 swapped, ids along) is refused as well, also
+/// without `mentions.mention_interval`, which the grouping check once
+/// zipped beside it.
+#[test]
+fn load_gate_skips_only_the_checks_of_absent_columns() {
+    let d = three_per_event();
+    let without =
+        |dropped: &[Column]| d.clone().project(&ColumnSet::ALL.difference(ColumnSet::of(dropped)));
+    let no_event_at = without(&[Column::MentionsEventInterval]);
+    assert_eq!(no_event_at.validate(), Ok(()));
+    let mut stale = no_event_at.clone();
+    stale.mentions.delay.as_mut_slice()[4] += 1;
+    assert_eq!(stale.validate(), Ok(()), "no event interval, no delay check");
+    let mut dangling = no_event_at.clone();
+    dangling.mentions.source.as_mut_slice()[4] = 99;
+    let err = dangling.validate().expect_err("a source outside the directory is refused");
+    assert!(err.contains("mentions.source_ref"), "{err}");
+
+    let no_intervals = without(&[Column::MentionsEventInterval, Column::MentionsMentionInterval]);
+    for d in [no_event_at, no_intervals] {
+        let mut swapped = d.clone();
+        swapped.mentions.event_row.as_mut_slice().swap(1, 7);
+        swapped.mentions.event_id.as_mut_slice().swap(1, 7);
+        assert_eq!(swapped.mentions.event_row.as_slice()[..9], [0, 2, 0, 1, 1, 1, 2, 0, 2]);
+        let err = swapped.validate().expect_err("a decreasing event_row is refused");
+        assert!(err.contains("mentions.grouping"), "{err}");
     }
 }
 

@@ -152,7 +152,7 @@ mod tests {
             }
         }
         let event_index = EventIndex::build(degrees.len(), &mentions);
-        Dataset { events, mentions, sources: Default::default(), event_index }
+        Dataset { events, mentions, event_index, ..Dataset::default() }
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::exec::ExecContext;
 use crate::followreport::FollowReport;
 use crate::partial::{self, run_shard_query, ShardQuery};
 use crate::timeseries::QuarterlySeries;
-use gdelt_columnar::Dataset;
+use gdelt_columnar::{Column, ColumnSet, Dataset};
 use gdelt_model::ids::SourceId;
 use std::convert::Infallible;
 
@@ -142,6 +142,59 @@ impl Query {
         }
     }
 
+    /// The columns the query reads — the one declaration of them, and
+    /// what [`run_query`] checks a dataset holds: the keys every
+    /// dataset holds ([`ColumnSet::KEYS`]: ids, `event_row`, the CSR
+    /// offsets, the source directory) and the columns its kernels scan.
+    /// Every series reads both quarter columns, which span its slots.
+    pub const fn columns(&self) -> ColumnSet {
+        use Column::*;
+        let scanned: &[Column] = match self {
+            Query::CoReport => &[MentionsSource],
+            Query::FollowReport { .. } => &[MentionsSource, MentionsMentionInterval],
+            Query::CrossCountry => &[EventsCountry, MentionsSource],
+            Query::Delay => &[MentionsSource, MentionsDelay],
+            Query::TimeSeries(SeriesKind::Events | SeriesKind::Articles) => {
+                &[EventsQuarter, MentionsQuarter]
+            }
+            Query::TimeSeries(SeriesKind::ActiveSources) => {
+                &[EventsQuarter, MentionsQuarter, MentionsSource]
+            }
+            Query::TimeSeries(SeriesKind::LateArticles { .. }) => {
+                &[EventsQuarter, MentionsQuarter, MentionsDelay]
+            }
+            Query::TopK { kind: TopKKind::Publishers, .. } => &[MentionsSource],
+            Query::TopK { kind: TopKKind::Events, .. } => &[],
+        };
+        ColumnSet::KEYS.union(ColumnSet::of(scanned))
+    }
+
+    /// The union of every variant's [`Query::columns`]: what a server
+    /// holds, whatever it will be asked.
+    pub const SERVED_COLUMNS: ColumnSet = {
+        let mut all = ColumnSet::EMPTY;
+        let mut i = 0;
+        while i < Query::SHAPES.len() {
+            all = all.union(Query::SHAPES[i].columns());
+            i += 1;
+        }
+        all
+    };
+
+    /// One query of every variant shape.
+    const SHAPES: [Query; 10] = [
+        Query::CoReport,
+        Query::FollowReport { top_k: 0 },
+        Query::CrossCountry,
+        Query::Delay,
+        Query::TimeSeries(SeriesKind::Events),
+        Query::TimeSeries(SeriesKind::Articles),
+        Query::TimeSeries(SeriesKind::ActiveSources),
+        Query::TimeSeries(SeriesKind::LateArticles { threshold: 0 }),
+        Query::TopK { kind: TopKKind::Publishers, k: 0 },
+        Query::TopK { kind: TopKKind::Events, k: 0 },
+    ];
+
     /// Every kernel name [`Query::kernel_name`] can return.
     pub const KERNEL_NAMES: [&'static str; 10] = [
         "coreport",
@@ -213,7 +266,15 @@ fn kernel_metrics() -> &'static KernelMetrics {
 /// `engine_query_us_*` histogram and, when tracing is enabled, one
 /// `engine`-category span named after [`Query::kernel_name`] whose
 /// children are the per-partition spans from the map-reduce skeleton.
+///
+/// # Panics
+///
+/// If `d` is projected ([`Dataset::project`]) without a column of
+/// [`Query::columns`]; the message names the missing columns. An absent
+/// column is empty, so the kernels would answer wrongly, not fail.
 pub fn run_query(ctx: &ExecContext, d: &Dataset, q: &Query) -> QueryResult {
+    let missing = q.columns().difference(d.columns);
+    assert!(missing.is_empty(), "{q} reads columns the dataset does not hold: {missing}");
     let kernel = q.kernel_name();
     let _span = gdelt_obs::span("engine", kernel);
     let t0 = std::time::Instant::now();

@@ -7,7 +7,7 @@
 
 use gdelt_columnar::degraded::restrict_to_partitions;
 use gdelt_columnar::table::NO_EVENT_ROW;
-use gdelt_columnar::{Dataset, DatasetBuilder};
+use gdelt_columnar::{Column, ColumnSet, Dataset, DatasetBuilder};
 use gdelt_engine::chunk::{event_partitions, SEQUENTIAL_SCAN_ROWS};
 use gdelt_engine::coreport::{CountryCoReport, MASK_BLOCK_EVENTS};
 use gdelt_engine::crossreport::CrossReport;
@@ -818,6 +818,43 @@ fn corpus_above_the_cut_off_matches_reference_at_every_thread_count() {
     }
 }
 
+// `Query::columns` is enough: dropping any column it declares, keys
+// aside, makes `run_query` refuse the dataset and name that column.
+#[test]
+fn run_query_names_the_column_a_projection_dropped() {
+    let d = gdelt_synth::generate_dataset(&gdelt_synth::scenario::tiny(5)).0;
+    let ctx = ExecContext::builder().threads(2).build();
+    for q in all_queries(5, 96) {
+        let scanned = q.columns().difference(ColumnSet::KEYS);
+        if q == (Query::TopK { kind: TopKKind::Events, k: 5 }) {
+            assert!(scanned.is_empty(), "event degrees come off the CSR offsets alone");
+        } else {
+            assert!(!scanned.is_empty(), "{q} scans a column besides the keys");
+        }
+        for c in scanned.iter() {
+            let short = d.clone().project(&ColumnSet::ALL.difference(ColumnSet::of(&[c])));
+            assert!(!short.columns.contains(c) && short.validate().is_ok(), "{q}: {c}");
+            let refused = std::panic::catch_unwind(|| run_query(&ctx, &short, &q))
+                .expect_err("a dataset without a read column is refused");
+            let message = refused.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(message.contains(c.name()), "{q} without {c} panicked with {message:?}");
+        }
+    }
+    // The union a server holds, spelled out: 20 B per event, 26 per mention.
+    let served = Query::SERVED_COLUMNS.difference(ColumnSet::KEYS);
+    assert_eq!(
+        served.iter().collect::<Vec<_>>(),
+        [
+            Column::EventsQuarter,
+            Column::EventsCountry,
+            Column::MentionsMentionInterval,
+            Column::MentionsDelay,
+            Column::MentionsSource,
+            Column::MentionsQuarter
+        ]
+    );
+}
+
 #[test]
 fn empty_dataset_matches_reference() {
     let d = Dataset::default();
@@ -851,6 +888,28 @@ proptest! {
             for q in all_queries(k, threshold) {
                 prop_assert_eq!(run_query(&ctx, input, &q), reference(input, &q), "{}", q);
             }
+        }
+    }
+
+    // Each variant on a dataset projected to exactly its `columns()`
+    // answers what it answers on the full dataset, and what the oracle
+    // does: the declaration names every column the kernels read.
+    #[test]
+    fn each_variant_answers_from_its_declared_columns(
+        seed in 0u64..10_000,
+        threads in 1usize..4,
+        k in 1u32..40,
+        threshold in 1u32..800,
+    ) {
+        let d = gdelt_synth::generate_dataset(&gdelt_synth::scenario::tiny(seed)).0;
+        let ctx = ExecContext::builder().threads(threads).build();
+        for q in all_queries(k, threshold) {
+            let projected = d.clone().project(&q.columns());
+            prop_assert_eq!(projected.columns, q.columns());
+            prop_assert_eq!(projected.validate(), Ok(()));
+            let got = run_query(&ctx, &projected, &q);
+            prop_assert_eq!(&got, &run_query(&ctx, &d, &q), "{}", q);
+            prop_assert_eq!(&got, &reference(&d, &q), "{}", q);
         }
     }
 

@@ -349,7 +349,8 @@ fn cmd_query(o: &Options) -> Result<(), String> {
     use gdelt_model::time::Quarter;
 
     let data = o.data.as_deref().ok_or("query requires --data FILE")?;
-    let dataset = binfmt::load(data).map_err(|e| format!("loading {}: {e}", data.display()))?;
+    let dataset = binfmt::load_projected(data, &Query::SERVED_COLUMNS)
+        .map_err(|e| format!("loading {}: {e}", data.display()))?;
     let ctx = o.ctx();
     let registry = CountryRegistry::new();
 

@@ -21,7 +21,9 @@
 //! snapshot the `Arc` (and the matching cache generation) under a brief
 //! read lock and run lock-free from then on, while
 //! [`QueryService::apply_batch`] swaps in an updated dataset under the
-//! write lock and invalidates the cache before releasing it.
+//! write lock and invalidates the cache before releasing it. That
+//! dataset holds only the columns queries read
+//! ([`Query::SERVED_COLUMNS`]); appends keep it projected.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -167,7 +169,12 @@ impl QueryService {
     /// [`gdelt_columnar::load_degraded`]). The service applies
     /// [`ServiceConfig::degraded_policy`] against it and stamps its
     /// coverage on metrics and [`QueryService::run_covered`] answers.
+    ///
+    /// The service holds only what queries read: `dataset` is projected
+    /// to [`Query::SERVED_COLUMNS`], and so are the datasets
+    /// [`QueryService::apply_batch`] swaps in.
     pub fn with_health(dataset: Dataset, health: StoreHealth, config: ServiceConfig) -> Self {
+        let dataset = dataset.project(&Query::SERVED_COLUMNS);
         let mut builder = ExecContext::builder();
         if let Some(t) = config.threads {
             builder = builder.threads(t);
@@ -271,7 +278,8 @@ impl QueryService {
         (stats, clean)
     }
 
-    /// Snapshot of the dataset currently being served.
+    /// Snapshot of the dataset currently being served, projected to
+    /// [`Query::SERVED_COLUMNS`].
     pub fn dataset(&self) -> Arc<Dataset> {
         Arc::clone(&read_recover(&self.shared.data))
     }

@@ -21,7 +21,7 @@
 use crate::wire::{FlightForward, Frame, Health, Hello, WireSpan};
 use gdelt_columnar::Dataset;
 use gdelt_engine::partial::run_shard_query;
-use gdelt_engine::ExecContext;
+use gdelt_engine::{ExecContext, Query};
 use gdelt_obs::{FlightLevel, TraceContext};
 use std::io;
 use std::net::{TcpListener, TcpStream};
@@ -83,9 +83,10 @@ pub struct ShardWorker {
 }
 
 impl ShardWorker {
-    /// Load the shard store and build the execution context.
+    /// Load the columns of the shard store that queries read
+    /// ([`Query::SERVED_COLUMNS`]) and build the execution context.
     pub fn load(cfg: WorkerConfig) -> io::Result<Arc<ShardWorker>> {
-        let dataset = gdelt_columnar::binfmt::load(&cfg.store)?;
+        let dataset = gdelt_columnar::binfmt::load_projected(&cfg.store, &Query::SERVED_COLUMNS)?;
         let ctx = ExecContext::builder().threads(cfg.threads.max(1)).build();
         if cfg.trace {
             gdelt_obs::set_tracing(true);
