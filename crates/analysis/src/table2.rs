@@ -3,7 +3,8 @@
 //! Paper values: 53 malformed master-list entries, 8 missing archives,
 //! 1 missing event source URL, 4 future-dated events. The numbers come
 //! straight out of the preprocessing [`CleanReport`]; this module only
-//! formats them in the paper's layout.
+//! formats them in the paper's layout, plus one row the paper does not
+//! have: mentions whose event time is not their event's capture.
 
 use crate::render::{fmt_count, TextTable};
 use gdelt_csv::clean::CleanReport;
@@ -21,6 +22,10 @@ pub fn render(r: &CleanReport) -> String {
         "Recorded event date is in future compared to first article".into(),
         fmt_count(r.future_event_date),
     ]);
+    t.row(vec![
+        "Mentions with inconsistent event time".into(),
+        fmt_count(r.inconsistent_event_time),
+    ]);
     format!("Table II: Problems found during the dataset analysis\n{}", t.render())
 }
 
@@ -35,6 +40,7 @@ mod tests {
             missing_archives: 8,
             missing_source_url: 1,
             future_event_date: 4,
+            inconsistent_event_time: 17,
             ..Default::default()
         };
         let text = render(&r);
@@ -42,7 +48,8 @@ mod tests {
         assert!(text.contains("53"));
         assert!(text.contains("8"));
         assert!(text.contains("future"));
-        assert_eq!(text.lines().count(), 7);
+        assert!(text.lines().any(|l| l.contains("inconsistent event time") && l.contains("17")));
+        assert_eq!(text.lines().count(), 8);
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! The indexed binary on-disk format (store format v2).
+//! The indexed binary on-disk format (store format v3).
 //!
 //! The preprocessing tool converts GDELT once into this format; afterwards
 //! the engine memory-loads it in seconds instead of re-parsing a terabyte
 //! of CSV. Layout:
 //!
 //! ```text
-//! magic  "GDHPC2\0\0"                      8 bytes
+//! magic  "GDHPC3\0\0"                      8 bytes
 //! u32    section count                     little-endian
 //! per section:
 //!   u16  name length, then name bytes      (ASCII, e.g. "mentions.delay")
@@ -19,6 +19,15 @@
 //! sections are ignored on read; a name may appear only once).
 //! Checksums catch corruption; a full [`Dataset::validate`] runs after
 //! load.
+//!
+//! v3 stores what the join does not already imply and what some
+//! consumer reads. A joined mention's event id and event time are its
+//! event row's `events.id` and `events.capture`; only the orphan tail
+//! keeps them, in `mentions.orphan_id` / `mentions.orphan_interval`
+//! (one entry per orphan). Event row `i`'s URL is string `i` of
+//! `events.urls`. The export fields nothing reads (CAMEO root,
+//! Goldstein, the three counts, coordinates) are not stored. Older
+//! stores are refused with a hint to re-run `gdelt-cli convert`.
 //!
 //! The writer also emits a `partitions.meta` section (first in the
 //! file): the store's row ranges split into [`DEFAULT_STORE_PARTITIONS`]
@@ -95,8 +104,9 @@ use std::mem::{size_of, size_of_val};
 use std::path::{Path, PathBuf};
 
 /// Format magic, bumped with any incompatible layout change. `GDHPC1`
-/// stores (FNV-1a checksums) are refused: re-run `gdelt-cli convert`.
-pub const MAGIC: &[u8; 8] = b"GDHPC2\0\0";
+/// (FNV-1a checksums) and `GDHPC2` (the join and unread export fields
+/// stored) stores are refused: re-run `gdelt-cli convert`.
+pub const MAGIC: &[u8; 8] = b"GDHPC3\0\0";
 
 const LANE_SEEDS: [u64; 4] =
     [0x6a09_e667_f3bc_c908, 0xbb67_ae85_84ca_a73b, 0x3c6e_f372_fe94_f82b, 0xa54f_f53a_5f1d_36f1];
@@ -210,8 +220,9 @@ pub enum SectionSpace {
     /// owns entries `ev_begin ..= ev_end` — the shared boundary entry is
     /// hashed into *both* neighbours, so corrupting it quarantines both.
     EventOffsets,
-    /// Not row-addressed (source directory, the meta section itself).
-    /// Damage here cannot be localized and fails the load outright.
+    /// Not row-addressed (source directory, the orphan side columns,
+    /// the meta section itself). Damage here cannot be localized and
+    /// fails the load outright.
     Global,
 }
 
@@ -220,23 +231,12 @@ pub fn section_space(name: &str) -> SectionSpace {
     use SectionSpace::*;
     match name {
         "events.id" => Event(8),
-        "events.day"
-        | "events.capture"
-        | "events.goldstein"
-        | "events.num_mentions"
-        | "events.num_sources"
-        | "events.num_articles"
-        | "events.avg_tone"
-        | "events.lat"
-        | "events.lon"
-        | "events.source_url" => Event(4),
+        "events.day" | "events.capture" | "events.avg_tone" => Event(4),
         "events.quarter" | "events.actor1" | "events.actor2" | "events.country" => Event(2),
-        "events.root" | "events.quad" => Event(1),
+        "events.quad" => Event(1),
         "events.urls.bytes" => UrlBytes,
         "events.urls.offsets" | "index.offsets" => EventOffsets,
-        "mentions.event_id" => Mention(8),
         "mentions.event_row"
-        | "mentions.event_interval"
         | "mentions.mention_interval"
         | "mentions.delay"
         | "mentions.source"
@@ -480,24 +480,16 @@ pub fn write_dataset_with_partitions<W: Write>(
         ("events.day", encode(&d.events.day)),
         ("events.capture", encode(&d.events.capture)),
         ("events.quarter", encode(&d.events.quarter)),
-        ("events.root", encode(&d.events.root)),
         ("events.quad", encode(&d.events.quad)),
         ("events.actor1", encode(&d.events.actor1)),
         ("events.actor2", encode(&d.events.actor2)),
-        ("events.goldstein", encode(&d.events.goldstein)),
-        ("events.num_mentions", encode(&d.events.num_mentions)),
-        ("events.num_sources", encode(&d.events.num_sources)),
-        ("events.num_articles", encode(&d.events.num_articles)),
         ("events.avg_tone", encode(&d.events.avg_tone)),
         ("events.country", encode(&d.events.country)),
-        ("events.lat", encode(&d.events.lat)),
-        ("events.lon", encode(&d.events.lon)),
-        ("events.source_url", encode(&d.events.source_url)),
         ("events.urls.bytes", url_bytes.to_vec()),
         ("events.urls.offsets", encode(url_offsets)),
-        ("mentions.event_id", encode(&d.mentions.event_id)),
         ("mentions.event_row", encode(&d.mentions.event_row)),
-        ("mentions.event_interval", encode(&d.mentions.event_interval)),
+        ("mentions.orphan_id", encode(&d.mentions.orphan_id)),
+        ("mentions.orphan_interval", encode(&d.mentions.orphan_interval)),
         ("mentions.mention_interval", encode(&d.mentions.mention_interval)),
         ("mentions.delay", encode(&d.mentions.delay)),
         ("mentions.source", encode(&d.mentions.source)),
@@ -801,26 +793,18 @@ pub(crate) fn dataset_from_sections(mut s: Sections, columns: ColumnSet) -> io::
         day: s.held(columns, EventsDay)?,
         capture: s.held(columns, EventsCapture)?,
         quarter: s.held(columns, EventsQuarter)?,
-        root: s.held(columns, EventsRoot)?,
         quad: s.held(columns, EventsQuad)?,
         actor1: s.held(columns, EventsActor1)?,
         actor2: s.held(columns, EventsActor2)?,
-        goldstein: s.held(columns, EventsGoldstein)?,
-        num_mentions: s.held(columns, EventsNumMentions)?,
-        num_sources: s.held(columns, EventsNumSources)?,
-        num_articles: s.held(columns, EventsNumArticles)?,
         avg_tone: s.held(columns, EventsAvgTone)?,
         country: s.held(columns, EventsCountry)?,
-        lat: s.held(columns, EventsLat)?,
-        lon: s.held(columns, EventsLon)?,
-        source_url: s.held(columns, EventsSourceUrl)?,
         urls,
     };
 
     let mentions = crate::table::MentionsTable {
-        event_id: s.held(columns, MentionsEventId)?,
         event_row: s.held(columns, MentionsEventRow)?,
-        event_interval: s.held(columns, MentionsEventInterval)?,
+        orphan_id: s.held(columns, MentionsOrphanId)?,
+        orphan_interval: s.held(columns, MentionsOrphanInterval)?,
         mention_interval: s.held(columns, MentionsMentionInterval)?,
         delay: s.held(columns, MentionsDelay)?,
         source: s.held(columns, MentionsSource)?,
@@ -1182,7 +1166,7 @@ mod tests {
         let path = dir.join("layout.gdhpc");
         save(&path, &d).unwrap();
         let layout = scan_layout(&path).unwrap();
-        assert_eq!(layout.len(), 34, "33 data sections + partitions.meta");
+        assert_eq!(layout.len(), 26, "25 data sections + partitions.meta");
         assert_eq!(layout[0].name, META_SECTION);
         // Each payload is where the layout says: re-read one and check
         // its checksummed bytes hash to the recorded section checksum.

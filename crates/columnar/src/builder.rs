@@ -7,7 +7,10 @@
 //! countries, interns source names, sorts events by id and mentions by
 //! (event row, scrape time), precomputes the delay column and the
 //! event→mentions CSR index, and reports every data problem it saw
-//! (Table II).
+//! (Table II). A joined mention's delay counts from its event's capture
+//! (a disagreeing `EventTimeDate` is counted in
+//! [`CleanReport::inconsistent_event_time`]); only an orphan keeps its
+//! own event id and time.
 //!
 //! Rows are staged **as columns**, never as records: every row, whichever
 //! way it arrives, is pushed field by field into a [`StagedEvents`] /
@@ -45,7 +48,7 @@ fn gather<T: Copy>(src: &[T], rows: &[u32]) -> AlignedBuf<T> {
 /// Event rows in arrival order, already in column form.
 #[derive(Debug, Default)]
 struct StagedEvents {
-    /// `source_url[i] == i`: every row brings its own URL.
+    /// Every row brings its own URL: string `i` of the pool.
     table: EventsTable,
     /// Rows whose `DATEADDED` has no capture interval (before the GDELT
     /// epoch), ascending. Whether such a row is a bad line or a dropped
@@ -70,21 +73,13 @@ impl StagedEvents {
         t.day.push(e.day.to_yyyymmdd());
         t.capture.push(capture);
         t.quarter.push(e.day.quarter().linear() as u16);
-        t.root.push(e.root.0);
         t.quad.push(e.quad_class.as_u8());
         t.actor1.push(registry.by_cameo(e.actor1_country).0);
         t.actor2.push(registry.by_cameo(e.actor2_country).0);
-        t.goldstein.push(e.goldstein.0);
-        t.num_mentions.push(e.num_mentions);
-        t.num_sources.push(e.num_sources);
-        t.num_articles.push(e.num_articles);
         t.avg_tone.push(e.avg_tone);
         let country = if e.is_geo_tagged() { registry.by_fips(e.country_fips).0 } else { u16::MAX };
         t.country.push(country);
-        t.lat.push(e.lat.unwrap_or(f32::NAN));
-        t.lon.push(e.lon.unwrap_or(f32::NAN));
-        let url_id = t.urls.push(e.source_url);
-        t.source_url.push(url_id);
+        t.urls.push(e.source_url);
     }
 
     /// Decode and stage every line of `text`.
@@ -124,19 +119,11 @@ impl StagedEvents {
             day: gather(&t.day, &keep),
             capture: gather(&t.capture, &keep),
             quarter: gather(&t.quarter, &keep),
-            root: gather(&t.root, &keep),
             quad: gather(&t.quad, &keep),
             actor1: gather(&t.actor1, &keep),
             actor2: gather(&t.actor2, &keep),
-            goldstein: gather(&t.goldstein, &keep),
-            num_mentions: gather(&t.num_mentions, &keep),
-            num_sources: gather(&t.num_sources, &keep),
-            num_articles: gather(&t.num_articles, &keep),
             avg_tone: gather(&t.avg_tone, &keep),
             country: gather(&t.country, &keep),
-            lat: gather(&t.lat, &keep),
-            lon: gather(&t.lon, &keep),
-            source_url: (0..keep.len() as u32).collect(),
             urls: t.urls.gather(&keep),
         }
     }
@@ -145,8 +132,11 @@ impl StagedEvents {
 /// Mention rows in arrival order, already in column form.
 #[derive(Debug, Default)]
 struct StagedMentions {
-    /// Every column but `event_row`, which `finish` joins.
+    /// The columns `finish` does not derive from the join.
     table: MentionsTable,
+    /// Each row's `GlobalEventID` and own `EventTimeDate` interval.
+    event_id: AlignedBuf<u64>,
+    event_interval: AlignedBuf<u32>,
     /// Sources in order of first appearance.
     sources: SourceDirectory,
     /// Rows offered, including those dropped for a timestamp before the
@@ -173,11 +163,10 @@ impl StagedMentions {
                 self.sources.names.intern(m.source_name)
             }
         };
+        self.event_id.push(m.event_id.0);
+        self.event_interval.push(event_iv.0);
         let t = &mut self.table;
-        t.event_id.push(m.event_id.0);
-        t.event_interval.push(event_iv.0);
         t.mention_interval.push(mention_iv.0);
-        t.delay.push(mention_iv.delay_since(event_iv));
         t.source.push(source);
         t.quarter.push(Dataset::interval_quarter(mention_iv));
         // analyze: allow(id_cast): enum discriminant with u8 repr, not an id
@@ -195,16 +184,22 @@ impl StagedMentions {
         });
     }
 
-    /// The mentions table joined to `event_ids` (ascending): rows by
-    /// (event row, scrape interval, arrival), mentions of unknown events
-    /// last.
-    fn finish(self, event_ids: &[u64]) -> (MentionsTable, SourceDirectory) {
-        let mut t = self.table;
+    /// The mentions table joined to `events`: rows by (event row, scrape
+    /// interval, arrival), mentions of unknown events last with their
+    /// own ids and event times; every delay derived, and every joined
+    /// row whose own event time is not its event's capture counted.
+    fn finish(
+        self,
+        events: &EventsTable,
+        cleaner: &mut Cleaner,
+    ) -> (MentionsTable, SourceDirectory) {
+        let StagedMentions { mut table, event_id, event_interval, sources, .. } = self;
+        let event_ids = events.id.as_slice();
         // Consecutive mentions mostly report on the same event or the
         // next one; only a jump pays for a binary search.
         let mut at = 0usize;
-        let mut event_row = AlignedBuf::with_capacity(t.len());
-        event_row.extend_from_iter(t.event_id.iter().map(|id| {
+        table.event_row = AlignedBuf::with_capacity(event_id.len());
+        table.event_row.extend_from_iter(event_id.iter().map(|id| {
             if event_ids.get(at) != Some(id) {
                 if event_ids.get(at + 1) == Some(id) {
                     at += 1;
@@ -217,30 +212,43 @@ impl StagedMentions {
             }
             at as u32
         }));
-        t.event_row = event_row;
 
         let key = |row: u32, interval: u32| u64::from(row) << 32 | u64::from(interval);
+        let t = &table;
         let keys = || t.event_row.iter().zip(t.mention_interval.iter()).map(|(&r, &iv)| key(r, iv));
-        if keys().zip(keys().skip(1)).all(|(a, b)| a <= b) {
-            return (t, self.sources);
-        }
-        let mut order: Vec<(u64, u32)> = keys().zip(0u32..).collect();
-        order.sort_unstable();
-        let rows: Vec<u32> = order.iter().map(|&(_, row)| row).collect();
-        drop(order);
-        let sorted = MentionsTable {
-            event_id: gather(&t.event_id, &rows),
-            event_row: gather(&t.event_row, &rows),
-            event_interval: gather(&t.event_interval, &rows),
-            mention_interval: gather(&t.mention_interval, &rows),
-            delay: gather(&t.delay, &rows),
-            source: gather(&t.source, &rows),
-            quarter: gather(&t.quarter, &rows),
-            mention_type: gather(&t.mention_type, &rows),
-            confidence: gather(&t.confidence, &rows),
-            doc_tone: gather(&t.doc_tone, &rows),
+        let (mut t, event_id, event_interval) = if keys().zip(keys().skip(1)).all(|(a, b)| a <= b) {
+            (table, event_id, event_interval)
+        } else {
+            let mut order: Vec<(u64, u32)> = keys().zip(0u32..).collect();
+            order.sort_unstable();
+            let rows: Vec<u32> = order.iter().map(|&(_, row)| row).collect();
+            drop(order);
+            let sorted = MentionsTable {
+                event_row: gather(&t.event_row, &rows),
+                mention_interval: gather(&t.mention_interval, &rows),
+                source: gather(&t.source, &rows),
+                quarter: gather(&t.quarter, &rows),
+                mention_type: gather(&t.mention_type, &rows),
+                confidence: gather(&t.confidence, &rows),
+                doc_tone: gather(&t.doc_tone, &rows),
+                ..MentionsTable::default()
+            };
+            (sorted, gather(&event_id, &rows), gather(&event_interval, &rows))
         };
-        (sorted, self.sources)
+
+        let mut inconsistent = 0;
+        let rows = t.event_row.iter().zip(t.mention_interval.iter()).zip(event_interval.iter());
+        t.delay = AlignedBuf::with_capacity(t.len());
+        t.delay.extend_from_iter(rows.map(|((&er, &scraped), &own)| {
+            let from = events.capture.get(er as usize).copied().unwrap_or(own);
+            inconsistent += u64::from(from != own);
+            scraped.saturating_sub(from)
+        }));
+        cleaner.inconsistent_event_times(inconsistent);
+        let joined = t.event_row.partition_point(|&er| er != NO_EVENT_ROW);
+        t.orphan_id = event_id.chunk_view(joined, event_id.len()).into();
+        t.orphan_interval = event_interval.chunk_view(joined, event_interval.len()).into();
+        (t, sources)
     }
 }
 
@@ -333,7 +341,7 @@ impl DatasetBuilder {
         let events = events.finish(&mut cleaner);
         drop(stage);
         let stage = gdelt_obs::span("ingest", "mentions_columns");
-        let (mentions, sources) = mentions.finish(&events.id);
+        let (mentions, sources) = mentions.finish(&events, &mut cleaner);
         drop(stage);
         let stage = gdelt_obs::span("ingest", "csr_index");
         let event_index = EventIndex::build(events.len(), &mentions);
@@ -459,7 +467,7 @@ mod tests {
         assert_eq!(d.events.id.as_slice(), &[5, 6, 9]);
         let urls: Vec<&str> = (0..3).map(|row| d.events.url(row)).collect();
         assert_eq!(urls, ["five", "six", "nine"]);
-        assert_eq!(d.events.source_url.as_slice(), &[0, 1, 2]);
+        assert_eq!(d.events.urls.len(), 3);
     }
 
     #[test]

@@ -20,24 +20,19 @@ pub enum Column {
     EventsDay,
     EventsCapture,
     EventsQuarter,
-    EventsRoot,
     EventsQuad,
     EventsActor1,
     EventsActor2,
-    EventsGoldstein,
-    EventsNumMentions,
-    EventsNumSources,
-    EventsNumArticles,
     EventsAvgTone,
     EventsCountry,
-    EventsLat,
-    EventsLon,
-    EventsSourceUrl,
-    /// The URL pool `events.source_url` points into.
+    /// The source URL pool: row `i`'s URL is string `i`.
     EventsUrls,
-    MentionsEventId,
     MentionsEventRow,
-    MentionsEventInterval,
+    /// The event id of each orphan mention (of an event the events
+    /// table lacks), in the orphan tail's row order.
+    MentionsOrphanId,
+    /// The `EventTimeDate` interval of each orphan mention, likewise.
+    MentionsOrphanInterval,
     MentionsMentionInterval,
     MentionsDelay,
     MentionsSource,
@@ -53,30 +48,22 @@ pub enum Column {
 
 impl Column {
     /// Every column, in store order.
-    pub const ALL: [Column; 30] = {
+    pub const ALL: [Column; 22] = {
         use Column::*;
         [
             EventsId,
             EventsDay,
             EventsCapture,
             EventsQuarter,
-            EventsRoot,
             EventsQuad,
             EventsActor1,
             EventsActor2,
-            EventsGoldstein,
-            EventsNumMentions,
-            EventsNumSources,
-            EventsNumArticles,
             EventsAvgTone,
             EventsCountry,
-            EventsLat,
-            EventsLon,
-            EventsSourceUrl,
             EventsUrls,
-            MentionsEventId,
             MentionsEventRow,
-            MentionsEventInterval,
+            MentionsOrphanId,
+            MentionsOrphanInterval,
             MentionsMentionInterval,
             MentionsDelay,
             MentionsSource,
@@ -98,23 +85,15 @@ impl Column {
             EventsDay => "events.day",
             EventsCapture => "events.capture",
             EventsQuarter => "events.quarter",
-            EventsRoot => "events.root",
             EventsQuad => "events.quad",
             EventsActor1 => "events.actor1",
             EventsActor2 => "events.actor2",
-            EventsGoldstein => "events.goldstein",
-            EventsNumMentions => "events.num_mentions",
-            EventsNumSources => "events.num_sources",
-            EventsNumArticles => "events.num_articles",
             EventsAvgTone => "events.avg_tone",
             EventsCountry => "events.country",
-            EventsLat => "events.lat",
-            EventsLon => "events.lon",
-            EventsSourceUrl => "events.source_url",
             EventsUrls => "events.urls",
-            MentionsEventId => "mentions.event_id",
             MentionsEventRow => "mentions.event_row",
-            MentionsEventInterval => "mentions.event_interval",
+            MentionsOrphanId => "mentions.orphan_id",
+            MentionsOrphanInterval => "mentions.orphan_interval",
             MentionsMentionInterval => "mentions.mention_interval",
             MentionsDelay => "mentions.delay",
             MentionsSource => "mentions.source",
@@ -159,14 +138,14 @@ impl ColumnSet {
     pub const EMPTY: ColumnSet = ColumnSet(0);
     /// Every column: what a full load or a build holds.
     pub const ALL: ColumnSet = ColumnSet::of(&Column::ALL);
-    /// The columns every dataset holds, projected or not: the two id
-    /// columns set the tables' lengths and re-join orphan mentions on
-    /// append; `event_row` and the CSR offsets are the join; the source
-    /// directory sizes every per-source answer.
+    /// The columns every dataset holds, projected or not: `events.id`
+    /// and `mentions.event_row` set the tables' lengths and are, with
+    /// the CSR offsets, the join; the orphan ids re-join orphan mentions
+    /// on append; the source directory sizes every per-source answer.
     pub const KEYS: ColumnSet = ColumnSet::of(&[
         Column::EventsId,
-        Column::MentionsEventId,
         Column::MentionsEventRow,
+        Column::MentionsOrphanId,
         Column::IndexOffsets,
         Column::Sources,
     ]);
@@ -222,16 +201,10 @@ impl ColumnSet {
         Column::ALL.into_iter().filter(move |&c| self.contains(c))
     }
 
-    /// What a dataset asked to hold this set holds: the set, the
-    /// [`KEYS`](Self::KEYS), and `events.source_url` if the URL pool it
-    /// addresses is in the set (a pool without it names no row's URL).
+    /// What a dataset asked to hold this set holds: the set and the
+    /// [`KEYS`](Self::KEYS).
     pub const fn to_hold(self) -> ColumnSet {
-        let held = self.union(ColumnSet::KEYS);
-        if held.contains(Column::EventsUrls) {
-            held.union(ColumnSet::of(&[Column::EventsSourceUrl]))
-        } else {
-            held
-        }
+        self.union(ColumnSet::KEYS)
     }
 
     /// True when store section `section` is read under this set: its
@@ -263,9 +236,8 @@ mod tests {
         let sections = [
             ("events.urls.bytes", Some(Column::EventsUrls)),
             ("events.urls.offsets", Some(Column::EventsUrls)),
-            ("events.source_url", Some(Column::EventsSourceUrl)),
-            ("mentions.event_id", Some(Column::MentionsEventId)),
-            ("mentions.event_interval", Some(Column::MentionsEventInterval)),
+            ("mentions.orphan_id", Some(Column::MentionsOrphanId)),
+            ("mentions.orphan_interval", Some(Column::MentionsOrphanInterval)),
             ("sources.names.bytes", Some(Column::Sources)),
             ("sources.country", Some(Column::Sources)),
             ("index.offsets", Some(Column::IndexOffsets)),
@@ -292,7 +264,6 @@ mod tests {
         assert!(s.intersection(ColumnSet::KEYS).is_empty());
         assert!(s.reads_section("partitions.meta") && !s.reads_section("events.day"));
         let urls = ColumnSet::of(&[Column::EventsUrls]).to_hold();
-        assert!(urls.contains(Column::EventsSourceUrl) && urls.contains_all(ColumnSet::KEYS));
-        assert!(!ColumnSet::of(&[Column::EventsSourceUrl]).to_hold().contains(Column::EventsUrls));
+        assert_eq!(urls.difference(ColumnSet::KEYS), ColumnSet::of(&[Column::EventsUrls]));
     }
 }

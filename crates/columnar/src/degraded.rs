@@ -11,13 +11,15 @@
 //!    what it has.
 //! 2. **Localization** — the `partitions.meta` digest table pins each
 //!    dirty section's damage to specific load partitions; those are
-//!    *quarantined*. Damage to a global (non-row) section, or damage
-//!    that cannot be pinned to a partition, still fails the load.
+//!    *quarantined*. Damage to a global section (the source directory,
+//!    the orphan side columns), or damage that cannot be pinned to a
+//!    partition, still fails the load.
 //! 3. **Compaction** — the dataset is assembled from the live
 //!    partitions only: column slices are concatenated, the URL pool and
-//!    the `event_row` join column are rebased, and the CSR index is
-//!    rebuilt. The result is *exactly* the dataset a clean store
-//!    restricted to the same partitions would produce
+//!    the `event_row` join column are rebased, the orphan tail goes
+//!    with the last partition, and the CSR index is rebuilt. The result
+//!    is *exactly* the dataset a clean store restricted to the same
+//!    partitions would produce
 //!    ([`restrict_to_partitions`] — chaos testing asserts bit-identical
 //!    results), and it passes [`Dataset::validate`] like any other load.
 //! 4. **Retry** — transient read errors (not corruption) are retried
@@ -183,21 +185,16 @@ fn gather<T: Scalar>(ts: &Sections, name: &str, live: &[PartExtent]) -> io::Resu
     into_column(out, name)
 }
 
-/// [`gather`] for a column of event-row references, shifting each
-/// reference down by the event rows dropped before its partition. A
-/// reference equal to `sentinel` is kept as is; any other must point
-/// inside its own partition's event range.
-fn rebase_event_rows(
-    ts: &Sections,
-    name: &str,
-    live: &[PartExtent],
-    sentinel: Option<u32>,
-) -> io::Result<AlignedBuf<u32>> {
+/// [`gather`] of `mentions.event_row`, shifting each row down by the
+/// event rows dropped before its partition. [`NO_EVENT_ROW`] is kept as
+/// is; any other row must lie inside its own partition's event range.
+fn rebase_event_rows(ts: &Sections, live: &[PartExtent]) -> io::Result<AlignedBuf<u32>> {
+    let name = "mentions.event_row";
     let mut out = AlignedBuf::new();
     let mut base: u64 = 0;
     for (ext, slice) in live_slices(ts, name, live)? {
         for &v in into_column::<u32>(slice.into(), name)?.iter() {
-            if Some(v) == sentinel {
+            if v == NO_EVENT_ROW {
                 out.push(v);
                 continue;
             }
@@ -262,39 +259,36 @@ fn assemble(
     }
     let urls = StringPool::from_raw_parts(new_bytes, new_offsets).map_err(bad)?;
 
-    // The pool-reference column rebases: the store writes one URL per
-    // event row in row order, so live references stay within their own
-    // partition's event range and shift down by the dropped rows. The
-    // precomputed join column rebases the same way; its orphan sentinel
-    // passes through.
-    let source_url = rebase_event_rows(&ts, "events.source_url", &live, None)?;
-    let event_row = rebase_event_rows(&ts, "mentions.event_row", &live, Some(NO_EVENT_ROW))?;
+    // The precomputed join column rebases: live references stay within
+    // their own partition's event range and shift down by the dropped
+    // rows; its orphan sentinel passes through.
+    let event_row = rebase_event_rows(&ts, &live)?;
 
     let events = EventsTable {
         id: col!("events.id"),
         day: col!("events.day"),
         capture: col!("events.capture"),
         quarter: col!("events.quarter"),
-        root: col!("events.root"),
         quad: col!("events.quad"),
         actor1: col!("events.actor1"),
         actor2: col!("events.actor2"),
-        goldstein: col!("events.goldstein"),
-        num_mentions: col!("events.num_mentions"),
-        num_sources: col!("events.num_sources"),
-        num_articles: col!("events.num_articles"),
         avg_tone: col!("events.avg_tone"),
         country: col!("events.country"),
-        lat: col!("events.lat"),
-        lon: col!("events.lon"),
-        source_url,
         urls,
     };
 
+    // The orphan tail lies in the last partition's mention rows.
+    let tail_live = !quarantined.contains(&(meta.extents.len() as u32).saturating_sub(1));
+    let mut orphans = |name: &str| -> io::Result<AlignedBuf<u8>> {
+        let side = ts.take(name)?;
+        Ok(if tail_live { side } else { AlignedBuf::new() })
+    };
+    let (orphan_id, orphan_interval) =
+        (orphans("mentions.orphan_id")?, orphans("mentions.orphan_interval")?);
     let mentions = MentionsTable {
-        event_id: col!("mentions.event_id"),
         event_row,
-        event_interval: col!("mentions.event_interval"),
+        orphan_id: into_column(orphan_id, "mentions.orphan_id")?,
+        orphan_interval: into_column(orphan_interval, "mentions.orphan_interval")?,
         mention_interval: col!("mentions.mention_interval"),
         delay: col!("mentions.delay"),
         source: col!("mentions.source"),
@@ -474,7 +468,7 @@ pub fn restrict_to_partitions(
         mention_runs.push(MentionRun { src: &d.mentions, rows, event_row, source_map: None });
     }
     let events = EventsTable::from_runs(&event_runs, d.columns);
-    let mentions = MentionsTable::from_runs(&mention_runs, d.columns);
+    let mentions = MentionsTable::from_runs(&mention_runs, d.columns, &events.capture);
     let event_index = EventIndex::build(events.len(), &mentions);
     let sources = d.sources.clone();
     let restricted = Dataset { events, mentions, sources, event_index, columns: d.columns };
@@ -494,6 +488,11 @@ mod tests {
     use gdelt_model::time::{DateTime, GDELT_EPOCH};
 
     fn sample_dataset() -> Dataset {
+        sample_builder().build().0
+    }
+
+    /// Events 1..=40, each with one to three mentions.
+    fn sample_builder() -> DatasetBuilder {
         let mut b = DatasetBuilder::new();
         for id in 1..=40u64 {
             b.add_event(EventRecord {
@@ -549,8 +548,7 @@ mod tests {
                 });
             }
         }
-        let (d, _) = b.build();
-        d
+        b
     }
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -649,6 +647,43 @@ mod tests {
         assert_eq!(loaded.health.quarantined, vec![0, 1]);
         let reference = restrict_to_partitions(&d, 8, &[0, 1]).unwrap();
         assert_datasets_equal(&loaded.dataset, &reference);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn the_orphan_tail_goes_with_the_last_partition() {
+        let mut b = sample_builder();
+        for id in [77, 78] {
+            b.add_mention(MentionRecord {
+                event_id: EventId(id),
+                event_time: DateTime::midnight(GDELT_EPOCH),
+                mention_time: DateTime::new(GDELT_EPOCH, 3, 0, 0).unwrap(),
+                mention_type: MentionType::Web,
+                source_name: "pub9.co.uk".into(),
+                url: String::new(),
+                confidence: 75,
+                doc_tone: 0.25,
+            });
+        }
+        let d = b.build().0;
+        assert_eq!(d.mentions.orphan_id.as_slice(), &[77, 78]);
+        let path = tmp("orphans.gdhpc");
+        save_with_partitions(&path, &d, 4).unwrap();
+        // Event row 2 lies in partition 0 of 4; row 35 in the last.
+        for (row, quarantined, orphans) in [(2, 0, 2), (35, 3, 0)] {
+            save_with_partitions(&path, &d, 4).unwrap();
+            flip_at(&path, "events.day", row * 4, 0x40);
+            let loaded = load_degraded(&path).unwrap();
+            assert_eq!(loaded.health.quarantined, vec![quarantined]);
+            assert_eq!(loaded.dataset.mentions.orphan_id.len(), orphans);
+            let reference = restrict_to_partitions(&d, 4, &[quarantined]).unwrap();
+            assert_datasets_equal(&loaded.dataset, &reference);
+        }
+        // The side columns have no partition digest: damage there is fatal.
+        save_with_partitions(&path, &d, 4).unwrap();
+        flip_at(&path, "mentions.orphan_id", 3, 0x01);
+        let err = load_degraded(&path).unwrap_err();
+        assert!(err.to_string().contains("global section mentions.orphan_id"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

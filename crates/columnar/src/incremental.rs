@@ -13,7 +13,9 @@
 //!   monotone in rows), so batch mentions, and base orphans a batch
 //!   event now matches, are placed into it by binary search on (event
 //!   row, scrape interval), and the base rows between two places are
-//!   runs with one event-row shift each;
+//!   runs with one event-row shift each. A placed mention's delay is
+//!   derived anew from the capture of the event it joins, as a full
+//!   build derives it;
 //! * the CSR index is rebuilt by counting (linear).
 //!
 //! One append costs about one copy of the base at memcpy speed
@@ -25,7 +27,7 @@
 use std::ops::Range;
 
 use crate::builder::DatasetBuilder;
-use crate::columns::Column;
+use crate::columns::{Column, ColumnSet};
 use crate::index::EventIndex;
 use crate::table::{
     Dataset, EventRows, EventsTable, MentionRun, MentionsTable, SourceDirectory, NO_EVENT_ROW,
@@ -48,10 +50,21 @@ pub struct BatchStats {
     pub new_sources: usize,
     /// Pre-existing unknown-event mentions that matched a batch event.
     pub rematched_mentions: usize,
+    /// Mentions this append joined to an event (re-matched base orphans
+    /// and batch mentions of base events) whose own event time is not
+    /// that event's capture: the [`CleanReport::inconsistent_event_time`]
+    /// a build over both could count but the batch's build could not.
+    /// (A batch mention its build joined is counted there, against the
+    /// batch's event: a batch that repeats an event id the base holds
+    /// with another `DATEADDED` has those mentions counted against its
+    /// own copy.)
+    pub inconsistent_event_time: u64,
 }
 
 /// Append one parsed batch to `base`, returning the updated dataset,
-/// batch accounting, and the cleaning report for the batch records.
+/// batch accounting, and the cleaning report for the batch records
+/// (with [`BatchStats::inconsistent_event_time`] added in, so the
+/// reports of a base and its batches sum to a full build's).
 pub fn append_batch(
     base: &Dataset,
     events: Vec<EventRecord>,
@@ -64,10 +77,21 @@ pub fn append_batch(
     for m in mentions {
         builder.add_mention(m);
     }
-    let (batch, clean) = builder.build();
+    let (batch, mut clean) = builder.build();
     let (out, stats) = append_dataset(base, batch);
+    clean.inconsistent_event_time += stats.inconsistent_event_time;
     (out, stats, clean)
 }
+
+/// The columns besides the keys an append reads off its base:
+/// `mentions.mention_interval` places the batch's mentions,
+/// `events.capture` is the event time their delays count from, and
+/// `mentions.orphan_interval` is a re-matched orphan's own event time.
+pub const APPEND_COLUMNS: ColumnSet = ColumnSet::of(&[
+    Column::EventsCapture,
+    Column::MentionsMentionInterval,
+    Column::MentionsOrphanInterval,
+]);
 
 /// Append a batch already built into a [`Dataset`] (by
 /// [`DatasetBuilder`], from records or raw text) to `base`: the dataset a
@@ -76,12 +100,10 @@ pub fn append_batch(
 /// The result holds the columns `base` holds, so a projected base
 /// ([`Dataset::project`]) stays projected: the append equals a full
 /// build projected the same way. `batch` must hold them too, and the
-/// base must hold `mentions.mention_interval`, which places the batch's
-/// mentions.
+/// base must hold [`APPEND_COLUMNS`].
 pub fn append_dataset(base: &Dataset, batch: Dataset) -> (Dataset, BatchStats) {
     assert!(
-        batch.columns.contains_all(base.columns)
-            && base.columns.contains(Column::MentionsMentionInterval),
+        batch.columns.contains_all(base.columns) && base.columns.contains_all(APPEND_COLUMNS),
         "append_dataset: a base holding {} cannot take a batch holding {}",
         base.columns,
         batch.columns
@@ -182,7 +204,7 @@ fn merge_mentions(
     stats: &mut BatchStats,
 ) -> MentionsTable {
     let (old, new) = (&base.mentions, &batch.mentions);
-    let known = old.event_row.partition_point(|&er| er != NO_EVENT_ROW);
+    let known = old.joined();
     let off = |event: usize| base.event_index.offsets.get(event).map_or(known, |&o| o as usize);
     let base_run = |rows, event_row| MentionRun { src: old, rows, event_row, source_map: None };
     let mut pieces = Vec::with_capacity(runs.len() + 1);
@@ -201,7 +223,7 @@ fn merge_mentions(
     let orphans = |rows| base_run(rows, EventRows::Shift { from: 0, to: 0 });
     let mut placed = Vec::with_capacity(new.len());
     let mut start = known;
-    for (row, &id) in old.event_id.iter().enumerate().skip(known) {
+    for (row, &id) in (known..).zip(old.orphan_id.iter()) {
         let (event_row, interval) = (row_of(id), old.mention_interval[row]);
         if event_row != NO_EVENT_ROW {
             placed.push(Placed { event_row, interval, from_batch: false, row: row_u32(row) });
@@ -211,14 +233,25 @@ fn merge_mentions(
     }
     pieces.push(orphans(start..old.len()));
     stats.rematched_mentions = placed.len();
-    let batch_rows = new.event_id.iter().zip(new.mention_interval.iter()).zip(0..);
-    placed.extend(batch_rows.map(|((&id, &interval), row)| Placed {
-        event_row: row_of(id),
-        interval,
+    placed.extend((0..new.len()).map(|row| Placed {
+        event_row: row_of(batch.mention_event_id(row).0),
+        interval: new.mention_interval[row],
         from_batch: true,
-        row,
+        row: row_u32(row),
     }));
     stats.new_mentions = new.len();
+    // A placed mention that was an orphan in its own table carries its
+    // own event time: count it against the capture of the event it now
+    // joins, as a full build would.
+    let own_time = |p: &Placed| {
+        let t = if p.from_batch { new } else { old };
+        t.orphan_interval.get((p.row as usize).checked_sub(t.joined())?).copied()
+    };
+    let disagrees = |p: &&Placed| {
+        let capture = events.capture.get(p.event_row as usize);
+        capture.is_some_and(|&c| own_time(p).is_some_and(|own| own != c))
+    };
+    stats.inconsistent_event_time = placed.iter().filter(disagrees).count() as u64;
     placed.sort_unstable();
 
     // Each placed mention goes before the first base row whose (event
@@ -256,7 +289,7 @@ fn merge_mentions(
         k += group.len();
     }
     take_until(&mut pieces, &mut next, usize::MAX, &mut out);
-    MentionsTable::from_runs(&out, base.columns)
+    MentionsTable::from_runs(&out, base.columns, &events.capture)
 }
 
 /// Move the rows of `pieces[*next..]` before base row `until` to `out`,

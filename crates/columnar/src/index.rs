@@ -76,16 +76,19 @@ mod tests {
     use super::*;
     use crate::table::Dataset;
 
-    /// Minimal mentions table with given (event_row, interval) pairs;
-    /// a known row's event id is the row itself.
+    /// Minimal mentions table with given (event_row, interval) pairs,
+    /// of events captured at interval 0; an orphan's event is event
+    /// 1 000 000, captured when it is scraped.
     fn mentions(rows: &[(u32, u32)]) -> MentionsTable {
         let mut m = MentionsTable::default();
         for &(er, iv) in rows {
-            m.event_id.push(u64::from(er.min(1_000_000)));
             m.event_row.push(er);
-            m.event_interval.push(iv);
+            if er == NO_EVENT_ROW {
+                m.orphan_id.push(1_000_000);
+                m.orphan_interval.push(iv);
+            }
             m.mention_interval.push(iv);
-            m.delay.push(0);
+            m.delay.push(if er == NO_EVENT_ROW { 0 } else { iv });
             m.source.push(0);
             m.quarter.push(0);
             m.mention_type.push(1);

@@ -81,53 +81,38 @@ impl StringPool {
     }
 
     /// A pool of the strings `ids` name, in that order; an id the pool
-    /// does not hold contributes nothing.
+    /// does not hold contributes nothing. Each run of consecutive ids —
+    /// most of them, for the URLs of mostly ordered rows — is one
+    /// byte-range copy.
     pub(crate) fn gather(&self, ids: &[u32]) -> StringPool {
+        let n = self.len();
+        let runs: Vec<std::ops::Range<usize>> = ids
+            .chunk_by(|&a, &b| a.checked_add(1) == Some(b))
+            .map(|run| {
+                let start = (run[0] as usize).min(n);
+                start..(start + run.len()).min(n)
+            })
+            .collect();
         let mut out = StringPool::new();
-        out.reserve(ids.len(), self.bytes_of(ids));
-        out.extend_from(self, ids);
+        out.reserve(ids.len(), runs.iter().map(|run| self.bytes_in(run.clone())).sum());
+        for run in runs {
+            out.extend_range(self, run);
+        }
         out
     }
 
-    /// The id range `ids` is, when it is consecutive ids this pool holds
-    /// — always so for the URLs of a run of rows the builder wrote.
-    fn id_run(&self, ids: &[u32]) -> Option<std::ops::Range<usize>> {
-        let first = *ids.first()? as usize;
-        let consecutive = ids.iter().zip(ids.iter().skip(1)).all(|(&a, &b)| b == a.wrapping_add(1));
-        let run = first..first + ids.len();
-        (consecutive && run.end < self.offsets.len()).then_some(run)
+    /// Payload bytes of the strings `ids` (a range the pool holds).
+    pub(crate) fn bytes_in(&self, ids: std::ops::Range<usize>) -> usize {
+        (self.offsets[ids.end] - self.offsets[ids.start]) as usize
     }
 
-    /// Bytes of string `id`, if the pool holds it.
-    fn str_bytes(&self, id: u32) -> Option<&[u8]> {
-        let range = self.offsets.get(id as usize).zip(self.offsets.get(id as usize + 1));
-        range.and_then(|(&lo, &hi)| self.bytes.get(lo as usize..hi as usize))
-    }
-
-    /// Payload bytes of the strings `ids` name.
-    pub(crate) fn bytes_of(&self, ids: &[u32]) -> usize {
-        match self.id_run(ids) {
-            Some(run) => (self.offsets[run.end] - self.offsets[run.start]) as usize,
-            None => ids.iter().filter_map(|&id| self.str_bytes(id)).map(<[u8]>::len).sum(),
-        }
-    }
-
-    /// Append the strings of `src` that `ids` name, in that order: one
-    /// byte-range copy plus rebased offsets when the ids are consecutive,
-    /// string by string otherwise. An id `src` does not hold contributes
-    /// nothing.
-    pub(crate) fn extend_from(&mut self, src: &StringPool, ids: &[u32]) {
-        let Some(run) = src.id_run(ids) else {
-            for s in ids.iter().filter_map(|&id| src.str_bytes(id)) {
-                self.bytes.extend_from_slice(s);
-                self.offsets.push(self.bytes.len() as u64);
-            }
-            return;
-        };
-        let (lo, hi) = (src.offsets[run.start], src.offsets[run.end]);
+    /// Append the strings `ids` of `src` (a range it holds), in order:
+    /// one byte-range copy plus rebased offsets.
+    pub(crate) fn extend_range(&mut self, src: &StringPool, ids: std::ops::Range<usize>) {
+        let (lo, hi) = (src.offsets[ids.start], src.offsets[ids.end]);
         let base = self.bytes.len() as u64;
         self.bytes.extend_from_slice(src.bytes.chunk_view(lo as usize, hi as usize));
-        let ends = src.offsets.chunk_view(run.start + 1, run.end + 1);
+        let ends = src.offsets.chunk_view(ids.start + 1, ids.end + 1);
         self.offsets.extend_from_iter(ends.iter().map(|&end| end - lo + base));
     }
 
@@ -271,6 +256,11 @@ mod tests {
         }
         let g = a.gather(&[3, 0, 0, 9, 1]);
         assert_eq!(g.iter().collect::<Vec<_>>(), vec!["ü", "x", "x", ""]);
+        // Runs of consecutive ids, one of them running past the pool.
+        let runs = a.gather(&[1, 2, 3, 0, 3, 4, 5, 2]);
+        assert_eq!(runs.iter().collect::<Vec<_>>(), vec!["", "yy", "ü", "x", "ü", "yy"]);
+        let (bytes, offsets) = runs.raw_parts();
+        assert_eq!(StringPool::from_raw_parts(bytes.into(), offsets.into()).unwrap(), runs);
         let (bytes, offsets) = g.raw_parts();
         assert_eq!(StringPool::from_raw_parts(bytes.into(), offsets.into()).unwrap(), g);
     }

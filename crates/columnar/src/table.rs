@@ -1,11 +1,17 @@
 //! The columnar Events and Mentions tables and the source directory.
 //!
-//! Layout mirrors the paper's indexed binary format: every field the
-//! queries touch is a fixed-width column; all text is dictionary-encoded
+//! Layout mirrors the paper's indexed binary format: every field some
+//! consumer reads is a fixed-width column; all text is dictionary-encoded
 //! (source names) or pooled (event source URLs). Events are stored sorted
 //! by `GlobalEventID`; mentions are stored grouped by their event's row
 //! (and by scrape time within an event), which makes the co-/follow-
 //! reporting scans contiguous.
+//!
+//! Nothing the join already implies is stored twice: a joined mention's
+//! event id and event time are its event's `id` and `capture`, and row
+//! `i`'s URL is string `i` of the pool. Only the *orphan tail* — the
+//! mentions of events the table lacks, sorted last — keeps its event id
+//! and time, in side columns as long as the tail.
 
 use crate::aligned::AlignedBuf;
 use crate::columns::{Column, ColumnSet};
@@ -25,12 +31,11 @@ pub struct EventsTable {
     pub id: AlignedBuf<u64>,
     /// Event day packed as `YYYYMMDD`.
     pub day: AlignedBuf<u32>,
-    /// Capture interval of `DATEADDED`.
+    /// Capture interval of `DATEADDED`: the event time of every mention
+    /// of the event.
     pub capture: AlignedBuf<u32>,
     /// Linear quarter index of the event day (see [`Quarter::linear`]).
     pub quarter: AlignedBuf<u16>,
-    /// CAMEO root category (1–20).
-    pub root: AlignedBuf<u8>,
     /// QuadClass (1–4).
     pub quad: AlignedBuf<u8>,
     /// Actor1 country resolved from its CAMEO code (`u16::MAX` =
@@ -39,27 +44,13 @@ pub struct EventsTable {
     /// Actor2 country resolved from its CAMEO code (`u16::MAX` =
     /// unresolved/absent — most events are one-actor).
     pub actor2: AlignedBuf<u16>,
-    /// Goldstein scale.
-    pub goldstein: AlignedBuf<f32>,
-    /// `NumMentions` at first capture.
-    pub num_mentions: AlignedBuf<u32>,
-    /// `NumSources` at first capture.
-    pub num_sources: AlignedBuf<u32>,
-    /// `NumArticles` at first capture.
-    pub num_articles: AlignedBuf<u32>,
     /// Average tone.
     pub avg_tone: AlignedBuf<f32>,
     /// `ActionGeo` country resolved to a [`CountryId`] (`u16::MAX` =
     /// untagged/unknown).
     pub country: AlignedBuf<u16>,
-    /// `ActionGeo` latitude, `NaN` if unresolved.
-    pub lat: AlignedBuf<f32>,
-    /// `ActionGeo` longitude, `NaN` if unresolved.
-    pub lon: AlignedBuf<f32>,
-    /// Pool id of the representative source URL (one per row, in row
-    /// order; empty string for the missing-URL records of Table II).
-    pub source_url: AlignedBuf<u32>,
-    /// URL pool addressed by [`EventsTable::source_url`].
+    /// Source URL of each row: row `i`'s is string `i` (empty for the
+    /// missing-URL records of Table II).
     pub urls: StringPool,
 }
 
@@ -91,7 +82,7 @@ impl EventsTable {
     /// URL string at `row`.
     #[inline]
     pub fn url(&self, row: usize) -> &str {
-        self.urls.get(self.source_url[row])
+        self.urls.get(row_u32(row))
     }
 
     /// Country of the event action at `row`.
@@ -108,25 +99,17 @@ impl EventsTable {
 
     /// Every fixed-width column but `id`, which sets the table's length
     /// the others must match (when held), with its length.
-    pub(crate) fn column_lens(&self) -> [(Column, usize); 16] {
+    pub(crate) fn column_lens(&self) -> [(Column, usize); 8] {
         use Column::*;
         [
             (EventsDay, self.day.len()),
             (EventsCapture, self.capture.len()),
             (EventsQuarter, self.quarter.len()),
-            (EventsRoot, self.root.len()),
             (EventsQuad, self.quad.len()),
             (EventsActor1, self.actor1.len()),
             (EventsActor2, self.actor2.len()),
-            (EventsGoldstein, self.goldstein.len()),
-            (EventsNumMentions, self.num_mentions.len()),
-            (EventsNumSources, self.num_sources.len()),
-            (EventsNumArticles, self.num_articles.len()),
             (EventsAvgTone, self.avg_tone.len()),
             (EventsCountry, self.country.len()),
-            (EventsLat, self.lat.len()),
-            (EventsLon, self.lon.len()),
-            (EventsSourceUrl, self.source_url.len()),
         ]
     }
 
@@ -135,10 +118,8 @@ impl EventsTable {
     /// from existing tables. Only the `held` columns are copied (every
     /// run's table holds them); the others stay empty. Every copied
     /// column is reserved once at its final length and each run is
-    /// copied column by column with `extend_from_slice`; the run's URLs
-    /// follow as one byte range when its `source_url` ids are
-    /// consecutive (see [`StringPool`]). The result's `source_url` is
-    /// `0..len`, as the builder writes it.
+    /// copied column by column with `extend_from_slice`, its URLs as
+    /// one byte range.
     pub(crate) fn from_runs(runs: &[(&EventsTable, Range<usize>)], held: ColumnSet) -> EventsTable {
         let rows: usize = runs.iter().map(|(_, rows)| rows.len()).sum();
         let mut t = EventsTable::default();
@@ -157,31 +138,18 @@ impl EventsTable {
             day: EventsDay,
             capture: EventsCapture,
             quarter: EventsQuarter,
-            root: EventsRoot,
             quad: EventsQuad,
             actor1: EventsActor1,
             actor2: EventsActor2,
-            goldstein: EventsGoldstein,
-            num_mentions: EventsNumMentions,
-            num_sources: EventsNumSources,
-            num_articles: EventsNumArticles,
             avg_tone: EventsAvgTone,
-            country: EventsCountry,
-            lat: EventsLat,
-            lon: EventsLon
+            country: EventsCountry
         );
         if held.contains(Column::EventsUrls) {
-            let url_bytes: usize = runs
-                .iter()
-                .map(|(src, r)| src.urls.bytes_of(src.source_url.chunk_view(r.start, r.end)))
-                .sum();
+            let url_bytes = runs.iter().map(|(src, r)| src.urls.bytes_in(r.clone())).sum();
             t.urls.reserve(rows, url_bytes);
             for (src, r) in runs {
-                t.urls.extend_from(&src.urls, src.source_url.chunk_view(r.start, r.end));
+                t.urls.extend_range(&src.urls, r.clone());
             }
-        }
-        if held.contains(Column::EventsSourceUrl) {
-            t.source_url = (0..row_u32(rows)).collect();
         }
         t
     }
@@ -192,14 +160,17 @@ impl EventsTable {
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum EventRows<'a> {
     /// The events the run joins moved as one block: event row `from + k`
-    /// becomes `to + k`. [`NO_EVENT_ROW`] stays as it is.
+    /// becomes `to + k`. [`NO_EVENT_ROW`] stays as it is, and so does
+    /// every row's delay.
     Shift {
         /// First event row of the block in the source table.
         from: u32,
         /// Its row in the assembled table.
         to: u32,
     },
-    /// The new value of each row of the run, in order.
+    /// The new value of each row of the run, in order. A row it joins
+    /// to an event gets its delay derived anew from that event's
+    /// capture: the event it joined before, if any, may be another one.
     Given(&'a [u32]),
 }
 
@@ -220,19 +191,23 @@ pub(crate) struct MentionRun<'a> {
 
 /// Columnar GDELT *Mentions* table, grouped by event row (then by scrape
 /// interval within the event). Mentions of events absent from the events
-/// table sort to the end with [`NO_EVENT_ROW`].
+/// table — the *orphan tail* — sort to the end with [`NO_EVENT_ROW`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MentionsTable {
-    /// `GlobalEventID` of the event reported on.
-    pub event_id: AlignedBuf<u64>,
-    /// Row of that event in the [`EventsTable`] ([`NO_EVENT_ROW`] if
-    /// absent) — the join is precomputed at conversion time.
+    /// Row of the event reported on in the [`EventsTable`]
+    /// ([`NO_EVENT_ROW`] if absent) — the join, computed at conversion
+    /// time. The event's id and time are that row's `id` and `capture`.
     pub event_row: AlignedBuf<u32>,
-    /// Capture interval of the event (`EventTimeDate`).
-    pub event_interval: AlignedBuf<u32>,
+    /// `GlobalEventID` of each orphan: entry `k` is row
+    /// [`joined`](Self::joined)` + k`'s.
+    pub orphan_id: AlignedBuf<u64>,
+    /// Capture interval of each orphan's own `EventTimeDate`, indexed
+    /// like `orphan_id`.
+    pub orphan_interval: AlignedBuf<u32>,
     /// Capture interval the article was scraped (`MentionTimeDate`).
     pub mention_interval: AlignedBuf<u32>,
-    /// Publishing delay in intervals (precomputed, saturating at 0).
+    /// Publishing delay in intervals (precomputed, saturating at 0):
+    /// from the event's capture, or an orphan's own event time.
     pub delay: AlignedBuf<u32>,
     /// Publisher ([`SourceId`] into the source directory).
     pub source: AlignedBuf<u32>,
@@ -250,13 +225,19 @@ impl MentionsTable {
     /// Number of mentions (articles).
     #[inline]
     pub fn len(&self) -> usize {
-        self.event_id.len()
+        self.event_row.len()
     }
 
     /// True if the table holds no mentions.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.event_id.is_empty()
+        self.event_row.is_empty()
+    }
+
+    /// Rows of joined mentions, the ones before the orphan tail.
+    #[inline]
+    pub fn joined(&self) -> usize {
+        self.len().saturating_sub(self.orphan_id.len())
     }
 
     /// Source id at `row`.
@@ -271,13 +252,11 @@ impl MentionsTable {
         Quarter::from_linear(i32::from(self.quarter[row]))
     }
 
-    /// Every column but `event_id`, which sets the table's length the
-    /// others must match (when held), with its length.
-    pub(crate) fn column_lens(&self) -> [(Column, usize); 9] {
+    /// Every column as long as the table but `event_row`, which sets
+    /// the length the others must match (when held), with its length.
+    pub(crate) fn column_lens(&self) -> [(Column, usize); 7] {
         use Column::*;
         [
-            (MentionsEventRow, self.event_row.len()),
-            (MentionsEventInterval, self.event_interval.len()),
             (MentionsMentionInterval, self.mention_interval.len()),
             (MentionsDelay, self.delay.len()),
             (MentionsSource, self.source.len()),
@@ -288,12 +267,19 @@ impl MentionsTable {
         ]
     }
 
-    /// The table of the mention `runs`, in that order: every `held`
-    /// column (every run's table holds them; the others stay empty)
-    /// reserved once at its final length and copied run by run with
-    /// `extend_from_slice`, except where a run's `event_row` or `source`
-    /// values change (one mapped pass over the run).
-    pub(crate) fn from_runs(runs: &[MentionRun<'_>], held: ColumnSet) -> MentionsTable {
+    /// The table of the mention `runs`, in that order, joined to events
+    /// whose capture column is `capture`: every `held` column (every
+    /// run's table holds them; the others stay empty) reserved once at
+    /// its final length and copied run by run with `extend_from_slice`,
+    /// except where a run's `event_row`, `source` or `delay` values
+    /// change (one mapped pass over the run). A row that is an orphan
+    /// in the result was one in its run's table, and brings its side
+    /// columns along.
+    pub(crate) fn from_runs(
+        runs: &[MentionRun<'_>],
+        held: ColumnSet,
+        capture: &[u32],
+    ) -> MentionsTable {
         let rows: usize = runs.iter().map(|run| run.rows.len()).sum();
         let mut t = MentionsTable::default();
         macro_rules! columns {
@@ -308,19 +294,21 @@ impl MentionsTable {
             };
         }
         columns!(
-            event_id: MentionsEventId,
-            event_interval: MentionsEventInterval,
             mention_interval: MentionsMentionInterval,
-            delay: MentionsDelay,
             quarter: MentionsQuarter,
             mention_type: MentionsMentionType,
             confidence: MentionsConfidence,
             doc_tone: MentionsDocTone
         );
-        let source_held = held.contains(Column::MentionsSource);
+        let (source_held, delay_held) =
+            (held.contains(Column::MentionsSource), held.contains(Column::MentionsDelay));
+        let orphan_interval_held = held.contains(Column::MentionsOrphanInterval);
         t.event_row.reserve(rows);
         if source_held {
             t.source.reserve(rows);
+        }
+        if delay_held {
+            t.delay.reserve(rows);
         }
         for run in runs {
             let (src, r) = (run.src, &run.rows);
@@ -339,6 +327,32 @@ impl MentionsTable {
                     }))
                 }
                 EventRows::Given(rows) => t.event_row.extend_from_slice(rows),
+            }
+            let delay = src.delay.chunk_view(r.start, r.end);
+            match run.event_row {
+                _ if !delay_held => {}
+                EventRows::Shift { .. } => t.delay.extend_from_slice(delay),
+                EventRows::Given(rows) => {
+                    let at = src.mention_interval.chunk_view(r.start, r.end);
+                    t.delay.extend_from_iter(rows.iter().zip(at).zip(delay).map(
+                        |((&er, &at), &d)| {
+                            capture.get(er as usize).map_or(d, |&c| at.saturating_sub(c))
+                        },
+                    ));
+                }
+            }
+            // The run's rows that stay orphans bring their side columns.
+            let first_orphan = src.joined();
+            for row in r.start.max(first_orphan)..r.end {
+                if let EventRows::Given(rows) = run.event_row {
+                    if rows[row - r.start] != NO_EVENT_ROW {
+                        continue;
+                    }
+                }
+                t.orphan_id.push(src.orphan_id[row - first_orphan]);
+                if orphan_interval_held {
+                    t.orphan_interval.push(src.orphan_interval[row - first_orphan]);
+                }
             }
             if !source_held {
                 continue;
@@ -449,21 +463,13 @@ impl Dataset {
             e.day: EventsDay,
             e.capture: EventsCapture,
             e.quarter: EventsQuarter,
-            e.root: EventsRoot,
             e.quad: EventsQuad,
             e.actor1: EventsActor1,
             e.actor2: EventsActor2,
-            e.goldstein: EventsGoldstein,
-            e.num_mentions: EventsNumMentions,
-            e.num_sources: EventsNumSources,
-            e.num_articles: EventsNumArticles,
             e.avg_tone: EventsAvgTone,
             e.country: EventsCountry,
-            e.lat: EventsLat,
-            e.lon: EventsLon,
-            e.source_url: EventsSourceUrl,
             e.urls: EventsUrls,
-            m.event_interval: MentionsEventInterval,
+            m.orphan_interval: MentionsOrphanInterval,
             m.mention_interval: MentionsMentionInterval,
             m.delay: MentionsDelay,
             m.source: MentionsSource,
@@ -491,23 +497,15 @@ impl Dataset {
             Column::EventsDay => b(e.day.as_slice()),
             Column::EventsCapture => b(e.capture.as_slice()),
             Column::EventsQuarter => b(e.quarter.as_slice()),
-            Column::EventsRoot => b(e.root.as_slice()),
             Column::EventsQuad => b(e.quad.as_slice()),
             Column::EventsActor1 => b(e.actor1.as_slice()),
             Column::EventsActor2 => b(e.actor2.as_slice()),
-            Column::EventsGoldstein => b(e.goldstein.as_slice()),
-            Column::EventsNumMentions => b(e.num_mentions.as_slice()),
-            Column::EventsNumSources => b(e.num_sources.as_slice()),
-            Column::EventsNumArticles => b(e.num_articles.as_slice()),
             Column::EventsAvgTone => b(e.avg_tone.as_slice()),
             Column::EventsCountry => b(e.country.as_slice()),
-            Column::EventsLat => b(e.lat.as_slice()),
-            Column::EventsLon => b(e.lon.as_slice()),
-            Column::EventsSourceUrl => b(e.source_url.as_slice()),
             Column::EventsUrls => pool(&e.urls),
-            Column::MentionsEventId => b(m.event_id.as_slice()),
             Column::MentionsEventRow => b(m.event_row.as_slice()),
-            Column::MentionsEventInterval => b(m.event_interval.as_slice()),
+            Column::MentionsOrphanId => b(m.orphan_id.as_slice()),
+            Column::MentionsOrphanInterval => b(m.orphan_interval.as_slice()),
             Column::MentionsMentionInterval => b(m.mention_interval.as_slice()),
             Column::MentionsDelay => b(m.delay.as_slice()),
             Column::MentionsSource => b(m.source.as_slice()),
@@ -517,6 +515,16 @@ impl Dataset {
             Column::MentionsDocTone => b(m.doc_tone.as_slice()),
             Column::Sources => pool(self.sources.names.pool()) + b(self.sources.country.as_slice()),
             Column::IndexOffsets => b(self.event_index.offsets.as_slice()),
+        }
+    }
+
+    /// `GlobalEventID` of the event the mention at `row` reports on:
+    /// its event's id, or an orphan's own.
+    pub fn mention_event_id(&self, row: usize) -> EventId {
+        let m = &self.mentions;
+        match m.event_row[row] {
+            NO_EVENT_ROW => EventId(m.orphan_id[row - m.joined()]),
+            er => self.events.event_id(er as usize),
         }
     }
 
@@ -546,10 +554,10 @@ impl Dataset {
 
     /// Check every invariant a load relies on: column lengths, sorted
     /// and in-range event columns, mentions grouped by event row and
-    /// time-sorted within one, in-range references, the precomputed
-    /// delay and join columns, and a CSR index whose ranges hold
-    /// exactly their event's rows. Run after every load (and by debug
-    /// builds after every build).
+    /// time-sorted within one, in-range references, an orphan tail no
+    /// event joins, the precomputed delay, and a CSR index whose ranges
+    /// hold exactly their event's rows. Run after every load (and by
+    /// debug builds after every build).
     ///
     /// It *decides* in one pass ([`Dataset::invariants_hold`]); only a
     /// dataset that fails pays for the deep auditor
@@ -573,33 +581,35 @@ impl Dataset {
     /// skips the checks that read it and no other. The CSR ranges are
     /// checked at their first and last rows only: the mentions pass
     /// proves `event_row` non-decreasing, so a range whose ends carry
-    /// its event holds only that event's rows.
+    /// its event holds only that event's rows, and every row past the
+    /// ranges is an orphan.
     fn invariants_hold(&self) -> bool {
-        // An absent URL pool bounds no `source_url`.
-        let n_urls = if self.columns.contains(Column::EventsUrls) {
-            self.events.urls.len() as u64
-        } else {
-            u64::MAX
-        };
-        self.shape_holds()
-            && events_hold(&self.events, n_urls)
-                & mentions_hold(&self.mentions, &self.events.id, self.sources.len())
+        // The rows the CSR index covers: the joined ones, if it holds.
+        let covered = self.event_index.offsets.last().copied().unwrap_or(0);
+        let joined = usize::try_from(covered).unwrap_or(usize::MAX);
+        self.shape_holds(joined)
+            && events_hold(&self.events)
+                & mentions_hold(&self.mentions, &self.events, joined, self.sources.len())
                 & index_holds(&self.event_index.offsets, &self.mentions.event_row)
     }
 
     /// Every held column as long as its table and every other one
-    /// empty, the keys (and the URL ids, with their pool) held, one
-    /// source country per source name, and
-    /// an index of `n_events + 1` offsets from 0 (or none at all for an
-    /// empty events table).
-    fn shape_holds(&self) -> bool {
+    /// empty (the orphan side columns as long as the rows past the
+    /// `joined` ones), the keys held, one source country per source
+    /// name, and an index of `n_events + 1` offsets from 0 (or none at
+    /// all for an empty events table).
+    fn shape_holds(&self, joined: usize) -> bool {
         let (e, m) = (&self.events, &self.mentions);
         let offsets = &self.event_index.offsets;
         let rows = |c: Column, len: usize| if self.columns.contains(c) { len } else { 0 };
+        let orphans = m.len().checked_sub(joined);
         self.columns.to_hold() == self.columns
             && e.column_lens().iter().all(|&(c, n)| n == rows(c, e.len()))
             && m.column_lens().iter().all(|&(c, n)| n == rows(c, m.len()))
-            && (self.columns.contains(Column::EventsUrls) || e.urls.is_empty())
+            && e.urls.len() == rows(Column::EventsUrls, e.len())
+            && orphans == Some(m.orphan_id.len())
+            && orphans.map(|n| rows(Column::MentionsOrphanInterval, n))
+                == Some(m.orphan_interval.len())
             && self.sources.country.len() == self.sources.names.len()
             && (offsets.len() == e.len() + 1 || (e.is_empty() && offsets.is_empty()))
             && offsets.first().copied().unwrap_or(0) == 0
@@ -630,28 +640,24 @@ fn any_row<I: Iterator>(items: I, bad: impl Fn(I::Item) -> bool) -> bool {
     items.fold(false, |found, item| found | bad(item))
 }
 
-/// Ids strictly ascending; root, quad class and URL reference (below
-/// `n_urls`) in range.
-fn events_hold(e: &EventsTable, n_urls: u64) -> bool {
+/// Ids strictly ascending; quad class in range.
+fn events_hold(e: &EventsTable) -> bool {
     let mut bad = false;
     for begin in (0..e.len()).step_by(VALIDATE_BLOCK) {
         let end = begin + VALIDATE_BLOCK;
         // One row past the block, so the pair straddling it is checked.
         let id = e.id.chunk_view(begin, end + 1);
         bad |= any_row(id.iter().zip(id.iter().skip(1)), |(a, b)| a >= b);
-        bad |= any_row(e.root.chunk_view(begin, end).iter(), |&r| r.wrapping_sub(1) >= 20);
         bad |= any_row(e.quad.chunk_view(begin, end).iter(), |&q| q.wrapping_sub(1) >= 4);
-        let url = e.source_url.chunk_view(begin, end);
-        bad |= any_row(url.iter(), |&u| u64::from(u) >= n_urls);
     }
     !bad
 }
 
 /// Grouped by event row (orphans last) and time-sorted within an
-/// event; the precomputed join (`event_ids[event_row] == event_id`,
-/// which puts every event row in range) right; sources in range; the
-/// precomputed delay right.
-fn mentions_hold(m: &MentionsTable, event_ids: &[u64], n_sources: usize) -> bool {
+/// event; sources in range; the precomputed delay right — from the
+/// event's capture for the `joined` rows, from an orphan's own event
+/// time past them; and no orphan id an event of the table holds.
+fn mentions_hold(m: &MentionsTable, e: &EventsTable, joined: usize, n_sources: usize) -> bool {
     let n_sources = n_sources as u64;
     let mut bad = false;
     for begin in (0..m.len()).step_by(VALIDATE_BLOCK) {
@@ -663,21 +669,27 @@ fn mentions_hold(m: &MentionsTable, event_ids: &[u64], n_sources: usize) -> bool
             row.iter().zip(row.iter().skip(1)).zip(at.iter().zip(at.iter().skip(1))),
             |((&r0, &r1), (&t0, &t1))| (r0 == r1) & (r0 != NO_EVENT_ROW) & (t0 > t1),
         );
-        // `event_row` is non-decreasing, so this gather walks forward.
-        let (row, id) = (m.event_row.chunk_view(begin, end), m.event_id.chunk_view(begin, end));
-        bad |= any_row(row.iter().zip(id), |(&r, &id)| {
-            (r != NO_EVENT_ROW) & (event_ids.get(r as usize) != Some(&id))
-        });
         let source = m.source.chunk_view(begin, end);
         bad |= any_row(source.iter(), |&s| u64::from(s) >= n_sources);
-        let (event_at, at, delay) = (
-            m.event_interval.chunk_view(begin, end),
+        // `event_row` is non-decreasing, so this gather walks forward.
+        let end = end.min(joined);
+        let (row, at, delay) = (
+            m.event_row.chunk_view(begin, end),
             m.mention_interval.chunk_view(begin, end),
             m.delay.chunk_view(begin, end),
         );
-        bad |=
-            any_row(event_at.iter().zip(at).zip(delay), |((&e, &t), &d)| d != t.saturating_sub(e));
+        if !e.capture.is_empty() {
+            bad |= any_row(row.iter().zip(at).zip(delay), |((&r, &t), &d)| {
+                e.capture.get(r as usize).is_none_or(|&c| d != t.saturating_sub(c))
+            });
+        }
     }
+    let (at, delay) =
+        (m.mention_interval.chunk_view(joined, m.len()), m.delay.chunk_view(joined, m.len()));
+    bad |= any_row(m.orphan_interval.iter().zip(at).zip(delay), |((&e, &t), &d)| {
+        d != t.saturating_sub(e)
+    });
+    bad |= m.orphan_id.iter().any(|id| e.id.binary_search(id).is_ok());
     !bad
 }
 
@@ -707,20 +719,12 @@ impl EventsTable {
         self.day.push(20_150_218);
         self.capture.push(0);
         self.quarter.push(0);
-        self.root.push(1);
         self.quad.push(1);
         self.actor1.push(u16::MAX);
         self.actor2.push(u16::MAX);
-        self.goldstein.push(0.0);
-        self.num_mentions.push(1);
-        self.num_sources.push(1);
-        self.num_articles.push(1);
         self.avg_tone.push(0.0);
         self.country.push(u16::MAX);
-        self.lat.push(f32::NAN);
-        self.lon.push(f32::NAN);
-        let url = self.urls.push("u");
-        self.source_url.push(url);
+        self.urls.push("u");
     }
 }
 
@@ -770,9 +774,9 @@ mod tests {
         d.sources.names.intern("s");
         d.sources.country.push(0);
         let m = &mut d.mentions;
-        m.event_id.push(1);
         m.event_row.push(NO_EVENT_ROW);
-        m.event_interval.push(10);
+        m.orphan_id.push(1);
+        m.orphan_interval.push(10);
         m.mention_interval.push(14);
         m.delay.push(3); // should be 4
         m.source.push(0);

@@ -7,8 +7,8 @@
 //!
 //! * it checks *everything* — string-pool offset structure down to
 //!   per-slice UTF-8 boundaries, CSR shape, partition soundness over the
-//!   real offsets, value ranges, dictionary uniqueness, and the
-//!   precomputed join/delay/quarter columns;
+//!   real offsets, value ranges, dictionary uniqueness, the orphan tail
+//!   and the precomputed join/delay/quarter columns;
 //! * it collects **all** violations into a [`ValidationReport`] instead
 //!   of stopping at the first, so one run of the CLI names every broken
 //!   invariant of a damaged store.
@@ -194,9 +194,13 @@ pub fn validate_dataset(d: &Dataset) -> ValidationReport {
                 );
             }
         }
-        let n_urls = d.events.urls.len();
-        if !d.columns.contains(Column::EventsUrls) && n_urls > 0 {
-            return violation("events.columns", "events.urls", format!("absent but {n_urls} URLs"));
+        let (n_urls, want) = (d.events.urls.len(), rows(Column::EventsUrls, n_events));
+        if n_urls != want {
+            return violation(
+                "events.columns",
+                "events.urls",
+                format!("{n_urls} URLs, expected {want}"),
+            );
         }
         None
     });
@@ -213,15 +217,6 @@ pub fn validate_dataset(d: &Dataset) -> ValidationReport {
         None
     });
     report.check(|| {
-        for (i, &r) in d.events.root.iter().enumerate() {
-            if !(1..=20).contains(&r) {
-                return violation(
-                    "events.root",
-                    format!("events row {i}"),
-                    format!("CAMEO root {r} outside 1..=20"),
-                );
-            }
-        }
         for (i, &q) in d.events.quad.iter().enumerate() {
             if !(1..=4).contains(&q) {
                 return violation(
@@ -255,22 +250,6 @@ pub fn validate_dataset(d: &Dataset) -> ValidationReport {
                         "quarter column {} disagrees with day-derived {expect}",
                         d.events.quarter[i]
                     ),
-                );
-            }
-        }
-        None
-    });
-    report.check(|| {
-        if !d.columns.contains(Column::EventsUrls) {
-            return None; // an absent pool bounds no reference
-        }
-        let n_urls = d.events.urls.len();
-        for (i, &u) in d.events.source_url.iter().enumerate() {
-            if u as usize >= n_urls {
-                return violation(
-                    "events.url_ref",
-                    format!("events row {i}"),
-                    format!("url id {u} outside pool of {n_urls}"),
                 );
             }
         }
@@ -362,41 +341,49 @@ pub fn validate_dataset(d: &Dataset) -> ValidationReport {
         }
         None
     });
+    // The orphan tail: the rows of no event, which sort last.
+    let m = &d.mentions;
+    let orphans = m.event_row.iter().filter(|&&er| er == NO_EVENT_ROW).count();
+    let joined = n_mentions - orphans;
     report.check(|| {
-        let n = d.mentions.event_row.len().min(d.mentions.event_id.len());
-        for i in 0..n {
-            let er = d.mentions.event_row[i];
-            if er != NO_EVENT_ROW
-                && (er as usize) < n_events
-                && d.events.id[er as usize] != d.mentions.event_id[i]
-            {
+        let side = [
+            (Column::MentionsOrphanId, m.orphan_id.len()),
+            (Column::MentionsOrphanInterval, m.orphan_interval.len()),
+        ];
+        let (c, len) = side.into_iter().find(|&(c, len)| len != rows(c, orphans))?;
+        let want = rows(c, orphans);
+        violation(
+            "mentions.orphans",
+            c.name(),
+            format!("{len} rows, expected {want} (orphan tail)"),
+        )
+    });
+    report.check(|| {
+        for (k, &id) in m.orphan_id.iter().enumerate() {
+            if d.events.id.binary_search(&id).is_ok() {
                 return violation(
                     "mentions.join",
-                    format!("mentions row {i}"),
-                    format!(
-                        "event_row {er} holds id {} but mention references {}",
-                        d.events.id[er as usize], d.mentions.event_id[i]
-                    ),
+                    format!("mentions row {}", joined + k),
+                    format!("orphan of event {id}, which the events table holds"),
                 );
             }
         }
         None
     });
     report.check(|| {
-        let n = d
-            .mentions
-            .delay
-            .len()
-            .min(d.mentions.mention_interval.len())
-            .min(d.mentions.event_interval.len());
-        for i in 0..n {
-            let expect =
-                d.mentions.mention_interval[i].saturating_sub(d.mentions.event_interval[i]);
-            if d.mentions.delay[i] != expect {
+        let (at, delay) = (&m.mention_interval, &m.delay);
+        let event_time = |i: usize| match *m.event_row.get(i)? {
+            NO_EVENT_ROW => m.orphan_interval.get(i.checked_sub(joined)?).copied(),
+            er => d.events.capture.get(er as usize).copied(),
+        };
+        for i in 0..delay.len().min(at.len()) {
+            let Some(from) = event_time(i) else { continue };
+            let expect = at[i].saturating_sub(from);
+            if delay[i] != expect {
                 return violation(
                     "mentions.delay",
                     format!("mentions row {i}"),
-                    format!("precomputed delay {} != derived {expect}", d.mentions.delay[i]),
+                    format!("precomputed delay {} != derived {expect}", delay[i]),
                 );
             }
         }
@@ -717,10 +704,26 @@ mod tests {
 
     #[test]
     fn detects_broken_join() {
+        // An orphan whose event the table holds: the build would have
+        // joined it.
         let mut d = sample();
-        d.mentions.event_id.as_mut_slice()[0] += 999;
+        let id = d.events.id[0];
+        d.mentions.event_row.push(NO_EVENT_ROW);
+        d.mentions.orphan_id.push(id);
+        d.mentions.orphan_interval.push(0);
+        d.mentions.mention_interval.push(0);
+        d.mentions.delay.push(0);
+        d.mentions.source.push(0);
+        d.mentions.quarter.push(Dataset::interval_quarter(CaptureInterval(0)));
+        d.mentions.mention_type.push(1);
+        d.mentions.confidence.push(50);
+        d.mentions.doc_tone.push(0.0);
         let report = d.deep_validate();
+        assert_eq!(report.violations.len(), 1, "{report}");
         assert!(report.violations.iter().any(|v| v.check == "mentions.join"), "{report}");
+        assert!(d.validate().unwrap_err().contains("mentions.join"));
+        d.mentions.orphan_id.as_mut_slice()[0] = 999;
+        assert_eq!(d.validate(), Ok(()));
     }
 
     #[test]

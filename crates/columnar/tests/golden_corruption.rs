@@ -32,7 +32,7 @@ const SEED: u64 = 4242;
 
 /// `checksum64` digest of the committed image bytes — the guard that keeps
 /// the case table honest.
-const IMAGE_DIGEST: u64 = 0x4860_57a7_8713_a792;
+const IMAGE_DIGEST: u64 = 0xd3b7_3ecb_f9fa_0f5f;
 
 /// Expected loader behaviour for one corruption case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -211,21 +211,43 @@ fn corruption_corpus_verdicts() {
 const V1_HEAD: &[u8] = b"GDHPC1\0\0\x22\0\0\0\x0f\0partitions.meta\xab\x0a\0\0\0\0\0\0\
 \x74\xd9\x0e\x61\x09\x88\x7f\x4c\x01\0\0\0\x08\0\0\0";
 
-#[test]
-fn v1_store_is_refused_with_a_reconvert_hint() {
-    let dir = temp_dir("v1");
+/// The first 53 bytes of the image this suite committed before store
+/// format v3: `GDHPC2` magic, 34 sections, the `partitions.meta` header
+/// with its `checksum64`, and the start of its payload.
+const V2_HEAD: &[u8] = b"GDHPC2\0\0\x22\0\0\0\x0f\0partitions.meta\xab\x0a\0\0\0\0\0\0\
+\x12\x4c\xae\xbe\x07\x46\xd4\xa1\x01\0\0\0\x08\0\0\0";
+
+/// Every reader refuses an old store's `head`, naming its `version`
+/// and how to get a current one.
+fn assert_refused_with_a_reconvert_hint(head: &[u8], version: &str) {
+    let dir = temp_dir(version);
     let path = dir.join("store.bin");
-    std::fs::write(&path, V1_HEAD).expect("write v1 head");
+    std::fs::write(&path, head).expect("write old head");
     for err in [
-        load(&path).expect_err("strict loader read a v1 store"),
-        load_degraded(&path).expect_err("degraded loader read a v1 store"),
-        scan_layout(&path).expect_err("layout scan read a v1 store"),
+        load(&path).expect_err("strict loader read an old store"),
+        load_degraded(&path).expect_err("degraded loader read an old store"),
+        scan_layout(&path).expect_err("layout scan read an old store"),
     ] {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
         let msg = err.to_string();
-        assert!(msg.contains("GDHPC1") && msg.contains("re-run `gdelt-cli convert`"), "{msg}");
+        assert!(
+            msg.contains(&format!(
+                "unsupported store format {version}: re-run `gdelt-cli convert`"
+            )),
+            "{msg}"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn v1_store_is_refused_with_a_reconvert_hint() {
+    assert_refused_with_a_reconvert_hint(V1_HEAD, "GDHPC1");
+}
+
+#[test]
+fn v2_store_is_refused_with_a_reconvert_hint() {
+    assert_refused_with_a_reconvert_hint(V2_HEAD, "GDHPC2");
 }
 
 /// Writes the committed image. Run once, commit the file, update

@@ -77,7 +77,7 @@ fn reversed_text_with_duplicates_builds_the_same_store() {
 }
 
 /// `d` with nothing but its events (bit-exact through [`image`]: `NaN`
-/// coordinates never compare equal).
+/// tones never compare equal).
 fn events_only(d: &Dataset) -> Dataset {
     Dataset { events: d.events.clone(), ..Default::default() }
 }
@@ -91,7 +91,7 @@ fn mention_facts(d: &Dataset) -> Vec<(u64, u32, u32, &str, u8, u8, u32)> {
             let name = d.sources.names.get(m.source[row]);
             let tone = m.doc_tone[row].to_bits();
             (
-                m.event_id[row],
+                d.mention_event_id(row).0,
                 m.mention_interval[row],
                 m.delay[row],
                 name,

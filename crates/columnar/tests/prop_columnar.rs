@@ -103,7 +103,7 @@ proptest! {
         binfmt::write_dataset(&mut buf, &d).unwrap();
         let d2 = binfmt::read_dataset(&buf).unwrap();
         // Bit-exact comparison via re-serialization (struct equality
-        // would trip over NaN lat/lon cells of untagged events).
+        // would trip over a NaN tone cell).
         let mut buf2 = Vec::new();
         binfmt::write_dataset(&mut buf2, &d2).unwrap();
         prop_assert_eq!(buf, buf2);

@@ -2,21 +2,24 @@
 //! produces the byte-identical dataset a full rebuild would, and the
 //! run-copy assembly behind `append_batch` and `restrict_to_partitions`
 //! equals the row-at-a-time loops it replaced (kept below as [`oracle`])
-//! byte for byte — on duplicate ids across base and batch, on URL pools
-//! whose ids are shared or permuted, and on any quarantine set. Both keep
-//! a projected dataset projected: they commute with `Dataset::project`.
+//! byte for byte — on duplicate ids across base and batch, on mentions
+//! whose own event time is not their event's capture, and on any
+//! quarantine set. Both keep a projected dataset projected: they
+//! commute with `Dataset::project`. Batches that deliver mentions
+//! before their events grow the orphan tail, and the batch that brings
+//! the events shrinks it again.
 
-use gdelt_columnar::aligned::AlignedBuf;
 use gdelt_columnar::degraded::restrict_to_partitions;
-use gdelt_columnar::incremental::append_batch;
-use gdelt_columnar::{binfmt, Column, ColumnSet, Dataset, DatasetBuilder, StringPool};
+use gdelt_columnar::incremental::{append_batch, APPEND_COLUMNS};
+use gdelt_columnar::table::NO_EVENT_ROW;
+use gdelt_columnar::{binfmt, Column, ColumnSet, Dataset, DatasetBuilder};
+use gdelt_csv::clean::CleanReport;
 use gdelt_model::cameo::{CameoRoot, Goldstein, QuadClass};
 use gdelt_model::event::{ActionGeo, EventRecord};
 use gdelt_model::ids::EventId;
 use gdelt_model::mention::{MentionRecord, MentionType};
 use gdelt_model::time::{DateTime, GDELT_EPOCH};
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 fn event(id: u64, hour: u8) -> EventRecord {
     EventRecord {
@@ -53,6 +56,10 @@ fn mention(event_id: u64, delay: u32, src: usize) -> MentionRecord {
 }
 
 fn build(events: &[EventRecord], mentions: &[MentionRecord]) -> Dataset {
+    build_reported(events, mentions).0
+}
+
+fn build_reported(events: &[EventRecord], mentions: &[MentionRecord]) -> (Dataset, CleanReport) {
     let mut b = DatasetBuilder::new();
     for e in events {
         b.add_event(e.clone());
@@ -60,7 +67,24 @@ fn build(events: &[EventRecord], mentions: &[MentionRecord]) -> Dataset {
     for m in mentions {
         b.add_mention(m.clone());
     }
-    b.build().0
+    b.build()
+}
+
+/// The reports of a build and the batches appended to it, summed class
+/// by class: what one build over all of their records reports.
+fn summed(reports: &[CleanReport]) -> CleanReport {
+    let mut t = CleanReport::default();
+    for r in reports {
+        t.malformed_masterlist += r.malformed_masterlist;
+        t.missing_archives += r.missing_archives;
+        t.missing_source_url += r.missing_source_url;
+        t.future_event_date += r.future_event_date;
+        t.bad_event_lines += r.bad_event_lines;
+        t.bad_mention_lines += r.bad_mention_lines;
+        t.mention_before_event += r.mention_before_event;
+        t.inconsistent_event_time += r.inconsistent_event_time;
+    }
+    t
 }
 
 fn bytes(d: &Dataset) -> Vec<u8> {
@@ -96,15 +120,19 @@ proptest! {
         let e_cut = (events.len() as f64 * split_e) as usize;
         let m_cut = (mentions.len() as f64 * split_m) as usize;
 
-        let base = build(&events[..e_cut], &mentions[..m_cut]);
-        let (updated, stats, _) =
+        let (base, base_report) = build_reported(&events[..e_cut], &mentions[..m_cut]);
+        let (updated, stats, batch_report) =
             append_batch(&base, events[e_cut..].to_vec(), mentions[m_cut..].to_vec());
         prop_assert_eq!(updated.validate(), Ok(()));
         prop_assert_eq!(stats.new_events, events.len() - e_cut);
         prop_assert_eq!(stats.new_mentions, mentions.len() - m_cut);
 
-        let full = build(&events, &mentions);
+        let (full, full_report) = build_reported(&events, &mentions);
         prop_assert_eq!(bytes(&updated), bytes(&full), "split {}/{} diverged", e_cut, m_cut);
+        // Every mention's own event time is midnight and most captures
+        // are not: the inconsistent ones are counted once, by whichever
+        // step joins them.
+        prop_assert_eq!(summed(&[base_report, batch_report]), full_report);
     }
 
     #[test]
@@ -146,34 +174,32 @@ mod oracle {
         dst.day.push(src.day[row]);
         dst.capture.push(src.capture[row]);
         dst.quarter.push(src.quarter[row]);
-        dst.root.push(src.root[row]);
         dst.quad.push(src.quad[row]);
         dst.actor1.push(src.actor1[row]);
         dst.actor2.push(src.actor2[row]);
-        dst.goldstein.push(src.goldstein[row]);
-        dst.num_mentions.push(src.num_mentions[row]);
-        dst.num_sources.push(src.num_sources[row]);
-        dst.num_articles.push(src.num_articles[row]);
         dst.avg_tone.push(src.avg_tone[row]);
         dst.country.push(src.country[row]);
-        dst.lat.push(src.lat[row]);
-        dst.lon.push(src.lon[row]);
-        let url_id = dst.urls.push(src.urls.get(src.source_url[row]));
-        dst.source_url.push(url_id);
+        dst.urls.push(src.url(row));
     }
 
+    /// Copy mention `row` of `src` as one joining event row `er` with
+    /// `source` and `delay`, its orphan side columns along if `er` is
+    /// none.
     fn copy_mention_row(
         dst: &mut MentionsTable,
         src: &MentionsTable,
         row: usize,
         er: u32,
         source: u32,
+        delay: u32,
     ) {
-        dst.event_id.push(src.event_id[row]);
         dst.event_row.push(er);
-        dst.event_interval.push(src.event_interval[row]);
+        if er == NO_EVENT_ROW {
+            dst.orphan_id.push(src.orphan_id[row - src.joined()]);
+            dst.orphan_interval.push(src.orphan_interval[row - src.joined()]);
+        }
         dst.mention_interval.push(src.mention_interval[row]);
-        dst.delay.push(src.delay[row]);
+        dst.delay.push(delay);
         dst.source.push(source);
         dst.quarter.push(src.quarter[row]);
         dst.mention_type.push(src.mention_type[row]);
@@ -234,7 +260,7 @@ mod oracle {
             let new_er = if er != NO_EVENT_ROW {
                 base_row_map[er as usize]
             } else {
-                search(base.mentions.event_id[row])
+                search(base.mention_event_id(row).0)
             };
             let rec = (new_er, base.mentions.mention_interval[row], false, row_u32(row));
             if er == NO_EVENT_ROW && new_er != NO_EVENT_ROW {
@@ -248,7 +274,7 @@ mod oracle {
             let mut new_er =
                 if er != NO_EVENT_ROW { batch_row_map[er as usize] } else { NO_EVENT_ROW };
             if new_er == NO_EVENT_ROW {
-                new_er = search(batch.mentions.event_id[row]);
+                new_er = search(batch.mention_event_id(row).0);
             }
             batch_run.push((new_er, batch.mentions.mention_interval[row], true, row_u32(row)));
         }
@@ -267,9 +293,17 @@ mod oracle {
                 bj += 1;
             }
             let src = if is_batch { &batch.mentions } else { &base.mentions };
-            let source = src.source[row as usize];
+            let row = row as usize;
+            let source = src.source[row];
             let source = if is_batch { source_map[source as usize] } else { source };
-            copy_mention_row(&mut out.mentions, src, row as usize, er, source);
+            // A mention that joins its event here counts from its capture.
+            let rejoined = (is_batch || src.event_row[row] == NO_EVENT_ROW) && er != NO_EVENT_ROW;
+            let delay = if rejoined {
+                src.mention_interval[row].saturating_sub(out.events.capture[er as usize])
+            } else {
+                src.delay[row]
+            };
+            copy_mention_row(&mut out.mentions, src, row, er, source, delay);
         }
         out.event_index = EventIndex::build(out.events.len(), &out.mentions);
         out
@@ -296,40 +330,15 @@ mod oracle {
                 } else {
                     (u64::from(er) - ext.ev_begin + ev_base) as u32
                 };
-                copy_mention_row(&mut out.mentions, &d.mentions, row, er, d.mentions.source[row]);
+                let (m, source, delay) =
+                    (&d.mentions, d.mentions.source[row], d.mentions.delay[row]);
+                copy_mention_row(&mut out.mentions, m, row, er, source, delay);
             }
             ev_base += ext.ev_end - ext.ev_begin;
         }
         out.event_index = EventIndex::build(out.events.len(), &out.mentions);
         out
     }
-}
-
-/// `d` with its URL pool rebuilt in the row order `keys` gives (and, with
-/// `share`, each distinct URL stored once): still validate-clean, but
-/// its `source_url` ids are no longer `0..n`.
-fn scramble_urls(d: &Dataset, keys: &[u32], share: bool) -> Dataset {
-    let n = d.events.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&row| (keys[row % keys.len()], row));
-    let mut pool = StringPool::new();
-    let mut interned: HashMap<&str, u32> = HashMap::new();
-    let mut source_url = vec![0u32; n];
-    for row in order {
-        let url = d.events.url(row);
-        source_url[row] = match interned.get(url) {
-            Some(&id) if share => id,
-            _ => {
-                let id = pool.push(url);
-                interned.insert(url, id);
-                id
-            }
-        };
-    }
-    let mut out = d.clone();
-    out.events.urls = pool;
-    out.events.source_url = AlignedBuf::from(&source_url[..]);
-    out
 }
 
 /// The columns whose bits are set in `mask`, in [`Column::ALL`] order.
@@ -340,8 +349,8 @@ fn columns_of(mask: u32) -> ColumnSet {
 }
 
 /// Column-by-column equality of two datasets, projected ones included
-/// (which cannot be written to compare bytes); `Debug` keeps `NaN`
-/// coordinates equal to themselves.
+/// (which cannot be written to compare bytes); `Debug` keeps a `NaN`
+/// tone equal to itself.
 fn same(a: &Dataset, b: &Dataset) -> bool {
     a.columns == b.columns
         && format!("{:?}", a.events) == format!("{:?}", b.events)
@@ -388,43 +397,10 @@ proptest! {
         prop_assert_eq!(bytes(&updated), bytes(&build(&events, &mentions)));
     }
 
-    #[test]
-    fn shared_or_permuted_url_ids_assemble_like_the_oracle(
-        event_specs in prop::collection::vec((1u64..40, 0u8..24), 1..40),
-        mention_specs in prop::collection::vec((1u64..45, 0u32..200, 0usize..6), 0..80),
-        keys in prop::collection::vec(0u32..1000, 1..8),
-        share in any::<bool>(),
-        split in 0.0f64..1.0,
-        parts in 1u32..9,
-        mask in any::<u16>(),
-    ) {
-        let events = events_sharing_urls(&event_specs);
-        let mentions: Vec<MentionRecord> =
-            mention_specs.into_iter().map(|(id, d, s)| mention(id, d, s)).collect();
-        let e_cut = (events.len() as f64 * split) as usize;
-        let m_cut = (mentions.len() as f64 * split) as usize;
-        let clean = build(&events[..e_cut], &mentions[..m_cut]);
-        let base = scramble_urls(&clean, &keys, share);
-        prop_assert_eq!(base.validate(), Ok(()));
-
-        let (updated, _, _) =
-            append_batch(&base, events[e_cut..].to_vec(), mentions[m_cut..].to_vec());
-        let batch = build(&events[e_cut..], &mentions[m_cut..]);
-        prop_assert_eq!(bytes(&updated), bytes(&oracle::append(&base, &batch)));
-        let (from_clean, _, _) =
-            append_batch(&clean, events[e_cut..].to_vec(), mentions[m_cut..].to_vec());
-        prop_assert_eq!(bytes(&updated), bytes(&from_clean));
-
-        let quarantined: Vec<u32> = (0..parts).filter(|p| mask >> p & 1 == 1).collect();
-        let restricted = restrict_to_partitions(&base, parts, &quarantined).expect("restrict");
-        prop_assert_eq!(bytes(&restricted), bytes(&oracle::restrict(&base, parts, &quarantined)));
-        let from_clean = restrict_to_partitions(&clean, parts, &quarantined).expect("restrict");
-        prop_assert_eq!(bytes(&restricted), bytes(&from_clean));
-    }
-
     // A chain of appends onto a projected base is the full build
     // projected the same way (an append needs the base's scrape
-    // intervals, which place the batch's mentions).
+    // intervals, which place the batch's mentions, and the events'
+    // captures, which their delays count from).
     #[test]
     fn chained_appends_onto_a_projected_base_equal_the_projected_build(
         event_specs in prop::collection::vec((1u64..60, 0u8..24), 1..60),
@@ -432,7 +408,7 @@ proptest! {
         cuts in (0.0f64..1.0, 0.0f64..1.0),
         mask in any::<u32>(),
     ) {
-        let columns = columns_of(mask).union(ColumnSet::of(&[Column::MentionsMentionInterval]));
+        let columns = columns_of(mask).union(APPEND_COLUMNS);
         let events = events_sharing_urls(&event_specs);
         let mentions: Vec<MentionRecord> =
             mention_specs.into_iter().map(|(id, d, s)| mention(id, d, s)).collect();
@@ -486,4 +462,119 @@ proptest! {
         prop_assert_eq!(restricted.validate(), Ok(()));
         prop_assert_eq!(bytes(&restricted), bytes(&oracle::restrict(&d, parts, &quarantined)));
     }
+}
+
+/// A mention of `event_id` whose own event time is `event_hour` on the
+/// epoch day — not necessarily the event's capture — scraped `delay`
+/// intervals after it.
+fn mention_at(event_id: u64, event_hour: u8, delay: u32, src: usize) -> MentionRecord {
+    let t = DateTime::new(GDELT_EPOCH, event_hour, 0, 0).unwrap();
+    MentionRecord {
+        event_time: t,
+        mention_time: DateTime::from_unix_seconds(t.to_unix_seconds() + i64::from(delay) * 900),
+        ..mention(event_id, 0, src)
+    }
+}
+
+/// Every delay of `d` counts from the event's capture, or from an
+/// orphan's own event time.
+fn delays_derived(d: &Dataset) -> bool {
+    let m = &d.mentions;
+    (0..m.len()).all(|row| {
+        let from = match m.event_row[row] {
+            NO_EVENT_ROW => m.orphan_interval[row - m.joined()],
+            er => d.events.capture[er as usize],
+        };
+        m.delay[row] == m.mention_interval[row].saturating_sub(from)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // Batch `k` brings the events of slice `k` and the mentions of
+    // slice `k + 1`'s events, ahead of them — as `gdelt-cli chaos`
+    // storms deliver them. After every append the orphan tail holds
+    // exactly the mentions whose event has not arrived, with their own
+    // ids and event times; the batch that brings the events re-matches
+    // them, with delays counted from the capture; and every step equals
+    // the from-scratch build of what arrived so far.
+    #[test]
+    fn mentions_ahead_of_their_events_ride_the_orphan_tail(
+        hours in prop::collection::vec(0u8..24, 1..40),
+        mention_specs in prop::collection::vec((0usize..40, 0u8..24, 0u32..200, 0usize..6), 0..80),
+        batches in 1usize..5,
+    ) {
+        let n = hours.len();
+        let slice = |id: u64| (id as usize - 1) * batches / n;
+        let events: Vec<EventRecord> =
+            (1..=n as u64).map(|id| event(id, hours[id as usize - 1])).collect();
+        let mentions: Vec<MentionRecord> = mention_specs
+            .iter()
+            .map(|&(e, hour, delay, src)| mention_at((e % n) as u64 + 1, hour, delay, src))
+            .collect();
+        let events_of = |k: usize| -> Vec<EventRecord> {
+            events.iter().filter(|e| slice(e.id.raw()) == k).cloned().collect()
+        };
+        let mentions_of = |k: usize| -> Vec<MentionRecord> {
+            mentions.iter().filter(|m| slice(m.event_id.raw()) == k).cloned().collect()
+        };
+
+        let (mut arrived_events, mut arrived_mentions) = (events_of(0), mentions_of(0));
+        arrived_mentions.extend(mentions_of(1));
+        let (mut d, report) = build_reported(&arrived_events, &arrived_mentions);
+        let mut reports = vec![report];
+        for k in 1..=batches {
+            let ahead = mentions_of(k);
+            prop_assert_eq!(d.mentions.orphan_id.len(), ahead.len());
+            let mut want: Vec<u64> = ahead.iter().map(|m| m.event_id.raw()).collect();
+            let mut got = d.mentions.orphan_id.to_vec();
+            want.sort_unstable();
+            got.sort_unstable();
+            prop_assert_eq!(got, want);
+            prop_assert!(delays_derived(&d));
+
+            let (batch_events, batch_mentions) = (events_of(k), mentions_of(k + 1));
+            arrived_events.extend(batch_events.iter().cloned());
+            arrived_mentions.extend(batch_mentions.iter().cloned());
+            let (next, stats, report) = append_batch(&d, batch_events, batch_mentions);
+            prop_assert_eq!(stats.rematched_mentions, ahead.len());
+            prop_assert!(delays_derived(&next));
+            let (full, full_report) = build_reported(&arrived_events, &arrived_mentions);
+            prop_assert_eq!(bytes(&next), bytes(&full));
+            reports.push(report);
+            prop_assert_eq!(summed(&reports), full_report);
+            d = next;
+        }
+        prop_assert!(d.mentions.orphan_id.is_empty() && d.mentions.orphan_interval.is_empty());
+    }
+}
+
+#[test]
+fn a_rematched_orphan_leaves_the_tail_with_its_capture_delay() {
+    // Mentions of event 7 arrive first, claiming it happened at 02:00;
+    // event 7 is captured at 05:00.
+    let base = build(&[event(1, 0)], &[mention_at(1, 0, 1, 0), mention_at(7, 2, 20, 1)]);
+    assert_eq!(base.mentions.orphan_id.as_slice(), &[7]);
+    assert_eq!(base.mentions.orphan_interval.as_slice(), &[8]);
+    assert_eq!(base.mentions.delay[1], 20);
+
+    let (grown, _, _) = append_batch(&base, vec![], vec![mention_at(9, 1, 3, 2)]);
+    assert_eq!(grown.mentions.orphan_id.as_slice(), &[9, 7], "tail sorted by scrape time");
+    assert_eq!(grown.mentions.orphan_interval.as_slice(), &[4, 8]);
+
+    let (joined, stats, report) = append_batch(&grown, vec![event(7, 5)], vec![]);
+    assert_eq!(stats.rematched_mentions, 1);
+    // Its own event time (interval 8) is not event 7's capture (20).
+    assert_eq!((stats.inconsistent_event_time, report.inconsistent_event_time), (1, 1));
+    assert_eq!(joined.mentions.orphan_id.as_slice(), &[9]);
+    assert_eq!(joined.mentions.orphan_interval.as_slice(), &[4]);
+    let row = joined.mentions_of(1).start;
+    // Scraped at 8 + 20 = 28; event 7's capture is 20.
+    assert_eq!((joined.mentions.mention_interval[row], joined.mentions.delay[row]), (28, 8));
+    let full = build(
+        &[event(1, 0), event(7, 5)],
+        &[mention_at(1, 0, 1, 0), mention_at(7, 2, 20, 1), mention_at(9, 1, 3, 2)],
+    );
+    assert_eq!(bytes(&joined), bytes(&full));
 }

@@ -213,7 +213,7 @@ fn whole_line_pieces(text: &str, n: usize) -> impl Iterator<Item = &str> {
     (0..n).map(move |k| &text[cut(k)..cut(k + 1)])
 }
 
-/// The store image (bit-exact, `NaN` coordinates included) and the report.
+/// The store image (bit-exact, `NaN` tones included) and the report.
 fn image(b: DatasetBuilder) -> (Vec<u8>, CleanReport) {
     let (d, report) = b.build();
     let mut bytes = Vec::new();
@@ -322,4 +322,39 @@ fn undecodable_bytes_cost_at_most_their_line() {
     let parsed = gdelt_csv::mentions::parse_mentions(&mentions, |n, _, _| bad += n);
     assert_eq!((parsed.len(), bad), (2, 3 + 2));
     assert_eq!(parsed[0].url, "https://x/\u{fffd}");
+}
+
+/// A mention whose `EventTimeDate` is a day before its event's
+/// `DATEADDED` gives the same store and the same report through the
+/// text and the record path: it is kept, counted once as an
+/// inconsistent event time, and its delay counts from the capture, as
+/// its twin's that agrees does.
+#[test]
+fn an_event_time_that_disagrees_with_the_capture() {
+    let e = event(1, 5);
+    let at = |t: &DateTime, secs: i64| DateTime::from_unix_seconds(t.to_unix_seconds() + secs);
+    let agrees = MentionRecord {
+        event_id: e.id,
+        event_time: e.date_added,
+        mention_time: at(&e.date_added, 2 * 3_600),
+        ..mention(1, 5)
+    };
+    let disagrees = MentionRecord { event_time: at(&e.date_added, -86_400), ..agrees.clone() };
+
+    let mut text = DatasetBuilder::new();
+    text.ingest_events_bytes((write_event_line(&e) + "\n").as_bytes());
+    let lines = [&agrees, &disagrees].map(|m| write_mention_line(m) + "\n").concat();
+    text.ingest_mentions_bytes(lines.as_bytes());
+    let mut records = DatasetBuilder::new();
+    records.add_event(e);
+    records.add_mention(agrees);
+    records.add_mention(disagrees);
+
+    let (by_text, by_records) = (image(text), image(records));
+    assert!(by_text == by_records, "{:?}\n{:?}", by_text.1, by_records.1);
+    assert_eq!(by_text.1.inconsistent_event_time, 1);
+    assert_eq!(by_text.1.total(), 1);
+    let d = binfmt::read_dataset(&by_text.0).unwrap();
+    assert_eq!(d.mentions.delay.as_slice(), &[8, 8], "two hours after the capture");
+    assert!(d.mentions.orphan_id.is_empty());
 }

@@ -3,8 +3,8 @@
 //! The contract under test: [`Dataset::deep_validate`] accepts every
 //! dataset the builder produces, and rejects *any* single structural
 //! corruption — truncated columns, flipped CSR offsets, broken joins,
-//! stale derived columns, dangling dictionary references, out-of-range
-//! index bounds. Each case builds a pristine dataset from arbitrary
+//! ragged orphan tails, stale derived columns, dangling dictionary
+//! references, out-of-range index bounds. Each case builds a pristine dataset from arbitrary
 //! records, applies one randomly chosen corruption, and requires at
 //! least one violation (cases where the chosen corruption is not
 //! applicable to the generated data are skipped).
@@ -137,7 +137,7 @@ fn corrupt(d: &mut Dataset, op: usize, pick: usize) -> Option<&'static [&'static
             d.events.id.as_mut_slice().swap(pos, pos + 1);
             Some(&["events.sorted", "mentions.join", "mentions.grouping", "index.ranges"])
         }
-        // Point a mention at a different event row than its id says.
+        // Point a mention at a different event row than it joins.
         5 => {
             if n_mentions == 0 || n_events < 2 {
                 return None;
@@ -145,11 +145,8 @@ fn corrupt(d: &mut Dataset, op: usize, pick: usize) -> Option<&'static [&'static
             let i = pick % n_mentions;
             let old = d.mentions.event_row[i];
             let new = if old == NO_EVENT_ROW || old as usize == 0 { 1 } else { old - 1 };
-            if d.events.id[new as usize] == d.mentions.event_id[i] {
-                return None;
-            }
             d.mentions.event_row[i] = new;
-            Some(&["mentions.join", "mentions.grouping", "index.ranges", "index.coverage"])
+            Some(&["mentions.orphans", "mentions.grouping", "index.ranges", "index.coverage"])
         }
         // Stale derived delay column.
         6 => {
@@ -169,14 +166,14 @@ fn corrupt(d: &mut Dataset, op: usize, pick: usize) -> Option<&'static [&'static
             d.mentions.quarter[i] = d.mentions.quarter[i].wrapping_add(1);
             Some(&["mentions.quarter"])
         }
-        // Dangling URL dictionary reference.
+        // An orphan side column longer than the orphan tail.
         8 => {
-            if n_events == 0 {
-                return None;
+            if pick.is_multiple_of(2) {
+                d.mentions.orphan_id.push(u64::MAX);
+            } else {
+                d.mentions.orphan_interval.push(0);
             }
-            let i = pick % n_events;
-            d.events.source_url[i] = u32::MAX - 1;
-            Some(&["events.url_ref"])
+            Some(&["mentions.orphans"])
         }
         // Dangling mention source reference.
         _ => {
@@ -331,37 +328,81 @@ fn three_per_event() -> Dataset {
     b.build().0
 }
 
-/// Without `mentions.event_interval` the gate cannot check the delay,
-/// and it still checks everything else — the source range, which the
-/// fused pass once zipped beside it, included. A decreasing `event_row`
-/// that keeps every join and every CSR range's ends intact (the middle
-/// rows of events 0 and 2 swapped, ids along) is refused as well, also
-/// without `mentions.mention_interval`, which the grouping check once
-/// zipped beside it.
+/// Without `events.capture` the gate cannot check a joined row's
+/// delay, and it still checks everything else — the source range,
+/// which the fused pass once zipped beside it, included. A decreasing
+/// `event_row` that keeps every CSR range's ends intact (the middle
+/// rows of events 0 and 2 swapped) is refused as well, also without
+/// `mentions.mention_interval`, which the grouping check once zipped
+/// beside it.
 #[test]
 fn load_gate_skips_only_the_checks_of_absent_columns() {
     let d = three_per_event();
     let without =
         |dropped: &[Column]| d.clone().project(&ColumnSet::ALL.difference(ColumnSet::of(dropped)));
-    let no_event_at = without(&[Column::MentionsEventInterval]);
+    let no_event_at = without(&[Column::EventsCapture]);
     assert_eq!(no_event_at.validate(), Ok(()));
     let mut stale = no_event_at.clone();
     stale.mentions.delay.as_mut_slice()[4] += 1;
-    assert_eq!(stale.validate(), Ok(()), "no event interval, no delay check");
+    assert_eq!(stale.validate(), Ok(()), "no capture, no delay check");
     let mut dangling = no_event_at.clone();
     dangling.mentions.source.as_mut_slice()[4] = 99;
     let err = dangling.validate().expect_err("a source outside the directory is refused");
     assert!(err.contains("mentions.source_ref"), "{err}");
 
-    let no_intervals = without(&[Column::MentionsEventInterval, Column::MentionsMentionInterval]);
+    let no_intervals = without(&[Column::EventsCapture, Column::MentionsMentionInterval]);
     for d in [no_event_at, no_intervals] {
         let mut swapped = d.clone();
         swapped.mentions.event_row.as_mut_slice().swap(1, 7);
-        swapped.mentions.event_id.as_mut_slice().swap(1, 7);
         assert_eq!(swapped.mentions.event_row.as_slice()[..9], [0, 2, 0, 1, 1, 1, 2, 0, 2]);
         let err = swapped.validate().expect_err("a decreasing event_row is refused");
         assert!(err.contains("mentions.grouping"), "{err}");
     }
+}
+
+/// Append an orphan mention of event `id`, which the dataset lacks,
+/// scraped at its own event time.
+fn push_orphan(d: &mut Dataset, id: u64) {
+    let m = &mut d.mentions;
+    m.event_row.push(NO_EVENT_ROW);
+    m.orphan_id.push(id);
+    m.orphan_interval.push(0);
+    m.mention_interval.push(0);
+    m.delay.push(0);
+    m.source.push(0);
+    m.quarter.push(m.quarter[0]);
+    m.mention_type.push(1);
+    m.confidence.push(50);
+    m.doc_tone.push(0.0);
+}
+
+/// The gate refuses an orphan side column that is not as long as the
+/// orphan tail, and a joined row whose delay does not count from its
+/// event's capture — here one counted from a later event time.
+#[test]
+fn load_gate_refuses_a_ragged_orphan_tail_and_a_delay_not_from_the_capture() {
+    let mut d = three_per_event();
+    push_orphan(&mut d, 99);
+    assert_eq!(d.validate(), Ok(()));
+    let ragged: [fn(&mut Dataset); 4] = [
+        |d| d.mentions.orphan_id.push(98),
+        |d| d.mentions.orphan_id.resize(0, 0),
+        |d| d.mentions.orphan_interval.push(0),
+        |d| d.mentions.orphan_interval.resize(0, 0),
+    ];
+    for damage in ragged {
+        let mut bad = d.clone();
+        damage(&mut bad);
+        let err = bad.validate().expect_err("a ragged orphan tail is refused");
+        assert!(err.contains("mentions.orphans"), "{err}");
+    }
+
+    let mut late = three_per_event();
+    let (capture, at) = (late.events.capture[0], late.mentions.mention_interval[0]);
+    assert_eq!(late.mentions.delay[0], at - capture);
+    late.mentions.delay.as_mut_slice()[0] = 0;
+    let err = late.validate().expect_err("a delay not from the capture is refused");
+    assert!(err.contains("mentions.delay"), "{err}");
 }
 
 /// One section of a serialized store, for byte-level surgery.
@@ -458,7 +499,7 @@ proptest! {
     fn recomputed_checksum_corruption_is_caught_by_deep_validate(
         events in prop::collection::vec(arb_event(20), 2..20),
         mentions in prop::collection::vec(arb_mention(20), 2..40),
-        which in 0usize..3,
+        which in 0usize..4,
     ) {
         let d = build(events, mentions);
         let bytes = serialize(&d);
@@ -490,6 +531,14 @@ proptest! {
                 let len = sections[s].payload.len();
                 sections[s].payload.truncate(len - 4);
             }
+            // Truncate the join column by one element: it sets the
+            // mentions table's length, so every other mentions column
+            // is now one row longer than the table.
+            2 => {
+                let s = find(&sections, "mentions.event_row");
+                let len = sections[s].payload.len();
+                sections[s].payload.truncate(len - 4);
+            }
             // Stale quarter value on the first event.
             _ => {
                 let s = find(&sections, "events.quarter");
@@ -505,6 +554,42 @@ proptest! {
         };
         let report = loaded.deep_validate();
         prop_assert!(!report.is_ok(), "semantic corruption {which} survived the deep audit");
+        // The checked loader refuses every one but the stale quarter (a
+        // deep-audit-only check) with a typed error, not a panic.
+        if which < 3 {
+            let err = binfmt::read_dataset(&corrupted).expect_err("the load gate refuses it");
+            prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        }
+    }
+
+    /// Any data section cut short by 8 bytes, checksum recomputed, is
+    /// refused by the checked loader with a typed error and reported by
+    /// the deep audit: a column shorter than its table never panics a
+    /// reader. (`partitions.meta` is read only by the degraded loader.)
+    #[test]
+    fn a_short_section_with_a_recomputed_checksum_is_refused(
+        events in prop::collection::vec(arb_event(20), 2..20),
+        mentions in prop::collection::vec(arb_mention(20), 2..40),
+        pick in 0usize..64,
+    ) {
+        let bytes = serialize(&build(events, mentions));
+        let (header, mut sections) = split_store(&bytes);
+        let long: Vec<usize> =
+            (0..sections.len())
+                .filter(|&i| sections[i].payload.len() >= 8 && sections[i].name != binfmt::META_SECTION)
+                .collect();
+        let s = long[pick % long.len()];
+        let len = sections[s].payload.len();
+        sections[s].payload.truncate(len - 8);
+        let corrupted = join_store(&header, &sections);
+        let name = &sections[s].name;
+        let result = binfmt::read_dataset(&corrupted);
+        prop_assert!(result.is_err(), "{name} cut short by 8 bytes loaded");
+        let err = result.unwrap_err();
+        prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{}", err);
+        if let Ok(loaded) = binfmt::read_dataset_unchecked(&corrupted) {
+            prop_assert!(!loaded.deep_validate().is_ok(), "{name} cut short passed the audit");
+        }
     }
 }
 
@@ -513,8 +598,7 @@ proptest! {
 
     /// An untouched store reads back equal to what was written — empty
     /// tables and zero-length sections included. Events compare through
-    /// their serialization: unresolved coordinates are NaN, which `==`
-    /// never equals.
+    /// their serialization: a `NaN` tone never `==` itself.
     #[test]
     fn store_round_trips(
         events in prop::collection::vec(arb_event(30), 0..40),

@@ -36,6 +36,10 @@ pub struct CleanReport {
     pub bad_mention_lines: u64,
     /// Mentions whose scrape time precedes the event capture time.
     pub mention_before_event: u64,
+    /// Mentions whose `EventTimeDate` is not their event's `DATEADDED`
+    /// capture interval. They are kept; their delay counts from the
+    /// event's capture, the one event time the store holds.
+    pub inconsistent_event_time: u64,
 }
 
 impl CleanReport {
@@ -48,6 +52,7 @@ impl CleanReport {
             + self.bad_event_lines
             + self.bad_mention_lines
             + self.mention_before_event
+            + self.inconsistent_event_time
     }
 }
 
@@ -60,7 +65,8 @@ impl fmt::Display for CleanReport {
         writeln!(f, "  Event date in future of first article      {}", self.future_event_date)?;
         writeln!(f, "  Unparseable event lines                    {}", self.bad_event_lines)?;
         writeln!(f, "  Unparseable mention lines                  {}", self.bad_mention_lines)?;
-        write!(f, "  Mentions scraped before event capture      {}", self.mention_before_event)
+        writeln!(f, "  Mentions scraped before event capture      {}", self.mention_before_event)?;
+        write!(f, "  Mentions with inconsistent event time      {}", self.inconsistent_event_time)
     }
 }
 
@@ -115,6 +121,12 @@ impl Cleaner {
             self.report.mention_before_event += 1;
         }
         true
+    }
+
+    /// Record `n` joined mentions whose own event time is not their
+    /// event's capture interval.
+    pub fn inconsistent_event_times(&mut self, n: u64) {
+        self.report.inconsistent_event_time += n;
     }
 
     /// Finish and take the report.

@@ -63,7 +63,7 @@ impl RowStore {
             .collect();
         let mentions = (0..d.mentions.len())
             .map(|row| RowMention {
-                event_id: d.mentions.event_id[row].to_string(),
+                event_id: d.mention_event_id(row).0.to_string(),
                 source_name: d.sources.name(d.mentions.source_id(row)).to_owned(),
             })
             .collect();

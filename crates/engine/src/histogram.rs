@@ -124,24 +124,14 @@ mod tests {
             events.day.push(20_150_218);
             events.capture.push(0);
             events.quarter.push(0);
-            events.root.push(1);
             events.quad.push(1);
             events.actor1.push(u16::MAX);
             events.actor2.push(u16::MAX);
-            events.goldstein.push(0.0);
-            events.num_mentions.push(deg as u32);
-            events.num_sources.push(1);
-            events.num_articles.push(deg as u32);
             events.avg_tone.push(0.0);
             events.country.push(u16::MAX);
-            events.lat.push(f32::NAN);
-            events.lon.push(f32::NAN);
-            let u = events.urls.push("u");
-            events.source_url.push(u);
+            events.urls.push("u");
             for _ in 0..deg {
-                mentions.event_id.push(i as u64 + 1);
                 mentions.event_row.push(i as u32);
-                mentions.event_interval.push(0);
                 mentions.mention_interval.push(0);
                 mentions.delay.push(0);
                 mentions.source.push(0);

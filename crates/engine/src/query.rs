@@ -144,8 +144,8 @@ impl Query {
 
     /// The columns the query reads — the one declaration of them, and
     /// what [`run_query`] checks a dataset holds: the keys every
-    /// dataset holds ([`ColumnSet::KEYS`]: ids, `event_row`, the CSR
-    /// offsets, the source directory) and the columns its kernels scan.
+    /// dataset holds ([`ColumnSet::KEYS`]: event and orphan ids,
+    /// `event_row`, the CSR offsets, the source directory) and the columns its kernels scan.
     /// Every series reads both quarter columns, which span its slots.
     pub const fn columns(&self) -> ColumnSet {
         use Column::*;

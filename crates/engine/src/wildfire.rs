@@ -36,13 +36,14 @@ pub fn spread_per_event(ctx: &ExecContext, d: &Dataset, k: usize) -> Vec<Spread>
         let mut seen: Vec<u32> = Vec::with_capacity(64);
         for_each_event(offsets, events, |event, rows| {
             let sources = d.mentions.source.get(rows.clone()).unwrap_or(&[]);
-            let arrived = d.mentions.mention_interval.get(rows.clone()).unwrap_or(&[]);
-            let happened = d.mentions.event_interval.get(rows).unwrap_or(&[]);
+            let arrived = d.mentions.mention_interval.get(rows).unwrap_or(&[]);
+            // Every mention of the event counts from its capture.
+            let from = d.events.capture.get(event).copied().unwrap_or(0);
             // Mentions are time-sorted within the event; count distinct
             // sources in arrival order.
             seen.clear();
             let mut time_to_k = None;
-            for ((&s, &at), &from) in sources.iter().zip(arrived).zip(happened) {
+            for (&s, &at) in sources.iter().zip(arrived) {
                 if !seen.contains(&s) {
                     seen.push(s);
                     if seen.len() == k {

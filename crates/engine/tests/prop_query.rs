@@ -840,7 +840,7 @@ fn run_query_names_the_column_a_projection_dropped() {
             assert!(message.contains(c.name()), "{q} without {c} panicked with {message:?}");
         }
     }
-    // The union a server holds, spelled out: 20 B per event, 26 per mention.
+    // The union a server holds, spelled out: 20 B per event, 18 per mention.
     let served = Query::SERVED_COLUMNS.difference(ColumnSet::KEYS);
     assert_eq!(
         served.iter().collect::<Vec<_>>(),

@@ -271,6 +271,7 @@ fn cmd_convert(o: &Options) -> Result<(), String> {
     report_skipped(&report);
     binfmt::save(out, &dataset).map_err(|e| format!("writing {}: {e}", out.display()))?;
     eprintln!("{}", gdelt_columnar::memsize::measure(&dataset).render());
+    eprintln!("at paper scale: {}", gdelt_columnar::memsize::project_full_scale(&dataset).render());
     eprintln!("wrote indexed binary dataset to {}", out.display());
     Ok(())
 }

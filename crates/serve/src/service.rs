@@ -23,14 +23,15 @@
 //! [`QueryService::apply_batch`] swaps in an updated dataset under the
 //! write lock and invalidates the cache before releasing it. That
 //! dataset holds only the columns queries read
-//! ([`Query::SERVED_COLUMNS`]); appends keep it projected.
+//! ([`Query::SERVED_COLUMNS`]) and those an append reads
+//! ([`APPEND_COLUMNS`]); appends keep it projected.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
-use gdelt_columnar::incremental::{append_batch, BatchStats};
+use gdelt_columnar::incremental::{append_batch, BatchStats, APPEND_COLUMNS};
 use gdelt_columnar::{Coverage, Dataset, StoreHealth};
 use gdelt_csv::clean::CleanReport;
 use gdelt_engine::{run_query, ExecContext, Query, QueryResult};
@@ -170,11 +171,11 @@ impl QueryService {
     /// [`ServiceConfig::degraded_policy`] against it and stamps its
     /// coverage on metrics and [`QueryService::run_covered`] answers.
     ///
-    /// The service holds only what queries read: `dataset` is projected
-    /// to [`Query::SERVED_COLUMNS`], and so are the datasets
-    /// [`QueryService::apply_batch`] swaps in.
+    /// The service holds only what queries and appends read: `dataset`
+    /// is projected to [`Query::SERVED_COLUMNS`] and [`APPEND_COLUMNS`],
+    /// and so are the datasets [`QueryService::apply_batch`] swaps in.
     pub fn with_health(dataset: Dataset, health: StoreHealth, config: ServiceConfig) -> Self {
-        let dataset = dataset.project(&Query::SERVED_COLUMNS);
+        let dataset = dataset.project(&Query::SERVED_COLUMNS.union(APPEND_COLUMNS));
         let mut builder = ExecContext::builder();
         if let Some(t) = config.threads {
             builder = builder.threads(t);
@@ -279,7 +280,7 @@ impl QueryService {
     }
 
     /// Snapshot of the dataset currently being served, projected to
-    /// [`Query::SERVED_COLUMNS`].
+    /// [`Query::SERVED_COLUMNS`] and [`APPEND_COLUMNS`].
     pub fn dataset(&self) -> Arc<Dataset> {
         Arc::clone(&read_recover(&self.shared.data))
     }

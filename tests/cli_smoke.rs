@@ -51,7 +51,22 @@ fn generate_convert_report_loop() {
     assert!(out.status.success(), "convert failed: {}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("Table II"), "convert must print the cleaning report");
+    assert!(stdout.contains("Mentions with inconsistent event time"), "{stdout}");
     assert!(bin.exists());
+    // The measured footprint, then the paper-scale projection: 1.09 B
+    // mentions at 24 B each is ≈ 26 GB of mention columns.
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let lines: Vec<&str> = stderr.lines().collect();
+    let at = lines.iter().position(|l| l.starts_with("memory: ")).expect("footprint line");
+    let paper = lines[at + 1];
+    assert!(paper.starts_with("at paper scale: memory: events "), "{stderr}");
+    let mib = |part: &str| -> f64 {
+        let rest = &paper[paper.find(part).expect(part) + part.len()..];
+        rest.split(' ').next().unwrap().parse().unwrap()
+    };
+    let mention_gb = mib(" mentions ") * 1024.0 * 1024.0 / 1e9;
+    assert!((25.5..26.5).contains(&mention_gb), "{paper}");
+    assert!(mib(" = ") > mib(" mentions "), "{paper}");
 
     let out = cli()
         .args(["report", "--data"])

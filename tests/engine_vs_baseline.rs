@@ -18,7 +18,7 @@ fn dataset() -> Dataset {
 fn event_source_sets(d: &Dataset) -> BTreeMap<u64, BTreeSet<u32>> {
     let mut map: BTreeMap<u64, BTreeSet<u32>> = BTreeMap::new();
     for row in 0..d.mentions.len() {
-        map.entry(d.mentions.event_id[row]).or_default().insert(d.mentions.source[row]);
+        map.entry(d.mention_event_id(row).0).or_default().insert(d.mentions.source[row]);
     }
     map
 }
@@ -63,7 +63,7 @@ fn followreport_matches_brute_force() {
     let mut by_event: BTreeMap<u64, Vec<(u32, u32)>> = BTreeMap::new(); // (interval, source)
     for row in 0..d.mentions.len() {
         by_event
-            .entry(d.mentions.event_id[row])
+            .entry(d.mention_event_id(row).0)
             .or_default()
             .push((d.mentions.mention_interval[row], d.mentions.source[row]));
     }
