@@ -645,6 +645,8 @@ pub(crate) struct Sections {
     /// repeated. Always empty after a strict [`Sections::read`], which
     /// refuses them.
     pub(crate) dirty: BTreeSet<String>,
+    /// Stored checksums of the sections read, in file order.
+    checksums: Vec<u64>,
 }
 
 impl Sections {
@@ -684,6 +686,7 @@ impl Sections {
         let mut map = HashMap::with_capacity(reader.left as usize);
         let mut skipped = BTreeSet::new();
         let mut dirty = BTreeSet::new();
+        let mut checksums = Vec::new();
         loop {
             let h = match reader.next_header() {
                 Ok(Some(h)) => h,
@@ -719,6 +722,7 @@ impl Sections {
                 }
                 dirty.insert(h.name.clone());
             }
+            checksums.push(h.checksum);
             if repeated {
                 dirty.insert(h.name);
             } else {
@@ -728,7 +732,7 @@ impl Sections {
                 break; // the source is exhausted and unsynchronized
             }
         }
-        Ok(Sections { map, dirty })
+        Ok(Sections { map, dirty, checksums })
     }
 
     pub(crate) fn get(&self, name: &str) -> io::Result<&[u8]> {
@@ -883,12 +887,26 @@ pub fn load(path: &Path) -> io::Result<Dataset> {
 /// unseen: this is what a server opens, and `gdelt-cli validate` still
 /// loads everything.
 pub fn load_projected(path: &Path, columns: &ColumnSet) -> io::Result<Dataset> {
+    load_projected_with_identity(path, columns).map(|(dataset, _)| dataset)
+}
+
+/// [`load_projected`], with the identity of what it loaded: a digest of
+/// the checksums of every section it read and verified, never 0. A
+/// store whose loaded columns differ in any byte has another identity
+/// (up to checksum collisions); reloading the same file gives the same.
+pub fn load_projected_with_identity(
+    path: &Path,
+    columns: &ColumnSet,
+) -> io::Result<(Dataset, u64)> {
     let _s = gdelt_obs::span("store", "load");
     let (r, len) = open_sized(path)?;
     let columns = columns.to_hold();
-    let dataset = dataset_from_sections(Sections::read_projected(r, len, columns)?, columns)?;
+    let sections = Sections::read_projected(r, len, columns)?;
+    let digests: Vec<u8> = sections.checksums.iter().flat_map(|c| c.to_le_bytes()).collect();
+    let identity = checksum64(&digests).max(1);
+    let dataset = dataset_from_sections(sections, columns)?;
     dataset.validate().map_err(bad)?;
-    Ok(dataset)
+    Ok((dataset, identity))
 }
 
 /// Load a dataset verifying only checksums, for the deep auditor; see

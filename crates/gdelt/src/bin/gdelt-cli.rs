@@ -108,8 +108,9 @@ OPTIONS:
   --workers N  serve-bench: service worker threads (default 2)
   --clients N  serve-bench: concurrent client threads (default 4)
   --no-cache   serve-bench: disable the result cache
-  --check      serve-bench: exit non-zero unless the run had zero sheds,
-               (with the cache on) at least one cache hit, and (with
+  --check      serve-bench: exit non-zero unless the run had no errors,
+               sheds or degraded answers, (with the cache on) at least
+               one cache hit and completed = hits + misses, and (with
                --trace-out) at least one recorded span
                chaos: exit non-zero on any violated invariant
   --out DIR    chaos: working directory for the store image, the
@@ -465,19 +466,18 @@ fn cmd_synth_report(o: &Options) -> Result<(), String> {
 }
 
 fn cmd_serve_bench(o: &Options) -> Result<(), String> {
-    use gdelt_serve::{replay, seeded_mix, QueryService, ServiceConfig};
+    use gdelt_serve::{seeded_mix, QueryService, ServiceConfig};
 
-    if let Some(n) = o.shards {
-        return cmd_serve_bench_shards(o, n);
-    }
     let cfg = o.config();
     eprintln!(
         "generating synthetic corpus: {} sources, {} events, seed {}",
         cfg.n_sources, cfg.n_events, cfg.seed
     );
     let (dataset, _) = gdelt_synth::generate_dataset(&cfg);
-
     let mix = seeded_mix(o.queries.unwrap_or(200), o.seed.unwrap_or(42));
+    if let Some(n) = o.shards {
+        return serve_bench_shards(o, n, &dataset, &mix);
+    }
     if o.trace_out.is_some() {
         gdelt_obs::set_tracing(true);
     }
@@ -490,18 +490,8 @@ fn cmd_serve_bench(o: &Options) -> Result<(), String> {
             ..Default::default()
         },
     );
-    let clients = o.clients.unwrap_or(4);
-    eprintln!(
-        "replaying {} queries from {clients} client(s), cache {}",
-        mix.len(),
-        if o.no_cache { "disabled" } else { "enabled" },
-    );
-    let report = replay(|q| service.run(q), &mix, clients);
-    println!("{}", report.render());
-    let metrics = service.metrics();
-    println!("{}", metrics.render());
+    let (report, metrics) = replay_door(o, &service, &mix, "");
 
-    let mut traced_spans = None;
     if let Some(path) = &o.trace_out {
         let spans = gdelt_obs::take_spans();
         gdelt_obs::set_tracing(false);
@@ -510,7 +500,9 @@ fn cmd_serve_bench(o: &Options) -> Result<(), String> {
             .map_err(|e| format!("exported trace failed validation: {e}"))?;
         write(path.clone(), &trace)?;
         eprintln!("wrote {} spans as Chrome trace JSON to {}", spans.len(), path.display());
-        traced_spans = Some(spans.len());
+        if o.check && spans.is_empty() {
+            return Err("check failed: --trace-out recorded no spans".into());
+        }
     }
     if let Some(path) = &o.metrics_out {
         let text = gdelt_obs::global().render_prometheus();
@@ -519,35 +511,64 @@ fn cmd_serve_bench(o: &Options) -> Result<(), String> {
         write(path.clone(), &text)?;
         eprintln!("wrote Prometheus exposition to {}", path.display());
     }
+    check_ledger(o, &report, &metrics)
+}
 
-    if o.check {
-        if report.errors > 0 {
-            return Err(format!("check failed: {} queries errored", report.errors));
+/// Replay the seeded mix through `door` from `--clients` threads and
+/// print the replay and the service's metrics: the one `serve-bench`
+/// body, whichever backend answers the misses.
+fn replay_door<B: gdelt_serve::Backend>(
+    o: &Options,
+    door: &gdelt_serve::QueryService<B>,
+    mix: &[Query],
+    over: &str,
+) -> (gdelt_serve::ReplayReport, gdelt_serve::ServiceMetrics) {
+    let clients = o.clients.unwrap_or(4);
+    eprintln!(
+        "replaying {} queries from {clients} client(s){over}, cache {}",
+        mix.len(),
+        if o.no_cache { "disabled" } else { "enabled" },
+    );
+    let report = gdelt_serve::replay(|q| door.run(q), mix, clients);
+    let metrics = door.metrics();
+    println!("{}", report.render());
+    println!("{}", metrics.render());
+    (report, metrics)
+}
+
+/// The `serve-bench --check` ledger, the same for both doors: no
+/// errors, no sheds and no degraded answers at low load and, with the
+/// cache on, at least one hit and every completed query either a hit or
+/// a miss (coalesced and cached completions included).
+fn check_ledger(
+    o: &Options,
+    report: &gdelt_serve::ReplayReport,
+    metrics: &gdelt_serve::ServiceMetrics,
+) -> Result<(), String> {
+    let (hits, misses) = (metrics.cache.hits, metrics.cache.misses);
+    let cached = !o.no_cache;
+    let ledger = [
+        (report.errors > 0, format!("{} queries errored", report.errors)),
+        (metrics.shed > 0, format!("{} queries shed at low load", metrics.shed)),
+        (metrics.degraded > 0, format!("{} degraded answers", metrics.degraded)),
+        (cached && hits == 0, "expected at least one cache hit".to_string()),
+        (
+            cached && report.completed as u64 != hits + misses,
+            format!("{} completed != {hits} cache hits + {misses} misses", report.completed),
+        ),
+    ];
+    match ledger.into_iter().find(|(failed, _)| *failed) {
+        Some((_, why)) if o.check => Err(format!("check failed: {why}")),
+        _ if o.check => {
+            eprintln!(
+                "serve-bench check passed: {} completed ({hits} cache hits + {misses} misses, \
+                 {} executions after coalescing), 0 sheds, 0 degraded",
+                report.completed, metrics.completed
+            );
+            Ok(())
         }
-        if metrics.shed != 0 {
-            return Err(format!("check failed: {} queries shed at low load", metrics.shed));
-        }
-        if !o.no_cache && metrics.cache.hits == 0 {
-            return Err("check failed: expected at least one cache hit".into());
-        }
-        let lookups = metrics.cache.hits + metrics.cache.misses;
-        if !o.no_cache && report.completed as u64 != lookups {
-            return Err(format!(
-                "check failed: {} completed != {} cache hits + {} misses — \
-                 the replay accounting is dropping coalesced or cached completions",
-                report.completed, metrics.cache.hits, metrics.cache.misses
-            ));
-        }
-        if traced_spans == Some(0) {
-            return Err("check failed: --trace-out recorded no spans".into());
-        }
-        eprintln!(
-            "serve-bench check passed: {} completed ({} cache hits + {} misses, \
-             {} kernel runs after coalescing), 0 sheds",
-            report.completed, metrics.cache.hits, metrics.cache.misses, metrics.completed
-        );
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 /// The eight query shapes `chaos` drives through every phase — one per
@@ -611,25 +632,14 @@ fn cmd_chaos(o: &Options) -> Result<(), String> {
     }
     // Served answers over the clean store must match the bare engine —
     // the same equivalence serve-bench relies on.
-    {
-        let service = QueryService::new(
-            clean.dataset.clone(),
-            ServiceConfig { workers: 2, threads: o.threads, ..Default::default() },
-        );
-        for q in CHAOS_QUERIES {
-            match service.run_covered(q) {
-                Ok(ans) => {
-                    if !ans.coverage.is_full() {
-                        violated(format!("clean serve of {q} reported coverage {}", ans.coverage));
-                    }
-                    if *ans.result != run_query(&ctx, &clean.dataset, &q) {
-                        violated(format!("clean serve of {q} diverged from the bare engine"));
-                    }
-                }
-                Err(e) => violated(format!("clean serve of {q} failed: {e}")),
-            }
-        }
-    }
+    let service = QueryService::new(
+        clean.dataset.clone(),
+        ServiceConfig { workers: 2, threads: o.threads, ..Default::default() },
+    );
+    check_full_answers(&service, &ctx, &clean.dataset, "clean serve")
+        .into_iter()
+        .for_each(&mut violated);
+    drop(service);
     eprintln!("chaos: clean arm ok (coverage {})", clean.health.coverage());
 
     // ---- phase 2: seeded corruption, degraded load ---------------------
@@ -1087,40 +1097,29 @@ fn respawn_worker(
 
 /// The `serve-bench --shards N` arm: split the seeded store into N
 /// shard stores, spawn one worker process per shard, and replay the
-/// seeded mix once through the scatter-gather router. `--check` audits
-/// the router's ledger; latency is `gdbench`'s to judge
-/// (`shard.router_vs_local_ratio`).
-fn cmd_serve_bench_shards(o: &Options, n_shards: u32) -> Result<(), String> {
-    use gdelt_serve::{replay, seeded_mix};
+/// seeded mix through the scatter-gather router, then federate the
+/// workers' metrics and stitch their traces when asked.
+fn serve_bench_shards(
+    o: &Options,
+    n_shards: u32,
+    dataset: &gdelt_columnar::Dataset,
+    mix: &[Query],
+) -> Result<(), String> {
     use gdelt_shard::{split_store, Router, RouterConfig};
 
     if n_shards == 0 || n_shards > DEFAULT_STORE_PARTITIONS {
         return Err(format!("--shards must be in 1..={DEFAULT_STORE_PARTITIONS}, got {n_shards}"));
     }
-    let cfg = o.config();
-    eprintln!(
-        "generating synthetic corpus: {} sources, {} events, seed {}",
-        cfg.n_sources, cfg.n_events, cfg.seed
-    );
-    let (dataset, _) = gdelt_synth::generate_dataset(&cfg);
-    let mix = seeded_mix(o.queries.unwrap_or(200), o.seed.unwrap_or(42));
-    let clients = o.clients.unwrap_or(4);
-
     let dir = PathBuf::from("target/serve-bench-shards");
     std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     let store = dir.join("store.gdhpc");
-    gdelt_columnar::binfmt::save_with_partitions(&store, &dataset, DEFAULT_STORE_PARTITIONS)
+    gdelt_columnar::binfmt::save_with_partitions(&store, dataset, DEFAULT_STORE_PARTITIONS)
         .map_err(|e| format!("writing {}: {e}", store.display()))?;
     let shard_dir = dir.join("shards");
     let manifest = split_store(&store, &shard_dir, n_shards)
         .map_err(|e| format!("splitting {}: {e}", store.display()))?;
     let want_trace = o.trace_out.is_some();
     let fleet = spawn_fleet(&shard_dir, &manifest, None, want_trace)?;
-    eprintln!(
-        "replaying {} queries from {clients} client(s) over {n_shards} shard worker(s), cache {}",
-        mix.len(),
-        if o.no_cache { "disabled" } else { "enabled" },
-    );
     let router = Router::new(
         manifest,
         RouterConfig {
@@ -1137,27 +1136,20 @@ fn cmd_serve_bench_shards(o: &Options, n_shards: u32) -> Result<(), String> {
         let _ = gdelt_obs::take_spans();
         gdelt_obs::set_tracing(true);
     }
-    let report = replay(|q| router.query(&q), &mix, clients);
+    let over = format!(" over {n_shards} shard worker(s)");
+    let (report, metrics) = replay_door(o, &router, mix, &over);
     gdelt_obs::set_tracing(false);
-    let stats = router.stats();
-
-    println!("{}", report.render());
-    println!(
-        "router: {} hits + {} misses, {} reconnect(s) outside the hit/miss ledger, {} degraded",
-        stats.hits, stats.misses, stats.retries, stats.degraded
-    );
+    println!("router: {} reconnect(s) outside the hit/miss ledger", router.stats().retries);
     // Per-shard wire round-trip latency, from the router's own
     // registry (recorded on every scatter leg).
-    {
-        let snap = gdelt_obs::global().snapshot();
-        for i in 0..n_shards {
-            if let Some(h) = snap.hists.get(&format!("router_shard_us_{i}")) {
-                println!(
-                    "shard {i}: wire round-trip p50 {}us over {} request(s)",
-                    h.quantile(0.50),
-                    h.count
-                );
-            }
+    let snap = gdelt_obs::global().snapshot();
+    for i in 0..n_shards {
+        if let Some(h) = snap.hists.get(&format!("router_shard_us_{i}")) {
+            println!(
+                "shard {i}: wire round-trip p50 {}us over {} request(s)",
+                h.quantile(0.50),
+                h.count
+            );
         }
     }
 
@@ -1169,40 +1161,7 @@ fn cmd_serve_bench_shards(o: &Options, n_shards: u32) -> Result<(), String> {
     }
     drop(router);
     drop(fleet);
-
-    if o.check {
-        if report.errors > 0 {
-            return Err(format!("check failed: {} router queries errored", report.errors));
-        }
-        if stats.degraded > 0 {
-            return Err(format!(
-                "check failed: {} degraded answers on a healthy fleet",
-                stats.degraded
-            ));
-        }
-        if report.sheds != 0 {
-            return Err(format!("check failed: {} queries shed at low load", report.sheds));
-        }
-        if !o.no_cache && stats.hits == 0 {
-            return Err("check failed: expected at least one router cache hit".into());
-        }
-        // Reconnects are neither hits nor misses: a dial that went on
-        // to answer must not double-count its query on either side of
-        // the cache ledger.
-        if !o.no_cache && stats.completed != stats.hits + stats.misses {
-            return Err(format!(
-                "check failed: {} completed != {} hits + {} misses — the {} reconnect(s) \
-                 must stay outside the hit/miss ledger",
-                stats.completed, stats.hits, stats.misses, stats.retries
-            ));
-        }
-        eprintln!(
-            "serve-bench --shards check passed: {} completed ({} hits + {} misses, \
-             {} reconnect(s) outside the ledger), 0 degraded, 0 sheds",
-            stats.completed, stats.hits, stats.misses, stats.retries
-        );
-    }
-    Ok(())
+    check_ledger(o, &report, &metrics)
 }
 
 /// Federated metrics export: scrape every worker's registry over the
@@ -1340,6 +1299,30 @@ fn write_stitched_trace(
     Ok(())
 }
 
+/// Ask `door` every chaos query; what went wrong, in `phase`'s words:
+/// an error, partial coverage, or an answer that differs from
+/// `run_query` over `want`.
+fn check_full_answers<B: gdelt_serve::Backend>(
+    door: &gdelt_serve::QueryService<B>,
+    ctx: &ExecContext,
+    want: &gdelt_columnar::Dataset,
+    phase: &str,
+) -> Vec<String> {
+    CHAOS_QUERIES
+        .iter()
+        .filter_map(|q| match door.run_covered(*q) {
+            Ok(a) if !a.coverage.is_full() => {
+                Some(format!("{phase}: {q} served with coverage {}", a.coverage))
+            }
+            Ok(a) if *a.result != run_query(ctx, want, q) => {
+                Some(format!("{phase}: {q} differs from single-process run_query"))
+            }
+            Ok(_) => None,
+            Err(e) => Some(format!("{phase}: {q} failed: {e}")),
+        })
+        .collect()
+}
+
 /// The chaos queries whose shard plan is a single scatter round. The
 /// delay arm needs the victim's request index to equal the query
 /// index, and `FollowReport` issues two requests per query.
@@ -1439,31 +1422,9 @@ fn cmd_chaos_shards(o: &Options) -> Result<(), String> {
             ..RouterConfig::default()
         },
     );
-    for q in &CHAOS_QUERIES {
-        let expect = run_query(&ctx, &clean, q);
-        match router.query(q) {
-            Ok(ans) => {
-                if !ans.coverage.is_full() {
-                    violated(format!("healthy fleet served {q} with partial coverage"));
-                }
-                if *ans.result != expect {
-                    violated(format!("router answer for {q} differs from single-process"));
-                }
-            }
-            Err(e) => violated(format!("healthy fleet failed {q}: {e}")),
-        }
-    }
+    check_full_answers(&router, &ctx, &clean, "healthy fleet").into_iter().for_each(&mut violated);
     let s1 = router.stats();
-    for q in &CHAOS_QUERIES {
-        match router.query(q) {
-            Ok(ans) => {
-                if *ans.result != run_query(&ctx, &clean, q) {
-                    violated(format!("cached answer for {q} differs from single-process"));
-                }
-            }
-            Err(e) => violated(format!("cached re-ask of {q} failed: {e}")),
-        }
-    }
+    check_full_answers(&router, &ctx, &clean, "cached re-ask").into_iter().for_each(&mut violated);
     let s2 = router.stats();
     if s2.hits < s1.hits + CHAOS_QUERIES.len() as u64 {
         violated("warm re-ask did not hit the router cache".into());
@@ -1555,19 +1516,7 @@ fn cmd_chaos_shards(o: &Options) -> Result<(), String> {
     if !revived {
         violated("respawned worker never became reachable".into());
     }
-    for q in &CHAOS_QUERIES {
-        match router.query(q) {
-            Ok(ans) => {
-                if !ans.coverage.is_full() {
-                    violated(format!("post-revive query {q} still degraded"));
-                }
-                if *ans.result != run_query(&ctx, &clean, q) {
-                    violated(format!("post-revive answer for {q} differs from single-process"));
-                }
-            }
-            Err(e) => violated(format!("post-revive query {q} failed: {e}")),
-        }
-    }
+    check_full_answers(&router, &ctx, &clean, "post-revive").into_iter().for_each(&mut violated);
     let s4 = router.stats();
     if s4.retries == 0 {
         violated("recovery produced no counted reconnect".into());

@@ -8,26 +8,27 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use gdelt_engine::{Query, QueryResult};
+use gdelt_engine::Query;
 
+use crate::backend::CoveredAnswer;
 use crate::error::ServeError;
+use crate::lock_recover;
 
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+/// What a ticket resolves to.
+pub(crate) type Outcome = Result<CoveredAnswer, ServeError>;
 
 /// Shared completion slot between a ticket and the queue.
 #[derive(Debug, Default)]
 pub(crate) struct TicketState {
-    slot: Mutex<Option<Result<Arc<QueryResult>, ServeError>>>,
+    slot: Mutex<Option<Outcome>>,
     cv: Condvar,
 }
 
 impl TicketState {
-    pub(crate) fn resolve(&self, r: Result<Arc<QueryResult>, ServeError>) {
+    pub(crate) fn resolve(&self, r: Outcome) {
         let mut slot = lock_recover(&self.slot);
         if slot.is_none() {
             *slot = Some(r);
@@ -52,27 +53,21 @@ impl QueryTicket {
     }
 
     /// A ticket that is already resolved — the cache-hit fast path.
-    pub(crate) fn resolved(r: Result<Arc<QueryResult>, ServeError>) -> Self {
+    pub(crate) fn resolved(r: Outcome) -> Self {
         let (t, state) = Self::new();
         state.resolve(r);
         t
     }
 
     /// Block until the query completes.
-    pub fn get(&self) -> Result<Arc<QueryResult>, ServeError> {
-        let mut slot = lock_recover(&self.state.slot);
-        loop {
-            if let Some(r) = slot.as_ref() {
-                return r.clone();
-            }
-            slot = self.state.cv.wait(slot).unwrap_or_else(PoisonError::into_inner);
-        }
+    pub fn get(&self) -> Result<CoveredAnswer, ServeError> {
+        self.get_timeout(Duration::MAX)
     }
 
     /// Block until the query completes or `timeout` elapses. On expiry
     /// the ticket stays redeemable: the query keeps running and may
     /// still populate the cache.
-    pub fn get_timeout(&self, timeout: Duration) -> Result<Arc<QueryResult>, ServeError> {
+    pub fn get_timeout(&self, timeout: Duration) -> Result<CoveredAnswer, ServeError> {
         let start = Instant::now();
         let mut slot = lock_recover(&self.state.slot);
         loop {
@@ -164,17 +159,13 @@ impl JobQueue {
         }
     }
 
-    /// Resolve every waiter of the running job for `query`.
-    pub(crate) fn complete(&self, query: &Query, result: Result<Arc<QueryResult>, ServeError>) {
-        let waiters = {
-            let mut qs = lock_recover(&self.state);
-            match qs.running.iter().position(|(q, _)| q == query) {
-                Some(i) => qs.running.swap_remove(i).1,
-                None => Vec::new(),
-            }
-        };
-        for w in waiters {
-            w.resolve(result.clone());
+    /// Retire the running job for `query`, handing back its waiters
+    /// (the caller resolves them).
+    pub(crate) fn finish(&self, query: &Query) -> Vec<Arc<TicketState>> {
+        let mut qs = lock_recover(&self.state);
+        match qs.running.iter().position(|(q, _)| q == query) {
+            Some(i) => qs.running.swap_remove(i).1,
+            None => Vec::new(),
         }
     }
 
@@ -199,10 +190,17 @@ impl JobQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdelt_engine::SeriesKind;
+    use gdelt_columnar::Coverage;
+    use gdelt_engine::{QueryResult, SeriesKind};
 
-    fn result() -> Result<Arc<QueryResult>, ServeError> {
-        Ok(Arc::new(QueryResult::Delay(Vec::new())))
+    fn complete(q: &JobQueue, job: &Query) {
+        let result = Arc::new(QueryResult::Delay(Vec::new()));
+        for w in q.finish(job) {
+            w.resolve(Ok(CoveredAnswer {
+                result: Arc::clone(&result),
+                coverage: Coverage::full(),
+            }));
+        }
     }
 
     #[test]
@@ -216,7 +214,7 @@ mod tests {
         // One job comes out; completing it resolves both tickets.
         let job = q.next_job().unwrap();
         assert_eq!(job, Query::Delay);
-        q.complete(&job, result());
+        complete(&q, &job);
         assert!(t1.get().is_ok());
         assert!(t2.get().is_ok());
     }
@@ -228,7 +226,7 @@ mod tests {
         let job = q.next_job().unwrap(); // now running, queue empty
         let (t2, e2) = q.enqueue(Query::Delay);
         assert_eq!(e2, Enqueued::Coalesced);
-        q.complete(&job, result());
+        complete(&q, &job);
         assert!(t2.get().is_ok());
     }
 
@@ -274,7 +272,7 @@ mod tests {
         let err = t.get_timeout(Duration::from_millis(10)).unwrap_err();
         assert!(matches!(err, ServeError::TimedOut { .. }));
         let job = q.next_job().unwrap();
-        q.complete(&job, result());
+        complete(&q, &job);
         assert!(t.get().is_ok(), "ticket stays redeemable after a timeout");
     }
 }

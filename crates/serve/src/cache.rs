@@ -7,25 +7,27 @@
 //! removes the entry with the smallest stamp (a linear scan — shards are
 //! tens of entries, not thousands).
 //!
-//! Invalidation is generation-based. The service bumps the dataset
-//! generation on every [`append_batch`](gdelt_columnar::incremental)
-//! application; [`ShardedCache::invalidate_all`] publishes the new
-//! generation and clears every shard, and [`ShardedCache::insert`]
-//! drops results computed against an older generation so a slow worker
-//! can never re-populate the cache with stale data.
+//! Invalidation is generation-based. The generation is the stamp of
+//! the service backend's data (see [`crate::backend::Backend::stamp`]);
+//! when the service sees it move, [`ShardedCache::invalidate_all`]
+//! publishes the new generation and clears every shard, and
+//! [`ShardedCache::insert`] drops results computed against an older
+//! generation so a slow worker can never re-populate the cache with
+//! stale data.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Mutex;
 
+use crate::lock_recover;
 use gdelt_engine::{Query, QueryResult};
 use std::sync::Arc;
 
-/// Lock a mutex, recovering the guard from a poisoned lock: cache state
-/// is a plain map of finished values, valid even if a holder panicked.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+/// Result-cache shards of a service.
+pub(crate) const CACHE_SHARDS: usize = 8;
+/// Result-cache capacity per cache shard of a service. The replay mix
+/// draws from 15 distinct queries, so 8 × 32 is far above need.
+pub(crate) const CACHE_CAPACITY_PER_SHARD: usize = 32;
 
 #[derive(Debug)]
 struct Entry {
@@ -159,12 +161,17 @@ impl ShardedCache {
         shard.map.insert(q, Entry { value, last_used: tick });
     }
 
-    /// Publish a new dataset generation and drop every cached entry.
-    /// Called with the service's dataset write lock held, so no worker
-    /// can be between snapshotting the old dataset and inserting here.
+    /// Publish a newer generation and drop every cached entry; a no-op
+    /// unless `new_generation` is newer than the current one, so racing
+    /// callers that saw the same move clear the cache once. Entries
+    /// computed before the move are either refused by
+    /// [`ShardedCache::insert`] or cleared here, since the generation is
+    /// published before the shards are cleared.
     // analyze: no_panic
     pub fn invalidate_all(&self, new_generation: u64) {
-        self.generation.store(new_generation, Ordering::Release);
+        if self.generation.fetch_max(new_generation, Ordering::AcqRel) >= new_generation {
+            return;
+        }
         for shard in &self.shards {
             let mut s = lock_recover(shard);
             let dropped = s.map.len() as u64;

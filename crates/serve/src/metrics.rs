@@ -25,6 +25,8 @@ use crate::cache::CacheStats;
 pub(crate) struct Metrics {
     started: Instant,
     completed: AtomicU64,
+    answered: AtomicU64,
+    degraded: AtomicU64,
     timeouts: AtomicU64,
     worker_panics: AtomicU64,
     latency: Histogram,
@@ -40,6 +42,8 @@ impl Metrics {
         Metrics {
             started: Instant::now(),
             completed: AtomicU64::new(0),
+            answered: AtomicU64::new(0),
+            degraded: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
             worker_panics: AtomicU64::new(0),
             latency: Histogram::new(),
@@ -55,6 +59,14 @@ impl Metrics {
         self.latency.record(latency_us);
         self.global_latency.record(latency_us);
         self.global_completed.inc();
+    }
+
+    pub(crate) fn record_answered(&self, tickets: usize) {
+        self.answered.fetch_add(tickets as u64, Ordering::Relaxed);
+    }
+
+    pub(crate) fn record_degraded(&self) {
+        self.degraded.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_timeout(&self) {
@@ -82,6 +94,8 @@ impl Metrics {
         ServiceMetrics {
             uptime_s,
             completed,
+            answered: self.answered.load(Ordering::Relaxed),
+            degraded: self.degraded.load(Ordering::Relaxed),
             qps: if uptime_s > 0.0 { completed as f64 / uptime_s } else { 0.0 },
             p50_us: lat.quantile(0.50),
             p95_us: lat.quantile(0.95),
@@ -106,6 +120,12 @@ pub struct ServiceMetrics {
     pub uptime_s: f64,
     /// Queries executed to completion (kernel runs, not cache hits).
     pub completed: u64,
+    /// Tickets resolved with an answer: cache hits, plus every waiter
+    /// of an execution, coalesced ones included.
+    pub answered: u64,
+    /// Executions whose answer had partial coverage (served or refused
+    /// by the degraded policy).
+    pub degraded: u64,
     /// Completions per second over the whole uptime.
     pub qps: f64,
     /// Median kernel latency since service start, microseconds. Exact
@@ -128,10 +148,10 @@ pub struct ServiceMetrics {
     /// Worker panics caught at the worker loop (each resolves its
     /// waiters with [`crate::ServeError::WorkerPanicked`]).
     pub worker_panics: u64,
-    /// Dataset generation the service is answering from.
+    /// Stamp of the backend data the service is answering from.
     pub generation: u64,
-    /// Store coverage behind every answer (1/1 unless partitions were
-    /// quarantined at load).
+    /// Coverage behind the most recent execution (a local store's load
+    /// coverage before the first).
     pub coverage: Coverage,
 }
 
@@ -140,7 +160,8 @@ impl ServiceMetrics {
     pub fn render(&self) -> String {
         format!(
             "service metrics (generation {gen}, coverage {cov}, up {up:.1}s)\n\
-             \x20 completed {completed} ({qps:.1} qps), queue depth {depth}\n\
+             \x20 completed {completed} ({qps:.1} qps), {answered} answered, \
+             {degraded} degraded, queue depth {depth}\n\
              \x20 kernel latency p50 {p50} us, p95 {p95} us, p99 {p99} us\n\
              \x20 cache: {hits} hits / {misses} misses ({rate:.1}% hit rate), \
              {entries} resident, {evictions} evicted, {invalidations} invalidated\n\
@@ -150,6 +171,8 @@ impl ServiceMetrics {
             cov = self.coverage,
             up = self.uptime_s,
             completed = self.completed,
+            answered = self.answered,
+            degraded = self.degraded,
             qps = self.qps,
             depth = self.queue_depth,
             p50 = self.p50_us,

@@ -1,6 +1,6 @@
 //! Seeded synthetic query mixes and the one replay driver behind
-//! `gdelt-cli serve-bench` and `chaos`, for either front door: a
-//! `QueryService` or the shard router.
+//! `gdelt-cli serve-bench` and `chaos`, for a `QueryService` over
+//! either backend.
 //!
 //! The mix models the workload shape the serving layer is built for:
 //! a small population of distinct analyses requested over and over with
@@ -9,17 +9,14 @@
 //! queries — so a correct cache turns most of the replay into hits.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use gdelt_engine::{Query, SeriesKind, TopKKind};
 use rand::{Rng, SeedableRng};
 
 use crate::error::ServeError;
-
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use crate::lock_recover;
 
 /// The weighted pool of distinct queries the mix draws from. Weights
 /// skew toward the cheap dashboard staples, with the heavy CSR passes
@@ -133,7 +130,7 @@ fn median(sorted: &[u64]) -> u64 {
 /// threads (clamped to at least 1). Each call blocks for its result;
 /// per-call end-to-end latency is classified cold or warm by whether an
 /// identical query appeared earlier in the mix. A front door is
-/// `|q| service.run(q)` or `|q| router.query(&q)`.
+/// `|q| service.run(q)`, whatever the service's backend.
 pub fn replay<T>(
     front_door: impl Fn(Query) -> Result<T, ServeError> + Sync,
     mix: &[Query],

@@ -1,65 +1,69 @@
-//! The query service: worker pool, submission path, and dataset
-//! ownership.
+//! The query service: worker pool and submission path in front of a
+//! [`Backend`].
 //!
 //! Data flow, front to back:
 //!
 //! ```text
-//! submit ── cache get ──hit──▶ resolved ticket
-//!              │miss
-//!              ▼
-//!        admission (queue depth) ──full──▶ ServeError::Overloaded
-//!              │admitted
-//!              ▼
-//!        job queue (FIFO, single-flight coalescing)
-//!              ▼
-//!        workers ──▶ run_query ──▶ cache insert
-//!              ▼
-//!        ticket resolution (all coalesced waiters at once)
+//! submit ── stamp moved? ──▶ cache invalidate
+//!    │
+//!    ▼
+//! cache get ──hit──▶ resolved ticket (full coverage)
+//!    │miss
+//!    ▼
+//! admission (queue depth) ──full──▶ ServeError::Overloaded
+//!    │admitted
+//!    ▼
+//! job queue (FIFO, single-flight coalescing)
+//!    ▼
+//! workers ──▶ exec hook + Backend::execute (under catch_unwind)
+//!    ▼
+//! degraded policy on the answer's coverage ──▶ cache insert (full only)
+//!    ▼
+//! ticket resolution (all coalesced waiters at once)
 //! ```
 //!
-//! The service owns the [`Dataset`] behind an `RwLock<Arc<_>>`: workers
-//! snapshot the `Arc` (and the matching cache generation) under a brief
-//! read lock and run lock-free from then on, while
-//! [`QueryService::apply_batch`] swaps in an updated dataset under the
-//! write lock and invalidates the cache before releasing it. That
-//! dataset holds only the columns queries read
-//! ([`Query::SERVED_COLUMNS`]) and those an append reads
-//! ([`APPEND_COLUMNS`]); appends keep it projected.
+//! Both front doors are this type: `QueryService<Local>` (the default)
+//! over an in-process dataset, and the shard router's
+//! `QueryService<Scatter>` over shard workers. The cache has one
+//! invalidation trigger, the backend's stamp moving: a submission
+//! checks it before the cache lookup and a worker checks the stamp its
+//! answer carries before inserting.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use gdelt_columnar::incremental::{append_batch, BatchStats, APPEND_COLUMNS};
+use gdelt_columnar::incremental::{append_batch, BatchStats};
 use gdelt_columnar::{Coverage, Dataset, StoreHealth};
 use gdelt_csv::clean::CleanReport;
-use gdelt_engine::{run_query, ExecContext, Query, QueryResult};
+use gdelt_engine::{Query, QueryResult};
 use gdelt_model::event::EventRecord;
 use gdelt_model::mention::MentionRecord;
 
-use crate::admission::Admission;
-use crate::batcher::{Enqueued, JobQueue, QueryTicket};
-use crate::cache::ShardedCache;
+use crate::backend::{Backend, CoveredAnswer, Local};
+use crate::batcher::{Enqueued, JobQueue, Outcome, QueryTicket};
+use crate::cache::{ShardedCache, CACHE_CAPACITY_PER_SHARD, CACHE_SHARDS};
 use crate::error::ServeError;
+use crate::lock_recover;
 use crate::metrics::{Metrics, ServiceMetrics};
 
-/// What the service does when its store loaded degraded (partitions
-/// quarantined — see [`gdelt_columnar::degraded`]).
+/// What the service does with an answer of partial coverage: a local
+/// store that loaded degraded (partitions quarantined — see
+/// [`gdelt_columnar::degraded`]) or a scatter that lost shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DegradedPolicy {
-    /// Answer queries over the live partitions; every answer carries
-    /// the coverage fraction (via [`QueryService::run_covered`] and the
-    /// metrics snapshot). The partial answer is explicit, never silent.
+    /// Serve it; every answer carries its coverage (via
+    /// [`QueryService::run_covered`] and the metrics snapshot). The
+    /// partial answer is explicit, never silent, and never cached.
     #[default]
     ServePartial,
-    /// Refuse to serve: every submission fails with
-    /// [`ServeError::Degraded`] until a full store is swapped in.
+    /// Refuse it: the query fails with [`ServeError::Degraded`].
     Fail,
 }
 
 /// An instrumentation hook the workers invoke just before executing a
-/// kernel (cache hits skip it). The chaos harness uses this to inject
+/// query (cache hits skip it). The chaos harness uses this to inject
 /// worker panics and delays without test-only branches in the execution
 /// path; panics thrown by the hook are caught at the worker loop like
 /// any kernel panic.
@@ -83,14 +87,13 @@ impl std::fmt::Debug for ExecHook {
     }
 }
 
-/// Result-cache shards.
-const CACHE_SHARDS: usize = 8;
-/// Result-cache capacity per cache shard.
-const CACHE_CAPACITY_PER_SHARD: usize = 32;
+/// Maximum admitted-but-incomplete queries: a miss past it is shed
+/// with [`ServeError::Overloaded`] instead of queueing.
+pub const MAX_QUEUE: usize = 64;
 
 /// Service construction parameters: the knobs the CLI and the
 /// benchmark set. The cache size and the admission bound
-/// ([`crate::admission::MAX_QUEUE`]) are constants.
+/// ([`MAX_QUEUE`]) are constants.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads executing queries. `0` is allowed (nothing
@@ -98,11 +101,11 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Whether results are cached at all (`serve-bench --no-cache`).
     pub cache_enabled: bool,
-    /// Engine thread count (`None` = all cores).
+    /// Engine thread count of a [`Local`] backend (`None` = all cores).
     pub threads: Option<usize>,
-    /// Behaviour when the store loaded degraded.
+    /// What to do with an answer of partial coverage.
     pub degraded_policy: DegradedPolicy,
-    /// Pre-kernel instrumentation hook (fault injection in tests).
+    /// Pre-execution instrumentation hook (fault injection in tests).
     pub exec_hook: Option<ExecHook>,
 }
 
@@ -118,29 +121,22 @@ impl Default for ServiceConfig {
     }
 }
 
-fn read_recover<T>(l: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn write_recover<T>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// State shared between the handle and the worker threads.
 #[derive(Debug)]
-struct Shared {
-    data: RwLock<Arc<Dataset>>,
-    ctx: ExecContext,
+struct Shared<B> {
+    backend: B,
     cache: ShardedCache,
     cache_enabled: bool,
-    admission: Admission,
+    /// Admitted-but-incomplete queries: a job's slot is released when
+    /// it completes, a coalesced ticket's at once. Relaxed and
+    /// advisory: two racing misses may both see room, which a
+    /// load-shedding bound tolerates.
+    depth: AtomicUsize,
+    shed: AtomicU64,
     queue: JobQueue,
     metrics: Metrics,
-    health: StoreHealth,
+    /// Coverage of the most recent execution.
+    coverage: Mutex<Coverage>,
     degraded_policy: DegradedPolicy,
     exec_hook: Option<ExecHook>,
     /// One flight-recorder dump per service on the first Degraded
@@ -148,16 +144,16 @@ struct Shared {
     degraded_dumped: AtomicBool,
 }
 
-/// The in-process query service. Dropping the handle shuts the service
-/// down: workers finish their current job, queued-but-unstarted tickets
+/// The query service. Dropping the handle shuts the service down:
+/// workers finish their current job, queued-but-unstarted tickets
 /// resolve to [`ServeError::ShuttingDown`].
 #[derive(Debug)]
-pub struct QueryService {
-    shared: Arc<Shared>,
+pub struct QueryService<B: Backend = Local> {
+    shared: Arc<Shared<B>>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
-impl QueryService {
+impl QueryService<Local> {
     /// Start a service owning a pristine `dataset` (full coverage).
     pub fn new(dataset: Dataset, config: ServiceConfig) -> Self {
         let health =
@@ -167,30 +163,63 @@ impl QueryService {
 
     /// Start a service owning a dataset that may have loaded degraded;
     /// `health` is what the loader reported (see
-    /// [`gdelt_columnar::load_degraded`]). The service applies
-    /// [`ServiceConfig::degraded_policy`] against it and stamps its
-    /// coverage on metrics and [`QueryService::run_covered`] answers.
+    /// [`gdelt_columnar::load_degraded`]). Every answer carries its
+    /// coverage, and [`ServiceConfig::degraded_policy`] decides whether
+    /// a partial one is served.
     ///
-    /// The service holds only what queries and appends read: `dataset`
-    /// is projected to [`Query::SERVED_COLUMNS`] and [`APPEND_COLUMNS`],
-    /// and so are the datasets [`QueryService::apply_batch`] swaps in.
+    /// The service holds only what queries and appends read: see
+    /// [`Local`].
     pub fn with_health(dataset: Dataset, health: StoreHealth, config: ServiceConfig) -> Self {
-        let dataset = dataset.project(&Query::SERVED_COLUMNS.union(APPEND_COLUMNS));
-        let mut builder = ExecContext::builder();
-        if let Some(t) = config.threads {
-            builder = builder.threads(t);
-        }
+        let coverage = health.coverage();
+        let service = Self::start(Local::new(dataset, health, config.threads), config);
+        *lock_recover(&service.shared.coverage) = coverage;
+        service
+    }
+
+    /// Append a batch through [`gdelt_columnar::incremental`], swap the
+    /// dataset and move the stamp under the write lock, and invalidate
+    /// the cache before returning.
+    pub fn apply_batch(
+        &self,
+        events: Vec<EventRecord>,
+        mentions: Vec<MentionRecord>,
+    ) -> (BatchStats, CleanReport) {
+        let local = &self.shared.backend;
+        let mut guard = local.data.write().unwrap_or_else(PoisonError::into_inner);
+        let (next, stats, clean) = append_batch(&guard, events, mentions);
+        *guard = Arc::new(next);
+        local.stamp.fetch_add(1, Ordering::AcqRel);
+        drop(guard);
+        self.shared.cache.invalidate_all(local.stamp());
+        (stats, clean)
+    }
+
+    /// Snapshot of the dataset currently being served, projected to
+    /// [`Query::SERVED_COLUMNS`] and the append columns.
+    pub fn dataset(&self) -> Arc<Dataset> {
+        Arc::clone(&self.shared.backend.data.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// What the store load reported (quarantine, row counts, retries).
+    pub fn health(&self) -> &StoreHealth {
+        &self.shared.backend.health
+    }
+}
+
+impl<B: Backend> QueryService<B> {
+    /// Start `config.workers` workers executing misses on `backend`.
+    pub fn start(backend: B, config: ServiceConfig) -> Self {
         let shared = Arc::new(Shared {
-            data: RwLock::new(Arc::new(dataset)),
-            ctx: builder.build(),
+            backend,
             cache: ShardedCache::new(CACHE_SHARDS, CACHE_CAPACITY_PER_SHARD),
             cache_enabled: config.cache_enabled,
-            admission: Admission::default(),
+            depth: AtomicUsize::new(0),
+            shed: AtomicU64::new(0),
             queue: JobQueue::default(),
             metrics: Metrics::new(),
-            health,
+            coverage: Mutex::new(Coverage::full()),
             degraded_policy: config.degraded_policy,
-            exec_hook: config.exec_hook.clone(),
+            exec_hook: config.exec_hook,
             degraded_dumped: AtomicBool::new(false),
         });
         let workers = (0..config.workers)
@@ -202,48 +231,48 @@ impl QueryService {
         QueryService { shared, workers: Mutex::new(workers) }
     }
 
+    /// The backend misses execute on.
+    pub fn backend(&self) -> &B {
+        &self.shared.backend
+    }
+
     /// Submit a query. Returns a ticket immediately: already-resolved on
     /// a cache hit, pending otherwise. Sheds with
     /// [`ServeError::Overloaded`] when admission control refuses.
     pub fn submit(&self, query: Query) -> Result<QueryTicket, ServeError> {
         let s = &self.shared;
-        let cov = s.health.coverage();
-        if s.degraded_policy == DegradedPolicy::Fail && !cov.is_full() {
-            gdelt_obs::flight_warn(
-                "serve",
-                "degraded_refusal",
-                format!("refused a query: store coverage {}/{}", cov.live, cov.total),
-            );
-            if !s.degraded_dumped.swap(true, Ordering::Relaxed) {
-                eprintln!("{}", gdelt_obs::render_flight(&gdelt_obs::flight_snapshot()));
-            }
-            return Err(ServeError::Degraded { live: cov.live, total: cov.total });
-        }
         if s.cache_enabled {
-            if let Some(v) = s.cache.get(&query) {
-                return Ok(QueryTicket::resolved(Ok(v)));
+            s.cache.invalidate_all(s.backend.stamp());
+            if let Some(result) = s.cache.get(&query) {
+                s.metrics.record_answered(1);
+                let answer = CoveredAnswer { result, coverage: Coverage::full() };
+                return Ok(QueryTicket::resolved(Ok(answer)));
             }
         }
-        s.admission.try_admit()?;
+        let depth = s.depth.fetch_add(1, Ordering::Relaxed);
+        if depth >= MAX_QUEUE {
+            s.depth.fetch_sub(1, Ordering::Relaxed);
+            s.shed.fetch_add(1, Ordering::Relaxed);
+            return Err(ServeError::Overloaded { queue_depth: depth, queue_limit: MAX_QUEUE });
+        }
         let (ticket, outcome) = s.queue.enqueue(query);
         if outcome != Enqueued::New {
             // Coalesced tickets ride on the already-admitted job's slot;
             // rejected tickets (shutdown race) never run at all.
-            s.admission.release();
+            s.depth.fetch_sub(1, Ordering::Relaxed);
         }
         Ok(ticket)
     }
 
     /// Submit and block for the result.
     pub fn run(&self, query: Query) -> Result<Arc<QueryResult>, ServeError> {
-        self.submit(query)?.get()
+        self.run_covered(query).map(|a| a.result)
     }
 
-    /// Submit and block, with the store's coverage attached: a partial
-    /// answer over a degraded store is never silent.
+    /// Submit and block, with the answer's coverage attached: a partial
+    /// answer is never silent.
     pub fn run_covered(&self, query: Query) -> Result<CoveredAnswer, ServeError> {
-        let result = self.run(query)?;
-        Ok(CoveredAnswer { result, coverage: self.shared.health.coverage() })
+        self.submit(query)?.get()
     }
 
     /// Submit and block up to `timeout`. Expired waits are counted in
@@ -258,67 +287,29 @@ impl QueryService {
         if matches!(r, Err(ServeError::TimedOut { .. })) {
             self.shared.metrics.record_timeout();
         }
-        r
+        r.map(|a| a.result)
     }
 
-    /// Append a batch through [`gdelt_columnar::incremental`], swap the
-    /// dataset, bump the generation, and invalidate the cache — all
-    /// under the write lock, so no worker can cache a result computed
-    /// against the old dataset under the new generation.
-    pub fn apply_batch(
-        &self,
-        events: Vec<EventRecord>,
-        mentions: Vec<MentionRecord>,
-    ) -> (BatchStats, CleanReport) {
-        let s = &self.shared;
-        let mut guard = write_recover(&s.data);
-        let (next, stats, clean) = append_batch(&guard, events, mentions);
-        *guard = Arc::new(next);
-        s.cache.invalidate_all(s.cache.generation() + 1);
-        drop(guard);
-        (stats, clean)
-    }
-
-    /// Snapshot of the dataset currently being served, projected to
-    /// [`Query::SERVED_COLUMNS`] and [`APPEND_COLUMNS`].
-    pub fn dataset(&self) -> Arc<Dataset> {
-        Arc::clone(&read_recover(&self.shared.data))
-    }
-
-    /// Dataset generation (bumped by every [`QueryService::apply_batch`]).
+    /// Stamp of the backend's data (a local dataset's append count).
     pub fn generation(&self) -> u64 {
-        self.shared.cache.generation()
-    }
-
-    /// What the store load reported (quarantine, row counts, retries).
-    pub fn health(&self) -> &StoreHealth {
-        &self.shared.health
+        self.shared.backend.stamp()
     }
 
     /// Point-in-time service metrics.
     pub fn metrics(&self) -> ServiceMetrics {
         let s = &self.shared;
         s.metrics.snapshot(
-            s.admission.depth(),
+            s.depth.load(Ordering::Relaxed),
             s.cache.stats(),
-            s.admission.shed_count(),
+            s.shed.load(Ordering::Relaxed),
             s.queue.coalesced_count(),
-            s.cache.generation(),
-            s.health.coverage(),
+            s.backend.stamp(),
+            *lock_recover(&s.coverage),
         )
     }
 }
 
-/// A query result with the store coverage it was computed under.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoveredAnswer {
-    /// The (possibly cached) query result.
-    pub result: Arc<QueryResult>,
-    /// Fraction of load partitions behind it.
-    pub coverage: Coverage,
-}
-
-impl Drop for QueryService {
+impl<B: Backend> Drop for QueryService<B> {
     fn drop(&mut self) {
         let drained = self.shared.queue.shutdown_and_drain();
         for h in lock_recover(&self.workers).drain(..) {
@@ -330,63 +321,120 @@ impl Drop for QueryService {
     }
 }
 
-/// Worker: dequeue the oldest job, double-check the cache, run the
-/// kernel against a consistent (dataset, generation) snapshot, publish.
-///
-/// Kernel execution (and the exec hook) runs under `catch_unwind`: a
-/// panic never crosses the worker's thread boundary. The panicking
-/// job's waiters resolve to [`ServeError::WorkerPanicked`], its
-/// admission slot is released, and the worker moves on to the next job.
-fn worker_loop(shared: &Shared) {
+impl<B: Backend> Shared<B> {
+    /// Execute one miss: the hook and the backend under
+    /// `catch_unwind`, then the degraded policy on the answer's
+    /// coverage, then the cache insert of a full answer.
+    fn execute(&self, query: Query) -> Outcome {
+        let t0 = Instant::now();
+        // Every executed query gets a process-unique qid and a root
+        // span carrying it, so a trace can be grepped for one query's
+        // whole subtree (kernel + partitions, or scatter + shard RPCs).
+        static QUERY_ID: AtomicU64 = AtomicU64::new(1);
+        let qid = QUERY_ID.fetch_add(1, Ordering::Relaxed);
+        let _exec_span = gdelt_obs::span_args("serve", "execute", "qid", qid);
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            if let Some(hook) = &self.exec_hook {
+                hook.call(&query);
+            }
+            self.backend.execute(&query)
+        }));
+        let Ok(answer) = ran else {
+            self.metrics.record_worker_panic();
+            gdelt_obs::flight_error(
+                "serve",
+                "worker_panic",
+                format!("worker caught a panic running {}", query.kernel_name()),
+            );
+            eprintln!("{}", gdelt_obs::render_flight(&gdelt_obs::flight_snapshot()));
+            return Err(ServeError::WorkerPanicked);
+        };
+        let answer = answer?;
+        self.metrics.record_completion(t0.elapsed().as_micros() as u64);
+        let cov = answer.coverage;
+        *lock_recover(&self.coverage) = cov;
+        let result = Arc::new(answer.result);
+        if cov.is_full() {
+            if self.cache_enabled {
+                self.cache.invalidate_all(answer.stamp);
+                self.cache.insert(query, Arc::clone(&result), answer.stamp);
+            }
+        } else {
+            self.metrics.record_degraded();
+            if self.degraded_policy == DegradedPolicy::Fail {
+                gdelt_obs::flight_warn(
+                    "serve",
+                    "degraded_refusal",
+                    format!("refused {}: coverage {}/{}", query.kernel_name(), cov.live, cov.total),
+                );
+                if !self.degraded_dumped.swap(true, Ordering::Relaxed) {
+                    eprintln!("{}", gdelt_obs::render_flight(&gdelt_obs::flight_snapshot()));
+                }
+                return Err(ServeError::Degraded { live: cov.live, total: cov.total });
+            }
+        }
+        Ok(CoveredAnswer { result, coverage: cov })
+    }
+}
+
+/// Worker: dequeue the oldest job, double-check the cache, execute,
+/// publish. A panic never crosses the worker's thread boundary: the
+/// panicking job's waiters resolve to [`ServeError::WorkerPanicked`],
+/// its admission slot is released, and the worker moves on.
+fn worker_loop<B: Backend>(shared: &Shared<B>) {
     while let Some(query) = shared.queue.next_job() {
         // Re-check the cache without counting: an identical query may
         // have completed between this job's admission and now.
         let cached = if shared.cache_enabled { shared.cache.peek(&query) } else { None };
         let value = match cached {
-            Some(v) => Ok(v),
-            None => {
-                // Snapshot (dataset, generation) under one read lock so
-                // the pair is consistent with any concurrent apply_batch.
-                let (data, generation) = {
-                    let guard = read_recover(&shared.data);
-                    (Arc::clone(&guard), shared.cache.generation())
-                };
-                let t0 = Instant::now();
-                // Every executed query gets a process-unique qid and a
-                // root span carrying it, so a trace can be grepped for
-                // one query's whole subtree (kernel + partitions).
-                static QUERY_ID: AtomicU64 = AtomicU64::new(1);
-                let qid = QUERY_ID.fetch_add(1, Ordering::Relaxed);
-                let _exec_span = gdelt_obs::span_args("serve", "execute", "qid", qid);
-                let ran = catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(hook) = &shared.exec_hook {
-                        hook.call(&query);
-                    }
-                    run_query(&shared.ctx, &data, &query)
-                }));
-                match ran {
-                    Ok(r) => {
-                        let v = Arc::new(r);
-                        shared.metrics.record_completion(t0.elapsed().as_micros() as u64);
-                        if shared.cache_enabled {
-                            shared.cache.insert(query, Arc::clone(&v), generation);
-                        }
-                        Ok(v)
-                    }
-                    Err(_) => {
-                        shared.metrics.record_worker_panic();
-                        gdelt_obs::flight_error(
-                            "serve",
-                            "worker_panic",
-                            format!("worker caught a kernel panic running {}", query.kernel_name()),
-                        );
-                        eprintln!("{}", gdelt_obs::render_flight(&gdelt_obs::flight_snapshot()));
-                        Err(ServeError::WorkerPanicked)
-                    }
-                }
-            }
+            Some(result) => Ok(CoveredAnswer { result, coverage: Coverage::full() }),
+            None => shared.execute(query),
         };
-        shared.admission.release();
-        shared.queue.complete(&query, value);
+        shared.depth.fetch_sub(1, Ordering::Relaxed);
+        let waiters = shared.queue.finish(&query);
+        if value.is_ok() {
+            shared.metrics.record_answered(waiters.len());
+        }
+        for w in waiters {
+            w.resolve(value.clone());
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gdelt_engine::TopKKind;
+    use std::sync::mpsc;
+
+    /// The bound sheds the first miss past [`MAX_QUEUE`] admitted ones,
+    /// and the slots completed queries release are admitted again.
+    #[test]
+    fn depth_bound_sheds_and_released_capacity_is_reusable() {
+        let (open, gate) = mpsc::channel::<()>();
+        let gate = Mutex::new(gate);
+        // Every execution waits for one message, so nothing completes
+        // until the test says so.
+        let hook = ExecHook::new(move |_| {
+            let _ = lock_recover(&gate).recv();
+        });
+        let config = ServiceConfig { workers: 1, exec_hook: Some(hook), ..Default::default() };
+        let service = QueryService::new(
+            gdelt_synth::generate_dataset(&gdelt_synth::scenario::tiny(3)).0,
+            config,
+        );
+        let query = |k| Query::TopK { kind: TopKKind::Publishers, k };
+        let tickets: Vec<_> =
+            (1..=MAX_QUEUE as u32).map(|k| service.submit(query(k)).expect("admitted")).collect();
+        let shed = service.submit(Query::CoReport).expect_err("one past the bound");
+        assert_eq!(shed, ServeError::Overloaded { queue_depth: MAX_QUEUE, queue_limit: MAX_QUEUE });
+        assert_eq!(service.metrics().shed, 1);
+        for t in &tickets {
+            open.send(()).expect("worker waits on the gate");
+            t.get().expect("released query completes");
+        }
+        assert_eq!(service.metrics().queue_depth, 0);
+        open.send(()).expect("worker waits on the gate");
+        assert!(service.run(Query::CoReport).is_ok(), "released capacity is reusable");
     }
 }

@@ -12,18 +12,19 @@
 //! 2. a [`worker::ShardWorker`] process loads one shard and answers
 //!    [`wire`]-framed `ShardQuery` requests with sufficient-statistic
 //!    partials (`gdelt_engine::partial`);
-//! 3. the [`router::Router`] admits queries, scatters them over the
+//! 3. the [`router::Router`] is a `gdelt_serve::QueryService` whose
+//!    backend, [`router::Scatter`], scatters each miss over the
 //!    workers, merges the surviving partials with the engine's own
 //!    associative merge, and finalizes the **bit-identical**
 //!    single-process answer.
 //!
 //! Shard death degrades, never corrupts: a lost worker maps onto the
 //! store-level `Coverage { live, total }` vocabulary (its partition
-//! range is treated as quarantined), governed by the same
-//! `DegradedPolicy` the in-process service uses. Only full-coverage
-//! answers are cached, and any shard generation or membership change
-//! invalidates the router cache, so partial answers can never go
-//! stale. The equivalence proptests in `tests/` pin all of this down.
+//! range is treated as quarantined), governed by the service's
+//! `DegradedPolicy`. Only full-coverage answers are cached, and any
+//! change of a shard's generation (its store's identity) or of shard
+//! membership invalidates the cache, so answers can never go stale.
+//! The equivalence proptests in `tests/` pin all of this down.
 
 #![warn(missing_docs)]
 
@@ -32,7 +33,7 @@ pub mod split;
 pub mod wire;
 pub mod worker;
 
-pub use router::{Router, RouterConfig, RouterStats};
+pub use router::{Router, RouterConfig, RouterStats, Scatter};
 pub use split::{shard_range, split_store, ShardEntry, ShardManifest};
 pub use wire::{FlightForward, Frame, Health, Hello, WireError, WireSpan};
 pub use worker::{ShardWorker, WorkerConfig};

@@ -36,6 +36,7 @@ use gdelt_engine::timeseries::QuarterlySeries;
 use gdelt_engine::{Matrix, SeriesKind};
 use gdelt_model::ids::SourceId;
 use gdelt_model::time::Quarter;
+use gdelt_obs::FlightLevel;
 
 /// Frame magic.
 pub const MAGIC: [u8; 4] = *b"GDSH";
@@ -115,7 +116,8 @@ pub struct Hello {
     pub events: u64,
     /// Mention rows in the shard store.
     pub mentions: u64,
-    /// Store generation (bumps invalidate router cache entries).
+    /// Identity of the loaded store; a change invalidates router
+    /// cache entries.
     pub generation: u64,
 }
 
@@ -126,7 +128,7 @@ pub struct Health {
     pub live: u32,
     /// Partitions the shard store was written with.
     pub total: u32,
-    /// Current store generation.
+    /// Identity of the loaded store.
     pub generation: u64,
 }
 
@@ -157,10 +159,17 @@ pub struct FlightForward {
 const RERECORD_TAG: &str = "[shard ";
 
 impl FlightForward {
-    /// The detail the router re-records this event under:
-    /// `[shard <i> seq <seq> +<t_us>us] <detail>`.
-    pub(crate) fn rerecord_detail(&self, shard: usize) -> String {
-        format!("{RERECORD_TAG}{shard} seq {} +{}us] {}", self.seq, self.t_us, self.detail)
+    /// Re-record this event on the local flight recorder, with the
+    /// detail `[shard <i> seq <seq> +<t_us>us] <detail>`.
+    pub(crate) fn rerecord(&self, shard: usize) {
+        let level = match self.level {
+            0 => FlightLevel::Info,
+            1 => FlightLevel::Warn,
+            _ => FlightLevel::Error,
+        };
+        let detail =
+            format!("{RERECORD_TAG}{shard} seq {} +{}us] {}", self.seq, self.t_us, self.detail);
+        gdelt_obs::flight(level, self.component.clone(), self.code.clone(), detail);
     }
 
     /// True for the detail of a router re-record, which a worker must
@@ -216,9 +225,6 @@ pub enum Frame {
     HealthProbe,
     /// Worker → router: health snapshot.
     Health(Health),
-    /// Bump the worker's store generation (chaos/testing hook for
-    /// cache-invalidation propagation).
-    BumpGeneration,
     /// Typed failure with a short human-readable detail.
     Error {
         /// Stable numeric code.
@@ -253,7 +259,6 @@ const KIND_REQUEST: u8 = 2;
 const KIND_REPLY: u8 = 3;
 const KIND_HEALTH_PROBE: u8 = 4;
 const KIND_HEALTH: u8 = 5;
-const KIND_BUMP: u8 = 6;
 const KIND_ERROR: u8 = 9;
 const KIND_METRICS_REQUEST: u8 = 10;
 const KIND_METRICS_REPLY: u8 = 11;
@@ -268,7 +273,6 @@ impl Frame {
             Frame::Reply { .. } => KIND_REPLY,
             Frame::HealthProbe => KIND_HEALTH_PROBE,
             Frame::Health(_) => KIND_HEALTH,
-            Frame::BumpGeneration => KIND_BUMP,
             Frame::Error { .. } => KIND_ERROR,
             Frame::MetricsRequest => KIND_METRICS_REQUEST,
             Frame::MetricsReply { .. } => KIND_METRICS_REPLY,
@@ -286,7 +290,6 @@ impl Frame {
             Frame::Reply { .. } => "reply",
             Frame::HealthProbe => "health_probe",
             Frame::Health(_) => "health",
-            Frame::BumpGeneration => "bump_generation",
             Frame::Error { .. } => "error",
             Frame::MetricsRequest => "metrics_request",
             Frame::MetricsReply { .. } => "metrics_reply",
@@ -322,7 +325,7 @@ impl Frame {
                 enc_partial(&mut e, partial);
                 enc_flight_vec(&mut e, flight);
             }
-            Frame::HealthProbe | Frame::BumpGeneration => {}
+            Frame::HealthProbe => {}
             Frame::Health(h) => {
                 e.u32(h.live);
                 e.u32(h.total);
@@ -404,7 +407,6 @@ impl Frame {
             KIND_HEALTH => {
                 Frame::Health(Health { live: d.u32()?, total: d.u32()?, generation: d.u64()? })
             }
-            KIND_BUMP => Frame::BumpGeneration,
             KIND_ERROR => Frame::Error { code: d.u16()?, message: d.str()? },
             KIND_METRICS_REQUEST => Frame::MetricsRequest,
             KIND_METRICS_REPLY => {

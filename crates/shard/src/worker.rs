@@ -1,24 +1,29 @@
 //! Shard worker: serves one shard store over the wire protocol.
 //!
 //! A worker is a plain request/reply loop — no admission, no cache,
-//! no batching; all of that lives in the router. It loads its shard
-//! store once, answers [`Frame::Request`] with generation-stamped
-//! [`Frame::Reply`] partials, and reports [`Frame::Health`] on probe.
+//! no batching; all of that lives in the router's `QueryService`. It
+//! loads its shard store once, answers [`Frame::Request`] with
+//! generation-stamped [`Frame::Reply`] partials, and reports
+//! [`Frame::Health`] on probe. Its generation is the identity of the
+//! store it loaded ([`load_projected_with_identity`]): a worker rolled
+//! over onto other data answers under another generation, which is
+//! what invalidates the router's cache.
 //! The same struct backs both deployment modes: the
 //! `gdelt-cli shard-worker` process (accept loop over TCP) and the
 //! in-process worker threads the integration tests spin up.
 //!
 //! Distributed observability (see DESIGN.md "Distributed
 //! observability"): each request frame carries trace context in its
-//! header; the worker adopts it for the duration of [`handle`], so
-//! the `worker_query` span — and the engine partition spans nested
-//! under it — parent under the router's RPC span. Replies piggyback
-//! the worker's most recent flight events, and the router can scrape
-//! the worker's metrics registry ([`Frame::MetricsRequest`]) or drain
-//! its completed spans ([`Frame::TraceRequest`]) over the same
-//! connection.
+//! header; the worker adopts it for the duration of
+//! [`ShardWorker::handle`], so the `worker_query` span — and the engine
+//! partition spans nested under it — parent under the router's RPC
+//! span. Replies piggyback the worker's most recent flight events, and
+//! the router can scrape the worker's metrics registry
+//! ([`Frame::MetricsRequest`]) or drain its completed spans
+//! ([`Frame::TraceRequest`]) over the same connection.
 
 use crate::wire::{FlightForward, Frame, Health, Hello, WireSpan};
+use gdelt_columnar::binfmt::load_projected_with_identity;
 use gdelt_columnar::Dataset;
 use gdelt_engine::partial::run_shard_query;
 use gdelt_engine::{ExecContext, Query};
@@ -78,7 +83,8 @@ pub struct ShardWorker {
     cfg: WorkerConfig,
     ctx: ExecContext,
     dataset: Dataset,
-    generation: AtomicU64,
+    /// Identity of the loaded store, never 0 (0 means dead).
+    generation: u64,
     requests: AtomicU64,
 }
 
@@ -86,7 +92,8 @@ impl ShardWorker {
     /// Load the columns of the shard store that queries read
     /// ([`Query::SERVED_COLUMNS`]) and build the execution context.
     pub fn load(cfg: WorkerConfig) -> io::Result<Arc<ShardWorker>> {
-        let dataset = gdelt_columnar::binfmt::load_projected(&cfg.store, &Query::SERVED_COLUMNS)?;
+        let (dataset, generation) =
+            load_projected_with_identity(&cfg.store, &Query::SERVED_COLUMNS)?;
         let ctx = ExecContext::builder().threads(cfg.threads.max(1)).build();
         if cfg.trace {
             gdelt_obs::set_tracing(true);
@@ -96,13 +103,7 @@ impl ShardWorker {
             "worker_started",
             format!("shard {} pid {}", cfg.shard_id, std::process::id()),
         );
-        Ok(Arc::new(ShardWorker {
-            cfg,
-            ctx,
-            dataset,
-            generation: AtomicU64::new(1),
-            requests: AtomicU64::new(0),
-        }))
+        Ok(Arc::new(ShardWorker { cfg, ctx, dataset, generation, requests: AtomicU64::new(0) }))
     }
 
     /// The hello frame for a fresh connection.
@@ -113,7 +114,7 @@ impl ShardWorker {
             ev_row_base: self.cfg.ev_row_base,
             events: self.dataset.events.len() as u64,
             mentions: self.dataset.mentions.len() as u64,
-            generation: self.generation.load(Ordering::Acquire),
+            generation: self.generation,
         }
     }
 
@@ -121,7 +122,7 @@ impl ShardWorker {
         Health {
             live: self.cfg.partitions,
             total: self.cfg.partitions,
-            generation: self.generation.load(Ordering::Acquire),
+            generation: self.generation,
         }
     }
 
@@ -212,17 +213,9 @@ impl ShardWorker {
                 gdelt_obs::global()
                     .histogram("shard_worker_query_us")
                     .record(t0.elapsed().as_micros() as u64);
-                Frame::Reply {
-                    generation: self.generation.load(Ordering::Acquire),
-                    partial,
-                    flight: self.recent_flight(),
-                }
+                Frame::Reply { generation: self.generation, partial, flight: self.recent_flight() }
             }
             Frame::HealthProbe => Frame::Health(self.health()),
-            Frame::BumpGeneration => {
-                self.generation.fetch_add(1, Ordering::AcqRel);
-                Frame::Health(self.health())
-            }
             Frame::MetricsRequest => Frame::MetricsReply {
                 snapshot_json: gdelt_obs::global().snapshot().to_json(),
                 flight: self.recent_flight(),

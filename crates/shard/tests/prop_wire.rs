@@ -181,7 +181,6 @@ fn frame() -> impl Strategy<Value = Frame> {
         (any::<u32>(), any::<u32>(), any::<u64>()).prop_map(|(live, total, generation)| {
             Frame::Health(Health { live, total, generation })
         }),
-        Just(Frame::BumpGeneration),
         (any::<u16>(), "[a-z ]{0,40}").prop_map(|(code, message)| Frame::Error { code, message }),
         Just(Frame::MetricsRequest),
         ("[ -~]{0,80}", prop::collection::vec(flight_forward(), 0..4))

@@ -6,9 +6,11 @@
 //! * a killed worker degrades the answer to **exactly** the surviving
 //!   partition coverage (`ServePartial`) or fails with
 //!   `ServeError::Degraded` (`Fail`);
-//! * no stale cache entries survive a shard death or a generation
-//!   bump;
+//! * no stale cache entries survive a shard death or a worker rolled
+//!   over onto other data;
 //! * a revived worker restores full coverage via reconnect;
+//! * concurrent identical queries share one scatter, and a caller's
+//!   deadline expires while a shard stalls without losing the answer;
 //! * a well-framed request the shard cannot size or index gets a typed
 //!   error frame, and the worker keeps serving;
 //! * a worker whose replies are well framed but do not answer the
@@ -28,10 +30,10 @@ use gdelt_shard::wire::Frame;
 use gdelt_shard::worker::{ShardWorker, WorkerConfig};
 use gdelt_shard::{split_store, ShardManifest};
 use std::net::TcpListener;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier, Mutex, RwLock};
+use std::time::{Duration, Instant};
 
 const PARTS: u32 = 8;
 const N_SHARDS: u32 = 3;
@@ -48,11 +50,15 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// that is indistinguishable from a killed process. Flipping it back
 /// "revives" the worker on the same port. While `tamper` is set, every
 /// reply's partial is rewritten by it before framing — a worker that
-/// speaks the protocol but answers something else.
+/// speaks the protocol but answers something else. Each frame is
+/// answered by the current worker, which a roll-over swaps, and every
+/// request frame is counted.
 struct TestWorker {
     addr: String,
     alive: Arc<AtomicBool>,
     tamper: Arc<Mutex<Option<Tamper>>>,
+    current: Arc<RwLock<Arc<ShardWorker>>>,
+    requests: Arc<AtomicU64>,
 }
 
 type Tamper = fn(ShardPartial) -> ShardPartial;
@@ -65,17 +71,23 @@ impl TestWorker {
         let accept_alive = Arc::clone(&alive);
         let tamper = Arc::new(Mutex::new(None::<Tamper>));
         let accept_tamper = Arc::clone(&tamper);
+        let current = Arc::new(RwLock::new(worker));
+        let accept_current = Arc::clone(&current);
+        let requests = Arc::new(AtomicU64::new(0));
+        let accept_requests = Arc::clone(&requests);
         std::thread::spawn(move || {
             for stream in listener.incoming() {
                 let Ok(mut stream) = stream else { continue };
                 if !accept_alive.load(Ordering::Acquire) {
                     continue; // dropped before hello: dial fails
                 }
-                let w = Arc::clone(&worker);
+                let c = Arc::clone(&accept_current);
                 let a = Arc::clone(&accept_alive);
                 let t = Arc::clone(&accept_tamper);
+                let n = Arc::clone(&accept_requests);
                 std::thread::spawn(move || {
-                    if Frame::Hello(w.hello()).write_to(&mut stream).is_err() {
+                    let w = || Arc::clone(&c.read().unwrap());
+                    if Frame::Hello(w().hello()).write_to(&mut stream).is_err() {
                         return;
                     }
                     loop {
@@ -83,7 +95,10 @@ impl TestWorker {
                         if !a.load(Ordering::Acquire) {
                             return; // die mid-request: peer sees EOF
                         }
-                        let reply = match (w.handle(frame), *t.lock().unwrap()) {
+                        if matches!(frame, Frame::Request(_)) {
+                            n.fetch_add(1, Ordering::Relaxed);
+                        }
+                        let reply = match (w().handle(frame), *t.lock().unwrap()) {
                             (Frame::Reply { generation, partial, flight }, Some(tamper)) => {
                                 Frame::Reply { generation, partial: tamper(partial), flight }
                             }
@@ -96,7 +111,17 @@ impl TestWorker {
                 });
             }
         });
-        TestWorker { addr, alive, tamper }
+        TestWorker { addr, alive, tamper, current, requests }
+    }
+
+    /// Swap the worker behind the listener, as a store roll-over does.
+    fn roll_over(&self, worker: Arc<ShardWorker>) {
+        *self.current.write().unwrap() = worker;
+    }
+
+    /// Request frames answered so far.
+    fn requests(&self) -> u64 {
+        self.requests.load(Ordering::Relaxed)
     }
 
     fn tamper(&self, with: Option<Tamper>) {
@@ -116,29 +141,52 @@ struct Fixture {
     dataset: gdelt_columnar::Dataset,
     manifest: ShardManifest,
     workers: Vec<TestWorker>,
+    dir: PathBuf,
 }
 
-fn fixture(tag: &str) -> Fixture {
-    let dir = temp_dir(tag);
-    let dataset = gdelt_synth::generate_dataset(&gdelt_synth::scenario::tiny(7)).0;
+/// Save `dataset` under `dir`, split it into the shard stores and load
+/// one worker per shard. With `stall_ms`, shard 0 sleeps that long
+/// before answering its first request.
+fn shard_workers(
+    dataset: &gdelt_columnar::Dataset,
+    dir: &Path,
+    stall_ms: Option<u64>,
+) -> (ShardManifest, Vec<Arc<ShardWorker>>) {
+    std::fs::create_dir_all(dir).expect("create store dir");
     let store = dir.join("store.gdhpc");
-    gdelt_columnar::binfmt::save_with_partitions(&store, &dataset, PARTS).expect("save");
+    gdelt_columnar::binfmt::save_with_partitions(&store, dataset, PARTS).expect("save");
     let shard_dir = dir.join("shards");
     let manifest = split_store(&store, &shard_dir, N_SHARDS).expect("split");
     assert_eq!(manifest, ShardManifest::load(&shard_dir).expect("manifest reload"));
-    let workers: Vec<TestWorker> = (0..N_SHARDS as usize)
+    let workers = (0..N_SHARDS as usize)
         .map(|i| {
             let e = &manifest.shards[i];
-            let cfg = WorkerConfig::new(
+            let mut cfg = WorkerConfig::new(
                 manifest.shard_path(&shard_dir, i),
                 i as u32,
                 e.partitions,
                 e.ev_row_base,
             );
-            TestWorker::spawn(ShardWorker::load(cfg).expect("load shard"))
+            if let (0, Some(ms)) = (i, stall_ms) {
+                cfg.fault_delay_at = Some(0);
+                cfg.fault_delay_ms = ms;
+            }
+            ShardWorker::load(cfg).expect("load shard")
         })
         .collect();
-    Fixture { dataset, manifest, workers }
+    (manifest, workers)
+}
+
+fn fixture(tag: &str) -> Fixture {
+    stalled_fixture(tag, None)
+}
+
+fn stalled_fixture(tag: &str, stall_ms: Option<u64>) -> Fixture {
+    let dir = temp_dir(tag);
+    let dataset = gdelt_synth::generate_dataset(&gdelt_synth::scenario::tiny(7)).0;
+    let (manifest, workers) = shard_workers(&dataset, &dir, stall_ms);
+    let workers = workers.into_iter().map(TestWorker::spawn).collect();
+    Fixture { dataset, manifest, workers, dir }
 }
 
 fn router(f: &Fixture, policy: DegradedPolicy, cache: bool) -> Router {
@@ -270,34 +318,89 @@ fn fail_policy_refuses_partial_answers() {
     }
 }
 
+/// A worker rolled over onto other data behind a live listener (what
+/// `gdbench shard-scatter`'s write does) answers under its new store's
+/// identity, so the router's next probe drops the cached answer and the
+/// next ask recomputes over the new data.
 #[test]
-fn generation_bump_propagates_and_invalidates_cache() {
-    let f = fixture("genbump");
+fn rolled_over_workers_invalidate_the_cache() {
+    let f = fixture("rollover");
     let r = router(&f, DegradedPolicy::ServePartial, true);
     let q = Query::TimeSeries(SeriesKind::Events);
-    let _ = r.query(&q).expect("prime cache");
-    let hits_before = r.stats().hits;
-    let gen_before = r.generation();
+    let before = r.query(&q).expect("prime cache");
 
-    // Bump shard 0's store generation out-of-band (as a store swap
-    // would) and let the router notice via a health probe.
-    let mut stream = std::net::TcpStream::connect(&f.workers[0].addr).expect("connect");
-    let hello = Frame::read_from(&mut stream).expect("hello");
-    assert!(matches!(hello, Frame::Hello(_)));
-    Frame::BumpGeneration.write_to(&mut stream).expect("bump");
-    let health = Frame::read_from(&mut stream).expect("health");
-    let Frame::Health(h) = health else { panic!("expected health, got {health:?}") };
-    assert_eq!(h.generation, 2, "bumped worker generation");
-    drop(stream);
-
+    let next = gdelt_synth::generate_dataset(&gdelt_synth::scenario::tiny(8)).0;
+    let (_, fresh) = shard_workers(&next, &f.dir.join("next"), None);
+    for (w, fresh) in f.workers.iter().zip(fresh) {
+        w.roll_over(fresh);
+    }
     let probed = r.probe();
     assert_eq!(probed.iter().flatten().count(), 3, "all shards probed live");
-    assert!(r.generation() > gen_before, "probe must pick up the new generation");
 
-    // The old cached answer is gone: same query misses and recomputes.
-    let again = r.query(&q).expect("recompute");
-    assert!(again.coverage.is_full());
-    assert_eq!(r.stats().hits, hits_before, "no hit on an invalidated entry");
+    let hits = r.stats().hits;
+    let after = r.query(&q).expect("recomputed answer");
+    assert_eq!(r.stats().hits, hits, "the pre-roll-over answer was served from the cache");
+    assert!(after.coverage.is_full());
+    let ctx = ExecContext::builder().threads(2).build();
+    assert_eq!(*after.result, run_query(&ctx, &next, &q), "answer over the new data");
+    assert_ne!(after.result, before.result, "the new corpus changes the answer");
+}
+
+/// While shard 0 stalls, eight concurrent identical queries coalesce
+/// onto one scatter: one request per shard, seven coalesced tickets.
+#[test]
+fn concurrent_identical_queries_share_one_scatter() {
+    let f = stalled_fixture("coalesce", Some(500));
+    let r = router(&f, DegradedPolicy::ServePartial, true);
+    let q = Query::CrossCountry;
+    let start = Barrier::new(8);
+    let answers: Vec<_> = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..8)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    r.query(&q).expect("answer")
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().expect("client thread")).collect()
+    });
+    let ctx = ExecContext::builder().threads(2).build();
+    let expect = run_query(&ctx, &f.dataset, &q);
+    for a in &answers {
+        assert!(a.coverage.is_full());
+        assert_eq!(*a.result, expect);
+    }
+    for (i, w) in f.workers.iter().enumerate() {
+        assert_eq!(w.requests(), 1, "shard {i}: one request for eight queries");
+    }
+    let m = r.metrics();
+    assert_eq!((m.coalesced, m.completed), (7, 1), "{m:?}");
+}
+
+/// A caller's deadline expires while a shard stalls; the scatter runs
+/// on, and a later ask is a cache hit with the full answer.
+#[test]
+fn run_timeout_expires_during_a_stall_and_the_answer_is_cached() {
+    let f = stalled_fixture("deadline", Some(500));
+    let r = router(&f, DegradedPolicy::ServePartial, true);
+    let q = Query::Delay;
+    match r.run_timeout(q, Duration::from_millis(50)) {
+        Err(ServeError::TimedOut { .. }) => {}
+        other => panic!("expected TimedOut, got {other:?}"),
+    }
+    assert_eq!(r.metrics().timeouts, 1);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while r.metrics().cache.entries == 0 {
+        assert!(Instant::now() < deadline, "the stalled scatter never completed");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let hits = r.stats().hits;
+    let ans = r.query(&q).expect("cached answer");
+    assert_eq!(r.stats().hits, hits + 1, "the later ask is a cache hit");
+    assert!(ans.coverage.is_full());
+    let ctx = ExecContext::builder().threads(2).build();
+    assert_eq!(*ans.result, run_query(&ctx, &f.dataset, &q));
 }
 
 #[test]
