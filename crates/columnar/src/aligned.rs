@@ -238,18 +238,6 @@ impl<T: Copy> AlignedBuf<T> {
         let begin = begin.min(end);
         self.as_slice().get(begin..end).unwrap_or(&[])
     }
-
-    /// Iterate fixed-size chunk views of `chunk_rows` elements (the
-    /// last chunk may be shorter; `chunk_rows` is clamped to at least
-    /// 1). Because the buffer start is [`COLUMN_ALIGN`]-aligned, every
-    /// chunk whose byte offset (`chunk_rows * size_of::<T>()`) is a
-    /// multiple of [`COLUMN_ALIGN`] starts on a cache-line boundary —
-    /// true for the engine's power-of-two row chunks on every column
-    /// type.
-    #[inline]
-    pub fn chunk_views(&self, chunk_rows: usize) -> std::slice::Chunks<'_, T> {
-        self.as_slice().chunks(chunk_rows.max(1))
-    }
 }
 
 impl AlignedBuf<u8> {

@@ -16,7 +16,8 @@
 //!
 //! Every column, string pool and the CSR index is its own named section,
 //! so the format is self-describing and forward-extensible (unknown
-//! sections are ignored on read; a name may appear only once).
+//! sections are ignored on read; a name may appear only once). The
+//! sections, their order and row spaces are the schema of [`crate::columns`].
 //! Checksums catch corruption; a full [`Dataset::validate`] runs after
 //! load.
 //!
@@ -93,11 +94,10 @@
 //! projected load of [`ColumnSet::ALL`].
 
 use crate::aligned::{AlignedBuf, Scalar};
-use crate::columns::{Column, ColumnSet};
-use crate::index::EventIndex;
+use crate::columns::{Column, ColumnSet, Layout};
 use crate::partition::partitions;
 use crate::strings::{StringDict, StringPool};
-use crate::table::Dataset;
+use crate::table::{Dataset, SourceDirectory};
 use std::collections::{BTreeSet, HashMap};
 use std::io::{self, Read, Seek, Write};
 use std::mem::{size_of, size_of_val};
@@ -156,7 +156,7 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
 }
 
 /// Bulk little-endian encode of a column into a payload.
-fn encode<T: Scalar>(vals: &[T]) -> Vec<u8> {
+pub(crate) fn encode<T: Scalar>(vals: &[T]) -> Vec<u8> {
     let mut out = vec![0u8; size_of_val(vals)];
     for (dst, &v) in out.chunks_exact_mut(size_of::<T>()).zip(vals) {
         v.write_le(dst);
@@ -226,24 +226,20 @@ pub enum SectionSpace {
     Global,
 }
 
-/// Classify a section name into its [`SectionSpace`].
+/// Classify a section name into its [`SectionSpace`], from the
+/// [`Layout`] of its column.
 pub fn section_space(name: &str) -> SectionSpace {
-    use SectionSpace::*;
-    match name {
-        "events.id" => Event(8),
-        "events.day" | "events.capture" | "events.avg_tone" => Event(4),
-        "events.quarter" | "events.actor1" | "events.actor2" | "events.country" => Event(2),
-        "events.quad" => Event(1),
-        "events.urls.bytes" => UrlBytes,
-        "events.urls.offsets" | "index.offsets" => EventOffsets,
-        "mentions.event_row"
-        | "mentions.mention_interval"
-        | "mentions.delay"
-        | "mentions.source"
-        | "mentions.doc_tone" => Mention(4),
-        "mentions.quarter" => Mention(2),
-        "mentions.mention_type" | "mentions.confidence" => Mention(1),
-        _ => Global,
+    let Some(c) = Column::of_section(name) else {
+        return SectionSpace::Global;
+    };
+    match (c.layout(), name.get(c.name().len()..)) {
+        (Layout::Event(width), Some("")) => SectionSpace::Event(width),
+        (Layout::Mention(width), Some("")) => SectionSpace::Mention(width),
+        (Layout::Pool, Some(".bytes")) => SectionSpace::UrlBytes,
+        (Layout::Pool, Some(".offsets")) | (Layout::Offsets, Some("")) => {
+            SectionSpace::EventOffsets
+        }
+        _ => SectionSpace::Global,
     }
 }
 
@@ -474,34 +470,21 @@ pub fn write_dataset_with_partitions<W: Write>(
     }
     let (url_bytes, url_offsets) = d.events.urls.raw_parts();
     let (name_bytes, name_offsets) = d.sources.names.pool().raw_parts();
-
-    let payloads: Vec<(&str, Vec<u8>)> = vec![
-        ("events.id", encode(&d.events.id)),
-        ("events.day", encode(&d.events.day)),
-        ("events.capture", encode(&d.events.capture)),
-        ("events.quarter", encode(&d.events.quarter)),
-        ("events.quad", encode(&d.events.quad)),
-        ("events.actor1", encode(&d.events.actor1)),
-        ("events.actor2", encode(&d.events.actor2)),
-        ("events.avg_tone", encode(&d.events.avg_tone)),
-        ("events.country", encode(&d.events.country)),
-        ("events.urls.bytes", url_bytes.to_vec()),
-        ("events.urls.offsets", encode(url_offsets)),
-        ("mentions.event_row", encode(&d.mentions.event_row)),
-        ("mentions.orphan_id", encode(&d.mentions.orphan_id)),
-        ("mentions.orphan_interval", encode(&d.mentions.orphan_interval)),
-        ("mentions.mention_interval", encode(&d.mentions.mention_interval)),
-        ("mentions.delay", encode(&d.mentions.delay)),
-        ("mentions.source", encode(&d.mentions.source)),
-        ("mentions.quarter", encode(&d.mentions.quarter)),
-        ("mentions.mention_type", encode(&d.mentions.mention_type)),
-        ("mentions.confidence", encode(&d.mentions.confidence)),
-        ("mentions.doc_tone", encode(&d.mentions.doc_tone)),
-        ("sources.names.bytes", name_bytes.to_vec()),
-        ("sources.names.offsets", encode(name_offsets)),
-        ("sources.country", encode(&d.sources.country)),
-        ("index.offsets", encode(&d.event_index.offsets)),
-    ];
+    let mut payloads: Vec<(&str, Vec<u8>)> = Vec::new();
+    for c in Column::ALL {
+        match c {
+            Column::EventsUrls => payloads.extend([
+                ("events.urls.bytes", url_bytes.to_vec()),
+                ("events.urls.offsets", encode(url_offsets)),
+            ]),
+            Column::Sources => payloads.extend([
+                ("sources.names.bytes", name_bytes.to_vec()),
+                ("sources.names.offsets", encode(name_offsets)),
+                ("sources.country", encode(&d.sources.country)),
+            ]),
+            c => payloads.extend(d.fixed(c).map(|col| (c.name(), col.encode()))),
+        }
+    }
     let extents =
         partition_extents(d.events.len(), d.mentions.len(), &d.event_index.offsets, n_parts);
     let meta = build_meta(
@@ -558,24 +541,35 @@ fn read_array<const N: usize, R: Read>(r: &mut R) -> io::Result<[u8; N]> {
     Ok(buf)
 }
 
+/// `what` as an `InvalidData` error if `read` hit the end of the source:
+/// a cut header is corruption, not a transient failure to retry.
+fn in_header<T>(read: io::Result<T>, what: impl FnOnce() -> String) -> io::Result<T> {
+    read.map_err(|e| if e.kind() == io::ErrorKind::UnexpectedEof { bad(what()) } else { e })
+}
+
 /// The one parser of the store's magic and section headers. Callers
 /// alternate [`next_header`](Self::next_header) with either
 /// [`payload`](Self::payload) or [`skip`](Self::skip).
 pub(crate) struct SectionReader<R> {
     r: R,
-    /// Sections the file header still promises.
-    left: u32,
+    /// Sections the file header promises.
+    count: u32,
+    /// Index of the next section header.
+    next: u32,
     /// Offset of the next unread byte.
     pos: u64,
     /// Total length of the source; no declared length is trusted past it.
     limit: u64,
+    /// The source ended inside a section header.
+    cut: bool,
 }
 
 impl<R: Read> SectionReader<R> {
     /// Check the magic and the section count of a source `limit` bytes
     /// long.
     pub(crate) fn open(mut r: R, limit: u64) -> io::Result<Self> {
-        let magic: [u8; 8] = read_array(&mut r)?;
+        let cut = || "store truncated: it ends inside the 12-byte file header".to_string();
+        let magic: [u8; 8] = in_header(read_array(&mut r), cut)?;
         if &magic != MAGIC {
             return Err(bad(match magic.strip_prefix(b"GDHPC") {
                 Some(version) => format!(
@@ -585,20 +579,31 @@ impl<R: Read> SectionReader<R> {
                 None => "bad magic: not a gdelt-hpc binary file".to_string(),
             }));
         }
-        let count = u32::from_le_bytes(read_array(&mut r)?);
+        let count = u32::from_le_bytes(in_header(read_array(&mut r), cut)?);
         if count > 4_096 {
             return Err(bad(format!("implausible section count {count}")));
         }
-        Ok(SectionReader { r, left: count, pos: 12, limit })
+        Ok(SectionReader { r, count, next: 0, pos: 12, limit, cut: false })
     }
 
     /// The next section header, or `None` after the promised count. A
-    /// source that ends inside a header is an `UnexpectedEof` error.
+    /// source that ends inside a header is an `InvalidData` error naming
+    /// the section, and marks the reader `cut`.
     pub(crate) fn next_header(&mut self) -> io::Result<Option<SectionLayout>> {
-        if self.left == 0 {
+        if self.next == self.count {
             return Ok(None);
         }
-        self.left -= 1;
+        let index = self.next;
+        self.next += 1;
+        let header = self.read_header();
+        self.cut = matches!(&header, Err(e) if e.kind() == io::ErrorKind::UnexpectedEof);
+        in_header(header, || {
+            format!("store truncated inside the header of section {index} of {}", self.count)
+        })
+        .map(Some)
+    }
+
+    fn read_header(&mut self) -> io::Result<SectionLayout> {
         let name_len = u16::from_le_bytes(read_array(&mut self.r)?);
         let mut name = vec![0u8; usize::from(name_len)];
         self.r.read_exact(&mut name)?;
@@ -607,7 +612,7 @@ impl<R: Read> SectionReader<R> {
         let checksum = u64::from_le_bytes(read_array(&mut self.r)?);
         self.pos += 2 + u64::from(name_len) + 16;
         let available = payload_len.min(self.limit.saturating_sub(self.pos));
-        Ok(Some(SectionLayout { name, payload_offset: self.pos, payload_len, checksum, available }))
+        Ok(SectionLayout { name, payload_offset: self.pos, payload_len, checksum, available })
     }
 
     /// Read the payload of the header just returned into a 64-byte
@@ -660,22 +665,6 @@ impl Sections {
         Self::read_with(SectionReader::open(r, limit)?, tolerant, |_, _| Ok(false))
     }
 
-    /// The strict read of the sections `columns` reads
-    /// ([`ColumnSet::reads_section`]); the others are stepped over
-    /// with [`SectionReader::skip`].
-    pub(crate) fn read_projected<R: Read + Seek>(
-        r: R,
-        limit: u64,
-        columns: ColumnSet,
-    ) -> io::Result<Self> {
-        Self::read_with(SectionReader::open(r, limit)?, false, |reader, h| {
-            if columns.reads_section(&h.name) {
-                return Ok(false);
-            }
-            reader.skip(h).map(|()| true)
-        })
-    }
-
     /// The one section loop: `skip` steps over a section and returns
     /// true, or returns false to have it read.
     fn read_with<R: Read>(
@@ -683,7 +672,7 @@ impl Sections {
         tolerant: bool,
         mut skip: impl FnMut(&mut SectionReader<R>, &SectionLayout) -> io::Result<bool>,
     ) -> io::Result<Self> {
-        let mut map = HashMap::with_capacity(reader.left as usize);
+        let mut map = HashMap::with_capacity(reader.count as usize);
         let mut skipped = BTreeSet::new();
         let mut dirty = BTreeSet::new();
         let mut checksums = Vec::new();
@@ -691,7 +680,7 @@ impl Sections {
             let h = match reader.next_header() {
                 Ok(Some(h)) => h,
                 Ok(None) => break,
-                Err(e) if tolerant && e.kind() == io::ErrorKind::UnexpectedEof => break,
+                Err(_) if tolerant && reader.cut => break,
                 Err(e) => return Err(e),
             };
             let repeated = map.contains_key(&h.name) || skipped.contains(&h.name);
@@ -746,21 +735,9 @@ impl Sections {
         self.map.remove(name).ok_or_else(|| bad(format!("missing section {name}")))
     }
 
-    pub(crate) fn column<T: Scalar>(&mut self, name: &str) -> io::Result<AlignedBuf<T>> {
-        into_column(self.take(name)?, name)
-    }
-
     pub(crate) fn pool(&mut self, bytes: &str, offsets: &str) -> io::Result<StringPool> {
-        StringPool::from_raw_parts(self.take(bytes)?, self.column(offsets)?).map_err(bad)
-    }
-
-    /// Column `c`'s section if `columns` holds it, else an empty column.
-    fn held<T: Scalar>(&mut self, columns: ColumnSet, c: Column) -> io::Result<AlignedBuf<T>> {
-        if columns.contains(c) {
-            self.column(c.name())
-        } else {
-            Ok(AlignedBuf::new())
-        }
+        StringPool::from_raw_parts(self.take(bytes)?, into_column(self.take(offsets)?, offsets)?)
+            .map_err(bad)
     }
 }
 
@@ -785,47 +762,23 @@ pub fn read_dataset_unchecked(bytes: &[u8]) -> io::Result<Dataset> {
 /// from an already-read section map (shared by the strict and degraded
 /// loaders).
 pub(crate) fn dataset_from_sections(mut s: Sections, columns: ColumnSet) -> io::Result<Dataset> {
-    use Column::*;
     let columns = columns.to_hold();
-    let urls = if columns.contains(EventsUrls) {
-        s.pool("events.urls.bytes", "events.urls.offsets")?
-    } else {
-        StringPool::new()
-    };
-    let events = crate::table::EventsTable {
-        id: s.held(columns, EventsId)?,
-        day: s.held(columns, EventsDay)?,
-        capture: s.held(columns, EventsCapture)?,
-        quarter: s.held(columns, EventsQuarter)?,
-        quad: s.held(columns, EventsQuad)?,
-        actor1: s.held(columns, EventsActor1)?,
-        actor2: s.held(columns, EventsActor2)?,
-        avg_tone: s.held(columns, EventsAvgTone)?,
-        country: s.held(columns, EventsCountry)?,
-        urls,
-    };
-
-    let mentions = crate::table::MentionsTable {
-        event_row: s.held(columns, MentionsEventRow)?,
-        orphan_id: s.held(columns, MentionsOrphanId)?,
-        orphan_interval: s.held(columns, MentionsOrphanInterval)?,
-        mention_interval: s.held(columns, MentionsMentionInterval)?,
-        delay: s.held(columns, MentionsDelay)?,
-        source: s.held(columns, MentionsSource)?,
-        quarter: s.held(columns, MentionsQuarter)?,
-        mention_type: s.held(columns, MentionsMentionType)?,
-        confidence: s.held(columns, MentionsConfidence)?,
-        doc_tone: s.held(columns, MentionsDocTone)?,
-    };
-
-    let sources = crate::table::SourceDirectory {
+    let mut d = Dataset { columns, ..Dataset::default() };
+    let mut read = Ok(());
+    d.for_each_fixed_mut(|c, col| {
+        if read.is_ok() && columns.contains(c) {
+            read = s.take(c.name()).and_then(|payload| col.decode(payload, c.name()));
+        }
+    });
+    read?;
+    if columns.contains(Column::EventsUrls) {
+        d.events.urls = s.pool("events.urls.bytes", "events.urls.offsets")?;
+    }
+    d.sources = SourceDirectory {
         names: StringDict::from_pool(s.pool("sources.names.bytes", "sources.names.offsets")?),
-        country: s.column("sources.country")?,
+        country: into_column(s.take("sources.country")?, "sources.country")?,
     };
-
-    let event_index = EventIndex { offsets: s.held(columns, IndexOffsets)? };
-
-    Ok(Dataset { events, mentions, sources, event_index, columns })
+    Ok(d)
 }
 
 /// Fill a sibling `<name>.tmp` and rename it over `path`, so a writer
@@ -901,7 +854,14 @@ pub fn load_projected_with_identity(
     let _s = gdelt_obs::span("store", "load");
     let (r, len) = open_sized(path)?;
     let columns = columns.to_hold();
-    let sections = Sections::read_projected(r, len, columns)?;
+    // The strict read of the sections `columns` reads; the others are
+    // stepped over.
+    let sections = Sections::read_with(SectionReader::open(r, len)?, false, |reader, h| {
+        if columns.reads_section(&h.name) {
+            return Ok(false);
+        }
+        reader.skip(h).map(|()| true)
+    })?;
     let digests: Vec<u8> = sections.checksums.iter().flat_map(|c| c.to_le_bytes()).collect();
     let identity = checksum64(&digests).max(1);
     let dataset = dataset_from_sections(sections, columns)?;
@@ -946,7 +906,7 @@ impl ReadShim for NoShim {
 pub fn scan_layout(path: &Path) -> io::Result<Vec<SectionLayout>> {
     let (r, len) = open_sized(path)?;
     let mut reader = SectionReader::open(r, len)?;
-    let mut out = Vec::with_capacity(reader.left as usize);
+    let mut out = Vec::with_capacity(reader.count as usize);
     while let Some(h) = reader.next_header()? {
         reader.skip(&h)?;
         out.push(h);
@@ -1254,9 +1214,10 @@ mod tests {
         std::fs::write(&path, &whole[..whole.len() - 1]).unwrap();
         assert_eq!(scan_layout(&path).unwrap_err().kind(), io::ErrorKind::InvalidData);
         assert_eq!(load(&path).unwrap_err().kind(), io::ErrorKind::InvalidData);
-        // A cut inside the last header is an early end of file.
+        // A cut inside the last header is corruption, not an early end
+        // of file a retry could cure.
         std::fs::write(&path, &whole[..last.payload_offset as usize - 3]).unwrap();
-        assert_eq!(scan_layout(&path).unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(scan_layout(&path).unwrap_err().kind(), io::ErrorKind::InvalidData);
         assert!(load(&path).is_err());
         std::fs::remove_file(&path).ok();
     }

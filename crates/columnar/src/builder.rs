@@ -38,13 +38,6 @@ use gdelt_model::event::EventRecord;
 use gdelt_model::mention::MentionRecord;
 use gdelt_model::time::CaptureInterval;
 
-/// `src[i]` for every `i` of `rows`, in that order.
-fn gather<T: Copy>(src: &[T], rows: &[u32]) -> AlignedBuf<T> {
-    let mut out = AlignedBuf::with_capacity(rows.len());
-    out.extend_from_iter(rows.iter().filter_map(|&i| src.get(i as usize).copied()));
-    out
-}
-
 /// Event rows in arrival order, already in column form.
 #[derive(Debug, Default)]
 struct StagedEvents {
@@ -114,29 +107,21 @@ impl StagedEvents {
             last_id = Some(id);
             keep.push(row);
         }
-        EventsTable {
-            id: gather(&t.id, &keep),
-            day: gather(&t.day, &keep),
-            capture: gather(&t.capture, &keep),
-            quarter: gather(&t.quarter, &keep),
-            quad: gather(&t.quad, &keep),
-            actor1: gather(&t.actor1, &keep),
-            actor2: gather(&t.actor2, &keep),
-            avg_tone: gather(&t.avg_tone, &keep),
-            country: gather(&t.country, &keep),
-            urls: t.urls.gather(&keep),
+        let mut kept = EventsTable { urls: t.urls.gather(&keep), ..EventsTable::default() };
+        for (_, get, get_mut) in &EventsTable::FIXED {
+            get_mut(&mut kept).gather(get(&t), &keep);
         }
+        kept
     }
 }
 
 /// Mention rows in arrival order, already in column form.
 #[derive(Debug, Default)]
 struct StagedMentions {
-    /// The columns `finish` does not derive from the join.
+    /// The columns `finish` does not derive from the join. Until then
+    /// the orphan side columns hold *every* row's `GlobalEventID` and
+    /// own `EventTimeDate` interval.
     table: MentionsTable,
-    /// Each row's `GlobalEventID` and own `EventTimeDate` interval.
-    event_id: AlignedBuf<u64>,
-    event_interval: AlignedBuf<u32>,
     /// Sources in order of first appearance.
     sources: SourceDirectory,
     /// Rows offered, including those dropped for a timestamp before the
@@ -163,9 +148,9 @@ impl StagedMentions {
                 self.sources.names.intern(m.source_name)
             }
         };
-        self.event_id.push(m.event_id.0);
-        self.event_interval.push(event_iv.0);
         let t = &mut self.table;
+        t.orphan_id.push(m.event_id.0);
+        t.orphan_interval.push(event_iv.0);
         t.mention_interval.push(mention_iv.0);
         t.source.push(source);
         t.quarter.push(Dataset::interval_quarter(mention_iv));
@@ -193,13 +178,13 @@ impl StagedMentions {
         events: &EventsTable,
         cleaner: &mut Cleaner,
     ) -> (MentionsTable, SourceDirectory) {
-        let StagedMentions { mut table, event_id, event_interval, sources, .. } = self;
+        let StagedMentions { mut table, sources, .. } = self;
         let event_ids = events.id.as_slice();
         // Consecutive mentions mostly report on the same event or the
         // next one; only a jump pays for a binary search.
         let mut at = 0usize;
-        table.event_row = AlignedBuf::with_capacity(event_id.len());
-        table.event_row.extend_from_iter(event_id.iter().map(|id| {
+        table.event_row = AlignedBuf::with_capacity(table.orphan_id.len());
+        table.event_row.extend_from_iter(table.orphan_id.iter().map(|id| {
             if event_ids.get(at) != Some(id) {
                 if event_ids.get(at + 1) == Some(id) {
                     at += 1;
@@ -216,28 +201,24 @@ impl StagedMentions {
         let key = |row: u32, interval: u32| u64::from(row) << 32 | u64::from(interval);
         let t = &table;
         let keys = || t.event_row.iter().zip(t.mention_interval.iter()).map(|(&r, &iv)| key(r, iv));
-        let (mut t, event_id, event_interval) = if keys().zip(keys().skip(1)).all(|(a, b)| a <= b) {
-            (table, event_id, event_interval)
+        let mut t = if keys().zip(keys().skip(1)).all(|(a, b)| a <= b) {
+            table
         } else {
             let mut order: Vec<(u64, u32)> = keys().zip(0u32..).collect();
             order.sort_unstable();
             let rows: Vec<u32> = order.iter().map(|&(_, row)| row).collect();
             drop(order);
-            let sorted = MentionsTable {
-                event_row: gather(&t.event_row, &rows),
-                mention_interval: gather(&t.mention_interval, &rows),
-                source: gather(&t.source, &rows),
-                quarter: gather(&t.quarter, &rows),
-                mention_type: gather(&t.mention_type, &rows),
-                confidence: gather(&t.confidence, &rows),
-                doc_tone: gather(&t.doc_tone, &rows),
-                ..MentionsTable::default()
-            };
-            (sorted, gather(&event_id, &rows), gather(&event_interval, &rows))
+            // The staged delay column is empty: it gathers to an empty
+            // column, to be derived below.
+            let mut sorted = MentionsTable::default();
+            for (_, get, get_mut) in &MentionsTable::FIXED {
+                get_mut(&mut sorted).gather(get(t), &rows);
+            }
+            sorted
         };
 
         let mut inconsistent = 0;
-        let rows = t.event_row.iter().zip(t.mention_interval.iter()).zip(event_interval.iter());
+        let rows = t.event_row.iter().zip(t.mention_interval.iter()).zip(t.orphan_interval.iter());
         t.delay = AlignedBuf::with_capacity(t.len());
         t.delay.extend_from_iter(rows.map(|((&er, &scraped), &own)| {
             let from = events.capture.get(er as usize).copied().unwrap_or(own);
@@ -246,8 +227,8 @@ impl StagedMentions {
         }));
         cleaner.inconsistent_event_times(inconsistent);
         let joined = t.event_row.partition_point(|&er| er != NO_EVENT_ROW);
-        t.orphan_id = event_id.chunk_view(joined, event_id.len()).into();
-        t.orphan_interval = event_interval.chunk_view(joined, event_interval.len()).into();
+        t.orphan_id = t.orphan_id.chunk_view(joined, t.len()).into();
+        t.orphan_interval = t.orphan_interval.chunk_view(joined, t.len()).into();
         (t, sources)
     }
 }

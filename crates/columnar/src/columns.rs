@@ -1,10 +1,14 @@
-//! The store's logical columns and sets of them.
+//! The store's schema: its logical columns, declared once, and sets of
+//! them.
 //!
 //! A [`Column`] is one fixed-width column, one string pool (its bytes
 //! and offsets) or the whole source directory; its name is the store
 //! section it is written to (a pool's sections add `.bytes` /
-//! `.offsets`, the directory's start with `sources.`). A [`ColumnSet`]
-//! is a bitset of them: what a query reads (`Query::columns` in
+//! `.offsets`, the directory's start with `sources.`). `SCHEMA` declares
+//! each one's name and [`Layout`] in store order, for every reader and
+//! writer of the store to loop over; each table's `FIXED` list is where a
+//! fixed-width column meets its struct field. A [`ColumnSet`] is a
+//! bitset of columns: what a query reads (`Query::columns` in
 //! `gdelt-engine`), what a [`Dataset`](crate::Dataset) holds and what
 //! [`binfmt::load_projected`](crate::binfmt::load_projected) reads off
 //! disk. [`ColumnSet::KEYS`] are held by every dataset.
@@ -46,64 +50,80 @@ pub enum Column {
     IndexOffsets,
 }
 
+/// How a column is stored: its row space and element width, the
+/// declaration every reader, writer and assembler of the store loops
+/// over. A fixed-width column's one section is named like the column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// One element of this many bytes per event row.
+    Event(usize),
+    /// One element of this many bytes per mention row.
+    Mention(usize),
+    /// One element of this many bytes per mention of the orphan tail.
+    Orphan(usize),
+    /// One string per event row: sections `<name>.bytes` and
+    /// `<name>.offsets` (one `u64` per event row plus one).
+    Pool,
+    /// One `u64` per event row plus one: a CSR offsets array.
+    Offsets,
+    /// Not row-addressed: sections `<name>.*` that no partition owns.
+    Global,
+}
+
+/// The store's schema, in store order: each column's section name and
+/// layout. The one place a column is declared.
+const SCHEMA: [(Column, &str, Layout); 22] = {
+    use Column::*;
+    use Layout::*;
+    [
+        (EventsId, "events.id", Event(8)),
+        (EventsDay, "events.day", Event(4)),
+        (EventsCapture, "events.capture", Event(4)),
+        (EventsQuarter, "events.quarter", Event(2)),
+        (EventsQuad, "events.quad", Event(1)),
+        (EventsActor1, "events.actor1", Event(2)),
+        (EventsActor2, "events.actor2", Event(2)),
+        (EventsAvgTone, "events.avg_tone", Event(4)),
+        (EventsCountry, "events.country", Event(2)),
+        (EventsUrls, "events.urls", Pool),
+        (MentionsEventRow, "mentions.event_row", Mention(4)),
+        (MentionsOrphanId, "mentions.orphan_id", Orphan(8)),
+        (MentionsOrphanInterval, "mentions.orphan_interval", Orphan(4)),
+        (MentionsMentionInterval, "mentions.mention_interval", Mention(4)),
+        (MentionsDelay, "mentions.delay", Mention(4)),
+        (MentionsSource, "mentions.source", Mention(4)),
+        (MentionsQuarter, "mentions.quarter", Mention(2)),
+        (MentionsMentionType, "mentions.mention_type", Mention(1)),
+        (MentionsConfidence, "mentions.confidence", Mention(1)),
+        (MentionsDocTone, "mentions.doc_tone", Mention(4)),
+        (Sources, "sources", Global),
+        (IndexOffsets, "index.offsets", Offsets),
+    ]
+};
+
 impl Column {
     /// Every column, in store order.
     pub const ALL: [Column; 22] = {
-        use Column::*;
-        [
-            EventsId,
-            EventsDay,
-            EventsCapture,
-            EventsQuarter,
-            EventsQuad,
-            EventsActor1,
-            EventsActor2,
-            EventsAvgTone,
-            EventsCountry,
-            EventsUrls,
-            MentionsEventRow,
-            MentionsOrphanId,
-            MentionsOrphanInterval,
-            MentionsMentionInterval,
-            MentionsDelay,
-            MentionsSource,
-            MentionsQuarter,
-            MentionsMentionType,
-            MentionsConfidence,
-            MentionsDocTone,
-            Sources,
-            IndexOffsets,
-        ]
+        let mut all = [Column::EventsId; 22];
+        let mut i = 0;
+        while i < all.len() {
+            all[i] = SCHEMA[i].0;
+            // `name` and `layout` index the schema by discriminant.
+            assert!(all[i] as usize == i, "SCHEMA out of variant order");
+            i += 1;
+        }
+        all
     };
 
     /// The column's name: its store section, or the prefix of its
     /// sections.
     pub const fn name(self) -> &'static str {
-        use Column::*;
-        match self {
-            EventsId => "events.id",
-            EventsDay => "events.day",
-            EventsCapture => "events.capture",
-            EventsQuarter => "events.quarter",
-            EventsQuad => "events.quad",
-            EventsActor1 => "events.actor1",
-            EventsActor2 => "events.actor2",
-            EventsAvgTone => "events.avg_tone",
-            EventsCountry => "events.country",
-            EventsUrls => "events.urls",
-            MentionsEventRow => "mentions.event_row",
-            MentionsOrphanId => "mentions.orphan_id",
-            MentionsOrphanInterval => "mentions.orphan_interval",
-            MentionsMentionInterval => "mentions.mention_interval",
-            MentionsDelay => "mentions.delay",
-            MentionsSource => "mentions.source",
-            MentionsQuarter => "mentions.quarter",
-            MentionsMentionType => "mentions.mention_type",
-            MentionsConfidence => "mentions.confidence",
-            MentionsDocTone => "mentions.doc_tone",
-            Sources => "sources",
-            IndexOffsets => "index.offsets",
-        }
+        SCHEMA[self as usize].1
+    }
+
+    /// How the column is stored.
+    pub const fn layout(self) -> Layout {
+        SCHEMA[self as usize].2
     }
 
     /// The column a store section belongs to: the one named like it,

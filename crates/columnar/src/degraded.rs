@@ -14,14 +14,15 @@
 //!    *quarantined*. Damage to a global section (the source directory,
 //!    the orphan side columns), or damage that cannot be pinned to a
 //!    partition, still fails the load.
-//! 3. **Compaction** — the dataset is assembled from the live
-//!    partitions only: column slices are concatenated, the URL pool and
-//!    the `event_row` join column are rebased, the orphan tail goes
-//!    with the last partition, and the CSR index is rebuilt. The result
-//!    is *exactly* the dataset a clean store restricted to the same
-//!    partitions would produce
-//!    ([`restrict_to_partitions`] — chaos testing asserts bit-identical
-//!    results), and it passes [`Dataset::validate`] like any other load.
+//! 3. **Restriction** — [`Sections::restrict`] rewrites the sections
+//!    read into those the store restricted to the live partitions would
+//!    hold: live slices joined, the offsets and `event_row` rebased, the
+//!    orphan tail kept only with the last partition. The strict
+//!    assembler ([`dataset_from_sections`]) then builds the dataset, so
+//!    it is *exactly* the one a clean store restricted to the same
+//!    partitions would produce ([`restrict_to_partitions`] — chaos
+//!    testing asserts bit-identical results), and it passes
+//!    [`Dataset::validate`] like any other load.
 //! 4. **Retry** — transient read errors (not corruption) are retried
 //!    with capped exponential backoff per [`RetryPolicy`] before giving
 //!    up; an injectable [`ReadShim`] under the loader lets the fault
@@ -35,18 +36,15 @@ use std::collections::BTreeSet;
 use std::io::{self, Read};
 use std::time::Duration;
 
-use crate::aligned::{AlignedBuf, Scalar};
+use crate::aligned::AlignedBuf;
 use crate::binfmt::{
-    bad, checksum64, into_column, open_sized, parse_meta, section_space, MetaTable, NoShim,
-    PartExtent, ReadShim, SectionSpace, Sections, META_SECTION,
+    bad, checksum64, dataset_from_sections, into_column, open_sized, parse_meta, section_space,
+    MetaTable, NoShim, PartExtent, ReadShim, SectionSpace, Sections, META_SECTION,
 };
-use crate::columns::ColumnSet;
+use crate::columns::{Column, ColumnSet, Layout};
 use crate::health::StoreHealth;
 use crate::index::EventIndex;
-use crate::strings::{StringDict, StringPool};
-use crate::table::{
-    Dataset, EventRows, EventsTable, MentionRun, MentionsTable, SourceDirectory, NO_EVENT_ROW,
-};
+use crate::table::{Dataset, EventRows, EventsTable, MentionRun, MentionsTable, NO_EVENT_ROW};
 
 /// A capped doubling retry schedule: the transient-failure retries of
 /// [`load_degraded_with`], and a shard router's dials (one first try
@@ -94,54 +92,29 @@ pub struct DegradedLoad {
 /// digest table. Errors when damage cannot be localized (global
 /// sections, or a dirty section with no mismatching partition).
 fn compute_quarantine(meta: &MetaTable, ts: &Sections) -> io::Result<Vec<u32>> {
-    for name in &ts.dirty {
-        if section_space(name) == SectionSpace::Global && name != META_SECTION {
+    let mut quarantined = BTreeSet::new();
+    for name in ts.dirty.iter().filter(|&name| name != META_SECTION) {
+        let space = section_space(name);
+        if space == SectionSpace::Global {
             return Err(bad(format!("unrecoverable corruption in global section {name}")));
         }
-    }
-    let mut quarantined: BTreeSet<u32> = BTreeSet::new();
-    let check_row = |name: &str,
-                     row: &[u64],
-                     url_offsets: &[u64],
-                     skip: &BTreeSet<u32>,
-                     out: &mut BTreeSet<u32>|
-     -> io::Result<()> {
-        let space = section_space(name);
-        let payload = ts.get(name)?;
-        for (p, ext) in meta.extents.iter().enumerate() {
-            let pid = p as u32;
-            if skip.contains(&pid) {
-                continue;
-            }
-            let ok = match (ext.slice(space, payload, url_offsets), row.get(p)) {
-                (Some(bytes), Some(&digest)) => checksum64(bytes) == digest,
-                _ => false,
-            };
-            if !ok {
-                out.insert(pid);
-            }
-        }
-        Ok(())
-    };
-    // Phase 1: every dirty fixed-width / offsets section. The URL byte
-    // pool needs the offsets column to slice, so it goes second, and
-    // only for partitions whose offsets just verified clean.
-    for (name, row) in &meta.digests {
-        if section_space(name) == SectionSpace::UrlBytes || !ts.dirty.contains(name) {
-            continue;
-        }
-        check_row(name, row, &[], &BTreeSet::new(), &mut quarantined)?;
-    }
-    if ts.dirty.contains("events.urls.bytes") {
-        let url_offsets = whole_offsets(ts.get("events.urls.offsets")?)?;
-        let row = meta
+        let (_, digests) = meta
             .digests
             .iter()
-            .find(|(n, _)| n == "events.urls.bytes")
-            .map(|(_, r)| r.as_slice())
-            .ok_or_else(|| bad("partitions.meta has no digest row for events.urls.bytes"))?;
-        let skip = quarantined.clone();
-        check_row("events.urls.bytes", row, &url_offsets, &skip, &mut quarantined)?;
+            .find(|(row, _)| row == name)
+            .ok_or_else(|| bad(format!("partitions.meta has no digest row for {name}")))?;
+        // The URL bytes slice through the offsets as read: a partition
+        // whose offsets are damaged is quarantined by their own check.
+        let url_offsets = match space {
+            SectionSpace::UrlBytes => whole_offsets(ts.get("events.urls.offsets")?, name)?,
+            _ => AlignedBuf::new(),
+        };
+        let payload = ts.get(name)?;
+        for ((p, ext), digest) in (0u32..).zip(&meta.extents).zip(digests) {
+            if ext.slice(space, payload, &url_offsets).map(checksum64) != Some(*digest) {
+                quarantined.insert(p);
+            }
+        }
     }
     if !ts.dirty.is_empty() && quarantined.is_empty() {
         return Err(bad("corruption detected but not localizable to a partition"));
@@ -151,164 +124,106 @@ fn compute_quarantine(meta: &MetaTable, ts: &Sections) -> io::Result<Vec<u32>> {
 
 /// Decode an offsets payload that may have lost its tail: the whole
 /// `u64` entries it still holds.
-fn whole_offsets(payload: &[u8]) -> io::Result<AlignedBuf<u64>> {
+fn whole_offsets(payload: &[u8], name: &str) -> io::Result<AlignedBuf<u64>> {
     let whole = payload.get(..payload.len() - payload.len() % 8).unwrap_or(&[]);
-    into_column(whole.into(), "events.urls.offsets")
+    into_column(whole.into(), name)
 }
 
-/// Each live partition's slice of one fixed-width section.
-fn live_slices<'a>(
-    ts: &'a Sections,
-    name: &str,
-    live: &'a [PartExtent],
-) -> io::Result<Vec<(&'a PartExtent, &'a [u8])>> {
-    let space = section_space(name);
-    let payload = ts.get(name)?;
-    live.iter()
-        .map(|ext| {
-            let slice = ext
-                .slice(space, payload, &[])
-                .ok_or_else(|| bad(format!("live partition slice of {name} out of bounds")))?;
-            Ok((ext, slice))
-        })
-        .collect()
-}
-
-/// Concatenate the live-partition slices of one fixed-width section:
-/// the slices are copied out of the section's buffer, and the copy
-/// becomes the column in place.
-fn gather<T: Scalar>(ts: &Sections, name: &str, live: &[PartExtent]) -> io::Result<AlignedBuf<T>> {
-    let mut out = AlignedBuf::new();
-    for (_, slice) in live_slices(ts, name, live)? {
-        out.extend_from_slice(slice);
-    }
-    into_column(out, name)
-}
-
-/// [`gather`] of `mentions.event_row`, shifting each row down by the
-/// event rows dropped before its partition. [`NO_EVENT_ROW`] is kept as
-/// is; any other row must lie inside its own partition's event range.
-fn rebase_event_rows(ts: &Sections, live: &[PartExtent]) -> io::Result<AlignedBuf<u32>> {
-    let name = "mentions.event_row";
-    let mut out = AlignedBuf::new();
-    let mut base: u64 = 0;
-    for (ext, slice) in live_slices(ts, name, live)? {
-        for &v in into_column::<u32>(slice.into(), name)?.iter() {
-            if v == NO_EVENT_ROW {
-                out.push(v);
-                continue;
-            }
-            let row = u64::from(v);
-            if row < ext.ev_begin || row >= ext.ev_end {
-                return Err(bad(format!("{name} points outside its partition; cannot compact")));
-            }
-            let rebased = row - ext.ev_begin + base;
-            out.push(u32::try_from(rebased).map_err(|_| bad("rebased event row overflow"))?);
+/// The one offsets routine: entries `ev_begin ..= ev_end` of each
+/// `live` partition's slice of the `name` offsets, rebased so that the
+/// ranges they bound follow one another from 0.
+fn rebase_offsets(name: &str, offsets: &[u64], live: &[PartExtent]) -> io::Result<AlignedBuf<u8>> {
+    let at = |bound: u64| usize::try_from(bound).ok();
+    let mut out = AlignedBuf::from(&0u64.to_le_bytes()[..]);
+    let mut total = 0u64;
+    for ext in live {
+        let entries = at(ext.ev_begin)
+            .zip(at(ext.ev_end))
+            .and_then(|(begin, end)| offsets.get(begin..=end))
+            .ok_or_else(|| bad(format!("live partition slice of {name} out of bounds")))?;
+        for pair in entries.windows(2) {
+            total = pair[1]
+                .checked_sub(pair[0])
+                .and_then(|len| total.checked_add(len))
+                .ok_or_else(|| bad(format!("inconsistent {name} in a live partition")))?;
+            out.extend_from_slice(&total.to_le_bytes());
         }
-        base += ext.ev_end - ext.ev_begin;
     }
     Ok(out)
 }
 
-/// Assemble a compacted dataset from the live partitions.
-fn assemble(
-    meta: &MetaTable,
-    mut ts: Sections,
-    quarantined: &[u32],
-) -> io::Result<(Dataset, u64, u64)> {
-    if quarantined.is_empty() {
-        // Nothing dropped: the strict assembly path applies verbatim.
-        let d = crate::binfmt::dataset_from_sections(ts, ColumnSet::ALL)?;
-        return Ok((d, meta.n_events, meta.n_mentions));
-    }
-
-    let live: Vec<PartExtent> = (0u32..)
-        .zip(&meta.extents)
-        .filter(|(p, _)| !quarantined.contains(p))
-        .map(|(_, ext)| *ext)
-        .collect();
-    let loaded_events: u64 = live.iter().map(|e| e.ev_end - e.ev_begin).sum();
-    let loaded_mentions: u64 = live.iter().map(|e| e.m_end - e.m_begin).sum();
-
-    macro_rules! col {
-        ($name:literal) => {
-            gather(&ts, $name, &live)?
-        };
-    }
-
-    // URL pool: concatenate live byte slices and rebase the offsets.
-    let url_offsets = whole_offsets(ts.get("events.urls.offsets")?)?;
-    let bytes_payload = ts.get("events.urls.bytes")?;
-    let mut new_bytes: AlignedBuf<u8> = AlignedBuf::new();
-    let mut new_offsets: AlignedBuf<u64> = AlignedBuf::from(&[0][..]);
-    for ext in &live {
+/// The `live` partitions' slices of section `name`, one after another.
+/// `mentions.event_row` shifts each row down by the event rows dropped
+/// before its partition: a row must lie inside its own partition's
+/// event range, and the orphan sentinel passes through.
+fn join_live(
+    name: &str,
+    payload: &[u8],
+    url_offsets: &[u64],
+    live: &[PartExtent],
+) -> io::Result<AlignedBuf<u8>> {
+    let space = section_space(name);
+    let mut joined = AlignedBuf::new();
+    let mut kept = 0;
+    for ext in live {
         let slice = ext
-            .slice(SectionSpace::UrlBytes, bytes_payload, &url_offsets)
-            .ok_or_else(|| bad("live partition slice of events.urls.bytes out of bounds"))?;
-        new_bytes.extend_from_slice(slice);
-        let b = usize::try_from(ext.ev_begin).map_err(|_| bad("extent overflow"))?;
-        let e = usize::try_from(ext.ev_end).map_err(|_| bad("extent overflow"))?;
-        for i in b..e {
-            let (lo, hi) = match (url_offsets.get(i), url_offsets.get(i + 1)) {
-                (Some(&lo), Some(&hi)) if lo <= hi => (lo, hi),
-                _ => return Err(bad("inconsistent url offsets in a live partition")),
-            };
-            let last = new_offsets.last().copied().unwrap_or(0);
-            new_offsets.push(last + (hi - lo));
+            .slice(space, payload, url_offsets)
+            .ok_or_else(|| bad(format!("live partition slice of {name} out of bounds")))?;
+        if name != Column::MentionsEventRow.name() {
+            joined.extend_from_slice(slice);
+            continue;
         }
+        for &row in into_column::<u32>(slice.into(), name)?.iter() {
+            let rebased = match u64::from(row) {
+                _ if row == NO_EVENT_ROW => row,
+                r if (ext.ev_begin..ext.ev_end).contains(&r) => {
+                    u32::try_from(r - ext.ev_begin + kept)
+                        .map_err(|_| bad("rebased event row overflow"))?
+                }
+                _ => return Err(bad(format!("{name} points outside its partition"))),
+            };
+            joined.extend_from_slice(&rebased.to_le_bytes());
+        }
+        kept += ext.ev_end - ext.ev_begin;
     }
-    let urls = StringPool::from_raw_parts(new_bytes, new_offsets).map_err(bad)?;
+    Ok(joined)
+}
 
-    // The precomputed join column rebases: live references stay within
-    // their own partition's event range and shift down by the dropped
-    // rows; its orphan sentinel passes through.
-    let event_row = rebase_event_rows(&ts, &live)?;
-
-    let events = EventsTable {
-        id: col!("events.id"),
-        day: col!("events.day"),
-        capture: col!("events.capture"),
-        quarter: col!("events.quarter"),
-        quad: col!("events.quad"),
-        actor1: col!("events.actor1"),
-        actor2: col!("events.actor2"),
-        avg_tone: col!("events.avg_tone"),
-        country: col!("events.country"),
-        urls,
-    };
-
-    // The orphan tail lies in the last partition's mention rows.
-    let tail_live = !quarantined.contains(&(meta.extents.len() as u32).saturating_sub(1));
-    let mut orphans = |name: &str| -> io::Result<AlignedBuf<u8>> {
-        let side = ts.take(name)?;
-        Ok(if tail_live { side } else { AlignedBuf::new() })
-    };
-    let (orphan_id, orphan_interval) =
-        (orphans("mentions.orphan_id")?, orphans("mentions.orphan_interval")?);
-    let mentions = MentionsTable {
-        event_row,
-        orphan_id: into_column(orphan_id, "mentions.orphan_id")?,
-        orphan_interval: into_column(orphan_interval, "mentions.orphan_interval")?,
-        mention_interval: col!("mentions.mention_interval"),
-        delay: col!("mentions.delay"),
-        source: col!("mentions.source"),
-        quarter: col!("mentions.quarter"),
-        mention_type: col!("mentions.mention_type"),
-        confidence: col!("mentions.confidence"),
-        doc_tone: col!("mentions.doc_tone"),
-    };
-
-    // Global sections are whole or the load already failed.
-    let sources = SourceDirectory {
-        names: StringDict::from_pool(ts.pool("sources.names.bytes", "sources.names.offsets")?),
-        country: ts.column("sources.country")?,
-    };
-
-    let n_live_events = events.len();
-    let event_index = EventIndex::build(n_live_events, &mentions);
-
-    let dataset = Dataset { events, mentions, sources, event_index, columns: ColumnSet::ALL };
-    Ok((dataset, loaded_events, loaded_mentions))
+impl Sections {
+    /// Rewrite the sections read into those the store restricted to the
+    /// partitions not in `quarantined` would hold, for
+    /// [`dataset_from_sections`] to assemble: row-addressed sections keep
+    /// their live slices ([`join_live`]), offsets are rebased
+    /// ([`rebase_offsets`]), the orphan side columns stay only with a
+    /// live last partition (which owns the tail) and the source directory
+    /// stays whole. Bytes no restricted store could hold are a typed
+    /// `InvalidData` error; [`Dataset::validate`] decides the rest.
+    pub(crate) fn restrict(mut self, meta: &MetaTable, quarantined: &[u32]) -> io::Result<Self> {
+        if quarantined.is_empty() {
+            return Ok(self);
+        }
+        let live: Vec<PartExtent> = (0u32..)
+            .zip(&meta.extents)
+            .filter(|(p, _)| !quarantined.contains(p))
+            .map(|(_, ext)| *ext)
+            .collect();
+        let tail_live = !quarantined.contains(&(meta.extents.len() as u32).saturating_sub(1));
+        let url_offsets = whole_offsets(self.get("events.urls.offsets")?, "events.urls.offsets")?;
+        for (name, payload) in self.map.iter_mut() {
+            let layout = Column::of_section(name).map(Column::layout);
+            *payload = match section_space(name) {
+                SectionSpace::EventOffsets => {
+                    rebase_offsets(name, &whole_offsets(payload, name)?, &live)?
+                }
+                SectionSpace::Global if matches!(layout, Some(Layout::Orphan(_))) && !tail_live => {
+                    AlignedBuf::new()
+                }
+                SectionSpace::Global => continue,
+                _ => join_live(name, payload, &url_offsets, &live)?,
+            };
+        }
+        Ok(self)
+    }
 }
 
 /// Decode a possibly-damaged store image held in memory: quarantine
@@ -331,22 +246,20 @@ fn read_degraded<R: Read>(r: R, limit: u64) -> io::Result<DegradedLoad> {
     let meta = parse_meta(meta_payload)?;
     let quarantined = compute_quarantine(&meta, &ts)?;
     let dirty_sections: Vec<String> = ts.dirty.iter().cloned().collect();
-    let total_partitions = meta.extents.len() as u32;
-    let (total_events, total_mentions) = (meta.n_events, meta.n_mentions);
-    let (dataset, loaded_events, loaded_mentions) = assemble(&meta, ts, &quarantined)?;
+    let dataset = dataset_from_sections(ts.restrict(&meta, &quarantined)?, ColumnSet::ALL)?;
     dataset.validate().map_err(|e| bad(format!("degraded assembly failed validation: {e}")))?;
     Ok(DegradedLoad {
-        dataset,
         health: StoreHealth {
-            total_partitions,
+            total_partitions: meta.extents.len() as u32,
             quarantined,
-            total_events,
-            total_mentions,
-            loaded_events,
-            loaded_mentions,
+            total_events: meta.n_events,
+            total_mentions: meta.n_mentions,
+            loaded_events: dataset.events.len() as u64,
+            loaded_mentions: dataset.mentions.len() as u64,
             dirty_sections,
             retries: 0,
         },
+        dataset,
     })
 }
 
@@ -479,7 +392,9 @@ pub fn restrict_to_partitions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binfmt::{save_with_partitions, scan_layout, write_dataset_with_partitions};
+    use crate::binfmt::{
+        read_store_extents, save_with_partitions, scan_layout, write_dataset_with_partitions,
+    };
     use crate::builder::DatasetBuilder;
     use gdelt_model::cameo::{CameoRoot, Goldstein, QuadClass};
     use gdelt_model::event::{ActionGeo, EventRecord, GeoType};
@@ -650,8 +565,9 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn the_orphan_tail_goes_with_the_last_partition() {
+    /// [`sample_dataset`] plus two mentions of events it lacks (77 and
+    /// 78): an orphan tail, so every column holds bytes.
+    fn sample_with_orphans() -> Dataset {
         let mut b = sample_builder();
         for id in [77, 78] {
             b.add_mention(MentionRecord {
@@ -665,7 +581,12 @@ mod tests {
                 doc_tone: 0.25,
             });
         }
-        let d = b.build().0;
+        b.build().0
+    }
+
+    #[test]
+    fn the_orphan_tail_goes_with_the_last_partition() {
+        let d = sample_with_orphans();
         assert_eq!(d.mentions.orphan_id.as_slice(), &[77, 78]);
         let path = tmp("orphans.gdhpc");
         save_with_partitions(&path, &d, 4).unwrap();
@@ -684,6 +605,100 @@ mod tests {
         flip_at(&path, "mentions.orphan_id", 3, 0x01);
         let err = load_degraded(&path).unwrap_err();
         assert!(err.to_string().contains("global section mentions.orphan_id"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn every_row_addressed_section_quarantines_exactly_its_partition() {
+        let d = sample_with_orphans();
+        let path = tmp("sweep.gdhpc");
+        save_with_partitions(&path, &d, 8).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        let layout = scan_layout(&path).unwrap();
+        // Partition 3 of 8 over 40 events owns event rows 15..20.
+        let ext = read_store_extents(&path).unwrap().extents[3];
+        let reference = restrict_to_partitions(&d, 8, &[3]).unwrap();
+        let (_, url_offsets) = d.events.urls.raw_parts();
+        let mut swept = Vec::new();
+        for sec in &layout {
+            let space = section_space(&sec.name);
+            let Some((begin, end)) = ext.byte_range(space, url_offsets) else { continue };
+            // The middle of the slice; an offsets slice shares its first
+            // and last entries with the neighbours, so take the middle
+            // entry's low byte.
+            let at = match space {
+                SectionSpace::EventOffsets => begin + (end - begin) / 16 * 8,
+                _ => (begin + end) / 2,
+            };
+            let mut bytes = clean.clone();
+            bytes[(sec.payload_offset + at) as usize] ^= 0x01;
+            std::fs::write(&path, &bytes).unwrap();
+            let loaded = load_degraded(&path).unwrap();
+            assert_eq!(loaded.health.quarantined, vec![3], "{}", sec.name);
+            assert_eq!(loaded.health.dirty_sections, vec![sec.name.clone()]);
+            assert_datasets_equal(&loaded.dataset, &reference);
+            swept.push(sec.name.as_str());
+        }
+        // Every fixed-width event and mention column, both URL sections
+        // and the CSR index.
+        let fixed = Column::ALL
+            .iter()
+            .filter(|c| matches!(c.layout(), Layout::Event(_) | Layout::Mention(_)));
+        assert_eq!(swept.len(), fixed.count() + 3, "{swept:?}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn every_column_loads_projected_as_the_full_load_projects() {
+        let path = tmp("projected_sweep.gdhpc");
+        save_with_partitions(&path, &sample_with_orphans(), 8).unwrap();
+        let full = crate::binfmt::load(&path).unwrap();
+        for c in Column::ALL {
+            assert!(full.column_bytes(c) > 0, "{c}");
+            let columns = ColumnSet::of(&[c]);
+            let got = crate::binfmt::load_projected(&path, &columns).unwrap();
+            let want = full.clone().project(&columns);
+            assert_eq!(got.columns, want.columns, "{c}");
+            assert_datasets_equal(&got, &want);
+            for k in Column::ALL {
+                assert_eq!(got.column_bytes(k) > 0, got.columns.contains(k), "{c}: {k}");
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_store_cut_inside_a_header_is_refused_as_corrupt_without_retries() {
+        let path = tmp("cut_header.gdhpc");
+        save_with_partitions(&path, &sample_dataset(), 8).unwrap();
+        let whole = std::fs::read(&path).unwrap();
+        let last = scan_layout(&path).unwrap().pop().unwrap();
+        let header = last.payload_offset as usize - (2 + last.name.len() + 16);
+        let policy = RetryPolicy {
+            max_retries: 3,
+            backoff: Duration::from_millis(1),
+            backoff_cap: Duration::from_millis(1),
+        };
+        let retries = || {
+            let events = gdelt_obs::flight_snapshot();
+            let of_path = |e: &&gdelt_obs::FlightEvent| {
+                e.code == "retry" && e.detail.contains(&path.display().to_string())
+            };
+            events.iter().filter(of_path).count()
+        };
+        for cut in [0, 7, 10, header + 5] {
+            std::fs::write(&path, &whole[..cut]).unwrap();
+            let err = crate::binfmt::load(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut at {cut}: {err}");
+            assert!(err.to_string().contains("truncated"), "cut at {cut}: {err}");
+            let before = retries();
+            let err = load_degraded_with(&path, &policy, &NoShim).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut at {cut}: {err}");
+            assert_eq!(retries(), before, "cut at {cut} was retried");
+        }
+        // The cut header is named by its index: section 25 of 26.
+        let err = scan_layout(&path).unwrap_err().to_string();
+        assert!(err.contains("truncated inside the header of section 25"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -8,8 +8,9 @@
 //! memory. This crate is that storage layer:
 //!
 //! * [`aligned`] — cache-line-aligned column buffers;
-//! * [`columns`] — the store's logical columns and the [`ColumnSet`]
-//!   a query reads, a dataset holds and a projected load opens;
+//! * [`columns`] — the store's schema, declared once, and the
+//!   [`ColumnSet`] a query reads, a dataset holds and a projected load
+//!   opens;
 //! * [`strings`] — append-only string pool and interning dictionary
 //!   (URLs and source names are dictionary-encoded once; queries touch
 //!   only integer ids);
@@ -23,7 +24,7 @@
 //!   the `partitions.meta` load-partition digest table;
 //! * [`degraded`] — the tolerant loader: retries transient failures
 //!   with capped backoff, quarantines partitions that fail their
-//!   digests, and compacts the live remainder;
+//!   digests, and restricts the store to the live remainder;
 //! * [`health`] — store coverage and quarantine bookkeeping carried by
 //!   every degraded-store answer;
 //! * [`partition`] — row-range partitioning mirroring the NUMA-aware

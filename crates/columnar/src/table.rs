@@ -13,16 +13,91 @@
 //! mentions of events the table lacks, sorted last — keeps its event id
 //! and time, in side columns as long as the tail.
 
-use crate::aligned::AlignedBuf;
-use crate::columns::{Column, ColumnSet};
+use crate::aligned::{AlignedBuf, Scalar};
+use crate::columns::{Column, ColumnSet, Layout};
 use crate::index::EventIndex;
 use crate::strings::{StringDict, StringPool};
 use gdelt_model::ids::{row_u32, CountryId, EventId, SourceId};
 use gdelt_model::time::{CaptureInterval, Date, Quarter};
+use std::any::Any;
+use std::io;
 use std::ops::Range;
 
 /// Sentinel for "mention's event not present in the events table".
 pub const NO_EVENT_ROW: u32 = u32::MAX;
+
+/// A fixed-width column with its element type erased: what the code
+/// that loops over the schema does to every column alike, a whole
+/// column (or run of one) per call. Implemented once, for [`AlignedBuf`].
+pub(crate) trait FixedColumn {
+    /// Number of elements.
+    fn len(&self) -> usize;
+    /// Resident payload bytes of the elements.
+    fn byte_len(&self) -> usize;
+    /// The little-endian store payload of the column.
+    fn encode(&self) -> Vec<u8>;
+    /// Become the column a store section's payload holds.
+    fn decode(&mut self, payload: AlignedBuf<u8>, section: &str) -> io::Result<()>;
+    /// Drop the buffer, leaving an empty column.
+    fn clear(&mut self);
+    /// Make room for `rows` more elements.
+    fn reserve(&mut self, rows: usize);
+    /// Append rows `rows` of `src`, a column of the same element type
+    /// (one of another type contributes nothing).
+    fn extend_rows(&mut self, src: &dyn FixedColumn, rows: Range<usize>);
+    /// Become `src[i]` for every `i` of `rows` that `src`, a column of
+    /// the same element type, holds.
+    fn gather(&mut self, src: &dyn FixedColumn, rows: &[u32]);
+    /// The column as [`Any`], for the typed view of a source column.
+    fn as_any(&self) -> &dyn Any;
+}
+
+impl<T: Scalar> FixedColumn for AlignedBuf<T> {
+    fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    fn byte_len(&self) -> usize {
+        std::mem::size_of_val(self.as_slice())
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        crate::binfmt::encode(self)
+    }
+
+    fn decode(&mut self, payload: AlignedBuf<u8>, section: &str) -> io::Result<()> {
+        crate::binfmt::into_column(payload, section).map(|column| *self = column)
+    }
+
+    fn clear(&mut self) {
+        *self = AlignedBuf::new();
+    }
+
+    fn reserve(&mut self, rows: usize) {
+        AlignedBuf::reserve(self, rows);
+    }
+
+    fn extend_rows(&mut self, src: &dyn FixedColumn, rows: Range<usize>) {
+        if let Some(src) = src.as_any().downcast_ref::<Self>() {
+            self.extend_from_slice(src.chunk_view(rows.start, rows.end));
+        }
+    }
+
+    fn gather(&mut self, src: &dyn FixedColumn, rows: &[u32]) {
+        let Some(src) = src.as_any().downcast_ref::<Self>() else { return };
+        let mut out = AlignedBuf::with_capacity(rows.len().min(src.len()));
+        out.extend_from_iter(rows.iter().filter_map(|&i| src.get(i as usize).copied()));
+        *self = out;
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
+/// A table's fixed-width column: which one, and its buffer in a table
+/// of type `T`, shared and mutable.
+pub(crate) type Field<T> = (Column, fn(&T) -> &dyn FixedColumn, fn(&mut T) -> &mut dyn FixedColumn);
 
 /// Columnar GDELT *Events* table, sorted by event id.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -91,59 +166,45 @@ impl EventsTable {
         CountryId(self.country[row])
     }
 
-    /// Quarter of the event day at `row`.
-    #[inline]
-    pub fn quarter_at(&self, row: usize) -> Quarter {
-        Quarter::from_linear(i32::from(self.quarter[row]))
-    }
-
-    /// Every fixed-width column but `id`, which sets the table's length
-    /// the others must match (when held), with its length.
-    pub(crate) fn column_lens(&self) -> [(Column, usize); 8] {
+    /// The fixed-width columns, in store order.
+    pub(crate) const FIXED: [Field<Self>; 9] = {
         use Column::*;
         [
-            (EventsDay, self.day.len()),
-            (EventsCapture, self.capture.len()),
-            (EventsQuarter, self.quarter.len()),
-            (EventsQuad, self.quad.len()),
-            (EventsActor1, self.actor1.len()),
-            (EventsActor2, self.actor2.len()),
-            (EventsAvgTone, self.avg_tone.len()),
-            (EventsCountry, self.country.len()),
+            (EventsId, |t| &t.id, |t| &mut t.id),
+            (EventsDay, |t| &t.day, |t| &mut t.day),
+            (EventsCapture, |t| &t.capture, |t| &mut t.capture),
+            (EventsQuarter, |t| &t.quarter, |t| &mut t.quarter),
+            (EventsQuad, |t| &t.quad, |t| &mut t.quad),
+            (EventsActor1, |t| &t.actor1, |t| &mut t.actor1),
+            (EventsActor2, |t| &t.actor2, |t| &mut t.actor2),
+            (EventsAvgTone, |t| &t.avg_tone, |t| &mut t.avg_tone),
+            (EventsCountry, |t| &t.country, |t| &mut t.country),
         ]
+    };
+
+    /// Every column but `id`, which sets the table's length the others
+    /// must match (when held), with its length.
+    pub(crate) fn column_lens(&self) -> impl Iterator<Item = (Column, usize)> + '_ {
+        let fixed = Self::FIXED.iter().filter(|(c, ..)| *c != Column::EventsId);
+        let urls = (Column::EventsUrls, self.urls.len());
+        fixed.map(|(c, get, _)| (*c, get(self).len())).chain([urls])
     }
 
     /// The table of rows `runs` of their tables, in that order — with
     /// [`MentionsTable::from_runs`], the one way a table is assembled
     /// from existing tables. Only the `held` columns are copied (every
-    /// run's table holds them); the others stay empty. Every copied
-    /// column is reserved once at its final length and each run is
-    /// copied column by column with `extend_from_slice`, its URLs as
-    /// one byte range.
+    /// run's table holds them), each reserved once at its final length
+    /// and copied run by run, a run's URLs as one byte range.
     pub(crate) fn from_runs(runs: &[(&EventsTable, Range<usize>)], held: ColumnSet) -> EventsTable {
         let rows: usize = runs.iter().map(|(_, rows)| rows.len()).sum();
         let mut t = EventsTable::default();
-        macro_rules! columns {
-            ($($col:ident: $c:ident),*) => {
-                $(if held.contains(Column::$c) { t.$col.reserve(rows) })*
-                for (src, r) in runs {
-                    $(if held.contains(Column::$c) {
-                        t.$col.extend_from_slice(src.$col.chunk_view(r.start, r.end))
-                    })*
-                }
-            };
+        for (_, get, get_mut) in Self::FIXED.iter().filter(|(c, ..)| held.contains(*c)) {
+            let col = get_mut(&mut t);
+            col.reserve(rows);
+            for (src, r) in runs {
+                col.extend_rows(get(src), r.clone());
+            }
         }
-        columns!(
-            id: EventsId,
-            day: EventsDay,
-            capture: EventsCapture,
-            quarter: EventsQuarter,
-            quad: EventsQuad,
-            actor1: EventsActor1,
-            actor2: EventsActor2,
-            avg_tone: EventsAvgTone,
-            country: EventsCountry
-        );
         if held.contains(Column::EventsUrls) {
             let url_bytes = runs.iter().map(|(src, r)| src.urls.bytes_in(r.clone())).sum();
             t.urls.reserve(rows, url_bytes);
@@ -246,25 +307,30 @@ impl MentionsTable {
         SourceId(self.source[row])
     }
 
-    /// Quarter of the mention at `row`.
-    #[inline]
-    pub fn quarter_at(&self, row: usize) -> Quarter {
-        Quarter::from_linear(i32::from(self.quarter[row]))
-    }
+    /// The fixed-width columns, in store order.
+    pub(crate) const FIXED: [Field<Self>; 10] = {
+        use Column::*;
+        [
+            (MentionsEventRow, |t| &t.event_row, |t| &mut t.event_row),
+            (MentionsOrphanId, |t| &t.orphan_id, |t| &mut t.orphan_id),
+            (MentionsOrphanInterval, |t| &t.orphan_interval, |t| &mut t.orphan_interval),
+            (MentionsMentionInterval, |t| &t.mention_interval, |t| &mut t.mention_interval),
+            (MentionsDelay, |t| &t.delay, |t| &mut t.delay),
+            (MentionsSource, |t| &t.source, |t| &mut t.source),
+            (MentionsQuarter, |t| &t.quarter, |t| &mut t.quarter),
+            (MentionsMentionType, |t| &t.mention_type, |t| &mut t.mention_type),
+            (MentionsConfidence, |t| &t.confidence, |t| &mut t.confidence),
+            (MentionsDocTone, |t| &t.doc_tone, |t| &mut t.doc_tone),
+        ]
+    };
 
     /// Every column as long as the table but `event_row`, which sets
     /// the length the others must match (when held), with its length.
-    pub(crate) fn column_lens(&self) -> [(Column, usize); 7] {
-        use Column::*;
-        [
-            (MentionsMentionInterval, self.mention_interval.len()),
-            (MentionsDelay, self.delay.len()),
-            (MentionsSource, self.source.len()),
-            (MentionsQuarter, self.quarter.len()),
-            (MentionsMentionType, self.mention_type.len()),
-            (MentionsConfidence, self.confidence.len()),
-            (MentionsDocTone, self.doc_tone.len()),
-        ]
+    pub(crate) fn column_lens(&self) -> impl Iterator<Item = (Column, usize)> + '_ {
+        let fixed = Self::FIXED.iter().filter(|(c, ..)| matches!(c.layout(), Layout::Mention(_)));
+        fixed
+            .filter(|(c, ..)| *c != Column::MentionsEventRow)
+            .map(|(c, get, _)| (*c, get(self).len()))
     }
 
     /// The table of the mention `runs`, in that order, joined to events
@@ -282,34 +348,27 @@ impl MentionsTable {
     ) -> MentionsTable {
         let rows: usize = runs.iter().map(|run| run.rows.len()).sum();
         let mut t = MentionsTable::default();
-        macro_rules! columns {
-            ($($col:ident: $c:ident),*) => {
-                $(if held.contains(Column::$c) { t.$col.reserve(rows) })*
-                for run in runs {
-                    let r = &run.rows;
-                    $(if held.contains(Column::$c) {
-                        t.$col.extend_from_slice(run.src.$col.chunk_view(r.start, r.end))
-                    })*
-                }
-            };
+        // Every held mention-row column is reserved once; those whose
+        // values no run changes are copied here, run by run.
+        const MAPPED: ColumnSet = ColumnSet::of(&[
+            Column::MentionsEventRow,
+            Column::MentionsSource,
+            Column::MentionsDelay,
+        ]);
+        let per_row = |c: Column| held.contains(c) && matches!(c.layout(), Layout::Mention(_));
+        for (c, get, get_mut) in Self::FIXED.iter().filter(|(c, ..)| per_row(*c)) {
+            let col = get_mut(&mut t);
+            col.reserve(rows);
+            if MAPPED.contains(*c) {
+                continue;
+            }
+            for run in runs {
+                col.extend_rows(get(run.src), run.rows.clone());
+            }
         }
-        columns!(
-            mention_interval: MentionsMentionInterval,
-            quarter: MentionsQuarter,
-            mention_type: MentionsMentionType,
-            confidence: MentionsConfidence,
-            doc_tone: MentionsDocTone
-        );
         let (source_held, delay_held) =
             (held.contains(Column::MentionsSource), held.contains(Column::MentionsDelay));
         let orphan_interval_held = held.contains(Column::MentionsOrphanInterval);
-        t.event_row.reserve(rows);
-        if source_held {
-            t.source.reserve(rows);
-        }
-        if delay_held {
-            t.delay.reserve(rows);
-        }
         for run in runs {
             let (src, r) = (run.src, &run.rows);
             let event_row = src.event_row.chunk_view(r.start, r.end);
@@ -453,68 +512,55 @@ impl Dataset {
     /// buffer is dropped, none is copied.
     pub fn project(mut self, columns: &ColumnSet) -> Dataset {
         let keep = self.columns.intersection(columns.to_hold());
-        let (e, m) = (&mut self.events, &mut self.mentions);
-        macro_rules! drop_absent {
-            ($($table:ident . $field:ident: $c:ident),*) => {
-                $(if !keep.contains(Column::$c) { $table.$field = Default::default() })*
-            };
+        self.for_each_fixed_mut(|c, col| {
+            if !keep.contains(c) {
+                col.clear();
+            }
+        });
+        if !keep.contains(Column::EventsUrls) {
+            self.events.urls = StringPool::new();
         }
-        drop_absent!(
-            e.day: EventsDay,
-            e.capture: EventsCapture,
-            e.quarter: EventsQuarter,
-            e.quad: EventsQuad,
-            e.actor1: EventsActor1,
-            e.actor2: EventsActor2,
-            e.avg_tone: EventsAvgTone,
-            e.country: EventsCountry,
-            e.urls: EventsUrls,
-            m.orphan_interval: MentionsOrphanInterval,
-            m.mention_interval: MentionsMentionInterval,
-            m.delay: MentionsDelay,
-            m.source: MentionsSource,
-            m.quarter: MentionsQuarter,
-            m.mention_type: MentionsMentionType,
-            m.confidence: MentionsConfidence,
-            m.doc_tone: MentionsDocTone
-        );
         self.columns = keep;
         self
     }
 
+    /// Column `c` if it is a fixed-width one: a table's, or the CSR
+    /// offsets.
+    pub(crate) fn fixed(&self, c: Column) -> Option<&dyn FixedColumn> {
+        let events = EventsTable::FIXED.iter().find(|f| f.0 == c).map(|f| f.1(&self.events));
+        let mentions = MentionsTable::FIXED.iter().find(|f| f.0 == c).map(|f| f.1(&self.mentions));
+        let index: &dyn FixedColumn = &self.event_index.offsets;
+        events.or(mentions).or((c == Column::IndexOffsets).then_some(index))
+    }
+
+    /// Call `f` on every fixed-width column, mutably, in store order
+    /// (the CSR offsets last).
+    pub(crate) fn for_each_fixed_mut(&mut self, mut f: impl FnMut(Column, &mut dyn FixedColumn)) {
+        for (c, _, get_mut) in &EventsTable::FIXED {
+            f(*c, get_mut(&mut self.events));
+        }
+        for (c, _, get_mut) in &MentionsTable::FIXED {
+            f(*c, get_mut(&mut self.mentions));
+        }
+        f(Column::IndexOffsets, &mut self.event_index.offsets);
+    }
+
     /// Resident payload bytes of column `c`: its elements, or a pool's
-    /// bytes and offsets (the directory adds its country column). An
-    /// absent column's are those of its empty buffers.
+    /// bytes and offsets (the directory adds its country column); 0 for
+    /// a column the dataset does not hold.
     pub(crate) fn column_bytes(&self, c: Column) -> usize {
         use std::mem::size_of_val as b;
-        let (e, m) = (&self.events, &self.mentions);
+        if !self.columns.contains(c) {
+            return 0;
+        }
         let pool = |p: &StringPool| {
             let (bytes, offsets) = p.raw_parts();
             b(bytes) + b(offsets)
         };
         match c {
-            Column::EventsId => b(e.id.as_slice()),
-            Column::EventsDay => b(e.day.as_slice()),
-            Column::EventsCapture => b(e.capture.as_slice()),
-            Column::EventsQuarter => b(e.quarter.as_slice()),
-            Column::EventsQuad => b(e.quad.as_slice()),
-            Column::EventsActor1 => b(e.actor1.as_slice()),
-            Column::EventsActor2 => b(e.actor2.as_slice()),
-            Column::EventsAvgTone => b(e.avg_tone.as_slice()),
-            Column::EventsCountry => b(e.country.as_slice()),
-            Column::EventsUrls => pool(&e.urls),
-            Column::MentionsEventRow => b(m.event_row.as_slice()),
-            Column::MentionsOrphanId => b(m.orphan_id.as_slice()),
-            Column::MentionsOrphanInterval => b(m.orphan_interval.as_slice()),
-            Column::MentionsMentionInterval => b(m.mention_interval.as_slice()),
-            Column::MentionsDelay => b(m.delay.as_slice()),
-            Column::MentionsSource => b(m.source.as_slice()),
-            Column::MentionsQuarter => b(m.quarter.as_slice()),
-            Column::MentionsMentionType => b(m.mention_type.as_slice()),
-            Column::MentionsConfidence => b(m.confidence.as_slice()),
-            Column::MentionsDocTone => b(m.doc_tone.as_slice()),
+            Column::EventsUrls => pool(&self.events.urls),
             Column::Sources => pool(self.sources.names.pool()) + b(self.sources.country.as_slice()),
-            Column::IndexOffsets => b(self.event_index.offsets.as_slice()),
+            c => self.fixed(c).map_or(0, |col| col.byte_len()),
         }
     }
 
@@ -604,9 +650,8 @@ impl Dataset {
         let rows = |c: Column, len: usize| if self.columns.contains(c) { len } else { 0 };
         let orphans = m.len().checked_sub(joined);
         self.columns.to_hold() == self.columns
-            && e.column_lens().iter().all(|&(c, n)| n == rows(c, e.len()))
-            && m.column_lens().iter().all(|&(c, n)| n == rows(c, m.len()))
-            && e.urls.len() == rows(Column::EventsUrls, e.len())
+            && e.column_lens().all(|(c, n)| n == rows(c, e.len()))
+            && m.column_lens().all(|(c, n)| n == rows(c, m.len()))
             && orphans == Some(m.orphan_id.len())
             && orphans.map(|n| rows(Column::MentionsOrphanInterval, n))
                 == Some(m.orphan_interval.len())

@@ -17,10 +17,10 @@
 //! row) so a single systemic fault doesn't drown the report in millions
 //! of identical lines.
 
-use crate::columns::Column;
+use crate::columns::{Column, Layout};
 use crate::partition::{partitions, partitions_at_boundaries};
 use crate::strings::StringPool;
-use crate::table::{Dataset, NO_EVENT_ROW};
+use crate::table::{Dataset, MentionsTable, NO_EVENT_ROW};
 use gdelt_model::time::{CaptureInterval, Date};
 
 /// One broken invariant, locatable in the store.
@@ -183,27 +183,7 @@ pub fn validate_dataset(d: &Dataset) -> ValidationReport {
     });
 
     // --- Events table ---
-    report.check(|| {
-        for (c, len) in d.events.column_lens() {
-            let want = rows(c, n_events);
-            if len != want {
-                return violation(
-                    "events.columns",
-                    c.name(),
-                    format!("{len} rows, expected {want}"),
-                );
-            }
-        }
-        let (n_urls, want) = (d.events.urls.len(), rows(Column::EventsUrls, n_events));
-        if n_urls != want {
-            return violation(
-                "events.columns",
-                "events.urls",
-                format!("{n_urls} URLs, expected {want}"),
-            );
-        }
-        None
-    });
+    report.check(|| ragged("events.columns", d.events.column_lens(), |c| rows(c, n_events)));
     report.check(|| {
         for (i, w) in d.events.id.windows(2).enumerate() {
             if w[0] >= w[1] {
@@ -285,19 +265,7 @@ pub fn validate_dataset(d: &Dataset) -> ValidationReport {
     });
 
     // --- Mentions table ---
-    report.check(|| {
-        for (c, len) in d.mentions.column_lens() {
-            let want = rows(c, n_mentions);
-            if len != want {
-                return violation(
-                    "mentions.columns",
-                    c.name(),
-                    format!("{len} rows, expected {want}"),
-                );
-            }
-        }
-        None
-    });
+    report.check(|| ragged("mentions.columns", d.mentions.column_lens(), |c| rows(c, n_mentions)));
     report.check(|| {
         let (row, at) = (&d.mentions.event_row, &d.mentions.mention_interval);
         for i in 0..row.len().saturating_sub(1) {
@@ -345,19 +313,10 @@ pub fn validate_dataset(d: &Dataset) -> ValidationReport {
     let m = &d.mentions;
     let orphans = m.event_row.iter().filter(|&&er| er == NO_EVENT_ROW).count();
     let joined = n_mentions - orphans;
-    report.check(|| {
-        let side = [
-            (Column::MentionsOrphanId, m.orphan_id.len()),
-            (Column::MentionsOrphanInterval, m.orphan_interval.len()),
-        ];
-        let (c, len) = side.into_iter().find(|&(c, len)| len != rows(c, orphans))?;
-        let want = rows(c, orphans);
-        violation(
-            "mentions.orphans",
-            c.name(),
-            format!("{len} rows, expected {want} (orphan tail)"),
-        )
-    });
+    let side =
+        MentionsTable::FIXED.iter().filter(|(c, ..)| matches!(c.layout(), Layout::Orphan(_)));
+    let side = side.map(|(c, get, _)| (*c, get(m).len()));
+    report.check(|| ragged("mentions.orphans", side, |c| rows(c, orphans)));
     report.check(|| {
         for (k, &id) in m.orphan_id.iter().enumerate() {
             if d.events.id.binary_search(&id).is_ok() {
@@ -547,6 +506,17 @@ pub fn validate_dataset(d: &Dataset) -> ValidationReport {
     });
 
     report
+}
+
+/// The first column of `lens` not as long as `want` says, as a `check`
+/// violation.
+fn ragged(
+    check: &'static str,
+    mut lens: impl Iterator<Item = (Column, usize)>,
+    want: impl Fn(Column) -> usize,
+) -> Option<Violation> {
+    let (c, len) = lens.find(|&(c, len)| len != want(c))?;
+    violation(check, c.name(), format!("{len} rows, expected {}", want(c)))
 }
 
 /// Sorted, disjoint, gap-free coverage of `0..total`.
