@@ -70,7 +70,7 @@ pub fn classify(stats: &DelayStats) -> SpeedGroup {
 /// mean / median off the merged runs exactly.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DelayHist {
-    /// Sorted `(delay, occurrences)` runs.
+    /// `(delay, occurrences)` runs, strictly ascending by delay.
     pub runs: Vec<(u32, u64)>,
 }
 
@@ -108,20 +108,36 @@ impl DelayHist {
 }
 
 impl Merge for DelayHist {
-    /// Multiset union. Both sides are sorted, and the stable sort finds
-    /// and merges the two runs in one linear pass.
+    /// Multiset union of two strictly ascending run lists — as every
+    /// kernel builds them and every decoded wire reply is — in one linear
+    /// pass: the smaller delay goes first, equal delays add.
     fn merge(&mut self, other: DelayHist) {
         if other.runs.is_empty() {
             return;
         }
-        self.runs.extend(other.runs);
-        self.runs.sort_by_key(|&(dl, _)| dl);
-        self.runs.dedup_by(|later, kept| {
-            later.0 == kept.0 && {
-                kept.1 += later.1;
-                true
+        if self.runs.is_empty() {
+            self.runs = other.runs;
+            return;
+        }
+        let mut merged = Vec::with_capacity(self.runs.len() + other.runs.len());
+        let mut mine = std::mem::take(&mut self.runs).into_iter().peekable();
+        let mut theirs = other.runs.into_iter().peekable();
+        while let (Some(&(a, n)), Some(&(b, m))) = (mine.peek(), theirs.peek()) {
+            merged.push(match a.cmp(&b) {
+                std::cmp::Ordering::Less => (a, n),
+                std::cmp::Ordering::Greater => (b, m),
+                std::cmp::Ordering::Equal => (a, n + m),
+            });
+            if a <= b {
+                mine.next();
             }
-        });
+            if b <= a {
+                theirs.next();
+            }
+        }
+        merged.extend(mine);
+        merged.extend(theirs);
+        self.runs = merged;
     }
 }
 
@@ -581,6 +597,44 @@ mod tests {
         let mut a2 = a.clone();
         a2.merge(DelayHist::default());
         assert_eq!(a2, a);
+    }
+
+    /// The merge of the previous design: concatenate, sort, add equal
+    /// delays.
+    fn merge_by_sorting(a: &DelayHist, b: &DelayHist) -> DelayHist {
+        let mut runs: Vec<(u32, u64)> = a.runs.iter().chain(&b.runs).copied().collect();
+        runs.sort_by_key(|&(dl, _)| dl);
+        runs.dedup_by(|later, kept| {
+            later.0 == kept.0 && {
+                kept.1 += later.1;
+                true
+            }
+        });
+        DelayHist { runs }
+    }
+
+    #[test]
+    fn linear_merge_equals_the_sorting_merge() {
+        // Interleaved, disjoint, nested and identical run lists, with the
+        // extreme delays and counts.
+        let lists: Vec<Vec<(u32, u64)>> = vec![
+            vec![],
+            vec![(0, 1)],
+            vec![(u32::MAX, u64::MAX / 2)],
+            vec![(0, 3), (5, 1), (9, 2), (u32::MAX, 1)],
+            vec![(1, 1), (5, 4), (6, 1), (1_024, 7)],
+            (0..200).map(|i| (i * 3, u64::from(i) + 1)).collect(),
+            (0..200).map(|i| (i * 5 + 1, 2)).collect(),
+            (100..120).map(|i| (i, 1)).collect(),
+        ];
+        for a in &lists {
+            for b in &lists {
+                let (a, b) = (DelayHist { runs: a.clone() }, DelayHist { runs: b.clone() });
+                let want = merge_by_sorting(&a, &b);
+                assert_eq!(a.clone().merged(b.clone()), want, "{a:?} + {b:?}");
+                assert!(want.runs.windows(2).all(|w| w[0].0 < w[1].0));
+            }
+        }
     }
 
     #[test]

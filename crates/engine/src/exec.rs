@@ -176,6 +176,13 @@ impl Merge for u64 {
     }
 }
 
+impl<A: Merge, B: Merge> Merge for (A, B) {
+    fn merge(&mut self, other: Self) {
+        self.0.merge(other.0);
+        self.1.merge(other.1);
+    }
+}
+
 impl<T: Merge> Merge for Vec<T>
 where
     T: Default,

@@ -20,17 +20,23 @@
 //! ones when the interval changed (`prior |= seen`) — so an event
 //! boundary costs what any other row costs; then the mention's source
 //! `j` takes one count for each member `i` of `prior`. Those counts are
-//! byte lanes: column `j` keeps a fixed array of eight words, the first
-//! ⌈leaders / 8⌉ in use, whose byte `b` of word `w` counts leader
-//! `8w + b`; a mention adds `SPREAD` of each byte of `prior` to them,
-//! and a column is flushed into the `k × k` partial before any lane can
-//! pass 255. Unselected sources write into a spare column whose counts
-//! are dropped, which keeps the loop free of a branch on the source too.
-//! `articles` does not come from the walk at all but from one dense
-//! count of the source column, which also covers mentions of unknown
-//! events.
+//! byte lanes: column `j` keeps ⌈leaders / 8⌉ words, whose byte `b` of
+//! word `w` counts leader `8w + b`; a mention adds `SPREAD` of each byte
+//! of `prior` to them, and a column is flushed into the `k × k` partial
+//! before any lane can pass 255. The walk is monomorphised over that
+//! lane-word count (1 to 8), chosen once per 64-leader word, so the
+//! adds are a fixed-width loop. Unselected sources write into a spare
+//! column whose counts are dropped, which keeps the loop free of a
+//! branch on the source too.
+//!
+//! `articles` comes from the same walk: a column's add counter is the
+//! number of its source's mentions since the last flush, so the first
+//! word's walk adds it into `n_j` at every flush and at the end. The
+//! mentions of unknown events — the orphan tail past the CSR's last
+//! offset, which no partition walks — are counted once more on their
+//! own. The source column is thus read once for the ranking and once by
+//! the walk, and `n_j` always comes from the rows the matrix came from.
 
-use crate::aggregate::count_by;
 use crate::chunk::{event_scan, mention_rows, rows_of};
 use crate::exec::{ExecContext, Merge};
 use crate::matrix::Matrix;
@@ -96,39 +102,49 @@ impl FollowReport {
         }
 
         let offsets = &d.event_index.offsets;
-        let follow_counts = event_scan(
+        let walked = event_scan(
             ctx,
             offsets,
             |events| {
                 let mut counts = Matrix::<u64>::zeros(k, k);
+                let mut articles = vec![0u64; k];
                 let rows = mention_rows(offsets, events);
                 let mentions = (
                     rows_of(&d.mentions.event_row, &rows),
                     rows_of(&d.mentions.source, &rows),
                     rows_of(&d.mentions.mention_interval, &rows),
                 );
-                let mut lanes = Vec::new();
                 for word in 0..k.div_ceil(64) {
-                    follow_word(mentions, &slot_of, word, &mut lanes, &mut counts);
+                    // Only the first word's walk counts articles.
+                    let articles: &mut [u64] = if word == 0 { &mut articles } else { &mut [] };
+                    let walk = match k.saturating_sub(64 * word).min(64).div_ceil(8) {
+                        1 => follow_word::<1>,
+                        2 => follow_word::<2>,
+                        3 => follow_word::<3>,
+                        4 => follow_word::<4>,
+                        5 => follow_word::<5>,
+                        6 => follow_word::<6>,
+                        7 => follow_word::<7>,
+                        _ => follow_word::<8>,
+                    };
+                    walk(mentions, &slot_of, word, &mut counts, articles);
                 }
-                counts
+                (counts, articles)
             },
             Merge::merged,
         );
+        let (follow_counts, mut articles) =
+            walked.unwrap_or_else(|| (Matrix::zeros(k, k), vec![0; k]));
 
         // `n_j` counts every article, also on events outside the index.
-        let by_source = count_by(ctx, &d.mentions.source, d.sources.len());
-        let mut articles = vec![0u64; k];
-        for (&slot, &n) in slot_of.iter().zip(&by_source) {
+        let joined = offsets.last().map_or(0, |&end| end as usize);
+        for &src in d.mentions.source.get(joined..).unwrap_or_default() {
+            let slot = slot_of.get(src as usize).copied().unwrap_or(k);
             if let Some(a) = articles.get_mut(slot) {
-                *a = n;
+                *a += 1;
             }
         }
-        FollowReport {
-            subset: subset.to_vec(),
-            follow_counts: follow_counts.unwrap_or_else(|| Matrix::zeros(k, k)),
-            articles,
-        }
+        FollowReport { subset: subset.to_vec(), follow_counts, articles }
     }
 
     /// The normalized follow matrix `f_ij = n_ij / n_j` (column `j`
@@ -154,24 +170,30 @@ impl FollowReport {
     }
 }
 
+/// One column of [`follow_word`]'s lanes: `LW` words of byte counters
+/// and the adds they have taken since the last flush.
+#[derive(Clone, Copy)]
+struct LaneColumn<const LW: usize> {
+    lanes: [u64; LW],
+    adds: u64,
+}
+
 /// One pass over a partition's `(event_row, source, mention_interval)`
-/// rows for the leaders `64 · word ..` of the selection: `slot_of` maps a
-/// source to its slot (`k` = unselected, the spare column) and the
-/// counts land in rows `64 · word ..` of `counts`. `lanes` is scratch:
-/// per column, eight lane words (the first ⌈leaders / 8⌉ in use) and how
-/// many adds they have taken.
+/// rows for the leaders `64 · word ..` of the selection, `LW` lane words
+/// (⌈leaders / 8⌉) per column: `slot_of` maps a source to its slot
+/// (`k` = unselected, the spare column), the counts land in rows
+/// `64 · word ..` of `counts`, and every selected column's adds land in
+/// `articles` — an empty slice for all words but the first.
 // analyze: no_panic
-fn follow_word(
+fn follow_word<const LW: usize>(
     (events, sources, times): (&[u32], &[u32], &[u32]),
     slot_of: &[usize],
     word: usize,
-    lanes: &mut Vec<[u64; 9]>,
     counts: &mut Matrix<u64>,
+    articles: &mut [u64],
 ) {
     let k = counts.cols();
-    let lane_words = k.saturating_sub(64 * word).min(64).div_ceil(8);
-    lanes.clear();
-    lanes.resize(k + 1, [0; 9]);
+    let mut columns = vec![LaneColumn { lanes: [0u64; LW], adds: 0 }; k + 1];
     // Per slot: its bit in this word of `seen`, if it has one there.
     let bit_of: Vec<u64> =
         (0..=k).map(|j| u64::from((j < k) & (j / 64 == word)) << (j % 64)).collect();
@@ -185,28 +207,33 @@ fn follow_word(
         prior = (prior & !new_event) | (seen & new_time);
         let j = slot_of.get(src as usize).copied().unwrap_or(k);
         seen |= bit_of.get(j).copied().unwrap_or(0);
-        let Some([column @ .., adds]) = lanes.get_mut(j) else { continue };
-        for (b, lane) in column.iter_mut().take(lane_words).enumerate() {
-            *lane += SPREAD.get(usize::from((prior >> (8 * b)) as u8)).copied().unwrap_or(0);
+        let Some(column) = columns.get_mut(j) else { continue };
+        for (lane, byte) in column.lanes.iter_mut().zip(prior.to_le_bytes()) {
+            *lane += SPREAD.get(usize::from(byte)).copied().unwrap_or(0);
         }
-        *adds += 1;
-        if *adds == LANE_MAX {
-            flush(column.get(..lane_words).unwrap_or(&[]), counts, 64 * word, j);
-            *column = [0; 8];
-            *adds = 0;
+        column.adds += 1;
+        if column.adds == LANE_MAX {
+            flush(column, counts, articles, 64 * word, j);
         }
     }
-    for (j, [column @ .., _]) in lanes.iter().enumerate() {
-        flush(column.get(..lane_words).unwrap_or(&[]), counts, 64 * word, j);
+    for (j, column) in columns.iter_mut().enumerate() {
+        flush(column, counts, articles, 64 * word, j);
     }
 }
 
 /// Add column `j`'s byte lanes (leader `first + 8w + b` in byte `b` of
-/// word `w`) into `counts`; the spare column `j = k`, and lanes past the
-/// last leader, are dropped.
+/// word `w`) into `counts` and its adds into `articles[j]`, and clear
+/// it; the spare column `j = k`, and lanes past the last leader, are
+/// dropped.
 // analyze: no_panic
-fn flush(column: &[u64], counts: &mut Matrix<u64>, first: usize, j: usize) {
-    for (w, lane) in column.iter().enumerate() {
+fn flush<const LW: usize>(
+    column: &mut LaneColumn<LW>,
+    counts: &mut Matrix<u64>,
+    articles: &mut [u64],
+    first: usize,
+    j: usize,
+) {
+    for (w, lane) in column.lanes.iter().enumerate() {
         for (b, n) in lane.to_le_bytes().into_iter().enumerate() {
             let i = first + 8 * w + b;
             if i < counts.rows() && j < counts.cols() {
@@ -214,6 +241,10 @@ fn flush(column: &[u64], counts: &mut Matrix<u64>, first: usize, j: usize) {
             }
         }
     }
+    if let Some(a) = articles.get_mut(j) {
+        *a += column.adds;
+    }
+    *column = LaneColumn { lanes: [0; LW], adds: 0 };
 }
 
 #[cfg(test)]
@@ -419,6 +450,121 @@ mod tests {
             assert_eq!(fr.follow_counts.get(b, c), 300);
             assert_eq!(fr.follow_counts.get(a, c), 0, "a is not on event 2");
             assert_eq!(fr.follow_counts.total(), 600);
+        }
+    }
+
+    /// 140 sources over 400 events, skewed so the leading columns flush
+    /// many times inside one partition, in one to five intervals per
+    /// event; then mentions of 30 events that are not in the table.
+    fn lane_corpus() -> Dataset {
+        let mut bld = DatasetBuilder::new();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for id in 1..=400u64 {
+            bld.add_event(EventRecord {
+                id: EventId(id),
+                day: GDELT_EPOCH,
+                root: CameoRoot::new(1).unwrap(),
+                event_code: "010".into(),
+                actor1_country: String::new(),
+                actor2_country: String::new(),
+                quad_class: QuadClass::VerbalCooperation,
+                goldstein: Goldstein::new(0.0).unwrap(),
+                num_mentions: 0,
+                num_sources: 0,
+                num_articles: 0,
+                avg_tone: 0.0,
+                geo: ActionGeo::default(),
+                date_added: DateTime::midnight(GDELT_EPOCH),
+                source_url: "u".into(),
+            });
+        }
+        for (n, event) in (1..=430u64).flat_map(|e| std::iter::repeat_n(e, 50)).enumerate() {
+            // Source `s` with probability ∝ √(s + 1) − √s: a heavy head.
+            let r = next(1_000);
+            let source = r * r * 140 / 1_000_000;
+            bld.add_mention(MentionRecord {
+                event_id: EventId(event),
+                event_time: DateTime::midnight(GDELT_EPOCH),
+                mention_time: DateTime::from_unix_seconds(
+                    DateTime::midnight(GDELT_EPOCH).to_unix_seconds() + next(5) as i64 * 900,
+                ),
+                mention_type: MentionType::Web,
+                source_name: format!("s{source}.com"),
+                url: format!("https://s{source}.com/{event}/{n}"),
+                confidence: 50,
+                doc_tone: 0.0,
+            });
+        }
+        bld.build().0
+    }
+
+    /// The oracle, [`crate::coreport::SparseCoReport`]-style: per event a
+    /// map of each source's first interval, then every article of a
+    /// selected source counts the selected leaders that came strictly
+    /// earlier; `articles` is a count of the whole source column.
+    fn sparse_follow(d: &Dataset, subset: &[SourceId]) -> FollowReport {
+        use std::collections::HashMap;
+        let k = subset.len();
+        let slot: HashMap<u32, usize> = subset.iter().enumerate().map(|(i, s)| (s.0, i)).collect();
+        let mut by_event: HashMap<u32, Vec<usize>> = HashMap::new();
+        for (row, &er) in d.mentions.event_row.iter().enumerate() {
+            if er != gdelt_columnar::table::NO_EVENT_ROW {
+                by_event.entry(er).or_default().push(row);
+            }
+        }
+        let mut follow_counts = Matrix::zeros(k, k);
+        for rows in by_event.values() {
+            let mut first: HashMap<u32, u32> = HashMap::new();
+            for &r in rows {
+                let at = first.entry(d.mentions.source[r]).or_insert(u32::MAX);
+                *at = (*at).min(d.mentions.mention_interval[r]);
+            }
+            for &r in rows {
+                let Some(&j) = slot.get(&d.mentions.source[r]) else { continue };
+                for (&leader, &at) in &first {
+                    if let (Some(&i), true) =
+                        (slot.get(&leader), at < d.mentions.mention_interval[r])
+                    {
+                        *follow_counts.get_mut(i, j) += 1;
+                    }
+                }
+            }
+        }
+        let mut articles = vec![0u64; k];
+        for src in d.mentions.source.iter() {
+            if let Some(&j) = slot.get(src) {
+                articles[j] += 1;
+            }
+        }
+        FollowReport { subset: subset.to_vec(), follow_counts, articles }
+    }
+
+    #[test]
+    fn every_lane_width_matches_the_sparse_oracle_with_an_orphan_tail() {
+        let d = lane_corpus();
+        let joined = *d.event_index.offsets.last().unwrap() as usize;
+        assert_eq!(d.mentions.len() - joined, 30 * 50, "the orphan tail");
+        assert!(d.sources.len() >= 130, "{} sources", d.sources.len());
+        // Sources by descending article count, as the ranking round picks
+        // them, so the heavy head leads and the columns flush.
+        let mut ranked: Vec<SourceId> = (0..d.sources.len() as u32).map(SourceId).collect();
+        let counts = crate::aggregate::count_by(&ctx(), &d.mentions.source, d.sources.len());
+        ranked.sort_by_key(|s| (std::cmp::Reverse(counts[s.index()]), s.0));
+        assert!(counts[ranked[0].index()] > 4 * LANE_MAX, "the leading column flushes");
+        for top_k in [0usize, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 130] {
+            let subset = &ranked[..top_k.min(ranked.len())];
+            let want = sparse_follow(&d, subset);
+            for threads in 1..=3 {
+                let ctx = ExecContext::builder().threads(threads).build();
+                let got = FollowReport::build(&ctx, &d, subset);
+                assert_eq!(got, want, "top_k {top_k}, {threads} thread(s)");
+            }
         }
     }
 

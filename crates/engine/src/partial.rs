@@ -156,16 +156,33 @@ impl ShardQuery {
     }
 
     /// Whether `p` is the partial this request asks for: the right
-    /// family, the same `k`, the same follow subset. Total — replies
-    /// decoded off a socket are checked with it before they are merged.
+    /// family, the same `k`, the same follow subset, and the shape that
+    /// request gives — a `k × k` follow matrix with `k` article totals,
+    /// country matrices and vectors over the whole registry. Total —
+    /// replies decoded off a socket are checked with it before they are
+    /// merged, so a finalized answer always indexes like a local one.
     pub fn accepts(&self, p: &ShardPartial) -> bool {
         use ShardPartial as P;
+        let square = |m: &crate::Matrix<u64>, n: usize| (m.rows(), m.cols()) == (n, n);
+        let n_countries = || CountryRegistry::new().len();
         match (self, p) {
-            (ShardQuery::CoReport, P::CoReport(_))
-            | (ShardQuery::CrossCountry, P::CrossCountry(_))
-            | (ShardQuery::Delay, P::Delay(_))
+            (ShardQuery::CoReport, P::CoReport(r)) => {
+                let n = n_countries();
+                square(&r.pairs, n) && r.event_counts.len() == n
+            }
+            (ShardQuery::CrossCountry, P::CrossCountry(r)) => {
+                let n = n_countries();
+                square(&r.counts, n)
+                    && r.articles_by_publisher.len() == n
+                    && r.events_by_country.len() == n
+            }
+            (ShardQuery::Delay, P::Delay(_))
             | (ShardQuery::PublisherCounts, P::PublisherCounts(_)) => true,
-            (ShardQuery::FollowReportWith { sources }, P::FollowReport(r)) => r.subset == *sources,
+            (ShardQuery::FollowReportWith { sources }, P::FollowReport(r)) => {
+                r.subset == *sources
+                    && square(&r.follow_counts, sources.len())
+                    && r.articles.len() == sources.len()
+            }
             (ShardQuery::TimeSeries(SeriesKind::ActiveSources), P::ActiveSources(_)) => true,
             (ShardQuery::TimeSeries(kind), P::Series(_)) => *kind != SeriesKind::ActiveSources,
             (ShardQuery::TopEvents { k }, P::TopEvents { k: got, .. }) => k == got,

@@ -9,7 +9,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"GDSH"
-//! 4       2     version (LE) — 3; any other is BadVersion
+//! 4       2     version (LE) — 4; any other is BadVersion
 //! 6       1     kind (frame discriminant)
 //! 7       8     trace id (LE; 0 = untraced)
 //! 15      8     parent span id (LE; 0 = no parent)
@@ -25,6 +25,24 @@
 //! (`to_bits`/`from_bits`), so round-trips are bit-identical — the
 //! equivalence suite depends on that. Decoding is total: every
 //! malformed input maps to a typed [`WireError`], never a panic.
+//!
+//! A Delay partial — the largest reply of a report — travels as runs,
+//! not fixed-width pairs (v4; v3 sent 12 bytes a run):
+//!
+//! ```text
+//! u32            sources
+//! per source:
+//!   varint       run count r
+//!   r × varint   delay deltas: the first delay, then d − prev − 1
+//!   r × varint   run counts
+//! ```
+//!
+//! Varints are LEB128 (7 bits a byte, low group first, at most 10
+//! bytes). A delay delta is the gap to the previous run less one, so
+//! only strictly ascending runs can be written — a list that is not
+//! wraps to a delta whose delay lies past `u32::MAX` and is refused —
+//! and every decoded reply meets [`DelayHist`]'s linear merge's
+//! precondition.
 
 use gdelt_columnar::binfmt::checksum64;
 use gdelt_engine::coreport::CountryCoReport;
@@ -41,7 +59,7 @@ use gdelt_obs::FlightLevel;
 /// Frame magic.
 pub const MAGIC: [u8; 4] = *b"GDSH";
 /// The one protocol version, written and accepted.
-pub const VERSION: u16 = 3;
+pub const VERSION: u16 = 4;
 /// Header bytes before the payload.
 pub const HEADER_LEN: usize = 27;
 /// Trailing checksum bytes.
@@ -532,6 +550,14 @@ impl Enc<'_> {
     fn len(&mut self, n: usize) {
         self.u32(n as u32);
     }
+    /// LEB128: seven bits a byte, low group first.
+    fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.0.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.0.push(v as u8);
+    }
 }
 
 /// Bounds-checked payload decoder.
@@ -577,6 +603,30 @@ impl Dec<'_> {
         let n = self.len_for(1)?;
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Malformed("utf-8 string"))
+    }
+    /// An LEB128 varint of at most 64 bits.
+    fn varint(&mut self) -> Result<u64, WireError> {
+        // Most of a Delay partial's varints are one byte.
+        if let Some(&byte) = self.buf.get(self.pos).filter(|&&b| b < 0x80) {
+            self.pos += 1;
+            return Ok(u64::from(byte));
+        }
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let Some(&byte) = self.buf.get(self.pos) else {
+                return Err(WireError::Truncated { needed: self.pos + 1, have: self.buf.len() });
+            };
+            self.pos += 1;
+            let group = u64::from(byte & 0x7F);
+            if shift == 63 && group > 1 {
+                return Err(WireError::Malformed("varint past 64 bits"));
+            }
+            v |= group << shift;
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(WireError::Malformed("varint past 64 bits"))
     }
     /// A length prefix, rejected early when even `n × elem_size` bytes
     /// cannot remain — keeps corrupt prefixes from huge allocations.
@@ -781,6 +831,44 @@ fn dec_shard_query(d: &mut Dec<'_>) -> Result<ShardQuery, WireError> {
     })
 }
 
+/// One source's delay runs: the run count, the delay deltas (the first
+/// delay, then each gap less one), the counts — all varints. A list that
+/// is not strictly ascending wraps to a delta the decoder refuses.
+fn enc_delay_runs(e: &mut Enc<'_>, runs: &[(u32, u64)]) {
+    e.varint(runs.len() as u64);
+    let mut next = 0u32;
+    for &(dl, _) in runs {
+        e.varint(u64::from(dl.wrapping_sub(next)));
+        next = dl.wrapping_add(1);
+    }
+    for &(_, count) in runs {
+        e.varint(count);
+    }
+}
+
+/// The inverse of [`enc_delay_runs`]: strictly ascending runs, or a
+/// typed error for a truncated varint, a run count the payload cannot
+/// hold, or a delay past `u32::MAX`.
+fn dec_delay_runs(d: &mut Dec<'_>) -> Result<Vec<(u32, u64)>, WireError> {
+    let n = d.varint()?;
+    // A run is at least two bytes: its delta and its count.
+    if n.saturating_mul(2) > (d.buf.len() - d.pos) as u64 {
+        return Err(WireError::Malformed("run count exceeds payload"));
+    }
+    let mut runs = Vec::with_capacity(n as usize);
+    let mut next = 0u64;
+    for _ in 0..n {
+        let dl = next.saturating_add(d.varint()?);
+        let dl = u32::try_from(dl).map_err(|_| WireError::Malformed("delay run past u32::MAX"))?;
+        runs.push((dl, 0));
+        next = u64::from(dl) + 1;
+    }
+    for (_, count) in &mut runs {
+        *count = d.varint()?;
+    }
+    Ok(runs)
+}
+
 fn enc_partial(e: &mut Enc<'_>, p: &ShardPartial) {
     match p {
         ShardPartial::CoReport(c) => {
@@ -804,11 +892,7 @@ fn enc_partial(e: &mut Enc<'_>, p: &ShardPartial) {
             e.u8(3);
             e.len(hists.len());
             for h in hists {
-                e.len(h.runs.len());
-                for &(dl, c) in &h.runs {
-                    e.u32(dl);
-                    e.u64(c);
-                }
+                enc_delay_runs(e, &h.runs);
             }
         }
         ShardPartial::Series(s) => {
@@ -858,15 +942,10 @@ fn dec_partial(d: &mut Dec<'_>) -> Result<ShardPartial, WireError> {
             events_by_country: dec_vec_u64(d)?,
         }),
         3 => {
-            let n = d.len_for(4)?;
-            let mut hists = Vec::with_capacity(n);
-            for _ in 0..n {
-                let runs = d.len_for(12)?;
-                let runs = (0..runs)
-                    .map(|_| Ok((d.u32()?, d.u64()?)))
-                    .collect::<Result<Vec<_>, WireError>>()?;
-                hists.push(DelayHist { runs });
-            }
+            let n = d.len_for(1)?;
+            let hists = (0..n)
+                .map(|_| Ok(DelayHist { runs: dec_delay_runs(d)? }))
+                .collect::<Result<Vec<_>, WireError>>()?;
             ShardPartial::Delay(hists)
         }
         4 => ShardPartial::Series(dec_series(d)?),

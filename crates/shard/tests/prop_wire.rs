@@ -423,3 +423,166 @@ fn reseal(mut frame: Vec<u8>) -> Vec<u8> {
     frame[body..].copy_from_slice(&sum.to_le_bytes());
     frame
 }
+
+/// A sealed reply frame whose payload is generation 7, then `partial`
+/// as given, then (with `flight`) an empty flight list — bytes the
+/// encoder would never write, framed so they reach the payload decoder.
+fn reply_carrying(partial: &[u8], flight: bool) -> Vec<u8> {
+    let template = Frame::Reply {
+        generation: 7,
+        partial: ShardPartial::PublisherCounts(Vec::new()),
+        flight: Vec::new(),
+    }
+    .encode();
+    let mut payload = 7u64.to_le_bytes().to_vec();
+    payload.extend_from_slice(partial);
+    if flight {
+        payload.extend_from_slice(&0u32.to_le_bytes());
+    }
+    let mut frame = template[..HEADER_LEN].to_vec();
+    frame[HEADER_LEN - 4..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    let sum = checksum64(&frame);
+    frame.extend_from_slice(&sum.to_le_bytes());
+    frame
+}
+
+/// A Delay partial's bytes: the tag, the source count, then `sources`
+/// as written.
+fn delay_bytes(n_sources: u32, sources: &[u8]) -> Vec<u8> {
+    let mut bytes = vec![3u8];
+    bytes.extend_from_slice(&n_sources.to_le_bytes());
+    bytes.extend_from_slice(sources);
+    bytes
+}
+
+fn delay_reply(hists: Vec<DelayHist>) -> Frame {
+    Frame::Reply { generation: 1, partial: ShardPartial::Delay(hists), flight: Vec::new() }
+}
+
+#[test]
+fn delay_runs_round_trip_at_the_extremes() {
+    let hist = |runs: &[(u32, u64)]| DelayHist { runs: runs.to_vec() };
+    let cases = [
+        vec![],
+        vec![hist(&[])],
+        vec![hist(&[]), hist(&[(0, 1)]), hist(&[])],
+        vec![hist(&[(0, u64::MAX)])],
+        vec![hist(&[(u32::MAX, 1)])],
+        vec![hist(&[(0, 0), (1, u64::MAX), (u32::MAX - 1, 2), (u32::MAX, u64::MAX)])],
+        vec![hist(&[(u32::MAX / 2, 1), (u32::MAX, 1)]), hist(&[(7, 3)])],
+    ];
+    for hists in cases {
+        let frame = delay_reply(hists.clone());
+        let bytes = frame.encode();
+        assert_eq!(Frame::decode(&bytes), Ok((frame, bytes.len())), "{hists:?}");
+    }
+    // Short gaps and small counts cost two bytes a run, not twelve.
+    let dense = DelayHist { runs: (0..1_000).map(|dl| (dl, 100)).collect() };
+    let fixed = HEADER_LEN + CHECKSUM_LEN + 8 + 1 + 4 + 4;
+    assert_eq!(delay_reply(vec![dense]).encode().len(), fixed + 2 + 2 * 1_000);
+}
+
+#[test]
+fn runs_that_do_not_ascend_strictly_cannot_be_represented() {
+    for runs in [vec![(5, 1), (5, 1)], vec![(9, 1), (3, 2)], vec![(u32::MAX, 1), (0, 1)]] {
+        let bytes = delay_reply(vec![DelayHist { runs: runs.clone() }]).encode();
+        assert_eq!(
+            Frame::decode(&bytes),
+            Err(WireError::Malformed("delay run past u32::MAX")),
+            "{runs:?}"
+        );
+    }
+}
+
+#[test]
+fn malformed_delay_runs_are_typed_errors() {
+    let past_u32: Result<(), _> = Err(WireError::Malformed("delay run past u32::MAX"));
+    let cases = vec![
+        // One run, its delta cut inside its varint, nothing after it.
+        ("truncated delta", delay_bytes(1, &[1, 0x80, 0x80]), false, Err(CUT_SHORT)),
+        ("truncated count", delay_bytes(1, &[1, 5, 0xFF]), false, Err(CUT_SHORT)),
+        ("truncated run count", delay_bytes(1, &[0x80]), false, Err(CUT_SHORT)),
+        ("missing source", delay_bytes(2, &[0]), true, Err(CUT_SHORT)),
+        // The first delay one past u32::MAX: 2^32 as a varint.
+        (
+            "first delay past u32",
+            delay_bytes(1, &[1, 0x80, 0x80, 0x80, 0x80, 0x10, 1]),
+            true,
+            past_u32.clone(),
+        ),
+        // u32::MAX, then a gap of zero: the next delay would be 2^32.
+        (
+            "delta overflow",
+            delay_bytes(1, &[2, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 1, 1]),
+            true,
+            past_u32.clone(),
+        ),
+        (
+            "varint past 64 bits",
+            delay_bytes(1, &[1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 1]),
+            true,
+            Err(WireError::Malformed("varint past 64 bits")),
+        ),
+        (
+            "eleven-byte varint",
+            delay_bytes(1, &[1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0, 1]),
+            true,
+            Err(WireError::Malformed("varint past 64 bits")),
+        ),
+        (
+            "run count past the payload",
+            delay_bytes(1, &[0xE8, 0x07, 1, 1]),
+            true,
+            Err(WireError::Malformed("run count exceeds payload")),
+        ),
+        (
+            "source count past the payload",
+            delay_bytes(1_000, &[0]),
+            true,
+            Err(WireError::Malformed("length prefix exceeds payload")),
+        ),
+    ];
+    for (what, partial, flight, want) in cases {
+        let got = decoded(&reply_carrying(&partial, flight)).map(|_| ());
+        assert_eq!(got, want, "{what}");
+    }
+    // The largest delay and count are fine where they end the list.
+    let max = delay_bytes(
+        1,
+        &[
+            1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+            0x01,
+        ],
+    );
+    assert_eq!(
+        Frame::decode(&reply_carrying(&max, true)).map(|(f, _)| f),
+        Ok(Frame::Reply {
+            generation: 7,
+            partial: ShardPartial::Delay(vec![DelayHist { runs: vec![(u32::MAX, u64::MAX)] }]),
+            flight: Vec::new(),
+        })
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Any bytes after a Delay tag decode to a typed error or to runs
+    /// that ascend strictly — never a panic, never runs the linear merge
+    /// cannot take.
+    #[test]
+    fn arbitrary_delay_bytes_decode_to_ascending_runs_or_a_typed_error(
+        n_sources in 0u32..4,
+        body in prop::collection::vec(any::<u8>(), 0..40),
+        flight in any::<bool>(),
+    ) {
+        if let Ok((Frame::Reply { partial: ShardPartial::Delay(hists), .. }, _)) =
+            Frame::decode(&reply_carrying(&delay_bytes(n_sources, &body), flight))
+        {
+            for h in &hists {
+                prop_assert!(h.runs.windows(2).all(|w| w[0].0 < w[1].0), "{:?}", h);
+            }
+        }
+    }
+}

@@ -16,7 +16,10 @@
 //! * a worker whose replies are well framed but do not answer the
 //!   request (wrong family, wrong `k`, another source directory's
 //!   bitmaps, another matrix shape) degrades like a dead one — the
-//!   caller of `Router::query` never panics.
+//!   caller of `Router::query` never panics;
+//! * so does a reply whose family and subset are right but whose
+//!   matrix or vectors are not the size the request gives, even when
+//!   it is the first to merge.
 
 use gdelt_columnar::RetryPolicy;
 use gdelt_engine::coreport::CountryCoReport;
@@ -620,5 +623,72 @@ fn mismatched_reply_under_fail_policy_is_a_typed_error() {
             assert_eq!(total, f.manifest.source_partitions)
         }
         other => panic!("expected Degraded 0, got {other:?}"),
+    }
+}
+
+/// Replies of the right family and subset whose matrices or vectors are
+/// not the size the request gives: what is wrong, the query, the rewrite.
+fn misshapen_replies() -> Vec<(&'static str, Query, Tamper)> {
+    vec![
+        ("0 × 0 follow matrix", Query::FollowReport { top_k: 2 }, |p| match p {
+            ShardPartial::FollowReport(mut r) => {
+                r.follow_counts = Matrix::zeros(0, 0);
+                ShardPartial::FollowReport(r)
+            }
+            other => other,
+        }),
+        ("one article total too many", Query::FollowReport { top_k: 2 }, |p| match p {
+            ShardPartial::FollowReport(mut r) => {
+                r.articles.push(1);
+                ShardPartial::FollowReport(r)
+            }
+            other => other,
+        }),
+        ("3 × 3 country pairs", Query::CoReport, |p| match p {
+            ShardPartial::CoReport(_) => ShardPartial::CoReport(CountryCoReport {
+                pairs: Matrix::zeros(3, 3),
+                event_counts: vec![0; 3],
+            }),
+            other => other,
+        }),
+        ("short publisher-country vector", Query::CrossCountry, |p| match p {
+            ShardPartial::CrossCountry(mut r) => {
+                r.articles_by_publisher.pop();
+                ShardPartial::CrossCountry(r)
+            }
+            other => other,
+        }),
+    ]
+}
+
+#[test]
+fn misshapen_replies_lose_their_shard_even_when_merged_first() {
+    let f = fixture("misshapen");
+    let r = router(&f, DegradedPolicy::ServePartial, false);
+    let survivors = f.manifest.source_partitions - f.manifest.shards[0].partitions;
+    for (what, q, tamper) in misshapen_replies() {
+        // Shard 0's reply is the first merged: every later one is held to
+        // its shape.
+        f.workers[0].tamper(Some(tamper));
+        let got = r.query(&q).unwrap_or_else(|e| panic!("{what}: {e:?}"));
+        assert_eq!(got.coverage.live, survivors, "{what}: the misshapen shard is lost");
+        // What is left indexes like a local answer.
+        if let gdelt_engine::QueryResult::FollowReport(follow) = &*got.result {
+            assert_eq!(follow.f_matrix().rows(), 2, "{what}");
+            assert_eq!(follow.column_sums().len(), 2, "{what}");
+        }
+        // Every shard misshapen: nothing is left to answer with.
+        for w in &f.workers {
+            w.tamper(Some(tamper));
+        }
+        match r.query(&q) {
+            Err(ServeError::Degraded { live: 0, total }) => {
+                assert_eq!(total, f.manifest.source_partitions, "{what}")
+            }
+            other => panic!("{what}: expected Degraded 0, got {other:?}"),
+        }
+        for w in &f.workers {
+            w.tamper(None);
+        }
     }
 }
