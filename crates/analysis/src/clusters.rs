@@ -2,9 +2,10 @@
 //!
 //! The paper observes that clusters of co-owned news websites "can be
 //! found by applying clustering algorithms (e.g. Markov clustering) to
-//! the co-reporting matrix". This module runs MCL on the Jaccard
-//! submatrix of the Top-k publishers and reports the clusters — on the
-//! synthetic corpus the planted media group should reassemble.
+//! the co-reporting matrix". This module runs MCL on the Jaccard matrix
+//! of the Top-k publishers ([`CoReport::publishers`]) and reports the
+//! clusters — on the synthetic corpus the planted media group should
+//! reassemble.
 
 use gdelt_cluster::{mcl, CsrMatrix, MclParams};
 use gdelt_columnar::Dataset;
@@ -31,8 +32,7 @@ pub fn compute(ctx: &ExecContext, d: &Dataset, k: usize, params: MclParams) -> P
         unreachable!("TopK Publishers query yields a TopPublishers result");
     };
     let publishers: Vec<SourceId> = top.into_iter().map(|(s, _)| s).collect();
-    let co = CoReport::build(ctx, d);
-    let jac = co.jaccard_submatrix(&publishers);
+    let jac = CoReport::publishers(ctx, d, &publishers).jaccard_matrix();
     let mut triplets = Vec::new();
     for i in 0..jac.rows() {
         for j in 0..jac.cols() {
@@ -74,6 +74,46 @@ pub fn render(d: &Dataset, pc: &PublisherClusters) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gdelt_engine::Matrix;
+    use std::collections::{BTreeSet, HashMap};
+
+    // A source population as wide as the paper's (≈ 8 000 of the 20 996
+    // publish in this corpus, its headline events reaching thousands): the
+    // top-30 co-report equals the per-event source sets restricted to
+    // those 30, counted by hand.
+    #[test]
+    fn wide_directory_top30_matches_source_sets() {
+        let mut cfg = gdelt_synth::scenario::tiny(7);
+        cfg.n_sources = 20_996;
+        let d = gdelt_synth::generate_dataset(&cfg).0;
+        let q = Query::TopK { kind: TopKKind::Publishers, k: 30 };
+        let ctx = ExecContext::builder().threads(1).build();
+        let QueryResult::TopPublishers(top) = run_query(&ctx, &d, &q) else {
+            unreachable!("TopK Publishers query yields a TopPublishers result");
+        };
+        let subset: Vec<SourceId> = top.into_iter().map(|(s, _)| s).collect();
+        let slot: HashMap<SourceId, usize> =
+            subset.iter().enumerate().map(|(i, &s)| (s, i)).collect();
+        let mut want = CoReport { pairs: Matrix::zeros(30, 30), event_counts: vec![0; 30] };
+        for e in 0..d.events.len() {
+            let slots: BTreeSet<usize> = d
+                .mentions_of(e)
+                .filter_map(|r| slot.get(&d.mentions.source_id(r)).copied())
+                .collect();
+            for &i in &slots {
+                want.event_counts[i] += 1;
+                for &j in slots.iter().filter(|&&j| j != i) {
+                    want.pairs.bump(i, j);
+                }
+            }
+        }
+        assert!(d.sources.len() > 5_000, "directory of {} sources", d.sources.len());
+        assert!(want.pairs.total() > 0);
+        for threads in [1, 3] {
+            let ctx = ExecContext::builder().threads(threads).build();
+            assert_eq!(CoReport::publishers(&ctx, &d, &subset), want, "{threads} threads");
+        }
+    }
 
     #[test]
     fn planted_media_group_reassembles() {

@@ -13,18 +13,10 @@ use gdelt_engine::{run_query, ExecContext, Query, QueryResult};
 use gdelt_model::country::CountryRegistry;
 
 /// Which experiments to include.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReportOptions {
     /// Run the Fig 12 thread sweep (slow; off for quick reports).
     pub scaling: bool,
-    /// Run MCL clustering.
-    pub clustering: bool,
-}
-
-impl Default for ReportOptions {
-    fn default() -> Self {
-        ReportOptions { scaling: false, clustering: true }
-    }
 }
 
 /// All rendered sections, in paper order.
@@ -142,10 +134,8 @@ pub fn run_full_report(
         sections.push(("Figure 12".into(), fig12::render(&f12)));
     }
 
-    if opts.clustering {
-        let pc = clusters::compute(ctx, d, 30.min(d.sources.len()), MclParams::default());
-        sections.push(("Clusters".into(), clusters::render(d, &pc)));
-    }
+    let pc = clusters::compute(ctx, d, 30.min(d.sources.len()), MclParams::default());
+    sections.push(("Clusters".into(), clusters::render(d, &pc)));
 
     // Extensions: tone / event-type breakdowns over the dormant columns.
     let et = tone::event_tone_by_country(ctx, d, &registry, 10);

@@ -6,7 +6,7 @@
 //! lower (≤ 0.01).
 
 use crate::render::{fmt_cell, TextTable};
-use gdelt_engine::coreport::CountryCoReport;
+use gdelt_engine::coreport::CoReport;
 use gdelt_engine::Matrix;
 use gdelt_model::country::CountryRegistry;
 use gdelt_model::ids::CountryId;
@@ -24,7 +24,7 @@ pub struct Table5 {
 
 /// Compute Table V from a country co-report for the paper's Top-10
 /// publishing countries.
-pub fn compute(cc: &CountryCoReport, registry: &CountryRegistry) -> Table5 {
+pub fn compute(cc: &CoReport, registry: &CountryRegistry) -> Table5 {
     let countries: Vec<CountryId> = registry.paper_top10_publishing().to_vec();
     let names = countries
         .iter()
@@ -35,7 +35,7 @@ pub fn compute(cc: &CountryCoReport, registry: &CountryRegistry) -> Table5 {
     for (i, &a) in countries.iter().enumerate() {
         for (j, &b) in countries.iter().enumerate() {
             if i != j {
-                jaccard.set(i, j, cc.jaccard(a, b));
+                jaccard.set(i, j, cc.jaccard(a.index(), b.index()));
             }
         }
     }
@@ -65,7 +65,7 @@ mod tests {
     fn table5() -> Table5 {
         let d = gdelt_synth::generate_dataset(&gdelt_synth::scenario::tiny(36)).0;
         let reg = CountryRegistry::new();
-        let cc = CountryCoReport::build(&ExecContext::builder().threads(2).build(), &d, reg.len());
+        let cc = CoReport::countries(&ExecContext::builder().threads(2).build(), &d, reg.len());
         compute(&cc, &reg)
     }
 

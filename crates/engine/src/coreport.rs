@@ -1,135 +1,33 @@
 //! Co-reporting analysis (paper §VI-B/C, Tables IV–V, Fig 7).
 //!
-//! For sources `i`, `j` the co-reporting factor is the Jaccard index of
-//! their event sets: `c_ij = e_ij / (e_i + e_j − e_ij)`. The paper's key
-//! storage decision is a **dense** pair matrix (~1.8 GB for all 21 k
-//! sources) because each event with `k` reporters performs `k(k−1)/2`
-//! updates and dense random increments beat any sparse structure. The
-//! sparse structure stays as [`SparseCoReport`]: the oracle the dense
-//! [`CoReport::build`] is checked against, and what the time-sliced
-//! assembly of [`crate::sliced`] produces.
+//! For members `i`, `j` of a small key universe — the countries of the
+//! registry (Table V) or a chosen list of publishers (the input of the
+//! media-group clustering) — the co-reporting factor is the Jaccard
+//! index of their event sets: `c_ij = e_ij / (e_i + e_j − e_ij)`, with
+//! `e_i` the events member `i` reported on and `e_ij` those both did.
+//! [`CoReport`] is the one builder: a constructor maps each source to
+//! its member (its country, or its slot in the publisher list; none for
+//! the rest), and one flat pass over the mention rows ORs the member
+//! bits of each event into a mask and counts the masks.
 //!
-//! Every builder takes its events from the CSR partitions of
-//! [`crate::chunk::event_scan`]. What it does with them depends on the
-//! universe of the set it needs: over the source directory (thousands of
-//! ids, a handful per event) the distinct reporters of each event
-//! ([`crate::chunk::for_each_event`]) are found by sort + dedup of its
-//! slice ([`distinct_sources`]); over the country registry they are the
-//! bits of one mask per event, built by a flat pass over the mention
-//! rows that has no per-event loop ([`CountryCoReport::build`]).
+//! The paper builds the *global* source matrix densely (~1.8 GB for all
+//! 21 k sources): an event with `k` reporters performs `k(k−1)/2`
+//! updates, and dense random increments beat any sparse structure. No
+//! analysis here reads that global matrix, only submatrices of a few
+//! dozen members, so none is built. The paper's argument is why the
+//! hash-based global [`SparseCoReport`] stays a test oracle only: it
+//! sorts each event's reporters and hashes every one of its pair updates.
 
 use crate::chunk::{event_scan, for_each_event, mention_rows, rows_of};
 use crate::exec::{ExecContext, Merge};
 use crate::matrix::Matrix;
 use gdelt_columnar::Dataset;
-use gdelt_model::ids::{CountryId, SourceId};
+use gdelt_model::ids::SourceId;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-/// Dense co-reporting counts over all sources.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoReport {
-    n: usize,
-    /// Upper-triangle pair counts `e_ij` (i < j), row-major full matrix
-    /// with only `i < j` cells populated.
-    pairs: Matrix<u32>,
-    /// Per-source event counts `e_i` (events the source reported on).
-    pub event_counts: Vec<u64>,
-}
-
-impl CoReport {
-    /// Build the dense matrix with one shared atomic accumulator — the
-    /// strategy that scales to the full source population (relaxed
-    /// increments, no cross-thread ordering needed).
-    // analyze: no_panic
-    pub fn build(ctx: &ExecContext, d: &Dataset) -> Self {
-        let n = d.sources.len();
-        let pairs: Vec<AtomicU32> = (0..n * n).map(|_| AtomicU32::new(0)).collect();
-        let events_of: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-
-        let offsets = &d.event_index.offsets;
-        let count_events = |events| {
-            let mut scratch: Vec<u32> = Vec::with_capacity(16);
-            for_each_event(offsets, events, |_, rows| {
-                let distinct = distinct_sources(&mut scratch, d.mentions.source.get(rows));
-                for (a, &i) in distinct.iter().enumerate() {
-                    // Relaxed: pure counters; the join that ends the scan
-                    // publishes all increments before the loads below.
-                    if let Some(e) = events_of.get(i as usize) {
-                        e.fetch_add(1, Ordering::Relaxed);
-                    }
-                    for &j in distinct.get(a + 1..).unwrap_or(&[]) {
-                        if let Some(pair) = pairs.get(i as usize * n + j as usize) {
-                            pair.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-        };
-        event_scan(ctx, offsets, count_events, |(), ()| ());
-
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                // analyze: allow(panic_path): i, j < n and pairs.len() = n * n, so i * n + j < pairs.len()
-                m.set(i, j, pairs[i * n + j].load(Ordering::Relaxed));
-            }
-        }
-        CoReport {
-            n,
-            pairs: m,
-            event_counts: events_of.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
-        }
-    }
-
-    /// Number of sources covered.
-    pub fn n_sources(&self) -> usize {
-        self.n
-    }
-
-    /// Pair count `e_ij` (symmetric; diagonal = `e_i`).
-    #[inline]
-    pub fn pair_count(&self, i: usize, j: usize) -> u64 {
-        if i == j {
-            self.event_counts[i]
-        } else {
-            let (a, b) = if i < j { (i, j) } else { (j, i) };
-            u64::from(self.pairs.get(a, b))
-        }
-    }
-
-    /// Jaccard co-reporting factor `c_ij` (0 when either source reported
-    /// nothing).
-    pub fn jaccard(&self, i: usize, j: usize) -> f64 {
-        let e_ij = self.pair_count(i, j) as f64;
-        let denom = self.event_counts[i] as f64 + self.event_counts[j] as f64 - e_ij;
-        if denom <= 0.0 {
-            0.0
-        } else {
-            e_ij / denom
-        }
-    }
-
-    /// Jaccard submatrix for a source selection (Table IV companion /
-    /// clustering input).
-    pub fn jaccard_submatrix(&self, subset: &[SourceId]) -> Matrix<f64> {
-        let k = subset.len();
-        let mut m = Matrix::zeros(k, k);
-        for (a, &sa) in subset.iter().enumerate() {
-            for (b, &sb) in subset.iter().enumerate() {
-                if a != b {
-                    m.set(a, b, self.jaccard(sa.index(), sb.index()));
-                }
-            }
-        }
-        m
-    }
-}
-
-/// Sparse co-reporting counts (hash-based) — the alternative the paper
-/// rejects for the global matrix. It is the oracle [`CoReport::build`]
-/// is checked against and the target of [`crate::sliced::assemble`],
-/// the time-sliced strategy of §VI-B.
+/// Sparse co-reporting counts over all sources (hash-based) — the
+/// global matrix the paper stores densely. The test oracle
+/// [`CoReport`] is checked against.
 #[derive(Debug, Clone, Default)]
 pub struct SparseCoReport {
     /// `(i, j)` with `i < j` → `e_ij`.
@@ -150,9 +48,13 @@ impl SparseCoReport {
             |events| {
                 let mut pairs: HashMap<(u32, u32), u32> = HashMap::new();
                 let mut counts = vec![0u64; n];
-                let mut scratch: Vec<u32> = Vec::with_capacity(16);
+                let mut distinct: Vec<u32> = Vec::with_capacity(16);
                 for_each_event(offsets, events, |_, rows| {
-                    let distinct = distinct_sources(&mut scratch, d.mentions.source.get(rows));
+                    // The event's reporters, each once.
+                    distinct.clear();
+                    distinct.extend_from_slice(d.mentions.source.get(rows).unwrap_or(&[]));
+                    distinct.sort_unstable();
+                    distinct.dedup();
                     for (a, &i) in distinct.iter().enumerate() {
                         if let Some(e) = counts.get_mut(i as usize) {
                             *e += 1;
@@ -186,30 +88,27 @@ impl SparseCoReport {
         u64::from(self.pairs.get(&key).copied().unwrap_or(0))
     }
 
-    /// Jaccard factor, identical semantics to the dense variant.
+    /// Jaccard factor of two sources, as [`CoReport::jaccard`] of two
+    /// slots.
     pub fn jaccard(&self, i: usize, j: usize) -> f64 {
-        let e_ij = self.pair_count(i, j) as f64;
-        let denom = self.event_counts[i] as f64 + self.event_counts[j] as f64 - e_ij;
-        if denom <= 0.0 {
-            0.0
-        } else {
-            e_ij / denom
-        }
+        jaccard_of(self.pair_count(i, j), self.event_counts[i], self.event_counts[j])
     }
 }
 
-/// Country-level co-reporting (Table V): countries are super-sources;
-/// `e_A` = events with at least one source from country `A`, `e_AB` =
-/// events covered by both countries, combined as a Jaccard index.
+/// Co-reporting over a small universe of members: `e_i` = events with at
+/// least one reporting source of member `i`, `e_ij` = events covered by
+/// both. The members are the registry's countries (Table V, where
+/// countries are super-sources) or a list of publishers (the clustering
+/// input).
 #[derive(Debug, Clone, PartialEq)]
-pub struct CountryCoReport {
-    /// Pair counts (full symmetric matrix).
+pub struct CoReport {
+    /// Pair counts (full symmetric matrix, zero diagonal).
     pub pairs: Matrix<u64>,
-    /// Per-country event counts.
+    /// Per-member event counts.
     pub event_counts: Vec<u64>,
 }
 
-impl Merge for CountryCoReport {
+impl Merge for CoReport {
     /// Elementwise addition: per-event logic never crosses a partition.
     fn merge(&mut self, other: Self) {
         self.pairs.merge(other.pairs);
@@ -217,69 +116,109 @@ impl Merge for CountryCoReport {
     }
 }
 
-impl CountryCoReport {
-    /// Build with per-thread dense partials (country count is small).
-    ///
-    /// A partition is taken [`MASK_BLOCK_EVENTS`] events at a time: one
-    /// pass over the block's mention rows ORs each mention's country bit
-    /// into its event's mask (⌈n / 64⌉ words, indexed by `event_row`
-    /// less the block's first event; a source of no country in `0..n`
-    /// ORs nothing), then one pass over the masks counts. A mask of at
-    /// most one country — most events — is one add, into a spare slot
-    /// when it is empty; only the others walk their pairs.
+impl CoReport {
+    /// Co-reporting between the first `n_countries` countries: member
+    /// `c` is the sources of `CountryId(c)`.
     // analyze: no_panic
-    pub fn build(ctx: &ExecContext, d: &Dataset, n_countries: usize) -> Self {
-        let n = n_countries;
-        let offsets = &d.event_index.offsets;
-        // Per source: where its country's mask word starts, and its bit.
-        let place: Vec<(usize, u64)> = d
-            .sources
-            .country
-            .iter()
-            .map(|&c| usize::from(c))
-            .map(|c| if c < n { (c / 64 * MASK_BLOCK_EVENTS, 1 << (c % 64)) } else { (0, 0) })
-            .collect();
-        let mentions: (&[u32], &[u32]) = (&d.mentions.event_row, &d.mentions.source);
-        let partial = |events| country_partition(offsets, events, mentions, &place, n);
-        let merged = event_scan(ctx, offsets, partial, Merge::merged);
-        merged.unwrap_or_else(|| CountryCoReport {
-            pairs: Matrix::zeros(n, n),
-            event_counts: vec![0; n],
-        })
+    pub fn countries(ctx: &ExecContext, d: &Dataset, n_countries: usize) -> Self {
+        let place: Vec<(usize, u64)> =
+            d.sources.country.iter().map(|&c| mask_place(usize::from(c), n_countries)).collect();
+        Self::build(ctx, d, &place, n_countries)
     }
 
-    /// Jaccard co-reporting between two countries.
-    pub fn jaccard(&self, a: CountryId, b: CountryId) -> f64 {
-        let (i, j) = (a.index(), b.index());
-        let e_ij = self.pairs.get(i, j) as f64;
-        let denom = self.event_counts[i] as f64 + self.event_counts[j] as f64 - e_ij;
-        if denom <= 0.0 {
-            0.0
-        } else {
-            e_ij / denom
+    /// Co-reporting between publishers: member `i` is source
+    /// `subset[i]` (each source listed once), and the sources off the
+    /// list count for none.
+    // analyze: no_panic
+    pub fn publishers(ctx: &ExecContext, d: &Dataset, subset: &[SourceId]) -> Self {
+        let mut place = vec![(0, 0); d.sources.len()];
+        for (slot, s) in subset.iter().enumerate() {
+            if let Some(p) = place.get_mut(s.index()) {
+                *p = mask_place(slot, subset.len());
+            }
         }
+        Self::build(ctx, d, &place, subset.len())
+    }
+
+    /// Build with per-thread dense partials over `n` members, `place`
+    /// giving each source its member's [`mask_place`].
+    ///
+    /// A partition is taken [`MASK_BLOCK_EVENTS`] events at a time: one
+    /// pass over the block's mention rows ORs each mention's member bit
+    /// into its event's mask (⌈n / 64⌉ words, indexed by `event_row`
+    /// less the block's first event; a source of no member ORs
+    /// nothing), then one pass over the masks counts. A mask of at most
+    /// one member — most events — is one add, into a spare slot when it
+    /// is empty; only the others walk their pairs.
+    // analyze: no_panic
+    fn build(ctx: &ExecContext, d: &Dataset, place: &[(usize, u64)], n: usize) -> Self {
+        let offsets = &d.event_index.offsets;
+        let mentions: (&[u32], &[u32]) = (&d.mentions.event_row, &d.mentions.source);
+        let partial = |events| mask_partition(offsets, events, mentions, place, n);
+        let merged = event_scan(ctx, offsets, partial, Merge::merged);
+        merged.unwrap_or_else(|| CoReport { pairs: Matrix::zeros(n, n), event_counts: vec![0; n] })
+    }
+
+    /// Jaccard co-reporting between members `i` and `j` (0 when either
+    /// reported nothing, and for `i == j`).
+    pub fn jaccard(&self, i: usize, j: usize) -> f64 {
+        jaccard_of(self.pairs.get(i, j), self.event_counts[i], self.event_counts[j])
+    }
+
+    /// The `n × n` Jaccard matrix of all members, diagonal zeroed (the
+    /// clustering input).
+    pub fn jaccard_matrix(&self) -> Matrix<f64> {
+        let n = self.event_counts.len();
+        let mut m = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in (0..n).filter(|&j| j != i) {
+                m.set(i, j, self.jaccard(i, j));
+            }
+        }
+        m
     }
 }
 
-/// Events a [`CountryCoReport`] mask block covers: 4 096 one-word masks
-/// are 32 KiB, an L1's worth, and the block's mention rows are the CSR
-/// range of its events.
+/// `c_ij = e_ij / (e_i + e_j − e_ij)`, 0 when the denominator is.
+fn jaccard_of(e_ij: u64, e_i: u64, e_j: u64) -> f64 {
+    let e_ij = e_ij as f64;
+    let denom = e_i as f64 + e_j as f64 - e_ij;
+    if denom <= 0.0 {
+        0.0
+    } else {
+        e_ij / denom
+    }
+}
+
+/// Where member `m` of `n` sits in a block's masks: the offset of its
+/// word and its bit, `(0, 0)` (no member) when `m` is not in `0..n`.
+fn mask_place(m: usize, n: usize) -> (usize, u64) {
+    if m < n {
+        (m / 64 * MASK_BLOCK_EVENTS, 1 << (m % 64))
+    } else {
+        (0, 0)
+    }
+}
+
+/// Events a [`CoReport`] mask block covers: 4 096 one-word masks are
+/// 32 KiB, an L1's worth, and the block's mention rows are the CSR range
+/// of its events.
 pub const MASK_BLOCK_EVENTS: usize = 4096;
 
-/// One [`event_scan`] partition of [`CountryCoReport::build`]. The masks
-/// of a block are word-major — word `w` of the block's `e`-th event is
+/// One [`event_scan`] partition of [`CoReport::build`]. The masks of a
+/// block are word-major — word `w` of the block's `e`-th event is
 /// `masks[w · MASK_BLOCK_EVENTS + e]` — and `place` gives each source
-/// that offset and its bit (`(0, 0)` for no country in `0..n`).
+/// that offset and its bit (`(0, 0)` for no member in `0..n`).
 // analyze: no_panic
-fn country_partition(
+fn mask_partition(
     offsets: &[u64],
     events: std::ops::Range<usize>,
     (event_rows, sources): (&[u32], &[u32]),
     place: &[(usize, u64)],
     n: usize,
-) -> CountryCoReport {
+) -> CoReport {
     let mut pairs = Matrix::<u64>::zeros(n, n);
-    // The spare slot `n` counts the words that hold no country.
+    // The spare slot `n` counts the words that hold no member.
     let mut event_counts = vec![0u64; n + 1];
     let mut masks = vec![0u64; n.div_ceil(64) * MASK_BLOCK_EVENTS];
     for start in events.clone().step_by(MASK_BLOCK_EVENTS) {
@@ -305,7 +244,7 @@ fn country_partition(
         }
     }
     event_counts.truncate(n);
-    CountryCoReport { pairs, event_counts }
+    CoReport { pairs, event_counts }
 }
 
 /// Count one mask word of every event of a block (member `base + b` for
@@ -351,21 +290,6 @@ fn add_pairs((a, a_base): (u64, usize), (b, b_base): (u64, usize), pairs: &mut M
             pairs.bump(j, i);
         }
     }
-}
-
-/// One event's distinct reporters, ascending: its slice of the source
-/// column sorted and deduplicated into `scratch` (whose capacity the
-/// caller keeps across events).
-// analyze: no_panic
-pub(crate) fn distinct_sources<'a>(
-    scratch: &'a mut Vec<u32>,
-    sources: Option<&[u32]>,
-) -> &'a [u32] {
-    scratch.clear();
-    scratch.extend_from_slice(sources.unwrap_or(&[]));
-    scratch.sort_unstable();
-    scratch.dedup();
-    scratch
 }
 
 #[cfg(test)]
@@ -423,12 +347,9 @@ mod tests {
         b.build().0
     }
 
-    fn ids(d: &Dataset) -> (usize, usize, usize) {
-        (
-            d.sources.lookup("a.com").unwrap().index(),
-            d.sources.lookup("b.co.uk").unwrap().index(),
-            d.sources.lookup("c.com.au").unwrap().index(),
-        )
+    /// The fixture's sources a, b, c, in that order.
+    fn abc(d: &Dataset) -> [SourceId; 3] {
+        ["a.com", "b.co.uk", "c.com.au"].map(|name| d.sources.lookup(name).unwrap())
     }
 
     fn ctx() -> ExecContext {
@@ -438,51 +359,49 @@ mod tests {
     #[test]
     fn dense_counts_and_jaccard() {
         let d = dataset();
-        let (a, b, c) = ids(&d);
-        let cr = CoReport::build(&ctx(), &d);
-        assert_eq!(cr.event_counts[a], 3);
-        assert_eq!(cr.event_counts[b], 2);
-        assert_eq!(cr.event_counts[c], 1);
-        assert_eq!(cr.pair_count(a, b), 2);
-        assert_eq!(cr.pair_count(b, a), 2);
-        assert_eq!(cr.pair_count(a, c), 1);
+        let cr = CoReport::publishers(&ctx(), &d, &abc(&d));
+        assert_eq!(cr.event_counts, vec![3, 2, 1]);
+        assert_eq!(cr.pairs.get(0, 1), 2);
+        assert_eq!(cr.pairs.get(1, 0), 2);
+        assert_eq!(cr.pairs.get(0, 2), 1);
         // c_ab = 2 / (3 + 2 - 2) = 2/3.
-        assert!((cr.jaccard(a, b) - 2.0 / 3.0).abs() < 1e-12);
+        assert!((cr.jaccard(0, 1) - 2.0 / 3.0).abs() < 1e-12);
         // c_bc = 1 / (2 + 1 - 1) = 0.5.
-        assert!((cr.jaccard(b, c) - 0.5).abs() < 1e-12);
-        assert_eq!(cr.n_sources(), 3);
+        assert!((cr.jaccard(1, 2) - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn duplicate_articles_count_once_per_event() {
         let d = dataset();
-        let (a, _, _) = ids(&d);
-        let cr = CoReport::build(&ctx(), &d);
+        let [a, _, _] = abc(&d);
+        let cr = CoReport::publishers(&ctx(), &d, &[a]);
         // a.com published twice on event 2 but e_a counts events.
-        assert_eq!(cr.event_counts[a], 3);
+        assert_eq!(cr.event_counts, vec![3]);
     }
 
     #[test]
     fn sparse_matches_dense() {
-        let d = dataset();
-        let (a, b, c) = ids(&d);
-        let dense = CoReport::build(&ctx(), &d);
+        let d = gdelt_synth::generate_dataset(&gdelt_synth::scenario::tiny(8)).0;
         let sparse = SparseCoReport::build(&ctx(), &d);
-        for &(i, j) in &[(a, b), (a, c), (b, c)] {
-            assert_eq!(dense.pair_count(i, j), sparse.pair_count(i, j));
-            assert!((dense.jaccard(i, j) - sparse.jaccard(i, j)).abs() < 1e-12);
+        // Every other source, from the last down: slot i is source s[i].
+        let s: Vec<SourceId> = (0..d.sources.len() as u32).rev().step_by(2).map(SourceId).collect();
+        let cr = CoReport::publishers(&ctx(), &d, &s);
+        for (i, si) in s.iter().enumerate() {
+            assert_eq!(cr.event_counts[i], sparse.event_counts[si.index()]);
+            for (j, sj) in s.iter().enumerate().filter(|&(j, _)| j != i) {
+                assert_eq!(cr.pairs.get(i, j), sparse.pair_count(si.index(), sj.index()));
+                assert_eq!(cr.jaccard(i, j), sparse.jaccard(si.index(), sj.index()));
+            }
         }
-        assert_eq!(dense.event_counts, sparse.event_counts);
     }
 
     #[test]
     fn jaccard_submatrix_shape() {
         let d = dataset();
-        let (a, b, _) = ids(&d);
-        let cr = CoReport::build(&ctx(), &d);
-        let sub = cr.jaccard_submatrix(&[SourceId(a as u32), SourceId(b as u32)]);
-        assert_eq!(sub.rows(), 2);
-        assert_eq!(sub.get(0, 0), 0.0); // diagonal zeroed
+        let [a, b, _] = abc(&d);
+        let sub = CoReport::publishers(&ctx(), &d, &[a, b]).jaccard_matrix();
+        assert_eq!((sub.rows(), sub.cols()), (2, 2));
+        assert_eq!((sub.get(0, 0), sub.get(1, 1)), (0.0, 0.0)); // diagonal zeroed
         assert!((sub.get(0, 1) - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(sub.get(0, 1), sub.get(1, 0));
     }
@@ -491,12 +410,12 @@ mod tests {
     fn country_coreport_jaccard() {
         let d = dataset();
         let reg = gdelt_model::country::CountryRegistry::new();
-        let cc = CountryCoReport::build(&ctx(), &d, reg.len());
-        let us = reg.by_name("USA"); // a.com
-        let uk = reg.by_name("UK"); // b.co.uk
-        let au = reg.by_name("Australia"); // c.com.au
-        assert_eq!(cc.event_counts[us.index()], 3);
-        assert_eq!(cc.event_counts[uk.index()], 2);
+        let cc = CoReport::countries(&ctx(), &d, reg.len());
+        let us = reg.by_name("USA").index(); // a.com
+        let uk = reg.by_name("UK").index(); // b.co.uk
+        let au = reg.by_name("Australia").index(); // c.com.au
+        assert_eq!(cc.event_counts[us], 3);
+        assert_eq!(cc.event_counts[uk], 2);
         // e_us_uk = 2 → 2 / (3 + 2 - 2).
         assert!((cc.jaccard(us, uk) - 2.0 / 3.0).abs() < 1e-12);
         assert!((cc.jaccard(uk, au) - 0.5).abs() < 1e-12);
@@ -530,11 +449,11 @@ mod tests {
                     }
                 }
             }
-            let want = CountryCoReport { pairs, event_counts };
+            let want = CoReport { pairs, event_counts };
             assert!(n < 65 || want.pairs.as_slice().iter().skip(64 * n).any(|&v| v > 0));
             for threads in [1, 3] {
                 let ctx = ExecContext::builder().threads(threads).build();
-                assert_eq!(CountryCoReport::build(&ctx, &d, n), want, "{n} countries");
+                assert_eq!(CoReport::countries(&ctx, &d, n), want, "{n} countries");
             }
         }
     }
@@ -542,31 +461,36 @@ mod tests {
     #[test]
     fn empty_dataset_builds() {
         let d = Dataset::default();
-        let cr = CoReport::build(&ctx(), &d);
-        assert_eq!(cr.n_sources(), 0);
         let sp = SparseCoReport::build(&ctx(), &d);
         assert!(sp.pairs.is_empty());
-        let cc = CountryCoReport::build(&ctx(), &d, 4);
+        assert_eq!(CoReport::publishers(&ctx(), &d, &[]).event_counts, Vec::<u64>::new());
+        // A source the directory does not hold is a silent slot.
+        let cr = CoReport::publishers(&ctx(), &d, &[SourceId(0), SourceId(7)]);
+        assert_eq!(cr, CoReport { pairs: Matrix::zeros(2, 2), event_counts: vec![0; 2] });
+        let cc = CoReport::countries(&ctx(), &d, 4);
         assert_eq!(cc.event_counts, vec![0; 4]);
     }
 
     #[test]
     fn jaccard_zero_for_silent_sources() {
-        let d = dataset();
-        let cr = CoReport::build(&ctx(), &d);
-        // Jaccard with oneself of a silent pair is 0 (denominator 0).
+        // Jaccard of a silent pair is 0 (denominator 0).
         let sp = SparseCoReport { pairs: HashMap::new(), event_counts: vec![0, 0] };
         assert_eq!(sp.jaccard(0, 1), 0.0);
-        let (a, _, _) = ids(&d);
-        // Self-Jaccard is 1 by definition here (e_ii = e_i).
-        assert!((cr.jaccard(a, a) - 1.0).abs() < 1e-12);
+        let d = dataset();
+        let [a, _, _] = abc(&d);
+        let cr = CoReport::publishers(&ctx(), &d, &[a, SourceId(u32::MAX)]);
+        assert_eq!(cr.event_counts, vec![3, 0]);
+        assert_eq!(cr.jaccard(0, 1), 0.0);
+        assert_eq!(cr.jaccard(1, 1), 0.0);
     }
 
     #[test]
     fn parallel_matches_sequential() {
-        let d = dataset();
-        let seq = CoReport::build(&ExecContext::builder().threads(1).build(), &d);
-        let par = CoReport::build(&ctx(), &d);
-        assert_eq!(seq, par);
+        let d = gdelt_synth::generate_dataset(&gdelt_synth::scenario::tiny(9)).0;
+        let all: Vec<SourceId> = (0..d.sources.len() as u32).map(SourceId).collect();
+        let build = |threads| {
+            CoReport::publishers(&ExecContext::builder().threads(threads).build(), &d, &all)
+        };
+        assert_eq!(build(1), build(3));
     }
 }

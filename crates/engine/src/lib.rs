@@ -19,13 +19,14 @@
 //!   plan) — one algebra in-thread, cross-thread and cross-process.
 //!   Callers outside the engine ask a [`Query`] through [`run_query`]
 //!   only;
-//! * co-reporting uses a **dense** pair matrix, the paper's explicit
-//!   choice over sparse structures given the update volume ([`coreport`];
-//!   the sparse builder is the dense one's test oracle and the target of
-//!   the time-sliced assembly in [`sliced`]);
+//! * co-reporting is counted over countries or a publisher list (the
+//!   clustering's top 30) as one bitmask per event ([`coreport`]); no
+//!   analysis reads the paper's dense 21 k-source matrix, so none is
+//!   built, and the hash-based sparse one, which the paper rejects for
+//!   its update volume, is only the test oracle;
 //! * the kernels that group mentions by event take their groups from
 //!   one walker over the time-sorted event→mentions CSR ([`chunk`]);
-//!   the set-shaped ones among them — country co-reporting,
+//!   the set-shaped ones among them — co-reporting,
 //!   follow-reporting ([`followreport`]) — keep an event's set as a
 //!   bitmask;
 //! * the country cross-reporting tables come from the aggregated
@@ -52,7 +53,6 @@ pub mod histogram;
 pub mod matrix;
 pub mod partial;
 pub mod query;
-pub mod sliced;
 pub mod stats;
 pub mod timeseries;
 pub mod topk;

@@ -1,10 +1,10 @@
 //! Dense row-major matrices used by the reporting analyses.
 //!
-//! The co-reporting matrix over all 21 k sources is the paper's flagship
-//! data structure: dense `f32`/counters take ~1.8 GB and beat sparse
-//! structures because every event performs O(k²) updates. [`Matrix`] is
-//! the minimal dense container those analyses need, with a mergeable
-//! counter specialization for the per-thread-partial pattern.
+//! The paper stores its co-reporting matrix over all 21 k sources
+//! densely (~1.8 GB); the analyses here read country- and publisher-
+//! sized matrices. [`Matrix`] is the minimal dense container they need,
+//! with a mergeable counter specialization for the per-thread-partial
+//! pattern.
 
 use crate::exec::Merge;
 

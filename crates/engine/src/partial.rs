@@ -26,7 +26,7 @@
 //! the partial of the whole. DESIGN.md ("Execution algebra") tabulates
 //! each family's partial and why it merges exactly.
 
-use crate::coreport::CountryCoReport;
+use crate::coreport::CoReport;
 use crate::crossreport::CrossReport;
 pub use crate::delay::DelayHist;
 use crate::exec::{ExecContext, Merge};
@@ -195,7 +195,7 @@ impl ShardQuery {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ShardPartial {
     /// Partial for [`ShardQuery::CoReport`] (the final is mergeable).
-    CoReport(CountryCoReport),
+    CoReport(CoReport),
     /// Partial for [`ShardQuery::FollowReportWith`].
     FollowReport(FollowReport),
     /// Partial for [`ShardQuery::CrossCountry`].
@@ -310,7 +310,7 @@ pub fn run_shard_query(
 ) -> ShardPartial {
     let n_countries = CountryRegistry::new().len();
     match sq {
-        ShardQuery::CoReport => ShardPartial::CoReport(CountryCoReport::build(ctx, d, n_countries)),
+        ShardQuery::CoReport => ShardPartial::CoReport(CoReport::countries(ctx, d, n_countries)),
         ShardQuery::FollowReportWith { sources } => {
             ShardPartial::FollowReport(FollowReport::build(ctx, d, sources))
         }
@@ -574,7 +574,7 @@ mod tests {
             &ShardQuery::FollowReportWith { sources: vec![SourceId(0)] },
             0,
         ));
-        ps.push(ShardPartial::CoReport(CountryCoReport::build(&ctx, &d, 3)));
+        ps.push(ShardPartial::CoReport(CoReport::countries(&ctx, &d, 3)));
         ps.push(ShardPartial::CrossCountry(CrossReport::build(&ctx, &d, 3)));
         ps.push(ShardPartial::ActiveSources(ActiveSourcesPartial {
             base: 0,

@@ -6,7 +6,7 @@
 //! [`run_query`] answers one by running the execution algebra of
 //! [`crate::partial`] (plan → round → merge → finalize) with the whole
 //! dataset as its single shard, and code outside this crate asks a
-//! `Query` through it alone. The kernels (`CountryCoReport::build`,
+//! `Query` through it alone. The kernels (`CoReport::countries`,
 //! `CrossReport::build`, the delay histograms, the quarterly series and
 //! the rankings) are what that algebra's one dispatcher,
 //! [`crate::partial::run_shard_query`], calls.
@@ -18,7 +18,7 @@
 //! it.
 
 use crate::chunk::partition_scan;
-use crate::coreport::CountryCoReport;
+use crate::coreport::CoReport;
 use crate::crossreport::CrossReport;
 use crate::delay::DelayStats;
 use crate::exec::ExecContext;
@@ -220,7 +220,7 @@ impl std::fmt::Display for Query {
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryResult {
     /// Result of [`Query::CoReport`].
-    CoReport(CountryCoReport),
+    CoReport(CoReport),
     /// Result of [`Query::FollowReport`].
     FollowReport(FollowReport),
     /// Result of [`Query::CrossCountry`].
@@ -454,9 +454,9 @@ mod tests {
         let ids = reg.paper_top10_publishing();
         for &a in &ids {
             for &b in &ids {
-                let j = cc.jaccard(a, b);
+                let j = cc.jaccard(a.index(), b.index());
                 assert!((0.0..=1.0).contains(&j));
-                assert!((j - cc.jaccard(b, a)).abs() < 1e-12);
+                assert!((j - cc.jaccard(b.index(), a.index())).abs() < 1e-12);
             }
         }
     }

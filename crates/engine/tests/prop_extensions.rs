@@ -1,16 +1,16 @@
 //! Property tests for the engine extensions: for arbitrary generator
 //! seeds and structural parameters, the alternative execution strategies
-//! (time-sliced sparse assembly, partition-range pieces merged through
-//! the execution algebra) must agree exactly with the canonical
-//! single-pass operators, and views must decompose totals.
+//! (publisher co-reports against the sparse oracle, partition-range
+//! pieces merged through the execution algebra) must agree exactly with
+//! the canonical single-pass operators, and views must decompose totals.
 
 use gdelt_columnar::degraded::restrict_to_partitions;
 use gdelt_engine::aggregate::count_by;
-use gdelt_engine::coreport::CoReport;
+use gdelt_engine::coreport::{CoReport, SparseCoReport};
 use gdelt_engine::partial::{execute, run_shard_query, ShardPartial};
-use gdelt_engine::sliced::sliced_coreport;
 use gdelt_engine::view::MentionView;
 use gdelt_engine::{run_query, ExecContext, Query, SeriesKind, TopKKind};
+use gdelt_model::ids::SourceId;
 use gdelt_model::time::Quarter;
 use proptest::prelude::*;
 
@@ -25,20 +25,37 @@ fn corpus(seed: u64, n_events: usize, n_quarters: usize) -> gdelt_columnar::Data
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
+    // Publisher co-reports over arbitrary unsorted subsets — empty, one
+    // source, either side of a mask word (63, 64, 65) and the whole
+    // directory — equal the global sparse oracle restricted to them.
     #[test]
-    fn sliced_always_equals_dense(
+    fn publishers_always_equal_sparse(
         seed in 0u64..1000,
-        n_events in 50usize..200,
-        n_quarters in 2usize..8,
+        n_events in 150usize..300,
+        shuffle in any::<u64>(),
     ) {
-        let d = corpus(seed, n_events, n_quarters);
-        let ctx = ExecContext::builder().threads(2).build();
-        let dense = CoReport::build(&ctx, &d);
-        let sliced = sliced_coreport(&ctx, &d);
-        prop_assert_eq!(&dense.event_counts, &sliced.event_counts);
-        for i in 0..d.sources.len() {
-            for j in i + 1..d.sources.len() {
-                prop_assert_eq!(dense.pair_count(i, j), sliced.pair_count(i, j));
+        let mut cfg = gdelt_synth::scenario::tiny(seed);
+        cfg.n_sources = 200;
+        cfg.n_events = n_events;
+        let d = gdelt_synth::generate_dataset(&cfg).0;
+        let n = d.sources.len();
+        let mut order: Vec<SourceId> = (0..n as u32).map(SourceId).collect();
+        order.sort_by_key(|s| (u64::from(s.0) ^ shuffle).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let sparse = SparseCoReport::build(&ExecContext::builder().threads(2).build(), &d);
+        for size in [0, 1, 63, 64, 65, n] {
+            let subset = &order[..size.min(n)];
+            for threads in [1, 3] {
+                let ctx = ExecContext::builder().threads(threads).build();
+                let cr = CoReport::publishers(&ctx, &d, subset);
+                prop_assert_eq!(cr.event_counts.len(), subset.len());
+                for (i, si) in subset.iter().enumerate() {
+                    prop_assert_eq!(cr.event_counts[i], sparse.event_counts[si.index()]);
+                    for (j, sj) in subset.iter().enumerate() {
+                        // The oracle holds no (s, s) pair: the diagonal reads 0.
+                        let want = sparse.pair_count(si.index(), sj.index());
+                        prop_assert_eq!(cr.pairs.get(i, j), want, "{} of {}", size, n);
+                    }
+                }
             }
         }
     }

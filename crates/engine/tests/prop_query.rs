@@ -9,7 +9,7 @@ use gdelt_columnar::degraded::restrict_to_partitions;
 use gdelt_columnar::table::NO_EVENT_ROW;
 use gdelt_columnar::{Column, ColumnSet, Dataset, DatasetBuilder};
 use gdelt_engine::chunk::{event_partitions, SEQUENTIAL_SCAN_ROWS};
-use gdelt_engine::coreport::{CountryCoReport, MASK_BLOCK_EVENTS};
+use gdelt_engine::coreport::{CoReport, MASK_BLOCK_EVENTS};
 use gdelt_engine::crossreport::CrossReport;
 use gdelt_engine::delay::DelayStats;
 use gdelt_engine::followreport::FollowReport;
@@ -148,7 +148,7 @@ fn reference_crosscountry(d: &Dataset, n_countries: usize) -> CrossReport {
     CrossReport { counts, articles_by_publisher, events_by_country }
 }
 
-fn reference_coreport(d: &Dataset, n_countries: usize) -> CountryCoReport {
+fn reference_coreport(d: &Dataset, n_countries: usize) -> CoReport {
     let mut pairs = Matrix::<u64>::zeros(n_countries, n_countries);
     let mut event_counts = vec![0u64; n_countries];
     for rows in rows_by_event(d).values() {
@@ -164,7 +164,7 @@ fn reference_coreport(d: &Dataset, n_countries: usize) -> CountryCoReport {
             }
         }
     }
-    CountryCoReport { pairs, event_counts }
+    CoReport { pairs, event_counts }
 }
 
 /// Events of at most this many mentions are answered by the naive
@@ -422,7 +422,7 @@ fn assert_matches_reference_at_every_width(ctx: &ExecContext, d: &Dataset, what:
     }
     for n in [0usize, 1, 63, 64, 65] {
         assert_eq!(
-            CountryCoReport::build(ctx, d, n),
+            CoReport::countries(ctx, d, n),
             reference_coreport(d, n),
             "{n} countries, {what}"
         );
@@ -572,7 +572,7 @@ fn lane_and_block_edges_match_reference_at_one_to_three_threads() {
 
     let want: Vec<(Query, QueryResult)> =
         WIDTHS.iter().flat_map(|&k| all_queries(k, 96)).map(|q| (q, reference(&d, &q))).collect();
-    let countries: Vec<(usize, CountryCoReport)> =
+    let countries: Vec<(usize, CoReport)> =
         [0usize, 1, 63, 64, 65].into_iter().map(|n| (n, reference_coreport(&d, n))).collect();
     for threads in [1usize, 2, 3] {
         // One partition per thread, so every partition spans a block edge
@@ -592,7 +592,7 @@ fn lane_and_block_edges_match_reference_at_one_to_three_threads() {
                 assert_eq!(&run_query(&ctx, &d, q), want, "{q}, {what}");
             }
             for (n, want) in &countries {
-                assert_eq!(&CountryCoReport::build(&ctx, &d, *n), want, "{n} countries, {what}");
+                assert_eq!(&CoReport::countries(&ctx, &d, *n), want, "{n} countries, {what}");
             }
         }
     }

@@ -423,7 +423,7 @@ fn cmd_query(o: &Options) -> Result<(), String> {
         };
         println!(
             "{a} vs {b}: co-reporting Jaccard {:.4}; articles {a}→about-{b}: {}, {b}→about-{a}: {}",
-            cc.jaccard(ca, cb),
+            cc.jaccard(ca.index(), cb.index()),
             cr.articles(cb, ca),
             cr.articles(ca, cb),
         );
@@ -437,12 +437,7 @@ fn cmd_report(o: &Options) -> Result<(), String> {
     // The cleaning report lives with conversion; reports from binary
     // files show zeros unless re-converted.
     let clean = Default::default();
-    let report = run_full_report(
-        &o.ctx(),
-        &dataset,
-        &clean,
-        ReportOptions { scaling: o.scaling, clustering: true },
-    );
+    let report = run_full_report(&o.ctx(), &dataset, &clean, ReportOptions { scaling: o.scaling });
     println!("{}", report.render());
     Ok(())
 }
@@ -455,12 +450,7 @@ fn cmd_synth_report(o: &Options) -> Result<(), String> {
     );
     let (dataset, clean) = gdelt_synth::generate_dataset(&cfg);
     eprintln!("{}", gdelt_columnar::memsize::measure(&dataset).render());
-    let report = run_full_report(
-        &o.ctx(),
-        &dataset,
-        &clean,
-        ReportOptions { scaling: o.scaling, clustering: true },
-    );
+    let report = run_full_report(&o.ctx(), &dataset, &clean, ReportOptions { scaling: o.scaling });
     println!("{}", report.render());
     Ok(())
 }

@@ -45,7 +45,7 @@
 //! precondition.
 
 use gdelt_columnar::binfmt::checksum64;
-use gdelt_engine::coreport::CountryCoReport;
+use gdelt_engine::coreport::CoReport;
 use gdelt_engine::crossreport::CrossReport;
 use gdelt_engine::filter::Bitmap;
 use gdelt_engine::followreport::FollowReport;
@@ -927,7 +927,7 @@ fn enc_partial(e: &mut Enc<'_>, p: &ShardPartial) {
 
 fn dec_partial(d: &mut Dec<'_>) -> Result<ShardPartial, WireError> {
     Ok(match d.u8()? {
-        0 => ShardPartial::CoReport(CountryCoReport {
+        0 => ShardPartial::CoReport(CoReport {
             pairs: dec_matrix(d)?,
             event_counts: dec_vec_u64(d)?,
         }),

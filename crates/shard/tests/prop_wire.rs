@@ -4,7 +4,7 @@
 //! [`WireError`]s — never a panic, never a silently-wrong value.
 
 use gdelt_columnar::binfmt::checksum64;
-use gdelt_engine::coreport::CountryCoReport;
+use gdelt_engine::coreport::CoReport;
 use gdelt_engine::crossreport::CrossReport;
 use gdelt_engine::filter::Bitmap;
 use gdelt_engine::followreport::FollowReport;
@@ -102,9 +102,10 @@ fn active_sources() -> impl Strategy<Value = ShardPartial> {
 
 fn shard_partial() -> impl Strategy<Value = ShardPartial> {
     prop_oneof![
-        (matrix(), vec_u64()).prop_map(|(pairs, event_counts)| ShardPartial::CoReport(
-            CountryCoReport { pairs, event_counts }
-        )),
+        (matrix(), vec_u64()).prop_map(|(pairs, event_counts)| ShardPartial::CoReport(CoReport {
+            pairs,
+            event_counts
+        })),
         (subset(), matrix(), vec_u64()).prop_map(|(subset, follow_counts, articles)| {
             ShardPartial::FollowReport(FollowReport { subset, follow_counts, articles })
         }),

@@ -22,7 +22,7 @@
 //!   it is the first to merge.
 
 use gdelt_columnar::RetryPolicy;
-use gdelt_engine::coreport::CountryCoReport;
+use gdelt_engine::coreport::CoReport;
 use gdelt_engine::filter::Bitmap;
 use gdelt_engine::partial::{ShardPartial, ShardQuery};
 use gdelt_engine::{run_query, ExecContext, Matrix, Query, SeriesKind, TopKKind};
@@ -562,13 +562,13 @@ fn mismatched_replies() -> Vec<(&'static str, Query, Tamper, &'static str)> {
             "different matrix shape",
             Query::CoReport,
             |p| match p {
-                ShardPartial::CoReport(_) => ShardPartial::CoReport(CountryCoReport {
+                ShardPartial::CoReport(_) => ShardPartial::CoReport(CoReport {
                     pairs: Matrix::zeros(3, 3),
                     event_counts: vec![0; 3],
                 }),
                 other => other,
             },
-            NO_MERGE,
+            NO_ANSWER,
         ),
     ]
 }
@@ -582,13 +582,15 @@ fn mismatched_reply_degrades_like_a_lost_shard() {
     for (what, q, tamper, line) in mismatched_replies() {
         f.workers[1].tamper(Some(tamper));
         let losses = gdelt_obs::global().counter("router_shard_loss").get();
+        let seen = gdelt_obs::flight_snapshot().last().map_or(0, |e| e.seq + 1);
         let got = r.query(&q).unwrap_or_else(|e| panic!("{what} on {q}: {e:?}"));
         assert_eq!(got.coverage.live, survivors, "{what} on {q}: exact surviving coverage");
         assert_eq!(got.coverage.total, f.manifest.source_partitions);
         assert!(gdelt_obs::global().counter("router_shard_loss").get() > losses, "{what}");
+        // Only lines this case recorded: an earlier case's cannot stand in.
         let lost = gdelt_obs::flight_snapshot();
         assert!(
-            lost.iter().any(|e| e.code == "shard_lost" && e.detail.contains(line)),
+            lost.iter().any(|e| e.seq >= seen && e.code == "shard_lost" && e.detail.contains(line)),
             "{what} on {q}: no `shard_lost … {line}` line on the flight recorder"
         );
         // Nothing degraded is cached: with the worker honest again the
@@ -645,7 +647,7 @@ fn misshapen_replies() -> Vec<(&'static str, Query, Tamper)> {
             other => other,
         }),
         ("3 × 3 country pairs", Query::CoReport, |p| match p {
-            ShardPartial::CoReport(_) => ShardPartial::CoReport(CountryCoReport {
+            ShardPartial::CoReport(_) => ShardPartial::CoReport(CoReport {
                 pairs: Matrix::zeros(3, 3),
                 event_counts: vec![0; 3],
             }),

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example country_coverage`
 
 use gdelt::analysis::{figs_matrix, table5, table67};
-use gdelt::engine::coreport::CountryCoReport;
+use gdelt::engine::coreport::CoReport;
 use gdelt::engine::crossreport::CrossReport;
 use gdelt::model::country::CountryRegistry;
 use gdelt::prelude::*;
@@ -18,7 +18,7 @@ fn main() {
 
     // Table V: country co-reporting (Jaccard). Expect the UK–USA–AUS
     // cluster to dominate.
-    let cc = CountryCoReport::build(&ctx, &dataset, registry.len());
+    let cc = CoReport::countries(&ctx, &dataset, registry.len());
     let t5 = table5::compute(&cc, &registry);
     println!("{}", table5::render(&t5));
 

@@ -24,14 +24,13 @@ fn main() {
     println!("{}", figs_matrix::render_heatmap("Figure 7: Top-50 follow-reporting matrix", &f7.f));
 
     // Co-reporting Jaccard between the two most productive publishers.
-    let co = CoReport::build(&ctx, &dataset);
-    if t4.report.subset.len() >= 2 {
-        let (a, b) = (t4.report.subset[0], t4.report.subset[1]);
+    if let [a, b, ..] = t4.report.subset[..] {
+        let co = CoReport::publishers(&ctx, &dataset, &[a, b]);
         println!(
             "co-reporting c_ij between {} and {}: {:.4}\n",
             dataset.sources.name(a),
             dataset.sources.name(b),
-            co.jaccard(a.index(), b.index())
+            co.jaccard(0, 1)
         );
     }
 

@@ -27,7 +27,9 @@ fn event_source_sets(d: &Dataset) -> BTreeMap<u64, BTreeSet<u32>> {
 fn coreport_matches_brute_force() {
     let d = dataset();
     let ctx = ExecContext::builder().threads(2).build();
-    let cr = CoReport::build(&ctx, &d);
+    // Every source as the subset, slot i being SourceId(i).
+    let all: Vec<SourceId> = (0..d.sources.len() as u32).map(SourceId).collect();
+    let cr = CoReport::publishers(&ctx, &d, &all);
     let sets = event_source_sets(&d);
 
     // Reference e_i.
@@ -43,8 +45,10 @@ fn coreport_matches_brute_force() {
         }
     }
     assert_eq!(cr.event_counts, e);
+    assert_eq!(cr.pairs.total(), 2 * pairs.values().sum::<u64>());
     for (&(i, j), &n) in &pairs {
-        assert_eq!(cr.pair_count(i as usize, j as usize), n, "pair ({i},{j})");
+        assert_eq!(cr.pairs.get(i as usize, j as usize), n, "pair ({i},{j})");
+        assert_eq!(cr.pairs.get(j as usize, i as usize), n, "pair ({j},{i})");
     }
 }
 

@@ -4,7 +4,7 @@
 //! scaled down. These are the claims EXPERIMENTS.md records.
 
 use gdelt::analysis::{figs_delay, figs_matrix, figs_volume, table3, table5, table67};
-use gdelt::engine::coreport::CountryCoReport;
+use gdelt::engine::coreport::CoReport;
 use gdelt::engine::crossreport::CrossReport;
 use gdelt::model::country::CountryRegistry;
 use gdelt::prelude::*;
@@ -85,7 +85,7 @@ fn table3_headliners_reach_saturation_coverage() {
 fn table5_anglosphere_cluster() {
     let d = dataset();
     let reg = CountryRegistry::new();
-    let cc = CountryCoReport::build(&ctx(), d, reg.len());
+    let cc = CoReport::countries(&ctx(), d, reg.len());
     let t5 = table5::compute(&cc, &reg);
     // Order: UK, USA, Australia, India, Italy, Canada, ZA, NG, BD, PH.
     let cluster_avg = (t5.jaccard.get(0, 1) + t5.jaccard.get(0, 2) + t5.jaccard.get(1, 2)) / 3.0;
