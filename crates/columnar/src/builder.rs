@@ -20,23 +20,95 @@
 //! mentions grouped by event and time — what GDELT's own exports and the
 //! generator emit) is handed over as staged, without a sort or a copy.
 //!
-//! Raw text is decoded by the calling thread, top to bottom. Cutting it
-//! into per-core chunks is not done here: see DESIGN.md "Ingest
-//! architecture" for what that needs first.
+//! Raw text of 2 MiB or more is cut at line starts into one piece per
+//! core (each at least [`MIN_PIECE_BYTES`]). The calling thread stages
+//! the first piece straight into the builder and every other piece is
+//! staged on a thread of its own ([`partition::fork_join`]) into a
+//! staging area and a [`Cleaner`] of its own; the pieces are then
+//! absorbed in order, which gives the columns, the source ids and the
+//! report one thread gives.
 
 use crate::aligned::AlignedBuf;
-use crate::columns::ColumnSet;
+use crate::columns::{Column, ColumnSet};
 use crate::index::EventIndex;
+use crate::partition;
 use crate::table::{Dataset, EventsTable, MentionsTable, SourceDirectory, NO_EVENT_ROW};
 use gdelt_csv::clean::{CleanReport, Cleaner};
 use gdelt_csv::events::EventRow;
-use gdelt_csv::fields::{for_each_line, Separator};
+use gdelt_csv::fields::{for_each_line, line_start, Separator};
 use gdelt_csv::masterlist::MasterList;
 use gdelt_csv::mentions::MentionRow;
 use gdelt_model::country::CountryRegistry;
 use gdelt_model::event::EventRecord;
+use gdelt_model::ids::row_u32;
 use gdelt_model::mention::MentionRecord;
 use gdelt_model::time::CaptureInterval;
+
+/// Text is staged in pieces of at least this many bytes: starting a
+/// thread costs tens of µs, decoding a MiB of text a few ms, so an
+/// `update` batch of a few hundred lines stays on the calling thread.
+const MIN_PIECE_BYTES: usize = 1 << 20;
+
+/// Where to cut `len` bytes of text so that each core stages one piece
+/// of at least [`MIN_PIECE_BYTES`]: evenly, before each line start is
+/// looked for. No cut below two pieces' worth.
+fn even_cuts(len: usize) -> Vec<usize> {
+    let most = len / MIN_PIECE_BYTES;
+    let n = if most < 2 {
+        1
+    } else {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).min(most)
+    };
+    (1..n).map(|k| k * (len / n)).collect()
+}
+
+/// A staging area rows of text are decoded into: the events' or the
+/// mentions'.
+trait Staging: Default + Send {
+    /// Decode and stage every line of `text`.
+    fn stage_text(&mut self, registry: &CountryRegistry, cleaner: &mut Cleaner, text: &[u8]);
+
+    /// Append `pieces`, in order, each staged from its own piece of the
+    /// text that follows this one's: what staging their text here would
+    /// have staged.
+    fn absorb(&mut self, pieces: Vec<Self>);
+}
+
+/// Stage `text` into `staged`, cut at the first line start at or after
+/// each of `cuts`: the first piece on the calling thread, every other
+/// non-empty one on a thread of its own, absorbed in order.
+fn stage_pieces<S: Staging>(
+    staged: &mut S,
+    registry: &CountryRegistry,
+    cleaner: &mut Cleaner,
+    text: &[u8],
+    cuts: &[usize],
+) {
+    let mut starts: Vec<usize> = cuts.iter().map(|&at| line_start(text, at)).collect();
+    starts.push(text.len());
+    let mut from = 0;
+    let mut pieces: Vec<&[u8]> = Vec::with_capacity(starts.len());
+    for to in starts {
+        let to = to.max(from);
+        pieces.push(text.get(from..to).unwrap_or(&[]));
+        from = to;
+    }
+    let first = pieces.remove(0);
+    pieces.retain(|piece| !piece.is_empty());
+    if pieces.is_empty() {
+        return staged.stage_text(registry, cleaner, first);
+    }
+    let stage_alone = |piece: &[u8]| {
+        let (mut staged, mut cleaner) = (S::default(), Cleaner::new());
+        staged.stage_text(registry, &mut cleaner, piece);
+        (staged, cleaner.finish())
+    };
+    let ((), rest) =
+        partition::fork_join(pieces, stage_alone, || staged.stage_text(registry, cleaner, first));
+    let (rest, reports): (Vec<S>, Vec<CleanReport>) = rest.into_iter().unzip();
+    staged.absorb(rest);
+    reports.iter().for_each(|report| cleaner.absorb(report));
+}
 
 /// Event rows in arrival order, already in column form.
 #[derive(Debug, Default)]
@@ -75,15 +147,6 @@ impl StagedEvents {
         t.urls.push(e.source_url);
     }
 
-    /// Decode and stage every line of `text`.
-    // analyze: no_panic
-    fn stage_text(&mut self, registry: &CountryRegistry, cleaner: &mut Cleaner, text: &[u8]) {
-        for_each_line(text, Separator::Tab, |_, line| match EventRow::decode(&line) {
-            Ok(row) => self.push(registry, cleaner, &row),
-            Err(_) => cleaner.bad_event_line(),
-        });
-    }
-
     /// The events table: rows by ascending id, the first-staged row of
     /// an id winning, rows without a capture interval counted as bad
     /// lines and dropped.
@@ -112,6 +175,34 @@ impl StagedEvents {
             get_mut(&mut kept).gather(get(&t), &keep);
         }
         kept
+    }
+}
+
+impl Staging for StagedEvents {
+    // analyze: no_panic
+    fn stage_text(&mut self, registry: &CountryRegistry, cleaner: &mut Cleaner, text: &[u8]) {
+        for_each_line(text, Separator::Tab, |_, line| match EventRow::decode(&line) {
+            Ok(row) => self.push(registry, cleaner, &row),
+            Err(_) => cleaner.bad_event_line(),
+        });
+    }
+
+    fn absorb(&mut self, pieces: Vec<Self>) {
+        let t = &mut self.table;
+        for (_, get, get_mut) in &EventsTable::FIXED {
+            get_mut(t).reserve(pieces.iter().map(|p| get(&p.table).len()).sum());
+        }
+        let url_bytes = pieces.iter().map(|p| p.table.urls.bytes_in(0..p.table.urls.len())).sum();
+        t.urls.reserve(pieces.iter().map(|p| p.table.urls.len()).sum(), url_bytes);
+        for piece in pieces {
+            let first_row = row_u32(t.len());
+            for (_, get, get_mut) in &EventsTable::FIXED {
+                let src = get(&piece.table);
+                get_mut(t).extend_rows(src, 0..src.len());
+            }
+            t.urls.extend_range(&piece.table.urls, 0..piece.table.urls.len());
+            self.no_capture.extend(piece.no_capture.iter().map(|&row| first_row + row));
+        }
     }
 }
 
@@ -158,15 +249,6 @@ impl StagedMentions {
         t.mention_type.push(m.mention_type as u8);
         t.confidence.push(m.confidence);
         t.doc_tone.push(m.doc_tone);
-    }
-
-    /// Decode and stage every line of `text`.
-    // analyze: no_panic
-    fn stage_text(&mut self, registry: &CountryRegistry, cleaner: &mut Cleaner, text: &[u8]) {
-        for_each_line(text, Separator::Tab, |_, line| match MentionRow::decode(&line) {
-            Ok(row) => self.push(registry, cleaner, &row),
-            Err(_) => cleaner.bad_mention_line(),
-        });
     }
 
     /// The mentions table joined to `events`: rows by (event row, scrape
@@ -233,6 +315,49 @@ impl StagedMentions {
     }
 }
 
+impl Staging for StagedMentions {
+    // analyze: no_panic
+    fn stage_text(&mut self, registry: &CountryRegistry, cleaner: &mut Cleaner, text: &[u8]) {
+        for_each_line(text, Separator::Tab, |_, line| match MentionRow::decode(&line) {
+            Ok(row) => self.push(registry, cleaner, &row),
+            Err(_) => cleaner.bad_mention_line(),
+        });
+    }
+
+    /// A piece's source ids become the builder's in the piece's id
+    /// order, which is the order its sources first appear in: a source
+    /// no earlier text named gets the next id, as on one thread.
+    fn absorb(&mut self, pieces: Vec<Self>) {
+        for (_, get, get_mut) in &MentionsTable::FIXED {
+            get_mut(&mut self.table).reserve(pieces.iter().map(|p| get(&p.table).len()).sum());
+        }
+        for piece in pieces {
+            for (c, get, get_mut) in &MentionsTable::FIXED {
+                let src = get(&piece.table);
+                if *c != Column::MentionsSource {
+                    get_mut(&mut self.table).extend_rows(src, 0..src.len());
+                }
+            }
+            let sources = &mut self.sources;
+            let ids: Vec<u32> = (0..row_u32(piece.sources.len()))
+                .map(|local| {
+                    let name = piece.sources.names.get(local);
+                    sources.names.lookup(name).unwrap_or_else(|| {
+                        let country = piece.sources.country.get(local as usize);
+                        sources.country.push(country.copied().unwrap_or(u16::MAX));
+                        sources.names.intern(name)
+                    })
+                })
+                .collect();
+            let source = piece.table.source.iter();
+            self.table.source.extend_from_iter(
+                source.map(|&local| ids.get(local as usize).copied().unwrap_or(local)),
+            );
+            self.seen += piece.seen;
+        }
+    }
+}
+
 /// Builder accumulating rows before the one-time conversion.
 #[derive(Debug, Default)]
 pub struct DatasetBuilder {
@@ -269,9 +394,15 @@ impl DatasetBuilder {
     /// counts as one bad line, and bytes of the columns the store does
     /// not keep are never inspected.
     pub fn ingest_events_bytes(&mut self, text: &[u8]) {
+        self.ingest_events_cut(text, &even_cuts(text.len()));
+    }
+
+    /// [`ingest_events_bytes`](Self::ingest_events_bytes), the text cut
+    /// into pieces at the first line start at or after each of `cuts`.
+    pub(crate) fn ingest_events_cut(&mut self, text: &[u8], cuts: &[usize]) {
         let _s = gdelt_obs::span_args("ingest", "parse_events", "bytes", text.len() as u64);
         let (rows, bad) = (self.events.table.len(), self.cleaner.report().bad_event_lines);
-        self.events.stage_text(&self.registry, &mut self.cleaner, text);
+        stage_pieces(&mut self.events, &self.registry, &mut self.cleaner, text, cuts);
         let bad = self.cleaner.report().bad_event_lines - bad;
         let rows = (self.events.table.len() - rows) as u64;
         gdelt_obs::global().counter("ingest_bad_event_lines_total").add(bad);
@@ -287,9 +418,16 @@ impl DatasetBuilder {
     /// `MentionSourceName` is not counts as one bad line, and bytes of
     /// the columns the store does not keep are never inspected.
     pub fn ingest_mentions_bytes(&mut self, text: &[u8]) {
+        self.ingest_mentions_cut(text, &even_cuts(text.len()));
+    }
+
+    /// [`ingest_mentions_bytes`](Self::ingest_mentions_bytes), the text
+    /// cut into pieces at the first line start at or after each of
+    /// `cuts`.
+    pub(crate) fn ingest_mentions_cut(&mut self, text: &[u8], cuts: &[usize]) {
         let _s = gdelt_obs::span_args("ingest", "parse_mentions", "bytes", text.len() as u64);
         let (rows, bad) = (self.mentions.seen, self.cleaner.report().bad_mention_lines);
-        self.mentions.stage_text(&self.registry, &mut self.cleaner, text);
+        stage_pieces(&mut self.mentions, &self.registry, &mut self.cleaner, text, cuts);
         let bad = self.cleaner.report().bad_mention_lines - bad;
         let rows = (self.mentions.seen - rows) as u64;
         gdelt_obs::global().counter("ingest_bad_mention_lines_total").add(bad);
@@ -337,6 +475,10 @@ impl DatasetBuilder {
         (dataset, cleaner.finish())
     }
 }
+
+#[cfg(test)]
+#[path = "../tests/hostile/mod.rs"]
+mod hostile;
 
 #[cfg(test)]
 mod tests {
@@ -530,5 +672,154 @@ mod tests {
         assert_eq!(d.events.len(), 2);
         assert_eq!(d.mentions.len(), 2);
         assert_eq!(d.mentions.delay[d.mentions_of(0).start], 8); // 2 hours
+    }
+
+    /// The store image and the report of `events` then `mentions`, each
+    /// cut at the first line start at or after each of its cuts.
+    fn cut_image(
+        (events, event_cuts): (&[u8], &[usize]),
+        (mentions, mention_cuts): (&[u8], &[usize]),
+    ) -> (Vec<u8>, CleanReport) {
+        let mut b = DatasetBuilder::new();
+        b.ingest_events_cut(events, event_cuts);
+        b.ingest_mentions_cut(mentions, mention_cuts);
+        let (d, report) = b.build();
+        let mut bytes = Vec::new();
+        crate::binfmt::write_dataset(&mut bytes, &d).unwrap();
+        (bytes, report)
+    }
+
+    /// Cuts that make `n` even pieces of `len` bytes before alignment.
+    fn even(len: usize, n: usize) -> Vec<usize> {
+        (1..n).map(|k| k * len / n).collect()
+    }
+
+    /// Every offset worth cutting `text` at: its first and last byte,
+    /// its end, and every line's start, second byte and middle.
+    fn cut_points(text: &[u8]) -> Vec<usize> {
+        let mut at = vec![0, text.len().saturating_sub(1), text.len()];
+        let mut start = 0;
+        for end in (0..text.len()).filter(|&i| text[i] == b'\n').chain([text.len()]) {
+            at.extend([start, start + 1, (start + end) / 2].map(|i| i.min(text.len())));
+            start = end + 1;
+        }
+        at.sort_unstable();
+        at.dedup();
+        at
+    }
+
+    fn hostile_text() -> (String, String) {
+        // Every damage, each line with and without CRLF, a blank line
+        // before every third; no terminator at the end of the mentions.
+        let specs: Vec<hostile::LineSpec> = (0..52u32)
+            .map(|k| (u64::from(k % 24), (k % 26) as u8, k < 26, k % 3 == 0, k))
+            .collect();
+        (
+            hostile::render(&specs, hostile::damaged_event_line, 3),
+            hostile::render(&specs, hostile::damaged_mention_line, 1),
+        )
+    }
+
+    #[test]
+    fn every_cut_of_hostile_text_stages_what_one_piece_stages() {
+        let (events, mentions) = hostile_text();
+        let (events, mentions) = (events.as_bytes(), mentions.as_bytes());
+        let whole = cut_image((events, &[]), (mentions, &[]));
+        assert!(whole.1.bad_event_lines > 0 && whole.1.bad_mention_lines > 0);
+        for at in cut_points(events) {
+            assert!(cut_image((events, &[at]), (mentions, &[])) == whole, "events cut at {at}");
+        }
+        for at in cut_points(mentions) {
+            assert!(cut_image((events, &[]), (mentions, &[at])) == whole, "mentions cut at {at}");
+        }
+        let (all_events, all_mentions) = (cut_points(events), cut_points(mentions));
+        assert!(cut_image((events, &all_events), (mentions, &all_mentions)) == whole);
+        for n in [1, 2, 3, 7, 64] {
+            let cuts = (even(events.len(), n), even(mentions.len(), n));
+            assert!(cut_image((events, &cuts.0), (mentions, &cuts.1)) == whole, "{n} pieces");
+        }
+    }
+
+    /// `line` with column `k` replaced by `bytes`, and a terminator.
+    fn with_column(line: &str, k: usize, bytes: &[u8]) -> Vec<u8> {
+        let mut cols: Vec<&[u8]> = line.as_bytes().split(|&b| b == b'\t').collect();
+        cols[k] = bytes;
+        let mut out = cols.join(&b'\t');
+        out.push(b'\n');
+        out
+    }
+
+    #[test]
+    fn pieces_hand_on_duplicates_early_captures_bad_bytes_and_new_sources() {
+        use gdelt_csv::writer::{write_event_line, write_mention_line};
+        let line = |id: u64, early: bool| {
+            let mut e = hostile::event(id, 7);
+            if early {
+                e.date_added =
+                    DateTime::midnight(gdelt_model::time::Date::new(2015, 1, 1).unwrap());
+            }
+            write_event_line(&e)
+        };
+        // One line a piece: ids 105 and 106 each come twice, once before
+        // the epoch, in different pieces.
+        let events = [
+            with_column(&line(9, false), 6, b"Fran\xe7ois"), // Latin-1, not kept
+            with_column(&line(5, true), 0, b"105"),
+            with_column(&line(6, false), 0, b"106"),
+            with_column(&line(5, false), 0, b"105"),
+            with_column(&line(6, true), 0, b"106"),
+            with_column(&line(7, false), 60, b"https://x.fr/\xe9"), // Latin-1, kept
+        ]
+        .concat();
+        let mention = |id: u64, source: &[u8]| {
+            with_column(&write_mention_line(&hostile::mention(id, 9)), 4, source)
+        };
+        let mentions = [
+            mention(9, b"a.com"),
+            mention(5, b"late.example"),
+            mention(6, b"a.com"),
+            mention(5, b"p\xe9riodique.fr"),
+            mention(9, b"later.example"),
+            mention(6, b"late.example"),
+        ]
+        .concat();
+        let whole = cut_image((&events, &[]), (&mentions, &[]));
+        let every_line = (cut_points(&events), cut_points(&mentions));
+        assert!(cut_image((&events, &every_line.0), (&mentions, &every_line.1)) == whole);
+        assert!(cut_image((&events, &[events.len() / 2]), (&mentions, &[1])) == whole);
+
+        let (bytes, report) = whole;
+        assert_eq!((report.bad_event_lines, report.bad_mention_lines), (2, 1));
+        let d = crate::binfmt::read_dataset(&bytes).unwrap();
+        assert_eq!(d.events.id.as_slice(), &[105, 106, 109]);
+        let names: Vec<&str> = d.sources.names.iter().map(|(_, name)| name).collect();
+        assert_eq!(names, ["a.com", "late.example", "later.example"]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn cut_text_stages_what_one_piece_stages(
+            event_specs in hostile::line_specs(40),
+            mention_specs in hostile::line_specs(90),
+            endings in (0u8..4, 0u8..4),
+            cuts in proptest::prelude::prop::collection::vec(0usize..1 << 14, 0..9),
+        ) {
+            let events = hostile::render(&event_specs, hostile::damaged_event_line, endings.0);
+            let mentions = hostile::render(&mention_specs, hostile::damaged_mention_line, endings.1);
+            let (events, mentions) = (events.as_bytes(), mentions.as_bytes());
+            let whole = cut_image((events, &[]), (mentions, &[]));
+            for n in [2, 3, 7, 64] {
+                let cuts = (even(events.len(), n), even(mentions.len(), n));
+                let got = cut_image((events, &cuts.0), (mentions, &cuts.1));
+                proptest::prop_assert!(got == whole, "{n} pieces: {:?} / {:?}", got.1, whole.1);
+            }
+            let mut cuts = cuts;
+            cuts.sort_unstable();
+            let at = |len: usize| cuts.iter().map(|&c| c % (len + 1)).collect::<Vec<_>>();
+            let got = cut_image((events, &at(events.len())), (mentions, &at(mentions.len())));
+            proptest::prop_assert!(got == whole, "cuts {cuts:?}");
+        }
     }
 }

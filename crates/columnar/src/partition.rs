@@ -8,6 +8,10 @@
 //! mutable state. [`Partition`] encodes those ranges; the `node` tag
 //! mirrors the NUMA-node ownership a placement-aware allocator would
 //! give each range.
+//!
+//! [`fork_join`] is the one place product code starts worker threads
+//! for a computation: the engine's `ExecContext::map_reduce` and the
+//! builder's chunked text staging both call it.
 
 /// A contiguous, half-open row range owned by one worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,9 +96,62 @@ pub fn partitions_at_boundaries(boundaries: &[u64], n_parts: usize) -> Vec<Parti
         .collect()
 }
 
+/// Run `work` on each of `jobs`, every job on a scoped thread of its
+/// own, while the calling thread runs `on_caller`; return what
+/// `on_caller` gave and the jobs' results in job order. A panic in a
+/// job (or in `on_caller`) is re-raised on the caller with its original
+/// payload once every thread has stopped.
+pub fn fork_join<J, T, R>(
+    jobs: Vec<J>,
+    work: impl Fn(J) -> T + Sync,
+    on_caller: impl FnOnce() -> R,
+) -> (R, Vec<T>)
+where
+    J: Send,
+    T: Send,
+{
+    let work = &work;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = jobs.into_iter().map(|job| scope.spawn(move || work(job))).collect();
+        let mine = on_caller();
+        let theirs = workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect();
+        (mine, theirs)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fork_join_returns_results_in_job_order() {
+        let (mine, theirs) = fork_join((1..=5).collect(), |k: u64| k * 10, || "caller");
+        assert_eq!(mine, "caller");
+        assert_eq!(theirs, vec![10, 20, 30, 40, 50]);
+        let ((), none) = fork_join(Vec::<u8>::new(), |k| k, || ());
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn fork_join_reraises_a_job_panic_with_its_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            fork_join(
+                (0..4).collect(),
+                |k: u32| {
+                    if k == 2 {
+                        std::panic::panic_any(format!("job {k} failed"));
+                    }
+                    k
+                },
+                || (),
+            )
+        });
+        let payload = caught.expect_err("the panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("job 2 failed"));
+    }
 
     #[test]
     fn even_split() {

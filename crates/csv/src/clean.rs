@@ -54,6 +54,29 @@ impl CleanReport {
             + self.mention_before_event
             + self.inconsistent_event_time
     }
+
+    /// Add `other`'s counts to these: the report of two texts from the
+    /// reports of each.
+    pub fn merge(&mut self, other: &CleanReport) {
+        let CleanReport {
+            malformed_masterlist,
+            missing_archives,
+            missing_source_url,
+            future_event_date,
+            bad_event_lines,
+            bad_mention_lines,
+            mention_before_event,
+            inconsistent_event_time,
+        } = other;
+        self.malformed_masterlist += malformed_masterlist;
+        self.missing_archives += missing_archives;
+        self.missing_source_url += missing_source_url;
+        self.future_event_date += future_event_date;
+        self.bad_event_lines += bad_event_lines;
+        self.bad_mention_lines += bad_mention_lines;
+        self.mention_before_event += mention_before_event;
+        self.inconsistent_event_time += inconsistent_event_time;
+    }
 }
 
 impl fmt::Display for CleanReport {
@@ -127,6 +150,11 @@ impl Cleaner {
     /// event's capture interval.
     pub fn inconsistent_event_times(&mut self, n: u64) {
         self.report.inconsistent_event_time += n;
+    }
+
+    /// Count the problems another cleaner found, in `report`.
+    pub fn absorb(&mut self, report: &CleanReport) {
+        self.report.merge(report);
     }
 
     /// Finish and take the report.
@@ -227,6 +255,28 @@ mod tests {
         let r = c.finish();
         assert_eq!(r.malformed_masterlist, 1);
         assert_eq!(r.missing_archives, 1); // 23:15 missing between 23:00 and 23:30
+    }
+
+    #[test]
+    fn merge_adds_every_counter() {
+        let a = CleanReport {
+            malformed_masterlist: 1,
+            missing_archives: 2,
+            missing_source_url: 3,
+            future_event_date: 4,
+            bad_event_lines: 5,
+            bad_mention_lines: 6,
+            mention_before_event: 7,
+            inconsistent_event_time: 8,
+        };
+        let mut sum = a.clone();
+        sum.merge(&a);
+        assert_eq!(sum.total(), 2 * a.total());
+        assert_eq!((sum.malformed_masterlist, sum.inconsistent_event_time), (2, 16));
+        let mut c = Cleaner::new();
+        c.bad_event_line();
+        c.absorb(&a);
+        assert_eq!(c.finish().bad_event_lines, 6);
     }
 
     #[test]

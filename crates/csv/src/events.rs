@@ -21,8 +21,8 @@
 
 use crate::error::{CsvError, CsvResult};
 use crate::fields::{
-    for_each_line, parse_f32, parse_opt_f32, parse_str, parse_u32, parse_u64, parse_u8,
-    parse_u8_or_zero, wrong_width, Line, LineScratch, Separator,
+    for_each_line, parse_date, parse_datetime, parse_f32, parse_opt_f32, parse_str, parse_u32,
+    parse_u64, parse_u8, parse_u8_or_zero, wrong_width, Line, LineScratch, Separator,
 };
 use gdelt_model::cameo::{CameoRoot, Goldstein, QuadClass};
 use gdelt_model::event::{ActionGeo, EventRecord, GeoType};
@@ -108,8 +108,7 @@ impl<'a> EventRow<'a> {
             return Err(wrong_width("events", EVENT_COLUMNS, line));
         }
         let id = EventId(parse_u64(line.field(col::GLOBAL_EVENT_ID), "GlobalEventID")?);
-        let day_num = parse_u32(line.field(col::DAY), "Day")?;
-        let day = Date::from_yyyymmdd(day_num).map_err(CsvError::Model)?;
+        let day = parse_date(line.field(col::DAY), "Day")?;
 
         let root_raw = parse_u8(line.field(col::EVENT_ROOT_CODE), "EventRootCode")?;
         let root = CameoRoot::new(root_raw).map_err(CsvError::Model)?;
@@ -124,8 +123,7 @@ impl<'a> EventRow<'a> {
         let geo_type = GeoType::from_u8(parse_u8_or_zero(geo_type_field, "ActionGeo_Type")?)
             .ok_or_else(|| CsvError::field("ActionGeo_Type", geo_type_field, "expected 0-5"))?;
 
-        let date_added_num = parse_u64(line.field(col::DATE_ADDED), "DATEADDED")?;
-        let date_added = DateTime::from_yyyymmddhhmmss(date_added_num).map_err(CsvError::Model)?;
+        let date_added = parse_datetime(line.field(col::DATE_ADDED), "DATEADDED")?;
 
         Ok(EventRow {
             id,
@@ -324,6 +322,24 @@ mod tests {
         let mut cols = raw_cols();
         cols[col::DAY] = "20159999".into();
         assert!(parse_event_line(&cols.join("\t")).is_err());
+    }
+
+    #[test]
+    fn rejects_date_fields_of_the_wrong_length() {
+        // A nine-digit Day used to be the year 99999, stored as 1695 Q1.
+        for (column, value) in [
+            (col::DAY, "999990101"),
+            (col::DAY, "+20150218"),
+            (col::DAY, "2015021"),
+            (col::DATE_ADDED, "4315117514063000"),
+            (col::DATE_ADDED, "+20150218063000"),
+            (col::DATE_ADDED, "020150218063000"),
+        ] {
+            let mut cols = raw_cols();
+            cols[column] = value.into();
+            let err = parse_event_line(&cols.join("\t")).unwrap_err();
+            assert!(err.to_string().contains(" digits ("), "{value}: {err}");
+        }
     }
 
     #[test]

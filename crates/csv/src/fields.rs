@@ -19,6 +19,7 @@
 //! alone.
 
 use crate::error::{CsvError, CsvResult};
+use gdelt_model::time::{Date, DateTime};
 
 /// Bytes indexed at a time: the block and its delimiter index (at most
 /// one `u32` per byte, in practice a quarter of that) stay within a
@@ -209,6 +210,14 @@ fn line_aligned(text: &[u8], at: usize) -> usize {
     rest.iter().position(|&b| b == b'\n').map_or(text.len(), |i| from + i + 1)
 }
 
+/// The first line start at or after `at`: `at` itself if it is 0 or
+/// follows a `\n`, else the offset just past the next `\n`, else
+/// `text.len()`. Text cut at such offsets is walked piece by piece by
+/// [`for_each_line`] as it is walked whole.
+pub fn line_start(text: &[u8], at: usize) -> usize {
+    at.checked_sub(1).map_or(0, |before| line_aligned(text, before))
+}
+
 /// Call `on_line(number, line)` for every non-empty line of `text`, in
 /// order, its fields split at `separator`. Lines are what `str::lines`
 /// yields: terminated by `\n` or `\r\n` (the terminator is not part of
@@ -314,6 +323,68 @@ pub fn parse_u32(raw: &[u8], column: &'static str) -> CsvResult<u32> {
     parse_unsigned(raw, u64::from(u32::MAX))
         .map(|v| v as u32)
         .ok_or_else(|| CsvError::field(column, raw, "expected unsigned integer"))
+}
+
+/// The four two-digit numbers eight ASCII digits spell, if every byte
+/// of `word` is a digit: one 64-bit word, no loop.
+// analyze: no_panic
+#[inline]
+fn digit_pairs(word: [u8; 8]) -> Option<[u8; 4]> {
+    const HIGH: u64 = 0xf0f0_f0f0_f0f0_f0f0;
+    const ZEROS: u64 = 0x3030_3030_3030_3030;
+    let w = u64::from_le_bytes(word);
+    // Every byte `0x30..=0x3f`, and none past `0x39` (adding 6 cannot
+    // carry out of a byte below `0x40`).
+    if w & HIGH != ZEROS || (w + 0x0606_0606_0606_0606) & HIGH != ZEROS {
+        return None;
+    }
+    let d = w & 0x0f0f_0f0f_0f0f_0f0f;
+    // Byte `2k`: ten times digit `2k` plus digit `2k + 1` (at most 99).
+    let pairs = (d * 10 + (d >> 8)).to_le_bytes();
+    Some([pairs[0], pairs[2], pairs[4], pairs[6]])
+}
+
+/// The calendar date of `YYYYMMDD` pairs, if there is one.
+#[inline]
+fn date_of([century, year, month, day]: [u8; 4]) -> Option<Date> {
+    Date::new(i32::from(century) * 100 + i32::from(year), month, day).ok()
+}
+
+/// Parse a `YYYYMMDD` field: exactly eight digits naming a date.
+#[inline]
+pub fn parse_date(raw: &[u8], column: &'static str) -> CsvResult<Date> {
+    let pairs = <[u8; 8]>::try_from(raw)
+        .ok()
+        .and_then(digit_pairs)
+        .ok_or_else(|| CsvError::field(column, raw, "expected 8 digits (YYYYMMDD)"))?;
+    date_of(pairs).ok_or_else(|| {
+        let num = pairs.iter().fold(0, |v, &p| v * 100 + u32::from(p));
+        Date::from_yyyymmdd(num)
+            .err()
+            .map_or(CsvError::field(column, raw, "no date"), CsvError::Model)
+    })
+}
+
+/// Parse a `YYYYMMDDHHMMSS` field: exactly fourteen digits naming a
+/// date and a time of day.
+#[inline]
+pub fn parse_datetime(raw: &[u8], column: &'static str) -> CsvResult<DateTime> {
+    let word = |at: usize| raw.get(at..at + 8).and_then(|w| <[u8; 8]>::try_from(w).ok());
+    let (Some(date), Some([_, hour, minute, second])) = (
+        (raw.len() == 14).then(|| word(0).and_then(digit_pairs)).flatten(),
+        word(6).and_then(digit_pairs),
+    ) else {
+        return Err(CsvError::field(column, raw, "expected 14 digits (YYYYMMDDHHMMSS)"));
+    };
+    match date_of(date).map(|d| DateTime::new(d, hour, minute, second)) {
+        Some(Ok(dt)) => Ok(dt),
+        _ => {
+            let num =
+                date.iter().chain(&[hour, minute, second]).fold(0, |v, &p| v * 100 + u64::from(p));
+            let err = DateTime::from_yyyymmddhhmmss(num).err();
+            Err(err.map_or(CsvError::field(column, raw, "no date"), CsvError::Model))
+        }
+    }
 }
 
 /// Parse a mandatory `u8` field.
@@ -703,5 +774,50 @@ mod tests {
         assert_eq!(parse_str("ünï".as_bytes(), "c").unwrap(), "ünï");
         let err = parse_str(&[b'a', 0xe9, b'b'], "SOURCEURL").unwrap_err();
         assert!(matches!(err, CsvError::Field { column: "SOURCEURL", .. }));
+    }
+
+    /// A date field's reading by the calendar: exactly its digits, as
+    /// one number.
+    fn stamp_by_number(raw: &[u8]) -> Option<DateTime> {
+        let digits = raw.len() == 14 && raw.iter().all(u8::is_ascii_digit);
+        let num = std::str::from_utf8(raw).ok().filter(|_| digits)?.parse().ok()?;
+        DateTime::from_yyyymmddhhmmss(num).ok()
+    }
+
+    fn date_by_number(raw: &[u8]) -> Option<Date> {
+        let digits = raw.len() == 8 && raw.iter().all(u8::is_ascii_digit);
+        let num = std::str::from_utf8(raw).ok().filter(|_| digits)?.parse().ok()?;
+        Date::from_yyyymmdd(num).ok()
+    }
+
+    #[test]
+    fn date_fields_read_as_their_digits_do() {
+        let check = |raw: &[u8]| {
+            assert_eq!(parse_datetime(raw, "t").ok(), stamp_by_number(raw), "{raw:?}");
+            let date = raw.get(..8).unwrap_or(raw);
+            assert_eq!(parse_date(date, "d").ok(), date_by_number(date), "{date:?}");
+        };
+        // Every byte in every position of a stamp, and one too short or long.
+        for base in [&b"20160229235959"[..], b"20150218000000", b"99991231235959"] {
+            for at in 0..base.len() {
+                for b in 0..=255u8 {
+                    let mut raw = base.to_vec();
+                    raw[at] = b;
+                    check(&raw);
+                }
+            }
+            check(&base[..13]);
+            check(&[base, b"0"].concat());
+        }
+        // Random digit strings: most are no date, some are.
+        let mut state = 7;
+        for _ in 0..100_000 {
+            let r = mix(&mut state);
+            let raw: Vec<u8> = (0..14).map(|k| b'0' + ((r >> (4 * k)) % 10) as u8).collect();
+            check(&raw);
+            let mut near = *b"20170000000000";
+            near[4..].copy_from_slice(&raw[4..]);
+            check(&near);
+        }
     }
 }

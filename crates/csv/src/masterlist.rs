@@ -9,8 +9,8 @@
 //! malformed lines, and detects gaps in the 15-minute sequence.
 
 use crate::error::{CsvError, CsvResult};
-use crate::fields::{for_each_line, parse_u64, Line, LineScratch, Separator};
-use gdelt_model::time::{CaptureInterval, DateTime};
+use crate::fields::{for_each_line, parse_datetime, parse_u64, Line, LineScratch, Separator};
+use gdelt_model::time::CaptureInterval;
 
 /// Which table an archive belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,14 +75,10 @@ fn decode<'a>(line: &Line<'a, '_>, last: &mut LastStamp<'a>) -> CsvResult<Master
     let interval = match *last {
         Some((of, interval)) if of == stamp => interval,
         _ => {
-            // Fourteen digits (`parse_u64` alone would let a `+` lead).
-            let digits = (stamp.len() == 14 && stamp.first() != Some(&b'+'))
-                .then(|| parse_u64(stamp, "url").ok())
-                .flatten()
-                .ok_or_else(|| {
-                    CsvError::field("url", url, "expected a YYYYMMDDHHMMSS file name")
-                })?;
-            let dt = DateTime::from_yyyymmddhhmmss(digits).map_err(CsvError::Model)?;
+            let dt = parse_datetime(stamp, "url").map_err(|e| match e {
+                CsvError::Model(_) => e,
+                _ => CsvError::field("url", url, "expected a YYYYMMDDHHMMSS file name"),
+            })?;
             let interval = CaptureInterval::from_datetime(dt).map_err(CsvError::Model)?;
             *last = Some((stamp, interval));
             interval

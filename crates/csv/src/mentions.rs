@@ -23,8 +23,8 @@
 
 use crate::error::{CsvError, CsvResult};
 use crate::fields::{
-    for_each_line, parse_f32, parse_str, parse_u64, parse_u8, wrong_width, Line, LineScratch,
-    Separator,
+    for_each_line, parse_datetime, parse_f32, parse_str, parse_u64, parse_u8, wrong_width, Line,
+    LineScratch, Separator,
 };
 use gdelt_model::ids::EventId;
 use gdelt_model::mention::{MentionRecord, MentionType};
@@ -76,14 +76,8 @@ impl<'a> MentionRow<'a> {
             return Err(wrong_width("mentions", MENTION_COLUMNS, line));
         }
         let event_id = EventId(parse_u64(line.field(col::GLOBAL_EVENT_ID), "GlobalEventID")?);
-        let event_time =
-            DateTime::from_yyyymmddhhmmss(parse_u64(line.field(col::EVENT_TIME), "EventTimeDate")?)
-                .map_err(CsvError::Model)?;
-        let mention_time = DateTime::from_yyyymmddhhmmss(parse_u64(
-            line.field(col::MENTION_TIME),
-            "MentionTimeDate",
-        )?)
-        .map_err(CsvError::Model)?;
+        let event_time = parse_datetime(line.field(col::EVENT_TIME), "EventTimeDate")?;
+        let mention_time = parse_datetime(line.field(col::MENTION_TIME), "MentionTimeDate")?;
 
         let mention_type_field = line.field(col::MENTION_TYPE);
         let mention_type = MentionType::from_u8(parse_u8(mention_type_field, "MentionType")?)
@@ -220,6 +214,19 @@ mod tests {
         let mut cols = raw_cols();
         cols[col::MENTION_TIME] = "20150218256000".into();
         assert!(parse_mention_line(&cols.join("\t")).is_err());
+    }
+
+    #[test]
+    fn rejects_stamps_that_are_not_fourteen_digits() {
+        // Sixteen digits used to wrap, in a u32, into 2015-02-18 06:30.
+        for stamp in ["4315117514063000", "020150218063000", "+20150218063000", "2015021806300"] {
+            for column in [col::EVENT_TIME, col::MENTION_TIME] {
+                let mut cols = raw_cols();
+                cols[column] = stamp.into();
+                let err = parse_mention_line(&cols.join("\t")).unwrap_err();
+                assert!(err.to_string().contains("expected 14 digits"), "{stamp}: {err}");
+            }
+        }
     }
 
     #[test]

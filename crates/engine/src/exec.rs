@@ -9,7 +9,7 @@
 //! mutable state across workers, and [`ExecContext::map_reduce`] is the
 //! only place the engine forks.
 
-use gdelt_columnar::partition::{partitions, Partition};
+use gdelt_columnar::partition::{fork_join, partitions, Partition};
 
 /// Default partition granularity: a few partitions per thread for load
 /// balancing without fragmenting the scan.
@@ -99,10 +99,10 @@ impl ExecContext {
     /// next to the scans).
     ///
     /// The schedule is static: `min(n_threads, parts.len())` scoped
-    /// threads each take one near-even contiguous chunk of `parts`. With
-    /// one thread or one partition everything runs inline on the
-    /// caller. A panic in `map` is re-raised on the caller with its
-    /// original payload once every thread has stopped.
+    /// threads ([`fork_join`]) each take one near-even contiguous chunk
+    /// of `parts`. With one thread or one partition everything runs
+    /// inline on the caller. A panic in `map` is re-raised on the caller
+    /// with its original payload once every thread has stopped.
     // analyze: no_panic
     pub fn map_reduce<T, M, R>(&self, parts: Vec<Partition>, map: M, reduce: R) -> Option<T>
     where
@@ -137,19 +137,12 @@ impl ExecContext {
         }
         let (base, extra) = (n_parts / n_threads, n_parts % n_threads);
         let mut rest = parts.into_iter().enumerate();
-        let run = &run;
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..n_threads)
-                .map(|t| {
-                    let chunk: Vec<_> = rest.by_ref().take(base + usize::from(t < extra)).collect();
-                    scope.spawn(move || chunk.into_iter().map(run).collect::<Vec<T>>())
-                })
-                .collect();
-            workers
-                .into_iter()
-                .flat_map(|w| w.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
-                .reduce(reduce)
-        })
+        let chunks: Vec<Vec<_>> = (0..n_threads)
+            .map(|t| rest.by_ref().take(base + usize::from(t < extra)).collect())
+            .collect();
+        let ((), partials) =
+            fork_join(chunks, |chunk| chunk.into_iter().map(run).collect::<Vec<T>>(), || ());
+        partials.into_iter().flatten().reduce(reduce)
     }
 }
 

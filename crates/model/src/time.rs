@@ -11,6 +11,12 @@
 //! `days_from_civil` / `civil_from_days` algorithms) rather than pulling in
 //! a date-time dependency: the system only ever needs UTC civil dates,
 //! `YYYYMMDD[HHMMSS]` parsing, and quarter bucketing.
+//!
+//! Every timestamp of a convert goes through [`Date::to_days`] and every
+//! mention's through [`CaptureInterval::quarter`], so over the archive's
+//! span (2015 to 2078) both are table lookups: two tables built at
+//! compile time by the same two algorithms, which stay the path for any
+//! date outside it.
 
 use crate::error::{ModelError, Result};
 use std::fmt;
@@ -43,7 +49,7 @@ pub struct Date {
 
 /// Days-since-1970-01-01 from a civil date (Hinnant's algorithm).
 #[inline]
-fn days_from_civil(y: i32, m: u32, d: u32) -> i64 {
+const fn days_from_civil(y: i32, m: u32, d: u32) -> i64 {
     let y = y - (m <= 2) as i32;
     let era = (if y >= 0 { y } else { y - 399 }) / 400;
     let yoe = (y - era * 400) as i64; // [0, 399]
@@ -55,7 +61,7 @@ fn days_from_civil(y: i32, m: u32, d: u32) -> i64 {
 
 /// Civil date from days-since-1970-01-01 (Hinnant's algorithm).
 #[inline]
-fn civil_from_days(z: i64) -> (i32, u32, u32) {
+const fn civil_from_days(z: i64) -> (i32, u32, u32) {
     let z = z + 719_468;
     let era = (if z >= 0 { z } else { z - 146_096 }) / 146_097;
     let doe = z - era * 146_097; // [0, 146096]
@@ -67,6 +73,46 @@ fn civil_from_days(z: i64) -> (i32, u32, u32) {
     let m = (if mp < 10 { mp + 3 } else { mp - 9 }) as u32; // [1, 12]
     ((y + (m <= 2) as i64) as i32, m, d)
 }
+
+/// First year of the calendar tables: the GDELT 2.0 archive starts in it.
+const SPAN_FIRST_YEAR: i32 = 2015;
+/// Years the calendar tables cover (2015 to 2078).
+const SPAN_YEARS: usize = 64;
+/// Slots per year of [`DAY_OF_DATE`]: twelve months of 31.
+const SLOTS_PER_YEAR: usize = 12 * 31;
+/// Days between 1970-01-01 and the span's first day, 2015-01-01.
+const SPAN_FIRST_DAY: i64 = days_from_civil(SPAN_FIRST_YEAR, 1, 1);
+/// Days of the span.
+const SPAN_DAYS: usize =
+    (days_from_civil(SPAN_FIRST_YEAR + SPAN_YEARS as i32, 1, 1) - SPAN_FIRST_DAY) as usize;
+/// A [`DAY_OF_DATE`] slot no date has (February 30th).
+const NO_DAY: u16 = u16::MAX;
+
+/// Day of the span of each date in it, at slot `(year − 2015) · 372 +
+/// (month − 1) · 31 + day − 1`; [`NO_DAY`] where no date is.
+static DAY_OF_DATE: [u16; SPAN_YEARS * SLOTS_PER_YEAR] = {
+    let mut table = [NO_DAY; SPAN_YEARS * SLOTS_PER_YEAR];
+    let mut day = 0;
+    while day < SPAN_DAYS {
+        let (y, m, d) = civil_from_days(SPAN_FIRST_DAY + day as i64);
+        let slot = (y - SPAN_FIRST_YEAR) as usize * SLOTS_PER_YEAR + (m as usize - 1) * 31;
+        table[slot + d as usize - 1] = day as u16;
+        day += 1;
+    }
+    table
+};
+
+/// [`Quarter::linear`] of each day of the span.
+static QUARTER_OF_DAY: [u16; SPAN_DAYS] = {
+    let mut table = [0; SPAN_DAYS];
+    let mut day = 0;
+    while day < SPAN_DAYS {
+        let (y, m, _) = civil_from_days(SPAN_FIRST_DAY + day as i64);
+        table[day] = (y * 4 + (m as i32 - 1) / 3) as u16;
+        day += 1;
+    }
+    table
+};
 
 impl Date {
     /// Construct a validated date.
@@ -102,7 +148,22 @@ impl Date {
     /// Days since 1970-01-01 (may be negative).
     #[inline]
     pub fn to_days(self) -> i64 {
-        days_from_civil(self.year, u32::from(self.month), u32::from(self.day))
+        match self.day_of_span() {
+            Some(day) => SPAN_FIRST_DAY + i64::from(day),
+            None => days_from_civil(self.year, u32::from(self.month), u32::from(self.day)),
+        }
+    }
+
+    /// The date's day of the tables' span, if it is a date of the span.
+    #[inline]
+    fn day_of_span(self) -> Option<u16> {
+        let year = usize::try_from(self.year.wrapping_sub(SPAN_FIRST_YEAR)).ok()?;
+        let (month, day) = (usize::from(self.month), usize::from(self.day));
+        if year >= SPAN_YEARS || !(1..=12).contains(&month) || !(1..=31).contains(&day) {
+            return None;
+        }
+        let slot = year * SLOTS_PER_YEAR + (month - 1) * 31 + day - 1;
+        DAY_OF_DATE.get(slot).copied().filter(|&day| day != NO_DAY)
     }
 
     /// Inverse of [`Date::to_days`].
@@ -126,8 +187,14 @@ impl Date {
     }
 
     /// Build from a packed `YYYYMMDD` integer (the form GDELT stores in the
-    /// `SQLDATE`/`Day` column).
+    /// `SQLDATE`/`Day` column): at most eight digits.
     pub fn from_yyyymmdd(num: u32) -> Result<Self> {
+        if num > 99_999_999 {
+            return Err(ModelError::InvalidDateTime {
+                literal: num.to_string(),
+                reason: "more than 8 digits (YYYYMMDD)",
+            });
+        }
         let year = (num / 10_000) as i32;
         let month = ((num / 100) % 100) as u8;
         let day = (num % 100) as u8;
@@ -210,8 +277,15 @@ impl DateTime {
         Self::from_yyyymmddhhmmss(num)
     }
 
-    /// Build from a packed `YYYYMMDDHHMMSS` integer.
+    /// Build from a packed `YYYYMMDDHHMMSS` integer: at most fourteen
+    /// digits.
     pub fn from_yyyymmddhhmmss(num: u64) -> Result<Self> {
+        if num > 99_999_999_999_999 {
+            return Err(ModelError::InvalidDateTime {
+                literal: num.to_string(),
+                reason: "more than 14 digits (YYYYMMDDHHMMSS)",
+            });
+        }
         let date = Date::from_yyyymmdd((num / 1_000_000) as u32)?;
         let hour = ((num / 10_000) % 100) as u8;
         let minute = ((num / 100) % 100) as u8;
@@ -300,7 +374,12 @@ impl CaptureInterval {
     /// Calendar quarter the interval falls in.
     #[inline]
     pub fn quarter(self) -> Quarter {
-        self.date().quarter()
+        let day =
+            (GDELT_EPOCH_DAYS - SPAN_FIRST_DAY) as usize + (self.0 / INTERVALS_PER_DAY) as usize;
+        match QUARTER_OF_DAY.get(day) {
+            Some(&linear) => Quarter::from_linear(i32::from(linear)),
+            None => self.date().quarter(),
+        }
     }
 
     /// Delay in intervals from `event` to `self` (saturating at zero:
@@ -529,5 +608,95 @@ mod tests {
             assert_eq!(rt, d, "round trip failed at {d}");
             d = d.add_days(17);
         }
+    }
+
+    /// What the calendar gives for `dt`, table-free: its days since
+    /// 1970, its capture interval and that interval's quarter, each by
+    /// Hinnant's algorithms alone.
+    fn by_calendar(dt: DateTime) -> (i64, Option<u32>, Option<Quarter>) {
+        let Date { year, month, day } = dt.date;
+        let days = days_from_civil(year, u32::from(month), u32::from(day));
+        let secs = days * 86_400
+            + i64::from(dt.hour) * 3_600
+            + i64::from(dt.minute) * 60
+            + i64::from(dt.second);
+        let since_epoch = secs - GDELT_EPOCH_DAYS * 86_400;
+        let interval = (since_epoch >= 0)
+            .then(|| u32::try_from(since_epoch / SECONDS_PER_INTERVAL).ok())
+            .flatten();
+        let quarter = interval.map(|iv| {
+            let (y, m, _) = civil_from_days(GDELT_EPOCH_DAYS + i64::from(iv / INTERVALS_PER_DAY));
+            Quarter { year: y as i16, q: (m as u8 - 1) / 3 + 1 }
+        });
+        (days, interval, quarter)
+    }
+
+    /// What the table path gives for `dt`.
+    fn by_tables(dt: DateTime) -> (i64, Option<u32>, Option<Quarter>) {
+        let interval = CaptureInterval::from_datetime(dt).ok();
+        (dt.date.to_days(), interval.map(|iv| iv.0), interval.map(CaptureInterval::quarter))
+    }
+
+    #[test]
+    fn tables_agree_with_the_calendar_on_every_day_of_the_span() {
+        let times = [(0, 0, 0), (0, 14, 59), (0, 15, 0), (11, 59, 59), (23, 45, 0), (23, 59, 59)];
+        // A year of margin either side: the fallback meets the table.
+        let first = SPAN_FIRST_DAY - 366;
+        let last = SPAN_FIRST_DAY + SPAN_DAYS as i64 + 366;
+        for days in first..last {
+            let date = Date::from_days(days);
+            let (y, m, d) = civil_from_days(days);
+            assert_eq!((date.year, u32::from(date.month), u32::from(date.day)), (y, m, d));
+            assert_eq!(Date::from_yyyymmdd(date.to_yyyymmdd()), Ok(date));
+            for (h, mi, se) in times {
+                let dt = DateTime { date, hour: h, minute: mi, second: se };
+                assert_eq!(by_tables(dt), by_calendar(dt), "{dt}");
+                let packed = DateTime::from_yyyymmddhhmmss(dt.to_yyyymmddhhmmss());
+                assert_eq!(packed, Ok(dt));
+            }
+        }
+    }
+
+    /// What `from_yyyymmddhhmmss` must accept, by the calendar's rules:
+    /// fourteen digits at most, a real date, a real time of day.
+    fn valid_by_calendar(num: u64) -> Option<DateTime> {
+        let date = u32::try_from(num / 1_000_000).ok().filter(|&d| d <= 99_999_999)?;
+        let date = Date::new((date / 10_000) as i32, (date / 100 % 100) as u8, (date % 100) as u8);
+        let time = |k: u64| (num / k % 100) as u8;
+        DateTime::new(date.ok()?, time(10_000), time(100), time(1)).ok()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn tables_agree_with_the_calendar_on_any_stamp(
+            num in proptest::prop_oneof![
+                1 => proptest::prelude::any::<u64>(),
+                1 => 0u64..100_000_000_000_000,
+                2 => 20_141_201_000_000u64..20_800_101_000_000,
+            ],
+        ) {
+            let parsed = DateTime::from_yyyymmddhhmmss(num).ok();
+            proptest::prop_assert_eq!(parsed, valid_by_calendar(num));
+            if let Some(dt) = parsed {
+                proptest::prop_assert_eq!(by_tables(dt), by_calendar(dt));
+            }
+        }
+
+        #[test]
+        fn interval_quarters_agree_with_the_calendar(iv in proptest::prelude::any::<u32>()) {
+            let iv = CaptureInterval(iv);
+            proptest::prop_assert_eq!(iv.quarter(), iv.date().quarter());
+            proptest::prop_assert_eq!(Some(iv.quarter()), by_calendar(iv.start()).2);
+        }
+    }
+
+    #[test]
+    fn over_long_stamps_do_not_wrap_into_dates() {
+        // 4315117514063000 / 10^6 wraps to 20150218 in a u32.
+        assert!(DateTime::from_yyyymmddhhmmss(4_315_117_514_063_000).is_err());
+        assert!(DateTime::from_yyyymmddhhmmss(201_502_180_000_000).is_err());
+        // Year 99999 would wrap to 1695 in a quarter's i16.
+        assert!(Date::from_yyyymmdd(999_990_101).is_err());
+        assert_eq!(Date::from_yyyymmdd(99_991_231).map(|d| d.quarter().year), Ok(9999));
     }
 }
