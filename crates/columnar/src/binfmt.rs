@@ -72,34 +72,33 @@
 //!
 //! # Reading
 //!
-//! [`SectionReader`] is the only parser of the magic and the section
-//! headers; the strict loader, the degraded loader and [`scan_layout`]
-//! all drive it. It is given the total length of its source, and no
-//! declared length is trusted past that bound, so a corrupt length
-//! field can neither drive an allocation larger than the file nor seek
-//! beyond its end. A load is one straight line per section: the payload
-//! is read once into a 64-byte-aligned buffer sized from the (bounded)
-//! header, checksummed there, and that buffer *becomes* its column
-//! ([`AlignedBuf::cast`](crate::aligned::AlignedBuf::cast); a
-//! little-endian fix-up on big-endian hosts only) — string-pool bytes
-//! and offsets included. A section name that repeats is refused (the
-//! tolerant reader marks it dirty). Then [`Dataset::validate`] decides
-//! every invariant in one fused pass.
+//! A [`Walk`] is the only parser of the magic and the section headers:
+//! it reads them at their offsets ([`ReadAt`]) and trusts no declared
+//! length past the end of the source, so a corrupt length field can
+//! neither drive an allocation larger than the file nor a read beyond
+//! it. The payloads a load reads are then split into byte-balanced
+//! groups, one per core ([`pieces_for`]; the caller takes the first):
+//! each payload is read once into a 64-byte-aligned buffer sized from
+//! its header, checksummed there (a string pool's bytes also checked for
+//! UTF-8), and that buffer *becomes* its column
+//! ([`AlignedBuf::cast`](crate::aligned::AlignedBuf::cast)). Outcomes are
+//! taken in file order, so a load gives the dataset and the first error
+//! one group gives. A repeated name is refused (the tolerant reader
+//! marks it dirty), and [`Dataset::validate`] decides every invariant.
 //!
 //! A projected load ([`load_projected`]) reads only the sections of the
 //! [`ColumnSet`] it is given (and those that are no column, such as
-//! `partitions.meta`): it steps over the others with a seek, so their
-//! bytes are never read or checksummed, though their headers still
-//! bound the file and a repeated name is still refused. [`load`] is the
-//! projected load of [`ColumnSet::ALL`].
+//! `partitions.meta`); the others are never read or checksummed, though
+//! their headers still bound the file and a repeated name is refused.
+//! [`load`] is the projected load of [`ColumnSet::ALL`].
 
 use crate::aligned::{AlignedBuf, Scalar};
 use crate::columns::{Column, ColumnSet, Layout};
-use crate::partition::partitions;
+use crate::partition::{fork_join, partitions, pieces_for};
 use crate::strings::{StringDict, StringPool};
 use crate::table::{Dataset, SourceDirectory};
 use std::collections::{BTreeSet, HashMap};
-use std::io::{self, Read, Seek, Write};
+use std::io::{self, Read, Write};
 use std::mem::{size_of, size_of_val};
 use std::path::{Path, PathBuf};
 
@@ -535,7 +534,47 @@ impl SectionLayout {
     }
 }
 
-fn read_array<const N: usize, R: Read>(r: &mut R) -> io::Result<[u8; N]> {
+/// A store image read at absolute offsets: a file
+/// (`FileExt::read_at`), bytes in memory, or a fault shim over either.
+/// Any thread may read any range, so a load reads its payloads in
+/// per-core groups.
+pub trait ReadAt: Sync {
+    /// Read into `buf` from byte `offset` of the source; fewer bytes
+    /// than `buf` holds only where the source ends.
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<usize>;
+}
+
+impl ReadAt for &[u8] {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<usize> {
+        let rest = usize::try_from(offset).ok().and_then(|at| self.get(at..)).unwrap_or(&[]);
+        let n = buf.len().min(rest.len());
+        buf[..n].copy_from_slice(&rest[..n]);
+        Ok(n)
+    }
+}
+
+impl ReadAt for std::fs::File {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<usize> {
+        std::os::unix::fs::FileExt::read_at(self, buf, offset)
+    }
+}
+
+/// A [`Read`] over a [`ReadAt`] source from byte `pos` on: how a header
+/// or a payload is read at its offset.
+struct At<'a> {
+    src: &'a dyn ReadAt,
+    pos: u64,
+}
+
+impl Read for At<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.src.read_at(buf, self.pos)?;
+        self.pos += n as u64;
+        Ok(n)
+    }
+}
+
+fn read_array<const N: usize>(r: &mut impl Read) -> io::Result<[u8; N]> {
     let mut buf = [0u8; N];
     r.read_exact(&mut buf)?;
     Ok(buf)
@@ -547,29 +586,27 @@ fn in_header<T>(read: io::Result<T>, what: impl FnOnce() -> String) -> io::Resul
     read.map_err(|e| if e.kind() == io::ErrorKind::UnexpectedEof { bad(what()) } else { e })
 }
 
-/// The one parser of the store's magic and section headers. Callers
-/// alternate [`next_header`](Self::next_header) with either
-/// [`payload`](Self::payload) or [`skip`](Self::skip).
-pub(crate) struct SectionReader<R> {
-    r: R,
-    /// Sections the file header promises.
-    count: u32,
-    /// Index of the next section header.
-    next: u32,
-    /// Offset of the next unread byte.
-    pos: u64,
-    /// Total length of the source; no declared length is trusted past it.
-    limit: u64,
-    /// The source ended inside a section header.
+/// The one parser of the store's magic and section headers: a walk from
+/// header to header by their declared lengths, reading no payload.
+pub(crate) struct Walk {
+    /// The headers read, in file order. The walk ends after the count
+    /// the file header promises, at a header it cannot read, or after
+    /// the first section whose payload runs past the end of the source.
+    pub(crate) heads: Vec<SectionLayout>,
+    /// Why it ended at a header; a cut one is an `InvalidData` error
+    /// naming the section, and sets `cut`.
+    stop: Option<io::Error>,
     cut: bool,
 }
 
-impl<R: Read> SectionReader<R> {
-    /// Check the magic and the section count of a source `limit` bytes
-    /// long.
-    pub(crate) fn open(mut r: R, limit: u64) -> io::Result<Self> {
+impl Walk {
+    /// Walk a source `limit` bytes long; no declared length is trusted
+    /// past that bound, so a corrupt length field can neither drive an
+    /// allocation larger than the file nor a read beyond its end.
+    pub(crate) fn new(src: &dyn ReadAt, limit: u64) -> io::Result<Walk> {
+        let mut at = At { src, pos: 0 };
         let cut = || "store truncated: it ends inside the 12-byte file header".to_string();
-        let magic: [u8; 8] = in_header(read_array(&mut r), cut)?;
+        let magic: [u8; 8] = in_header(read_array(&mut at), cut)?;
         if &magic != MAGIC {
             return Err(bad(match magic.strip_prefix(b"GDHPC") {
                 Some(version) => format!(
@@ -579,149 +616,179 @@ impl<R: Read> SectionReader<R> {
                 None => "bad magic: not a gdelt-hpc binary file".to_string(),
             }));
         }
-        let count = u32::from_le_bytes(in_header(read_array(&mut r), cut)?);
+        let count = u32::from_le_bytes(in_header(read_array(&mut at), cut)?);
         if count > 4_096 {
             return Err(bad(format!("implausible section count {count}")));
         }
-        Ok(SectionReader { r, count, next: 0, pos: 12, limit, cut: false })
-    }
-
-    /// The next section header, or `None` after the promised count. A
-    /// source that ends inside a header is an `InvalidData` error naming
-    /// the section, and marks the reader `cut`.
-    pub(crate) fn next_header(&mut self) -> io::Result<Option<SectionLayout>> {
-        if self.next == self.count {
-            return Ok(None);
+        let mut walk = Walk { heads: Vec::with_capacity(count as usize), stop: None, cut: false };
+        for index in 0..count {
+            let header = read_header(&mut at, limit);
+            walk.cut = matches!(&header, Err(e) if e.kind() == io::ErrorKind::UnexpectedEof);
+            let what =
+                || format!("store truncated inside the header of section {index} of {count}");
+            let Ok(h) = in_header(header, what).map_err(|e| walk.stop = Some(e)) else { break };
+            at.pos = h.payload_offset.saturating_add(h.payload_len);
+            let whole = h.available == h.payload_len;
+            walk.heads.push(h);
+            if !whole {
+                break;
+            }
         }
-        let index = self.next;
-        self.next += 1;
-        let header = self.read_header();
-        self.cut = matches!(&header, Err(e) if e.kind() == io::ErrorKind::UnexpectedEof);
-        in_header(header, || {
-            format!("store truncated inside the header of section {index} of {}", self.count)
-        })
-        .map(Some)
+        Ok(walk)
     }
 
-    fn read_header(&mut self) -> io::Result<SectionLayout> {
-        let name_len = u16::from_le_bytes(read_array(&mut self.r)?);
-        let mut name = vec![0u8; usize::from(name_len)];
-        self.r.read_exact(&mut name)?;
-        let name = String::from_utf8(name).map_err(|_| bad("non-UTF-8 section name"))?;
-        let payload_len = u64::from_le_bytes(read_array(&mut self.r)?);
-        let checksum = u64::from_le_bytes(read_array(&mut self.r)?);
-        self.pos += 2 + u64::from(name_len) + 16;
-        let available = payload_len.min(self.limit.saturating_sub(self.pos));
-        Ok(SectionLayout { name, payload_offset: self.pos, payload_len, checksum, available })
+    /// Every section's layout, each payload whole, or the first reason
+    /// there is none.
+    fn whole(self) -> io::Result<Vec<SectionLayout>> {
+        self.heads.iter().try_for_each(SectionLayout::ensure_whole)?;
+        self.stop.map_or(Ok(self.heads), Err)
     }
+}
 
-    /// Read the payload of the header just returned into a 64-byte
-    /// aligned buffer allocated once at `h.available` bytes — never more
-    /// than the source holds, whatever the header declares — which
-    /// [`into_column`] then turns into its column without a copy. The
-    /// result is shorter than `h.payload_len` when the source ends early.
-    pub(crate) fn payload(&mut self, h: &SectionLayout) -> io::Result<AlignedBuf<u8>> {
-        let cap = usize::try_from(h.available)
-            .map_err(|_| bad(format!("section {} exceeds the address space", h.name)))?;
-        let buf = AlignedBuf::read_from(&mut self.r, cap)?;
-        self.pos += buf.len() as u64;
-        Ok(buf)
-    }
+/// One section header at `at`: name length, name, payload length and
+/// checksum, in two reads.
+fn read_header(at: &mut At<'_>, limit: u64) -> io::Result<SectionLayout> {
+    let name_len = usize::from(u16::from_le_bytes(read_array(at)?));
+    let mut rest = vec![0u8; name_len + 16];
+    at.read_exact(&mut rest)?;
+    let (name, lens) = rest.split_at(name_len);
+    let name = String::from_utf8(name.to_vec()).map_err(|_| bad("non-UTF-8 section name"))?;
+    let (payload_len, checksum) = (le_word(&lens[..8]), le_word(&lens[8..]));
+    let available = payload_len.min(limit.saturating_sub(at.pos));
+    Ok(SectionLayout { name, payload_offset: at.pos, payload_len, checksum, available })
+}
 
-    /// Step over the payload of the header just returned.
-    pub(crate) fn skip(&mut self, h: &SectionLayout) -> io::Result<()>
-    where
-        R: Seek,
-    {
-        h.ensure_whole()?;
-        let step = i64::try_from(h.payload_len)
-            .map_err(|_| bad(format!("section {} exceeds file offsets", h.name)))?;
-        self.r.seek_relative(step)?;
-        self.pos += h.payload_len;
-        Ok(())
+/// A payload as its group read it: the bytes, in the aligned buffer
+/// that becomes their column (short where the source ends early);
+/// whether they are whole and hash to the stored checksum; and whether
+/// they are a string pool's (`*.bytes`) and UTF-8.
+struct Payload {
+    bytes: AlignedBuf<u8>,
+    sound: bool,
+    utf8: bool,
+}
+
+/// Read and check section `h`'s payload into a buffer allocated once at
+/// `h.available` bytes: never more than the source holds, whatever the
+/// header declares.
+fn read_payload(src: &dyn ReadAt, h: &SectionLayout) -> io::Result<Payload> {
+    let cap = usize::try_from(h.available)
+        .map_err(|_| bad(format!("section {} exceeds the address space", h.name)))?;
+    let bytes = AlignedBuf::read_from(&mut At { src, pos: h.payload_offset }, cap)?;
+    let sound = bytes.len() as u64 == h.payload_len && checksum64(&bytes) == h.checksum;
+    let utf8 = h.name.ends_with(".bytes") && std::str::from_utf8(&bytes).is_ok();
+    Ok(Payload { bytes, sound, utf8 })
+}
+
+/// How a load splits its payload reads: the groups (indices into the
+/// walk's headers) it makes of the headers and the sections to read.
+pub(crate) type Grouping = dyn Fn(&[SectionLayout], Vec<usize>) -> Vec<Vec<usize>>;
+
+/// The production [`Grouping`]: contiguous runs of about equal payload
+/// bytes, one per core their total is worth ([`pieces_for`]).
+pub(crate) fn byte_groups(heads: &[SectionLayout], read: Vec<usize>) -> Vec<Vec<usize>> {
+    let size = |i: usize| heads.get(i).map_or(0, |h| h.available);
+    let total = read.iter().map(|&i| size(i)).sum::<u64>().max(1);
+    let n = pieces_for(usize::try_from(total).unwrap_or(usize::MAX));
+    let mut groups = vec![Vec::new(); n];
+    let mut before = 0;
+    for i in read {
+        // The group of the section's middle byte.
+        let g = (before + size(i) / 2).saturating_mul(n as u64) / total;
+        before += size(i);
+        groups[usize::try_from(g).unwrap_or(n).min(n - 1)].push(i);
     }
+    groups
+}
+
+/// Read and check the payloads of `groups`, each group on a thread of
+/// its own and the first on the caller: the outcomes by section index.
+fn read_groups(
+    src: &dyn ReadAt,
+    heads: &[SectionLayout],
+    mut groups: Vec<Vec<usize>>,
+) -> HashMap<usize, io::Result<Payload>> {
+    let read = |group: Vec<usize>| -> Vec<(usize, io::Result<Payload>)> {
+        group.into_iter().filter_map(|i| Some((i, read_payload(src, heads.get(i)?)))).collect()
+    };
+    let first = if groups.is_empty() { Vec::new() } else { groups.remove(0) };
+    let (mine, theirs) = fork_join(groups, read, || read(first));
+    mine.into_iter().chain(theirs.into_iter().flatten()).collect()
 }
 
 /// Section payloads read back from a store, each in the 64-byte
 /// aligned buffer that becomes its column.
+#[derive(Default)]
 pub(crate) struct Sections {
     pub(crate) map: HashMap<String, AlignedBuf<u8>>,
     /// Sections that arrived short, failed their checksum or were
     /// repeated. Always empty after a strict [`Sections::read`], which
     /// refuses them.
     pub(crate) dirty: BTreeSet<String>,
+    /// String-pool byte sections their reader found to be UTF-8.
+    pub(crate) utf8: BTreeSet<String>,
     /// Stored checksums of the sections read, in file order.
     checksums: Vec<u64>,
 }
 
 impl Sections {
-    /// Read every section of a source `limit` bytes long. The strict
-    /// loader (`tolerant: false`) fails on the first section that is
-    /// truncated, fails its checksum or repeats a name already read;
-    /// the tolerant one keeps damaged sections (and the first of a
-    /// repeated name) and marks them dirty, and lets a source that ends
-    /// early keep what it has.
-    pub(crate) fn read<R: Read>(r: R, limit: u64, tolerant: bool) -> io::Result<Self> {
-        Self::read_with(SectionReader::open(r, limit)?, tolerant, |_, _| Ok(false))
-    }
-
-    /// The one section loop: `skip` steps over a section and returns
-    /// true, or returns false to have it read.
-    fn read_with<R: Read>(
-        mut reader: SectionReader<R>,
+    /// Read the sections `columns` reads ([`ColumnSet::reads_section`])
+    /// of a source `limit` bytes long: one [`Walk`], then the payloads in
+    /// the groups `group` makes, taken in file order — so every grouping
+    /// gives the same sections, dirty set and error. The strict loader
+    /// (`tolerant: false`) fails on the first section that is truncated,
+    /// fails its checksum or repeats a name seen (read or not); the
+    /// tolerant one keeps damaged sections (and the first of a repeated
+    /// name), marks them dirty, and keeps what a cut source holds.
+    pub(crate) fn read(
+        src: &dyn ReadAt,
+        limit: u64,
         tolerant: bool,
-        mut skip: impl FnMut(&mut SectionReader<R>, &SectionLayout) -> io::Result<bool>,
+        columns: ColumnSet,
+        group: &Grouping,
     ) -> io::Result<Self> {
-        let mut map = HashMap::with_capacity(reader.count as usize);
-        let mut skipped = BTreeSet::new();
-        let mut dirty = BTreeSet::new();
-        let mut checksums = Vec::new();
-        loop {
-            let h = match reader.next_header() {
-                Ok(Some(h)) => h,
-                Ok(None) => break,
-                Err(_) if tolerant && reader.cut => break,
-                Err(e) => return Err(e),
-            };
-            let repeated = map.contains_key(&h.name) || skipped.contains(&h.name);
+        let walk = Walk::new(src, limit)?;
+        let heads = &walk.heads;
+        let read = (0..heads.len()).filter(|&i| columns.reads_section(&heads[i].name)).collect();
+        let mut payloads = read_groups(src, heads, group(heads, read));
+        let (mut s, mut seen) = (Sections::default(), BTreeSet::new());
+        for (i, h) in walk.heads.into_iter().enumerate() {
+            let repeated = !seen.insert(h.name.clone());
             if !tolerant {
                 if repeated {
                     return Err(bad(format!("duplicate section {} in store", h.name)));
                 }
                 h.ensure_whole()?;
             }
-            if skip(&mut reader, &h)? {
-                skipped.insert(h.name);
-                continue;
-            }
-            let payload = reader.payload(&h)?;
-            let truncated = (payload.len() as u64) < h.payload_len;
-            if truncated || checksum64(&payload) != h.checksum {
+            let Some(p) = payloads.remove(&i).transpose()? else { continue };
+            if !p.sound {
+                let got = p.bytes.len();
                 if !tolerant {
-                    return Err(bad(if truncated {
-                        format!(
-                            "section {} truncated: {} of {} bytes",
-                            h.name,
-                            payload.len(),
-                            h.payload_len
-                        )
-                    } else {
+                    return Err(bad(if got as u64 == h.payload_len {
                         format!("checksum mismatch in section {}", h.name)
+                    } else {
+                        format!("section {} truncated: {got} of {} bytes", h.name, h.payload_len)
                     }));
                 }
-                dirty.insert(h.name.clone());
+                s.dirty.insert(h.name.clone());
             }
-            checksums.push(h.checksum);
+            s.checksums.push(h.checksum);
             if repeated {
-                dirty.insert(h.name);
-            } else {
-                map.insert(h.name, payload);
+                s.dirty.insert(h.name);
+                continue;
             }
-            if truncated {
-                break; // the source is exhausted and unsynchronized
-            }
+            s.utf8.extend(p.utf8.then(|| h.name.clone()));
+            s.map.insert(h.name, p.bytes);
         }
-        Ok(Sections { map, dirty, checksums })
+        match walk.stop {
+            Some(_) if tolerant && walk.cut => Ok(s),
+            stop => stop.map_or(Ok(s), Err),
+        }
+    }
+
+    /// A digest of the stored checksums of the sections read, never 0.
+    pub(crate) fn identity(&self) -> u64 {
+        checksum64(&self.checksums.iter().flat_map(|c| c.to_le_bytes()).collect::<Vec<u8>>()).max(1)
     }
 
     pub(crate) fn get(&self, name: &str) -> io::Result<&[u8]> {
@@ -736,7 +803,8 @@ impl Sections {
     }
 
     pub(crate) fn pool(&mut self, bytes: &str, offsets: &str) -> io::Result<StringPool> {
-        StringPool::from_raw_parts(self.take(bytes)?, into_column(self.take(offsets)?, offsets)?)
+        let (utf8, raw) = (self.utf8.contains(bytes), self.take(bytes)?);
+        StringPool::from_raw_parts(raw, into_column(self.take(offsets)?, offsets)?, utf8)
             .map_err(bad)
     }
 }
@@ -755,7 +823,8 @@ pub fn read_dataset(bytes: &[u8]) -> io::Result<Dataset> {
 /// store and report *every* broken invariant rather than fail at the
 /// first; every normal consumer should call [`read_dataset`].
 pub fn read_dataset_unchecked(bytes: &[u8]) -> io::Result<Dataset> {
-    dataset_from_sections(Sections::read(bytes, bytes.len() as u64, false)?, ColumnSet::ALL)
+    let sections = Sections::read(&bytes, bytes.len() as u64, false, ColumnSet::ALL, &byte_groups)?;
+    dataset_from_sections(sections, ColumnSet::ALL)
 }
 
 /// Assemble a [`Dataset`] holding `columns` ([`ColumnSet::to_hold`])
@@ -821,10 +890,10 @@ pub fn save_with_partitions(path: &Path, d: &Dataset, n_parts: u32) -> io::Resul
 
 /// Open a store file for reading, with the length that bounds every
 /// declared section length.
-pub(crate) fn open_sized(path: &Path) -> io::Result<(io::BufReader<std::fs::File>, u64)> {
+pub(crate) fn open_sized(path: &Path) -> io::Result<(std::fs::File, u64)> {
     let f = std::fs::File::open(path)?;
     let len = f.metadata()?.len();
-    Ok((io::BufReader::new(f), len))
+    Ok((f, len))
 }
 
 /// Load a dataset from a file, verifying integrity: the projected load
@@ -836,9 +905,9 @@ pub fn load(path: &Path) -> io::Result<Dataset> {
 /// Load the `columns` of a store ([`ColumnSet::to_hold`]: with the
 /// keys) into a projected [`Dataset`], verifying the checksum of every
 /// section read and then every invariant of what was read. The other
-/// sections are stepped over unread, so damage confined to them goes
-/// unseen: this is what a server opens, and `gdelt-cli validate` still
-/// loads everything.
+/// sections are never read, so damage confined to them goes unseen:
+/// this is what a server opens, and `gdelt-cli validate` still loads
+/// everything.
 pub fn load_projected(path: &Path, columns: &ColumnSet) -> io::Result<Dataset> {
     load_projected_with_identity(path, columns).map(|(dataset, _)| dataset)
 }
@@ -852,18 +921,10 @@ pub fn load_projected_with_identity(
     columns: &ColumnSet,
 ) -> io::Result<(Dataset, u64)> {
     let _s = gdelt_obs::span("store", "load");
-    let (r, len) = open_sized(path)?;
+    let (file, len) = open_sized(path)?;
     let columns = columns.to_hold();
-    // The strict read of the sections `columns` reads; the others are
-    // stepped over.
-    let sections = Sections::read_with(SectionReader::open(r, len)?, false, |reader, h| {
-        if columns.reads_section(&h.name) {
-            return Ok(false);
-        }
-        reader.skip(h).map(|()| true)
-    })?;
-    let digests: Vec<u8> = sections.checksums.iter().flat_map(|c| c.to_le_bytes()).collect();
-    let identity = checksum64(&digests).max(1);
+    let sections = Sections::read(&file, len, false, columns, &byte_groups)?;
+    let identity = sections.identity();
     let dataset = dataset_from_sections(sections, columns)?;
     dataset.validate().map_err(bad)?;
     Ok((dataset, identity))
@@ -872,20 +933,21 @@ pub fn load_projected_with_identity(
 /// Load a dataset verifying only checksums, for the deep auditor; see
 /// [`read_dataset_unchecked`].
 pub fn load_unchecked(path: &Path) -> io::Result<Dataset> {
-    let (r, len) = open_sized(path)?;
-    dataset_from_sections(Sections::read(r, len, false)?, ColumnSet::ALL)
+    let (file, len) = open_sized(path)?;
+    let sections = Sections::read(&file, len, false, ColumnSet::ALL, &byte_groups)?;
+    dataset_from_sections(sections, ColumnSet::ALL)
 }
 
-/// An injectable I/O shim under the store loaders: wraps the raw file
-/// reader before any bytes are parsed. The production path uses
-/// [`NoShim`]; the fault-injection harness (`gdelt-faults`) substitutes
-/// a reader that flips bytes, truncates, delays, or fails reads on a
-/// seeded schedule.
+/// An injectable I/O shim under the store loaders: wraps the store's
+/// positional source before any byte is parsed. The production path
+/// uses [`NoShim`]; the fault-injection harness (`gdelt-faults`)
+/// substitutes a source that flips bytes, truncates, delays, or fails
+/// reads at absolute offsets on a seeded schedule.
 pub trait ReadShim {
-    /// Wrap the store's reader for load attempt `attempt` (0-based;
+    /// Wrap the store's source for load attempt `attempt` (0-based;
     /// retries see increasing values so transient-failure schedules can
     /// clear).
-    fn wrap<'a>(&self, inner: Box<dyn Read + 'a>, attempt: u32) -> Box<dyn Read + 'a>;
+    fn wrap<'a>(&self, inner: Box<dyn ReadAt + 'a>, attempt: u32) -> Box<dyn ReadAt + 'a>;
 }
 
 /// The identity [`ReadShim`]: reads pass through untouched.
@@ -893,25 +955,19 @@ pub trait ReadShim {
 pub struct NoShim;
 
 impl ReadShim for NoShim {
-    fn wrap<'a>(&self, inner: Box<dyn Read + 'a>, _attempt: u32) -> Box<dyn Read + 'a> {
+    fn wrap<'a>(&self, inner: Box<dyn ReadAt + 'a>, _attempt: u32) -> Box<dyn ReadAt + 'a> {
         inner
     }
 }
 
-/// Scan a store file's section headers (skipping payloads) and return
-/// the absolute byte layout — the map fault schedules and the golden
-/// corruption corpus use to aim at specific sections and partitions.
-/// Every returned extent lies inside the file: a length that reaches
-/// past its end is a typed `InvalidData` error.
+/// Walk a store file's section headers and return the absolute byte
+/// layout — the map fault schedules and the golden corruption corpus
+/// use to aim at specific sections and partitions. Every returned
+/// extent lies inside the file: a length that reaches past its end is a
+/// typed `InvalidData` error.
 pub fn scan_layout(path: &Path) -> io::Result<Vec<SectionLayout>> {
-    let (r, len) = open_sized(path)?;
-    let mut reader = SectionReader::open(r, len)?;
-    let mut out = Vec::with_capacity(reader.count as usize);
-    while let Some(h) = reader.next_header()? {
-        reader.skip(&h)?;
-        out.push(h);
-    }
-    Ok(out)
+    let (file, len) = open_sized(path)?;
+    Walk::new(&file, len)?.whole()
 }
 
 /// The partition map of a store file: row totals plus each load
@@ -927,24 +983,15 @@ pub struct StoreExtents {
     pub extents: Vec<PartExtent>,
 }
 
-/// Read only the `partitions.meta` section of a store file.
+/// Read only the `partitions.meta` payload of a store file whose
+/// layout [`scan_layout`] accepts.
 pub fn read_store_extents(path: &Path) -> io::Result<StoreExtents> {
-    let (r, len) = open_sized(path)?;
-    let mut reader = SectionReader::open(r, len)?;
-    while let Some(h) = reader.next_header()? {
-        if h.name != META_SECTION {
-            reader.skip(&h)?;
-            continue;
-        }
-        h.ensure_whole()?;
-        let meta = parse_meta(&reader.payload(&h)?)?;
-        return Ok(StoreExtents {
-            n_events: meta.n_events,
-            n_mentions: meta.n_mentions,
-            extents: meta.extents,
-        });
-    }
-    Err(bad("store has no partitions.meta section"))
+    let (file, len) = open_sized(path)?;
+    let heads = Walk::new(&file, len)?.whole()?;
+    let meta = heads.iter().find(|h| h.name == META_SECTION);
+    let meta = meta.ok_or_else(|| bad("store has no partitions.meta section"))?;
+    let meta = parse_meta(&read_payload(&file, meta)?.bytes)?;
+    Ok(StoreExtents { n_events: meta.n_events, n_mentions: meta.n_mentions, extents: meta.extents })
 }
 
 #[cfg(test)]
@@ -1116,7 +1163,9 @@ mod tests {
         let d = sample_dataset();
         let mut buf = Vec::new();
         write_dataset_with_partitions(&mut buf, &d, 4).unwrap();
-        let mut s = Sections::read(buf.as_slice(), buf.len() as u64, false).unwrap();
+        let src = buf.as_slice();
+        let s = Sections::read(&src, buf.len() as u64, false, ColumnSet::ALL, &byte_groups);
+        let mut s = s.unwrap();
         let meta = parse_meta(&s.take(META_SECTION).unwrap()).unwrap();
         assert_eq!(meta.n_events, d.events.len() as u64);
         assert_eq!(meta.n_mentions, d.mentions.len() as u64);
@@ -1315,6 +1364,258 @@ mod tests {
         let err = load_projected(&path, &columns).unwrap_err().to_string();
         assert!(err.contains("section mentions.doc_tone truncated"), "{err}");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// How a test load groups its payload reads.
+    #[derive(Debug, Clone, Copy)]
+    enum Split {
+        /// Every section in one group, on the caller.
+        One,
+        /// A group per section.
+        PerSection,
+        /// A group per section, the last section first.
+        Reversed,
+        /// The first half of the sections, then the rest.
+        Halves,
+        /// Each section dealt to one of `k` groups by a seeded generator.
+        Random(u64, usize),
+    }
+
+    impl Split {
+        fn groups(self, read: Vec<usize>) -> Vec<Vec<usize>> {
+            match self {
+                Split::One => vec![read],
+                Split::PerSection => read.into_iter().map(|i| vec![i]).collect(),
+                Split::Reversed => read.into_iter().rev().map(|i| vec![i]).collect(),
+                Split::Halves => {
+                    let mut read = read;
+                    let rest = read.split_off(read.len() / 2);
+                    vec![read, rest]
+                }
+                Split::Random(mut state, k) => {
+                    let mut groups = vec![Vec::new(); k.max(1)];
+                    for i in read {
+                        // One splitmix64 step per section.
+                        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                        let mut z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                        let at = (z ^ (z >> 31)) as usize % groups.len();
+                        groups[at].push(i);
+                    }
+                    groups
+                }
+            }
+        }
+    }
+
+    const SPLITS: [Split; 6] = [
+        Split::PerSection,
+        Split::Reversed,
+        Split::Halves,
+        Split::Random(1, 2),
+        Split::Random(2, 3),
+        Split::Random(3, 7),
+    ];
+
+    /// A strict load of `columns` from `src` under `split`, as
+    /// [`load_projected_with_identity`] assembles it: the dataset's
+    /// debug image and identity, or the error text.
+    fn strict_load(src: &dyn ReadAt, limit: u64, columns: ColumnSet, split: Split) -> Loaded {
+        let columns = columns.to_hold();
+        let group = move |_: &[SectionLayout], read: Vec<usize>| split.groups(read);
+        let loaded = Sections::read(src, limit, false, columns, &group).and_then(|s| {
+            let identity = s.identity();
+            let d = dataset_from_sections(s, columns)?;
+            d.validate().map_err(bad)?;
+            Ok(format!("{identity} {}", image(&d)))
+        });
+        loaded.map_err(|e| e.to_string())
+    }
+
+    /// A tolerant load of `src` under `split`: the dataset and the
+    /// health (dirty set and quarantine included), or the error text.
+    fn tolerant_load(src: &dyn ReadAt, limit: u64, split: Split) -> Loaded {
+        let group = move |_: &[SectionLayout], read: Vec<usize>| split.groups(read);
+        let loaded = crate::degraded::read_degraded(src, limit, &group);
+        loaded.map(|l| format!("{:?} {}", l.health, image(&l.dataset))).map_err(|e| e.to_string())
+    }
+
+    /// Everything a dataset holds, in a stable text (the source lookup
+    /// table is a `HashMap`, so its own `Debug` is not).
+    fn image(d: &Dataset) -> String {
+        let s = &d.sources;
+        format!(
+            "{:?}",
+            (&d.events, &d.mentions, &d.event_index, &s.country, s.names.pool(), d.columns)
+        )
+    }
+
+    type Loaded = Result<String, String>;
+
+    /// The layout of a clean store image.
+    fn layout_of(image: &[u8]) -> Vec<SectionLayout> {
+        Walk::new(&image, image.len() as u64).unwrap().whole().unwrap()
+    }
+
+    /// Offset of the first byte of section `h`'s header.
+    fn header_of(h: &SectionLayout) -> usize {
+        h.payload_offset as usize - (2 + h.name.len() + 16)
+    }
+
+    /// A checksum flip in `events.id` (an early section) and a cut in
+    /// the last section's payload.
+    fn early_flip_and_cut_tail(clean: &[u8]) -> Vec<u8> {
+        let layout = layout_of(clean);
+        let last = layout.last().unwrap();
+        let mut bytes = clean[..(last.payload_offset + last.payload_len / 2) as usize].to_vec();
+        flip_in(&mut bytes, &layout, "events.id");
+        bytes
+    }
+
+    /// A clean store image and its damaged copies: per section a flipped
+    /// payload byte, a cut in the payload and a cut in the header; a
+    /// repeated section; and an early flip with a cut tail.
+    fn damaged_set() -> Vec<Vec<u8>> {
+        let mut clean = Vec::new();
+        write_dataset_with_partitions(&mut clean, &sample_dataset(), 4).unwrap();
+        let layout = layout_of(&clean);
+        let mut set = vec![clean.clone()];
+        for h in &layout {
+            let (begin, end) =
+                (h.payload_offset as usize, (h.payload_offset + h.payload_len) as usize);
+            if end > begin {
+                let mut flipped = clean.clone();
+                flipped[(begin + end) / 2] ^= 0x40;
+                set.push(flipped);
+            }
+            set.push(clean[..(begin + end) / 2].to_vec());
+            set.push(clean[..header_of(h) + 5].to_vec());
+        }
+        let doc = layout.iter().find(|h| h.name == "mentions.doc_tone").unwrap();
+        let mut repeated = clean.clone();
+        repeated.extend_from_slice(
+            &clean[header_of(doc)..(doc.payload_offset + doc.payload_len) as usize],
+        );
+        repeated[8..12].copy_from_slice(&(layout.len() as u32 + 1).to_le_bytes());
+        set.push(repeated);
+        set.push(early_flip_and_cut_tail(&clean));
+        set
+    }
+
+    /// Every load of every image of the damaged set under `splits` gives
+    /// what the one-group load gives.
+    fn assert_splits_agree(splits: &[Split]) {
+        let projected = ColumnSet::of(&[Column::EventsQuarter, Column::MentionsSource]);
+        for (k, image) in damaged_set().iter().enumerate() {
+            let (src, limit) = (image.as_slice(), image.len() as u64);
+            for columns in [ColumnSet::ALL, projected] {
+                let want = strict_load(&src, limit, columns, Split::One);
+                for &split in splits {
+                    let got = strict_load(&src, limit, columns, split);
+                    assert_eq!(got, want, "image {k}, {split:?}, {columns}");
+                }
+            }
+            let want = tolerant_load(&src, limit, Split::One);
+            for &split in splits {
+                assert_eq!(tolerant_load(&src, limit, split), want, "image {k}, {split:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_grouping_loads_what_one_group_loads() {
+        assert_splits_agree(&SPLITS);
+        // The set holds clean loads, quarantines and refusals of both loaders.
+        let set = damaged_set();
+        let all = |f: &dyn Fn(&[u8]) -> Loaded| set.iter().map(|i| f(i)).collect::<Vec<_>>();
+        let strict = all(&|i| strict_load(&i, i.len() as u64, ColumnSet::ALL, Split::One));
+        let tolerant = all(&|i| tolerant_load(&i, i.len() as u64, Split::One));
+        assert!(strict.iter().any(Result::is_ok) && strict.iter().any(Result::is_err));
+        assert!(tolerant.iter().any(|l| l.as_ref().is_ok_and(|h| h.contains("quarantined: [1"))));
+        assert!(tolerant.iter().any(Result::is_err));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn random_groupings_load_what_one_group_loads(seed in 0u64..u64::MAX, k in 1usize..9) {
+            assert_splits_agree(&[Split::Random(seed, k)]);
+        }
+    }
+
+    #[test]
+    fn an_early_checksum_flip_beats_a_cut_tail_under_every_grouping() {
+        let mut clean = Vec::new();
+        write_dataset(&mut clean, &sample_dataset()).unwrap();
+        let image = early_flip_and_cut_tail(&clean);
+        let (src, limit) = (image.as_slice(), image.len() as u64);
+        for split in [Split::One].into_iter().chain(SPLITS) {
+            let err = strict_load(&src, limit, ColumnSet::ALL, split).unwrap_err();
+            assert_eq!(err, "checksum mismatch in section events.id", "{split:?}");
+        }
+    }
+
+    use std::sync::atomic::Ordering::Relaxed;
+
+    /// One fault at absolute offset `pos`, applied by position only, as
+    /// `gdelt_faults::FaultyRead` applies its schedule.
+    struct Faulty<'a> {
+        image: &'a [u8],
+        fault: &'static str,
+        pos: u64,
+        delayed: std::sync::atomic::AtomicBool,
+    }
+
+    impl ReadAt for Faulty<'_> {
+        fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<usize> {
+            let covers = |len: usize| (offset..offset + len as u64).contains(&self.pos);
+            let mut want = buf.len();
+            match self.fault {
+                "truncate" => want = want.min(self.pos.saturating_sub(offset) as usize),
+                "fail" if offset + want as u64 > self.pos => {
+                    return Err(io::Error::other("injected transient read failure"))
+                }
+                "delay" if covers(want) && !self.delayed.swap(true, Relaxed) => {
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                }
+                _ => {}
+            }
+            let n = self.image.read_at(&mut buf[..want], offset)?;
+            if self.fault == "flip" && covers(n) {
+                buf[(self.pos - offset) as usize] ^= 0x40;
+            }
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn positional_faults_give_one_health_under_one_group_and_two() {
+        let mut clean = Vec::new();
+        write_dataset_with_partitions(&mut clean, &sample_dataset(), 4).unwrap();
+        let layout = layout_of(&clean);
+        let mut seen = BTreeSet::new();
+        for name in ["events.day", "events.urls.bytes", "mentions.source", "index.offsets"] {
+            let h = layout.iter().find(|h| h.name == name).unwrap();
+            let first = h.payload_offset;
+            let last = h.payload_offset + h.payload_len - 1;
+            let header = header_of(h) as u64 + 3;
+            for pos in [first, last, header] {
+                for fault in ["flip", "truncate", "fail", "delay"] {
+                    let faulty = || Faulty { image: &clean, fault, pos, delayed: false.into() };
+                    let limit = clean.len() as u64;
+                    let one = tolerant_load(&faulty(), limit, Split::One);
+                    let two = tolerant_load(&faulty(), limit, Split::Halves);
+                    assert_eq!(two, one, "{fault} at {pos} ({name})");
+                    seen.insert(match &one {
+                        Ok(l) if l.contains("quarantined: []") => "clean",
+                        Ok(_) => "quarantined",
+                        Err(_) => "refused",
+                    });
+                }
+            }
+        }
+        assert_eq!(seen.len(), 3, "{seen:?}");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! generator emit) is handed over as staged, without a sort or a copy.
 //!
 //! Raw text of 2 MiB or more is cut at line starts into one piece per
-//! core (each at least [`MIN_PIECE_BYTES`]). The calling thread stages
+//! core (each at least a MiB: [`partition::pieces_for`]). The calling thread stages
 //! the first piece straight into the builder and every other piece is
 //! staged on a thread of its own ([`partition::fork_join`]) into a
 //! staging area and a [`Cleaner`] of its own; the pieces are then
@@ -44,21 +44,11 @@ use gdelt_model::ids::row_u32;
 use gdelt_model::mention::MentionRecord;
 use gdelt_model::time::CaptureInterval;
 
-/// Text is staged in pieces of at least this many bytes: starting a
-/// thread costs tens of µs, decoding a MiB of text a few ms, so an
-/// `update` batch of a few hundred lines stays on the calling thread.
-const MIN_PIECE_BYTES: usize = 1 << 20;
-
 /// Where to cut `len` bytes of text so that each core stages one piece
-/// of at least [`MIN_PIECE_BYTES`]: evenly, before each line start is
-/// looked for. No cut below two pieces' worth.
+/// ([`partition::pieces_for`]): evenly, before each line start is
+/// looked for. An `update` batch of a few hundred lines is not cut.
 fn even_cuts(len: usize) -> Vec<usize> {
-    let most = len / MIN_PIECE_BYTES;
-    let n = if most < 2 {
-        1
-    } else {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).min(most)
-    };
+    let n = partition::pieces_for(len);
     (1..n).map(|k| k * (len / n)).collect()
 }
 

@@ -33,13 +33,14 @@
 //! downstream query answer carries.
 
 use std::collections::BTreeSet;
-use std::io::{self, Read};
+use std::io;
 use std::time::Duration;
 
 use crate::aligned::AlignedBuf;
 use crate::binfmt::{
-    bad, checksum64, dataset_from_sections, into_column, open_sized, parse_meta, section_space,
-    MetaTable, NoShim, PartExtent, ReadShim, SectionSpace, Sections, META_SECTION,
+    bad, byte_groups, checksum64, dataset_from_sections, into_column, open_sized, parse_meta,
+    section_space, Grouping, MetaTable, NoShim, PartExtent, ReadAt, ReadShim, SectionSpace,
+    Sections, META_SECTION,
 };
 use crate::columns::{Column, ColumnSet, Layout};
 use crate::health::StoreHealth;
@@ -221,6 +222,7 @@ impl Sections {
                 SectionSpace::Global => continue,
                 _ => join_live(name, payload, &url_offsets, &live)?,
             };
+            self.utf8.remove(name);
         }
         Ok(self)
     }
@@ -230,12 +232,16 @@ impl Sections {
 /// what fails its digests, assemble and validate the rest. See the
 /// module docs for the full contract.
 pub fn read_dataset_degraded(bytes: &[u8]) -> io::Result<DegradedLoad> {
-    read_degraded(bytes, bytes.len() as u64)
+    read_degraded(&bytes, bytes.len() as u64, &byte_groups)
 }
 
-/// [`read_dataset_degraded`] over any source `limit` bytes long.
-fn read_degraded<R: Read>(r: R, limit: u64) -> io::Result<DegradedLoad> {
-    let ts = Sections::read(r, limit, true)?;
+/// [`read_dataset_degraded`] of a source `limit` bytes long, in `group`'s groups.
+pub(crate) fn read_degraded(
+    src: &dyn ReadAt,
+    limit: u64,
+    group: &Grouping,
+) -> io::Result<DegradedLoad> {
+    let ts = Sections::read(src, limit, true, ColumnSet::ALL, group)?;
     if ts.dirty.contains(META_SECTION) {
         return Err(bad("partitions.meta is corrupt — damage cannot be localized"));
     }
@@ -290,8 +296,9 @@ pub fn load_degraded_with(
     let mut retries: u32 = 0;
     let mut attempt: u32 = 0;
     loop {
-        let result = open_sized(path)
-            .and_then(|(r, len)| read_degraded(shim.wrap(Box::new(r), attempt), len));
+        let result = open_sized(path).and_then(|(f, len)| {
+            read_degraded(&*shim.wrap(Box::new(f), attempt), len, &byte_groups)
+        });
         match result {
             Ok(mut loaded) => {
                 loaded.health.retries = retries;
@@ -767,22 +774,16 @@ mod tests {
         struct FailFirst {
             failures: u32,
         }
-        struct FailingReader {
-            fail: bool,
-        }
-        impl Read for FailingReader {
-            fn read(&mut self, _buf: &mut [u8]) -> io::Result<usize> {
-                if self.fail {
-                    Err(io::Error::other("injected transient failure"))
-                } else {
-                    Err(io::Error::other("unreachable"))
-                }
+        struct FailingReader;
+        impl ReadAt for FailingReader {
+            fn read_at(&self, _buf: &mut [u8], _offset: u64) -> io::Result<usize> {
+                Err(io::Error::other("injected transient failure"))
             }
         }
         impl ReadShim for FailFirst {
-            fn wrap<'a>(&self, inner: Box<dyn Read + 'a>, attempt: u32) -> Box<dyn Read + 'a> {
+            fn wrap<'a>(&self, inner: Box<dyn ReadAt + 'a>, attempt: u32) -> Box<dyn ReadAt + 'a> {
                 if attempt < self.failures {
-                    Box::new(FailingReader { fail: true })
+                    Box::new(FailingReader)
                 } else {
                     inner
                 }

@@ -10,8 +10,9 @@
 //! give each range.
 //!
 //! [`fork_join`] is the one place product code starts worker threads
-//! for a computation: the engine's `ExecContext::map_reduce` and the
-//! builder's chunked text staging both call it.
+//! for a computation: the engine's `ExecContext::map_reduce`, the
+//! builder's chunked text staging, a store load's payload groups and
+//! `Dataset::validate` call it, the last three split by [`pieces_for`].
 
 /// A contiguous, half-open row range owned by one worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,6 +95,14 @@ pub fn partitions_at_boundaries(boundaries: &[u64], n_parts: usize) -> Vec<Parti
             node: p.node,
         })
         .collect()
+}
+
+/// How many pieces to split `bytes` of work into: one per core, each at
+/// least a MiB — a thread costs tens of µs, a MiB of work hundreds — so
+/// below two MiB the caller does it all.
+pub fn pieces_for(bytes: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    cores.min(bytes >> 20).max(1)
 }
 
 /// Run `work` on each of `jobs`, every job on a scoped thread of its

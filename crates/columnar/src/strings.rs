@@ -121,10 +121,12 @@ impl StringPool {
         (&self.bytes, &self.offsets)
     }
 
-    /// Rebuild from raw parts, validating structure and UTF-8.
+    /// Rebuild from raw parts, validating structure and — unless the
+    /// caller already found them to be (`utf8`) — UTF-8 bytes.
     pub(crate) fn from_raw_parts(
         bytes: AlignedBuf<u8>,
         offsets: AlignedBuf<u64>,
+        utf8: bool,
     ) -> Result<Self, &'static str> {
         if offsets.is_empty() || offsets[0] != 0 {
             return Err("offsets must start at 0");
@@ -135,7 +137,9 @@ impl StringPool {
         if offsets.windows(2).any(|w| w[0] > w[1]) {
             return Err("offsets must be non-decreasing");
         }
-        std::str::from_utf8(&bytes).map_err(|_| "pool payload is not UTF-8")?;
+        if !utf8 {
+            std::str::from_utf8(&bytes).map_err(|_| "pool payload is not UTF-8")?;
+        }
         Ok(StringPool { bytes, offsets })
     }
 
@@ -260,9 +264,9 @@ mod tests {
         let runs = a.gather(&[1, 2, 3, 0, 3, 4, 5, 2]);
         assert_eq!(runs.iter().collect::<Vec<_>>(), vec!["", "yy", "ü", "x", "ü", "yy"]);
         let (bytes, offsets) = runs.raw_parts();
-        assert_eq!(StringPool::from_raw_parts(bytes.into(), offsets.into()).unwrap(), runs);
+        assert_eq!(StringPool::from_raw_parts(bytes.into(), offsets.into(), false).unwrap(), runs);
         let (bytes, offsets) = g.raw_parts();
-        assert_eq!(StringPool::from_raw_parts(bytes.into(), offsets.into()).unwrap(), g);
+        assert_eq!(StringPool::from_raw_parts(bytes.into(), offsets.into(), false).unwrap(), g);
     }
 
     #[test]
@@ -271,13 +275,13 @@ mod tests {
         p.push("hello");
         p.push("world");
         let (bytes, offsets) = p.raw_parts();
-        let p2 = StringPool::from_raw_parts(bytes.into(), offsets.into()).unwrap();
+        let p2 = StringPool::from_raw_parts(bytes.into(), offsets.into(), false).unwrap();
         assert_eq!(p, p2);
     }
 
     #[test]
     fn pool_raw_validation() {
-        let raw = |b: &[u8], o: &[u64]| StringPool::from_raw_parts(b.into(), o.into());
+        let raw = |b: &[u8], o: &[u64]| StringPool::from_raw_parts(b.into(), o.into(), false);
         assert!(raw(b"", &[]).is_err());
         assert!(raw(b"", &[1]).is_err());
         assert!(raw(b"a", &[0, 2]).is_err());

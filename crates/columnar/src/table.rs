@@ -16,6 +16,7 @@
 use crate::aligned::{AlignedBuf, Scalar};
 use crate::columns::{Column, ColumnSet, Layout};
 use crate::index::EventIndex;
+use crate::partition::{fork_join, pieces_for};
 use crate::strings::{StringDict, StringPool};
 use gdelt_model::ids::{row_u32, CountryId, EventId, SourceId};
 use gdelt_model::time::{CaptureInterval, Date, Quarter};
@@ -633,10 +634,19 @@ impl Dataset {
         // The rows the CSR index covers: the joined ones, if it holds.
         let covered = self.event_index.offsets.last().copied().unwrap_or(0);
         let joined = usize::try_from(covered).unwrap_or(usize::MAX);
-        self.shape_holds(joined)
-            && events_hold(&self.events)
-                & mentions_hold(&self.mentions, &self.events, joined, self.sources.len())
-                & index_holds(&self.event_index.offsets, &self.mentions.event_row)
+        let check = |k: usize| match k {
+            0 => mentions_hold(&self.mentions, &self.events, joined, self.sources.len()),
+            1 => events_hold(&self.events),
+            _ => index_holds(&self.event_index.offsets, &self.mentions.event_row),
+        };
+        // Held bytes worth two pieces or more: checks 1 and 2 are jobs of
+        // one fork while the caller runs the mentions pass.
+        let bytes = Column::ALL.iter().map(|&c| self.column_bytes(c)).sum();
+        let mine = if pieces_for(bytes) > 1 { 1 } else { 3 };
+        self.shape_holds(joined) && {
+            let (ok, theirs) = fork_join((mine..3).collect(), check, || (0..mine).all(check));
+            ok && theirs.into_iter().all(|ok| ok)
+        }
     }
 
     /// Every held column as long as its table and every other one

@@ -729,7 +729,7 @@ mod tests {
                 offs[slot] = target;
             }
         }
-        let rebuilt = StringPool::from_raw_parts(bytes.into(), offs.as_slice().into());
+        let rebuilt = StringPool::from_raw_parts(bytes.into(), offs.as_slice().into(), false);
         // from_raw_parts validates whole-payload UTF-8 only, so the
         // mid-character offset passes construction…
         let pool = rebuilt.expect("whole payload is still valid UTF-8");

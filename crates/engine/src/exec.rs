@@ -98,9 +98,10 @@ impl ExecContext {
     /// merged with `reduce` in partition order (merge cost is negligible
     /// next to the scans).
     ///
-    /// The schedule is static: `min(n_threads, parts.len())` scoped
-    /// threads ([`fork_join`]) each take one near-even contiguous chunk
-    /// of `parts`. With one thread or one partition everything runs
+    /// The schedule is static: `parts` is cut into
+    /// `min(n_threads, parts.len())` near-even contiguous chunks; the
+    /// caller maps the first and a scoped thread ([`fork_join`]) each
+    /// other one. With one thread or one partition everything runs
     /// inline on the caller. A panic in `map` is re-raised on the caller
     /// with its original payload once every thread has stopped.
     // analyze: no_panic
@@ -137,12 +138,12 @@ impl ExecContext {
         }
         let (base, extra) = (n_parts / n_threads, n_parts % n_threads);
         let mut rest = parts.into_iter().enumerate();
-        let chunks: Vec<Vec<_>> = (0..n_threads)
-            .map(|t| rest.by_ref().take(base + usize::from(t < extra)).collect())
-            .collect();
-        let ((), partials) =
-            fork_join(chunks, |chunk| chunk.into_iter().map(run).collect::<Vec<T>>(), || ());
-        partials.into_iter().flatten().reduce(reduce)
+        let mut chunks = (0..n_threads)
+            .map(|t| rest.by_ref().take(base + usize::from(t < extra)).collect::<Vec<_>>());
+        let first = chunks.next().unwrap_or_default();
+        let work = |chunk: Vec<_>| chunk.into_iter().map(run).collect::<Vec<T>>();
+        let (mine, theirs) = fork_join(chunks.collect(), work, || work(first));
+        mine.into_iter().chain(theirs.into_iter().flatten()).reduce(reduce)
     }
 }
 
@@ -285,6 +286,36 @@ mod tests {
                 assert_eq!(
                     payload.downcast_ref::<String>().map(String::as_str),
                     Some("partition 3 failed"),
+                    "threads={threads} parts={n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn map_reduce_reraises_a_panic_of_the_callers_own_chunk() {
+        let caller = std::thread::current().id();
+        for threads in THREADS.into_iter().filter(|&t| t > 1) {
+            let ctx = ExecContext::builder().threads(threads).build();
+            for n in 2..=MAX_PARTS {
+                let caught = std::panic::catch_unwind(|| {
+                    ctx.map_reduce(
+                        unit_parts(n),
+                        |p| {
+                            // Partition 0 is in the first chunk, which the caller maps.
+                            if p.begin == 0 {
+                                assert_eq!(std::thread::current().id(), caller);
+                                std::panic::panic_any(format!("partition {} failed", p.begin));
+                            }
+                            p.begin
+                        },
+                        |a, b| a + b,
+                    )
+                });
+                let payload = caught.expect_err("the panic must reach the caller");
+                assert_eq!(
+                    payload.downcast_ref::<String>().map(String::as_str),
+                    Some("partition 0 failed"),
                     "threads={threads} parts={n}"
                 );
             }

@@ -17,12 +17,12 @@
 //! * **FlipByte** — XOR one payload byte inside a chosen partition's
 //!   byte range of a fixed-width column section, so exactly that
 //!   partition fails its digest and is quarantined;
-//! * **TruncateAt** — stop the stream at an absolute offset, simulating
+//! * **TruncateAt** — end the source at an absolute offset, simulating
 //!   a torn write / short file;
-//! * **FailRead** — error (with a retryable kind) on the read crossing
-//!   an offset, cleared after a scheduled number of attempts, to
+//! * **FailRead** — error (with a retryable kind) on any read reaching
+//!   past an offset, cleared after a scheduled number of attempts, to
 //!   exercise the loader's capped-backoff retry loop;
-//! * **DelayRead** — sleep before the read crossing an offset,
+//! * **DelayRead** — sleep before the first read covering an offset,
 //!   simulating a slow disk (used by the `ServeError::TimedOut`
 //!   integration test so no sleep lives in product code).
 //!

@@ -1,11 +1,11 @@
 //! Seeded fault schedules aimed at a concrete store file.
 
-use std::io::{self, Read};
+use std::io;
 use std::path::Path;
 use std::time::Duration;
 
 use gdelt_columnar::binfmt::{
-    read_store_extents, scan_layout, section_space, ReadShim, SectionSpace,
+    read_store_extents, scan_layout, section_space, ReadAt, ReadShim, SectionSpace,
 };
 
 use crate::rng::{seeded_picks, SplitMix64};
@@ -26,17 +26,17 @@ pub enum Fault {
         /// Nonzero XOR mask.
         xor: u8,
     },
-    /// Report EOF at `pos`, simulating a torn write.
+    /// End the source at `pos`, simulating a torn write.
     TruncateAt {
         /// Absolute file offset where the stream ends.
         pos: u64,
     },
-    /// Fail (retryably) the read that would cross `pos`.
+    /// Fail (retryably) every read that would reach past `pos`.
     FailRead {
         /// Absolute file offset the failing read crosses.
         pos: u64,
     },
-    /// Sleep `ms` milliseconds before the read crossing `pos`.
+    /// Sleep `ms` milliseconds before the first read covering `pos`.
     DelayRead {
         /// Absolute file offset the delayed read crosses.
         pos: u64,
@@ -235,7 +235,7 @@ impl FaultPlan {
 }
 
 impl ReadShim for FaultPlan {
-    fn wrap<'a>(&self, inner: Box<dyn Read + 'a>, attempt: u32) -> Box<dyn Read + 'a> {
+    fn wrap<'a>(&self, inner: Box<dyn ReadAt + 'a>, attempt: u32) -> Box<dyn ReadAt + 'a> {
         let mut flips = Vec::new();
         let mut truncate_at: Option<u64> = None;
         let mut fail_at: Option<u64> = None;
@@ -302,9 +302,9 @@ mod tests {
     fn clean_plan_is_identity() {
         let plan = FaultPlan::clean(9);
         let data = vec![1u8, 2, 3, 4];
-        let mut r = plan.wrap(Box::new(std::io::Cursor::new(data.clone())), 0);
-        let mut out = Vec::new();
-        r.read_to_end(&mut out).unwrap();
-        assert_eq!(out, data);
+        let r = plan.wrap(Box::new(data.as_slice()), 0);
+        let mut out = [0u8; 8];
+        let n = r.read_at(&mut out, 0).unwrap();
+        assert_eq!(&out[..n], &data[..]);
     }
 }

@@ -33,6 +33,7 @@ use gdelt_columnar::DatasetBuilder;
 use gdelt_engine::{run_query, ExecContext, Query, QueryResult, TopKKind};
 use gdelt_synth::emit::to_tsv;
 use gdelt_synth::{generate, paper_calibrated};
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -268,13 +269,19 @@ fn cmd_convert(o: &Options) -> Result<(), String> {
     b.ingest_mentions_bytes(&read_raw(input.join("mentions.tsv"))?);
     eprintln!("staged {} events, {} mentions", b.staged_events(), b.staged_mentions());
     let (dataset, report) = b.build();
-    println!("{}", gdelt_analysis::table2::render(&report));
-    report_skipped(&report);
+    // The store first: a reader that closes stdout early (`| head`)
+    // must not cost it.
     binfmt::save(out, &dataset).map_err(|e| format!("writing {}: {e}", out.display()))?;
+    report_skipped(&report);
     eprintln!("{}", gdelt_columnar::memsize::measure(&dataset).render());
     eprintln!("at paper scale: {}", gdelt_columnar::memsize::project_full_scale(&dataset).render());
     eprintln!("wrote indexed binary dataset to {}", out.display());
-    Ok(())
+    // Table II; a closed stdout ends the command quietly.
+    let table = gdelt_analysis::table2::render(&report);
+    match writeln!(std::io::stdout(), "{table}") {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(format!("stdout: {e}")),
+        _ => Ok(()),
+    }
 }
 
 fn read_raw(p: PathBuf) -> Result<Vec<u8>, String> {
@@ -925,7 +932,6 @@ fn cmd_split_store(o: &Options) -> Result<(), String> {
 
 fn cmd_shard_worker(o: &Options) -> Result<(), String> {
     use gdelt_shard::{ShardWorker, WorkerConfig};
-    use std::io::Write as _;
 
     let store = o.data.clone().ok_or("shard-worker requires --data SHARD.gdhpc")?;
     let cfg = WorkerConfig {

@@ -82,6 +82,38 @@ fn generate_convert_report_loop() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `convert … | head -1`: a reader that closes stdout before Table II
+/// is printed costs neither the store nor the exit status.
+#[test]
+fn convert_with_stdout_closed_keeps_the_store() {
+    let dir = temp_dir("closed_stdout");
+    let out = cli()
+        .args(["generate", "--out"])
+        .arg(&dir)
+        .args(["--scale", "0.00002", "--seed", "17"])
+        .output()
+        .expect("generate");
+    assert!(out.status.success());
+    let bin = dir.join("data.gdhpc");
+    std::fs::remove_file(&bin).ok();
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = cli()
+        .args(["convert", "--in"])
+        .arg(&dir)
+        .arg("--out")
+        .arg(&bin)
+        .stdout(writer)
+        .output()
+        .expect("convert");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let out = cli().args(["validate", "--data"]).arg(&bin).output().expect("validate");
+    assert!(out.status.success(), "validate failed: {}", String::from_utf8_lossy(&out.stderr));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn synth_report_runs_without_files() {
     let out = cli()
