@@ -178,7 +178,7 @@ fn render_wildfires(ctx: &ExecContext, d: &Dataset) -> String {
 
 /// Thread counts for the Fig 12 sweep: powers of two up to the machine.
 pub fn scaling_thread_counts() -> Vec<usize> {
-    let max = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+    let max = gdelt_columnar::partition::cores();
     let mut out = vec![1usize];
     while *out.last().expect("non-empty") * 2 <= max {
         out.push(out.last().expect("non-empty") * 2);

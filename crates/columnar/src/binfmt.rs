@@ -701,8 +701,8 @@ pub(crate) fn byte_groups(heads: &[SectionLayout], read: Vec<usize>) -> Vec<Vec<
     groups
 }
 
-/// Read and check the payloads of `groups`, each group on a thread of
-/// its own and the first on the caller: the outcomes by section index.
+/// Read and check the payloads of `groups`, the first on the caller and
+/// the others on the fork pool: the outcomes by section index.
 fn read_groups(
     src: &dyn ReadAt,
     heads: &[SectionLayout],

@@ -23,7 +23,7 @@
 //! Raw text of 2 MiB or more is cut at line starts into one piece per
 //! core (each at least a MiB: [`partition::pieces_for`]). The calling thread stages
 //! the first piece straight into the builder and every other piece is
-//! staged on a thread of its own ([`partition::fork_join`]) into a
+//! staged on the fork pool ([`partition::fork_join`]) into a
 //! staging area and a [`Cleaner`] of its own; the pieces are then
 //! absorbed in order, which gives the columns, the source ids and the
 //! report one thread gives.
@@ -66,7 +66,7 @@ trait Staging: Default + Send {
 
 /// Stage `text` into `staged`, cut at the first line start at or after
 /// each of `cuts`: the first piece on the calling thread, every other
-/// non-empty one on a thread of its own, absorbed in order.
+/// non-empty one on the fork pool, absorbed in order.
 fn stage_pieces<S: Staging>(
     staged: &mut S,
     registry: &CountryRegistry,

@@ -9,10 +9,16 @@
 //! mirrors the NUMA-node ownership a placement-aware allocator would
 //! give each range.
 //!
-//! [`fork_join`] is the one place product code starts worker threads
-//! for a computation: the engine's `ExecContext::map_reduce`, the
-//! builder's chunked text staging, a store load's payload groups and
-//! `Dataset::validate` call it, the last three split by [`pieces_for`].
+//! [`fork_join`] is the one place product code runs a computation on
+//! more than one thread, over one process-wide pool: the engine's
+//! `ExecContext::map_reduce`, the builder's chunked text staging, a
+//! store load's payload groups and `Dataset::validate` call it, the
+//! last three split by [`pieces_for`].
+
+use std::collections::VecDeque;
+use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, OnceLock, PoisonError};
 
 /// A contiguous, half-open row range owned by one worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,19 +103,38 @@ pub fn partitions_at_boundaries(boundaries: &[u64], n_parts: usize) -> Vec<Parti
         .collect()
 }
 
-/// How many pieces to split `bytes` of work into: one per core, each at
-/// least a MiB — a thread costs tens of µs, a MiB of work hundreds — so
-/// below two MiB the caller does it all.
-pub fn pieces_for(bytes: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    cores.min(bytes >> 20).max(1)
+/// The number of cores the OS grants this process, read once: the
+/// call costs tens of µs, and a fork asks for it on every load.
+/// [`pieces_for`], the engine's default thread count and the pool's
+/// width all read this one value.
+pub fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
-/// Run `work` on each of `jobs`, every job on a scoped thread of its
-/// own, while the calling thread runs `on_caller`; return what
-/// `on_caller` gave and the jobs' results in job order. A panic in a
-/// job (or in `on_caller`) is re-raised on the caller with its original
-/// payload once every thread has stopped.
+/// How many pieces to split `bytes` of work into: one per core, each at
+/// least a MiB — a fork costs µs to tens of µs, a MiB of work hundreds —
+/// so below two MiB the caller does it all.
+pub fn pieces_for(bytes: usize) -> usize {
+    cores().min(bytes >> 20).max(1)
+}
+
+/// Run `work` on each of `jobs` on the process's fork pool while the
+/// calling thread runs `on_caller`; return what `on_caller` gave and
+/// the jobs' results in job order.
+///
+/// The pool is [`cores`]` − 1` threads, started on the first fork and
+/// parked on a condition variable between forks (they never spin). A
+/// fork queues its jobs, runs `on_caller`, then takes back every job no
+/// pool thread has started and runs it on the caller, and then waits
+/// for the rest. So a fork never waits on a job that is not running:
+/// forks nest (a job may fork) and run concurrently from any number of
+/// threads without deadlock, and more jobs than pool threads run on the
+/// caller instead of oversubscribing the cores.
+///
+/// A panic in a job (or in `on_caller`) is re-raised on the caller with
+/// its original payload once every job has stopped; a pool thread
+/// survives a panicking job.
 pub fn fork_join<J, T, R>(
     jobs: Vec<J>,
     work: impl Fn(J) -> T + Sync,
@@ -119,16 +144,158 @@ where
     J: Send,
     T: Send,
 {
+    if jobs.is_empty() {
+        return (on_caller(), Vec::new());
+    }
+    let mut slots: Vec<Option<std::thread::Result<T>>> = Vec::new();
+    slots.resize_with(jobs.len(), || None);
+    let latch = Arc::new(Latch::new(jobs.len()));
     let work = &work;
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = jobs.into_iter().map(|job| scope.spawn(move || work(job))).collect();
-        let mine = on_caller();
-        let theirs = workers
-            .into_iter()
-            .map(|w| w.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
-            .collect();
-        (mine, theirs)
-    })
+    let tasks = jobs.into_iter().zip(slots.iter_mut()).map(|(job, slot)| {
+        let run: Box<dyn FnOnce() + Send + '_> =
+            Box::new(move || *slot = Some(catch_unwind(AssertUnwindSafe(|| work(job)))));
+        // SAFETY: only the lifetime changes, so the layout is the same.
+        // `run` borrows `work` and one slot of `slots`, both of which
+        // outlive this call; `Fork::drop` below neither returns nor lets
+        // an unwind past until every task has run, on the caller or on a
+        // pool thread, and been dropped (`Latch::wait` — the invariant
+        // `std::thread::scope` keeps for its threads), and nothing reads
+        // `slots` until then.
+        let run = unsafe {
+            std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Box<dyn FnOnce() + Send>>(run)
+        };
+        Task { run, latch: Arc::clone(&latch) }
+    });
+    let fork = Fork::queue(tasks.collect(), &latch);
+    let mine = on_caller();
+    drop(fork);
+    let theirs = slots
+        .into_iter()
+        .flatten()
+        .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
+        .collect();
+    (mine, theirs)
+}
+
+/// One queued job of a fork, lifetime-erased (see [`fork_join`]), and
+/// the latch of the fork it belongs to.
+struct Task {
+    run: Box<dyn FnOnce() + Send>,
+    latch: Arc<Latch>,
+}
+
+impl Task {
+    /// Run the job (it catches its own panic), drop it, then count it
+    /// down: the fork's borrows are no longer used when its caller wakes.
+    fn run(self) {
+        let Task { run, latch } = self;
+        run();
+        latch.count_down();
+    }
+}
+
+/// The jobs of a fork not yet finished. The latch is shared (`Arc`), so
+/// a pool thread still holds it after the count it woke the caller with.
+struct Latch {
+    left: Mutex<usize>,
+    done: Condvar,
+}
+
+impl Latch {
+    fn new(n: usize) -> Self {
+        Latch { left: Mutex::new(n), done: Condvar::new() }
+    }
+
+    fn count_down(&self) {
+        let mut left = lock(&self.left);
+        *left -= 1;
+        if *left == 0 {
+            self.done.notify_all();
+        }
+    }
+
+    fn wait(&self) {
+        let mut left = lock(&self.left);
+        while *left > 0 {
+            left = self.done.wait(left).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// The shared queue the pool threads serve, oldest job first.
+static QUEUE: Mutex<VecDeque<Task>> = Mutex::new(VecDeque::new());
+/// Signalled once per queued job.
+static QUEUED: Condvar = Condvar::new();
+
+/// A fork in flight: its jobs are queued until it drops, and dropping
+/// it — on return or on unwind — takes back the jobs no pool thread has
+/// started, runs them on the caller, and waits for the others.
+struct Fork<'a> {
+    latch: &'a Arc<Latch>,
+}
+
+impl<'a> Fork<'a> {
+    fn queue(tasks: Vec<Task>, latch: &'a Arc<Latch>) -> Self {
+        static START: Once = Once::new();
+        START.call_once(|| {
+            for _ in 1..cores() {
+                // Never joined: a pool thread lives as long as the
+                // process and catches every job's panic. One that fails
+                // to start leaves its share of the jobs to be taken back.
+                let _ = std::thread::Builder::new().spawn(pool_thread);
+            }
+        });
+        let n = tasks.len();
+        lock(&QUEUE).extend(tasks);
+        for _ in 0..n.min(cores() - 1) {
+            QUEUED.notify_one();
+        }
+        Fork { latch }
+    }
+}
+
+impl Drop for Fork<'_> {
+    fn drop(&mut self) {
+        let mut mine = Vec::new();
+        {
+            let mut queue = lock(&QUEUE);
+            let mut i = 0;
+            while let Some(task) = queue.get(i) {
+                if Arc::ptr_eq(&task.latch, self.latch) {
+                    mine.extend(queue.remove(i));
+                } else {
+                    i += 1;
+                }
+            }
+        }
+        for task in mine {
+            task.run();
+        }
+        self.latch.wait();
+    }
+}
+
+/// A pool thread: run queued jobs, oldest first, parked while there
+/// are none.
+fn pool_thread() {
+    loop {
+        let task = {
+            let mut queue = lock(&QUEUE);
+            loop {
+                if let Some(task) = queue.pop_front() {
+                    break task;
+                }
+                queue = QUEUED.wait(queue).unwrap_or_else(PoisonError::into_inner);
+            }
+        };
+        task.run();
+    }
+}
+
+/// No code panics while holding the fork locks, so a poisoned one is
+/// taken as it is.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -121,8 +121,9 @@ impl StringPool {
         (&self.bytes, &self.offsets)
     }
 
-    /// Rebuild from raw parts, validating structure and — unless the
-    /// caller already found them to be (`utf8`) — UTF-8 bytes.
+    /// Rebuild from raw parts, validating structure — every offset on a
+    /// character boundary, so each string is UTF-8 on its own — and,
+    /// unless the caller already found them to be (`utf8`), UTF-8 bytes.
     pub(crate) fn from_raw_parts(
         bytes: AlignedBuf<u8>,
         offsets: AlignedBuf<u64>,
@@ -134,8 +135,19 @@ impl StringPool {
         if offsets.last().copied() != Some(bytes.len() as u64) {
             return Err("final offset must equal payload length");
         }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
+        // One pass: ascending, and no offset on a UTF-8 continuation
+        // byte (0b10xx_xxxx) — the final one is the payload's end.
+        let (mut descends, mut splits, mut prev) = (false, false, 0);
+        for &at in offsets.iter() {
+            descends |= at < prev;
+            splits |= bytes.get(at as usize).is_some_and(|&b| b & 0xC0 == 0x80);
+            prev = at;
+        }
+        if descends {
             return Err("offsets must be non-decreasing");
+        }
+        if splits {
+            return Err("a string offset splits a UTF-8 character");
         }
         if !utf8 {
             std::str::from_utf8(&bytes).map_err(|_| "pool payload is not UTF-8")?;
@@ -288,6 +300,14 @@ mod tests {
         assert!(raw(b"ab", &[0, 2, 1, 2]).is_err());
         assert!(raw(&[0xFF, 0xFE], &[0, 2]).is_err());
         assert!(raw(b"ok", &[0, 2]).is_ok());
+        // "é" is two bytes: an offset between them splits it, whatever
+        // the loader found of the payload as a whole.
+        assert!(raw("aé".as_bytes(), &[0, 1, 3]).is_ok());
+        for utf8 in [false, true] {
+            let split =
+                StringPool::from_raw_parts("aé".as_bytes().into(), (&[0, 2, 3][..]).into(), utf8);
+            assert_eq!(split, Err("a string offset splits a UTF-8 character"));
+        }
     }
 
     #[test]

@@ -95,9 +95,8 @@ fn violation(
 
 /// Audit a string pool: offset structure plus per-slice UTF-8 validity.
 ///
-/// `from_raw_parts` already guarantees the *concatenated* payload is
-/// UTF-8; the extra property checked here is that every offset lands on
-/// a character boundary, i.e. each individual slice is valid UTF-8 too.
+/// `from_raw_parts` already refuses a pool that breaks any of these, so
+/// on a loaded dataset the audit re-checks what the loader checked.
 pub fn validate_pool(pool: &StringPool, label: &'static str, report: &mut ValidationReport) {
     let (bytes, offsets) = pool.raw_parts();
     report.check(|| {
@@ -713,30 +712,20 @@ mod tests {
         validate_pool(&pool, "test", &mut report);
         assert!(report.is_ok());
 
-        // Rebuild a broken pool through binfmt's escape hatch is not
-        // possible (from_raw_parts checks totals), so corrupt in place
-        // by constructing offsets that split the character: use the
-        // dataset path instead.
-        let d = sample();
         // URL pool contains "über" — shift one offset into the 2-byte ü.
+        let d = sample();
         let (bytes, offsets) = d.events.urls.raw_parts();
         let mut offs = offsets.to_vec();
         let target =
             bytes.iter().position(|&b| b >= 0xC0).expect("multibyte char present") as u64 + 1;
         // Place an interior offset mid-character, keeping monotonicity.
-        if let Some(slot) = offs.iter().position(|&o| o > target) {
-            if slot < offs.len() - 1 {
-                offs[slot] = target;
-            }
-        }
+        let slot = offs.iter().position(|&o| o > target).expect("an offset past the ü");
+        assert!(slot < offs.len() - 1, "the ü is in the last URL");
+        offs[slot] = target;
+        // The whole payload is still UTF-8, but no such pool can be
+        // built: the loader refuses it before any check runs.
         let rebuilt = StringPool::from_raw_parts(bytes.into(), offs.as_slice().into(), false);
-        // from_raw_parts validates whole-payload UTF-8 only, so the
-        // mid-character offset passes construction…
-        let pool = rebuilt.expect("whole payload is still valid UTF-8");
-        let mut report = ValidationReport::default();
-        validate_pool(&pool, "events.urls", &mut report);
-        // …and the deep pool audit is what catches it.
-        assert!(report.violations.iter().any(|v| v.check == "pool.utf8"), "{report}");
+        assert_eq!(rebuilt, Err("a string offset splits a UTF-8 character"));
     }
 
     #[test]

@@ -26,8 +26,10 @@
 //! The final group corrupts the *serialized* store: truncated files,
 //! flipped checksum bytes and repeated sections must be refused by the
 //! loader, semantic corruption smuggled past the checksums (payload
-//! mutated, checksum recomputed) must be caught by the deep validator,
-//! and an untouched store must read back equal to what was written.
+//! mutated, checksum recomputed) must be caught by the deep validator
+//! (or, for a string offset inside a character, refused by every
+//! loader), and an untouched store must read back equal to what was
+//! written.
 
 use gdelt_columnar::binfmt::{self, checksum64};
 use gdelt_columnar::degraded::read_dataset_degraded;
@@ -589,6 +591,47 @@ proptest! {
         prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{}", err);
         if let Ok(loaded) = binfmt::read_dataset_unchecked(&corrupted) {
             prop_assert!(!loaded.deep_validate().is_ok(), "{name} cut short passed the audit");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A URL offset moved into the `ü` of its URL, checksum recomputed:
+    /// the whole pool is still UTF-8, but the string before it ends
+    /// mid-character. The checked, the unchecked (what `gdelt-cli
+    /// validate` opens) and the degraded loader all refuse the store
+    /// with a typed error naming the damage; none of them panics.
+    #[test]
+    fn a_pool_offset_inside_a_character_is_refused_by_every_loader(
+        events in prop::collection::vec(arb_event(20), 2..20),
+        mentions in prop::collection::vec(arb_mention(20), 1..40),
+        pick in 0usize..64,
+    ) {
+        let bytes = serialize(&build(events, mentions));
+        let (header, mut sections) = split_store(&bytes);
+        let s = sections.iter().position(|s| s.name == "events.urls.offsets").expect("url offsets");
+        let mut offsets: Vec<u64> = sections[s]
+            .payload
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        let interior = offsets.len() - 2;
+        prop_assume!(interior > 0);
+        // "https://m" is 9 bytes: byte 10 of every URL is the ü's second.
+        offsets[1 + pick % interior] += 10;
+        sections[s].payload = offsets.iter().flat_map(|o| o.to_le_bytes()).collect();
+        let corrupted = join_store(&header, &sections);
+        let refused = [
+            binfmt::read_dataset(&corrupted).err(),
+            binfmt::read_dataset_unchecked(&corrupted).err(),
+            read_dataset_degraded(&corrupted).err(),
+        ];
+        for err in refused {
+            let err = err.expect("a split character is refused");
+            prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            prop_assert!(err.to_string().contains("splits a UTF-8 character"), "{}", err);
         }
     }
 }

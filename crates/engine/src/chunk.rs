@@ -40,18 +40,20 @@ pub const CHUNK_WORDS: usize = CHUNK_ROWS / 64;
 
 /// At or below this row count a scan folds inline on the calling thread
 /// instead of fanning out. Derived from two measurements on the
-/// two-core reference box (EXPERIMENTS.md "Scan kernels bound by
-/// memory"): one fork-join costs F = 57–151 µs
-/// (`exec.map_reduce_empty_us`), and the six dashboard kernels that scan
-/// through here cost c = 0.3–1.5 ns per row on one thread, 0.6 on
-/// average. A second thread saves `rows · c / 2` and costs F, so it
-/// breaks even at `2 F / c`, 200–500 k rows; more threads save at most
-/// twice that. Checked on both sides: the dash bundle over 328 k rows
-/// is 1.2 ms inline against 1.4–1.8 fanned out, over 1.31 M rows 4.7–4.9
-/// inline against 3.2–3.9 fanned out. Partial merges are associative,
-/// so the result is bit-identical either way (pinned above and below
-/// the cut-off by `prop_query.rs`).
-pub const SEQUENTIAL_SCAN_ROWS: usize = 384 * 1024;
+/// two-core reference box (EXPERIMENTS.md "One persistent fork pool"),
+/// each fork taken after a 200 µs idle gap as a closed-loop client
+/// leaves one: a fork on the pool costs F = 35–41 µs over its work (the
+/// idle second core waking; 4.5 µs when the caller takes the job back
+/// unstarted), and the six dashboard kernels that scan through here cost
+/// c = 0.9–1.4 ns per row on one thread on the corpora near the cut-off.
+/// A second thread saves `rows · c / 2` and costs F, so it breaks even
+/// at `2 F / c`, 50–90 k rows; more threads save at most twice that.
+/// Checked on both sides: the dash bundle over 33 k mentions is
+/// 0.22–0.35 ms inline against 0.32–0.39 fanned out, over 132 k
+/// mentions 0.65–1.03 inline against 0.55–0.74 fanned out. Partial
+/// merges are associative, so the result is bit-identical either way
+/// (pinned above and below the cut-off by `prop_query.rs`).
+pub const SEQUENTIAL_SCAN_ROWS: usize = 64 * 1024;
 
 /// A half-open row window `[begin, end)` over table columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -290,8 +292,9 @@ pub fn mention_rows(offsets: &[u64], events: std::ops::Range<usize>) -> std::ops
 /// The driver under every kernel that groups mentions by event: `map`
 /// folds one [`event_partitions`] range (walking it with
 /// [`for_each_event`], or streaming its mention rows) and `reduce`
-/// merges the partials in event order.
-/// `None` when the index holds no events.
+/// merges the partials in event order. At or below
+/// [`SEQUENTIAL_SCAN_ROWS`] mention rows, `map` folds every event
+/// inline. `None` when the index holds no events.
 // analyze: no_panic
 pub fn event_scan<T: Send>(
     ctx: &ExecContext,
@@ -299,6 +302,10 @@ pub fn event_scan<T: Send>(
     map: impl Fn(std::ops::Range<usize>) -> T + Sync + Send,
     reduce: impl FnMut(T, T) -> T,
 ) -> Option<T> {
+    let n_events = offsets.len().saturating_sub(1);
+    if offsets.last().map_or(0, |&rows| rows as usize) <= SEQUENTIAL_SCAN_ROWS {
+        return (n_events > 0).then(|| map(0..n_events));
+    }
     let parts = event_partitions(offsets, ctx.n_threads() * ctx.partitions_per_thread());
     ctx.map_reduce(parts, |p| map(p.range()), reduce)
 }

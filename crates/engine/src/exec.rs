@@ -4,12 +4,12 @@
 //! The paper's engine is OpenMP `parallel for` with a static schedule
 //! over NUMA-placed table chunks; the Rust equivalent is an explicit
 //! partition list split into one contiguous chunk per thread, each chunk
-//! mapped on a scoped thread with one partial accumulator per partition,
-//! and a sequential merge in partition order. Queries never share
-//! mutable state across workers, and [`ExecContext::map_reduce`] is the
-//! only place the engine forks.
+//! mapped on a thread of the process's fork pool with one partial
+//! accumulator per partition, and a sequential merge in partition
+//! order. Queries never share mutable state across workers, and
+//! [`ExecContext::map_reduce`] is the only place the engine forks.
 
-use gdelt_columnar::partition::{fork_join, partitions, Partition};
+use gdelt_columnar::partition::{cores, fork_join, partitions, Partition};
 
 /// Default partition granularity: a few partitions per thread for load
 /// balancing without fragmenting the scan.
@@ -54,11 +54,8 @@ impl ExecContextBuilder {
 
     /// Construct the context.
     pub fn build(self) -> ExecContext {
-        let n_threads = self.threads.unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        });
         ExecContext {
-            n_threads,
+            n_threads: self.threads.unwrap_or_else(cores),
             partitions_per_thread: self
                 .partitions_per_thread
                 .unwrap_or(DEFAULT_PARTITIONS_PER_THREAD),
@@ -100,8 +97,8 @@ impl ExecContext {
     ///
     /// The schedule is static: `parts` is cut into
     /// `min(n_threads, parts.len())` near-even contiguous chunks; the
-    /// caller maps the first and a scoped thread ([`fork_join`]) each
-    /// other one. With one thread or one partition everything runs
+    /// caller maps the first and the fork pool ([`fork_join`]) each
+    /// other one (the caller takes back any no pool thread has started). With one thread or one partition everything runs
     /// inline on the caller. A panic in `map` is re-raised on the caller
     /// with its original payload once every thread has stopped.
     // analyze: no_panic

@@ -649,8 +649,8 @@ fn follow_edges_of_ties_and_repeats_are_spelled_out() {
     assert_eq!(six.articles[p0], 3);
 }
 
-/// A deterministic corpus with more events, and more mentions, than
-/// `SEQUENTIAL_SCAN_ROWS`, so every scan fans out: ids ascend with time
+/// A deterministic corpus of `n_events` events (more than
+/// `SEQUENTIAL_SCAN_ROWS` of them and every scan fans out): ids ascend with time
 /// over five years (quarter runs, as in GDELT), every third event is
 /// reported twice and every seventh a third time with a delay that
 /// carries it into a later quarter, and 41 sources — a fifth of them of
@@ -660,10 +660,7 @@ fn follow_edges_of_ties_and_repeats_are_spelled_out() {
 /// at five threads) with delays on both sides of the Delay window's
 /// edge, one has 37, and a few mentions report on events that are not
 /// in the table.
-fn above_the_cut_off() -> Dataset {
-    // Sized so that no partition of either table starts on a block edge
-    // at any thread count the test below uses (it asserts that).
-    let n_events = SEQUENTIAL_SCAN_ROWS as u64 + 1_031;
+fn scan_corpus(n_events: u64) -> Dataset {
     const TLDS: [&str; 5] = ["com", "co.uk", "com.au", "de", "zz"];
     const FIPS: [&str; 4] = ["US", "", "UK", "ZZ"];
     let source = |i: u64| format!("s{}.{}", i % 41, TLDS[(i % 41 % 5) as usize]);
@@ -783,7 +780,9 @@ fn adversarial_corpus_matches_reference_whole_and_in_pieces() {
 // threads, over partitions whose edges fall inside blocks and chunks.
 #[test]
 fn corpus_above_the_cut_off_matches_reference_at_every_thread_count() {
-    let d = above_the_cut_off();
+    // Sized so that no partition of either table starts on a block edge
+    // at any thread count used here (asserted below).
+    let d = scan_corpus(SEQUENTIAL_SCAN_ROWS as u64 + 1_031);
     assert!(d.events.len() > SEQUENTIAL_SCAN_ROWS && d.mentions.len() > d.events.len());
     let queries = all_queries(6, 96);
     let want: Vec<QueryResult> = queries.iter().map(|q| reference(&d, q)).collect();
@@ -815,6 +814,23 @@ fn corpus_above_the_cut_off_matches_reference_at_every_thread_count() {
         // at a threshold only the delayed third reports clear.
         let fused = late_articles(&ctx, &d, 300);
         assert_eq!(fused.values, unfused_late_articles(&ctx, &d, 300), "{threads} thread(s)");
+    }
+}
+
+// The shape of a corpus just above the cut-off in mentions only: every
+// events scan folds inline, every mentions scan and every event walk
+// (cut by mention rows) fans out; all ten variants against the oracle.
+#[test]
+fn corpus_straddling_the_cut_off_matches_reference_at_every_thread_count() {
+    let d = scan_corpus(SEQUENTIAL_SCAN_ROWS as u64 * 3 / 4);
+    assert!(d.events.len() <= SEQUENTIAL_SCAN_ROWS && d.mentions.len() > SEQUENTIAL_SCAN_ROWS);
+    let queries = all_queries(6, 96);
+    let want: Vec<QueryResult> = queries.iter().map(|q| reference(&d, q)).collect();
+    for threads in [1usize, 2, 3, 5] {
+        let ctx = ExecContext::builder().threads(threads).build();
+        for (q, want) in queries.iter().zip(&want) {
+            assert_eq!(&run_query(&ctx, &d, q), want, "{q}, {threads} thread(s)");
+        }
     }
 }
 

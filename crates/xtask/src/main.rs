@@ -31,7 +31,7 @@ USAGE:
       also checks the ratchet tables against analyze-baseline.toml.
         --remove-stale         delete the markers behind stale_marker
                                findings, then drop those findings
-  cargo xtask miri              run AlignedBuf unsafe-path tests under Miri
+  cargo xtask miri              run AlignedBuf and fork-pool unsafe-path tests under Miri
   cargo xtask tsan              run concurrency suites under ThreadSanitizer
 
 Exit codes: 0 clean, 1 findings reported, 2 usage/internal error.

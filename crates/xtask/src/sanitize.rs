@@ -13,24 +13,25 @@ use std::process::Command;
 /// resolves to.
 pub const MIRI_NIGHTLY: &str = "nightly";
 
-/// Run the aligned-buffer test target under Miri.
+/// Run the unsafe-path test targets under Miri.
 ///
-/// Exercises every unsafe path in `gdelt-columnar`'s `AlignedBuf`
-/// (`crates/columnar/tests/miri_aligned.rs`) with the strictest
-/// provenance checking.
+/// `miri_aligned` exercises every unsafe path in `gdelt-columnar`'s
+/// `AlignedBuf` (`crates/columnar/tests/miri_aligned.rs`) with the
+/// strictest provenance checking; `miri_pool` drives the fork pool's
+/// lifetime-erased jobs (`partition::fork_join`) on four simulated CPUs,
+/// with the leak check off because pool threads are never joined.
 pub fn miri() -> Result<(), String> {
     probe_component("miri", "miri")?;
-    run(Command::new("cargo")
-        .args([
-            &format!("+{MIRI_NIGHTLY}"),
-            "miri",
-            "test",
-            "-p",
-            "gdelt-columnar",
-            "--test",
-            "miri_aligned",
-        ])
-        .env("MIRIFLAGS", "-Zmiri-strict-provenance"))
+    for (target, flags) in [
+        ("miri_aligned", "-Zmiri-strict-provenance"),
+        ("miri_pool", "-Zmiri-strict-provenance -Zmiri-num-cpus=4 -Zmiri-ignore-leaks"),
+    ] {
+        run(Command::new("cargo")
+            .args([&format!("+{MIRI_NIGHTLY}"), "miri", "test", "-p", "gdelt-columnar", "--test"])
+            .arg(target)
+            .env("MIRIFLAGS", flags))?;
+    }
+    Ok(())
 }
 
 /// Run the columnar test suite and the engine's unit tests (the
