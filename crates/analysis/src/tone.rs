@@ -17,7 +17,6 @@
 use crate::render::{fmt_f, TextTable};
 use gdelt_columnar::Dataset;
 use gdelt_engine::aggregate::{count_by, mean_f32_by};
-use gdelt_engine::timeseries::quarter_range;
 use gdelt_engine::ExecContext;
 use gdelt_model::cameo::QuadClass;
 use gdelt_model::country::CountryRegistry;
@@ -86,7 +85,7 @@ pub struct QuadClassMix {
 
 /// Compute the QuadClass mix per quarter from the events table.
 pub fn quad_class_mix(ctx: &ExecContext, d: &Dataset) -> QuadClassMix {
-    let Some((base, n)) = quarter_range(d) else {
+    let Some((base, n)) = d.quarter_span() else {
         return QuadClassMix { base: Quarter { year: 2015, q: 1 }, shares: Vec::new() };
     };
     // Combined key: quarter * 4 + (quad - 1).

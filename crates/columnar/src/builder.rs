@@ -29,7 +29,7 @@
 //! report one thread gives.
 
 use crate::aligned::AlignedBuf;
-use crate::columns::{Column, ColumnSet};
+use crate::columns::Column;
 use crate::index::EventIndex;
 use crate::partition;
 use crate::table::{Dataset, EventsTable, MentionsTable, SourceDirectory, NO_EVENT_ROW};
@@ -455,7 +455,7 @@ impl DatasetBuilder {
         let stage = gdelt_obs::span("ingest", "csr_index");
         let event_index = EventIndex::build(events.len(), &mentions);
         drop(stage);
-        let dataset = Dataset { events, mentions, sources, event_index, columns: ColumnSet::ALL };
+        let dataset = Dataset { events, mentions, sources, event_index, ..Dataset::default() };
         debug_assert_eq!(dataset.validate(), Ok(()));
         #[cfg(debug_assertions)]
         {

@@ -391,7 +391,14 @@ pub fn restrict_to_partitions(
     let mentions = MentionsTable::from_runs(&mention_runs, d.columns, &events.capture);
     let event_index = EventIndex::build(events.len(), &mentions);
     let sources = d.sources.clone();
-    let restricted = Dataset { events, mentions, sources, event_index, columns: d.columns };
+    let restricted = Dataset {
+        events,
+        mentions,
+        sources,
+        event_index,
+        columns: d.columns,
+        ..Dataset::default()
+    };
     debug_assert_eq!(restricted.validate(), Ok(()));
     Ok(restricted)
 }

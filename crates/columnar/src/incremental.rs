@@ -30,7 +30,8 @@ use crate::builder::DatasetBuilder;
 use crate::columns::{Column, ColumnSet};
 use crate::index::EventIndex;
 use crate::table::{
-    Dataset, EventRows, EventsTable, MentionRun, MentionsTable, SourceDirectory, NO_EVENT_ROW,
+    Dataset, EventRows, EventsTable, MentionRun, MentionsTable, SourceDirectory, SpanCache,
+    NO_EVENT_ROW,
 };
 use gdelt_csv::clean::CleanReport;
 use gdelt_model::event::EventRecord;
@@ -116,7 +117,17 @@ pub fn append_dataset(base: &Dataset, batch: Dataset) -> (Dataset, BatchStats) {
     let events = EventsTable::from_runs(&event_runs, base.columns);
     let mentions = merge_mentions(base, &batch, &events, &runs, &source_map, &mut stats);
     let event_index = EventIndex::build(events.len(), &mentions);
-    let out = Dataset { events, mentions, sources, event_index, columns: base.columns };
+    // The merge keeps every base row, every batch mention and the batch
+    // events that are not duplicates: the quarters its span covers.
+    let held = |c: Column| base.columns.contains(c);
+    let kept = runs.iter().filter(|run| run.from_batch && held(Column::EventsQuarter));
+    let mut added: Vec<&[u16]> =
+        kept.map(|run| batch.events.quarter.get(run.rows.clone()).unwrap_or_default()).collect();
+    if held(Column::MentionsQuarter) {
+        added.push(&batch.mentions.quarter);
+    }
+    let span = SpanCache::extended(base, &added);
+    let out = Dataset { events, mentions, sources, event_index, columns: base.columns, span };
     debug_assert_eq!(out.validate(), Ok(()));
     #[cfg(debug_assertions)]
     {

@@ -11,6 +11,13 @@ use std::collections::HashMap;
 
 /// Append-only pool of strings addressed by dense `u32` ids. Both parts
 /// are column buffers, so a store load reads them in place.
+///
+/// Invariant: the offsets start at 0, never descend, end at the payload
+/// length and each falls on a character boundary of UTF-8 bytes, so
+/// every string is UTF-8 on its own. The fields are private and every
+/// constructor keeps it: `push` takes a `&str`, `gather` and
+/// `extend_range` copy whole strings, and `from_raw_parts` refuses any
+/// other shape. No audit after construction can find a broken pool.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StringPool {
     /// Concatenated UTF-8 bytes of every string.
@@ -293,12 +300,13 @@ mod tests {
 
     #[test]
     fn pool_raw_validation() {
+        // Each shape the pool invariant rules out, refused by name.
         let raw = |b: &[u8], o: &[u64]| StringPool::from_raw_parts(b.into(), o.into(), false);
-        assert!(raw(b"", &[]).is_err());
-        assert!(raw(b"", &[1]).is_err());
-        assert!(raw(b"a", &[0, 2]).is_err());
-        assert!(raw(b"ab", &[0, 2, 1, 2]).is_err());
-        assert!(raw(&[0xFF, 0xFE], &[0, 2]).is_err());
+        assert_eq!(raw(b"", &[]), Err("offsets must start at 0"));
+        assert_eq!(raw(b"", &[1]), Err("offsets must start at 0"));
+        assert_eq!(raw(b"a", &[0, 2]), Err("final offset must equal payload length"));
+        assert_eq!(raw(b"ab", &[0, 2, 1, 2]), Err("offsets must be non-decreasing"));
+        assert_eq!(raw(&[0xFF, 0xFE], &[0, 2]), Err("pool payload is not UTF-8"));
         assert!(raw(b"ok", &[0, 2]).is_ok());
         // "é" is two bytes: an offset between them splits it, whatever
         // the loader found of the payload as a whole.

@@ -19,10 +19,11 @@ use crate::index::EventIndex;
 use crate::partition::{fork_join, pieces_for};
 use crate::strings::{StringDict, StringPool};
 use gdelt_model::ids::{row_u32, CountryId, EventId, SourceId};
-use gdelt_model::time::{CaptureInterval, Date, Quarter};
+use gdelt_model::time::{CaptureInterval, Date};
 use std::any::Any;
 use std::io;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Sentinel for "mention's event not present in the events table".
 pub const NO_EVENT_ROW: u32 = u32::MAX;
@@ -110,7 +111,7 @@ pub struct EventsTable {
     /// Capture interval of `DATEADDED`: the event time of every mention
     /// of the event.
     pub capture: AlignedBuf<u32>,
-    /// Linear quarter index of the event day (see [`Quarter::linear`]).
+    /// Linear quarter index of the event day (`Quarter::linear`).
     pub quarter: AlignedBuf<u16>,
     /// QuadClass (1–4).
     pub quad: AlignedBuf<u8>,
@@ -492,6 +493,49 @@ pub struct Dataset {
     /// The columns the dataset holds: [`ColumnSet::ALL`] unless
     /// projected.
     pub columns: ColumnSet,
+    /// [`Dataset::quarter_span`], once read.
+    pub(crate) span: SpanCache,
+}
+
+/// The quarter span of a dataset's held quarter columns, filled by the
+/// first [`Dataset::quarter_span`]. Not a column: `memsize` does not
+/// count it, and a clone starts empty. A quarter column changed in
+/// place after the span was read leaves it stale, which
+/// [`Dataset::deep_validate`] reports (`dataset.quarter_span`).
+#[derive(Debug, Default)]
+pub(crate) struct SpanCache(OnceLock<Option<(u16, usize)>>);
+
+impl Clone for SpanCache {
+    fn clone(&self) -> Self {
+        SpanCache::default()
+    }
+}
+
+impl SpanCache {
+    /// The cache of a dataset whose quarter columns hold exactly
+    /// `base`'s quarters and the `added` ones: their union if `base`
+    /// has read its span (the added columns are all that is scanned),
+    /// empty otherwise.
+    pub(crate) fn extended(base: &Dataset, added: &[&[u16]]) -> Self {
+        let Some(span) = base.cached_quarter_span() else { return SpanCache::default() };
+        // The base span enters as a column of its two ends.
+        let ends = span.map(|(lo, n)| [lo, lo + (n - 1) as u16]);
+        let columns: Vec<&[u16]> =
+            added.iter().copied().chain(ends.as_ref().map(|e| &e[..])).collect();
+        SpanCache(OnceLock::from(quarter_span_of(&columns)))
+    }
+}
+
+/// Inclusive linear-quarter range `(base, count)` of the union of
+/// `columns`, or `None` when all are empty: one fused min+max pass per
+/// column, a branchless lane-wise reduction the compiler autovectorizes.
+fn quarter_span_of(columns: &[&[u16]]) -> Option<(u16, usize)> {
+    let mut span: Option<(u16, u16)> = None;
+    for col in columns.iter().filter(|col| !col.is_empty()) {
+        let (lo, hi) = col.iter().fold((u16::MAX, u16::MIN), |(lo, hi), &q| (lo.min(q), hi.max(q)));
+        span = Some(span.map_or((lo, hi), |(l, h)| (l.min(lo), h.max(hi))));
+    }
+    span.map(|(lo, hi)| (lo, usize::from(hi - lo) + 1))
 }
 
 /// The empty dataset, holding every column.
@@ -503,6 +547,7 @@ impl Default for Dataset {
             sources: SourceDirectory::default(),
             event_index: EventIndex::default(),
             columns: ColumnSet::ALL,
+            span: SpanCache::default(),
         }
     }
 }
@@ -522,6 +567,7 @@ impl Dataset {
             self.events.urls = StringPool::new();
         }
         self.columns = keep;
+        self.span = SpanCache::default();
         self
     }
 
@@ -591,12 +637,23 @@ impl Dataset {
         iv.len()
     }
 
-    /// Inclusive quarter span covered by the mentions table, or `None`
-    /// when empty.
-    pub fn quarter_span(&self) -> Option<(Quarter, Quarter)> {
-        let min = self.mentions.quarter.iter().min()?;
-        let max = self.mentions.quarter.iter().max()?;
-        Some((Quarter::from_linear(i32::from(*min)), Quarter::from_linear(i32::from(*max))))
+    /// Inclusive linear-quarter range `(base, count)` covered by the
+    /// held quarter columns of both tables (events and mentions), or
+    /// `None` when neither has a row. Every quarterly series is anchored
+    /// at `base`. Computed by the first call, one min+max pass per
+    /// column, and kept for the dataset's life.
+    pub fn quarter_span(&self) -> Option<(u16, usize)> {
+        *self.span.0.get_or_init(|| self.span_of_columns())
+    }
+
+    /// The span as the cache holds it: `None` until first read.
+    pub(crate) fn cached_quarter_span(&self) -> Option<Option<(u16, usize)>> {
+        self.span.0.get().copied()
+    }
+
+    /// [`Dataset::quarter_span`] recomputed from the columns.
+    pub(crate) fn span_of_columns(&self) -> Option<(u16, usize)> {
+        quarter_span_of(&[&self.events.quarter, &self.mentions.quarter])
     }
 
     /// Check every invariant a load relies on: column lengths, sorted
@@ -786,6 +843,7 @@ impl EventsTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gdelt_model::time::Quarter;
 
     /// The error `Dataset::validate` refuses `d` with (`d` must be invalid).
     fn refusal(d: &Dataset) -> String {

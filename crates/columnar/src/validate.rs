@@ -5,13 +5,18 @@
 //! This module is that namer and the exhaustive auditor behind
 //! `gdelt-cli validate`. It differs from the gate in two ways:
 //!
-//! * it checks *everything* — string-pool offset structure down to
-//!   per-slice UTF-8 boundaries, CSR shape, partition soundness over the
-//!   real offsets, value ranges, dictionary uniqueness, the orphan tail
-//!   and the precomputed join/delay/quarter columns;
+//! * it checks *everything* — CSR shape, partition soundness over the
+//!   real offsets, value ranges, dictionary uniqueness, the orphan tail,
+//!   the precomputed join/delay/quarter columns and a quarter span the
+//!   dataset has cached;
 //! * it collects **all** violations into a [`ValidationReport`] instead
 //!   of stopping at the first, so one run of the CLI names every broken
 //!   invariant of a damaged store.
+//!
+//! String pools are not audited here: a
+//! [`StringPool`](crate::strings::StringPool) cannot hold anything but
+//! well-formed offsets over UTF-8 (its own doc), so an audit would
+//! re-read every byte for a check that cannot fail.
 //!
 //! Each check reports at most one violation (with the first offending
 //! row) so a single systemic fault doesn't drown the report in millions
@@ -19,7 +24,6 @@
 
 use crate::columns::{Column, Layout};
 use crate::partition::{partitions, partitions_at_boundaries};
-use crate::strings::StringPool;
 use crate::table::{Dataset, MentionsTable, NO_EVENT_ROW};
 use gdelt_model::time::{CaptureInterval, Date};
 
@@ -91,75 +95,6 @@ fn violation(
     detail: impl Into<String>,
 ) -> Option<Violation> {
     Some(Violation { check, location: location.into(), detail: detail.into() })
-}
-
-/// Audit a string pool: offset structure plus per-slice UTF-8 validity.
-///
-/// `from_raw_parts` already refuses a pool that breaks any of these, so
-/// on a loaded dataset the audit re-checks what the loader checked.
-pub fn validate_pool(pool: &StringPool, label: &'static str, report: &mut ValidationReport) {
-    let (bytes, offsets) = pool.raw_parts();
-    report.check(|| {
-        if offsets.is_empty() {
-            return violation(
-                "pool.offsets",
-                label,
-                "offsets array is empty (must hold at least [0])",
-            );
-        }
-        if offsets[0] != 0 {
-            return violation(
-                "pool.offsets",
-                format!("{label}[0]"),
-                format!("first offset is {}, expected 0", offsets[0]),
-            );
-        }
-        // analyze: allow(no_panic): `offsets.is_empty()` returned above
-        let last = *offsets.last().expect("non-empty");
-        if last != bytes.len() as u64 {
-            return violation(
-                "pool.offsets",
-                format!("{label}[{}]", offsets.len() - 1),
-                format!("final offset {last} != payload length {}", bytes.len()),
-            );
-        }
-        None
-    });
-    report.check(|| {
-        for (i, w) in offsets.windows(2).enumerate() {
-            if w[0] > w[1] {
-                return violation(
-                    "pool.monotone",
-                    format!("{label}[{i}]"),
-                    format!("offset {} followed by smaller {}", w[0], w[1]),
-                );
-            }
-        }
-        None
-    });
-    report.check(|| {
-        let text = match std::str::from_utf8(bytes) {
-            Ok(t) => t,
-            Err(e) => {
-                return violation(
-                    "pool.utf8",
-                    format!("{label} byte {}", e.valid_up_to()),
-                    "payload is not valid UTF-8",
-                )
-            }
-        };
-        for (i, &off) in offsets.iter().enumerate() {
-            let off = off as usize;
-            if off <= text.len() && !text.is_char_boundary(off) {
-                return violation(
-                    "pool.utf8",
-                    format!("{label}[{i}]"),
-                    format!("offset {off} splits a multi-byte character"),
-                );
-            }
-        }
-        None
-    });
 }
 
 /// Run every deep check over a dataset. On a projected dataset the
@@ -234,10 +169,8 @@ pub fn validate_dataset(d: &Dataset) -> ValidationReport {
         }
         None
     });
-    validate_pool(&d.events.urls, "events.urls", &mut report);
 
     // --- Source directory ---
-    validate_pool(d.sources.names.pool(), "sources.names", &mut report);
     report.check(|| {
         if d.sources.country.len() != n_sources {
             return violation(
@@ -465,6 +398,19 @@ pub fn validate_dataset(d: &Dataset) -> ValidationReport {
         None
     });
 
+    // --- The cached quarter span ---
+    report.check(|| {
+        let (cached, span) = (d.cached_quarter_span()?, d.span_of_columns());
+        if cached != span {
+            return violation(
+                "dataset.quarter_span",
+                "dataset",
+                format!("cached span {cached:?} != {span:?} of the quarter columns"),
+            );
+        }
+        None
+    });
+
     // --- Partition soundness ---
     report.check(|| {
         for parts in [1usize, 2, 7, 64] {
@@ -581,6 +527,7 @@ mod tests {
     use super::*;
     use crate::builder::DatasetBuilder;
     use crate::index::EventIndex;
+    use crate::strings::StringPool;
     use gdelt_model::cameo::{CameoRoot, Goldstein, QuadClass};
     use gdelt_model::event::{ActionGeo, EventRecord};
     use gdelt_model::ids::EventId;
@@ -704,14 +651,22 @@ mod tests {
     }
 
     #[test]
+    fn detects_a_stale_quarter_span() {
+        let mut d = sample();
+        assert!(d.deep_validate().is_ok());
+        let span = d.quarter_span();
+        assert!(span.is_some());
+        assert!(d.deep_validate().is_ok(), "a filled span equals its recomputation");
+        d.events.quarter.as_mut_slice()[0] ^= 0xFF;
+        let report = d.deep_validate();
+        assert!(report.violations.iter().any(|v| v.check == "dataset.quarter_span"), "{report}");
+        assert_eq!(d.quarter_span(), span, "the cache keeps what it read");
+        assert_ne!(d.clone().quarter_span(), span, "a clone reads its own columns");
+    }
+
+    #[test]
     fn detects_char_splitting_pool_offset() {
         // "é" is two bytes; an offset landing inside it must be caught.
-        let mut report = ValidationReport::default();
-        let mut pool = StringPool::new();
-        pool.push("é");
-        validate_pool(&pool, "test", &mut report);
-        assert!(report.is_ok());
-
         // URL pool contains "über" — shift one offset into the 2-byte ü.
         let d = sample();
         let (bytes, offsets) = d.events.urls.raw_parts();

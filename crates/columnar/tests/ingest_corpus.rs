@@ -79,7 +79,9 @@ fn reversed_text_with_duplicates_builds_the_same_store() {
 /// `d` with nothing but its events (bit-exact through [`image`]: `NaN`
 /// tones never compare equal).
 fn events_only(d: &Dataset) -> Dataset {
-    Dataset { events: d.events.clone(), ..Default::default() }
+    let mut out = Dataset::default();
+    out.events = d.events.clone();
+    out
 }
 
 /// Every mention as (event, scrape interval, delay, source name, type,

@@ -211,7 +211,8 @@ mod oracle {
     /// merge, then a merge of the re-keyed base mentions with the sorted
     /// batch (and re-matched) mentions.
     pub fn append(base: &Dataset, batch: &Dataset) -> Dataset {
-        let mut out = Dataset { sources: base.sources.clone(), ..Default::default() };
+        let mut out = Dataset::default();
+        out.sources = base.sources.clone();
         let mut source_map = vec![0u32; batch.sources.len()];
         for (i, map) in source_map.iter_mut().enumerate() {
             let name = batch.sources.names.get(i as u32);
@@ -314,7 +315,8 @@ mod oracle {
     pub fn restrict(d: &Dataset, n_parts: u32, quarantined: &[u32]) -> Dataset {
         let exts =
             partition_extents(d.events.len(), d.mentions.len(), &d.event_index.offsets, n_parts);
-        let mut out = Dataset { sources: d.sources.clone(), ..Default::default() };
+        let mut out = Dataset::default();
+        out.sources = d.sources.clone();
         let mut ev_base = 0u64;
         for (p, ext) in exts.iter().enumerate() {
             if quarantined.contains(&(p as u32)) {

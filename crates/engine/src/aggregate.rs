@@ -162,54 +162,9 @@ impl DenseLanes {
         }
     }
 
-    /// Treat each key's `width` consecutive slots as one bitmap and set
-    /// bit `bits[row]` in the bitmap of `keys[row]` (ignored at or
-    /// beyond `width * 64`); `n` is the key count times `width`. A run
-    /// of one key does not collapse here — its rows still set different
-    /// bits — so every row is lane-split.
-    // analyze: no_panic
-    pub fn set_bits<K: DenseKey>(&mut self, keys: &[K], base: usize, bits: &[u32], width: usize) {
-        let n = keys.len().min(bits.len());
-        let n_keys = self.slots.len().checked_div(width).unwrap_or(0);
-        let (key_quads, key_rest) = rows_of(keys, &(0..n)).as_chunks::<LANES>();
-        let (bit_quads, bit_rest) = rows_of(bits, &(0..n)).as_chunks::<LANES>();
-        for (keys, bits) in key_quads.iter().zip(bit_quads) {
-            self.set_quad(keys, base, bits, n_keys, width);
-        }
-        self.set_quad(key_rest, base, bit_rest, n_keys, width);
-    }
-
-    // analyze: no_panic
-    #[inline(always)]
-    fn set_quad<K: DenseKey>(
-        &mut self,
-        keys: &[K],
-        base: usize,
-        bits: &[u32],
-        n_keys: usize,
-        width: usize,
-    ) {
-        for (lane, (&k, &bit)) in keys.iter().zip(bits).enumerate() {
-            let (key, word) = (k.index().wrapping_sub(base), (bit / 64) as usize);
-            // In range on both axes, so `key * width + word` cannot wrap.
-            if key >= n_keys || word >= width {
-                continue;
-            }
-            let lanes = self.slots.get_mut(key * width + word);
-            if let Some(slot) = lanes.and_then(|l| l.get_mut(lane)) {
-                *slot |= 1 << (bit % 64);
-            }
-        }
-    }
-
     /// Per-slot sum over the lanes: the counts.
     pub fn sums(&self) -> Vec<u64> {
         self.slots.iter().map(|lanes| lanes.iter().sum()).collect()
-    }
-
-    /// Per-slot OR over the lanes: the bitmap words.
-    pub fn unions(&self) -> Vec<u64> {
-        self.slots.iter().map(|lanes| lanes.iter().fold(0, |a, b| a | b)).collect()
     }
 }
 
@@ -369,30 +324,6 @@ mod tests {
                 assert_eq!(lanes.sums(), want, "{name} ({} rows), 1 in {modulus}", col.len());
             }
         }
-    }
-
-    #[test]
-    fn set_bits_equals_one_bitmap_per_key() {
-        let n = 3 * BLOCK_ROWS + 5;
-        let keys: Vec<u16> = (0..n as u16).map(|i| 100 + i / 50).collect(); // runs of 50
-        let bits: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2_654_435_761) % 150).collect();
-        // Three words per key hold bits 0..192; keys 101..=102 are in the window.
-        let (base, n_keys, width) = (101, 2, 3);
-        let mut want = vec![0u64; n_keys * width];
-        for (&k, &b) in keys.iter().zip(&bits) {
-            if (base..base + n_keys).contains(&(k as usize)) {
-                want[(k as usize - base) * width + (b / 64) as usize] |= 1 << (b % 64);
-            }
-        }
-        let mut lanes = DenseLanes::new(n_keys * width);
-        lanes.set_bits(&keys, base, &bits, width);
-        assert_eq!(lanes.unions(), want);
-        // Bits at or beyond the bitmap's width never reach the next key's.
-        let mut lanes = DenseLanes::new(2);
-        lanes.set_bits(&[0u16, 0, 1], 0, &[63, 64, 0], 1);
-        assert_eq!(lanes.unions(), vec![1 << 63, 1]);
-        // No bitmap at all.
-        DenseLanes::new(0).set_bits(&[0u16], 0, &[0], 0);
     }
 
     #[test]

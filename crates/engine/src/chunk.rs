@@ -40,19 +40,22 @@ pub const CHUNK_WORDS: usize = CHUNK_ROWS / 64;
 
 /// At or below this row count a scan folds inline on the calling thread
 /// instead of fanning out. Derived from two measurements on the
-/// two-core reference box (EXPERIMENTS.md "One persistent fork pool"),
-/// each fork taken after a 200 µs idle gap as a closed-loop client
-/// leaves one: a fork on the pool costs F = 35–41 µs over its work (the
-/// idle second core waking; 4.5 µs when the caller takes the job back
-/// unstarted), and the six dashboard kernels that scan through here cost
-/// c = 0.9–1.4 ns per row on one thread on the corpora near the cut-off.
-/// A second thread saves `rows · c / 2` and costs F, so it breaks even
-/// at `2 F / c`, 50–90 k rows; more threads save at most twice that.
-/// Checked on both sides: the dash bundle over 33 k mentions is
-/// 0.22–0.35 ms inline against 0.32–0.39 fanned out, over 132 k
-/// mentions 0.65–1.03 inline against 0.55–0.74 fanned out. Partial
-/// merges are associative, so the result is bit-identical either way
-/// (pinned above and below the cut-off by `prop_query.rs`).
+/// two-core reference box (EXPERIMENTS.md "One persistent fork pool"
+/// and "Dash kernels read only what they count"), each fork taken after
+/// an idle gap as a closed-loop client leaves one: a fork on the pool
+/// costs F = 35–41 µs over its work (the idle second core waking; 4.5 µs
+/// when the caller takes the job back unstarted), and the six dashboard
+/// kernels that scan through here cost c = 0.3–0.7 ns per row (the
+/// Events and Articles counts) to 1.6–2.7 ns (ActiveSources) on one
+/// thread on the corpora near the cut-off. A second thread saves
+/// `rows · c / 2` and costs F, so it breaks even at `2 F / c`: 26–51 k
+/// rows for ActiveSources, 100 k and more for the counts. One cut-off
+/// serves them all, set where the whole bundle breaks even. Checked on
+/// both sides (medians of four sweeps): the dash bundle over 33 k
+/// mentions is 0.34 ms inline against 0.41 fanned out, over 66 k 0.49
+/// against 0.50, over 132 k 0.89 against 0.72. Partial merges are
+/// associative, so the result is bit-identical either way (pinned above
+/// and below the cut-off by `prop_query.rs`).
 pub const SEQUENTIAL_SCAN_ROWS: usize = 64 * 1024;
 
 /// A half-open row window `[begin, end)` over table columns.

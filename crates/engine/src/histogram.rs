@@ -142,7 +142,9 @@ mod tests {
             }
         }
         let event_index = EventIndex::build(degrees.len(), &mentions);
-        Dataset { events, mentions, event_index, ..Dataset::default() }
+        let mut d = Dataset::default();
+        (d.events, d.mentions, d.event_index) = (events, mentions, event_index);
+        d
     }
 
     #[test]

@@ -592,7 +592,8 @@ mod tests {
     fn empty_partials_are_merge_identities() {
         let d = dataset();
         let ctx = ctx();
-        let empty = Dataset { sources: d.sources.clone(), ..Dataset::default() };
+        let mut empty = Dataset::default();
+        empty.sources = d.sources.clone();
         for q in all_queries() {
             let ShardPlan::Direct(sq) = plan(&q) else { continue };
             let whole = run_shard_query(&ctx, &d, &sq, 0);

@@ -1,11 +1,11 @@
 //! Quarterly time series — the aggregation behind Figs 3–6, 10 and 11.
 //!
 //! The four `Query` series (Events, Articles, ActiveSources,
-//! LateArticles) are one [`partition_scan`] each: a partition finds the
-//! quarter span of its own rows of both tables, counts into a
-//! [`DenseLanes`] sized to that span, and emits a partial anchored at
-//! its own base; partials with different bases align in the merge. No
-//! pass over a whole column runs before the parallel scan.
+//! LateArticles) are one [`partition_scan`] each over the table they
+//! count. Every partial is anchored at the dataset's quarter span
+//! ([`Dataset::quarter_span`], found once per dataset over both tables),
+//! so the partitions of one dataset merge slot by slot; shard partials,
+//! each at its own shard's span, align in the merge.
 
 use crate::aggregate::DenseLanes;
 use crate::chunk::{chunks_of, partition_scan, rows_of, SelMask, CHUNK_ROWS};
@@ -93,29 +93,6 @@ impl Merge for QuarterlySeries {
     }
 }
 
-/// Inclusive linear-quarter range `(base, count)` covered by `rows` of
-/// both tables (union of events and mentions), or `None` when neither
-/// has a row there: one fused min+max pass per column slice, a
-/// branchless lane-wise reduction the compiler autovectorizes.
-// analyze: no_panic
-fn quarter_span(d: &Dataset, rows: &Range<usize>) -> Option<(u16, usize)> {
-    let mut span: Option<(u16, u16)> = None;
-    for col in [rows_of(&d.events.quarter, rows), rows_of(&d.mentions.quarter, rows)] {
-        let (lo, hi) = col.iter().fold((u16::MAX, u16::MIN), |(lo, hi), &q| (lo.min(q), hi.max(q)));
-        if !col.is_empty() {
-            span = Some(span.map_or((lo, hi), |(l, h)| (l.min(lo), h.max(hi))));
-        }
-    }
-    span.map(|(lo, hi)| (lo, usize::from(hi - lo) + 1))
-}
-
-/// [`quarter_span`] of the whole dataset, for the offline analyses that
-/// key other columns by quarter slot. The `Query` series do not call it:
-/// they find their span inside the parallel scan.
-pub fn quarter_range(d: &Dataset) -> Option<(u16, usize)> {
-    quarter_span(d, &(0..usize::MAX))
-}
-
 fn series_from_counts(base: u16, counts: Vec<u64>) -> QuarterlySeries {
     QuarterlySeries {
         base: Quarter::from_linear(i32::from(base)),
@@ -123,33 +100,31 @@ fn series_from_counts(base: u16, counts: Vec<u64>) -> QuarterlySeries {
     }
 }
 
-/// The scan under every series kernel. Both tables are cut into the same
-/// row ranges and `fill(base, n, rows)` answers for one range, whose
-/// rows of both tables span the `n` quarters from `base` — so the merged
-/// partial covers events and mentions alike, whichever table `fill`
-/// reads. A range with no row of either table is the merge identity.
+/// The scan under every series kernel: `fill(base, n, rows)` answers
+/// for one range of the `rows` rows of the table it counts, into the
+/// `n` quarters of the dataset's span from `base`. A dataset with no
+/// quarter in either table answers the merge identity.
 // analyze: no_panic
 fn quarter_scan<T: Send + Default + Merge>(
     ctx: &ExecContext,
     d: &Dataset,
+    rows: usize,
     fill: impl Fn(u16, usize, Range<usize>) -> T + Sync + Send,
 ) -> T {
-    let fill_rows = |rows: Range<usize>| match quarter_span(d, &rows) {
-        Some((base, n)) => fill(base, n, rows),
-        None => T::default(),
-    };
-    partition_scan(ctx, d.events.len().max(d.mentions.len()), fill_rows, Merge::merged)
+    let Some((base, n)) = d.quarter_span() else { return T::default() };
+    partition_scan(ctx, rows, |rows| fill(base, n, rows), Merge::merged)
 }
 
-/// The count-series kernel: `count` fills the lanes from its rows of
-/// the counted table, slot 0 being quarter `base`.
+/// The count-series kernel: `count` fills the lanes from its `rows`
+/// rows of the counted table, slot 0 being quarter `base`.
 // analyze: no_panic
 fn count_quarters(
     ctx: &ExecContext,
     d: &Dataset,
+    rows: usize,
     count: impl Fn(&mut DenseLanes, usize, Range<usize>) + Sync + Send,
 ) -> QuarterlySeries {
-    quarter_scan(ctx, d, |base, n, rows| {
+    quarter_scan(ctx, d, rows, |base, n, rows| {
         let mut lanes = DenseLanes::new(n);
         count(&mut lanes, usize::from(base), rows);
         series_from_counts(base, lanes.sums())
@@ -158,14 +133,14 @@ fn count_quarters(
 
 /// Events observed per quarter (Fig 4).
 pub(crate) fn events_per_quarter(ctx: &ExecContext, d: &Dataset) -> QuarterlySeries {
-    count_quarters(ctx, d, |lanes, base, rows| {
+    count_quarters(ctx, d, d.events.len(), |lanes, base, rows| {
         lanes.count(rows_of(&d.events.quarter, &rows), base);
     })
 }
 
 /// Articles (mentions) observed per quarter (Fig 5).
 pub(crate) fn articles_per_quarter(ctx: &ExecContext, d: &Dataset) -> QuarterlySeries {
-    count_quarters(ctx, d, |lanes, base, rows| {
+    count_quarters(ctx, d, d.mentions.len(), |lanes, base, rows| {
         lanes.count(rows_of(&d.mentions.quarter, &rows), base);
     })
 }
@@ -205,21 +180,63 @@ impl Merge for ActiveSourcesPartial {
 }
 
 /// Which sources published in each quarter — the ActiveSources kernel.
-/// With no mentions at all the events still span their quarters.
+/// Each row sets its quarter's bit in its source's mask of ⌈n / 64⌉
+/// words, one independent read-modify-write; the masks are turned into
+/// one source bitmap per quarter once per partition. With no mentions
+/// at all the events still span their quarters.
 // analyze: no_panic
 pub(crate) fn active_sources_partial(ctx: &ExecContext, d: &Dataset) -> ActiveSourcesPartial {
     let n_sources = d.sources.len();
-    let width = n_sources.div_ceil(64);
-    quarter_scan(ctx, d, |base, n, rows| {
-        let mut lanes = DenseLanes::new(n * width);
-        let quarters = rows_of(&d.mentions.quarter, &rows);
-        lanes.set_bits(quarters, usize::from(base), rows_of(&d.mentions.source, &rows), width);
-        let words = lanes.unions();
+    quarter_scan(ctx, d, d.mentions.len(), |base, n, rows| {
+        let width = n.div_ceil(64);
+        let mut seen = vec![0u64; n_sources * width];
+        let mark = if width == 1 { mark_quarters::<true> } else { mark_quarters::<false> };
+        let (quarters, sources) = (&d.mentions.quarter, &d.mentions.source);
+        mark(&mut seen, width, (base, n), rows_of(quarters, &rows), rows_of(sources, &rows));
+        // Transpose: bit `q` of source `s`'s mask is bit `s` of quarter `q`.
+        let stride = n_sources.div_ceil(64);
+        let mut words = vec![0u64; n * stride];
+        for s in 0..n_sources {
+            for (w, &mask) in rows_of(&seen, &(s * width..(s + 1) * width)).iter().enumerate() {
+                let mut mask = mask;
+                while mask != 0 {
+                    let q = 64 * w + mask.trailing_zeros() as usize;
+                    if let Some(word) = words.get_mut(q * stride + s / 64) {
+                        *word |= 1 << (s % 64);
+                    }
+                    mask &= mask - 1;
+                }
+            }
+        }
         let bitmap = |q| {
-            Bitmap::from_words(rows_of(&words, &(q * width..(q + 1) * width)).to_vec(), n_sources)
+            Bitmap::from_words(rows_of(&words, &(q * stride..(q + 1) * stride)).to_vec(), n_sources)
         };
         ActiveSourcesPartial { base: i32::from(base), quarters: (0..n).map(bitmap).collect() }
     })
+}
+
+/// Set bit `q − base` of word `(q − base) / 64` of source `s`'s mask
+/// (`width` words from `seen[s · width]`) for every `(q, s)` row; a
+/// quarter outside the `n` from `base` or an unknown source is dropped.
+/// `ONE_WORD` is the `width == 1` case, compiled on its own.
+// analyze: no_panic
+fn mark_quarters<const ONE_WORD: bool>(
+    seen: &mut [u64],
+    width: usize,
+    (base, n): (u16, usize),
+    quarters: &[u16],
+    sources: &[u32],
+) {
+    let width = if ONE_WORD { 1 } else { width };
+    for (&q, &s) in quarters.iter().zip(sources) {
+        let qi = usize::from(q.wrapping_sub(base));
+        if qi >= n {
+            continue;
+        }
+        if let Some(mask) = seen.get_mut(s as usize * width + qi / 64) {
+            *mask |= 1 << (qi % 64);
+        }
+    }
 }
 
 /// Article counts per quarter for a selection of publishers (Fig 6).
@@ -237,21 +254,22 @@ pub fn publisher_series(
             *slot = i;
         }
     }
-    let mut series: Vec<QuarterlySeries> = quarter_scan(ctx, d, |base, n, rows| {
-        // One dense key per row, `slot * n + quarter`, a chunk at a time.
-        let mut lanes = DenseLanes::new(publishers.len() * n);
-        let mut keys = [0u32; CHUNK_ROWS];
-        for c in chunks_of(rows) {
-            let cells = c.slice(&d.mentions.quarter).iter().zip(c.slice(&d.mentions.source));
-            let key_of = |(key, (&q, &s)): (&mut u32, (&u16, &u32))| {
-                let slot = slot_of.get(s as usize).copied().unwrap_or(publishers.len());
-                *key = u32::try_from(slot * n + usize::from(q - base)).unwrap_or(u32::MAX);
-            };
-            let len = keys.iter_mut().zip(cells).map(key_of).count();
-            lanes.count(rows_of(&keys, &(0..len)), 0);
-        }
-        lanes.sums().chunks(n).map(|c| series_from_counts(base, c.to_vec())).collect()
-    });
+    let mut series: Vec<QuarterlySeries> =
+        quarter_scan(ctx, d, d.mentions.len(), |base, n, rows| {
+            // One dense key per row, `slot * n + quarter`, a chunk at a time.
+            let mut lanes = DenseLanes::new(publishers.len() * n);
+            let mut keys = [0u32; CHUNK_ROWS];
+            for c in chunks_of(rows) {
+                let cells = c.slice(&d.mentions.quarter).iter().zip(c.slice(&d.mentions.source));
+                let key_of = |(key, (&q, &s)): (&mut u32, (&u16, &u32))| {
+                    let slot = slot_of.get(s as usize).copied().unwrap_or(publishers.len());
+                    *key = u32::try_from(slot * n + usize::from(q - base)).unwrap_or(u32::MAX);
+                };
+                let len = keys.iter_mut().zip(cells).map(key_of).count();
+                lanes.count(rows_of(&keys, &(0..len)), 0);
+            }
+            lanes.sums().chunks(n).map(|c| series_from_counts(base, c.to_vec())).collect()
+        });
     // An empty dataset still answers with one (empty) series per request.
     series.resize_with(publishers.len(), QuarterlySeries::default);
     series
@@ -267,7 +285,7 @@ pub(crate) fn late_articles_per_quarter(
     // Fused chunk pass: one branchless selection over the delay column,
     // then the quarter count weighted by its words, while the chunk is
     // in L1.
-    count_quarters(ctx, d, |lanes, base, rows| {
+    count_quarters(ctx, d, d.mentions.len(), |lanes, base, rows| {
         for c in chunks_of(rows) {
             let late = SelMask::select(c.slice(&d.mentions.delay), |dl| dl > threshold);
             lanes.count_selected(c.slice(&d.mentions.quarter), base, &late);
@@ -362,7 +380,7 @@ impl Merge for QuarterDelays {
 /// each range's delays per quarter, and the delays past the window are
 /// sorted once after the merge.
 pub fn delay_per_quarter(ctx: &ExecContext, d: &Dataset) -> (QuarterlySeries, QuarterlySeries) {
-    let Some((base, n)) = quarter_range(d) else {
+    let Some((base, n)) = d.quarter_span() else {
         return Default::default();
     };
     let of_rows = |rows: Range<usize>| {
@@ -452,7 +470,7 @@ mod tests {
     #[test]
     fn quarter_range_spans_data() {
         let d = dataset();
-        let (base, n) = quarter_range(&d).unwrap();
+        let (base, n) = d.quarter_span().unwrap();
         assert_eq!(Quarter::from_linear(i32::from(base)), Quarter { year: 2015, q: 2 });
         assert_eq!(n, 2);
     }
@@ -480,6 +498,33 @@ mod tests {
         let s = active_sources_partial(&ctx(), &d).finalize();
         // Q2: a.com + b.co.uk; Q3: a.com + c.com.au.
         assert_eq!(s.values, vec![2.0, 2.0]);
+    }
+
+    #[test]
+    fn source_masks_equal_one_bitmap_per_source() {
+        // 150 quarters from base 100 (three words a source), quarters
+        // running past them on both sides, and sources 0..5 of 4.
+        let n = 2 * 64 + 77;
+        let quarters: Vec<u16> = (0..n as u16).map(|i| 90 + i.wrapping_mul(7_919) % 170).collect();
+        let sources: Vec<u32> = (0..n as u32).map(|i| i * 13 % 5).collect();
+        let (base, n_quarters, n_sources, width) = (100u16, 150, 4, 3);
+        let mut want = vec![0u64; n_sources * width];
+        for (&q, &s) in quarters.iter().zip(&sources) {
+            let qi = usize::from(q) - 90;
+            if (10..10 + n_quarters).contains(&qi) && (s as usize) < n_sources {
+                want[s as usize * width + (qi - 10) / 64] |= 1 << ((qi - 10) % 64);
+            }
+        }
+        let mut seen = vec![0u64; n_sources * width];
+        mark_quarters::<false>(&mut seen, width, (base, n_quarters), &quarters, &sources);
+        assert_eq!(seen, want);
+        // One word a source: a quarter at or past 64 never reaches the
+        // next source's word.
+        let mut seen = vec![0u64; 2];
+        mark_quarters::<true>(&mut seen, 1, (0, 64), &[63, 64, 0, 0], &[0, 0, 1, 2]);
+        assert_eq!(seen, vec![1 << 63, 1]);
+        // No sources at all.
+        mark_quarters::<true>(&mut [], 1, (0, 1), &[0], &[0]);
     }
 
     #[test]
@@ -554,7 +599,7 @@ mod tests {
     /// The previous `delay_per_quarter`, one thread and one dense
     /// histogram of every clamped delay per quarter: the oracle.
     fn dense_delay_per_quarter(d: &Dataset) -> (QuarterlySeries, QuarterlySeries) {
-        let (base, n) = quarter_range(d).unwrap();
+        let (base, n) = d.quarter_span().unwrap();
         let cap = crate::delay::MAX_TRACKED_DELAY as usize;
         let mut hist = vec![vec![0u64; cap + 1]; n];
         let (mut sum, mut count) = (vec![0u64; n], vec![0u64; n]);

@@ -1,11 +1,14 @@
 //! Top-k selection: most productive publishers, most reported events.
 //!
-//! One streaming selector, [`top_k`]: a single pass that keeps the `k`
-//! best entries seen so far and the value a newcomer has to beat, so its
-//! scratch is O(k) whatever the input length. Event degrees are read
-//! straight off the CSR offsets, per partition, and partition rankings
-//! merge under the same `(Reverse(value), index)` order that shard
-//! partials merge under ([`merge_ranked`]).
+//! One streaming selector under [`top_k`] and the event ranking: a
+//! single pass that keeps the `k` best entries seen so far and the value
+//! a newcomer has to beat, so its scratch is O(k) whatever the input
+//! length. Values arrive in blocks of `RANK_BLOCK` (64); once `k` entries
+//! are held, a block whose maximum does not beat that floor (one
+//! vectorised fold) is passed over without a heap probe per value.
+//! Event degrees are read straight off the CSR offsets, per partition,
+//! and partition rankings merge under the same `(Reverse(value), index)`
+//! order that shard partials merge under ([`merge_ranked`]).
 
 use crate::chunk::{partition_scan, rows_of};
 use crate::exec::ExecContext;
@@ -14,12 +17,15 @@ use gdelt_model::ids::SourceId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// Values per block of the selector's skip test.
+const RANK_BLOCK: usize = 64;
+
 /// The `k` most productive sources with their article counts, descending
 /// (ties broken by source id for determinism), from per-source article
 /// counts. This is the paper's Fig 6 / Table IV / Table VIII selection.
 // analyze: no_panic
 pub fn ranked_publishers(counts: &[u64], k: usize) -> Vec<(SourceId, u64)> {
-    top_k(counts.iter().copied(), k).into_iter().map(|(i, n)| (SourceId(i as u32), n)).collect()
+    top_k(counts, k).into_iter().map(|(i, n)| (SourceId(i as u32), n)).collect()
 }
 
 /// The `k` most mentioned events as `(event_row, mentions)` (Table III).
@@ -30,8 +36,19 @@ pub(crate) fn top_events(ctx: &ExecContext, d: &Dataset, k: usize) -> Vec<(usize
     let rank_rows = |rows: std::ops::Range<usize>| {
         // Event `e`'s mentions are `offsets[e]..offsets[e + 1]`.
         let (lo, hi) = (rows_of(offsets, &rows), rows_of(offsets, &(rows.start + 1..rows.end + 1)));
-        let degrees = lo.iter().zip(hi).map(|(&lo, &hi)| hi.saturating_sub(lo));
-        top_k(degrees, k).into_iter().map(|(i, n)| (rows.start + i, n)).collect()
+        let mut best = Ranker::new(k, rows.len());
+        let ((lo_blocks, lo_rest), (hi_blocks, hi_rest)) =
+            (lo.as_chunks::<RANK_BLOCK>(), hi.as_chunks::<RANK_BLOCK>());
+        let blocks = lo_blocks.iter().map(|b| &b[..]).zip(hi_blocks.iter().map(|b| &b[..]));
+        for (b, (lo, hi)) in blocks.chain([(lo_rest, hi_rest)]).enumerate() {
+            let pairs = lo.iter().zip(hi);
+            // The skip test reads each degree wrapping: a descending pair,
+            // which no valid index holds, reads at or past 2⁶³ and is walked.
+            let test = pairs.clone().map(|(&lo, &hi)| hi.wrapping_sub(lo));
+            let degrees = pairs.map(|(&lo, &hi)| hi.saturating_sub(lo));
+            best.offer_block(rows.start + b * RANK_BLOCK, test, degrees);
+        }
+        best.ranked()
     };
     partition_scan(ctx, n_events, rank_rows, |a, b| merge_ranked(a, b, k))
 }
@@ -39,24 +56,73 @@ pub(crate) fn top_events(ctx: &ExecContext, d: &Dataset, k: usize) -> Vec<(usize
 /// The `k` largest of `vals` as `(index, value)`, descending, ties by
 /// ascending index — in one pass with O(k) scratch.
 // analyze: no_panic
-pub fn top_k(vals: impl Iterator<Item = u64>, k: usize) -> Vec<(usize, u64)> {
-    if k == 0 {
-        return Vec::new();
+pub fn top_k(vals: &[u64], k: usize) -> Vec<(usize, u64)> {
+    let mut best = Ranker::new(k, vals.len());
+    let (blocks, rest) = vals.as_chunks::<RANK_BLOCK>();
+    for (b, block) in blocks.iter().map(|b| &b[..]).chain([rest]).enumerate() {
+        best.offer_block(b * RANK_BLOCK, block.iter().copied(), block.iter().copied());
     }
-    // Min-heap of the best so far: its top is the entry a newcomer must
-    // beat — the smallest value, and among equals the latest index.
-    let mut best = BinaryHeap::with_capacity(k.min(vals.size_hint().0));
-    for (i, v) in vals.enumerate() {
-        if best.len() == k {
-            // Indexes ascend, so an equal value never displaces.
-            if best.peek().is_some_and(|&Reverse((floor, _))| v <= floor) {
-                continue;
-            }
-            best.pop();
+    best.ranked()
+}
+
+/// The streaming selector under [`top_k`] and [`top_events`]: blocks of
+/// values offered in ascending index order, the best `k` kept.
+struct Ranker {
+    k: usize,
+    /// Min-heap of the best so far: its top is the entry a newcomer must
+    /// beat — the smallest value, and among equals the latest index.
+    best: BinaryHeap<Reverse<(u64, Reverse<usize>)>>,
+}
+
+impl Ranker {
+    /// An empty ranking of `k` places, expecting about `hint` values.
+    fn new(k: usize, hint: usize) -> Self {
+        Ranker { k, best: BinaryHeap::with_capacity(k.min(hint)) }
+    }
+
+    /// Offer `vals`, value `i` at index `first + i` (above every index
+    /// offered before). `test` yields the same values, or one at or
+    /// past 2⁶³ where the block must be walked whatever the floor.
+    // analyze: no_panic
+    #[inline(always)]
+    fn offer_block(
+        &mut self,
+        first: usize,
+        test: impl Iterator<Item = u64>,
+        vals: impl Iterator<Item = u64>,
+    ) {
+        // Indexes ascend, so a value equal to the floor never displaces:
+        // a block whose maximum does not beat it changes nothing.
+        let floor = self.best.peek().filter(|_| self.best.len() == self.k);
+        if self.k == 0 || floor.is_some_and(|&Reverse((floor, _))| !may_beat(test, floor)) {
+            return;
         }
-        best.push(Reverse((v, Reverse(i))));
+        for (i, v) in vals.enumerate() {
+            if self.best.len() == self.k {
+                if self.best.peek().is_some_and(|&Reverse((floor, _))| v <= floor) {
+                    continue;
+                }
+                self.best.pop();
+            }
+            self.best.push(Reverse((v, Reverse(first + i))));
+        }
     }
-    best.into_sorted_vec().into_iter().map(|Reverse((v, Reverse(i)))| (i, v)).collect()
+
+    /// The ranking: descending values, ties by ascending index.
+    fn ranked(self) -> Vec<(usize, u64)> {
+        self.best.into_sorted_vec().into_iter().map(|Reverse((v, Reverse(i)))| (i, v)).collect()
+    }
+}
+
+/// Whether the maximum of `vals` may beat `floor`: false only if it
+/// does not. `floor − v` borrows into the top bit exactly when a value
+/// `v` below 2⁶³ exceeds a floor below 2⁶³, so one OR of subtractions
+/// (with the values themselves, to catch any at or past 2⁶³) answers
+/// without the compares a `u64` maximum needs, which SSE2 lacks.
+// analyze: no_panic
+#[inline(always)]
+fn may_beat(vals: impl Iterator<Item = u64>, floor: u64) -> bool {
+    vals.fold(floor, |acc, v| acc | v | floor.wrapping_sub(v)) >> 63 != 0
 }
 
 /// Sorted merge of two rankings under `(Reverse(value), index)`,
@@ -103,23 +169,22 @@ mod tests {
         for d in degrees {
             offsets.push(offsets[offsets.len() - 1] + d);
         }
-        Dataset {
-            event_index: EventIndex { offsets: offsets.as_slice().into() },
-            ..Dataset::default()
-        }
+        let mut d = Dataset::default();
+        d.event_index = EventIndex { offsets: offsets.as_slice().into() };
+        d
     }
 
     #[test]
     fn top_k_orders_descending() {
         let vals = [5u64, 9, 1, 9, 7];
-        assert_eq!(top_k(vals.into_iter(), 3), vec![(1, 9), (3, 9), (4, 7)]);
-        assert_eq!(top_k(vals.into_iter(), 0), vec![]);
-        assert_eq!(top_k(vals.into_iter(), 10), vec![(1, 9), (3, 9), (4, 7), (0, 5), (2, 1)]);
+        assert_eq!(top_k(&vals, 3), vec![(1, 9), (3, 9), (4, 7)]);
+        assert_eq!(top_k(&vals, 0), vec![]);
+        assert_eq!(top_k(&vals, 10), vec![(1, 9), (3, 9), (4, 7), (0, 5), (2, 1)]);
     }
 
     #[test]
     fn ties_break_by_index() {
-        assert_eq!(top_k([3u64, 3, 3].into_iter(), 2), vec![(0, 3), (1, 3)]);
+        assert_eq!(top_k(&[3u64, 3, 3], 2), vec![(0, 3), (1, 3)]);
     }
 
     #[test]
@@ -129,7 +194,7 @@ mod tests {
         let one_giant: Vec<u64> = (0..200).map(|i| if i == 77 { 5_234 } else { 2 }).collect();
         for vals in [&noisy[..], &ascending, &one_giant, &[7; 40], &[]] {
             for k in [0, 1, 2, 10, vals.len(), vals.len() + 3, usize::MAX] {
-                assert_eq!(top_k(vals.iter().copied(), k), ranked(vals, k), "k={k}");
+                assert_eq!(top_k(vals, k), ranked(vals, k), "k={k}");
             }
         }
     }
@@ -141,8 +206,8 @@ mod tests {
         for cut in 0..=vals.len() {
             let (a, b) = vals.split_at(cut);
             for k in [0, 1, 2, 3, 7, 9] {
-                let right = top_k(b.iter().copied(), k).into_iter().map(|(i, v)| (cut + i, v));
-                let merged = merge_ranked(top_k(a.iter().copied(), k), right.collect(), k);
+                let right = top_k(b, k).into_iter().map(|(i, v)| (cut + i, v));
+                let merged = merge_ranked(top_k(a, k), right.collect(), k);
                 assert_eq!(merged, ranked(&vals, k), "cut {cut}, k {k}");
             }
         }
@@ -176,6 +241,64 @@ mod tests {
         // More places than events.
         let few = with_degrees(&[3, 1, 3]);
         assert_eq!(top_events(&ctx, &few, 10), vec![(0, 3), (2, 3), (1, 1)]);
+    }
+
+    #[test]
+    fn blocks_skipped_at_the_floor_keep_every_tie_in_index_order() {
+        // Runs of equal degrees that straddle the 64-event blocks, so a
+        // full ranking meets whole blocks equal to its floor (skipped),
+        // blocks whose only entry above the floor is their last, and a
+        // floor that rises mid-block.
+        let n = 5 * RANK_BLOCK + 17;
+        let patterns: [&dyn Fn(usize) -> u64; 4] = [
+            &|i| 3 + u64::from(i % 97 == 96),
+            &|i| if i < RANK_BLOCK + 5 { 4 } else { 4 + u64::from(i % RANK_BLOCK == 63) },
+            &|i| (i / 40) as u64 % 3,
+            &|i| 9 - (i / RANK_BLOCK) as u64,
+        ];
+        for (p, pattern) in patterns.iter().enumerate() {
+            let degrees: Vec<u64> = (0..n).map(pattern).collect();
+            let d = with_degrees(&degrees);
+            for k in [1, 63, 64, 65, 100, 128, 129, n - 1, n, n + 1, n + 100] {
+                assert_eq!(top_k(&degrees, k), ranked(&degrees, k), "pattern {p}, k={k}");
+                for threads in [1, 3] {
+                    let ctx = ExecContext::builder().threads(threads).build();
+                    let got = top_events(&ctx, &d, k);
+                    assert_eq!(got, ranked(&degrees, k), "pattern {p}, k={k}, {threads} threads");
+                }
+            }
+        }
+        // Above the cut-off, with partitions cut inside blocks: every
+        // degree ties but one per 1 000 events.
+        let n = SEQUENTIAL_SCAN_ROWS + 1_031;
+        let degrees: Vec<u64> = (0..n).map(|i| 2 + u64::from(i % 1_000 == 999)).collect();
+        let d = with_degrees(&degrees);
+        let ctx = ExecContext::builder().threads(3).build();
+        for k in [64, 65, 100, 1_000] {
+            assert_eq!(top_events(&ctx, &d, k), ranked(&degrees, k), "k={k}");
+        }
+    }
+
+    #[test]
+    fn the_skip_test_is_exact_below_the_top_bit_and_never_skips_above_it() {
+        let top = 1u64 << 63;
+        for (block, floor, beats) in [
+            (&[3u64, 7, 2][..], 7, false),
+            (&[3, 8, 2], 7, true),
+            (&[], 0, false),
+            (&[0], 0, false),
+            (&[top - 1], top - 2, true),
+            (&[top - 1], top - 1, false),
+            (&[top], top, true), // at the top bit: walked, not skipped
+            (&[1], u64::MAX, true),
+        ] {
+            assert_eq!(may_beat(block.iter().copied(), floor), beats, "{block:?} against {floor}");
+        }
+        // Rankings over values on both sides of the top bit.
+        let vals: Vec<u64> = (0..300u64).map(|i| (i * 7_919 % 13) << (i % 3 * 31)).collect();
+        for k in [1, 10, 64, 65, 299, 300] {
+            assert_eq!(top_k(&vals, k), ranked(&vals, k), "k={k}");
+        }
     }
 
     #[test]

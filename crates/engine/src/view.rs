@@ -67,7 +67,6 @@ impl<'a> MentionView<'a> {
 mod tests {
     use super::*;
     use crate::aggregate::count_by;
-    use crate::timeseries::quarter_range;
     use crate::topk::ranked_publishers;
 
     fn dataset() -> Dataset {
@@ -82,7 +81,7 @@ mod tests {
     fn all_view_selects_everything() {
         // The window over every quarter of the corpus.
         let d = dataset();
-        let (base, n) = quarter_range(&d).unwrap();
+        let (base, n) = d.quarter_span().unwrap();
         let quarter = |i: usize| Quarter::from_linear(i32::from(base) + i as i32);
         let v = MentionView::time_window(&ctx(), &d, quarter(0), quarter(n - 1));
         assert_eq!(v.len(), d.mentions.len());
@@ -103,7 +102,7 @@ mod tests {
             assert_eq!(d.mentions.quarter[r], q.linear() as u16);
         }
         // Windows tile: sum over all quarters = total.
-        let (base, n) = quarter_range(&d).unwrap();
+        let (base, n) = d.quarter_span().unwrap();
         let mut total = 0usize;
         for i in 0..n {
             let q = Quarter::from_linear(i32::from(base) + i as i32);

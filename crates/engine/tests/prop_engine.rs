@@ -56,7 +56,7 @@ proptest! {
 
     #[test]
     fn top_k_matches_full_sort(vals in prop::collection::vec(0u64..1_000, 0..500), k in 0usize..50) {
-        let got = top_k(vals.iter().copied(), k);
+        let got = top_k(&vals, k);
         let mut full: Vec<(usize, u64)> = vals.iter().copied().enumerate().collect();
         full.sort_by_key(|&(i, v)| (std::cmp::Reverse(v), i));
         full.truncate(k);

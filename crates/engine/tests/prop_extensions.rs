@@ -109,7 +109,7 @@ proptest! {
     ) {
         let d = corpus(seed, n_events, n_quarters);
         let ctx = ExecContext::builder().threads(2).build();
-        let Some((base, n)) = gdelt_engine::timeseries::quarter_range(&d) else {
+        let Some((base, n)) = d.quarter_span() else {
             return Ok(());
         };
         let mut total_rows = 0usize;

@@ -651,7 +651,7 @@ fn follow_edges_of_ties_and_repeats_are_spelled_out() {
 
 /// A deterministic corpus of `n_events` events (more than
 /// `SEQUENTIAL_SCAN_ROWS` of them and every scan fans out): ids ascend with time
-/// over five years (quarter runs, as in GDELT), every third event is
+/// over `days` days (quarter runs, as in GDELT), every third event is
 /// reported twice and every seventh a third time with a delay that
 /// carries it into a later quarter, and 41 sources — a fifth of them of
 /// unknown country — cycle out of step with all of that. Half the events
@@ -660,12 +660,12 @@ fn follow_edges_of_ties_and_repeats_are_spelled_out() {
 /// at five threads) with delays on both sides of the Delay window's
 /// edge, one has 37, and a few mentions report on events that are not
 /// in the table.
-fn scan_corpus(n_events: u64) -> Dataset {
+fn scan_corpus(n_events: u64, days: u64) -> Dataset {
     const TLDS: [&str; 5] = ["com", "co.uk", "com.au", "de", "zz"];
     const FIPS: [&str; 4] = ["US", "", "UK", "ZZ"];
     let source = |i: u64| format!("s{}.{}", i % 41, TLDS[(i % 41 % 5) as usize]);
     let day =
-        |id: u64| Date { year: 2015, month: 3, day: 1 }.add_days((id * 1_826 / n_events) as i64);
+        |id: u64| Date { year: 2015, month: 3, day: 1 }.add_days((id * days / n_events) as i64);
     let mut b = DatasetBuilder::new();
     for id in 0..n_events {
         let fips = FIPS[(id % 4) as usize];
@@ -713,7 +713,7 @@ fn late_articles(ctx: &ExecContext, d: &Dataset, threshold: u32) -> QuarterlySer
 
 fn unfused_late_articles(ctx: &ExecContext, d: &Dataset, threshold: u32) -> Vec<f64> {
     use gdelt_engine::filter::Bitmap;
-    let Some((base, n_quarters)) = timeseries::quarter_range(d) else {
+    let Some((base, n_quarters)) = d.quarter_span() else {
         return Vec::new();
     };
     let late = Bitmap::fill_range(ctx, &d.mentions.delay, threshold + 1, u32::MAX);
@@ -782,7 +782,7 @@ fn adversarial_corpus_matches_reference_whole_and_in_pieces() {
 fn corpus_above_the_cut_off_matches_reference_at_every_thread_count() {
     // Sized so that no partition of either table starts on a block edge
     // at any thread count used here (asserted below).
-    let d = scan_corpus(SEQUENTIAL_SCAN_ROWS as u64 + 1_031);
+    let d = scan_corpus(SEQUENTIAL_SCAN_ROWS as u64 + 1_031, 1_826);
     assert!(d.events.len() > SEQUENTIAL_SCAN_ROWS && d.mentions.len() > d.events.len());
     let queries = all_queries(6, 96);
     let want: Vec<QueryResult> = queries.iter().map(|q| reference(&d, q)).collect();
@@ -822,7 +822,7 @@ fn corpus_above_the_cut_off_matches_reference_at_every_thread_count() {
 // (cut by mention rows) fans out; all ten variants against the oracle.
 #[test]
 fn corpus_straddling_the_cut_off_matches_reference_at_every_thread_count() {
-    let d = scan_corpus(SEQUENTIAL_SCAN_ROWS as u64 * 3 / 4);
+    let d = scan_corpus(SEQUENTIAL_SCAN_ROWS as u64 * 3 / 4, 1_826);
     assert!(d.events.len() <= SEQUENTIAL_SCAN_ROWS && d.mentions.len() > SEQUENTIAL_SCAN_ROWS);
     let queries = all_queries(6, 96);
     let want: Vec<QueryResult> = queries.iter().map(|q| reference(&d, q)).collect();
@@ -830,6 +830,69 @@ fn corpus_straddling_the_cut_off_matches_reference_at_every_thread_count() {
         let ctx = ExecContext::builder().threads(threads).build();
         for (q, want) in queries.iter().zip(&want) {
             assert_eq!(&run_query(&ctx, &d, q), want, "{q}, {threads} thread(s)");
+        }
+    }
+}
+
+// Twenty-five years of quarters, 100 in all: each source's quarter
+// mask in ActiveSources is two words, and the series run past a `u64`
+// of slots. The four series and TopK Events against the oracle, below
+// the cut-off and above it.
+#[test]
+fn corpus_over_more_than_64_quarters_matches_reference_on_both_sides_of_the_cut_off() {
+    let queries = [
+        Query::TimeSeries(SeriesKind::Events),
+        Query::TimeSeries(SeriesKind::Articles),
+        Query::TimeSeries(SeriesKind::ActiveSources),
+        Query::TimeSeries(SeriesKind::LateArticles { threshold: 96 }),
+        Query::TopK { kind: TopKKind::Events, k: 1 },
+        Query::TopK { kind: TopKKind::Events, k: 64 },
+        Query::TopK { kind: TopKKind::Events, k: 65 },
+    ];
+    for n_events in [4_000, SEQUENTIAL_SCAN_ROWS as u64 + 1_031] {
+        let d = scan_corpus(n_events, 9_131);
+        let (_, n_quarters) = d.quarter_span().expect("a span");
+        assert!(n_quarters > 64, "{n_quarters} quarters");
+        for threads in [1usize, 3] {
+            let ctx = ExecContext::builder().threads(threads).build();
+            for q in &queries {
+                let want = reference(&d, q);
+                assert_eq!(
+                    run_query(&ctx, &d, q),
+                    want,
+                    "{q}, {n_events} events, {threads} thread(s)"
+                );
+            }
+        }
+    }
+}
+
+// ActiveSources at the paper's 20 996 sources: each row's source picks
+// its mask by a stride through 20 996 of them, and the masks turn into
+// bitmaps of 329 words a quarter. Below the cut-off and above it.
+#[test]
+fn active_sources_at_the_papers_source_count_match_reference() {
+    const SOURCES: u32 = 20_996;
+    for rows in [SEQUENTIAL_SCAN_ROWS / 2, SEQUENTIAL_SCAN_ROWS + 4_321] {
+        let mut d = Dataset::default();
+        for s in 0..SOURCES {
+            d.sources.names.intern(&format!("s{s}.com"));
+            d.sources.country.push(u16::MAX);
+        }
+        // Quarters in runs, as the table is grouped by time; sources
+        // out of step with them, so each quarter sees a different set.
+        d.mentions.event_row = (0..rows).map(|_| NO_EVENT_ROW).collect();
+        d.mentions.quarter = (0..rows).map(|r| 40 + (r * 9 / rows) as u16).collect();
+        d.mentions.source =
+            (0..rows as u32).map(|r| r.wrapping_mul(2_654_435_761) % SOURCES).collect();
+        let q = Query::TimeSeries(SeriesKind::ActiveSources);
+        let want = reference(&d, &q);
+        let QueryResult::TimeSeries(series) = &want else { unreachable!("a series") };
+        assert_eq!(series.len(), 9);
+        assert!(series.values.iter().all(|&v| v > 1_000.0), "{:?}", series.values);
+        for threads in [1usize, 2, 3] {
+            let ctx = ExecContext::builder().threads(threads).build();
+            assert_eq!(run_query(&ctx, &d, &q), want, "{rows} rows, {threads} thread(s)");
         }
     }
 }

@@ -68,10 +68,16 @@ fn generation_bump_invalidates_and_recomputes() {
     assert_eq!(service.metrics().cache.entries, 0, "cache cleared on bump");
 
     // The same query now recomputes against the merged dataset and must
-    // match a direct engine run over the service's dataset snapshot.
+    // match a direct engine run over a copy of the service's snapshot.
+    // The snapshot inherited the quarter span its base had read; the
+    // copy starts without one and recomputes it.
     let after = service.run(q).expect("post-batch run");
     assert!(!Arc::ptr_eq(&before, &after), "stale cache entry survived the bump");
-    let direct = run_query(&ExecContext::builder().threads(2).build(), &service.dataset(), &q);
+    let served = service.dataset();
+    let copy = Dataset::clone(&served);
+    assert_eq!(served.quarter_span(), copy.quarter_span());
+    assert!(served.deep_validate().is_ok(), "{}", served.deep_validate());
+    let direct = run_query(&ExecContext::builder().threads(2).build(), &copy, &q);
     assert_eq!(*after, direct);
     assert_ne!(*before, *after, "batch changed the articles-per-quarter series");
 }
