@@ -343,6 +343,7 @@ fn malformed_flag_value_is_an_error() {
         &["serve-bench", "--shards", "x"][..],
         &["synth-report", "--threads", "abc"],
         &["synth-report", "--scale"],
+        &["chaos", "--chek"],
     ] {
         let out = cli().args(args).output().expect("run");
         assert!(!out.status.success(), "{args:?} must fail, not fall back to a default");
@@ -370,4 +371,30 @@ fn serve_bench_exports_validated_metrics_and_trace() {
         assert!(len > 0, "{} is empty", file.display());
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Run a `chaos --check` arm into a fresh directory: it must hold every
+/// invariant and leave its fault schedule behind.
+fn chaos_check(name: &str, args: &[&str], schedule: &str) {
+    let dir = temp_dir(name);
+    std::fs::remove_dir_all(&dir).ok();
+    let out = cli().arg("chaos").args(args).arg("--check").arg("--out").arg(&dir).output();
+    let out = out.expect("chaos");
+    assert!(
+        out.status.success(),
+        "chaos {args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(dir.join(schedule).is_file(), "chaos {args:?} wrote no {schedule}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn chaos_local_arm_holds_its_invariants() {
+    chaos_check("chaos_local", &["--seed", "42"], "fault-schedule.json");
+}
+
+#[test]
+fn chaos_shard_arm_holds_its_invariants() {
+    chaos_check("chaos_shards", &["--shards", "3"], "shard-fault-schedule.json");
 }
