@@ -30,7 +30,7 @@ use crate::builder::DatasetBuilder;
 use crate::columns::{Column, ColumnSet};
 use crate::index::EventIndex;
 use crate::table::{
-    Dataset, EventRows, EventsTable, MentionRun, MentionsTable, SourceDirectory, SpanCache,
+    Dataset, Derived, EventRows, EventsTable, MentionRun, MentionsTable, SourceDirectory,
     NO_EVENT_ROW,
 };
 use gdelt_csv::clean::CleanReport;
@@ -118,16 +118,17 @@ pub fn append_dataset(base: &Dataset, batch: Dataset) -> (Dataset, BatchStats) {
     let mentions = merge_mentions(base, &batch, &events, &runs, &source_map, &mut stats);
     let event_index = EventIndex::build(events.len(), &mentions);
     // The merge keeps every base row, every batch mention and the batch
-    // events that are not duplicates: the quarters its span covers.
+    // events that are not duplicates: the rows its derived values gain.
     let held = |c: Column| base.columns.contains(c);
     let kept = runs.iter().filter(|run| run.from_batch && held(Column::EventsQuarter));
-    let mut added: Vec<&[u16]> =
+    let mut quarters: Vec<&[u16]> =
         kept.map(|run| batch.events.quarter.get(run.rows.clone()).unwrap_or_default()).collect();
     if held(Column::MentionsQuarter) {
-        added.push(&batch.mentions.quarter);
+        quarters.push(&batch.mentions.quarter);
     }
-    let span = SpanCache::extended(base, &added);
-    let out = Dataset { events, mentions, sources, event_index, columns: base.columns, span };
+    let added_sources = if held(Column::MentionsSource) { &batch.mentions.source[..] } else { &[] };
+    let derived = Derived::extended(base, &quarters, added_sources, &source_map, sources.len());
+    let out = Dataset { events, mentions, sources, event_index, columns: base.columns, derived };
     debug_assert_eq!(out.validate(), Ok(()));
     #[cfg(debug_assertions)]
     {

@@ -398,10 +398,10 @@ pub fn validate_dataset(d: &Dataset) -> ValidationReport {
         None
     });
 
-    // --- The cached quarter span ---
+    // --- The derived cache ---
     report.check(|| {
-        let (cached, span) = (d.cached_quarter_span()?, d.span_of_columns());
-        if cached != span {
+        let (cached, span) = (d.derived.span.get()?, d.span_of_columns());
+        if *cached != span {
             return violation(
                 "dataset.quarter_span",
                 "dataset",
@@ -409,6 +409,16 @@ pub fn validate_dataset(d: &Dataset) -> ValidationReport {
             );
         }
         None
+    });
+    report.check(|| {
+        let (cached, degrees) = (d.derived.source_degrees.get()?, d.degrees_of_columns());
+        let s = (0..cached.len().max(degrees.len())).find(|&s| cached.get(s) != degrees.get(s))?;
+        let (had, has) = (cached.get(s), degrees.get(s));
+        violation(
+            "dataset.source_degrees",
+            format!("source {s}"),
+            format!("cached degree {had:?} != {has:?} mentions in mentions.source"),
+        )
     });
 
     // --- Partition soundness ---
@@ -662,6 +672,20 @@ mod tests {
         assert!(report.violations.iter().any(|v| v.check == "dataset.quarter_span"), "{report}");
         assert_eq!(d.quarter_span(), span, "the cache keeps what it read");
         assert_ne!(d.clone().quarter_span(), span, "a clone reads its own columns");
+    }
+
+    #[test]
+    fn detects_stale_source_degrees() {
+        let mut d = sample();
+        let degrees = d.source_degrees().to_vec();
+        assert!(degrees.iter().any(|&n| n > 0));
+        assert!(d.deep_validate().is_ok(), "filled degrees equal their recount");
+        let source = d.mentions.source.as_mut_slice();
+        source[0] = (source[0] + 1) % degrees.len() as u32;
+        let report = d.deep_validate();
+        assert!(report.violations.iter().any(|v| v.check == "dataset.source_degrees"), "{report}");
+        assert_eq!(d.source_degrees(), degrees, "the cache keeps what it read");
+        assert_ne!(d.clone().source_degrees(), degrees, "a clone reads its own column");
     }
 
     #[test]

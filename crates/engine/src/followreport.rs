@@ -29,13 +29,10 @@
 //! column whose counts are dropped, which keeps the loop free of a
 //! branch on the source too.
 //!
-//! `articles` comes from the same walk: a column's add counter is the
-//! number of its source's mentions since the last flush, so the first
-//! word's walk adds it into `n_j` at every flush and at the end. The
-//! mentions of unknown events — the orphan tail past the CSR's last
-//! offset, which no partition walks — are counted once more on their
-//! own. The source column is thus read once for the ranking and once by
-//! the walk, and `n_j` always comes from the rows the matrix came from.
+//! `articles` is not walked: `n_j` is source `j`'s degree, which the
+//! dataset counts once over `mentions.source` and keeps
+//! ([`Dataset::source_degrees`], orphans included), the same vector the
+//! ranking round that picks the selection reads.
 
 use crate::chunk::{event_scan, mention_rows, rows_of};
 use crate::exec::{ExecContext, Merge};
@@ -102,12 +99,11 @@ impl FollowReport {
         }
 
         let offsets = &d.event_index.offsets;
-        let walked = event_scan(
+        let follow_counts = event_scan(
             ctx,
             offsets,
             |events| {
                 let mut counts = Matrix::<u64>::zeros(k, k);
-                let mut articles = vec![0u64; k];
                 let rows = mention_rows(offsets, events);
                 let mentions = (
                     rows_of(&d.mentions.event_row, &rows),
@@ -115,8 +111,6 @@ impl FollowReport {
                     rows_of(&d.mentions.mention_interval, &rows),
                 );
                 for word in 0..k.div_ceil(64) {
-                    // Only the first word's walk counts articles.
-                    let articles: &mut [u64] = if word == 0 { &mut articles } else { &mut [] };
                     let walk = match k.saturating_sub(64 * word).min(64).div_ceil(8) {
                         1 => follow_word::<1>,
                         2 => follow_word::<2>,
@@ -127,23 +121,16 @@ impl FollowReport {
                         7 => follow_word::<7>,
                         _ => follow_word::<8>,
                     };
-                    walk(mentions, &slot_of, word, &mut counts, articles);
+                    walk(mentions, &slot_of, word, &mut counts);
                 }
-                (counts, articles)
+                counts
             },
             Merge::merged,
-        );
-        let (follow_counts, mut articles) =
-            walked.unwrap_or_else(|| (Matrix::zeros(k, k), vec![0; k]));
-
-        // `n_j` counts every article, also on events outside the index.
-        let joined = offsets.last().map_or(0, |&end| end as usize);
-        for &src in d.mentions.source.get(joined..).unwrap_or_default() {
-            let slot = slot_of.get(src as usize).copied().unwrap_or(k);
-            if let Some(a) = articles.get_mut(slot) {
-                *a += 1;
-            }
-        }
+        )
+        .unwrap_or_else(|| Matrix::zeros(k, k));
+        let degrees = d.source_degrees();
+        let articles =
+            subset.iter().map(|s| degrees.get(s.index()).copied().unwrap_or(0)).collect();
         FollowReport { subset: subset.to_vec(), follow_counts, articles }
     }
 
@@ -182,15 +169,13 @@ struct LaneColumn<const LW: usize> {
 /// rows for the leaders `64 · word ..` of the selection, `LW` lane words
 /// (⌈leaders / 8⌉) per column: `slot_of` maps a source to its slot
 /// (`k` = unselected, the spare column), the counts land in rows
-/// `64 · word ..` of `counts`, and every selected column's adds land in
-/// `articles` — an empty slice for all words but the first.
+/// `64 · word ..` of `counts`.
 // analyze: no_panic
 fn follow_word<const LW: usize>(
     (events, sources, times): (&[u32], &[u32], &[u32]),
     slot_of: &[usize],
     word: usize,
     counts: &mut Matrix<u64>,
-    articles: &mut [u64],
 ) {
     let k = counts.cols();
     let mut columns = vec![LaneColumn { lanes: [0u64; LW], adds: 0 }; k + 1];
@@ -213,23 +198,21 @@ fn follow_word<const LW: usize>(
         }
         column.adds += 1;
         if column.adds == LANE_MAX {
-            flush(column, counts, articles, 64 * word, j);
+            flush(column, counts, 64 * word, j);
         }
     }
     for (j, column) in columns.iter_mut().enumerate() {
-        flush(column, counts, articles, 64 * word, j);
+        flush(column, counts, 64 * word, j);
     }
 }
 
 /// Add column `j`'s byte lanes (leader `first + 8w + b` in byte `b` of
-/// word `w`) into `counts` and its adds into `articles[j]`, and clear
-/// it; the spare column `j = k`, and lanes past the last leader, are
-/// dropped.
+/// word `w`) into `counts` and clear it; the spare column `j = k`, and
+/// lanes past the last leader, are dropped.
 // analyze: no_panic
 fn flush<const LW: usize>(
     column: &mut LaneColumn<LW>,
     counts: &mut Matrix<u64>,
-    articles: &mut [u64],
     first: usize,
     j: usize,
 ) {
@@ -240,9 +223,6 @@ fn flush<const LW: usize>(
                 *counts.get_mut(i, j) += u64::from(n);
             }
         }
-    }
-    if let Some(a) = articles.get_mut(j) {
-        *a += column.adds;
     }
     *column = LaneColumn { lanes: [0; LW], adds: 0 };
 }

@@ -164,14 +164,12 @@ impl ShardQuery {
     pub fn accepts(&self, p: &ShardPartial) -> bool {
         use ShardPartial as P;
         let square = |m: &crate::Matrix<u64>, n: usize| (m.rows(), m.cols()) == (n, n);
-        let n_countries = || CountryRegistry::new().len();
+        let n = CountryRegistry::LEN;
         match (self, p) {
             (ShardQuery::CoReport, P::CoReport(r)) => {
-                let n = n_countries();
                 square(&r.pairs, n) && r.event_counts.len() == n
             }
             (ShardQuery::CrossCountry, P::CrossCountry(r)) => {
-                let n = n_countries();
                 square(&r.counts, n)
                     && r.articles_by_publisher.len() == n
                     && r.events_by_country.len() == n
@@ -308,7 +306,7 @@ pub fn run_shard_query(
     sq: &ShardQuery,
     ev_row_base: u64,
 ) -> ShardPartial {
-    let n_countries = CountryRegistry::new().len();
+    let n_countries = CountryRegistry::LEN;
     match sq {
         ShardQuery::CoReport => ShardPartial::CoReport(CoReport::countries(ctx, d, n_countries)),
         ShardQuery::FollowReportWith { sources } => {
@@ -328,11 +326,7 @@ pub fn run_shard_query(
                 ShardPartial::Series(timeseries::late_articles_per_quarter(ctx, d, threshold))
             }
         },
-        ShardQuery::PublisherCounts => ShardPartial::PublisherCounts(crate::aggregate::count_by(
-            ctx,
-            &d.mentions.source,
-            d.sources.len(),
-        )),
+        ShardQuery::PublisherCounts => ShardPartial::PublisherCounts(d.source_degrees().to_vec()),
         ShardQuery::TopEvents { k } => {
             let entries = crate::topk::top_events(ctx, d, *k as usize)
                 .into_iter()

@@ -6,6 +6,7 @@
 //! sharing no code with the kernels, the partials or the merge.
 
 use gdelt_columnar::degraded::restrict_to_partitions;
+use gdelt_columnar::incremental::append_batch;
 use gdelt_columnar::table::NO_EVENT_ROW;
 use gdelt_columnar::{Column, ColumnSet, Dataset, DatasetBuilder};
 use gdelt_engine::chunk::{event_partitions, SEQUENTIAL_SCAN_ROWS};
@@ -732,6 +733,37 @@ fn pieces(d: &Dataset, parts: u32) -> Vec<Dataset> {
             restrict_to_partitions(d, parts, &quarantined).expect("restrict")
         })
         .collect()
+}
+
+// Publisher rankings read the dataset's source degrees. Over a dataset
+// whose degrees were read before an append, the degrees the append
+// extended rank like the oracle's row-at-a-time count, with a source
+// the batch brings and the mentions of an event the batch repeats.
+#[test]
+fn publisher_rankings_after_an_append_match_reference() {
+    let base = adversarial();
+    let may = Date { year: 2015, month: 5, day: 10 };
+    let events = vec![event_record(1, may), event_record(9, may)];
+    let mentions = vec![
+        mention_record(1, may, 5, "new.com", 0),
+        mention_record(9, may, 1, "new.com", 1),
+        mention_record(9, may, 3, "busy.com", 9),
+        mention_record(9, may, 4, "new.com", 2),
+    ];
+    let ctx = ExecContext::builder().threads(2).build();
+    for k in [1u32, 3, 50] {
+        let queries =
+            [Query::TopK { kind: TopKKind::Publishers, k }, Query::FollowReport { top_k: k }];
+        for asked in &queries {
+            let base = base.clone();
+            run_query(&ctx, &base, asked);
+            let (out, stats, _) = append_batch(&base, events.clone(), mentions.clone());
+            assert_eq!((stats.duplicate_events, stats.new_sources, stats.new_mentions), (1, 1, 4));
+            for q in &queries {
+                assert_eq!(run_query(&ctx, &out, q), reference(&out, q), "{q} after {asked}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -22,6 +22,7 @@ use gdelt_columnar::degraded::restrict_to_partitions;
 use gdelt_columnar::{load_degraded_with, Coverage, Dataset, RetryPolicy};
 use gdelt_engine::{run_query, ExecContext, Query, QueryResult, SeriesKind, TopKKind};
 use gdelt_faults::{seeded_picks, FaultPlan, PlanSpec, ShardFault, ShardFaultPlan};
+use gdelt_model::time::DateTime;
 use gdelt_serve::{
     replay, seeded_mix, Backend, DegradedPolicy, ExecHook, QueryService, ServeError, ServiceConfig,
     ServiceMetrics,
@@ -127,7 +128,10 @@ impl Run {
     /// Every answer `door` gives to `queries` has exactly `coverage`
     /// (full when `None`) and equals `run_query` over `restricted` (the
     /// store without the lost partitions), carried into `door`'s row
-    /// space by `lift`.
+    /// space by `lift`. The reference runs over a copy of `restricted`,
+    /// whose derived cache starts empty, so a span or degree vector the
+    /// door extended through `apply_batch` is checked against one
+    /// recomputed from the columns.
     fn degraded_answers<B: Backend>(
         &mut self,
         door: &QueryService<B>,
@@ -137,13 +141,14 @@ impl Run {
         queries: &[Query],
         phase: &str,
     ) {
+        let restricted = restricted.clone();
         for q in queries {
             let why = match door.run_covered(*q) {
                 Ok(a) if coverage.map_or(!a.coverage.is_full(), |c| a.coverage != c) => {
                     let c = coverage.map_or("full coverage".into(), |c| c.to_string());
                     format!("{q} reported {}, want {c}", a.coverage)
                 }
-                Ok(a) if *a.result != lift(run_query(&self.ctx, restricted, q)) => {
+                Ok(a) if *a.result != lift(run_query(&self.ctx, &restricted, q)) => {
                     format!("{q} differs from run_query")
                 }
                 Ok(_) => continue,
@@ -308,11 +313,17 @@ fn local_arm(o: &Options) -> Result<(), String> {
     let service = QueryService::new(clean_dataset, storm_config);
 
     // Storm batches: novel ids appended mid-replay, each bumping the
-    // generation and invalidating the cache.
+    // generation and invalidating the cache. Their articles come a year
+    // late, in quarters past the store's, so every storm widens the
+    // quarter span the service extends.
     let storm_cfg = gdelt_synth::paper_calibrated(o.scale.unwrap_or(1e-4), seed ^ 0x5702_17AA);
     let mut storm = gdelt_synth::generate(&storm_cfg);
+    const YEAR_S: i64 = 366 * 24 * 3600;
     storm.events.iter_mut().for_each(|e| e.id.0 += 1 << 40);
-    storm.mentions.iter_mut().for_each(|m| m.event_id.0 += 1 << 40);
+    storm.mentions.iter_mut().for_each(|m| {
+        m.event_id.0 += 1 << 40;
+        m.mention_time = DateTime::from_unix_seconds(m.mention_time.to_unix_seconds() + YEAR_S);
+    });
     const STORMS: usize = 3;
     let chunk = storm.events.len().div_ceil(STORMS).max(1);
     let m_chunk = storm.mentions.len().div_ceil(STORMS).max(1);

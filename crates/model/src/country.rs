@@ -162,6 +162,10 @@ impl Default for CountryRegistry {
 }
 
 impl CountryRegistry {
+    /// Number of registered countries: what [`CountryRegistry::len`]
+    /// returns, without building a registry.
+    pub const LEN: usize = COUNTRIES.len();
+
     /// Build the registry from the static table.
     pub fn new() -> Self {
         let mut by_tld = HashMap::with_capacity(COUNTRIES.len() + GENERIC_US_TLDS.len());
@@ -181,7 +185,7 @@ impl CountryRegistry {
     /// Number of registered countries.
     #[inline]
     pub fn len(&self) -> usize {
-        COUNTRIES.len()
+        Self::LEN
     }
 
     /// True if no countries are registered (never, in practice).

@@ -57,7 +57,9 @@ fn generation_bump_invalidates_and_recomputes() {
     let base = dataset();
     let service = QueryService::new(base, config());
     let q = Query::TimeSeries(SeriesKind::Articles);
+    let top = Query::TopK { kind: TopKKind::Publishers, k: 10 };
     let before = service.run(q).expect("pre-batch run");
+    let top_before = service.run(top).expect("pre-batch ranking");
     assert_eq!(service.generation(), 0);
 
     // Apply a real batch from a different seed: new events + mentions.
@@ -69,17 +71,21 @@ fn generation_bump_invalidates_and_recomputes() {
 
     // The same query now recomputes against the merged dataset and must
     // match a direct engine run over a copy of the service's snapshot.
-    // The snapshot inherited the quarter span its base had read; the
-    // copy starts without one and recomputes it.
+    // The snapshot inherited the quarter span and the source degrees its
+    // base had read; the copy starts without them and recomputes them.
     let after = service.run(q).expect("post-batch run");
+    let top_after = service.run(top).expect("post-batch ranking");
     assert!(!Arc::ptr_eq(&before, &after), "stale cache entry survived the bump");
     let served = service.dataset();
     let copy = Dataset::clone(&served);
     assert_eq!(served.quarter_span(), copy.quarter_span());
+    assert_eq!(served.source_degrees(), copy.source_degrees());
     assert!(served.deep_validate().is_ok(), "{}", served.deep_validate());
-    let direct = run_query(&ExecContext::builder().threads(2).build(), &copy, &q);
-    assert_eq!(*after, direct);
+    let ctx = ExecContext::builder().threads(2).build();
+    assert_eq!(*after, run_query(&ctx, &copy, &q));
+    assert_eq!(*top_after, run_query(&ctx, &copy, &top));
     assert_ne!(*before, *after, "batch changed the articles-per-quarter series");
+    assert_ne!(*top_before, *top_after, "batch changed the publisher ranking");
 }
 
 #[test]

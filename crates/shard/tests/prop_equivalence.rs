@@ -40,6 +40,9 @@ fn all_queries(k: u32, threshold: u32) -> Vec<Query> {
 /// The seeded corpus, either built in one go or as half a corpus grown
 /// by one `append_batch` (so the store under the split carries appended
 /// events, late mentions of old events and sources interned mid-life).
+/// The half is asked TopK Publishers first, so the appended dataset
+/// answers from degrees the append extended while every shard split
+/// off it counts its own.
 fn corpus(seed: u64, appended: bool) -> Dataset {
     let cfg = gdelt_synth::scenario::tiny(seed);
     if !appended {
@@ -50,7 +53,10 @@ fn corpus(seed: u64, appended: bool) -> Dataset {
     let mut b = DatasetBuilder::new();
     data.events[..ev_half].iter().cloned().for_each(|e| b.add_event(e));
     data.mentions[..m_half].iter().cloned().for_each(|m| b.add_mention(m));
-    append_batch(&b.build().0, data.events[ev_half..].to_vec(), data.mentions[m_half..].to_vec()).0
+    let half = b.build().0;
+    let ctx = ExecContext::builder().threads(1).build();
+    run_query(&ctx, &half, &Query::TopK { kind: TopKKind::Publishers, k: 1 });
+    append_batch(&half, data.events[ev_half..].to_vec(), data.mentions[m_half..].to_vec()).0
 }
 
 /// The balanced `n_shards`-way partition ranges.
