@@ -7,7 +7,9 @@
 //! per-partition accumulators merged at the end — never on shared
 //! mutable state. [`Partition`] encodes those ranges; the `node` tag
 //! mirrors the NUMA-node ownership a placement-aware allocator would
-//! give each range.
+//! give each range. Scans that group mentions by event cut the
+//! event→mentions CSR index with [`event_partitions`] instead, so no
+//! event's mentions are split across workers.
 //!
 //! [`fork_join`] is the one place product code runs a computation on
 //! more than one thread, over one process-wide pool: the engine's
@@ -79,28 +81,33 @@ pub fn partitions(n_rows: usize, n_parts: usize) -> Vec<Partition> {
     out
 }
 
-/// Split aligned to `chunk` boundaries (e.g. to keep event groups whole
-/// when `boundaries` are CSR offsets): each partition ends on one of the
-/// supplied ascending boundary values. Used to parallelize per-event
-/// scans without splitting an event's mention range across workers.
+/// Cut the events of a CSR index into at most `n_parts` contiguous
+/// *event* ranges of near-equal *mention* weight: edge `i` is the first
+/// event whose offset reaches `total · i / n_parts`, so a partition
+/// outweighs `total / n_parts` by less than its heaviest event, however
+/// the mentions are spread (equal event counts would hand the worker
+/// that draws a dense news week, or one 5 000-mention event, several
+/// times the rows of its neighbours — and the pool's schedule is
+/// static). Ranges that would be empty are dropped; together the rest
+/// tile `0..n_events`.
 // analyze: no_panic
-pub fn partitions_at_boundaries(boundaries: &[u64], n_parts: usize) -> Vec<Partition> {
-    // boundaries = CSR offsets (len = n_groups + 1).
-    if boundaries.is_empty() {
-        return partitions(0, n_parts);
+pub fn event_partitions(offsets: &[u64], n_parts: usize) -> Vec<Partition> {
+    let n_events = offsets.len().saturating_sub(1);
+    let total = offsets.last().copied().unwrap_or(0);
+    let n_parts = n_parts.clamp(1, n_events.max(1));
+    let mut parts = Vec::with_capacity(n_parts);
+    let mut begin = 0;
+    for i in 1..=n_parts {
+        let target = (u128::from(total) * i as u128 / n_parts as u128) as u64;
+        // Trailing events without mentions sit past the last target.
+        let edge = if i == n_parts { n_events } else { offsets.partition_point(|&o| o < target) };
+        let end = edge.min(n_events);
+        if end > begin {
+            parts.push(Partition { begin, end, node: parts.len() });
+            begin = end;
+        }
     }
-    let n_groups = boundaries.len() - 1;
-    let group_parts = partitions(n_groups, n_parts);
-    group_parts
-        .into_iter()
-        .map(|p| Partition {
-            // analyze: allow(panic_path): p.begin ≤ p.end ≤ n_groups < boundaries.len()
-            begin: boundaries[p.begin] as usize,
-            // analyze: allow(panic_path): p.begin ≤ p.end ≤ n_groups < boundaries.len()
-            end: boundaries[p.end] as usize,
-            node: p.node,
-        })
-        .collect()
+    parts
 }
 
 /// The number of cores the OS grants this process, read once: the
@@ -395,23 +402,23 @@ mod tests {
     fn boundary_aligned_partitions_respect_groups() {
         // CSR offsets: groups of sizes 3, 1, 0, 4, 2 → total 10 rows.
         let offs = [0u64, 3, 4, 4, 8, 10];
-        let ps = partitions_at_boundaries(&offs, 2);
+        let ps = event_partitions(&offs, 2);
         assert_eq!(ps.len(), 2);
         assert_eq!(ps[0].begin, 0);
-        assert_eq!(ps.last().unwrap().end, 10);
-        // Each boundary must be one of the offsets.
-        for p in &ps {
-            assert!(offs.contains(&(p.begin as u64)));
-            assert!(offs.contains(&(p.end as u64)));
-        }
+        assert_eq!(ps.last().unwrap().end, 5);
+        // Event ranges meet, so each group lands whole in one range.
         for w in ps.windows(2) {
             assert_eq!(w[0].end, w[1].begin);
         }
+        let rows: Vec<u64> = ps.iter().map(|p| offs[p.end] - offs[p.begin]).collect();
+        assert_eq!(rows, vec![8, 2]);
     }
 
     #[test]
     fn boundary_partitions_of_empty_index() {
-        let ps = partitions_at_boundaries(&[], 4);
-        assert!(ps.iter().all(|p| p.is_empty()));
+        // No index, no events, no mentions.
+        assert!(event_partitions(&[], 4).is_empty());
+        assert!(event_partitions(&[0], 4).is_empty());
+        assert_eq!(event_partitions(&[0, 0, 0], 4).len(), 1);
     }
 }

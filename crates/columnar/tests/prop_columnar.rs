@@ -2,7 +2,7 @@
 //! valid datasets, the binary format round-trips exactly, and the
 //! partitioner/string-pool invariants hold for all inputs.
 
-use gdelt_columnar::partition::{partitions, partitions_at_boundaries};
+use gdelt_columnar::partition::{event_partitions, partitions};
 use gdelt_columnar::strings::{StringDict, StringPool};
 use gdelt_columnar::{binfmt, DatasetBuilder};
 use gdelt_model::cameo::{CameoRoot, Goldstein, QuadClass};
@@ -157,13 +157,16 @@ proptest! {
         for s in &sizes {
             offsets.push(offsets.last().unwrap() + s);
         }
-        let ps = partitions_at_boundaries(&offsets, parts);
-        let total = *offsets.last().unwrap() as usize;
-        prop_assert_eq!(ps.last().map(|p| p.end).unwrap_or(0), total);
+        // Event ranges that tile the events keep every group whole.
+        let ps = event_partitions(&offsets, parts);
+        prop_assert_eq!(ps.is_empty(), sizes.is_empty());
+        let mut next = 0;
         for p in &ps {
-            prop_assert!(offsets.contains(&(p.begin as u64)));
-            prop_assert!(offsets.contains(&(p.end as u64)));
+            prop_assert_eq!(p.begin, next);
+            prop_assert!(p.end > p.begin);
+            next = p.end;
         }
+        prop_assert_eq!(next, sizes.len());
     }
 
     #[test]

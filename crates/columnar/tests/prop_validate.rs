@@ -33,7 +33,7 @@
 
 use gdelt_columnar::binfmt::{self, checksum64};
 use gdelt_columnar::degraded::read_dataset_degraded;
-use gdelt_columnar::partition::{partitions_at_boundaries, Partition};
+use gdelt_columnar::partition::{event_partitions, Partition};
 use gdelt_columnar::table::NO_EVENT_ROW;
 use gdelt_columnar::{Column, ColumnSet, Dataset, DatasetBuilder};
 use gdelt_model::cameo::{CameoRoot, Goldstein, QuadClass};
@@ -271,19 +271,15 @@ proptest! {
         prop_assume!(bounds.len() >= 3);
         // Normalize to a plausible CSR: starts at 0.
         bounds[0] = 0;
-        let sound = partitions_at_boundaries(&bounds, parts);
-        prop_assert!(partitions_sound(&sound, *bounds.last().unwrap() as usize, &bounds));
+        prop_assert!(partitions_sound(&event_partitions(&bounds, parts), &bounds));
 
         // Swap two adjacent interior boundaries (all distinct after
-        // dedup) and re-derive with one partition per group, so every
-        // boundary is a cut and the inversion cannot hide inside a
-        // coarser partition. The [i, i+1] partition then runs backwards.
+        // dedup): event `i`'s rows then run backwards, in whichever
+        // partition holds it.
         let i = 1 + pick % (bounds.len() - 2);
         bounds.swap(i, i + 1);
-        let total = *bounds.last().unwrap() as usize;
-        let broken = partitions_at_boundaries(&bounds, bounds.len() - 1);
         prop_assert!(
-            !partitions_sound(&broken, total, &bounds),
+            !partitions_sound(&event_partitions(&bounds, parts), &bounds),
             "swapped bounds at {i} still produced sound partitions"
         );
     }
@@ -692,19 +688,16 @@ fn total_tail_len(tail: &[RawSection]) -> usize {
     tail.iter().map(|s| 2 + s.name.len() + 16 + s.payload.len()).sum()
 }
 
-/// Partition soundness: contiguous coverage of `0..total` with every
-/// cut on a boundary.
-fn partitions_sound(ps: &[Partition], total: usize, bounds: &[u64]) -> bool {
-    if ps.is_empty() {
-        return total == 0;
+/// Partition soundness over the CSR `offsets`: the event ranges tile
+/// the events, and every event of a range covers its rows forwards.
+fn partitions_sound(ps: &[Partition], offsets: &[u64]) -> bool {
+    let n_events = offsets.len().saturating_sub(1);
+    let mut next = 0;
+    for p in ps {
+        if p.begin != next || p.end <= p.begin {
+            return false;
+        }
+        next = p.end;
     }
-    if ps[0].begin != 0 || ps[ps.len() - 1].end != total {
-        return false;
-    }
-    ps.windows(2).all(|w| w[0].end == w[1].begin)
-        && ps.iter().all(|p| {
-            p.begin <= p.end
-                && bounds.contains(&(p.begin as u64))
-                && bounds.contains(&(p.end as u64))
-        })
+    next == n_events && ps.iter().all(|p| offsets[p.begin..=p.end].windows(2).all(|w| w[0] <= w[1]))
 }

@@ -17,8 +17,10 @@
 //! copies of the slots, folded once at the end, so no row waits on the
 //! row before it. DESIGN.md "Kernel cost model" has the measurements.
 
-use crate::chunk::{partition_scan, rows_of, SelMask};
+use crate::chunk::{chunks_of, partition_scan, rows_of, SelMask};
 use crate::exec::{ExecContext, Merge};
+use gdelt_columnar::Dataset;
+use gdelt_model::time::Quarter;
 
 /// Key types usable as dense accumulator indexes.
 pub trait DenseKey: Copy + PartialEq + Send + Sync {
@@ -179,6 +181,32 @@ pub fn count_by<K: DenseKey>(ctx: &ExecContext, keys: &[K], domain: usize) -> Ve
         lanes.sums()
     };
     partition_scan(ctx, keys.len(), count_rows, Merge::merged)
+}
+
+/// Articles per source among the mentions scraped in quarters
+/// `from..=to` (the paper's "mentions … in a short span of time", §II).
+/// One fused pass, the LateArticles shape: per chunk, a branchless
+/// [`SelMask`] over `mentions.quarter`, then the `mentions.source` count
+/// under it while the chunk is in L1. A window the corpus does not reach,
+/// or with `to` before `from`, selects nothing.
+// analyze: no_panic
+pub fn articles_by_source_in(
+    ctx: &ExecContext,
+    d: &Dataset,
+    from: Quarter,
+    to: Quarter,
+) -> Vec<u64> {
+    let window = from.linear()..=to.linear();
+    let count_rows = |rows| {
+        let mut lanes = DenseLanes::new(d.sources.len());
+        for c in chunks_of(rows) {
+            let sel =
+                SelMask::select(c.slice(&d.mentions.quarter), |q| window.contains(&i32::from(q)));
+            lanes.count_selected(c.slice(&d.mentions.source), 0, &sel);
+        }
+        lanes.sums()
+    };
+    partition_scan(ctx, d.mentions.len(), count_rows, Merge::merged)
 }
 
 /// Sum an `f32` column grouped by dense key, returning `(sum, count)`
@@ -370,6 +398,61 @@ mod tests {
         for threads in [1, 2, 3, 5] {
             let ctx = ExecContext::builder().threads(threads).build();
             assert_eq!(count_by(&ctx, &keys, 90), want, "{threads} threads");
+        }
+    }
+
+    fn corpus() -> Dataset {
+        gdelt_synth::generate_dataset(&gdelt_synth::scenario::tiny(91)).0
+    }
+
+    /// `articles_by_source_in`, one row at a time.
+    fn window_reference(d: &Dataset, from: Quarter, to: Quarter) -> Vec<u64> {
+        let mut want = vec![0u64; d.sources.len()];
+        for (&q, &s) in d.mentions.quarter.iter().zip(d.mentions.source.iter()) {
+            if (from.linear()..=to.linear()).contains(&i32::from(q)) {
+                want[s as usize] += 1;
+            }
+        }
+        want
+    }
+
+    #[test]
+    fn a_window_over_the_span_counts_every_mention() {
+        let d = corpus();
+        let (base, n) = d.quarter_span().unwrap();
+        let quarter = |i: usize| Quarter::from_linear(i32::from(base) + i as i32);
+        let all = count_by(&ctx(), &d.mentions.source, d.sources.len());
+        assert_eq!(articles_by_source_in(&ctx(), &d, quarter(0), quarter(n - 1)), all);
+        // Quarter indexes far outside `u16` neither wrap nor truncate.
+        let (min, max) = (Quarter { year: i16::MIN, q: 1 }, Quarter { year: i16::MAX, q: 4 });
+        assert_eq!(articles_by_source_in(&ctx(), &d, min, max), all);
+    }
+
+    #[test]
+    fn one_quarter_windows_match_a_row_at_a_time_loop_and_tile_the_corpus() {
+        let d = corpus();
+        let (base, n) = d.quarter_span().unwrap();
+        assert!(n > 1);
+        let mut total = vec![0u64; d.sources.len()];
+        for i in 0..n {
+            let q = Quarter::from_linear(i32::from(base) + i as i32);
+            let got = articles_by_source_in(&ctx(), &d, q, q);
+            assert_eq!(got, window_reference(&d, q, q), "{q}");
+            total.iter_mut().zip(got).for_each(|(t, c)| *t += c);
+        }
+        assert_eq!(total, count_by(&ctx(), &d.mentions.source, d.sources.len()));
+    }
+
+    #[test]
+    fn windows_outside_the_span_or_reversed_select_nothing() {
+        let d = corpus();
+        let (base, n) = d.quarter_span().unwrap();
+        let first = Quarter::from_linear(i32::from(base));
+        let last = Quarter::from_linear(i32::from(base) + n as i32 - 1);
+        let before = Quarter::from_linear(i32::from(base) - 1);
+        for (from, to) in [(before, before), (last.next(), last.next().next()), (last, first)] {
+            let got = articles_by_source_in(&ctx(), &d, from, to);
+            assert_eq!(got, vec![0; d.sources.len()], "{from}..={to}");
         }
     }
 }

@@ -28,7 +28,7 @@
 //! has [`for_each_event`] hand it each event's row and mention rows.
 
 use crate::exec::ExecContext;
-use gdelt_columnar::partition::Partition;
+use gdelt_columnar::partition::event_partitions;
 
 /// Rows per chunk. 4096 rows keeps the widest hot column (u32, 16 KiB)
 /// inside L1 alongside an accumulator, and is a multiple of 64 so chunk
@@ -233,35 +233,6 @@ impl SelMask {
     }
 }
 
-/// Cut the events of a CSR index into at most `n_parts` contiguous
-/// *event* ranges of near-equal *mention* weight: edge `i` is the first
-/// event whose offset reaches `total · i / n_parts`, so a partition
-/// outweighs `total / n_parts` by less than its heaviest event, however
-/// the mentions are spread (equal event counts would hand the worker
-/// that draws a dense news week, or one 5 000-mention event, several
-/// times the rows of its neighbours — and the pool's schedule is
-/// static). Ranges that would be empty are dropped; together the rest
-/// tile `0..n_events`.
-// analyze: no_panic
-pub fn event_partitions(offsets: &[u64], n_parts: usize) -> Vec<Partition> {
-    let n_events = offsets.len().saturating_sub(1);
-    let total = offsets.last().copied().unwrap_or(0);
-    let n_parts = n_parts.clamp(1, n_events.max(1));
-    let mut parts = Vec::with_capacity(n_parts);
-    let mut begin = 0;
-    for i in 1..=n_parts {
-        let target = (u128::from(total) * i as u128 / n_parts as u128) as u64;
-        // Trailing events without mentions sit past the last target.
-        let edge = if i == n_parts { n_events } else { offsets.partition_point(|&o| o < target) };
-        let end = edge.min(n_events);
-        if end > begin {
-            parts.push(Partition { begin, end, node: parts.len() });
-            begin = end;
-        }
-    }
-    parts
-}
-
 /// The one event walker: call `f(event_row, mention_rows)` for every
 /// event of `events`, in order, reading each boundary once from the CSR
 /// `offsets` (`mention_rows` is empty for an event nobody reported on).
@@ -421,10 +392,6 @@ mod tests {
         assert!(parts.windows(2).all(|w| w[0].end == w[1].begin));
         let weights: Vec<u64> = parts.iter().map(|p| offsets[p.end] - offsets[p.begin]).collect();
         assert_eq!(weights, vec![6_234, 1_000]);
-        // No index, no events, no mentions.
-        assert!(event_partitions(&[], 4).is_empty());
-        assert!(event_partitions(&[0], 4).is_empty());
-        assert_eq!(event_partitions(&[0, 0, 0], 4).len(), 1);
     }
 
     #[test]

@@ -19,6 +19,7 @@ use crate::aggregate::DenseLanes;
 use crate::chunk::{chunks_of, partition_scan, rows_of, Chunk, CHUNK_ROWS};
 use crate::exec::{ExecContext, Merge};
 use crate::matrix::Matrix;
+use crate::topk::top_k;
 use gdelt_columnar::Dataset;
 use gdelt_model::ids::CountryId;
 
@@ -126,13 +127,13 @@ impl CrossReport {
     /// Countries ranked by recorded events, descending (Table VI row
     /// order).
     pub fn top_reported(&self, k: usize) -> Vec<CountryId> {
-        rank_desc(&self.events_by_country, k)
+        rank_countries(&self.events_by_country, k)
     }
 
     /// Countries ranked by published articles, descending (Table VI
     /// column order).
     pub fn top_publishing(&self, k: usize) -> Vec<CountryId> {
-        rank_desc(&self.articles_by_publisher, k)
+        rank_countries(&self.articles_by_publisher, k)
     }
 }
 
@@ -152,10 +153,10 @@ fn count_keys<I: Iterator<Item = u32>>(
     lanes.sums()
 }
 
-fn rank_desc(vals: &[u64], k: usize) -> Vec<CountryId> {
-    let mut idx: Vec<usize> = (0..vals.len()).collect();
-    idx.sort_by_key(|&i| std::cmp::Reverse(vals[i]));
-    idx.into_iter().take(k).map(|i| CountryId(i as u16)).collect()
+/// The `k` countries with the largest counts, descending, ties by
+/// ascending id: [`top_k`] over the dense country counts.
+fn rank_countries(counts: &[u64], k: usize) -> Vec<CountryId> {
+    top_k(counts, k).into_iter().map(|(i, _)| CountryId(i as u16)).collect()
 }
 
 #[cfg(test)]
@@ -272,10 +273,15 @@ mod tests {
         let top_pub = cr.top_publishing(2);
         assert_eq!(top_pub[0], reg.by_name("USA"));
         assert_eq!(top_pub[1], reg.by_name("UK"));
-        let top_rep = cr.top_reported(2);
-        // Both have one event; ranking is deterministic by index order.
-        assert!(top_rep.contains(&reg.by_name("USA")));
-        assert!(top_rep.contains(&reg.by_name("UK")));
+        // A tied pair: one event each, ranked by ascending id.
+        let mut tied = [reg.by_name("USA"), reg.by_name("UK")];
+        tied.sort_by_key(|c| c.index());
+        assert_eq!(cr.top_reported(2), tied);
+        // Past the tie every country has none; the ids still ascend.
+        let all = cr.top_reported(reg.len());
+        assert_eq!(&all[..2], &tied);
+        assert!(all[2..].windows(2).all(|w| w[0].index() < w[1].index()));
+        assert!(cr.top_publishing(0).is_empty());
     }
 
     #[test]

@@ -53,10 +53,8 @@ pub mod histogram;
 pub mod matrix;
 pub mod partial;
 pub mod query;
-pub mod stats;
 pub mod timeseries;
 pub mod topk;
-pub mod view;
 pub mod wildfire;
 
 pub use exec::{ExecContext, ExecContextBuilder};

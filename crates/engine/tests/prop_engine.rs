@@ -3,11 +3,11 @@
 //! inputs and thread counts — the fundamental correctness contract of
 //! the partition/merge execution model.
 
+use gdelt_columnar::partition::event_partitions;
 use gdelt_engine::aggregate::count_by;
-use gdelt_engine::chunk::{event_partitions, for_each_event};
+use gdelt_engine::chunk::{for_each_event, SelMask, CHUNK_ROWS};
 use gdelt_engine::filter::Bitmap;
 use gdelt_engine::matrix::Matrix;
-use gdelt_engine::stats::percentile_u32;
 use gdelt_engine::topk::top_k;
 use gdelt_engine::ExecContext;
 use proptest::prelude::*;
@@ -27,31 +27,6 @@ proptest! {
             expect[k as usize] += 1;
         }
         prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn bitmap_fill_equals_predicate(
-        n in 0usize..3_000,
-        modulus in 1usize..13,
-        threads in 1usize..8,
-    ) {
-        let ctx = ExecContext::builder().threads(threads).build();
-        let bm = Bitmap::fill(&ctx, n, |i| i % modulus == 1);
-        for i in 0..n {
-            prop_assert_eq!(bm.get(i), i % modulus == 1);
-        }
-        prop_assert_eq!(bm.count(), (0..n).filter(|i| i % modulus == 1).count());
-        prop_assert_eq!(bm.iter().count(), bm.count());
-    }
-
-    #[test]
-    fn percentile_is_monotone(mut vals in prop::collection::vec(0u32..10_000, 1..200)) {
-        let p25 = percentile_u32(&mut vals, 25.0);
-        let p50 = percentile_u32(&mut vals, 50.0);
-        let p75 = percentile_u32(&mut vals, 75.0);
-        let p100 = percentile_u32(&mut vals, 100.0);
-        prop_assert!(p25 <= p50 && p50 <= p75 && p75 <= p100);
-        prop_assert_eq!(p100, *vals.iter().max().unwrap());
     }
 
     #[test]
@@ -101,92 +76,57 @@ proptest! {
         for &y in &sb {
             b.set(y);
         }
-        let mut and = a.clone();
-        and.and(&b);
-        let mut or = a.clone();
-        or.or(&b);
+        a.or(&b);
         prop_assert_eq!(
-            and.iter().collect::<Vec<_>>(),
-            sa.intersection(&sb).copied().collect::<Vec<_>>()
-        );
-        prop_assert_eq!(
-            or.iter().collect::<Vec<_>>(),
+            (0..256).filter(|&i| a.get(i)).collect::<Vec<_>>(),
             sa.union(&sb).copied().collect::<Vec<_>>()
         );
+        prop_assert_eq!(a.count(), sa.union(&sb).count());
     }
 
-    // ---- word-level selection-vector API ------------------------------
-    // The vectorized entry points (64 lanes per u64 word) must agree
-    // with the obvious one-bit-at-a-time reference for every length,
-    // including lengths that leave a partial tail word.
+    // ---- word-level selection vectors --------------------------------
+    // The vectorized forms (64 lanes per u64 word) must agree with the
+    // obvious one-bit-at-a-time reference for every length, including
+    // lengths that leave a partial tail word.
 
     #[test]
     fn word_level_fill_matches_per_bit_reference(
-        n in 0usize..700,
-        modulus in 1usize..13,
-        threads in 1usize..8,
-    ) {
-        let ctx = ExecContext::builder().threads(threads).build();
-        let bm = Bitmap::fill(&ctx, n, |i| i % modulus == 0);
-        // Per-bit reference built with set() only.
-        let mut reference = Bitmap::new(n);
-        for i in (0..n).step_by(modulus) {
-            reference.set(i);
-        }
-        prop_assert_eq!(bm.count(), reference.count());
-        prop_assert_eq!(bm.words(), reference.words());
-        // The physical tail beyond `len` stays zero.
-        if let (Some(&last), true) = (bm.words().last(), n % 64 != 0) {
-            prop_assert_eq!(last & !((1u64 << (n % 64)) - 1), 0);
-        }
-    }
-
-    #[test]
-    fn fill_range_and_eq_match_naive_scan(
-        col in prop::collection::vec(0u16..40, 0..700),
+        col in prop::collection::vec(0u16..40, 0..CHUNK_ROWS + 100),
         lo in 0u16..40,
         span in 0u16..10,
-        threads in 1usize..8,
     ) {
-        let ctx = ExecContext::builder().threads(threads).build();
         let hi = lo.saturating_add(span);
-        let bm = Bitmap::fill_range(&ctx, &col, lo, hi);
-        let naive: Vec<usize> =
-            (0..col.len()).filter(|&i| lo <= col[i] && col[i] <= hi).collect();
-        prop_assert_eq!(bm.iter().collect::<Vec<_>>(), naive);
-        let eq = Bitmap::fill_eq(&ctx, &col, lo);
-        let naive_eq: Vec<usize> = (0..col.len()).filter(|&i| col[i] == lo).collect();
-        prop_assert_eq!(eq.iter().collect::<Vec<_>>(), naive_eq);
+        let m = SelMask::select(&col, |v| lo <= v && v <= hi);
+        // Per-bit reference; rows past a chunk stay unselected.
+        let mut reference = [0u64; CHUNK_ROWS / 64];
+        for (i, &v) in col.iter().enumerate().take(CHUNK_ROWS) {
+            reference[i / 64] |= u64::from(lo <= v && v <= hi) << (i % 64);
+        }
+        prop_assert_eq!(m.words(), &reference);
+        prop_assert_eq!(m.rows(), col.len().min(CHUNK_ROWS));
+        prop_assert_eq!(m.count(), reference.iter().map(|w| w.count_ones() as usize).sum::<usize>());
     }
 
     #[test]
     fn word_iteration_agrees_with_bit_iteration(
         xs in prop::collection::vec(0usize..700, 0..128),
         n in 1usize..700,
-        a in 0usize..700,
-        b in 0usize..700,
     ) {
         let mut bm = Bitmap::new(n);
         for &x in xs.iter().filter(|&&x| x < n) {
             bm.set(x);
         }
-        // iter_set_words reconstructs exactly the set rows.
+        // A trailing-zeros walk of the words yields exactly the set bits.
         let mut from_words = Vec::new();
-        for (w, mut word) in bm.iter_set_words() {
-            prop_assert!(word != 0, "iter_set_words must skip zero words");
+        for (w, &word) in bm.words().iter().enumerate() {
+            let mut word = word;
             while word != 0 {
-                let bit = word.trailing_zeros() as usize;
+                from_words.push(w * 64 + word.trailing_zeros() as usize);
                 word &= word - 1;
-                from_words.push(w * 64 + bit);
             }
         }
-        prop_assert_eq!(from_words, bm.iter().collect::<Vec<_>>());
-        // for_each_in over any window equals the filtered iteration.
-        let (lo, hi) = (a.min(b), a.max(b));
-        let mut masked = Vec::new();
-        bm.for_each_in(lo..hi, |i| masked.push(i));
-        let expect: Vec<usize> = bm.iter().filter(|&i| (lo..hi).contains(&i)).collect();
-        prop_assert_eq!(masked, expect);
+        prop_assert_eq!(from_words, (0..n).filter(|&i| bm.get(i)).collect::<Vec<_>>());
+        prop_assert_eq!(bm.words().len(), n.div_ceil(64));
     }
 
     #[test]
@@ -197,15 +137,11 @@ proptest! {
     ) {
         let a = Bitmap::from_words(aw, n);
         let b = Bitmap::from_words(bw, n);
-        let mut and = a.clone();
-        and.and(&b);
         let mut or = a.clone();
         or.or(&b);
         for i in 0..n {
-            prop_assert_eq!(and.get(i), a.get(i) && b.get(i));
             prop_assert_eq!(or.get(i), a.get(i) || b.get(i));
         }
-        prop_assert_eq!(and.count(), (0..n).filter(|&i| and.get(i)).count());
         prop_assert_eq!(or.count(), (0..n).filter(|&i| or.get(i)).count());
     }
 

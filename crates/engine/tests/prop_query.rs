@@ -7,9 +7,11 @@
 
 use gdelt_columnar::degraded::restrict_to_partitions;
 use gdelt_columnar::incremental::append_batch;
+use gdelt_columnar::partition::event_partitions;
 use gdelt_columnar::table::NO_EVENT_ROW;
 use gdelt_columnar::{Column, ColumnSet, Dataset, DatasetBuilder};
-use gdelt_engine::chunk::{event_partitions, SEQUENTIAL_SCAN_ROWS};
+use gdelt_engine::aggregate::articles_by_source_in;
+use gdelt_engine::chunk::SEQUENTIAL_SCAN_ROWS;
 use gdelt_engine::coreport::{CoReport, MASK_BLOCK_EVENTS};
 use gdelt_engine::crossreport::CrossReport;
 use gdelt_engine::delay::DelayStats;
@@ -701,9 +703,7 @@ fn scan_corpus(n_events: u64, days: u64) -> Dataset {
     b.build().0
 }
 
-/// LateArticles in two separate passes: materialize the late-article
-/// selection, then count per quarter under the mask.
-/// The fused kernel, through the public path.
+/// The fused LateArticles kernel, through the public path.
 fn late_articles(ctx: &ExecContext, d: &Dataset, threshold: u32) -> QuarterlySeries {
     let q = Query::TimeSeries(SeriesKind::LateArticles { threshold });
     let QueryResult::TimeSeries(series) = run_query(ctx, d, &q) else {
@@ -712,17 +712,18 @@ fn late_articles(ctx: &ExecContext, d: &Dataset, threshold: u32) -> QuarterlySer
     series
 }
 
-fn unfused_late_articles(ctx: &ExecContext, d: &Dataset, threshold: u32) -> Vec<f64> {
-    use gdelt_engine::filter::Bitmap;
+/// LateArticles one row at a time: test the delay, count the quarter.
+fn unfused_late_articles(d: &Dataset, threshold: u32) -> Vec<f64> {
     let Some((base, n_quarters)) = d.quarter_span() else {
         return Vec::new();
     };
-    let late = Bitmap::fill_range(ctx, &d.mentions.delay, threshold + 1, u32::MAX);
-    let mut counts = vec![0u64; n_quarters];
-    late.for_each_in(0..d.mentions.len(), |r| {
-        counts[(d.mentions.quarter[r] - base) as usize] += 1;
-    });
-    counts.iter().map(|&c| c as f64).collect()
+    let mut counts = vec![0.0; n_quarters];
+    for (&q, &delay) in d.mentions.quarter.iter().zip(d.mentions.delay.iter()) {
+        if delay > threshold {
+            counts[usize::from(q - base)] += 1.0;
+        }
+    }
+    counts
 }
 
 /// `d` cut into `parts` contiguous partition ranges, one dataset each.
@@ -845,7 +846,19 @@ fn corpus_above_the_cut_off_matches_reference_at_every_thread_count() {
         // The fused selection + count against the two separate passes,
         // at a threshold only the delayed third reports clear.
         let fused = late_articles(&ctx, &d, 300);
-        assert_eq!(fused.values, unfused_late_articles(&ctx, &d, 300), "{threads} thread(s)");
+        assert_eq!(fused.values, unfused_late_articles(&d, 300), "{threads} thread(s)");
+        // So does the windowed count, over the two middle quarters.
+        let (base, n) = d.quarter_span().expect("span");
+        let window = |i: usize| Quarter::from_linear(i32::from(base) + i as i32);
+        let (from, to) = (window(n / 2 - 1), window(n / 2));
+        let mut want = vec![0u64; d.sources.len()];
+        for (&q, &s) in d.mentions.quarter.iter().zip(d.mentions.source.iter()) {
+            if (from.linear()..=to.linear()).contains(&i32::from(q)) {
+                want[s as usize] += 1;
+            }
+        }
+        let got = articles_by_source_in(&ctx, &d, from, to);
+        assert_eq!(got, want, "{from}..={to}, {threads} thread(s)");
     }
 }
 
@@ -1046,6 +1059,6 @@ proptest! {
         let d = gdelt_synth::generate_dataset(&gdelt_synth::scenario::tiny(seed)).0;
         let ctx = ExecContext::builder().threads(threads).build();
         let fused = late_articles(&ctx, &d, threshold);
-        prop_assert_eq!(fused.values, unfused_late_articles(&ctx, &d, threshold));
+        prop_assert_eq!(fused.values, unfused_late_articles(&d, threshold));
     }
 }

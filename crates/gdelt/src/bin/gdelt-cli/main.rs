@@ -356,8 +356,8 @@ fn cmd_validate(o: &Options) -> Result<(), String> {
 }
 
 fn cmd_query(o: &Options) -> Result<(), String> {
+    use gdelt_engine::aggregate::articles_by_source_in;
     use gdelt_engine::topk::ranked_publishers;
-    use gdelt_engine::view::MentionView;
     use gdelt_model::country::CountryRegistry;
     use gdelt_model::time::Quarter;
 
@@ -367,30 +367,38 @@ fn cmd_query(o: &Options) -> Result<(), String> {
     let ctx = o.ctx();
     let registry = CountryRegistry::new();
 
-    // Optional time window, e.g. `--window 2016Q1:2016Q4`.
+    // Optional time window, e.g. `--window 2016Q1:2016Q4`: quarters 1-4
+    // of a year whose quarter index a `mentions.quarter` value can hold.
     let parse_quarter = |s: &str| -> Result<Quarter, String> {
-        let (y, q) = s.split_once('Q').ok_or_else(|| format!("bad quarter {s:?}"))?;
-        Ok(Quarter {
-            year: y.parse().map_err(|_| format!("bad year in {s:?}"))?,
-            q: q.parse().map_err(|_| format!("bad quarter in {s:?}"))?,
-        })
+        let (y, q) = s.split_once('Q').ok_or_else(|| format!("--window: bad quarter {s:?}"))?;
+        let quarter = Quarter {
+            year: y.parse().map_err(|_| format!("--window: bad year in {s:?}"))?,
+            q: q.parse().map_err(|_| format!("--window: bad quarter in {s:?}"))?,
+        };
+        if !(1..=4).contains(&quarter.q) {
+            return Err(format!("--window: quarter of {s:?} is not 1-4"));
+        }
+        if u16::try_from(quarter.linear()).is_err() {
+            return Err(format!("--window: year of {s:?} is not 0-16383"));
+        }
+        Ok(quarter)
     };
-    let view = match &o.window {
+    let window = match &o.window {
         Some(w) => {
-            let (from, to) = w.split_once(':').ok_or("window must be FROM:TO")?;
+            let (from, to) = w.split_once(':').ok_or("--window must be FROM:TO")?;
             let (from, to) = (parse_quarter(from)?, parse_quarter(to)?);
             println!("window: {from} .. {to}");
-            Some(MentionView::time_window(&ctx, &dataset, from, to))
+            Some(articles_by_source_in(&ctx, &dataset, from, to))
         }
         None => None,
     };
-    let selected = view.as_ref().map_or(dataset.mentions.len(), MentionView::len);
+    let selected = window.as_ref().map_or(dataset.mentions.len() as u64, |w| w.iter().sum());
     println!("selected articles: {selected}");
 
     if let Some(k) = o.top {
         println!("top {k} publishers in window:");
-        let top = match &view {
-            Some(view) => ranked_publishers(&view.articles_by_source(&ctx), k),
+        let top = match &window {
+            Some(counts) => ranked_publishers(counts, k),
             None => {
                 let k = k.try_into().unwrap_or(u32::MAX);
                 let q = Query::TopK { kind: TopKKind::Publishers, k };

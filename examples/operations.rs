@@ -5,8 +5,8 @@
 //! Run with: `cargo run --release --example operations`
 
 use gdelt::columnar::{binfmt, incremental, memsize};
+use gdelt::engine::aggregate::articles_by_source_in;
 use gdelt::engine::topk::ranked_publishers;
-use gdelt::engine::view::MentionView;
 use gdelt::engine::wildfire;
 use gdelt::prelude::*;
 
@@ -49,14 +49,10 @@ fn main() {
     );
 
     // Ad-hoc investigation: most productive publishers of one year.
-    let v = MentionView::time_window(
-        &ctx,
-        &dataset,
-        Quarter { year: 2016, q: 1 },
-        Quarter { year: 2016, q: 4 },
-    );
-    println!("2016 window holds {} articles; top publishers:", v.len());
-    for (s, n) in ranked_publishers(&v.articles_by_source(&ctx), 5) {
+    let (from, to) = (Quarter { year: 2016, q: 1 }, Quarter { year: 2016, q: 4 });
+    let counts = articles_by_source_in(&ctx, &dataset, from, to);
+    println!("2016 window holds {} articles; top publishers:", counts.iter().sum::<u64>());
+    for (s, n) in ranked_publishers(&counts, 5) {
         println!("  {:<44} {:>8}", dataset.sources.name(s), n);
     }
     println!();

@@ -142,17 +142,34 @@ fn query_and_update_subcommands() {
         cli().args(["convert", "--in"]).arg(&dir).arg("--out").arg(&bin).output().expect("convert");
     assert!(out.status.success());
 
+    let query = |args: &[&str]| {
+        let out = cli().args(["query", "--data"]).arg(&bin).args(args).output().expect("query");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        (out.status.code(), stdout, String::from_utf8_lossy(&out.stderr).into_owned())
+    };
     // Windowed top-publisher query.
-    let out = cli()
-        .args(["query", "--data"])
-        .arg(&bin)
-        .args(["--top", "3", "--window", "2016Q1:2017Q4", "--pair", "UK,USA"])
-        .output()
-        .expect("query");
-    assert!(out.status.success(), "query failed: {}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let (code, stdout, stderr) =
+        query(&["--top", "3", "--window", "2016Q1:2017Q4", "--pair", "UK,USA"]);
+    assert_eq!(code, Some(0), "query failed: {stderr}");
     assert!(stdout.contains("top 3 publishers"));
     assert!(stdout.contains("co-reporting Jaccard"));
+    // A window over every quarter answers like no window (every mention
+    // selected); one the corpus never reaches selects nothing.
+    let from_selected =
+        |stdout: &str| stdout[stdout.find("selected").expect("selected")..].to_owned();
+    let (_, whole, _) = query(&["--top", "10"]);
+    let (_, covering, _) = query(&["--top", "10", "--window", "0Q1:16383Q4"]);
+    assert_eq!(from_selected(&covering), from_selected(&whole));
+    assert!(!whole.contains("selected articles: 0\n"), "{whole}");
+    let (_, outside, _) = query(&["--window", "1990Q1:1999Q4"]);
+    assert!(outside.contains("selected articles: 0\n"), "{outside}");
+    // A quarter no `mentions.quarter` value can hold is refused, not
+    // wrapped onto another quarter.
+    for window in ["2016Q0:2016Q4", "2016Q1:2016Q9", "-1Q1:2016Q4", "2016Q1:16384Q1", "2016Q1"] {
+        let (code, _, stderr) = query(&["--window", window]);
+        assert_eq!(code, Some(1), "--window {window} must be refused");
+        assert!(stderr.contains("--window"), "--window {window}: {stderr}");
+    }
 
     // Apply the same raw directory as an update batch (all duplicates —
     // the dataset must survive unchanged in size).
