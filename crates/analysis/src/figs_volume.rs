@@ -63,7 +63,7 @@ pub fn fig6(ctx: &ExecContext, d: &Dataset) -> Vec<(SourceId, u64, QuarterlySeri
         unreachable!("TopK Publishers query yields a TopPublishers result");
     };
     let ids: Vec<SourceId> = top.iter().map(|&(s, _)| s).collect();
-    let series = publisher_series(ctx, d, &ids);
+    let series = publisher_series(d, &ids);
     top.into_iter().zip(series).map(|((s, n), q)| (s, n, q)).collect()
 }
 

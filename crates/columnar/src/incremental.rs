@@ -28,10 +28,10 @@ use std::ops::Range;
 
 use crate::builder::DatasetBuilder;
 use crate::columns::{Column, ColumnSet};
+use crate::derived::Derived;
 use crate::index::EventIndex;
 use crate::table::{
-    Dataset, Derived, EventRows, EventsTable, MentionRun, MentionsTable, SourceDirectory,
-    NO_EVENT_ROW,
+    Dataset, EventRows, EventsTable, MentionRun, MentionsTable, SourceDirectory, NO_EVENT_ROW,
 };
 use gdelt_csv::clean::CleanReport;
 use gdelt_model::event::EventRecord;
@@ -126,8 +126,7 @@ pub fn append_dataset(base: &Dataset, batch: Dataset) -> (Dataset, BatchStats) {
     if held(Column::MentionsQuarter) {
         quarters.push(&batch.mentions.quarter);
     }
-    let added_sources = if held(Column::MentionsSource) { &batch.mentions.source[..] } else { &[] };
-    let derived = Derived::extended(base, &quarters, added_sources, &source_map, sources.len());
+    let derived = Derived::extended(base, &quarters, &batch.mentions, &source_map, sources.len());
     let out = Dataset { events, mentions, sources, event_index, columns: base.columns, derived };
     debug_assert_eq!(out.validate(), Ok(()));
     #[cfg(debug_assertions)]

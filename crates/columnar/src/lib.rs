@@ -39,6 +39,7 @@ pub mod binfmt;
 pub mod builder;
 pub mod columns;
 pub mod degraded;
+mod derived;
 pub mod health;
 pub mod incremental;
 pub mod index;
@@ -51,6 +52,7 @@ pub mod validate;
 pub use builder::DatasetBuilder;
 pub use columns::{Column, ColumnSet};
 pub use degraded::{load_degraded, load_degraded_with, DegradedLoad, RetryPolicy};
+pub use derived::SourceQuarters;
 pub use health::{Coverage, StoreHealth};
 pub use partition::{partitions, Partition};
 pub use strings::{StringDict, StringPool};

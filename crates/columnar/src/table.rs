@@ -15,6 +15,7 @@
 
 use crate::aligned::{AlignedBuf, Scalar};
 use crate::columns::{Column, ColumnSet, Layout};
+use crate::derived::{quarter_span_of, Derived, SourceQuarters};
 use crate::index::EventIndex;
 use crate::partition::{fork_join, pieces_for};
 use crate::strings::{StringDict, StringPool};
@@ -23,7 +24,6 @@ use gdelt_model::time::{CaptureInterval, Date};
 use std::any::Any;
 use std::io;
 use std::ops::Range;
-use std::sync::OnceLock;
 
 /// Sentinel for "mention's event not present in the events table".
 pub const NO_EVENT_ROW: u32 = u32::MAX;
@@ -497,115 +497,6 @@ pub struct Dataset {
     pub(crate) derived: Derived,
 }
 
-/// What a dataset computes from its own columns, each filled on first
-/// use: the quarter span ([`Dataset::quarter_span`]) and the mentions
-/// per source ([`Dataset::source_degrees`]). Not columns: `memsize`
-/// does not count them, and a clone starts empty. A column changed in
-/// place after an entry was read leaves it stale, which
-/// [`Dataset::deep_validate`] reports (`dataset.quarter_span`,
-/// `dataset.source_degrees`).
-#[derive(Debug, Default)]
-pub(crate) struct Derived {
-    pub(crate) span: OnceLock<Option<(u16, usize)>>,
-    pub(crate) source_degrees: OnceLock<Vec<u64>>,
-}
-
-impl Clone for Derived {
-    fn clone(&self) -> Self {
-        Derived::default()
-    }
-}
-
-impl Derived {
-    /// The cache of a dataset that holds exactly `base`'s rows and the
-    /// added ones: each entry `base` has filled, extended by what was
-    /// added (the added rows are all that is read); the others empty.
-    /// `quarters` are the added quarter columns; `sources` the added
-    /// mentions' batch-local sources, which `source_map` carries into
-    /// the merged directory of `n_sources`.
-    pub(crate) fn extended(
-        base: &Dataset,
-        quarters: &[&[u16]],
-        sources: &[u32],
-        source_map: &[u32],
-        n_sources: usize,
-    ) -> Self {
-        let span = base.derived.span.get().map(|span| {
-            // The base span enters as a column of its two ends.
-            let ends = span.map(|(lo, n)| [lo, lo + (n - 1) as u16]);
-            let columns: Vec<&[u16]> =
-                quarters.iter().copied().chain(ends.as_ref().map(|e| &e[..])).collect();
-            quarter_span_of(&columns)
-        });
-        let source_degrees = base.derived.source_degrees.get().map(|degrees| {
-            // Sources new to the directory start at their batch count.
-            let mut degrees = degrees.clone();
-            degrees.resize(n_sources, 0);
-            for &s in sources {
-                let merged = source_map.get(s as usize).map_or(usize::MAX, |&m| m as usize);
-                if let Some(d) = degrees.get_mut(merged) {
-                    *d += 1;
-                }
-            }
-            degrees
-        });
-        Derived {
-            span: span.map(OnceLock::from).unwrap_or_default(),
-            source_degrees: source_degrees.map(OnceLock::from).unwrap_or_default(),
-        }
-    }
-}
-
-/// Inclusive linear-quarter range `(base, count)` of the union of
-/// `columns`, or `None` when all are empty: one fused min+max pass per
-/// column, a branchless lane-wise reduction the compiler autovectorizes.
-fn quarter_span_of(columns: &[&[u16]]) -> Option<(u16, usize)> {
-    let mut span: Option<(u16, u16)> = None;
-    for col in columns.iter().filter(|col| !col.is_empty()) {
-        let (lo, hi) = col.iter().fold((u16::MAX, u16::MIN), |(lo, hi), &q| (lo.min(q), hi.max(q)));
-        span = Some(span.map_or((lo, hi), |(l, h)| (l.min(lo), h.max(hi))));
-    }
-    span.map(|(lo, hi)| (lo, usize::from(hi - lo) + 1))
-}
-
-/// Rows of `sources` per id below `n`; other ids are dropped. Each id
-/// keeps four lanes and consecutive rows update consecutive lanes, so
-/// no row waits on the store of the row before it (DESIGN.md "Kernel
-/// cost model"); the column is cut into [`pieces_for`] its bytes, one
-/// per job of a fork.
-// analyze: no_panic
-fn count_sources(sources: &[u32], n: usize) -> Vec<u64> {
-    let count = |rows: &[u32]| {
-        let mut lanes = vec![[0u64; 4]; n];
-        // Whole quads are fixed-size arrays, so the lane loop unrolls.
-        let (quads, rest) = rows.as_chunks::<4>();
-        for quad in quads {
-            for (lane, &s) in quad.iter().enumerate() {
-                if let Some(count) = lanes.get_mut(s as usize).and_then(|l| l.get_mut(lane)) {
-                    *count += 1;
-                }
-            }
-        }
-        for &s in rest {
-            if let Some([count, ..]) = lanes.get_mut(s as usize) {
-                *count += 1;
-            }
-        }
-        lanes
-    };
-    let piece = sources.len().div_ceil(pieces_for(std::mem::size_of_val(sources))).max(1);
-    let mut pieces = sources.chunks(piece);
-    let mine = pieces.next().unwrap_or_default();
-    let (mine, theirs) = fork_join(pieces.collect(), count, || count(mine));
-    let mut degrees = vec![0u64; n];
-    for lanes in std::iter::once(mine).chain(theirs) {
-        for (d, l) in degrees.iter_mut().zip(&lanes) {
-            *d += l.iter().sum::<u64>();
-        }
-    }
-    degrees
-}
-
 /// The empty dataset, holding every column.
 impl Default for Dataset {
     fn default() -> Self {
@@ -711,26 +602,27 @@ impl Dataset {
     /// at `base`. Computed by the first call, one min+max pass per
     /// column, and kept for the dataset's life.
     pub fn quarter_span(&self) -> Option<(u16, usize)> {
-        *self.derived.span.get_or_init(|| self.span_of_columns())
+        *self
+            .derived
+            .span
+            .get_or_init(|| quarter_span_of(&[&self.events.quarter, &self.mentions.quarter]))
     }
 
-    /// [`Dataset::quarter_span`] recomputed from the columns.
-    pub(crate) fn span_of_columns(&self) -> Option<(u16, usize)> {
-        quarter_span_of(&[&self.events.quarter, &self.mentions.quarter])
+    /// Mentions per (mention quarter, source) ([`SourceQuarters`]):
+    /// what articles per quarter, active sources, publisher series and
+    /// publisher rankings read. Counted by the first call, one pass over
+    /// `mentions.quarter` and `mentions.source`, and kept for the
+    /// dataset's life; an append extends it.
+    pub fn source_quarters(&self) -> &SourceQuarters {
+        self.derived.source_quarters.get_or_init(|| SourceQuarters::of_columns(self))
     }
 
     /// Mentions per source of the directory, orphans included (zeros
     /// when `mentions.source` is not held): the source-side twin of the
-    /// event index's degrees, which publisher rankings read. Computed by
-    /// the first call, one lane count over `mentions.source`, and kept
-    /// for the dataset's life.
+    /// event index's degrees, which publisher rankings read. The column
+    /// sums of [`Dataset::source_quarters`].
     pub fn source_degrees(&self) -> &[u64] {
-        self.derived.source_degrees.get_or_init(|| self.degrees_of_columns())
-    }
-
-    /// [`Dataset::source_degrees`] recounted from `mentions.source`.
-    pub(crate) fn degrees_of_columns(&self) -> Vec<u64> {
-        count_sources(&self.mentions.source, self.sources.len())
+        self.source_quarters().degrees()
     }
 
     /// Check every invariant a load relies on: column lengths, sorted
@@ -936,26 +828,6 @@ mod tests {
         assert!(d.sources.is_empty());
         assert_eq!(d.quarter_span(), None);
         assert_eq!(d.distinct_capture_intervals(), 0);
-    }
-
-    #[test]
-    fn source_counts_are_the_same_in_any_number_of_pieces() {
-        // Over 2 MiB of ids: one piece per core. Ids past the directory
-        // (130, about one row in 131) are dropped.
-        let sources: Vec<u32> =
-            (0..600_000u32).map(|i| i.wrapping_mul(2_654_435_761) % 131).collect();
-        let naive = |rows: &[u32]| {
-            let mut want = vec![0u64; 130];
-            for &s in rows.iter().filter(|&&s| s < 130) {
-                want[s as usize] += 1;
-            }
-            want
-        };
-        for rows in [sources.len(), 0, 1, 3, 4, 5, 1_000] {
-            let rows = &sources[..rows];
-            assert_eq!(count_sources(rows, 130), naive(rows), "{} rows", rows.len());
-        }
-        assert_eq!(count_sources(&sources, 0), Vec::<u64>::new());
     }
 
     #[test]

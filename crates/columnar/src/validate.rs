@@ -7,8 +7,9 @@
 //!
 //! * it checks *everything* — CSR shape, partition soundness over the
 //!   real offsets, value ranges, dictionary uniqueness, the orphan tail,
-//!   the precomputed join/delay/quarter columns and a quarter span the
-//!   dataset has cached;
+//!   the precomputed join/delay/quarter columns, and the quarter span
+//!   and source × quarter counts the dataset has cached, each against a
+//!   row-at-a-time recount of its own;
 //! * it collects **all** violations into a [`ValidationReport`] instead
 //!   of stopping at the first, so one run of the CLI names every broken
 //!   invariant of a damaged store.
@@ -23,6 +24,7 @@
 //! of identical lines.
 
 use crate::columns::{Column, Layout};
+use crate::derived::SourceQuarters;
 use crate::partition::{event_partitions, partitions, Partition};
 use crate::table::{Dataset, MentionsTable, NO_EVENT_ROW};
 use gdelt_model::time::{CaptureInterval, Date};
@@ -398,9 +400,14 @@ pub fn validate_dataset(d: &Dataset) -> ValidationReport {
         None
     });
 
-    // --- The derived cache ---
+    // --- The derived cache, recounted one row at a time ---
     report.check(|| {
-        let (cached, span) = (d.derived.span.get()?, d.span_of_columns());
+        let cached = d.derived.span.get()?;
+        let mut span: Option<(u16, u16)> = None;
+        for &q in d.events.quarter.iter().chain(d.mentions.quarter.iter()) {
+            span = Some(span.map_or((q, q), |(lo, hi)| (lo.min(q), hi.max(q))));
+        }
+        let span = span.map(|(lo, hi)| (lo, usize::from(hi - lo) + 1));
         if *cached != span {
             return violation(
                 "dataset.quarter_span",
@@ -411,11 +418,34 @@ pub fn validate_dataset(d: &Dataset) -> ValidationReport {
         None
     });
     report.check(|| {
-        let (cached, degrees) = (d.derived.source_degrees.get()?, d.degrees_of_columns());
-        let s = (0..cached.len().max(degrees.len())).find(|&s| cached.get(s) != degrees.get(s))?;
-        let (had, has) = (cached.get(s), degrees.get(s));
+        let cached = d.derived.source_quarters.get()?;
+        let want = recount_source_quarters(d);
+        if (cached.span, cached.sourced, cached.width) != (want.span, want.sourced, want.width) {
+            return violation(
+                "dataset.source_quarters",
+                "dataset",
+                format!(
+                    "cached rows from {:?}, per source {}, {} wide != {:?}, {}, {} of the columns",
+                    cached.span, cached.sourced, cached.width, want.span, want.sourced, want.width
+                ),
+            );
+        }
+        let width = want.width.max(1);
+        if let Some(i) = (0..cached.cells.len().max(want.cells.len()))
+            .find(|&i| cached.cells.get(i) != want.cells.get(i))
+        {
+            let (had, has) = (cached.cells.get(i), want.cells.get(i));
+            return violation(
+                "dataset.source_quarters",
+                format!("quarter row {}, source {}", i / width, i % width),
+                format!("cached count {had:?} != {has:?} mentions in the columns"),
+            );
+        }
+        let s = (0..cached.degrees.len().max(want.degrees.len()))
+            .find(|&s| cached.degrees.get(s) != want.degrees.get(s))?;
+        let (had, has) = (cached.degrees.get(s), want.degrees.get(s));
         violation(
-            "dataset.source_degrees",
+            "dataset.source_quarters",
             format!("source {s}"),
             format!("cached degree {had:?} != {has:?} mentions in mentions.source"),
         )
@@ -536,6 +566,39 @@ impl Dataset {
     pub fn deep_validate(&self) -> ValidationReport {
         validate_dataset(self)
     }
+}
+
+/// [`Dataset::source_quarters`] counted one mention at a time: a row
+/// per quarter from the least of `mentions.quarter` to the greatest (one
+/// row of every mention when the column is not held), a cell per source
+/// of the directory (one when `mentions.source` is not held), ids past
+/// the directory dropped.
+fn recount_source_quarters(d: &Dataset) -> SourceQuarters {
+    let m = &d.mentions;
+    let held = |c: Column, len: usize| d.columns.contains(c) && len == m.len();
+    let dated = held(Column::MentionsQuarter, m.quarter.len());
+    let sourced = held(Column::MentionsSource, m.source.len());
+    let lo = m.quarter.iter().copied().min().filter(|_| dated);
+    let hi = m.quarter.iter().copied().max().filter(|_| dated);
+    let span = lo.zip(hi).map(|(lo, hi)| (lo, usize::from(hi - lo) + 1));
+    let rows = span.map_or(usize::from(!m.is_empty()), |(_, n)| n);
+    let width = if sourced { d.sources.len() } else { 1 };
+    let mut cells = vec![0u64; rows * width];
+    let mut degrees = vec![0u64; d.sources.len()];
+    for i in 0..m.len() {
+        let row = match lo {
+            Some(lo) => usize::from(m.quarter[i] - lo),
+            None => 0,
+        };
+        let source = if sourced { m.source[i] as usize } else { 0 };
+        if source < width {
+            cells[row * width + source] += 1;
+            if sourced {
+                degrees[source] += 1;
+            }
+        }
+    }
+    SourceQuarters { span, sourced, width, cells, degrees }
 }
 
 #[cfg(test)]
@@ -681,17 +744,25 @@ mod tests {
     }
 
     #[test]
-    fn detects_stale_source_degrees() {
+    fn detects_stale_source_quarters() {
         let mut d = sample();
-        let degrees = d.source_degrees().to_vec();
+        let (cells, degrees) = (d.source_quarters().clone(), d.source_degrees().to_vec());
         assert!(degrees.iter().any(|&n| n > 0));
-        assert!(d.deep_validate().is_ok(), "filled degrees equal their recount");
+        assert!(d.deep_validate().is_ok(), "a filled matrix equals its recount");
         let source = d.mentions.source.as_mut_slice();
         source[0] = (source[0] + 1) % degrees.len() as u32;
         let report = d.deep_validate();
-        assert!(report.violations.iter().any(|v| v.check == "dataset.source_degrees"), "{report}");
+        assert!(report.violations.iter().any(|v| v.check == "dataset.source_quarters"), "{report}");
         assert_eq!(d.source_degrees(), degrees, "the cache keeps what it read");
         assert_ne!(d.clone().source_degrees(), degrees, "a clone reads its own column");
+        // A moved quarter keeps every degree but not the matrix.
+        let mut d = sample();
+        d.source_quarters();
+        let quarter = d.mentions.quarter.as_mut_slice();
+        quarter[0] += 1;
+        let report = d.deep_validate();
+        assert!(report.violations.iter().any(|v| v.check == "dataset.source_quarters"), "{report}");
+        assert_eq!(d.clone().source_degrees(), cells.degrees(), "degrees do not see quarters");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! What a dataset derives from its own columns — the quarter span
-//! (`Dataset::quarter_span`) and the mentions per source
-//! (`Dataset::source_degrees`) — is read once and kept: after every way
+//! (`Dataset::quarter_span`) and the mentions per (quarter, source)
+//! (`Dataset::source_quarters`, whose column sums are
+//! `Dataset::source_degrees`) — is read once and kept: after every way
 //! a dataset comes to be — a build, a strict, projected or degraded
 //! load, an append, a restriction to partitions, a clone — each equals
 //! one recomputed from its columns, whether the dataset inherited a
@@ -89,10 +90,29 @@ fn degree_oracle(d: &Dataset) -> Vec<u64> {
     degrees
 }
 
+/// Mentions per (quarter, source) of `d`, counted row by row: the
+/// first quarter and one row of per-source counts per quarter through
+/// the last, or `None` without mentions.
+fn matrix_oracle(d: &Dataset) -> Option<(u16, Vec<Vec<u64>>)> {
+    let (lo, hi) = (*d.mentions.quarter.iter().min()?, *d.mentions.quarter.iter().max()?);
+    let mut rows = vec![vec![0u64; d.sources.len()]; usize::from(hi - lo) + 1];
+    for (&q, &s) in d.mentions.quarter.iter().zip(d.mentions.source.iter()) {
+        rows[usize::from(q - lo)][s as usize] += 1;
+    }
+    Some((lo, rows))
+}
+
+/// `d`'s matrix as the oracle's shape: its per-source rows, if any.
+fn matrix(d: &Dataset) -> Option<(u16, Vec<Vec<u64>>)> {
+    let m = d.source_quarters();
+    let (lo, _) = m.span()?;
+    Some((lo, m.by_source().map(|(_, row)| row.to_vec()).collect()))
+}
+
 /// Read both derived values of `d`.
 fn read_derived(d: &Dataset) {
     d.quarter_span();
-    d.source_degrees();
+    d.source_quarters();
 }
 
 /// `d`'s span and degrees, read twice and from a clone, equal the
@@ -102,11 +122,15 @@ fn assert_derived(d: &Dataset, what: &str) {
     let (span, degrees) = (oracle(d), degree_oracle(d));
     assert_eq!(d.quarter_span(), span, "{what}");
     assert_eq!(d.source_degrees(), degrees, "{what}: degrees");
+    if d.columns.contains_all(ColumnSet::of(&[Column::MentionsQuarter, Column::MentionsSource])) {
+        assert_eq!(matrix(d), matrix_oracle(d), "{what}: matrix");
+    }
     assert_eq!(d.quarter_span(), span, "{what}, read again");
     assert_eq!(d.source_degrees(), degrees, "{what}: degrees, read again");
     let copy = d.clone();
     assert_eq!(copy.quarter_span(), span, "{what}, cloned");
     assert_eq!(copy.source_degrees(), degrees, "{what}: degrees, cloned");
+    assert_eq!(copy.source_quarters(), d.source_quarters(), "{what}: refilled");
     let report = d.deep_validate();
     assert!(report.is_ok(), "{what}: {report}");
 }

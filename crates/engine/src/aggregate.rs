@@ -17,7 +17,7 @@
 //! copies of the slots, folded once at the end, so no row waits on the
 //! row before it. DESIGN.md "Kernel cost model" has the measurements.
 
-use crate::chunk::{chunks_of, partition_scan, rows_of, SelMask};
+use crate::chunk::{partition_scan, rows_of, SelMask};
 use crate::exec::{ExecContext, Merge};
 use gdelt_columnar::Dataset;
 use gdelt_model::time::Quarter;
@@ -184,29 +184,19 @@ pub fn count_by<K: DenseKey>(ctx: &ExecContext, keys: &[K], domain: usize) -> Ve
 }
 
 /// Articles per source among the mentions scraped in quarters
-/// `from..=to` (the paper's "mentions … in a short span of time", §II).
-/// One fused pass, the LateArticles shape: per chunk, a branchless
-/// [`SelMask`] over `mentions.quarter`, then the `mentions.source` count
-/// under it while the chunk is in L1. A window the corpus does not reach,
-/// or with `to` before `from`, selects nothing.
-// analyze: no_panic
-pub fn articles_by_source_in(
-    ctx: &ExecContext,
-    d: &Dataset,
-    from: Quarter,
-    to: Quarter,
-) -> Vec<u64> {
+/// `from..=to` (the paper's "mentions … in a short span of time", §II):
+/// the sum of the window's rows of the dataset's
+/// [`SourceQuarters`](gdelt_columnar::SourceQuarters). A window the
+/// corpus does not reach, or with `to` before `from`, selects nothing.
+pub fn articles_by_source_in(d: &Dataset, from: Quarter, to: Quarter) -> Vec<u64> {
     let window = from.linear()..=to.linear();
-    let count_rows = |rows| {
-        let mut lanes = DenseLanes::new(d.sources.len());
-        for c in chunks_of(rows) {
-            let sel =
-                SelMask::select(c.slice(&d.mentions.quarter), |q| window.contains(&i32::from(q)));
-            lanes.count_selected(c.slice(&d.mentions.source), 0, &sel);
+    let mut counts = vec![0u64; d.sources.len()];
+    for (q, row) in d.source_quarters().by_source() {
+        if window.contains(&i32::from(q)) {
+            counts.iter_mut().zip(row).for_each(|(count, &c)| *count += c);
         }
-        lanes.sums()
-    };
-    partition_scan(ctx, d.mentions.len(), count_rows, Merge::merged)
+    }
+    counts
 }
 
 /// Sum an `f32` column grouped by dense key, returning `(sum, count)`
@@ -422,10 +412,10 @@ mod tests {
         let (base, n) = d.quarter_span().unwrap();
         let quarter = |i: usize| Quarter::from_linear(i32::from(base) + i as i32);
         let all = count_by(&ctx(), &d.mentions.source, d.sources.len());
-        assert_eq!(articles_by_source_in(&ctx(), &d, quarter(0), quarter(n - 1)), all);
+        assert_eq!(articles_by_source_in(&d, quarter(0), quarter(n - 1)), all);
         // Quarter indexes far outside `u16` neither wrap nor truncate.
         let (min, max) = (Quarter { year: i16::MIN, q: 1 }, Quarter { year: i16::MAX, q: 4 });
-        assert_eq!(articles_by_source_in(&ctx(), &d, min, max), all);
+        assert_eq!(articles_by_source_in(&d, min, max), all);
     }
 
     #[test]
@@ -436,7 +426,7 @@ mod tests {
         let mut total = vec![0u64; d.sources.len()];
         for i in 0..n {
             let q = Quarter::from_linear(i32::from(base) + i as i32);
-            let got = articles_by_source_in(&ctx(), &d, q, q);
+            let got = articles_by_source_in(&d, q, q);
             assert_eq!(got, window_reference(&d, q, q), "{q}");
             total.iter_mut().zip(got).for_each(|(t, c)| *t += c);
         }
@@ -451,7 +441,7 @@ mod tests {
         let last = Quarter::from_linear(i32::from(base) + n as i32 - 1);
         let before = Quarter::from_linear(i32::from(base) - 1);
         for (from, to) in [(before, before), (last.next(), last.next().next()), (last, first)] {
-            let got = articles_by_source_in(&ctx(), &d, from, to);
+            let got = articles_by_source_in(&d, from, to);
             assert_eq!(got, vec![0; d.sources.len()], "{from}..={to}");
         }
     }

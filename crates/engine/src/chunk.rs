@@ -53,7 +53,9 @@ pub const CHUNK_WORDS: usize = CHUNK_ROWS / 64;
 /// serves them all, set where the whole bundle breaks even. Checked on
 /// both sides (medians of four sweeps): the dash bundle over 33 k
 /// mentions is 0.34 ms inline against 0.41 fanned out, over 66 k 0.49
-/// against 0.50, over 132 k 0.89 against 0.72. Partial merges are
+/// against 0.50, over 132 k 0.89 against 0.72. (ActiveSources and
+/// Articles have since left the scan: they read the dataset's source ×
+/// quarter counts.) Partial merges are
 /// associative, so the result is bit-identical either way (pinned above
 /// and below the cut-off by `prop_query.rs`).
 pub const SEQUENTIAL_SCAN_ROWS: usize = 64 * 1024;

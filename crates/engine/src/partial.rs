@@ -318,10 +318,10 @@ pub fn run_shard_query(
         ShardQuery::Delay => ShardPartial::Delay(crate::delay::per_source_delay_hists(ctx, d)),
         ShardQuery::TimeSeries(kind) => match *kind {
             SeriesKind::ActiveSources => {
-                ShardPartial::ActiveSources(timeseries::active_sources_partial(ctx, d))
+                ShardPartial::ActiveSources(timeseries::active_sources_partial(d))
             }
             SeriesKind::Events => ShardPartial::Series(timeseries::events_per_quarter(ctx, d)),
-            SeriesKind::Articles => ShardPartial::Series(timeseries::articles_per_quarter(ctx, d)),
+            SeriesKind::Articles => ShardPartial::Series(timeseries::articles_per_quarter(d)),
             SeriesKind::LateArticles { threshold } => {
                 ShardPartial::Series(timeseries::late_articles_per_quarter(ctx, d, threshold))
             }

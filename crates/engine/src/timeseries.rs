@@ -1,8 +1,11 @@
 //! Quarterly time series — the aggregation behind Figs 3–6, 10 and 11.
 //!
-//! The four `Query` series (Events, Articles, ActiveSources,
-//! LateArticles) are one [`partition_scan`] each over the table they
-//! count. Every partial is anchored at the dataset's quarter span
+//! Events and LateArticles are one [`partition_scan`] each over the
+//! table they count. Articles, ActiveSources and the per-publisher
+//! series (Fig 6) scan nothing: they read the dataset's mentions per
+//! (quarter, source) ([`Dataset::source_quarters`], counted once per
+//! dataset and extended by appends), O(sources · quarters) cells a
+//! query. Every partial is anchored at the dataset's quarter span
 //! ([`Dataset::quarter_span`], found once per dataset over both tables),
 //! so the partitions of one dataset merge slot by slot; shard partials,
 //! each at its own shard's span, align in the merge.
@@ -100,23 +103,10 @@ fn series_from_counts(base: u16, counts: Vec<u64>) -> QuarterlySeries {
     }
 }
 
-/// The scan under every series kernel: `fill(base, n, rows)` answers
-/// for one range of the `rows` rows of the table it counts, into the
-/// `n` quarters of the dataset's span from `base`. A dataset with no
-/// quarter in either table answers the merge identity.
-// analyze: no_panic
-fn quarter_scan<T: Send + Default + Merge>(
-    ctx: &ExecContext,
-    d: &Dataset,
-    rows: usize,
-    fill: impl Fn(u16, usize, Range<usize>) -> T + Sync + Send,
-) -> T {
-    let Some((base, n)) = d.quarter_span() else { return T::default() };
-    partition_scan(ctx, rows, |rows| fill(base, n, rows), Merge::merged)
-}
-
 /// The count-series kernel: `count` fills the lanes from its `rows`
-/// rows of the counted table, slot 0 being quarter `base`.
+/// rows of the counted table, slot 0 being quarter `base`, the first of
+/// the dataset's span. A dataset with no quarter in either table
+/// answers the merge identity.
 // analyze: no_panic
 fn count_quarters(
     ctx: &ExecContext,
@@ -124,11 +114,13 @@ fn count_quarters(
     rows: usize,
     count: impl Fn(&mut DenseLanes, usize, Range<usize>) + Sync + Send,
 ) -> QuarterlySeries {
-    quarter_scan(ctx, d, rows, |base, n, rows| {
+    let Some((base, n)) = d.quarter_span() else { return QuarterlySeries::default() };
+    let fill = |rows| {
         let mut lanes = DenseLanes::new(n);
         count(&mut lanes, usize::from(base), rows);
         series_from_counts(base, lanes.sums())
-    })
+    };
+    partition_scan(ctx, rows, fill, Merge::merged)
 }
 
 /// Events observed per quarter (Fig 4).
@@ -138,11 +130,18 @@ pub(crate) fn events_per_quarter(ctx: &ExecContext, d: &Dataset) -> QuarterlySer
     })
 }
 
-/// Articles (mentions) observed per quarter (Fig 5).
-pub(crate) fn articles_per_quarter(ctx: &ExecContext, d: &Dataset) -> QuarterlySeries {
-    count_quarters(ctx, d, d.mentions.len(), |lanes, base, rows| {
-        lanes.count(rows_of(&d.mentions.quarter, &rows), base);
-    })
+/// Articles (mentions) observed per quarter (Fig 5): the row sums of
+/// the dataset's [`SourceQuarters`](gdelt_columnar::SourceQuarters),
+/// placed in its quarter span.
+pub(crate) fn articles_per_quarter(d: &Dataset) -> QuarterlySeries {
+    let Some((base, n)) = d.quarter_span() else { return QuarterlySeries::default() };
+    let mut counts = vec![0u64; n];
+    for (q, articles) in d.source_quarters().per_quarter() {
+        if let Some(count) = counts.get_mut(usize::from(q.wrapping_sub(base))) {
+            *count += articles;
+        }
+    }
+    series_from_counts(base, counts)
 }
 
 /// The ActiveSources partial: one source bitmap per quarter. Distinct
@@ -179,100 +178,47 @@ impl Merge for ActiveSourcesPartial {
     }
 }
 
-/// Which sources published in each quarter — the ActiveSources kernel.
-/// Each row sets its quarter's bit in its source's mask of ⌈n / 64⌉
-/// words, one independent read-modify-write; the masks are turned into
-/// one source bitmap per quarter once per partition. With no mentions
-/// at all the events still span their quarters.
-// analyze: no_panic
-pub(crate) fn active_sources_partial(ctx: &ExecContext, d: &Dataset) -> ActiveSourcesPartial {
+/// Which sources published in each quarter — the ActiveSources kernel:
+/// the nonzero cells of the dataset's
+/// [`SourceQuarters`](gdelt_columnar::SourceQuarters), one source
+/// bitmap per quarter of its span. With no mentions at all the events
+/// still span their quarters.
+pub(crate) fn active_sources_partial(d: &Dataset) -> ActiveSourcesPartial {
+    let Some((base, n)) = d.quarter_span() else { return ActiveSourcesPartial::default() };
     let n_sources = d.sources.len();
-    quarter_scan(ctx, d, d.mentions.len(), |base, n, rows| {
-        let width = n.div_ceil(64);
-        let mut seen = vec![0u64; n_sources * width];
-        let mark = if width == 1 { mark_quarters::<true> } else { mark_quarters::<false> };
-        let (quarters, sources) = (&d.mentions.quarter, &d.mentions.source);
-        mark(&mut seen, width, (base, n), rows_of(quarters, &rows), rows_of(sources, &rows));
-        // Transpose: bit `q` of source `s`'s mask is bit `s` of quarter `q`.
-        let stride = n_sources.div_ceil(64);
-        let mut words = vec![0u64; n * stride];
-        for s in 0..n_sources {
-            for (w, &mask) in rows_of(&seen, &(s * width..(s + 1) * width)).iter().enumerate() {
-                let mut mask = mask;
-                while mask != 0 {
-                    let q = 64 * w + mask.trailing_zeros() as usize;
-                    if let Some(word) = words.get_mut(q * stride + s / 64) {
-                        *word |= 1 << (s % 64);
-                    }
-                    mask &= mask - 1;
-                }
-            }
+    let mut quarters = vec![Bitmap::new(n_sources); n];
+    for (q, row) in d.source_quarters().by_source() {
+        let Some(active) = quarters.get_mut(usize::from(q.wrapping_sub(base))) else { continue };
+        // The row's nonzero cells, a chunk of words at a time.
+        let mut words = Vec::with_capacity(n_sources.div_ceil(64));
+        for cells in row.chunks(CHUNK_ROWS) {
+            let nonzero = SelMask::select(cells, |c| c > 0);
+            words.extend(nonzero.words().iter().take(cells.len().div_ceil(64)));
         }
-        let bitmap = |q| {
-            Bitmap::from_words(rows_of(&words, &(q * stride..(q + 1) * stride)).to_vec(), n_sources)
-        };
-        ActiveSourcesPartial { base: i32::from(base), quarters: (0..n).map(bitmap).collect() }
-    })
+        *active = Bitmap::from_words(words, n_sources);
+    }
+    ActiveSourcesPartial { base: i32::from(base), quarters }
 }
 
-/// Set bit `q − base` of word `(q − base) / 64` of source `s`'s mask
-/// (`width` words from `seen[s · width]`) for every `(q, s)` row; a
-/// quarter outside the `n` from `base` or an unknown source is dropped.
-/// `ONE_WORD` is the `width == 1` case, compiled on its own.
-// analyze: no_panic
-fn mark_quarters<const ONE_WORD: bool>(
-    seen: &mut [u64],
-    width: usize,
-    (base, n): (u16, usize),
-    quarters: &[u16],
-    sources: &[u32],
-) {
-    let width = if ONE_WORD { 1 } else { width };
-    for (&q, &s) in quarters.iter().zip(sources) {
-        let qi = usize::from(q.wrapping_sub(base));
-        if qi >= n {
-            continue;
-        }
-        if let Some(mask) = seen.get_mut(s as usize * width + qi / 64) {
-            *mask |= 1 << (qi % 64);
-        }
-    }
-}
-
-/// Article counts per quarter for a selection of publishers (Fig 6).
-/// Returns one series per requested source, in request order.
-pub fn publisher_series(
-    ctx: &ExecContext,
-    d: &Dataset,
-    publishers: &[SourceId],
-) -> Vec<QuarterlySeries> {
-    // Source id → position in `publishers`; everyone else gets the
-    // position one past the end, whose keys fall outside the lanes.
-    let mut slot_of = vec![publishers.len(); d.sources.len()];
-    for (i, s) in publishers.iter().enumerate() {
-        if let Some(slot) = slot_of.get_mut(s.index()) {
-            *slot = i;
-        }
-    }
-    let mut series: Vec<QuarterlySeries> =
-        quarter_scan(ctx, d, d.mentions.len(), |base, n, rows| {
-            // One dense key per row, `slot * n + quarter`, a chunk at a time.
-            let mut lanes = DenseLanes::new(publishers.len() * n);
-            let mut keys = [0u32; CHUNK_ROWS];
-            for c in chunks_of(rows) {
-                let cells = c.slice(&d.mentions.quarter).iter().zip(c.slice(&d.mentions.source));
-                let key_of = |(key, (&q, &s)): (&mut u32, (&u16, &u32))| {
-                    let slot = slot_of.get(s as usize).copied().unwrap_or(publishers.len());
-                    *key = u32::try_from(slot * n + usize::from(q - base)).unwrap_or(u32::MAX);
-                };
-                let len = keys.iter_mut().zip(cells).map(key_of).count();
-                lanes.count(rows_of(&keys, &(0..len)), 0);
+/// Article counts per quarter for a selection of publishers (Fig 6):
+/// their columns of the dataset's
+/// [`SourceQuarters`](gdelt_columnar::SourceQuarters), in its quarter
+/// span. Returns one series per requested source, in request order.
+pub fn publisher_series(d: &Dataset, publishers: &[SourceId]) -> Vec<QuarterlySeries> {
+    let Some((base, n)) = d.quarter_span() else {
+        // An empty dataset still answers with one (empty) series per request.
+        return vec![QuarterlySeries::default(); publishers.len()];
+    };
+    let mut counts = vec![vec![0u64; n]; publishers.len()];
+    for (q, row) in d.source_quarters().by_source() {
+        let at = usize::from(q.wrapping_sub(base));
+        for (series, s) in counts.iter_mut().zip(publishers) {
+            if let (Some(count), Some(&c)) = (series.get_mut(at), row.get(s.index())) {
+                *count += c;
             }
-            lanes.sums().chunks(n).map(|c| series_from_counts(base, c.to_vec())).collect()
-        });
-    // An empty dataset still answers with one (empty) series per request.
-    series.resize_with(publishers.len(), QuarterlySeries::default);
-    series
+        }
+    }
+    counts.into_iter().map(|c| series_from_counts(base, c)).collect()
 }
 
 /// Articles per quarter with a publishing delay above `threshold`
@@ -488,43 +434,16 @@ mod tests {
     #[test]
     fn articles_per_quarter_counts() {
         let d = dataset();
-        let s = articles_per_quarter(&ctx(), &d);
+        let s = articles_per_quarter(&d);
         assert_eq!(s.values, vec![3.0, 2.0]);
     }
 
     #[test]
     fn active_sources_counts_distinct() {
         let d = dataset();
-        let s = active_sources_partial(&ctx(), &d).finalize();
+        let s = active_sources_partial(&d).finalize();
         // Q2: a.com + b.co.uk; Q3: a.com + c.com.au.
         assert_eq!(s.values, vec![2.0, 2.0]);
-    }
-
-    #[test]
-    fn source_masks_equal_one_bitmap_per_source() {
-        // 150 quarters from base 100 (three words a source), quarters
-        // running past them on both sides, and sources 0..5 of 4.
-        let n = 2 * 64 + 77;
-        let quarters: Vec<u16> = (0..n as u16).map(|i| 90 + i.wrapping_mul(7_919) % 170).collect();
-        let sources: Vec<u32> = (0..n as u32).map(|i| i * 13 % 5).collect();
-        let (base, n_quarters, n_sources, width) = (100u16, 150, 4, 3);
-        let mut want = vec![0u64; n_sources * width];
-        for (&q, &s) in quarters.iter().zip(&sources) {
-            let qi = usize::from(q) - 90;
-            if (10..10 + n_quarters).contains(&qi) && (s as usize) < n_sources {
-                want[s as usize * width + (qi - 10) / 64] |= 1 << ((qi - 10) % 64);
-            }
-        }
-        let mut seen = vec![0u64; n_sources * width];
-        mark_quarters::<false>(&mut seen, width, (base, n_quarters), &quarters, &sources);
-        assert_eq!(seen, want);
-        // One word a source: a quarter at or past 64 never reaches the
-        // next source's word.
-        let mut seen = vec![0u64; 2];
-        mark_quarters::<true>(&mut seen, 1, (0, 64), &[63, 64, 0, 0], &[0, 0, 1, 2]);
-        assert_eq!(seen, vec![1 << 63, 1]);
-        // No sources at all.
-        mark_quarters::<true>(&mut [], 1, (0, 1), &[0], &[0]);
     }
 
     #[test]
@@ -559,7 +478,7 @@ mod tests {
     fn active_partial_spans_event_quarters_without_mentions() {
         let mut d = dataset();
         d.mentions = Default::default();
-        let p = active_sources_partial(&ctx(), &d);
+        let p = active_sources_partial(&d);
         assert_eq!(p.quarters.len(), 2);
         assert_eq!(p.finalize().values, vec![0.0, 0.0]);
         assert!(ActiveSourcesPartial::default().finalize().is_empty());
@@ -570,7 +489,7 @@ mod tests {
         let d = dataset();
         let a = d.sources.lookup("a.com").unwrap();
         let c = d.sources.lookup("c.com.au").unwrap();
-        let series = publisher_series(&ctx(), &d, &[a, c]);
+        let series = publisher_series(&d, &[a, c]);
         assert_eq!(series[0].values, vec![2.0, 1.0]);
         assert_eq!(series[1].values, vec![0.0, 1.0]);
     }
@@ -657,8 +576,8 @@ mod tests {
     fn empty_dataset_yields_empty_series() {
         let d = Dataset::default();
         assert!(events_per_quarter(&ctx(), &d).is_empty());
-        assert!(articles_per_quarter(&ctx(), &d).is_empty());
-        assert!(active_sources_partial(&ctx(), &d).finalize().is_empty());
+        assert!(articles_per_quarter(&d).is_empty());
+        assert!(active_sources_partial(&d).finalize().is_empty());
         let (a, m) = delay_per_quarter(&ctx(), &d);
         assert!(a.is_empty() && m.is_empty());
     }
@@ -668,7 +587,6 @@ mod tests {
         let d = dataset();
         let seq = ExecContext::builder().threads(1).build();
         assert_eq!(events_per_quarter(&seq, &d), events_per_quarter(&ctx(), &d));
-        assert_eq!(articles_per_quarter(&seq, &d), articles_per_quarter(&ctx(), &d));
         assert_eq!(delay_per_quarter(&seq, &d), delay_per_quarter(&ctx(), &d));
     }
 }

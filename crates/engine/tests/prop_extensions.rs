@@ -107,14 +107,13 @@ proptest! {
         n_quarters in 2usize..8,
     ) {
         let d = corpus(seed, n_events, n_quarters);
-        let ctx = ExecContext::builder().threads(2).build();
         let Some((base, n)) = d.quarter_span() else {
             return Ok(());
         };
         let mut total_by_source = vec![0u64; d.sources.len()];
         for i in 0..n {
             let q = Quarter::from_linear(i32::from(base) + i as i32);
-            for (t, c) in total_by_source.iter_mut().zip(articles_by_source_in(&ctx, &d, q, q)) {
+            for (t, c) in total_by_source.iter_mut().zip(articles_by_source_in(&d, q, q)) {
                 *t += c;
             }
         }

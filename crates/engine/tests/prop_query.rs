@@ -831,7 +831,7 @@ fn corpus_above_the_cut_off_matches_reference_at_every_thread_count() {
         // Fig 6's per-publisher series ride the same scan: each equals
         // the Articles reference restricted to that source's rows.
         let picks = [SourceId(0), SourceId(7), SourceId(40)];
-        let got = timeseries::publisher_series(&ctx, &d, &picks);
+        let got = timeseries::publisher_series(&d, &picks);
         let whole = reference_series(&d, SeriesKind::Articles);
         for (pick, series) in picks.iter().zip(&got) {
             let mut of_pick = vec![0.0; whole.len()];
@@ -857,7 +857,7 @@ fn corpus_above_the_cut_off_matches_reference_at_every_thread_count() {
                 want[s as usize] += 1;
             }
         }
-        let got = articles_by_source_in(&ctx, &d, from, to);
+        let got = articles_by_source_in(&d, from, to);
         assert_eq!(got, want, "{from}..={to}, {threads} thread(s)");
     }
 }
@@ -938,6 +938,31 @@ fn active_sources_at_the_papers_source_count_match_reference() {
         for threads in [1usize, 2, 3] {
             let ctx = ExecContext::builder().threads(threads).build();
             assert_eq!(run_query(&ctx, &d, &q), want, "{rows} rows, {threads} thread(s)");
+        }
+    }
+}
+
+// A generated corpus over the paper's 20 996 sources, of which the
+// directory holds those that publish: the per-source readers of the source × quarter counts
+// (Articles, ActiveSources, publisher rankings and FollowReport's
+// totals) against the oracle, filled on one thread and on three.
+#[test]
+fn a_corpus_over_the_papers_source_count_matches_reference() {
+    let mut cfg = gdelt_synth::scenario::tiny(17);
+    cfg.n_sources = 20_996;
+    let d = gdelt_synth::generate_dataset(&cfg).0;
+    assert!(d.sources.len() > 5_000, "{} sources", d.sources.len());
+    let queries = [
+        Query::TimeSeries(SeriesKind::Articles),
+        Query::TimeSeries(SeriesKind::ActiveSources),
+        Query::TopK { kind: TopKKind::Publishers, k: 10 },
+        Query::FollowReport { top_k: 10 },
+    ];
+    for threads in [1usize, 3] {
+        let ctx = ExecContext::builder().threads(threads).build();
+        let fresh = d.clone();
+        for q in &queries {
+            assert_eq!(run_query(&ctx, &fresh, q), reference(&d, q), "{q}, {threads} thread(s)");
         }
     }
 }

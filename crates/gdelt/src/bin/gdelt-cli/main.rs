@@ -345,6 +345,10 @@ fn cmd_validate(o: &Options) -> Result<(), String> {
         dataset.mentions.len(),
         dataset.sources.len()
     );
+    // Fill what the dataset derives from its columns, so the audit
+    // compares each with its own row-at-a-time recount.
+    dataset.quarter_span();
+    dataset.source_quarters();
     let report = dataset.deep_validate();
     print!("{report}");
     if report.is_ok() {
@@ -387,8 +391,11 @@ fn cmd_query(o: &Options) -> Result<(), String> {
         Some(w) => {
             let (from, to) = w.split_once(':').ok_or("--window must be FROM:TO")?;
             let (from, to) = (parse_quarter(from)?, parse_quarter(to)?);
+            if from > to {
+                return Err(format!("--window: {from} is after {to}"));
+            }
             println!("window: {from} .. {to}");
-            Some(articles_by_source_in(&ctx, &dataset, from, to))
+            Some(articles_by_source_in(&dataset, from, to))
         }
         None => None,
     };

@@ -50,7 +50,7 @@ fn main() {
 
     // Ad-hoc investigation: most productive publishers of one year.
     let (from, to) = (Quarter { year: 2016, q: 1 }, Quarter { year: 2016, q: 4 });
-    let counts = articles_by_source_in(&ctx, &dataset, from, to);
+    let counts = articles_by_source_in(&dataset, from, to);
     println!("2016 window holds {} articles; top publishers:", counts.iter().sum::<u64>());
     for (s, n) in ranked_publishers(&counts, 5) {
         println!("  {:<44} {:>8}", dataset.sources.name(s), n);

@@ -170,6 +170,10 @@ fn query_and_update_subcommands() {
         assert_eq!(code, Some(1), "--window {window} must be refused");
         assert!(stderr.contains("--window"), "--window {window}: {stderr}");
     }
+    // So is a window that ends before it starts, naming both quarters.
+    let (code, stdout, stderr) = query(&["--window", "2017Q4:2016Q1"]);
+    assert_eq!(code, Some(1), "a reversed window must be refused: {stdout}");
+    assert!(stderr.contains("--window: 2017Q4 is after 2016Q1"), "{stderr}");
 
     // Apply the same raw directory as an update batch (all duplicates —
     // the dataset must survive unchanged in size).
