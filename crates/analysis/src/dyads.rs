@@ -62,7 +62,8 @@ pub fn dyad_counts(ctx: &ExecContext, d: &Dataset) -> Vec<Dyad> {
         }
         acc
     };
-    let acc = partition_scan(ctx, d.events.len(), count_rows, Merge::merged);
+    // 12–14 ns an event on one thread.
+    let acc = partition_scan(ctx, d.events.len(), 14.0, count_rows, Merge::merged);
     let mut out: Vec<Dyad> = acc
         .counts
         .into_iter()

@@ -14,8 +14,9 @@
 //! [`fork_join`] is the one place product code runs a computation on
 //! more than one thread, over one process-wide pool: the engine's
 //! `ExecContext::map_reduce`, the builder's chunked text staging, a
-//! store load's payload groups and `Dataset::validate` call it, the
-//! last three split by [`pieces_for`].
+//! store load's payload groups, the source × quarter fill and
+//! `Dataset::validate` call it. Whether a fork pays, and into how many
+//! pieces, is one rule for all of them: [`fork_pieces`].
 
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
@@ -111,19 +112,31 @@ pub fn event_partitions(offsets: &[u64], n_parts: usize) -> Vec<Partition> {
 }
 
 /// The number of cores the OS grants this process, read once: the
-/// call costs tens of µs, and a fork asks for it on every load.
-/// [`pieces_for`], the engine's default thread count and the pool's
-/// width all read this one value.
+/// call costs tens of µs, and a fork asks for it on every load. The
+/// columnar fork points' cap, the engine's default thread count and the
+/// pool's width all read this one value.
 pub fn cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
-/// How many pieces to split `bytes` of work into: one per core, each at
-/// least a MiB — a fork costs µs to tens of µs, a MiB of work hundreds —
-/// so below two MiB the caller does it all.
-pub fn pieces_for(bytes: usize) -> usize {
-    cores().min(bytes >> 20).max(1)
+/// F, what a fork costs over its work: 35–41 µs when the pool's idle
+/// thread has to wake, as it does after the gap a closed-loop client
+/// leaves (EXPERIMENTS.md "One persistent fork pool").
+const FORK_NS: f64 = 40_000.0;
+
+/// The one fork rule: how many pieces `units` of work (rows or bytes)
+/// at `unit_ns` each pays for, at most `cap`. A piece must carry 2 F of
+/// work, so under 4 F the work stays on the caller in one piece: a
+/// second piece saves half the work and costs a fork, and its job
+/// starts on a cold cache and leaves a partial to merge, which the
+/// sweep in EXPERIMENTS.md "One fork rule" prices at about a second F
+/// (report scans of 2 F lost to one thread, of 4 F gained). Each fork
+/// point declares its `unit_ns` beside its code, with the measurement
+/// it came from.
+pub fn fork_pieces(units: usize, unit_ns: f64, cap: usize) -> usize {
+    // A float-to-int `as` saturates, so any amount of work is `cap` pieces.
+    ((units as f64 * unit_ns / (2.0 * FORK_NS)) as usize).clamp(1, cap.max(1))
 }
 
 /// Run `work` on each of `jobs` on the process's fork pool while the
@@ -334,6 +347,19 @@ mod tests {
         });
         let payload = caught.expect_err("the panic must reach the caller");
         assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("job 2 failed"));
+    }
+
+    #[test]
+    fn a_fork_pays_from_four_forks_of_work() {
+        // 4 F of work at 1 ns a unit is 160 000 units.
+        assert_eq!(fork_pieces(159_999, 1.0, 8), 1);
+        assert_eq!(fork_pieces(160_000, 1.0, 8), 2);
+        assert_eq!(fork_pieces(160_000, 0.5, 8), 1);
+        assert_eq!(fork_pieces(240_000, 1.0, 8), 3);
+        assert_eq!(fork_pieces(1 << 40, 1.0, 8), 8);
+        assert_eq!(fork_pieces(usize::MAX, f64::MAX, 3), 3);
+        assert_eq!(fork_pieces(1 << 40, 1.0, 0), 1);
+        assert_eq!(fork_pieces(0, 1.0, 8), 1);
     }
 
     #[test]

@@ -170,6 +170,11 @@ impl DenseLanes {
     }
 }
 
+/// What [`count_by`] costs a row on one thread: 0.6–0.9 ns over
+/// mention sources, 2.7–3.2 over event countries (EXPERIMENTS.md "One
+/// fork rule", as every engine cost below).
+const COUNT_ROW_NS: f64 = 1.0;
+
 /// Count occurrences of each key in `keys`, producing a dense vector of
 /// length `domain`. Keys `>= domain` are ignored (sentinel convention,
 /// e.g. unknown country).
@@ -180,7 +185,7 @@ pub fn count_by<K: DenseKey>(ctx: &ExecContext, keys: &[K], domain: usize) -> Ve
         lanes.count(rows_of(keys, &rows), 0);
         lanes.sums()
     };
-    partition_scan(ctx, keys.len(), count_rows, Merge::merged)
+    partition_scan(ctx, keys.len(), COUNT_ROW_NS, count_rows, Merge::merged)
 }
 
 /// Articles per source among the mentions scraped in quarters
@@ -225,13 +230,15 @@ pub fn mean_f32_by<K: DenseKey>(
         }
         a
     };
-    partition_scan(ctx, keys.len(), sum_rows, add)
+    // 2.8–3.0 ns a row on one thread (event countries and tones).
+    partition_scan(ctx, keys.len(), 2.8, sum_rows, add)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunk::{chunks_of, CHUNK_ROWS, SEQUENTIAL_SCAN_ROWS};
+    use crate::chunk::{chunks_of, CHUNK_ROWS};
+    use gdelt_columnar::partition::fork_pieces;
 
     fn ctx() -> ExecContext {
         ExecContext::builder().threads(4).build()
@@ -382,7 +389,9 @@ mod tests {
 
     #[test]
     fn count_by_partitions_match_a_row_at_a_time_loop_above_the_cut_off() {
-        let n = SEQUENTIAL_SCAN_ROWS as u32 + 12_345;
+        // Rows enough that two threads fork (and three, and five).
+        let n: u32 = 172_345;
+        assert!(fork_pieces(n as usize, COUNT_ROW_NS, 2) > 1);
         let keys: Vec<u32> = (0..n).map(|i| i.wrapping_mul(2_654_435_761) % 97).collect();
         let want = naive_counts(&keys, 0, 90);
         for threads in [1, 2, 3, 5] {

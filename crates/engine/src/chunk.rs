@@ -9,9 +9,10 @@
 //! loops it can autovectorize.
 //!
 //! [`partition_scan`] is the driver under the streaming kernels: one row
-//! range per partition, or the whole table inline at or below
-//! [`SEQUENTIAL_SCAN_ROWS`] — a cut-off derived from the measured cost
-//! of a fork-join against the measured cost of a row.
+//! range per thread, mapped on the fork pool when the scan's rows at
+//! its declared cost pay for a fork (`partition::fork_pieces`) and
+//! folded in order on the caller otherwise. The rule decides where the
+//! ranges run, never where they are cut.
 //!
 //! The rest of the module is kernel *fusion*: [`SelMask`] is a
 //! stack-allocated selection vector for one chunk, evaluated branchlessly
@@ -28,7 +29,7 @@
 //! has [`for_each_event`] hand it each event's row and mention rows.
 
 use crate::exec::ExecContext;
-use gdelt_columnar::partition::event_partitions;
+use gdelt_columnar::partition::{event_partitions, fork_pieces};
 
 /// Rows per chunk. 4096 rows keeps the widest hot column (u32, 16 KiB)
 /// inside L1 alongside an accumulator, and is a multiple of 64 so chunk
@@ -37,28 +38,6 @@ pub const CHUNK_ROWS: usize = 4096;
 
 /// Selection words per full chunk.
 pub const CHUNK_WORDS: usize = CHUNK_ROWS / 64;
-
-/// At or below this row count a scan folds inline on the calling thread
-/// instead of fanning out. Derived from two measurements on the
-/// two-core reference box (EXPERIMENTS.md "One persistent fork pool"
-/// and "Dash kernels read only what they count"), each fork taken after
-/// an idle gap as a closed-loop client leaves one: a fork on the pool
-/// costs F = 35–41 µs over its work (the idle second core waking; 4.5 µs
-/// when the caller takes the job back unstarted), and the six dashboard
-/// kernels that scan through here cost c = 0.3–0.7 ns per row (the
-/// Events and Articles counts) to 1.6–2.7 ns (ActiveSources) on one
-/// thread on the corpora near the cut-off. A second thread saves
-/// `rows · c / 2` and costs F, so it breaks even at `2 F / c`: 26–51 k
-/// rows for ActiveSources, 100 k and more for the counts. One cut-off
-/// serves them all, set where the whole bundle breaks even. Checked on
-/// both sides (medians of four sweeps): the dash bundle over 33 k
-/// mentions is 0.34 ms inline against 0.41 fanned out, over 66 k 0.49
-/// against 0.50, over 132 k 0.89 against 0.72. (ActiveSources and
-/// Articles have since left the scan: they read the dataset's source ×
-/// quarter counts.) Partial merges are
-/// associative, so the result is bit-identical either way (pinned above
-/// and below the cut-off by `prop_query.rs`).
-pub const SEQUENTIAL_SCAN_ROWS: usize = 64 * 1024;
 
 /// A half-open row window `[begin, end)` over table columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,24 +101,22 @@ pub fn rows_of<'a, T>(col: &'a [T], rows: &std::ops::Range<usize>) -> &'a [T] {
     col.get(rows.start..rows.end.min(col.len())).unwrap_or(&[])
 }
 
-/// Partitioned scan with the sequential cut-off: `map` sees one row
-/// range per partition (all of `0..n_rows` at or below
-/// [`SEQUENTIAL_SCAN_ROWS`]) and `reduce` folds the partials in
-/// partition order.
+/// Partitioned scan: `map` sees one row range per thread of `ctx`, on
+/// the fork pool when `n_rows` at `row_ns` each pay for a fork, and
+/// `reduce` folds the partials in partition order.
 // analyze: no_panic
 pub fn partition_scan<T>(
     ctx: &ExecContext,
     n_rows: usize,
+    row_ns: f64,
     map: impl Fn(std::ops::Range<usize>) -> T + Sync + Send,
     reduce: impl FnMut(T, T) -> T,
 ) -> T
 where
     T: Send + Default,
 {
-    if n_rows <= SEQUENTIAL_SCAN_ROWS {
-        return map(0..n_rows);
-    }
-    ctx.map_reduce(ctx.make_partitions(n_rows), |p| map(p.range()), reduce).unwrap_or_default()
+    let fork = fork_pieces(n_rows, row_ns, ctx.n_threads()) > 1;
+    ctx.fold(ctx.make_partitions(n_rows), fork, |p| map(p.range()), reduce).unwrap_or_default()
 }
 
 /// A stack-allocated selection vector for one chunk: bit `i` of word
@@ -266,24 +243,22 @@ pub fn mention_rows(offsets: &[u64], events: std::ops::Range<usize>) -> std::ops
 }
 
 /// The driver under every kernel that groups mentions by event: `map`
-/// folds one [`event_partitions`] range (walking it with
-/// [`for_each_event`], or streaming its mention rows) and `reduce`
-/// merges the partials in event order. At or below
-/// [`SEQUENTIAL_SCAN_ROWS`] mention rows, `map` folds every event
-/// inline. `None` when the index holds no events.
+/// folds one of `ctx`'s [`event_partitions`] (walking it with
+/// [`for_each_event`], or streaming its mention rows), on the fork pool
+/// when the mention rows at `row_ns` each pay for a fork, and `reduce`
+/// merges the partials in event order. `None` when the index holds no
+/// events.
 // analyze: no_panic
 pub fn event_scan<T: Send>(
     ctx: &ExecContext,
     offsets: &[u64],
+    row_ns: f64,
     map: impl Fn(std::ops::Range<usize>) -> T + Sync + Send,
     reduce: impl FnMut(T, T) -> T,
 ) -> Option<T> {
-    let n_events = offsets.len().saturating_sub(1);
-    if offsets.last().map_or(0, |&rows| rows as usize) <= SEQUENTIAL_SCAN_ROWS {
-        return (n_events > 0).then(|| map(0..n_events));
-    }
-    let parts = event_partitions(offsets, ctx.n_threads() * ctx.partitions_per_thread());
-    ctx.map_reduce(parts, |p| map(p.range()), reduce)
+    let rows = offsets.last().map_or(0, |&rows| rows as usize);
+    let fork = fork_pieces(rows, row_ns, ctx.n_threads()) > 1;
+    ctx.fold(event_partitions(offsets, ctx.n_threads()), fork, |p| map(p.range()), reduce)
 }
 
 #[cfg(test)]
@@ -318,12 +293,14 @@ mod tests {
         let ctx = ExecContext::builder().threads(3).build();
         let sum_rows =
             |rows| chunks_of(rows).flat_map(|c| c.range()).map(|r| r as u64).sum::<u64>();
-        // Folded inline, then fanned out.
-        for n in [CHUNK_ROWS * 3 + 123, SEQUENTIAL_SCAN_ROWS + CHUNK_ROWS + 123] {
-            let sum = partition_scan(&ctx, n, sum_rows, |a, b| a + b);
-            assert_eq!(sum, (n as u64 - 1) * n as u64 / 2);
+        // Rows free (folded on the caller) and dear (forked).
+        for row_ns in [0.0, 1e6] {
+            for n in [5, CHUNK_ROWS * 3 + 123] {
+                let sum = partition_scan(&ctx, n, row_ns, sum_rows, |a, b| a + b);
+                assert_eq!(sum, (n as u64 - 1) * n as u64 / 2);
+            }
+            assert_eq!(partition_scan(&ctx, 0, row_ns, sum_rows, |a, b| a + b), 0);
         }
-        assert_eq!(partition_scan(&ctx, 0, sum_rows, |a, b| a + b), 0);
     }
 
     #[test]
@@ -399,7 +376,7 @@ mod tests {
     #[test]
     fn event_scan_folds_every_event_once_at_any_thread_count() {
         let offsets: Vec<u64> = (0..=1_000u64).map(|e| e * (e + 1) / 2).collect();
-        for threads in [1, 2, 3, 5] {
+        for (threads, row_ns) in [1, 2, 3, 5].into_iter().flat_map(|t| [(t, 0.0), (t, 1e6)]) {
             let ctx = ExecContext::builder().threads(threads).build();
             let count = |events| {
                 let mut seen = (0u64, 0u64);
@@ -408,10 +385,10 @@ mod tests {
                 });
                 seen
             };
-            let total = event_scan(&ctx, &offsets, count, |a, b| (a.0 + b.0, a.1 + b.1));
-            assert_eq!(total, Some((1_000, 500_500)), "{threads} threads");
+            let total = event_scan(&ctx, &offsets, row_ns, count, |a, b| (a.0 + b.0, a.1 + b.1));
+            assert_eq!(total, Some((1_000, 500_500)), "{threads} threads, {row_ns} ns a row");
         }
         let ctx = ExecContext::builder().threads(2).build();
-        assert_eq!(event_scan(&ctx, &[], |_| 1u64, |a, b| a + b), None);
+        assert_eq!(event_scan(&ctx, &[], 1e6, |_| 1u64, |a, b| a + b), None);
     }
 }

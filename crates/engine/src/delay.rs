@@ -279,7 +279,8 @@ pub(crate) fn per_source_delay_hists(ctx: &ExecContext, d: &Dataset) -> Vec<Dela
             (rows_of(&d.mentions.source, &rows), rows_of(&d.mentions.delay, &rows));
         vec![Grouped::of_rows(n_sources, sources, delays)]
     };
-    let ranges: Vec<Grouped> = partition_scan(ctx, d.mentions.len(), group_rows, concat);
+    // The two stages cost 4.3–6.9 ns a mention on one thread.
+    let ranges: Vec<Grouped> = partition_scan(ctx, d.mentions.len(), 2.0, group_rows, concat);
 
     // Cut and walk the sources like events, by weight: a source weighs
     // its rows plus what its histogram costs before the first row.
@@ -296,7 +297,7 @@ pub(crate) fn per_source_delay_hists(ctx: &ExecContext, d: &Dataset) -> Vec<Dela
         });
         hists
     };
-    event_scan(ctx, &weights, reduce_sources, concat).unwrap_or_default()
+    event_scan(ctx, &weights, 2.0, reduce_sources, concat).unwrap_or_default()
 }
 
 /// Partials that are lists in partition order: append.

@@ -3,23 +3,18 @@
 //!
 //! The paper's engine is OpenMP `parallel for` with a static schedule
 //! over NUMA-placed table chunks; the Rust equivalent is an explicit
-//! partition list split into one contiguous chunk per thread, each chunk
-//! mapped on a thread of the process's fork pool with one partial
-//! accumulator per partition, and a sequential merge in partition
-//! order. Queries never share mutable state across workers, and
-//! [`ExecContext::map_reduce`] is the only place the engine forks.
+//! partition list, one partition per thread, each mapped on a thread of
+//! the process's fork pool into one partial accumulator, and a
+//! sequential merge in partition order. Queries never share mutable
+//! state across workers, and [`ExecContext::fold`] is the only place
+//! the engine forks.
 
 use gdelt_columnar::partition::{cores, fork_join, partitions, Partition};
 
-/// Default partition granularity: a few partitions per thread for load
-/// balancing without fragmenting the scan.
-const DEFAULT_PARTITIONS_PER_THREAD: usize = 4;
-
-/// Thread-count and partitioning policy for query execution.
+/// Thread-count policy for query execution.
 #[derive(Debug, Clone)]
 pub struct ExecContext {
     n_threads: usize,
-    partitions_per_thread: usize,
 }
 
 impl Default for ExecContext {
@@ -28,12 +23,11 @@ impl Default for ExecContext {
     }
 }
 
-/// Configures an [`ExecContext`]: thread count and partition
-/// granularity — the single way to construct a context.
+/// Configures an [`ExecContext`]'s thread count — the single way to
+/// construct a context.
 #[derive(Debug, Clone, Default)]
 pub struct ExecContextBuilder {
     threads: Option<usize>,
-    partitions_per_thread: Option<usize>,
 }
 
 impl ExecContextBuilder {
@@ -44,22 +38,9 @@ impl ExecContextBuilder {
         self
     }
 
-    /// Override how many partitions each worker thread gets per scan
-    /// (clamped to at least 1). Larger values improve load balancing on
-    /// skewed CSR groups at the cost of merge work; the default is 4.
-    pub fn partitions_per_thread(mut self, n: usize) -> Self {
-        self.partitions_per_thread = Some(n.max(1));
-        self
-    }
-
     /// Construct the context.
     pub fn build(self) -> ExecContext {
-        ExecContext {
-            n_threads: self.threads.unwrap_or_else(cores),
-            partitions_per_thread: self
-                .partitions_per_thread
-                .unwrap_or(DEFAULT_PARTITIONS_PER_THREAD),
-        }
+        ExecContext { n_threads: self.threads.unwrap_or_else(cores) }
     }
 }
 
@@ -78,31 +59,40 @@ impl ExecContext {
         self.n_threads
     }
 
-    /// Partitions handed to each worker thread per scan.
-    #[inline]
-    pub fn partitions_per_thread(&self) -> usize {
-        self.partitions_per_thread
-    }
-
-    /// Partitions for an `n_rows` scan: a few per thread for load
-    /// balancing, none empty unless the table is tiny.
+    /// Partitions for an `n_rows` scan: one per thread, none empty
+    /// unless the table is tiny.
     pub fn make_partitions(&self, n_rows: usize) -> Vec<Partition> {
-        partitions(n_rows, (self.n_threads * self.partitions_per_thread).min(n_rows.max(1)))
+        partitions(n_rows, self.n_threads.min(n_rows.max(1)))
     }
 
     /// The partitioned map-reduce skeleton: `map` runs once per
     /// partition, producing one partial each, and the partials are
-    /// merged with `reduce` in partition order (merge cost is negligible
-    /// next to the scans).
-    ///
-    /// The schedule is static: `parts` is cut into
-    /// `min(n_threads, parts.len())` near-even contiguous chunks; the
-    /// caller maps the first and the fork pool ([`fork_join`]) each
-    /// other one (the caller takes back any no pool thread has started). With one thread or one partition everything runs
-    /// inline on the caller. A panic in `map` is re-raised on the caller
-    /// with its original payload once every thread has stopped.
+    /// merged with `reduce` in partition order. With more than one
+    /// thread it forks ([`ExecContext::fold`]).
     // analyze: no_panic
     pub fn map_reduce<T, M, R>(&self, parts: Vec<Partition>, map: M, reduce: R) -> Option<T>
+    where
+        T: Send,
+        M: Fn(Partition) -> T + Sync + Send,
+        R: FnMut(T, T) -> T,
+    {
+        self.fold(parts, self.n_threads > 1, map, reduce)
+    }
+
+    /// Map every partition and merge the partials in partition order:
+    /// with `fork`, one job per partition on the fork pool
+    /// ([`fork_join`]), the caller mapping the first (and taking back
+    /// any no pool thread has started); without, all on the caller.
+    /// A panic in `map` is re-raised on the caller with its original
+    /// payload once every job has stopped.
+    // analyze: no_panic
+    pub(crate) fn fold<T, M, R>(
+        &self,
+        parts: Vec<Partition>,
+        fork: bool,
+        map: M,
+        reduce: R,
+    ) -> Option<T>
     where
         T: Send,
         M: Fn(Partition) -> T + Sync + Send,
@@ -128,19 +118,13 @@ impl ExecContext {
                 .arg("part", i as u64);
             map(p)
         };
-        let n_parts = parts.len();
-        let n_threads = self.n_threads.min(n_parts);
-        if n_threads <= 1 {
-            return parts.into_iter().enumerate().map(run).reduce(reduce);
+        let mut parts = parts.into_iter().enumerate();
+        let first = parts.next()?;
+        if !fork {
+            return std::iter::once(first).chain(parts).map(run).reduce(reduce);
         }
-        let (base, extra) = (n_parts / n_threads, n_parts % n_threads);
-        let mut rest = parts.into_iter().enumerate();
-        let mut chunks = (0..n_threads)
-            .map(|t| rest.by_ref().take(base + usize::from(t < extra)).collect::<Vec<_>>());
-        let first = chunks.next().unwrap_or_default();
-        let work = |chunk: Vec<_>| chunk.into_iter().map(run).collect::<Vec<T>>();
-        let (mine, theirs) = fork_join(chunks.collect(), work, || work(first));
-        mine.into_iter().chain(theirs.into_iter().flatten()).reduce(reduce)
+        let (mine, theirs) = fork_join(parts.collect(), run, || run(first));
+        std::iter::once(mine).chain(theirs).reduce(reduce)
     }
 }
 
@@ -212,14 +196,14 @@ mod tests {
         let ctx = ExecContext::builder().build();
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         assert_eq!(ctx.n_threads(), cores);
-        assert_eq!(ctx.partitions_per_thread(), DEFAULT_PARTITIONS_PER_THREAD);
     }
 
     #[test]
     fn with_threads_controls_pool_size() {
-        let ctx = ExecContext::builder().threads(2).partitions_per_thread(3).build();
-        assert_eq!(ctx.n_threads(), 2);
-        assert_eq!(ctx.make_partitions(1000).len(), 6);
+        let ctx = ExecContext::builder().threads(3).build();
+        assert_eq!(ctx.n_threads(), 3);
+        assert_eq!(ctx.make_partitions(1000).len(), 3);
+        assert_eq!(ctx.make_partitions(2).len(), 2);
     }
 
     #[test]
@@ -299,7 +283,7 @@ mod tests {
                     ctx.map_reduce(
                         unit_parts(n),
                         |p| {
-                            // Partition 0 is in the first chunk, which the caller maps.
+                            // Partition 0 is the caller's own job.
                             if p.begin == 0 {
                                 assert_eq!(std::thread::current().id(), caller);
                                 std::panic::panic_any(format!("partition {} failed", p.begin));
@@ -319,6 +303,9 @@ mod tests {
         }
     }
 
+    // One job a partition: on at most as many threads as partitions and
+    // cores, so a context's own partitions (one a thread) run on at
+    // most its threads.
     #[test]
     fn map_reduce_runs_on_at_most_n_threads() {
         let caller = std::thread::current().id();
@@ -334,7 +321,10 @@ mod tests {
                     |(), ()| (),
                 );
                 let seen = seen.into_inner().expect("test mutex");
-                assert!(seen.len() <= threads, "threads={threads} parts={n}: {}", seen.len());
+                let most = n.min(cores()).max(usize::from(n > 0));
+                assert!(seen.len() <= most, "threads={threads} parts={n}: {}", seen.len());
+                let own = ctx.make_partitions(n).len();
+                assert!(own <= threads, "threads={threads} rows={n}: {own} partitions");
                 if threads == 1 {
                     assert!(seen.iter().all(|&id| id == caller), "threads(1) left the caller");
                 }

@@ -17,7 +17,6 @@
 //! OpenMP on 64 for it; the Fig 12 benchmark sweeps thread counts over
 //! it.
 
-use crate::chunk::partition_scan;
 use crate::coreport::CoReport;
 use crate::crossreport::CrossReport;
 use crate::delay::DelayStats;
@@ -296,7 +295,7 @@ pub fn run_query(ctx: &ExecContext, d: &Dataset, q: &Query) -> QueryResult {
 /// execution is timed: a throwaway warm-up scan runs first so one-time
 /// costs of the first parallel region are not billed to the kernels.
 pub fn timed_run_in(ctx: &ExecContext, d: &Dataset) -> f64 {
-    let _: u64 = partition_scan(ctx, d.mentions.len(), |rows| rows.len() as u64, |a, b| a + b);
+    let _ = ctx.map_reduce(ctx.make_partitions(d.mentions.len()), |p| p.len(), |a, b| a + b);
     let t0 = std::time::Instant::now();
     run_query(ctx, d, &Query::CrossCountry);
     run_query(ctx, d, &Query::CoReport);

@@ -104,14 +104,15 @@ fn series_from_counts(base: u16, counts: Vec<u64>) -> QuarterlySeries {
 }
 
 /// The count-series kernel: `count` fills the lanes from its `rows`
-/// rows of the counted table, slot 0 being quarter `base`, the first of
-/// the dataset's span. A dataset with no quarter in either table
-/// answers the merge identity.
+/// rows of the counted table at `row_ns` each, slot 0 being quarter
+/// `base`, the first of the dataset's span. A dataset with no quarter
+/// in either table answers the merge identity.
 // analyze: no_panic
 fn count_quarters(
     ctx: &ExecContext,
     d: &Dataset,
     rows: usize,
+    row_ns: f64,
     count: impl Fn(&mut DenseLanes, usize, Range<usize>) + Sync + Send,
 ) -> QuarterlySeries {
     let Some((base, n)) = d.quarter_span() else { return QuarterlySeries::default() };
@@ -120,12 +121,13 @@ fn count_quarters(
         count(&mut lanes, usize::from(base), rows);
         series_from_counts(base, lanes.sums())
     };
-    partition_scan(ctx, rows, fill, Merge::merged)
+    partition_scan(ctx, rows, row_ns, fill, Merge::merged)
 }
 
 /// Events observed per quarter (Fig 4).
 pub(crate) fn events_per_quarter(ctx: &ExecContext, d: &Dataset) -> QuarterlySeries {
-    count_quarters(ctx, d, d.events.len(), |lanes, base, rows| {
+    // 0.06–0.11 ns an event on one thread.
+    count_quarters(ctx, d, d.events.len(), 0.08, |lanes, base, rows| {
         lanes.count(rows_of(&d.events.quarter, &rows), base);
     })
 }
@@ -231,7 +233,8 @@ pub(crate) fn late_articles_per_quarter(
     // Fused chunk pass: one branchless selection over the delay column,
     // then the quarter count weighted by its words, while the chunk is
     // in L1.
-    count_quarters(ctx, d, d.mentions.len(), |lanes, base, rows| {
+    // 0.33–0.44 ns a mention on one thread.
+    count_quarters(ctx, d, d.mentions.len(), 0.4, |lanes, base, rows| {
         for c in chunks_of(rows) {
             let late = SelMask::select(c.slice(&d.mentions.delay), |dl| dl > threshold);
             lanes.count_selected(c.slice(&d.mentions.quarter), base, &late);
@@ -334,7 +337,8 @@ pub fn delay_per_quarter(ctx: &ExecContext, d: &Dataset) -> (QuarterlySeries, Qu
             (rows_of(&d.mentions.quarter, &rows), rows_of(&d.mentions.delay, &rows));
         QuarterDelays::of_rows(base, n, quarters, delays)
     };
-    let mut acc = partition_scan(ctx, d.mentions.len(), of_rows, Merge::merged);
+    // 2.8–3.1 ns a mention on one thread.
+    let mut acc = partition_scan(ctx, d.mentions.len(), 3.0, of_rows, Merge::merged);
     acc.late.sort_unstable();
 
     let (mut avg, mut med) = (vec![0f64; n], vec![0f64; n]);
@@ -544,10 +548,10 @@ mod tests {
 
     #[test]
     fn delay_series_on_the_scan_driver_match_the_dense_histograms() {
-        // Above the sequential cut-off, so ranges merge: per quarter a
-        // different mix of window delays, delays past the window and past
-        // a year, and one quarter with no mentions at all.
-        let rows = crate::chunk::SEQUENTIAL_SCAN_ROWS + 12_345;
+        // Ranges that merge: per quarter a different mix of window
+        // delays, delays past the window and past a year, and one
+        // quarter with no mentions at all.
+        let rows = 22_345;
         let mut d = Dataset::default();
         let quarter = |r: usize| [40u16, 41, 43, 44, 45][r * 7 % 5];
         let delay = |r: usize| match (r * 31 + r / 1_000) % 97 {
@@ -567,7 +571,7 @@ mod tests {
             let ctx = ExecContext::builder().threads(threads).build();
             assert_eq!(delay_per_quarter(&ctx, &d), want, "{threads} thread(s)");
         }
-        // Below the cut-off, on the small corpus, too.
+        // On the small corpus, too.
         let small = dataset();
         assert_eq!(delay_per_quarter(&ctx(), &small), dense_delay_per_quarter(&small));
     }

@@ -28,6 +28,10 @@ pub fn ranked_publishers(counts: &[u64], k: usize) -> Vec<(SourceId, u64)> {
     top_k(counts, k).into_iter().map(|(i, n)| (SourceId(i as u32), n)).collect()
 }
 
+/// What [`top_events`] costs an event on one thread at `k` = 10:
+/// 0.35–0.49 ns.
+const RANK_ROW_NS: f64 = 0.4;
+
 /// The `k` most mentioned events as `(event_row, mentions)` (Table III).
 // analyze: no_panic
 pub(crate) fn top_events(ctx: &ExecContext, d: &Dataset, k: usize) -> Vec<(usize, u64)> {
@@ -50,7 +54,7 @@ pub(crate) fn top_events(ctx: &ExecContext, d: &Dataset, k: usize) -> Vec<(usize
         }
         best.ranked()
     };
-    partition_scan(ctx, n_events, rank_rows, |a, b| merge_ranked(a, b, k))
+    partition_scan(ctx, n_events, RANK_ROW_NS, rank_rows, |a, b| merge_ranked(a, b, k))
 }
 
 /// The `k` largest of `vals` as `(index, value)`, descending, ties by
@@ -143,9 +147,9 @@ pub fn merge_ranked<I: Ord + Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunk::SEQUENTIAL_SCAN_ROWS;
     use crate::query::{run_query, Query, QueryResult, TopKKind};
     use gdelt_columnar::index::EventIndex;
+    use gdelt_columnar::partition::fork_pieces;
 
     fn top_publishers(ctx: &ExecContext, d: &Dataset, k: u32) -> Vec<(SourceId, u64)> {
         let q = Query::TopK { kind: TopKKind::Publishers, k };
@@ -217,8 +221,10 @@ mod tests {
     fn top_events_streams_partitions_above_the_cut_off() {
         // Degrees 1..=3 in a pattern no partition boundary lines up with,
         // a 5 234-mention event, and two rows tying for second place in
-        // the first and the last partition of every thread count below.
-        let n = SEQUENTIAL_SCAN_ROWS + 4_321;
+        // the first and the last partition of every thread count below;
+        // events enough that two threads fork.
+        let n = 404_321;
+        assert!(fork_pieces(n, RANK_ROW_NS, 2) > 1);
         let mut degrees: Vec<u64> = (0..n as u64).map(|i| 1 + i % 3).collect();
         degrees[n / 2 + 1] = 5_234;
         degrees[17] = 900;
@@ -268,9 +274,9 @@ mod tests {
                 }
             }
         }
-        // Above the cut-off, with partitions cut inside blocks: every
-        // degree ties but one per 1 000 events.
-        let n = SEQUENTIAL_SCAN_ROWS + 1_031;
+        // Partitions cut inside blocks: every degree ties but one per
+        // 1 000 events.
+        let n = 9_031;
         let degrees: Vec<u64> = (0..n).map(|i| 2 + u64::from(i % 1_000 == 999)).collect();
         let d = with_degrees(&degrees);
         let ctx = ExecContext::builder().threads(3).build();

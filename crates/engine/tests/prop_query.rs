@@ -11,7 +11,6 @@ use gdelt_columnar::partition::event_partitions;
 use gdelt_columnar::table::NO_EVENT_ROW;
 use gdelt_columnar::{Column, ColumnSet, Dataset, DatasetBuilder};
 use gdelt_engine::aggregate::articles_by_source_in;
-use gdelt_engine::chunk::SEQUENTIAL_SCAN_ROWS;
 use gdelt_engine::coreport::{CoReport, MASK_BLOCK_EVENTS};
 use gdelt_engine::crossreport::CrossReport;
 use gdelt_engine::delay::DelayStats;
@@ -472,9 +471,9 @@ fn csr_edge_corpus_matches_reference_at_every_width_and_partition_edge() {
     assert_eq!(cross.counts.col_sums()[usize::from(home)], located);
 
     // One thread, a few partitions, and a partition edge on every event
-    // boundary (more partitions than events).
-    let every_edge = ExecContext::builder().threads(2).partitions_per_thread(64).build();
-    assert!(every_edge.n_threads() * every_edge.partitions_per_thread() > d.events.len());
+    // boundary (more partitions than events; no more OS threads).
+    let every_edge = ExecContext::builder().threads(128).build();
+    assert!(every_edge.make_partitions(d.events.len()).len() == d.events.len());
     let contexts = [
         (ExecContext::builder().threads(1).build(), "1 thread"),
         (ExecContext::builder().threads(3).build(), "3 threads"),
@@ -577,26 +576,23 @@ fn lane_and_block_edges_match_reference_at_one_to_three_threads() {
         WIDTHS.iter().flat_map(|&k| all_queries(k, 96)).map(|q| (q, reference(&d, &q))).collect();
     let countries: Vec<(usize, CoReport)> =
         [0usize, 1, 63, 64, 65].into_iter().map(|n| (n, reference_coreport(&d, n))).collect();
-    for threads in [1usize, 2, 3] {
-        // One partition per thread, so every partition spans a block edge
-        // of its own, and the default four, so edges fall between them.
-        for per_thread in [1usize, 4] {
-            let ctx =
-                ExecContext::builder().threads(threads).partitions_per_thread(per_thread).build();
-            let parts = event_partitions(offsets, threads * per_thread);
-            if per_thread == 1 {
-                assert!(parts.iter().all(|p| p.len() > MASK_BLOCK_EVENTS));
-            }
-            if threads > 1 {
-                assert!(parts.iter().skip(1).any(|p| p.begin % MASK_BLOCK_EVENTS != 0));
-            }
-            let what = format!("{threads} thread(s), {per_thread} partition(s) each");
-            for (q, want) in &want {
-                assert_eq!(&run_query(&ctx, &d, q), want, "{q}, {what}");
-            }
-            for (n, want) in &countries {
-                assert_eq!(&CoReport::countries(&ctx, &d, *n), want, "{n} countries, {what}");
-            }
+    // Up to three partitions, so every partition spans a block edge of
+    // its own, and more, so edges fall between them.
+    for threads in [1usize, 2, 3, 4, 8, 12] {
+        let ctx = ExecContext::builder().threads(threads).build();
+        let parts = event_partitions(offsets, threads);
+        if threads <= 3 {
+            assert!(parts.iter().all(|p| p.len() > MASK_BLOCK_EVENTS));
+        }
+        if threads > 1 {
+            assert!(parts.iter().skip(1).any(|p| p.begin % MASK_BLOCK_EVENTS != 0));
+        }
+        let what = format!("{threads} thread(s)");
+        for (q, want) in &want {
+            assert_eq!(&run_query(&ctx, &d, q), want, "{q}, {what}");
+        }
+        for (n, want) in &countries {
+            assert_eq!(&CoReport::countries(&ctx, &d, *n), want, "{n} countries, {what}");
         }
     }
 }
@@ -652,8 +648,7 @@ fn follow_edges_of_ties_and_repeats_are_spelled_out() {
     assert_eq!(six.articles[p0], 3);
 }
 
-/// A deterministic corpus of `n_events` events (more than
-/// `SEQUENTIAL_SCAN_ROWS` of them and every scan fans out): ids ascend with time
+/// A deterministic corpus of `n_events` events: ids ascend with time
 /// over `days` days (quarter runs, as in GDELT), every third event is
 /// reported twice and every seventh a third time with a delay that
 /// carries it into a later quarter, and 41 sources — a fifth of them of
@@ -808,22 +803,25 @@ fn adversarial_corpus_matches_reference_whole_and_in_pieces() {
     }
 }
 
-// The partition + merge branch of every scan, which the small corpora
-// never reach: all ten variants against the oracle at 1 / 2 / 3 / 5
+// A corpus above the fork cut-off of the report scans and below that
+// of the cheap ones: at two threads and more, CoReport, FollowReport,
+// CrossCountry and Delay fork (≈ 86 k mention rows at 2–3 ns each),
+// while the events scans and LateArticles fold their partitions on the
+// caller. All ten variants against the oracle at 1 / 2 / 3 / 5
 // threads, over partitions whose edges fall inside blocks and chunks.
 #[test]
 fn corpus_above_the_cut_off_matches_reference_at_every_thread_count() {
     // Sized so that no partition of either table starts on a block edge
     // at any thread count used here (asserted below).
-    let d = scan_corpus(SEQUENTIAL_SCAN_ROWS as u64 + 1_031, 1_826);
-    assert!(d.events.len() > SEQUENTIAL_SCAN_ROWS && d.mentions.len() > d.events.len());
+    let d = scan_corpus(55_031, 1_826);
+    assert!(d.mentions.len() > 82_000, "{} mentions", d.mentions.len());
     let queries = all_queries(6, 96);
     let want: Vec<QueryResult> = queries.iter().map(|q| reference(&d, q)).collect();
     for threads in [1usize, 2, 3, 5] {
         let ctx = ExecContext::builder().threads(threads).build();
         for n_rows in [d.events.len(), d.mentions.len()] {
             let parts = ctx.make_partitions(n_rows);
-            assert!(parts.len() >= 4 && parts.iter().skip(1).all(|p| p.begin % 64 != 0));
+            assert!(parts.len() == threads && parts.iter().skip(1).all(|p| p.begin % 64 != 0));
         }
         for (q, want) in queries.iter().zip(&want) {
             assert_eq!(&run_query(&ctx, &d, q), want, "{q}, {threads} thread(s)");
@@ -862,29 +860,11 @@ fn corpus_above_the_cut_off_matches_reference_at_every_thread_count() {
     }
 }
 
-// The shape of a corpus just above the cut-off in mentions only: every
-// events scan folds inline, every mentions scan and every event walk
-// (cut by mention rows) fans out; all ten variants against the oracle.
-#[test]
-fn corpus_straddling_the_cut_off_matches_reference_at_every_thread_count() {
-    let d = scan_corpus(SEQUENTIAL_SCAN_ROWS as u64 * 3 / 4, 1_826);
-    assert!(d.events.len() <= SEQUENTIAL_SCAN_ROWS && d.mentions.len() > SEQUENTIAL_SCAN_ROWS);
-    let queries = all_queries(6, 96);
-    let want: Vec<QueryResult> = queries.iter().map(|q| reference(&d, q)).collect();
-    for threads in [1usize, 2, 3, 5] {
-        let ctx = ExecContext::builder().threads(threads).build();
-        for (q, want) in queries.iter().zip(&want) {
-            assert_eq!(&run_query(&ctx, &d, q), want, "{q}, {threads} thread(s)");
-        }
-    }
-}
-
 // Twenty-five years of quarters, 100 in all: each source's quarter
 // mask in ActiveSources is two words, and the series run past a `u64`
-// of slots. The four series and TopK Events against the oracle, below
-// the cut-off and above it.
+// of slots. The four series and TopK Events against the oracle.
 #[test]
-fn corpus_over_more_than_64_quarters_matches_reference_on_both_sides_of_the_cut_off() {
+fn corpus_over_more_than_64_quarters_matches_reference_at_every_thread_count() {
     let queries = [
         Query::TimeSeries(SeriesKind::Events),
         Query::TimeSeries(SeriesKind::Articles),
@@ -894,31 +874,25 @@ fn corpus_over_more_than_64_quarters_matches_reference_on_both_sides_of_the_cut_
         Query::TopK { kind: TopKKind::Events, k: 64 },
         Query::TopK { kind: TopKKind::Events, k: 65 },
     ];
-    for n_events in [4_000, SEQUENTIAL_SCAN_ROWS as u64 + 1_031] {
-        let d = scan_corpus(n_events, 9_131);
-        let (_, n_quarters) = d.quarter_span().expect("a span");
-        assert!(n_quarters > 64, "{n_quarters} quarters");
-        for threads in [1usize, 3] {
-            let ctx = ExecContext::builder().threads(threads).build();
-            for q in &queries {
-                let want = reference(&d, q);
-                assert_eq!(
-                    run_query(&ctx, &d, q),
-                    want,
-                    "{q}, {n_events} events, {threads} thread(s)"
-                );
-            }
+    let d = scan_corpus(4_000, 9_131);
+    let (_, n_quarters) = d.quarter_span().expect("a span");
+    assert!(n_quarters > 64, "{n_quarters} quarters");
+    for threads in [1usize, 2, 3, 5] {
+        let ctx = ExecContext::builder().threads(threads).build();
+        for q in &queries {
+            assert_eq!(run_query(&ctx, &d, q), reference(&d, q), "{q}, {threads} thread(s)");
         }
     }
 }
 
 // ActiveSources at the paper's 20 996 sources: each row's source picks
 // its mask by a stride through 20 996 of them, and the masks turn into
-// bitmaps of 329 words a quarter. Below the cut-off and above it.
+// bitmaps of 329 words a quarter. Below the fill's fork cut-off (≈ 133 k
+// rows at 1.2 ns each) and above it.
 #[test]
 fn active_sources_at_the_papers_source_count_match_reference() {
     const SOURCES: u32 = 20_996;
-    for rows in [SEQUENTIAL_SCAN_ROWS / 2, SEQUENTIAL_SCAN_ROWS + 4_321] {
+    for rows in [65_536, 139_857] {
         let mut d = Dataset::default();
         for s in 0..SOURCES {
             d.sources.names.intern(&format!("s{s}.com"));

@@ -165,9 +165,10 @@ impl CallGraph {
                         continue;
                     }
                     // A real call can only land in a crate the caller
-                    // depends on.
+                    // depends on (test code: or dev-depends on).
                     if let Some(deps) = deps {
-                        if !deps.can_call(&node_crate[from], &node_crate[to]) {
+                        let test = n.func.is_test || n.in_test_tree;
+                        if !deps.can_call(&node_crate[from], &node_crate[to], test) {
                             continue;
                         }
                     }

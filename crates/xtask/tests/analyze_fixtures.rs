@@ -344,3 +344,28 @@ fn malformed_baseline_is_a_hard_error_not_a_pass() {
         analyze::check_baseline(&root, &inv, &counts, &BTreeMap::new(), &BTreeMap::new()).is_err()
     );
 }
+
+// ---------------------------------------------------------------------
+// Dependency pruning: a dev-dependency extends only test code's reach.
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_dev_dependency_is_out_of_reach_of_library_code() {
+    // `app` depends on `helper` and calls its `first`; `lib` only
+    // dev-depends on it and calls a `last` only `helper` has. Both
+    // panic, and only `first` is reachable from a kernel.
+    let root = fixtures_root().join("devdeps");
+    let files: Vec<PathBuf> = ["app", "lib", "helper"]
+        .iter()
+        .map(|c| PathBuf::from(format!("crates/{c}/src/lib.rs")))
+        .collect();
+    let d = Analysis::load(&root, &files).expect("fixtures parse").diagnostics();
+    let found: Vec<(String, usize)> = d
+        .iter()
+        .filter(|d| d.rule == "panic_path")
+        .map(|d| (d.path.to_string_lossy().replace('\\', "/"), d.line))
+        .collect();
+    assert_eq!(found, [("crates/helper/src/lib.rs".to_string(), 5)], "{d:?}");
+    let p = rule_in(&d, "panic_path", "helper/src/lib.rs");
+    assert!(p[0].message.contains("`app_kernel`"), "{}", p[0].message);
+}
